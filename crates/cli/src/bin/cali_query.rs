@@ -322,12 +322,17 @@ fn main() -> ExitCode {
     // own error path. --no-lint silences it.
     let listing = args.has(&["list-attributes"]) || args.has(&["list-globals"]);
     let spanned = if listing { None } else { parse_query_spanned(query).ok() };
-    let schema = if spanned.is_some() {
-        lint::infer_schema(&args.positional).ok()
-    } else {
-        None
+    // The schema pre-pass reads every input once more; it has two
+    // consumers — the lint and the typed pushdown of a WHERE clause —
+    // and is skipped when neither exists.
+    let lint = !args.has(&["no-lint"]);
+    let schema = match &spanned {
+        Some((spec, _)) if lint || !spec.filters.is_empty() => {
+            lint::infer_schema(&args.positional).ok()
+        }
+        _ => None,
     };
-    if !args.has(&["no-lint"]) {
+    if lint {
         if let (Some((spec, spans)), Some(schema)) = (&spanned, &schema) {
             for diag in analyze(spec, Some(spans), Some(schema)) {
                 eprint!("{}", diag.render("<query>", query));

@@ -117,8 +117,14 @@ pub fn query_files_streaming_degrade<P: AsRef<std::path::Path>>(
     let mut acc: Option<caliper_query::Pipeline> = None;
     for (file, path) in paths.iter().enumerate() {
         let path = path.as_ref();
-        let decoded = caliper_format::read_path_reported_filtered(path, policy, pushdown);
-        let fault = match &decoded {
+        // One pipeline per file, however large: the whole file is one
+        // work unit on the serial path.
+        let dict = Dataset::new();
+        let mut pipeline =
+            caliper_query::Pipeline::new(spec.clone(), std::sync::Arc::clone(&dict.store))
+                .with_max_groups(max_groups);
+        let scanned = pipeline.scan_file(path, dict, policy, pushdown, usize::MAX);
+        let fault = match &scanned {
             // Fire the merge failpoint only after a successful read, so
             // the per-key attempt counters advance exactly as on the
             // parallel path (which never reaches the root merge for a
@@ -126,21 +132,17 @@ pub fn query_files_streaming_degrade<P: AsRef<std::path::Path>>(
             Ok(_) => caliper_query::shard_merge_fault(file, path),
             Err(_) => None,
         };
-        let error = match (decoded, fault) {
-            (Ok((ds, report)), None) => {
-                reports.push(report);
-                let mut pipeline =
-                    caliper_query::Pipeline::new(spec.clone(), std::sync::Arc::clone(&ds.store))
-                        .with_max_groups(max_groups);
-                pipeline.process_dataset(&ds);
+        let error = match (scanned, fault) {
+            (Ok(scanned), None) => {
+                reports.push(scanned.report);
                 match &mut acc {
                     Some(root) => root.merge(pipeline),
                     None => acc = Some(pipeline),
                 }
                 continue;
             }
-            (Ok((_, report)), Some(e)) => {
-                reports.push(report);
+            (Ok(scanned), Some(e)) => {
+                reports.push(scanned.report);
                 e
             }
             (Err(e), _) => e,

@@ -18,13 +18,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use caliper_query::{parse_query, ParseError, Pipeline, QueryResult};
+use caliper_format::{Dataset, ReadPolicy};
+use caliper_query::{parse_query, ParseError, Pipeline, QueryResult, QuerySpec};
 use mpisim::{
     gather, reduce_tree_resilient, Comm, Executor, FaultPlan, HbTrace, ReduceCoverage, ReduceTask,
     ResilienceOptions, SchedError, Topology,
 };
-
-use crate::read_files;
 
 /// Timing breakdown of one parallel query run.
 #[derive(Debug, Clone, Default)]
@@ -110,9 +109,7 @@ pub fn parallel_query(
 
         // --- local phase: read + process assigned files ---
         let start = Instant::now();
-        let ds = read_files(&files[rank]).map_err(|e| e.to_string())?;
-        let mut pipeline = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
-        pipeline.process_dataset(&ds);
+        let pipeline = local_pipeline(&spec, &files[rank])?;
         let local_s = start.elapsed().as_secs_f64();
 
         // --- binomial-tree reduction, timing each merge ---
@@ -230,10 +227,7 @@ pub fn parallel_query_resilient(
     let files = Arc::new(files_per_rank);
 
     let results = mpisim::run_with_faults(size, plan, move |mut comm: Comm| {
-        let rank = comm.rank();
-        let ds = read_files(&files[rank]).map_err(|e| e.to_string())?;
-        let mut pipeline = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
-        pipeline.process_dataset(&ds);
+        let pipeline = local_pipeline(&spec, &files[comm.rank()])?;
         reduce_tree_resilient(
             &mut comm,
             pipeline,
@@ -331,9 +325,23 @@ pub fn parallel_query_on_traced<E: Executor>(
 /// that poisoned it.
 type RankPipeline = Result<Pipeline, String>;
 
+/// A rank's local phase: one pipeline over its files, scanned in order
+/// through one shared dictionary.
+fn local_pipeline(spec: &QuerySpec, files: &[PathBuf]) -> RankPipeline {
+    let mut dict = Dataset::new();
+    let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
+    for path in files {
+        dict = pipeline
+            .scan_file(path, dict, ReadPolicy::Strict, None, usize::MAX)
+            .map_err(|e| e.to_string())?
+            .dict;
+    }
+    Ok(pipeline)
+}
+
 /// A validated query run setup: the parsed spec, the world size, and
 /// the shared per-rank file assignment.
-type PreparedQuery = (Arc<caliper_query::QuerySpec>, usize, Arc<Vec<Vec<PathBuf>>>);
+type PreparedQuery = (Arc<QuerySpec>, usize, Arc<Vec<Vec<PathBuf>>>);
 
 /// Parse + validate the query and fix the world size.
 fn prepare_query(
@@ -357,7 +365,7 @@ type QueryTask = ReduceTask<RankPipeline, MergeFn, InitFn>;
 /// The shared task factory of the engine-generic query paths: each
 /// rank lazily reads + aggregates its files, then reduces up the tree.
 fn query_task_factory(
-    spec: Arc<caliper_query::QuerySpec>,
+    spec: Arc<QuerySpec>,
     files: Arc<Vec<Vec<PathBuf>>>,
     topology: Topology,
     opts: ResilienceOptions,
@@ -365,12 +373,7 @@ fn query_task_factory(
     move |rank, size| {
         let spec = Arc::clone(&spec);
         let files = Arc::clone(&files);
-        let init: InitFn = Box::new(move || -> RankPipeline {
-            let ds = read_files(&files[rank]).map_err(|e| e.to_string())?;
-            let mut pipeline = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
-            pipeline.process_dataset(&ds);
-            Ok(pipeline)
-        });
+        let init: InitFn = Box::new(move || local_pipeline(&spec, &files[rank]));
         let merge: MergeFn = Box::new(|a: RankPipeline, b| match (a, b) {
             (Ok(mut acc), Ok(incoming)) => {
                 acc.merge(incoming);
@@ -401,6 +404,7 @@ fn finish_query_outputs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::read_files;
     use caliper_query::run_query;
     use miniapps::paradis::{self, ParaDisParams};
 

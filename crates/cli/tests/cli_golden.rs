@@ -303,6 +303,74 @@ fn v2_pushdown_skips_blocks_identically_across_thread_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// CleverLeaf profiles are what the ParaDiS corpus is not: records made
+/// of context-tree node references with nested `function` paths next to
+/// immediates. As CALB v2 they take the columnar fold; every query
+/// shape must print what the text encoding (row path) prints, and the
+/// `--stats` block must not depend on `--threads`.
+#[test]
+fn cleverleaf_v2_matches_text_across_thread_counts() {
+    let app = miniapps::CleverLeaf::new(miniapps::CleverLeafParams {
+        timesteps: 3,
+        ranks: 3,
+        ..Default::default()
+    });
+    let dir = std::env::temp_dir().join(format!("cali-golden-cleverleaf-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut text, mut v2) = (Vec::new(), Vec::new());
+    for (rank, ds) in app.run_all(&Config::event_trace()).iter().enumerate() {
+        assert!(ds.len() > 64, "rank {rank}: {} records", ds.len());
+        text.push(dir.join(format!("rank{rank}.cali")));
+        caliper_format::cali::write_file(ds, &text[rank]).unwrap();
+        v2.push(dir.join(format!("rank{rank}.calb2")));
+        // Small blocks: several per file, so units and skips happen.
+        let opts = caliper_format::V2WriteOptions { block_records: 64, footer: true };
+        std::fs::write(&v2[rank], caliper_format::to_binary_v2_with(ds, &opts)).unwrap();
+    }
+    let cases: &[(&str, &[&str])] = &[
+        (
+            "AGGREGATE count, sum(time.duration) GROUP BY function, kernel \
+             ORDER BY function, kernel FORMAT csv",
+            &[],
+        ),
+        (
+            "LET region = first(kernel, mpi.function, annotation) \
+             AGGREGATE count, min(time.duration), max(time.duration), avg(time.duration) \
+             WHERE not(mpi.function) GROUP BY region, amr.level ORDER BY region, amr.level",
+            &[],
+        ),
+        (
+            "AGGREGATE sum(time.duration), percent_total(time.duration) \
+             WHERE iteration#mainloop > 0 GROUP BY annotation, mpi.rank \
+             ORDER BY annotation, mpi.rank FORMAT json",
+            &[],
+        ),
+        (
+            "AGGREGATE count, sum(time.duration) GROUP BY function ORDER BY function",
+            &["--max-groups", "3"],
+        ),
+    ];
+    for (query, extra) in cases {
+        let reference = run_cali_query(query, &[extra as &[&str], &["--threads", "1"]].concat(), &text);
+        assert!(reference.status.success(), "{query}: {}", String::from_utf8_lossy(&reference.stderr));
+        assert!(reference.stdout.len() > 40, "{query}: empty result");
+        let mut stats = None;
+        for threads in ["1", "2", "4"] {
+            let args = [extra as &[&str], &["--stats", "--threads", threads]].concat();
+            let out = run_cali_query(query, &args, &v2);
+            assert!(out.status.success(), "{query}: {}", String::from_utf8_lossy(&out.stderr));
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&reference.stdout),
+                "{query} --threads {threads}: v2 diverged from text"
+            );
+            let block = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(stats.get_or_insert_with(|| block.clone()), &block, "{query} --threads {threads}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--stats=json` must parse with the repo's own JSON reader, contain
 /// the same values as the text form, and keep its keys sorted — the
 /// machine-readable schema smoke test.

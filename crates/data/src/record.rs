@@ -143,7 +143,7 @@ impl FlatRecord {
     }
 
     /// All values of `attr` in record (outer-to-inner) order.
-    pub fn all(&self, attr: AttrId) -> impl Iterator<Item = &Value> {
+    pub fn all(&self, attr: AttrId) -> impl Iterator<Item = &Value> + Clone {
         self.pairs
             .iter()
             .filter(move |(a, _)| *a == attr)

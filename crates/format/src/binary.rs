@@ -18,8 +18,8 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use caliper_data::{
-    AttrId, Attribute, Entry, FlatRecord, FxHashMap, FxHashSet, NodeId, Properties,
-    SnapshotRecord, Value, ValueType, NODE_NONE,
+    AttrId, Entry, FlatRecord, FxHashMap, FxHashSet, NodeId, Properties, SnapshotRecord, Value,
+    ValueType, NODE_NONE,
 };
 
 use crate::cali::CaliError;
@@ -109,6 +109,12 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
+    pub(crate) fn f64(&mut self) -> Result<f64, CaliError> {
+        let bytes = self.take(8)?;
+        let bytes = bytes.try_into().map_err(|_| self.err("short float value"))?;
+        Ok(f64::from_le_bytes(bytes))
+    }
+
     pub(crate) fn at_end(&self) -> bool {
         self.pos >= self.bytes.len()
     }
@@ -139,13 +145,7 @@ pub(crate) fn get_value(cursor: &mut Cursor<'_>, vtype: ValueType) -> Result<Val
         }
         ValueType::Int => Value::Int(cursor.zigzag()?),
         ValueType::UInt => Value::UInt(cursor.varint()?),
-        ValueType::Float => {
-            let bytes = cursor.take(8)?;
-            let bytes = bytes
-                .try_into()
-                .map_err(|_| cursor.err("short float value"))?;
-            Value::Float(f64::from_le_bytes(bytes))
-        }
+        ValueType::Float => Value::Float(cursor.f64()?),
         ValueType::Bool => Value::Bool(cursor.u8()? != 0),
     })
 }
@@ -336,7 +336,9 @@ pub fn to_binary(ds: &Dataset) -> Vec<u8> {
 /// Per-stream decoder state: the id remapping tables built from the
 /// attr/node records seen so far.
 pub(crate) struct BinaryDecoder {
-    pub(crate) attr_map: FxHashMap<u64, Attribute>,
+    /// Stream attribute id → the attribute's id and declared type in the
+    /// receiving dataset.
+    pub(crate) attr_map: FxHashMap<u64, (AttrId, ValueType)>,
     pub(crate) node_map: FxHashMap<u64, NodeId>,
 }
 
@@ -354,9 +356,9 @@ impl BinaryDecoder {
         id: u64,
         what: &str,
         report: &mut ReadReport,
-    ) -> Result<Attribute, CaliError> {
+    ) -> Result<(AttrId, ValueType), CaliError> {
         match self.attr_map.get(&id) {
-            Some(attr) => Ok(attr.clone()),
+            Some(attr) => Ok(*attr),
             None => {
                 report.dangling_dropped += 1;
                 Err(cursor.err(format!("{what} references undeclared attribute {id}")))
@@ -390,15 +392,15 @@ impl BinaryDecoder {
                     .store
                     .create(&name, vtype, props)
                     .map_err(|e| cursor.err(e.to_string()))?;
-                self.attr_map.insert(id, attr);
+                self.attr_map.insert(id, (attr.id(), vtype));
                 Ok(false)
             }
             TAG_NODE => {
                 let id = cursor.varint()?;
                 let attr_id = cursor.varint()?;
                 let parent_code = cursor.varint()?;
-                let attr = self.lookup_attr(cursor, attr_id, "node", report)?;
-                let value = get_value(cursor, attr.value_type())?;
+                let (attr, vtype) = self.lookup_attr(cursor, attr_id, "node", report)?;
+                let value = get_value(cursor, vtype)?;
                 let parent = if parent_code == 0 {
                     NODE_NONE
                 } else {
@@ -410,7 +412,7 @@ impl BinaryDecoder {
                         }
                     }
                 };
-                let local = ds.tree.get_child(parent, attr.id(), &value);
+                let local = ds.tree.get_child(parent, attr, &value);
                 self.node_map.insert(id, local);
                 Ok(false)
             }
@@ -431,9 +433,8 @@ impl BinaryDecoder {
                 let nimm = cursor.varint()?;
                 for _ in 0..nimm {
                     let attr_id = cursor.varint()?;
-                    let attr = self.lookup_attr(cursor, attr_id, "imm", report)?;
-                    let value = get_value(cursor, attr.value_type())?;
-                    rec.push_imm(attr.id(), value);
+                    let (attr, vtype) = self.lookup_attr(cursor, attr_id, "imm", report)?;
+                    rec.push_imm(attr, get_value(cursor, vtype)?);
                 }
                 ds.records.push(rec);
                 Ok(true)
@@ -443,9 +444,8 @@ impl BinaryDecoder {
                 let nimm = cursor.varint()?;
                 for _ in 0..nimm {
                     let attr_id = cursor.varint()?;
-                    let attr = self.lookup_attr(cursor, attr_id, "global", report)?;
-                    let value = get_value(cursor, attr.value_type())?;
-                    rec.push(attr.id(), value);
+                    let (attr, vtype) = self.lookup_attr(cursor, attr_id, "global", report)?;
+                    rec.push(attr, get_value(cursor, vtype)?);
                 }
                 ds.globals.push(rec);
                 Ok(true)
@@ -493,6 +493,23 @@ pub fn read_binary_into_filtered(
     report: &mut ReadReport,
     pushdown: Option<&Pushdown>,
 ) -> Result<Dataset, CaliError> {
+    let rows = &mut crate::binary_v2::append_rows;
+    scan_binary_into(bytes, &mut ds, policy, report, pushdown, rows)?;
+    Ok(ds)
+}
+
+/// Walk a binary stream, appending into `ds`. A CALB v2 stream's blocks
+/// go to `on_block` as typed columns, in stream order, and add nothing
+/// to `ds.records`; a v1 stream has no columns, so its snapshot records
+/// are appended to `ds.records` and `on_block` is never called.
+pub(crate) fn scan_binary_into(
+    bytes: &[u8],
+    ds: &mut Dataset,
+    policy: ReadPolicy,
+    report: &mut ReadReport,
+    pushdown: Option<&Pushdown>,
+    on_block: &mut crate::binary_v2::BlockSink<'_>,
+) -> Result<(), CaliError> {
     let mut cursor = Cursor { bytes, pos: 0 };
     let magic = cursor.take(4)?;
     if magic != MAGIC {
@@ -500,7 +517,7 @@ pub fn read_binary_into_filtered(
     }
     let version = cursor.u8()?;
     if version == crate::binary_v2::VERSION_V2 {
-        return crate::binary_v2::read_v2_body(cursor, ds, policy, report, pushdown);
+        return crate::binary_v2::scan_v2_body(cursor, ds, policy, report, pushdown, on_block);
     }
     if version != VERSION {
         return Err(cursor.err(format!("unsupported binary cali version {version}")));
@@ -508,7 +525,7 @@ pub fn read_binary_into_filtered(
 
     let mut decoder = BinaryDecoder::new();
     while !cursor.at_end() {
-        match decoder.read_record(&mut cursor, &mut ds, report) {
+        match decoder.read_record(&mut cursor, ds, report) {
             Ok(is_data) => {
                 if is_data {
                     report.records += 1;
@@ -524,11 +541,11 @@ pub fn read_binary_into_filtered(
                 if report.skipped > policy.max_errors() {
                     return Err(e);
                 }
-                return Ok(ds);
+                return Ok(());
             }
         }
     }
-    Ok(ds)
+    Ok(())
 }
 
 /// Parse a binary stream into a fresh dataset.

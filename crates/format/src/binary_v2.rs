@@ -20,19 +20,29 @@
 //! offsets from the tail of the file without scanning.
 //!
 //! The byte-level layout of every structure is specified normatively in
-//! **`docs/CALB.md`**; this module doc is a summary. Decoding a v2
-//! stream reconstructs exactly the same dataset as the equivalent v1
-//! stream, record for record and entry for entry, so query results are
-//! byte-identical across encodings. Under [`ReadPolicy::Lenient`], a
+//! **`docs/CALB.md`**; this module doc is a summary.
+//!
+//! There is one block decoder, and it keeps the layout: a block decodes
+//! into a [`Block`] — flat skeleton arrays plus one typed vector per
+//! column, strings interned in a per-stream [`StringTable`], buffers
+//! reused from block to block — which consumers that aggregate fold
+//! directly (`caliper-query`'s `scan` module). Consumers that want rows
+//! get them *derived* from the columns ([`Block::append_records`]), so
+//! decoding a v2 stream still reconstructs exactly the same dataset as
+//! the equivalent v1 stream, record for record and entry for entry, and
+//! query results are byte-identical across encodings. Under [`ReadPolicy::Lenient`], a
 //! corrupt block payload is skipped and decoding *resyncs* at the next
 //! record (the length frame survives), while a torn length frame or a
 //! corrupt dictionary record falls back to v1's valid-prefix semantics.
 
-use std::collections::VecDeque;
+use std::borrow::Cow;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::Arc;
 
-use caliper_data::{AttrId, Entry, FxHashMap, FxHashSet, NodeId, Value, ValueType};
+use caliper_data::{
+    AttrId, Entry, FxHashMap, FxHashSet, NodeId, SnapshotRecord, Value, ValueType,
+};
 
 use crate::binary::{
     get_value, put_value, put_varint, BinaryDecoder, BinaryWriter, Cursor, MAGIC, TAG_ATTR,
@@ -371,120 +381,471 @@ fn skip_footer(cursor: &mut Cursor<'_>) -> Result<(), CaliError> {
     Ok(())
 }
 
-/// Decode one block payload. Returns `Ok(None)` when the pushdown
-/// proves no record can match (the caller accounts the skip), otherwise
-/// the block's fully reconstructed records. The target dataset is not
-/// touched until the whole payload decoded, so a corrupt block never
-/// leaves partial records behind.
-fn decode_block(
-    payload: &mut Cursor<'_>,
-    decoder: &BinaryDecoder,
-    report: &mut ReadReport,
-    pushdown: Option<&Pushdown>,
-    names: &NameIndex,
-) -> Result<Option<Vec<caliper_data::SnapshotRecord>>, CaliError> {
-    let rows = payload.varint()?;
+/// Per-stream string dictionary: every distinct string value of a
+/// stream gets a small integer code, and its reference-counted text is
+/// allocated once. String columns of a [`Block`] hold codes, so decoding
+/// a string seen before costs one hash lookup and no allocation, and
+/// consumers can compare and group strings as integers.
+#[derive(Debug, Default)]
+pub struct StringTable {
+    codes: FxHashMap<Arc<str>, u32>,
+    values: Vec<Value>,
+}
 
-    // Zone maps.
-    let nzones = payload.varint()?;
-    let mut zones: Vec<(u64, ZoneStat)> = Vec::new();
-    for _ in 0..nzones {
-        let attr_id = payload.varint()?;
-        let present = payload.varint()?;
-        if present > rows {
-            return Err(payload.err("zone presence count exceeds block rows"));
+impl StringTable {
+    /// The code of `text`, assigning the next free one on first sight.
+    pub fn intern(&mut self, text: &str) -> u32 {
+        if let Some(&code) = self.codes.get(text) {
+            return code;
         }
-        let attr = decoder.lookup_attr(payload, attr_id, "zone", report)?;
-        let min = get_value(payload, attr.value_type())?;
-        let max = get_value(payload, attr.value_type())?;
-        zones.push((attr_id, ZoneStat { present, min, max }));
+        let text: Arc<str> = Arc::from(text);
+        let code = self.values.len() as u32;
+        self.values.push(Value::Str(Arc::clone(&text)));
+        self.codes.insert(text, code);
+        code
     }
 
-    if let Some(pd) = pushdown {
-        let stats = |name: &str| -> AttrStats<'_> {
-            if names.tainted {
-                return AttrStats::Unsure;
-            }
-            match names.by_name.get(name) {
-                None => AttrStats::Absent,
-                Some(None) => AttrStats::Unsure,
-                Some(Some(id)) => zones
-                    .iter()
-                    .find(|(zid, _)| zid == id)
-                    .map(|(_, z)| AttrStats::Zone(z))
-                    .unwrap_or(AttrStats::Absent),
-            }
-        };
-        if !pd.may_match(rows, stats) {
-            return Ok(None);
+    /// The string value behind `code` (always a `Value::Str`).
+    pub fn value(&self, code: u32) -> &Value {
+        &self.values[code as usize]
+    }
+
+    /// Bring a value into this table's terms: strings are interned,
+    /// everything else is copied.
+    pub fn cell(&mut self, value: &Value) -> Cell {
+        match value {
+            Value::Str(text) => Cell::Str(self.intern(text)),
+            Value::Int(i) => Cell::Int(*i),
+            Value::UInt(u) => Cell::UInt(*u),
+            Value::Float(x) => Cell::Float(*x),
+            Value::Bool(b) => Cell::Bool(*b),
         }
     }
 
-    // Row skeletons, with node refs resolved through the dictionary.
-    let mut skeleton: Vec<(Vec<NodeId>, Vec<u64>)> = Vec::new();
-    for _ in 0..rows {
-        let nrefs = payload.varint()?;
-        let mut refs = Vec::new();
-        for _ in 0..nrefs {
-            let id = payload.varint()?;
-            let local = match decoder.node_map.get(&id) {
-                Some(local) => *local,
-                None => {
-                    report.dangling_dropped += 1;
-                    return Err(payload.err(format!("ref to unknown node {id}")));
+    /// `cell` as a [`Value`], without touching a reference count:
+    /// strings are borrowed from the table, numbers built in place.
+    pub fn get(&self, cell: Cell) -> Cow<'_, Value> {
+        match cell {
+            Cell::Str(code) => Cow::Borrowed(self.value(code)),
+            Cell::Int(i) => Cow::Owned(Value::Int(i)),
+            Cell::UInt(u) => Cow::Owned(Value::UInt(u)),
+            Cell::Float(x) => Cow::Owned(Value::Float(x)),
+            Cell::Bool(b) => Cow::Owned(Value::Bool(b)),
+        }
+    }
+}
+
+/// One value of a typed column: a number, or a string as its
+/// [`StringTable`] code.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell {
+    /// A string, by its code in the stream's [`StringTable`].
+    Str(u32),
+    /// A signed integer.
+    Int(i64),
+    /// An unsigned integer.
+    UInt(u64),
+    /// A floating-point number.
+    Float(f64),
+    /// A boolean.
+    Bool(bool),
+}
+
+/// The values of one column, in the vector type of the attribute's
+/// declared value type.
+#[derive(Debug)]
+pub enum ColumnData {
+    /// String codes (see [`StringTable`]).
+    Str(Vec<u32>),
+    /// Signed integers.
+    Int(Vec<i64>),
+    /// Unsigned integers.
+    UInt(Vec<u64>),
+    /// Floating-point numbers.
+    Float(Vec<f64>),
+    /// Booleans.
+    Bool(Vec<bool>),
+}
+
+impl ColumnData {
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnData::Str(v) => v.len(),
+            ColumnData::Int(v) => v.len(),
+            ColumnData::UInt(v) => v.len(),
+            ColumnData::Float(v) => v.len(),
+            ColumnData::Bool(v) => v.len(),
+        }
+    }
+
+    /// True if the column holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th value. Panics when out of range.
+    pub fn get(&self, i: usize) -> Cell {
+        match self {
+            ColumnData::Str(v) => Cell::Str(v[i]),
+            ColumnData::Int(v) => Cell::Int(v[i]),
+            ColumnData::UInt(v) => Cell::UInt(v[i]),
+            ColumnData::Float(v) => Cell::Float(v[i]),
+            ColumnData::Bool(v) => Cell::Bool(v[i]),
+        }
+    }
+
+    /// Empty the column and make it hold `vtype`, keeping the buffer
+    /// when the type is unchanged (the usual case from block to block).
+    fn reset(&mut self, vtype: ValueType) {
+        match (&mut *self, vtype) {
+            (ColumnData::Str(v), ValueType::Str) => v.clear(),
+            (ColumnData::Int(v), ValueType::Int) => v.clear(),
+            (ColumnData::UInt(v), ValueType::UInt) => v.clear(),
+            (ColumnData::Float(v), ValueType::Float) => v.clear(),
+            (ColumnData::Bool(v), ValueType::Bool) => v.clear(),
+            _ => {
+                *self = match vtype {
+                    ValueType::Str => ColumnData::Str(Vec::new()),
+                    ValueType::Int => ColumnData::Int(Vec::new()),
+                    ValueType::UInt => ColumnData::UInt(Vec::new()),
+                    ValueType::Float => ColumnData::Float(Vec::new()),
+                    ValueType::Bool => ColumnData::Bool(Vec::new()),
+                }
+            }
+        }
+    }
+}
+
+/// One value column of a decoded [`Block`]: an attribute's immediate
+/// values in (row, occurrence) order.
+#[derive(Debug)]
+pub struct Column {
+    /// The attribute, by its id in the receiving dataset's store.
+    pub attr: AttrId,
+    /// The values.
+    pub data: ColumnData,
+}
+
+/// One decoded CALB v2 block, as typed columns.
+///
+/// The row skeleton is two flat arrays with per-row end offsets: node
+/// references (already remapped into the receiving dataset's context
+/// tree) and, per immediate, the index of the column that holds its
+/// value. A row's `k`-th immediate of a column is that column's next
+/// unconsumed value, so a consumer walks the rows in order with one
+/// cursor per column (as [`Block::append_records`] does). A `Block` is
+/// only ever handed out fully validated: every immediate has its value
+/// and no column has values left over.
+#[derive(Debug, Default)]
+pub struct Block {
+    ref_ends: Vec<u32>,
+    refs: Vec<NodeId>,
+    imm_ends: Vec<u32>,
+    imms: Vec<u32>,
+    columns: Vec<Column>,
+}
+
+impl Block {
+    /// Snapshot records in the block.
+    pub fn rows(&self) -> usize {
+        self.ref_ends.len()
+    }
+
+    /// The value columns.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// Row `row`'s context-tree node references, in entry order.
+    pub fn row_refs(&self, row: usize) -> &[NodeId] {
+        let start = if row == 0 { 0 } else { self.ref_ends[row - 1] };
+        &self.refs[start as usize..self.ref_ends[row] as usize]
+    }
+
+    /// Row `row`'s immediates in entry order, each as the index of the
+    /// column whose next value it takes.
+    pub fn row_imms(&self, row: usize) -> &[u32] {
+        let start = if row == 0 { 0 } else { self.imm_ends[row - 1] };
+        &self.imms[start as usize..self.imm_ends[row] as usize]
+    }
+
+    /// Materialise the block's rows as snapshot records — node
+    /// references first, then immediates, exactly what the v1 decoder
+    /// builds for the same records — and append them to `out`.
+    pub fn append_records(&self, strings: &StringTable, out: &mut Vec<SnapshotRecord>) {
+        let mut cursors = vec![0usize; self.columns.len()];
+        out.reserve(self.rows());
+        for row in 0..self.rows() {
+            let (refs, imms) = (self.row_refs(row), self.row_imms(row));
+            let mut entries = Vec::with_capacity(refs.len() + imms.len());
+            entries.extend(refs.iter().map(|&node| Entry::Node(node)));
+            for &c in imms {
+                let column = &self.columns[c as usize];
+                let cell = column.data.get(cursors[c as usize]);
+                cursors[c as usize] += 1;
+                entries.push(Entry::Imm(column.attr, strings.get(cell).into_owned()));
+            }
+            out.push(SnapshotRecord::from_entries(entries));
+        }
+    }
+}
+
+/// Marks a [`Demand`] no column has answered yet.
+const NO_COLUMN: u32 = u32::MAX;
+
+/// What a block's skeleton asks of one stream attribute id: how many
+/// immediates want a value, and which column supplies them.
+struct Demand {
+    attr_id: u64,
+    imms: usize,
+    column: u32,
+}
+
+/// The one CALB v2 block decoder: payload bytes in, a validated
+/// [`Block`] of typed columns out. The block's arrays and the decoder's
+/// scratch are reused from block to block.
+#[derive(Default)]
+struct BlockDecoder {
+    block: Block,
+    /// Columns of earlier blocks, kept for their buffers.
+    spare: Vec<Column>,
+    /// The block's distinct stream attribute ids in first-appearance
+    /// order; until the columns are matched, the skeleton's immediates
+    /// index into this list.
+    demands: Vec<Demand>,
+    demand_of: FxHashMap<u64, u32>,
+    /// The previous row's immediates as (attribute id, `demands` index):
+    /// consecutive rows mostly carry the same attributes in the same
+    /// positions, which saves the hash lookup.
+    prev_row: Vec<(u64, u32)>,
+    this_row: Vec<(u64, u32)>,
+}
+
+impl BlockDecoder {
+    fn demand(&mut self, attr_id: u64) -> u32 {
+        let demands = &mut self.demands;
+        *self.demand_of.entry(attr_id).or_insert_with(|| {
+            demands.push(Demand {
+                attr_id,
+                imms: 0,
+                column: NO_COLUMN,
+            });
+            (demands.len() - 1) as u32
+        })
+    }
+
+    /// Decode one block payload into `self.block`. Returns `Ok(false)`
+    /// when the pushdown proves no record can match (the caller accounts
+    /// the skip). Only after `Ok(true)` is the block complete and
+    /// validated; nothing downstream sees it otherwise, so a corrupt
+    /// block never leaves partial rows behind.
+    fn decode(
+        &mut self,
+        payload: &mut Cursor<'_>,
+        decoder: &BinaryDecoder,
+        strings: &mut StringTable,
+        report: &mut ReadReport,
+        pushdown: Option<&Pushdown>,
+        names: &NameIndex,
+    ) -> Result<bool, CaliError> {
+        let rows = payload.varint()?;
+
+        // Zone maps.
+        let nzones = payload.varint()?;
+        let mut zones: Vec<(u64, ZoneStat)> = Vec::new();
+        for _ in 0..nzones {
+            let attr_id = payload.varint()?;
+            let present = payload.varint()?;
+            if present > rows {
+                return Err(payload.err("zone presence count exceeds block rows"));
+            }
+            let vtype = decoder.lookup_attr(payload, attr_id, "zone", report)?.1;
+            let min = get_value(payload, vtype)?;
+            let max = get_value(payload, vtype)?;
+            zones.push((attr_id, ZoneStat { present, min, max }));
+        }
+
+        if let Some(pd) = pushdown {
+            let stats = |name: &str| -> AttrStats<'_> {
+                if names.tainted {
+                    return AttrStats::Unsure;
+                }
+                match names.by_name.get(name) {
+                    None => AttrStats::Absent,
+                    Some(None) => AttrStats::Unsure,
+                    Some(Some(id)) => zones
+                        .iter()
+                        .find(|(zid, _)| zid == id)
+                        .map(|(_, z)| AttrStats::Zone(z))
+                        .unwrap_or(AttrStats::Absent),
                 }
             };
-            refs.push(local);
+            if !pd.may_match(rows, stats) {
+                return Ok(false);
+            }
         }
-        let nimm = payload.varint()?;
-        let mut imms = Vec::new();
-        for _ in 0..nimm {
-            imms.push(payload.varint()?);
+
+        // Row skeletons, node refs resolved through the dictionary.
+        self.block.ref_ends.clear();
+        self.block.refs.clear();
+        self.block.imm_ends.clear();
+        self.block.imms.clear();
+        self.spare.extend(self.block.columns.drain(..).rev());
+        self.demands.clear();
+        self.demand_of.clear();
+        self.prev_row.clear();
+        for _ in 0..rows {
+            let nrefs = payload.varint()?;
+            for _ in 0..nrefs {
+                let id = payload.varint()?;
+                match decoder.node_map.get(&id) {
+                    Some(local) => self.block.refs.push(*local),
+                    None => {
+                        report.dangling_dropped += 1;
+                        return Err(payload.err(format!("ref to unknown node {id}")));
+                    }
+                }
+            }
+            let nimm = payload.varint()?;
+            self.this_row.clear();
+            for k in 0..nimm {
+                let attr_id = payload.varint()?;
+                let demand = match self.prev_row.get(k as usize) {
+                    Some(&(prev_id, demand)) if prev_id == attr_id => demand,
+                    _ => self.demand(attr_id),
+                };
+                self.demands[demand as usize].imms += 1;
+                self.this_row.push((attr_id, demand));
+                self.block.imms.push(demand);
+            }
+            std::mem::swap(&mut self.prev_row, &mut self.this_row);
+            let (refs, imms) = (self.block.refs.len(), self.block.imms.len());
+            if refs > u32::MAX as usize || imms > u32::MAX as usize {
+                return Err(payload.err("block skeleton exceeds 2^32 entries"));
+            }
+            self.block.ref_ends.push(refs as u32);
+            self.block.imm_ends.push(imms as u32);
         }
-        skeleton.push((refs, imms));
+
+        // Value columns, each into the vector of its declared type.
+        let ncols = payload.varint()?;
+        for _ in 0..ncols {
+            let attr_id = payload.varint()?;
+            let (attr, vtype) = decoder.lookup_attr(payload, attr_id, "column", report)?;
+            let nvalues = payload.varint()?;
+            let mut column = self.spare.pop().unwrap_or(Column {
+                attr,
+                data: ColumnData::Int(Vec::new()),
+            });
+            column.attr = attr;
+            column.data.reset(vtype);
+            let filled = fill_column(&mut column.data, nvalues, payload, strings);
+            let index = self.block.columns.len() as u32;
+            self.block.columns.push(column);
+            filled?;
+            let demand = self.demand(attr_id) as usize;
+            if self.demands[demand].column != NO_COLUMN {
+                return Err(payload.err(format!("duplicate value column for attribute {attr_id}")));
+            }
+            self.demands[demand].column = index;
+        }
+
+        self.match_columns(payload, decoder, report)?;
+        if !payload.at_end() {
+            return Err(payload.err("trailing bytes in block payload"));
+        }
+        Ok(true)
     }
 
-    // Value columns.
-    let ncols = payload.varint()?;
-    let mut columns: FxHashMap<u64, VecDeque<Value>> = FxHashMap::default();
-    for _ in 0..ncols {
-        let attr_id = payload.varint()?;
-        let attr = decoder.lookup_attr(payload, attr_id, "column", report)?;
-        let nvalues = payload.varint()?;
-        let mut values = VecDeque::new();
-        for _ in 0..nvalues {
-            values.push_back(get_value(payload, attr.value_type())?);
+    /// Point every immediate of the skeleton at its column, after
+    /// checking that the columns supply exactly the values the skeleton
+    /// asks for. When they do not, the error is the one a row-by-row
+    /// reassembly would hit first.
+    fn match_columns(
+        &mut self,
+        payload: &Cursor<'_>,
+        decoder: &BinaryDecoder,
+        report: &mut ReadReport,
+    ) -> Result<(), CaliError> {
+        let columns = &self.block.columns;
+        let supplied = |d: &Demand| match columns.get(d.column as usize) {
+            Some(column) => column.data.len(),
+            None => 0,
+        };
+        if self.demands.iter().any(|d| d.imms > supplied(d)) {
+            let mut left: Vec<usize> = self.demands.iter().map(supplied).collect();
+            for &demand in &self.block.imms {
+                let attr_id = self.demands[demand as usize].attr_id;
+                decoder.lookup_attr(payload, attr_id, "imm", report)?;
+                match left[demand as usize].checked_sub(1) {
+                    Some(rest) => left[demand as usize] = rest,
+                    None => {
+                        return Err(payload.err(format!("value column underrun for {attr_id}")))
+                    }
+                }
+            }
         }
-        if columns.insert(attr_id, values).is_some() {
-            return Err(payload.err(format!("duplicate value column for attribute {attr_id}")));
+        if self.demands.iter().any(|d| d.imms < supplied(d)) {
+            return Err(payload.err("value column overrun"));
         }
+        // A canonical writer lists columns in the skeleton's
+        // first-appearance order, which makes this the identity.
+        if self.demands.iter().enumerate().any(|(i, d)| d.column != i as u32) {
+            for imm in &mut self.block.imms {
+                *imm = self.demands[*imm as usize].column;
+            }
+        }
+        Ok(())
     }
+}
 
-    // Reassemble records, draining each column in (row, occurrence)
-    // order — the exact inverse of the writer.
-    let mut records = Vec::with_capacity(skeleton.len());
-    for (refs, imms) in skeleton {
-        let mut rec = caliper_data::SnapshotRecord::new();
-        for r in refs {
-            rec.push_node(r);
+/// Decode `nvalues` values of `data`'s type from the payload.
+fn fill_column(
+    data: &mut ColumnData,
+    nvalues: u64,
+    payload: &mut Cursor<'_>,
+    strings: &mut StringTable,
+) -> Result<(), CaliError> {
+    // Every value takes at least one byte, which bounds what a corrupt
+    // count can make us reserve.
+    let reserve = (nvalues as usize).min(payload.bytes.len() - payload.pos);
+    match data {
+        ColumnData::Str(v) => {
+            v.reserve(reserve);
+            for _ in 0..nvalues {
+                let len = payload.varint()? as usize;
+                let text = std::str::from_utf8(payload.take(len)?)
+                    .map_err(|_| payload.err("invalid UTF-8 in string value"))?;
+                v.push(strings.intern(text));
+            }
         }
-        for attr_id in imms {
-            let attr = decoder.lookup_attr(payload, attr_id, "imm", report)?;
-            let value = columns
-                .get_mut(&attr_id)
-                .and_then(|q| q.pop_front())
-                .ok_or_else(|| payload.err(format!("value column underrun for {attr_id}")))?;
-            rec.push_imm(attr.id(), value);
+        ColumnData::Int(v) => {
+            v.reserve(reserve);
+            for _ in 0..nvalues {
+                v.push(payload.zigzag()?);
+            }
         }
-        records.push(rec);
+        ColumnData::UInt(v) => {
+            v.reserve(reserve);
+            for _ in 0..nvalues {
+                v.push(payload.varint()?);
+            }
+        }
+        ColumnData::Float(v) => {
+            v.reserve(reserve);
+            for _ in 0..nvalues {
+                v.push(payload.f64()?);
+            }
+        }
+        ColumnData::Bool(v) => {
+            v.reserve(reserve);
+            for _ in 0..nvalues {
+                v.push(payload.u8()? != 0);
+            }
+        }
     }
-    if columns.values().any(|q| !q.is_empty()) {
-        return Err(payload.err("value column overrun"));
-    }
-    if !payload.at_end() {
-        return Err(payload.err("trailing bytes in block payload"));
-    }
-    Ok(Some(records))
+    Ok(())
 }
 
 /// Fire the `v2.block` failpoint for block `ordinal` of the stream the
@@ -521,18 +882,35 @@ fn block_fault(
     }
 }
 
-/// Parse a v2 stream body (cursor positioned just past the version
-/// byte), appending into `ds` under `policy` with optional predicate
-/// pushdown. Called from [`crate::binary::read_binary_into_filtered`].
-pub(crate) fn read_v2_body(
+/// What a v2 scan hands its consumer per surviving block: the dataset
+/// the stream's dictionary is decoded into (store, context tree,
+/// globals), the stream's string dictionary, and the block's columns.
+pub type BlockSink<'a> = dyn FnMut(&mut Dataset, &mut StringTable, &Block) + 'a;
+
+/// The [`BlockSink`] of every reader that returns rows: derive the
+/// block's snapshot records from its columns and append them to `ds`.
+pub(crate) fn append_rows(ds: &mut Dataset, strings: &mut StringTable, block: &Block) {
+    block.append_records(strings, &mut ds.records);
+}
+
+/// Walk a v2 stream body (cursor positioned just past the version
+/// byte) under `policy` with optional predicate pushdown: dictionary and
+/// globals records are decoded into `ds`, every block that survives the
+/// pushdown and validates is handed to `on_block` in stream order, one
+/// block in memory at a time. Called from
+/// [`crate::binary::scan_binary_into`].
+pub(crate) fn scan_v2_body(
     mut cursor: Cursor<'_>,
-    mut ds: Dataset,
+    ds: &mut Dataset,
     policy: ReadPolicy,
     report: &mut ReadReport,
     pushdown: Option<&Pushdown>,
-) -> Result<Dataset, CaliError> {
+    on_block: &mut BlockSink<'_>,
+) -> Result<(), CaliError> {
     let mut decoder = BinaryDecoder::new();
     let mut names = NameIndex::default();
+    let mut strings = StringTable::default();
+    let mut blocks = BlockDecoder::default();
     let pushdown = pushdown.filter(|pd| !pd.is_empty());
     while !cursor.at_end() {
         let tag = cursor.bytes[cursor.pos];
@@ -544,7 +922,7 @@ pub(crate) fn read_v2_body(
                 // record boundary and keep going.
                 let payload_bytes = match read_block_frame(&mut cursor) {
                     Ok(bytes) => bytes,
-                    Err(e) => return lenient_stop(ds, policy, report, e),
+                    Err(e) => return lenient_stop(policy, report, e),
                 };
                 report.blocks += 1;
                 let ordinal = report.blocks - 1;
@@ -555,15 +933,15 @@ pub(crate) fn read_v2_body(
                             bytes: faulted.as_deref().unwrap_or(payload_bytes),
                             pos: 0,
                         };
-                        decode_block(&mut payload, &decoder, report, pushdown, &names)
+                        blocks.decode(&mut payload, &decoder, &mut strings, report, pushdown, &names)
                     }
                 };
                 match decoded {
-                    Ok(Some(records)) => {
-                        report.records += records.len() as u64;
-                        ds.records.extend(records);
+                    Ok(true) => {
+                        report.records += blocks.block.rows() as u64;
+                        on_block(ds, &mut strings, &blocks.block);
                     }
-                    Ok(None) => report.blocks_skipped += 1,
+                    Ok(false) => report.blocks_skipped += 1,
                     Err(e) => {
                         if !policy.is_lenient() {
                             return Err(e);
@@ -580,7 +958,7 @@ pub(crate) fn read_v2_body(
             }
             TAG_FOOTER => {
                 if let Err(e) = skip_footer(&mut cursor) {
-                    return lenient_stop(ds, policy, report, e);
+                    return lenient_stop(policy, report, e);
                 }
             }
             _ => {
@@ -589,7 +967,7 @@ pub(crate) fn read_v2_body(
                 } else {
                     None
                 };
-                match decoder.read_record(&mut cursor, &mut ds, report) {
+                match decoder.read_record(&mut cursor, ds, report) {
                     Ok(is_data) => {
                         if let Some((id, name)) = pending {
                             names.declare(id, &name);
@@ -598,22 +976,17 @@ pub(crate) fn read_v2_body(
                             report.records += 1;
                         }
                     }
-                    Err(e) => return lenient_stop(ds, policy, report, e),
+                    Err(e) => return lenient_stop(policy, report, e),
                 }
             }
         }
     }
-    Ok(ds)
+    Ok(())
 }
 
 /// v1-style valid-prefix error handling: keep what decoded, mark the
 /// report truncated, fail outright under [`ReadPolicy::Strict`].
-fn lenient_stop(
-    ds: Dataset,
-    policy: ReadPolicy,
-    report: &mut ReadReport,
-    e: CaliError,
-) -> Result<Dataset, CaliError> {
+fn lenient_stop(policy: ReadPolicy, report: &mut ReadReport, e: CaliError) -> Result<(), CaliError> {
     if !policy.is_lenient() {
         return Err(e);
     }
@@ -623,7 +996,7 @@ fn lenient_stop(
     if report.skipped > policy.max_errors() {
         return Err(e);
     }
-    Ok(ds)
+    Ok(())
 }
 
 /// Parse the footer block index from the tail of a v2 stream, if one is

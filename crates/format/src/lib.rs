@@ -47,7 +47,10 @@ pub mod retry;
 pub mod schema;
 pub mod table;
 
-pub use binary_v2::{read_footer, to_binary_v2, to_binary_v2_with, BlockInfo, V2WriteOptions};
+pub use binary_v2::{
+    read_footer, to_binary_v2, to_binary_v2_with, Block, BlockInfo, BlockSink, Cell, Column,
+    ColumnData, StringTable, V2WriteOptions,
+};
 pub use cali::{CaliError, CaliReader, CaliWriter};
 pub use pushdown::{AttrStats, Predicate, Pushdown, PushdownOp, ZoneStat};
 pub use dataset::Dataset;
@@ -56,7 +59,7 @@ pub use journal::{FlushPolicy, JournalCounters, JournalWriter, RecoveryReport, S
 pub use json::{parse_json, Json, JsonError};
 pub use policy::{ReadPolicy, ReadReport, MAX_REPORTED_ERRORS};
 pub use reader::{
-    read_path, read_path_into, read_path_into_filtered, read_path_into_reported,
-    read_path_reported, read_path_reported_filtered, RecordBatch,
+    for_each_flat, read_path, read_path_into, read_path_into_filtered, read_path_into_reported,
+    read_path_reported, read_path_reported_filtered, scan_path, RecordBatch,
 };
 pub use table::Table;

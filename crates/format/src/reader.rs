@@ -1,28 +1,25 @@
 //! File-level reading entry points and decoded record batches.
 //!
-//! This module is the input side of the thread-parallel query engine
-//! (`caliper-query`'s `parallel` module) and of the serial CLI tools:
+//! This module is the input side of the query engines and CLI tools:
 //!
 //! * [`read_path`] / [`read_path_into`] — read one `.cali` (text) or
 //!   `CALB` (binary) file, auto-detecting the flavor from the stream
 //!   header, and attribute any failure to the file's path via
 //!   [`CaliError::File`];
-//! * [`RecordBatch`] / [`record_batches`] — split a decoded [`Dataset`]
-//!   into contiguous, cheaply cloneable slices of its snapshot records.
-//!   Batches share the dataset behind an `Arc`, so handing them to
-//!   worker threads copies nothing but a reference and a range.
-//!
-//! Batches preserve stream order: batch *i* holds records
-//! `[i·n, (i+1)·n)`, so concatenating all batches of a file in batch
-//! order replays the file's record stream exactly. Parallel consumers
-//! rely on this to keep their merge order — and therefore their output —
-//! independent of scheduling.
+//! * [`scan_path`] — the same read, but a CALB v2 file's blocks are
+//!   handed over as typed columns instead of being expanded to rows
+//!   (`caliper-query`'s `scan` module folds them directly);
+//! * [`RecordBatch`] / [`for_each_flat`] — a contiguous, cheaply
+//!   cloneable slice of a decoded [`Dataset`]'s snapshot records, and
+//!   their expansion to flat records in stream order.
 
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use caliper_data::{AttrId, Entry, FlatRecord, FxHashMap, NodeId, Value};
+use caliper_data::{
+    AttrId, ContextTree, Entry, FlatRecord, FxHashMap, NodeId, SnapshotRecord, Value,
+};
 
 use crate::binary;
 use crate::cali::{CaliError, CaliReader};
@@ -93,13 +90,34 @@ pub fn read_path_into_filtered(
     policy: ReadPolicy,
     pushdown: Option<&Pushdown>,
 ) -> Result<(Dataset, ReadReport), CaliError> {
+    scan_path(path, ds, policy, pushdown, &mut crate::binary_v2::append_rows)
+}
+
+/// Reads one `.cali` or `CALB` file like [`read_path_into_filtered`],
+/// but hands the blocks of a CALB v2 file to `on_block` as typed columns
+/// ([`Block`](crate::binary_v2::Block)) instead of materialising their
+/// rows: in stream order, one block in memory at a time, each only once
+/// its whole payload validated. The file's dictionary and globals still
+/// land in `ds`; its snapshot records do not.
+///
+/// Which of the two a file gets is decided by its stream header alone:
+/// text and CALB v1 have no columns, so their snapshot records are
+/// appended to `ds.records` as ever and `on_block` is never called.
+pub fn scan_path(
+    path: impl AsRef<Path>,
+    mut ds: Dataset,
+    policy: ReadPolicy,
+    pushdown: Option<&Pushdown>,
+    on_block: &mut crate::binary_v2::BlockSink<'_>,
+) -> Result<(Dataset, ReadReport), CaliError> {
     let path = path.as_ref();
     let attribute = |e: CaliError| e.with_path(path);
     let mut report = ReadReport::for_path(path);
     let bytes = read_bytes_with_faults(path).map_err(|e| attribute(CaliError::Io(e)))?;
     let ds = if bytes.starts_with(binary::MAGIC) {
-        binary::read_binary_into_filtered(&bytes, ds, policy, &mut report, pushdown)
-            .map_err(attribute)?
+        binary::scan_binary_into(&bytes, &mut ds, policy, &mut report, pushdown, on_block)
+            .map_err(attribute)?;
+        ds
     } else {
         let mut reader = CaliReader::into_dataset(ds);
         reader
@@ -216,57 +234,38 @@ impl RecordBatch {
     }
 
     /// Visit the batch's records expanded to flat records, in stream
-    /// order, caching node-path expansions across the batch.
-    ///
-    /// This is the aggregation hot path: records in a batch overwhelmingly
-    /// share context-tree nodes, so walking the tree once per *unique*
-    /// node (instead of once per record as [`flat_records`] does) removes
-    /// most locking and allocation from the per-record cost.
-    ///
-    /// [`flat_records`]: RecordBatch::flat_records
-    pub fn for_each_flat(&self, mut f: impl FnMut(FlatRecord)) {
-        let mut cache: FxHashMap<NodeId, Vec<(AttrId, Value)>> = FxHashMap::default();
-        for rec in &self.dataset.records[self.range.clone()] {
-            let mut pairs: Vec<(AttrId, Value)> = Vec::with_capacity(rec.len() * 2);
-            for entry in rec.entries() {
-                match entry {
-                    Entry::Node(id) => {
-                        let path = cache
-                            .entry(*id)
-                            .or_insert_with(|| self.dataset.tree.path(*id));
-                        pairs.extend_from_slice(path);
-                    }
-                    Entry::Imm(attr, value) => pairs.push((*attr, value.clone())),
-                }
-            }
-            f(FlatRecord::from_pairs(pairs));
-        }
+    /// order (see [`for_each_flat`]).
+    pub fn for_each_flat(&self, f: impl FnMut(FlatRecord)) {
+        for_each_flat(&self.dataset.tree, &self.dataset.records[self.range.clone()], f)
     }
 }
 
-/// Splits `dataset` into batches of at most `batch_records` snapshot
-/// records, in stream order. Always returns at least one batch (an
-/// empty dataset yields one empty batch), so every input file produces
-/// a work unit even when it only carries globals.
+/// Visit `records` expanded to flat records against `tree`, in order,
+/// caching node-path expansions across the call.
 ///
-/// The decomposition depends only on the dataset's record count and
-/// `batch_records` — never on who consumes the batches — which is what
-/// lets a parallel consumer produce scheduling-independent results.
-pub fn record_batches(dataset: Arc<Dataset>, batch_records: usize) -> Vec<RecordBatch> {
-    assert!(batch_records > 0, "batch_records must be positive");
-    let total = dataset.records.len();
-    if total == 0 {
-        return vec![RecordBatch::new(dataset, 0..0)];
+/// This is the row path's aggregation hot loop: records overwhelmingly
+/// share context-tree nodes, so walking the tree once per *unique* node
+/// (instead of once per record as [`SnapshotRecord::unpack`] does)
+/// removes most locking and allocation from the per-record cost.
+pub fn for_each_flat(
+    tree: &ContextTree,
+    records: &[SnapshotRecord],
+    mut f: impl FnMut(FlatRecord),
+) {
+    let mut cache: FxHashMap<NodeId, Vec<(AttrId, Value)>> = FxHashMap::default();
+    for rec in records {
+        let mut pairs: Vec<(AttrId, Value)> = Vec::with_capacity(rec.len() * 2);
+        for entry in rec.entries() {
+            match entry {
+                Entry::Node(id) => {
+                    let path = cache.entry(*id).or_insert_with(|| tree.path(*id));
+                    pairs.extend_from_slice(path);
+                }
+                Entry::Imm(attr, value) => pairs.push((*attr, value.clone())),
+            }
+        }
+        f(FlatRecord::from_pairs(pairs));
     }
-    (0..total)
-        .step_by(batch_records)
-        .map(|start| {
-            RecordBatch::new(
-                Arc::clone(&dataset),
-                start..(start + batch_records).min(total),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -283,30 +282,6 @@ mod tests {
             ds.push(rec);
         }
         ds
-    }
-
-    #[test]
-    fn batches_partition_in_order() {
-        let ds = Arc::new(dataset_with(10));
-        let batches = record_batches(Arc::clone(&ds), 4);
-        assert_eq!(batches.iter().map(RecordBatch::len).collect::<Vec<_>>(), [4, 4, 2]);
-        let iter = ds.store.find("i").unwrap();
-        let replay: Vec<i64> = batches
-            .iter()
-            .flat_map(|b| {
-                b.flat_records()
-                    .map(|r| r.get(iter.id()).unwrap().to_i64().unwrap())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        assert_eq!(replay, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_dataset_yields_one_empty_batch() {
-        let batches = record_batches(Arc::new(Dataset::new()), 128);
-        assert_eq!(batches.len(), 1);
-        assert!(batches[0].is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use caliper_data::{
-    Attribute, AttributeStore, FlatRecord, FxBuildHasher, Properties, Value, ValueType,
+    AttrId, Attribute, AttributeStore, FlatRecord, FxBuildHasher, Properties, Value, ValueType,
 };
 
 use crate::ast::{AggOp, OpKind, QuerySpec};
@@ -66,29 +66,19 @@ impl AggregationSpec {
     }
 }
 
-/// Lazily resolved attribute handle: labels may refer to attributes that
-/// do not exist yet when the aggregation starts (on-line, attributes
-/// appear as the program runs).
-#[derive(Debug, Clone, Default)]
-enum Slot {
-    #[default]
-    Unresolved,
-    Resolved(Attribute),
-}
-
 /// Aggregation key: one optional grouping value per key label, in spec
 /// order. `None` marks "attribute not present in the record" — the paper
 /// notes that results include separate entries for records where only
 /// some key attributes are set.
-type Key = Box<[Option<Value>]>;
+pub(crate) type Key = Box<[Option<Value>]>;
 
 /// One aggregation database entry: the reduction states for one unique key.
-#[derive(Debug, Clone)]
-struct DbEntry {
-    reducers: Vec<Reducer>,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DbEntry {
+    pub(crate) reducers: Vec<Reducer>,
     /// Input records folded into this entry (for capacity reporting;
     /// unlike the `count` op this is tracked even without one).
-    records: u64,
+    pub(crate) records: u64,
 }
 
 impl DbEntry {
@@ -112,9 +102,18 @@ impl DbEntry {
 pub struct Aggregator {
     spec: AggregationSpec,
     store: Arc<AttributeStore>,
-    key_slots: Vec<Slot>,
-    target_slots: Vec<Slot>,
-    db: std::collections::HashMap<Key, DbEntry, FxBuildHasher>,
+    /// Lazily resolved attribute ids of the key and target labels:
+    /// labels may refer to attributes that do not exist yet when the
+    /// aggregation starts (on-line, attributes appear as the program
+    /// runs).
+    key_attrs: Vec<Option<AttrId>>,
+    target_attrs: Vec<Option<AttrId>>,
+    /// The aggregation database: key → index into `entries`. Both the
+    /// row path ([`Aggregator::add`]) and the block fold admit groups
+    /// through [`Aggregator::admit`], so there is one database whichever
+    /// way records arrive.
+    db: std::collections::HashMap<Key, u32, FxBuildHasher>,
+    entries: Vec<DbEntry>,
     records_processed: u64,
     /// Capacity bound on `db` (None = unbounded, the historical mode).
     max_groups: Option<usize>,
@@ -129,14 +128,15 @@ pub struct Aggregator {
 impl Aggregator {
     /// Create an aggregator resolving labels against `store`.
     pub fn new(spec: AggregationSpec, store: Arc<AttributeStore>) -> Aggregator {
-        let key_slots = vec![Slot::Unresolved; spec.key.len()];
-        let target_slots = vec![Slot::Unresolved; spec.ops.len()];
+        let key_attrs = vec![None; spec.key.len()];
+        let target_attrs = vec![None; spec.ops.len()];
         Aggregator {
             spec,
             store,
-            key_slots,
-            target_slots,
+            key_attrs,
+            target_attrs,
             db: Default::default(),
+            entries: Vec::new(),
             records_processed: 0,
             max_groups: None,
             overflow: None,
@@ -188,55 +188,76 @@ impl Aggregator {
         self.records_processed
     }
 
-    fn resolve(store: &AttributeStore, slot: &mut Slot, label: &str) -> Option<Attribute> {
-        match slot {
-            Slot::Resolved(attr) => Some(attr.clone()),
-            Slot::Unresolved => match store.find(label) {
-                Some(attr) => {
-                    *slot = Slot::Resolved(attr.clone());
-                    Some(attr)
-                }
-                None => None,
-            },
+    fn resolve(store: &AttributeStore, slot: &mut Option<AttrId>, label: &str) -> Option<AttrId> {
+        if slot.is_none() {
+            *slot = store.find(label).map(|attr| attr.id());
         }
+        *slot
+    }
+
+    /// Locate or create the database entry for `key`. At capacity, a
+    /// *new* key is not admitted (first-come admission, like upstream
+    /// Caliper's fixed aggregation buffers): `None` tells the caller to
+    /// fold into the overflow bucket.
+    pub(crate) fn admit(&mut self, key: Key) -> Option<u32> {
+        let at_cap = self.max_groups.is_some_and(|cap| self.db.len() >= cap);
+        match self.db.entry(key) {
+            std::collections::hash_map::Entry::Occupied(e) => Some(*e.get()),
+            std::collections::hash_map::Entry::Vacant(_) if at_cap => None,
+            std::collections::hash_map::Entry::Vacant(v) => {
+                let group = self.entries.len() as u32;
+                self.entries.push(DbEntry::fresh(&self.spec.ops));
+                Some(*v.insert(group))
+            }
+        }
+    }
+
+    /// The entry of an admitted group, or the overflow bucket for `None`.
+    fn entry_of<'a>(
+        entries: &'a mut [DbEntry],
+        overflow: &'a mut Option<DbEntry>,
+        ops: &[AggOp],
+        group: Option<u32>,
+    ) -> &'a mut DbEntry {
+        match group {
+            Some(group) => &mut entries[group as usize],
+            None => overflow.get_or_insert_with(|| DbEntry::fresh(ops)),
+        }
+    }
+
+    /// Count one input record into `group` (see [`Aggregator::admit`])
+    /// and return its entry, for the caller to feed the reducers.
+    pub(crate) fn count_into(&mut self, group: Option<u32>) -> &mut DbEntry {
+        self.records_processed += 1;
+        let entry = Self::entry_of(&mut self.entries, &mut self.overflow, &self.spec.ops, group);
+        entry.records += 1;
+        entry
     }
 
     /// Process one input record (streaming update).
     pub fn add(&mut self, record: &FlatRecord) {
-        self.records_processed += 1;
         // Extract the aggregation key.
         let mut key: Vec<Option<Value>> = Vec::with_capacity(self.spec.key.len());
-        for (i, label) in self.spec.key.iter().enumerate() {
-            let value = Self::resolve(&self.store, &mut self.key_slots[i], label)
-                .and_then(|attr| record.path_string(attr.id()));
-            key.push(value);
+        for (slot, label) in self.key_attrs.iter_mut().zip(&self.spec.key) {
+            key.push(
+                Self::resolve(&self.store, slot, label).and_then(|attr| record.path_string(attr)),
+            );
         }
-        let key: Key = key.into_boxed_slice();
-
-        // Locate or create the aggregation entry. At capacity, records
-        // with new keys fold into the overflow bucket (first-come
-        // admission, like upstream Caliper's fixed aggregation buffers).
-        let spec_ops = &self.spec.ops;
-        let at_cap = self.max_groups.is_some_and(|cap| self.db.len() >= cap);
-        let entry = if at_cap && !self.db.contains_key(&key) {
-            self.overflow.get_or_insert_with(|| DbEntry::fresh(spec_ops))
-        } else {
-            self.db
-                .entry(key)
-                .or_insert_with(|| DbEntry::fresh(spec_ops))
-        };
-        entry.records += 1;
+        let group = self.admit(key.into_boxed_slice());
 
         // Fold the aggregation attributes into the entry.
-        for (i, op) in self.spec.ops.iter().enumerate() {
+        self.records_processed += 1;
+        let ops = &self.spec.ops;
+        let entry = Self::entry_of(&mut self.entries, &mut self.overflow, ops, group);
+        entry.records += 1;
+        for (i, op) in ops.iter().enumerate() {
             match op.kind {
                 OpKind::Count => entry.reducers[i].update(&Value::UInt(1)),
                 _ => {
                     let target = op.target.as_deref().unwrap_or_default();
-                    if let Some(attr) =
-                        Self::resolve(&self.store, &mut self.target_slots[i], target)
+                    if let Some(attr) = Self::resolve(&self.store, &mut self.target_attrs[i], target)
                     {
-                        for value in record.all(attr.id()) {
+                        for value in record.all(attr) {
                             entry.reducers[i].update(value);
                         }
                     }
@@ -261,15 +282,16 @@ impl Aggregator {
                 .get_or_insert_with(|| DbEntry::fresh(spec_ops))
                 .fold(&theirs);
         }
+        let mut theirs = other.entries;
         if self.max_groups.is_some() {
-            let mut incoming: Vec<(Key, DbEntry)> = other.db.into_iter().collect();
+            let mut incoming: Vec<(Key, u32)> = other.db.into_iter().collect();
             incoming.sort_by(|a, b| Self::key_cmp(&a.0, &b.0));
-            for (key, entry) in incoming {
-                self.merge_entry(key, entry);
+            for (key, group) in incoming {
+                self.merge_entry(key, std::mem::take(&mut theirs[group as usize]));
             }
         } else {
-            for (key, entry) in other.db {
-                self.merge_entry(key, entry);
+            for (key, group) in other.db {
+                self.merge_entry(key, std::mem::take(&mut theirs[group as usize]));
             }
         }
     }
@@ -278,8 +300,8 @@ impl Aggregator {
     fn merge_entry(&mut self, key: Key, entry: DbEntry) {
         let at_cap = self.max_groups.is_some_and(|cap| self.db.len() >= cap);
         match self.db.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().fold(&entry);
+            std::collections::hash_map::Entry::Occupied(e) => {
+                self.entries[*e.get() as usize].fold(&entry);
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 if at_cap {
@@ -288,7 +310,8 @@ impl Aggregator {
                         .get_or_insert_with(|| DbEntry::fresh(spec_ops))
                         .fold(&entry);
                 } else {
-                    v.insert(entry);
+                    v.insert(self.entries.len() as u32);
+                    self.entries.push(entry);
                 }
             }
         }
@@ -354,7 +377,7 @@ impl Aggregator {
         // Determine result types per op: join over all entries.
         let mut result_types: Vec<Option<ValueType>> = vec![None; self.spec.ops.len()];
         let denominators = self.percent_denominators();
-        for entry in self.db.values().chain(self.overflow.iter()) {
+        for entry in self.groups().chain(self.overflow.iter()) {
             for (i, red) in entry.reducers.iter().enumerate() {
                 if let Some(v) = red.finish(denominators[i]) {
                     let t = v.value_type();
@@ -400,7 +423,7 @@ impl Aggregator {
 
         let mut out = Vec::with_capacity(keys.len() + has_overflow as usize);
         for key in keys {
-            let entry = &self.db[key];
+            let entry = &self.entries[self.db[key] as usize];
             let mut rec = FlatRecord::new();
             for (slot, attr) in key.iter().zip(&key_attrs) {
                 if let (Some(value), Some(attr)) = (slot, attr) {
@@ -450,6 +473,11 @@ impl Aggregator {
         out
     }
 
+    /// The admitted groups' entries, in the database's iteration order.
+    fn groups(&self) -> impl Iterator<Item = &DbEntry> {
+        self.db.values().map(|&group| &self.entries[group as usize])
+    }
+
     /// Per-op denominators for `percent_total`: the sum of raw sums over
     /// all entries (including the overflow bucket, so the reported
     /// percentages still total 100).
@@ -458,8 +486,7 @@ impl Aggregator {
         for (i, op) in self.spec.ops.iter().enumerate() {
             if op.kind == OpKind::PercentTotal {
                 denominators[i] = self
-                    .db
-                    .values()
+                    .groups()
                     .chain(self.overflow.iter())
                     .map(|e| e.reducers[i].raw_sum())
                     .sum::<f64>();

@@ -1,9 +1,11 @@
 //! WHERE-clause evaluation over flat records.
 
+use std::borrow::Borrow;
+use std::cell::Cell;
 use std::sync::Arc;
 
 use caliper_data::metrics::Counter;
-use caliper_data::{Attribute, AttributeStore, FlatRecord, Value, ValueType};
+use caliper_data::{AttrId, AttributeStore, FlatRecord, Value, ValueType};
 
 use crate::ast::{CmpOp, Filter};
 
@@ -28,10 +30,35 @@ pub fn cmp_types_compatible(op: CmpOp, lhs: ValueType, rhs: ValueType) -> bool {
     }
 }
 
+/// Evaluate `attr <op> literal` over the occurrences of the attribute in
+/// one record (the caller has checked there is at least one). `!=`
+/// passes when *no* occurrence equals the literal, every other operator
+/// when *any* occurrence satisfies it. Also returns how many occurrences
+/// have a value class that can never satisfy (or fail) the comparison —
+/// the silent type-coercion drop the `query.filter.type_mismatch` metric
+/// makes visible. Shared by the row path and the block fold.
+pub(crate) fn cmp_occurrences<V: Borrow<Value>>(
+    op: CmpOp,
+    literal: &Value,
+    occurrences: impl Iterator<Item = V> + Clone,
+) -> (bool, u64) {
+    let literal_type = literal.value_type();
+    let mismatched = occurrences
+        .clone()
+        .filter(|v| !cmp_types_compatible(op, v.borrow().value_type(), literal_type))
+        .count();
+    let mut occurrences = occurrences;
+    let matched = match op {
+        CmpOp::Ne => occurrences.all(|v| v.borrow() != literal),
+        op => occurrences.any(|v| op.eval(v.borrow(), literal)),
+    };
+    (matched, mismatched as u64)
+}
+
 /// Compiled filter bound to an attribute store. Attribute lookups are
 /// cached; labels that do not resolve (yet) behave as "attribute absent".
 pub struct FilterSet {
-    filters: Vec<(Filter, std::cell::RefCell<Option<Attribute>>)>,
+    filters: Vec<(Filter, Cell<Option<AttrId>>)>,
     store: Arc<AttributeStore>,
     type_mismatches: Counter,
 }
@@ -42,7 +69,7 @@ impl FilterSet {
         FilterSet {
             filters: filters
                 .into_iter()
-                .map(|f| (f, std::cell::RefCell::new(None)))
+                .map(|f| (f, Cell::new(None)))
                 .collect(),
             store,
             type_mismatches: caliper_data::metrics::global()
@@ -55,56 +82,45 @@ impl FilterSet {
         self.filters.is_empty()
     }
 
-    fn resolve(&self, cache: &std::cell::RefCell<Option<Attribute>>, label: &str) -> Option<Attribute> {
-        if let Some(attr) = cache.borrow().as_ref() {
-            return Some(attr.clone());
+    /// The conditions, in clause order.
+    pub(crate) fn filters(&self) -> impl Iterator<Item = &Filter> {
+        self.filters.iter().map(|(f, _)| f)
+    }
+
+    /// Publish mismatches counted outside [`FilterSet::matches`].
+    pub(crate) fn add_type_mismatches(&self, n: u64) {
+        if n > 0 {
+            self.type_mismatches.add(n);
         }
-        let attr = self.store.find(label)?;
-        *cache.borrow_mut() = Some(attr.clone());
-        Some(attr)
+    }
+
+    fn resolve(&self, cache: &Cell<Option<AttrId>>, label: &str) -> Option<AttrId> {
+        if cache.get().is_none() {
+            cache.set(self.store.find(label).map(|attr| attr.id()));
+        }
+        cache.get()
     }
 
     /// Evaluate all conditions (AND) against a record.
     pub fn matches(&self, record: &FlatRecord) -> bool {
         self.filters.iter().all(|(filter, cache)| match filter {
             Filter::Exists(label) => match self.resolve(cache, label) {
-                Some(attr) => record.contains(attr.id()),
+                Some(attr) => record.contains(attr),
                 None => false,
             },
             Filter::NotExists(label) => match self.resolve(cache, label) {
-                Some(attr) => !record.contains(attr.id()),
+                Some(attr) => !record.contains(attr),
                 None => true,
             },
             Filter::Cmp { attr, op, value } => match self.resolve(cache, attr) {
-                Some(attr) => {
-                    if !record.contains(attr.id()) {
-                        return false;
-                    }
-                    self.count_mismatches(&attr, *op, value, record);
-                    match op {
-                        // != : no occurrence equals the literal
-                        CmpOp::Ne => record.all(attr.id()).all(|v| v != value),
-                        // others: any occurrence satisfies
-                        op => record.all(attr.id()).any(|v| op.eval(v, value)),
-                    }
+                Some(attr) if record.contains(attr) => {
+                    let (matched, mismatched) = cmp_occurrences(*op, value, record.all(attr));
+                    self.add_type_mismatches(mismatched);
+                    matched
                 }
-                None => false,
+                _ => false,
             },
         })
-    }
-
-    /// Count occurrences whose value class can never satisfy (or fail)
-    /// the comparison against the literal — the silent type-coercion
-    /// drop this metric makes visible.
-    fn count_mismatches(&self, attr: &Attribute, op: CmpOp, value: &Value, record: &FlatRecord) {
-        let literal_type = value.value_type();
-        let mismatched = record
-            .all(attr.id())
-            .filter(|v| !cmp_types_compatible(op, v.value_type(), literal_type))
-            .count();
-        if mismatched > 0 {
-            self.type_mismatches.add(mismatched as u64);
-        }
     }
 }
 

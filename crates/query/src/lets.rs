@@ -3,83 +3,160 @@
 //! capability the paper's related-work section credits to Cube's metric
 //! language, generalized here to arbitrary attributes.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
-use caliper_data::{Attribute, AttributeStore, FlatRecord, Properties, Value, ValueType};
+use caliper_data::{AttrId, AttributeStore, FlatRecord, Properties, Value, ValueType};
 
 use crate::ast::{LetDef, LetExpr};
 
+impl LetExpr {
+    /// The labels the expression reads, in argument order.
+    pub(crate) fn inputs(&self) -> Vec<&str> {
+        match self {
+            LetExpr::Scale(a, _) | LetExpr::Truncate(a, _) => vec![a],
+            LetExpr::Ratio(a, b) => vec![a, b],
+            LetExpr::First(labels) => labels.iter().map(String::as_str).collect(),
+        }
+    }
+
+    /// The value type every result of the expression has.
+    fn value_type(&self) -> ValueType {
+        match self {
+            LetExpr::Scale(..) | LetExpr::Ratio(..) | LetExpr::Truncate(..) => ValueType::Float,
+            LetExpr::First(..) => ValueType::Str,
+        }
+    }
+
+    /// Evaluate over one record, however it is laid out: `number(i)` is
+    /// the numeric view of the innermost occurrence of input `i` (`None`
+    /// when absent or not a number), `present(i)` whether input `i`
+    /// occurs at all. Absent inputs produce no output. Both the row
+    /// path ([`LetSet::apply`]) and the block fold evaluate through
+    /// this, so the forms mean the same on either.
+    pub(crate) fn eval(
+        &self,
+        number: impl Fn(usize) -> Option<f64>,
+        present: impl Fn(usize) -> bool,
+    ) -> Option<LetResult> {
+        match self {
+            LetExpr::Scale(_, factor) => Some(LetResult::Number(number(0)? * factor)),
+            LetExpr::Ratio(..) => {
+                let (num, den) = (number(0)?, number(1)?);
+                (den != 0.0).then(|| LetResult::Number(num / den))
+            }
+            LetExpr::First(labels) => (0..labels.len()).find(|&i| present(i)).map(LetResult::TextOf),
+            LetExpr::Truncate(_, width) => {
+                Some(LetResult::Number((number(0)? / width).floor() * width))
+            }
+        }
+    }
+}
+
+/// What [`LetExpr::eval`] computed.
+pub(crate) enum LetResult {
+    /// A float value.
+    Number(f64),
+    /// The text of the innermost occurrence of input `i`, as a string.
+    TextOf(usize),
+}
+
+/// One compiled binding: the definition plus lazily resolved attribute
+/// ids (on-line, attributes appear as the program runs).
+struct Binding {
+    def: LetDef,
+    out: Cell<Option<AttrId>>,
+    /// The expression's input labels in argument order, each with its
+    /// attribute id once the label resolves.
+    inputs: Vec<(String, Cell<Option<AttrId>>)>,
+}
+
 /// Compiled LET bindings bound to an attribute store.
 pub struct LetSet {
-    defs: Vec<(LetDef, Attribute)>,
+    bindings: Vec<Binding>,
     store: Arc<AttributeStore>,
 }
 
 impl LetSet {
-    /// Compile LET definitions; output attributes are interned eagerly.
+    /// Compile LET definitions. Output attributes are interned when the
+    /// first record is evaluated, or when the pipeline finishes; input
+    /// labels are looked up until they resolve, then never again.
     pub fn new(defs: Vec<LetDef>, store: Arc<AttributeStore>) -> LetSet {
-        let defs = defs
+        let bindings = defs
             .into_iter()
-            .map(|def| {
-                let vtype = match &def.expr {
-                    LetExpr::Scale(..) | LetExpr::Ratio(..) | LetExpr::Truncate(..) => {
-                        ValueType::Float
-                    }
-                    LetExpr::First(..) => ValueType::Str,
-                };
-                let attr = store
-                    .create(&def.name, vtype, Properties::AS_VALUE)
-                    .unwrap_or_else(|_| store.find(&def.name).expect("exists"));
-                (def, attr)
+            .map(|def| Binding {
+                inputs: def
+                    .expr
+                    .inputs()
+                    .into_iter()
+                    .map(|label| (label.to_string(), Cell::new(None)))
+                    .collect(),
+                out: Cell::new(None),
+                def,
             })
             .collect();
-        LetSet { defs, store }
+        LetSet { bindings, store }
     }
 
     /// True if there are no bindings.
     pub fn is_empty(&self) -> bool {
-        self.defs.is_empty()
+        self.bindings.is_empty()
+    }
+
+    /// The definitions, in evaluation order.
+    pub(crate) fn defs(&self) -> impl Iterator<Item = &LetDef> {
+        self.bindings.iter().map(|b| &b.def)
+    }
+
+    /// The binding's output attribute, interned on first use. A label
+    /// the data already declares keeps the data's attribute, whatever
+    /// its type — which is why this waits for the input's dictionary
+    /// instead of running at compile time, where it would claim the
+    /// label first.
+    fn out_attr(&self, binding: &Binding) -> AttrId {
+        if let Some(id) = binding.out.get() {
+            return id;
+        }
+        let name = &binding.def.name;
+        let attr = self
+            .store
+            .create(name, binding.def.expr.value_type(), Properties::AS_VALUE)
+            .unwrap_or_else(|_| self.store.find(name).expect("exists"));
+        binding.out.set(Some(attr.id()));
+        attr.id()
+    }
+
+    /// Intern every output attribute, in definition order.
+    pub(crate) fn intern_outputs(&self) {
+        for binding in &self.bindings {
+            self.out_attr(binding);
+        }
     }
 
     /// Evaluate all bindings, appending derived values to the record.
     /// Bindings whose inputs are absent produce no output.
     pub fn apply(&self, record: &mut FlatRecord) {
-        for (def, out_attr) in &self.defs {
-            let value = self.eval(&def.expr, record);
-            if let Some(value) = value {
-                record.push(out_attr.id(), value);
-            }
-        }
-    }
-
-    fn lookup(&self, label: &str, record: &FlatRecord) -> Option<Value> {
-        let attr = self.store.find(label)?;
-        record.get(attr.id()).cloned()
-    }
-
-    fn eval(&self, expr: &LetExpr, record: &FlatRecord) -> Option<Value> {
-        match expr {
-            LetExpr::Scale(attr, factor) => {
-                let v = self.lookup(attr, record)?.to_f64()?;
-                Some(Value::Float(v * factor))
-            }
-            LetExpr::Ratio(a, b) => {
-                let num = self.lookup(a, record)?.to_f64()?;
-                let den = self.lookup(b, record)?.to_f64()?;
-                if den == 0.0 {
-                    None
-                } else {
-                    Some(Value::Float(num / den))
+        for binding in &self.bindings {
+            let out = self.out_attr(binding);
+            let lookup = |i: usize| -> Option<&Value> {
+                let (label, attr) = &binding.inputs[i];
+                if attr.get().is_none() {
+                    attr.set(self.store.find(label).map(|attr| attr.id()));
                 }
-            }
-            LetExpr::First(labels) => labels
-                .iter()
-                .find_map(|l| self.lookup(l, record))
-                .map(|v| Value::str(v.to_string())),
-            LetExpr::Truncate(attr, width) => {
-                let v = self.lookup(attr, record)?.to_f64()?;
-                Some(Value::Float((v / width).floor() * width))
-            }
+                record.get(attr.get()?)
+            };
+            let result = binding.def.expr.eval(
+                |i| lookup(i).and_then(Value::to_f64),
+                |i| lookup(i).is_some(),
+            );
+            let value = match result {
+                Some(LetResult::Number(x)) => Value::Float(x),
+                Some(LetResult::TextOf(i)) => {
+                    Value::str(lookup(i).expect("present input").to_string())
+                }
+                None => continue,
+            };
+            record.push(out, value);
         }
     }
 }

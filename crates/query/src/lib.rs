@@ -43,6 +43,7 @@ pub mod parallel;
 pub mod parser;
 pub mod pushdown;
 pub mod query;
+pub mod scan;
 pub mod sema;
 
 pub use aggregator::{AggregationSpec, Aggregator, OVERFLOW_KEY};
@@ -62,4 +63,5 @@ pub use query::{
     run_query, run_records_with_deadline, DeadlineRun, Pipeline, QueryResult,
     DEADLINE_CHECK_INTERVAL,
 };
+pub use scan::Scanned;
 pub use sema::analyze;

@@ -12,27 +12,25 @@
 //!
 //! # Design: shard and merge
 //!
-//! * **Work units.** The input decomposes into units *before* any
-//!   scheduling happens: every file is one unit, and files whose record
-//!   count exceeds [`ParallelOptions::batch_records`] split into
-//!   contiguous [`RecordBatch`]es (`caliper_format::reader`). A unit is
-//!   identified by `(file index, batch index)`. Crucially, the
-//!   decomposition is a function of the inputs alone — never of the
-//!   thread count or of runtime timing.
-//! * **Worker pool.** N workers pull units from a shared MPMC channel
-//!   (the same `crossbeam` channel substrate `mpisim` uses for rank
-//!   inboxes). A worker that decodes a large file pushes the file's
-//!   tail batches back onto the queue, so other workers help aggregate
-//!   it; the batches share the decoded dataset behind an `Arc`, so this
-//!   costs no copying.
+//! * **Work units.** Every file is one unit, and a file holding more
+//!   than [`ParallelOptions::batch_records`] records splits into
+//!   consecutive units of that many records (a CALB v2 file at the next
+//!   block boundary; see [`Pipeline::scan_file`]). A unit is identified
+//!   by `(file index, unit index)`. Crucially, the decomposition is a
+//!   function of the inputs alone — never of the thread count or of
+//!   runtime timing.
+//! * **Worker pool.** N workers take files off a shared counter. A
+//!   worker scans its file from start to end — decode and aggregation
+//!   are one pass, one block in memory at a time — so a file's units are
+//!   all computed by the worker that reads it.
 //! * **Private shards.** Each unit is aggregated into its own private
 //!   [`Pipeline`] (LET → WHERE → aggregate), so the hot
 //!   record-processing path takes **zero cross-thread locks**: a worker
 //!   touches only its local aggregation database, exactly like the
 //!   runtime's per-thread on-line databases (§IV-B).
-//! * **Deterministic merge.** Finished partials are sent to the calling
-//!   thread, which sorts them by unit id and merges them in ascending
-//!   order into the root pipeline, then runs the ordinary
+//! * **Deterministic merge.** Finished partials are handed to the
+//!   calling thread, which sorts them by unit id and merges them in
+//!   ascending order into the root pipeline, then runs the ordinary
 //!   [`finish`](Pipeline::finish) (ORDER BY → SELECT → FORMAT).
 //!
 //! # Equivalence to sequential aggregation
@@ -42,7 +40,7 @@
 //! 1. the unit decomposition depends only on the file list and
 //!    `batch_records`;
 //! 2. each unit's partial is computed from its records in stream order,
-//!    regardless of which worker runs it;
+//!    whichever worker reads the file;
 //! 3. partials are merged in unit order, so the root performs the same
 //!    sequence of [`Aggregator::merge`](crate::Aggregator::merge)
 //!    operations every time.
@@ -67,21 +65,18 @@
 //! When a large file does split, the engine still produces the same
 //! bytes for every thread count — but float sums may differ from the
 //! serial path in the last unit of precision, because the file's
-//! records are folded via per-batch subtotals.
+//! records are folded via per-unit subtotals.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use caliper_format::reader::{self, RecordBatch};
-use caliper_format::{CaliError, Pushdown, ReadPolicy, ReadReport};
-use crossbeam::channel::{unbounded, Sender};
+use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport};
 
 use crate::parser::{parse_query, ParseError};
 use crate::pushdown::build_pushdown;
 use crate::query::{Pipeline, QueryResult};
-use crate::QuerySpec;
 
 /// Default maximum records per work unit. Files below this size are one
 /// unit each (making the engine byte-identical to the serial per-file
@@ -278,24 +273,13 @@ impl ShardTimings {
     }
 }
 
-/// A unit of work on the shared queue.
-enum Unit {
-    /// Read and decode a file, then aggregate its first batch (pushing
-    /// any further batches back onto the queue).
-    File { file: usize, path: PathBuf },
-    /// Aggregate a batch of an already-decoded file.
-    Batch {
-        file: usize,
-        batch: usize,
-        data: RecordBatch,
-    },
-    /// Poison pill: all units are done, exit.
-    Stop,
-}
-
 /// A finished partial: the unit id and its pipeline (or the read error
 /// for the unit's file).
 type Partial = (usize, usize, Result<Pipeline, CaliError>);
+
+/// What one worker brings back: its timings, the partials of the files
+/// it scanned, and their read reports by file index.
+type WorkerOutcome = (WorkerTimings, Vec<Partial>, Vec<(usize, ReadReport)>);
 
 /// Runs an aggregation `query` over `paths` with a pool of worker
 /// threads, returning the result and the per-worker timing breakdown.
@@ -315,8 +299,6 @@ pub fn parallel_query_files<P: AsRef<Path>>(
         return Err(ParallelQueryError::NotAnAggregation);
     }
     let threads = options.effective_threads();
-    let batch_records = options.batch_records.max(1);
-    let read_policy = options.read_policy;
     let max_groups = options.max_groups;
     // One pushdown instance for every worker: block skipping is a pure
     // function of (input bytes, pushdown), so sharing it keeps reads —
@@ -325,200 +307,137 @@ pub fn parallel_query_files<P: AsRef<Path>>(
         let pd = build_pushdown(&spec, None);
         (!pd.is_empty()).then(|| Arc::new(pd))
     });
-    let spec = Arc::new(spec);
+    let paths: Vec<PathBuf> = paths.iter().map(|p| p.as_ref().to_path_buf()).collect();
 
-    let (work_tx, work_rx) = unbounded::<Unit>();
-    let (partial_tx, partial_rx) = unbounded::<Partial>();
-    let (timing_tx, timing_rx) = unbounded::<(usize, WorkerTimings)>();
-    let (report_tx, report_rx) = unbounded::<(usize, ReadReport)>();
-
-    // Outstanding-unit count: seeded with one unit per file; a worker
-    // that splits a file adds the extra batches *before* finishing the
-    // file unit, so the count can only reach zero when every unit of
-    // every file is done. Whoever takes it to zero posts the poison
-    // pills that terminate the pool.
-    let outstanding = Arc::new(AtomicUsize::new(paths.len()));
-    for (file, path) in paths.iter().enumerate() {
-        let seeded = work_tx.send(Unit::File {
-            file,
-            path: path.as_ref().to_path_buf(),
-        });
-        assert!(seeded.is_ok(), "work queue cannot disconnect while seeding");
-    }
-    if paths.is_empty() {
-        for _ in 0..threads {
-            let _ = work_tx.send(Unit::Stop);
-        }
-    }
-
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let work_rx = work_rx.clone();
-            let work_tx = work_tx.clone();
-            let partial_tx = partial_tx.clone();
-            let timing_tx = timing_tx.clone();
-            let report_tx = report_tx.clone();
-            let spec = Arc::clone(&spec);
-            let pushdown = pushdown.clone();
-            let outstanding = Arc::clone(&outstanding);
-            scope.spawn(move || {
-                let mut timings = WorkerTimings::default();
-                while let Ok(unit) = work_rx.recv() {
-                    match unit {
-                        Unit::Stop => break,
-                        Unit::File { file, path } => {
-                            let t0 = Instant::now();
-                            let decoded = reader::read_path_reported_filtered(
-                                &path,
-                                read_policy,
-                                pushdown.as_deref(),
-                            );
-                            timings.read_s += t0.elapsed().as_secs_f64();
-                            timings.files += 1;
-                            let outcome = match decoded {
-                                Err(e) => (file, 0, Err(e)),
-                                Ok((ds, report)) => {
-                                    let _ = report_tx.send((file, report));
-                                    let batches =
-                                        reader::record_batches(Arc::new(ds), batch_records);
-                                    // Enqueue the tail batches before
-                                    // finishing this unit, so the
-                                    // outstanding count never dips to
-                                    // zero early.
-                                    if batches.len() > 1 {
-                                        outstanding
-                                            .fetch_add(batches.len() - 1, Ordering::SeqCst);
-                                        for (batch, data) in
-                                            batches.iter().enumerate().skip(1)
-                                        {
-                                            let _ = work_tx.send(Unit::Batch {
-                                                file,
-                                                batch,
-                                                data: data.clone(),
-                                            });
-                                        }
-                                    }
-                                    let shard = aggregate_batch(
-                                        &spec,
-                                        &batches[0],
-                                        max_groups,
-                                        &mut timings,
-                                    );
-                                    (file, 0, Ok(shard))
-                                }
-                            };
-                            if partial_tx.send(outcome).is_err() {
-                                break; // root gave up; stop working
-                            }
-                            finish_unit(&outstanding, &work_tx, threads);
-                        }
-                        Unit::Batch { file, batch, data } => {
-                            let shard = aggregate_batch(&spec, &data, max_groups, &mut timings);
-                            if partial_tx.send((file, batch, Ok(shard))).is_err() {
-                                break;
-                            }
-                            finish_unit(&outstanding, &work_tx, threads);
-                        }
-                    }
+    // Workers take the next unread file until none is left.
+    let next_file = AtomicUsize::new(0);
+    let worker = || -> WorkerOutcome {
+        let mut timings = WorkerTimings::default();
+        let (mut partials, mut reports) = (Vec::new(), Vec::new());
+        loop {
+            // Relaxed: the counter hands out indices and publishes nothing.
+            let file = next_file.fetch_add(1, Ordering::Relaxed);
+            let Some(path) = paths.get(file) else { break };
+            let start = Instant::now();
+            let dict = Dataset::new();
+            let mut first = Pipeline::new(spec.clone(), Arc::clone(&dict.store))
+                .with_max_groups(max_groups);
+            let scanned = first.scan_file(
+                path,
+                dict,
+                options.read_policy,
+                pushdown.as_deref(),
+                options.batch_records,
+            );
+            timings.files += 1;
+            match scanned {
+                Err(e) => {
+                    timings.read_s += start.elapsed().as_secs_f64();
+                    partials.push((file, 0, Err(e)));
                 }
-                let _ = timing_tx.send((worker, timings));
+                Ok(scanned) => {
+                    timings.read_s += start.elapsed().as_secs_f64() - scanned.fold_s;
+                    timings.process_s += scanned.fold_s;
+                    timings.units += 1 + scanned.tail.len();
+                    timings.records += scanned.records;
+                    reports.push((file, scanned.report));
+                    let units = std::iter::once(first).chain(scanned.tail);
+                    partials.extend(units.enumerate().map(|(unit, shard)| (file, unit, Ok(shard))));
+                }
+            }
+        }
+        (timings, partials, reports)
+    };
+    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    });
+
+    let mut timings = ShardTimings::default();
+    let mut partials: Vec<Partial> = Vec::new();
+    let mut reports: Vec<(usize, ReadReport)> = Vec::new();
+    for (worker, shards, read) in outcomes {
+        timings.workers.push(worker);
+        partials.extend(shards);
+        reports.extend(read);
+    }
+    reports.sort_by_key(|(file, _)| *file);
+    timings.reports = reports.into_iter().map(|(_, r)| r).collect();
+
+    // Deterministic root fold: ascending unit order. Without
+    // degrade, the first error (in unit order) wins; with degrade, a
+    // failed file drops *all* of its partials, is recorded as a
+    // [`ShardFailure`], and the fold continues. Both the fold order
+    // and the failure set depend only on the file list and the fault
+    // spec — never on scheduling — so output stays byte-identical
+    // across thread counts either way.
+    partials.sort_by_key(|(file, unit, _)| (*file, *unit));
+    let metrics = caliper_data::metrics::global();
+    metrics
+        .counter_volatile("query.parallel.units")
+        .add(partials.len() as u64);
+    metrics
+        .gauge_volatile("query.parallel.workers")
+        .set_max(threads as u64);
+    let merge_timer = metrics.timer("query.parallel.merge");
+    let t0 = Instant::now();
+    let mut root: Option<Pipeline> = None;
+    let mut last_file: Option<usize> = None;
+    for (file, _, partial) in partials {
+        let first_of_file = last_file != Some(file);
+        last_file = Some(file);
+        if let Some(failed) = timings.failures.last() {
+            if failed.file == file {
+                continue; // a sibling unit of an already-failed file
+            }
+        }
+        let path = &paths[file];
+        let fault = if first_of_file {
+            shard_merge_fault(file, path)
+        } else {
+            None
+        };
+        let failure = match (fault, partial) {
+            (Some(e), _) | (None, Err(e)) => Some(e),
+            (None, Ok(shard)) => {
+                match &mut root {
+                    Some(root) => {
+                        let _scope = merge_timer.start();
+                        root.merge(shard);
+                    }
+                    None => root = Some(shard),
+                }
+                None
+            }
+        };
+        if let Some(e) = failure {
+            if !options.degrade {
+                return Err(ParallelQueryError::Read(e));
+            }
+            // Stable (not `.parallel.`-scoped): the serial path
+            // bumps the same counter, so degraded `--stats` output
+            // matches across `--threads 1/2/4`.
+            metrics.counter("query.shards_failed").inc();
+            timings.failures.push(ShardFailure {
+                file,
+                path: path.clone(),
+                error: e.to_string(),
             });
         }
+    }
+    timings.merge_s = t0.elapsed().as_secs_f64();
 
-        // The root thread keeps no senders: once every worker exits, the
-        // partial/timing channels disconnect and collection below ends.
-        drop(work_tx);
-        drop(partial_tx);
-        drop(timing_tx);
-        drop(report_tx);
-
-        let mut partials: Vec<Partial> = partial_rx.iter().collect();
-        let mut timings = ShardTimings {
-            workers: vec![WorkerTimings::default(); threads],
-            ..Default::default()
-        };
-        for (worker, t) in timing_rx.iter() {
-            timings.workers[worker] = t;
-        }
-        let mut reports: Vec<(usize, ReadReport)> = report_rx.iter().collect();
-        reports.sort_by_key(|(file, _)| *file);
-        timings.reports = reports.into_iter().map(|(_, r)| r).collect();
-
-        // Deterministic root fold: ascending unit order. Without
-        // degrade, the first error (in unit order) wins; with degrade, a
-        // failed file drops *all* of its partials, is recorded as a
-        // [`ShardFailure`], and the fold continues. Both the fold order
-        // and the failure set depend only on the file list and the fault
-        // spec — never on scheduling — so output stays byte-identical
-        // across thread counts either way.
-        partials.sort_by_key(|(file, batch, _)| (*file, *batch));
-        let metrics = caliper_data::metrics::global();
-        metrics
-            .counter_volatile("query.parallel.units")
-            .add(partials.len() as u64);
-        metrics
-            .gauge_volatile("query.parallel.workers")
-            .set_max(threads as u64);
-        let merge_timer = metrics.timer("query.parallel.merge");
-        let t0 = Instant::now();
-        let mut root: Option<Pipeline> = None;
-        let mut last_file: Option<usize> = None;
-        for (file, _, partial) in partials {
-            let first_of_file = last_file != Some(file);
-            last_file = Some(file);
-            if let Some(failed) = timings.failures.last() {
-                if failed.file == file {
-                    continue; // a sibling batch of an already-failed file
-                }
-            }
-            let path = paths[file].as_ref();
-            let fault = if first_of_file {
-                shard_merge_fault(file, path)
-            } else {
-                None
-            };
-            let failure = match (fault, partial) {
-                (Some(e), _) | (None, Err(e)) => Some(e),
-                (None, Ok(shard)) => {
-                    match &mut root {
-                        Some(root) => {
-                            let _scope = merge_timer.start();
-                            root.merge(shard);
-                        }
-                        None => root = Some(shard),
-                    }
-                    None
-                }
-            };
-            if let Some(e) = failure {
-                if !options.degrade {
-                    return Err(ParallelQueryError::Read(e));
-                }
-                // Stable (not `.parallel.`-scoped): the serial path
-                // bumps the same counter, so degraded `--stats` output
-                // matches across `--threads 1/2/4`.
-                metrics.counter("query.shards_failed").inc();
-                timings.failures.push(ShardFailure {
-                    file,
-                    path: path.to_path_buf(),
-                    error: e.to_string(),
-                });
-            }
-        }
-        timings.merge_s = t0.elapsed().as_secs_f64();
-
-        let root = root.unwrap_or_else(|| {
-            Pipeline::new(
-                QuerySpec::clone(&spec),
-                Arc::new(caliper_data::AttributeStore::new()),
-            )
+    let root = root.unwrap_or_else(|| {
+        Pipeline::new(spec, Arc::new(caliper_data::AttributeStore::new()))
             .with_max_groups(max_groups)
-        });
-        let t0 = Instant::now();
-        let result = root.finish();
-        timings.finish_s = t0.elapsed().as_secs_f64();
-        Ok((result, timings))
-    })
+    });
+    let t0 = Instant::now();
+    let result = root.finish();
+    timings.finish_s = t0.elapsed().as_secs_f64();
+    Ok((result, timings))
 }
 
 /// Fire the `shard.merge` failpoint for input file `file`. Keyed on the
@@ -534,36 +453,6 @@ pub fn shard_merge_fault(file: usize, path: &Path) -> Option<CaliError> {
         ))
         .with_path(path)
     })
-}
-
-/// Aggregates one batch into a fresh private pipeline shard.
-fn aggregate_batch(
-    spec: &Arc<QuerySpec>,
-    batch: &RecordBatch,
-    max_groups: Option<usize>,
-    timings: &mut WorkerTimings,
-) -> Pipeline {
-    let t0 = Instant::now();
-    let mut shard = Pipeline::new(
-        QuerySpec::clone(spec),
-        Arc::clone(&batch.dataset().store),
-    )
-    .with_max_groups(max_groups);
-    batch.for_each_flat(|record| shard.process(record));
-    timings.process_s += t0.elapsed().as_secs_f64();
-    timings.units += 1;
-    timings.records += batch.len() as u64;
-    shard
-}
-
-/// Marks one unit finished; the worker that takes the count to zero
-/// posts one poison pill per worker to shut the pool down.
-fn finish_unit(outstanding: &AtomicUsize, work_tx: &Sender<Unit>, threads: usize) {
-    if outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
-        for _ in 0..threads {
-            let _ = work_tx.send(Unit::Stop);
-        }
-    }
 }
 
 #[cfg(test)]

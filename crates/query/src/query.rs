@@ -12,7 +12,7 @@ use caliper_data::{
     Attribute, AttributeStore, Entry, FlatRecord, Properties, SnapshotRecord, ValueType,
 };
 use caliper_format::dataset::Dataset;
-use caliper_format::{csv, expand, json, table};
+use caliper_format::{csv, expand, for_each_flat, json, table};
 
 use crate::aggregator::{AggregationSpec, Aggregator};
 use crate::ast::{FormatOpt, OutputFormat, QuerySpec, SortDir};
@@ -151,12 +151,12 @@ impl std::fmt::Debug for QueryResult {
 
 /// A streaming query pipeline over one record stream.
 pub struct Pipeline {
-    spec: QuerySpec,
-    lets: LetSet,
-    filters: FilterSet,
-    aggregator: Option<Aggregator>,
+    pub(crate) spec: QuerySpec,
+    pub(crate) lets: LetSet,
+    pub(crate) filters: FilterSet,
+    pub(crate) aggregator: Option<Aggregator>,
     passthrough: Vec<FlatRecord>,
-    input_store: Arc<AttributeStore>,
+    pub(crate) input_store: Arc<AttributeStore>,
 }
 
 impl Pipeline {
@@ -186,6 +186,13 @@ impl Pipeline {
     /// Parse `text` and create a pipeline.
     pub fn from_text(text: &str, store: Arc<AttributeStore>) -> Result<Pipeline, ParseError> {
         Ok(Pipeline::new(parse_query(text)?, store))
+    }
+
+    /// An empty pipeline for the same query over the same store, with
+    /// the same group capacity.
+    pub(crate) fn fresh(&self) -> Pipeline {
+        Pipeline::new(self.spec.clone(), Arc::clone(&self.input_store))
+            .with_max_groups(self.aggregator.as_ref().and_then(Aggregator::max_groups))
     }
 
     /// Bound the aggregation database to `cap` groups (see
@@ -229,9 +236,7 @@ impl Pipeline {
 
     /// Process every record of a dataset.
     pub fn process_dataset(&mut self, ds: &Dataset) {
-        for rec in ds.flat_records() {
-            self.process(rec);
-        }
+        for_each_flat(&ds.tree, &ds.records, |rec| self.process(rec));
     }
 
     /// Merge another pipeline's partial result into this one. Both
@@ -266,6 +271,10 @@ impl Pipeline {
     /// return the result.
     pub fn finish(self) -> QueryResult {
         let overflow_records = self.overflow_records();
+        // The flush types key columns by the input attribute of the
+        // same label; a LET output no row-path record interned yet (the
+        // block fold works on labels) must exist by now.
+        self.lets.intern_outputs();
         let (store, mut records) = match self.aggregator {
             Some(agg) => {
                 let out_store = Arc::new(AttributeStore::new());

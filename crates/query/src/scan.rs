@@ -1,0 +1,473 @@
+//! Scanning one input file into a pipeline: the per-file step every
+//! driver shares (`cali-query` serial and `--threads N`, and each rank
+//! of `mpi-caliquery`).
+//!
+//! [`Pipeline::scan_file`] reads a file and folds its records, in stream
+//! order, into the pipeline. How the records travel depends on what the
+//! file *is* — its stream header, nothing else:
+//!
+//! * **CALB v2** is block-columnar, and its blocks are folded as
+//!   columns. The decoder hands over one validated
+//!   [`Block`] at a time; the fold resolves the
+//!   attributes the query mentions once per block, walks the rows with
+//!   one cursor per column, gathers — per row — only the occurrences of
+//!   those attributes as [`Cell`]s (numbers, or string *codes* of the
+//!   stream's [`StringTable`]), evaluates LET and WHERE on them, finds
+//!   the row's group by hashing the key's cells, and feeds the reducers
+//!   from the typed values. No `SnapshotRecord`, no `FlatRecord`, no
+//!   boxed key: a row allocates only when its group is new.
+//! * **Text and CALB v1** have no columns. Their records are decoded as
+//!   rows and go through [`Pipeline::process`] — the path that defines
+//!   what a query means, and the oracle the block fold is tested
+//!   against (`tests/columnar_differential.rs`).
+//!
+//! Both land in the same aggregation database
+//! ([`Aggregator::admit`](crate::Aggregator)), use the same
+//! [`Reducer::update`](crate::Reducer::update) in the same order, and
+//! evaluate LET and WHERE through the same functions
+//! ([`LetExpr::eval`](crate::LetExpr), `filter::cmp_occurrences`), so a
+//! pipeline may be fed by any mix of the two.
+
+use std::collections::HashMap;
+use std::path::Path;
+use std::sync::Arc;
+use std::time::Instant;
+
+use caliper_data::{AttrId, ContextTree, FxBuildHasher, NodeId, SnapshotRecord, Value};
+use caliper_format::{
+    for_each_flat, scan_path, Block, CaliError, Cell, Dataset, Pushdown, ReadPolicy, ReadReport,
+    StringTable,
+};
+
+use crate::ast::{Filter, OpKind, QuerySpec};
+use crate::filter::cmp_occurrences;
+use crate::lets::LetResult;
+use crate::query::Pipeline;
+
+/// What [`Pipeline::scan_file`] hands back.
+pub struct Scanned {
+    /// The file's further work units, in stream order — empty unless the
+    /// file holds more than `unit_records` records.
+    pub tail: Vec<Pipeline>,
+    /// The dictionary dataset, grown by the file's attributes, context
+    /// tree nodes and globals. It holds no snapshot records.
+    pub dict: Dataset,
+    /// What the read decoded and what it had to leave behind.
+    pub report: ReadReport,
+    /// Snapshot records folded into the pipelines.
+    pub records: u64,
+    /// Seconds of the scan spent folding records into the pipelines
+    /// (the rest is reading and decoding).
+    pub fold_s: f64,
+}
+
+impl Pipeline {
+    /// Read one `.cali` or `CALB` file under `policy` (with an optional
+    /// zone-map `pushdown`) and fold its records into this pipeline, in
+    /// stream order. CALB v2 blocks are folded as columns, one block in
+    /// memory at a time; text and v1 records as rows (see the
+    /// [module docs](self)).
+    ///
+    /// `dict` receives the file's dictionary; its store must be the one
+    /// this pipeline was created over. Scanning several files into one
+    /// pipeline through one `dict` gives them a shared dictionary, as
+    /// [`read_path_into`](caliper_format::read_path_into) does for rows.
+    ///
+    /// `self` is the file's first work unit. Once a unit holds
+    /// `unit_records` records, the next record — for a v2 file, the next
+    /// block — opens a fresh unit with this pipeline's query and group
+    /// capacity; those come back in [`Scanned::tail`]. Unit boundaries
+    /// are a function of the file's bytes, the pushdown and
+    /// `unit_records` alone.
+    ///
+    /// On an error the pipeline has absorbed part of the file and must
+    /// be discarded.
+    pub fn scan_file(
+        &mut self,
+        path: impl AsRef<Path>,
+        dict: Dataset,
+        policy: ReadPolicy,
+        pushdown: Option<&Pushdown>,
+        unit_records: usize,
+    ) -> Result<Scanned, CaliError> {
+        assert!(
+            Arc::ptr_eq(&self.input_store, &dict.store),
+            "scan_file: the pipeline was created over a different store"
+        );
+        let mut units = Units {
+            first: self,
+            tail: Vec::new(),
+            len: 0,
+            cap: unit_records.max(1),
+        };
+        let mut fold = BlockFold::new(&units.first.spec);
+        let mut rows = Vec::new();
+        let (mut fold_s, mut folded) = (0.0, 0u64);
+        let (mut dict, report) =
+            scan_path(path, dict, policy, pushdown, &mut |ds, strings, block| {
+                let start = Instant::now();
+                // Row records a stream carries between its blocks keep
+                // their place in the order.
+                folded += units.fold_rows(&ds.tree, &std::mem::take(&mut ds.records));
+                folded += block.rows() as u64;
+                let (index, unit) = units.next(block.rows());
+                if unit.aggregator.is_some() {
+                    fold.fold_block(unit, index, ds, strings, block);
+                } else {
+                    // A pass-through query keeps whole records.
+                    rows.clear();
+                    block.append_records(strings, &mut rows);
+                    for_each_flat(&ds.tree, &rows, |record| unit.process(record));
+                }
+                fold_s += start.elapsed().as_secs_f64();
+            })?;
+
+        // What a text or v1 file decoded: rows.
+        let start = Instant::now();
+        folded += units.fold_rows(&dict.tree, &std::mem::take(&mut dict.records));
+        fold_s += start.elapsed().as_secs_f64();
+        let tail = units.tail;
+        self.filters.add_type_mismatches(fold.type_mismatches);
+        Ok(Scanned {
+            tail,
+            dict,
+            report,
+            records: folded,
+            fold_s,
+        })
+    }
+}
+
+/// The work units one file is folded into: `first`, then `tail`.
+struct Units<'a> {
+    first: &'a mut Pipeline,
+    tail: Vec<Pipeline>,
+    /// Records in the last unit, and how many make the next record open
+    /// a new one.
+    len: usize,
+    cap: usize,
+}
+
+impl Units<'_> {
+    /// The unit the next `incoming` records belong to, and its index.
+    fn next(&mut self, incoming: usize) -> (usize, &mut Pipeline) {
+        if self.len >= self.cap {
+            self.tail.push(self.first.fresh());
+            self.len = 0;
+        }
+        self.len += incoming;
+        (self.tail.len(), self.tail.last_mut().unwrap_or(self.first))
+    }
+
+    /// Fold row records through [`Pipeline::process`]; returns how many.
+    fn fold_rows(&mut self, tree: &ContextTree, records: &[SnapshotRecord]) -> u64 {
+        for records in records.chunks(self.cap) {
+            let (_, unit) = self.next(records.len());
+            for_each_flat(tree, records, |record| unit.process(record));
+        }
+        records.len() as u64
+    }
+}
+
+/// An attribute the query mentions, by label, with its id in the input
+/// store once the label resolves. Labels resolve at block boundaries
+/// and never change afterwards.
+struct Slot {
+    label: String,
+    attr: Option<AttrId>,
+}
+
+/// One key component in hashable form. Mirrors [`Value`]'s `Eq`/`Hash`:
+/// strings by code, floats by bit pattern, and non-negative `Int` and
+/// `UInt` of the same magnitude alike.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct KeyCell(u8, u64);
+
+impl KeyCell {
+    fn of(cell: Option<Cell>) -> KeyCell {
+        match cell {
+            None => KeyCell(0, 0),
+            Some(Cell::Str(code)) => KeyCell(1, code as u64),
+            Some(Cell::UInt(u)) => KeyCell(2, u),
+            Some(Cell::Int(i)) if i >= 0 => KeyCell(2, i as u64),
+            Some(Cell::Int(i)) => KeyCell(3, i as u64),
+            Some(Cell::Float(x)) => KeyCell(4, x.to_bits()),
+            Some(Cell::Bool(b)) => KeyCell(5, b as u64),
+        }
+    }
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+/// The occurrences of slotted attributes on one context-tree node's
+/// root-first path, as (slot, value).
+type NodeCells = Box<[(u32, Cell)]>;
+
+/// The columnar fold of one stream: per-stream plans and caches plus
+/// the scratch one row needs, all reused from row to row and block to
+/// block.
+struct BlockFold {
+    slots: Vec<Slot>,
+    /// Per LET binding: the slots of its inputs, and of its output.
+    lets: Vec<(Vec<u32>, u32)>,
+    /// Per WHERE condition: the slot of its attribute.
+    filters: Vec<u32>,
+    /// Per GROUP BY label: its slot.
+    keys: Vec<u32>,
+    /// Per op: the slot of its target (`None` for `count`).
+    ops: Vec<Option<u32>>,
+
+    /// Per context-tree node seen so far, by node id: its slotted
+    /// occurrences. A label that resolves later cannot be on a path
+    /// cached earlier — the node's attributes were all in the store
+    /// when its block was set up.
+    nodes: Vec<Option<NodeCells>>,
+    /// Group of each key seen in work unit `unit` (`None` = the
+    /// overflow bucket), so a row whose group exists costs one hash of
+    /// a few integers. Codes are per stream, groups per unit.
+    groups: HashMap<Box<[KeyCell]>, Option<u32>, FxBuildHasher>,
+    unit: usize,
+    type_mismatches: u64,
+
+    /// Per column of the current block: its slot, and the next value.
+    column_slots: Vec<u32>,
+    cursors: Vec<usize>,
+    /// Per slot: its occurrences in the current row, in record order.
+    row: Vec<Vec<Cell>>,
+    key: Vec<Option<Cell>>,
+    key_cells: Vec<KeyCell>,
+    text: String,
+}
+
+impl BlockFold {
+    fn new(spec: &QuerySpec) -> BlockFold {
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut slot = |label: &str| -> u32 {
+            let found = slots.iter().position(|s| s.label == label);
+            found.unwrap_or_else(|| {
+                slots.push(Slot {
+                    label: label.to_string(),
+                    attr: None,
+                });
+                slots.len() - 1
+            }) as u32
+        };
+        let lets = spec
+            .lets
+            .iter()
+            .map(|def| {
+                let inputs = def.expr.inputs().into_iter().map(&mut slot).collect();
+                (inputs, slot(&def.name))
+            })
+            .collect();
+        let filters = spec
+            .filters
+            .iter()
+            .map(|filter| match filter {
+                Filter::Exists(label) | Filter::NotExists(label) => slot(label),
+                Filter::Cmp { attr, .. } => slot(attr),
+            })
+            .collect();
+        let keys: Vec<u32> = spec.key.iter().map(|label| slot(label)).collect();
+        let ops = spec
+            .ops
+            .iter()
+            .map(|op| {
+                (op.kind != OpKind::Count).then(|| slot(op.target.as_deref().unwrap_or_default()))
+            })
+            .collect();
+        BlockFold {
+            row: slots.iter().map(|_| Vec::new()).collect(),
+            key: Vec::with_capacity(keys.len()),
+            key_cells: Vec::with_capacity(keys.len()),
+            slots,
+            lets,
+            filters,
+            keys,
+            ops,
+            nodes: Vec::new(),
+            groups: HashMap::default(),
+            unit: 0,
+            type_mismatches: 0,
+            column_slots: Vec::new(),
+            cursors: Vec::new(),
+            text: String::new(),
+        }
+    }
+
+    /// Fold every row of `block`, in order, into the aggregation of
+    /// `unit`, the file's `index`-th.
+    fn fold_block(
+        &mut self,
+        unit: &mut Pipeline,
+        index: usize,
+        ds: &Dataset,
+        strings: &mut StringTable,
+        block: &Block,
+    ) {
+        let agg = unit
+            .aggregator
+            .as_mut()
+            .expect("the block fold serves aggregations");
+        if self.unit != index {
+            self.groups.clear();
+            self.unit = index;
+        }
+        for slot in self.slots.iter_mut().filter(|s| s.attr.is_none()) {
+            slot.attr = unit.input_store.find(&slot.label).map(|attr| attr.id());
+        }
+        let slots = &self.slots;
+        let slot_of = |attr: AttrId| -> u32 {
+            let found = slots.iter().position(|s| s.attr == Some(attr));
+            found.map_or(NO_SLOT, |s| s as u32)
+        };
+        self.column_slots.clear();
+        self.column_slots
+            .extend(block.columns().iter().map(|column| slot_of(column.attr)));
+        self.cursors.clear();
+        self.cursors.resize(block.columns().len(), 0);
+
+        for r in 0..block.rows() {
+            // Gather: node paths first, then immediates, as a flat
+            // record lists them.
+            self.row.iter_mut().for_each(Vec::clear);
+            for &node in block.row_refs(r) {
+                let cached = node_cells(&mut self.nodes, node, ds, strings, &slot_of);
+                for &(slot, cell) in cached {
+                    self.row[slot as usize].push(cell);
+                }
+            }
+            for &c in block.row_imms(r) {
+                let c = c as usize;
+                let i = self.cursors[c];
+                self.cursors[c] = i + 1;
+                let slot = self.column_slots[c];
+                if slot != NO_SLOT {
+                    self.row[slot as usize].push(block.columns()[c].data.get(i));
+                }
+            }
+
+            // LET: each binding sees the outputs of those before it.
+            for ((inputs, out), def) in self.lets.iter().zip(unit.lets.defs()) {
+                let row = &self.row;
+                let last = |i: usize| row[inputs[i] as usize].last().copied();
+                let result = def.expr.eval(
+                    |i| last(i).and_then(|cell| strings.get(cell).to_f64()),
+                    |i| last(i).is_some(),
+                );
+                let cell = match result {
+                    Some(LetResult::Number(x)) => Cell::Float(x),
+                    Some(LetResult::TextOf(i)) => match last(i).expect("present input") {
+                        text @ Cell::Str(_) => text,
+                        other => {
+                            let text = strings.get(other).to_string();
+                            Cell::Str(strings.intern(&text))
+                        }
+                    },
+                    None => continue,
+                };
+                self.row[*out as usize].push(cell);
+            }
+
+            // WHERE.
+            let row = &self.row;
+            let type_mismatches = &mut self.type_mismatches;
+            let mut conditions = self.filters.iter().zip(unit.filters.filters());
+            let pass = conditions.all(|(&slot, filter)| {
+                let cells = &row[slot as usize];
+                match filter {
+                    Filter::Exists(_) => !cells.is_empty(),
+                    Filter::NotExists(_) => cells.is_empty(),
+                    Filter::Cmp { op, value, .. } => {
+                        if cells.is_empty() {
+                            return false;
+                        }
+                        let occurrences = cells.iter().map(|&cell| strings.get(cell));
+                        let (matched, mismatched) = cmp_occurrences(*op, value, occurrences);
+                        *type_mismatches += mismatched;
+                        matched
+                    }
+                }
+            });
+            if !pass {
+                continue;
+            }
+
+            // GROUP BY: the key as cells, `/`-joining an attribute that
+            // occurs more than once.
+            self.key.clear();
+            for &slot in &self.keys {
+                let cell = match self.row[slot as usize].as_slice() {
+                    [] => None,
+                    [one] => Some(*one),
+                    many => {
+                        self.text.clear();
+                        for (i, &cell) in many.iter().enumerate() {
+                            if i > 0 {
+                                self.text.push('/');
+                            }
+                            self.text.push_str(&strings.get(cell).to_text());
+                        }
+                        Some(Cell::Str(strings.intern(&self.text)))
+                    }
+                };
+                self.key.push(cell);
+            }
+            self.key_cells.clear();
+            self.key_cells
+                .extend(self.key.iter().map(|&cell| KeyCell::of(cell)));
+            let group = match self.groups.get(self.key_cells.as_slice()) {
+                Some(&group) => group,
+                None => {
+                    // A new group (or one this unit has not met yet):
+                    // the one place a row builds a boxed key.
+                    let key = self
+                        .key
+                        .iter()
+                        .map(|cell| cell.map(|cell| strings.get(cell).into_owned()));
+                    let group = agg.admit(key.collect());
+                    self.groups.insert(self.key_cells.as_slice().into(), group);
+                    group
+                }
+            };
+
+            // AGGREGATE.
+            let entry = agg.count_into(group);
+            for (reducer, target) in entry.reducers.iter_mut().zip(&self.ops) {
+                match target {
+                    None => reducer.update(&Value::UInt(1)),
+                    Some(slot) => {
+                        for &cell in &self.row[*slot as usize] {
+                            reducer.update(&strings.get(cell));
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The slotted occurrences on `node`'s root-first path, computed on the
+/// node's first sight.
+fn node_cells<'a>(
+    nodes: &'a mut Vec<Option<NodeCells>>,
+    node: NodeId,
+    ds: &Dataset,
+    strings: &mut StringTable,
+    slot_of: &impl Fn(AttrId) -> u32,
+) -> &'a [(u32, Cell)] {
+    let index = node as usize;
+    if nodes.len() <= index {
+        nodes.resize_with(index + 1, || None);
+    }
+    nodes[index].get_or_insert_with(|| {
+        ds.tree
+            .path(node)
+            .iter()
+            .filter_map(|(attr, value)| {
+                let slot = slot_of(*attr);
+                (slot != NO_SLOT).then(|| (slot, strings.cell(value)))
+            })
+            .collect()
+    })
+}

@@ -1,0 +1,513 @@
+//! Differential suite for the columnar fold over CALB v2 blocks
+//! (`Pipeline::scan_file`): for generated datasets × generated
+//! aggregation queries, the rendered result and the stable `--stats`
+//! metrics must be what the row path produces — `read_path` →
+//! `for_each_flat` → `Pipeline::process`, the path that defines what a
+//! query means — over the same records as text, CALB v1 and CALB v2.
+//!
+//! The datasets carry everything the ParaDiS corpus of the benchmark
+//! does not: node references with nested paths, an attribute both on a
+//! node path and immediate, repeated immediates, absent keys, every
+//! value type, integer sums that overflow into floats, and blocks of 1,
+//! 8 and 1024 rows.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
+use caliper_format::{
+    binary, cali, for_each_flat, read_footer, read_path_into_filtered, to_binary_v2_with, Dataset,
+    ReadPolicy, ReadReport, V2WriteOptions,
+};
+use caliper_query::{build_pushdown, parse_query, Pipeline, QuerySpec};
+use proptest::prelude::*;
+
+/// One generated record: (node choice, phase choice, immediates mask,
+/// iteration, time, count).
+type Row = (u8, u8, u8, i8, i16, u8);
+
+/// The metrics registry is process-wide: cases take turns.
+static METRICS: Mutex<()> = Mutex::new(());
+static CASE: AtomicUsize = AtomicUsize::new(0);
+
+fn dataset_of(rows: &[Row]) -> Dataset {
+    let mut ds = Dataset::new();
+    let region = ds.attribute("region", ValueType::Str, Properties::NESTED);
+    let phase = ds.attribute("phase", ValueType::Str, Properties::NESTED);
+    let iter = ds.attribute("iter", ValueType::Int, Properties::AS_VALUE);
+    let time = ds.attribute("time", ValueType::Float, Properties::AS_VALUE);
+    let n = ds.attribute("n", ValueType::UInt, Properties::AS_VALUE);
+    let big = ds.attribute("big", ValueType::UInt, Properties::AS_VALUE);
+    let flag = ds.attribute("flag", ValueType::Bool, Properties::AS_VALUE);
+    let label = ds.attribute("label", ValueType::Str, Properties::AS_VALUE);
+    ds.set_global("experiment", "differential");
+
+    let child = |parent, attr: &caliper_data::Attribute, text: &str| {
+        ds.tree.get_child(parent, attr.id(), &Value::str(text))
+    };
+    let main = child(NODE_NONE, &region, "main");
+    let solver = child(main, &region, "solver");
+    let kernel = child(solver, &region, "kernel");
+    let main_init = child(main, &phase, "init");
+    let solve = child(NODE_NONE, &phase, "solve");
+    let phases = ["init", "solve", "io"];
+
+    for &(node, phase_choice, mask, it, t, count) in rows {
+        let mut rec = SnapshotRecord::new();
+        match node % 6 {
+            0 => {}
+            1 => rec.push_node(main),
+            2 => rec.push_node(solver),
+            3 => rec.push_node(kernel),
+            4 => rec.push_node(main_init),
+            _ => {
+                rec.push_node(solver);
+                rec.push_node(solve);
+            }
+        }
+        if mask & 1 != 0 {
+            let text = phases[phase_choice as usize % phases.len()];
+            rec.push_imm(phase.id(), Value::str(text));
+        }
+        if mask & 2 != 0 {
+            rec.push_imm(iter.id(), Value::Int(it as i64));
+        }
+        if mask & 4 != 0 {
+            rec.push_imm(time.id(), Value::Float(t as f64 * 0.25));
+        }
+        if mask & 8 != 0 {
+            rec.push_imm(time.id(), Value::Float(t as f64 * 0.5 + 1.0));
+        }
+        if mask & 16 != 0 {
+            rec.push_imm(n.id(), Value::UInt(count as u64));
+        }
+        if mask & 32 != 0 {
+            rec.push_imm(flag.id(), Value::Bool(count % 2 == 0));
+        }
+        if mask & 64 != 0 {
+            rec.push_imm(label.id(), Value::str(format!("L{}", count % 4)));
+        }
+        if mask & 128 != 0 {
+            rec.push_imm(big.id(), Value::UInt(u64::MAX - count as u64));
+        }
+        ds.push(rec);
+    }
+    ds
+}
+
+const LETS: &[&str] = &[
+    "",
+    "LET bin = truncate(iter, 4)",
+    "LET r2 = first(label, phase, region)",
+    "LET scaled = scale(time, 1000), per = ratio(time, n)",
+    "LET iter = truncate(iter, 2)",
+    "LET f = first(iter, n), bin = truncate(time, 10)",
+];
+
+const OPS: &[&str] = &[
+    "count",
+    "count, sum(time), min(time), max(time)",
+    "avg(time), sum(iter), sum(n)",
+    "sum(big), count",
+    "min(label), max(phase), max(region)",
+    "histogram(time, 0, 100, 5), percentile(time, 90)",
+    "percent_total(time), variance(time), stddev(n)",
+    "sum(scaled), sum(per), max(bin)",
+];
+
+const WHERES: &[&str] = &[
+    "",
+    "WHERE region",
+    "WHERE not(phase)",
+    "WHERE iter > 0",
+    "WHERE phase = init",
+    "WHERE time < 10.5, n != 3",
+    "WHERE label = 5",
+    "WHERE time = 3",
+    "WHERE bin >= 4",
+];
+
+const KEYS: &[&str] = &[
+    "region",
+    "phase",
+    "region, iter",
+    "flag, label",
+    "missing",
+    "bin, region",
+    "r2",
+    "f, n",
+];
+
+const CAPS: &[Option<usize>] = &[None, None, Some(1), Some(3)];
+
+fn query_of(choice: (u8, u8, u8, u8)) -> String {
+    let pick = |list: &[&'static str], i: u8| list[i as usize % list.len()];
+    let keys = pick(KEYS, choice.3);
+    format!(
+        "{} AGGREGATE {} {} GROUP BY {keys} ORDER BY {keys} FORMAT csv",
+        pick(LETS, choice.0),
+        pick(OPS, choice.1),
+        pick(WHERES, choice.2),
+    )
+}
+
+/// The stable metrics of whatever ran since the last reset.
+fn stats() -> String {
+    caliper_data::metrics::global().render_text(true)
+}
+
+/// The query layer's own metrics. `query.filter.type_mismatch` is left
+/// out: it counts occurrences WHERE looked at, and a v2 read skips
+/// whole blocks of them that text and v1 must decode.
+fn query_stats(stats: &str) -> String {
+    let lines = stats.lines().filter(|line| {
+        line.starts_with("query.") && !line.starts_with("query.filter.type_mismatch=")
+    });
+    lines.collect::<Vec<_>>().join("\n")
+}
+
+/// What one path produced: rendered result, stable metrics, read reports.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    rendered: String,
+    stats: String,
+    reports: Vec<String>,
+}
+
+fn report_text(report: &ReadReport) -> String {
+    // The path differs between encodings; everything else must not.
+    let mut report = report.clone();
+    report.path = None;
+    format!("{report:?}")
+}
+
+/// One pipeline per file, merged in file order — what `cali-query` does.
+fn run(
+    spec: &QuerySpec,
+    cap: Option<usize>,
+    files: &[PathBuf],
+    feed: impl Fn(&mut Pipeline, &Path, Dataset) -> ReadReport,
+) -> Outcome {
+    caliper_data::metrics::global().reset();
+    let mut root: Option<Pipeline> = None;
+    let mut reports = Vec::new();
+    for path in files {
+        let dict = Dataset::new();
+        let mut pipeline =
+            Pipeline::new(spec.clone(), Arc::clone(&dict.store)).with_max_groups(cap);
+        reports.push(report_text(&feed(&mut pipeline, path, dict)));
+        match &mut root {
+            Some(root) => root.merge(pipeline),
+            None => root = Some(pipeline),
+        }
+    }
+    let rendered = root.expect("at least one file").finish().render();
+    Outcome {
+        rendered,
+        stats: stats(),
+        reports,
+    }
+}
+
+/// The oracle: decode to rows, flatten, `Pipeline::process`.
+fn via_rows(
+    spec: &QuerySpec,
+    cap: Option<usize>,
+    files: &[PathBuf],
+    policy: ReadPolicy,
+) -> Outcome {
+    let pushdown = build_pushdown(spec, None);
+    run(spec, cap, files, |pipeline, path, dict| {
+        let (ds, report) =
+            read_path_into_filtered(path, dict, policy, Some(&pushdown)).expect("file reads");
+        for_each_flat(&ds.tree, &ds.records, |record| pipeline.process(record));
+        report
+    })
+}
+
+/// The path under test: `scan_file` (columns for v2).
+fn via_scan(
+    spec: &QuerySpec,
+    cap: Option<usize>,
+    files: &[PathBuf],
+    policy: ReadPolicy,
+) -> Outcome {
+    let pushdown = build_pushdown(spec, None);
+    run(spec, cap, files, |pipeline, path, dict| {
+        let scanned = pipeline
+            .scan_file(path, dict, policy, Some(&pushdown), usize::MAX)
+            .expect("file scans");
+        assert!(scanned.tail.is_empty() && scanned.dict.records.is_empty());
+        scanned.report
+    })
+}
+
+fn case_dir() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "caliper-columnar-diff-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn write(dir: &Path, name: &str, bytes: Vec<u8>) -> PathBuf {
+    let path = dir.join(name);
+    std::fs::write(&path, bytes).unwrap();
+    path
+}
+
+fn v2_bytes(ds: &Dataset, block_records: usize) -> Vec<u8> {
+    to_binary_v2_with(
+        ds,
+        &V2WriteOptions {
+            block_records,
+            footer: true,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn columns_answer_what_rows_answer(
+        files in prop::collection::vec(
+            prop::collection::vec(
+                ((any::<u8>(), any::<u8>(), any::<u8>()), (any::<i8>(), any::<i16>(), any::<u8>()))
+                    .prop_map(|((a, b, c), (d, e, f))| (a, b, c, d, e, f)),
+                0..40,
+            ),
+            1..3,
+        ),
+        choice in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+        cap in 0usize..4,
+        blocks in 0usize..3,
+    ) {
+        let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+        let query = query_of(choice);
+        let spec = parse_query(&query).expect("generated query parses");
+        let cap = CAPS[cap];
+        let block_records = [1, 8, 1024][blocks];
+        let dir = case_dir();
+        let (mut text, mut v1, mut v2) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, rows) in files.iter().enumerate() {
+            let ds = dataset_of(rows);
+            text.push(write(&dir, &format!("f{i}.cali"), cali::to_bytes(&ds)));
+            v1.push(write(&dir, &format!("f{i}.calb"), binary::to_binary(&ds)));
+            v2.push(write(&dir, &format!("f{i}.calb2"), v2_bytes(&ds, block_records)));
+        }
+        let strict = ReadPolicy::Strict;
+
+        let oracle = via_rows(&spec, cap, &v2, strict);
+        let columns = via_scan(&spec, cap, &v2, strict);
+        prop_assert_eq!(&columns, &oracle, "v2 columns vs v2 rows: {}", query);
+
+        // Across encodings the reader's byte and block counts differ by
+        // construction; the answer and the query's own metrics do not.
+        for (what, outcome) in [
+            ("text rows", via_rows(&spec, cap, &text, strict)),
+            ("v1 rows", via_rows(&spec, cap, &v1, strict)),
+            ("text scan", via_scan(&spec, cap, &text, strict)),
+            ("v1 scan", via_scan(&spec, cap, &v1, strict)),
+        ] {
+            prop_assert_eq!(&outcome.rendered, &oracle.rendered, "{}: {}", what, query);
+            prop_assert_eq!(
+                query_stats(&outcome.stats), query_stats(&oracle.stats), "{}: {}", what, query
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Byte offset of the payload of the block whose tag byte sits at
+/// `offset` (skipping the tag and the LEB128 length frame).
+fn payload_start(bytes: &[u8], offset: usize) -> usize {
+    let mut pos = offset + 1;
+    while bytes[pos] & 0x80 != 0 {
+        pos += 1;
+    }
+    pos + 1
+}
+
+/// Corrupt each block ordinal in turn: under a lenient policy the
+/// columnar path loses exactly that block — nothing of it is folded,
+/// every later block resyncs — with the same `ReadReport` and the same
+/// answer as the row path.
+#[test]
+fn a_corrupt_block_costs_both_paths_exactly_that_block() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let rows: Vec<Row> = (0..50u8)
+        .map(|i| {
+            (
+                i,
+                i / 3,
+                0b0111_0111 ^ (i % 8),
+                i as i8 - 20,
+                i as i16 * 7,
+                i,
+            )
+        })
+        .collect();
+    let ds = dataset_of(&rows);
+    let clean = v2_bytes(&ds, 8);
+    let index = read_footer(&clean).expect("footer present");
+    assert_eq!(index.len(), 7);
+    let spec = parse_query(
+        "LET bin = truncate(iter, 4) AGGREGATE count, sum(time), max(n) \
+         GROUP BY region, bin ORDER BY region, bin FORMAT csv",
+    )
+    .unwrap();
+    let count_of = |outcome: &Outcome| -> u64 {
+        let header: Vec<&str> = outcome
+            .rendered
+            .lines()
+            .next()
+            .unwrap()
+            .split(',')
+            .collect();
+        let column = header.iter().position(|h| *h == "count").unwrap();
+        let rows = outcome.rendered.lines().skip(1);
+        rows.map(|line| line.split(',').nth(column).unwrap().parse::<u64>().unwrap())
+            .sum()
+    };
+    let dir = case_dir();
+    for (ordinal, block) in index.iter().enumerate() {
+        let mut damaged = clean.clone();
+        // The row-count varint: 0xff makes the payload claim more rows
+        // than it holds.
+        damaged[payload_start(&clean, block.offset as usize)] = 0xff;
+        let path = write(&dir, &format!("damaged{ordinal}.calb2"), damaged);
+        let files = [path];
+
+        let lenient = ReadPolicy::lenient();
+        let oracle = via_rows(&spec, None, &files, lenient);
+        let columns = via_scan(&spec, None, &files, lenient);
+        assert_eq!(columns, oracle, "block {ordinal}");
+        assert_eq!(
+            count_of(&columns),
+            rows.len() as u64 - block.rows,
+            "block {ordinal}"
+        );
+        assert!(
+            columns.reports[0].contains("skipped: 1"),
+            "{}",
+            columns.reports[0]
+        );
+        assert!(
+            columns.reports[0].contains("truncated: false"),
+            "{}",
+            columns.reports[0]
+        );
+
+        // Strict: the file fails, and says which.
+        let dict = Dataset::new();
+        let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
+        let err = pipeline
+            .scan_file(&files[0], dict, ReadPolicy::Strict, None, usize::MAX)
+            .err()
+            .expect("strict scan of a corrupt block fails");
+        assert!(
+            err.to_string().contains(&format!("damaged{ordinal}.calb2")),
+            "{err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Work units: a file larger than `unit_records` splits at the same
+/// record for rows, at the next block boundary for columns, and merging
+/// the units in order gives the single-unit answer for exact reducers.
+#[test]
+fn units_partition_the_file_in_stream_order() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let rows: Vec<Row> = (0..100u8)
+        .map(|i| (i, i, 0b0001_0011, i as i8, 0, i))
+        .collect();
+    let ds = dataset_of(&rows);
+    let dir = case_dir();
+    let v2 = write(&dir, "units.calb2", v2_bytes(&ds, 8));
+    let text = write(&dir, "units.cali", cali::to_bytes(&ds));
+    let spec = parse_query(
+        "AGGREGATE count, sum(iter), min(n), max(n) GROUP BY region, phase \
+         ORDER BY region, phase FORMAT csv",
+    )
+    .unwrap();
+    let whole = via_scan(&spec, None, std::slice::from_ref(&v2), ReadPolicy::Strict).rendered;
+    for (path, unit_records, units) in [(&v2, 20, 5), (&v2, 8, 13), (&text, 30, 4), (&text, 100, 1)]
+    {
+        let dict = Dataset::new();
+        let mut first = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
+        let scanned = first
+            .scan_file(path, dict, ReadPolicy::Strict, None, unit_records)
+            .unwrap();
+        assert_eq!(scanned.records, 100);
+        assert_eq!(
+            1 + scanned.tail.len(),
+            units,
+            "{} / {unit_records}",
+            path.display()
+        );
+        for unit in scanned.tail {
+            first.merge(unit);
+        }
+        assert_eq!(first.finish().render(), whole);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A pass-through query keeps whole records, so `scan_file` materialises
+/// a v2 block's rows for it — with the same result as reading rows.
+#[test]
+fn pass_through_queries_get_their_rows() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let rows: Vec<Row> = (0..40u8)
+        .map(|i| (i, i, 0b0101_0111, i as i8 - 9, i as i16, i))
+        .collect();
+    let dir = case_dir();
+    let v2 = [write(&dir, "rows.calb2", v2_bytes(&dataset_of(&rows), 8))];
+    let spec = parse_query("SELECT region, phase, iter, time WHERE iter > 0 FORMAT csv").unwrap();
+    let oracle = via_rows(&spec, None, &v2, ReadPolicy::Strict);
+    assert!(oracle.rendered.lines().count() > 10, "{}", oracle.rendered);
+    assert_eq!(via_scan(&spec, None, &v2, ReadPolicy::Strict), oracle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The reader accepts v1 snapshot records (`TAG_CTX`) inside a v2 stream.
+/// They keep their place between the blocks: with a group capacity,
+/// which keys are admitted depends on it.
+#[test]
+fn row_records_between_blocks_fold_in_stream_order() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let labelled = |counts: &[u8]| -> Dataset {
+        let rows: Vec<Row> = counts.iter().map(|&c| (1, 0, 64, 0, 0, c)).collect();
+        dataset_of(&rows)
+    };
+    let no_footer = V2WriteOptions {
+        block_records: 8,
+        footer: false,
+    };
+    // Every stream starts with the four magic bytes and a version byte.
+    let mut bytes = to_binary_v2_with(&labelled(&[0, 1]), &no_footer);
+    bytes.extend_from_slice(&binary::to_binary(&labelled(&[2, 2]))[5..]);
+    bytes.extend_from_slice(&to_binary_v2_with(&labelled(&[3, 0]), &no_footer)[5..]);
+    let dir = case_dir();
+    let mixed = [write(&dir, "mixed.calb2", bytes)];
+
+    let spec = parse_query("AGGREGATE count GROUP BY label ORDER BY label FORMAT csv").unwrap();
+    let oracle = via_rows(&spec, Some(3), &mixed, ReadPolicy::Strict);
+    assert!(oracle.rendered.contains("L2,2"), "{}", oracle.rendered);
+    assert!(!oracle.rendered.contains("L3"), "{}", oracle.rendered);
+
+    caliper_data::metrics::global().reset();
+    let dict = Dataset::new();
+    let mut pipeline = Pipeline::new(spec, Arc::clone(&dict.store)).with_max_groups(Some(3));
+    let scanned = pipeline
+        .scan_file(&mixed[0], dict, ReadPolicy::Strict, None, usize::MAX)
+        .unwrap();
+    assert_eq!((scanned.records, scanned.report.blocks), (6, 2));
+    assert_eq!(pipeline.finish().render(), oracle.rendered);
+    std::fs::remove_dir_all(&dir).ok();
+}

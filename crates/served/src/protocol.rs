@@ -148,6 +148,9 @@ impl IngestClient {
     /// Connect with `timeout` applied to connect, reads, and writes.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<IngestClient> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        // Every request waits for its reply: there is nothing for Nagle's
+        // algorithm to coalesce, only acknowledgements to wait out.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         let reader = BufReader::new(stream.try_clone()?);
@@ -179,9 +182,11 @@ impl IngestClient {
     /// Send one batch payload; the reply is the ack / backpressure /
     /// degradation verdict.
     pub fn send_batch(&mut self, payload: &[u8]) -> io::Result<Reply> {
-        self.writer
-            .write_all(format!("BATCH {}\n", payload.len()).as_bytes())?;
-        self.writer.write_all(payload)?;
+        // One frame, one write: a header segment followed by a body
+        // segment makes the body wait for the header's (delayed) ACK.
+        let mut frame = format!("BATCH {}\n", payload.len()).into_bytes();
+        frame.extend_from_slice(payload);
+        self.writer.write_all(&frame)?;
         self.writer.flush()?;
         self.read_reply()
     }
@@ -258,6 +263,39 @@ mod tests {
         for bad in ["HELLO", "HELLO  ", "BATCH", "BATCH twelve", "FETCH 1", "PING now"] {
             assert!(Command::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    /// A header written apart from its body on a Nagle-enabled socket
+    /// costs every batch a delayed ACK (~40 ms on Linux): 100 acked
+    /// batches took over 4 s.
+    #[test]
+    fn sequential_acked_batches_do_not_wait_out_delayed_acks() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        const BATCHES: usize = 100;
+        let payload = vec![b'x'; 4096];
+        let expected = payload.len();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            for _ in 0..BATCHES {
+                let line = read_line(&mut reader).unwrap().unwrap();
+                let Command::Batch(len) = Command::parse(&line).unwrap() else {
+                    panic!("expected BATCH, got {line}");
+                };
+                assert_eq!(read_payload(&mut reader, len).unwrap().len(), expected);
+                writer.write_all(b"OK\n").unwrap();
+            }
+        });
+        let mut client = IngestClient::connect(addr, Duration::from_secs(10)).unwrap();
+        let start = std::time::Instant::now();
+        for _ in 0..BATCHES {
+            assert_eq!(client.send_batch(&payload).unwrap(), Reply::Ok(String::new()));
+        }
+        let elapsed = start.elapsed();
+        server.join().unwrap();
+        assert!(elapsed < Duration::from_secs(2), "{BATCHES} batches took {elapsed:?}");
     }
 
     #[test]

@@ -1,12 +1,20 @@
 #!/bin/sh
-# Full local gate: release build, test suite, lint pass, a rustdoc pass
+# Full local gate: release build, the workspace's test suites, the
+# benchmark package's tests and smoke run, lint pass, a rustdoc pass
 # with warnings (missing_docs among them) promoted to errors, and a
 # failure-injection smoke run of the fault-tolerant pipeline.
 set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
-cargo test -q
+cargo test -q --workspace
+# The benchmark is a package of its own that compiles against the
+# crates' public API: its unit tests, then a smoke run (under 10 s) that
+# makes the same correctness checks as a measuring run — outputs
+# byte-identical across text / v1 / v2 and --threads 1|2, and the traced
+# replay through the row API equal to the binaries' columnar answers.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
 cargo clippy --workspace --all-targets -q -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
