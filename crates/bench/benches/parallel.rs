@@ -42,7 +42,11 @@ fn bench_parallel_query(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function(BenchmarkId::new("serial_stream", "baseline"), |b| {
-        b.iter(|| cali_cli::query_files_streaming(black_box(QUERY), &paths).unwrap())
+        b.iter(|| {
+            let strict = caliper_format::ReadPolicy::Strict;
+            cali_cli::query_files_streaming(black_box(QUERY), &paths, strict, None, None, false)
+                .unwrap()
+        })
     });
     for threads in [1usize, 2, 4, 8] {
         let options = ParallelOptions::with_threads(threads);

@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use cali_cli::query_files_streaming_opts;
+use cali_cli::query_files_streaming;
 use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_format::{Dataset, ReadPolicy, V2WriteOptions};
 use caliper_query::{build_pushdown, parse_query};
@@ -79,8 +79,8 @@ fn bench_selective_where(c: &mut Criterion) {
     );
     let pushdown = build_pushdown(&parse_query(&query).unwrap(), None);
     let run = |path: &std::path::Path, pd: Option<&caliper_format::Pushdown>| {
-        let (result, _) =
-            query_files_streaming_opts(&query, &[path], ReadPolicy::Strict, None, pd).unwrap();
+        let (result, _, _) =
+            query_files_streaming(&query, &[path], ReadPolicy::Strict, None, pd, false).unwrap();
         result
     };
     // All three configurations must agree before we time them.

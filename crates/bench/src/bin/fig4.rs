@@ -5,27 +5,30 @@
 //! process).
 //!
 //! The paper runs 1…4096 MPI processes on a cluster. On a laptop all
-//! "ranks" share a few cores, so threaded wall-clock cannot show weak
-//! scaling; instead this harness measures the *critical path* on an
-//! uncontended core (see DESIGN.md §3):
+//! "ranks" share a few cores, so wall-clock cannot show weak scaling;
+//! instead this harness reports the *critical path* on an uncontended
+//! core (see DESIGN.md §3). Every point is one `cali_cli::parallel_query`
+//! call — the code path `mpi-caliquery` runs — on the event engine with
+//! a single worker, so local phases and merges execute one after the
+//! other and each is timed undisturbed:
 //!
-//! * local time  = time to read + aggregate one input file (constant
-//!   per process under weak scaling, by construction);
+//! * local time  = max over ranks of the time to read + aggregate one
+//!   input file (constant per process under weak scaling, by
+//!   construction);
 //! * reduction   = sum over tree levels of the maximum merge time on
-//!   that level (the binomial tree executed sequentially, each merge
-//!   timed individually);
+//!   that level;
 //! * total       = local max + reduction + root finish.
 //!
-//! The threaded `mpi-caliquery` engine is also run at each point to
-//! verify that the parallel result equals the sequential one.
+//! The times are folded up the reduction tree with the data; the
+//! harness re-implements nothing.
 //!
 //! With `--kill RANK`, the run finishes with a failure-injection
 //! check: the same parallel query executed under a [`FaultPlan`] that
 //! kills the given (non-root) rank at its first communication op. The
-//! resilient tree reduction routes around the dead subtree; the harness
-//! reports the reduction coverage (which ranks' contributions made it)
-//! and verifies the merged result equals a serial aggregation over
-//! exactly the surviving ranks' files.
+//! reduction routes around the dead subtree; the harness reports the
+//! reduction coverage (which ranks' contributions made it) and verifies
+//! the merged result equals a serial aggregation over exactly the
+//! surviving ranks' files.
 //!
 //! # Synthetic scale mode (`--ranks N`)
 //!
@@ -44,16 +47,25 @@
 //!              [--workers W] [--kills K] [--kill-seed S]`
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
-use cali_cli::{parallel_query, parallel_query_resilient, read_files};
-use caliper_query::{parse_query, run_query, Pipeline};
+use cali_cli::{parallel_query, read_files, QueryRun};
+use caliper_query::run_query;
 use miniapps::paradis::{self, ParaDisParams, EVALUATION_QUERY};
 use mpisim::{
     EventEngine, Executor, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, ThreadEngine,
     Topology,
 };
+
+/// The evaluation query over the first `np` files, one per rank, on
+/// the single-worker event engine.
+fn query_run(paths: &[PathBuf], np: usize, plan: FaultPlan) -> QueryRun {
+    let per_rank = paths[..np].iter().map(|p| vec![p.clone()]).collect();
+    let opts = ResilienceOptions::default();
+    parallel_query(&EventEngine::new(), Topology::Flat, EVALUATION_QUERY, per_rank, plan, opts, false)
+        .0
+        .expect("parallel query")
+}
 
 /// Run the fault-injected cross-process reduction at `np` ranks, report
 /// coverage, and check the survivors-only equality.
@@ -64,21 +76,14 @@ fn failure_injection_check(paths: &[PathBuf], np: usize, victim: usize) {
     );
     eprintln!();
     eprintln!("# failure injection: killing rank {victim} at its first comm op, np = {np}");
-    let per_rank: Vec<Vec<PathBuf>> = paths[..np].iter().map(|p| vec![p.clone()]).collect();
-    let (result, report) = parallel_query_resilient(
-        EVALUATION_QUERY,
-        per_rank,
-        FaultPlan::new().kill(victim, 0),
-        ResilienceOptions::default(),
-    )
-    .expect("resilient parallel query");
+    let QueryRun { result, coverage, .. } = query_run(paths, np, FaultPlan::new().kill(victim, 0));
     eprintln!(
         "# reduction coverage: {}/{} ranks included; lost subtree: {:?}",
-        report.included.len(),
+        coverage.included.len(),
         np,
-        report.lost
+        coverage.lost
     );
-    let survivor_paths: Vec<PathBuf> = report.included.iter().map(|&r| paths[r].clone()).collect();
+    let survivor_paths: Vec<PathBuf> = coverage.included.iter().map(|&r| paths[r].clone()).collect();
     let ds = read_files(&survivor_paths).expect("read survivor files");
     let serial = run_query(&ds, EVALUATION_QUERY).expect("serial reference query");
     assert_eq!(
@@ -187,7 +192,7 @@ fn main() {
         .position(|a| a == "--max-np")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 16 } else { 256 });
+        .unwrap_or(if quick { 16 } else { 1024 });
     let kill: Option<usize> = args
         .iter()
         .position(|a| a == "--kill")
@@ -202,68 +207,25 @@ fn main() {
         "# each file: {} snapshot records (paper: 2174)",
         paradis::generate_rank(&params, 0).len()
     );
-    let spec = parse_query(EVALUATION_QUERY).expect("query parses");
-
-    println!("np,total_s,local_max_s,reduction_s,levels,output_records,threaded_wall_s");
+    println!("np,total_s,local_max_s,reduction_s,levels,output_records,wall_s");
     let mut np = 1;
     while np <= max_np {
-        // --- local phase, per rank, uncontended ---
-        let mut locals = Vec::with_capacity(np);
-        let mut pipelines: Vec<Option<Pipeline>> = Vec::with_capacity(np);
-        for path in &paths[..np] {
-            let t = Instant::now();
-            let ds = read_files(std::slice::from_ref(path)).expect("read input");
-            let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&ds.store));
-            pipeline.process_dataset(&ds);
-            locals.push(t.elapsed().as_secs_f64());
-            pipelines.push(Some(pipeline));
-        }
-        let local_max = locals.iter().copied().fold(0.0f64, f64::max);
-
-        // --- binomial-tree reduction, executed sequentially, each
-        //     merge timed; per-level critical path = max merge time ---
-        let mut level_max = Vec::new();
-        let mut step = 1usize;
-        while step < np {
-            let mut worst = 0.0f64;
-            let mut i = 0;
-            while i + step < np {
-                let incoming = pipelines[i + step].take().expect("pipeline present");
-                let mine = pipelines[i].as_mut().expect("receiver present");
-                let t = Instant::now();
-                mine.merge(incoming);
-                worst = worst.max(t.elapsed().as_secs_f64());
-                i += 2 * step;
-            }
-            level_max.push(worst);
-            step *= 2;
-        }
-        let reduction: f64 = level_max.iter().sum();
-
         let t = Instant::now();
-        let result = pipelines[0].take().expect("root pipeline").finish();
-        let finish = t.elapsed().as_secs_f64();
-        let total = local_max + reduction + finish;
-
-        // --- cross-check with the threaded parallel engine ---
-        let per_rank: Vec<Vec<PathBuf>> = paths[..np].iter().map(|p| vec![p.clone()]).collect();
-        let t = Instant::now();
-        let (threaded, _) = parallel_query(EVALUATION_QUERY, per_rank).expect("parallel query");
-        let threaded_wall = t.elapsed().as_secs_f64();
-        assert_eq!(
-            result.to_table().render(),
-            threaded.to_table().render(),
-            "threaded and sequential reductions must agree at np={np}"
+        let QueryRun { result, timings, .. } = query_run(&paths, np, FaultPlan::new());
+        let wall = t.elapsed().as_secs_f64();
+        let (total, local_max, reduction, finish) = (
+            timings.total_s(),
+            timings.local_max_s,
+            timings.reduction_s(),
+            timings.finish_s,
         );
-
+        let levels = timings.level_merge_max_s.len();
         println!(
-            "{np},{total:.6},{local_max:.6},{reduction:.6},{},{},{threaded_wall:.6}",
-            level_max.len(),
+            "{np},{total:.6},{local_max:.6},{reduction:.6},{levels},{},{wall:.6}",
             result.records.len()
         );
         eprintln!(
-            "# np {np:>5}: total {total:.4} s = local {local_max:.4} + reduction {reduction:.5} ({} levels) + finish {finish:.5}; {} output records (paper: 85)",
-            level_max.len(),
+            "# np {np:>5}: total {total:.4} s = local {local_max:.4} + reduction {reduction:.5} ({levels} levels) + finish {finish:.5}; {} output records (paper: 85)",
             result.records.len()
         );
         np *= 2;

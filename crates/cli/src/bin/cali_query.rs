@@ -10,7 +10,7 @@ use std::process::ExitCode;
 
 use std::sync::Arc;
 
-use cali_cli::{lint, parse_args, query_files_streaming_degrade, read_files_reported};
+use cali_cli::{lint, parse_args, query_files_streaming, read_files_reported};
 use caliper_format::{Pushdown, ReadPolicy, ReadReport};
 use caliper_query::{
     analyze, build_pushdown, parallel_query_files, parse_query_spanned, ParallelOptions,
@@ -383,7 +383,7 @@ fn main() -> ExitCode {
                 result.render()
             }
             Err(ParallelQueryError::NotAnAggregation) => {
-                match query_files_streaming_degrade(
+                match query_files_streaming(
                     query,
                     &args.positional,
                     policy,
@@ -411,7 +411,7 @@ fn main() -> ExitCode {
         // --threads 1: today's serial streaming path, one input file in
         // memory at a time (memory bounded by the largest file).
         let t0 = std::time::Instant::now();
-        match query_files_streaming_degrade(
+        match query_files_streaming(
             query,
             &args.positional,
             policy,

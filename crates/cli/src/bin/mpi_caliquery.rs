@@ -2,8 +2,10 @@
 //!
 //! Distributes the input files over N simulated MPI query processes,
 //! aggregates locally on each, reduces the partial results up a
-//! binomial tree to rank 0, and prints the result plus the timing
-//! breakdown that Figure 4 of the paper reports.
+//! binomial tree to rank 0, and prints the result plus — with
+//! `--timings` — the breakdown that Figure 4 of the paper reports.
+//! Every flag combination is the same run: one `parallel_query` call,
+//! one report.
 //!
 //! ```text
 //! mpi-caliquery --np N [-q QUERY] [--timings] INPUT.cali...
@@ -12,11 +14,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cali_cli::{
-    parallel_query, parallel_query_on, parallel_query_on_traced, parallel_query_resilient,
-    parse_args, TracedQueryRun,
-};
-use mpisim::{EventEngine, FaultPlan, ResilienceOptions, ThreadEngine, Topology};
+use cali_cli::{parallel_query, parse_args, CliArgs, ParallelError, QueryRun};
+use mpisim::{EventEngine, FaultPlan, HbTrace, ResilienceOptions, ThreadEngine, Topology};
 
 const USAGE: &str = "usage: mpi-caliquery --np N [-q QUERY] [--timings] INPUT.cali...
 
@@ -28,25 +27,35 @@ Options:
   -q, --query QUERY   the aggregation scheme (must aggregate)
                       default: \"AGGREGATE sum(sum#time.duration),
                       sum(aggregate.count) GROUP BY kernel\"
-  --timings           print the per-phase timing breakdown
-  --engine NAME       execution engine: 'threads' (one OS thread per
-                      rank; the default) or 'event' (deterministic
-                      virtual-clock scheduler — use for rank counts in
-                      the thousands)
+  --timings           print the per-phase timing breakdown to stderr:
+                      local read+process (max over ranks), tree
+                      reduction (critical path and per level), root
+                      finish, total; on the event engine also the
+                      scheduler's counters. The times ride the same
+                      reduction as the data, so this works with every
+                      other flag, --faults included.
+  --engine NAME       execution engine: 'event' (the default: a
+                      deterministic virtual-clock scheduler, good for
+                      rank counts in the thousands; a rank's local
+                      phase costs no virtual time, so a slow rank is
+                      never mistaken for a dead one) or 'threads' (one
+                      OS thread per rank; receive timeouts are
+                      wall-clock, so a rank that reads for longer than
+                      about a second can be written off as lost)
   --nodes N           two-level reduction topology: ranks are grouped
                       into N nodes, each node pre-reduces locally, then
                       node leaders reduce across nodes (default: flat
                       binomial tree over all ranks)
   --workers N         event engine only: worker threads stepping ready
-                      ranks (default 1; results are identical for any
-                      value)
+                      ranks (default: the available parallelism;
+                      results are identical for any value)
   --faults SPEC       chaos testing: script simulated rank faults with
                       the shared fault grammar, e.g.
                       \"mpi.kill=at(2,0);mpi.delay=at(1,0,20)\" kills
                       rank 2 at its first comm op and stalls rank 1 by
-                      20 ms; the run switches to the fault-tolerant
-                      reduction and reports which ranks' data the
-                      result covers (also read from CALI_FAULTS)
+                      20 ms; the reduction routes around dead ranks and
+                      the run reports which ranks' data the result
+                      covers (also read from CALI_FAULTS)
   --analyze           record the happens-before communication trace and
                       run the race/deadlock analysis on it after the
                       query; the certificate is printed to stderr and
@@ -60,39 +69,77 @@ Exit codes: 0 success, 1 error, 2 success but the result is partial
 (injected faults lost some ranks' contributions).
 ";
 
-/// Print the result and coverage report of an engine-generic run; with
-/// `sched_timings` also the event scheduler's counters (the event
-/// engine's analogue of the threaded path's timing breakdown).
-fn finish_engine_run(
-    run: Result<(caliper_query::QueryResult, cali_cli::ResilientReport), cali_cli::ParallelError>,
-    sched_timings: bool,
+/// Report one run: dump (`--trace FILE`) and/or analyze (`--analyze`)
+/// the happens-before trace when one was recorded, print the result,
+/// the `--timings` breakdown — with the scheduler's counters when the
+/// event engine (`sched`) ran — and the coverage. Analysis errors
+/// (message races, deadlock cycles) fail the run even when the query
+/// itself produced a result.
+fn report(
+    outcome: Result<QueryRun, ParallelError>,
+    trace: Option<HbTrace>,
+    args: &CliArgs,
+    sched: bool,
 ) -> ExitCode {
-    match run {
-        Ok((result, report)) => {
-            print!("{}", result.render());
-            if sched_timings {
-                let m = caliper_data::metrics::global();
-                eprintln!(
-                    "# sched events:          {}",
-                    m.counter_volatile("mpisim.sched.events").get()
-                );
-                eprintln!(
-                    "# sched virtual time:    {} ns",
-                    m.gauge_volatile("mpisim.sched.virtual_time_ns").get()
-                );
-                eprintln!(
-                    "# sched max queue depth: {}",
-                    m.gauge_volatile("mpisim.sched.max_queue_depth").get()
-                );
+    let mut analysis_errors = false;
+    if let Some(trace) = trace {
+        trace.record_metrics();
+        if let Some(path) = args.get(&["trace"]) {
+            let written = std::fs::File::create(path)
+                .and_then(|file| trace.write_cali(std::io::BufWriter::new(file)));
+            if let Err(e) = written {
+                eprintln!("mpi-caliquery: --trace {path}: {e}");
+                return ExitCode::FAILURE;
             }
-            if report.lost.is_empty() {
+            eprintln!(
+                "mpi-caliquery: wrote {} trace events ({} ranks) to {path}",
+                trace.len(),
+                trace.size()
+            );
+        }
+        if args.has(&["analyze"]) {
+            let analysis = mpisim::analyze(&trace);
+            eprint!("{}", analysis.render());
+            analysis_errors = analysis.exit_code(false) == 2;
+        }
+    }
+    let code = match outcome {
+        Ok(run) => {
+            print!("{}", run.result.render());
+            if args.has(&["timings"]) {
+                let t = &run.timings;
+                eprintln!("# local read+process (max over ranks): {:.6} s", t.local_max_s);
+                eprintln!("# tree reduction (critical path):      {:.6} s", t.reduction_s());
+                for (level, t) in t.level_merge_max_s.iter().enumerate() {
+                    eprintln!("#   level {level}: {t:.6} s");
+                }
+                eprintln!("# root finish:                         {:.6} s", t.finish_s);
+                eprintln!("# total:                               {:.6} s", t.total_s());
+                if sched {
+                    let m = caliper_data::metrics::global();
+                    eprintln!(
+                        "# sched events:          {}",
+                        m.counter_volatile("mpisim.sched.events").get()
+                    );
+                    eprintln!(
+                        "# sched virtual time:    {} ns",
+                        m.gauge_volatile("mpisim.sched.virtual_time_ns").get()
+                    );
+                    eprintln!(
+                        "# sched max queue depth: {}",
+                        m.gauge_volatile("mpisim.sched.max_queue_depth").get()
+                    );
+                }
+            }
+            let coverage = &run.coverage;
+            if coverage.is_complete() {
                 ExitCode::SUCCESS
             } else {
                 eprintln!(
                     "mpi-caliquery: partial result: covers {} of {} ranks; lost ranks {:?}",
-                    report.included.len(),
-                    report.included.len() + report.lost.len(),
-                    report.lost
+                    coverage.included.len(),
+                    coverage.included.len() + coverage.lost.len(),
+                    coverage.lost
                 );
                 ExitCode::from(2)
             }
@@ -101,45 +148,7 @@ fn finish_engine_run(
             eprintln!("mpi-caliquery: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-/// Handle a traced run: dump and/or analyze the happens-before trace,
-/// then report the query outcome as usual. Analysis errors (message
-/// races, deadlock cycles) fail the run even when the query itself
-/// produced a result.
-fn finish_traced_run(
-    run: TracedQueryRun,
-    sched_timings: bool,
-    analyze: bool,
-    trace_path: Option<&str>,
-) -> ExitCode {
-    run.trace.record_metrics();
-    if let Some(path) = trace_path {
-        let file = match std::fs::File::create(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("mpi-caliquery: --trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = run.trace.write_cali(std::io::BufWriter::new(file)) {
-            eprintln!("mpi-caliquery: --trace {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "mpi-caliquery: wrote {} trace events ({} ranks) to {path}",
-            run.trace.len(),
-            run.trace.size()
-        );
-    }
-    let mut analysis_errors = false;
-    if analyze {
-        let analysis = mpisim::analyze(&run.trace);
-        eprint!("{}", analysis.render());
-        analysis_errors = analysis.exit_code(false) == 2;
-    }
-    let code = finish_engine_run(run.outcome, sched_timings);
+    };
     if analysis_errors {
         eprintln!("mpi-caliquery: --analyze found communication errors");
         return ExitCode::FAILURE;
@@ -198,13 +207,13 @@ fn main() -> ExitCode {
     // the two-level (intra-node, then cross-node) scheme.
     let topology = match args.get(&["nodes"]) {
         Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Some(Topology::two_level_for(np, n)),
+            Ok(n) if n > 0 => Topology::two_level_for(np, n),
             _ => {
                 eprintln!("mpi-caliquery: invalid --nodes '{v}'");
                 return ExitCode::FAILURE;
             }
         },
-        None => None,
+        None => Topology::Flat,
     };
     let workers: usize = match args.get(&["workers"]) {
         Some(v) => match v.parse() {
@@ -214,7 +223,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        None => 1,
+        // The rule `cali-query --threads` follows: what the machine has.
+        None => caliper_query::ParallelOptions::default().effective_threads(),
     };
 
     // Round-robin file distribution, one subset per query process.
@@ -223,126 +233,20 @@ fn main() -> ExitCode {
         per_rank[i % np].push(PathBuf::from(path));
     }
 
-    // Happens-before tracing: --analyze and --trace both need the
-    // instrumented run, on either engine.
-    let analyze = args.has(&["analyze"]);
-    let trace_path = args.get(&["trace"]);
-    if analyze || trace_path.is_some() {
-        let topology = topology.unwrap_or(Topology::Flat);
-        let opts = ResilienceOptions::default();
-        let run = match args.get(&["engine"]).unwrap_or("threads") {
-            "event" => {
-                let engine = EventEngine::with_workers(workers);
-                parallel_query_on_traced(&engine, topology, query, per_rank, plan, opts)
-            }
-            "threads" => {
-                parallel_query_on_traced(&ThreadEngine, topology, query, per_rank, plan, opts)
-            }
-            other => {
-                eprintln!("mpi-caliquery: unknown --engine '{other}' (use 'event' or 'threads')");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match run {
-            Ok(traced) => {
-                finish_traced_run(traced, args.has(&["timings"]), analyze, trace_path)
-            }
-            Err(e) => {
-                eprintln!("mpi-caliquery: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // The event engine — and any two-level topology — routes through
-    // the engine-generic task path; the default threaded flat path
-    // below keeps its per-phase timing harvest.
-    match args.get(&["engine"]).unwrap_or("threads") {
+    let engine = args.get(&["engine"]).unwrap_or("event");
+    // --analyze and --trace both need the happens-before hook armed.
+    let traced = args.has(&["analyze"]) || args.get(&["trace"]).is_some();
+    let opts = ResilienceOptions::default();
+    let (outcome, trace) = match engine {
         "event" => {
             let engine = EventEngine::with_workers(workers);
-            let run = parallel_query_on(
-                &engine,
-                topology.unwrap_or(Topology::Flat),
-                query,
-                per_rank,
-                plan,
-                ResilienceOptions::default(),
-            );
-            return finish_engine_run(run, args.has(&["timings"]));
+            parallel_query(&engine, topology, query, per_rank, plan, opts, traced)
         }
-        "threads" => {
-            if let Some(topology) = topology {
-                let run = parallel_query_on(
-                    &ThreadEngine,
-                    topology,
-                    query,
-                    per_rank,
-                    plan,
-                    ResilienceOptions::default(),
-                );
-                return finish_engine_run(run, false);
-            }
-        }
+        "threads" => parallel_query(&ThreadEngine, topology, query, per_rank, plan, opts, traced),
         other => {
             eprintln!("mpi-caliquery: unknown --engine '{other}' (use 'event' or 'threads')");
             return ExitCode::FAILURE;
         }
-    }
-
-    if !plan.is_empty() {
-        return match parallel_query_resilient(query, per_rank, plan, ResilienceOptions::default())
-        {
-            Ok((result, report)) => {
-                print!("{}", result.render());
-                if args.has(&["timings"]) {
-                    eprintln!("# timings unavailable under fault injection");
-                }
-                if report.lost.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    eprintln!(
-                        "mpi-caliquery: partial result: covers ranks {:?}; lost ranks {:?}",
-                        report.included, report.lost
-                    );
-                    ExitCode::from(2)
-                }
-            }
-            Err(e) => {
-                eprintln!("mpi-caliquery: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    match parallel_query(query, per_rank) {
-        Ok((result, timings)) => {
-            print!("{}", result.render());
-            if args.has(&["timings"]) {
-                eprintln!(
-                    "# local read+process (max over ranks): {:.6} s",
-                    timings.local_max_s()
-                );
-                eprintln!(
-                    "# tree reduction (critical path):      {:.6} s",
-                    timings.reduction_s
-                );
-                for (level, t) in timings.level_merge_max_s.iter().enumerate() {
-                    eprintln!("#   level {level}: {t:.6} s");
-                }
-                eprintln!(
-                    "# root finish:                         {:.6} s",
-                    timings.finish_s
-                );
-                eprintln!(
-                    "# total:                               {:.6} s",
-                    timings.total_s()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("mpi-caliquery: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    };
+    report(outcome, trace, &args, engine == "event")
 }

@@ -17,10 +17,7 @@ pub mod parallel;
 
 pub use args::{parse_args, CliArgs, UsageError};
 pub use lint::{check_query, exit_code, infer_schema, summary_line, CheckedQuery};
-pub use parallel::{
-    parallel_query, parallel_query_on, parallel_query_on_traced, parallel_query_resilient,
-    ParallelError, ParallelTimings, ResilientReport, TracedQueryRun,
-};
+pub use parallel::{parallel_query, ParallelError, ParallelTimings, QueryRun};
 
 use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport};
 
@@ -31,57 +28,9 @@ pub fn read_one(path: impl AsRef<std::path::Path>) -> Result<Dataset, CaliError>
     caliper_format::read_path(path)
 }
 
-/// Run an aggregation query over many files in streaming fashion: one
-/// file is in memory at a time, partial aggregations are merged — the
-/// serial analogue of the parallel query engine, bounding `cali-query`'s
-/// memory by the largest input file instead of the whole dataset.
-///
-/// Pass-through (non-aggregating) queries need all records at once and
-/// fall back to [`read_files`].
-pub fn query_files_streaming<P: AsRef<std::path::Path>>(
-    query: &str,
-    paths: &[P],
-) -> Result<caliper_query::QueryResult, Box<dyn std::error::Error>> {
-    query_files_streaming_with(query, paths, ReadPolicy::Strict, None).map(|(result, _)| result)
-}
-
-/// [`query_files_streaming`] with a read policy and an aggregation
-/// capacity: files are decoded under `policy` (per-file [`ReadReport`]s
-/// come back alongside the result, in input order) and every pipeline —
-/// per-file shards and the merged root alike — carries the `max_groups`
-/// cap, so serial runs bound memory and overflow identically to the
-/// thread-parallel engine.
-pub fn query_files_streaming_with<P: AsRef<std::path::Path>>(
-    query: &str,
-    paths: &[P],
-    policy: ReadPolicy,
-    max_groups: Option<usize>,
-) -> Result<(caliper_query::QueryResult, Vec<ReadReport>), Box<dyn std::error::Error>> {
-    query_files_streaming_opts(query, paths, policy, max_groups, None)
-}
-
-/// [`query_files_streaming_with`] plus an optional zone-map
-/// [`Pushdown`]: on CALB v2 inputs, blocks whose zone maps prove no
-/// record can satisfy the pushed predicates are skipped without
-/// decoding (counted in each [`ReadReport`]'s `blocks_skipped`). Pass
-/// the same instance the parallel engine uses
-/// ([`caliper_query::ParallelOptions::with_pushdown`]) and the result —
-/// and the skip counts — stay byte-identical across `--threads`.
-/// Pass-through queries fall back to [`read_files`] unfiltered.
-pub fn query_files_streaming_opts<P: AsRef<std::path::Path>>(
-    query: &str,
-    paths: &[P],
-    policy: ReadPolicy,
-    max_groups: Option<usize>,
-    pushdown: Option<&Pushdown>,
-) -> Result<(caliper_query::QueryResult, Vec<ReadReport>), Box<dyn std::error::Error>> {
-    query_files_streaming_degrade(query, paths, policy, max_groups, pushdown, false)
-        .map(|(result, reports, _)| (result, reports))
-}
-
-/// What [`query_files_streaming_degrade`] produces: the query result,
-/// one [`ReadReport`] per file that was actually read, and one
-/// [`caliper_query::ShardFailure`] per file that was dropped.
+/// What [`query_files_streaming`] produces: the query result, one
+/// [`ReadReport`] per file that was actually read (input order), and
+/// one [`caliper_query::ShardFailure`] per file that was dropped.
 pub type DegradedQueryOutcome = Result<
     (
         caliper_query::QueryResult,
@@ -91,15 +40,31 @@ pub type DegradedQueryOutcome = Result<
     Box<dyn std::error::Error>,
 >;
 
-/// [`query_files_streaming_opts`] with graceful degradation: when
-/// `degrade` is set, a file whose read fails terminally (retries
+/// Run an aggregation query over many files in streaming fashion: one
+/// file is in memory at a time, partial aggregations are merged — the
+/// serial analogue of the parallel query engine, bounding `cali-query`'s
+/// memory by the largest input file instead of the whole dataset.
+/// Pass-through (non-aggregating) queries need all records at once and
+/// fall back to [`read_files_reported`], unfiltered.
+///
+/// Files are decoded under `policy`, and every pipeline — per-file
+/// shards and the merged root alike — carries the `max_groups` cap, so
+/// serial runs bound memory and overflow identically to the
+/// thread-parallel engine. With a zone-map [`Pushdown`], CALB v2 blocks
+/// whose zone maps prove no record can satisfy the pushed predicates
+/// are skipped without decoding (counted in each [`ReadReport`]'s
+/// `blocks_skipped`); pass the same instance the parallel engine uses
+/// ([`caliper_query::ParallelOptions::with_pushdown`]) and the result —
+/// and the skip counts — stay byte-identical across `--threads`.
+///
+/// When `degrade` is set, a file whose read fails terminally (retries
 /// exhausted) or whose `shard.merge` failpoint fires is *dropped* —
 /// recorded as a [`caliper_query::ShardFailure`] — instead of aborting
 /// the query. This mirrors [`caliper_query::ParallelOptions::degrade`]
 /// exactly: the same per-file-index fault decisions, the same surviving
 /// files merged in the same order, so a degraded serial run is
 /// byte-identical to a degraded `--threads N` run.
-pub fn query_files_streaming_degrade<P: AsRef<std::path::Path>>(
+pub fn query_files_streaming<P: AsRef<std::path::Path>>(
     query: &str,
     paths: &[P],
     policy: ReadPolicy,

@@ -478,7 +478,7 @@ fn mpi_caliquery_scripted_kill_yields_a_covered_partial_result() {
     );
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(
-        stderr.contains("covers ranks [0]; lost ranks [1]"),
+        stderr.contains("partial result: covers 1 of 2 ranks; lost ranks [1]"),
         "{stderr}"
     );
     // The partial result is exactly the surviving rank's aggregation.
@@ -510,6 +510,54 @@ fn mpi_caliquery_scripted_delay_only_slows_the_run() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert_eq!(out.stdout, clean.stdout);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_slow_rank_is_not_a_lost_rank() {
+    let (dir, paths) = text_corpus("mpislow");
+    let run = |engine: Option<&str>, faults: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mpi-caliquery"));
+        cmd.args(["--np", "2", "-q", QUERY, "--timings"]);
+        if let Some(engine) = engine {
+            cmd.args(["--engine", engine]);
+        }
+        if let Some(faults) = faults {
+            cmd.env("CALI_FAULTS", faults);
+        }
+        cmd.args(&paths[..2]).output().unwrap()
+    };
+    let clean = run(None, None);
+    assert_eq!(clean.status.code(), Some(0));
+
+    // Rank 1's read stalls for longer than rank 0's whole level-0
+    // receive budget (250 + 350 + 450 ms). On the default engine a
+    // local phase costs no virtual time, so nothing is written off.
+    let slow = "io.read~in1=delay(1500)";
+    let out = run(None, Some(slow));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("partial result"), "{stderr}");
+    assert_eq!(out.stdout, clean.stdout);
+    let local_max: f64 = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("# local read+process (max over ranks):"))
+        .and_then(|v| v.trim().trim_end_matches(" s").parse().ok())
+        .unwrap_or_else(|| panic!("no local max in --timings output: {stderr}"));
+    assert!(local_max >= 1.5, "the stall is the local max: {stderr}");
+
+    // The thread engine's budgets are wall-clock: it may write the slow
+    // rank off, and then has to say so.
+    let out = run(Some("threads"), Some(slow));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    match out.status.code() {
+        Some(0) => assert_eq!(out.stdout, clean.stdout),
+        Some(2) => assert!(
+            stderr.contains("partial result: covers 1 of 2 ranks; lost ranks [1]"),
+            "{stderr}"
+        ),
+        other => panic!("exit {other:?}: {stderr}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

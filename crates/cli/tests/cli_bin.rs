@@ -85,13 +85,19 @@ fn streaming_query_matches_merged_query() {
     let query = "AGGREGATE sum(sum#time.duration), sum(aggregate.count) GROUP BY kernel";
     let merged = cali_cli::read_files(&paths).unwrap();
     let reference = caliper_query::run_query(&merged, query).unwrap();
-    let streamed = cali_cli::query_files_streaming(query, &paths).unwrap();
+    let stream = |query| {
+        let policy = caliper_format::ReadPolicy::Strict;
+        let (result, _, _) =
+            cali_cli::query_files_streaming(query, &paths, policy, None, None, false).unwrap();
+        result
+    };
+    let streamed = stream(query);
     assert_eq!(
         reference.to_table().render(),
         streamed.to_table().render()
     );
     // Pass-through fallback also works.
-    let passthrough = cali_cli::query_files_streaming("SELECT * LIMIT 3", &paths).unwrap();
+    let passthrough = stream("SELECT * LIMIT 3");
     assert_eq!(passthrough.records.len(), 3);
     std::fs::remove_dir_all(&dir).ok();
 }

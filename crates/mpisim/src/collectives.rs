@@ -4,12 +4,12 @@
 //! paper's parallel query application uses (§IV-C): "'leaf' processes
 //! send the local aggregation results to their parent, where the
 //! partial results are aggregated again. The scheme continues on the
-//! next level of the tree until we reach the root process." The timed
-//! variant [`reduce_tree_timed`] additionally reports the wall-clock
-//! time each rank spent per tree level, which the Figure 4 harness
-//! reduces to critical-path times.
+//! next level of the tree until we reach the root process." It is the
+//! blocking, fault-free reference; every fault-tolerant, timed or
+//! many-rank reduction is the one [`ReduceTask`](crate::task::ReduceTask)
+//! state machine, which [`reduce_tree_resilient`] adapts to a [`Comm`].
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::comm::{Comm, CommError, Tag};
 
@@ -39,84 +39,6 @@ where
             let partner = rank + step;
             if partner < size {
                 let incoming: T = comm.recv(partner, TAG_BASE)?;
-                acc = merge(acc, incoming);
-            }
-        } else {
-            let parent = rank - step;
-            comm.send(parent, TAG_BASE, acc)?;
-            return Ok(None);
-        }
-        step *= 2;
-    }
-    Ok(Some(acc))
-}
-
-/// Like [`reduce_tree`], but also returns the time this rank spent in
-/// each tree level (seconds), including levels where it only forwarded.
-pub fn reduce_tree_timed<T, F>(
-    comm: &mut Comm,
-    value: T,
-    mut merge: F,
-) -> Result<(Option<T>, Vec<f64>), CommError>
-where
-    T: Send + 'static,
-    F: FnMut(T, T) -> T,
-{
-    let rank = comm.rank();
-    let size = comm.size();
-    let mut acc = Some(value);
-    let mut times = Vec::new();
-    let mut step = 1usize;
-    while step < size {
-        let start = Instant::now();
-        if rank.is_multiple_of(2 * step) {
-            let partner = rank + step;
-            if partner < size {
-                let incoming: T = comm.recv(partner, TAG_BASE)?;
-                let mine = acc.take().expect("non-leaf rank still holds a value");
-                acc = Some(merge(mine, incoming));
-            }
-            times.push(start.elapsed().as_secs_f64());
-        } else {
-            let parent = rank - step;
-            let mine = acc.take().expect("leaf rank sends once");
-            comm.send(parent, TAG_BASE, mine)?;
-            times.push(start.elapsed().as_secs_f64());
-            return Ok((None, times));
-        }
-        step *= 2;
-    }
-    Ok((acc, times))
-}
-
-/// Like [`reduce_tree`], but every receive is bounded by `timeout`.
-///
-/// The deadlock-avoidance primitive: with a plain [`reduce_tree`], one
-/// dead rank leaves its parent blocked forever (the parent's inbox
-/// never disconnects — the parent itself keeps all senders alive). Here
-/// the parent instead gets [`CommError::Timeout`] and can abort the
-/// whole reduction cleanly. For degrading *gracefully* — salvaging the
-/// surviving ranks' data instead of aborting — see
-/// [`reduce_tree_resilient`].
-pub fn reduce_tree_timeout<T, F>(
-    comm: &mut Comm,
-    value: T,
-    mut merge: F,
-    timeout: Duration,
-) -> Result<Option<T>, CommError>
-where
-    T: Send + 'static,
-    F: FnMut(T, T) -> T,
-{
-    let rank = comm.rank();
-    let size = comm.size();
-    let mut acc = value;
-    let mut step = 1usize;
-    while step < size {
-        if rank.is_multiple_of(2 * step) {
-            let partner = rank + step;
-            if partner < size {
-                let incoming: T = comm.recv_timeout(partner, TAG_BASE, timeout)?;
                 acc = merge(acc, incoming);
             }
         } else {
@@ -342,20 +264,6 @@ mod tests {
             assert_eq!(results[0], Some(expect), "size {size}");
             assert!(results[1..].iter().all(Option::is_none));
         }
-    }
-
-    #[test]
-    fn reduce_tree_timed_levels() {
-        let results = run(8, |mut comm| {
-            reduce_tree_timed(&mut comm, 1u64, |a, b| a + b).unwrap()
-        });
-        assert_eq!(results[0].0, Some(8));
-        // Root participates in all log2(8) = 3 levels.
-        assert_eq!(results[0].1.len(), 3);
-        // Rank 1 leaves after level 0.
-        assert_eq!(results[1].1.len(), 1);
-        // Rank 2 participates in level 0 (recv from 3) and leaves at level 1.
-        assert_eq!(results[2].1.len(), 2);
     }
 
     #[test]

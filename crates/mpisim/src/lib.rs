@@ -5,27 +5,31 @@
 //! the laptop-scale substitute (see DESIGN.md §3), with two execution
 //! engines behind the [`Executor`] trait:
 //!
+//! * the **event engine** ([`EventEngine`]), which `mpi-caliquery` and
+//!   `fig4` run on by default: ranks are resumable state machines
+//!   ([`RankTask`]) advanced by a deterministic virtual-clock event loop
+//!   (see DESIGN.md §12), so timeouts and scripted delays cost zero
+//!   wall-clock time, a rank's local work costs zero virtual time, and
+//!   100 000-rank reductions finish in under a second.
 //! * the **thread engine** ([`ThreadEngine`], and the [`run`] /
 //!   [`run_with_faults`] closures API): ranks are OS threads, links are
-//!   crossbeam channels, timeouts cost wall-clock time. Faithful, but
-//!   capped at a few hundred ranks.
-//! * the **event engine** ([`EventEngine`]): ranks are resumable state
-//!   machines ([`RankTask`]) advanced by a deterministic virtual-clock
-//!   event loop (see DESIGN.md §12), so timeouts and scripted delays
-//!   cost zero wall-clock time and 16 000-rank reductions finish in
-//!   seconds.
+//!   crossbeam channels, timeouts cost wall-clock time. Faithful to
+//!   real concurrency, capped at a few hundred ranks, and kept as the
+//!   oracle the event engine is tested against.
 //!
 //! The collectives — most importantly the binomial-tree reduction of
 //! the paper's §IV-C — are implemented on top of point-to-point
-//! messages; the fault-tolerant reduction exists exactly once, as the
-//! [`ReduceTask`] state machine both engines drive.
+//! messages. [`reduce_tree`] is the blocking fault-free reference;
+//! every other reduction is the [`ReduceTask`] state machine, which
+//! both engines drive.
 //!
 //! Beyond the fault-free collectives, the crate models *failure*: a
 //! [`FaultPlan`] scripts rank deaths and delays deterministically
 //! (by communication-op index), [`run_with_faults`] executes a world
-//! under such a plan, and [`reduce_tree_resilient`] is a reduction that
-//! routes around dead subtrees, reporting exactly which ranks'
-//! contributions the result covers ([`ReduceCoverage`]).
+//! under such a plan, and [`ReduceTask`] (or, from a blocking rank
+//! closure, its adapter [`reduce_tree_resilient`]) routes around dead
+//! subtrees, reporting exactly which ranks' contributions the result
+//! covers ([`ReduceCoverage`]).
 //!
 //! ```
 //! use mpisim::{run, reduce_tree};
@@ -50,8 +54,8 @@ pub mod trace;
 pub mod world;
 
 pub use collectives::{
-    allreduce, barrier, broadcast, gather, reduce_tree, reduce_tree_resilient, reduce_tree_timed,
-    reduce_tree_timeout, ReduceCoverage, ResilienceOptions,
+    allreduce, barrier, broadcast, gather, reduce_tree, reduce_tree_resilient, ReduceCoverage,
+    ResilienceOptions,
 };
 pub use comm::{Comm, CommError, Tag};
 pub use fault::FaultPlan;

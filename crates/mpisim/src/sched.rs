@@ -666,15 +666,17 @@ impl EventEngine {
             stats.events += batch_len;
 
             // --- group per rank, preserving (time, seq) order ---
+            // The heap popped the batch in seq order and the sort is
+            // stable, so each rank's events stay in that order.
+            batch.sort_by_key(|ev| ev.kind.rank());
             let mut work: Vec<(usize, Vec<EvKind>)> = Vec::new();
             for ev in batch {
                 let rank = ev.kind.rank();
-                match work.iter_mut().find(|(r, _)| *r == rank) {
-                    Some((_, kinds)) => kinds.push(ev.kind),
-                    None => work.push((rank, vec![ev.kind])),
+                match work.last_mut() {
+                    Some((r, kinds)) if *r == rank => kinds.push(ev.kind),
+                    _ => work.push((rank, vec![ev.kind])),
                 }
             }
-            work.sort_by_key(|&(rank, _)| rank);
 
             // --- snapshot liveness; step the batch's ranks ---
             let alive: Vec<bool> = states.iter().map(|s| s.alive).collect();

@@ -379,7 +379,15 @@ where
         let mut included = std::mem::take(&mut self.included);
         included.sort_unstable();
         included.dedup();
-        let lost = (0..self.size).filter(|r| !included.contains(r)).collect();
+        // `included` is sorted: the lost ranks are the gaps between
+        // its entries, found in one walk.
+        let mut lost = Vec::new();
+        let mut next = 0;
+        for &rank in &included {
+            lost.extend(next..rank);
+            next = rank + 1;
+        }
+        lost.extend(next..self.size);
         self.out = Some(Some((acc, ReduceCoverage { included, lost })));
         Action::Done
     }

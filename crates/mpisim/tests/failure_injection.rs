@@ -7,11 +7,11 @@
 //! reports *exactly* which ranks' contributions the merged result
 //! covers.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mpisim::{
-    reduce_tree, reduce_tree_resilient, reduce_tree_timeout, FaultPlan, ReduceCoverage,
-    ResilienceOptions, run, run_with_faults,
+    reduce_tree, reduce_tree_resilient, FaultPlan, ReduceCoverage, ResilienceOptions, run,
+    run_with_faults,
 };
 
 /// Runs `f` on a watchdog thread; panics if it does not finish within
@@ -43,35 +43,6 @@ fn rank_bit(rank: usize) -> u64 {
 
 fn bits_of(ranks: &[usize]) -> u64 {
     ranks.iter().map(|&r| rank_bit(r)).fold(0, |a, b| a | b)
-}
-
-#[test]
-fn killed_rank_turns_deadlock_into_timeout() {
-    // Rank 1's only role in the 4-rank tree is to send to rank 0 at
-    // level 0. Killing it at its first comm op leaves rank 0 waiting on
-    // a message that never comes: a plain reduce_tree would hang, the
-    // bounded variant must report a timeout promptly.
-    let results = with_deadline(Duration::from_secs(20), || {
-        run_with_faults(4, FaultPlan::new().kill(1, 0), |mut comm| {
-            let t0 = Instant::now();
-            let mine = rank_bit(comm.rank());
-            let out = reduce_tree_timeout(&mut comm, mine, |a, b| a | b, Duration::from_millis(100));
-            (out, t0.elapsed())
-        })
-    });
-    assert!(results[1].is_none(), "killed rank must not return");
-    let (root_result, root_elapsed) = results[0].as_ref().unwrap();
-    let err = root_result.as_ref().unwrap_err();
-    assert!(err.is_timeout(), "expected a timeout, got: {err}");
-    assert!(
-        *root_elapsed < Duration::from_secs(10),
-        "timeout took {root_elapsed:?}: the wait is not bounded"
-    );
-    // Ranks 2 and 3 are upstream of the failure at level 0 and finish
-    // their sends/receives; rank 2's final send races rank 0's teardown
-    // so either a clean retirement or a disconnect is acceptable — the
-    // only outlawed outcome is a hang (covered by the deadline).
-    assert!(results[3].is_some());
 }
 
 #[test]

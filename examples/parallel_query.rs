@@ -1,16 +1,19 @@
 //! Scalable cross-process aggregation (§IV-C / §V-C), driven through
 //! the library API: generate a distributed ParaDiS-style dataset (one
 //! `.cali` file per MPI process), run the evaluation query with the
-//! parallel query engine, and print the result with the per-phase
-//! timing breakdown Figure 4 plots — then drill down interactively with
+//! parallel query engine — the one `parallel_query` entry point, here
+//! on the event engine and the flat binomial tree, as `mpi-caliquery`
+//! runs it by default — and print the result with the per-phase timing
+//! breakdown Figure 4 plots, then drill down interactively with
 //! `requery`.
 //!
 //! Run with: `cargo run --release --example parallel_query [-- --ranks N]`
 
 use std::path::PathBuf;
 
-use cali_cli::parallel_query;
+use cali_cli::{parallel_query, QueryRun};
 use caliper_repro::apps::paradis::{self, ParaDisParams, EVALUATION_QUERY};
+use caliper_repro::mpi::{EventEngine, FaultPlan, ResilienceOptions, Topology};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -34,7 +37,16 @@ fn main() {
     // The paper's evaluation query: total CPU time over computational
     // kernels and MPI functions, across all ranks.
     let per_rank: Vec<Vec<PathBuf>> = paths.iter().map(|p| vec![p.clone()]).collect();
-    let (result, timings) = parallel_query(EVALUATION_QUERY, per_rank).expect("parallel query");
+    let (run, _) = parallel_query(
+        &EventEngine::new(),
+        Topology::Flat,
+        EVALUATION_QUERY,
+        per_rank,
+        FaultPlan::new(),
+        ResilienceOptions::default(),
+        false,
+    );
+    let QueryRun { result, timings, coverage } = run.expect("parallel query");
 
     println!("== {} output records (paper: 85); top 10 by total time ==\n", result.records.len());
     let top = result
@@ -50,13 +62,13 @@ fn main() {
     println!("\n== timing breakdown (Figure 4's three curves) ==\n");
     println!(
         "local read+process (max over {} ranks): {:.4} s",
-        timings.local_s.len(),
-        timings.local_max_s()
+        coverage.included.len(),
+        timings.local_max_s
     );
     println!(
         "tree reduction (critical path, {} levels): {:.6} s",
         timings.level_merge_max_s.len(),
-        timings.reduction_s
+        timings.reduction_s()
     );
     for (level, t) in timings.level_merge_max_s.iter().enumerate() {
         println!("  level {level}: {t:.6} s");

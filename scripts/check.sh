@@ -113,6 +113,32 @@ if [ "$scale_elapsed" -gt 30 ]; then
     exit 1
 fi
 echo "check.sh: event-engine smoke: 2048 ranks, seeded kills, deterministic in ${scale_elapsed}s"
+# The scheduler's and the reduction's bookkeeping must stay linear in
+# the rank count: 131072 ranks take under a second when it is, and well
+# over the budget with one linear scan per event or per rank in it.
+big_start=$(date +%s)
+"$fig4" --ranks 131072 > /dev/null 2>&1
+big_elapsed=$(( $(date +%s) - big_start ))
+if [ "$big_elapsed" -gt 10 ]; then
+    echo "check.sh: 131072-rank reduction took ${big_elapsed}s (budget 10s)" >&2
+    exit 1
+fi
+
+# One reduction behind every mpi-caliquery flag combination: stdout over
+# the golden corpus is the same bytes on the default engine, the thread
+# engine, any worker pool and the two-level topology.
+mpiq=./target/release/mpi-caliquery
+mq="AGGREGATE count, sum(time.duration) GROUP BY function ORDER BY function"
+"$mpiq" -q "$mq" "$golden"/data/rank0.cali "$golden"/data/rank1.cali > "$smoke/mpiq.out"
+grep -q "foo" "$smoke/mpiq.out"
+for flags in "--engine threads" "--workers 1" "--workers 4" "--nodes 2"; do
+    "$mpiq" $flags -q "$mq" "$golden"/data/rank0.cali "$golden"/data/rank1.cali \
+        | cmp -s - "$smoke/mpiq.out" || {
+        echo "check.sh: mpi-caliquery $flags differs from the default invocation" >&2
+        exit 1
+    }
+done
+echo "check.sh: mpi-caliquery: identical output across engines, workers and topologies; 131072 ranks in ${big_elapsed}s"
 
 # Crash-recovery smoke: run the journaling CleverLeaf demo, SIGKILL it
 # mid-run, and verify (a) the torn journal is a byte prefix of a clean

@@ -5,6 +5,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cali_cli::{parallel_query, read_files};
+use caliper_repro::mpi::{EventEngine, FaultPlan, ResilienceOptions, ThreadEngine, Topology};
 use caliper_repro::prelude::*;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -81,13 +82,26 @@ fn parallel_query_equals_serial_query() {
         for (i, p) in paths.iter().enumerate() {
             per_rank[i % np].push(p.clone());
         }
-        let (parallel, timings) = parallel_query(query, per_rank).unwrap();
-        assert_eq!(
-            serial.to_table().render(),
-            parallel.to_table().render(),
-            "np = {np}"
+        let (plan, opts) = (FaultPlan::new(), ResilienceOptions::default());
+        let (event, _) = parallel_query(
+            &EventEngine::new(),
+            Topology::Flat,
+            query,
+            per_rank.clone(),
+            plan.clone(),
+            opts,
+            false,
         );
-        assert_eq!(timings.local_s.len(), np);
+        let (threads, _) =
+            parallel_query(&ThreadEngine, Topology::Flat, query, per_rank, plan, opts, false);
+        for (engine, run) in [("event", event.unwrap()), ("threads", threads.unwrap())] {
+            assert_eq!(
+                serial.to_table().render(),
+                run.result.to_table().render(),
+                "np = {np}, {engine} engine"
+            );
+            assert_eq!(run.coverage.included.len(), np);
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
