@@ -17,10 +17,11 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use cali_cli::query_files_streaming;
+use std::sync::Arc;
+
 use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
-use caliper_format::{Dataset, ReadPolicy, V2WriteOptions};
-use caliper_query::{build_pushdown, parse_query};
+use caliper_format::{Dataset, Pushdown, V2WriteOptions};
+use caliper_query::{build_pushdown, parallel_query_files, parse_query, ParallelOptions};
 
 /// Records per block — kept equal to the v2 writer's block size so
 /// every block holds exactly one rank cluster.
@@ -77,28 +78,30 @@ fn bench_selective_where(c: &mut Criterion) {
          GROUP BY function ORDER BY function",
         BLOCKS - 1
     );
-    let pushdown = build_pushdown(&parse_query(&query).unwrap(), None);
-    let run = |path: &std::path::Path, pd: Option<&caliper_format::Pushdown>| {
-        let (result, _, _) =
-            query_files_streaming(&query, &[path], ReadPolicy::Strict, None, pd, false).unwrap();
-        result
+    // The engine builds a pushdown from the query unless handed one; an
+    // empty one is how a full scan is asked for.
+    let full_scan = Arc::new(Pushdown::new());
+    let pushdown = Arc::new(build_pushdown(&parse_query(&query).unwrap(), None));
+    let run = |path: &std::path::Path, pd: &Arc<Pushdown>| {
+        let options = ParallelOptions::with_threads(1).with_pushdown(Some(Arc::clone(pd)));
+        parallel_query_files(&query, &[path], &options).unwrap().0
     };
     // All three configurations must agree before we time them.
-    let baseline = run(&v1_path, None).render();
-    assert_eq!(baseline, run(&v2_path, None).render());
-    assert_eq!(baseline, run(&v2_path, Some(&pushdown)).render());
+    let baseline = run(&v1_path, &full_scan).render();
+    assert_eq!(baseline, run(&v2_path, &full_scan).render());
+    assert_eq!(baseline, run(&v2_path, &pushdown).render());
 
     let mut group = c.benchmark_group("selective_where");
     group.throughput(Throughput::Elements(ds.len() as u64));
     group.sample_size(10);
     group.bench_function("v1_scan", |b| {
-        b.iter(|| black_box(run(&v1_path, None)))
+        b.iter(|| black_box(run(&v1_path, &full_scan)))
     });
     group.bench_function("v2_scan", |b| {
-        b.iter(|| black_box(run(&v2_path, None)))
+        b.iter(|| black_box(run(&v2_path, &full_scan)))
     });
     group.bench_function("v2_pushdown", |b| {
-        b.iter(|| black_box(run(&v2_path, Some(&pushdown))))
+        b.iter(|| black_box(run(&v2_path, &pushdown)))
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);

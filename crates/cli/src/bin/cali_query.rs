@@ -10,11 +10,11 @@ use std::process::ExitCode;
 
 use std::sync::Arc;
 
-use cali_cli::{lint, parse_args, query_files_streaming, read_files_reported};
+use cali_cli::{lint, parse_args, read_files_reported};
 use caliper_format::{Pushdown, ReadPolicy, ReadReport};
 use caliper_query::{
-    analyze, build_pushdown, parallel_query_files, parse_query_spanned, ParallelOptions,
-    ParallelQueryError, QueryResult, ShardFailure, ShardTimings, OVERFLOW_KEY,
+    analyze, build_pushdown, parallel_query_files, parse_query_spanned, run_query,
+    ParallelOptions, QueryResult, ShardFailure, ShardTimings, OVERFLOW_KEY,
 };
 
 const USAGE: &str = "usage: cali-query [-q QUERY] [-o FILE] [--threads N] INPUT.cali...
@@ -28,9 +28,9 @@ Options:
                       ORDER BY, LET, FORMAT (table|csv|json|expand|cali|flamegraph)
                       (see docs/CALQL.md for the full language reference)
   -o, --output FILE   write the result to FILE instead of stdout
-  --threads N         aggregate with N worker threads sharing a work queue
-                      (default: available parallelism; 1 = serial; output
-                      is identical for every N)
+  --threads N         aggregate with N workers sharing a work queue
+                      (default: available parallelism; 1 = one worker,
+                      the same path; output is identical for every N)
   --lenient           skip corrupt records instead of aborting; a per-file
                       summary of skipped work is printed on stderr
                       (opening a missing file is still an error)
@@ -58,6 +58,7 @@ Options:
                       retries, report the dropped shard on stderr, and
                       exit 2; output stays identical for every --threads
   --timings           report a per-worker timing breakdown on stderr
+                      (for every --threads N)
   --stats[=FORMAT]    report pipeline self-instrumentation metrics on
                       stderr after the query: sorted name=value lines
                       (or one JSON object with --stats=json). The block
@@ -99,7 +100,7 @@ fn list_globals(ds: &caliper_format::Dataset) -> String {
     out
 }
 
-/// Print the sharded run's per-worker breakdown, mirroring
+/// Print the run's per-worker breakdown, mirroring
 /// `mpi-caliquery --timings`.
 fn report_timings(timings: &ShardTimings) {
     for (id, w) in timings.workers.iter().enumerate() {
@@ -340,15 +341,19 @@ fn main() -> ExitCode {
         }
     }
     // Build the zone-map pushdown once — schema-aware when the pre-pass
-    // succeeded — and hand the same instance to the serial and parallel
-    // paths, so `--stats` skip counts match for every --threads N.
+    // succeeded — and hand the same instance to every worker, so
+    // `--stats` skip counts match for every --threads N.
     let pushdown: Option<Arc<Pushdown>> = spanned.as_ref().and_then(|(spec, _)| {
         let pd = build_pushdown(spec, schema.as_ref());
         (!pd.is_empty()).then(|| Arc::new(pd))
     });
 
+    // A pass-through query needs every record in one place, like the
+    // listings; a query that does not parse goes to the engine, which
+    // reports the error.
+    let pass_through = matches!(&spanned, Some((spec, _)) if !spec.is_aggregation());
     let mut partial = false;
-    let rendered = if listing {
+    let rendered = if listing || pass_through {
         let ds = match read_files_reported(&args.positional, policy) {
             Ok((ds, reports)) => {
                 partial |= report_skipped(&reports, policy);
@@ -361,16 +366,24 @@ fn main() -> ExitCode {
         };
         if args.has(&["list-attributes"]) {
             list_attributes(&ds)
-        } else {
+        } else if args.has(&["list-globals"]) {
             list_globals(&ds)
+        } else {
+            match run_query(&ds, query) {
+                Ok(result) => result.render(),
+                Err(e) => {
+                    eprintln!("cali-query: query error: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
         }
-    } else if threads > 1 {
-        // Sharded aggregation over a worker pool; pass-through queries
-        // need every record in one place and drop to the serial path.
+    } else {
+        // Every aggregation runs on the worker pool; --threads 1 is the
+        // pool with one worker, the calling thread.
         let options = ParallelOptions::with_threads(threads)
             .with_read_policy(policy)
             .with_max_groups(max_groups)
-            .with_pushdown(pushdown.clone())
+            .with_pushdown(pushdown)
             .with_degrade(degrade);
         match parallel_query_files(query, &args.positional, &options) {
             Ok((result, timings)) => {
@@ -379,52 +392,6 @@ fn main() -> ExitCode {
                 report_overflow(&result, max_groups);
                 if args.has(&["timings"]) {
                     report_timings(&timings);
-                }
-                result.render()
-            }
-            Err(ParallelQueryError::NotAnAggregation) => {
-                match query_files_streaming(
-                    query,
-                    &args.positional,
-                    policy,
-                    max_groups,
-                    pushdown.as_deref(),
-                    degrade,
-                ) {
-                    Ok((result, reports, failures)) => {
-                        partial |= report_skipped(&reports, policy);
-                        partial |= report_failures(&failures);
-                        result.render()
-                    }
-                    Err(e) => {
-                        eprintln!("cali-query: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("cali-query: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        // --threads 1: today's serial streaming path, one input file in
-        // memory at a time (memory bounded by the largest file).
-        let t0 = std::time::Instant::now();
-        match query_files_streaming(
-            query,
-            &args.positional,
-            policy,
-            max_groups,
-            pushdown.as_deref(),
-            degrade,
-        ) {
-            Ok((result, reports, failures)) => {
-                partial |= report_skipped(&reports, policy);
-                partial |= report_failures(&failures);
-                report_overflow(&result, max_groups);
-                if args.has(&["timings"]) {
-                    eprintln!("# serial read+process: {:.6} s", t0.elapsed().as_secs_f64());
                 }
                 result.render()
             }

@@ -247,6 +247,72 @@ fn degraded_merge_failures_keep_stats_thread_invariant() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn a_file_that_fails_both_ways_is_dropped_as_unreadable_on_every_thread_count() {
+    let (dir, paths) = text_corpus("both");
+    let mut outputs = Vec::new();
+    for threads in ["1", "2", "4"] {
+        // in1 can neither be read nor merged. The merge failpoint fires
+        // only after a successful read, so the read error is the one
+        // reported — by one worker as by four.
+        let mut args = vec![
+            "-q",
+            QUERY,
+            "--threads",
+            threads,
+            "--degrade",
+            "--faults",
+            "io.read~in1=fail(99);shard.merge~in1=fail(1)",
+        ];
+        args.extend(paths_as_strs(&paths));
+        let out = query(&args);
+        let stderr = String::from_utf8(out.stderr.clone()).unwrap();
+        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {stderr}");
+        assert!(stderr.contains("injected fault at io.read"), "--threads {threads}: {stderr}");
+        assert!(!stderr.contains("shard.merge"), "--threads {threads}: {stderr}");
+        outputs.push(out);
+    }
+    for out in &outputs[1..] {
+        assert_eq!(outputs[0].stdout, out.stdout);
+        assert_eq!(outputs[0].stderr, out.stderr);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn strict_runs_name_the_first_unreadable_file_on_every_thread_count() {
+    let (dir, mut paths) = text_corpus("first");
+    for seed in 3..5 {
+        let path = dir.join(format!("in{seed}.cali"));
+        caliper_format::cali::write_file(&tiny_dataset(seed, 12), &path).unwrap();
+        paths.push(path);
+    }
+    // Whichever worker fails first on the clock, the error returned is
+    // the one of the lowest file index.
+    for round in 0..20 {
+        for threads in ["1", "2", "4"] {
+            let mut args = vec![
+                "-q",
+                QUERY,
+                "--threads",
+                threads,
+                "--faults",
+                "io.read~in1=fail(99);io.read~in3=fail(99)",
+            ];
+            args.extend(paths_as_strs(&paths));
+            let out = query(&args);
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(1), "round {round}, --threads {threads}: {stderr}");
+            assert!(
+                stderr.contains("in1.cali") && !stderr.contains("in3.cali"),
+                "round {round}, --threads {threads}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "round {round}, --threads {threads}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Sum of the `count` column of a rendered table.
 fn count_column_total(stdout: &[u8]) -> u64 {
     String::from_utf8_lossy(stdout)

@@ -85,20 +85,27 @@ fn streaming_query_matches_merged_query() {
     let query = "AGGREGATE sum(sum#time.duration), sum(aggregate.count) GROUP BY kernel";
     let merged = cali_cli::read_files(&paths).unwrap();
     let reference = caliper_query::run_query(&merged, query).unwrap();
-    let stream = |query| {
-        let policy = caliper_format::ReadPolicy::Strict;
-        let (result, _, _) =
-            cali_cli::query_files_streaming(query, &paths, policy, None, None, false).unwrap();
-        result
+    let run = |extra: &[&str], query: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
+            .args(["--no-lint", "--threads", "1"])
+            .args(extra)
+            .args(["-q", query])
+            .args(&paths)
+            .output()
+            .expect("run cali-query");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        (String::from_utf8(out.stdout).unwrap(), String::from_utf8(out.stderr).unwrap())
     };
-    let streamed = stream(query);
-    assert_eq!(
-        reference.to_table().render(),
-        streamed.to_table().render()
-    );
-    // Pass-through fallback also works.
-    let passthrough = stream("SELECT * LIMIT 3");
-    assert_eq!(passthrough.records.len(), 3);
+    assert_eq!(reference.render(), run(&[], query).0);
+    // A pass-through query reads every file into one dataset instead.
+    let limited = caliper_query::run_query(&merged, "SELECT * LIMIT 3").unwrap();
+    assert_eq!(limited.records.len(), 3);
+    assert_eq!(limited.render(), run(&[], "SELECT * LIMIT 3").0);
+    // One worker is still the worker pool: same timing block, no
+    // separate serial line.
+    let (_, stderr) = run(&["--timings"], query);
+    assert!(stderr.contains("# worker 0:"), "{stderr}");
+    assert!(!stderr.contains("# worker 1:") && !stderr.contains("# serial"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -79,7 +79,7 @@ pub mod sites {
     pub const RUNTIME_APPEND: &str = "runtime.append";
     /// CALB v2 per-block decode (key = block ordinal).
     pub const V2_BLOCK: &str = "v2.block";
-    /// Parallel/serial query shard merge (key = file index).
+    /// Query shard merge, after a successful read (key = file index).
     pub const SHARD_MERGE: &str = "shard.merge";
     /// mpisim rank kill (`at(rank, op)` rules).
     pub const MPI_KILL: &str = "mpi.kill";

@@ -6,6 +6,9 @@
 //!   `CALB` (binary) file, auto-detecting the flavor from the stream
 //!   header, and attribute any failure to the file's path via
 //!   [`CaliError::File`];
+//! * [`read_path_reported_filtered`] / [`read_path_into_filtered`] —
+//!   the same two under a [`ReadPolicy`] and an optional [`Pushdown`],
+//!   returning the file's [`ReadReport`];
 //! * [`scan_path`] — the same read, but a CALB v2 file's blocks are
 //!   handed over as typed columns instead of being expanded to rows
 //!   (`caliper-query`'s `scan` module folds them directly);
@@ -38,30 +41,7 @@ pub fn read_path(path: impl AsRef<Path>) -> Result<Dataset, CaliError> {
 /// remapped into the shared dictionary, as with
 /// [`CaliReader::into_dataset`]). Errors carry the path.
 pub fn read_path_into(path: impl AsRef<Path>, ds: Dataset) -> Result<Dataset, CaliError> {
-    read_path_into_reported(path, ds, ReadPolicy::Strict).map(|(ds, _)| ds)
-}
-
-/// Reads one `.cali` or `CALB` file into a fresh dataset under `policy`,
-/// returning the per-file [`ReadReport`] alongside the data.
-pub fn read_path_reported(
-    path: impl AsRef<Path>,
-    policy: ReadPolicy,
-) -> Result<(Dataset, ReadReport), CaliError> {
-    read_path_into_reported(path, Dataset::new(), policy)
-}
-
-/// Reads one `.cali` or `CALB` file under `policy`, appending into `ds`.
-///
-/// The report is attributed to the file's path. Failing to *open* the
-/// file is an error regardless of policy — a mistyped path must never
-/// be silently "skipped" — whereas decode problems inside the file
-/// follow the policy (skip-and-count when lenient, abort when strict).
-pub fn read_path_into_reported(
-    path: impl AsRef<Path>,
-    ds: Dataset,
-    policy: ReadPolicy,
-) -> Result<(Dataset, ReadReport), CaliError> {
-    read_path_into_filtered(path, ds, policy, None)
+    read_path_into_filtered(path, ds, ReadPolicy::Strict, None).map(|(ds, _)| ds)
 }
 
 /// Reads one `.cali` or `CALB` file into a fresh dataset under `policy`
@@ -84,6 +64,11 @@ pub fn read_path_reported_filtered(
 
 /// Reads one `.cali` or `CALB` file under `policy` with an optional
 /// pushdown, appending into `ds` (see [`read_path_reported_filtered`]).
+///
+/// The report is attributed to the file's path. Failing to *open* the
+/// file is an error regardless of policy — a mistyped path must never
+/// be silently "skipped" — whereas decode problems inside the file
+/// follow the policy (skip-and-count when lenient, abort when strict).
 pub fn read_path_into_filtered(
     path: impl AsRef<Path>,
     ds: Dataset,
@@ -311,14 +296,16 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
 
         assert!(read_path(&path).is_err());
-        let (back, report) = read_path_reported(&path, ReadPolicy::lenient()).unwrap();
+        let (back, report) =
+            read_path_reported_filtered(&path, ReadPolicy::lenient(), None).unwrap();
         assert_eq!(back.len(), 3);
         assert_eq!(report.records, 3);
         assert_eq!(report.skipped, 1);
         assert_eq!(report.path.as_deref(), Some(path.as_path()));
 
         // Opening a missing path errors even under Lenient.
-        assert!(read_path_reported("/nonexistent/x.cali", ReadPolicy::lenient()).is_err());
+        let missing = "/nonexistent/x.cali";
+        assert!(read_path_reported_filtered(missing, ReadPolicy::lenient(), None).is_err());
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,6 +1,5 @@
-//! Collective operations built on point-to-point messages.
-//!
-//! The centerpiece is [`reduce_tree`], the binomial-tree reduction the
+//! The collective operation, built on point-to-point messages:
+//! [`reduce_tree`], the binomial-tree reduction the
 //! paper's parallel query application uses (§IV-C): "'leaf' processes
 //! send the local aggregation results to their parent, where the
 //! partial results are aggregated again. The scheme continues on the
@@ -170,84 +169,6 @@ where
     Ok(crate::world::drive_task(comm, task))
 }
 
-/// Binomial-tree broadcast from rank 0.
-pub fn broadcast<T>(comm: &mut Comm, value: Option<T>) -> Result<T, CommError>
-where
-    T: Clone + Send + 'static,
-{
-    let rank = comm.rank();
-    let size = comm.size();
-    // Highest power of two <= size.
-    let mut top = 1usize;
-    while top * 2 <= size.max(1) {
-        top *= 2;
-    }
-    let mut acc = if rank == 0 {
-        Some(value.expect("root must provide the broadcast value"))
-    } else {
-        None
-    };
-    let mut step = top;
-    while step >= 1 {
-        if rank.is_multiple_of(2 * step) {
-            if let Some(v) = &acc {
-                let partner = rank + step;
-                if partner < size {
-                    comm.send(partner, TAG_BASE + 1, v.clone())?;
-                }
-            }
-        } else if rank % (2 * step) == step && acc.is_none() {
-            let parent = rank - step;
-            acc = Some(comm.recv(parent, TAG_BASE + 1)?);
-        }
-        if step == 1 {
-            break;
-        }
-        step /= 2;
-    }
-    Ok(acc.expect("every rank receives the broadcast"))
-}
-
-/// Gather every rank's value at rank 0 (rank order preserved); others
-/// get `None`.
-pub fn gather<T>(comm: &mut Comm, value: T) -> Result<Option<Vec<T>>, CommError>
-where
-    T: Send + 'static,
-{
-    if comm.rank() == 0 {
-        let size = comm.size();
-        let mut out: Vec<Option<T>> = (0..size).map(|_| None).collect();
-        out[0] = Some(value);
-        for _ in 1..size {
-            let (src, v) = comm.recv_any::<T>(TAG_BASE + 2)?;
-            out[src] = Some(v);
-        }
-        Ok(Some(
-            out.into_iter()
-                .map(|v| v.expect("every rank contributes"))
-                .collect(),
-        ))
-    } else {
-        comm.send(0, TAG_BASE + 2, value)?;
-        Ok(None)
-    }
-}
-
-/// Reduce-then-broadcast: every rank receives the combined value.
-pub fn allreduce<T, F>(comm: &mut Comm, value: T, merge: F) -> Result<T, CommError>
-where
-    T: Clone + Send + 'static,
-    F: FnMut(T, T) -> T,
-{
-    let reduced = reduce_tree(comm, value, merge)?;
-    broadcast(comm, reduced)
-}
-
-/// Synchronize all ranks (an allreduce over unit).
-pub fn barrier(comm: &mut Comm) -> Result<(), CommError> {
-    allreduce(comm, (), |(), ()| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,55 +185,6 @@ mod tests {
             assert_eq!(results[0], Some(expect), "size {size}");
             assert!(results[1..].iter().all(Option::is_none));
         }
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        for size in [1, 2, 3, 5, 8, 11] {
-            let results = run(size, |mut comm| {
-                let value = if comm.rank() == 0 {
-                    Some("payload".to_string())
-                } else {
-                    None
-                };
-                broadcast(&mut comm, value).unwrap()
-            });
-            assert!(results.iter().all(|r| r == "payload"), "size {size}");
-        }
-    }
-
-    #[test]
-    fn gather_preserves_rank_order() {
-        let results = run(6, |mut comm| {
-            let local = comm.rank() * 10;
-            gather(&mut comm, local).unwrap()
-        });
-        assert_eq!(results[0], Some(vec![0, 10, 20, 30, 40, 50]));
-        assert!(results[1..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn allreduce_gives_same_answer_everywhere() {
-        for size in [1, 2, 3, 4, 7, 8] {
-            let results = run(size, |mut comm| {
-                let local = comm.rank() as u64 + 1;
-                allreduce(&mut comm, local, |a, b| a.max(b)).unwrap()
-            });
-            assert!(
-                results.iter().all(|&r| r == size as u64),
-                "size {size}: {results:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn barrier_completes() {
-        // All ranks must reach the barrier for any to pass.
-        let results = run(5, |mut comm| {
-            barrier(&mut comm).unwrap();
-            true
-        });
-        assert_eq!(results.len(), 5);
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //!   real concurrency, capped at a few hundred ranks, and kept as the
 //!   oracle the event engine is tested against.
 //!
-//! The collectives — most importantly the binomial-tree reduction of
-//! the paper's §IV-C — are implemented on top of point-to-point
-//! messages. [`reduce_tree`] is the blocking fault-free reference;
-//! every other reduction is the [`ReduceTask`] state machine, which
-//! both engines drive.
+//! The one collective — the binomial-tree reduction of the paper's
+//! §IV-C — is implemented on top of point-to-point messages.
+//! [`reduce_tree`] is the blocking fault-free reference; every other
+//! reduction is the [`ReduceTask`] state machine, which both engines
+//! drive.
 //!
-//! Beyond the fault-free collectives, the crate models *failure*: a
+//! Beyond the fault-free reduction, the crate models *failure*: a
 //! [`FaultPlan`] scripts rank deaths and delays deterministically
 //! (by communication-op index), [`run_with_faults`] executes a world
 //! under such a plan, and [`ReduceTask`] (or, from a blocking rank
@@ -53,10 +53,7 @@ pub mod task;
 pub mod trace;
 pub mod world;
 
-pub use collectives::{
-    allreduce, barrier, broadcast, gather, reduce_tree, reduce_tree_resilient, ReduceCoverage,
-    ResilienceOptions,
-};
+pub use collectives::{reduce_tree, reduce_tree_resilient, ReduceCoverage, ResilienceOptions};
 pub use comm::{Comm, CommError, Tag};
 pub use fault::FaultPlan;
 pub use hb::{analyze, Analysis, Diagnostic, Severity as HbSeverity, VClock};

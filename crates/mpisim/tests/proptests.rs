@@ -1,6 +1,6 @@
-//! Property-based tests for the MPI substrate's collectives.
+//! Property-based tests for the MPI substrate's reference reduction.
 
-use mpisim::{allreduce, broadcast, gather, reduce_tree, run};
+use mpisim::{reduce_tree, run};
 use proptest::prelude::*;
 
 proptest! {
@@ -22,39 +22,5 @@ proptest! {
         });
         prop_assert_eq!(results[0].as_deref(), Some(expect.as_str()));
         prop_assert!(results[1..].iter().all(Option::is_none));
-    }
-
-    /// gather returns every rank's value, in rank order, for any size.
-    #[test]
-    fn gather_collects_everything(size in 1usize..12, seed in any::<u64>()) {
-        let results = run(size, move |mut comm| {
-            let local = seed.wrapping_add(comm.rank() as u64);
-            gather(&mut comm, local).unwrap()
-        });
-        let expect: Vec<u64> = (0..size as u64).map(|r| seed.wrapping_add(r)).collect();
-        prop_assert_eq!(results[0].as_ref(), Some(&expect));
-    }
-
-    /// allreduce delivers the same reduced value on every rank.
-    #[test]
-    fn allreduce_agrees_everywhere(size in 1usize..12, values in prop::collection::vec(any::<i32>(), 12)) {
-        let values = std::sync::Arc::new(values);
-        let input = std::sync::Arc::clone(&values);
-        let results = run(size, move |mut comm| {
-            let local = input[comm.rank()] as i64;
-            allreduce(&mut comm, local, |a, b| a.wrapping_add(b)).unwrap()
-        });
-        let expect: i64 = values[..size].iter().map(|&v| v as i64).sum();
-        prop_assert!(results.iter().all(|&r| r == expect), "{results:?} != {expect}");
-    }
-
-    /// broadcast delivers rank 0's value to everyone.
-    #[test]
-    fn broadcast_delivers(size in 1usize..12, payload in any::<u64>()) {
-        let results = run(size, move |mut comm| {
-            let value = (comm.rank() == 0).then_some(payload);
-            broadcast(&mut comm, value).unwrap()
-        });
-        prop_assert!(results.iter().all(|&r| r == payload));
     }
 }

@@ -54,7 +54,7 @@ pub use ast::{
 pub use diag::{Diagnostic, Severity, Span};
 pub use ops::Reducer;
 pub use parallel::{
-    parallel_query_files, shard_merge_fault, ParallelOptions, ParallelQueryError, ShardFailure,
+    parallel_query_files, ParallelOptions, ParallelQueryError, ShardFailure,
     ShardTimings, WorkerTimings,
 };
 pub use parser::{parse_query, parse_query_spanned, ParseError, SpanMap};

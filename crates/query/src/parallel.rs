@@ -1,4 +1,4 @@
-//! Thread-parallel sharded analytical aggregation.
+//! The file-set fold: analytical aggregation over many input files.
 //!
 //! This is the shared-memory sibling of the cross-process tree reduction
 //! (paper §IV-C): where `mpi-caliquery` distributes input files over
@@ -10,7 +10,11 @@
 //! the two scaling strategies compose: each rank of a distributed query
 //! could itself shard over local cores.
 //!
-//! # Design: shard and merge
+//! [`parallel_query_files`] is the only aggregation driver `cali-query`
+//! has. `--threads 1` is this pool with one worker — the calling thread,
+//! nothing spawned — not a second code path.
+//!
+//! # Design: a local accumulate and an ordered eager merge
 //!
 //! * **Work units.** Every file is one unit, and a file holding more
 //!   than [`ParallelOptions::batch_records`] records splits into
@@ -19,23 +23,35 @@
 //!   by `(file index, unit index)`. Crucially, the decomposition is a
 //!   function of the inputs alone — never of the thread count or of
 //!   runtime timing.
-//! * **Worker pool.** N workers take files off a shared counter. A
-//!   worker scans its file from start to end — decode and aggregation
-//!   are one pass, one block in memory at a time — so a file's units are
-//!   all computed by the worker that reads it.
+//! * **Worker pool.** The calling thread is worker 0 and `threads − 1`
+//!   more are spawned. Workers take files off a shared counter. A worker
+//!   scans its file from start to end — decode and aggregation are one
+//!   pass, one block in memory at a time — so a file's units are all
+//!   computed by the worker that reads it.
 //! * **Private shards.** Each unit is aggregated into its own private
 //!   [`Pipeline`] (LET → WHERE → aggregate), so the hot
 //!   record-processing path takes **zero cross-thread locks**: a worker
 //!   touches only its local aggregation database, exactly like the
 //!   runtime's per-thread on-line databases (§IV-B).
-//! * **Deterministic merge.** Finished partials are handed to the
-//!   calling thread, which sorts them by unit id and merges them in
-//!   ascending order into the root pipeline, then runs the ordinary
-//!   [`finish`](Pipeline::finish) (ORDER BY → SELECT → FORMAT).
+//! * **Ordered eager merge.** A worker that finishes a file parks the
+//!   file's units under the one lock of the run. Whoever then holds the
+//!   next file in input order merges it — and any parked successors —
+//!   into the root pipeline, in ascending `(file, unit)` order. With one
+//!   worker every file is the next file: it is merged the moment it is
+//!   scanned and before the next one is opened, so memory is bounded by
+//!   the largest file plus the root. With N workers only files that
+//!   finished ahead of a slower predecessor stay parked. The root then
+//!   runs the ordinary [`finish`](Pipeline::finish) (ORDER BY → SELECT →
+//!   FORMAT).
+//! * **Failures in file order.** A file fails when its read fails or,
+//!   after a successful read, its `shard.merge` failpoint fires — both
+//!   decided when the file's turn to merge comes, so per file index.
+//!   Without [`ParallelOptions::degrade`] the lowest-index failing
+//!   file's error is returned and workers stop taking files; with it the
+//!   file is dropped, recorded as a [`ShardFailure`], and the fold goes
+//!   on.
 //!
-//! # Equivalence to sequential aggregation
-//!
-//! The result is *identical for every thread count*, including 1:
+//! # The result does not depend on the worker count
 //!
 //! 1. the unit decomposition depends only on the file list and
 //!    `batch_records`;
@@ -46,30 +62,20 @@
 //!    operations every time.
 //!
 //! Scheduling can only change *who* computes a partial and *when* —
-//! never the partial itself nor the merge order. This is why the engine
-//! merges ordered partials at the root instead of letting each worker
-//! pre-merge the units it happens to process (the ISSUE's "merge shards
-//! pairwise"): for integer reductions pre-merging would be fine
-//! (count/sum/min/max are associative and commutative), but
+//! never the partial itself nor the merge order. This is why the root is
+//! merged in input order instead of letting each worker pre-merge the
+//! units it happens to process: for integer reductions pre-merging would
+//! be fine (count/sum/min/max are associative and commutative), but
 //! floating-point addition is not associative, so any
 //! scheduling-dependent merge order could flip low-order bits between
-//! runs. Ordered merging buys bit-for-bit reproducibility at the cost
-//! of holding one small aggregation database per unit until the merge —
-//! databases are key-count sized (not record-count sized), so this is
-//! cheap.
-//!
-//! Against the *serial* path (`cali-cli`'s per-file pipeline fold), the
-//! output is byte-identical whenever no file exceeds `batch_records`
-//! (the default is large enough that this is the common case): both
-//! perform the same per-file aggregations and the same in-order merges.
-//! When a large file does split, the engine still produces the same
-//! bytes for every thread count — but float sums may differ from the
-//! serial path in the last unit of precision, because the file's
-//! records are folded via per-unit subtotals.
+//! runs. Ordered merging buys bit-for-bit reproducibility at the cost of
+//! parking the databases of out-of-order files — key-count sized, not
+//! record-count sized.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport};
@@ -79,8 +85,8 @@ use crate::pushdown::build_pushdown;
 use crate::query::{Pipeline, QueryResult};
 
 /// Default maximum records per work unit. Files below this size are one
-/// unit each (making the engine byte-identical to the serial per-file
-/// fold); larger files split so a single huge input still parallelizes.
+/// unit each; larger files split so a single huge input still
+/// parallelizes.
 pub const DEFAULT_BATCH_RECORDS: usize = 64 * 1024;
 
 /// Tuning knobs for [`parallel_query_files`].
@@ -100,8 +106,8 @@ pub struct ParallelOptions {
     /// WHERE-predicate pushdown handed to every worker's reader so
     /// block-structured inputs (CALB v2) can skip irrelevant blocks.
     /// `None` auto-builds a schema-free pushdown from the query (see
-    /// [`build_pushdown`]); pass an explicit (possibly schema-aware)
-    /// one to share the exact same instance with a serial path.
+    /// [`build_pushdown`]); pass an explicit one to make it
+    /// schema-aware, or an empty one to scan every block.
     pub pushdown: Option<Arc<Pushdown>>,
     /// Graceful degradation: when a file's shard fails terminally (its
     /// read exhausted the transient-error retries, or the `shard.merge`
@@ -243,7 +249,8 @@ pub struct ShardFailure {
 pub struct ShardTimings {
     /// Per-worker read/process breakdown, indexed by worker id.
     pub workers: Vec<WorkerTimings>,
-    /// Seconds the root spent merging the ordered partials.
+    /// Seconds spent under the merge lock, merging files into the root
+    /// as their turn came.
     pub merge_s: f64,
     /// Seconds the root spent in ORDER BY / SELECT / FORMAT.
     pub finish_s: f64,
@@ -258,8 +265,8 @@ pub struct ShardTimings {
 }
 
 impl ShardTimings {
-    /// The slowest worker's busy time (read + process) — the critical
-    /// path of the parallel phase.
+    /// The slowest worker's busy time (read + process, merging aside) —
+    /// the critical path of the parallel phase.
     pub fn worker_max_s(&self) -> f64 {
         self.workers
             .iter()
@@ -273,22 +280,87 @@ impl ShardTimings {
     }
 }
 
-/// A finished partial: the unit id and its pipeline (or the read error
-/// for the unit's file).
-type Partial = (usize, usize, Result<Pipeline, CaliError>);
+/// A scanned file waiting for its turn to merge: its work units in
+/// stream order and its read report, or why the read failed.
+type Scan = Result<(Vec<Pipeline>, ReadReport), CaliError>;
 
-/// What one worker brings back: its timings, the partials of the files
-/// it scanned, and their read reports by file index.
-type WorkerOutcome = (WorkerTimings, Vec<Partial>, Vec<(usize, ReadReport)>);
+/// The root of the fold and everything decided in file order. One lock
+/// guards it; workers hold it to park a file and to merge.
+#[derive(Default)]
+struct OrderedMerge<'a> {
+    paths: &'a [PathBuf],
+    degrade: bool,
+    root: Option<Pipeline>,
+    /// The file whose turn it is: every file below is merged or dropped.
+    next: usize,
+    /// Files scanned ahead of `next`.
+    parked: BTreeMap<usize, Scan>,
+    /// Without `degrade`: the lowest-index failing file's error.
+    error: Option<CaliError>,
+    /// The run's `reports`, `failures` and `merge_s`, filled in as files
+    /// take their turn.
+    timings: ShardTimings,
+}
 
-/// Runs an aggregation `query` over `paths` with a pool of worker
-/// threads, returning the result and the per-worker timing breakdown.
+impl OrderedMerge<'_> {
+    /// Park `file`, then merge every parked file whose turn has come, in
+    /// ascending `(file, unit)` order. The order — and with it the fault
+    /// decisions, which are keyed on the file index — depends on the
+    /// file list alone, never on which worker gets here when.
+    fn park(&mut self, file: usize, scan: Scan) {
+        self.parked.insert(file, scan);
+        let start = Instant::now();
+        let metrics = caliper_data::metrics::global();
+        let merge_timer = metrics.timer("query.parallel.merge");
+        let paths = self.paths;
+        while self.error.is_none() {
+            let Some(scan) = self.parked.remove(&self.next) else { break };
+            let path = &paths[self.next];
+            // The merge failpoint fires only after a successful read, so
+            // a file that fails both ways is reported as unreadable.
+            let merged = scan.and_then(|(units, report)| {
+                self.timings.reports.push(report);
+                shard_merge_fault(self.next, path).map_or(Ok(units), Err)
+            });
+            match merged {
+                Ok(units) => {
+                    for unit in units {
+                        match &mut self.root {
+                            Some(root) => {
+                                let _scope = merge_timer.start();
+                                root.merge(unit);
+                            }
+                            None => self.root = Some(unit),
+                        }
+                    }
+                }
+                Err(e) if self.degrade => {
+                    // Stable, so degraded `--stats` output is the same
+                    // for every thread count.
+                    metrics.counter("query.shards_failed").inc();
+                    self.timings.failures.push(ShardFailure {
+                        file: self.next,
+                        path: path.clone(),
+                        error: e.to_string(),
+                    });
+                }
+                Err(e) => self.error = Some(e),
+            }
+            self.next += 1;
+        }
+        self.timings.merge_s += start.elapsed().as_secs_f64();
+    }
+}
+
+/// Runs an aggregation `query` over `paths` with a pool of
+/// [`ParallelOptions::threads`] workers — the calling thread and
+/// `threads − 1` spawned ones — returning the result and the per-worker
+/// timing breakdown.
 ///
 /// The output is deterministic and independent of the worker count —
 /// see the [module docs](self) for the argument. Pass-through queries
-/// are rejected with [`ParallelQueryError::NotAnAggregation`]; on the
-/// serial path they need all records materialized anyway, so there is
-/// nothing to shard.
+/// are rejected with [`ParallelQueryError::NotAnAggregation`]: they need
+/// every record in one place, so there is nothing to fold.
 pub fn parallel_query_files<P: AsRef<Path>>(
     query: &str,
     paths: &[P],
@@ -309,11 +381,15 @@ pub fn parallel_query_files<P: AsRef<Path>>(
     });
     let paths: Vec<PathBuf> = paths.iter().map(|p| p.as_ref().to_path_buf()).collect();
 
+    let merge = Mutex::new(OrderedMerge {
+        paths: &paths,
+        degrade: options.degrade,
+        ..Default::default()
+    });
     // Workers take the next unread file until none is left.
     let next_file = AtomicUsize::new(0);
-    let worker = || -> WorkerOutcome {
+    let worker = || -> WorkerTimings {
         let mut timings = WorkerTimings::default();
-        let (mut partials, mut reports) = (Vec::new(), Vec::new());
         loop {
             // Relaxed: the counter hands out indices and publishes nothing.
             let file = next_file.fetch_add(1, Ordering::Relaxed);
@@ -330,110 +406,53 @@ pub fn parallel_query_files<P: AsRef<Path>>(
                 options.batch_records,
             );
             timings.files += 1;
-            match scanned {
-                Err(e) => {
-                    timings.read_s += start.elapsed().as_secs_f64();
-                    partials.push((file, 0, Err(e)));
-                }
-                Ok(scanned) => {
-                    timings.read_s += start.elapsed().as_secs_f64() - scanned.fold_s;
-                    timings.process_s += scanned.fold_s;
-                    timings.units += 1 + scanned.tail.len();
-                    timings.records += scanned.records;
-                    reports.push((file, scanned.report));
-                    let units = std::iter::once(first).chain(scanned.tail);
-                    partials.extend(units.enumerate().map(|(unit, shard)| (file, unit, Ok(shard))));
-                }
+            timings.read_s += start.elapsed().as_secs_f64();
+            let scan = scanned.map(|scanned| {
+                timings.read_s -= scanned.fold_s;
+                timings.process_s += scanned.fold_s;
+                timings.units += 1 + scanned.tail.len();
+                timings.records += scanned.records;
+                let units = std::iter::once(first).chain(scanned.tail).collect();
+                (units, scanned.report)
+            });
+            let mut merge = merge.lock().expect("no worker panics while merging");
+            merge.park(file, scan);
+            if merge.error.is_some() {
+                // Every file below the failing one is already taken, so
+                // what is left to hand out cannot change the answer.
+                next_file.store(paths.len(), Ordering::Relaxed);
             }
         }
-        (timings, partials, reports)
+        timings
     };
-    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
+    let workers: Vec<WorkerTimings> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        let mut workers = vec![worker()];
+        workers.extend(
+            spawned
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))),
+        );
+        workers
     });
 
-    let mut timings = ShardTimings::default();
-    let mut partials: Vec<Partial> = Vec::new();
-    let mut reports: Vec<(usize, ReadReport)> = Vec::new();
-    for (worker, shards, read) in outcomes {
-        timings.workers.push(worker);
-        partials.extend(shards);
-        reports.extend(read);
+    let merge = merge.into_inner().expect("no worker panics while merging");
+    if let Some(e) = merge.error {
+        return Err(ParallelQueryError::Read(e));
     }
-    reports.sort_by_key(|(file, _)| *file);
-    timings.reports = reports.into_iter().map(|(_, r)| r).collect();
-
-    // Deterministic root fold: ascending unit order. Without
-    // degrade, the first error (in unit order) wins; with degrade, a
-    // failed file drops *all* of its partials, is recorded as a
-    // [`ShardFailure`], and the fold continues. Both the fold order
-    // and the failure set depend only on the file list and the fault
-    // spec — never on scheduling — so output stays byte-identical
-    // across thread counts either way.
-    partials.sort_by_key(|(file, unit, _)| (*file, *unit));
     let metrics = caliper_data::metrics::global();
     metrics
         .counter_volatile("query.parallel.units")
-        .add(partials.len() as u64);
+        .add(workers.iter().map(|w| w.units as u64).sum());
     metrics
         .gauge_volatile("query.parallel.workers")
         .set_max(threads as u64);
-    let merge_timer = metrics.timer("query.parallel.merge");
-    let t0 = Instant::now();
-    let mut root: Option<Pipeline> = None;
-    let mut last_file: Option<usize> = None;
-    for (file, _, partial) in partials {
-        let first_of_file = last_file != Some(file);
-        last_file = Some(file);
-        if let Some(failed) = timings.failures.last() {
-            if failed.file == file {
-                continue; // a sibling unit of an already-failed file
-            }
-        }
-        let path = &paths[file];
-        let fault = if first_of_file {
-            shard_merge_fault(file, path)
-        } else {
-            None
-        };
-        let failure = match (fault, partial) {
-            (Some(e), _) | (None, Err(e)) => Some(e),
-            (None, Ok(shard)) => {
-                match &mut root {
-                    Some(root) => {
-                        let _scope = merge_timer.start();
-                        root.merge(shard);
-                    }
-                    None => root = Some(shard),
-                }
-                None
-            }
-        };
-        if let Some(e) = failure {
-            if !options.degrade {
-                return Err(ParallelQueryError::Read(e));
-            }
-            // Stable (not `.parallel.`-scoped): the serial path
-            // bumps the same counter, so degraded `--stats` output
-            // matches across `--threads 1/2/4`.
-            metrics.counter("query.shards_failed").inc();
-            timings.failures.push(ShardFailure {
-                file,
-                path: path.clone(),
-                error: e.to_string(),
-            });
-        }
-    }
-    timings.merge_s = t0.elapsed().as_secs_f64();
-
-    let root = root.unwrap_or_else(|| {
+    let root = merge.root.unwrap_or_else(|| {
         Pipeline::new(spec, Arc::new(caliper_data::AttributeStore::new()))
             .with_max_groups(max_groups)
     });
+    let mut timings = merge.timings;
+    timings.workers = workers;
     let t0 = Instant::now();
     let result = root.finish();
     timings.finish_s = t0.elapsed().as_secs_f64();
@@ -442,10 +461,9 @@ pub fn parallel_query_files<P: AsRef<Path>>(
 
 /// Fire the `shard.merge` failpoint for input file `file`. Keyed on the
 /// file index with the path as the filter label, so a spec drops the
-/// same files' shards on every run, on every thread count, and on the
-/// serial path (`cali-cli` calls this per file before merging its
-/// pipeline). Returns the injected error to attribute to the shard.
-pub fn shard_merge_fault(file: usize, path: &Path) -> Option<CaliError> {
+/// same files' shards on every run and every thread count. Returns the
+/// injected error to attribute to the shard.
+fn shard_merge_fault(file: usize, path: &Path) -> Option<CaliError> {
     let label = path.to_string_lossy();
     caliper_faults::trigger(caliper_faults::sites::SHARD_MERGE, file as u64, &label).map(|_| {
         CaliError::Io(caliper_format::retry::injected_error(

@@ -1,6 +1,6 @@
-//! Scanning one input file into a pipeline: the per-file step every
-//! driver shares (`cali-query` serial and `--threads N`, and each rank
-//! of `mpi-caliquery`).
+//! Scanning one input file into a pipeline: the per-file step both
+//! drivers share (`cali-query`'s file-set fold and each rank of
+//! `mpi-caliquery`).
 //!
 //! [`Pipeline::scan_file`] reads a file and folds its records, in stream
 //! order, into the pipeline. How the records travel depends on what the

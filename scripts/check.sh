@@ -140,6 +140,27 @@ for flags in "--engine threads" "--workers 1" "--workers 4" "--nodes 2"; do
 done
 echo "check.sh: mpi-caliquery: identical output across engines, workers and topologies; 131072 ranks in ${big_elapsed}s"
 
+# One fold behind every cali-query --threads N: a file that can neither
+# be read nor merged is dropped as unreadable (the merge failpoint fires
+# only after a successful read) — same stdout, stderr and exit code.
+for n in 1 2 4; do
+    rc=0
+    ./target/release/cali-query --no-lint --threads "$n" --degrade \
+        --faults "io.read~rank1=fail(99);shard.merge~rank1=fail(1)" -q "$mq" \
+        "$golden"/data/rank0.cali "$golden"/data/rank1.cali \
+        > "$smoke/both-$n.out" 2> "$smoke/both-$n.err" || rc=$?
+    echo "exit $rc" >> "$smoke/both-$n.err"
+    cmp -s "$smoke/both-1.out" "$smoke/both-$n.out" \
+        && cmp -s "$smoke/both-1.err" "$smoke/both-$n.err" || {
+        echo "check.sh: double-fault --degrade run differs at --threads $n" >&2
+        exit 1
+    }
+done
+grep -q "injected fault at io.read" "$smoke/both-1.err" && grep -qx "exit 2" "$smoke/both-1.err" || {
+    echo "check.sh: double-fault --degrade run did not report io.read and exit 2" >&2
+    exit 1
+}
+
 # Crash-recovery smoke: run the journaling CleverLeaf demo, SIGKILL it
 # mid-run, and verify (a) the torn journal is a byte prefix of a clean
 # run's (pacing never changes the data), (b) cali-recover salvages it,

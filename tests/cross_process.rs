@@ -107,6 +107,23 @@ fn parallel_query_equals_serial_query() {
 }
 
 #[test]
+fn file_set_fold_equals_merged_dataset_query_for_any_worker_count() {
+    use caliper_repro::query::{parallel_query_files, ParallelOptions};
+    let dir = temp_dir("fold");
+    let paths = write_rank_files(&dir, 7);
+    let query = "AGGREGATE sum(sum#time.duration), sum(aggregate.count) \
+                 WHERE kernel GROUP BY kernel";
+    let expected = run_query(&read_files(&paths).unwrap(), query).unwrap().render();
+    for threads in [1, 2, 4] {
+        let (result, timings) =
+            parallel_query_files(query, &paths, &ParallelOptions::with_threads(threads)).unwrap();
+        assert_eq!(expected, result.render(), "threads = {threads}");
+        assert_eq!(timings.workers.len(), threads);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn per_rank_data_survives_cross_process_merge() {
     let dir = temp_dir("per-rank");
     let ranks = 4;
