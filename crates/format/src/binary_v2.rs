@@ -422,6 +422,15 @@ impl StringTable {
         }
     }
 
+    /// `text` as a cell of type `vtype` ([`Value::parse_typed`]'s
+    /// rules), a string interned without building a `Value` first.
+    pub(crate) fn parse(&mut self, text: &str, vtype: ValueType) -> Option<Cell> {
+        match vtype {
+            ValueType::Str => Some(Cell::Str(self.intern(text))),
+            other => Value::parse_typed(text, other).map(|value| self.cell(&value)),
+        }
+    }
+
     /// `cell` as a [`Value`], without touching a reference count:
     /// strings are borrowed from the table, numbers built in place.
     pub fn get(&self, cell: Cell) -> Cow<'_, Value> {
@@ -467,16 +476,24 @@ pub enum ColumnData {
     Bool(Vec<bool>),
 }
 
+/// Evaluate `$body` with `$values` bound to the column's vector,
+/// whichever type it holds.
+macro_rules! with_values {
+    ($data:expr, $values:ident => $body:expr) => {
+        match $data {
+            ColumnData::Str($values) => $body,
+            ColumnData::Int($values) => $body,
+            ColumnData::UInt($values) => $body,
+            ColumnData::Float($values) => $body,
+            ColumnData::Bool($values) => $body,
+        }
+    };
+}
+
 impl ColumnData {
     /// Number of values.
     pub fn len(&self) -> usize {
-        match self {
-            ColumnData::Str(v) => v.len(),
-            ColumnData::Int(v) => v.len(),
-            ColumnData::UInt(v) => v.len(),
-            ColumnData::Float(v) => v.len(),
-            ColumnData::Bool(v) => v.len(),
-        }
+        with_values!(self, v => v.len())
     }
 
     /// True if the column holds no values.
@@ -515,6 +532,28 @@ impl ColumnData {
             }
         }
     }
+
+    /// Append `cell`, which is of the column's type.
+    fn push(&mut self, cell: Cell) {
+        match (self, cell) {
+            (ColumnData::Str(v), Cell::Str(code)) => v.push(code),
+            (ColumnData::Int(v), Cell::Int(i)) => v.push(i),
+            (ColumnData::UInt(v), Cell::UInt(u)) => v.push(u),
+            (ColumnData::Float(v), Cell::Float(x)) => v.push(x),
+            (ColumnData::Bool(v), Cell::Bool(b)) => v.push(b),
+            _ => unreachable!("a column holds cells of its attribute's declared type"),
+        }
+    }
+
+    /// Drop the last value.
+    fn pop(&mut self) {
+        with_values!(self, v => drop(v.pop()))
+    }
+
+    /// Drop every value, keeping the buffer.
+    fn clear(&mut self) {
+        with_values!(self, v => v.clear())
+    }
 }
 
 /// One value column of a decoded [`Block`]: an attribute's immediate
@@ -527,7 +566,10 @@ pub struct Column {
     pub data: ColumnData,
 }
 
-/// One decoded CALB v2 block, as typed columns.
+/// One block of snapshot records as typed columns: what the CALB v2
+/// decoder makes of a framed block, and what the text reader
+/// ([`CaliReader`](crate::CaliReader)) makes of every
+/// [`DEFAULT_BLOCK_RECORDS`] `ctx` lines.
 ///
 /// The row skeleton is two flat arrays with per-row end offsets: node
 /// references (already remapped into the receiving dataset's context
@@ -568,6 +610,66 @@ impl Block {
     pub fn row_imms(&self, row: usize) -> &[u32] {
         let start = if row == 0 { 0 } else { self.imm_ends[row - 1] };
         &self.imms[start as usize..self.imm_ends[row] as usize]
+    }
+
+    // The text reader builds its blocks row by row: entries are pushed
+    // as a line's fields parse, and the row ends — or is taken back —
+    // once the whole line has.
+
+    /// The index of `attr`'s column, added (empty) on first use.
+    pub(crate) fn column_for(&mut self, attr: AttrId, vtype: ValueType) -> u32 {
+        let found = self.columns.iter().position(|column| column.attr == attr);
+        found.unwrap_or_else(|| {
+            let mut data = ColumnData::Int(Vec::new());
+            data.reset(vtype);
+            self.columns.push(Column { attr, data });
+            self.columns.len() - 1
+        }) as u32
+    }
+
+    /// Add a node reference to the open row.
+    pub(crate) fn push_ref(&mut self, node: NodeId) {
+        self.refs.push(node);
+    }
+
+    /// Add an immediate to the open row: the next value of `column`.
+    pub(crate) fn push_imm(&mut self, column: u32, cell: Cell) {
+        self.columns[column as usize].data.push(cell);
+        self.imms.push(column);
+    }
+
+    /// Close the open row. `false` — and the row stays open — when the
+    /// block's entries no longer count in 32 bits.
+    pub(crate) fn end_row(&mut self) -> bool {
+        let ends = (self.refs.len().try_into(), self.imms.len().try_into());
+        let (Ok(refs), Ok(imms)) = ends else {
+            return false;
+        };
+        self.ref_ends.push(refs);
+        self.imm_ends.push(imms);
+        true
+    }
+
+    /// Take back everything pushed since the last row ended.
+    pub(crate) fn abandon_row(&mut self) {
+        let kept_refs = self.ref_ends.last().map_or(0, |&end| end as usize);
+        self.refs.truncate(kept_refs);
+        let kept = self.imm_ends.last().map_or(0, |&end| end as usize);
+        for column in self.imms.drain(kept..) {
+            self.columns[column as usize].data.pop();
+        }
+    }
+
+    /// Empty the block, keeping its columns (and every buffer) for the
+    /// stream's next rows.
+    pub(crate) fn clear(&mut self) {
+        self.ref_ends.clear();
+        self.refs.clear();
+        self.imm_ends.clear();
+        self.imms.clear();
+        for column in &mut self.columns {
+            column.data.clear();
+        }
     }
 
     /// Materialise the block's rows as snapshot records — node
@@ -882,8 +984,8 @@ fn block_fault(
     }
 }
 
-/// What a v2 scan hands its consumer per surviving block: the dataset
-/// the stream's dictionary is decoded into (store, context tree,
+/// What a scan of a text or v2 stream hands its consumer per block: the
+/// dataset the stream's dictionary is decoded into (store, context tree,
 /// globals), the stream's string dictionary, and the block's columns.
 pub type BlockSink<'a> = dyn FnMut(&mut Dataset, &mut StringTable, &Block) + 'a;
 

@@ -17,17 +17,37 @@
 //! Immediate values are rendered with [`Value`]'s `Display` and parsed
 //! back using the attribute's declared type, so the encoding is
 //! type-faithful for int/uint/bool and shortest-roundtrip for floats.
+//!
+//! # Reading
+//!
+//! There is one line parser. Every line is tokenised by
+//! [`escape::fields`](crate::escape::fields) into borrowed `key=value`
+//! fields (a field is copied only to resolve a backslash escape), and a
+//! `ctx` line appends a row straight to a [`Block`] of typed columns —
+//! the structure the CALB v2 decoder fills — without building a record:
+//! node references as remapped ids, each immediate parsed by its
+//! attribute's declared type into that attribute's column, strings
+//! interned once per stream. A line that fails is taken back out of the
+//! block, so a lenient skip loses exactly that line. Blocks of
+//! [`DEFAULT_BLOCK_RECORDS`] rows go to a [`BlockSink`]:
+//! [`CaliReader::scan_stream`] hands them to the caller as columns
+//! (which is how [`scan_path`](crate::scan_path) and the query engine's
+//! columnar fold read text), and every entry point that returns rows —
+//! [`from_bytes`], [`CaliReader::read_stream`] and friends, the
+//! `read_path*` family, journal recovery — derives its records from the
+//! same blocks with [`Block::append_records`].
 
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
 use caliper_data::{
-    AttrId, Attribute, Entry, FlatRecord, FxHashMap, FxHashSet, NodeId, Properties,
-    SnapshotRecord, Value, ValueType, NODE_NONE,
+    AttrId, Entry, FlatRecord, FxHashMap, FxHashSet, NodeId, Properties, SnapshotRecord, Value,
+    ValueType, NODE_NONE,
 };
 
+use crate::binary_v2::{append_rows, Block, BlockSink, StringTable, DEFAULT_BLOCK_RECORDS};
 use crate::dataset::Dataset;
-use crate::escape::{escape_into, split_fields};
+use crate::escape::{escape_into, fields, Fields};
 use crate::policy::{ReadPolicy, ReadReport};
 
 /// Errors produced by the `.cali` reader.
@@ -284,16 +304,40 @@ pub fn write_file(ds: &Dataset, path: impl AsRef<Path>) -> io::Result<()> {
     std::fs::write(path, bytes)
 }
 
+/// What the stream has declared under one of its attribute ids.
+#[derive(Clone, Copy)]
+struct StreamAttr {
+    /// The attribute's id and declared type in the reader's store.
+    attr: AttrId,
+    vtype: ValueType,
+    /// Its value column in the reader's block, [`NO_COLUMN`] until a
+    /// snapshot line carries it as an immediate.
+    column: u32,
+}
+
+const NO_COLUMN: u32 = u32::MAX;
+
 /// Incremental `.cali` reader state.
 ///
 /// Ids in the stream are remapped to fresh ids in the reader's own
 /// store/tree, so datasets from different processes (whose id spaces
 /// overlap) can be merged by reading them into one `CaliReader`.
+///
+/// Snapshot (`ctx`) lines decode straight into the typed columns of a
+/// [`Block`], the structure the CALB v2 decoder fills: node references
+/// as remapped ids, one column per attribute, strings interned once in
+/// the stream's [`StringTable`]. A block is handed to the read's
+/// [`BlockSink`] every [`DEFAULT_BLOCK_RECORDS`] rows and when the read
+/// ends; the row-returning entry points derive their records from it
+/// with [`Block::append_records`], exactly as the v2 row readers do.
 pub struct CaliReader {
     ds: Dataset,
-    attr_map: FxHashMap<u32, Attribute>,
+    attr_map: FxHashMap<u32, StreamAttr>,
     node_map: FxHashMap<u32, NodeId>,
     line_no: usize,
+    strings: StringTable,
+    /// The snapshot rows read since the last block was handed out.
+    block: Block,
 }
 
 impl CaliReader {
@@ -309,6 +353,8 @@ impl CaliReader {
             attr_map: FxHashMap::default(),
             node_map: FxHashMap::default(),
             line_no: 0,
+            strings: StringTable::default(),
+            block: Block::default(),
         }
     }
 
@@ -319,14 +365,9 @@ impl CaliReader {
         }
     }
 
-    fn lookup_attr(&self, id: u32, report: &mut ReadReport) -> Result<Attribute, CaliError> {
-        match self.attr_map.get(&id) {
-            Some(attr) => Ok(attr.clone()),
-            None => {
-                report.dangling_dropped += 1;
-                Err(self.err(format!("reference to undeclared attribute {id}")))
-            }
-        }
+    fn undeclared_attr(&self, id: u32, report: &mut ReadReport) -> CaliError {
+        report.dangling_dropped += 1;
+        self.err(format!("reference to undeclared attribute {id}"))
     }
 
     /// Process one line of the stream (strict: the first malformed
@@ -348,6 +389,18 @@ impl CaliReader {
         policy: ReadPolicy,
         report: &mut ReadReport,
     ) -> Result<(), CaliError> {
+        self.scan_line(line, policy, report, &mut append_rows)
+    }
+
+    /// [`read_line_with`](Self::read_line_with), a full block going to
+    /// `on_block`.
+    fn scan_line(
+        &mut self,
+        line: &str,
+        policy: ReadPolicy,
+        report: &mut ReadReport,
+        on_block: &mut BlockSink<'_>,
+    ) -> Result<(), CaliError> {
         self.line_no += 1;
         let line = line.trim_end_matches(['\n', '\r']);
         if line.is_empty() || line.starts_with('#') {
@@ -358,30 +411,61 @@ impl CaliReader {
                 if is_data {
                     report.records += 1;
                 }
+                if self.block.rows() >= DEFAULT_BLOCK_RECORDS {
+                    self.hand_out(on_block);
+                }
                 Ok(())
             }
             Err(e) => self.skip_or_fail(e, policy, report),
         }
     }
 
+    /// Hand the rows read so far to `on_block` and start a new block.
+    fn hand_out(&mut self, on_block: &mut BlockSink<'_>) {
+        if self.block.rows() > 0 {
+            on_block(&mut self.ds, &mut self.strings, &self.block);
+            self.block.clear();
+        }
+    }
+
     /// Parse one non-empty record line; `Ok(true)` for data records
     /// (ctx/globals), `Ok(false)` for metadata (attr/node).
     ///
-    /// All parsers mutate reader state only after the whole line has
-    /// validated, so a failed line leaves the dataset untouched and a
-    /// lenient skip is exact.
+    /// A failed line leaves the reader as it was — the dictionary and
+    /// globals change only once the whole line has validated, and a
+    /// snapshot row is taken back out of the block — so a lenient skip
+    /// is exact.
     fn parse_record(&mut self, line: &str, report: &mut ReadReport) -> Result<bool, CaliError> {
-        let fields = split_fields(line);
-        let kind = fields
-            .iter()
-            .find(|(k, _)| k == "__rec")
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| self.err("missing __rec field"))?;
-        match kind {
-            "attr" => self.read_attr(&fields).map(|()| false),
-            "node" => self.read_node(&fields, report).map(|()| false),
-            "ctx" => self.read_entry_list(&fields, false, report).map(|()| true),
-            "globals" => self.read_entry_list(&fields, true, report).map(|()| true),
+        // `__rec` leads every line a writer of ours produced; one that
+        // carries it elsewhere is tokenised from the start again.
+        let mut rest = fields(line);
+        let kind = match rest.next() {
+            Some((k, kind)) if k == "__rec" => kind,
+            _ => {
+                rest = fields(line);
+                let kind = fields(line).find(|(k, _)| k == "__rec");
+                kind.ok_or_else(|| self.err("missing __rec field"))?.1
+            }
+        };
+        match kind.as_ref() {
+            "attr" => self.read_attr(rest).map(|()| false),
+            "node" => self.read_node(rest, report).map(|()| false),
+            "ctx" => {
+                let mut row = self.read_entries(rest, None, report);
+                if row.is_ok() && !self.block.end_row() {
+                    row = Err(self.err("block exceeds 2^32 entries"));
+                }
+                if row.is_err() {
+                    self.block.abandon_row();
+                }
+                row.map(|()| true)
+            }
+            "globals" => {
+                let mut flat = FlatRecord::new();
+                self.read_entries(rest, Some(&mut flat), report)?;
+                self.ds.globals.push(flat);
+                Ok(true)
+            }
             other => Err(self.err(format!("unknown record kind '{other}'"))),
         }
     }
@@ -406,17 +490,17 @@ impl CaliReader {
         }
     }
 
-    fn read_attr(&mut self, fields: &[(String, String)]) -> Result<(), CaliError> {
+    fn read_attr(&mut self, fields: Fields<'_>) -> Result<(), CaliError> {
         let mut id = None;
         let mut name = None;
         let mut vtype = None;
         let mut props = Properties::DEFAULT;
         for (k, v) in fields {
-            match k.as_str() {
+            match k.as_ref() {
                 "id" => id = v.parse::<u32>().ok(),
-                "name" => name = Some(v.clone()),
-                "type" => vtype = ValueType::from_name(v),
-                "prop" => props = Properties::parse(v),
+                "name" => name = Some(v),
+                "type" => vtype = ValueType::from_name(&v),
+                "prop" => props = Properties::parse(&v),
                 _ => {}
             }
         }
@@ -428,34 +512,37 @@ impl CaliReader {
             .store
             .create(&name, vtype, props)
             .map_err(|e| self.err(e.to_string()))?;
-        self.attr_map.insert(id, attr);
+        let declared = StreamAttr {
+            attr: attr.id(),
+            vtype,
+            column: NO_COLUMN,
+        };
+        self.attr_map.insert(id, declared);
         Ok(())
     }
 
-    fn read_node(
-        &mut self,
-        fields: &[(String, String)],
-        report: &mut ReadReport,
-    ) -> Result<(), CaliError> {
+    fn read_node(&mut self, fields: Fields<'_>, report: &mut ReadReport) -> Result<(), CaliError> {
         let mut id = None;
         let mut attr = None;
         let mut parent = None;
         let mut data = None;
         for (k, v) in fields {
-            match k.as_str() {
+            match k.as_ref() {
                 "id" => id = v.parse::<u32>().ok(),
                 "attr" => attr = v.parse::<u32>().ok(),
                 "parent" => parent = v.parse::<u32>().ok(),
-                "data" => data = Some(v.clone()),
+                "data" => data = Some(v),
                 _ => {}
             }
         }
         let id = id.ok_or_else(|| self.err("node record without valid id"))?;
         let attr_id = attr.ok_or_else(|| self.err("node record without attr"))?;
         let data = data.ok_or_else(|| self.err("node record without data"))?;
-        let attr = self.lookup_attr(attr_id, report)?;
-        let value = Value::parse_typed(&data, attr.value_type())
-            .ok_or_else(|| self.err(format!("cannot parse '{data}' as {}", attr.value_type())))?;
+        let Some(&StreamAttr { attr, vtype, .. }) = self.attr_map.get(&attr_id) else {
+            return Err(self.undeclared_attr(attr_id, report));
+        };
+        let value = Value::parse_typed(&data, vtype)
+            .ok_or_else(|| self.err(format!("cannot parse '{data}' as {vtype}")))?;
         let parent_local = match parent {
             Some(p) => match self.node_map.get(&p) {
                 Some(local) => *local,
@@ -466,61 +553,68 @@ impl CaliReader {
             },
             None => NODE_NONE,
         };
-        let local = self.ds.tree.get_child(parent_local, attr.id(), &value);
+        let local = self.ds.tree.get_child(parent_local, attr, &value);
         self.node_map.insert(id, local);
         Ok(())
     }
 
-    fn read_entry_list(
+    /// Read the entries of a `ctx` or `globals` line: into `globals`
+    /// when given, else onto the block's open row (which the caller
+    /// closes, or takes back if this fails).
+    fn read_entries(
         &mut self,
-        fields: &[(String, String)],
-        globals: bool,
+        fields: Fields<'_>,
+        mut globals: Option<&mut FlatRecord>,
         report: &mut ReadReport,
     ) -> Result<(), CaliError> {
-        let mut record = SnapshotRecord::new();
-        let mut flat = FlatRecord::new();
-        let mut pending_attr: Option<Attribute> = None;
+        let mut pending_attr: Option<StreamAttr> = None;
         for (k, v) in fields {
-            match k.as_str() {
+            match k.as_ref() {
                 "ref" => {
                     let id: u32 = v
                         .parse()
                         .map_err(|_| self.err(format!("invalid node ref '{v}'")))?;
-                    let local = match self.node_map.get(&id) {
-                        Some(local) => *local,
-                        None => {
-                            report.dangling_dropped += 1;
-                            return Err(self.err(format!("ref to unknown node {id}")));
-                        }
+                    let Some(&local) = self.node_map.get(&id) else {
+                        report.dangling_dropped += 1;
+                        return Err(self.err(format!("ref to unknown node {id}")));
                     };
-                    record.push_node(local);
+                    if globals.is_none() {
+                        self.block.push_ref(local);
+                    }
                 }
                 "attr" => {
                     let id: u32 = v
                         .parse()
                         .map_err(|_| self.err(format!("invalid attr id '{v}'")))?;
-                    pending_attr = Some(self.lookup_attr(id, report)?);
+                    let Some(declared) = self.attr_map.get_mut(&id) else {
+                        return Err(self.undeclared_attr(id, report));
+                    };
+                    if globals.is_none() && declared.column == NO_COLUMN {
+                        declared.column = self.block.column_for(declared.attr, declared.vtype);
+                    }
+                    pending_attr = Some(*declared);
                 }
                 "data" => {
-                    let attr = pending_attr
+                    let StreamAttr {
+                        attr,
+                        vtype,
+                        column,
+                    } = pending_attr
                         .take()
                         .ok_or_else(|| self.err("data field without preceding attr"))?;
-                    let value = Value::parse_typed(v, attr.value_type()).ok_or_else(|| {
-                        self.err(format!("cannot parse '{v}' as {}", attr.value_type()))
-                    })?;
-                    if globals {
-                        flat.push(attr.id(), value);
-                    } else {
-                        record.push_imm(attr.id(), value);
-                    }
+                    let parsed = match &mut globals {
+                        Some(flat) => {
+                            Value::parse_typed(&v, vtype).map(|value| flat.push(attr, value))
+                        }
+                        None => {
+                            let cell = self.strings.parse(&v, vtype);
+                            cell.map(|cell| self.block.push_imm(column, cell))
+                        }
+                    };
+                    parsed.ok_or_else(|| self.err(format!("cannot parse '{v}' as {vtype}")))?;
                 }
                 _ => {}
             }
-        }
-        if globals {
-            self.ds.globals.push(flat);
-        } else {
-            self.ds.records.push(record);
         }
         Ok(())
     }
@@ -558,10 +652,26 @@ impl CaliReader {
     /// readiness forever.
     pub fn read_stream_cancellable(
         &mut self,
+        reader: impl BufRead,
+        policy: ReadPolicy,
+        report: &mut ReadReport,
+        deadline: Option<&caliper_data::Deadline>,
+    ) -> Result<(), CaliError> {
+        self.scan_stream(reader, policy, report, deadline, &mut append_rows)
+    }
+
+    /// [`read_stream_cancellable`](Self::read_stream_cancellable), but
+    /// the stream's snapshots go to `on_block` as typed columns — a
+    /// block every [`DEFAULT_BLOCK_RECORDS`] rows, and the rest when the
+    /// read ends (end of stream, deadline, lenient truncation) — instead
+    /// of being appended to the dataset as records.
+    pub fn scan_stream(
+        &mut self,
         mut reader: impl BufRead,
         policy: ReadPolicy,
         report: &mut ReadReport,
         deadline: Option<&caliper_data::Deadline>,
+        on_block: &mut BlockSink<'_>,
     ) -> Result<(), CaliError> {
         let mut buf = Vec::new();
         let mut lines: u64 = 0;
@@ -573,7 +683,7 @@ impl CaliReader {
                         "read cancelled by deadline after line {}",
                         self.line_no
                     ));
-                    return Ok(());
+                    break;
                 }
             }
             lines += 1;
@@ -584,16 +694,16 @@ impl CaliReader {
                     if policy.is_lenient() {
                         report.truncated = true;
                         report.note_error(format!("i/o error after line {}: {e}", self.line_no));
-                        return Ok(());
+                        break;
                     }
                     return Err(CaliError::Io(e));
                 }
             };
             if n == 0 {
-                return Ok(());
+                break;
             }
             match std::str::from_utf8(&buf) {
-                Ok(s) => self.read_line_with(s, policy, report)?,
+                Ok(s) => self.scan_line(s, policy, report, on_block)?,
                 Err(_) => {
                     self.line_no += 1;
                     let e = self.err("invalid UTF-8 in line");
@@ -601,10 +711,14 @@ impl CaliReader {
                 }
             }
         }
+        self.hand_out(on_block);
+        Ok(())
     }
 
-    /// Finish reading and return the dataset.
-    pub fn finish(self) -> Dataset {
+    /// Finish reading and return the dataset, the snapshots still in the
+    /// block appended as records.
+    pub fn finish(mut self) -> Dataset {
+        self.hand_out(&mut append_rows);
         self.ds
     }
 }
@@ -618,7 +732,7 @@ impl Default for CaliReader {
 /// Parse a `.cali` byte buffer into a dataset.
 pub fn from_bytes(bytes: &[u8]) -> Result<Dataset, CaliError> {
     let mut reader = CaliReader::new();
-    reader.read_stream(io::BufReader::new(bytes))?;
+    reader.read_stream(bytes)?;
     Ok(reader.finish())
 }
 
@@ -627,7 +741,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Dataset, CaliError> {
 pub fn from_bytes_with(bytes: &[u8], policy: ReadPolicy) -> Result<(Dataset, ReadReport), CaliError> {
     let mut report = ReadReport::default();
     let mut reader = CaliReader::new();
-    reader.read_stream_with(io::BufReader::new(bytes), policy, &mut report)?;
+    reader.read_stream_with(bytes, policy, &mut report)?;
     Ok((reader.finish(), report))
 }
 

@@ -5,6 +5,8 @@
 //! escaped with `\`. Newlines are encoded as `\n` (backslash + 'n') so a
 //! record always occupies exactly one physical line.
 
+use std::borrow::Cow;
+
 /// Escape a value string for embedding in a `.cali` line.
 pub fn escape(input: &str) -> String {
     let mut out = String::with_capacity(input.len());
@@ -47,44 +49,85 @@ pub fn unescape(input: &str) -> String {
     out
 }
 
-/// Split a `.cali` line into `(key, value)` fields on unescaped commas
-/// and the first unescaped `=` in each field.
-pub fn split_fields(line: &str) -> Vec<(String, String)> {
-    let mut fields = Vec::new();
-    let mut key = String::new();
-    let mut value = String::new();
-    let mut in_value = false;
-    let mut chars = line.chars();
-    let mut push_field = |key: &mut String, value: &mut String, in_value: &mut bool| {
-        if !key.is_empty() || *in_value {
-            fields.push((std::mem::take(key), std::mem::take(value)));
-        }
-        *in_value = false;
-    };
-    while let Some(ch) = chars.next() {
-        match ch {
-            '\\' => {
-                let target = if in_value { &mut value } else { &mut key };
-                match chars.next() {
-                    Some('n') => target.push('\n'),
-                    Some('r') => target.push('\r'),
-                    Some(other) => target.push(other),
-                    None => target.push('\\'),
-                }
+/// `raw` with its escapes resolved: borrowed as it stands unless it
+/// holds a backslash.
+fn unescaped(raw: &str, has_escape: bool) -> Cow<'_, str> {
+    if has_escape {
+        Cow::Owned(unescape(raw))
+    } else {
+        Cow::Borrowed(raw)
+    }
+}
+
+/// The `(key, value)` fields of a `.cali` line: split on unescaped
+/// commas and the first unescaped `=` of each field, escapes resolved as
+/// [`unescape`] does. A field without `=` has an empty value; a field
+/// with neither key nor `=` (`,,`) is not a field. Keys and values
+/// borrow from the line and allocate only when they hold a backslash.
+///
+/// This is the one tokenizer every text line goes through — the reader's
+/// `attr`, `node`, `ctx` and `globals` records and the schema pre-pass.
+pub fn fields(line: &str) -> Fields<'_> {
+    Fields { rest: line }
+}
+
+/// Iterator returned by [`fields`].
+#[derive(Debug, Clone)]
+pub struct Fields<'a> {
+    rest: &'a str,
+}
+
+/// The bytes the tokenizer stops at: `,` `=` and `\\`.
+static SPECIAL: [bool; 256] = {
+    let mut special = [false; 256];
+    special[b',' as usize] = true;
+    special[b'=' as usize] = true;
+    special[b'\\' as usize] = true;
+    special
+};
+
+/// The index of the first unescaped `,` of `bytes[from..]` — or, with
+/// `in_key`, `=` — (`bytes.len()` if none), and whether a backslash was
+/// passed on the way. All delimiters are ASCII, so no byte of a
+/// multi-byte character is mistaken for one, and the byte after a
+/// backslash can be skipped whatever it starts.
+fn scan_to(bytes: &[u8], from: usize, in_key: bool) -> (usize, bool) {
+    let (mut i, mut escaped) = (from, false);
+    while let Some(offset) = bytes[i..].iter().position(|&b| SPECIAL[b as usize]) {
+        i += offset;
+        match bytes[i] {
+            b'\\' => {
+                escaped = true;
+                i = (i + 2).min(bytes.len());
             }
-            ',' => push_field(&mut key, &mut value, &mut in_value),
-            '=' if !in_value => in_value = true,
-            other => {
-                if in_value {
-                    value.push(other);
-                } else {
-                    key.push(other);
-                }
-            }
+            b'=' if !in_key => i += 1,
+            _ => return (i, escaped),
         }
     }
-    push_field(&mut key, &mut value, &mut in_value);
-    fields
+    (bytes.len(), escaped)
+}
+
+impl<'a> Iterator for Fields<'a> {
+    type Item = (Cow<'a, str>, Cow<'a, str>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while !self.rest.is_empty() {
+            let (line, bytes) = (self.rest, self.rest.as_bytes());
+            let (key_end, key_escape) = scan_to(bytes, 0, true);
+            let key = unescaped(&line[..key_end], key_escape);
+            if bytes.get(key_end) != Some(&b'=') {
+                self.rest = line.get(key_end + 1..).unwrap_or("");
+                if key_end > 0 {
+                    return Some((key, Cow::Borrowed("")));
+                }
+                continue;
+            }
+            let (end, value_escape) = scan_to(bytes, key_end + 1, false);
+            self.rest = line.get(end + 1..).unwrap_or("");
+            return Some((key, unescaped(&line[key_end + 1..end], value_escape)));
+        }
+        None
+    }
 }
 
 #[cfg(test)]
@@ -110,38 +153,67 @@ mod tests {
         }
     }
 
+    fn owned(line: &str) -> Vec<(String, String)> {
+        fields(line)
+            .map(|(k, v)| (k.into_owned(), v.into_owned()))
+            .collect()
+    }
+
+    fn pairs(expected: &[(&str, &str)]) -> Vec<(String, String)> {
+        expected
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
     #[test]
-    fn split_basic_fields() {
-        let fields = split_fields("__rec=node,id=5,data=foo");
+    fn fields_basic() {
         assert_eq!(
-            fields,
-            vec![
-                ("__rec".into(), "node".into()),
-                ("id".into(), "5".into()),
-                ("data".into(), "foo".into()),
-            ]
+            owned("__rec=node,id=5,data=foo"),
+            pairs(&[("__rec", "node"), ("id", "5"), ("data", "foo")])
         );
     }
 
     #[test]
-    fn split_handles_escapes_and_equals_in_value() {
-        let fields = split_fields("data=a\\,b\\=c,attr=x=y");
+    fn fields_handle_escapes_and_equals_in_value() {
         assert_eq!(
-            fields,
-            vec![
-                ("data".into(), "a,b=c".into()),
-                ("attr".into(), "x=y".into()),
-            ]
+            owned("data=a\\,b\\=c,attr=x=y"),
+            pairs(&[("data", "a,b=c"), ("attr", "x=y")])
+        );
+        // Escaped separators in a key, an escaped backslash before a
+        // real separator, and the newline escapes.
+        assert_eq!(
+            owned("k\\=1\\,2=v\\\\,n=a\\nb\\rc"),
+            pairs(&[("k=1,2", "v\\"), ("n", "a\nb\rc")])
+        );
+        // A lone trailing backslash stays a backslash; an unknown escape
+        // keeps the escaped character.
+        assert_eq!(owned("a=b\\"), pairs(&[("a", "b\\")]));
+        assert_eq!(
+            owned("a=\\x\u{e9}\\\u{e9}"),
+            pairs(&[("a", "x\u{e9}\u{e9}")])
         );
     }
 
     #[test]
-    fn split_empty_value_and_flag_fields() {
-        let fields = split_fields("a=,b");
-        assert_eq!(
-            fields,
-            vec![("a".into(), "".into()), ("b".into(), "".into())]
-        );
-        assert!(split_fields("").is_empty());
+    fn fields_empty_value_and_flag_fields() {
+        assert_eq!(owned("a=,b"), pairs(&[("a", ""), ("b", "")]));
+        assert_eq!(owned("=v,,x=1,"), pairs(&[("", "v"), ("x", "1")]));
+        assert!(owned("").is_empty());
+        assert!(owned(",,,").is_empty());
+    }
+
+    #[test]
+    fn fields_borrow_unless_escaped() {
+        let mut it = fields("plain=value,esc\\,aped=v\\=w");
+        let (k, v) = it.next().unwrap();
+        assert!(matches!(
+            (k, v),
+            (Cow::Borrowed("plain"), Cow::Borrowed("value"))
+        ));
+        let (k, v) = it.next().unwrap();
+        assert!(matches!((&k, &v), (Cow::Owned(_), Cow::Owned(_))));
+        assert_eq!((k.as_ref(), v.as_ref()), ("esc,aped", "v=w"));
+        assert!(it.next().is_none());
     }
 }

@@ -368,7 +368,7 @@ pub fn recover_bytes_cancellable(
         }
     };
     let mut reader = CaliReader::new();
-    reader.read_stream_cancellable(io::BufReader::new(body), policy, &mut read, deadline)?;
+    reader.read_stream_cancellable(body, policy, &mut read, deadline)?;
     Ok(dedup_by_sequence(reader.finish(), read))
 }
 

@@ -9,9 +9,10 @@
 //! * [`read_path_reported_filtered`] / [`read_path_into_filtered`] —
 //!   the same two under a [`ReadPolicy`] and an optional [`Pushdown`],
 //!   returning the file's [`ReadReport`];
-//! * [`scan_path`] — the same read, but a CALB v2 file's blocks are
-//!   handed over as typed columns instead of being expanded to rows
-//!   (`caliper-query`'s `scan` module folds them directly);
+//! * [`scan_path`] — the same read, but the snapshots of a text or
+//!   CALB v2 file are handed over as blocks of typed columns instead of
+//!   being expanded to rows (`caliper-query`'s `scan` module folds them
+//!   directly);
 //! * [`RecordBatch`] / [`for_each_flat`] — a contiguous, cheaply
 //!   cloneable slice of a decoded [`Dataset`]'s snapshot records, and
 //!   their expansion to flat records in stream order.
@@ -79,14 +80,18 @@ pub fn read_path_into_filtered(
 }
 
 /// Reads one `.cali` or `CALB` file like [`read_path_into_filtered`],
-/// but hands the blocks of a CALB v2 file to `on_block` as typed columns
-/// ([`Block`](crate::binary_v2::Block)) instead of materialising their
-/// rows: in stream order, one block in memory at a time, each only once
-/// its whole payload validated. The file's dictionary and globals still
-/// land in `ds`; its snapshot records do not.
+/// but hands the snapshots of a text or CALB v2 file to `on_block` as
+/// typed columns ([`Block`](crate::binary_v2::Block)) instead of
+/// materialising their rows: in stream order, one block in memory at a
+/// time, each holding only validated rows. A v2 file's blocks are the
+/// ones its writer framed; a text file's are cut every
+/// [`DEFAULT_BLOCK_RECORDS`](crate::binary_v2::DEFAULT_BLOCK_RECORDS)
+/// snapshot lines, which is where the default v2 writer cuts them too.
+/// The file's dictionary and globals still land in `ds`; its snapshot
+/// records do not.
 ///
-/// Which of the two a file gets is decided by its stream header alone:
-/// text and CALB v1 have no columns, so their snapshot records are
+/// Which path a file gets is decided by its stream header alone. CALB
+/// v1 has no columns and no block decoder: its snapshot records are
 /// appended to `ds.records` as ever and `on_block` is never called.
 pub fn scan_path(
     path: impl AsRef<Path>,
@@ -106,7 +111,7 @@ pub fn scan_path(
     } else {
         let mut reader = CaliReader::into_dataset(ds);
         reader
-            .read_stream_with(std::io::BufReader::new(&bytes[..]), policy, &mut report)
+            .scan_stream(&bytes[..], policy, &mut report, None, on_block)
             .map_err(attribute)?;
         reader.finish()
     };

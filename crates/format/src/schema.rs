@@ -22,7 +22,7 @@ use caliper_data::{AttributeStore, Properties, ValueType};
 
 use crate::binary::{self, Cursor};
 use crate::dataset::Dataset;
-use crate::escape::{escape_into, split_fields};
+use crate::escape::{escape_into, fields};
 
 /// Inferred metadata of one attribute name.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,8 +200,8 @@ impl Schema {
         let mut vtype = None;
         let mut props = Properties::DEFAULT;
         let mut mixed = false;
-        for (k, v) in split_fields(line) {
-            match k.as_str() {
+        for (k, v) in fields(line) {
+            match k.as_ref() {
                 "name" => name = Some(v),
                 "type" => {
                     if v == "mixed" {
@@ -220,8 +220,8 @@ impl Schema {
         }
         if mixed {
             // Degrade (or create) the entry as mixed directly.
-            let entry = self.attrs.entry(name.clone()).or_insert(AttrSchema {
-                name,
+            let entry = self.attrs.entry(name.to_string()).or_insert(AttrSchema {
+                name: name.into_owned(),
                 value_type: None,
                 properties: props,
             });

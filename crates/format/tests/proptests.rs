@@ -454,3 +454,164 @@ fn v2_detected_corruption_loses_exactly_the_damaged_block() {
         );
     }
 }
+
+/// Text that needs every escape: separators, backslashes, both line
+/// ends and the letters their escapes use, between arbitrary characters.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop::collection::vec((any::<u8>(), any::<char>()), 0..24).prop_map(|picks| {
+        let pick = |(pick, c): (u8, char)| match pick % 12 {
+            0 => ',',
+            1 => '=',
+            2 => '\\',
+            3 => '\n',
+            4 => '\r',
+            5 => 'n',
+            6..=8 => (b'a' + pick % 26) as char,
+            _ => c,
+        };
+        picks.into_iter().map(pick).collect()
+    })
+}
+
+/// A value of the type `pick` selects, from arbitrary bits.
+fn value_of(pick: u8, text: &str, bits: u64) -> Value {
+    match pick % 5 {
+        0 => Value::str(text),
+        1 => Value::Int(bits as i64),
+        2 => Value::UInt(bits),
+        3 => Value::Float(f64::from_bits(bits)),
+        _ => Value::Bool(bits & 1 == 1),
+    }
+}
+
+proptest! {
+    /// `CaliWriter` → `escape::fields`: what the writer's `escape_into`
+    /// puts on a line, the reader's tokenizer takes off again field for
+    /// field — attribute names, node values and immediates of every
+    /// type — and each `data` field parses back to the value written.
+    #[test]
+    fn writer_and_tokenizer_roundtrip_field_for_field(
+        names in prop::collection::vec(arb_text(), 5),
+        values in prop::collection::vec((any::<u8>(), arb_text(), any::<u64>()), 0..8),
+        node_text in arb_text(),
+    ) {
+        let mut ds = Dataset::new();
+        let types =
+            [ValueType::Str, ValueType::Int, ValueType::UInt, ValueType::Float, ValueType::Bool];
+        let attrs: Vec<_> = types
+            .iter()
+            .zip(&names)
+            .enumerate()
+            .map(|(i, (t, name))| ds.attribute(&format!("{i}{name}"), *t, Properties::AS_VALUE))
+            .collect();
+        let node = ds.tree.get_child(NODE_NONE, attrs[0].id(), &Value::str(node_text.as_str()));
+        let mut rec = SnapshotRecord::new();
+        rec.push_node(node);
+        let mut written = vec![("__rec".to_string(), "ctx".to_string())];
+        written.push(("ref".to_string(), node.to_string()));
+        for (pick, text, bits) in &values {
+            let value = value_of(*pick, text, *bits);
+            let attr = &attrs[*pick as usize % 5];
+            written.push(("attr".to_string(), attr.id().to_string()));
+            written.push(("data".to_string(), value.to_string()));
+            rec.push_imm(attr.id(), value);
+        }
+        ds.push(rec);
+
+        let text = String::from_utf8(cali::to_bytes(&ds)).unwrap();
+        let mut declared = std::collections::HashMap::new();
+        for line in text.lines() {
+            let fields: Vec<(String, String)> = escape::fields(line)
+                .map(|(k, v)| (k.into_owned(), v.into_owned()))
+                .collect();
+            let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
+            match field("__rec").as_deref() {
+                Some("attr") => {
+                    let id: u32 = field("id").unwrap().parse().unwrap();
+                    let attr = ds.store.get(id).unwrap();
+                    prop_assert_eq!(field("name").unwrap(), attr.name());
+                    declared.insert(id, attr.value_type());
+                }
+                Some("node") => prop_assert_eq!(field("data").unwrap(), node_text.clone()),
+                Some("ctx") => {
+                    prop_assert_eq!(&fields, &written);
+                    for pair in fields[2..].chunks(2) {
+                        let vtype = declared[&pair[0].1.parse::<u32>().unwrap()];
+                        let back = Value::parse_typed(&pair[1].1, vtype).unwrap();
+                        prop_assert_eq!(back.to_string(), pair[1].1.clone());
+                    }
+                }
+                other => prop_assert!(false, "unexpected line kind {:?}: {}", other, line),
+            }
+        }
+        // And the reader, which sits on the same tokenizer, agrees.
+        let back = cali::from_bytes(text.as_bytes()).unwrap();
+        prop_assert_eq!(record_multiset(&back), record_multiset(&ds));
+    }
+
+    /// The text reader never panics, whatever the bytes: arbitrary
+    /// garbage, and valid streams with arbitrary bytes (invalid UTF-8,
+    /// lone backslashes, cut escapes) spliced into the middle of lines.
+    /// A lenient read with budget to spare always succeeds and never
+    /// reports more records than there are lines.
+    #[test]
+    fn text_reader_never_panics_on_arbitrary_bytes(
+        garbage in prop::collection::vec(any::<u8>(), 0..256),
+        splices in prop::collection::vec(
+            (any::<u16>(), prop::collection::vec(any::<u8>(), 0..6)),
+            0..6,
+        ),
+        cut in any::<u16>(),
+    ) {
+        let mut spliced = cali::to_bytes(&numbered_dataset(12));
+        for (at, bytes) in &splices {
+            let at = *at as usize % (spliced.len() + 1);
+            spliced.splice(at..at, bytes.iter().copied());
+        }
+        spliced.truncate(cut as usize % (spliced.len() + 1));
+        for bytes in [&garbage, &spliced] {
+            let _ = cali::from_bytes_with(bytes, ReadPolicy::Strict);
+            let lenient = ReadPolicy::Lenient { max_errors: u64::MAX };
+            let (ds, report) = cali::from_bytes_with(bytes, lenient).unwrap();
+            let lines = bytes.split(|&b| b == b'\n').count() as u64;
+            prop_assert!(report.records <= lines && ds.len() as u64 <= report.records);
+        }
+    }
+}
+
+/// Megabyte lines — of one value, of escapes, cut inside an escape, of
+/// nothing but text, of backslashes, of fields — are read or refused
+/// like any other line, under both policies.
+#[test]
+fn text_reader_takes_megabyte_lines() {
+    const MB: usize = 1 << 20;
+    let head = "__rec=attr,id=0,name=k,type=string,prop=default\n";
+    let long_value = format!("{head}__rec=ctx,attr=0,data={}\n", "v".repeat(MB));
+    let ds = cali::from_bytes(long_value.as_bytes()).unwrap();
+    assert_eq!(ds.len(), 1);
+
+    let escapes = format!("{head}__rec=ctx,attr=0,data={}\n", "\\,".repeat(MB / 2));
+    let ds = cali::from_bytes(escapes.as_bytes()).unwrap();
+    let value = ds.flat_records().next().unwrap().pairs()[0].1.to_string();
+    assert_eq!(value, ",".repeat(MB / 2));
+
+    // A line cut inside an escape: the lone backslash stands for itself.
+    let cut = format!("{head}__rec=ctx,attr=0,data={}\\\n", "v".repeat(MB));
+    let ds = cali::from_bytes(cut.as_bytes()).unwrap();
+    let value = ds.flat_records().next().unwrap().pairs()[0].1.to_string();
+    assert!(value.len() == MB + 1 && value.ends_with("v\\"));
+
+    for bad in [
+        "x".repeat(MB),
+        "\\".repeat(MB + 1),
+        format!(
+            "__rec=ctx{}",
+            ",attr=0,data=v".repeat(MB / 14) + ",attr=torn"
+        ),
+    ] {
+        let stream = format!("{head}{bad}\n__rec=ctx,attr=0,data=kept\n");
+        assert!(cali::from_bytes(stream.as_bytes()).is_err());
+        let (ds, report) = cali::from_bytes_with(stream.as_bytes(), ReadPolicy::lenient()).unwrap();
+        assert_eq!((ds.len(), report.skipped), (1, 1), "{}", &bad[..40]);
+    }
+}

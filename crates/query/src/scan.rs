@@ -6,20 +6,26 @@
 //! order, into the pipeline. How the records travel depends on what the
 //! file *is* — its stream header, nothing else:
 //!
-//! * **CALB v2** is block-columnar, and its blocks are folded as
-//!   columns. The decoder hands over one validated
-//!   [`Block`] at a time; the fold resolves the
-//!   attributes the query mentions once per block, walks the rows with
-//!   one cursor per column, gathers — per row — only the occurrences of
-//!   those attributes as [`Cell`]s (numbers, or string *codes* of the
-//!   stream's [`StringTable`]), evaluates LET and WHERE on them, finds
-//!   the row's group by hashing the key's cells, and feeds the reducers
-//!   from the typed values. No `SnapshotRecord`, no `FlatRecord`, no
-//!   boxed key: a row allocates only when its group is new.
-//! * **Text and CALB v1** have no columns. Their records are decoded as
-//!   rows and go through [`Pipeline::process`] — the path that defines
-//!   what a query means, and the oracle the block fold is tested
-//!   against (`tests/columnar_differential.rs`).
+//! * **Text `.cali` and CALB v2** are folded as columns. Either reader
+//!   hands over one validated [`Block`] at a time — v2 the blocks its
+//!   writer framed, text a block per
+//!   [`DEFAULT_BLOCK_RECORDS`](caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS)
+//!   snapshot lines, which is where the default v2 writer frames them,
+//!   so a text file and its v2 encoding split into the same work units.
+//!   The fold resolves the attributes the query mentions once per
+//!   block, walks the rows with one cursor per column, gathers — per
+//!   row — only the occurrences of those attributes as [`Cell`]s
+//!   (numbers, or string *codes* of the stream's [`StringTable`]),
+//!   evaluates LET and WHERE on them, finds the row's group by hashing
+//!   the key's cells, and feeds the reducers from the typed values. No
+//!   `SnapshotRecord`, no `FlatRecord`, no boxed key: a row allocates
+//!   only when its group is new.
+//! * **CALB v1** has no block decoder (and is on the deletion ledger
+//!   rather than getting one). Its records — and the stray v1-style row
+//!   records a v2 stream may carry between blocks — are decoded as rows
+//!   and go through [`Pipeline::process`], the path that defines what a
+//!   query means and the oracle the block fold is tested against
+//!   (`tests/columnar_differential.rs`).
 //!
 //! Both land in the same aggregation database
 //! ([`Aggregator::admit`](crate::Aggregator)), use the same
@@ -64,8 +70,8 @@ pub struct Scanned {
 impl Pipeline {
     /// Read one `.cali` or `CALB` file under `policy` (with an optional
     /// zone-map `pushdown`) and fold its records into this pipeline, in
-    /// stream order. CALB v2 blocks are folded as columns, one block in
-    /// memory at a time; text and v1 records as rows (see the
+    /// stream order. Text and CALB v2 snapshots are folded as columns,
+    /// one block in memory at a time; v1 records as rows (see the
     /// [module docs](self)).
     ///
     /// `dict` receives the file's dictionary; its store must be the one
@@ -74,8 +80,8 @@ impl Pipeline {
     /// [`read_path_into`](caliper_format::read_path_into) does for rows.
     ///
     /// `self` is the file's first work unit. Once a unit holds
-    /// `unit_records` records, the next record — for a v2 file, the next
-    /// block — opens a fresh unit with this pipeline's query and group
+    /// `unit_records` records, the next block — for a v1 file, the next
+    /// record — opens a fresh unit with this pipeline's query and group
     /// capacity; those come back in [`Scanned::tail`]. Unit boundaries
     /// are a function of the file's bytes, the pushdown and
     /// `unit_records` alone.
@@ -122,7 +128,7 @@ impl Pipeline {
                 fold_s += start.elapsed().as_secs_f64();
             })?;
 
-        // What a text or v1 file decoded: rows.
+        // What a v1 file decoded: rows.
         let start = Instant::now();
         folded += units.fold_rows(&dict.tree, &std::mem::take(&mut dict.records));
         fold_s += start.elapsed().as_secs_f64();

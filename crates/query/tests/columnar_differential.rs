@@ -1,15 +1,19 @@
-//! Differential suite for the columnar fold over CALB v2 blocks
-//! (`Pipeline::scan_file`): for generated datasets × generated
-//! aggregation queries, the rendered result and the stable `--stats`
-//! metrics must be what the row path produces — `read_path` →
-//! `for_each_flat` → `Pipeline::process`, the path that defines what a
-//! query means — over the same records as text, CALB v1 and CALB v2.
+//! Differential suite for the columnar fold (`Pipeline::scan_file`) over
+//! the two encodings that reach it — CALB v2 blocks and text `.cali`,
+//! whose reader cuts its snapshot lines into the same blocks: for
+//! generated datasets × generated aggregation queries, the rendered
+//! result and the stable `--stats` metrics must be what the row path
+//! produces — `read_path` → `for_each_flat` → `Pipeline::process`, the
+//! path that defines what a query means — over the same records as text,
+//! CALB v1 and CALB v2.
 //!
 //! The datasets carry everything the ParaDiS corpus of the benchmark
 //! does not: node references with nested paths, an attribute both on a
 //! node path and immediate, repeated immediates, absent keys, every
-//! value type, integer sums that overflow into floats, and blocks of 1,
-//! 8 and 1024 rows.
+//! value type, strings that need every escape, integer sums that
+//! overflow into floats, and blocks of 1, 8 and 1024 rows. The text
+//! files are further roughed up the way hand-edited and foreign streams
+//! are (`\r\n` line ends, comments, blank lines, `__rec` not first).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,6 +34,9 @@ type Row = (u8, u8, u8, i8, i16, u8);
 /// The metrics registry is process-wide: cases take turns.
 static METRICS: Mutex<()> = Mutex::new(());
 static CASE: AtomicUsize = AtomicUsize::new(0);
+
+/// Label values; two of them need every escape the text encoding has.
+const LABELS: [&str; 4] = ["L0", "L1,x=y\\z", "L2", "L3\nnext\rline\\"];
 
 fn dataset_of(rows: &[Row]) -> Dataset {
     let mut ds = Dataset::new();
@@ -86,7 +93,10 @@ fn dataset_of(rows: &[Row]) -> Dataset {
             rec.push_imm(flag.id(), Value::Bool(count % 2 == 0));
         }
         if mask & 64 != 0 {
-            rec.push_imm(label.id(), Value::str(format!("L{}", count % 4)));
+            rec.push_imm(
+                label.id(),
+                Value::str(LABELS[count as usize % LABELS.len()]),
+            );
         }
         if mask & 128 != 0 {
             rec.push_imm(big.id(), Value::UInt(u64::MAX - count as u64));
@@ -269,6 +279,27 @@ fn v2_bytes(ds: &Dataset, block_records: usize) -> Vec<u8> {
     )
 }
 
+/// `ds` as text, then roughed up without changing what it says: every
+/// third line ends `\r\n`, every fifth is preceded by a comment and a
+/// blank line, and every fourth carries its `__rec` field last. The
+/// writer declares attributes and nodes right before their first use,
+/// so declarations arrive in the middle of blocks as it is.
+fn rough_text(ds: &Dataset) -> Vec<u8> {
+    let text = String::from_utf8(cali::to_bytes(ds)).unwrap();
+    let mut out = String::new();
+    for (i, line) in text.lines().enumerate() {
+        if i % 5 == 0 {
+            out.push_str("# a comment, with=separators\n\n");
+        }
+        match line.split_once(',') {
+            Some((rec, rest)) if i % 4 == 1 => out.push_str(&format!("{rest},{rec}")),
+            _ => out.push_str(line),
+        }
+        out.push_str(if i % 3 == 0 { "\r\n" } else { "\n" });
+    }
+    out.into_bytes()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -295,7 +326,7 @@ proptest! {
         let (mut text, mut v1, mut v2) = (Vec::new(), Vec::new(), Vec::new());
         for (i, rows) in files.iter().enumerate() {
             let ds = dataset_of(rows);
-            text.push(write(&dir, &format!("f{i}.cali"), cali::to_bytes(&ds)));
+            text.push(write(&dir, &format!("f{i}.cali"), rough_text(&ds)));
             v1.push(write(&dir, &format!("f{i}.calb"), binary::to_binary(&ds)));
             v2.push(write(&dir, &format!("f{i}.calb2"), v2_bytes(&ds, block_records)));
         }
@@ -305,12 +336,16 @@ proptest! {
         let columns = via_scan(&spec, cap, &v2, strict);
         prop_assert_eq!(&columns, &oracle, "v2 columns vs v2 rows: {}", query);
 
+        let text_rows = via_rows(&spec, cap, &text, strict);
+        let text_columns = via_scan(&spec, cap, &text, strict);
+        prop_assert_eq!(&text_columns, &text_rows, "text columns vs text rows: {}", query);
+
         // Across encodings the reader's byte and block counts differ by
         // construction; the answer and the query's own metrics do not.
         for (what, outcome) in [
-            ("text rows", via_rows(&spec, cap, &text, strict)),
+            ("text rows", text_rows),
+            ("text scan", text_columns),
             ("v1 rows", via_rows(&spec, cap, &v1, strict)),
-            ("text scan", via_scan(&spec, cap, &text, strict)),
             ("v1 scan", via_scan(&spec, cap, &v1, strict)),
         ] {
             prop_assert_eq!(&outcome.rendered, &oracle.rendered, "{}: {}", what, query);
@@ -417,9 +452,11 @@ fn a_corrupt_block_costs_both_paths_exactly_that_block() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Work units: a file larger than `unit_records` splits at the same
-/// record for rows, at the next block boundary for columns, and merging
-/// the units in order gives the single-unit answer for exact reducers.
+/// Work units: a file larger than `unit_records` splits at the next
+/// block boundary, and merging the units in order gives the single-unit
+/// answer for exact reducers. A text file's blocks are cut every
+/// `DEFAULT_BLOCK_RECORDS` snapshot lines, so 100 lines are one block
+/// and one unit however small `unit_records` is.
 #[test]
 fn units_partition_the_file_in_stream_order() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
@@ -436,7 +473,7 @@ fn units_partition_the_file_in_stream_order() {
     )
     .unwrap();
     let whole = via_scan(&spec, None, std::slice::from_ref(&v2), ReadPolicy::Strict).rendered;
-    for (path, unit_records, units) in [(&v2, 20, 5), (&v2, 8, 13), (&text, 30, 4), (&text, 100, 1)]
+    for (path, unit_records, units) in [(&v2, 20, 5), (&v2, 8, 13), (&text, 30, 1), (&text, 100, 1)]
     {
         let dict = Dataset::new();
         let mut first = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
@@ -455,6 +492,158 @@ fn units_partition_the_file_in_stream_order() {
         }
         assert_eq!(first.finish().render(), whole);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A text file and its default v2 encoding are cut into the same
+/// blocks, so they split into the same work units — unit for unit the
+/// same partial answer — whatever `unit_records` is.
+#[test]
+fn text_and_its_v2_encoding_partition_alike() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let rows: Vec<Row> = (0..2500u32)
+        .map(|i| {
+            (
+                i as u8,
+                (i / 7) as u8,
+                0b0101_0111,
+                i as i8,
+                (i % 613) as i16,
+                (i / 3) as u8,
+            )
+        })
+        .collect();
+    let ds = dataset_of(&rows);
+    let dir = case_dir();
+    let text = write(&dir, "alike.cali", rough_text(&ds));
+    let v2 = write(&dir, "alike.calb2", caliper_format::to_binary_v2(&ds));
+    let spec = parse_query(
+        "AGGREGATE count, sum(time), max(n) GROUP BY region, label ORDER BY region, label FORMAT csv",
+    )
+    .unwrap();
+    let units_of = |path: &Path, unit_records: usize| -> Vec<String> {
+        let dict = Dataset::new();
+        let mut first = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
+        let scanned = first
+            .scan_file(path, dict, ReadPolicy::Strict, None, unit_records)
+            .unwrap();
+        assert_eq!(scanned.records, 2500);
+        assert!(scanned.dict.records.is_empty(), "no rows materialised");
+        let units = std::iter::once(first).chain(scanned.tail);
+        units.map(|unit| unit.finish().render()).collect()
+    };
+    for (unit_records, units) in [(7, 3), (1024, 3), (65_536, 1)] {
+        let as_text = units_of(&text, unit_records);
+        assert_eq!(as_text.len(), units, "unit_records {unit_records}");
+        assert_eq!(
+            as_text,
+            units_of(&v2, unit_records),
+            "unit_records {unit_records}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Corrupt each line of a text file in turn. Under a lenient policy the
+/// columnar path loses exactly that line — a snapshot row that was half
+/// appended is taken back, a lost declaration costs the lines that
+/// needed it, every other line folds — which is to say: the answer of
+/// the file *without* the line, one more skip, and the same `ReadReport`
+/// and answer as the row path. Under a strict policy both paths fail
+/// with the same error, naming the line.
+#[test]
+fn a_corrupt_line_costs_both_paths_exactly_that_line() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let rows: Vec<Row> = (0..40u8)
+        .map(|i| {
+            (
+                i,
+                i / 3,
+                0b0111_0111 ^ (i % 8),
+                i as i8 - 20,
+                i as i16 * 7,
+                i,
+            )
+        })
+        .collect();
+    let clean = String::from_utf8(rough_text(&dataset_of(&rows))).unwrap();
+    let lines: Vec<&str> = clean.split_inclusive('\n').collect();
+    let spec = parse_query(
+        "LET bin = truncate(iter, 4) AGGREGATE count, sum(time), max(n) \
+         GROUP BY region, label, bin ORDER BY region, label, bin FORMAT csv",
+    )
+    .unwrap();
+    let field = |report: &str, name: &str| -> u64 {
+        let rest = &report[report.find(&format!(" {name}: ")).unwrap() + name.len() + 3..];
+        rest[..rest.find([',', ' ']).unwrap()].parse().unwrap()
+    };
+    let dir = case_dir();
+    let lenient = ReadPolicy::lenient();
+    let mut corrupted = 0;
+    for (ordinal, line) in lines.iter().enumerate() {
+        if line.trim().is_empty() || line.starts_with('#') {
+            continue;
+        }
+        corrupted += 1;
+        let body = line.trim_end();
+        let damaged_line: Vec<u8> = if body.contains("__rec=ctx") && body.contains("data=") {
+            // Fails at its last field, after the row's entries went in.
+            format!("{body},attr=torn\n").into_bytes()
+        } else if ordinal % 2 == 0 {
+            b"no record kind, just=text\n".to_vec()
+        } else {
+            b"__rec=ctx,\xff\xfe not UTF-8\n".to_vec()
+        };
+        let splice = |middle: &[u8]| -> Vec<u8> {
+            let mut bytes = lines[..ordinal].concat().into_bytes();
+            bytes.extend_from_slice(middle);
+            bytes.extend_from_slice(lines[ordinal + 1..].concat().as_bytes());
+            bytes
+        };
+        let damaged = [write(
+            &dir,
+            &format!("damaged{ordinal}.cali"),
+            splice(&damaged_line),
+        )];
+        let without = [write(&dir, &format!("without{ordinal}.cali"), splice(b""))];
+
+        let oracle = via_rows(&spec, None, &damaged, lenient);
+        let columns = via_scan(&spec, None, &damaged, lenient);
+        assert_eq!(columns, oracle, "line {}", ordinal + 1);
+        let removed = via_scan(&spec, None, &without, lenient);
+        assert_eq!(columns.rendered, removed.rendered, "line {}", ordinal + 1);
+        let (got, want) = (&columns.reports[0], &removed.reports[0]);
+        assert_eq!(field(got, "skipped"), field(want, "skipped") + 1, "{got}");
+        assert_eq!(field(got, "records"), field(want, "records"), "{got}");
+        assert_eq!(
+            field(got, "dangling_dropped"),
+            field(want, "dangling_dropped"),
+            "{got}"
+        );
+        assert!(got.contains("truncated: false"), "{got}");
+        assert!(
+            got.contains(&format!("parse error at line {}:", ordinal + 1)),
+            "{got}"
+        );
+
+        // Strict: the same first error from both paths, naming the line.
+        let dict = Dataset::new();
+        let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
+        let scan_err = pipeline
+            .scan_file(&damaged[0], dict, ReadPolicy::Strict, None, usize::MAX)
+            .err()
+            .expect("strict scan of a corrupt line fails");
+        let rows_err =
+            read_path_into_filtered(&damaged[0], Dataset::new(), ReadPolicy::Strict, None)
+                .expect_err("strict read of a corrupt line fails");
+        assert_eq!(scan_err.to_string(), rows_err.to_string());
+        let named = format!(
+            "damaged{ordinal}.cali: parse error at line {}:",
+            ordinal + 1
+        );
+        assert!(scan_err.to_string().contains(&named), "{scan_err}");
+    }
+    assert!(corrupted > 50, "{corrupted} lines corrupted");
     std::fs::remove_dir_all(&dir).ok();
 }
 

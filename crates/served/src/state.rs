@@ -24,14 +24,11 @@
 //! while queries keep serving the warm state — graceful degradation,
 //! not collapse.
 
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 use caliper_data::{AttrId, Deadline, FlatRecord, Properties, Value, ValueType};
 use caliper_format::journal::{recover_file_cancellable, RecoveryReport};
-use caliper_format::{
-    CaliReader, Dataset, FlushPolicy, JournalWriter, ReadPolicy, ReadReport, SEQ_ATTR,
-};
+use caliper_format::{CaliReader, Dataset, FlushPolicy, JournalWriter, ReadPolicy, SEQ_ATTR};
 use caliper_query::{AggregationSpec, Aggregator};
 
 use crate::config::ServedConfig;
@@ -213,21 +210,18 @@ impl StreamState {
     }
 
     fn try_process(&mut self, payload: &[u8]) -> Result<BatchAck, String> {
-        // Parse into the stream's dataset. Strict: a bad line rejects
-        // the batch (read_line_with validates before mutating, so the
-        // record list holds exactly the valid prefix, which we drop).
-        let before = self.ds.records.len();
-        let ds = std::mem::take(&mut self.ds);
-        let mut reader = CaliReader::into_dataset(ds);
-        let mut report = ReadReport::default();
-        let parse =
-            reader.read_stream_with(BufReader::new(payload), ReadPolicy::Strict, &mut report);
+        // Decode the whole batch before anything is stamped, journaled
+        // or folded. Strict: a bad line rejects the batch. The stream's
+        // dataset keeps the batch's dictionary and nothing else — the
+        // records are taken out here, dropped if the batch is rejected,
+        // and so are its globals, which the daemon has no use for and
+        // which would otherwise pile up for as long as it runs.
+        let mut reader = CaliReader::into_dataset(std::mem::take(&mut self.ds));
+        let parse = reader.read_stream(payload);
         self.ds = reader.finish();
-        if let Err(e) = parse {
-            self.ds.records.truncate(before);
-            return Err(format!("batch rejected: {e}"));
-        }
-        let records: Vec<_> = self.ds.records.drain(before..).collect();
+        let records = std::mem::take(&mut self.ds.records);
+        self.ds.globals.clear();
+        parse.map_err(|e| format!("batch rejected: {e}"))?;
         if records.is_empty() {
             return Err("batch rejected: no records".to_string());
         }
@@ -399,6 +393,72 @@ mod tests {
         assert!(err.contains("degraded"), "{err}");
         // ...but queries still serve the warm state.
         assert_eq!(render(&state), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch the way the runtime writes a stream: a globals line ahead
+    /// of the snapshots.
+    fn batch_with_globals(kernels: &[(&str, i64)]) -> Vec<u8> {
+        let mut bytes = b"__rec=attr,id=90,name=run,type=string,prop=global\n\
+                          __rec=globals,attr=90,data=nightly\n"
+            .to_vec();
+        bytes.extend_from_slice(&batch(kernels));
+        bytes
+    }
+
+    #[test]
+    fn a_resident_stream_keeps_no_globals_and_no_records() {
+        let dir = tmpdir("globals");
+        let cfg = ServedConfig {
+            max_stream_failures: u32::MAX,
+            ..test_cfg(&dir)
+        };
+        let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        let good = batch_with_globals(&[("a", 1), ("b", 2)]);
+        let mut bad = batch_with_globals(&[("a", 1)]);
+        bad.extend_from_slice(b"__rec=ctx,attr=4000,data=1\n");
+        for round in 0..1000 {
+            state.process_batch(&good).unwrap();
+            if round % 10 == 0 {
+                assert!(state.process_batch(&bad).is_err());
+            }
+            assert!(state.ds.globals.is_empty() && state.ds.records.is_empty());
+        }
+        assert_eq!(state.accepted_batches(), 1000);
+        assert_eq!(state.accepted_records(), 2000);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bad_line_at_any_ordinal_rejects_the_batch_whole() {
+        let dir = tmpdir("ordinals");
+        let cfg = ServedConfig {
+            max_stream_failures: u32::MAX,
+            ..test_cfg(&dir)
+        };
+        let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        state.process_batch(&batch(&[("a", 10), ("b", 5)])).unwrap();
+        let journal = journal_path(&dir, "s1");
+        let (rows, bytes) = (render(&state), std::fs::read(&journal).unwrap());
+
+        let clean = batch_with_globals(&[("a", 1), ("c", 2), ("b", 3), ("c", 4)]);
+        let lines: Vec<&[u8]> = clean.split_inclusive(|&b| b == b'\n').collect();
+        for ordinal in 0..=lines.len() {
+            let mut damaged = lines[..ordinal].concat();
+            damaged.extend_from_slice(match ordinal % 3 {
+                0 => b"__rec=ctx,attr=0,data=x,attr=torn\n".as_slice(),
+                1 => b"\xff\xfe\n".as_slice(),
+                _ => b"__rec=ctx,ref=77\n".as_slice(),
+            });
+            damaged.extend_from_slice(&lines[ordinal..].concat());
+            let err = state.process_batch(&damaged).unwrap_err();
+            assert!(err.contains(&format!("line {}", ordinal + 1)), "{err}");
+            assert_eq!(render(&state), rows, "bad line at {ordinal}");
+            let journaled = std::fs::read(&journal).unwrap();
+            assert_eq!(journaled, bytes, "bad line at {ordinal}");
+        }
+        // The stream is none the worse: the clean batch is accepted whole.
+        assert_eq!(state.process_batch(&clean).unwrap().records, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,7 +14,18 @@ cargo test -q --workspace
 # byte-identical across text / v1 / v2 and --threads 1|2, and the traced
 # replay through the row API equal to the binaries' columnar answers.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --quick > /dev/null
+# The traced half of that run counts allocations exactly (the counting
+# allocator lives in the benchmark; the crates forbid `unsafe`), which
+# makes it the place to hold the text decoder to "no allocation per
+# field": one `Vec` per record for the row API, plus set-up spread over
+# the smoke run's few hundred records.
+bench_out=$(cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --quick)
+text_allocs=$(printf '%s\n' "$bench_out" \
+    | awk '$1 == "format.text_decode_allocs_per_rec" { print $2 }')
+awk -v allocs="$text_allocs" 'BEGIN { exit !(allocs != "" && allocs < 1.5) }' || {
+    echo "check.sh: format.text_decode_allocs_per_rec is '${text_allocs}', expected < 1.5" >&2
+    exit 1
+}
 cargo clippy --workspace --all-targets -q -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

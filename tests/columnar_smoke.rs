@@ -1,7 +1,7 @@
-//! Tier-1 smoke of the row/column equality: a CALB v2 file scanned as
-//! columns (`Pipeline::scan_file`) answers exactly what the same records
-//! answer as rows. The full differential suite lives in
-//! `crates/query/tests/columnar_differential.rs`.
+//! Tier-1 smoke of the row/column equality: a CALB v2 file and a text
+//! `.cali` file scanned as columns (`Pipeline::scan_file`) answer exactly
+//! what the same records answer as rows. The full differential suite
+//! lives in `crates/query/tests/columnar_differential.rs`.
 
 use std::sync::Arc;
 
@@ -12,6 +12,15 @@ use miniapps::{CleverLeaf, CleverLeafParams};
 
 #[test]
 fn v2_columns_answer_what_rows_answer() {
+    columns_answer_what_rows_answer(false);
+}
+
+#[test]
+fn text_columns_answer_what_rows_answer() {
+    columns_answer_what_rows_answer(true);
+}
+
+fn columns_answer_what_rows_answer(text: bool) {
     // CleverLeaf: node references with nested `function` paths.
     let app = CleverLeaf::new(CleverLeafParams {
         timesteps: 2,
@@ -19,14 +28,22 @@ fn v2_columns_answer_what_rows_answer() {
         ..Default::default()
     });
     let ds = app.run_all(&Config::event_trace()).remove(0);
-    let dir = std::env::temp_dir().join(format!("caliper-columnar-smoke-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "caliper-columnar-smoke-{}-{text}",
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("rank0.calb2");
     let opts = V2WriteOptions {
         block_records: 32,
         footer: true,
     };
-    std::fs::write(&path, caliper_format::to_binary_v2_with(&ds, &opts)).unwrap();
+    let bytes = if text {
+        caliper_format::cali::to_bytes(&ds)
+    } else {
+        caliper_format::to_binary_v2_with(&ds, &opts)
+    };
+    let path = dir.join("rank0.data");
+    std::fs::write(&path, bytes).unwrap();
 
     for query in [
         "AGGREGATE count, sum(time.duration) GROUP BY function, kernel ORDER BY function, kernel",
