@@ -14,7 +14,11 @@
 //! * a slow query returns a prompt 408 partial-with-warning, not a
 //!   wedged connection;
 //! * graceful shutdown (`POST /shutdown`) drains, exits 0, and a
-//!   restart answers the pre-shutdown query byte-identically.
+//!   restart answers the pre-shutdown query byte-identically — every
+//!   time, with the `draining` reply read in full before the exit;
+//! * a worker wedged past `served.shutdown.deadline.ms` ends the drain
+//!   at the deadline, and a batch no worker is left to process ends it
+//!   at once: exit 2, `drained=false` on stderr.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -61,6 +65,12 @@ struct Daemon {
 impl Daemon {
     /// Spawn `cali-served` over `dir` and wait until it is ready.
     fn start(dir: &Path, extra: &[&str]) -> Daemon {
+        Daemon::start_with(dir, extra, &[], Stdio::null())
+    }
+
+    /// [`start`](Self::start) with environment variables and a place
+    /// for the daemon's stderr.
+    fn start_with(dir: &Path, extra: &[&str], env: &[(&str, &str)], stderr: Stdio) -> Daemon {
         std::fs::create_dir_all(dir).unwrap();
         let ports = dir.join("ports.txt");
         let _ = std::fs::remove_file(&ports);
@@ -71,8 +81,9 @@ impl Daemon {
             .arg(&ports)
             .args(["--aggregate", "count,sum(time)", "--group-by", "kernel"])
             .args(extra)
+            .envs(env.iter().copied())
             .stdout(Stdio::null())
-            .stderr(Stdio::null())
+            .stderr(stderr)
             .spawn()
             .expect("spawn cali-served");
         let deadline = Instant::now() + Duration::from_secs(20);
@@ -151,21 +162,24 @@ impl Daemon {
         client
     }
 
-    /// Graceful drain; asserts the daemon's exit code.
-    fn shutdown(mut self, expect_exit: i32) {
-        let (status, _) = self.http_req("POST", "/shutdown").unwrap();
-        assert_eq!(status, 200);
-        let deadline = Instant::now() + Duration::from_secs(20);
+    /// Graceful drain; asserts that the reply arrived whole and the
+    /// daemon's exit code. Returns request → exit.
+    fn shutdown(mut self, expect_exit: i32) -> Duration {
+        let started = Instant::now();
+        let reply = self.http_req("POST", "/shutdown").unwrap();
+        assert_eq!(reply, (200, "draining\n".to_string()));
+        let deadline = started + Duration::from_secs(20);
         loop {
             if let Some(status) = self.child.try_wait().unwrap() {
                 assert_eq!(status.code(), Some(expect_exit), "daemon exit code");
                 break;
             }
             assert!(Instant::now() < deadline, "daemon never exited after drain");
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::sleep(Duration::from_millis(5));
         }
         // Prevent the Drop kill from firing on the reaped child.
         std::mem::forget(self);
+        started.elapsed()
     }
 }
 
@@ -370,15 +384,132 @@ fn graceful_shutdown_drains_and_restart_matches() {
     assert_eq!(status, 200, "{after}");
     assert_eq!(after, before, "graceful restart changed the answer");
     // Draining daemons refuse new batches instead of dropping them.
+    // The client is connected first: an idle daemon has nothing to
+    // drain and may be gone before a connection could be made.
+    let mut client = daemon.client("late");
     let (s, _) = daemon.http_req("POST", "/shutdown").unwrap();
     assert_eq!(s, 200);
-    let mut client = IngestClient::connect(daemon.ingest, Duration::from_secs(10)).unwrap();
-    if client.hello("late").is_ok() {
-        // An I/O error (connection closed during drain) is also fine;
-        // only an accepted batch would be a bug.
-        if let Ok(reply) = client.send_batch(&batch_payload(9, 3)) {
-            assert!(!reply.is_ok(), "draining daemon accepted a batch");
-        }
+    // An I/O error (connection closed by the exit) is also fine; only
+    // an accepted batch would be a bug.
+    if let Ok(reply) = client.send_batch(&batch_payload(9, 3)) {
+        assert!(!reply.is_ok(), "draining daemon accepted a batch");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Spawn, ingest, drain, over and over on one data directory: every
+/// cycle reads the whole `draining` reply and its batch's `OK seq=`,
+/// sees exit 0, and the restart answers the same bytes. (The order
+/// "reply written, then exit" itself is pinned in-process, by
+/// `drain_finishes_admitted_batches_and_refuses_new_ones`.)
+#[test]
+fn every_shutdown_cycle_answers_in_full_and_restarts_identically() {
+    let dir = tmpdir("cycles");
+    let mut before: Option<String> = None;
+    for cycle in 0..3 {
+        let daemon = Daemon::start(&dir, &[]);
+        if let Some(before) = &before {
+            let (status, after) = daemon.query();
+            assert_eq!(status, 200, "{after}");
+            assert_eq!(&after, before, "cycle {cycle}: restart changed the answer");
+        }
+        let mut client = daemon.client("rank0");
+        let ack = client.send_batch(&batch_payload(cycle, 6)).unwrap();
+        assert!(
+            matches!(&ack, Reply::Ok(detail) if detail.starts_with("seq=")),
+            "cycle {cycle}: {}",
+            ack.to_line()
+        );
+        let (status, answer) = daemon.query();
+        assert_eq!(status, 200, "{answer}");
+        before = Some(answer);
+        daemon.shutdown(0);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wedged_worker_ends_the_drain_at_the_deadline_with_exit_2() {
+    let dir = tmpdir("drain-deadline");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stderr_path = dir.join("stderr.txt");
+    // One worker that holds every batch for 1.5 s, and a drain budget
+    // of 100 ms.
+    let daemon = Daemon::start_with(
+        &dir,
+        &["--workers", "1", "--faults", "served.ingest=delay(1500)"],
+        &[("CALI_SERVED_SHUTDOWN_DEADLINE_MS", "100")],
+        Stdio::from(std::fs::File::create(&stderr_path).unwrap()),
+    );
+    // Two batches in flight: once one of them waits in the queue, the
+    // worker holds the other, or is about to. Either way the drain
+    // below has 1.5 s of admitted work ahead of it.
+    let senders: Vec<_> = (0..2)
+        .map(|i| {
+            let mut client = daemon.client(&format!("s{i}"));
+            std::thread::spawn(move || client.send_batch(&batch_payload(i, 6)))
+        })
+        .collect();
+    let patience = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, detail) = daemon.http_req("GET", "/readyz").unwrap();
+        if detail.contains("queue_depth=1/64") {
+            break;
+        }
+        assert!(Instant::now() < patience, "batches never queued: {detail}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let wall = daemon.shutdown(2);
+    assert!(
+        wall >= Duration::from_millis(100) && wall < Duration::from_secs(1),
+        "an incomplete drain must end at the 100 ms deadline, took {wall:?}"
+    );
+    let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+    assert!(stderr.contains("degraded exit: drained=false"), "{stderr}");
+    for sender in senders {
+        // The daemon left before either verdict: no ack, no promise.
+        assert!(!matches!(sender.join().unwrap(), Ok(Reply::Ok(_))));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn drain_does_not_wait_for_a_verdict_no_worker_is_left_to_give() {
+    let dir = tmpdir("drain-tripped");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stderr_path = dir.join("stderr.txt");
+    // One worker with no restart budget, killed by its first batch: the
+    // batch goes back to the queue and stays there, its handler waiting
+    // for a verdict. The drain deadline is the default 10 s.
+    let daemon = Daemon::start_with(
+        &dir,
+        &["--workers", "1", "--max-restarts", "0", "--faults", "served.ingest=fail(1)"],
+        &[],
+        Stdio::from(std::fs::File::create(&stderr_path).unwrap()),
+    );
+    let mut client = daemon.client("s0");
+    let sender = std::thread::spawn(move || client.send_batch(&batch_payload(0, 6)));
+    let patience = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (_, stats) = daemon.http_req("GET", "/stats").unwrap();
+        if stats.contains("served.supervisor.restarts=1") {
+            break;
+        }
+        assert!(Instant::now() < patience, "worker never tripped:\n{stats}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let wall = daemon.shutdown(2);
+    assert!(
+        wall < Duration::from_secs(5),
+        "nothing to wait for, yet the drain took {wall:?}"
+    );
+    let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+    assert!(
+        stderr.contains("degraded exit: drained=false tripped_workers=1"),
+        "{stderr}"
+    );
+    assert!(!matches!(sender.join().unwrap(), Ok(Reply::Ok(_))));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -30,6 +30,10 @@ pub struct Request {
     pub params: BTreeMap<String, String>,
 }
 
+/// Most header lines a request may carry (each at most
+/// [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES) long).
+const MAX_HEADER_LINES: usize = 100;
+
 /// Decode `%xx` escapes and `+`-as-space in a query component. Invalid
 /// escapes are kept literally (lenient, like browsers).
 pub fn percent_decode(s: &str) -> String {
@@ -84,10 +88,16 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
         }
     };
     // Drain headers up to the blank line; none are interpreted.
-    loop {
+    for header in 0.. {
         match crate::protocol::read_line(reader)? {
             Some(line) if line.is_empty() => break,
-            Some(_) => continue,
+            Some(_) if header < MAX_HEADER_LINES => continue,
+            Some(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("more than {MAX_HEADER_LINES} header lines"),
+                ))
+            }
             None => break,
         }
     }
@@ -165,6 +175,37 @@ mod tests {
     fn empty_connection_is_none_and_garbage_is_error() {
         assert_eq!(read_request(&mut Cursor::new(b"".to_vec())).unwrap(), None);
         assert!(read_request(&mut Cursor::new(b"NONSENSE\r\n\r\n".to_vec())).is_err());
+    }
+
+    #[test]
+    fn oversized_requests_are_refused_without_reading_them_out() {
+        let mut endless = Cursor::new(vec![b'G'; 1 << 20]);
+        let err = read_request(&mut endless).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            endless.position(),
+            crate::protocol::MAX_LINE_BYTES as u64 + 1
+        );
+
+        let request = |headers: usize| {
+            Cursor::new(format!(
+                "GET /healthz HTTP/1.1\r\n{}\r\n",
+                "X-Pad: 1\r\n".repeat(headers)
+            ))
+        };
+        let mut flood = request(10_000);
+        let err = read_request(&mut flood).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "more than 100 header lines");
+        assert!(
+            flood.position() < 2048,
+            "read {} bytes of headers",
+            flood.position()
+        );
+        let accepted = read_request(&mut request(MAX_HEADER_LINES))
+            .unwrap()
+            .unwrap();
+        assert_eq!(accepted.path, "/healthz");
     }
 
     #[test]

@@ -120,13 +120,23 @@ impl Command {
     }
 }
 
+/// Longest command, reply, request or header line accepted, without
+/// its terminator. The peer chooses the length, so it is bounded.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
 /// Read one `\n`-terminated line (returned without the terminator).
-/// `Ok(None)` = clean EOF before any byte.
+/// `Ok(None)` = clean EOF before any byte; `InvalidData` for a line
+/// over [`MAX_LINE_BYTES`], with at most one byte more than that read.
 pub fn read_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut buf = Vec::new();
-    let n = reader.read_until(b'\n', &mut buf)?;
+    let mut capped = reader.take(MAX_LINE_BYTES as u64 + 1);
+    let n = capped.read_until(b'\n', &mut buf)?;
     if n == 0 {
         return Ok(None);
+    }
+    if n > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+        let msg = format!("line exceeds {MAX_LINE_BYTES} bytes");
+        return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
     }
     while buf.last().is_some_and(|b| *b == b'\n' || *b == b'\r') {
         buf.pop();
@@ -296,6 +306,23 @@ mod tests {
         let elapsed = start.elapsed();
         server.join().unwrap();
         assert!(elapsed < Duration::from_secs(2), "{BATCHES} batches took {elapsed:?}");
+    }
+
+    #[test]
+    fn read_line_stops_buffering_one_byte_past_the_cap() {
+        // A megabyte without a newline: refused, with the rest unread.
+        let mut endless = io::Cursor::new(vec![b'x'; 1 << 20]);
+        let err = read_line(&mut endless).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line exceeds 8192 bytes");
+        assert_eq!(endless.position(), MAX_LINE_BYTES as u64 + 1);
+
+        // The longest line allowed, terminated or cut off by EOF.
+        let longest = "y".repeat(MAX_LINE_BYTES);
+        let mut buf = io::Cursor::new(format!("{longest}\n{longest}").into_bytes());
+        assert_eq!(read_line(&mut buf).unwrap().as_deref(), Some(&*longest));
+        assert_eq!(read_line(&mut buf).unwrap().as_deref(), Some(&*longest));
+        assert_eq!(read_line(&mut buf).unwrap(), None);
     }
 
     #[test]

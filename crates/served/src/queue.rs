@@ -6,25 +6,31 @@
 //! handler turns that into a `BUSY retry-after` reply, pushing the wait
 //! out to the client instead of absorbing it into unbounded memory or a
 //! blocked accept loop (the ESS streaming lesson: overload must be
-//! explicit). Consumers (ingest workers) block on
-//! [`BoundedQueue::pop_timeout`] with a short timeout so they can poll
-//! the shutdown flag between batches.
+//! explicit). Consumers (ingest workers) block in [`BoundedQueue::pop`]
+//! until there is a batch; the drain's [`BoundedQueue::close`] refuses
+//! further pushes and wakes them all, and `pop` reports the end only
+//! once the closed queue is also empty, so a drain loses nothing.
 //!
 //! [`BoundedQueue::requeue_front`] deliberately bypasses the capacity
-//! check: it is the crash-redelivery path — a worker that is about to
-//! die mid-batch puts the batch *back at the head* so the restarted
-//! worker picks it up first and no accepted work is lost. Allowing the
-//! queue to briefly hold `capacity + 1` items is the price of never
-//! dropping a batch on the floor during a panic.
+//! check (and `close`): it is the crash-redelivery path — a worker that
+//! is about to die mid-batch puts the batch *back at the head* so the
+//! restarted worker picks it up first and no accepted work is lost.
+//! Allowing the queue to briefly hold `capacity + 1` items is the price
+//! of never dropping a batch on the floor during a panic.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// A fixed-capacity MPMC queue with non-blocking producers.
+#[derive(Debug)]
+struct Inner<T> {
+    items: VecDeque<T>,
+    closed: bool,
+}
+
+/// A fixed-capacity, closeable MPMC queue with non-blocking producers.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
-    inner: Mutex<VecDeque<T>>,
+    inner: Mutex<Inner<T>>,
     capacity: usize,
     ready: Condvar,
 }
@@ -33,52 +39,65 @@ impl<T> BoundedQueue<T> {
     /// A queue holding at most `capacity` items (≥ 1).
     pub fn new(capacity: usize) -> BoundedQueue<T> {
         BoundedQueue {
-            inner: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
+            inner: Mutex::new(Inner {
+                items: VecDeque::with_capacity(capacity.max(1)),
+                closed: false,
+            }),
             capacity: capacity.max(1),
             ready: Condvar::new(),
         }
     }
 
-    /// Non-blocking push: `Err(item)` when the queue is full, handing
-    /// the item back so the caller can reply `BUSY` without cloning.
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Non-blocking push: `Err(item)` when the queue is full or closed,
+    /// handing the item back so the caller can reply without cloning.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if q.len() >= self.capacity {
+        let mut q = self.lock();
+        if q.closed || q.items.len() >= self.capacity {
             return Err(item);
         }
-        q.push_back(item);
+        q.items.push_back(item);
         drop(q);
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Put an item back at the *head*, ignoring capacity — the
-    /// crash-redelivery path (see module docs). Never fails.
+    /// Put an item back at the *head*, ignoring capacity and `close` —
+    /// the crash-redelivery path (see module docs). Never fails.
     pub fn requeue_front(&self, item: T) {
-        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_front(item);
-        drop(q);
+        self.lock().items.push_front(item);
         self.ready.notify_one();
     }
 
-    /// Blocking pop with a timeout; `None` when the queue stayed empty
-    /// for the whole wait (the worker's cue to poll shutdown).
-    pub fn pop_timeout(&self, wait: Duration) -> Option<T> {
-        let mut q = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(item) = q.pop_front() {
-            return Some(item);
+    /// Blocking pop: waits for an item; `None` once the queue is closed
+    /// *and* empty (the worker's cue to exit).
+    pub fn pop(&self) -> Option<T> {
+        let mut q = self.lock();
+        loop {
+            if let Some(item) = q.items.pop_front() {
+                return Some(item);
+            }
+            if q.closed {
+                return None;
+            }
+            q = self.ready.wait(q).unwrap_or_else(|e| e.into_inner());
         }
-        let (mut q, _timed_out) = self
-            .ready
-            .wait_timeout(q, wait)
-            .unwrap_or_else(|e| e.into_inner());
-        q.pop_front()
+    }
+
+    /// Refuse every later [`try_push`](Self::try_push) and wake every
+    /// blocked [`pop`](Self::pop); what is queued is still handed out.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 
     /// Current depth (racy by nature; used for the depth gauge and the
     /// readiness high-watermark check).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.lock().items.len()
     }
 
     /// True when nothing is queued.
@@ -95,7 +114,7 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn try_push_fails_fast_at_capacity() {
@@ -105,7 +124,7 @@ mod tests {
         // Full: the rejected item comes back, and nothing blocks.
         assert_eq!(q.try_push(3), Err(3));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_timeout(Duration::ZERO), Some(1));
+        assert_eq!(q.pop(), Some(1));
         assert!(q.try_push(3).is_ok());
     }
 
@@ -115,26 +134,81 @@ mod tests {
         assert!(q.try_push("queued").is_ok());
         q.requeue_front("redelivered");
         assert_eq!(q.len(), 2, "redelivery may exceed capacity by one");
-        assert_eq!(q.pop_timeout(Duration::ZERO), Some("redelivered"));
-        assert_eq!(q.pop_timeout(Duration::ZERO), Some("queued"));
+        assert_eq!(q.pop(), Some("redelivered"));
+        assert_eq!(q.pop(), Some("queued"));
     }
 
     #[test]
-    fn pop_timeout_returns_none_when_empty() {
+    fn pop_returns_none_when_closed_and_empty() {
         let q: BoundedQueue<u32> = BoundedQueue::new(4);
-        let start = std::time::Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), None);
-        assert!(start.elapsed() >= Duration::from_millis(5));
+        q.close();
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None, "the end is reported to every caller");
     }
 
     #[test]
     fn pop_wakes_on_push_from_another_thread() {
         let q = Arc::new(BoundedQueue::new(4));
         let q2 = Arc::clone(&q);
-        let t = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
+        let started = Arc::new(Barrier::new(2));
+        let started2 = Arc::clone(&started);
+        let t = std::thread::spawn(move || {
+            started2.wait();
+            q2.pop()
+        });
+        // Whether the push lands before the pop or wakes it, the item
+        // must arrive: there is no timeout to fall back on.
+        started.wait();
         q.try_push(42u32).unwrap();
         assert_eq!(t.join().unwrap(), Some(42));
+    }
+
+    #[test]
+    fn close_wakes_every_blocked_pop() {
+        const POPPERS: usize = 4;
+        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
+        let started = Arc::new(Barrier::new(POPPERS + 1));
+        let poppers: Vec<_> = (0..POPPERS)
+            .map(|_| {
+                let (q, started) = (Arc::clone(&q), Arc::clone(&started));
+                std::thread::spawn(move || {
+                    started.wait();
+                    q.pop()
+                })
+            })
+            .collect();
+        started.wait();
+        q.close();
+        // A popper that `close` failed to wake would hang this join.
+        for popper in poppers {
+            assert_eq!(popper.join().unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn close_refuses_pushes_and_hands_out_what_was_queued_in_order() {
+        let q = BoundedQueue::new(4);
+        for i in 0..3 {
+            q.try_push(i).unwrap();
+        }
+        q.close();
+        assert_eq!(q.try_push(3), Err(3), "a closed queue admits nothing");
+        assert_eq!(q.len(), 3);
+        assert_eq!([q.pop(), q.pop(), q.pop()], [Some(0), Some(1), Some(2)]);
+        assert_eq!(q.pop(), None);
+    }
+
+    /// A worker killed during the drain puts its batch back: the queue
+    /// is closed, not empty, so the restarted worker still gets it.
+    #[test]
+    fn requeue_front_after_close_is_still_delivered() {
+        let q = BoundedQueue::new(1);
+        q.try_push("in flight").unwrap();
+        q.close();
+        let batch = q.pop().unwrap();
+        q.requeue_front(batch);
+        assert_eq!(q.pop(), Some("in flight"));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -44,6 +44,26 @@ if grep -rn --include='*.rs' 'unsafe' src crates vendor | grep -v 'forbid(unsafe
     exit 1
 fi
 
+# No-timer gate: every cali-served thread blocks on the event it waits
+# for (DESIGN.md §11), so outside the tests the crate may neither poll
+# (a non-blocking listener, a timed pop, a JoinHandle asked whether it
+# is finished) nor sleep, except in its three back-offs, one per file:
+# the client's BUSY retry, a failed accept(), the supervisor's restart.
+served_src=$(for f in crates/served/src/*.rs; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+done)
+if printf '%s\n' "$served_src" | grep -E 'set_nonblocking|pop_timeout|is_finished|WouldBlock'; then
+    echo "check.sh: crates/served polls (listed above)" >&2
+    exit 1
+fi
+served_sleeps=$(printf '%s\n' "$served_src" | grep -F 'sleep(' | cut -d: -f1 | uniq -c | tr -s ' \n' ' ')
+want_sleeps=" 1 crates/served/src/protocol.rs 1 crates/served/src/server.rs 1 crates/served/src/supervisor.rs "
+if [ "$served_sleeps" != "$want_sleeps" ]; then
+    printf '%s\n' "$served_src" | grep -F 'sleep(' >&2
+    echo "check.sh: crates/served sleeps outside its three back-offs (all sleeps listed above)" >&2
+    exit 1
+fi
+
 # Static-analysis gate: every golden check fixture must produce its
 # pinned diagnostics (asserted byte-for-byte by the check_golden test
 # in `cargo test` above); here, re-assert the exit-code contract over
@@ -345,10 +365,11 @@ done
 echo "check.sh: chaos smoke: deterministic degraded reads, fuzzed corpus never panics"
 
 # Resident-daemon smoke (docs/SERVED.md): start cali-served, ingest the
-# golden corpus over TCP, query it over HTTP, drain it gracefully
-# (exit 0), restart over the same journals, and verify the recovered
-# answer byte-identically. Every client call carries a socket timeout,
-# so a wedged daemon fails the gate instead of hanging it.
+# golden corpus over TCP, query it over HTTP, drain it gracefully (the
+# client reads the whole `draining` reply, then the daemon exits 0),
+# restart over the same journals, and verify the recovered answer
+# byte-identically. Every client call carries a socket timeout, so a
+# wedged daemon fails the gate instead of hanging it.
 served=./target/release/cali-served
 sq="SELECT function, count, sum#time.duration, stream ORDER BY stream, function FORMAT csv"
 start_served() {
@@ -370,6 +391,20 @@ start_served() {
     served_http="127.0.0.1:$(sed -n 's/^http=//p' "$smoke/served-ports")"
     served_ingest="127.0.0.1:$(sed -n 's/^ingest=//p' "$smoke/served-ports")"
 }
+stop_served() {
+    reply=$("$served" --http "$served_http" --timeout-ms 10000 --shutdown)
+    if [ "$reply" != "draining" ]; then
+        echo "check.sh: cali-served --shutdown printed '$reply', expected 'draining'" >&2
+        exit 1
+    fi
+    rc=0
+    wait "$served_pid" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "check.sh: cali-served graceful drain exited $rc, expected 0" >&2
+        cat "$smoke/served.log" >&2
+        exit 1
+    fi
+}
 start_served
 "$served" --http "$served_http" --timeout-ms 10000 --probe /readyz > /dev/null
 "$served" --connect "$served_ingest" --timeout-ms 10000 --stream rank0 \
@@ -378,22 +413,11 @@ start_served
     "$golden/data/rank1.cali" > /dev/null
 "$served" --http "$served_http" --timeout-ms 10000 --client-query "$sq" \
     > "$smoke/served-before.csv"
-"$served" --http "$served_http" --timeout-ms 10000 --shutdown > /dev/null
-rc=0
-wait "$served_pid" || rc=$?
-if [ "$rc" -ne 0 ]; then
-    echo "check.sh: cali-served graceful drain exited $rc, expected 0" >&2
-    cat "$smoke/served.log" >&2
-    exit 1
-fi
+stop_served
 start_served
 "$served" --http "$served_http" --timeout-ms 10000 --client-query "$sq" \
     > "$smoke/served-after.csv"
-"$served" --http "$served_http" --timeout-ms 10000 --shutdown > /dev/null
-wait "$served_pid" || {
-    echo "check.sh: restarted cali-served drain failed" >&2
-    exit 1
-}
+stop_served
 cmp -s "$smoke/served-before.csv" "$smoke/served-after.csv" || {
     echo "check.sh: cali-served recovered answer differs from pre-restart answer" >&2
     exit 1
