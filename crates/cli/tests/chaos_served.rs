@@ -9,6 +9,10 @@
 //!   result is byte-identical to a fault-free run;
 //! * `kill -9` + restart reproduces every acknowledged batch
 //!   byte-identically (ack-after-flush + journal replay);
+//! * everything a query serves is durable: a batch whose journal write
+//!   fails is answered `DEGRADED` and contributes nothing to the warm
+//!   state — the degraded daemon, and a restart over the same journals,
+//!   answer what was answered before the batch;
 //! * a full ingest queue answers `BUSY` promptly — clients never hang —
 //!   and the well-behaved retry loop eventually lands every batch;
 //! * a slow query returns a prompt 408 partial-with-warning, not a
@@ -265,6 +269,59 @@ fn sigkill_then_restart_is_byte_identical() {
     let (status, after) = daemon.query();
     assert_eq!(status, 200, "{after}");
     assert_eq!(after, before, "acknowledged batches lost across kill -9");
+    daemon.shutdown(0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_batch_the_journal_refuses_is_not_served() {
+    // Every warm row in full: one more record in any group shows.
+    fn warm_rows(daemon: &Daemon) -> (u16, String) {
+        let path = "/query?q=SELECT+*+ORDER+BY+stream%2Ckernel+FORMAT+csv";
+        daemon.http_req("GET", path).unwrap()
+    }
+    let dir = tmpdir("journal-refuses");
+    // A first life without faults, so there is acknowledged state.
+    let daemon = Daemon::start(&dir, &[]);
+    for ack in ingest_standard(&daemon) {
+        assert!(ack.is_ok(), "{}", ack.to_line());
+    }
+    let (status, acknowledged) = warm_rows(&daemon);
+    assert_eq!(status, 200, "{acknowledged}");
+    daemon.shutdown(0);
+
+    // A second life in which no journal write succeeds. The batch is
+    // decoded and stamped, its journal flush fails — and so it must not
+    // reach the warm aggregate either.
+    let daemon = Daemon::start(&dir, &["--faults", "journal.write=err(1.0)"]);
+    let (status, before) = warm_rows(&daemon);
+    assert_eq!((status, &before), (200, &acknowledged), "replay");
+    let mut client = daemon.client("rank0");
+    let reply = client.send_batch(&batch_payload(5, 2)).unwrap();
+    match &reply {
+        Reply::Degraded(reason) => assert!(
+            reason.starts_with("journal flush: ") && !reason.contains("may exceed"),
+            "{reason}"
+        ),
+        other => panic!("expected DEGRADED, got {}", other.to_line()),
+    }
+    // The breaker is open for that stream; the other one is refused by
+    // its own journal the same way.
+    assert!(matches!(client.send_batch(&batch_payload(6, 2)).unwrap(), Reply::Degraded(_)));
+    let _ = client.quit();
+    let mut other = daemon.client("rank1");
+    assert!(matches!(other.send_batch(&batch_payload(7, 3)).unwrap(), Reply::Degraded(_)));
+    let _ = other.quit();
+    let (status, degraded) = warm_rows(&daemon);
+    assert_eq!(status, 200, "{degraded}");
+    assert_eq!(degraded, before, "an unacknowledged, unjournaled batch is being served");
+    daemon.shutdown(2);
+
+    // A third life, fault-free: the journals never got those batches,
+    // and the answer says so.
+    let daemon = Daemon::start(&dir, &[]);
+    let (status, after) = warm_rows(&daemon);
+    assert_eq!((status, &after), (200, &acknowledged), "restart");
     daemon.shutdown(0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -405,6 +405,16 @@ impl StringTable {
         code
     }
 
+    /// Distinct strings interned so far.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True when no string has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
     /// The string value behind `code` (always a `Value::Str`).
     pub fn value(&self, code: u32) -> &Value {
         &self.values[code as usize]
@@ -554,6 +564,16 @@ impl ColumnData {
     fn clear(&mut self) {
         with_values!(self, v => v.clear())
     }
+
+    /// Overwrite the `to`-th value with the `from`-th.
+    fn copy_within(&mut self, from: usize, to: usize) {
+        with_values!(self, v => v[to] = v[from])
+    }
+
+    /// Keep the first `len` values.
+    fn truncate(&mut self, len: usize) {
+        with_values!(self, v => v.truncate(len))
+    }
 }
 
 /// One value column of a decoded [`Block`]: an attribute's immediate
@@ -669,6 +689,50 @@ impl Block {
         self.imms.clear();
         for column in &mut self.columns {
             column.data.clear();
+        }
+    }
+
+    /// Keep the rows `keep` answers `true` for (asked once per row, in
+    /// order) and close the gaps the others leave, in the skeleton and in
+    /// every column.
+    pub(crate) fn retain_rows(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        // Per column: the next value to read, and where the next kept
+        // one goes.
+        let mut cursors = vec![(0usize, 0usize); self.columns.len()];
+        let (mut rows, mut refs, mut imms) = (0, 0, 0);
+        let (mut ref_start, mut imm_start) = (0, 0);
+        for row in 0..self.rows() {
+            let (ref_end, imm_end) = (self.ref_ends[row] as usize, self.imm_ends[row] as usize);
+            let kept = keep(row);
+            if kept {
+                self.refs.copy_within(ref_start..ref_end, refs);
+                refs += ref_end - ref_start;
+            }
+            for i in imm_start..imm_end {
+                let c = self.imms[i];
+                let (from, to) = &mut cursors[c as usize];
+                if kept {
+                    self.columns[c as usize].data.copy_within(*from, *to);
+                    *to += 1;
+                    self.imms[imms] = c;
+                    imms += 1;
+                }
+                *from += 1;
+            }
+            if kept {
+                // No larger than the ends they replace.
+                self.ref_ends[rows] = refs as u32;
+                self.imm_ends[rows] = imms as u32;
+                rows += 1;
+            }
+            (ref_start, imm_start) = (ref_end, imm_end);
+        }
+        self.ref_ends.truncate(rows);
+        self.imm_ends.truncate(rows);
+        self.refs.truncate(refs);
+        self.imms.truncate(imms);
+        for (column, (_, kept)) in self.columns.iter_mut().zip(cursors) {
+            column.data.truncate(kept);
         }
     }
 
@@ -987,11 +1051,14 @@ fn block_fault(
 /// What a scan of a text or v2 stream hands its consumer per block: the
 /// dataset the stream's dictionary is decoded into (store, context tree,
 /// globals), the stream's string dictionary, and the block's columns.
-pub type BlockSink<'a> = dyn FnMut(&mut Dataset, &mut StringTable, &Block) + 'a;
+/// The block is the consumer's until it returns (journal recovery takes
+/// duplicate rows out of it before passing it on); the reader refills
+/// it from scratch.
+pub type BlockSink<'a> = dyn FnMut(&mut Dataset, &mut StringTable, &mut Block) + 'a;
 
 /// The [`BlockSink`] of every reader that returns rows: derive the
 /// block's snapshot records from its columns and append them to `ds`.
-pub(crate) fn append_rows(ds: &mut Dataset, strings: &mut StringTable, block: &Block) {
+pub(crate) fn append_rows(ds: &mut Dataset, strings: &mut StringTable, block: &mut Block) {
     block.append_records(strings, &mut ds.records);
 }
 
@@ -1041,7 +1108,7 @@ pub(crate) fn scan_v2_body(
                 match decoded {
                     Ok(true) => {
                         report.records += blocks.block.rows() as u64;
-                        on_block(ds, &mut strings, &blocks.block);
+                        on_block(ds, &mut strings, &mut blocks.block);
                     }
                     Ok(false) => report.blocks_skipped += 1,
                     Err(e) => {
@@ -1347,6 +1414,55 @@ mod tests {
         assert_eq!(back.len(), 0);
         assert!(report.truncated);
         assert!(from_binary(&corrupt).is_err());
+    }
+
+    #[test]
+    fn retain_rows_closes_the_gaps_in_skeleton_and_columns() {
+        // Rows of different shapes: with and without a node, an
+        // attribute twice in a row, a column some rows skip.
+        let mut ds = sample();
+        let iter = ds.store.find("iteration").unwrap().id();
+        let n = ds.store.find("n").unwrap().id();
+        for (i, rec) in ds.records.iter_mut().enumerate() {
+            if i % 4 == 1 {
+                rec.push_imm(iter, Value::Int(-(i as i64)));
+            }
+            if i % 5 == 2 {
+                *rec = SnapshotRecord::from_entries(vec![Entry::Imm(n, Value::UInt(i as u64))]);
+            }
+        }
+        let bytes = to_binary_v2_with(&ds, &small_blocks());
+        for pattern in [0b1usize, 0b10110, 0b0, usize::MAX] {
+            let keep = |row: usize| pattern >> (row % 7) & 1 == 1;
+            let mut blocks = 0;
+            let mut out = Dataset::new();
+            let read = crate::binary::scan_binary_into(
+                &bytes,
+                &mut out,
+                ReadPolicy::Strict,
+                &mut ReadReport::default(),
+                None,
+                &mut |_, strings, block| {
+                    blocks += 1;
+                    let mut all = Vec::new();
+                    block.append_records(strings, &mut all);
+                    block.retain_rows(keep);
+                    let mut kept = Vec::new();
+                    block.append_records(strings, &mut kept);
+                    let want: Vec<_> = (0..all.len()).filter(|&row| keep(row)).collect();
+                    assert_eq!(kept.len(), want.len());
+                    assert_eq!(block.rows(), want.len());
+                    for (kept, row) in kept.iter().zip(want) {
+                        assert_eq!(kept, &all[row], "pattern {pattern:#b}, row {row}");
+                    }
+                    let values: usize = block.columns().iter().map(|c| c.data.len()).sum();
+                    let imms: usize = (0..block.rows()).map(|r| block.row_imms(r).len()).sum();
+                    assert_eq!(values, imms, "no value left over");
+                },
+            );
+            read.unwrap();
+            assert_eq!(blocks, 7);
+        }
     }
 
     #[test]

@@ -18,6 +18,22 @@
 //! back using the attribute's declared type, so the encoding is
 //! type-faithful for int/uint/bool and shortest-roundtrip for floats.
 //!
+//! # Writing
+//!
+//! There is one line encoder ([`CaliWriter`]). A data line is built in
+//! the writer's line buffer from the record's entries where they lie —
+//! a [`SnapshotRecord`]'s entry list, a globals record's pairs, or a row
+//! of a decoded [`Block`] — ids and integers appended as digits, floats
+//! and booleans through their `Display`, strings through
+//! [`escape_into`] (which copies a string that needs no escape in one
+//! piece). Nothing is allocated per record once the attributes and
+//! nodes it refers to have been declared; the bytes are those of
+//! `Display` + [`escape`](crate::escape::escape) field by field, which a
+//! property test pins against a `format!` / `to_string` writer.
+//! [`CaliWriter::write_block`] writes the rows of a block without
+//! deriving records from it, byte for byte what
+//! [`CaliWriter::write_snapshot`] writes for the derived ones.
+//!
 //! # Reading
 //!
 //! There is one line parser. Every line is tokenised by
@@ -36,6 +52,19 @@
 //! [`from_bytes`], [`CaliReader::read_stream`] and friends, the
 //! `read_path*` family, journal recovery — derives its records from the
 //! same blocks with [`Block::append_records`].
+//!
+//! A reader is not tied to one stream. Beginning another one forgets
+//! the ids the finished stream declared and keeps the dataset's
+//! dictionary, the string table and every buffer, so a resident service
+//! reads batch after batch — each a self-describing stream with an id
+//! space of its own — through one reader, and replays its journal
+//! through it too ([`recover_blocks`](crate::journal::recover_blocks)).
+//! [`CaliReader::read_batch`] decodes a batch strictly and *whole*, as
+//! one block however many rows it has, every row stamped with its
+//! sequence number as one more column. Nothing of a batch exists
+//! outside the reader until its last line has validated, which is what
+//! lets the service reject a batch with a bad line at any ordinal
+//! without having journaled or folded any of it.
 
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -45,7 +74,9 @@ use caliper_data::{
     ValueType, NODE_NONE,
 };
 
-use crate::binary_v2::{append_rows, Block, BlockSink, StringTable, DEFAULT_BLOCK_RECORDS};
+use crate::binary_v2::{
+    append_rows, Block, BlockSink, Cell, StringTable, DEFAULT_BLOCK_RECORDS,
+};
 use crate::dataset::Dataset;
 use crate::escape::{escape_into, fields, Fields};
 use crate::policy::{ReadPolicy, ReadReport};
@@ -114,12 +145,23 @@ impl From<io::Error> for CaliError {
 /// Attribute and node records are emitted lazily, the first time a
 /// snapshot references them, so the stream stays compact and can be
 /// produced incrementally while the target program runs.
+///
+/// There is one line encoder behind snapshots
+/// ([`write_snapshot`](Self::write_snapshot)), globals
+/// ([`write_globals`](Self::write_globals)) and decoded blocks
+/// ([`write_block`](Self::write_block)) alike. It walks a record's
+/// entries in place and appends ids, numbers and strings straight to
+/// the line buffer, so once a record's dictionary has been declared,
+/// writing it allocates nothing.
 pub struct CaliWriter<W: Write> {
     out: W,
     written_attrs: FxHashSet<AttrId>,
     written_nodes: FxHashSet<NodeId>,
     line: String,
     dangling_drops: u64,
+    /// Per-block scratch of `write_rows`: the next unwritten value of
+    /// each column.
+    cursors: Vec<usize>,
 }
 
 impl<W: Write> CaliWriter<W> {
@@ -131,6 +173,7 @@ impl<W: Write> CaliWriter<W> {
             written_nodes: FxHashSet::default(),
             line: String::with_capacity(256),
             dangling_drops: 0,
+            cursors: Vec::new(),
         }
     }
 
@@ -157,9 +200,9 @@ impl<W: Write> CaliWriter<W> {
             }
         };
         self.written_attrs.insert(id);
-        self.line.clear();
-        self.line.push_str("__rec=attr,id=");
-        self.line.push_str(&id.to_string());
+        self.begin_line("attr");
+        self.line.push_str(",id=");
+        push_u64(&mut self.line, u64::from(id));
         self.line.push_str(",name=");
         escape_into(attr.name(), &mut self.line);
         self.line.push_str(",type=");
@@ -167,8 +210,7 @@ impl<W: Write> CaliWriter<W> {
         self.line.push_str(",prop=");
         // The property list is comma-separated and must be escaped.
         escape_into(&attr.properties().encode(), &mut self.line);
-        self.line.push('\n');
-        self.out.write_all(self.line.as_bytes())
+        self.end_line()
     }
 
     fn ensure_node(&mut self, ds: &Dataset, id: NodeId) -> io::Result<()> {
@@ -195,72 +237,181 @@ impl<W: Write> CaliWriter<W> {
         for (id, node) in chain.into_iter().rev() {
             self.ensure_attr(ds, node.attr)?;
             self.written_nodes.insert(id);
-            self.line.clear();
-            self.line.push_str("__rec=node,id=");
-            self.line.push_str(&id.to_string());
+            self.begin_line("node");
+            self.line.push_str(",id=");
+            push_u64(&mut self.line, u64::from(id));
             self.line.push_str(",attr=");
-            self.line.push_str(&node.attr.to_string());
+            push_u64(&mut self.line, u64::from(node.attr));
             if node.parent != NODE_NONE {
                 self.line.push_str(",parent=");
-                self.line.push_str(&node.parent.to_string());
+                push_u64(&mut self.line, u64::from(node.parent));
             }
             self.line.push_str(",data=");
-            escape_into(&node.value.to_string(), &mut self.line);
-            self.line.push('\n');
-            self.out.write_all(self.line.as_bytes())?;
+            push_value(&mut self.line, &node.value);
+            self.end_line()?;
         }
         Ok(())
     }
+}
 
-    fn write_entry_list(
-        &mut self,
-        ds: &Dataset,
-        kind: &str,
-        refs: &[NodeId],
-        imms: &[(AttrId, Value)],
-    ) -> io::Result<()> {
-        for &r in refs {
-            self.ensure_node(ds, r)?;
+// ---- the line encoder ----
+//
+// Everything from here to the end of `write_rows` runs per record (the
+// declarations above run once per id) and allocates nothing: no id or
+// value is formatted into a `String` of its own, no entry is cloned, no
+// list copied — `scripts/check.sh` holds this stretch to it. A data
+// line is written after everything it refers to has been declared
+// (`ensure_*` share the buffer), in four steps: begin, the node
+// references, the immediates, end.
+
+/// Append `n` in decimal, as `Display` prints it.
+fn push_u64(line: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
-        for (a, _) in imms {
-            self.ensure_attr(ds, *a)?;
+    }
+    line.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append `value` as a `data=` field carries it: [`Value`]'s `Display`,
+/// escaped. Only strings can hold a character that needs escaping.
+fn push_value(line: &mut String, value: &Value) {
+    use std::fmt::Write;
+    match value {
+        Value::Str(text) => escape_into(text, line),
+        Value::Int(i) => {
+            if *i < 0 {
+                line.push('-');
+            }
+            push_u64(line, i.unsigned_abs());
         }
+        Value::UInt(u) => push_u64(line, *u),
+        Value::Float(x) => write!(line, "{x}").expect("writing to a String cannot fail"),
+        Value::Bool(b) => write!(line, "{b}").expect("writing to a String cannot fail"),
+    }
+}
+
+impl<W: Write> CaliWriter<W> {
+    /// Start a line of record kind `kind`.
+    fn begin_line(&mut self, kind: &str) {
         self.line.clear();
         self.line.push_str("__rec=");
         self.line.push_str(kind);
-        for &r in refs {
-            if r != NODE_NONE {
-                self.line.push_str(",ref=");
-                self.line.push_str(&r.to_string());
-            }
+    }
+
+    /// Add a `ref=` field ([`NODE_NONE`] stands for "no node" and is
+    /// left out).
+    fn push_ref(&mut self, node: NodeId) {
+        if node != NODE_NONE {
+            self.line.push_str(",ref=");
+            push_u64(&mut self.line, u64::from(node));
         }
-        for (a, v) in imms {
-            self.line.push_str(",attr=");
-            self.line.push_str(&a.to_string());
-            self.line.push_str(",data=");
-            escape_into(&v.to_string(), &mut self.line);
-        }
+    }
+
+    /// Add an `attr=`/`data=` field pair.
+    fn push_imm(&mut self, attr: AttrId, value: &Value) {
+        self.line.push_str(",attr=");
+        push_u64(&mut self.line, u64::from(attr));
+        self.line.push_str(",data=");
+        push_value(&mut self.line, value);
+    }
+
+    /// Terminate the line and hand it to the sink.
+    fn end_line(&mut self) -> io::Result<()> {
         self.line.push('\n');
         self.out.write_all(self.line.as_bytes())
     }
 
-    /// Write one snapshot record.
+    /// Write one snapshot record: the dictionary records it needs that
+    /// the stream does not hold yet (nodes, then attributes), then its
+    /// node references, then its immediates.
     pub fn write_snapshot(&mut self, ds: &Dataset, record: &SnapshotRecord) -> io::Result<()> {
-        let mut refs = Vec::new();
-        let mut imms = Vec::new();
-        for entry in record.entries() {
-            match entry {
-                Entry::Node(id) => refs.push(*id),
-                Entry::Imm(attr, value) => imms.push((*attr, value.clone())),
+        let entries = record.entries();
+        for entry in entries {
+            if let Entry::Node(node) = entry {
+                self.ensure_node(ds, *node)?;
             }
         }
-        self.write_entry_list(ds, "ctx", &refs, &imms)
+        for entry in entries {
+            if let Entry::Imm(attr, _) = entry {
+                self.ensure_attr(ds, *attr)?;
+            }
+        }
+        self.begin_line("ctx");
+        for entry in entries {
+            if let Entry::Node(node) = entry {
+                self.push_ref(*node);
+            }
+        }
+        for entry in entries {
+            if let Entry::Imm(attr, value) = entry {
+                self.push_imm(*attr, value);
+            }
+        }
+        self.end_line()
     }
 
     /// Write one globals (metadata) record.
     pub fn write_globals(&mut self, ds: &Dataset, record: &FlatRecord) -> io::Result<()> {
-        let imms: Vec<_> = record.pairs().to_vec();
-        self.write_entry_list(ds, "globals", &[], &imms)
+        for (attr, _) in record.pairs() {
+            self.ensure_attr(ds, *attr)?;
+        }
+        self.begin_line("globals");
+        for (attr, value) in record.pairs() {
+            self.push_imm(*attr, value);
+        }
+        self.end_line()
+    }
+
+    /// Write the rows of a decoded [`Block`] as snapshot records: byte
+    /// for byte what [`write_snapshot`](Self::write_snapshot) writes for
+    /// the records [`Block::append_records`] derives from the same
+    /// block, without building them. `strings` is the table the block's
+    /// string codes refer to, `ds` the dataset it was decoded into.
+    pub fn write_block(&mut self, ds: &Dataset, strings: &StringTable, block: &Block) -> io::Result<()> {
+        self.write_rows(ds, strings, block, |_| Ok(()))
+    }
+
+    /// [`write_block`](Self::write_block), with `after_row` called on
+    /// the sink after every row's line (the journal's flush policy).
+    pub(crate) fn write_rows(
+        &mut self,
+        ds: &Dataset,
+        strings: &StringTable,
+        block: &Block,
+        mut after_row: impl FnMut(&mut W) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let columns = block.columns();
+        self.cursors.clear();
+        self.cursors.resize(columns.len(), 0);
+        for row in 0..block.rows() {
+            let (refs, imms) = (block.row_refs(row), block.row_imms(row));
+            for &node in refs {
+                self.ensure_node(ds, node)?;
+            }
+            for &c in imms {
+                self.ensure_attr(ds, columns[c as usize].attr)?;
+            }
+            self.begin_line("ctx");
+            for &node in refs {
+                self.push_ref(node);
+            }
+            for &c in imms {
+                let column = &columns[c as usize];
+                let next = self.cursors[c as usize];
+                self.cursors[c as usize] = next + 1;
+                self.push_imm(column.attr, &strings.get(column.data.get(next)));
+            }
+            self.end_line()?;
+            after_row(&mut self.out)?;
+        }
+        Ok(())
     }
 
     /// Write a whole dataset: globals first, then all snapshots.
@@ -326,10 +477,16 @@ const NO_COLUMN: u32 = u32::MAX;
 /// Snapshot (`ctx`) lines decode straight into the typed columns of a
 /// [`Block`], the structure the CALB v2 decoder fills: node references
 /// as remapped ids, one column per attribute, strings interned once in
-/// the stream's [`StringTable`]. A block is handed to the read's
+/// the reader's [`StringTable`]. A block is handed to the read's
 /// [`BlockSink`] every [`DEFAULT_BLOCK_RECORDS`] rows and when the read
 /// ends; the row-returning entry points derive their records from it
 /// with [`Block::append_records`], exactly as the v2 row readers do.
+///
+/// A reader can read any number of self-describing streams into its one
+/// dataset, one after the other: beginning a stream forgets the
+/// finished one's ids and keeps everything else — the dictionary, the
+/// string table and every buffer — which is how a resident service
+/// reads its batches ([`read_batch`](Self::read_batch)).
 pub struct CaliReader {
     ds: Dataset,
     attr_map: FxHashMap<u32, StreamAttr>,
@@ -338,6 +495,11 @@ pub struct CaliReader {
     strings: StringTable,
     /// The snapshot rows read since the last block was handed out.
     block: Block,
+    /// Set while [`read_batch`](Self::read_batch) reads: the column and
+    /// the value of the sequence number the next row is stamped with.
+    stamp: Option<(u32, u64)>,
+    /// The line being read, kept for its buffer.
+    line: Vec<u8>,
 }
 
 impl CaliReader {
@@ -355,7 +517,71 @@ impl CaliReader {
             line_no: 0,
             strings: StringTable::default(),
             block: Block::default(),
+            stamp: None,
+            line: Vec::new(),
         }
+    }
+
+    /// The dataset read so far: dictionary, context tree, globals, and
+    /// the records of every block the row-returning reads handed out.
+    pub fn dataset(&self) -> &Dataset {
+        &self.ds
+    }
+
+    /// The reader's string table.
+    pub fn strings(&self) -> &StringTable {
+        &self.strings
+    }
+
+    /// Start over with an empty string table. Codes handed out so far
+    /// mean nothing afterwards, so whoever kept any — in caches keyed by
+    /// them — drops those at the same time. Rows not yet handed out are
+    /// dropped with their codes.
+    pub fn reset_strings(&mut self) {
+        self.strings = StringTable::default();
+        self.block.clear();
+    }
+
+    /// Get ready for another self-describing stream into the same
+    /// dataset: the previous stream's attribute and node ids, its line
+    /// count and any rows not handed out are forgotten. The dictionary,
+    /// the context tree, the string table and every buffer stay.
+    pub(crate) fn begin_stream(&mut self) {
+        self.attr_map.clear();
+        self.node_map.clear();
+        self.line_no = 0;
+        self.block.clear();
+    }
+
+    /// Read one whole self-describing stream — a service's ingest batch —
+    /// strictly, as a single block: the rows are never cut into
+    /// [`DEFAULT_BLOCK_RECORDS`]-row blocks, so nothing of a batch is
+    /// handed on before its last line has validated, and a bad line at
+    /// any ordinal fails the batch whole (no row, no global of it is
+    /// kept; what it declared stays in the dictionary). Every row is
+    /// stamped with `seq_attr` (an unsigned-integer attribute of this
+    /// reader's store) as its last immediate, counting up from
+    /// `first_seq` — a column of the block like any other. Globals the
+    /// batch carries are read and dropped.
+    ///
+    /// The block stays valid until the reader is used again.
+    pub fn read_batch(
+        &mut self,
+        bytes: &[u8],
+        seq_attr: AttrId,
+        first_seq: u64,
+    ) -> Result<(&Dataset, &mut StringTable, &Block), CaliError> {
+        self.begin_stream();
+        let column = self.block.column_for(seq_attr, ValueType::UInt);
+        self.stamp = Some((column, first_seq));
+        let read = self.read_lines(bytes, ReadPolicy::Strict, &mut ReadReport::default(), None, None);
+        self.stamp = None;
+        self.ds.globals.clear();
+        if let Err(e) = read {
+            self.block.clear();
+            return Err(e);
+        }
+        Ok((&self.ds, &mut self.strings, &self.block))
     }
 
     fn err(&self, message: impl Into<String>) -> CaliError {
@@ -389,17 +615,18 @@ impl CaliReader {
         policy: ReadPolicy,
         report: &mut ReadReport,
     ) -> Result<(), CaliError> {
-        self.scan_line(line, policy, report, &mut append_rows)
+        self.scan_line(line, policy, report)?;
+        self.cut_block(&mut append_rows);
+        Ok(())
     }
 
-    /// [`read_line_with`](Self::read_line_with), a full block going to
-    /// `on_block`.
+    /// Read one line under `policy`: [`read_line_with`](Self::read_line_with)
+    /// short of handing a full block on.
     fn scan_line(
         &mut self,
         line: &str,
         policy: ReadPolicy,
         report: &mut ReadReport,
-        on_block: &mut BlockSink<'_>,
     ) -> Result<(), CaliError> {
         self.line_no += 1;
         let line = line.trim_end_matches(['\n', '\r']);
@@ -411,19 +638,23 @@ impl CaliReader {
                 if is_data {
                     report.records += 1;
                 }
-                if self.block.rows() >= DEFAULT_BLOCK_RECORDS {
-                    self.hand_out(on_block);
-                }
                 Ok(())
             }
             Err(e) => self.skip_or_fail(e, policy, report),
         }
     }
 
+    /// Hand a block that has reached [`DEFAULT_BLOCK_RECORDS`] rows on.
+    fn cut_block(&mut self, on_block: &mut BlockSink<'_>) {
+        if self.block.rows() >= DEFAULT_BLOCK_RECORDS {
+            self.hand_out(on_block);
+        }
+    }
+
     /// Hand the rows read so far to `on_block` and start a new block.
     fn hand_out(&mut self, on_block: &mut BlockSink<'_>) {
         if self.block.rows() > 0 {
-            on_block(&mut self.ds, &mut self.strings, &self.block);
+            on_block(&mut self.ds, &mut self.strings, &mut self.block);
             self.block.clear();
         }
     }
@@ -452,8 +683,15 @@ impl CaliReader {
             "node" => self.read_node(rest, report).map(|()| false),
             "ctx" => {
                 let mut row = self.read_entries(rest, None, report);
-                if row.is_ok() && !self.block.end_row() {
-                    row = Err(self.err("block exceeds 2^32 entries"));
+                if row.is_ok() {
+                    if let Some((column, seq)) = self.stamp {
+                        self.block.push_imm(column, Cell::UInt(seq));
+                    }
+                    if !self.block.end_row() {
+                        row = Err(self.err("block exceeds 2^32 entries"));
+                    } else if let Some((_, seq)) = &mut self.stamp {
+                        *seq += 1;
+                    }
                 }
                 if row.is_err() {
                     self.block.abandon_row();
@@ -667,15 +905,32 @@ impl CaliReader {
     /// of being appended to the dataset as records.
     pub fn scan_stream(
         &mut self,
-        mut reader: impl BufRead,
+        reader: impl BufRead,
         policy: ReadPolicy,
         report: &mut ReadReport,
         deadline: Option<&caliper_data::Deadline>,
         on_block: &mut BlockSink<'_>,
     ) -> Result<(), CaliError> {
-        let mut buf = Vec::new();
+        self.read_lines(reader, policy, report, deadline, Some(on_block))?;
+        self.hand_out(on_block);
+        Ok(())
+    }
+
+    /// The one line loop: read `reader` to its end (or the deadline, or
+    /// a lenient truncation) into the open block, which is cut every
+    /// [`DEFAULT_BLOCK_RECORDS`] rows when there is an `on_block` to
+    /// take the pieces. The rows left in the block are the caller's.
+    fn read_lines(
+        &mut self,
+        mut reader: impl BufRead,
+        policy: ReadPolicy,
+        report: &mut ReadReport,
+        deadline: Option<&caliper_data::Deadline>,
+        mut on_block: Option<&mut BlockSink<'_>>,
+    ) -> Result<(), CaliError> {
+        let mut buf = std::mem::take(&mut self.line);
         let mut lines: u64 = 0;
-        loop {
+        let read = loop {
             if let Some(d) = deadline {
                 if lines.is_multiple_of(256) && d.expired() {
                     report.truncated = true;
@@ -683,7 +938,7 @@ impl CaliReader {
                         "read cancelled by deadline after line {}",
                         self.line_no
                     ));
-                    break;
+                    break Ok(());
                 }
             }
             lines += 1;
@@ -694,25 +949,31 @@ impl CaliReader {
                     if policy.is_lenient() {
                         report.truncated = true;
                         report.note_error(format!("i/o error after line {}: {e}", self.line_no));
-                        break;
+                        break Ok(());
                     }
-                    return Err(CaliError::Io(e));
+                    break Err(CaliError::Io(e));
                 }
             };
             if n == 0 {
-                break;
+                break Ok(());
             }
-            match std::str::from_utf8(&buf) {
-                Ok(s) => self.scan_line(s, policy, report, on_block)?,
+            let line = match std::str::from_utf8(&buf) {
+                Ok(s) => self.scan_line(s, policy, report),
                 Err(_) => {
                     self.line_no += 1;
                     let e = self.err("invalid UTF-8 in line");
-                    self.skip_or_fail(e, policy, report)?;
+                    self.skip_or_fail(e, policy, report)
                 }
+            };
+            if line.is_err() {
+                break line;
             }
-        }
-        self.hand_out(on_block);
-        Ok(())
+            if let Some(on_block) = on_block.as_deref_mut() {
+                self.cut_block(on_block);
+            }
+        };
+        self.line = buf;
+        read
     }
 
     /// Finish reading and return the dataset, the snapshots still in the
@@ -757,6 +1018,7 @@ pub fn read_file(path: impl AsRef<Path>) -> Result<Dataset, CaliError> {
 mod tests {
     use super::*;
     use caliper_data::Properties;
+    use std::sync::Arc;
 
     fn sample_dataset() -> Dataset {
         let mut ds = Dataset::new();
@@ -952,6 +1214,99 @@ mod tests {
         assert_eq!(ds2.len(), ds.len());
         assert_eq!(report.skipped, 1);
         assert!(report.dangling_dropped >= 1);
+    }
+
+    /// `n` snapshots over a two-node tree, as one self-describing stream.
+    fn batch_bytes(n: i64) -> Vec<u8> {
+        let mut ds = sample_dataset();
+        let template = ds.records.clone();
+        ds.records = (0..n)
+            .map(|i| {
+                let mut rec = template[i as usize % template.len()].clone();
+                rec.push_imm(ds.store.find("loop.iteration").unwrap().id(), Value::Int(i));
+                rec
+            })
+            .collect();
+        to_bytes(&ds)
+    }
+
+    #[test]
+    fn read_batch_hands_the_stream_over_whole_and_stamped() {
+        let mut reader = CaliReader::new();
+        let seq = reader.dataset().attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
+        // More rows than a block of a file read holds: still one block.
+        let bytes = batch_bytes(2 * DEFAULT_BLOCK_RECORDS as i64 + 452);
+        let (_, strings, block) = reader.read_batch(&bytes, seq.id(), 40).unwrap();
+        assert_eq!(block.rows(), 2 * DEFAULT_BLOCK_RECORDS + 452);
+        let mut stamped = Vec::new();
+        block.append_records(strings, &mut stamped);
+
+        // What the row reader makes of the same bytes, stamped by hand.
+        let mut rows = CaliReader::into_dataset(Dataset::with_context(
+            Arc::clone(&reader.dataset().store),
+            Arc::clone(&reader.dataset().tree),
+        ));
+        rows.read_stream(&bytes[..]).unwrap();
+        let mut want = rows.finish().records;
+        for (i, rec) in want.iter_mut().enumerate() {
+            rec.push_imm(seq.id(), Value::UInt(40 + i as u64));
+        }
+        assert_eq!(stamped, want);
+        let ds = reader.dataset();
+        assert!(ds.records.is_empty() && ds.globals.is_empty(), "nothing is kept");
+    }
+
+    #[test]
+    fn a_bad_line_fails_the_batch_whole_and_the_reader_carries_on() {
+        let mut reader = CaliReader::new();
+        let seq = reader.dataset().attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
+        let clean = batch_bytes(6);
+        let rows_of = |reader: &mut CaliReader, bytes: &[u8]| {
+            reader.read_batch(bytes, seq.id(), 7).map(|(_, strings, block)| {
+                let mut rows = Vec::new();
+                block.append_records(strings, &mut rows);
+                rows
+            })
+        };
+        let want = rows_of(&mut reader, &clean).unwrap();
+        assert_eq!(want.len(), 6);
+        let lines: Vec<&[u8]> = clean.split_inclusive(|&b| b == b'\n').collect();
+        for ordinal in 0..=lines.len() {
+            let mut damaged = lines[..ordinal].concat();
+            damaged.extend_from_slice(b"__rec=ctx,ref=77\n");
+            damaged.extend_from_slice(&lines[ordinal..].concat());
+            match rows_of(&mut reader, &damaged) {
+                Err(CaliError::Parse { line, .. }) => assert_eq!(line, ordinal + 1),
+                other => panic!("bad line at {ordinal}: {other:?}"),
+            }
+            assert!(reader.dataset().globals.is_empty());
+            // Same rows, same sequence numbers: the failed batch left
+            // nothing behind, in the block or in the stamp.
+            assert_eq!(rows_of(&mut reader, &clean).unwrap(), want, "after bad line at {ordinal}");
+        }
+    }
+
+    #[test]
+    fn successive_streams_may_use_the_same_ids_for_different_things() {
+        let mut reader = CaliReader::new();
+        let seq = reader.dataset().attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
+        let first = b"__rec=attr,id=0,name=kernel,type=string,prop=default\n\
+                      __rec=node,id=0,attr=0,data=k0\n\
+                      __rec=ctx,ref=0,attr=0,data=x\n";
+        let second = b"__rec=attr,id=0,name=count,type=int,prop=asvalue\n\
+                       __rec=ctx,attr=0,data=12\n";
+        reader.read_batch(first, seq.id(), 0).unwrap();
+        let (ds, strings, block) = reader.read_batch(second, seq.id(), 1).unwrap();
+        let mut rows = Vec::new();
+        block.append_records(strings, &mut rows);
+        let count = ds.store.find("count").unwrap().id();
+        let want = vec![Entry::Imm(count, Value::Int(12)), Entry::Imm(seq.id(), Value::UInt(1))];
+        assert_eq!(rows, vec![SnapshotRecord::from_entries(want)]);
+        // The first stream's ids are gone with it: its node is not the
+        // second stream's to reference.
+        let dangling = b"__rec=ctx,ref=0\n";
+        assert!(reader.read_batch(dangling, seq.id(), 2).is_err());
+        assert_eq!(reader.dataset().store.len(), 3, "one dictionary for all streams");
     }
 
     #[test]

@@ -15,19 +15,39 @@ pub fn escape(input: &str) -> String {
 }
 
 /// Escape `input`, appending to `out`. Avoids allocation when the caller
-/// builds a whole line in one buffer.
+/// builds a whole line in one buffer, and copies the stretches between
+/// escaped characters — for most values, the whole input — in one piece.
 pub fn escape_into(input: &str, out: &mut String) {
-    for ch in input.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            ',' => out.push_str("\\,"),
-            '=' => out.push_str("\\="),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
+    let mut rest = input;
+    // Every escaped character is ASCII, so cutting around its byte
+    // never splits a multi-byte character.
+    while let Some(at) = rest.bytes().position(|b| ESCAPED[b as usize]) {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'\\' => "\\\\",
+            b',' => "\\,",
+            b'=' => "\\=",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
 }
+
+/// A membership table over byte values.
+const fn byte_set(members: &[u8]) -> [bool; 256] {
+    let mut set = [false; 256];
+    let mut i = 0;
+    while i < members.len() {
+        set[members[i] as usize] = true;
+        i += 1;
+    }
+    set
+}
+
+/// The bytes [`escape_into`] escapes: `,` `=` `\\` and the line breaks.
+static ESCAPED: [bool; 256] = byte_set(b",=\\\n\r");
 
 /// Reverse [`escape`]. Unknown escape sequences keep the escaped
 /// character (lenient, so streams from newer writers stay readable).
@@ -78,13 +98,7 @@ pub struct Fields<'a> {
 }
 
 /// The bytes the tokenizer stops at: `,` `=` and `\\`.
-static SPECIAL: [bool; 256] = {
-    let mut special = [false; 256];
-    special[b',' as usize] = true;
-    special[b'=' as usize] = true;
-    special[b'\\' as usize] = true;
-    special
-};
+static SPECIAL: [bool; 256] = byte_set(b",=\\");
 
 /// The index of the first unescaped `,` of `bytes[from..]` — or, with
 /// `in_key`, `=` — (`bytes.len()` if none), and whether a backslash was

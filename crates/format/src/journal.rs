@@ -23,6 +23,16 @@
 //!   attribute and report exactly what was salvaged and what was lost
 //!   in a [`RecoveryReport`].
 //!
+//! Both directions work on [`Block`]s as well as on records, through
+//! the same code. [`JournalWriter::append_block`] journals the rows of a
+//! decoded block — the bytes and the flush-policy bookkeeping of one
+//! [`append_snapshot`](JournalWriter::append_snapshot) per row, without
+//! the records. And there is one recovery routine, [`recover_blocks`]:
+//! it hands the journal's snapshots to a [`BlockSink`] as typed columns,
+//! sequence numbers read from the [`SEQ_ATTR`] column and duplicate rows
+//! already taken out; the `recover_*` functions that return a dataset
+//! are that routine with the sink that derives records from blocks.
+//!
 //! Crash-consistency contract: for a journal written with
 //! `flush_interval = k`, a process death at any instant loses at most
 //! the last `k - 1` appended records plus the one torn line; every
@@ -31,8 +41,9 @@
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use caliper_data::{Entry, FlatRecord, FxHashSet, SnapshotRecord};
+use caliper_data::{FlatRecord, FxHashSet, SnapshotRecord};
 
+use crate::binary_v2::{append_rows, Block, BlockSink, StringTable};
 use crate::cali::{CaliError, CaliReader, CaliWriter};
 use crate::dataset::Dataset;
 use crate::policy::{ReadPolicy, ReadReport};
@@ -97,9 +108,19 @@ pub struct JournalCounters {
 /// file mid-line on our account — only the OS can tear the final line
 /// of a flush) and drained according to the [`FlushPolicy`].
 pub struct JournalWriter {
+    /// Encodes records into the in-memory line buffer (its sink).
     writer: CaliWriter<Vec<u8>>,
+    drain: Drain,
+}
+
+/// Where the line buffer goes and when: the file, the policy, and the
+/// bookkeeping done after every appended record.
+struct Drain {
     file: std::fs::File,
     path: PathBuf,
+    /// The path as the `journal.*` failpoints' label, and its key.
+    label: String,
+    key: u64,
     policy: FlushPolicy,
     pending: u64,
     counters: JournalCounters,
@@ -154,45 +175,37 @@ impl JournalWriter {
     }
 
     fn over(file: std::fs::File, path: PathBuf, policy: FlushPolicy) -> JournalWriter {
+        let label = path.to_string_lossy().into_owned();
         JournalWriter {
             writer: CaliWriter::new(Vec::new()),
-            file,
-            path,
-            policy: FlushPolicy {
-                flush_interval: policy.flush_interval.max(1),
-                ..policy
+            drain: Drain {
+                file,
+                key: caliper_faults::stable_hash(&label),
+                label,
+                path,
+                policy: FlushPolicy {
+                    flush_interval: policy.flush_interval.max(1),
+                    ..policy
+                },
+                pending: 0,
+                counters: JournalCounters::default(),
             },
-            pending: 0,
-            counters: JournalCounters::default(),
         }
     }
 
     /// The journal file path.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.drain.path
     }
 
     /// Counter snapshot.
     pub fn counters(&self) -> JournalCounters {
-        self.counters.clone()
+        self.drain.counters.clone()
     }
 
     /// Records appended but not yet drained to the file.
     pub fn pending(&self) -> u64 {
-        self.pending
-    }
-
-    fn after_append(&mut self) -> io::Result<()> {
-        self.counters.appended += 1;
-        self.pending += 1;
-        if self.pending >= self.policy.flush_interval {
-            self.flush()
-        } else if self.writer.sink_mut().len() >= self.policy.max_buffer {
-            self.counters.forced_flushes += 1;
-            self.flush()
-        } else {
-            Ok(())
-        }
+        self.drain.pending
     }
 
     /// Append one snapshot record (metadata it references is emitted
@@ -200,13 +213,29 @@ impl JournalWriter {
     /// context tree the record's ids refer to.
     pub fn append_snapshot(&mut self, ds: &Dataset, record: &SnapshotRecord) -> io::Result<()> {
         self.writer.write_snapshot(ds, record)?;
-        self.after_append()
+        self.drain.after_append(self.writer.sink_mut())
+    }
+
+    /// Append every row of a decoded block: the bytes, the flushes and
+    /// the counters of one [`append_snapshot`](Self::append_snapshot)
+    /// per record [`Block::append_records`] would derive, without
+    /// deriving them. `strings` is the table the block's string codes
+    /// refer to.
+    pub fn append_block(
+        &mut self,
+        ds: &Dataset,
+        strings: &StringTable,
+        block: &Block,
+    ) -> io::Result<()> {
+        let drain = &mut self.drain;
+        self.writer
+            .write_rows(ds, strings, block, |buffer| drain.after_append(buffer))
     }
 
     /// Append one globals (dataset metadata) record.
     pub fn append_globals(&mut self, ds: &Dataset, record: &FlatRecord) -> io::Result<()> {
         self.writer.write_globals(ds, record)?;
-        self.after_append()
+        self.drain.after_append(self.writer.sink_mut())
     }
 
     /// Drain the buffered records to the file (and `fsync` if the
@@ -221,31 +250,50 @@ impl JournalWriter {
     /// buffer is retained and re-draining after a failed flush is safe:
     /// recovery deduplicates the double-written span via [`SEQ_ATTR`].
     pub fn flush(&mut self) -> io::Result<()> {
+        self.drain.flush(self.writer.sink_mut())
+    }
+}
+
+impl Drain {
+    /// Account one record appended to `buffer`, and drain it when the
+    /// policy says so.
+    fn after_append(&mut self, buffer: &mut Vec<u8>) -> io::Result<()> {
+        self.counters.appended += 1;
+        self.pending += 1;
+        if self.pending >= self.policy.flush_interval {
+            self.flush(buffer)
+        } else if buffer.len() >= self.policy.max_buffer {
+            self.counters.forced_flushes += 1;
+            self.flush(buffer)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// See [`JournalWriter::flush`].
+    fn flush(&mut self, buffer: &mut Vec<u8>) -> io::Result<()> {
         use crate::retry::{injected_error, RetryPolicy};
         use caliper_faults::sites;
 
-        if self.writer.sink_mut().is_empty() {
+        if buffer.is_empty() {
             return Ok(());
         }
-        let label = self.path.to_string_lossy().into_owned();
-        let key = caliper_faults::stable_hash(&label);
-        let file = &mut self.file;
-        let buf = self.writer.sink_mut();
+        let (file, key, label) = (&mut self.file, self.key, self.label.as_str());
         let (result, retries) = RetryPolicy::default().with_jitter(key).run(|| {
-            if caliper_faults::trigger(sites::JOURNAL_WRITE, key, &label).is_some() {
+            if caliper_faults::trigger(sites::JOURNAL_WRITE, key, label).is_some() {
                 return Err(injected_error(sites::JOURNAL_WRITE));
             }
-            file.write_all(buf)
+            file.write_all(buffer)
         });
         self.counters.retries += u64::from(retries);
         result?;
-        buf.clear();
+        buffer.clear();
         self.counters.durable += self.pending;
         self.pending = 0;
         self.counters.flushes += 1;
         if self.policy.fsync {
             let (result, retries) = RetryPolicy::default().with_jitter(key).run(|| {
-                if caliper_faults::trigger(sites::JOURNAL_FSYNC, key, &label).is_some() {
+                if caliper_faults::trigger(sites::JOURNAL_FSYNC, key, label).is_some() {
                     return Err(injected_error(sites::JOURNAL_FSYNC));
                 }
                 file.sync_data()
@@ -344,32 +392,9 @@ pub fn recover_bytes_cancellable(
     policy: ReadPolicy,
     deadline: Option<&caliper_data::Deadline>,
 ) -> Result<(Dataset, RecoveryReport), CaliError> {
-    let mut read = ReadReport::default();
-    // The writer terminates every record with a newline, so a final
-    // line without one is a torn write and can never be a complete
-    // record — but it might still *parse* as a shorter record with its
-    // tail entries cut off. Drop it before parsing (regardless of
-    // policy: this is the expected crash signature, not corruption).
-    let body = match bytes.iter().rposition(|&b| b == b'\n') {
-        Some(pos) if pos + 1 == bytes.len() => bytes,
-        Some(pos) => {
-            read.skipped += 1;
-            read.truncated = true;
-            read.note_error("torn final line (no trailing newline) dropped");
-            &bytes[..pos + 1]
-        }
-        None => {
-            if !bytes.is_empty() {
-                read.skipped += 1;
-                read.truncated = true;
-                read.note_error("torn final line (no trailing newline) dropped");
-            }
-            &bytes[..0]
-        }
-    };
     let mut reader = CaliReader::new();
-    reader.read_stream_cancellable(body, policy, &mut read, deadline)?;
-    Ok(dedup_by_sequence(reader.finish(), read))
+    let report = recover_blocks(&mut reader, bytes, policy, deadline, &mut append_rows)?;
+    Ok((reader.finish(), report))
 }
 
 /// Recover a journal file. I/O errors opening the file are returned
@@ -390,55 +415,147 @@ pub fn recover_file_cancellable(
     policy: ReadPolicy,
     deadline: Option<&caliper_data::Deadline>,
 ) -> Result<(Dataset, RecoveryReport), CaliError> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path).map_err(|e| CaliError::from(e).with_path(path))?;
-    let (ds, mut report) =
-        recover_bytes_cancellable(&bytes, policy, deadline).map_err(|e| e.with_path(path))?;
-    report.read.path = Some(path.to_path_buf());
-    Ok((ds, report))
+    let mut reader = CaliReader::new();
+    let report = recover_file_blocks(&mut reader, path, policy, deadline, &mut append_rows)?;
+    Ok((reader.finish(), report))
 }
 
-/// Drop duplicate-sequence snapshots (keeping first occurrences) and
-/// account the salvage in a [`RecoveryReport`].
-fn dedup_by_sequence(mut ds: Dataset, read: ReadReport) -> (Dataset, RecoveryReport) {
-    let seq_attr = ds.store.find(SEQ_ATTR).map(|a| a.id());
-    let mut report = RecoveryReport {
-        globals: ds.globals.len() as u64,
-        read,
-        ..RecoveryReport::default()
+/// [`recover_blocks`] over the file at `path`, errors and the report's
+/// read accounting naming it.
+pub fn recover_file_blocks(
+    reader: &mut CaliReader,
+    path: impl AsRef<Path>,
+    policy: ReadPolicy,
+    deadline: Option<&caliper_data::Deadline>,
+    on_block: &mut BlockSink<'_>,
+) -> Result<RecoveryReport, CaliError> {
+    let path = path.as_ref();
+    let bytes = std::fs::read(path).map_err(|e| CaliError::from(e).with_path(path))?;
+    let mut report = recover_blocks(reader, &bytes, policy, deadline, on_block)
+        .map_err(|e| e.with_path(path))?;
+    report.read.path = Some(path.to_path_buf());
+    Ok(report)
+}
+
+/// The recovery routine: read the journal `bytes` through `reader` —
+/// into its dataset, as one more stream — and hand the salvaged
+/// snapshots to `on_block` as columns, a block at a time, in journal
+/// order.
+///
+/// * A final line without a newline is a torn write and is dropped
+///   before parsing, whatever the policy.
+/// * The rest is read under `policy` (lenient, for a journal: a corrupt
+///   line costs that line) and `deadline`, as any text stream is.
+/// * Every row's sequence number is read from the block's [`SEQ_ATTR`]
+///   column. A row whose number was seen before — a double-written tail,
+///   in this block or an earlier one — is counted and taken out of the
+///   block before `on_block` sees it, so what arrives is what a clean
+///   journal of the same acknowledged records would have delivered.
+///   Gaps in the sequence are counted as `missing`.
+pub fn recover_blocks(
+    reader: &mut CaliReader,
+    bytes: &[u8],
+    policy: ReadPolicy,
+    deadline: Option<&caliper_data::Deadline>,
+    on_block: &mut BlockSink<'_>,
+) -> Result<RecoveryReport, CaliError> {
+    let mut read = ReadReport::default();
+    // The writer terminates every record with a newline, so a final
+    // line without one is a torn write and can never be a complete
+    // record — but it might still *parse* as a shorter record with its
+    // tail entries cut off. Drop it before parsing (regardless of
+    // policy: this is the expected crash signature, not corruption).
+    let body = match bytes.iter().rposition(|&b| b == b'\n') {
+        Some(pos) if pos + 1 == bytes.len() => bytes,
+        torn => {
+            if !bytes.is_empty() {
+                read.skipped += 1;
+                read.truncated = true;
+                read.note_error("torn final line (no trailing newline) dropped");
+            }
+            &bytes[..torn.map_or(0, |pos| pos + 1)]
+        }
     };
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    let records = std::mem::take(&mut ds.records);
-    let mut kept = Vec::with_capacity(records.len());
-    for rec in records {
-        let seq = seq_attr.and_then(|id| {
-            rec.entries().iter().find_map(|e| match e {
-                Entry::Imm(attr, value) if *attr == id => value.to_u64(),
-                _ => None,
-            })
-        });
-        match seq {
-            Some(s) => {
-                if seen.insert(s) {
-                    report.max_seq = Some(report.max_seq.map_or(s, |m: u64| m.max(s)));
-                    kept.push(rec);
-                } else {
-                    report.duplicates += 1;
+    let globals_before = reader.dataset().globals.len();
+    let mut sequence = Sequence::default();
+    reader.begin_stream();
+    reader.scan_stream(body, policy, &mut read, deadline, &mut |ds, strings, block| {
+        sequence.dedup(ds, strings, block);
+        if block.rows() > 0 {
+            on_block(ds, strings, block);
+        }
+    })?;
+    Ok(RecoveryReport {
+        globals: (reader.dataset().globals.len() - globals_before) as u64,
+        read,
+        salvaged: sequence.salvaged,
+        duplicates: sequence.duplicates,
+        unsequenced: sequence.unsequenced,
+        max_seq: sequence.max,
+        missing: sequence
+            .max
+            .map_or(0, |max| (max + 1).saturating_sub(sequence.seen.len() as u64)),
+    })
+}
+
+/// The sequence numbers a recovery has met, across its blocks.
+#[derive(Default)]
+struct Sequence {
+    seen: FxHashSet<u64>,
+    max: Option<u64>,
+    salvaged: u64,
+    duplicates: u64,
+    unsequenced: u64,
+    /// Scratch: which rows of the current block repeat a number.
+    repeated: Vec<bool>,
+}
+
+impl Sequence {
+    /// Account the rows of `block` and take out those whose sequence
+    /// number — their first [`SEQ_ATTR`] immediate that reads as one —
+    /// has been seen before (first occurrences are kept).
+    fn dedup(&mut self, ds: &Dataset, strings: &StringTable, block: &mut Block) {
+        let seq_attr = ds.store.find(SEQ_ATTR).map(|attr| attr.id());
+        let seq_column = block
+            .columns()
+            .iter()
+            .position(|column| Some(column.attr) == seq_attr && !column.data.is_empty());
+        let Some(seq_column) = seq_column else {
+            self.unsequenced += block.rows() as u64;
+            self.salvaged += block.rows() as u64;
+            return;
+        };
+        let values = &block.columns()[seq_column].data;
+        let mut next = 0;
+        self.repeated.clear();
+        for row in 0..block.rows() {
+            let mut seq = None;
+            for &column in block.row_imms(row) {
+                if column as usize == seq_column {
+                    seq = seq.or_else(|| strings.get(values.get(next)).to_u64());
+                    next += 1;
                 }
             }
-            None => {
-                report.unsequenced += 1;
-                kept.push(rec);
-            }
+            let repeated = match seq {
+                Some(seq) if self.seen.insert(seq) => {
+                    self.max = self.max.max(Some(seq));
+                    false
+                }
+                Some(_) => true,
+                None => {
+                    self.unsequenced += 1;
+                    false
+                }
+            };
+            self.repeated.push(repeated);
         }
+        let before = block.rows();
+        if self.repeated.contains(&true) {
+            block.retain_rows(|row| !self.repeated[row]);
+        }
+        self.duplicates += (before - block.rows()) as u64;
+        self.salvaged += block.rows() as u64;
     }
-    report.salvaged = kept.len() as u64;
-    report.missing = report
-        .max_seq
-        .map(|m| (m + 1).saturating_sub(seen.len() as u64))
-        .unwrap_or(0);
-    ds.records = kept;
-    (ds, report)
 }
 
 #[cfg(test)]
@@ -631,6 +748,209 @@ mod tests {
         assert!(report.data_lost());
         assert!(report.summary().contains("lost to sequence gaps"), "{}", report.summary());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The recovery this module had before it read blocks, kept as the
+    /// oracle: every line into records first, then one pass over the
+    /// records that drops repeated sequence numbers.
+    fn row_recovery(
+        bytes: &[u8],
+        deadline: Option<&caliper_data::Deadline>,
+    ) -> (Dataset, RecoveryReport) {
+        let mut read = ReadReport::default();
+        let body = match bytes.iter().rposition(|&b| b == b'\n') {
+            Some(pos) if pos + 1 == bytes.len() => bytes,
+            Some(pos) => {
+                read.skipped += 1;
+                read.truncated = true;
+                read.note_error("torn final line (no trailing newline) dropped");
+                &bytes[..pos + 1]
+            }
+            None => {
+                if !bytes.is_empty() {
+                    read.skipped += 1;
+                    read.truncated = true;
+                    read.note_error("torn final line (no trailing newline) dropped");
+                }
+                &bytes[..0]
+            }
+        };
+        let mut reader = CaliReader::new();
+        reader
+            .read_stream_cancellable(body, ReadPolicy::lenient(), &mut read, deadline)
+            .unwrap();
+        let mut ds = reader.finish();
+        let seq_attr = ds.store.find(SEQ_ATTR).map(|a| a.id());
+        let mut report = RecoveryReport {
+            globals: ds.globals.len() as u64,
+            read,
+            ..RecoveryReport::default()
+        };
+        let mut seen: FxHashSet<u64> = FxHashSet::default();
+        let mut kept = Vec::new();
+        for rec in std::mem::take(&mut ds.records) {
+            let seq = seq_attr.and_then(|id| {
+                rec.entries().iter().find_map(|e| match e {
+                    caliper_data::Entry::Imm(attr, value) if *attr == id => value.to_u64(),
+                    _ => None,
+                })
+            });
+            match seq {
+                Some(s) if seen.insert(s) => {
+                    report.max_seq = Some(report.max_seq.map_or(s, |m: u64| m.max(s)));
+                    kept.push(rec);
+                }
+                Some(_) => report.duplicates += 1,
+                None => {
+                    report.unsequenced += 1;
+                    kept.push(rec);
+                }
+            }
+        }
+        report.salvaged = kept.len() as u64;
+        report.missing = report
+            .max_seq
+            .map_or(0, |m| (m + 1).saturating_sub(seen.len() as u64));
+        ds.records = kept;
+        (ds, report)
+    }
+
+    /// Recover `bytes` both ways; reports and records must agree, and the
+    /// block sink must have seen exactly the salvaged rows.
+    fn assert_recovers_like_rows(bytes: &[u8], deadline: Option<&caliper_data::Deadline>) -> RecoveryReport {
+        let (want_ds, want) = row_recovery(bytes, deadline);
+        let (ds, report) = recover_bytes_cancellable(bytes, ReadPolicy::lenient(), deadline).unwrap();
+        assert_eq!(format!("{report:?}"), format!("{want:?}"));
+        let describe = |ds: &Dataset| -> Vec<String> {
+            ds.flat_records().map(|r| r.describe(&ds.store)).collect()
+        };
+        assert_eq!(describe(&ds), describe(&want_ds));
+
+        let mut reader = CaliReader::new();
+        let (mut rows, mut blocks) = (0, 0);
+        let blocks_report = recover_blocks(
+            &mut reader,
+            bytes,
+            ReadPolicy::lenient(),
+            deadline,
+            &mut |_, _, block| {
+                assert!(block.rows() > 0, "an emptied block is not handed on");
+                rows += block.rows() as u64;
+                blocks += 1;
+            },
+        )
+        .unwrap();
+        assert_eq!(format!("{blocks_report:?}"), format!("{want:?}"));
+        assert_eq!(rows, want.salvaged);
+        assert!(reader.dataset().records.is_empty());
+        assert!(blocks <= 1 + want.read.records / 1024);
+        report
+    }
+
+    /// A journal of `n` sequenced records as text, and its `ctx` lines.
+    fn journal_text(n: u64) -> (String, Vec<String>) {
+        let (path, _) = write_journal(n, FlushPolicy::default());
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let ctx = text
+            .lines()
+            .filter(|l| l.starts_with("__rec=ctx"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        (text, ctx)
+    }
+
+    #[test]
+    fn block_recovery_agrees_with_the_row_dedup() {
+        // Three blocks' worth, so duplicates can sit in one block or
+        // straddle two.
+        let (text, ctx) = journal_text(2500);
+        let clean = assert_recovers_like_rows(text.as_bytes(), None);
+        assert_eq!((clean.salvaged, clean.duplicates, clean.missing), (2500, 0, 0));
+
+        // kill -9 mid-write.
+        let torn = assert_recovers_like_rows(&text.as_bytes()[..text.len() - 9], None);
+        assert_eq!((torn.salvaged, torn.read.skipped), (2499, 1));
+
+        // A double-written tail: inside the last block...
+        let doubled = format!("{text}{}{}", ctx[2498], ctx[2499]);
+        let report = assert_recovers_like_rows(doubled.as_bytes(), None);
+        assert_eq!((report.salvaged, report.duplicates), (2500, 2));
+        // ...the same number twice in a row, and a span that starts in
+        // the first block and is written again two blocks later...
+        let across = format!("{text}{}{}{}", ctx[7], ctx[7], ctx[1000..1030].concat());
+        let report = assert_recovers_like_rows(across.as_bytes(), None);
+        assert_eq!((report.salvaged, report.duplicates), (2500, 32));
+        // ...and a block of nothing but repeats.
+        let again = format!("{text}{}", ctx[100..1400].concat());
+        let report = assert_recovers_like_rows(again.as_bytes(), None);
+        assert_eq!((report.salvaged, report.duplicates), (2500, 1300));
+
+        // A corrupt line mid-file is a gap in the sequence.
+        let damaged = text.replacen(ctx[1500].as_str(), "__rec=ctx,ref=9999\n", 1);
+        let report = assert_recovers_like_rows(damaged.as_bytes(), None);
+        assert_eq!((report.salvaged, report.missing, report.max_seq), (2499, 1, Some(2499)));
+
+        // Records without a number, and with one that does not read as
+        // one, are kept and counted.
+        let odd = format!("{text}__rec=ctx,attr=1,data=1.5\n__rec=ctx,attr=1,data=2,attr=2,data=7\n");
+        let report = assert_recovers_like_rows(odd.as_bytes(), None);
+        assert_eq!((report.salvaged, report.unsequenced, report.duplicates), (2501, 1, 1));
+
+        // Out of budget before the first line, and after some.
+        let expired = caliper_data::Deadline::after(std::time::Duration::ZERO);
+        let report = assert_recovers_like_rows(text.as_bytes(), Some(&expired));
+        assert_eq!(report.salvaged, 0);
+        assert!(report.read.truncated && report.data_lost());
+        assert_recovers_like_rows(b"", None);
+        assert_recovers_like_rows(b"torn", None);
+    }
+
+    #[test]
+    fn append_block_keeps_the_books_of_append_snapshot() {
+        let (text, _) = journal_text(300);
+        let dir = std::env::temp_dir().join(format!("caliper-journal-block-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let policies = [1, 7, u64::MAX].map(|flush_interval| FlushPolicy {
+            flush_interval,
+            ..FlushPolicy::default()
+        });
+        let forced = FlushPolicy {
+            flush_interval: u64::MAX,
+            max_buffer: 400, // a few lines: dozens of forced flushes inside the block
+            fsync: true,
+        };
+        for (i, policy) in policies.into_iter().chain([forced]).enumerate() {
+            let (by_block, by_row) = (dir.join(format!("block{i}.cali")), dir.join(format!("row{i}.cali")));
+            let mut blocks = JournalWriter::create(&by_block, policy).unwrap();
+            let mut rows = JournalWriter::create(&by_row, policy).unwrap();
+            let mut reader = CaliReader::new();
+            let mut report = ReadReport::default();
+            let sink: &mut BlockSink<'_> = &mut |ds, strings, block| {
+                blocks.append_block(ds, strings, block).unwrap();
+                let mut records = Vec::new();
+                block.append_records(strings, &mut records);
+                for record in &records {
+                    rows.append_snapshot(ds, record).unwrap();
+                }
+                assert_eq!(blocks.counters(), rows.counters());
+                assert_eq!(blocks.pending(), rows.pending());
+            };
+            reader
+                .scan_stream(text.as_bytes(), ReadPolicy::Strict, &mut report, None, sink)
+                .unwrap();
+            let counters = blocks.counters();
+            assert_eq!(counters.appended, 300);
+            if i == 3 {
+                assert!(counters.forced_flushes > 10, "{counters:?}");
+                assert_eq!(counters.syncs, counters.flushes);
+            }
+            drop((blocks, rows));
+            let written = std::fs::read(&by_block).unwrap();
+            assert_eq!(written, std::fs::read(&by_row).unwrap());
+            assert_eq!(recover_bytes(&written, ReadPolicy::Strict).unwrap().1.salvaged, 300);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

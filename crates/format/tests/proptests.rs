@@ -3,9 +3,12 @@
 //! as v1 (and zone-map skipping must never drop a matching record), and
 //! the escaping layer must roundtrip arbitrary strings.
 
-use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
+use caliper_data::{Entry, FlatRecord, Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_format::pushdown::{Predicate, Pushdown, PushdownOp};
-use caliper_format::{cali, escape, Dataset, ReadPolicy, ReadReport, V2WriteOptions};
+use caliper_format::{
+    cali, escape, CaliReader, Dataset, FlushPolicy, JournalWriter, ReadPolicy, ReadReport,
+    V2WriteOptions, SEQ_ATTR,
+};
 use proptest::prelude::*;
 
 fn arb_label() -> impl Strategy<Value = String> {
@@ -613,5 +616,292 @@ fn text_reader_takes_megabyte_lines() {
         assert!(cali::from_bytes(stream.as_bytes()).is_err());
         let (ds, report) = cali::from_bytes_with(stream.as_bytes(), ReadPolicy::lenient()).unwrap();
         assert_eq!((ds.len(), report.skipped), (1, 1), "{}", &bad[..40]);
+    }
+}
+
+/// The writer as it was before its line encoder stopped allocating,
+/// kept as the oracle for the bytes: every id and value through
+/// `Display` into a fresh `String`, every field through `format!`,
+/// escaping one character at a time, the entries of a record copied out
+/// into lists first.
+#[derive(Default)]
+struct OldWriter {
+    out: String,
+    attrs: std::collections::HashSet<u32>,
+    nodes: std::collections::HashSet<u32>,
+    dangling_drops: u64,
+}
+
+fn old_escape(input: &str) -> String {
+    let mut out = String::new();
+    for ch in input.chars() {
+        match ch {
+            '\\' => out.push_str("\\\\"),
+            ',' => out.push_str("\\,"),
+            '=' => out.push_str("\\="),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            other => out.push(other),
+        }
+    }
+    out
+}
+
+impl OldWriter {
+    fn ensure_attr(&mut self, ds: &Dataset, id: u32) {
+        if self.attrs.contains(&id) {
+            return;
+        }
+        let Some(attr) = ds.store.get(id) else {
+            self.dangling_drops += 1;
+            return;
+        };
+        self.attrs.insert(id);
+        self.out += &format!(
+            "__rec=attr,id={id},name={},type={},prop={}\n",
+            old_escape(attr.name()),
+            attr.value_type().name(),
+            old_escape(&attr.properties().encode())
+        );
+    }
+
+    fn ensure_node(&mut self, ds: &Dataset, id: u32) {
+        let mut chain = Vec::new();
+        let mut cur = id;
+        while cur != NODE_NONE && !self.nodes.contains(&cur) {
+            let Some(node) = ds.tree.node(cur) else {
+                self.dangling_drops += 1;
+                break;
+            };
+            let parent = node.parent;
+            chain.push((cur, node));
+            cur = parent;
+        }
+        for (id, node) in chain.into_iter().rev() {
+            self.ensure_attr(ds, node.attr);
+            self.nodes.insert(id);
+            let parent = match node.parent {
+                NODE_NONE => String::new(),
+                parent => format!(",parent={parent}"),
+            };
+            self.out += &format!(
+                "__rec=node,id={id},attr={}{parent},data={}\n",
+                node.attr,
+                old_escape(&node.value.to_string())
+            );
+        }
+    }
+
+    fn entry_list(&mut self, ds: &Dataset, kind: &str, refs: &[u32], imms: &[(u32, Value)]) {
+        for &r in refs {
+            self.ensure_node(ds, r);
+        }
+        for (a, _) in imms {
+            self.ensure_attr(ds, *a);
+        }
+        let mut line = format!("__rec={kind}");
+        for &r in refs {
+            if r != NODE_NONE {
+                line += &format!(",ref={r}");
+            }
+        }
+        for (a, v) in imms {
+            line += &format!(",attr={a},data={}", old_escape(&v.to_string()));
+        }
+        self.out += &line;
+        self.out.push('\n');
+    }
+
+    fn snapshot(&mut self, ds: &Dataset, record: &SnapshotRecord) {
+        let (mut refs, mut imms) = (Vec::new(), Vec::new());
+        for entry in record.entries() {
+            match entry {
+                Entry::Node(id) => refs.push(*id),
+                Entry::Imm(attr, value) => imms.push((*attr, value.clone())),
+            }
+        }
+        self.entry_list(ds, "ctx", &refs, &imms);
+    }
+
+    fn globals(&mut self, ds: &Dataset, record: &FlatRecord) {
+        self.entry_list(ds, "globals", &[], record.pairs());
+    }
+}
+
+/// [`value_of`], steered towards the values with an unusual text form.
+fn edge_value_of(pick: u8, text: &str, bits: u64) -> Value {
+    match (pick % 5, bits % 8) {
+        (1, 0) => Value::Int(i64::MIN),
+        (1, 1) => Value::Int(i64::MAX),
+        (1, 2) => Value::Int(-((bits >> 50) as i64)),
+        (2, 0) => Value::UInt(u64::MAX),
+        (2, 1) => Value::UInt(0),
+        (3, 0) => Value::Float(f64::NAN),
+        (3, 1) => Value::Float(f64::INFINITY),
+        (3, 2) => Value::Float(f64::NEG_INFINITY),
+        (3, 3) => Value::Float(-0.0),
+        (3, 4) => Value::Float(f64::from_bits(bits >> 12)), // subnormal
+        (3, 5) => Value::Float(-f64::MIN_POSITIVE),
+        _ => value_of(pick, text, bits),
+    }
+}
+
+/// A dataset whose five immediate attributes (one per type) and nested
+/// attribute have arbitrary names, with a context tree over `node_values`.
+fn named_dataset(names: &[String], node_values: &[(u8, String, u64)]) -> (Dataset, Vec<u32>, Vec<u32>) {
+    let ds = Dataset::new();
+    let types = [ValueType::Str, ValueType::Int, ValueType::UInt, ValueType::Float, ValueType::Bool];
+    let attrs: Vec<u32> = types
+        .iter()
+        .zip(names)
+        .enumerate()
+        .map(|(i, (t, name))| ds.attribute(&format!("{i}{name}"), *t, Properties::AS_VALUE).id())
+        .collect();
+    let nested = ds.attribute(&format!("n{}", names[5]), ValueType::Str, Properties::NESTED).id();
+    let mut nodes: Vec<u32> = Vec::new();
+    for (pick, text, bits) in node_values {
+        // A child of an earlier node, or a root; under the nested
+        // attribute or — values of any type — one of the others.
+        let parent = match nodes.len() {
+            0 => NODE_NONE,
+            n if pick % 3 == 0 => nodes[*bits as usize % n],
+            _ => NODE_NONE,
+        };
+        let attr = if pick % 2 == 0 { nested } else { attrs[*pick as usize % 5] };
+        nodes.push(ds.tree.get_child(parent, attr, &edge_value_of(*pick, text, *bits)));
+    }
+    (ds, attrs, nodes)
+}
+
+proptest! {
+    /// The allocation-free line encoder writes exactly the bytes the
+    /// `to_string` / `format!` writer wrote — attribute and node
+    /// declarations, `ctx` and `globals` lines — for arbitrary records:
+    /// values of any type under any attribute, the floats and integers
+    /// whose text form is unusual, names and strings that need every
+    /// escape, `NODE_NONE` references, and ids that resolve to nothing
+    /// (written as they are, and counted alike).
+    #[test]
+    fn line_encoder_writes_the_bytes_of_the_to_string_writer(
+        names in prop::collection::vec(arb_text(), 6),
+        node_values in prop::collection::vec((any::<u8>(), arb_text(), any::<u64>()), 1..6),
+        records in prop::collection::vec(
+            prop::collection::vec((any::<u8>(), any::<u8>(), arb_text(), any::<u64>()), 0..8),
+            1..6,
+        ),
+        globals in prop::collection::vec((any::<u8>(), arb_text(), any::<u64>()), 0..4),
+    ) {
+        let (mut ds, attrs, nodes) = named_dataset(&names, &node_values);
+        for entries in &records {
+            let mut rec = SnapshotRecord::new();
+            for (kind, pick, text, bits) in entries {
+                let value = edge_value_of(*pick, text, *bits);
+                match kind % 8 {
+                    0 | 1 => rec.push_node(nodes[*bits as usize % nodes.len()]),
+                    2 => rec.push_node(NODE_NONE),
+                    3 => rec.push_node(9_000 + *pick as u32),
+                    4 => rec.push_imm(4_242 + *pick as u32 % 2, value),
+                    // Any value under any attribute: the writer prints
+                    // the value's own type.
+                    _ => rec.push_imm(attrs[*kind as usize % 5], value),
+                }
+            }
+            ds.push(rec);
+        }
+        if !globals.is_empty() {
+            let pairs = globals
+                .iter()
+                .map(|(pick, text, bits)| (attrs[*pick as usize % 5], edge_value_of(*pick, text, *bits)));
+            ds.push_global(FlatRecord::from_pairs(pairs.collect()));
+        }
+
+        let mut old = OldWriter::default();
+        let mut new = caliper_format::CaliWriter::new(Vec::new());
+        for g in &ds.globals {
+            old.globals(&ds, g);
+            new.write_globals(&ds, g).unwrap();
+        }
+        for rec in &ds.records {
+            old.snapshot(&ds, rec);
+            new.write_snapshot(&ds, rec).unwrap();
+        }
+        prop_assert_eq!(new.dangling_drops(), old.dangling_drops);
+        let written = String::from_utf8(new.finish().unwrap()).unwrap();
+        prop_assert_eq!(&written, &old.out);
+        prop_assert_eq!(String::from_utf8(cali::to_bytes(&ds)).unwrap(), old.out);
+    }
+
+    /// `write_block` over a decoded block is `write_snapshot` over the
+    /// records `append_records` derives from it, row for row — for the
+    /// stamped blocks of successive batches through one resident reader
+    /// — and `JournalWriter::append_block` keeps the books of as many
+    /// `append_snapshot` calls, whatever the flush policy.
+    #[test]
+    fn write_block_is_write_snapshot_over_the_derived_records(
+        names in prop::collection::vec(arb_text(), 6),
+        node_values in prop::collection::vec((any::<u8>(), arb_text(), any::<u64>()), 1..6),
+        batches in prop::collection::vec(
+            prop::collection::vec(
+                prop::collection::vec((any::<u8>(), any::<u8>(), arb_text(), any::<u64>()), 0..6),
+                0..12,
+            ),
+            1..4,
+        ),
+        policy in 0usize..4,
+    ) {
+        let policy = [
+            FlushPolicy { flush_interval: 1, ..FlushPolicy::default() },
+            FlushPolicy { flush_interval: 7, ..FlushPolicy::default() },
+            FlushPolicy { flush_interval: u64::MAX, ..FlushPolicy::default() },
+            // A buffer of a line or two: forced flushes inside a block.
+            FlushPolicy { flush_interval: u64::MAX, max_buffer: 64, fsync: false },
+        ][policy];
+        let dir = std::env::temp_dir().join(format!("caliper-write-block-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (block_path, row_path) = (dir.join("block.cali"), dir.join("row.cali"));
+        let mut block_journal = JournalWriter::create(&block_path, policy).unwrap();
+        let mut row_journal = JournalWriter::create(&row_path, policy).unwrap();
+        let mut by_block = caliper_format::CaliWriter::new(Vec::new());
+        let mut by_row = caliper_format::CaliWriter::new(Vec::new());
+
+        let mut reader = CaliReader::new();
+        let seq = reader.dataset().attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE).id();
+        let mut next_seq = 0;
+        for records in &batches {
+            // The batch as a producer sends it: typed values, text.
+            let (mut ds, attrs, nodes) = named_dataset(&names, &node_values);
+            for entries in records {
+                let mut rec = SnapshotRecord::new();
+                for (kind, pick, text, bits) in entries {
+                    match kind % 4 {
+                        0 => rec.push_node(nodes[*bits as usize % nodes.len()]),
+                        _ => rec.push_imm(attrs[*pick as usize % 5], edge_value_of(*pick, text, *bits)),
+                    }
+                }
+                ds.push(rec);
+            }
+            let (ds, strings, block) = reader.read_batch(&cali::to_bytes(&ds), seq, next_seq).unwrap();
+            prop_assert_eq!(block.rows(), records.len());
+            next_seq += block.rows() as u64;
+
+            let mut derived = Vec::new();
+            block.append_records(strings, &mut derived);
+            by_block.write_block(ds, strings, block).unwrap();
+            block_journal.append_block(ds, strings, block).unwrap();
+            for rec in &derived {
+                by_row.write_snapshot(ds, rec).unwrap();
+                row_journal.append_snapshot(ds, rec).unwrap();
+            }
+            prop_assert_eq!(block_journal.counters(), row_journal.counters());
+            prop_assert_eq!(block_journal.pending(), row_journal.pending());
+        }
+        let (by_block, by_row) = (by_block.finish().unwrap(), by_row.finish().unwrap());
+        let lines = |bytes: &[u8]| -> Vec<String> {
+            String::from_utf8(bytes.to_vec()).unwrap().lines().map(str::to_string).collect()
+        };
+        prop_assert_eq!(lines(&by_block), lines(&by_row));
+        prop_assert_eq!(by_block, by_row);
+        drop((block_journal, row_journal));
+        prop_assert_eq!(std::fs::read(&block_path).unwrap(), std::fs::read(&row_path).unwrap());
     }
 }

@@ -172,6 +172,11 @@ impl Aggregator {
         &self.spec
     }
 
+    /// The store key and target labels are resolved against.
+    pub(crate) fn store(&self) -> &AttributeStore {
+        &self.store
+    }
+
     /// Number of unique keys currently in the database (the number of
     /// output records a flush would produce).
     pub fn len(&self) -> usize {

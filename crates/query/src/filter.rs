@@ -82,11 +82,6 @@ impl FilterSet {
         self.filters.is_empty()
     }
 
-    /// The conditions, in clause order.
-    pub(crate) fn filters(&self) -> impl Iterator<Item = &Filter> {
-        self.filters.iter().map(|(f, _)| f)
-    }
-
     /// Publish mismatches counted outside [`FilterSet::matches`].
     pub(crate) fn add_type_mismatches(&self, n: u64) {
         if n > 0 {

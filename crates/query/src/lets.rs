@@ -103,11 +103,6 @@ impl LetSet {
         self.bindings.is_empty()
     }
 
-    /// The definitions, in evaluation order.
-    pub(crate) fn defs(&self) -> impl Iterator<Item = &LetDef> {
-        self.bindings.iter().map(|b| &b.def)
-    }
-
     /// The binding's output attribute, interned on first use. A label
     /// the data already declares keeps the data's attribute, whatever
     /// its type — which is why this waits for the input's dictionary

@@ -63,5 +63,5 @@ pub use query::{
     run_query, run_records_with_deadline, DeadlineRun, Pipeline, QueryResult,
     DEADLINE_CHECK_INTERVAL,
 };
-pub use scan::Scanned;
+pub use scan::{BlockFold, Scanned};
 pub use sema::analyze;

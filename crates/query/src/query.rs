@@ -396,7 +396,7 @@ pub struct DeadlineRun {
 /// most one chunk.
 pub const DEADLINE_CHECK_INTERVAL: usize = 64;
 
-/// Run a query over a record slice under a cooperative
+/// Run a query over records the caller hands over, under a cooperative
 /// [`Deadline`](caliper_data::Deadline): the daemon-side counterpart of
 /// [`run_query`]. The deadline is polled every
 /// [`DEADLINE_CHECK_INTERVAL`] records; on expiry the pipeline is
@@ -405,7 +405,7 @@ pub const DEADLINE_CHECK_INTERVAL: usize = 64;
 /// wedging its worker thread.
 pub fn run_records_with_deadline(
     store: Arc<AttributeStore>,
-    records: &[FlatRecord],
+    records: Vec<FlatRecord>,
     text: &str,
     deadline: &caliper_data::Deadline,
 ) -> Result<DeadlineRun, ParseError> {
@@ -417,7 +417,7 @@ pub fn run_records_with_deadline(
             complete = false;
             break;
         }
-        pipeline.process(rec.clone());
+        pipeline.process(rec);
         processed += 1;
     }
     Ok(DeadlineRun {

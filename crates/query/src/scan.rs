@@ -27,6 +27,12 @@
 //!   query means and the oracle the block fold is tested against
 //!   (`tests/columnar_differential.rs`).
 //!
+//! [`BlockFold`] is that columnar fold, and the only one: whoever holds
+//! decoded [`Block`]s and an [`Aggregator`] folds them through it —
+//! [`Pipeline::scan_file`] here, and the resident daemon (`cali-served`),
+//! which folds every ingest batch and every replayed journal block into
+//! a stream's warm aggregate with it.
+//!
 //! Both land in the same aggregation database
 //! ([`Aggregator::admit`](crate::Aggregator)), use the same
 //! [`Reducer::update`](crate::Reducer::update) in the same order, and
@@ -45,7 +51,8 @@ use caliper_format::{
     StringTable,
 };
 
-use crate::ast::{Filter, OpKind, QuerySpec};
+use crate::aggregator::{AggregationSpec, Aggregator};
+use crate::ast::{AggOp, Filter, LetDef, OpKind, QuerySpec};
 use crate::filter::cmp_occurrences;
 use crate::lets::LetResult;
 use crate::query::Pipeline;
@@ -106,7 +113,7 @@ impl Pipeline {
             len: 0,
             cap: unit_records.max(1),
         };
-        let mut fold = BlockFold::new(&units.first.spec);
+        let (mut fold, mut fold_unit) = (BlockFold::new(&units.first.spec), 0);
         let mut rows = Vec::new();
         let (mut fold_s, mut folded) = (0.0, 0u64);
         let (mut dict, report) =
@@ -117,8 +124,13 @@ impl Pipeline {
                 folded += units.fold_rows(&ds.tree, &std::mem::take(&mut ds.records));
                 folded += block.rows() as u64;
                 let (index, unit) = units.next(block.rows());
-                if unit.aggregator.is_some() {
-                    fold.fold_block(unit, index, ds, strings, block);
+                if let Some(aggregator) = &mut unit.aggregator {
+                    // Groups are a unit's own.
+                    if index != fold_unit {
+                        fold.reset();
+                        fold_unit = index;
+                    }
+                    fold.fold(aggregator, ds, strings, block);
                 } else {
                     // A pass-through query keeps whole records.
                     rows.clear();
@@ -209,15 +221,22 @@ const NO_SLOT: u32 = u32::MAX;
 /// root-first path, as (slot, value).
 type NodeCells = Box<[(u32, Cell)]>;
 
-/// The columnar fold of one stream: per-stream plans and caches plus
-/// the scratch one row needs, all reused from row to row and block to
-/// block.
-struct BlockFold {
+/// The columnar fold: rows of decoded [`Block`]s into an [`Aggregator`],
+/// with the query's LET and WHERE applied on the way. It holds the
+/// per-stream plans and caches plus the scratch one row needs, all
+/// reused from row to row and block to block.
+///
+/// A fold serves one aggregator over one stream — one [`StringTable`] —
+/// at a time: it remembers groups by the aggregator's indices and
+/// strings by the table's codes. [`reset`](Self::reset) it before
+/// pointing it at another of either.
+pub struct BlockFold {
     slots: Vec<Slot>,
-    /// Per LET binding: the slots of its inputs, and of its output.
-    lets: Vec<(Vec<u32>, u32)>,
-    /// Per WHERE condition: the slot of its attribute.
-    filters: Vec<u32>,
+    /// Per LET binding: its definition, the slots of its inputs, and of
+    /// its output.
+    lets: Vec<(LetDef, Vec<u32>, u32)>,
+    /// Per WHERE condition: the condition and the slot of its attribute.
+    filters: Vec<(Filter, u32)>,
     /// Per GROUP BY label: its slot.
     keys: Vec<u32>,
     /// Per op: the slot of its target (`None` for `count`).
@@ -228,12 +247,12 @@ struct BlockFold {
     /// cached earlier — the node's attributes were all in the store
     /// when its block was set up.
     nodes: Vec<Option<NodeCells>>,
-    /// Group of each key seen in work unit `unit` (`None` = the
-    /// overflow bucket), so a row whose group exists costs one hash of
-    /// a few integers. Codes are per stream, groups per unit.
-    groups: HashMap<Box<[KeyCell]>, Option<u32>, FxBuildHasher>,
-    unit: usize,
-    type_mismatches: u64,
+    /// The group of each key that has one, so a row whose group exists
+    /// costs one hash of a few integers. Keys the aggregator's capacity
+    /// turned away are not remembered: the cache is never larger than
+    /// the database.
+    groups: HashMap<Box<[KeyCell]>, u32, FxBuildHasher>,
+    pub(crate) type_mismatches: u64,
 
     /// Per column of the current block: its slot, and the next value.
     column_slots: Vec<u32>,
@@ -246,7 +265,18 @@ struct BlockFold {
 }
 
 impl BlockFold {
-    fn new(spec: &QuerySpec) -> BlockFold {
+    /// The fold of a whole query: LET, WHERE, GROUP BY and the ops.
+    pub fn new(spec: &QuerySpec) -> BlockFold {
+        BlockFold::over(&spec.lets, &spec.filters, &spec.key, &spec.ops)
+    }
+
+    /// The fold of an aggregation alone: every row is grouped and
+    /// reduced.
+    pub fn for_aggregation(spec: &AggregationSpec) -> BlockFold {
+        BlockFold::over(&[], &[], &spec.key, &spec.ops)
+    }
+
+    fn over(lets: &[LetDef], filters: &[Filter], key: &[String], ops: &[AggOp]) -> BlockFold {
         let mut slots: Vec<Slot> = Vec::new();
         let mut slot = |label: &str| -> u32 {
             let found = slots.iter().position(|s| s.label == label);
@@ -258,25 +288,25 @@ impl BlockFold {
                 slots.len() - 1
             }) as u32
         };
-        let lets = spec
-            .lets
+        let lets = lets
             .iter()
             .map(|def| {
                 let inputs = def.expr.inputs().into_iter().map(&mut slot).collect();
-                (inputs, slot(&def.name))
+                (def.clone(), inputs, slot(&def.name))
             })
             .collect();
-        let filters = spec
-            .filters
+        let filters = filters
             .iter()
-            .map(|filter| match filter {
-                Filter::Exists(label) | Filter::NotExists(label) => slot(label),
-                Filter::Cmp { attr, .. } => slot(attr),
+            .map(|filter| {
+                let label = match filter {
+                    Filter::Exists(label) | Filter::NotExists(label) => label,
+                    Filter::Cmp { attr, .. } => attr,
+                };
+                (filter.clone(), slot(label))
             })
             .collect();
-        let keys: Vec<u32> = spec.key.iter().map(|label| slot(label)).collect();
-        let ops = spec
-            .ops
+        let keys: Vec<u32> = key.iter().map(|label| slot(label)).collect();
+        let ops = ops
             .iter()
             .map(|op| {
                 (op.kind != OpKind::Count).then(|| slot(op.target.as_deref().unwrap_or_default()))
@@ -293,7 +323,6 @@ impl BlockFold {
             ops,
             nodes: Vec::new(),
             groups: HashMap::default(),
-            unit: 0,
             type_mismatches: 0,
             column_slots: Vec::new(),
             cursors: Vec::new(),
@@ -301,26 +330,31 @@ impl BlockFold {
         }
     }
 
-    /// Fold every row of `block`, in order, into the aggregation of
-    /// `unit`, the file's `index`-th.
-    fn fold_block(
+    /// Forget what was learnt about the aggregator's groups and the
+    /// string table's codes. Call it before folding into another
+    /// aggregator, and when the stream's string table starts over.
+    pub fn reset(&mut self) {
+        self.groups.clear();
+        self.nodes.clear();
+    }
+
+    /// Fold every row of `block`, in order, into `agg`: the rows a
+    /// record-by-record [`Pipeline::process`] / [`Aggregator::add`] of
+    /// the same records would admit, into the same groups, updating the
+    /// same reducers in the same order.
+    ///
+    /// `ds` is the dataset the block was decoded into — its store is the
+    /// one `agg` resolves labels against — and `strings` the table the
+    /// block's string codes refer to.
+    pub fn fold(
         &mut self,
-        unit: &mut Pipeline,
-        index: usize,
+        agg: &mut Aggregator,
         ds: &Dataset,
         strings: &mut StringTable,
         block: &Block,
     ) {
-        let agg = unit
-            .aggregator
-            .as_mut()
-            .expect("the block fold serves aggregations");
-        if self.unit != index {
-            self.groups.clear();
-            self.unit = index;
-        }
         for slot in self.slots.iter_mut().filter(|s| s.attr.is_none()) {
-            slot.attr = unit.input_store.find(&slot.label).map(|attr| attr.id());
+            slot.attr = agg.store().find(&slot.label).map(|attr| attr.id());
         }
         let slots = &self.slots;
         let slot_of = |attr: AttrId| -> u32 {
@@ -354,7 +388,7 @@ impl BlockFold {
             }
 
             // LET: each binding sees the outputs of those before it.
-            for ((inputs, out), def) in self.lets.iter().zip(unit.lets.defs()) {
+            for (def, inputs, out) in &self.lets {
                 let row = &self.row;
                 let last = |i: usize| row[inputs[i] as usize].last().copied();
                 let result = def.expr.eval(
@@ -378,9 +412,8 @@ impl BlockFold {
             // WHERE.
             let row = &self.row;
             let type_mismatches = &mut self.type_mismatches;
-            let mut conditions = self.filters.iter().zip(unit.filters.filters());
-            let pass = conditions.all(|(&slot, filter)| {
-                let cells = &row[slot as usize];
+            let pass = self.filters.iter().all(|(filter, slot)| {
+                let cells = &row[*slot as usize];
                 match filter {
                     Filter::Exists(_) => !cells.is_empty(),
                     Filter::NotExists(_) => cells.is_empty(),
@@ -423,16 +456,18 @@ impl BlockFold {
             self.key_cells
                 .extend(self.key.iter().map(|&cell| KeyCell::of(cell)));
             let group = match self.groups.get(self.key_cells.as_slice()) {
-                Some(&group) => group,
+                Some(&group) => Some(group),
                 None => {
-                    // A new group (or one this unit has not met yet):
-                    // the one place a row builds a boxed key.
+                    // A group this fold has not met: the one place a
+                    // row builds a boxed key.
                     let key = self
                         .key
                         .iter()
                         .map(|cell| cell.map(|cell| strings.get(cell).into_owned()));
                     let group = agg.admit(key.collect());
-                    self.groups.insert(self.key_cells.as_slice().into(), group);
+                    if let Some(group) = group {
+                        self.groups.insert(self.key_cells.as_slice().into(), group);
+                    }
                     group
                 }
             };

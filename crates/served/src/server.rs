@@ -319,7 +319,8 @@ impl ServerState {
             streams_seen += 1;
         }
 
-        match run_records_with_deadline(out_store, &rows, q, &deadline) {
+        let warm_rows = rows.len();
+        match run_records_with_deadline(out_store, rows, q, &deadline) {
             Err(e) => (400, format!("query error: {e}\n")),
             Ok(run) if !run.complete || streams_skipped > 0 => {
                 self.metrics()
@@ -329,7 +330,7 @@ impl ServerState {
                     "warning: deadline exceeded ({} ms): partial result over {} of {} rows, {} of {} streams\n{}",
                     self.cfg.query_deadline.as_millis(),
                     run.processed,
-                    rows.len(),
+                    warm_rows,
                     streams_seen,
                     streams_seen + streams_skipped,
                     run.result.render()
@@ -411,8 +412,7 @@ impl ServerState {
         let mut reader = BufReader::new(conn);
         let mut bound: Option<String> = None;
         let send = |writer: &mut TcpStream, reply: Reply| -> std::io::Result<()> {
-            writer.write_all(reply.to_line().as_bytes())?;
-            writer.write_all(b"\n")
+            writer.write_all((reply.to_line() + "\n").as_bytes())
         };
         loop {
             let command = match read_line(&mut reader) {

@@ -1,21 +1,44 @@
 //! Per-stream resident state: warm aggregate + write-ahead journal +
 //! circuit breaker.
 //!
-//! Each ingest stream owns a [`Dataset`] (attribute dictionary +
-//! context tree, grown incrementally as batches arrive), a warm
-//! [`Aggregator`] holding the resident aggregation, and a
-//! [`JournalWriter`] through which every accepted batch is made durable
-//! *before* it is acknowledged. The ack-after-flush ordering is the
-//! whole durability story: a `kill -9` at any instant can lose only
-//! batches that were never acknowledged, so clients that retry
-//! un-acked batches observe zero accepted-batch loss.
+//! Each ingest stream owns a resident [`CaliReader`] (the stream's
+//! dictionary — attribute store and context tree, grown as batches
+//! arrive — its string table and its decode buffers), a warm
+//! [`Aggregator`] with the [`BlockFold`] that feeds it, and a
+//! [`JournalWriter`]. A batch moves through them as one [`Block`](caliper_format::Block)
+//! of typed columns and never becomes records:
+//!
+//! 1. **decode** the payload whole, strictly, every row stamped with its
+//!    `journal.seq` ([`CaliReader::read_batch`]) — a bad line at any
+//!    ordinal, or no row at all, rejects the batch and leaves journal
+//!    bytes, warm rows and the sequence counter untouched;
+//! 2. **journal** the block ([`JournalWriter::append_block`]);
+//! 3. **flush** (+ fsync per policy);
+//! 4. **fold** the block into the warm aggregate;
+//! 5. **ack**.
+//!
+//! The order carries two invariants. *Every ack is durable:* the ack is
+//! built after the flush returns, so a `kill -9` at any instant can lose
+//! only batches that were never acknowledged, and clients that retry
+//! un-acked batches observe zero accepted-batch loss. *Everything a
+//! query serves is durable:* nothing is folded that was not flushed, so
+//! a batch whose journal append or flush fails contributes nothing to
+//! the warm aggregate — the stream degrades, and its answers stay those
+//! of its journal.
 //!
 //! On restart, [`StreamState::open`] replays the stream's journal with
-//! [`recover_file_cancellable`] (lenient, torn tails expected,
-//! sequence-deduplicated) and re-feeds the salvaged records through a
-//! fresh aggregator — the identical `add` path live batches take — so
+//! [`recover_file_blocks`] (lenient, torn tails expected,
+//! sequence-deduplicated) through the same resident reader and folds the
+//! salvaged blocks with the same fold live batches take, so
 //! post-recovery query results are byte-identical to an uninterrupted
 //! run over the same accepted batches.
+//!
+//! A resident stream's memory is bounded by its dictionary and its
+//! groups. Records and globals leave with the batch; the string table —
+//! which a string attribute with ever-new values would otherwise grow
+//! for as long as the daemon runs — is started over, together with the
+//! fold's caches keyed by its codes, once it holds more than
+//! `MAX_STREAM_STRINGS` (65 536) strings.
 //!
 //! A stream whose batches keep failing (parse errors, journal I/O
 //! errors) trips a circuit breaker after
@@ -27,11 +50,17 @@
 use std::path::{Path, PathBuf};
 
 use caliper_data::{AttrId, Deadline, FlatRecord, Properties, Value, ValueType};
-use caliper_format::journal::{recover_file_cancellable, RecoveryReport};
-use caliper_format::{CaliReader, Dataset, FlushPolicy, JournalWriter, ReadPolicy, SEQ_ATTR};
-use caliper_query::{AggregationSpec, Aggregator};
+use caliper_format::journal::{recover_file_blocks, RecoveryReport};
+use caliper_format::{CaliReader, FlushPolicy, JournalWriter, ReadPolicy, SEQ_ATTR};
+use caliper_query::{AggregationSpec, Aggregator, BlockFold};
 
 use crate::config::ServedConfig;
+
+/// Strings a stream's table may hold before it is started over (between
+/// batches, so a batch can overshoot by what it carries). Only the
+/// table's codes are forgotten, never a group: the cost of a reset is
+/// one key rebuilt per live group.
+pub(crate) const MAX_STREAM_STRINGS: usize = 1 << 16;
 
 /// Acknowledgement data for one accepted batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +74,9 @@ pub struct BatchAck {
 /// One ingest stream's resident state. See the module docs.
 pub struct StreamState {
     name: String,
-    ds: Dataset,
+    reader: CaliReader,
     aggregator: Aggregator,
+    fold: BlockFold,
     journal: JournalWriter,
     seq_attr: AttrId,
     next_seq: u64,
@@ -100,14 +130,26 @@ impl StreamState {
             max_buffer: 8 << 20,
             fsync: cfg.fsync,
         };
-        let (ds, recovery) = if path.exists() {
+        let mut reader = CaliReader::new();
+        let store = std::sync::Arc::clone(&reader.dataset().store);
+        let mut aggregator = Aggregator::new(spec.clone(), store);
+        aggregator.set_max_groups(cfg.max_groups);
+        let mut fold = BlockFold::for_aggregation(spec);
+
+        // Replay: the salvaged blocks take the fold live batches take.
+        let recovery = if path.exists() {
             let deadline = Deadline::after(cfg.replay_deadline);
-            let (ds, report) =
-                recover_file_cancellable(&path, ReadPolicy::lenient(), Some(&deadline))
-                    .map_err(|e| format!("replaying journal {}: {e}", path.display()))?;
-            (ds, Some(report))
+            let report = recover_file_blocks(
+                &mut reader,
+                &path,
+                ReadPolicy::lenient(),
+                Some(&deadline),
+                &mut |ds, strings, block| fold.fold(&mut aggregator, ds, strings, block),
+            )
+            .map_err(|e| format!("replaying journal {}: {e}", path.display()))?;
+            Some(report)
         } else {
-            (Dataset::new(), None)
+            None
         };
         let journal = if recovery.is_some() {
             JournalWriter::open_append(&path, policy)
@@ -118,35 +160,28 @@ impl StreamState {
         }
         .map_err(|e| format!("opening journal {}: {e}", path.display()))?;
 
-        let seq_attr = ds.attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE).id();
-        let mut aggregator = Aggregator::new(spec.clone(), std::sync::Arc::clone(&ds.store));
-        aggregator.set_max_groups(cfg.max_groups);
-
-        let mut state = StreamState {
+        let seq_attr = reader
+            .dataset()
+            .attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE)
+            .id();
+        Ok(StreamState {
             name: name.to_string(),
-            next_seq: 0,
+            next_seq: recovery
+                .as_ref()
+                .and_then(|report| report.max_seq)
+                .map_or(0, |max| max + 1),
             seq_attr,
             aggregator,
+            fold,
             journal,
-            ds,
+            reader,
             consecutive_failures: 0,
             max_stream_failures: cfg.max_stream_failures,
             degraded: false,
             accepted_batches: 0,
-            accepted_records: 0,
-            recovery: None,
-        };
-        if let Some(report) = recovery {
-            state.next_seq = report.max_seq.map_or(0, |m| m + 1);
-            // Re-feed the salvage through the live aggregation path.
-            for rec in state.ds.flat_records() {
-                state.aggregator.add(&rec);
-            }
-            state.accepted_records = state.ds.records.len() as u64;
-            state.ds.records.clear();
-            state.recovery = Some(report);
-        }
-        Ok(state)
+            accepted_records: recovery.as_ref().map_or(0, |report| report.salvaged),
+            recovery,
+        })
     }
 
     /// The stream name.
@@ -176,14 +211,15 @@ impl StreamState {
         self.aggregator.len()
     }
 
-    /// Process one ingest batch: parse (strict — a batch is accepted
-    /// whole or not at all), stamp `journal.seq`, journal + flush
-    /// (+fsync per policy), then fold into the warm aggregate. Only
-    /// after the flush returns is the ack constructed: see the module
-    /// docs for why that ordering is the durability contract.
+    /// Process one ingest batch: decode (strict — a batch is accepted
+    /// whole or not at all) with `journal.seq` stamped on every row,
+    /// journal + flush (+fsync per policy), then fold into the warm
+    /// aggregate. Only after the flush returns is anything folded or
+    /// the ack constructed: see the module docs for why that ordering
+    /// is the durability contract.
     ///
-    /// On failure the dataset is left without the batch's records, the
-    /// consecutive-failure counter advances, and crossing
+    /// A failure leaves the warm aggregate and the sequence counter as
+    /// they were; the consecutive-failure counter advances, and crossing
     /// `max_stream_failures` trips the breaker.
     pub fn process_batch(&mut self, payload: &[u8]) -> Result<BatchAck, String> {
         if self.degraded {
@@ -210,57 +246,43 @@ impl StreamState {
     }
 
     fn try_process(&mut self, payload: &[u8]) -> Result<BatchAck, String> {
-        // Decode the whole batch before anything is stamped, journaled
-        // or folded. Strict: a bad line rejects the batch. The stream's
-        // dataset keeps the batch's dictionary and nothing else — the
-        // records are taken out here, dropped if the batch is rejected,
-        // and so are its globals, which the daemon has no use for and
-        // which would otherwise pile up for as long as it runs.
-        let mut reader = CaliReader::into_dataset(std::mem::take(&mut self.ds));
-        let parse = reader.read_stream(payload);
-        self.ds = reader.finish();
-        let records = std::mem::take(&mut self.ds.records);
-        self.ds.globals.clear();
-        parse.map_err(|e| format!("batch rejected: {e}"))?;
-        if records.is_empty() {
+        if self.reader.strings().len() > MAX_STREAM_STRINGS {
+            self.reader.reset_strings();
+            self.fold.reset();
+        }
+
+        // Decode the whole batch before anything is journaled or
+        // folded. Strict: a bad line rejects the batch. The stream keeps
+        // the batch's dictionary and nothing else.
+        let (ds, strings, block) = self
+            .reader
+            .read_batch(payload, self.seq_attr, self.next_seq)
+            .map_err(|e| format!("batch rejected: {e}"))?;
+        if block.rows() == 0 {
             return Err("batch rejected: no records".to_string());
         }
 
-        // Stamp, journal, aggregate. A journal error mid-batch leaves
-        // the aggregate ahead of the journal for already-folded
-        // records, so it immediately degrades the stream below (the
-        // conservative reading of an inconsistent pair).
-        let mut folded = 0u64;
-        let mut journal_err = None;
-        for rec in records {
-            let mut stamped = rec;
-            stamped.push_imm(self.seq_attr, Value::UInt(self.next_seq));
-            if let Err(e) = self.journal.append_snapshot(&self.ds, &stamped) {
-                journal_err = Some(format!("journal append: {e}"));
-                break;
-            }
-            let flat = stamped.unpack(&self.ds.tree);
-            self.aggregator.add(&flat);
-            self.next_seq += 1;
-            folded += 1;
-        }
-        if journal_err.is_none() {
-            if let Err(e) = self.journal.flush() {
-                journal_err = Some(format!("journal flush: {e}"));
-            }
-        }
-        if let Some(e) = journal_err {
-            // Aggregate state may now be ahead of the durable journal:
-            // refuse further ingest on this stream outright.
+        // Journal and flush, and only then fold: a batch the journal
+        // did not take is not served either. The journal may hold part
+        // of it (a forced flush on the way), which is why the stream
+        // stops taking batches — a restart replays whatever got there.
+        let journaled = match self.journal.append_block(ds, strings, block) {
+            Ok(()) => self.journal.flush().map_err(|e| format!("journal flush: {e}")),
+            Err(e) => Err(format!("journal append: {e}")),
+        };
+        if let Err(e) = journaled {
             self.degraded = true;
             return Err(format!(
-                "{e} (stream '{}' degraded: warm state may exceed journal)",
+                "{e} (stream '{}' degraded: batch not applied)",
                 self.name
             ));
         }
+        self.fold.fold(&mut self.aggregator, ds, strings, block);
+        let records = block.rows() as u64;
+        self.next_seq += records;
         Ok(BatchAck {
             last_seq: self.next_seq - 1,
-            records: folded,
+            records,
         })
     }
 
@@ -288,8 +310,11 @@ impl StreamState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caliper_data::RecordBuilder;
+    use caliper_data::{RecordBuilder, SnapshotRecord, NODE_NONE};
+    use caliper_format::journal::recover_file_cancellable;
+    use caliper_format::Dataset;
     use caliper_query::parse_query;
+    use proptest::prelude::*;
 
     fn test_cfg(dir: &Path) -> ServedConfig {
         ServedConfig {
@@ -332,21 +357,417 @@ mod tests {
     }
 
     fn render(state: &StreamState) -> String {
+        let query = "SELECT kernel, count, sum#t, stream ORDER BY kernel FORMAT csv";
+        answer(|out, stream_attr| state.warm_rows(out, stream_attr), query).1
+    }
+
+    /// The warm rows `warm_rows` flushes, described, and `query` over
+    /// them as the query plane renders it.
+    fn answer(
+        warm_rows: impl Fn(&caliper_data::AttributeStore, AttrId) -> Vec<FlatRecord>,
+        query: &str,
+    ) -> (Vec<String>, String) {
         let out = std::sync::Arc::new(caliper_data::AttributeStore::new());
         let stream_attr = out
             .create("stream", ValueType::Str, Properties::DEFAULT)
             .unwrap()
             .id();
-        let rows = state.warm_rows(&out, stream_attr);
-        let run = caliper_query::run_records_with_deadline(
-            out,
-            &rows,
-            "SELECT kernel, count, sum#t, stream ORDER BY kernel FORMAT csv",
-            &Deadline::unbounded(),
-        )
-        .unwrap();
+        let rows = warm_rows(&out, stream_attr);
+        let described = rows.iter().map(|row| row.describe(&out)).collect();
+        let run = caliper_query::run_records_with_deadline(out, rows, query, &Deadline::unbounded())
+            .unwrap();
         assert!(run.complete);
-        run.result.render()
+        (described, run.result.render())
+    }
+
+    /// The stream as it was while it handled records, kept as the
+    /// oracle: a batch's rows derived from the decoded block
+    /// (`Block::append_records`, behind `read_stream`), each stamped,
+    /// journaled with `write_snapshot` (behind `append_snapshot`),
+    /// unpacked and `add`ed one by one; replay by the row recovery. (No
+    /// circuit breaker: the tests drive it with one that never trips.)
+    struct RowStream {
+        name: String,
+        ds: Dataset,
+        aggregator: Aggregator,
+        journal: JournalWriter,
+        seq_attr: AttrId,
+        next_seq: u64,
+        recovery: Option<RecoveryReport>,
+    }
+
+    impl RowStream {
+        fn open(name: &str, cfg: &ServedConfig, spec: &AggregationSpec) -> RowStream {
+            let path = journal_path(&cfg.data_dir, name);
+            let policy = FlushPolicy {
+                flush_interval: u64::MAX,
+                max_buffer: 8 << 20,
+                fsync: cfg.fsync,
+            };
+            let (mut ds, recovery) = if path.exists() {
+                let deadline = Deadline::after(cfg.replay_deadline);
+                let (ds, report) =
+                    recover_file_cancellable(&path, ReadPolicy::lenient(), Some(&deadline)).unwrap();
+                (ds, Some(report))
+            } else {
+                (Dataset::new(), None)
+            };
+            let journal = if recovery.is_some() {
+                JournalWriter::open_append(&path, policy)
+            } else {
+                std::fs::create_dir_all(&cfg.data_dir).unwrap();
+                JournalWriter::create(&path, policy)
+            }
+            .unwrap();
+            let seq_attr = ds.attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE).id();
+            let mut aggregator = Aggregator::new(spec.clone(), std::sync::Arc::clone(&ds.store));
+            aggregator.set_max_groups(cfg.max_groups);
+            for rec in ds.flat_records() {
+                aggregator.add(&rec);
+            }
+            ds.records.clear();
+            RowStream {
+                name: name.to_string(),
+                next_seq: recovery.as_ref().and_then(|r| r.max_seq).map_or(0, |m| m + 1),
+                ds,
+                aggregator,
+                journal,
+                seq_attr,
+                recovery,
+            }
+        }
+
+        fn process_batch(&mut self, payload: &[u8]) -> Result<BatchAck, String> {
+            let mut reader = CaliReader::into_dataset(std::mem::take(&mut self.ds));
+            let parse = reader.read_stream(payload);
+            self.ds = reader.finish();
+            let records = std::mem::take(&mut self.ds.records);
+            self.ds.globals.clear();
+            parse.map_err(|e| format!("batch rejected: {e}"))?;
+            if records.is_empty() {
+                return Err("batch rejected: no records".to_string());
+            }
+            let mut folded = 0;
+            for mut stamped in records {
+                stamped.push_imm(self.seq_attr, Value::UInt(self.next_seq));
+                self.journal.append_snapshot(&self.ds, &stamped).unwrap();
+                self.aggregator.add(&stamped.unpack(&self.ds.tree));
+                self.next_seq += 1;
+                folded += 1;
+            }
+            self.journal.flush().unwrap();
+            Ok(BatchAck {
+                last_seq: self.next_seq - 1,
+                records: folded,
+            })
+        }
+
+        fn warm_rows(&self, out: &caliper_data::AttributeStore, stream_attr: AttrId) -> Vec<FlatRecord> {
+            let mut rows = self.aggregator.flush(out);
+            for row in &mut rows {
+                row.push(stream_attr, Value::str(self.name.as_str()));
+            }
+            rows
+        }
+    }
+
+    /// A stream and its oracle, each over its own data directory, fed
+    /// the same batches and held to the same journal bytes, acks, warm
+    /// rows and rendered answer.
+    struct Pair {
+        dirs: [PathBuf; 2],
+        cfg: ServedConfig,
+        spec: AggregationSpec,
+        state: StreamState,
+        oracle: RowStream,
+    }
+
+    const ALL: &str = "SELECT * FORMAT csv";
+
+    impl Pair {
+        fn open(tag: &str, cfg: ServedConfig, spec: AggregationSpec) -> Pair {
+            let dirs = [tmpdir(&format!("{tag}-blocks")), tmpdir(&format!("{tag}-rows"))];
+            Pair::reopen(dirs, cfg, spec)
+        }
+
+        /// Open both over whatever their directories hold.
+        fn reopen(dirs: [PathBuf; 2], cfg: ServedConfig, spec: AggregationSpec) -> Pair {
+            let [blocks, rows] = dirs.clone().map(|data_dir| ServedConfig {
+                data_dir,
+                max_stream_failures: u32::MAX,
+                ..cfg.clone()
+            });
+            let pair = Pair {
+                state: StreamState::open("s1", &blocks, &spec).unwrap(),
+                oracle: RowStream::open("s1", &rows, &spec),
+                dirs,
+                cfg,
+                spec,
+            };
+            // Replayed alike, report for report (but for where it was).
+            let pathless = |report: &Option<RecoveryReport>| {
+                let mut report = report.clone();
+                if let Some(report) = &mut report {
+                    report.read.path = None;
+                }
+                format!("{report:?}")
+            };
+            assert_eq!(pathless(&pair.state.recovery), pathless(&pair.oracle.recovery));
+            assert_eq!(pair.state.next_seq, pair.oracle.next_seq);
+            pair.assert_same_answers("after open");
+            pair
+        }
+
+        fn journals(&self) -> [Vec<u8>; 2] {
+            self.dirs
+                .clone()
+                .map(|dir| std::fs::read(journal_path(&dir, "s1")).unwrap())
+        }
+
+        fn assert_same_answers(&self, when: &str) {
+            let blocks = answer(|out, attr| self.state.warm_rows(out, attr), ALL);
+            let rows = answer(|out, attr| self.oracle.warm_rows(out, attr), ALL);
+            assert_eq!(blocks, rows, "{when}");
+            assert_eq!(self.state.groups(), self.oracle.aggregator.len(), "{when}");
+        }
+
+        /// One batch through both; returns what the stream answered.
+        fn process_batch(&mut self, payload: &[u8], when: &str) -> Result<BatchAck, String> {
+            let ack = self.feed(payload, when);
+            self.assert_same_journals(when);
+            ack
+        }
+
+        /// [`process_batch`](Self::process_batch) short of reading the
+        /// journals back.
+        fn feed(&mut self, payload: &[u8], when: &str) -> Result<BatchAck, String> {
+            let ack = self.state.process_batch(payload);
+            assert_eq!(ack, self.oracle.process_batch(payload), "{when}");
+            self.assert_same_answers(when);
+            ack
+        }
+
+        fn assert_same_journals(&self, when: &str) {
+            let [blocks, rows] = self.journals();
+            assert!(blocks == rows, "journal bytes differ {when}");
+        }
+
+        /// Drop both (the final flush) and open them again.
+        fn restart(self) -> Pair {
+            let Pair { dirs, cfg, spec, .. } = self;
+            Pair::reopen(dirs, cfg, spec)
+        }
+
+        fn remove(self) {
+            for dir in &self.dirs {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    /// One generated row: a path into the payload's context tree (which
+    /// of two nested attributes, which text), then immediates (which
+    /// attribute, which text, arbitrary bits).
+    type Row = (Vec<(u8, u8)>, Vec<(u8, u8, u64)>);
+
+    /// `size` rows cycling through `templates`, as the self-describing
+    /// text stream a producer sends: node declarations for nested paths,
+    /// immediates of all five types (`late` only when `late` is set),
+    /// sometimes the same attribute twice in a row, sometimes a
+    /// `journal.seq` of the payload's own.
+    fn payload(texts: &[String], templates: &[Row], size: usize, late: bool) -> Vec<u8> {
+        let mut ds = Dataset::new();
+        let nested = ["region", "kernel"].map(|n| ds.attribute(n, ValueType::Str, Properties::NESTED));
+        let attr = |name: &str, vtype| ds.attribute(name, vtype, Properties::AS_VALUE).id();
+        let (s, i, u) = (attr("s", ValueType::Str), attr("i", ValueType::Int), attr("u", ValueType::UInt));
+        let (f, b) = (attr("f", ValueType::Float), attr("b", ValueType::Bool));
+        let (late_attr, own_seq) = (attr("late", ValueType::Str), attr(SEQ_ATTR, ValueType::UInt));
+        let text = |pick: u8| Value::str(texts[pick as usize % texts.len()].as_str());
+        let mut records = Vec::new();
+        for row in 0..size {
+            let (path, imms) = &templates[row % templates.len()];
+            let mut node = NODE_NONE;
+            for (which, pick) in path {
+                node = ds.tree.get_child(node, nested[*which as usize % 2].id(), &text(*pick));
+            }
+            let mut rec = SnapshotRecord::new();
+            if node != NODE_NONE {
+                rec.push_node(node);
+            }
+            for (which, pick, bits) in imms {
+                match which % 8 {
+                    0 => rec.push_imm(s, text(*pick)),
+                    1 => rec.push_imm(i, Value::Int((bits % 5) as i64 - 2 + (row % 3) as i64)),
+                    2 => rec.push_imm(u, Value::UInt(if bits % 7 == 0 { u64::MAX } else { bits % 4 })),
+                    3 => rec.push_imm(f, Value::Float((bits % 64) as f64 / 8.0 - 2.0)),
+                    4 => rec.push_imm(b, Value::Bool(bits % 2 == 0)),
+                    5 if late => rec.push_imm(late_attr, text(*pick)),
+                    6 => rec.push_imm(own_seq, Value::UInt(bits % 6)),
+                    _ => rec.push_imm(i, Value::Int(row as i64 % 4)),
+                }
+            }
+            records.push(rec);
+        }
+        ds.records = records;
+        caliper_format::cali::to_bytes(&ds)
+    }
+
+    /// Text that needs every escape.
+    fn arb_text() -> impl Strategy<Value = String> {
+        prop::collection::vec((any::<u8>(), any::<char>()), 0..10).prop_map(|picks| {
+            let pick = |(pick, c): (u8, char)| match pick % 10 {
+                0 => ',',
+                1 => '=',
+                2 => '\\',
+                3 => '\n',
+                4 => '\r',
+                5..=7 => (b'a' + pick % 26) as char,
+                _ => c,
+            };
+            picks.into_iter().map(pick).collect()
+        })
+    }
+
+    fn arb_row() -> impl Strategy<Value = Row> {
+        (
+            prop::collection::vec((any::<u8>(), any::<u8>()), 0..4),
+            prop::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..6),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The daemon against the row path, batch by batch: journal file
+        /// bytes, acks (and rejections, word for word), warm rows and
+        /// the rendered answer are the oracle's after every batch — of
+        /// 0, 1, a few, 64, 1 024 or 2 500 rows, clean or with a bad
+        /// line somewhere — and again after a restart replays the lot.
+        #[test]
+        fn a_stream_of_blocks_is_the_stream_of_rows(
+            texts in prop::collection::vec(arb_text(), 1..5),
+            key in 0usize..6,
+            max_groups in 0usize..3,
+            batches in prop::collection::vec(
+                (0usize..14, prop::collection::vec(arb_row(), 1..5), any::<u16>()),
+                1..5,
+            ),
+        ) {
+            static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let key = [
+                "kernel",
+                "region,kernel,s",
+                "i,b,journal.seq",
+                "late,f",
+                "s,never.sent,u",
+                "journal.seq",
+            ][key];
+            let query = format!(
+                "AGGREGATE count,sum(f),max(i),min(u),sum(journal.seq) GROUP BY {key}"
+            );
+            let cfg = ServedConfig {
+                max_groups: [None, Some(2), Some(40)][max_groups],
+                ..ServedConfig::default()
+            };
+            let spec = AggregationSpec::from_query(&parse_query(&query).unwrap());
+            let mut pair = Pair::open(&format!("oracle{case}"), cfg, spec);
+            for (n, (size, templates, damage)) in batches.iter().enumerate() {
+                let size = [0, 1, 1, 2, 3, 5, 7, 17, 17, 64, 64, 64, 1024, 2500][*size];
+                let mut bytes = payload(&texts, templates, size, n > 0);
+                if damage % 5 == 0 {
+                    // A line that cannot parse, at any ordinal.
+                    let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+                    let at = *damage as usize % (lines.len() + 1);
+                    let bad: &[u8] = if damage % 2 == 0 { b"__rec=ctx,ref=4000\n" } else { b"\xff\n" };
+                    bytes = [lines[..at].concat(), bad.to_vec(), lines[at..].concat()].concat();
+                }
+                let ack = pair.process_batch(&bytes, &format!("after batch {n} ({size} rows)"));
+                prop_assert_eq!(ack.is_ok(), size > 0 && damage % 5 != 0);
+            }
+            let mut pair = pair.restart();
+            pair.process_batch(&payload(&texts, &batches[0].1, 3, true), "after the restart").unwrap();
+            pair.remove();
+        }
+    }
+
+    /// A journal of three batches (1 100 records, so a replay reads it
+    /// as two blocks) and its `ctx` lines.
+    fn journal_of_three_batches(tag: &str) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let dir = tmpdir(tag);
+        let mut state = StreamState::open("s1", &test_cfg(&dir), &spec()).unwrap();
+        for (n, size) in [(0, 600), (1, 436), (2, 64)] {
+            let kernels: Vec<(String, i64)> =
+                (0..size).map(|i| (format!("k{}", (i + n) % 7), i)).collect();
+            let kernels: Vec<(&str, i64)> = kernels.iter().map(|(k, t)| (k.as_str(), *t)).collect();
+            state.process_batch(&batch(&kernels)).unwrap();
+        }
+        drop(state);
+        let bytes = std::fs::read(journal_path(&dir, "s1")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = bytes
+            .split_inclusive(|&b| b == b'\n')
+            .filter(|line| line.starts_with(b"__rec=ctx"))
+            .map(<[u8]>::to_vec)
+            .collect();
+        (bytes, ctx)
+    }
+
+    #[test]
+    fn replay_folds_what_the_row_recovery_salvages() {
+        let (clean, ctx) = journal_of_three_batches("replay-source");
+        assert_eq!(ctx.len(), 1100);
+        let torn = clean[..clean.len() - 11].to_vec();
+        let doubled_tail = [clean.clone(), ctx[1090..].concat()].concat();
+        // The same number twice in a row inside the first block, and a
+        // span of the first block written again in the second.
+        let doubled_across = [clean.clone(), ctx[3].clone(), ctx[3].clone(), ctx[500..540].concat()].concat();
+        let at = clean.windows(ctx[700].len()).position(|w| w == ctx[700]).unwrap();
+        let mut corrupt = clean.clone();
+        corrupt.splice(at..at + ctx[700].len(), b"__rec=ctx,ref=9999\n".iter().copied());
+
+        // (salvaged, duplicates, missing, skipped)
+        let cases = [
+            ("clean", &clean, (1100, 0, 0, 0)),
+            ("torn", &torn, (1099, 0, 0, 1)),
+            ("doubled-tail", &doubled_tail, (1100, 10, 0, 0)),
+            ("doubled-across", &doubled_across, (1100, 42, 0, 0)),
+            ("corrupt", &corrupt, (1099, 0, 1, 1)),
+        ];
+        for (tag, journal, (salvaged, duplicates, missing, skipped)) in cases {
+            let dirs = [tmpdir(&format!("replay-{tag}-blocks")), tmpdir(&format!("replay-{tag}-rows"))];
+            for dir in &dirs {
+                std::fs::write(journal_path(dir, "s1"), journal).unwrap();
+            }
+            let mut pair = Pair::reopen(dirs, ServedConfig::default(), spec());
+            let report = pair.state.recovery.clone().unwrap();
+            assert_eq!(
+                (report.salvaged, report.duplicates, report.missing, report.read.skipped),
+                (salvaged, duplicates, missing, skipped),
+                "{tag}"
+            );
+            assert_eq!(pair.state.accepted_records(), salvaged, "{tag}");
+            // Both carry on from the same sequence number, on the same
+            // (possibly newline-terminated) file.
+            let ack = pair.process_batch(&batch(&[("k1", 5), ("new", 6)]), tag).unwrap();
+            assert_eq!(ack.last_seq, report.max_seq.unwrap() + 2, "{tag}");
+            pair.restart().remove();
+        }
+
+        // A replay out of budget keeps what it had: nothing.
+        let dirs = [tmpdir("replay-expired-blocks"), tmpdir("replay-expired-rows")];
+        for dir in &dirs {
+            std::fs::write(journal_path(dir, "s1"), &clean).unwrap();
+        }
+        let cfg = ServedConfig {
+            replay_deadline: std::time::Duration::ZERO,
+            ..ServedConfig::default()
+        };
+        let pair = Pair::reopen(dirs, cfg, spec());
+        let report = pair.state.recovery.clone().unwrap();
+        assert!(report.read.truncated && report.salvaged == 0, "{}", report.summary());
+        assert_eq!(pair.state.groups(), 0);
+        pair.remove();
     }
 
     #[test]
@@ -422,11 +843,49 @@ mod tests {
             if round % 10 == 0 {
                 assert!(state.process_batch(&bad).is_err());
             }
-            assert!(state.ds.globals.is_empty() && state.ds.records.is_empty());
+            let ds = state.reader.dataset();
+            assert!(ds.globals.is_empty() && ds.records.is_empty());
         }
         assert_eq!(state.accepted_batches(), 1000);
         assert_eq!(state.accepted_records(), 2000);
         let _ = std::fs::remove_dir_all(&dir);
+
+        // Nor an unbounded string table: a string attribute nobody
+        // groups by, with a new value in every record, for 300 batches
+        // of 1 024. The table starts over whenever it has passed its
+        // bound — and the groups, found by codes of it (of a node's
+        // path and of an immediate, which every batch meets in another
+        // order, so that a code kept across a reset would name another
+        // group), answer on as the row path does.
+        let by_region = AggregationSpec::from_query(
+            &parse_query("AGGREGATE count,sum(t) GROUP BY region,kernel").unwrap(),
+        );
+        let mut pair = Pair::open("strings", ServedConfig::default(), by_region);
+        let (mut held, mut resets) = (0, 0);
+        for n in 0..300 {
+            let mut ds = Dataset::new();
+            let region = ds.attribute("region", ValueType::Str, Properties::NESTED).id();
+            let kernel = ds.attribute("kernel", ValueType::Str, Properties::AS_VALUE).id();
+            let t = ds.attribute("t", ValueType::Int, Properties::AS_VALUE).id();
+            let note = ds.attribute("note", ValueType::Str, Properties::AS_VALUE).id();
+            for i in 0..1024 {
+                let mut rec = SnapshotRecord::new();
+                let name = Value::str(format!("r{}", (i + n) % 3));
+                rec.push_node(ds.tree.get_child(NODE_NONE, region, &name));
+                rec.push_imm(kernel, Value::str(format!("k{}", (i + n) % 5)));
+                rec.push_imm(t, Value::Int(i));
+                rec.push_imm(note, Value::str(format!("note {n}.{i}")));
+                ds.push(rec);
+            }
+            pair.feed(&caliper_format::cali::to_bytes(&ds), &format!("after batch {n}")).unwrap();
+            let now = pair.state.reader.strings().len();
+            assert!(now <= MAX_STREAM_STRINGS + 1024 + 8, "{now} strings after batch {n}");
+            resets += usize::from(now < held);
+            held = now;
+        }
+        assert_eq!(resets, 300 * 1024 / MAX_STREAM_STRINGS, "the table did start over");
+        pair.assert_same_journals("after 300 batches");
+        pair.restart().remove();
     }
 
     #[test]
@@ -440,6 +899,11 @@ mod tests {
         state.process_batch(&batch(&[("a", 10), ("b", 5)])).unwrap();
         let journal = journal_path(&dir, "s1");
         let (rows, bytes) = (render(&state), std::fs::read(&journal).unwrap());
+        let untouched = |state: &StreamState, what: &str| {
+            assert_eq!(render(state), rows, "{what}");
+            assert_eq!(std::fs::read(&journal).unwrap(), bytes, "{what}");
+            assert_eq!((state.next_seq, state.accepted_records()), (2, 2), "{what}");
+        };
 
         let clean = batch_with_globals(&[("a", 1), ("c", 2), ("b", 3), ("c", 4)]);
         let lines: Vec<&[u8]> = clean.split_inclusive(|&b| b == b'\n').collect();
@@ -453,12 +917,16 @@ mod tests {
             damaged.extend_from_slice(&lines[ordinal..].concat());
             let err = state.process_batch(&damaged).unwrap_err();
             assert!(err.contains(&format!("line {}", ordinal + 1)), "{err}");
-            assert_eq!(render(&state), rows, "bad line at {ordinal}");
-            let journaled = std::fs::read(&journal).unwrap();
-            assert_eq!(journaled, bytes, "bad line at {ordinal}");
+            untouched(&state, &format!("bad line at {ordinal}"));
+        }
+        // So does a batch without a record: empty, or all dictionary.
+        for empty in [&b""[..], &lines[..2].concat()] {
+            assert_eq!(state.process_batch(empty).unwrap_err(), "batch rejected: no records");
+            untouched(&state, "empty batch");
         }
         // The stream is none the worse: the clean batch is accepted whole.
-        assert_eq!(state.process_batch(&clean).unwrap().records, 4);
+        let ack = state.process_batch(&clean).unwrap();
+        assert_eq!((ack.records, ack.last_seq), (4, 5));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

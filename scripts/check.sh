@@ -64,6 +64,36 @@ if [ "$served_sleeps" != "$want_sleeps" ]; then
     exit 1
 fi
 
+# No-rows gate: a stream's batches and its replay travel as blocks
+# (DESIGN.md §10, §11) — state.rs neither unpacks a record nor feeds
+# the aggregate one by one outside its tests, where the row path lives
+# on as the oracle.
+if printf '%s\n' "$served_src" | grep -F 'crates/served/src/state.rs:' \
+    | grep -E '\.unpack\(|flat_records\(|Aggregator::add|\.add\(&'; then
+    echo "check.sh: crates/served/src/state.rs handles records (listed above)" >&2
+    exit 1
+fi
+# And the text line encoder allocates nothing per record: from its
+# marker to the end of `write_rows`, cali.rs formats no id or value into
+# a String of its own, clones no entry and copies no list.
+encoder_src=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^\/\/ ---- the line encoder ----$/ { on = 1 }
+    on { print FILENAME ":" FNR ": " $0 }
+    on && /fn write_rows\(/ { last = 1 }
+    on && last && /^    }$/ { exit }
+' crates/format/src/cali.rs)
+for landmark in 'fn push_value(' 'fn write_snapshot(' 'fn write_globals(' 'fn write_rows('; do
+    printf '%s\n' "$encoder_src" | grep -qF "$landmark" || {
+        echo "check.sh: '$landmark' is not inside cali.rs' line-encoder stretch; move the marker with it" >&2
+        exit 1
+    }
+done
+if printf '%s\n' "$encoder_src" | grep -E 'to_string\(\)|\.to_vec\(\)|\.clone\(\)'; then
+    echo "check.sh: the text line encoder allocates per record (listed above)" >&2
+    exit 1
+fi
+
 # Static-analysis gate: every golden check fixture must produce its
 # pinned diagnostics (asserted byte-for-byte by the check_golden test
 # in `cargo test` above); here, re-assert the exit-code contract over
@@ -375,7 +405,7 @@ sq="SELECT function, count, sum#time.duration, stream ORDER BY stream, function 
 start_served() {
     rm -f "$smoke/served-ports"
     "$served" --data-dir "$smoke/served-data" --ports-file "$smoke/served-ports" \
-        --aggregate "count,sum(time.duration)" --group-by function --fsync \
+        --aggregate "count,sum(time.duration)" --group-by function --fsync "$@" \
         > "$smoke/served.log" 2>&1 &
     served_pid=$!
     tries=0
@@ -399,8 +429,8 @@ stop_served() {
     fi
     rc=0
     wait "$served_pid" || rc=$?
-    if [ "$rc" -ne 0 ]; then
-        echo "check.sh: cali-served graceful drain exited $rc, expected 0" >&2
+    if [ "$rc" -ne "${1:-0}" ]; then
+        echo "check.sh: cali-served graceful drain exited $rc, expected ${1:-0}" >&2
         cat "$smoke/served.log" >&2
         exit 1
     fi
@@ -426,7 +456,32 @@ grep -q "," "$smoke/served-before.csv" || {
     echo "check.sh: cali-served query returned no data" >&2
     exit 1
 }
-echo "check.sh: served smoke: ingest->query->drain->restart recovered byte-identically"
+# Everything a query serves is durable: with every journal write
+# failing, a batch is answered DEGRADED, the degraded daemon answers
+# what it answered before the batch, and it exits 2.
+start_served --faults "journal.write=err(1.0)"
+"$served" --http "$served_http" --timeout-ms 10000 --client-query "$sq" \
+    > "$smoke/served-prebatch.csv"
+cmp -s "$smoke/served-before.csv" "$smoke/served-prebatch.csv" || {
+    echo "check.sh: cali-served replay under journal faults differs" >&2
+    exit 1
+}
+rc=0
+"$served" --connect "$served_ingest" --timeout-ms 10000 --stream rank0 \
+    "$golden/data/rank1.cali" > /dev/null 2> "$smoke/served-degraded.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q "DEGRADED journal flush" "$smoke/served-degraded.err"; then
+    cat "$smoke/served-degraded.err" >&2
+    echo "check.sh: batch under journal.write faults exited $rc, expected 2 + DEGRADED" >&2
+    exit 1
+fi
+"$served" --http "$served_http" --timeout-ms 10000 --client-query "$sq" \
+    > "$smoke/served-degraded.csv"
+cmp -s "$smoke/served-prebatch.csv" "$smoke/served-degraded.csv" || {
+    echo "check.sh: a batch the journal refused is being served" >&2
+    exit 1
+}
+stop_served 2
+echo "check.sh: served smoke: ingest->query->drain->restart recovered byte-identically; a refused journal write is not served"
 
 # Race-analysis gate: the 2048-rank seeded-kill two-level reduction
 # must certify race- and deadlock-free, with a certificate that is
