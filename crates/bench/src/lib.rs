@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use caliper_data::{AttributeStore, Value};
+use caliper_data::AttributeStore;
 use caliper_format::{CaliReader, Dataset};
 use caliper_query::QueryResult;
 
@@ -81,21 +81,6 @@ pub fn result_pairs(result: &QueryResult, key: &str, value: &str) -> Vec<(String
             Some((key, value))
         })
         .collect()
-}
-
-/// Look up a numeric result cell by a string key column value.
-pub fn result_value(result: &QueryResult, key_col: &str, key: &str, value_col: &str) -> Option<f64> {
-    let k = result.store.find(key_col)?;
-    let v = result.store.find(value_col)?;
-    result
-        .records
-        .iter()
-        .find(|r| {
-            r.path_string(k.id())
-                .map(|val| val == Value::str(key))
-                .unwrap_or(false)
-        })
-        .and_then(|r| r.get(v.id())?.to_f64())
 }
 
 /// Render a horizontal ASCII bar chart (for quick eyeballing of the

@@ -28,9 +28,11 @@ Options:
                       ORDER BY, LET, FORMAT (table|csv|json|expand|cali|flamegraph)
                       (see docs/CALQL.md for the full language reference)
   -o, --output FILE   write the result to FILE instead of stdout
-  --threads N         aggregate with N workers sharing a work queue
-                      (default: available parallelism; 1 = one worker,
-                      the same path; output is identical for every N)
+  --threads N         aggregate with up to N workers, each folding whole
+                      files taken off a shared counter — never more
+                      workers than files (default: available
+                      parallelism; 1 = one worker, the same path;
+                      output is identical for every N)
   --lenient           skip corrupt records instead of aborting; a per-file
                       summary of skipped work is printed on stderr
                       (opening a missing file is still an error)
@@ -57,8 +59,8 @@ Options:
                       file whose read exhausts the transient-error
                       retries, report the dropped shard on stderr, and
                       exit 2; output stays identical for every --threads
-  --timings           report a per-worker timing breakdown on stderr
-                      (for every --threads N)
+  --timings           report a timing breakdown on stderr, one line per
+                      worker the run had (for every --threads N)
   --stats[=FORMAT]    report pipeline self-instrumentation metrics on
                       stderr after the query: sorted name=value lines
                       (or one JSON object with --stats=json). The block
@@ -105,8 +107,8 @@ fn list_globals(ds: &caliper_format::Dataset) -> String {
 fn report_timings(timings: &ShardTimings) {
     for (id, w) in timings.workers.iter().enumerate() {
         eprintln!(
-            "# worker {id}: read {:.6} s, process {:.6} s ({} files, {} units, {} records)",
-            w.read_s, w.process_s, w.files, w.units, w.records
+            "# worker {id}: read {:.6} s, process {:.6} s ({} files, {} records)",
+            w.read_s, w.process_s, w.files, w.records
         );
     }
     eprintln!("# slowest worker:    {:.6} s", timings.worker_max_s());

@@ -23,8 +23,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use caliper_format::{Dataset, ReadPolicy};
-use caliper_query::{parse_query, ParseError, Pipeline, QueryResult, QuerySpec};
+use caliper_format::{Dataset, Pushdown, ReadPolicy};
+use caliper_query::{
+    build_pushdown, parse_query, ParseError, Pipeline, QueryResult, QuerySpec,
+};
 use mpisim::{
     Executor, FaultPlan, HbTrace, ReduceCoverage, ReduceTask, ResilienceOptions, SchedError,
     Topology,
@@ -141,14 +143,20 @@ pub fn parallel_query<E: Executor>(
         Ok(_) => return (Err(ParallelError::NotAnAggregation), None),
         Err(e) => return (Err(ParallelError::Parse(e)), None),
     };
+    // One schema-free pushdown for every rank, as `cali-query` builds
+    // for its workers: which blocks a file's scan skips depends on the
+    // file and the query alone.
+    let pushdown = Arc::new(build_pushdown(&spec, None));
     let size = files_per_rank.len().max(1);
     let files = Arc::new(files_per_rank);
     let make = move |rank: usize, size: usize| {
         let spec = Arc::clone(&spec);
         let files = Arc::clone(&files);
+        let pushdown = Arc::clone(&pushdown);
         let init = move || {
             let start = Instant::now();
-            let pipeline = local_pipeline(&spec, files.get(rank).map_or(&[], Vec::as_slice));
+            let files = files.get(rank).map_or(&[][..], Vec::as_slice);
+            let pipeline = local_pipeline(&spec, files, &pushdown);
             let times = ParallelTimings {
                 local_max_s: start.elapsed().as_secs_f64(),
                 ..ParallelTimings::default()
@@ -227,13 +235,18 @@ impl Partial {
 }
 
 /// A rank's local phase: one pipeline over its files, scanned in order
-/// through one shared dictionary.
-fn local_pipeline(spec: &QuerySpec, files: &[PathBuf]) -> Result<Pipeline, String> {
+/// through one shared dictionary — per file the step `cali-query`'s
+/// workers run.
+fn local_pipeline(
+    spec: &QuerySpec,
+    files: &[PathBuf],
+    pushdown: &Pushdown,
+) -> Result<Pipeline, String> {
     let mut dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
     for path in files {
         dict = pipeline
-            .scan_file(path, dict, ReadPolicy::Strict, None, usize::MAX)
+            .scan_file(path, dict, ReadPolicy::Strict, Some(pushdown))
             .map_err(|e| e.to_string())?
             .dict;
     }
@@ -406,6 +419,55 @@ mod tests {
             );
             assert!(matches!(run.unwrap_err(), ParallelError::Io(_)));
         }
+    }
+
+    /// Every rank hands its scan the query's pushdown, as `cali-query`'s
+    /// workers do: over small-block v2 files a selective WHERE skips the
+    /// blocks whose zone maps rule it out, and answers what reading
+    /// every record answers.
+    #[test]
+    fn a_selective_where_skips_blocks_on_every_rank() {
+        const WHERE_RANK_2: &str = "AGGREGATE count, sum(sum#time.duration) WHERE mpi.rank = 2 \
+                                    GROUP BY kernel ORDER BY kernel";
+        fn check<E: Executor>(engine: &E, paths: &[PathBuf], expect: &str, ruled_out: u64) {
+            let skipped = caliper_data::metrics::global().counter("format.reader.blocks_skipped");
+            let before = skipped.get();
+            let (run, _) = parallel_query(
+                engine,
+                Topology::Flat,
+                WHERE_RANK_2,
+                paths.iter().map(|p| vec![p.clone()]).collect(),
+                FaultPlan::new(),
+                ResilienceOptions::default(),
+                false,
+            );
+            assert_eq!(run.unwrap().result.render(), expect, "{}", engine.name());
+            // At least: other tests of this process may skip blocks too.
+            assert!(skipped.get() - before >= ruled_out, "{}", engine.name());
+        }
+
+        let dir = temp_dir("pushdown");
+        let params = ParaDisParams {
+            iterations: 2,
+            ..Default::default()
+        };
+        let opts = caliper_format::V2WriteOptions {
+            block_records: 16,
+            footer: true,
+        };
+        let (mut paths, mut blocks) = (Vec::new(), Vec::new());
+        for (rank, ds) in paradis::generate(&params, 4).iter().enumerate() {
+            paths.push(dir.join(format!("rank{rank}.calb2")));
+            std::fs::write(&paths[rank], caliper_format::to_binary_v2_with(ds, &opts)).unwrap();
+            blocks.push(ds.len().div_ceil(16) as u64);
+        }
+        let expect = run_query(&read_files(&paths).unwrap(), WHERE_RANK_2).unwrap().render();
+        assert!(expect.lines().count() > 10, "{expect}");
+        // No block of ranks 0, 1 and 3 can hold a match.
+        let ruled_out = blocks[0] + blocks[1] + blocks[3];
+        check(&EventEngine::new(), &paths, &expect, ruled_out);
+        check(&ThreadEngine, &paths, &expect, ruled_out);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -323,7 +323,7 @@ fn cleverleaf_v2_matches_text_across_thread_counts() {
         text.push(dir.join(format!("rank{rank}.cali")));
         caliper_format::cali::write_file(ds, &text[rank]).unwrap();
         v2.push(dir.join(format!("rank{rank}.calb2")));
-        // Small blocks: several per file, so units and skips happen.
+        // Small blocks: several per file, so skips happen.
         let opts = caliper_format::V2WriteOptions { block_records: 64, footer: true };
         std::fs::write(&v2[rank], caliper_format::to_binary_v2_with(ds, &opts)).unwrap();
     }

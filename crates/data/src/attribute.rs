@@ -180,16 +180,6 @@ impl Attribute {
     pub fn is_aggregatable(&self) -> bool {
         self.meta.props.contains(Properties::AGGREGATABLE)
     }
-
-    /// Whether the attribute is excluded from snapshots.
-    pub fn is_skipped(&self) -> bool {
-        self.meta.props.contains(Properties::SKIP)
-    }
-
-    /// Whether the attribute is dataset-level metadata.
-    pub fn is_global(&self) -> bool {
-        self.meta.props.contains(Properties::GLOBAL)
-    }
 }
 
 impl PartialEq for Attribute {

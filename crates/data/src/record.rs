@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use crate::attribute::{AttrId, Attribute};
+use crate::attribute::AttrId;
 use crate::node::{ContextTree, NodeId};
 use crate::store::AttributeStore;
 use crate::value::Value;
@@ -233,12 +233,6 @@ impl<'a> RecordBuilder<'a> {
     pub fn build(self) -> FlatRecord {
         self.record
     }
-}
-
-/// Resolve an attribute handle list for a set of labels; missing labels
-/// are skipped. Helper shared by the query engine and formatters.
-pub fn resolve_attrs(store: &AttributeStore, labels: &[String]) -> Vec<Attribute> {
-    labels.iter().filter_map(|l| store.find(l)).collect()
 }
 
 #[cfg(test)]

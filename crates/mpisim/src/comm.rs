@@ -80,11 +80,6 @@ impl CommError {
     pub fn is_timeout(&self) -> bool {
         matches!(self, CommError::Timeout { .. })
     }
-
-    /// True for [`CommError::Disconnected`].
-    pub fn is_disconnected(&self) -> bool {
-        matches!(self, CommError::Disconnected { .. })
-    }
 }
 
 impl std::fmt::Display for CommError {
@@ -340,17 +335,6 @@ impl Comm {
     /// Blocking receive from any source; returns `(source, value)`.
     pub fn recv_any<T: Send + 'static>(&mut self, tag: Tag) -> Result<(usize, T), CommError> {
         let packet = self.recv_packet(None, tag, None)?;
-        let src = packet.src;
-        Ok((src, Self::downcast(packet, &Self::recv_context(None, tag))))
-    }
-
-    /// Bounded-wait variant of [`recv_any`](Comm::recv_any).
-    pub fn recv_any_timeout<T: Send + 'static>(
-        &mut self,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<(usize, T), CommError> {
-        let packet = self.recv_packet(None, tag, Some(timeout))?;
         let src = packet.src;
         Ok((src, Self::downcast(packet, &Self::recv_context(None, tag))))
     }

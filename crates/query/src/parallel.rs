@@ -16,33 +16,29 @@
 //!
 //! # Design: a local accumulate and an ordered eager merge
 //!
-//! * **Work units.** Every file is one unit, and a file holding more
-//!   than [`ParallelOptions::batch_records`] records splits into
-//!   consecutive units of that many records (a CALB v2 file at the next
-//!   block boundary; see [`Pipeline::scan_file`]). A unit is identified
-//!   by `(file index, unit index)`. Crucially, the decomposition is a
-//!   function of the inputs alone — never of the thread count or of
-//!   runtime timing.
-//! * **Worker pool.** The calling thread is worker 0 and `threads − 1`
-//!   more are spawned. Workers take files off a shared counter. A worker
-//!   scans its file from start to end — decode and aggregation are one
-//!   pass, one block in memory at a time — so a file's units are all
-//!   computed by the worker that reads it.
-//! * **Private shards.** Each unit is aggregated into its own private
-//!   [`Pipeline`] (LET → WHERE → aggregate), so the hot
-//!   record-processing path takes **zero cross-thread locks**: a worker
-//!   touches only its local aggregation database, exactly like the
-//!   runtime's per-thread on-line databases (§IV-B).
+//! * **The file is the work unit.** A file's contribution is its records
+//!   folded in stream order into a private [`Pipeline`] (LET → WHERE →
+//!   aggregate) by [`Pipeline::scan_file`] — decode and aggregation are
+//!   one pass, one block in memory at a time. It is a function of the
+//!   file's bytes and the query alone, and the same fold a rank of
+//!   `mpi-caliquery` runs over the file.
+//! * **Worker pool.** The calling thread is worker 0 and up to
+//!   `threads − 1` more are spawned — never more workers than files, a
+//!   worker beyond the file count could not be handed one. Workers take
+//!   files off a shared counter, and the hot record-processing path
+//!   takes **zero cross-thread locks**: a worker touches only its local
+//!   aggregation database, exactly like the runtime's per-thread on-line
+//!   databases (§IV-B).
 //! * **Ordered eager merge.** A worker that finishes a file parks the
-//!   file's units under the one lock of the run. Whoever then holds the
-//!   next file in input order merges it — and any parked successors —
-//!   into the root pipeline, in ascending `(file, unit)` order. With one
-//!   worker every file is the next file: it is merged the moment it is
-//!   scanned and before the next one is opened, so memory is bounded by
-//!   the largest file plus the root. With N workers only files that
-//!   finished ahead of a slower predecessor stay parked. The root then
-//!   runs the ordinary [`finish`](Pipeline::finish) (ORDER BY → SELECT →
-//!   FORMAT).
+//!   file's pipeline under the one lock of the run. Whoever then holds
+//!   the next file in input order merges it — and any parked successors
+//!   — into the root pipeline, in ascending file order. With one worker
+//!   every file is the next file: it is merged the moment it is scanned
+//!   and before the next one is opened, so memory is bounded by the
+//!   largest file's database plus the root. With N workers only files
+//!   that finished ahead of a slower predecessor stay parked. The root
+//!   then runs the ordinary [`finish`](Pipeline::finish) (ORDER BY →
+//!   SELECT → FORMAT).
 //! * **Failures in file order.** A file fails when its read fails or,
 //!   after a successful read, its `shard.merge` failpoint fires — both
 //!   decided when the file's turn to merge comes, so per file index.
@@ -53,19 +49,15 @@
 //!
 //! # The result does not depend on the worker count
 //!
-//! 1. the unit decomposition depends only on the file list and
-//!    `batch_records`;
-//! 2. each unit's partial is computed from its records in stream order,
-//!    whichever worker reads the file;
-//! 3. partials are merged in unit order, so the root performs the same
-//!    sequence of [`Aggregator::merge`](crate::Aggregator::merge)
-//!    operations every time.
-//!
-//! Scheduling can only change *who* computes a partial and *when* —
-//! never the partial itself nor the merge order. This is why the root is
-//! merged in input order instead of letting each worker pre-merge the
-//! units it happens to process: for integer reductions pre-merging would
-//! be fine (count/sum/min/max are associative and commutative), but
+//! A file's contribution is its records folded in stream order,
+//! whichever worker reads it, and files merge into the root in input
+//! order (the merge-order contract, DESIGN.md §6), so the root performs
+//! the same sequence of [`Aggregator::merge`](crate::Aggregator::merge)
+//! operations every time: scheduling can only change *who* computes a
+//! partial and *when*. This is why the root is merged in input order
+//! instead of letting each worker pre-merge the files it happens to
+//! process: for integer reductions pre-merging would be fine
+//! (count/sum/min/max are associative and commutative), but
 //! floating-point addition is not associative, so any
 //! scheduling-dependent merge order could flip low-order bits between
 //! runs. Ordered merging buys bit-for-bit reproducibility at the cost of
@@ -84,18 +76,12 @@ use crate::parser::{parse_query, ParseError};
 use crate::pushdown::build_pushdown;
 use crate::query::{Pipeline, QueryResult};
 
-/// Default maximum records per work unit. Files below this size are one
-/// unit each; larger files split so a single huge input still
-/// parallelizes.
-pub const DEFAULT_BATCH_RECORDS: usize = 64 * 1024;
-
 /// Tuning knobs for [`parallel_query_files`].
 #[derive(Debug, Clone)]
 pub struct ParallelOptions {
-    /// Worker thread count; `0` means "use available parallelism".
+    /// Worker thread count; `0` means "use available parallelism". A
+    /// run never has more workers than files.
     pub threads: usize,
-    /// Maximum records per work unit (see [`DEFAULT_BATCH_RECORDS`]).
-    pub batch_records: usize,
     /// How workers treat malformed input files (strict by default; see
     /// [`ReadPolicy::Lenient`] for skip-and-report ingest).
     pub read_policy: ReadPolicy,
@@ -122,7 +108,6 @@ impl Default for ParallelOptions {
     fn default() -> Self {
         ParallelOptions {
             threads: 0,
-            batch_records: DEFAULT_BATCH_RECORDS,
             read_policy: ReadPolicy::Strict,
             max_groups: None,
             pushdown: None,
@@ -220,12 +205,10 @@ impl From<ParseError> for ParallelQueryError {
 pub struct WorkerTimings {
     /// Seconds spent reading and decoding input files.
     pub read_s: f64,
-    /// Seconds spent aggregating records into the worker's shards.
+    /// Seconds spent aggregating records into the files' pipelines.
     pub process_s: f64,
-    /// Files this worker read and decoded.
+    /// Files this worker read and aggregated.
     pub files: usize,
-    /// Work units (whole files or record batches) this worker aggregated.
-    pub units: usize,
     /// Snapshot records this worker aggregated.
     pub records: u64,
 }
@@ -247,7 +230,8 @@ pub struct ShardFailure {
 /// reports (what lenient ingest skipped).
 #[derive(Debug, Clone, Default)]
 pub struct ShardTimings {
-    /// Per-worker read/process breakdown, indexed by worker id.
+    /// Per-worker read/process breakdown, indexed by worker id: one per
+    /// worker the run had, `min(threads, files)` and at least one.
     pub workers: Vec<WorkerTimings>,
     /// Seconds spent under the merge lock, merging files into the root
     /// as their turn came.
@@ -280,9 +264,9 @@ impl ShardTimings {
     }
 }
 
-/// A scanned file waiting for its turn to merge: its work units in
-/// stream order and its read report, or why the read failed.
-type Scan = Result<(Vec<Pipeline>, ReadReport), CaliError>;
+/// A scanned file waiting for its turn to merge: its pipeline and its
+/// read report, or why the read failed.
+type Scan = Result<(Pipeline, ReadReport), CaliError>;
 
 /// The root of the fold and everything decided in file order. One lock
 /// guards it; workers hold it to park a file and to merge.
@@ -304,7 +288,7 @@ struct OrderedMerge<'a> {
 
 impl OrderedMerge<'_> {
     /// Park `file`, then merge every parked file whose turn has come, in
-    /// ascending `(file, unit)` order. The order — and with it the fault
+    /// ascending file order. The order — and with it the fault
     /// decisions, which are keyed on the file index — depends on the
     /// file list alone, never on which worker gets here when.
     fn park(&mut self, file: usize, scan: Scan) {
@@ -318,22 +302,18 @@ impl OrderedMerge<'_> {
             let path = &paths[self.next];
             // The merge failpoint fires only after a successful read, so
             // a file that fails both ways is reported as unreadable.
-            let merged = scan.and_then(|(units, report)| {
+            let merged = scan.and_then(|(pipeline, report)| {
                 self.timings.reports.push(report);
-                shard_merge_fault(self.next, path).map_or(Ok(units), Err)
+                shard_merge_fault(self.next, path).map_or(Ok(pipeline), Err)
             });
             match merged {
-                Ok(units) => {
-                    for unit in units {
-                        match &mut self.root {
-                            Some(root) => {
-                                let _scope = merge_timer.start();
-                                root.merge(unit);
-                            }
-                            None => self.root = Some(unit),
-                        }
+                Ok(pipeline) => match &mut self.root {
+                    Some(root) => {
+                        let _scope = merge_timer.start();
+                        root.merge(pipeline);
                     }
-                }
+                    None => self.root = Some(pipeline),
+                },
                 Err(e) if self.degrade => {
                     // Stable, so degraded `--stats` output is the same
                     // for every thread count.
@@ -353,9 +333,9 @@ impl OrderedMerge<'_> {
 }
 
 /// Runs an aggregation `query` over `paths` with a pool of
-/// [`ParallelOptions::threads`] workers — the calling thread and
-/// `threads − 1` spawned ones — returning the result and the per-worker
-/// timing breakdown.
+/// `min(`[`ParallelOptions::threads`]`, paths.len())` workers, at least
+/// one — the calling thread and the rest spawned — returning the result
+/// and the per-worker timing breakdown.
 ///
 /// The output is deterministic and independent of the worker count —
 /// see the [module docs](self) for the argument. Pass-through queries
@@ -370,7 +350,9 @@ pub fn parallel_query_files<P: AsRef<Path>>(
     if !spec.is_aggregation() {
         return Err(ParallelQueryError::NotAnAggregation);
     }
-    let threads = options.effective_threads();
+    // The file is the work unit: a worker beyond the file count could
+    // never be handed one.
+    let threads = options.effective_threads().min(paths.len()).max(1);
     let max_groups = options.max_groups;
     // One pushdown instance for every worker: block skipping is a pure
     // function of (input bytes, pushdown), so sharing it keeps reads —
@@ -396,24 +378,17 @@ pub fn parallel_query_files<P: AsRef<Path>>(
             let Some(path) = paths.get(file) else { break };
             let start = Instant::now();
             let dict = Dataset::new();
-            let mut first = Pipeline::new(spec.clone(), Arc::clone(&dict.store))
+            let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store))
                 .with_max_groups(max_groups);
-            let scanned = first.scan_file(
-                path,
-                dict,
-                options.read_policy,
-                pushdown.as_deref(),
-                options.batch_records,
-            );
+            let scanned =
+                pipeline.scan_file(path, dict, options.read_policy, pushdown.as_deref());
             timings.files += 1;
             timings.read_s += start.elapsed().as_secs_f64();
             let scan = scanned.map(|scanned| {
                 timings.read_s -= scanned.fold_s;
                 timings.process_s += scanned.fold_s;
-                timings.units += 1 + scanned.tail.len();
                 timings.records += scanned.records;
-                let units = std::iter::once(first).chain(scanned.tail).collect();
-                (units, scanned.report)
+                (pipeline, scanned.report)
             });
             let mut merge = merge.lock().expect("no worker panics while merging");
             merge.park(file, scan);
@@ -441,9 +416,6 @@ pub fn parallel_query_files<P: AsRef<Path>>(
         return Err(ParallelQueryError::Read(e));
     }
     let metrics = caliper_data::metrics::global();
-    metrics
-        .counter_volatile("query.parallel.units")
-        .add(workers.iter().map(|w| w.units as u64).sum());
     metrics
         .gauge_volatile("query.parallel.workers")
         .set_max(threads as u64);
@@ -530,30 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_splitting_is_thread_count_independent() {
-        let dir = std::env::temp_dir().join("caliper-parallel-test-batch");
-        let paths = write_inputs(&dir, 2, 100);
-        let opts = |threads| ParallelOptions {
-            threads,
-            batch_records: 7, // force many batches per file
-            ..Default::default()
-        };
-        let (one, _) = parallel_query_files(QUERY, &paths, &opts(1)).unwrap();
-        let (four, _) = parallel_query_files(QUERY, &paths, &opts(4)).unwrap();
-        assert_eq!(one.render(), four.render());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn capped_parallel_runs_agree_across_thread_counts() {
         let dir = std::env::temp_dir().join("caliper-parallel-test-capped");
         let paths = write_inputs(&dir, 4, 60);
-        let opts = |threads| ParallelOptions {
-            threads,
-            batch_records: 9,
-            max_groups: Some(2), // fewer than the 3 kernels in the workload
-            ..Default::default()
-        };
+        // Fewer groups than the 3 kernels in the workload.
+        let opts = |threads| ParallelOptions::with_threads(threads).with_max_groups(Some(2));
         let (reference, _) = parallel_query_files(QUERY, &paths, &opts(1)).unwrap();
         assert!(reference.overflow_records > 0);
         for threads in [2, 3, 8] {
@@ -637,6 +590,7 @@ mod tests {
         )
         .unwrap();
         assert!(result.records.is_empty());
-        assert_eq!(timings.workers.len(), 2);
+        // No file, no second worker: the calling thread is the pool.
+        assert_eq!(timings.workers.len(), 1);
     }
 }

@@ -188,13 +188,6 @@ impl Pipeline {
         Ok(Pipeline::new(parse_query(text)?, store))
     }
 
-    /// An empty pipeline for the same query over the same store, with
-    /// the same group capacity.
-    pub(crate) fn fresh(&self) -> Pipeline {
-        Pipeline::new(self.spec.clone(), Arc::clone(&self.input_store))
-            .with_max_groups(self.aggregator.as_ref().and_then(Aggregator::max_groups))
-    }
-
     /// Bound the aggregation database to `cap` groups (see
     /// [`Aggregator::set_max_groups`]); a no-op for pass-through
     /// queries, which hold records rather than groups.
@@ -240,11 +233,12 @@ impl Pipeline {
     }
 
     /// Merge another pipeline's partial result into this one. Both
-    /// pipelines must run the same query; for aggregations this merges
-    /// the aggregation databases, for pass-through queries it
-    /// concatenates the record lists. The merged pipeline must share
-    /// this pipeline's input store (the cross-process driver reads all
-    /// inputs into one store).
+    /// pipelines must run the same query. Aggregations merge their
+    /// databases by key *value*, so the other pipeline may have read its
+    /// input over a store of its own — every file of `cali-query` and
+    /// every rank of `mpi-caliquery` does. Pass-through queries
+    /// concatenate their record lists, whose attribute ids refer to the
+    /// input store: merge those only over a shared one.
     pub fn merge(&mut self, other: Pipeline) {
         match (&mut self.aggregator, other.aggregator) {
             (Some(mine), Some(theirs)) => mine.merge(theirs),

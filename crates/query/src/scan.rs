@@ -10,8 +10,7 @@
 //!   hands over one validated [`Block`] at a time — v2 the blocks its
 //!   writer framed, text a block per
 //!   [`DEFAULT_BLOCK_RECORDS`](caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS)
-//!   snapshot lines, which is where the default v2 writer frames them,
-//!   so a text file and its v2 encoding split into the same work units.
+//!   snapshot lines — so one block is in memory at a time.
 //!   The fold resolves the attributes the query mentions once per
 //!   block, walks the rows with one cursor per column, gathers — per
 //!   row — only the occurrences of those attributes as [`Cell`]s
@@ -45,7 +44,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use caliper_data::{AttrId, ContextTree, FxBuildHasher, NodeId, SnapshotRecord, Value};
+use caliper_data::{AttrId, FxBuildHasher, NodeId, Value};
 use caliper_format::{
     for_each_flat, scan_path, Block, CaliError, Cell, Dataset, Pushdown, ReadPolicy, ReadReport,
     StringTable,
@@ -59,17 +58,14 @@ use crate::query::Pipeline;
 
 /// What [`Pipeline::scan_file`] hands back.
 pub struct Scanned {
-    /// The file's further work units, in stream order — empty unless the
-    /// file holds more than `unit_records` records.
-    pub tail: Vec<Pipeline>,
     /// The dictionary dataset, grown by the file's attributes, context
     /// tree nodes and globals. It holds no snapshot records.
     pub dict: Dataset,
     /// What the read decoded and what it had to leave behind.
     pub report: ReadReport,
-    /// Snapshot records folded into the pipelines.
+    /// Snapshot records folded into the pipeline.
     pub records: u64,
-    /// Seconds of the scan spent folding records into the pipelines
+    /// Seconds of the scan spent folding records into the pipeline
     /// (the rest is reading and decoding).
     pub fold_s: f64,
 }
@@ -86,12 +82,10 @@ impl Pipeline {
     /// pipeline through one `dict` gives them a shared dictionary, as
     /// [`read_path_into`](caliper_format::read_path_into) does for rows.
     ///
-    /// `self` is the file's first work unit. Once a unit holds
-    /// `unit_records` records, the next block — for a v1 file, the next
-    /// record — opens a fresh unit with this pipeline's query and group
-    /// capacity; those come back in [`Scanned::tail`]. Unit boundaries
-    /// are a function of the file's bytes, the pushdown and
-    /// `unit_records` alone.
+    /// The file is the unit of work: its contribution to the pipeline is
+    /// its records folded in stream order, whoever calls this — a worker
+    /// of `cali-query`, a rank of `mpi-caliquery` — and equal to what
+    /// [`Pipeline::process`] makes of the same records one by one.
     ///
     /// On an error the pipeline has absorbed part of the file and must
     /// be discarded.
@@ -101,19 +95,12 @@ impl Pipeline {
         dict: Dataset,
         policy: ReadPolicy,
         pushdown: Option<&Pushdown>,
-        unit_records: usize,
     ) -> Result<Scanned, CaliError> {
         assert!(
             Arc::ptr_eq(&self.input_store, &dict.store),
             "scan_file: the pipeline was created over a different store"
         );
-        let mut units = Units {
-            first: self,
-            tail: Vec::new(),
-            len: 0,
-            cap: unit_records.max(1),
-        };
-        let (mut fold, mut fold_unit) = (BlockFold::new(&units.first.spec), 0);
+        let mut fold = BlockFold::new(&self.spec);
         let mut rows = Vec::new();
         let (mut fold_s, mut folded) = (0.0, 0u64);
         let (mut dict, report) =
@@ -121,69 +108,33 @@ impl Pipeline {
                 let start = Instant::now();
                 // Row records a stream carries between its blocks keep
                 // their place in the order.
-                folded += units.fold_rows(&ds.tree, &std::mem::take(&mut ds.records));
-                folded += block.rows() as u64;
-                let (index, unit) = units.next(block.rows());
-                if let Some(aggregator) = &mut unit.aggregator {
-                    // Groups are a unit's own.
-                    if index != fold_unit {
-                        fold.reset();
-                        fold_unit = index;
-                    }
+                folded += (ds.records.len() + block.rows()) as u64;
+                self.process_dataset(ds);
+                ds.records.clear();
+                if let Some(aggregator) = &mut self.aggregator {
                     fold.fold(aggregator, ds, strings, block);
                 } else {
                     // A pass-through query keeps whole records.
                     rows.clear();
                     block.append_records(strings, &mut rows);
-                    for_each_flat(&ds.tree, &rows, |record| unit.process(record));
+                    for_each_flat(&ds.tree, &rows, |record| self.process(record));
                 }
                 fold_s += start.elapsed().as_secs_f64();
             })?;
 
         // What a v1 file decoded: rows.
         let start = Instant::now();
-        folded += units.fold_rows(&dict.tree, &std::mem::take(&mut dict.records));
+        folded += dict.records.len() as u64;
+        self.process_dataset(&dict);
+        dict.records.clear();
         fold_s += start.elapsed().as_secs_f64();
-        let tail = units.tail;
         self.filters.add_type_mismatches(fold.type_mismatches);
         Ok(Scanned {
-            tail,
             dict,
             report,
             records: folded,
             fold_s,
         })
-    }
-}
-
-/// The work units one file is folded into: `first`, then `tail`.
-struct Units<'a> {
-    first: &'a mut Pipeline,
-    tail: Vec<Pipeline>,
-    /// Records in the last unit, and how many make the next record open
-    /// a new one.
-    len: usize,
-    cap: usize,
-}
-
-impl Units<'_> {
-    /// The unit the next `incoming` records belong to, and its index.
-    fn next(&mut self, incoming: usize) -> (usize, &mut Pipeline) {
-        if self.len >= self.cap {
-            self.tail.push(self.first.fresh());
-            self.len = 0;
-        }
-        self.len += incoming;
-        (self.tail.len(), self.tail.last_mut().unwrap_or(self.first))
-    }
-
-    /// Fold row records through [`Pipeline::process`]; returns how many.
-    fn fold_rows(&mut self, tree: &ContextTree, records: &[SnapshotRecord]) -> u64 {
-        for records in records.chunks(self.cap) {
-            let (_, unit) = self.next(records.len());
-            for_each_flat(tree, records, |record| unit.process(record));
-        }
-        records.len() as u64
     }
 }
 

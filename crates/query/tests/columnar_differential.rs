@@ -246,9 +246,9 @@ fn via_scan(
     let pushdown = build_pushdown(spec, None);
     run(spec, cap, files, |pipeline, path, dict| {
         let scanned = pipeline
-            .scan_file(path, dict, policy, Some(&pushdown), usize::MAX)
+            .scan_file(path, dict, policy, Some(&pushdown))
             .expect("file scans");
-        assert!(scanned.tail.is_empty() && scanned.dict.records.is_empty());
+        assert!(scanned.dict.records.is_empty());
         scanned.report
     })
 }
@@ -441,104 +441,12 @@ fn a_corrupt_block_costs_both_paths_exactly_that_block() {
         let dict = Dataset::new();
         let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
         let err = pipeline
-            .scan_file(&files[0], dict, ReadPolicy::Strict, None, usize::MAX)
+            .scan_file(&files[0], dict, ReadPolicy::Strict, None)
             .err()
             .expect("strict scan of a corrupt block fails");
         assert!(
             err.to_string().contains(&format!("damaged{ordinal}.calb2")),
             "{err}"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Work units: a file larger than `unit_records` splits at the next
-/// block boundary, and merging the units in order gives the single-unit
-/// answer for exact reducers. A text file's blocks are cut every
-/// `DEFAULT_BLOCK_RECORDS` snapshot lines, so 100 lines are one block
-/// and one unit however small `unit_records` is.
-#[test]
-fn units_partition_the_file_in_stream_order() {
-    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Row> = (0..100u8)
-        .map(|i| (i, i, 0b0001_0011, i as i8, 0, i))
-        .collect();
-    let ds = dataset_of(&rows);
-    let dir = case_dir();
-    let v2 = write(&dir, "units.calb2", v2_bytes(&ds, 8));
-    let text = write(&dir, "units.cali", cali::to_bytes(&ds));
-    let spec = parse_query(
-        "AGGREGATE count, sum(iter), min(n), max(n) GROUP BY region, phase \
-         ORDER BY region, phase FORMAT csv",
-    )
-    .unwrap();
-    let whole = via_scan(&spec, None, std::slice::from_ref(&v2), ReadPolicy::Strict).rendered;
-    for (path, unit_records, units) in [(&v2, 20, 5), (&v2, 8, 13), (&text, 30, 1), (&text, 100, 1)]
-    {
-        let dict = Dataset::new();
-        let mut first = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
-        let scanned = first
-            .scan_file(path, dict, ReadPolicy::Strict, None, unit_records)
-            .unwrap();
-        assert_eq!(scanned.records, 100);
-        assert_eq!(
-            1 + scanned.tail.len(),
-            units,
-            "{} / {unit_records}",
-            path.display()
-        );
-        for unit in scanned.tail {
-            first.merge(unit);
-        }
-        assert_eq!(first.finish().render(), whole);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A text file and its default v2 encoding are cut into the same
-/// blocks, so they split into the same work units — unit for unit the
-/// same partial answer — whatever `unit_records` is.
-#[test]
-fn text_and_its_v2_encoding_partition_alike() {
-    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Row> = (0..2500u32)
-        .map(|i| {
-            (
-                i as u8,
-                (i / 7) as u8,
-                0b0101_0111,
-                i as i8,
-                (i % 613) as i16,
-                (i / 3) as u8,
-            )
-        })
-        .collect();
-    let ds = dataset_of(&rows);
-    let dir = case_dir();
-    let text = write(&dir, "alike.cali", rough_text(&ds));
-    let v2 = write(&dir, "alike.calb2", caliper_format::to_binary_v2(&ds));
-    let spec = parse_query(
-        "AGGREGATE count, sum(time), max(n) GROUP BY region, label ORDER BY region, label FORMAT csv",
-    )
-    .unwrap();
-    let units_of = |path: &Path, unit_records: usize| -> Vec<String> {
-        let dict = Dataset::new();
-        let mut first = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
-        let scanned = first
-            .scan_file(path, dict, ReadPolicy::Strict, None, unit_records)
-            .unwrap();
-        assert_eq!(scanned.records, 2500);
-        assert!(scanned.dict.records.is_empty(), "no rows materialised");
-        let units = std::iter::once(first).chain(scanned.tail);
-        units.map(|unit| unit.finish().render()).collect()
-    };
-    for (unit_records, units) in [(7, 3), (1024, 3), (65_536, 1)] {
-        let as_text = units_of(&text, unit_records);
-        assert_eq!(as_text.len(), units, "unit_records {unit_records}");
-        assert_eq!(
-            as_text,
-            units_of(&v2, unit_records),
-            "unit_records {unit_records}"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -630,7 +538,7 @@ fn a_corrupt_line_costs_both_paths_exactly_that_line() {
         let dict = Dataset::new();
         let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
         let scan_err = pipeline
-            .scan_file(&damaged[0], dict, ReadPolicy::Strict, None, usize::MAX)
+            .scan_file(&damaged[0], dict, ReadPolicy::Strict, None)
             .err()
             .expect("strict scan of a corrupt line fails");
         let rows_err =
@@ -694,7 +602,7 @@ fn row_records_between_blocks_fold_in_stream_order() {
     let dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec, Arc::clone(&dict.store)).with_max_groups(Some(3));
     let scanned = pipeline
-        .scan_file(&mixed[0], dict, ReadPolicy::Strict, None, usize::MAX)
+        .scan_file(&mixed[0], dict, ReadPolicy::Strict, None)
         .unwrap();
     assert_eq!((scanned.records, scanned.report.blocks), (6, 2));
     assert_eq!(pipeline.finish().render(), oracle.rendered);

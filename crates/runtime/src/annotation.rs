@@ -50,11 +50,6 @@ impl Annotation {
         }
     }
 
-    /// An annotation over an existing attribute handle.
-    pub fn from_attribute(attr: Attribute) -> Annotation {
-        Annotation { attr }
-    }
-
     /// The underlying attribute.
     pub fn attribute(&self) -> &Attribute {
         &self.attr

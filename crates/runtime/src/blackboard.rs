@@ -55,11 +55,6 @@ impl Blackboard {
         }
     }
 
-    /// Current context node (for tests/diagnostics).
-    pub fn current_node(&self) -> caliper_data::NodeId {
-        self.node
-    }
-
     /// Begin a region: push `attr=value`.
     pub fn begin(&mut self, attr: &Attribute, value: Value) {
         if attr.is_as_value() {

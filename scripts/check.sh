@@ -94,6 +94,14 @@ if printf '%s\n' "$encoder_src" | grep -E 'to_string\(\)|\.to_vec\(\)|\.clone\(\
     exit 1
 fi
 
+# File-is-the-unit gate: `scan_file` folds a whole file into one pipeline
+# in every driver (DESIGN.md §6); the intra-file split and its knob stay
+# deleted.
+if grep -rn 'batch_records\|unit_records\|DEFAULT_BATCH_RECORDS' crates src tests examples; then
+    echo "check.sh: the intra-file work-unit split is back (listed above)" >&2
+    exit 1
+fi
+
 # Static-analysis gate: every golden check fixture must produce its
 # pinned diagnostics (asserted byte-for-byte by the check_golden test
 # in `cargo test` above); here, re-assert the exit-code contract over
@@ -326,6 +334,16 @@ grep -q "^format.reader.blocks_skipped=[1-9]" "$smoke/pq-v2-1.stats" || {
 }
 cmp -s "$smoke/pq-v2-1.stats" "$smoke/pq-v2-2.stats" && cmp -s "$smoke/pq-v2-1.stats" "$smoke/pq-v2-4.stats" || {
     echo "check.sh: v2 --stats block differs across --threads" >&2
+    exit 1
+}
+# The cross-driver half of the merge-order contract (DESIGN.md §6): a
+# file's partial is the same fold in both drivers. ONE file, because
+# that is all they share — across files cali-query folds left to right
+# and the rank tree pairwise.
+"$query" --threads 1 -q "$pq" "$smoke/golden.calb2" > "$smoke/pq-one-query.out" 2>/dev/null
+"$mpiq" --np 1 -q "$pq" "$smoke/golden.calb2" > "$smoke/pq-one-mpi.out" 2>/dev/null
+cmp -s "$smoke/pq-one-query.out" "$smoke/pq-one-mpi.out" || {
+    echo "check.sh: cali-query --threads 1 and mpi-caliquery --np 1 differ over one file" >&2
     exit 1
 }
 echo "check.sh: columnar smoke: v1/v2 outputs identical, $(sed -n 's/^format.reader.blocks_skipped=//p' "$smoke/pq-v2-1.stats") blocks skipped"

@@ -60,7 +60,7 @@ fn columns_answer_what_rows_answer(text: bool) {
         let dict = Dataset::new();
         let mut by_columns = Pipeline::new(spec, Arc::clone(&dict.store));
         let scanned = by_columns
-            .scan_file(&path, dict, ReadPolicy::Strict, None, usize::MAX)
+            .scan_file(&path, dict, ReadPolicy::Strict, None)
             .unwrap();
         assert_eq!(scanned.records, ds.len() as u64);
         assert!(

@@ -118,7 +118,69 @@ fn file_set_fold_equals_merged_dataset_query_for_any_worker_count() {
         let (result, timings) =
             parallel_query_files(query, &paths, &ParallelOptions::with_threads(threads)).unwrap();
         assert_eq!(expected, result.render(), "threads = {threads}");
-        assert_eq!(timings.workers.len(), threads);
+        assert_eq!(timings.workers.len(), threads.min(paths.len()));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The first clause of the merge-order contract (DESIGN.md §6),
+/// re-derived independently: a file's partial is its records folded in
+/// stream order — in every driver, however large the file. 70 000
+/// non-integer doubles make any other order of additions show in a
+/// sum's last digits, and any other order of admission in which keys a
+/// group cap keeps.
+#[test]
+fn a_files_partial_is_its_records_folded_in_stream_order() {
+    use caliper_repro::format::{read_path, to_binary_v2};
+    use caliper_repro::query::{parallel_query_files, ParallelOptions};
+    let dir = temp_dir("one-file");
+    let mut ds = Dataset::new();
+    let kernel = ds.attribute("kernel", ValueType::Str, Properties::NESTED);
+    let t = ds.attribute("t", ValueType::Float, Properties::AS_VALUE);
+    for i in 0..70_000u32 {
+        let name = Value::str(format!("k{}", i / 5 % 8));
+        let mut rec = SnapshotRecord::new();
+        rec.push_node(ds.tree.get_child(NODE_NONE, kernel.id(), &name));
+        rec.push_imm(t.id(), Value::Float(i as f64 * 0.37 + 0.1));
+        ds.push(rec);
+    }
+    let text = dir.join("big.cali");
+    cali::write_file(&ds, &text).unwrap();
+    let v2 = dir.join("big.calb2");
+    std::fs::write(&v2, to_binary_v2(&ds)).unwrap();
+
+    let query = "AGGREGATE count, sum(t), avg(t) GROUP BY kernel ORDER BY kernel FORMAT csv";
+    for file in [&text, &v2] {
+        // The reference: the file's rows, one by one, through `process`.
+        let rows = read_path(file).unwrap();
+        let expected = run_query(&rows, query).unwrap().render();
+        let mut capped = Pipeline::from_text(query, Arc::clone(&rows.store))
+            .unwrap()
+            .with_max_groups(Some(4));
+        capped.process_dataset(&rows);
+        let capped = capped.finish();
+        assert!(capped.overflow_records > 0);
+
+        for threads in [1, 2, 4] {
+            let options = ParallelOptions::with_threads(threads);
+            let (result, _) = parallel_query_files(query, &[file], &options).unwrap();
+            assert_eq!(result.render(), expected, "{} --threads {threads}", file.display());
+            let options = options.with_max_groups(Some(4));
+            let (result, _) = parallel_query_files(query, &[file], &options).unwrap();
+            assert_eq!(result.render(), capped.render(), "{} --threads {threads}", file.display());
+            assert_eq!(result.overflow_records, capped.overflow_records);
+        }
+        // A rank of `mpi-caliquery` (which has no group cap).
+        let (run, _) = parallel_query(
+            &EventEngine::new(),
+            Topology::Flat,
+            query,
+            vec![vec![file.clone()]],
+            FaultPlan::new(),
+            ResilienceOptions::default(),
+            false,
+        );
+        assert_eq!(run.unwrap().result.render(), expected, "{} on one rank", file.display());
     }
     std::fs::remove_dir_all(&dir).ok();
 }
