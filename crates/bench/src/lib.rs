@@ -13,9 +13,10 @@
 //! | `fig8`   | Figure 8       | AMR level time per timestep |
 //! | `fig9`   | Figure 9       | AMR level time per MPI rank |
 //!
-//! Criterion micro-benchmarks live in `benches/` and cover the
-//! snapshot-processing hot path, the ablations called out in DESIGN.md
-//! §4, and the query engine.
+//! One more, `ablations`, times the five either/or design questions of
+//! DESIGN.md §4 (the design in use against the alternative it decided
+//! against); everything else that is timed is a row of `cali-bench`
+//! (`benchmark/`).
 //!
 //! All binaries accept `--quick` for a reduced problem size and write
 //! CSV to stdout with commentary on stderr, so their output can be

@@ -66,7 +66,8 @@ Options:
                       (or one JSON object with --stats=json). The block
                       contains only deterministic metrics and is
                       byte-identical for every --threads N;
-                      --stats=full adds volatile wall-clock timers
+                      --stats=full adds the volatile class
+                      (scheduling-dependent counts and levels)
   --list-attributes   print the attribute dictionary instead of querying
   --list-globals      print dataset-global metadata instead of querying
   -h, --help          show this help
@@ -189,7 +190,7 @@ enum StatsFormat {
     Text,
     /// One flat JSON object, stable metrics only.
     Json,
-    /// Sorted `name=value` lines including volatile timers.
+    /// Sorted `name=value` lines including the volatile class.
     Full,
 }
 

@@ -8,8 +8,8 @@
 //! cali-served --data-dir DIR [--port P] [--http-port P] [--ports-file F]
 //!             [--aggregate OPS] [--group-by KEY] [--queue-depth N]
 //!             [--workers N] [--deadline-ms MS] [--max-restarts N]
-//!             [--max-groups N] [--fsync] [--config FILE] [--faults SPEC]
-//!             [--stats]
+//!             [--max-groups N] [--batch-max-bytes N] [--fsync]
+//!             [--config FILE] [--faults SPEC] [--stats]
 //! ```
 //!
 //! Client modes (mutually exclusive with serving):
@@ -48,6 +48,7 @@ Server flags:
   --deadline-ms MS     per-query deadline (slow queries => HTTP 408)
   --max-restarts N     worker restarts before the supervisor trips
   --max-groups N       cap aggregate groups per stream (0 = unbounded)
+  --batch-max-bytes N  largest accepted ingest batch (default 4194304)
   --fsync              fsync journals on every flush
   --config FILE        caliper config profile (served.* keys; CLI wins)
   --faults SPEC        arm fault injection (same grammar as CALI_FAULTS)

@@ -1,12 +1,12 @@
 //! Pipeline self-instrumentation: a lock-cheap registry of named
-//! counters, gauges, and timers.
+//! counters and gauges.
 //!
 //! The profiling pipeline measures other programs; this module lets it
 //! measure *itself* — aggregator occupancy, reader skip rates, journal
-//! flush cadence, shard merge cost — and expose the numbers in the same
-//! flexible key:value shape the paper advocates (§III): each metric is
-//! one `name = value` pair, queryable like any other attribute once
-//! emitted as a snapshot record.
+//! flush cadence — and expose the numbers in the same flexible
+//! key:value shape the paper advocates (§III): each metric is one
+//! `name = value` pair, queryable like any other attribute once emitted
+//! as a snapshot record.
 //!
 //! Design:
 //!
@@ -19,15 +19,14 @@
 //! * Every metric declares a [`Stability`] class. **Stable** metrics
 //!   are functions of the input data alone — byte-identical output for
 //!   any worker-thread count — and make up the default `--stats`
-//!   block. **Volatile** metrics (wall-clock timers, scheduling-
-//!   dependent counts) are reported only on request.
+//!   block. **Volatile** metrics (scheduling-dependent counts and
+//!   levels) are reported only on request.
 //! * Snapshots iterate a `BTreeMap`, so rendered output is always
 //!   sorted by metric name — deterministic by construction.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// What a metric measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,8 +35,6 @@ pub enum MetricKind {
     Counter,
     /// Last-written (or high-water) level.
     Gauge,
-    /// Scoped duration accumulator: total nanoseconds + call count.
-    Timer,
 }
 
 impl MetricKind {
@@ -46,7 +43,6 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
-            MetricKind::Timer => "timer",
         }
     }
 }
@@ -57,8 +53,8 @@ pub enum Stability {
     /// Deterministic: identical for every `--threads N`. Included in
     /// the default stats block, safe for golden tests.
     Stable,
-    /// Timing- or scheduling-dependent (wall-clock nanos, per-worker
-    /// counts). Excluded from the default stats block.
+    /// Scheduling-dependent (per-worker counts, queue levels).
+    /// Excluded from the default stats block.
     Volatile,
 }
 
@@ -67,10 +63,8 @@ pub enum Stability {
 struct Cell {
     kind: MetricKind,
     stability: Stability,
-    /// Counter count / gauge level / timer total nanoseconds.
+    /// Counter count / gauge level.
     value: AtomicU64,
-    /// Timer call count (unused for counters and gauges).
-    calls: AtomicU64,
 }
 
 impl Cell {
@@ -79,7 +73,6 @@ impl Cell {
             kind,
             stability,
             value: AtomicU64::new(0),
-            calls: AtomicU64::new(0),
         }
     }
 }
@@ -126,57 +119,10 @@ impl Gauge {
     }
 }
 
-/// Handle to a registered timer. Cloning shares the underlying cell.
-#[derive(Debug, Clone)]
-pub struct Timer(Arc<Cell>);
-
-impl Timer {
-    /// Start a scoped measurement; the elapsed time is recorded when
-    /// the returned guard drops.
-    pub fn start(&self) -> TimerGuard {
-        TimerGuard {
-            cell: Arc::clone(&self.0),
-            start: Instant::now(),
-        }
-    }
-
-    /// Record an externally measured duration.
-    pub fn add_ns(&self, ns: u64) {
-        self.0.value.fetch_add(ns, Ordering::Relaxed);
-        self.0.calls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total recorded nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.0.value.load(Ordering::Relaxed)
-    }
-
-    /// Number of recorded intervals.
-    pub fn calls(&self) -> u64 {
-        self.0.calls.load(Ordering::Relaxed)
-    }
-}
-
-/// Scope guard returned by [`Timer::start`]; records on drop.
-#[derive(Debug)]
-pub struct TimerGuard {
-    cell: Arc<Cell>,
-    start: Instant,
-}
-
-impl Drop for TimerGuard {
-    fn drop(&mut self) {
-        let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.cell.value.fetch_add(ns, Ordering::Relaxed);
-        self.cell.calls.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// One metric's value at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricSample {
-    /// Metric name (`layer.component.metric`; timers append a
-    /// `.calls` / `.ns` suffix).
+    /// Metric name (`layer.component.metric`).
     pub name: String,
     /// What the metric measures.
     pub kind: MetricKind,
@@ -236,45 +182,18 @@ impl MetricsRegistry {
         Gauge(self.cell(name, MetricKind::Gauge, Stability::Volatile))
     }
 
-    /// Register (or look up) a timer. Timers measure wall-clock time
-    /// and are always [`Stability::Volatile`].
-    pub fn timer(&self, name: &str) -> Timer {
-        Timer(self.cell(name, MetricKind::Timer, Stability::Volatile))
-    }
-
-    /// Sample every metric, sorted by name. Timers contribute two
-    /// samples: `<name>.calls` and `<name>.ns`.
+    /// Sample every metric, sorted by name.
     pub fn snapshot(&self) -> Vec<MetricSample> {
         let cells = self.cells.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = Vec::with_capacity(cells.len());
-        for (name, cell) in cells.iter() {
-            match cell.kind {
-                MetricKind::Counter | MetricKind::Gauge => out.push(MetricSample {
-                    name: name.clone(),
-                    kind: cell.kind,
-                    stability: cell.stability,
-                    value: cell.value.load(Ordering::Relaxed),
-                }),
-                MetricKind::Timer => {
-                    out.push(MetricSample {
-                        name: format!("{name}.calls"),
-                        kind: cell.kind,
-                        stability: cell.stability,
-                        value: cell.calls.load(Ordering::Relaxed),
-                    });
-                    out.push(MetricSample {
-                        name: format!("{name}.ns"),
-                        kind: cell.kind,
-                        stability: cell.stability,
-                        value: cell.value.load(Ordering::Relaxed),
-                    });
-                }
-            }
-        }
-        // Timer suffixes can interleave with sibling names; restore
-        // strict name order.
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+        cells
+            .iter()
+            .map(|(name, cell)| MetricSample {
+                name: name.clone(),
+                kind: cell.kind,
+                stability: cell.stability,
+                value: cell.value.load(Ordering::Relaxed),
+            })
+            .collect()
     }
 
     /// Render as sorted `name=value` lines. With `stable_only`, the
@@ -330,11 +249,10 @@ impl MetricsRegistry {
         let cells = self.cells.lock().unwrap_or_else(|e| e.into_inner());
         for cell in cells.values() {
             cell.value.store(0, Ordering::Relaxed);
-            cell.calls.store(0, Ordering::Relaxed);
         }
     }
 
-    /// Number of registered metrics (timers count once).
+    /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.cells.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
@@ -376,38 +294,25 @@ mod tests {
     }
 
     #[test]
-    fn timer_guard_records_on_drop() {
-        let reg = MetricsRegistry::new();
-        let t = reg.timer("a.b.work");
-        {
-            let _guard = t.start();
-        }
-        t.add_ns(250);
-        assert_eq!(t.calls(), 2);
-        assert!(t.total_ns() >= 250);
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_typed() {
         let reg = MetricsRegistry::new();
         reg.gauge("z.level").set(1);
         reg.counter("a.events").add(2);
-        reg.timer("m.work").add_ns(5);
-        let names: Vec<String> = reg.snapshot().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, ["a.events", "m.work.calls", "m.work.ns", "z.level"]);
+        let samples = reg.snapshot();
+        let names: Vec<&str> = samples.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["a.events", "z.level"]);
+        assert_eq!(samples[0].kind, MetricKind::Counter);
+        assert_eq!(samples[1].kind, MetricKind::Gauge);
     }
 
     #[test]
     fn stable_rendering_excludes_volatile_metrics() {
         let reg = MetricsRegistry::new();
         reg.counter("a.events").add(3);
-        reg.timer("b.work").add_ns(9);
+        reg.gauge_volatile("b.depth").set(9);
         reg.counter_volatile("c.sched").add(1);
         assert_eq!(reg.render_text(true), "a.events=3\n");
-        let all = reg.render_text(false);
-        assert!(all.contains("b.work.calls=1\n"), "{all}");
-        assert!(all.contains("b.work.ns=9\n"), "{all}");
-        assert!(all.contains("c.sched=1\n"), "{all}");
+        assert_eq!(reg.render_text(false), "a.events=3\nb.depth=9\nc.sched=1\n");
     }
 
     #[test]
@@ -423,11 +328,10 @@ mod tests {
     fn reset_zeroes_everything() {
         let reg = MetricsRegistry::new();
         reg.counter("a").add(3);
-        reg.timer("t").add_ns(5);
+        reg.gauge("g").set(5);
         reg.reset();
         assert_eq!(reg.counter("a").get(), 0);
-        assert_eq!(reg.timer("t").calls(), 0);
-        assert_eq!(reg.timer("t").total_ns(), 0);
+        assert_eq!(reg.gauge("g").get(), 0);
     }
 
     #[test]

@@ -17,21 +17,21 @@
 //!   buffer exceeds `max_buffer` bytes (a forced flush, counted for
 //!   backpressure accounting), and optionally `fsync`ed for durability
 //!   across OS crashes rather than just process crashes.
-//! * [`recover_file`] / [`recover_bytes`] read a (possibly torn)
-//!   journal under [`ReadPolicy::Lenient`], then deduplicate a
-//!   double-written tail using the monotonic [`SEQ_ATTR`] sequence
-//!   attribute and report exactly what was salvaged and what was lost
-//!   in a [`RecoveryReport`].
+//! * [`recover_blocks`] reads a (possibly torn) journal under
+//!   [`ReadPolicy::Lenient`], deduplicates a double-written tail using
+//!   the monotonic [`SEQ_ATTR`] sequence attribute and reports exactly
+//!   what was salvaged and what was lost in a [`RecoveryReport`].
 //!
 //! Both directions work on [`Block`]s as well as on records, through
 //! the same code. [`JournalWriter::append_block`] journals the rows of a
 //! decoded block — the bytes and the flush-policy bookkeeping of one
 //! [`append_snapshot`](JournalWriter::append_snapshot) per row, without
-//! the records. And there is one recovery routine, [`recover_blocks`]:
+//! the records. And there is one recovery routine, in two forms
+//! ([`recover_blocks`] over bytes, [`recover_file_blocks`] over a path):
 //! it hands the journal's snapshots to a [`BlockSink`] as typed columns,
 //! sequence numbers read from the [`SEQ_ATTR`] column and duplicate rows
-//! already taken out; the `recover_*` functions that return a dataset
-//! are that routine with the sink that derives records from blocks.
+//! already taken out. [`recover_file`], the one row view, is that
+//! routine with the sink that derives records from blocks.
 //!
 //! Crash-consistency contract: for a journal written with
 //! `flush_interval = k`, a process death at any instant loses at most
@@ -372,51 +372,19 @@ impl RecoveryReport {
     }
 }
 
-/// Recover a journal from a byte buffer: lenient read, then tail
-/// deduplication by [`SEQ_ATTR`]. The returned dataset holds the
-/// salvaged records (sequence entries are kept, for provenance).
-pub fn recover_bytes(
-    bytes: &[u8],
-    policy: ReadPolicy,
-) -> Result<(Dataset, RecoveryReport), CaliError> {
-    recover_bytes_cancellable(bytes, policy, None)
-}
-
-/// [`recover_bytes`] under a cooperative
-/// [`Deadline`](caliper_data::Deadline): replay stops at the deadline
-/// with the salvaged prefix (report marked truncated, `read cancelled`
-/// note). Sequence dedup and gap accounting still run over whatever was
-/// decoded, so the partial report stays honest about missing spans.
-pub fn recover_bytes_cancellable(
-    bytes: &[u8],
-    policy: ReadPolicy,
-    deadline: Option<&caliper_data::Deadline>,
-) -> Result<(Dataset, RecoveryReport), CaliError> {
-    let mut reader = CaliReader::new();
-    let report = recover_blocks(&mut reader, bytes, policy, deadline, &mut append_rows)?;
-    Ok((reader.finish(), report))
-}
-
-/// Recover a journal file. I/O errors opening the file are returned
-/// with the path attached ([`CaliError::File`]); the report's read
-/// accounting also names the path.
+/// Recover a journal file into a dataset of its own: lenient read, then
+/// tail deduplication by [`SEQ_ATTR`] ([`recover_file_blocks`] with the
+/// sink that derives records). The returned dataset holds the salvaged
+/// records (sequence entries are kept, for provenance). I/O errors
+/// opening the file are returned with the path attached
+/// ([`CaliError::File`]); the report's read accounting also names the
+/// path.
 pub fn recover_file(
     path: impl AsRef<Path>,
     policy: ReadPolicy,
 ) -> Result<(Dataset, RecoveryReport), CaliError> {
-    recover_file_cancellable(path, policy, None)
-}
-
-/// [`recover_file`] under a cooperative
-/// [`Deadline`](caliper_data::Deadline) — see
-/// [`recover_bytes_cancellable`].
-pub fn recover_file_cancellable(
-    path: impl AsRef<Path>,
-    policy: ReadPolicy,
-    deadline: Option<&caliper_data::Deadline>,
-) -> Result<(Dataset, RecoveryReport), CaliError> {
     let mut reader = CaliReader::new();
-    let report = recover_file_blocks(&mut reader, path, policy, deadline, &mut append_rows)?;
+    let report = recover_file_blocks(&mut reader, path, policy, None, &mut append_rows)?;
     Ok((reader.finish(), report))
 }
 
@@ -445,7 +413,10 @@ pub fn recover_file_blocks(
 /// * A final line without a newline is a torn write and is dropped
 ///   before parsing, whatever the policy.
 /// * The rest is read under `policy` (lenient, for a journal: a corrupt
-///   line costs that line) and `deadline`, as any text stream is.
+///   line costs that line) and `deadline`, as any text stream is: out of
+///   budget, the read stops with the salvaged prefix (report marked
+///   truncated, `read cancelled` note), and the sequence accounting
+///   below still covers whatever was decoded.
 /// * Every row's sequence number is read from the block's [`SEQ_ATTR`]
 ///   column. A row whose number was seen before — a double-written tail,
 ///   in this block or an earlier one — is counted and taken out of the
@@ -695,7 +666,7 @@ mod tests {
         // Simulate a crash mid-write: keep half of the final line.
         let keep = bytes.len() - 9;
         bytes.truncate(keep);
-        let (_, report) = recover_bytes(&bytes, ReadPolicy::lenient()).unwrap();
+        let (_, report) = recover_rows(&bytes, ReadPolicy::lenient(), None);
         assert_eq!(report.salvaged, 4);
         assert_eq!(report.read.skipped, 1);
         assert!(report.data_lost());
@@ -714,7 +685,7 @@ mod tests {
             .to_string();
         // A resumed append re-wrote the final record.
         let doubled = format!("{text}{last_ctx}\n");
-        let (ds, report) = recover_bytes(doubled.as_bytes(), ReadPolicy::lenient()).unwrap();
+        let (ds, report) = recover_rows(doubled.as_bytes(), ReadPolicy::lenient(), None);
         assert_eq!(report.salvaged, 5);
         assert_eq!(report.duplicates, 1);
         assert_eq!(ds.records.len(), 5);
@@ -742,12 +713,25 @@ mod tests {
                 format!("{l}\n")
             })
             .collect();
-        let (_, report) = recover_bytes(damaged.as_bytes(), ReadPolicy::lenient()).unwrap();
+        let (_, report) = recover_rows(damaged.as_bytes(), ReadPolicy::lenient(), None);
         assert_eq!(report.salvaged, 5);
         assert_eq!(report.missing, 1);
         assert!(report.data_lost());
         assert!(report.summary().contains("lost to sequence gaps"), "{}", report.summary());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The routine with the sink that derives records: [`recover_file`]
+    /// over bytes, and under a deadline.
+    fn recover_rows(
+        bytes: &[u8],
+        policy: ReadPolicy,
+        deadline: Option<&caliper_data::Deadline>,
+    ) -> (Dataset, RecoveryReport) {
+        let mut reader = CaliReader::new();
+        let sink = &mut append_rows;
+        let report = recover_blocks(&mut reader, bytes, policy, deadline, sink).unwrap();
+        (reader.finish(), report)
     }
 
     /// The recovery this module had before it read blocks, kept as the
@@ -819,7 +803,7 @@ mod tests {
     /// block sink must have seen exactly the salvaged rows.
     fn assert_recovers_like_rows(bytes: &[u8], deadline: Option<&caliper_data::Deadline>) -> RecoveryReport {
         let (want_ds, want) = row_recovery(bytes, deadline);
-        let (ds, report) = recover_bytes_cancellable(bytes, ReadPolicy::lenient(), deadline).unwrap();
+        let (ds, report) = recover_rows(bytes, ReadPolicy::lenient(), deadline);
         assert_eq!(format!("{report:?}"), format!("{want:?}"));
         let describe = |ds: &Dataset| -> Vec<String> {
             ds.flat_records().map(|r| r.describe(&ds.store)).collect()
@@ -948,7 +932,7 @@ mod tests {
             drop((blocks, rows));
             let written = std::fs::read(&by_block).unwrap();
             assert_eq!(written, std::fs::read(&by_row).unwrap());
-            assert_eq!(recover_bytes(&written, ReadPolicy::Strict).unwrap().1.salvaged, 300);
+            assert_eq!(recover_rows(&written, ReadPolicy::Strict, None).1.salvaged, 300);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

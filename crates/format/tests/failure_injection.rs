@@ -319,6 +319,15 @@ fn journal_stream(n: u64) -> Vec<u8> {
     bytes
 }
 
+/// The recovery routine over bytes, its blocks derived into records.
+fn recover_rows(bytes: &[u8]) -> Result<(Dataset, journal::RecoveryReport), cali::CaliError> {
+    let mut reader = CaliReader::new();
+    let sink: &mut caliper_format::BlockSink<'_> =
+        &mut |ds, strings, block| block.append_records(strings, &mut ds.records);
+    let report = journal::recover_blocks(&mut reader, bytes, ReadPolicy::lenient(), None, sink)?;
+    Ok((reader.finish(), report))
+}
+
 /// Number of complete (newline-terminated) `__rec=ctx` lines in a
 /// prefix — the exact salvage a journal recovery must produce.
 fn complete_ctx_lines(prefix: &[u8]) -> usize {
@@ -346,7 +355,7 @@ fn journal_truncation_at_every_byte_salvages_the_flushed_prefix() {
     for cut in 0..=bytes.len() {
         let prefix = &bytes[..cut];
         let expected = complete_ctx_lines(prefix);
-        let (ds, report) = journal::recover_bytes(prefix, ReadPolicy::lenient())
+        let (ds, report) = recover_rows(prefix)
             .unwrap_or_else(|e| panic!("recovery at cut {cut} failed: {e}"));
         assert_eq!(report.salvaged as usize, expected, "cut={cut}");
         assert_eq!(ds.records.len(), expected, "cut={cut}");
@@ -358,7 +367,7 @@ fn journal_truncation_at_every_byte_salvages_the_flushed_prefix() {
         last_salvaged = report.salvaged;
     }
     // The untruncated journal recovers everything.
-    let (_, full) = journal::recover_bytes(&bytes, ReadPolicy::lenient()).unwrap();
+    let (_, full) = recover_rows(&bytes).unwrap();
     assert_eq!(full.salvaged, 12);
     assert!(!full.data_lost());
 }

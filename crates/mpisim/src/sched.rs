@@ -61,6 +61,10 @@ use crate::trace::{HbTrace, TraceEvent, TraceKind, TracedRun};
 /// Virtual time, in nanoseconds since the start of the run.
 pub type SimTime = u64;
 
+/// Virtual delivery latency per message (1 µs). At least 1, so a
+/// message can never arrive in the batch that sent it.
+const LATENCY_NS: SimTime = 1_000;
+
 /// Tuning knobs for the [`EventEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
@@ -68,23 +72,17 @@ pub struct SchedConfig {
     /// `1` both mean the single-threaded core. Pool size never changes
     /// results — only wall-clock time.
     pub workers: usize,
-    /// Virtual delivery latency per message, in nanoseconds (≥ 1 so a
-    /// message can never arrive in the batch that sent it).
-    pub latency_ns: u64,
 }
 
 impl Default for SchedConfig {
     fn default() -> SchedConfig {
-        SchedConfig {
-            workers: 1,
-            latency_ns: 1_000,
-        }
+        SchedConfig { workers: 1 }
     }
 }
 
 /// What one event-engine run did, in virtual-clock terms. Everything
-/// here is deterministic for a fixed (size, plan, tasks, latency)
-/// tuple, independent of the worker-pool size.
+/// here is deterministic for a fixed (size, plan, tasks) tuple,
+/// independent of the worker-pool size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Events processed (messages delivered, timers fired, rank
@@ -181,10 +179,7 @@ impl EventEngine {
     /// Engine with a bounded worker pool of `workers` threads.
     pub fn with_workers(workers: usize) -> EventEngine {
         EventEngine {
-            config: SchedConfig {
-                workers,
-                ..SchedConfig::default()
-            },
+            config: SchedConfig { workers },
         }
     }
 }
@@ -632,7 +627,6 @@ impl EventEngine {
     {
         assert!(size > 0, "world size must be positive");
         crate::world::silence_injected_kill_panics();
-        let latency = self.config.latency_ns.max(1);
         let workers = self.config.workers.max(1);
         let mut stats = SchedStats::default();
         let mut trace = if tracing {
@@ -755,7 +749,7 @@ impl EventEngine {
                 for out in effects.sends {
                     stats.messages += 1;
                     heap.push(Ev {
-                        time: out.at + latency,
+                        time: out.at + LATENCY_NS,
                         seq: next_seq,
                         kind: EvKind::Deliver {
                             dest: out.dest,

@@ -294,8 +294,6 @@ impl OrderedMerge<'_> {
     fn park(&mut self, file: usize, scan: Scan) {
         self.parked.insert(file, scan);
         let start = Instant::now();
-        let metrics = caliper_data::metrics::global();
-        let merge_timer = metrics.timer("query.parallel.merge");
         let paths = self.paths;
         while self.error.is_none() {
             let Some(scan) = self.parked.remove(&self.next) else { break };
@@ -308,16 +306,15 @@ impl OrderedMerge<'_> {
             });
             match merged {
                 Ok(pipeline) => match &mut self.root {
-                    Some(root) => {
-                        let _scope = merge_timer.start();
-                        root.merge(pipeline);
-                    }
+                    Some(root) => root.merge(pipeline),
                     None => self.root = Some(pipeline),
                 },
                 Err(e) if self.degrade => {
                     // Stable, so degraded `--stats` output is the same
                     // for every thread count.
-                    metrics.counter("query.shards_failed").inc();
+                    caliper_data::metrics::global()
+                        .counter("query.shards_failed")
+                        .inc();
                     self.timings.failures.push(ShardFailure {
                         file: self.next,
                         path: path.clone(),

@@ -14,6 +14,8 @@
 //! | `aggregate.key`       | comma list of key attribute labels (GROUP BY)     |
 //! | `aggregate.ops`       | AGGREGATE op list, e.g. `count,sum(time.duration)`|
 //! | `sampler.interval.ns` | sampling period for the sampler service           |
+//! | `timer.inclusive` / `timer.offset` | timer service: inclusive durations, time offsets |
+//! | `counters.ghz` / `counters.ipc` | counters service: modelled clock rate and instructions per cycle |
 //! | `journal.enable`      | write-ahead snapshot journal on/off               |
 //! | `journal.path`        | journal file path (required when journaling)      |
 //! | `journal.flush_interval` | journal flush cadence in snapshots (default 1) |
@@ -22,31 +24,19 @@
 //! | `journal.append`      | resume an existing journal instead of truncating  |
 //! | `metrics.enable`      | per-channel self-instrumentation registry on/off  |
 //!
-//! The resident aggregation daemon (`cali-served`, see `docs/SERVED.md`)
-//! reads its profile through the same machinery, so its keys are
-//! validated here too:
+//! The resident aggregation daemon reads its profile through the same
+//! dictionary, but its keys are its own: they are named, documented and
+//! checked in `caliper_served::config`, not here, so nothing in a
+//! profiled application's environment that is meant for the daemon can
+//! fail the runtime.
 //!
-//! | key                       | meaning                                       |
-//! |---------------------------|-----------------------------------------------|
-//! | `served.port`             | ingest TCP port (`0` = ephemeral)             |
-//! | `served.http.port`        | query/health HTTP port (`0` = ephemeral)      |
-//! | `served.queue.depth`      | bounded ingest queue capacity (≥ 1)           |
-//! | `served.workers`          | ingest worker thread count (≥ 1)              |
-//! | `served.query.deadline.ms`| per-query wall-clock budget                   |
-//! | `served.replay.deadline.ms`| journal-replay budget per stream at startup  |
-//! | `served.shutdown.deadline.ms`| graceful-drain budget before forced exit   |
-//! | `served.supervisor.max.restarts`| worker restarts before giving up        |
-//! | `served.stream.max.failures`| consecutive batch failures tripping a stream's circuit breaker |
-//! | `served.max.groups`       | aggregate-state group cap per stream          |
-//! | `served.batch.max.bytes`  | largest accepted ingest batch                 |
-//! | `served.fsync`            | fsync journals on every accepted batch        |
-//! | `served.aggregate.ops` / `served.aggregate.key` | resident aggregation scheme |
-//!
-//! Unknown keys are kept (services may define their own).
-//! [`Config::validate`] checks the values of all recognized keys and
-//! returns the first problem as a [`ConfigError`]; [`Caliper::try_new`]
-//! runs it so invalid profiles fail up front instead of panicking in
-//! thread-scope setup.
+//! Unknown keys are kept (services may define their own). Parsing is
+//! the validation: [`Config::parsed`], [`Config::try_u64`] and
+//! [`Config::try_bool`] return a [`ConfigError`] naming the key for a
+//! present value that does not parse, [`Config::validate`] reads every
+//! key above through them and returns the first problem, and
+//! [`Caliper::try_new`] runs it so invalid profiles fail up front
+//! instead of panicking in thread-scope setup.
 //!
 //! [`Caliper::try_new`]: crate::runtime::Caliper::try_new
 
@@ -170,17 +160,51 @@ impl Config {
             .unwrap_or_default()
     }
 
-    /// Integer value with default.
+    /// [`Config::try_u64`] for code that must not fail on user input: a
+    /// malformed value reads as the default ([`Config::validate`] is
+    /// what reports it).
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.try_u64(key, default).unwrap_or(default)
     }
 
-    /// Boolean value with default (`true`/`false`/`1`/`0`).
+    /// [`Config::try_bool`], a malformed value reading as the default.
     pub fn get_bool(&self, key: &str, default: bool) -> bool {
-        match self.get(key) {
-            Some("true") | Some("1") => true,
-            Some("false") | Some("0") => false,
-            _ => default,
+        self.try_bool(key, default).unwrap_or(default)
+    }
+
+    /// The value of `key` parsed as `T`, `None` when the key is absent.
+    /// A present value that does not parse is an error naming the key
+    /// and what was `expected` — never a silently applied default.
+    pub fn parsed<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        expected: &str,
+    ) -> Result<Option<T>, ConfigError> {
+        self.get(key)
+            .map(|v| {
+                v.trim().parse().map_err(|_| {
+                    ConfigError::for_key(key, format!("expected {expected}, got '{v}'"))
+                })
+            })
+            .transpose()
+    }
+
+    /// Integer value with default; malformed is an error.
+    pub fn try_u64(&self, key: &str, default: u64) -> Result<u64, ConfigError> {
+        Ok(self.parsed(key, "an unsigned integer")?.unwrap_or(default))
+    }
+
+    /// Boolean value with default (`true`/`false`/`1`/`0`); anything
+    /// else is an error.
+    pub fn try_bool(&self, key: &str, default: bool) -> Result<bool, ConfigError> {
+        match self.get(key).map(str::trim) {
+            None => Ok(default),
+            Some("true") | Some("1") => Ok(true),
+            Some("false") | Some("0") => Ok(false),
+            Some(v) => Err(ConfigError::for_key(
+                key,
+                format!("expected true/false/1/0, got '{v}'"),
+            )),
         }
     }
 
@@ -201,83 +225,17 @@ impl Config {
             })?;
         }
         for key in ["sampler.interval.ns", "aggregate.max_entries"] {
-            if let Some(v) = self.get(key) {
-                v.trim().parse::<u64>().map_err(|_| {
-                    ConfigError::for_key(key, format!("expected an unsigned integer, got '{v}'"))
-                })?;
-            }
+            self.try_u64(key, 0)?;
         }
-        if let Some(v) = self.get("metrics.enable") {
-            if !matches!(v.trim(), "true" | "false" | "1" | "0") {
-                return Err(ConfigError::for_key(
-                    "metrics.enable",
-                    format!("expected a boolean, got '{v}'"),
-                ));
-            }
+        for key in ["metrics.enable", "timer.inclusive", "timer.offset"] {
+            self.try_bool(key, false)?;
+        }
+        for key in ["counters.ghz", "counters.ipc"] {
+            self.parsed::<f64>(key, "a number")?;
         }
         // The journal.* keys share their validation with the journal
         // service so the two cannot drift apart.
         crate::journal::JournalConfig::from_config(self)?;
-        self.validate_served()?;
-        Ok(())
-    }
-
-    /// Validation for the `served.*` profile keys consumed by the
-    /// resident aggregation daemon (`cali-served`). Split out of
-    /// [`Config::validate`] only for readability — a typo'd value is a
-    /// [`ConfigError`] either way, never a silently applied default.
-    fn validate_served(&self) -> Result<(), ConfigError> {
-        for key in ["served.port", "served.http.port"] {
-            if let Some(v) = self.get(key) {
-                v.trim().parse::<u16>().map_err(|_| {
-                    ConfigError::for_key(key, format!("expected a TCP port (0-65535), got '{v}'"))
-                })?;
-            }
-        }
-        for key in ["served.queue.depth", "served.workers"] {
-            if let Some(v) = self.get(key) {
-                match v.trim().parse::<u64>() {
-                    Ok(n) if n >= 1 => {}
-                    _ => {
-                        return Err(ConfigError::for_key(
-                            key,
-                            format!("expected a positive integer, got '{v}'"),
-                        ))
-                    }
-                }
-            }
-        }
-        for key in [
-            "served.query.deadline.ms",
-            "served.replay.deadline.ms",
-            "served.shutdown.deadline.ms",
-            "served.supervisor.max.restarts",
-            "served.stream.max.failures",
-            "served.max.groups",
-            "served.batch.max.bytes",
-        ] {
-            if let Some(v) = self.get(key) {
-                v.trim().parse::<u64>().map_err(|_| {
-                    ConfigError::for_key(key, format!("expected an unsigned integer, got '{v}'"))
-                })?;
-            }
-        }
-        if let Some(v) = self.get("served.fsync") {
-            if !matches!(v.trim(), "true" | "false" | "1" | "0") {
-                return Err(ConfigError::for_key(
-                    "served.fsync",
-                    format!("expected a boolean, got '{v}'"),
-                ));
-            }
-        }
-        if let Some(ops) = self.get("served.aggregate.ops") {
-            caliper_query::parse_query(&format!("AGGREGATE {ops}")).map_err(|e| {
-                ConfigError::for_key(
-                    "served.aggregate.ops",
-                    format!("invalid op list '{ops}': {e}"),
-                )
-            })?;
-        }
         Ok(())
     }
 
@@ -416,40 +374,46 @@ mod tests {
     }
 
     #[test]
-    fn validate_covers_served_keys() {
-        // A full, valid daemon profile passes.
-        Config::new()
-            .set("served.port", "0")
-            .set("served.http.port", "8080")
-            .set("served.queue.depth", "64")
-            .set("served.workers", "2")
-            .set("served.query.deadline.ms", "2000")
-            .set("served.supervisor.max.restarts", "5")
-            .set("served.stream.max.failures", "3")
-            .set("served.fsync", "true")
-            .set("served.aggregate.ops", "count,sum(time.duration)")
-            .validate()
-            .unwrap();
-
-        // Typos become ConfigErrors naming the key, not silent defaults.
+    fn validate_reads_the_runtimes_own_keys() {
         let cases = [
-            ("served.port", "70000"),
-            ("served.http.port", "http"),
-            ("served.queue.depth", "0"),
-            ("served.workers", "-1"),
-            ("served.query.deadline.ms", "2s"),
-            ("served.supervisor.max.restarts", "many"),
-            ("served.stream.max.failures", "3.5"),
-            ("served.max.groups", "all"),
-            ("served.batch.max.bytes", "4MiB"),
-            ("served.fsync", "yes"),
-            ("served.aggregate.ops", "count,sum("),
+            ("timer.inclusive", "ture"),
+            ("timer.offset", "on"),
+            ("counters.ghz", "fast"),
+            ("counters.ipc", "1,6"),
+            ("aggregate.max_entries", "-1"),
         ];
         for (key, bad) in cases {
             let err = Config::new().set(key, bad).validate().unwrap_err();
-            assert!(err.message.contains(key), "{key}: {err}");
+            assert!(
+                err.message.starts_with(&format!("{key}: expected ")),
+                "{err}"
+            );
+            assert!(err.message.ends_with(&format!(", got '{bad}'")), "{err}");
             assert_eq!(err.line, 0);
         }
+        Config::new()
+            .set("timer.inclusive", "true")
+            .set("timer.offset", "0")
+            .set("counters.ghz", "2.4")
+            .set("counters.ipc", " 1.5 ")
+            .validate()
+            .unwrap();
+    }
+
+    #[test]
+    fn infallible_getters_read_through_the_fallible_ones() {
+        let config = Config::new()
+            .set("flag", " 1 ")
+            .set("n", " 12 ")
+            .set("bad", "x");
+        assert_eq!(config.try_bool("flag", false), Ok(true));
+        assert!(config.get_bool("flag", false));
+        assert_eq!(config.try_u64("n", 0), Ok(12));
+        assert_eq!(config.get_u64("n", 0), 12);
+        assert_eq!(config.parsed::<u16>("missing", "a port"), Ok(None));
+        assert!(config.try_u64("bad", 7).is_err());
+        assert_eq!(config.get_u64("bad", 7), 7);
+        assert!(config.get_bool("bad", true));
     }
 
     #[test]

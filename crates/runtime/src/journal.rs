@@ -67,39 +67,20 @@ fn key_error(key: &str, message: impl std::fmt::Display) -> ConfigError {
     ConfigError::for_key(key, message.to_string())
 }
 
-fn parse_u64_key(config: &Config, key: &str, default: u64) -> Result<u64, ConfigError> {
-    match config.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .trim()
-            .parse()
-            .map_err(|_| key_error(key, format!("expected an unsigned integer, got '{v}'"))),
-    }
-}
-
-fn parse_bool_key(config: &Config, key: &str, default: bool) -> Result<bool, ConfigError> {
-    match config.get(key) {
-        None => Ok(default),
-        Some("true") | Some("1") => Ok(true),
-        Some("false") | Some("0") => Ok(false),
-        Some(v) => Err(key_error(key, format!("expected true/false/1/0, got '{v}'"))),
-    }
-}
-
 impl JournalConfig {
     /// Read and validate the `journal.*` keys of a channel profile.
     /// Returns `Ok(None)` when journaling is not enabled; malformed
     /// values and a missing `journal.path` are [`ConfigError`]s.
     pub fn from_config(config: &Config) -> Result<Option<JournalConfig>, ConfigError> {
         let enabled =
-            parse_bool_key(config, "journal.enable", false)? || config.service_enabled("journal");
+            config.try_bool("journal.enable", false)? || config.service_enabled("journal");
         if !enabled {
             // Still validate the keys so a typo'd profile with
             // journaling later switched on does not change meaning.
-            parse_u64_key(config, "journal.flush_interval", 1)?;
-            parse_u64_key(config, "journal.max_buffer", 1 << 20)?;
-            parse_bool_key(config, "journal.fsync", false)?;
-            parse_bool_key(config, "journal.append", false)?;
+            config.try_u64("journal.flush_interval", 1)?;
+            config.try_u64("journal.max_buffer", 1 << 20)?;
+            config.try_bool("journal.fsync", false)?;
+            config.try_bool("journal.append", false)?;
             return Ok(None);
         }
         let path = config
@@ -112,16 +93,16 @@ impl JournalConfig {
                     "journaling is enabled but journal.path names no file",
                 )
             })?;
-        let flush_interval = parse_u64_key(config, "journal.flush_interval", 1)?;
+        let flush_interval = config.try_u64("journal.flush_interval", 1)?;
         if flush_interval == 0 {
             return Err(key_error("journal.flush_interval", "must be at least 1"));
         }
         Ok(Some(JournalConfig {
             path: PathBuf::from(path),
             flush_interval,
-            max_buffer: parse_u64_key(config, "journal.max_buffer", 1 << 20)? as usize,
-            fsync: parse_bool_key(config, "journal.fsync", false)?,
-            append: parse_bool_key(config, "journal.append", false)?,
+            max_buffer: config.try_u64("journal.max_buffer", 1 << 20)? as usize,
+            fsync: config.try_bool("journal.fsync", false)?,
+            append: config.try_bool("journal.append", false)?,
         }))
     }
 }

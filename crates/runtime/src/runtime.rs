@@ -526,6 +526,18 @@ mod tests {
     }
 
     #[test]
+    fn try_new_fails_on_the_runtimes_keys_and_only_on_those() {
+        for (key, bad) in [("timer.inclusive", "ture"), ("counters.ghz", "fast")] {
+            let err = Caliper::try_new(Config::event_trace().set(key, bad)).unwrap_err();
+            assert!(err.message.starts_with(key), "{err}");
+        }
+        // The daemon's keys are the daemon's (`caliper_served::config`):
+        // `CALI_SERVED_PORT=http` in a profiled application's
+        // environment is not this library's error.
+        Caliper::try_new(Config::event_trace().set("served.port", "http")).unwrap();
+    }
+
+    #[test]
     fn channels_collect_independently() {
         // One run, two simultaneous schemes: a trace channel and an
         // aggregation channel.

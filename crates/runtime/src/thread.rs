@@ -69,14 +69,13 @@ impl ChannelScope {
             }
         }
         if config.service_enabled("counters") {
-            let ghz = config
-                .get("counters.ghz")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(2.1);
-            let ipc = config
-                .get("counters.ipc")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1.6);
+            // A malformed number is a recorded config error
+            // (`Config::validate`); here it reads as the default.
+            let number = |key, default: f64| {
+                let parsed = config.parsed(key, "a number");
+                parsed.ok().flatten().unwrap_or(default)
+            };
+            let (ghz, ipc) = (number("counters.ghz", 2.1), number("counters.ipc", 1.6));
             match CountersService::new(&store, ghz, ipc) {
                 Ok(counters) => services.push(Box::new(counters)),
                 Err(e) => eprintln!("caliper: counters service disabled: {e}"),

@@ -1,18 +1,38 @@
 //! Daemon configuration: the `served.*` profile keys.
 //!
-//! `cali-served` reads its profile through the same [`Config`] machinery
-//! as the in-process runtime (config file, `CALI_*` environment,
-//! command-line overrides layered on top), and every key is validated by
-//! [`Config::validate`] — a typo'd value is a [`ConfigError`] at
-//! startup, never a silently applied default.
+//! `cali-served` reads its profile through the same [`Config`]
+//! dictionary as the in-process runtime (config file, `CALI_*`
+//! environment, command-line overrides layered on top). Its keys are
+//! named here and nowhere else, and parsing is the validation:
+//! [`ServedConfig::from_config`] reads each through `Config`'s fallible
+//! getters, so a typo'd value is a [`ConfigError`] at startup, never a
+//! silently applied default.
+//!
+//! | key                       | meaning                                       |
+//! |---------------------------|-----------------------------------------------|
+//! | `served.port`             | ingest TCP port (`0` = ephemeral)             |
+//! | `served.http.port`        | query/health HTTP port (`0` = ephemeral)      |
+//! | `served.data.dir`         | directory of the per-stream journals          |
+//! | `served.queue.depth`      | bounded ingest queue capacity (≥ 1)           |
+//! | `served.workers`          | ingest worker thread count (≥ 1)              |
+//! | `served.query.deadline.ms`| per-query wall-clock budget                   |
+//! | `served.replay.deadline.ms`| journal-replay budget per stream at startup  |
+//! | `served.shutdown.deadline.ms`| graceful-drain budget before forced exit   |
+//! | `served.supervisor.max.restarts`| worker restarts before giving up        |
+//! | `served.stream.max.failures`| consecutive batch failures tripping a stream's circuit breaker |
+//! | `served.max.groups`       | aggregate-state group cap per stream (`0` = unbounded) |
+//! | `served.batch.max.bytes`  | largest accepted ingest batch                 |
+//! | `served.fsync`            | fsync journals on every accepted batch        |
+//! | `served.aggregate.ops` / `served.aggregate.key` | resident aggregation scheme |
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use caliper_runtime::config::{Config, ConfigError};
 
-/// Resolved daemon configuration. See the `served.*` table in
-/// [`caliper_runtime::config`] and `docs/SERVED.md` for key semantics.
+/// Resolved daemon configuration. See the [module docs](self) and
+/// `docs/SERVED.md` for key semantics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedConfig {
     /// Ingest TCP port; 0 binds an ephemeral port (written to the
@@ -77,43 +97,48 @@ impl Default for ServedConfig {
 }
 
 impl ServedConfig {
-    /// Resolve a daemon configuration from a (validated) profile.
-    /// Runs [`Config::validate`] first, so a malformed `served.*` value
-    /// is reported as its [`ConfigError`] instead of defaulting.
+    /// Resolve a daemon configuration from a profile. A present,
+    /// malformed `served.*` value is reported as a [`ConfigError`]
+    /// naming its key.
     pub fn from_config(config: &Config) -> Result<ServedConfig, ConfigError> {
-        config.validate()?;
         let d = ServedConfig::default();
-        let ms = |key: &str, dflt: Duration| {
-            Duration::from_millis(config.get_u64(key, dflt.as_millis() as u64))
+        let port = |key| config.parsed::<u16>(key, "a TCP port (0-65535)");
+        let positive = |key| config.parsed::<NonZeroUsize>(key, "a positive integer");
+        let count = |key| config.parsed::<u32>(key, "an unsigned integer");
+        let ms = |key, default: Duration| {
+            let ms = config.try_u64(key, default.as_millis() as u64);
+            ms.map(Duration::from_millis)
         };
+        let aggregate_ops = config
+            .get("served.aggregate.ops")
+            .unwrap_or(&d.aggregate_ops);
+        caliper_query::parse_query(&format!("AGGREGATE {aggregate_ops}")).map_err(|e| {
+            let message = format!("invalid op list '{aggregate_ops}': {e}");
+            ConfigError::for_key("served.aggregate.ops", message)
+        })?;
         Ok(ServedConfig {
-            port: config.get_u64("served.port", u64::from(d.port)) as u16,
-            http_port: config.get_u64("served.http.port", u64::from(d.http_port)) as u16,
+            port: port("served.port")?.unwrap_or(d.port),
+            http_port: port("served.http.port")?.unwrap_or(d.http_port),
             data_dir: config
                 .get("served.data.dir")
                 .map(PathBuf::from)
                 .unwrap_or(d.data_dir),
-            queue_depth: config.get_u64("served.queue.depth", d.queue_depth as u64) as usize,
-            workers: config.get_u64("served.workers", d.workers as u64) as usize,
-            query_deadline: ms("served.query.deadline.ms", d.query_deadline),
-            replay_deadline: ms("served.replay.deadline.ms", d.replay_deadline),
-            shutdown_deadline: ms("served.shutdown.deadline.ms", d.shutdown_deadline),
-            max_restarts: config.get_u64("served.supervisor.max.restarts", u64::from(d.max_restarts))
-                as u32,
-            max_stream_failures: config
-                .get_u64("served.stream.max.failures", u64::from(d.max_stream_failures))
-                as u32,
-            max_groups: match config.get_u64("served.max.groups", 0) {
-                0 => None,
-                n => Some(n as usize),
-            },
-            batch_max_bytes: config.get_u64("served.batch.max.bytes", d.batch_max_bytes as u64)
-                as usize,
-            fsync: config.get_bool("served.fsync", d.fsync),
-            aggregate_ops: config
-                .get("served.aggregate.ops")
-                .unwrap_or(&d.aggregate_ops)
-                .to_string(),
+            queue_depth: positive("served.queue.depth")?.map_or(d.queue_depth, NonZeroUsize::get),
+            workers: positive("served.workers")?.map_or(d.workers, NonZeroUsize::get),
+            query_deadline: ms("served.query.deadline.ms", d.query_deadline)?,
+            replay_deadline: ms("served.replay.deadline.ms", d.replay_deadline)?,
+            shutdown_deadline: ms("served.shutdown.deadline.ms", d.shutdown_deadline)?,
+            max_restarts: count("served.supervisor.max.restarts")?.unwrap_or(d.max_restarts),
+            max_stream_failures: count("served.stream.max.failures")?
+                .unwrap_or(d.max_stream_failures),
+            max_groups: config
+                .parsed::<usize>("served.max.groups", "an unsigned integer")?
+                .filter(|&n| n > 0),
+            batch_max_bytes: config
+                .parsed("served.batch.max.bytes", "an unsigned integer")?
+                .unwrap_or(d.batch_max_bytes),
+            fsync: config.try_bool("served.fsync", d.fsync)?,
+            aggregate_ops: aggregate_ops.to_string(),
             aggregate_key: config
                 .get("served.aggregate.key")
                 .unwrap_or(&d.aggregate_key)
@@ -171,8 +196,55 @@ mod tests {
 
     #[test]
     fn malformed_keys_are_config_errors() {
-        let err = ServedConfig::from_config(&Config::new().set("served.queue.depth", "0"))
-            .unwrap_err();
-        assert!(err.message.contains("served.queue.depth"), "{err}");
+        // A full, valid daemon profile passes.
+        ServedConfig::from_config(
+            &Config::new()
+                .set("served.port", "0")
+                .set("served.http.port", "8080")
+                .set("served.queue.depth", "64")
+                .set("served.workers", "2")
+                .set("served.query.deadline.ms", "2000")
+                .set("served.supervisor.max.restarts", "5")
+                .set("served.stream.max.failures", "3")
+                .set("served.fsync", "true")
+                .set("served.aggregate.ops", "count,sum(time.duration)"),
+        )
+        .unwrap();
+
+        // Typos become ConfigErrors naming the key, not silent defaults.
+        let cases = [
+            ("served.port", "70000"),
+            ("served.http.port", "http"),
+            ("served.queue.depth", "0"),
+            ("served.workers", "-1"),
+            ("served.query.deadline.ms", "2s"),
+            ("served.replay.deadline.ms", "soon"),
+            ("served.shutdown.deadline.ms", "1e3"),
+            ("served.supervisor.max.restarts", "many"),
+            ("served.stream.max.failures", "3.5"),
+            ("served.max.groups", "all"),
+            ("served.batch.max.bytes", "4MiB"),
+            ("served.fsync", "yes"),
+            ("served.aggregate.ops", "count,sum("),
+        ];
+        for (key, bad) in cases {
+            let err = ServedConfig::from_config(&Config::new().set(key, bad)).unwrap_err();
+            assert!(err.message.starts_with(&format!("{key}: ")), "{key}: {err}");
+            assert!(err.message.contains(&format!("'{bad}'")), "{key}: {err}");
+            assert_eq!(err.line, 0);
+        }
+    }
+
+    #[test]
+    fn the_runtimes_keys_are_not_the_daemons_business() {
+        // The daemon reads `served.*` and nothing else: a profile whose
+        // runtime half is broken still starts it.
+        let profile = Config::new()
+            .set("journal.enable", "true")
+            .set("timer.inclusive", "ture");
+        assert_eq!(
+            ServedConfig::from_config(&profile).unwrap(),
+            ServedConfig::default()
+        );
     }
 }

@@ -311,7 +311,6 @@ impl StreamState {
 mod tests {
     use super::*;
     use caliper_data::{RecordBuilder, SnapshotRecord, NODE_NONE};
-    use caliper_format::journal::recover_file_cancellable;
     use caliper_format::Dataset;
     use caliper_query::parse_query;
     use proptest::prelude::*;
@@ -406,9 +405,16 @@ mod tests {
             };
             let (mut ds, recovery) = if path.exists() {
                 let deadline = Deadline::after(cfg.replay_deadline);
-                let (ds, report) =
-                    recover_file_cancellable(&path, ReadPolicy::lenient(), Some(&deadline)).unwrap();
-                (ds, Some(report))
+                let mut reader = CaliReader::new();
+                let report = recover_file_blocks(
+                    &mut reader,
+                    &path,
+                    ReadPolicy::lenient(),
+                    Some(&deadline),
+                    &mut |ds, strings, block| block.append_records(strings, &mut ds.records),
+                )
+                .unwrap();
+                (reader.finish(), Some(report))
             } else {
                 (Dataset::new(), None)
             };

@@ -1,13 +1,26 @@
 #!/bin/sh
 # Full local gate: release build, the workspace's test suites, the
-# benchmark package's tests and smoke run, lint pass, a rustdoc pass
-# with warnings (missing_docs among them) promoted to errors, and a
-# failure-injection smoke run of the fault-tolerant pipeline.
+# design ablations' smoke run, the benchmark package's tests and smoke
+# run, lint pass, a rustdoc pass with warnings (missing_docs among them)
+# promoted to errors, and a failure-injection smoke run of the
+# fault-tolerant pipeline.
 set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
 cargo test -q --workspace
+# The five design ablations (DESIGN.md §4) run, not just compile: every
+# variant on a reduced input, the `selective_where` variants checked
+# against each other's output before they are timed.
+./target/release/ablations --quick > /dev/null
+# One ruler: `cali-bench` below (and `ablations` above for the either/or
+# questions it has no row for yet). The micro-benchmark harness that
+# stood beside them, its knob and its targets stay deleted.
+if grep -rn 'criterion\|CRITERION_MEASURE_MS\|\[\[bench\]\]' --include=Cargo.toml --include='*.rs' \
+    Cargo.toml crates vendor src tests examples; then
+    echo "check.sh: a second benchmark harness is back (listed above)" >&2
+    exit 1
+fi
 # The benchmark is a package of its own that compiles against the
 # crates' public API: its unit tests, then a smoke run (under 10 s) that
 # makes the same correctness checks as a measuring run — outputs
