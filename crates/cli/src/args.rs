@@ -31,34 +31,38 @@ impl std::fmt::Display for UsageError {
 
 impl std::error::Error for UsageError {}
 
-/// Parse arguments. `value_flags` lists the flags that take a value
-/// (both long and short spellings, without dashes).
+/// Parse arguments. `value_flags` lists the flags that take a value and
+/// `switches` the bare ones (both long and short spellings, without
+/// dashes). A switch may carry a `--switch=value`, which the caller
+/// reads as an option (`--stats=json`). A flag in neither list is a
+/// usage error: a typo must not run the command without it.
 pub fn parse_args(
     args: impl IntoIterator<Item = String>,
     value_flags: &[&str],
+    switches: &[&str],
 ) -> Result<CliArgs, UsageError> {
     let mut out = CliArgs::default();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        if let Some(name) = arg.strip_prefix("--").or_else(|| arg.strip_prefix('-')) {
-            // `--flag=value` spelling
-            if let Some((name, value)) = name.split_once('=') {
-                out.options.insert(name.to_string(), value.to_string());
-                out.repeated
-                    .entry(name.to_string())
-                    .or_default()
-                    .push(value.to_string());
-                continue;
-            }
-            if value_flags.contains(&name) {
-                let value = iter
+        if let Some(flag) = arg.strip_prefix("--").or_else(|| arg.strip_prefix('-')) {
+            let (name, inline) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (flag, None),
+            };
+            let (takes_value, is_switch) = (value_flags.contains(&name), switches.contains(&name));
+            let value = match inline {
+                Some(value) if takes_value || is_switch => value,
+                None if takes_value => iter
                     .next()
-                    .ok_or_else(|| UsageError(format!("flag --{name} requires a value")))?;
-                out.options.insert(name.to_string(), value.clone());
-                out.repeated.entry(name.to_string()).or_default().push(value);
-            } else {
-                out.switches.push(name.to_string());
-            }
+                    .ok_or_else(|| UsageError(format!("flag --{name} requires a value")))?,
+                None if is_switch => {
+                    out.switches.push(name.to_string());
+                    continue;
+                }
+                _ => return Err(UsageError(format!("unknown flag {arg}"))),
+            };
+            out.options.insert(name.to_string(), value.clone());
+            out.repeated.entry(name.to_string()).or_default().push(value);
         } else {
             out.positional.push(arg);
         }
@@ -105,6 +109,7 @@ mod tests {
         let args = parse_args(
             strs(&["-q", "AGGREGATE count", "in1.cali", "in2.cali", "--help"]),
             &["q", "query"],
+            &["h", "help"],
         )
         .unwrap();
         assert_eq!(args.get(&["query", "q"]), Some("AGGREGATE count"));
@@ -114,8 +119,10 @@ mod tests {
 
     #[test]
     fn equals_spelling() {
-        let args = parse_args(strs(&["--np=16"]), &["np"]).unwrap();
+        let args = parse_args(strs(&["--np=16", "--stats=json"]), &["np"], &["stats"]).unwrap();
         assert_eq!(args.get(&["np"]), Some("16"));
+        assert_eq!(args.get(&["stats"]), Some("json"));
+        assert!(!args.has(&["stats"]));
     }
 
     #[test]
@@ -123,6 +130,7 @@ mod tests {
         let args = parse_args(
             strs(&["-q", "one", "--query", "two", "-q", "three"]),
             &["q", "query"],
+            &[],
         )
         .unwrap();
         // Scalar lookup keeps the last occurrence per spelling…
@@ -133,7 +141,15 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let err = parse_args(strs(&["--query"]), &["query"]).unwrap_err();
+        let err = parse_args(strs(&["--query"]), &["query"], &[]).unwrap_err();
         assert!(err.0.contains("--query"));
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        for typo in ["--degarde", "-x", "--thraeds=2", "-"] {
+            let err = parse_args(strs(&[typo, "2", "f.cali"]), &["threads"], &["degrade"]);
+            assert_eq!(err, Err(UsageError(format!("unknown flag {typo}"))));
+        }
     }
 }

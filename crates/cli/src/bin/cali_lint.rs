@@ -54,6 +54,7 @@ fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
         &["q", "query", "i", "input", "schema", "save-schema"],
+        &["h", "help", "json"],
     ) {
         Ok(args) => args,
         Err(e) => {

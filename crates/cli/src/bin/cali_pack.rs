@@ -95,6 +95,7 @@ fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
         &["o", "output", "block-records", "max-errors", "mutate", "seed"],
+        &["h", "help", "lenient", "no-footer", "v1"],
     ) {
         Ok(args) => args,
         Err(e) => {

@@ -223,6 +223,10 @@ fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
         &["q", "query", "o", "output", "threads", "max-errors", "max-groups", "faults"],
+        &[
+            "h", "help", "check", "degrade", "lenient", "list-attributes", "list-globals",
+            "no-lint", "stats", "timings",
+        ],
     ) {
         Ok(args) => args,
         Err(e) => {
@@ -326,26 +330,23 @@ fn main() -> ExitCode {
     // own error path. --no-lint silences it.
     let listing = args.has(&["list-attributes"]) || args.has(&["list-globals"]);
     let spanned = if listing { None } else { parse_query_spanned(query).ok() };
-    // The schema pre-pass reads every input once more; it has two
-    // consumers — the lint and the typed pushdown of a WHERE clause —
-    // and is skipped when neither exists.
-    let lint = !args.has(&["no-lint"]);
+    // The schema pre-pass reads every input once more, so it runs only
+    // when the lint will print what it finds.
     let schema = match &spanned {
-        Some((spec, _)) if lint || !spec.filters.is_empty() => {
-            lint::infer_schema(&args.positional).ok()
-        }
+        Some(_) if !args.has(&["no-lint"]) => lint::infer_schema(&args.positional).ok(),
         _ => None,
     };
-    if lint {
-        if let (Some((spec, spans)), Some(schema)) = (&spanned, &schema) {
-            for diag in analyze(spec, Some(spans), Some(schema)) {
-                eprint!("{}", diag.render("<query>", query));
-            }
+    if let (Some((spec, spans)), Some(schema)) = (&spanned, &schema) {
+        for diag in analyze(spec, Some(spans), Some(schema)) {
+            eprint!("{}", diag.render("<query>", query));
         }
     }
-    // Build the zone-map pushdown once — schema-aware when the pre-pass
-    // succeeded — and hand the same instance to every worker, so
-    // `--stats` skip counts match for every --threads N.
+    // Build the zone-map pushdown once and hand the same instance to
+    // every worker, so `--stats` skip counts match for every --threads
+    // N. A schema that happens to exist keeps comparisons on mixed-typed
+    // attributes out of it; without one they are pushed too, which is
+    // sound because every file is decoded, and its zone maps judged,
+    // against the types that file declares.
     let pushdown: Option<Arc<Pushdown>> = spanned.as_ref().and_then(|(spec, _)| {
         let pd = build_pushdown(spec, schema.as_ref());
         (!pd.is_empty()).then(|| Arc::new(pd))

@@ -233,6 +233,7 @@ fn main() -> ExitCode {
             "program", "ranks", "np", "engine", "workers", "nodes", "kills", "kill-seed", "faults",
             "trace",
         ],
+        &["h", "help", "deny-warnings"],
     ) {
         Ok(args) => args,
         Err(e) => {

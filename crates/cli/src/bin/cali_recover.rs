@@ -49,6 +49,7 @@ fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
         &["q", "query", "o", "output", "max-errors"],
+        &["h", "help"],
     ) {
         Ok(args) => args,
         Err(e) => {

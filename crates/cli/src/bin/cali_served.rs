@@ -316,6 +316,7 @@ fn main() -> ExitCode {
             "batch-max-bytes", "config", "faults", "connect", "stream", "http",
             "client-query", "query-stream", "probe", "timeout-ms",
         ],
+        &["h", "help", "fsync", "shutdown", "stats"],
     ) {
         Ok(args) => args,
         Err(e) => {

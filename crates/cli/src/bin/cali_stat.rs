@@ -44,7 +44,7 @@ impl Default for AttrStats {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1), &[]) {
+    let args = match parse_args(std::env::args().skip(1), &[], &["h", "help"]) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("cali-stat: {e}\n{USAGE}");

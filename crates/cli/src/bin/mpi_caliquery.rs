@@ -160,6 +160,7 @@ fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
         &["q", "query", "np", "ranks", "faults", "engine", "nodes", "workers", "trace"],
+        &["h", "help", "analyze", "timings"],
     ) {
         Ok(args) => args,
         Err(e) => {

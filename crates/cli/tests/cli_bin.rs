@@ -456,3 +456,100 @@ fn mpi_caliquery_rejects_passthrough() {
         .contains("must aggregate"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--no-lint` skips the schema pre-pass, so a WHERE comparison on an
+/// attribute the corpus types four ways is pushed down to zone maps
+/// that the default run (which has the schema, and so leaves such a
+/// comparison out) never consults. Every file is decoded and judged
+/// against its own declarations, so the answers must not differ.
+#[test]
+fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
+    use caliper_data::{Properties, SnapshotRecord, Value, ValueType};
+    use caliper_format::{to_binary_v2_with, V2WriteOptions};
+    let dir = std::env::temp_dir().join(format!("cali-bin-test-mixed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let declared = [ValueType::Int, ValueType::Str, ValueType::Float, ValueType::UInt];
+    let mut paths = Vec::new();
+    for (f, vtype) in declared.into_iter().enumerate() {
+        let mut ds = caliper_format::Dataset::new();
+        let k = ds.attribute("k", ValueType::Str, Properties::AS_VALUE);
+        let x = ds.attribute("x", vtype, Properties::AS_VALUE);
+        for r in 0..64u64 {
+            let value = match vtype {
+                ValueType::Int => Value::Int(r as i64 - 8),
+                ValueType::Str => Value::str(format!("{r:02}")),
+                ValueType::Float => Value::Float(r as f64 + 0.5),
+                _ => Value::UInt(r),
+            };
+            let mut rec = SnapshotRecord::new();
+            rec.push_imm(k.id(), Value::str(["a", "b", "c"][(r % 3) as usize]));
+            rec.push_imm(x.id(), value);
+            ds.push(rec);
+        }
+        let options = V2WriteOptions { block_records: 16, ..Default::default() };
+        let path = dir.join(format!("x-{f}.calb2"));
+        std::fs::write(&path, to_binary_v2_with(&ds, &options)).unwrap();
+        paths.push(path);
+    }
+    let run = |filter: &str, flags: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
+            .args(flags)
+            .arg("--stats")
+            // `k` keeps the default run's pushdown from being empty,
+            // which would make the driver build the schema-less one.
+            .args(["-q", &format!("AGGREGATE count WHERE k, {filter} GROUP BY k ORDER BY k")])
+            .args(&paths)
+            .output()
+            .expect("run cali-query");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{filter} {flags:?}: {stderr}");
+        let skipped = stderr
+            .lines()
+            .find_map(|line| line.strip_prefix("format.reader.blocks_skipped="))
+            .map_or(0, |n| n.parse::<u64>().unwrap());
+        (String::from_utf8(out.stdout).unwrap(), skipped)
+    };
+    let (mut rows, mut skipped_more) = (0, 0);
+    for filter in
+        ["x = 17", "x != 17", "x < 20", "x <= 20", "x > 40", "x >= 40", "x = 17.5", "x = \"17\""]
+    {
+        let (reference, with_schema) = run(filter, &["--threads", "1"]);
+        rows += reference.lines().count();
+        for flags in [["--no-lint", "--threads", "1"], ["--no-lint", "--threads", "2"]] {
+            let (stdout, without_schema) = run(filter, &flags);
+            assert_eq!(stdout, reference, "WHERE {filter} with {flags:?}");
+            skipped_more += u64::from(without_schema > with_schema);
+        }
+        assert_eq!(run(filter, &["--threads", "2"]).0, reference, "WHERE {filter}");
+    }
+    assert!(rows > 8, "the filters selected nothing");
+    assert!(skipped_more > 0, "the schema-less pushdown never skipped a block more");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag a binary does not know is a usage error — the usage text and
+/// exit code 1 — whether it is a typo'd switch, a typo'd value flag
+/// (whose value must not become an input file) or an `--unknown=value`.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let binaries = [
+        ("cali-query", env!("CARGO_BIN_EXE_cali-query"), "--degarde", "--thraeds"),
+        ("mpi-caliquery", env!("CARGO_BIN_EXE_mpi-caliquery"), "--timngs", "--rank"),
+        ("cali-stat", env!("CARGO_BIN_EXE_cali-stat"), "--hlep", "--output"),
+        ("cali-recover", env!("CARGO_BIN_EXE_cali-recover"), "--lenient", "--max-error"),
+        ("cali-race", env!("CARGO_BIN_EXE_cali-race"), "--deny-warning", "--kill"),
+        ("cali-served", env!("CARGO_BIN_EXE_cali-served"), "--fsnyc", "--data_dir"),
+        ("cali-pack", env!("CARGO_BIN_EXE_cali-pack"), "--v2", "--block-record"),
+        ("cali-lint", env!("CARGO_BIN_EXE_cali-lint"), "--jsno", "--shema"),
+    ];
+    for (name, exe, switch, value_flag) in binaries {
+        for args in [vec![switch], vec![value_flag, "2"], vec!["--no-such-flag=2"]] {
+            let out = Command::new(exe).args(&args).output().expect("run binary");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} {args:?}");
+            let message = format!("{name}: unknown flag {}\nusage: {name}", args[0]);
+            assert!(stderr.starts_with(&message), "{name} {args:?}: {stderr}");
+        }
+    }
+}

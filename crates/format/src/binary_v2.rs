@@ -393,9 +393,16 @@ pub struct StringTable {
 }
 
 impl StringTable {
+    /// The code of `text` if it has one. Never assigns: a caller that
+    /// must not grow the table looks up first and interns on its own
+    /// terms.
+    pub fn find(&self, text: &str) -> Option<u32> {
+        self.codes.get(text).copied()
+    }
+
     /// The code of `text`, assigning the next free one on first sight.
     pub fn intern(&mut self, text: &str) -> u32 {
-        if let Some(&code) = self.codes.get(text) {
+        if let Some(code) = self.find(text) {
             return code;
         }
         let text: Arc<str> = Arc::from(text);

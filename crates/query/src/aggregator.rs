@@ -13,11 +13,12 @@
 //! [`Aggregator::merge`]), and analytical aggregation (driven by records
 //! read from `.cali` files).
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use caliper_data::{
     AttrId, Attribute, AttributeStore, FlatRecord, FxBuildHasher, Properties, Value, ValueType,
 };
+use caliper_format::{Cell, StringTable};
 
 use crate::ast::{AggOp, OpKind, QuerySpec};
 use crate::ops::Reducer;
@@ -66,11 +67,57 @@ impl AggregationSpec {
     }
 }
 
-/// Aggregation key: one optional grouping value per key label, in spec
-/// order. `None` marks "attribute not present in the record" — the paper
-/// notes that results include separate entries for records where only
-/// some key attributes are set.
-pub(crate) type Key = Box<[Option<Value>]>;
+/// One component of an aggregation key (a key has one per GROUP BY
+/// label, in spec order): a number, a string as its code in the
+/// aggregator's own [`StringTable`], or `None` for "attribute not
+/// present in the record" — the paper notes that results include
+/// separate entries for records where only some key attributes are set.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyCell(pub(crate) Option<Cell>);
+
+impl KeyCell {
+    /// What a cell is compared and hashed by, which is how the [`Value`]
+    /// it stands for is: strings by code, floats by bit pattern,
+    /// non-negative `Int` and `UInt` of one magnitude alike. The cell
+    /// keeps the class it was admitted with, and a flush emits that.
+    fn identity(self) -> (u8, u64) {
+        match self.0 {
+            None => (0, 0),
+            Some(Cell::Str(code)) => (1, code as u64),
+            Some(Cell::UInt(u)) => (2, u),
+            Some(Cell::Int(i)) if i >= 0 => (2, i as u64),
+            Some(Cell::Int(i)) => (3, i as u64),
+            Some(Cell::Float(x)) => (4, x.to_bits()),
+            Some(Cell::Bool(b)) => (5, b as u64),
+        }
+    }
+}
+
+impl PartialEq for KeyCell {
+    fn eq(&self, other: &KeyCell) -> bool {
+        self.identity() == other.identity()
+    }
+}
+
+impl Eq for KeyCell {}
+
+impl std::hash::Hash for KeyCell {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.identity().hash(state);
+    }
+}
+
+/// Another string table's codes as an aggregator's, filled in as that
+/// table's strings turn up in keys, so that a stream's fold or a merge
+/// looks a string up by its text once, not once per row or group. It
+/// knows whose codes it holds ([`Aggregator::translate`]).
+#[derive(Default)]
+pub(crate) struct CodeMap {
+    owner: Weak<()>,
+    codes: Vec<u32>,
+}
+
+const NO_CODE: u32 = u32::MAX;
 
 /// One aggregation database entry: the reduction states for one unique key.
 #[derive(Debug, Clone, Default)]
@@ -82,7 +129,7 @@ pub(crate) struct DbEntry {
 }
 
 impl DbEntry {
-    fn fresh(ops: &[AggOp]) -> DbEntry {
+    pub(crate) fn fresh(ops: &[AggOp]) -> DbEntry {
         DbEntry {
             reducers: ops.iter().map(Reducer::new).collect(),
             records: 0,
@@ -108,12 +155,21 @@ pub struct Aggregator {
     /// runs).
     key_attrs: Vec<Option<AttrId>>,
     target_attrs: Vec<Option<AttrId>>,
-    /// The aggregation database: key → index into `entries`. Both the
-    /// row path ([`Aggregator::add`]) and the block fold admit groups
-    /// through [`Aggregator::admit`], so there is one database whichever
-    /// way records arrive.
-    db: std::collections::HashMap<Key, u32, FxBuildHasher>,
+    /// The aggregation database: key → index into `entries`, the one
+    /// table from keys to groups. The row path ([`Aggregator::add`]),
+    /// the block fold and [`Aggregator::merge`] all bring their keys
+    /// into `strings`' terms and go through [`Aggregator::admit`].
+    db: std::collections::HashMap<Box<[KeyCell]>, u32, FxBuildHasher>,
     entries: Vec<DbEntry>,
+    /// The strings of admitted keys and of nothing else
+    /// ([`Aggregator::key_code`]).
+    strings: StringTable,
+    /// What a [`CodeMap`] recognises this aggregator by.
+    id: Arc<()>,
+    /// Scratch of [`Aggregator::add`] and [`Aggregator::merge`]: the key
+    /// on its way to `admit`, and a nested key attribute's path.
+    key: Vec<KeyCell>,
+    path: String,
     records_processed: u64,
     /// Capacity bound on `db` (None = unbounded, the historical mode).
     max_groups: Option<usize>,
@@ -137,6 +193,10 @@ impl Aggregator {
             target_attrs,
             db: Default::default(),
             entries: Vec::new(),
+            strings: StringTable::default(),
+            id: Arc::new(()),
+            key: Vec::new(),
+            path: String::new(),
             records_processed: 0,
             max_groups: None,
             overflow: None,
@@ -200,20 +260,68 @@ impl Aggregator {
         *slot
     }
 
-    /// Locate or create the database entry for `key`. At capacity, a
-    /// *new* key is not admitted (first-come admission, like upstream
-    /// Caliper's fixed aggregation buffers): `None` tells the caller to
-    /// fold into the overflow bucket.
-    pub(crate) fn admit(&mut self, key: Key) -> Option<u32> {
-        let at_cap = self.max_groups.is_some_and(|cap| self.db.len() >= cap);
-        match self.db.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => Some(*e.get()),
-            std::collections::hash_map::Entry::Vacant(_) if at_cap => None,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let group = self.entries.len() as u32;
-                self.entries.push(DbEntry::fresh(&self.spec.ops));
-                Some(*v.insert(group))
-            }
+    fn at_capacity(&self) -> bool {
+        self.max_groups.is_some_and(|cap| self.db.len() >= cap)
+    }
+
+    /// The code of a key's string. A string no admitted key has makes
+    /// the key a new one: with room in the database it is interned; at
+    /// capacity the key is turned away here already (`None`) and the
+    /// table stays as it is, so `max_groups` bounds the strings too.
+    pub(crate) fn key_code(&mut self, text: &str) -> Option<u32> {
+        match self.strings.find(text) {
+            None if self.at_capacity() => None,
+            None => Some(self.strings.intern(text)),
+            found => found,
+        }
+    }
+
+    /// [`key_code`](Self::key_code) of the string `from` calls `code`:
+    /// by its text the first time `map` is asked, by index after.
+    pub(crate) fn translate(
+        &mut self,
+        map: &mut CodeMap,
+        from: &StringTable,
+        code: u32,
+    ) -> Option<u32> {
+        if map.owner.as_ptr() != Arc::as_ptr(&self.id) {
+            *map = CodeMap {
+                owner: Arc::downgrade(&self.id),
+                codes: Vec::new(),
+            };
+        }
+        if map.codes.len() <= code as usize {
+            map.codes.resize(from.len(), NO_CODE);
+        }
+        if map.codes[code as usize] == NO_CODE {
+            map.codes[code as usize] = self.key_code(&from.value(code).to_text())?;
+        }
+        Some(map.codes[code as usize])
+    }
+
+    /// Locate or create (from `entry`) the database entry for `key`: one
+    /// cell per key label, strings as codes of this aggregator's table.
+    /// Only a new group boxes it. At capacity, a *new* key is not
+    /// admitted (first-come admission, like upstream Caliper's fixed
+    /// aggregation buffers), nor is a key cut short at a string that
+    /// [`key_code`](Self::key_code) turned away: `None` tells the caller
+    /// to fold into the overflow bucket.
+    pub(crate) fn admit(
+        &mut self,
+        key: &[KeyCell],
+        entry: impl FnOnce(&[AggOp]) -> DbEntry,
+    ) -> Option<u32> {
+        if key.len() < self.spec.key.len() {
+            None
+        } else if let Some(&group) = self.db.get(key) {
+            Some(group)
+        } else if self.at_capacity() {
+            None
+        } else {
+            let group = self.entries.len() as u32;
+            self.entries.push(entry(&self.spec.ops));
+            self.db.insert(key.into(), group);
+            Some(group)
         }
     }
 
@@ -239,16 +347,39 @@ impl Aggregator {
         entry
     }
 
+    /// `record`'s grouping value for the `i`th key label, as a cell: the
+    /// value if the attribute occurs once, the `/`-joined path if it is
+    /// nested ([`FlatRecord::path_string`], without building the value).
+    fn key_cell(&mut self, record: &FlatRecord, i: usize) -> Option<KeyCell> {
+        let attr = Self::resolve(&self.store, &mut self.key_attrs[i], &self.spec.key[i]);
+        let mut values = attr.into_iter().flat_map(|attr| record.all(attr));
+        let cell = match (values.next(), values.next()) {
+            (None, _) => return Some(KeyCell(None)),
+            (Some(Value::Str(text)), None) => Cell::Str(self.key_code(text)?),
+            (Some(number), None) => self.strings.cell(number),
+            (Some(first), Some(second)) => {
+                let mut path = std::mem::take(&mut self.path);
+                path.clear();
+                path.push_str(&first.to_text());
+                for value in std::iter::once(second).chain(values) {
+                    path.push('/');
+                    path.push_str(&value.to_text());
+                }
+                let code = self.key_code(&path);
+                self.path = path;
+                Cell::Str(code?)
+            }
+        };
+        Some(KeyCell(Some(cell)))
+    }
+
     /// Process one input record (streaming update).
     pub fn add(&mut self, record: &FlatRecord) {
-        // Extract the aggregation key.
-        let mut key: Vec<Option<Value>> = Vec::with_capacity(self.spec.key.len());
-        for (slot, label) in self.key_attrs.iter_mut().zip(&self.spec.key) {
-            key.push(
-                Self::resolve(&self.store, slot, label).and_then(|attr| record.path_string(attr)),
-            );
-        }
-        let group = self.admit(key.into_boxed_slice());
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        key.extend((0..self.spec.key.len()).map_while(|i| self.key_cell(record, i)));
+        let group = self.admit(&key, DbEntry::fresh);
+        self.key = key;
 
         // Fold the aggregation attributes into the entry.
         self.records_processed += 1;
@@ -282,61 +413,48 @@ impl Aggregator {
         debug_assert_eq!(self.spec, other.spec, "merging mismatched aggregations");
         self.records_processed += other.records_processed;
         if let Some(theirs) = other.overflow {
-            let spec_ops = &self.spec.ops;
-            self.overflow
-                .get_or_insert_with(|| DbEntry::fresh(spec_ops))
-                .fold(&theirs);
+            let ops = &self.spec.ops;
+            Self::entry_of(&mut self.entries, &mut self.overflow, ops, None).fold(&theirs);
         }
-        let mut theirs = other.entries;
+        // Their keys in this aggregator's terms: each of their strings
+        // is looked up by its text once, however many groups carry it.
+        let mut incoming: Vec<(Box<[KeyCell]>, u32)> = other.db.into_iter().collect();
         if self.max_groups.is_some() {
-            let mut incoming: Vec<(Key, u32)> = other.db.into_iter().collect();
-            incoming.sort_by(|a, b| Self::key_cmp(&a.0, &b.0));
-            for (key, group) in incoming {
-                self.merge_entry(key, std::mem::take(&mut theirs[group as usize]));
-            }
-        } else {
-            for (key, group) in other.db {
-                self.merge_entry(key, std::mem::take(&mut theirs[group as usize]));
-            }
+            incoming.sort_by(|a, b| Self::key_cmp(&other.strings, &a.0, &b.0));
         }
-    }
-
-    /// Merge one group into the database, honoring the capacity bound.
-    fn merge_entry(&mut self, key: Key, entry: DbEntry) {
-        let at_cap = self.max_groups.is_some_and(|cap| self.db.len() >= cap);
-        match self.db.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.entries[*e.get() as usize].fold(&entry);
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                if at_cap {
-                    let spec_ops = &self.spec.ops;
-                    self.overflow
-                        .get_or_insert_with(|| DbEntry::fresh(spec_ops))
-                        .fold(&entry);
-                } else {
-                    v.insert(self.entries.len() as u32);
-                    self.entries.push(entry);
+        let (mut theirs, mut codes) = (other.entries, CodeMap::default());
+        let mut key = std::mem::take(&mut self.key);
+        for (their_key, group) in incoming {
+            key.clear();
+            key.extend(their_key.iter().map_while(|cell| match cell.0 {
+                Some(Cell::Str(code)) => {
+                    let code = self.translate(&mut codes, &other.strings, code)?;
+                    Some(KeyCell(Some(Cell::Str(code))))
                 }
+                _ => Some(*cell),
+            }));
+            // Merge the group, honoring the capacity bound: it starts a
+            // group of this database, or folds into the one it finds or
+            // into the overflow bucket.
+            let mut entry = Some(std::mem::take(&mut theirs[group as usize]));
+            let group = self.admit(&key, |_| entry.take().expect("called once"));
+            if let Some(entry) = entry {
+                let ops = &self.spec.ops;
+                Self::entry_of(&mut self.entries, &mut self.overflow, ops, group).fold(&entry);
             }
         }
+        self.key = key;
     }
 
-    /// Total order on aggregation keys (slot-wise; absent sorts first) —
-    /// the comparator behind deterministic flush and capped merges.
-    fn key_cmp(a: &Key, b: &Key) -> std::cmp::Ordering {
-        for (va, vb) in a.iter().zip(b.iter()) {
-            let ord = match (va, vb) {
-                (None, None) => std::cmp::Ordering::Equal,
-                (None, Some(_)) => std::cmp::Ordering::Less,
-                (Some(_), None) => std::cmp::Ordering::Greater,
-                (Some(va), Some(vb)) => va.total_cmp(vb),
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
+    /// Total order on aggregation keys (slot-wise, by the values the
+    /// cells stand for in `strings`; absent sorts first) — the comparator
+    /// behind deterministic flush and capped merges.
+    fn key_cmp(strings: &StringTable, a: &[KeyCell], b: &[KeyCell]) -> std::cmp::Ordering {
+        let mut slots = a.iter().zip(b).map(|(a, b)| match (a.0, b.0) {
+            (Some(a), Some(b)) => strings.get(a).total_cmp(&strings.get(b)),
+            (a, b) => a.is_some().cmp(&b.is_some()),
+        });
+        slots.find(|ord| ord.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
     }
 
     /// Flush the database into result records, interning result
@@ -352,37 +470,51 @@ impl Aggregator {
         // strings; ordinary key values coerce to their string rendering.
         let has_overflow = self.overflow.is_some();
 
+        // The rows: the groups sorted by key for deterministic output,
+        // then the overflow bucket, which has no key (here: an empty one).
+        let mut rows: Vec<(&[KeyCell], &DbEntry)> = Vec::with_capacity(self.db.len() + 1);
+        rows.extend(self.db.iter().map(|(key, &group)| (&**key, &self.entries[group as usize])));
+        rows.sort_by(|a, b| Self::key_cmp(&self.strings, a.0, b.0));
+        rows.extend(self.overflow.iter().map(|entry| (&[][..], entry)));
+
+        let declare = |label: &str, vtype, properties| {
+            let created = out_store.create(label, vtype, properties);
+            created.unwrap_or_else(|_| out_store.find(label).expect("exists"))
+        };
         // Resolve key attributes for output (they may exist only in the
         // input store; intern them into out_store as strings-preserving).
         let key_attrs: Vec<Option<Attribute>> = self
             .spec
             .key
             .iter()
-            .map(|label| {
+            .enumerate()
+            .map(|(slot, label)| {
                 // Determine the output type: use the input attribute's
-                // type if known, else guess from the first value seen.
+                // type if known, else guess from the first value there
+                // is in sorted key order.
                 let vtype = if has_overflow {
                     Some(ValueType::Str)
                 } else {
                     self.store.find(label).map(|a| a.value_type()).or_else(|| {
-                        self.db.iter().find_map(|(key, _)| {
-                            let idx = self.spec.key.iter().position(|l| l == label)?;
-                            key[idx].as_ref().map(|v| v.value_type())
-                        })
+                        let mut cells = rows.iter().filter_map(|(key, _)| key.get(slot)?.0);
+                        cells.next().map(|cell| self.strings.get(cell).value_type())
                     })
                 };
-                vtype.map(|t| {
-                    out_store
-                        .create(label, t, Properties::DEFAULT)
-                        .unwrap_or_else(|_| out_store.find(label).expect("exists"))
-                })
+                vtype.map(|t| declare(label, t, Properties::DEFAULT))
             })
             .collect();
 
         // Determine result types per op: join over all entries.
         let mut result_types: Vec<Option<ValueType>> = vec![None; self.spec.ops.len()];
-        let denominators = self.percent_denominators();
-        for entry in self.groups().chain(self.overflow.iter()) {
+        // `percent_total` divides by the sum of raw sums over all rows
+        // (the overflow bucket too, so the percentages still total 100).
+        let mut denominators = vec![0.0; self.spec.ops.len()];
+        for (i, op) in self.spec.ops.iter().enumerate() {
+            if op.kind == OpKind::PercentTotal {
+                denominators[i] = rows.iter().map(|(_, e)| e.reducers[i].raw_sum()).sum();
+            }
+        }
+        for (_, entry) in &rows {
             for (i, red) in entry.reducers.iter().enumerate() {
                 if let Some(v) = red.finish(denominators[i]) {
                     let t = v.value_type();
@@ -403,18 +535,10 @@ impl Aggregator {
             .iter()
             .zip(&result_types)
             .map(|(op, vtype)| {
-                vtype.map(|t| {
-                    let label = op.result_label(&self.spec.count_label);
-                    out_store
-                        .create(&label, t, Properties::AGGREGATABLE)
-                        .unwrap_or_else(|_| out_store.find(&label).expect("exists"))
-                })
+                let label = op.result_label(&self.spec.count_label);
+                vtype.map(|t| declare(&label, t, Properties::AGGREGATABLE))
             })
             .collect();
-
-        // Sort keys for deterministic output.
-        let mut keys: Vec<&Key> = self.db.keys().collect();
-        keys.sort_by(|a, b| Self::key_cmp(a, b));
 
         // Widen a finished value to its attribute's joined type so the
         // output stream is type-consistent.
@@ -426,31 +550,19 @@ impl Aggregator {
             _ => value,
         };
 
-        let mut out = Vec::with_capacity(keys.len() + has_overflow as usize);
-        for key in keys {
-            let entry = &self.entries[self.db[key] as usize];
+        // The overflow row carries the sentinel in every key column and
+        // the combined reductions of every group that did not fit.
+        let mut out = Vec::with_capacity(rows.len());
+        for (key, entry) in rows {
             let mut rec = FlatRecord::new();
-            for (slot, attr) in key.iter().zip(&key_attrs) {
-                if let (Some(value), Some(attr)) = (slot, attr) {
-                    rec.push(attr.id(), coerce(attr, value.clone()));
-                }
-            }
-            for (i, red) in entry.reducers.iter().enumerate() {
-                if let (Some(value), Some(attr)) = (red.finish(denominators[i]), &result_attrs[i])
-                {
+            for (slot, attr) in key_attrs.iter().enumerate() {
+                let value = match key.get(slot) {
+                    Some(cell) => cell.0.map(|cell| self.strings.get(cell).into_owned()),
+                    None => Some(Value::str(OVERFLOW_KEY)),
+                };
+                if let (Some(value), Some(attr)) = (value, attr) {
                     rec.push(attr.id(), coerce(attr, value));
                 }
-            }
-            out.push(rec);
-        }
-
-        // The overflow bucket flushes last: one row, keyed by the
-        // sentinel in every key column, carrying the combined reductions
-        // of every group that did not fit the capacity bound.
-        if let Some(entry) = &self.overflow {
-            let mut rec = FlatRecord::new();
-            for attr in key_attrs.iter().flatten() {
-                rec.push(attr.id(), Value::str(OVERFLOW_KEY));
             }
             for (i, red) in entry.reducers.iter().enumerate() {
                 if let (Some(value), Some(attr)) = (red.finish(denominators[i]), &result_attrs[i])
@@ -476,28 +588,6 @@ impl Aggregator {
         m.counter("query.aggregator.overflow_folds")
             .add(u64::from(self.overflow.is_some()));
         out
-    }
-
-    /// The admitted groups' entries, in the database's iteration order.
-    fn groups(&self) -> impl Iterator<Item = &DbEntry> {
-        self.db.values().map(|&group| &self.entries[group as usize])
-    }
-
-    /// Per-op denominators for `percent_total`: the sum of raw sums over
-    /// all entries (including the overflow bucket, so the reported
-    /// percentages still total 100).
-    fn percent_denominators(&self) -> Vec<f64> {
-        let mut denominators = vec![0.0; self.spec.ops.len()];
-        for (i, op) in self.spec.ops.iter().enumerate() {
-            if op.kind == OpKind::PercentTotal {
-                denominators[i] = self
-                    .groups()
-                    .chain(self.overflow.iter())
-                    .map(|e| e.reducers[i].raw_sum())
-                    .sum::<f64>();
-            }
-        }
-        denominators
     }
 }
 
@@ -866,6 +956,102 @@ mod tests {
             .find(|r| r.get(k.id()) == Some(&Value::str("k0")))
             .unwrap();
         assert_eq!(k0.get(count.id()), Some(&Value::UInt(2)));
+    }
+
+    #[test]
+    fn a_key_turned_away_interns_nothing() {
+        // A cardinality explosion: every record a new two-part key, one
+        // part nested. The cap bounds the string table with the groups.
+        let store = Arc::new(AttributeStore::new());
+        let path = store.create_simple("path", ValueType::Str);
+        let spec = parse_query("AGGREGATE count GROUP BY path, id").unwrap();
+        let mut agg = Aggregator::new(AggregationSpec::from_query(&spec), Arc::clone(&store));
+        agg.set_max_groups(Some(8));
+        for i in 0..1000 {
+            let mut rec = RecordBuilder::new(&store).with("id", format!("id{i}").as_str()).build();
+            rec.push(path.id(), Value::str("main"));
+            rec.push(path.id(), Value::str(format!("f{i}")));
+            agg.add(&rec);
+            // The second group: a string it shares with the first.
+            agg.add(&RecordBuilder::new(&store).with("id", "id0").build());
+            assert!(agg.len() <= 8);
+        }
+        assert_eq!(agg.overflow_records(), 1000 - 7);
+        let mut held: Vec<String> =
+            (0..agg.strings.len() as u32).map(|code| agg.strings.value(code).to_string()).collect();
+        held.sort();
+        let mut admitted: Vec<String> = (0..7)
+            .flat_map(|i| [format!("id{i}"), format!("main/f{i}")])
+            .collect();
+        admitted.sort();
+        assert_eq!(held, admitted);
+    }
+
+    #[test]
+    fn int_and_uint_of_one_magnitude_are_one_key_of_the_first_class_seen() {
+        let store = Arc::new(AttributeStore::new());
+        let int = RecordBuilder::new(&store).with("k", 3i64).build();
+        let k = store.find("k").unwrap();
+        let mut uint = FlatRecord::new();
+        uint.push(k.id(), Value::UInt(3));
+        let spec = parse_query("AGGREGATE count GROUP BY k").unwrap();
+        let aggregated = |records: &[&FlatRecord]| {
+            let mut agg = Aggregator::new(AggregationSpec::from_query(&spec), Arc::clone(&store));
+            records.iter().for_each(|record| agg.add(record));
+            agg
+        };
+        let flushed = |agg: &Aggregator| {
+            let out_store = AttributeStore::new();
+            let out = agg.flush(&out_store);
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].describe(&out_store), "k=3,count=2");
+            out[0].get(out_store.find("k").unwrap().id()).cloned()
+        };
+        assert!(matches!(flushed(&aggregated(&[&int, &uint])), Some(Value::Int(3))));
+        assert!(matches!(flushed(&aggregated(&[&uint, &int])), Some(Value::UInt(3))));
+        // A merge keeps the receiver's class.
+        let mut merged = aggregated(&[&uint]);
+        merged.merge(aggregated(&[&int]));
+        assert!(matches!(flushed(&merged), Some(Value::UInt(3))));
+    }
+
+    #[test]
+    fn merge_translates_the_other_tables_codes() {
+        // The same strings under different codes on either side, some
+        // strings on one side only, and a nested key.
+        let store = Arc::new(AttributeStore::new());
+        let spec = parse_query("AGGREGATE count, sum(x) GROUP BY a, b").unwrap();
+        let aspec = AggregationSpec::from_query(&spec);
+        let record = |a: &str, b: &str, x: i64| {
+            RecordBuilder::new(&store).with("a", a).with("b", b).with("x", x).build()
+        };
+        let left = [record("p", "q", 1), record("q", "r", 2), record("r", "p", 3)];
+        let right = [record("s", "r", 4), record("r", "p", 5), record("q", "q", 6), record("p", "q", 7)];
+        let describe = |agg: &Aggregator| {
+            let out_store = AttributeStore::new();
+            let rows: Vec<String> =
+                agg.flush(&out_store).iter().map(|r| r.describe(&out_store)).collect();
+            rows
+        };
+        for cap in [None, Some(4)] {
+            let aggregated = |records: &[FlatRecord]| {
+                let mut agg = Aggregator::new(aspec.clone(), Arc::clone(&store));
+                agg.set_max_groups(cap);
+                records.iter().for_each(|record| agg.add(record));
+                agg
+            };
+            let mut merged = aggregated(&left);
+            let incoming = aggregated(&right);
+            assert_ne!(merged.strings.find("q"), incoming.strings.find("q"));
+            merged.merge(incoming);
+            // Uncapped, a merge is a single pass; capped, the incoming
+            // groups are admitted in sorted key order.
+            let mut order: Vec<FlatRecord> = right.to_vec();
+            order.sort_by_key(|r| r.describe(&store));
+            let single = aggregated(&[&left[..], &order[..]].concat());
+            assert_eq!(describe(&merged), describe(&single), "cap {cap:?}");
+            assert_eq!(merged.len(), cap.unwrap_or(5));
+        }
     }
 
     #[test]

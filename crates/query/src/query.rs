@@ -154,7 +154,9 @@ pub struct Pipeline {
     pub(crate) spec: QuerySpec,
     pub(crate) lets: LetSet,
     pub(crate) filters: FilterSet,
-    pub(crate) aggregator: Option<Aggregator>,
+    /// Boxed: a pipeline is moved about whole — up a reduction tree, one
+    /// per rank — and most of its size would be the aggregator's.
+    pub(crate) aggregator: Option<Box<Aggregator>>,
     passthrough: Vec<FlatRecord>,
     pub(crate) input_store: Arc<AttributeStore>,
 }
@@ -166,10 +168,10 @@ impl Pipeline {
         let lets = LetSet::new(spec.lets.clone(), Arc::clone(&store));
         let filters = FilterSet::new(spec.filters.clone(), Arc::clone(&store));
         let aggregator = if spec.is_aggregation() {
-            Some(Aggregator::new(
+            Some(Box::new(Aggregator::new(
                 AggregationSpec::from_query(&spec),
                 Arc::clone(&store),
-            ))
+            )))
         } else {
             None
         };
@@ -241,7 +243,7 @@ impl Pipeline {
     /// input store: merge those only over a shared one.
     pub fn merge(&mut self, other: Pipeline) {
         match (&mut self.aggregator, other.aggregator) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
+            (Some(mine), Some(theirs)) => mine.merge(*theirs),
             (None, None) => self.passthrough.extend(other.passthrough),
             _ => debug_assert!(false, "merging aggregation with pass-through pipeline"),
         }

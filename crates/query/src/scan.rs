@@ -15,10 +15,12 @@
 //!   block, walks the rows with one cursor per column, gathers — per
 //!   row — only the occurrences of those attributes as [`Cell`]s
 //!   (numbers, or string *codes* of the stream's [`StringTable`]),
-//!   evaluates LET and WHERE on them, finds the row's group by hashing
-//!   the key's cells, and feeds the reducers from the typed values. No
-//!   `SnapshotRecord`, no `FlatRecord`, no boxed key: a row allocates
-//!   only when its group is new.
+//!   evaluates LET and WHERE on them, brings the key's cells into the
+//!   aggregator's terms — a stream code becomes the aggregator's code
+//!   for the same string by one array look-up — has the aggregator find
+//!   the row's group by hashing them, and feeds the reducers from the
+//!   typed values. No `SnapshotRecord`, no `FlatRecord`, no boxed key: a
+//!   row allocates only when its group is new.
 //! * **CALB v1** has no block decoder (and is on the deletion ledger
 //!   rather than getting one). Its records — and the stray v1-style row
 //!   records a v2 stream may carry between blocks — are decoded as rows
@@ -32,25 +34,26 @@
 //! which folds every ingest batch and every replayed journal block into
 //! a stream's warm aggregate with it.
 //!
-//! Both land in the same aggregation database
-//! ([`Aggregator::admit`](crate::Aggregator)), use the same
+//! Both find their groups in the one table there is from keys to
+//! groups, the aggregation database
+//! ([`Aggregator::admit`](crate::Aggregator)) — the fold keeps none of
+//! its own and knows nothing about groups — use the same
 //! [`Reducer::update`](crate::Reducer::update) in the same order, and
 //! evaluate LET and WHERE through the same functions
 //! ([`LetExpr::eval`](crate::LetExpr), `filter::cmp_occurrences`), so a
 //! pipeline may be fed by any mix of the two.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use caliper_data::{AttrId, FxBuildHasher, NodeId, Value};
+use caliper_data::{AttrId, NodeId, Value};
 use caliper_format::{
     for_each_flat, scan_path, Block, CaliError, Cell, Dataset, Pushdown, ReadPolicy, ReadReport,
     StringTable,
 };
 
-use crate::aggregator::{AggregationSpec, Aggregator};
+use crate::aggregator::{AggregationSpec, Aggregator, CodeMap, DbEntry, KeyCell};
 use crate::ast::{AggOp, Filter, LetDef, OpKind, QuerySpec};
 use crate::filter::cmp_occurrences;
 use crate::lets::LetResult;
@@ -146,26 +149,6 @@ struct Slot {
     attr: Option<AttrId>,
 }
 
-/// One key component in hashable form. Mirrors [`Value`]'s `Eq`/`Hash`:
-/// strings by code, floats by bit pattern, and non-negative `Int` and
-/// `UInt` of the same magnitude alike.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct KeyCell(u8, u64);
-
-impl KeyCell {
-    fn of(cell: Option<Cell>) -> KeyCell {
-        match cell {
-            None => KeyCell(0, 0),
-            Some(Cell::Str(code)) => KeyCell(1, code as u64),
-            Some(Cell::UInt(u)) => KeyCell(2, u),
-            Some(Cell::Int(i)) if i >= 0 => KeyCell(2, i as u64),
-            Some(Cell::Int(i)) => KeyCell(3, i as u64),
-            Some(Cell::Float(x)) => KeyCell(4, x.to_bits()),
-            Some(Cell::Bool(b)) => KeyCell(5, b as u64),
-        }
-    }
-}
-
 const NO_SLOT: u32 = u32::MAX;
 
 /// The occurrences of slotted attributes on one context-tree node's
@@ -177,10 +160,11 @@ type NodeCells = Box<[(u32, Cell)]>;
 /// per-stream plans and caches plus the scratch one row needs, all
 /// reused from row to row and block to block.
 ///
-/// A fold serves one aggregator over one stream — one [`StringTable`] —
-/// at a time: it remembers groups by the aggregator's indices and
-/// strings by the table's codes. [`reset`](Self::reset) it before
-/// pointing it at another of either.
+/// What a fold remembers is about the *stream* — one [`StringTable`] at
+/// a time — and keyed by that table's codes: [`reset`](Self::reset) it
+/// when the table starts over or gives way to another. About groups it
+/// remembers nothing, so it may fold into any aggregator, one block
+/// into this one and the next into that.
 pub struct BlockFold {
     slots: Vec<Slot>,
     /// Per LET binding: its definition, the slots of its inputs, and of
@@ -198,11 +182,8 @@ pub struct BlockFold {
     /// cached earlier — the node's attributes were all in the store
     /// when its block was set up.
     nodes: Vec<Option<NodeCells>>,
-    /// The group of each key that has one, so a row whose group exists
-    /// costs one hash of a few integers. Keys the aggregator's capacity
-    /// turned away are not remembered: the cache is never larger than
-    /// the database.
-    groups: HashMap<Box<[KeyCell]>, u32, FxBuildHasher>,
+    /// The stream's string codes as the aggregator's.
+    codes: CodeMap,
     pub(crate) type_mismatches: u64,
 
     /// Per column of the current block: its slot, and the next value.
@@ -210,8 +191,7 @@ pub struct BlockFold {
     cursors: Vec<usize>,
     /// Per slot: its occurrences in the current row, in record order.
     row: Vec<Vec<Cell>>,
-    key: Vec<Option<Cell>>,
-    key_cells: Vec<KeyCell>,
+    key: Vec<KeyCell>,
     text: String,
 }
 
@@ -265,27 +245,27 @@ impl BlockFold {
             .collect();
         BlockFold {
             row: slots.iter().map(|_| Vec::new()).collect(),
-            key: Vec::with_capacity(keys.len()),
-            key_cells: Vec::with_capacity(keys.len()),
             slots,
             lets,
             filters,
             keys,
             ops,
             nodes: Vec::new(),
-            groups: HashMap::default(),
+            codes: CodeMap::default(),
             type_mismatches: 0,
             column_slots: Vec::new(),
             cursors: Vec::new(),
+            key: Vec::new(),
             text: String::new(),
         }
     }
 
-    /// Forget what was learnt about the aggregator's groups and the
-    /// string table's codes. Call it before folding into another
-    /// aggregator, and when the stream's string table starts over.
+    /// Forget what was learnt about the string table's codes. Call it
+    /// when the stream's string table starts over; the cost is a code
+    /// map and a node cache refilled as the stream's strings and nodes
+    /// come by again.
     pub fn reset(&mut self) {
-        self.groups.clear();
+        self.codes = CodeMap::default();
         self.nodes.clear();
     }
 
@@ -383,13 +363,15 @@ impl BlockFold {
                 continue;
             }
 
-            // GROUP BY: the key as cells, `/`-joining an attribute that
-            // occurs more than once.
+            // GROUP BY: the key's cells in the aggregator's terms,
+            // `/`-joining an attribute that occurs more than once (and cut
+            // short where the aggregator turns a string away).
             self.key.clear();
-            for &slot in &self.keys {
-                let cell = match self.row[slot as usize].as_slice() {
-                    [] => None,
-                    [one] => Some(*one),
+            self.key.extend(self.keys.iter().map_while(|&slot| {
+                let code = match self.row[slot as usize].as_slice() {
+                    [] => return Some(KeyCell(None)),
+                    [Cell::Str(code)] => agg.translate(&mut self.codes, strings, *code),
+                    [number] => return Some(KeyCell(Some(*number))),
                     many => {
                         self.text.clear();
                         for (i, &cell) in many.iter().enumerate() {
@@ -398,30 +380,12 @@ impl BlockFold {
                             }
                             self.text.push_str(&strings.get(cell).to_text());
                         }
-                        Some(Cell::Str(strings.intern(&self.text)))
+                        agg.key_code(&self.text)
                     }
                 };
-                self.key.push(cell);
-            }
-            self.key_cells.clear();
-            self.key_cells
-                .extend(self.key.iter().map(|&cell| KeyCell::of(cell)));
-            let group = match self.groups.get(self.key_cells.as_slice()) {
-                Some(&group) => Some(group),
-                None => {
-                    // A group this fold has not met: the one place a
-                    // row builds a boxed key.
-                    let key = self
-                        .key
-                        .iter()
-                        .map(|cell| cell.map(|cell| strings.get(cell).into_owned()));
-                    let group = agg.admit(key.collect());
-                    if let Some(group) = group {
-                        self.groups.insert(self.key_cells.as_slice().into(), group);
-                    }
-                    group
-                }
-            };
+                Some(KeyCell(Some(Cell::Str(code?))))
+            }));
+            let group = agg.admit(&self.key, DbEntry::fresh);
 
             // AGGREGATE.
             let entry = agg.count_into(group);

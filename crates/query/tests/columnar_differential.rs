@@ -21,10 +21,12 @@ use std::sync::{Arc, Mutex};
 
 use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_format::{
-    binary, cali, for_each_flat, read_footer, read_path_into_filtered, to_binary_v2_with, Dataset,
-    ReadPolicy, ReadReport, V2WriteOptions,
+    binary, cali, for_each_flat, read_footer, read_path_into_filtered, scan_path,
+    to_binary_v2_with, Dataset, ReadPolicy, ReadReport, V2WriteOptions,
 };
-use caliper_query::{build_pushdown, parse_query, Pipeline, QuerySpec};
+use caliper_query::{
+    build_pushdown, parse_query, AggregationSpec, Aggregator, BlockFold, Pipeline, QuerySpec,
+};
 use proptest::prelude::*;
 
 /// One generated record: (node choice, phase choice, immediates mask,
@@ -253,6 +255,32 @@ fn via_scan(
     })
 }
 
+/// One pipeline over all the files, through one shared dictionary —
+/// what a rank of `mpi-caliquery` does with the files it is dealt.
+/// With `columns`, every file but each third is scanned — a fresh
+/// `BlockFold` over a string table of the file's own, all into the one
+/// aggregator — and the rest go in row by row in between; without, all
+/// of them do, which is the oracle.
+fn one_pipeline(spec: &QuerySpec, cap: Option<usize>, files: &[PathBuf], columns: bool) -> String {
+    caliper_data::metrics::global().reset();
+    let pushdown = build_pushdown(spec, None);
+    let mut dict = Dataset::new();
+    let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store)).with_max_groups(cap);
+    for (i, path) in files.iter().enumerate() {
+        dict = if columns && i % 3 != 1 {
+            let scanned = pipeline.scan_file(path, dict, ReadPolicy::Strict, Some(&pushdown));
+            scanned.expect("file scans").dict
+        } else {
+            let read = read_path_into_filtered(path, dict, ReadPolicy::Strict, Some(&pushdown));
+            let mut ds = read.expect("file reads").0;
+            for_each_flat(&ds.tree, &ds.records, |record| pipeline.process(record));
+            ds.records.clear();
+            ds
+        };
+    }
+    pipeline.finish().render()
+}
+
 fn case_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "caliper-columnar-diff-{}-{}",
@@ -311,7 +339,7 @@ proptest! {
                     .prop_map(|((a, b, c), (d, e, f))| (a, b, c, d, e, f)),
                 0..40,
             ),
-            1..3,
+            1..4,
         ),
         choice in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
         cap in 0usize..4,
@@ -351,6 +379,19 @@ proptest! {
             prop_assert_eq!(&outcome.rendered, &oracle.rendered, "{}: {}", what, query);
             prop_assert_eq!(
                 query_stats(&outcome.stats), query_stats(&oracle.stats), "{}: {}", what, query
+            );
+        }
+
+        // Several streams, each with codes of its own, and rows in
+        // between, all into one aggregator. (Not with the LET that
+        // shadows `iter`: it retypes the attribute in the shared store,
+        // and the next file's declaration is refused on either path.)
+        let mixed: Vec<PathBuf> =
+            (0..files.len()).map(|i| [&v2, &text][i % 2][i].clone()).collect();
+        if !query.starts_with("LET iter") {
+            prop_assert_eq!(
+                one_pipeline(&spec, cap, &mixed, true), one_pipeline(&spec, cap, &mixed, false),
+                "one pipeline, scans and rows: {}", query
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -606,5 +647,44 @@ fn row_records_between_blocks_fold_in_stream_order() {
         .unwrap();
     assert_eq!((scanned.records, scanned.report.blocks), (6, 2));
     assert_eq!(pipeline.finish().render(), oracle.rendered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What a fold remembers is about the stream, not about the aggregator:
+/// one fold may deal a stream's blocks out to several aggregators, each
+/// of which ends up with what the rows of its blocks add up to.
+#[test]
+fn one_fold_may_feed_several_aggregators() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let rows: Vec<Row> = (0..60u8).map(|i| (i, i / 7, 1 | 4 | 64, 0, i as i16, i / 5)).collect();
+    let dir = case_dir();
+    let file = write(&dir, "dealt.calb2", v2_bytes(&dataset_of(&rows), 8));
+    let query = parse_query("AGGREGATE count, sum(time) GROUP BY label, region, phase").unwrap();
+    let spec = AggregationSpec::from_query(&query);
+
+    let dict = Dataset::new();
+    let aggregators =
+        || [0, 1, 2].map(|_| Aggregator::new(spec.clone(), Arc::clone(&dict.store)));
+    let (mut by_blocks, mut by_rows) = (aggregators(), aggregators());
+    let mut fold = BlockFold::for_aggregation(&spec);
+    let (mut block_no, mut records) = (0, Vec::new());
+    scan_path(&file, dict, ReadPolicy::Strict, None, &mut |ds, strings, block| {
+        fold.fold(&mut by_blocks[block_no % 3], ds, strings, block);
+        records.clear();
+        block.append_records(strings, &mut records);
+        for_each_flat(&ds.tree, &records, |record| by_rows[block_no % 3].add(&record));
+        block_no += 1;
+    })
+    .expect("file scans");
+    assert_eq!(block_no, 8);
+    for (blocks, rows) in by_blocks.iter().zip(&by_rows) {
+        let flushed = |agg: &Aggregator| {
+            let out = caliper_data::AttributeStore::new();
+            let rows: Vec<String> = agg.flush(&out).iter().map(|r| r.describe(&out)).collect();
+            rows
+        };
+        assert!(rows.len() > 3);
+        assert_eq!(flushed(blocks), flushed(rows));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -59,7 +59,7 @@ use crate::config::ServedConfig;
 /// Strings a stream's table may hold before it is started over (between
 /// batches, so a batch can overshoot by what it carries). Only the
 /// table's codes are forgotten, never a group: the cost of a reset is
-/// one key rebuilt per live group.
+/// the fold's code map and node cache refilled.
 pub(crate) const MAX_STREAM_STRINGS: usize = 1 << 16;
 
 /// Acknowledgement data for one accepted batch.
@@ -882,6 +882,16 @@ mod tests {
                 rec.push_imm(t, Value::Int(i));
                 rec.push_imm(note, Value::str(format!("note {n}.{i}")));
                 ds.push(rec);
+            }
+            if held > MAX_STREAM_STRINGS {
+                // The table starts over before a batch is decoded, so a
+                // rejected batch is a restart and nothing else: the warm
+                // answer is what it was.
+                let warm = |pair: &Pair| answer(|out, attr| pair.state.warm_rows(out, attr), ALL);
+                let before = warm(&pair);
+                assert!(pair.feed(b"garbage\n", "a rejected batch").is_err());
+                assert!(pair.state.reader.strings().len() < held, "the table did start over");
+                assert_eq!(warm(&pair), before, "across the restart before batch {n}");
             }
             pair.feed(&caliper_format::cali::to_bytes(&ds), &format!("after batch {n}")).unwrap();
             let now = pair.state.reader.strings().len();

@@ -115,6 +115,15 @@ if grep -rn 'batch_records\|unit_records\|DEFAULT_BATCH_RECORDS' crates src test
     exit 1
 fi
 
+# One-table gate: the aggregation database is the only map from keys to
+# groups, and its keys are cells (DESIGN.md §10). The columnar fold keeps
+# no hash map in front of it, and no key is built of `Value`s again.
+if grep -n 'HashMap' crates/query/src/scan.rs \
+    || grep -n 'Option<Value>' crates/query/src/aggregator.rs; then
+    echo "check.sh: a second key->group table, or a key of boxed values, is back (listed above)" >&2
+    exit 1
+fi
+
 # Static-analysis gate: every golden check fixture must produce its
 # pinned diagnostics (asserted byte-for-byte by the check_golden test
 # in `cargo test` above); here, re-assert the exit-code contract over
@@ -139,12 +148,24 @@ for fixture in "$golden"/checks/*.calql; do
 done
 scripts/lint_doc_queries.sh "$lint_query"
 
+# Scratch directory of every smoke run below.
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+# Usage smoke: a flag a binary does not know is a usage error, not a
+# switch nobody reads (all eight binaries: crates/cli/tests/cli_bin.rs).
+for bin in cali-query cali-served; do
+    rc=0
+    ./target/release/"$bin" --no-such-flag > /dev/null 2> "$smoke/usage.err" || rc=$?
+    if [ "$rc" -ne 1 ] || ! grep -q "^usage: $bin" "$smoke/usage.err"; then
+        echo "check.sh: $bin --no-such-flag exited $rc, expected 1 and the usage text" >&2
+        exit 1
+    fi
+done
+
 # Failure-injection smoke: a corrupt corpus must be salvageable with
 # --lenient (and fatal without), and a killed rank must leave fig4's
 # resilient reduction with an honest coverage report (asserted inside
 # the harness).
-smoke=$(mktemp -d)
-trap 'rm -rf "$smoke"' EXIT
 printf '__rec=attr,id=0,name=kernel,type=string,prop=default\n__rec=ctx,attr=0,data=ok\n' \
     > "$smoke/good.cali"
 printf '__rec=attr,id=0,name=kernel,type=string,prop=default\n__rec=ctx,attr=99,data=broken\n__rec=ctx,attr=0,data=ok\n' \
