@@ -14,7 +14,7 @@
 //! crossed with main-loop iterations, visit counts, and aggregated
 //! runtimes, ~2174 records per rank.
 
-use caliper_data::{Entry, FlatRecord, Properties, SnapshotRecord, Value, ValueType};
+use caliper_data::{FlatRecord, Properties, SnapshotRecord, Value, ValueType};
 use caliper_format::Dataset;
 
 use crate::model::noise;
@@ -171,12 +171,7 @@ pub fn generate_rank(params: &ParaDisParams, rank: usize) -> Dataset {
         rec.push(iteration.id(), Value::Int(iter));
         rec.push(count.id(), Value::UInt(visits));
         rec.push(duration.id(), Value::Float(time_us));
-        let entries = rec
-            .pairs()
-            .iter()
-            .map(|(a, v)| Entry::Imm(*a, v.clone()))
-            .collect();
-        ds.records.push(SnapshotRecord::from_entries(entries));
+        ds.records.push(SnapshotRecord::from(&rec));
     };
 
     for iter in 0..params.iterations {

@@ -222,16 +222,11 @@ mod tests {
 
     #[test]
     fn merge_datasets_combines_records() {
-        use caliper_data::{Entry, RecordBuilder, SnapshotRecord};
+        use caliper_data::{RecordBuilder, SnapshotRecord};
         let make = |n: i64| {
             let mut ds = Dataset::new();
             let rec = RecordBuilder::new(&ds.store).with("x", n).build();
-            let entries = rec
-                .pairs()
-                .iter()
-                .map(|(a, v)| Entry::Imm(*a, v.clone()))
-                .collect();
-            ds.push(SnapshotRecord::from_entries(entries));
+            ds.push(SnapshotRecord::from(&rec));
             ds
         };
         let merged = merge_datasets(&[make(1), make(2)]);

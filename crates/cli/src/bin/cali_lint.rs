@@ -8,7 +8,7 @@
 use std::process::ExitCode;
 
 use cali_cli::{lint, parse_args};
-use caliper_format::Schema;
+use caliper_format::{ReadPolicy, Schema};
 
 const USAGE: &str = "usage: cali-lint [-q QUERY]... [-i INPUT.cali]... [--schema FILE] QUERY_FILE...
 
@@ -19,9 +19,9 @@ lines are ignored) and/or repeated -q flags.
 
 Options:
   -q, --query QUERY   check this query string (repeatable)
-  -i, --input FILE    infer the attribute schema from this .cali/CALB
-                      data file (repeatable; metadata pre-pass only,
-                      snapshot payloads are never decoded)
+  -i, --input FILE    take the attribute schema this .cali/CALB data
+                      file declares (repeatable; the file is read as a
+                      query reads it, but its snapshots are passed over)
       --schema FILE   load the attribute schema from a saved schema
                       file (merged with any --input inference)
       --save-schema FILE
@@ -81,7 +81,7 @@ fn main() -> ExitCode {
         }
     }
     if !inputs.is_empty() {
-        match lint::infer_schema(&inputs) {
+        match lint::infer_schema(&inputs, ReadPolicy::Strict) {
             Ok(inferred) => match &mut schema {
                 Some(s) => s.merge(&inferred),
                 None => schema = Some(inferred),

@@ -8,13 +8,11 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use std::sync::Arc;
-
-use cali_cli::{lint, parse_args, read_files_reported};
-use caliper_format::{Pushdown, ReadPolicy, ReadReport};
+use cali_cli::{lint, local_pipeline, parse_args, read_dictionaries};
+use caliper_format::{ReadPolicy, ReadReport};
 use caliper_query::{
-    analyze, build_pushdown, parallel_query_files, parse_query_spanned, run_query,
-    ParallelOptions, QueryResult, ShardFailure, ShardTimings, OVERFLOW_KEY,
+    analyze, build_pushdown, parallel_query_files, parse_query_spanned, ParallelOptions,
+    QueryResult, ShardFailure, ShardTimings, OVERFLOW_KEY,
 };
 
 const USAGE: &str = "usage: cali-query [-q QUERY] [-o FILE] [--threads N] INPUT.cali...
@@ -45,12 +43,15 @@ Options:
                       \"__overflow__\" bucket (memory stays bounded, totals
                       stay exact, output stays identical for every --threads)
   --check[=json]      validate the query against the inputs' attribute
-                      schema and exit without aggregating: diagnostics
-                      go to stdout (text carets, or JSON with
-                      --check=json), a summary to stderr; exit 0 clean,
-                      1 on errors, 2 on warnings only
+                      schema and exit without aggregating (the inputs
+                      are read for what they declare, their snapshots
+                      passed over): diagnostics go to stdout (text
+                      carets, or JSON with --check=json), a summary to
+                      stderr; exit 0 clean, 1 on errors, 2 on warnings
+                      only
   --no-lint           suppress the advisory lint warnings normal runs
-                      print on stderr
+                      print on stderr after the query (the run reads,
+                      skips and answers the same with or without it)
   --faults SPEC       arm the deterministic fault-injection registry,
                       e.g. \"io.read=fail(2);v2.block=corrupt(bitflip,7)\"
                       (equivalent to the CALI_FAULTS environment
@@ -249,6 +250,15 @@ fn main() -> ExitCode {
     }
     let degrade = args.has(&["degrade"]);
     let query = args.get(&["q", "query"]).unwrap_or("SELECT *");
+    let policy = match args.get(&["max-errors"]).map(str::parse::<u64>) {
+        Some(Ok(n)) => ReadPolicy::Lenient { max_errors: n },
+        Some(Err(_)) => {
+            eprintln!("cali-query: --max-errors takes a non-negative integer\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+        None if args.has(&["lenient"]) => ReadPolicy::lenient(),
+        None => ReadPolicy::Strict,
+    };
     // --check: validate and exit without touching any snapshot data.
     // Works without input files too (schema-dependent checks are
     // simply skipped then).
@@ -265,7 +275,7 @@ fn main() -> ExitCode {
         let schema = if args.positional.is_empty() {
             None
         } else {
-            match lint::infer_schema(&args.positional) {
+            match lint::infer_schema(&args.positional, policy) {
                 Ok(schema) => Some(schema),
                 Err(e) => {
                     eprintln!("cali-query: {e}");
@@ -295,15 +305,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let policy = match args.get(&["max-errors"]).map(str::parse::<u64>) {
-        Some(Ok(n)) => ReadPolicy::Lenient { max_errors: n },
-        Some(Err(_)) => {
-            eprintln!("cali-query: --max-errors takes a non-negative integer\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-        None if args.has(&["lenient"]) => ReadPolicy::lenient(),
-        None => ReadPolicy::Strict,
-    };
     let max_groups = match args.get(&["max-groups"]).map(str::parse::<usize>) {
         None => None,
         Some(Ok(n)) if n > 0 => Some(n),
@@ -324,44 +325,14 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    // Advisory lint: before running, check the query against the
-    // inputs' schema and surface findings on stderr. Never alters the
-    // result or the exit code; parse errors are left to the engine's
-    // own error path. --no-lint silences it.
-    let listing = args.has(&["list-attributes"]) || args.has(&["list-globals"]);
-    let spanned = if listing { None } else { parse_query_spanned(query).ok() };
-    // The schema pre-pass reads every input once more, so it runs only
-    // when the lint will print what it finds.
-    let schema = match &spanned {
-        Some(_) if !args.has(&["no-lint"]) => lint::infer_schema(&args.positional).ok(),
-        _ => None,
-    };
-    if let (Some((spec, spans)), Some(schema)) = (&spanned, &schema) {
-        for diag in analyze(spec, Some(spans), Some(schema)) {
-            eprint!("{}", diag.render("<query>", query));
-        }
-    }
-    // Build the zone-map pushdown once and hand the same instance to
-    // every worker, so `--stats` skip counts match for every --threads
-    // N. A schema that happens to exist keeps comparisons on mixed-typed
-    // attributes out of it; without one they are pushed too, which is
-    // sound because every file is decoded, and its zone maps judged,
-    // against the types that file declares.
-    let pushdown: Option<Arc<Pushdown>> = spanned.as_ref().and_then(|(spec, _)| {
-        let pd = build_pushdown(spec, schema.as_ref());
-        (!pd.is_empty()).then(|| Arc::new(pd))
-    });
-
-    // A pass-through query needs every record in one place, like the
-    // listings; a query that does not parse goes to the engine, which
-    // reports the error.
-    let pass_through = matches!(&spanned, Some((spec, _)) if !spec.is_aggregation());
     let mut partial = false;
-    let rendered = if listing || pass_through {
-        let ds = match read_files_reported(&args.positional, policy) {
-            Ok((ds, reports)) => {
+    let rendered = if args.has(&["list-attributes"]) || args.has(&["list-globals"]) {
+        // The listings show what the files declare, so no snapshot is
+        // kept — but every one is validated, as a query's read would.
+        let dict = match read_dictionaries(&args.positional, policy) {
+            Ok((dict, reports)) => {
                 partial |= report_skipped(&reports, policy);
-                ds
+                dict
             }
             Err(e) => {
                 eprintln!("cali-query: {e}");
@@ -369,41 +340,62 @@ fn main() -> ExitCode {
             }
         };
         if args.has(&["list-attributes"]) {
-            list_attributes(&ds)
-        } else if args.has(&["list-globals"]) {
-            list_globals(&ds)
+            list_attributes(&dict)
         } else {
-            match run_query(&ds, query) {
-                Ok(result) => result.render(),
-                Err(e) => {
-                    eprintln!("cali-query: query error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            list_globals(&dict)
         }
     } else {
-        // Every aggregation runs on the worker pool; --threads 1 is the
-        // pool with one worker, the calling thread.
-        let options = ParallelOptions::with_threads(threads)
-            .with_read_policy(policy)
-            .with_max_groups(max_groups)
-            .with_pushdown(pushdown)
-            .with_degrade(degrade);
-        match parallel_query_files(query, &args.positional, &options) {
-            Ok((result, timings)) => {
-                partial |= report_skipped(&timings.reports, policy);
-                partial |= report_failures(&timings.failures);
-                report_overflow(&result, max_groups);
-                if args.has(&["timings"]) {
-                    report_timings(&timings);
-                }
-                result.render()
+        // Every file is read once, by the run. A pass-through query
+        // keeps its matching rows against one dictionary, so its files
+        // go through one pipeline in order; an aggregation (and a query
+        // that does not parse, for the engine to say so) goes to the
+        // worker pool — --threads 1 is the pool with one worker, the
+        // calling thread. Either way WHERE is pushed down to the blocks,
+        // by the query alone.
+        let spanned = parse_query_spanned(query).ok();
+        let run = match &spanned {
+            Some((spec, _)) if !spec.is_aggregation() => {
+                local_pipeline(spec, &args.positional, policy, &build_pushdown(spec, None))
+                    .map(|(pipeline, reports)| {
+                        let found = ShardTimings {
+                            reports,
+                            schema: pipeline.input_attributes().collect(),
+                            ..ShardTimings::default()
+                        };
+                        (pipeline.finish(), found)
+                    })
+                    .map_err(|e| e.to_string())
             }
+            _ => {
+                let options = ParallelOptions::with_threads(threads)
+                    .with_read_policy(policy)
+                    .with_max_groups(max_groups)
+                    .with_degrade(degrade);
+                parallel_query_files(query, &args.positional, &options).map_err(|e| e.to_string())
+            }
+        };
+        let (result, found) = match run {
+            Ok(run) => run,
             Err(e) => {
                 eprintln!("cali-query: {e}");
                 return ExitCode::FAILURE;
             }
+        };
+        // Advisory lint: the query against the schema the run's own read
+        // of the inputs built. Never alters the result or the exit code;
+        // --no-lint silences it and changes nothing else.
+        if let Some((spec, spans)) = spanned.as_ref().filter(|_| !args.has(&["no-lint"])) {
+            for diag in analyze(spec, Some(spans), Some(&found.schema)) {
+                eprint!("{}", diag.render("<query>", query));
+            }
         }
+        partial |= report_skipped(&found.reports, policy);
+        partial |= report_failures(&found.failures);
+        report_overflow(&result, max_groups);
+        if args.has(&["timings"]) && !found.workers.is_empty() {
+            report_timings(&found);
+        }
+        result.render()
     };
     match args.get(&["o", "output"]) {
         Some(path) => {

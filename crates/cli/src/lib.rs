@@ -18,9 +18,9 @@ pub mod parallel;
 
 pub use args::{parse_args, CliArgs, UsageError};
 pub use lint::{check_query, exit_code, infer_schema, summary_line, CheckedQuery};
-pub use parallel::{parallel_query, ParallelError, ParallelTimings, QueryRun};
+pub use parallel::{local_pipeline, parallel_query, ParallelError, ParallelTimings, QueryRun};
 
-use caliper_format::{CaliError, Dataset, ReadPolicy, ReadReport};
+use caliper_format::{scan_path, BlockSink, CaliError, Dataset, ReadPolicy, ReadReport};
 
 /// Read and merge multiple `.cali` (text) or `.calb` (binary) files
 /// into one dataset (shared attribute dictionary and context tree).
@@ -36,12 +36,37 @@ pub fn read_files_reported<P: AsRef<std::path::Path>>(
     paths: &[P],
     policy: ReadPolicy,
 ) -> Result<(Dataset, Vec<ReadReport>), CaliError> {
+    scan_files(paths, policy, &mut |ds, strings, block| {
+        block.append_records(strings, &mut ds.records)
+    })
+}
+
+/// [`read_files_reported`] for whoever lists what the files declare:
+/// the merged dictionary — attributes, context tree, globals — and the
+/// per-file reports of the same validating read, one block in memory at
+/// a time and no snapshot record kept.
+pub fn read_dictionaries<P: AsRef<std::path::Path>>(
+    paths: &[P],
+    policy: ReadPolicy,
+) -> Result<(Dataset, Vec<ReadReport>), CaliError> {
+    let (mut dict, reports) = scan_files(paths, policy, &mut |_, _, _| {})?;
+    // What a CALB v1 file decoded: it frames no blocks to drop.
+    dict.records.clear();
+    Ok((dict, reports))
+}
+
+/// Scan `paths` in order into one dataset, every block to `on_block`.
+fn scan_files<P: AsRef<std::path::Path>>(
+    paths: &[P],
+    policy: ReadPolicy,
+    on_block: &mut BlockSink<'_>,
+) -> Result<(Dataset, Vec<ReadReport>), CaliError> {
     let mut ds = Dataset::new();
     let mut reports = Vec::with_capacity(paths.len());
     for path in paths {
         // One reader per file: each stream has its own id space, which
         // the reader remaps into the shared dataset.
-        let (merged, report) = caliper_format::read_path_into_filtered(path, ds, policy, None)?;
+        let (merged, report) = scan_path(path, ds, policy, None, on_block)?;
         ds = merged;
         reports.push(report);
     }

@@ -5,7 +5,7 @@
 
 use std::path::Path;
 
-use caliper_format::Schema;
+use caliper_format::{scan_dictionary, CaliError, Dataset, ReadPolicy, Schema};
 use caliper_query::{analyze, parse_query_spanned, Diagnostic};
 
 /// One checked query: where it came from, its text, and what the
@@ -106,14 +106,16 @@ pub fn summary_line(checked: &[CheckedQuery]) -> String {
     )
 }
 
-/// Infer a merged schema from data files: each path is pre-scanned for
-/// attribute metadata (cheap — binary payloads are skipped, text lines
-/// other than `__rec=attr`/`__rec=schema` are ignored) and the
-/// per-file schemas merged, degrading conflicting types to `mixed`.
-pub fn infer_schema<P: AsRef<Path>>(paths: &[P]) -> std::io::Result<Schema> {
+/// The merged schema of data files nobody is about to query: each
+/// file's dictionary as [`scan_dictionary`] reads it under `policy` —
+/// the readers' own decoders for everything the file declares, its
+/// snapshots passed over — observed in input order, which degrades
+/// conflicting types to `mixed`.
+pub fn infer_schema<P: AsRef<Path>>(paths: &[P], policy: ReadPolicy) -> Result<Schema, CaliError> {
     let mut schema = Schema::new();
     for path in paths {
-        schema.merge(&Schema::infer_path(path)?);
+        let (dict, _) = scan_dictionary(path, Dataset::new(), policy)?;
+        schema.extend(dict.store.all());
     }
     Ok(schema)
 }
@@ -128,6 +130,98 @@ mod tests {
         s.observe("function", ValueType::Str, Properties::NESTED);
         s.observe("time.duration", ValueType::Float, Properties::AGGREGATABLE);
         s
+    }
+
+    /// `function` (nested string) and `time.duration` (aggregatable
+    /// double), one snapshot carrying both.
+    fn sample_dataset() -> Dataset {
+        let mut ds = Dataset::new();
+        ds.attribute("function", ValueType::Str, Properties::NESTED);
+        let props = Properties::AS_VALUE | Properties::AGGREGATABLE;
+        ds.attribute("time.duration", ValueType::Float, props);
+        let rec = caliper_data::RecordBuilder::new(&ds.store)
+            .with("function", "main")
+            .with("time.duration", 2.5)
+            .build();
+        ds.push(caliper_data::SnapshotRecord::from(&rec));
+        ds
+    }
+
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("cali-lint-test-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn infer_schema_is_the_dictionary_of_every_encoding() {
+        let dir = temp_dir("encodings");
+        let ds = sample_dataset();
+        let files = [
+            (dir.join("a.cali"), caliper_format::cali::to_bytes(&ds)),
+            (dir.join("a.calb"), caliper_format::binary::to_binary(&ds)),
+            (dir.join("a.calb2"), caliper_format::to_binary_v2(&ds)),
+        ];
+        for (path, bytes) in &files {
+            std::fs::write(path, bytes).unwrap();
+            let inferred = infer_schema(&[path], ReadPolicy::Strict).unwrap();
+            assert_eq!(inferred, Schema::from_store(&ds.store), "{}", path.display());
+            assert_eq!(inferred.len(), 2);
+            let t = inferred.get("time.duration").unwrap();
+            assert_eq!(t.value_type, Some(ValueType::Float));
+            assert!(t.properties.contains(Properties::AGGREGATABLE));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn infer_schema_degrades_cross_file_conflicts_to_mixed() {
+        let dir = temp_dir("mixed");
+        let (a, b) = (dir.join("a.cali"), dir.join("b.cali"));
+        std::fs::write(&a, "__rec=attr,id=0,name=x,type=int,prop=default\n").unwrap();
+        std::fs::write(&b, "__rec=attr,id=0,name=x,type=string,prop=global\n").unwrap();
+        let inferred = infer_schema(&[&a, &b], ReadPolicy::Strict).unwrap();
+        let x = inferred.get("x").unwrap();
+        assert_eq!(x.type_name(), "mixed");
+        assert!(x.properties.contains(Properties::GLOBAL));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn infer_schema_reads_as_the_query_reads_but_passes_over_snapshots() {
+        let dir = temp_dir("damaged");
+        let path = dir.join("damaged.cali");
+        let text = "\
+__rec=attr,id=0,name=function,type=string,prop=nested
+__rec=attr,id=1,name=time.duration,type=double,prop=asvalue\\,aggregatable
+__rec=node,id=0,attr=0,data=main
+garbage line
+__rec=ctx,ref=0,attr=1,data=2.5
+__rec=ctx,ref=99,attr=1,data=not-a-number
+";
+        std::fs::write(&path, text).unwrap();
+        // What the file declares goes through the reader: a bad line is
+        // its error, named by file and line, or its lenient skip.
+        let err = infer_schema(&[&path], ReadPolicy::Strict).unwrap_err().to_string();
+        assert!(err.contains("damaged.cali") && err.contains("line 4"), "{err}");
+        // The damaged snapshot on line 6 is never looked at.
+        let inferred = infer_schema(&[&path], ReadPolicy::lenient()).unwrap();
+        assert_eq!(inferred.len(), 2);
+        assert_eq!(inferred.get("function").unwrap().value_type, Some(ValueType::Str));
+
+        // A torn binary stream: an error, or the attributes declared
+        // before the tear.
+        for bytes in [
+            caliper_format::binary::to_binary(&sample_dataset()),
+            caliper_format::to_binary_v2(&sample_dataset()),
+        ] {
+            std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+            assert!(infer_schema(&[&path], ReadPolicy::Strict).is_err());
+            assert!(infer_schema(&[&path], ReadPolicy::lenient()).unwrap().len() <= 2);
+        }
+        std::fs::write(&path, b"CALBnope").unwrap();
+        assert!(infer_schema(&[&path], ReadPolicy::lenient()).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

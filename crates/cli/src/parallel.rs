@@ -19,11 +19,11 @@
 //! path over the tree levels is the machine-independent quantity (see
 //! DESIGN.md §3).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use caliper_format::{Dataset, Pushdown, ReadPolicy};
+use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport};
 use caliper_query::{
     build_pushdown, parse_query, ParseError, Pipeline, QueryResult, QuerySpec,
 };
@@ -156,7 +156,9 @@ pub fn parallel_query<E: Executor>(
         let init = move || {
             let start = Instant::now();
             let files = files.get(rank).map_or(&[][..], Vec::as_slice);
-            let pipeline = local_pipeline(&spec, files, &pushdown);
+            let pipeline = local_pipeline(&spec, files, ReadPolicy::Strict, &pushdown)
+                .map(|(pipeline, _)| pipeline)
+                .map_err(|e| e.to_string());
             let times = ParallelTimings {
                 local_max_s: start.elapsed().as_secs_f64(),
                 ..ParallelTimings::default()
@@ -234,23 +236,27 @@ impl Partial {
     }
 }
 
-/// A rank's local phase: one pipeline over its files, scanned in order
-/// through one shared dictionary — per file the step `cali-query`'s
-/// workers run.
-fn local_pipeline(
+/// One pipeline over `files`, scanned in order through one shared
+/// dictionary — per file the step `cali-query`'s workers run — with the
+/// per-file read reports. It is a rank's local phase, and all there is
+/// to a pass-through query, whose matching rows need one dictionary to
+/// refer to: one block is in memory at a time, and only rows that pass
+/// WHERE are kept.
+pub fn local_pipeline<P: AsRef<Path>>(
     spec: &QuerySpec,
-    files: &[PathBuf],
+    files: &[P],
+    policy: ReadPolicy,
     pushdown: &Pushdown,
-) -> Result<Pipeline, String> {
+) -> Result<(Pipeline, Vec<ReadReport>), CaliError> {
     let mut dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
+    let mut reports = Vec::with_capacity(files.len());
     for path in files {
-        dict = pipeline
-            .scan_file(path, dict, ReadPolicy::Strict, Some(pushdown))
-            .map_err(|e| e.to_string())?
-            .dict;
+        let scanned = pipeline.scan_file(path, dict, policy, Some(pushdown))?;
+        dict = scanned.dict;
+        reports.push(scanned.report);
     }
-    Ok(pipeline)
+    Ok((pipeline, reports))
 }
 
 #[cfg(test)]

@@ -136,6 +136,19 @@ fn transient_read_faults_are_retried_to_success() {
             "--threads {threads}: {stderr}"
         );
     }
+
+    // `--check` opens its inputs the way a query does — same fault
+    // sites, same retry — so a transient fault changes nothing it says.
+    let check = |faults: &[&str]| {
+        let mut args = vec!["-q", "AGGREGATE sum(kernel) GROUP BY kernel", "--check"];
+        args.extend(faults);
+        args.extend(paths_as_strs(&paths));
+        let out = query(&args);
+        (out.status.code(), out.stdout, out.stderr)
+    };
+    let unfaulted = check(&[]);
+    assert_eq!(unfaulted.0, Some(1), "E003: {}", String::from_utf8_lossy(&unfaulted.1));
+    assert_eq!(check(&["--faults", "io.read=fail(1)"]), unfaulted);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -151,6 +164,14 @@ fn exhausted_retries_are_a_hard_error_without_degrade() {
     assert!(stderr.contains("in1.cali"), "{stderr}");
     assert!(stderr.contains("injected fault"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+    // A file `--check` cannot read is its error too, not a schema
+    // quietly short of that file's attributes.
+    args.push("--check");
+    let out = query(&args);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("in1.cali") && stderr.contains("injected fault"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -97,7 +97,7 @@ fn streaming_query_matches_merged_query() {
         (String::from_utf8(out.stdout).unwrap(), String::from_utf8(out.stderr).unwrap())
     };
     assert_eq!(reference.render(), run(&[], query).0);
-    // A pass-through query reads every file into one dataset instead.
+    // A pass-through query scans every file through one pipeline instead.
     let limited = caliper_query::run_query(&merged, "SELECT * LIMIT 3").unwrap();
     assert_eq!(limited.records.len(), 3);
     assert_eq!(limited.render(), run(&[], "SELECT * LIMIT 3").0);
@@ -106,6 +106,49 @@ fn streaming_query_matches_merged_query() {
     let (_, stderr) = run(&["--timings"], query);
     assert!(stderr.contains("# worker 0:"), "{stderr}");
     assert!(!stderr.contains("# worker 1:") && !stderr.contains("# serial"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A pass-through query scans its files like any other — one block in
+/// memory at a time, WHERE pushed down to the v2 zone maps, only matching
+/// rows kept — and prints what loading every record of every file into
+/// one dataset and filtering it prints.
+#[test]
+fn pass_through_queries_scan_and_skip_blocks() {
+    use caliper_format::{to_binary_v2_with, V2WriteOptions};
+    let dir = std::env::temp_dir().join(format!("cali-bin-test-select-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let params = ParaDisParams {
+        iterations: 3,
+        ..Default::default()
+    };
+    let options = V2WriteOptions { block_records: 16, ..Default::default() };
+    let mut paths = Vec::new();
+    for (rank, ds) in paradis::generate(&params, 3).iter().enumerate() {
+        paths.push(dir.join(format!("rank{rank}.calb2")));
+        std::fs::write(&paths[rank], to_binary_v2_with(ds, &options)).unwrap();
+    }
+    let merged = cali_cli::read_files(&paths).unwrap();
+    for query in [
+        "SELECT * WHERE iteration > 1 FORMAT csv",
+        "LET it = scale(iteration, 10) SELECT kernel, it, mpi.rank WHERE kernel, iteration > 1 \
+         ORDER BY kernel, mpi.rank FORMAT json",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
+            .args(["--stats", "-q", query])
+            .args(&paths)
+            .output()
+            .expect("run cali-query");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{stderr}");
+        let reference = caliper_query::run_query(&merged, query).unwrap();
+        assert!(reference.records.len() > 10, "{query}");
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), reference.render(), "{query}");
+        let skipped = stderr.lines().find_map(|l| l.strip_prefix("format.reader.blocks_skipped="));
+        assert!(skipped.is_some_and(|n| n.parse::<u64>().unwrap() > 0), "{query}: {stderr}");
+        // The LET output is the query's, not the data's: no W003.
+        assert!(!stderr.contains("warning["), "{query}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -457,11 +500,13 @@ fn mpi_caliquery_rejects_passthrough() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--no-lint` skips the schema pre-pass, so a WHERE comparison on an
-/// attribute the corpus types four ways is pushed down to zone maps
-/// that the default run (which has the schema, and so leaves such a
-/// comparison out) never consults. Every file is decoded and judged
-/// against its own declarations, so the answers must not differ.
+/// `--no-lint` silences the lint and changes nothing else: the schema
+/// is the dictionary the run's one read of each file builds, and the
+/// pushdown comes from the query alone. So over a corpus that types one
+/// attribute four ways — every file decoded, and its zone maps judged,
+/// against its own declarations — the default run and the `--no-lint`
+/// run open the same files once, skip the same blocks and print the
+/// same answer and the same `--stats`, for every `--threads`.
 #[test]
 fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
     use caliper_data::{Properties, SnapshotRecord, Value, ValueType};
@@ -491,39 +536,44 @@ fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
         std::fs::write(&path, to_binary_v2_with(&ds, &options)).unwrap();
         paths.push(path);
     }
+    // stdout, the `--stats` block (all of stderr: a comparison on a
+    // mixed-typed attribute draws no diagnostic), and two of its lines.
     let run = |filter: &str, flags: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
             .args(flags)
             .arg("--stats")
-            // `k` keeps the default run's pushdown from being empty,
-            // which would make the driver build the schema-less one.
             .args(["-q", &format!("AGGREGATE count WHERE k, {filter} GROUP BY k ORDER BY k")])
             .args(&paths)
             .output()
             .expect("run cali-query");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(out.status.success(), "{filter} {flags:?}: {stderr}");
-        let skipped = stderr
-            .lines()
-            .find_map(|line| line.strip_prefix("format.reader.blocks_skipped="))
-            .map_or(0, |n| n.parse::<u64>().unwrap());
-        (String::from_utf8(out.stdout).unwrap(), skipped)
+        let stats = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success(), "{filter} {flags:?}: {stats}");
+        let metric = |name: &str| {
+            let line = stats.lines().find_map(|line| line.strip_prefix(name));
+            line.map_or(0, |n| n.parse::<u64>().unwrap())
+        };
+        let (skipped, files) = (metric("format.reader.blocks_skipped="), metric("format.reader.files="));
+        (String::from_utf8(out.stdout).unwrap(), stats, skipped, files)
     };
-    let (mut rows, mut skipped_more) = (0, 0);
+    let (mut rows, mut skipped) = (0, 0);
     for filter in
         ["x = 17", "x != 17", "x < 20", "x <= 20", "x > 40", "x >= 40", "x = 17.5", "x = \"17\""]
     {
-        let (reference, with_schema) = run(filter, &["--threads", "1"]);
-        rows += reference.lines().count();
-        for flags in [["--no-lint", "--threads", "1"], ["--no-lint", "--threads", "2"]] {
-            let (stdout, without_schema) = run(filter, &flags);
-            assert_eq!(stdout, reference, "WHERE {filter} with {flags:?}");
-            skipped_more += u64::from(without_schema > with_schema);
+        let reference = run(filter, &["--threads", "1"]);
+        rows += reference.0.lines().count();
+        skipped += reference.2;
+        // One read of each input, lint or no lint.
+        assert_eq!(reference.3, paths.len() as u64, "WHERE {filter}");
+        for flags in [
+            &["--no-lint", "--threads", "1"][..],
+            &["--no-lint", "--threads", "2"],
+            &["--threads", "2"],
+        ] {
+            assert_eq!(run(filter, flags), reference, "WHERE {filter} with {flags:?}");
         }
-        assert_eq!(run(filter, &["--threads", "2"]).0, reference, "WHERE {filter}");
     }
     assert!(rows > 8, "the filters selected nothing");
-    assert!(skipped_more > 0, "the schema-less pushdown never skipped a block more");
+    assert!(skipped > 0, "the pushdown never skipped a block");
     std::fs::remove_dir_all(&dir).ok();
 }
 

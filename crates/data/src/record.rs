@@ -82,6 +82,15 @@ impl SnapshotRecord {
     }
 }
 
+/// A flat record as a snapshot record any writer takes: every pair an
+/// immediate entry, in record order, with nothing in a context tree.
+impl From<&FlatRecord> for SnapshotRecord {
+    fn from(flat: &FlatRecord) -> SnapshotRecord {
+        let entries = flat.pairs.iter().map(|(a, v)| Entry::Imm(*a, v.clone())).collect();
+        SnapshotRecord { entries }
+    }
+}
+
 /// A fully expanded snapshot record: an ordered list of
 /// `(attribute id, value)` pairs.
 ///

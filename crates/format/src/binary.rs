@@ -494,21 +494,23 @@ pub fn read_binary_into_filtered(
     pushdown: Option<&Pushdown>,
 ) -> Result<Dataset, CaliError> {
     let rows = &mut crate::binary_v2::append_rows;
-    scan_binary_into(bytes, &mut ds, policy, report, pushdown, rows)?;
+    scan_binary_into(bytes, &mut ds, policy, report, pushdown, Some(rows))?;
     Ok(ds)
 }
 
 /// Walk a binary stream, appending into `ds`. A CALB v2 stream's blocks
 /// go to `on_block` as typed columns, in stream order, and add nothing
 /// to `ds.records`; a v1 stream has no columns, so its snapshot records
-/// are appended to `ds.records` and `on_block` is never called.
+/// are appended to `ds.records` and `on_block` is never called. No
+/// `on_block` means nobody will look at snapshots: v2 hops over its
+/// blocks, v1 — no frames to hop — decodes as ever.
 pub(crate) fn scan_binary_into(
     bytes: &[u8],
     ds: &mut Dataset,
     policy: ReadPolicy,
     report: &mut ReadReport,
     pushdown: Option<&Pushdown>,
-    on_block: &mut crate::binary_v2::BlockSink<'_>,
+    on_block: Option<&mut crate::binary_v2::BlockSink<'_>>,
 ) -> Result<(), CaliError> {
     let mut cursor = Cursor { bytes, pos: 0 };
     let magic = cursor.take(4)?;

@@ -1073,15 +1073,16 @@ pub(crate) fn append_rows(ds: &mut Dataset, strings: &mut StringTable, block: &m
 /// byte) under `policy` with optional predicate pushdown: dictionary and
 /// globals records are decoded into `ds`, every block that survives the
 /// pushdown and validates is handed to `on_block` in stream order, one
-/// block in memory at a time. Called from
-/// [`crate::binary::scan_binary_into`].
+/// block in memory at a time. Without an `on_block` nobody will look at
+/// snapshots, and every block is hopped over at its length frame,
+/// undecoded. Called from [`crate::binary::scan_binary_into`].
 pub(crate) fn scan_v2_body(
     mut cursor: Cursor<'_>,
     ds: &mut Dataset,
     policy: ReadPolicy,
     report: &mut ReadReport,
     pushdown: Option<&Pushdown>,
-    on_block: &mut BlockSink<'_>,
+    mut on_block: Option<&mut BlockSink<'_>>,
 ) -> Result<(), CaliError> {
     let mut decoder = BinaryDecoder::new();
     let mut names = NameIndex::default();
@@ -1101,6 +1102,7 @@ pub(crate) fn scan_v2_body(
                     Err(e) => return lenient_stop(policy, report, e),
                 };
                 report.blocks += 1;
+                let Some(on_block) = on_block.as_deref_mut() else { continue };
                 let ordinal = report.blocks - 1;
                 let decoded = match block_fault(report, ordinal, payload_bytes) {
                     Err(e) => Err(e),
@@ -1449,7 +1451,7 @@ mod tests {
                 ReadPolicy::Strict,
                 &mut ReadReport::default(),
                 None,
-                &mut |_, strings, block| {
+                Some(&mut |_, strings, block| {
                     blocks += 1;
                     let mut all = Vec::new();
                     block.append_records(strings, &mut all);
@@ -1465,7 +1467,7 @@ mod tests {
                     let values: usize = block.columns().iter().map(|c| c.data.len()).sum();
                     let imms: usize = (0..block.rows()).map(|r| block.row_imms(r).len()).sum();
                     assert_eq!(values, imms, "no value left over");
-                },
+                }),
             );
             read.unwrap();
             assert_eq!(blocks, 7);

@@ -498,6 +498,9 @@ pub struct CaliReader {
     /// Set while [`read_batch`](Self::read_batch) reads: the column and
     /// the value of the sequence number the next row is stamped with.
     stamp: Option<(u32, u64)>,
+    /// Set while [`read_dictionary`](Self::read_dictionary) reads:
+    /// snapshot lines are passed over unread.
+    skip_snapshots: bool,
     /// The line being read, kept for its buffer.
     line: Vec<u8>,
 }
@@ -518,6 +521,7 @@ impl CaliReader {
             strings: StringTable::default(),
             block: Block::default(),
             stamp: None,
+            skip_snapshots: false,
             line: Vec::new(),
         }
     }
@@ -599,29 +603,18 @@ impl CaliReader {
     /// Process one line of the stream (strict: the first malformed
     /// record is an error).
     pub fn read_line(&mut self, line: &str) -> Result<(), CaliError> {
-        self.read_line_with(line, ReadPolicy::Strict, &mut ReadReport::default())
+        self.scan_line(line, ReadPolicy::Strict, &mut ReadReport::default())?;
+        self.cut_block(&mut append_rows);
+        Ok(())
     }
 
-    /// Process one line of the stream under `policy`, accounting into
-    /// `report`.
+    /// Read one line under `policy`, accounting into `report`, short of
+    /// handing a full block on.
     ///
     /// Under [`ReadPolicy::Lenient`] a malformed line is skipped whole —
     /// parsing resynchronizes at the next line, and a failed line never
     /// contributes a partial record — until the policy's skip budget is
     /// exhausted, after which the error is returned like in strict mode.
-    pub fn read_line_with(
-        &mut self,
-        line: &str,
-        policy: ReadPolicy,
-        report: &mut ReadReport,
-    ) -> Result<(), CaliError> {
-        self.scan_line(line, policy, report)?;
-        self.cut_block(&mut append_rows);
-        Ok(())
-    }
-
-    /// Read one line under `policy`: [`read_line_with`](Self::read_line_with)
-    /// short of handing a full block on.
     fn scan_line(
         &mut self,
         line: &str,
@@ -876,33 +869,23 @@ impl CaliReader {
         policy: ReadPolicy,
         report: &mut ReadReport,
     ) -> Result<(), CaliError> {
-        self.read_stream_cancellable(reader, policy, report, None)
+        self.scan_stream(reader, policy, report, None, &mut append_rows)
     }
 
-    /// [`read_stream_with`](Self::read_stream_with) under a cooperative
-    /// [`Deadline`](caliper_data::Deadline): the deadline is polled
-    /// every 256 lines, and on expiry the read stops where it stands —
-    /// the decoded prefix is kept, the report is marked truncated with
-    /// a `read cancelled` note, and `Ok` is returned (expiry is a
-    /// *budget* outcome, not a parse failure, under either policy).
-    /// Resident services use this to bound journal replay at startup so
-    /// a huge or slow journal degrades the stream instead of wedging
-    /// readiness forever.
-    pub fn read_stream_cancellable(
-        &mut self,
-        reader: impl BufRead,
-        policy: ReadPolicy,
-        report: &mut ReadReport,
-        deadline: Option<&caliper_data::Deadline>,
-    ) -> Result<(), CaliError> {
-        self.scan_stream(reader, policy, report, deadline, &mut append_rows)
-    }
-
-    /// [`read_stream_cancellable`](Self::read_stream_cancellable), but
-    /// the stream's snapshots go to `on_block` as typed columns — a
-    /// block every [`DEFAULT_BLOCK_RECORDS`] rows, and the rest when the
-    /// read ends (end of stream, deadline, lenient truncation) — instead
-    /// of being appended to the dataset as records.
+    /// [`read_stream_with`](Self::read_stream_with), but the stream's
+    /// snapshots go to `on_block` as typed columns — a block every
+    /// [`DEFAULT_BLOCK_RECORDS`] rows, and the rest when the read ends
+    /// (end of stream, deadline, lenient truncation) — instead of being
+    /// appended to the dataset as records.
+    ///
+    /// A [`Deadline`](caliper_data::Deadline) is polled every 256
+    /// lines, and on expiry the read stops where it stands — the decoded
+    /// prefix is kept, the report is marked truncated with a `read
+    /// cancelled` note, and `Ok` is returned (expiry is a *budget*
+    /// outcome, not a parse failure, under either policy). Resident
+    /// services use this to bound journal replay at startup so a huge or
+    /// slow journal degrades the stream instead of wedging readiness
+    /// forever.
     pub fn scan_stream(
         &mut self,
         reader: impl BufRead,
@@ -914,6 +897,22 @@ impl CaliReader {
         self.read_lines(reader, policy, report, deadline, Some(on_block))?;
         self.hand_out(on_block);
         Ok(())
+    }
+
+    /// Read a whole stream for what it declares — attributes, context
+    /// tree nodes, globals — when nobody will look at its snapshots: a
+    /// line is passed over at its `__rec=ctx` prefix, before it is
+    /// validated or tokenised, and counts for nothing in `report`.
+    pub(crate) fn read_dictionary(
+        &mut self,
+        reader: impl BufRead,
+        policy: ReadPolicy,
+        report: &mut ReadReport,
+    ) -> Result<(), CaliError> {
+        self.skip_snapshots = true;
+        let read = self.read_lines(reader, policy, report, None, None);
+        self.skip_snapshots = false;
+        read
     }
 
     /// The one line loop: read `reader` to its end (or the deadline, or
@@ -956,6 +955,12 @@ impl CaliReader {
             };
             if n == 0 {
                 break Ok(());
+            }
+            if self.skip_snapshots
+                && matches!(buf.strip_prefix(b"__rec=ctx"), Some([] | [b',' | b'\n' | b'\r', ..]))
+            {
+                self.line_no += 1;
+                continue;
             }
             let line = match std::str::from_utf8(&buf) {
                 Ok(s) => self.scan_line(s, policy, report),

@@ -86,7 +86,8 @@ fn unescaped(raw: &str, has_escape: bool) -> Cow<'_, str> {
 /// borrow from the line and allocate only when they hold a backslash.
 ///
 /// This is the one tokenizer every text line goes through — the reader's
-/// `attr`, `node`, `ctx` and `globals` records and the schema pre-pass.
+/// `attr`, `node`, `ctx` and `globals` records and the lines of a saved
+/// schema file.
 pub fn fields(line: &str) -> Fields<'_> {
     Fields { rest: line }
 }

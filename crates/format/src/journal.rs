@@ -761,7 +761,7 @@ mod tests {
         };
         let mut reader = CaliReader::new();
         reader
-            .read_stream_cancellable(body, ReadPolicy::lenient(), &mut read, deadline)
+            .scan_stream(body, ReadPolicy::lenient(), &mut read, deadline, &mut append_rows)
             .unwrap();
         let mut ds = reader.finish();
         let seq_attr = ds.store.find(SEQ_ATTR).map(|a| a.id());

@@ -13,6 +13,9 @@
 //!   CALB v2 file are handed over as blocks of typed columns instead of
 //!   being expanded to rows (`caliper-query`'s `scan` module folds them
 //!   directly);
+//! * [`scan_dictionary`] — the same read again, for whoever wants only
+//!   what the file declares (an attribute schema): snapshots are passed
+//!   over unread;
 //! * [`RecordBatch`] / [`for_each_flat`] — a contiguous, cheaply
 //!   cloneable slice of a decoded [`Dataset`]'s snapshot records, and
 //!   their expansion to flat records in stream order.
@@ -26,6 +29,7 @@ use caliper_data::{
 };
 
 use crate::binary;
+use crate::binary_v2::{append_rows, BlockSink};
 use crate::cali::{CaliError, CaliReader};
 use crate::dataset::Dataset;
 use crate::policy::{ReadPolicy, ReadReport};
@@ -76,7 +80,7 @@ pub fn read_path_into_filtered(
     policy: ReadPolicy,
     pushdown: Option<&Pushdown>,
 ) -> Result<(Dataset, ReadReport), CaliError> {
-    scan_path(path, ds, policy, pushdown, &mut crate::binary_v2::append_rows)
+    scan_path(path, ds, policy, pushdown, &mut append_rows)
 }
 
 /// Reads one `.cali` or `CALB` file like [`read_path_into_filtered`],
@@ -95,12 +99,44 @@ pub fn read_path_into_filtered(
 /// appended to `ds.records` as ever and `on_block` is never called.
 pub fn scan_path(
     path: impl AsRef<Path>,
+    ds: Dataset,
+    policy: ReadPolicy,
+    pushdown: Option<&Pushdown>,
+    on_block: &mut BlockSink<'_>,
+) -> Result<(Dataset, ReadReport), CaliError> {
+    open_and_scan(path.as_ref(), ds, policy, pushdown, Some(on_block))
+}
+
+/// Reads what one `.cali` or `CALB` file *declares* — its attributes,
+/// context tree and globals — into `ds`, for a caller nobody will show
+/// a snapshot to: the same open, retry, fault sites, metrics and error
+/// attribution as [`scan_path`], and the same decoders for every
+/// dictionary record, but a text reader passes over a snapshot line at
+/// its `__rec=ctx` prefix and a v2 reader hops over a block at its
+/// length frame, so neither validates what it does not read (the
+/// report counts no snapshot, and damage inside one goes unseen). CALB
+/// v1 frames nothing: its snapshots are decoded, then dropped.
+pub fn scan_dictionary(
+    path: impl AsRef<Path>,
+    ds: Dataset,
+    policy: ReadPolicy,
+) -> Result<(Dataset, ReadReport), CaliError> {
+    let held = ds.records.len();
+    let (mut ds, report) = open_and_scan(path.as_ref(), ds, policy, None, None)?;
+    ds.records.truncate(held);
+    Ok((ds, report))
+}
+
+/// The one way in for an input file: its bytes through the failpoints
+/// and the retry, the decoder its header names, the read metrics, and
+/// any error attributed to `path`.
+fn open_and_scan(
+    path: &Path,
     mut ds: Dataset,
     policy: ReadPolicy,
     pushdown: Option<&Pushdown>,
-    on_block: &mut crate::binary_v2::BlockSink<'_>,
+    on_block: Option<&mut BlockSink<'_>>,
 ) -> Result<(Dataset, ReadReport), CaliError> {
-    let path = path.as_ref();
     let attribute = |e: CaliError| e.with_path(path);
     let mut report = ReadReport::for_path(path);
     let bytes = read_bytes_with_faults(path).map_err(|e| attribute(CaliError::Io(e)))?;
@@ -110,9 +146,11 @@ pub fn scan_path(
         ds
     } else {
         let mut reader = CaliReader::into_dataset(ds);
-        reader
-            .scan_stream(&bytes[..], policy, &mut report, None, on_block)
-            .map_err(attribute)?;
+        match on_block {
+            Some(on_block) => reader.scan_stream(&bytes[..], policy, &mut report, None, on_block),
+            None => reader.read_dictionary(&bytes[..], policy, &mut report),
+        }
+        .map_err(attribute)?;
         reader.finish()
     };
     record_read_metrics(bytes.len() as u64, &report);

@@ -1,27 +1,21 @@
-//! Attribute schema inference — the data-model side of CalQL semantic
+//! The attribute schema — the data-model side of CalQL semantic
 //! analysis.
 //!
-//! A [`Schema`] is a per-attribute name → type/properties table. It can
-//! be built from an in-memory [`AttributeStore`], or inferred from
-//! `.cali`/CALB streams in a single cheap pre-pass that reads only the
-//! attribute-metadata records and *skips* node/snapshot payloads — no
-//! context tree is built and no snapshot is decoded, so sniffing the
-//! schema of a multi-gigabyte stream costs one sequential scan.
+//! A [`Schema`] is a per-attribute name → type/properties table. Streams
+//! are self-describing, so a file's schema is the dictionary its read
+//! builds ([`Schema::from_store`]): this module parses no stream. What it
+//! does read and write is the *saved* form — a text file of
+//! `__rec=schema` lines — for linting with no data file at hand.
 //!
 //! Schemas merge across inputs: when the same attribute name appears
-//! with different value types in different streams (or through lenient
-//! re-declaration), its type degrades to *mixed* (`value_type: None`),
-//! which the semantic analyzer treats as "unknown — don't warn".
+//! with different value types in different streams, its type degrades to
+//! *mixed* (`value_type: None`), which the semantic analyzer treats as
+//! "unknown — don't warn".
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, Read};
-use std::path::Path;
 
-use caliper_data::{AttributeStore, Properties, ValueType};
+use caliper_data::{Attribute, AttributeStore, Properties, ValueType};
 
-use crate::binary::{self, Cursor};
-use crate::dataset::Dataset;
 use crate::escape::{escape_into, fields};
 
 /// Inferred metadata of one attribute name.
@@ -132,68 +126,14 @@ impl Schema {
 
     /// Build a schema from every attribute interned in a store.
     pub fn from_store(store: &AttributeStore) -> Schema {
-        let mut schema = Schema::new();
-        for attr in store.all() {
-            schema.observe(attr.name(), attr.value_type(), attr.properties());
-        }
-        schema
+        store.all().into_iter().collect()
     }
 
-    /// Build a schema from a dataset's attribute store.
-    pub fn from_dataset(ds: &Dataset) -> Schema {
-        Schema::from_store(&ds.store)
-    }
-
-    /// Infer the schema of a `.cali` file (text or binary CALB,
-    /// auto-detected by magic) in one metadata-only pre-pass.
-    pub fn infer_path(path: impl AsRef<Path>) -> io::Result<Schema> {
-        let mut file = File::open(path)?;
-        let mut magic = [0u8; 4];
-        let n = read_up_to(&mut file, &mut magic)?;
-        if &magic[..n] == binary::MAGIC.as_slice() {
-            let mut bytes = magic.to_vec();
-            file.read_to_end(&mut bytes)?;
-            Ok(Schema::infer_binary(&bytes))
-        } else {
-            let mut reader = BufReader::new(file);
-            let mut schema = Schema::infer_text_bytes(&magic[..n], &mut reader)?;
-            // Saved schema files are also text; both record kinds are
-            // handled by the same line scanner, so nothing else to do.
-            schema.attrs.retain(|_, a| !a.name.is_empty());
-            Ok(schema)
-        }
-    }
-
-    /// Infer a schema from text `.cali` lines: only `__rec=attr` (and
-    /// saved-schema `__rec=schema`) records are parsed; every other
-    /// line is skipped unexamined. Malformed attribute records are
-    /// ignored (lenient — a schema pre-pass must not fail harder than
-    /// the real reader).
-    pub fn infer_text(reader: impl BufRead) -> io::Result<Schema> {
-        let mut schema = Schema::new();
-        for line in reader.lines() {
-            schema.scan_line(&line?);
-        }
-        Ok(schema)
-    }
-
-    /// Like [`infer_text`](Self::infer_text) but with a few bytes
-    /// already consumed by magic sniffing.
-    fn infer_text_bytes(prefix: &[u8], reader: &mut impl BufRead) -> io::Result<Schema> {
-        let mut rest = Vec::from(prefix);
-        reader.read_to_end(&mut rest)?;
-        let text = String::from_utf8_lossy(&rest);
-        let mut schema = Schema::new();
-        for line in text.lines() {
-            schema.scan_line(line);
-        }
-        Ok(schema)
-    }
-
-    /// Scan one text line for an attribute-metadata record.
+    /// Read one line of a saved schema file; anything but a
+    /// `__rec=schema` record is passed over.
     fn scan_line(&mut self, line: &str) {
         let line = line.trim_end_matches(['\n', '\r']);
-        if !(line.starts_with("__rec=attr") || line.starts_with("__rec=schema")) {
+        if !line.starts_with("__rec=schema") {
             return;
         }
         let mut name = None;
@@ -232,30 +172,6 @@ impl Schema {
         }
     }
 
-    /// Infer a schema from a binary CALB stream by decoding attribute
-    /// records and *skipping* node/snapshot payloads. Best-effort: the
-    /// scan stops at the first malformed record and returns whatever
-    /// was collected up to that point.
-    pub fn infer_binary(bytes: &[u8]) -> Schema {
-        let mut schema = Schema::new();
-        let mut cursor = Cursor { bytes, pos: 0 };
-        // Header: magic + version.
-        let Ok(magic) = cursor.take(4) else {
-            return schema;
-        };
-        if magic != binary::MAGIC.as_slice() || cursor.u8().is_err() {
-            return schema;
-        }
-        // Per-stream id → type map so value payloads can be skipped.
-        let mut types: BTreeMap<u64, ValueType> = BTreeMap::new();
-        while !cursor.at_end() {
-            if scan_binary_record(&mut cursor, &mut types, &mut schema).is_err() {
-                break;
-            }
-        }
-        schema
-    }
-
     /// Render the schema as a text file in the `.cali` line encoding
     /// (`__rec=schema,name=…,type=…,prop=…`), sorted by name.
     pub fn to_text(&self) -> String {
@@ -272,9 +188,7 @@ impl Schema {
         out
     }
 
-    /// Parse a schema from text produced by [`to_text`](Self::to_text)
-    /// — or from any text `.cali` stream, whose `__rec=attr` records
-    /// carry the same fields.
+    /// Parse a schema from text produced by [`to_text`](Self::to_text).
     pub fn parse_text(text: &str) -> Schema {
         let mut schema = Schema::new();
         for line in text.lines() {
@@ -284,127 +198,30 @@ impl Schema {
     }
 }
 
-/// Read up to `buf.len()` bytes, tolerating short files.
-fn read_up_to(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        let n = reader.read(&mut buf[filled..])?;
-        if n == 0 {
-            break;
+/// One observation per attribute: extending a schema by the attributes
+/// of one dictionary after another merges the dictionaries.
+impl Extend<Attribute> for Schema {
+    fn extend<I: IntoIterator<Item = Attribute>>(&mut self, attrs: I) {
+        for attr in attrs {
+            self.observe(attr.name(), attr.value_type(), attr.properties());
         }
-        filled += n;
     }
-    Ok(filled)
 }
 
-/// Skip one encoded value of the given type without decoding it.
-fn skip_value(cursor: &mut Cursor<'_>, vtype: ValueType) -> Result<(), crate::cali::CaliError> {
-    match vtype {
-        ValueType::Str => {
-            let len = cursor.varint()? as usize;
-            cursor.take(len)?;
-        }
-        ValueType::Int | ValueType::UInt => {
-            cursor.varint()?;
-        }
-        ValueType::Float => {
-            cursor.take(8)?;
-        }
-        ValueType::Bool => {
-            cursor.u8()?;
-        }
+impl FromIterator<Attribute> for Schema {
+    fn from_iter<I: IntoIterator<Item = Attribute>>(attrs: I) -> Schema {
+        let mut schema = Schema::new();
+        schema.extend(attrs);
+        schema
     }
-    Ok(())
-}
-
-/// Process one binary record: decode attrs, skip everything else.
-fn scan_binary_record(
-    cursor: &mut Cursor<'_>,
-    types: &mut BTreeMap<u64, ValueType>,
-    schema: &mut Schema,
-) -> Result<(), crate::cali::CaliError> {
-    let value_type_of = |types: &BTreeMap<u64, ValueType>,
-                         cursor: &Cursor<'_>,
-                         id: u64|
-     -> Result<ValueType, crate::cali::CaliError> {
-        types
-            .get(&id)
-            .copied()
-            .ok_or_else(|| cursor.err("reference to undeclared attribute"))
-    };
-    let tag = cursor.u8()?;
-    match tag {
-        binary::TAG_ATTR => {
-            let id = cursor.varint()?;
-            let len = cursor.varint()? as usize;
-            let name_bytes = cursor.take(len)?;
-            let name = std::str::from_utf8(name_bytes)
-                .map_err(|_| cursor.err("invalid UTF-8 in attribute name"))?
-                .to_string();
-            let type_tag = cursor.u8()?;
-            let vtype = binary::type_from_tag(type_tag)
-                .ok_or_else(|| cursor.err("unknown value type tag"))?;
-            let props = Properties::from_bits(cursor.varint()? as u32);
-            types.insert(id, vtype);
-            if !name.is_empty() {
-                schema.observe(&name, vtype, props);
-            }
-        }
-        binary::TAG_NODE => {
-            cursor.varint()?; // node id
-            let attr = cursor.varint()?;
-            cursor.varint()?; // parent + 1
-            skip_value(cursor, value_type_of(types, cursor, attr)?)?;
-        }
-        binary::TAG_CTX => {
-            let nrefs = cursor.varint()?;
-            for _ in 0..nrefs {
-                cursor.varint()?;
-            }
-            let nimm = cursor.varint()?;
-            for _ in 0..nimm {
-                let attr = cursor.varint()?;
-                skip_value(cursor, value_type_of(types, cursor, attr)?)?;
-            }
-        }
-        binary::TAG_GLOBALS => {
-            let nimm = cursor.varint()?;
-            for _ in 0..nimm {
-                let attr = cursor.varint()?;
-                skip_value(cursor, value_type_of(types, cursor, attr)?)?;
-            }
-        }
-        crate::binary_v2::TAG_BLOCK => {
-            // v2 record block: length-framed, so the whole payload can
-            // be skipped without decoding. Blocks interleave with later
-            // dictionary records, so the scan must hop over them rather
-            // than stop.
-            let len = cursor.varint()? as usize;
-            cursor.take(len)?;
-        }
-        crate::binary_v2::TAG_FOOTER => {
-            // v2 footer index: offset/row pairs plus an 8-byte trailer.
-            let nblocks = cursor.varint()?;
-            for _ in 0..nblocks {
-                cursor.varint()?;
-                cursor.varint()?;
-            }
-            cursor.take(8)?;
-        }
-        _ => return Err(cursor.err("unknown record tag")),
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caliper_data::{Entry, RecordBuilder, SnapshotRecord};
-    use std::sync::Arc;
 
-    fn sample_dataset() -> Dataset {
-        let mut ds = Dataset::new();
-        let store = Arc::clone(&ds.store);
+    fn sample_store() -> AttributeStore {
+        let store = AttributeStore::new();
         store.create("function", ValueType::Str, Properties::NESTED).unwrap();
         store
             .create(
@@ -413,23 +230,12 @@ mod tests {
                 Properties::AS_VALUE | Properties::AGGREGATABLE,
             )
             .unwrap();
-        let rec = RecordBuilder::new(&store)
-            .with("function", "main")
-            .with("time.duration", 2.5)
-            .build();
-        let entries = rec
-            .pairs()
-            .iter()
-            .map(|(a, v)| Entry::Imm(*a, v.clone()))
-            .collect();
-        ds.push(SnapshotRecord::from_entries(entries));
-        ds
+        store
     }
 
     #[test]
     fn from_store_collects_all_attributes() {
-        let ds = sample_dataset();
-        let schema = Schema::from_dataset(&ds);
+        let schema = Schema::from_store(&sample_store());
         assert_eq!(schema.len(), 2);
         let t = schema.get("time.duration").unwrap();
         assert_eq!(t.value_type, Some(ValueType::Float));
@@ -454,62 +260,16 @@ mod tests {
     }
 
     #[test]
-    fn infer_text_reads_only_attr_records() {
-        let text = "\
-__rec=attr,id=0,name=function,type=string,prop=nested
-__rec=attr,id=1,name=time.duration,type=double,prop=asvalue\\,aggregatable
-__rec=node,id=0,attr=0,data=main
-garbage line that the pre-pass must skip
-__rec=ctx,ref=0,attr=1,data=2.5
-";
-        let schema = Schema::infer_text(text.as_bytes()).unwrap();
-        assert_eq!(schema.len(), 2);
-        assert_eq!(
-            schema.get("function").unwrap().value_type,
-            Some(ValueType::Str)
-        );
-        assert!(schema
-            .get("time.duration")
-            .unwrap()
-            .properties
-            .contains(Properties::AGGREGATABLE));
-    }
-
-    #[test]
-    fn infer_binary_skips_payloads() {
-        let ds = sample_dataset();
-        let bytes = crate::binary::to_binary(&ds);
-        let schema = Schema::infer_binary(&bytes);
-        assert_eq!(schema.len(), 2);
-        assert_eq!(
-            schema.get("time.duration").unwrap().value_type,
-            Some(ValueType::Float)
-        );
-    }
-
-    #[test]
-    fn infer_binary_is_best_effort_on_truncation() {
-        let ds = sample_dataset();
-        let bytes = crate::binary::to_binary(&ds);
-        // Truncating mid-stream keeps whatever attrs were declared
-        // before the cut.
-        let cut = bytes.len() - 3;
-        let schema = Schema::infer_binary(&bytes[..cut]);
-        assert!(schema.len() <= 2);
-        assert!(Schema::infer_binary(b"nope").is_empty());
-        assert!(Schema::infer_binary(b"CA").is_empty());
-    }
-
-    #[test]
     fn text_save_load_roundtrip() {
-        let ds = sample_dataset();
-        let mut schema = Schema::from_dataset(&ds);
+        let mut schema = Schema::from_store(&sample_store());
         schema.observe("weird,name=x", ValueType::Int, Properties::DEFAULT);
         schema.observe("weird,name=x", ValueType::Str, Properties::DEFAULT); // mixed
         let text = schema.to_text();
         let back = Schema::parse_text(&text);
         assert_eq!(schema, back);
         assert_eq!(back.get("weird,name=x").unwrap().value_type, None);
+        // A data stream is not a saved schema: its records are passed over.
+        assert!(Schema::parse_text("__rec=attr,id=0,name=x,type=int,prop=default\n").is_empty());
     }
 
     #[test]
@@ -525,27 +285,5 @@ __rec=ctx,ref=0,attr=1,data=2.5
         assert_eq!(a.get("x").unwrap().value_type, None);
         assert_eq!(a.get("y").unwrap().value_type, Some(ValueType::Str));
         assert_eq!(a.get("z").unwrap().value_type, Some(ValueType::UInt));
-    }
-
-    #[test]
-    fn infer_path_detects_both_flavors() {
-        let dir = std::env::temp_dir().join(format!(
-            "caliper-schema-test-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let ds = sample_dataset();
-
-        let text_path = dir.join("a.cali");
-        crate::cali::write_file(&ds, &text_path).unwrap();
-        let text_schema = Schema::infer_path(&text_path).unwrap();
-        assert_eq!(text_schema.len(), 2);
-
-        let bin_path = dir.join("a.calb");
-        std::fs::write(&bin_path, crate::binary::to_binary(&ds)).unwrap();
-        let bin_schema = Schema::infer_path(&bin_path).unwrap();
-        assert_eq!(text_schema, bin_schema);
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

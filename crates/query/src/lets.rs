@@ -66,6 +66,9 @@ pub(crate) enum LetResult {
 struct Binding {
     def: LetDef,
     out: Cell<Option<AttrId>>,
+    /// Whether `out` is an attribute this binding added to the store,
+    /// the data not having declared the label by then.
+    added: Cell<bool>,
     /// The expression's input labels in argument order, each with its
     /// attribute id once the label resolves.
     inputs: Vec<(String, Cell<Option<AttrId>>)>,
@@ -92,6 +95,7 @@ impl LetSet {
                     .map(|label| (label.to_string(), Cell::new(None)))
                     .collect(),
                 out: Cell::new(None),
+                added: Cell::new(false),
                 def,
             })
             .collect();
@@ -113,12 +117,20 @@ impl LetSet {
             return id;
         }
         let name = &binding.def.name;
-        let attr = self
-            .store
-            .create(name, binding.def.expr.value_type(), Properties::AS_VALUE)
-            .unwrap_or_else(|_| self.store.find(name).expect("exists"));
+        let attr = self.store.find(name).unwrap_or_else(|| {
+            binding.added.set(true);
+            self.store
+                .create(name, binding.def.expr.value_type(), Properties::AS_VALUE)
+                .unwrap_or_else(|_| self.store.find(name).expect("exists"))
+        });
         binding.out.set(Some(attr.id()));
         attr.id()
+    }
+
+    /// Whether `attr` is an output some binding added to the store —
+    /// not something the input declared.
+    pub(crate) fn added(&self, attr: AttrId) -> bool {
+        self.bindings.iter().any(|b| b.added.get() && b.out.get() == Some(attr))
     }
 
     /// Intern every output attribute, in definition order.

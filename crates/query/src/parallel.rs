@@ -70,7 +70,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport};
+use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport, Schema};
 
 use crate::parser::{parse_query, ParseError};
 use crate::pushdown::build_pushdown;
@@ -91,9 +91,8 @@ pub struct ParallelOptions {
     pub max_groups: Option<usize>,
     /// WHERE-predicate pushdown handed to every worker's reader so
     /// block-structured inputs (CALB v2) can skip irrelevant blocks.
-    /// `None` auto-builds a schema-free pushdown from the query (see
-    /// [`build_pushdown`]); pass an explicit one to make it
-    /// schema-aware, or an empty one to scan every block.
+    /// `None` builds it from the query (see [`build_pushdown`]); pass an
+    /// empty one to scan every block.
     pub pushdown: Option<Arc<Pushdown>>,
     /// Graceful degradation: when a file's shard fails terminally (its
     /// read exhausted the transient-error retries, or the `shard.merge`
@@ -226,8 +225,9 @@ pub struct ShardFailure {
     pub error: String,
 }
 
-/// Timing breakdown of one parallel query run, plus the per-file read
-/// reports (what lenient ingest skipped).
+/// Timing breakdown of one parallel query run, plus what reading the
+/// files turned up: the per-file read reports (what lenient ingest
+/// skipped) and the attribute schema they declare.
 #[derive(Debug, Clone, Default)]
 pub struct ShardTimings {
     /// Per-worker read/process breakdown, indexed by worker id: one per
@@ -246,6 +246,12 @@ pub struct ShardTimings {
     /// means the result is partial — `cali-query` reports each failure
     /// on stderr and exits 2.
     pub failures: Vec<ShardFailure>,
+    /// The attributes the files that were read declare: each file's
+    /// dictionary as its scan built it, observed in input-file order (one
+    /// name with two types across files is `mixed`). What the query is
+    /// linted against — the streams describe themselves, so the read
+    /// that answers the query is the read that learns the schema.
+    pub schema: Schema,
 }
 
 impl ShardTimings {
@@ -302,6 +308,7 @@ impl OrderedMerge<'_> {
             // a file that fails both ways is reported as unreadable.
             let merged = scan.and_then(|(pipeline, report)| {
                 self.timings.reports.push(report);
+                self.timings.schema.extend(pipeline.input_attributes());
                 shard_merge_fault(self.next, path).map_or(Ok(pipeline), Err)
             });
             match merged {

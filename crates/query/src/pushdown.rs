@@ -4,22 +4,20 @@
 //! The query engine owns the decision of *which* predicates are safe to
 //! evaluate against CALB v2 block zone maps before any record decodes;
 //! the format layer only knows how to apply them
-//! ([`caliper_format::pushdown`]). Two predicate shapes are excluded
+//! ([`caliper_format::pushdown`]). One predicate shape is excluded
 //! here, and omission is always sound — a dropped conjunct can only
 //! make the reader decode more, never change what a query returns:
+//! filters on **LET-derived attributes**. LET runs after decode (and
+//! before WHERE), so zone maps describe the wrong values — when a LET
+//! shadows a stream attribute it even rewrites the same attribute id.
+//! (`sema` surfaces this case to users as the W007 advisory.)
 //!
-//! * filters on **LET-derived attributes**: LET runs after decode (and
-//!   before WHERE), so zone maps describe the wrong values — when a LET
-//!   shadows a stream attribute it even rewrites the same attribute id;
-//! * comparisons on attributes a [`Schema`] pre-pass reports as
-//!   **mixed-typed**: per-stream declared types may disagree with the
-//!   schema-wide view, so the block bounds cannot be trusted to order
-//!   against the literal the way every stream's values do. (`sema`
-//!   surfaces this case to users as the W007 advisory.)
-//!
-//! The same [`Pushdown`] instance is handed to the serial reader and to
-//! every parallel worker, which — together with per-block zone maps
-//! being a pure function of the input bytes — keeps
+//! Nothing about the corpus enters: every file is decoded, and its zone
+//! maps judged, against the types that file declares, so one attribute
+//! typed differently by different files is pushed like any other. A
+//! query has one pushdown, and the same [`Pushdown`] instance is handed
+//! to every reader and every parallel worker, which — together with
+//! per-block zone maps being a pure function of the input bytes — keeps
 //! `format.reader.blocks_skipped` and all query output byte-identical
 //! across `--threads` counts.
 
@@ -30,10 +28,9 @@ use crate::ast::{CmpOp, Filter, QuerySpec};
 
 /// Convert a parsed query's WHERE clause into a zone-map pushdown,
 /// omitting predicates that are not pushdown-eligible (see the module
-/// docs). Pass the inferred corpus [`Schema`] when available to also
-/// exclude comparisons on mixed-typed attributes; without one, only the
-/// schema-independent exclusions apply.
-pub fn build_pushdown(spec: &QuerySpec, schema: Option<&Schema>) -> Pushdown {
+/// docs). The schema plays no part; the parameter stays until the
+/// benchmark package, which passes `None`, can change with it.
+pub fn build_pushdown(spec: &QuerySpec, _schema: Option<&Schema>) -> Pushdown {
     let mut pd = Pushdown::new();
     for filter in &spec.filters {
         let name = match filter {
@@ -46,19 +43,11 @@ pub fn build_pushdown(spec: &QuerySpec, schema: Option<&Schema>) -> Pushdown {
         match filter {
             Filter::Exists(a) => pd.push(Predicate::Exists(a.clone())),
             Filter::NotExists(a) => pd.push(Predicate::NotExists(a.clone())),
-            Filter::Cmp { attr, op, value } => {
-                let mixed = schema
-                    .and_then(|s| s.get(attr))
-                    .is_some_and(|a| a.value_type.is_none());
-                if mixed {
-                    continue;
-                }
-                pd.push(Predicate::Cmp {
-                    attr: attr.clone(),
-                    op: convert_op(*op),
-                    value: value.clone(),
-                });
-            }
+            Filter::Cmp { attr, op, value } => pd.push(Predicate::Cmp {
+                attr: attr.clone(),
+                op: convert_op(*op),
+                value: value.clone(),
+            }),
         }
     }
     pd
@@ -79,7 +68,7 @@ fn convert_op(op: CmpOp) -> PushdownOp {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
-    use caliper_data::{Properties, Value, ValueType};
+    use caliper_data::Value;
 
     fn pushdown_for(query: &str) -> Pushdown {
         build_pushdown(&parse_query(query).unwrap(), None)
@@ -116,24 +105,6 @@ mod tests {
         );
         assert_eq!(pd.predicates().len(), 1);
         assert_eq!(pd.predicates()[0].attr(), "rank");
-    }
-
-    #[test]
-    fn mixed_typed_comparisons_are_excluded_with_a_schema() {
-        let mut schema = Schema::new();
-        schema.observe("rank", ValueType::Int, Properties::DEFAULT);
-        schema.observe("rank", ValueType::Str, Properties::DEFAULT); // now mixed
-        schema.observe("time", ValueType::Float, Properties::DEFAULT);
-        let spec = parse_query("AGGREGATE count WHERE rank = 3, time > 1.0, rank GROUP BY region")
-            .unwrap();
-        let pd = build_pushdown(&spec, Some(&schema));
-        // The Cmp on mixed `rank` is dropped; Exists on it is fine, as
-        // is the Cmp on the consistently-typed `time`.
-        assert_eq!(pd.predicates().len(), 2);
-        assert!(pd.predicates().contains(&Predicate::Exists("rank".into())));
-        assert!(pd.predicates().iter().any(
-            |p| matches!(p, Predicate::Cmp { attr, .. } if attr == "time")
-        ));
     }
 
     #[test]

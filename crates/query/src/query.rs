@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use caliper_data::{
-    Attribute, AttributeStore, Entry, FlatRecord, Properties, SnapshotRecord, ValueType,
+    Attribute, AttributeStore, FlatRecord, Properties, SnapshotRecord, ValueType,
 };
 use caliper_format::dataset::Dataset;
 use caliper_format::{csv, expand, for_each_flat, json, table};
@@ -84,14 +84,7 @@ impl QueryResult {
                     Arc::clone(&self.store),
                     Arc::new(caliper_data::ContextTree::new()),
                 );
-                for rec in &self.records {
-                    let entries = rec
-                        .pairs()
-                        .iter()
-                        .map(|(a, v)| Entry::Imm(*a, v.clone()))
-                        .collect();
-                    ds.push(SnapshotRecord::from_entries(entries));
-                }
+                ds.records.extend(self.records.iter().map(SnapshotRecord::from));
                 String::from_utf8(caliper_format::cali::to_bytes(&ds))
                     .expect("cali output is UTF-8")
             }
@@ -109,8 +102,7 @@ impl QueryResult {
     /// # use std::sync::Arc;
     /// # let mut ds = Dataset::new();
     /// # let rec = RecordBuilder::new(&ds.store).with("kernel", "a").with("t", 1.5).build();
-    /// # let entries = rec.pairs().iter().map(|(a, v)| caliper_data::Entry::Imm(*a, v.clone())).collect();
-    /// # ds.push(caliper_data::SnapshotRecord::from_entries(entries));
+    /// # ds.push(caliper_data::SnapshotRecord::from(&rec));
     /// let coarse = run_query(&ds, "AGGREGATE sum(t) GROUP BY kernel").unwrap();
     /// let refined = coarse.requery("SELECT kernel WHERE sum#t > 1").unwrap();
     /// assert_eq!(refined.records.len(), 1);
@@ -213,6 +205,16 @@ impl Pipeline {
     /// The parsed query spec.
     pub fn spec(&self) -> &QuerySpec {
         &self.spec
+    }
+
+    /// The attributes the input has declared so far: the input store's
+    /// — the dictionary every scan into this pipeline built — less the
+    /// LET outputs the pipeline added to it itself. Collected or
+    /// extended into a [`Schema`](caliper_format::Schema), they are what
+    /// the query is linted against.
+    pub fn input_attributes(&self) -> impl Iterator<Item = Attribute> + '_ {
+        let declared = |attr: &Attribute| !self.lets.added(attr.id());
+        self.input_store.all().into_iter().filter(declared)
     }
 
     /// Process one input record.
@@ -438,12 +440,7 @@ mod tests {
                     .with("loop.iteration", iteration)
                     .with("time", time)
                     .build();
-                let entries = rec
-                    .pairs()
-                    .iter()
-                    .map(|(a, v)| Entry::Imm(*a, v.clone()))
-                    .collect();
-                ds.push(SnapshotRecord::from_entries(entries));
+                ds.push(SnapshotRecord::from(&rec));
             }
         }
         ds

@@ -290,7 +290,7 @@ fn check_filters(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
             diags.push(ctx.unknown_input(attr, "WHERE", span));
             continue;
         }
-        check_pushdown_eligibility(ctx, filter, attr, span, diags);
+        check_pushdown_eligibility(ctx, attr, span, diags);
         if let Filter::Cmp { attr, op, value } = filter {
             if let Some(attr_type) = ctx.input_type(attr) {
                 let literal_type = value.value_type();
@@ -331,7 +331,6 @@ fn check_filters(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
 /// unaffected.
 fn check_pushdown_eligibility(
     ctx: &Context<'_>,
-    filter: &Filter,
     attr: &str,
     span: Option<Span>,
     diags: &mut Vec<Diagnostic>,
@@ -350,31 +349,6 @@ fn check_pushdown_eligibility(
                 "filter on a stream attribute instead, or accept a full decode \
                  of every block",
             ),
-        );
-        return;
-    }
-    if !matches!(filter, Filter::Cmp { .. }) {
-        return;
-    }
-    let mixed = ctx
-        .schema
-        .and_then(|s| s.get(attr))
-        .is_some_and(|a| a.value_type.is_none());
-    if mixed {
-        diags.push(
-            Diagnostic::warning(
-                "W007",
-                span,
-                format!(
-                    "comparing mixed-typed attribute '{attr}' cannot use the \
-                     columnar block-skip fast path: its per-stream types \
-                     disagree, so block bounds cannot be trusted"
-                ),
-            )
-            .with_help(format!(
-                "declare '{attr}' with one consistent type across streams to \
-                 make the comparison pushdown-eligible"
-            )),
         );
     }
 }
@@ -927,20 +901,20 @@ mod tests {
     }
 
     #[test]
-    fn comparing_a_mixed_typed_attribute_warns_pushdown_ineligible() {
+    fn a_mixed_typed_attribute_is_compared_without_comment() {
+        // Every file is decoded against its own dictionary, so the
+        // comparison is pushed down; and with no one type to hold the
+        // literal against, W004 stays silent too.
         let mut s = schema();
         s.observe("mpi.rank", ValueType::Str, Properties::GLOBAL); // now mixed
-        let (spec, spans) =
-            parse_query_spanned("AGGREGATE count WHERE mpi.rank = 3 GROUP BY function").unwrap();
-        let diags = analyze(&spec, Some(&spans), Some(&s));
-        assert_eq!(codes(&diags), ["W007"]);
-        assert!(diags[0].message.contains("mixed-typed"));
-        // Existence tests on the same mixed attribute stay eligible.
-        let (spec, spans) =
-            parse_query_spanned("AGGREGATE count WHERE mpi.rank GROUP BY function").unwrap();
-        assert!(analyze(&spec, Some(&spans), Some(&s)).is_empty());
-        // And a consistently-typed comparison never fires W007.
-        assert!(run("AGGREGATE count WHERE mpi.rank = 3 GROUP BY function").is_empty());
+        for q in [
+            "AGGREGATE count WHERE mpi.rank = 3 GROUP BY function",
+            "AGGREGATE count WHERE mpi.rank = \"3\" GROUP BY function",
+            "AGGREGATE count WHERE mpi.rank GROUP BY function",
+        ] {
+            let (spec, spans) = parse_query_spanned(q).unwrap();
+            assert!(analyze(&spec, Some(&spans), Some(&s)).is_empty(), "{q}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use caliper_data::{
-    AttrId, Attribute, AttributeConflict, AttributeStore, ContextTree, Entry, Properties,
+    AttrId, Attribute, AttributeConflict, AttributeStore, ContextTree, Properties,
     SnapshotRecord, Value, ValueType,
 };
 use caliper_format::Dataset;
@@ -298,12 +298,7 @@ impl AggregateService {
         let fresh = Aggregator::new(spec, Arc::clone(&self.store));
         let full = std::mem::replace(&mut self.aggregator, fresh);
         for flat in full.flush(&self.store) {
-            let entries = flat
-                .pairs()
-                .iter()
-                .map(|(a, v)| Entry::Imm(*a, v.clone()))
-                .collect();
-            self.spilled.push(SnapshotRecord::from_entries(entries));
+            self.spilled.push(SnapshotRecord::from(&flat));
         }
         self.spills += 1;
     }
@@ -328,12 +323,7 @@ impl Service for AggregateService {
         // are interned in the output dataset's store.
         out.records.append(&mut self.spilled);
         for flat in self.aggregator.flush(&out.store) {
-            let entries = flat
-                .pairs()
-                .iter()
-                .map(|(a, v)| Entry::Imm(*a, v.clone()))
-                .collect();
-            out.push(SnapshotRecord::from_entries(entries));
+            out.push(SnapshotRecord::from(&flat));
         }
     }
 

@@ -335,12 +335,7 @@ mod tests {
                 .with("kernel", *kernel)
                 .with("t", *t)
                 .build();
-            let entries = rec
-                .pairs()
-                .iter()
-                .map(|(a, v)| caliper_data::Entry::Imm(*a, v.clone()))
-                .collect();
-            ds.push(caliper_data::SnapshotRecord::from_entries(entries));
+            ds.push(caliper_data::SnapshotRecord::from(&rec));
         }
         caliper_format::cali::to_bytes(&ds)
     }

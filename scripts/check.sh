@@ -62,9 +62,13 @@ fi
 # (a non-blocking listener, a timed pop, a JoinHandle asked whether it
 # is finished) nor sleep, except in its three back-offs, one per file:
 # the client's BUSY retry, a failed accept(), the supervisor's restart.
-served_src=$(for f in crates/served/src/*.rs; do
-    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
-done)
+# (A crate's sources short of their test modules, as `file:line: text`.)
+non_test_src() {
+    for f in crates/"$1"/src/*.rs; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+    done
+}
+served_src=$(non_test_src served)
 if printf '%s\n' "$served_src" | grep -E 'set_nonblocking|pop_timeout|is_finished|WouldBlock'; then
     echo "check.sh: crates/served polls (listed above)" >&2
     exit 1
@@ -121,6 +125,29 @@ fi
 if grep -n 'HashMap' crates/query/src/scan.rs \
     || grep -n 'Option<Value>' crates/query/src/aggregator.rs; then
     echo "check.sh: a second key->group table, or a key of boxed values, is back (listed above)" >&2
+    exit 1
+fi
+
+# One-reader gate: an input file is opened and parsed by `scan_path`
+# and its dictionary-only sibling, and by nothing else (DESIGN.md §9).
+# Outside the tests, crates/format opens a file for reading only in
+# reader.rs, in journal.rs, and in the `read_file` conveniences of the
+# two row codecs; schema.rs holds a table and its saved form — it walks
+# no binary stream and touches no file.
+format_src=$(non_test_src format)
+format_reads=$(printf '%s\n' "$format_src" | grep -E 'File::open|fs::read' | cut -d: -f1 | uniq -c | tr -s ' \n' ' ')
+want_reads=" 1 crates/format/src/binary.rs 1 crates/format/src/cali.rs 1 crates/format/src/journal.rs 1 crates/format/src/reader.rs "
+if [ "$format_reads" != "$want_reads" ]; then
+    printf '%s\n' "$format_src" | grep -E 'File::open|fs::read' >&2
+    echo "check.sh: crates/format reads files outside reader.rs, journal.rs and the two read_file conveniences (all reads listed above)" >&2
+    exit 1
+fi
+if printf '%s\n' "$format_src" | grep -F 'crates/format/src/schema.rs:' | grep -E 'Cursor|std::fs|std::io'; then
+    echo "check.sh: crates/format/src/schema.rs parses streams or reads files again (listed above)" >&2
+    exit 1
+fi
+if grep -rn 'infer_path\|infer_binary\|infer_text\|scan_binary_record\|skip_value' crates; then
+    echo "check.sh: the schema pre-pass is back (listed above)" >&2
     exit 1
 fi
 
@@ -368,6 +395,14 @@ grep -q "^format.reader.blocks_skipped=[1-9]" "$smoke/pq-v2-1.stats" || {
 }
 cmp -s "$smoke/pq-v2-1.stats" "$smoke/pq-v2-2.stats" && cmp -s "$smoke/pq-v2-1.stats" "$smoke/pq-v2-4.stats" || {
     echo "check.sh: v2 --stats block differs across --threads" >&2
+    exit 1
+}
+# --no-lint only silences the lint: same read, same skips, same --stats.
+"$query" --no-lint --threads 1 --stats -q "$pq" "$smoke/golden.calb2" \
+    > "$smoke/pq-v2-nolint.out" 2>"$smoke/pq-v2-nolint.stats"
+cmp -s "$smoke/pq-v2-1.out" "$smoke/pq-v2-nolint.out" \
+    && cmp -s "$smoke/pq-v2-1.stats" "$smoke/pq-v2-nolint.stats" || {
+    echo "check.sh: cali-query --no-lint differs from the default run in output or --stats" >&2
     exit 1
 }
 # The cross-driver half of the merge-order contract (DESIGN.md §6): a
