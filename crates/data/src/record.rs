@@ -67,6 +67,11 @@ impl SnapshotRecord {
         self.entries.is_empty()
     }
 
+    /// Remove every entry, keeping the buffer for the next record.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Expand against a context tree into a flat record. Node entries
     /// expand to their full root-first path; immediate entries are
     /// appended in order.

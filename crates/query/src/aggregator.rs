@@ -8,7 +8,8 @@
 //! possible.
 //!
 //! The same engine serves all three aggregation applications from the
-//! paper: on-line event aggregation (driven by runtime snapshots),
+//! paper: on-line event aggregation (driven by runtime snapshots, keyed
+//! straight from their context-tree node: [`Aggregator::add_snapshot`]),
 //! cross-process aggregation (entries merged up a reduction tree via
 //! [`Aggregator::merge`]), and analytical aggregation (driven by records
 //! read from `.cali` files).
@@ -16,7 +17,8 @@
 use std::sync::{Arc, Weak};
 
 use caliper_data::{
-    AttrId, Attribute, AttributeStore, FlatRecord, FxBuildHasher, Properties, Value, ValueType,
+    AttrId, Attribute, AttributeStore, ContextTree, Entry, FlatRecord, FxBuildHasher, NodeId,
+    Properties, SnapshotRecord, Value, ValueType,
 };
 use caliper_format::{Cell, StringTable};
 
@@ -119,6 +121,19 @@ pub(crate) struct CodeMap {
 
 const NO_CODE: u32 = u32::MAX;
 
+/// What a context-tree node's root-first path contributes to a key,
+/// worked out on the node's first sight ([`Aggregator::add_snapshot`]).
+enum NodeKey {
+    /// One cell per key label: the path's value for it — a nested
+    /// attribute's `/`-joined path as one code — or `None` where the
+    /// path does not carry the label, so that an immediate may.
+    Cells(Box<[KeyCell]>),
+    /// An op's target is on the path. A row lists the path's values
+    /// before the immediates', so snapshots at this node take the row
+    /// path.
+    Rows,
+}
+
 /// One aggregation database entry: the reduction states for one unique key.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DbEntry {
@@ -161,15 +176,26 @@ pub struct Aggregator {
     /// into `strings`' terms and go through [`Aggregator::admit`].
     db: std::collections::HashMap<Box<[KeyCell]>, u32, FxBuildHasher>,
     entries: Vec<DbEntry>,
-    /// The strings of admitted keys and of nothing else
-    /// ([`Aggregator::key_code`]).
+    /// The strings of admitted keys ([`Aggregator::key_code`]) — and of
+    /// cached context paths ([`Aggregator::add_snapshot`]), which a
+    /// snapshot whose immediates send it down the row path leaves
+    /// unused.
     strings: StringTable,
     /// What a [`CodeMap`] recognises this aggregator by.
     id: Arc<()>,
-    /// Scratch of [`Aggregator::add`] and [`Aggregator::merge`]: the key
-    /// on its way to `admit`, and a nested key attribute's path.
+    /// Scratch of [`Aggregator::add`], [`Aggregator::add_snapshot`] and
+    /// [`Aggregator::merge`]: the key on its way to `admit`, and a
+    /// nested key attribute's path.
     key: Vec<KeyCell>,
     path: String,
+    /// [`Aggregator::add_snapshot`]'s cache, by context-tree node id. It
+    /// holds codes of `strings` and answers for the tree of id `tree`,
+    /// so it lives and dies with this aggregator and starts over when
+    /// handed another tree.
+    nodes: Vec<Option<NodeKey>>,
+    tree: Option<u64>,
+    /// Snapshots [`Aggregator::add_snapshot`] sent down the row path.
+    snapshot_fallbacks: u64,
     records_processed: u64,
     /// Capacity bound on `db` (None = unbounded, the historical mode).
     max_groups: Option<usize>,
@@ -197,6 +223,9 @@ impl Aggregator {
             id: Arc::new(()),
             key: Vec::new(),
             path: String::new(),
+            nodes: Vec::new(),
+            tree: None,
+            snapshot_fallbacks: 0,
             records_processed: 0,
             max_groups: None,
             overflow: None,
@@ -251,6 +280,12 @@ impl Aggregator {
     /// Total number of input records processed.
     pub fn records_processed(&self) -> u64 {
         self.records_processed
+    }
+
+    /// Snapshots [`add_snapshot`](Self::add_snapshot) folded through the
+    /// row path (diagnostics: the runtime's schemes should take none).
+    pub fn snapshot_fallbacks(&self) -> u64 {
+        self.snapshot_fallbacks
     }
 
     fn resolve(store: &AttributeStore, slot: &mut Option<AttrId>, label: &str) -> Option<AttrId> {
@@ -347,12 +382,18 @@ impl Aggregator {
         entry
     }
 
-    /// `record`'s grouping value for the `i`th key label, as a cell: the
-    /// value if the attribute occurs once, the `/`-joined path if it is
-    /// nested ([`FlatRecord::path_string`], without building the value).
+    /// `record`'s grouping value for the `i`th key label, as a cell.
     fn key_cell(&mut self, record: &FlatRecord, i: usize) -> Option<KeyCell> {
         let attr = Self::resolve(&self.store, &mut self.key_attrs[i], &self.spec.key[i]);
-        let mut values = attr.into_iter().flat_map(|attr| record.all(attr));
+        self.cell_of(attr.into_iter().flat_map(|attr| record.all(attr)))
+    }
+
+    /// The grouping value of a key label's occurrences, in record
+    /// order, as a cell: absent for none, the value if there is one, the
+    /// `/`-joined path if the attribute is nested
+    /// ([`FlatRecord::path_string`], without building the value). `None`
+    /// where [`key_code`](Self::key_code) turns a string away.
+    fn cell_of<'v>(&mut self, mut values: impl Iterator<Item = &'v Value>) -> Option<KeyCell> {
         let cell = match (values.next(), values.next()) {
             (None, _) => return Some(KeyCell(None)),
             (Some(Value::Str(text)), None) => Cell::Str(self.key_code(text)?),
@@ -400,6 +441,153 @@ impl Aggregator {
                 }
             }
         }
+    }
+
+    /// Process one snapshot record whose node entries refer to `tree`:
+    /// exactly what [`add`](Self::add) of `rec.unpack(tree)` does, which
+    /// stays the definition, without building that row (§IV-B: the key
+    /// is node ids plus immediate values). The first sight of a node
+    /// walks its path once, under the tree's read lock, to the key cells
+    /// it contributes; after that a snapshot copies those cells, sets
+    /// the immediates' and feeds the reducers from the immediates —
+    /// no lock, no string built, nothing allocated.
+    ///
+    /// Shapes whose row is not "the node's cells, then each immediate
+    /// once" take the row path: more than one node entry, a node `tree`
+    /// does not know, an op target on the path, a key label both on the
+    /// path and an immediate or twice an immediate, and a key string
+    /// turned away at the [group cap](Self::set_max_groups) — counted
+    /// by [`snapshot_fallbacks`](Self::snapshot_fallbacks).
+    pub fn add_snapshot(&mut self, rec: &SnapshotRecord, tree: &ContextTree) {
+        if !self.snapshot_key(rec, tree) {
+            self.snapshot_fallbacks += 1;
+            return self.add(&rec.unpack(tree));
+        }
+        let key = std::mem::take(&mut self.key);
+        let group = self.admit(&key, DbEntry::fresh);
+        self.key = key;
+
+        self.records_processed += 1;
+        let ops = &self.spec.ops;
+        let entry = Self::entry_of(&mut self.entries, &mut self.overflow, ops, group);
+        entry.records += 1;
+        for (reducer, op) in entry.reducers.iter_mut().zip(ops) {
+            if op.kind == OpKind::Count {
+                reducer.update(&Value::UInt(1));
+            }
+        }
+        for (attr, value) in immediates(rec) {
+            for (reducer, target) in entry.reducers.iter_mut().zip(&self.target_attrs) {
+                if *target == Some(attr) {
+                    reducer.update(value);
+                }
+            }
+        }
+    }
+
+    /// `rec`'s key into `self.key`, or false for a shape the row path
+    /// takes ([`add_snapshot`](Self::add_snapshot)).
+    fn snapshot_key(&mut self, rec: &SnapshotRecord, tree: &ContextTree) -> bool {
+        for (slot, label) in self.key_attrs.iter_mut().zip(&self.spec.key) {
+            Self::resolve(&self.store, slot, label);
+        }
+        for (slot, op) in self.target_attrs.iter_mut().zip(&self.spec.ops) {
+            if op.kind != OpKind::Count {
+                Self::resolve(&self.store, slot, op.target.as_deref().unwrap_or_default());
+            }
+        }
+        let mut nodes = rec.entries().iter().filter_map(|entry| match entry {
+            Entry::Node(node) => Some(*node),
+            Entry::Imm(..) => None,
+        });
+        let (node, None) = (nodes.next(), nodes.next()) else {
+            return false;
+        };
+        self.key.clear();
+        match node {
+            None => self.key.resize(self.spec.key.len(), KeyCell(None)),
+            Some(node) if self.node_key(node, tree) => {}
+            Some(_) => return false,
+        }
+
+        // Every immediate key label once, and only where the path has
+        // none — checked before a string is looked up, so the row path
+        // finds the table as it was.
+        for (i, (attr, _)) in immediates(rec).enumerate() {
+            for slot in 0..self.key.len() {
+                if self.key_attrs[slot] == Some(attr)
+                    && (self.key[slot].0.is_some()
+                        || immediates(rec).take(i).any(|(earlier, _)| earlier == attr))
+                {
+                    return false;
+                }
+            }
+        }
+        for (attr, value) in immediates(rec) {
+            for slot in 0..self.key.len() {
+                if self.key_attrs[slot] == Some(attr) {
+                    match self.cell_of(std::iter::once(value)) {
+                        Some(cell) => self.key[slot] = cell,
+                        None => return false,
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Append what `node`'s path contributes to a key to `self.key`,
+    /// working it out on the node's first sight. False where snapshots
+    /// at `node` take the row path.
+    fn node_key(&mut self, node: NodeId, tree: &ContextTree) -> bool {
+        if self.tree != Some(tree.id()) {
+            self.tree = Some(tree.id());
+            self.nodes.clear();
+        }
+        let index = node as usize;
+        if !matches!(self.nodes.get(index), Some(Some(_))) {
+            let Some(cached) = self.path_key(node, tree) else {
+                return false;
+            };
+            if self.nodes.len() <= index {
+                self.nodes.resize_with(index + 1, || None);
+            }
+            self.nodes[index] = Some(cached);
+        }
+        match &self.nodes[index] {
+            Some(NodeKey::Cells(cells)) => {
+                self.key.extend_from_slice(cells);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// What `node`'s root-first path contributes to a key — the one
+    /// place the snapshot path takes the tree's lock. `None`, nothing to
+    /// remember, for a node the tree does not know and for a path whose
+    /// key string is turned away at capacity.
+    fn path_key(&mut self, node: NodeId, tree: &ContextTree) -> Option<NodeKey> {
+        let path = tree.path(node);
+        if path.is_empty() {
+            return None;
+        }
+        if path
+            .iter()
+            .any(|(attr, _)| self.target_attrs.contains(&Some(*attr)))
+        {
+            return Some(NodeKey::Rows);
+        }
+        let mut cells = Vec::with_capacity(self.key_attrs.len());
+        for slot in 0..self.key_attrs.len() {
+            let attr = self.key_attrs[slot];
+            let values = path
+                .iter()
+                .filter(|(a, _)| Some(*a) == attr)
+                .map(|(_, v)| v);
+            cells.push(self.cell_of(values)?);
+        }
+        Some(NodeKey::Cells(cells.into()))
     }
 
     /// Merge another aggregator's database into this one (cross-process
@@ -589,6 +777,14 @@ impl Aggregator {
             .add(u64::from(self.overflow.is_some()));
         out
     }
+}
+
+/// A snapshot record's immediate entries, in entry order.
+fn immediates(rec: &SnapshotRecord) -> impl Iterator<Item = (AttrId, &Value)> {
+    rec.entries().iter().filter_map(|entry| match entry {
+        Entry::Imm(attr, value) => Some((*attr, value)),
+        Entry::Node(_) => None,
+    })
 }
 
 impl std::fmt::Debug for Aggregator {

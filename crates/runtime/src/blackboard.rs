@@ -153,6 +153,15 @@ impl Blackboard {
     /// Take a compressed snapshot of the current blackboard contents.
     pub fn snapshot(&self) -> SnapshotRecord {
         let mut rec = SnapshotRecord::new();
+        self.snapshot_into(&mut rec);
+        rec
+    }
+
+    /// [`snapshot`](Self::snapshot) into `rec`, replacing what it held
+    /// and reusing its buffer: the thread scope's snapshot path takes
+    /// every snapshot into the same record.
+    pub fn snapshot_into(&self, rec: &mut SnapshotRecord) {
+        rec.clear();
         if self.node != NODE_NONE {
             rec.push_node(self.node);
         }
@@ -161,7 +170,6 @@ impl Blackboard {
                 rec.push_imm(*attr, value.clone());
             }
         }
-        rec
     }
 
     /// True if nothing is on the blackboard.

@@ -229,7 +229,9 @@ impl Service for TraceService {
 }
 
 /// The on-line aggregation service (§IV-B): streams snapshot records
-/// into a per-thread aggregation database.
+/// into a per-thread aggregation database, keyed by their context-tree
+/// node and immediates ([`Aggregator::add_snapshot`]) — no lock, string
+/// or allocation per snapshot once the nodes and groups have been seen.
 ///
 /// The service's count operator emits `aggregate.count`, which off-line
 /// queries re-aggregate with `sum(aggregate.count)` (§VI-B).
@@ -310,8 +312,7 @@ impl Service for AggregateService {
     }
 
     fn consume(&mut self, ctx: &ProcCtx<'_>, rec: &SnapshotRecord) {
-        let flat = rec.unpack(ctx.tree);
-        self.aggregator.add(&flat);
+        self.aggregator.add_snapshot(rec, ctx.tree);
         if self.max_entries > 0 && self.aggregator.len() >= self.max_entries {
             self.spill();
         }

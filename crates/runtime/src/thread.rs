@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use caliper_data::{Attribute, Value};
+use caliper_data::{Attribute, SnapshotRecord, Value};
 use caliper_format::Dataset;
 use caliper_query::{parse_query, AggregationSpec};
 
@@ -151,6 +151,9 @@ impl ChannelScope {
 pub struct ThreadScope {
     caliper: Arc<Caliper>,
     blackboard: Blackboard,
+    /// The snapshot being taken: every snapshot is taken into this one
+    /// record, so a snapshot allocates nothing of its own.
+    record: SnapshotRecord,
     channels: Vec<ChannelScope>,
     flushed: bool,
 }
@@ -164,6 +167,7 @@ impl ThreadScope {
             .collect();
         ThreadScope {
             blackboard: Blackboard::new(Arc::clone(caliper.tree())),
+            record: SnapshotRecord::new(),
             caliper,
             channels,
             flushed: false,
@@ -195,7 +199,8 @@ impl ThreadScope {
     }
 
     fn run_snapshot(&mut self, channel_idx: usize, trigger: Trigger) {
-        let mut rec = self.blackboard.snapshot();
+        let rec = &mut self.record;
+        self.blackboard.snapshot_into(rec);
         let ctx = ProcCtx {
             store: self.caliper.store(),
             tree: self.caliper.tree(),
@@ -204,10 +209,10 @@ impl ThreadScope {
         };
         let channel = &mut self.channels[channel_idx];
         for service in &mut channel.services {
-            service.augment(&ctx, &mut rec);
+            service.augment(&ctx, rec);
         }
         for service in &mut channel.services {
-            service.consume(&ctx, &rec);
+            service.consume(&ctx, rec);
         }
         channel.snapshot_count += 1;
         if let Some(m) = &channel.metrics {

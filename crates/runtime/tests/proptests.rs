@@ -1,12 +1,19 @@
 //! Property-based tests for the runtime: the blackboard must behave
 //! like a reference model (per-attribute stacks) under arbitrary
-//! begin/end/set sequences, and snapshot processing must be lossless.
+//! begin/end/set sequences, snapshot processing must be lossless, and
+//! the on-line aggregate's snapshot path must fold what the row path
+//! folds.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use caliper_data::{Attribute, AttributeStore, ContextTree, Properties, Value, ValueType};
-use caliper_runtime::Blackboard;
+use caliper_data::{
+    Attribute, AttributeStore, ContextTree, Entry, FlatRecord, Properties, SnapshotRecord, Value,
+    ValueType, NODE_NONE,
+};
+use caliper_format::Dataset;
+use caliper_query::{parse_query, AggregationSpec, Aggregator};
+use caliper_runtime::{AggregateService, Blackboard, Clock, ProcCtx, Service, Trigger};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -152,4 +159,364 @@ proptest! {
         }
         prop_assert!(bb.is_empty());
     }
+
+    /// `Aggregator::add_snapshot` folds what `add` of the unpacked row
+    /// folds: generated runs over nested and `AS_VALUE` attributes,
+    /// generated keys (nested keys that join, a label that never
+    /// resolves, an attribute created after the aggregator) and ops
+    /// (targets on the path and off it), with and without a group cap.
+    #[test]
+    fn snapshot_path_folds_what_the_row_path_folds(
+        steps in prop::collection::vec(arb_step(), 0..80),
+        key in prop::collection::vec(0usize..LABELS.len(), 0..4),
+        ops in prop::collection::vec(0usize..OPS.len(), 0..3),
+        late_nested in any::<bool>(),
+        cap in 0usize..6,
+    ) {
+        let store = Arc::new(AttributeStore::new());
+        let tree = Arc::new(ContextTree::new());
+        let spec = aggregation(&key, &ops);
+        let cap = (cap > 0).then_some(cap);
+        let mut snapshots = Aggregator::new(spec.clone(), Arc::clone(&store));
+        let mut rows = Aggregator::new(spec, Arc::clone(&store));
+        snapshots.set_max_groups(cap);
+        rows.set_max_groups(cap);
+        play(&store, &tree, &steps, late_nested, |rec| {
+            snapshots.add_snapshot(rec, &tree);
+            rows.add(&rec.unpack(&tree));
+        });
+        let (out, row_out) = (AttributeStore::new(), AttributeStore::new());
+        prop_assert_eq!(flushed(&snapshots, &out), flushed(&rows, &row_out));
+        prop_assert_eq!(snapshots.records_processed(), rows.records_processed());
+        prop_assert_eq!(snapshots.overflow_records(), rows.overflow_records());
+    }
+
+    /// A bounded service spills and starts over — its node cache with
+    /// it — into the partial results the row path spills.
+    #[test]
+    fn spilling_service_folds_what_the_row_path_folds(
+        steps in prop::collection::vec(arb_step(), 0..80),
+        key in prop::collection::vec(0usize..LABELS.len(), 0..4),
+        ops in prop::collection::vec(0usize..OPS.len(), 0..3),
+        late_nested in any::<bool>(),
+        max_entries in 1usize..6,
+    ) {
+        let store = Arc::new(AttributeStore::new());
+        let tree = Arc::new(ContextTree::new());
+        let clock = Clock::virtual_clock();
+        let ctx = || ProcCtx { store: &store, tree: &tree, clock: &clock, trigger: Trigger::User };
+        let spec = aggregation(&key, &ops);
+        let mut service = AggregateService::with_capacity(spec.clone(), Arc::clone(&store), max_entries);
+        // The row path, spilling as the service does, all into one store.
+        let spec = spec.with_count_label(AggregateService::COUNT_ATTR);
+        let (out, mut expected) = (AttributeStore::new(), Vec::new());
+        let mut rows = Aggregator::new(spec.clone(), Arc::clone(&store));
+        play(&store, &tree, &steps, late_nested, |rec| {
+            service.consume(&ctx(), rec);
+            rows.add(&rec.unpack(&tree));
+            if rows.len() >= max_entries {
+                let fresh = Aggregator::new(spec.clone(), Arc::clone(&store));
+                expected.extend(flushed(&std::mem::replace(&mut rows, fresh), &out));
+            }
+        });
+        expected.extend(flushed(&rows, &out));
+
+        let mut ds = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
+        service.flush(&ctx(), &mut ds);
+        let got: Vec<String> = ds.flat_records().map(|row| described(&row, &ds.store)).collect();
+        prop_assert_eq!(got, expected);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The on-line aggregate's two paths. CleverLeaf's own schemes A, B and
+// C are held to the snapshot path in `crates/bench/tests/schemes.rs`.
+
+/// The attributes a generated run annotates: nested strings and ints,
+/// and values of three types.
+const ATTRS: [(&str, ValueType, Properties); 6] = [
+    ("n.str", ValueType::Str, Properties::NESTED),
+    ("n.int", ValueType::Int, Properties::NESTED),
+    ("n.tag", ValueType::Str, Properties::NESTED),
+    ("v.int", ValueType::Int, Properties::AS_VALUE),
+    ("v.str", ValueType::Str, Properties::AS_VALUE),
+    ("v.float", ValueType::Float, Properties::AS_VALUE),
+];
+
+/// What a generated key names: every attribute, `late` (created by a
+/// [`Step::CreateLate`] mid-run) and a label that never resolves.
+const LABELS: [&str; 8] = [
+    "n.str", "n.int", "n.tag", "v.int", "v.str", "v.float", "late", "never",
+];
+
+/// What generated ops are drawn from; `avg(n.int)` targets the path.
+const OPS: [&str; 7] = [
+    "count",
+    "sum(v.float)",
+    "min(v.int)",
+    "max(v.str)",
+    "avg(n.int)",
+    "sum(late)",
+    "max(never)",
+];
+
+#[derive(Debug, Clone)]
+enum Step {
+    Begin(usize, usize),
+    End(usize),
+    Set(usize, usize),
+    Snapshot,
+    CreateLate,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let attr = 0usize..ATTRS.len() + 1;
+    prop_oneof![
+        (attr.clone(), 0usize..4).prop_map(|(a, v)| Step::Begin(a, v)),
+        attr.clone().prop_map(Step::End),
+        (attr, 0usize..4).prop_map(|(a, v)| Step::Set(a, v)),
+        Just(Step::Snapshot),
+        Just(Step::Snapshot),
+        Just(Step::CreateLate),
+    ]
+}
+
+/// The `v`th value of a type: few, so keys repeat, and `"x/y"`, which a
+/// nested `x`, `y` joins to as well.
+fn value(vtype: ValueType, v: usize) -> Value {
+    match vtype {
+        ValueType::Int => Value::Int(v as i64 % 3),
+        ValueType::Float => Value::Float([0.5, 1.5, -0.0, 0.0][v]),
+        _ => Value::str(["x", "y", "x/y", "z"][v]),
+    }
+}
+
+fn aggregation(key: &[usize], ops: &[usize]) -> AggregationSpec {
+    let key = key.iter().map(|&k| LABELS[k].to_string()).collect();
+    let ops: Vec<&str> = ops.iter().map(|&o| OPS[o]).collect();
+    let ops = match ops.is_empty() {
+        true => Vec::new(),
+        false => {
+            parse_query(&format!("AGGREGATE {}", ops.join(",")))
+                .unwrap()
+                .ops
+        }
+    };
+    AggregationSpec::new(ops, key)
+}
+
+/// Play `steps` on a blackboard over `tree`, handing each snapshot to
+/// `take` as it is taken.
+fn play(
+    store: &AttributeStore,
+    tree: &Arc<ContextTree>,
+    steps: &[Step],
+    late_nested: bool,
+    mut take: impl FnMut(&SnapshotRecord),
+) {
+    let mut attrs: Vec<Attribute> = ATTRS
+        .iter()
+        .map(|&(label, vtype, properties)| store.create(label, vtype, properties).unwrap())
+        .collect();
+    let mut bb = Blackboard::new(Arc::clone(tree));
+    let mut rec = SnapshotRecord::new();
+    for step in steps {
+        match *step {
+            Step::Begin(a, v) if a < attrs.len() => {
+                bb.begin(&attrs[a], value(attrs[a].value_type(), v))
+            }
+            Step::End(a) if a < attrs.len() => drop(bb.end(&attrs[a])),
+            Step::Set(a, v) if a < attrs.len() => {
+                bb.set(&attrs[a], value(attrs[a].value_type(), v))
+            }
+            Step::Snapshot => {
+                bb.snapshot_into(&mut rec);
+                take(&rec);
+            }
+            Step::CreateLate if attrs.len() == ATTRS.len() => {
+                let properties = if late_nested {
+                    Properties::NESTED
+                } else {
+                    Properties::AS_VALUE
+                };
+                attrs.push(store.create("late", ValueType::Str, properties).unwrap());
+            }
+            _ => {}
+        }
+    }
+}
+
+/// An aggregator's flushed rows, result attributes interned in `out`.
+fn flushed(agg: &Aggregator, out: &AttributeStore) -> Vec<String> {
+    agg.flush(out)
+        .iter()
+        .map(|row| described(row, out))
+        .collect()
+}
+
+/// A row as `label=value,…`, and its floats by their bits, which the
+/// text rounds.
+fn described(row: &FlatRecord, store: &AttributeStore) -> String {
+    let bits: Vec<u64> = row
+        .pairs()
+        .iter()
+        .filter_map(|(_, value)| match value {
+            Value::Float(x) => Some(x.to_bits()),
+            _ => None,
+        })
+        .collect();
+    format!("{} {bits:x?}", row.describe(store))
+}
+
+/// Each shape the snapshot path hands to the row path, built by hand,
+/// takes it, and a plain snapshot does not; either way the flush is the
+/// row path's.
+#[test]
+fn fallback_shapes_take_the_row_path() {
+    let store = Arc::new(AttributeStore::new());
+    let tree = ContextTree::new();
+    let create = |label, vtype, properties| store.create(label, vtype, properties).unwrap().id();
+    let n = create("n.str", ValueType::Str, Properties::NESTED);
+    let tag = create("n.tag", ValueType::Str, Properties::NESTED);
+    let v = create("v.str", ValueType::Str, Properties::AS_VALUE);
+    let f = create("v.float", ValueType::Float, Properties::AS_VALUE);
+    let main = tree.get_child(NODE_NONE, n, &Value::str("main"));
+    let foo = tree.get_child(main, n, &Value::str("foo"));
+    let tagged = tree.get_child(foo, tag, &Value::str("t"));
+    let text = |attr, s: &str| Entry::Imm(attr, Value::str(s));
+    let time = Entry::Imm(f, Value::Float(1.5));
+
+    // (shape, key, ops, group cap, records, snapshots the row path takes)
+    let cases = [
+        (
+            "plain",
+            "n.str,v.str,n.tag",
+            "count,sum(v.float)",
+            None,
+            vec![
+                vec![Entry::Node(foo), text(v, "a"), time.clone()],
+                vec![Entry::Node(tagged), time.clone()],
+                vec![text(v, "b")],
+                vec![],
+            ],
+            0,
+        ),
+        (
+            "two node entries",
+            "n.str",
+            "count,sum(v.float)",
+            None,
+            vec![vec![Entry::Node(main), Entry::Node(tagged), time.clone()]],
+            1,
+        ),
+        (
+            "a key on the path and an immediate",
+            "n.str",
+            "count",
+            None,
+            vec![vec![Entry::Node(foo), text(n, "x")], vec![Entry::Node(foo)]],
+            1,
+        ),
+        (
+            "a key twice an immediate",
+            "v.str",
+            "count",
+            None,
+            vec![vec![text(v, "a"), text(v, "b")], vec![text(v, "a")]],
+            1,
+        ),
+        (
+            "an op target on the path",
+            "v.str",
+            "count,max(n.tag)",
+            None,
+            vec![
+                vec![Entry::Node(tagged), text(v, "a")],
+                vec![Entry::Node(foo)],
+            ],
+            1,
+        ),
+        (
+            "a node the tree does not know",
+            "n.str",
+            "count",
+            None,
+            vec![vec![Entry::Node(99)], vec![Entry::Node(NODE_NONE)]],
+            2,
+        ),
+        (
+            "key strings turned away at capacity",
+            "n.str,v.str",
+            "count",
+            Some(1),
+            vec![
+                vec![text(v, "a")],
+                vec![Entry::Node(foo), text(v, "a")],
+                vec![text(v, "b")],
+                vec![text(v, "a")],
+            ],
+            2,
+        ),
+        (
+            "at capacity, a key of no new string",
+            "v.str,n.tag",
+            "count",
+            Some(1),
+            vec![
+                vec![text(v, "a")],
+                vec![Entry::Node(foo)],
+                vec![text(v, "a"), time.clone()],
+            ],
+            0,
+        ),
+    ];
+    for (name, key, ops, cap, records, fallbacks) in cases {
+        let spec = AggregationSpec::from_query(
+            &parse_query(&format!("AGGREGATE {ops} GROUP BY {key}")).unwrap(),
+        );
+        let mut snapshots = Aggregator::new(spec.clone(), Arc::clone(&store));
+        let mut rows = Aggregator::new(spec, Arc::clone(&store));
+        snapshots.set_max_groups(cap);
+        rows.set_max_groups(cap);
+        for entries in records {
+            let rec = SnapshotRecord::from_entries(entries);
+            snapshots.add_snapshot(&rec, &tree);
+            rows.add(&rec.unpack(&tree));
+        }
+        assert_eq!(snapshots.snapshot_fallbacks(), fallbacks, "{name}");
+        assert_eq!(
+            flushed(&snapshots, &AttributeStore::new()),
+            flushed(&rows, &AttributeStore::new()),
+            "{name}"
+        );
+    }
+}
+
+/// A snapshot's node is cached per tree: another tree with the same ids
+/// — here, one after another, likely at one address — starts the cache
+/// over.
+#[test]
+fn another_tree_starts_the_node_cache_over() {
+    let store = Arc::new(AttributeStore::new());
+    let n = store
+        .create("n.str", ValueType::Str, Properties::NESTED)
+        .unwrap()
+        .id();
+    let spec = AggregationSpec::from_query(&parse_query("AGGREGATE count GROUP BY n.str").unwrap());
+    let mut snapshots = Aggregator::new(spec.clone(), Arc::clone(&store));
+    let mut rows = Aggregator::new(spec, Arc::clone(&store));
+    for name in ["main", "other"] {
+        let tree = ContextTree::new();
+        let node = tree.get_child(NODE_NONE, n, &Value::str(name));
+        let rec = SnapshotRecord::from_entries(vec![Entry::Node(node)]);
+        snapshots.add_snapshot(&rec, &tree);
+        rows.add(&rec.unpack(&tree));
+    }
+    assert_eq!(snapshots.snapshot_fallbacks(), 0);
+    let out = AttributeStore::new();
+    assert_eq!(
+        flushed(&snapshots, &out),
+        ["n.str=main,count=1 []", "n.str=other,count=1 []"]
+    );
+    assert_eq!(flushed(&snapshots, &out), flushed(&rows, &out));
 }

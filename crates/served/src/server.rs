@@ -968,8 +968,12 @@ mod tests {
 
         let stream = state.stream("s1").unwrap();
         let wedge = stream.lock().unwrap();
+        // Wait for a worker to hold the stream: only a batch that made
+        // it into the queue gets there. (`in_flight_replies` goes up
+        // before the push, and a drain begun in between refuses it.)
+        let held = Arc::strong_count(&stream);
         let sender = std::thread::spawn(move || early.send_batch(&batch(&[("a", 10)])).unwrap());
-        while state.lifecycle().in_flight_replies == 0 {
+        while Arc::strong_count(&stream) == held {
             std::thread::yield_now();
         }
 

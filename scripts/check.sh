@@ -52,7 +52,11 @@ for f in src/lib.rs crates/*/src/lib.rs vendor/*/src/lib.rs; do
         exit 1
     }
 done
-if grep -rn --include='*.rs' 'unsafe' src crates vendor | grep -v 'forbid(unsafe_code)'; then
+# One test binary is exempt: `snapshot_allocs.rs` installs a counting
+# global allocator (an `unsafe impl GlobalAlloc` that forwards to
+# `System`), which no safe code can do.
+if grep -rn --include='*.rs' 'unsafe' src crates vendor | grep -v 'forbid(unsafe_code)' \
+    | grep -v '^crates/runtime/tests/snapshot_allocs\.rs:'; then
     echo "check.sh: unsafe code found (listed above)" >&2
     exit 1
 fi
@@ -88,6 +92,19 @@ fi
 if printf '%s\n' "$served_src" | grep -F 'crates/served/src/state.rs:' \
     | grep -E '\.unpack\(|flat_records\(|Aggregator::add|\.add\(&'; then
     echo "check.sh: crates/served/src/state.rs handles records (listed above)" >&2
+    exit 1
+fi
+# Nor does the runtime's snapshot path: a snapshot is taken into the
+# record the thread scope reuses and folded from its node and its
+# immediates (`add_snapshot`, DESIGN.md §1), so outside the tests
+# crates/runtime unpacks no record, builds no row, feeds the aggregate
+# none and takes no snapshot of a fresh record. (The journal's
+# `append_globals` writes the dataset's global metadata, which are rows
+# by definition and never pass a snapshot service.)
+runtime_src=$(non_test_src runtime)
+if printf '%s\n' "$runtime_src" | grep -E '\.unpack\(|Aggregator::add\b|\.add\(&|blackboard\.snapshot\(\)' \
+    || printf '%s\n' "$runtime_src" | grep -v '^crates/runtime/src/journal.rs:' | grep -F 'FlatRecord'; then
+    echo "check.sh: crates/runtime handles rows on the snapshot path (listed above)" >&2
     exit 1
 fi
 # And the text line encoder allocates nothing per record: from its
