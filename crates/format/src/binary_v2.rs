@@ -402,10 +402,12 @@ impl StringTable {
 
     /// The code of `text`, assigning the next free one on first sight.
     pub fn intern(&mut self, text: &str) -> u32 {
-        if let Some(code) = self.find(text) {
-            return code;
-        }
-        let text: Arc<str> = Arc::from(text);
+        self.find(text)
+            .unwrap_or_else(|| self.insert(Arc::from(text)))
+    }
+
+    /// The next free code, for `text`, which has none yet.
+    fn insert(&mut self, text: Arc<str>) -> u32 {
         let code = self.values.len() as u32;
         self.values.push(Value::Str(Arc::clone(&text)));
         self.codes.insert(text, code);
@@ -427,11 +429,13 @@ impl StringTable {
         &self.values[code as usize]
     }
 
-    /// Bring a value into this table's terms: strings are interned,
-    /// everything else is copied.
+    /// Bring a value into this table's terms: strings are interned (a
+    /// new one shares the value's text), everything else is copied.
     pub fn cell(&mut self, value: &Value) -> Cell {
         match value {
-            Value::Str(text) => Cell::Str(self.intern(text)),
+            Value::Str(text) => {
+                Cell::Str(self.find(text).unwrap_or_else(|| self.insert(Arc::clone(text))))
+            }
             Value::Int(i) => Cell::Int(*i),
             Value::UInt(u) => Cell::UInt(*u),
             Value::Float(x) => Cell::Float(*x),
@@ -477,8 +481,21 @@ pub enum Cell {
     Bool(bool),
 }
 
-/// The values of one column, in the vector type of the attribute's
-/// declared value type.
+impl Cell {
+    /// The type of the value the cell holds.
+    pub fn value_type(self) -> ValueType {
+        match self {
+            Cell::Str(_) => ValueType::Str,
+            Cell::Int(_) => ValueType::Int,
+            Cell::UInt(_) => ValueType::UInt,
+            Cell::Float(_) => ValueType::Float,
+            Cell::Bool(_) => ValueType::Bool,
+        }
+    }
+}
+
+/// The values of one column, in the vector type of their value type —
+/// in a decoded block, the attribute's declared one.
 #[derive(Debug)]
 pub enum ColumnData {
     /// String codes (see [`StringTable`]).
@@ -529,6 +546,17 @@ impl ColumnData {
         }
     }
 
+    /// The type of the values the column holds.
+    fn value_type(&self) -> ValueType {
+        match self {
+            ColumnData::Str(_) => ValueType::Str,
+            ColumnData::Int(_) => ValueType::Int,
+            ColumnData::UInt(_) => ValueType::UInt,
+            ColumnData::Float(_) => ValueType::Float,
+            ColumnData::Bool(_) => ValueType::Bool,
+        }
+    }
+
     /// Empty the column and make it hold `vtype`, keeping the buffer
     /// when the type is unchanged (the usual case from block to block).
     fn reset(&mut self, vtype: ValueType) {
@@ -558,7 +586,7 @@ impl ColumnData {
             (ColumnData::UInt(v), Cell::UInt(u)) => v.push(u),
             (ColumnData::Float(v), Cell::Float(x)) => v.push(x),
             (ColumnData::Bool(v), Cell::Bool(b)) => v.push(b),
-            _ => unreachable!("a column holds cells of its attribute's declared type"),
+            _ => panic!("a cell pushed onto a column of another type"),
         }
     }
 
@@ -594,9 +622,12 @@ pub struct Column {
 }
 
 /// One block of snapshot records as typed columns: what the CALB v2
-/// decoder makes of a framed block, and what the text reader
+/// decoder makes of a framed block, what the text reader
 /// ([`CaliReader`](crate::CaliReader)) makes of every
-/// [`DEFAULT_BLOCK_RECORDS`] `ctx` lines.
+/// [`DEFAULT_BLOCK_RECORDS`] `ctx` lines, and what others build row by
+/// row ([`column_for`](Self::column_for), [`push_imm`](Self::push_imm),
+/// [`end_row`](Self::end_row)) — an aggregation's flushed groups among
+/// them.
 ///
 /// The row skeleton is two flat arrays with per-row end offsets: node
 /// references (already remapped into the receiving dataset's context
@@ -639,13 +670,19 @@ impl Block {
         &self.imms[start as usize..self.imm_ends[row] as usize]
     }
 
-    // The text reader builds its blocks row by row: entries are pushed
-    // as a line's fields parse, and the row ends — or is taken back —
-    // once the whole line has.
+    // A block is built row by row: entries are pushed as a row's values
+    // come in, and the row ends once they all have (in the text reader,
+    // once the whole line has parsed — or it is taken back).
 
-    /// The index of `attr`'s column, added (empty) on first use.
-    pub(crate) fn column_for(&mut self, attr: AttrId, vtype: ValueType) -> u32 {
-        let found = self.columns.iter().position(|column| column.attr == attr);
+    /// The index of the column holding `attr`'s values of type `vtype`,
+    /// added (empty) on first use. Columns are keyed by both, so a value
+    /// of another type than its attribute declares is carried as it is,
+    /// in a column of its own.
+    pub fn column_for(&mut self, attr: AttrId, vtype: ValueType) -> u32 {
+        let found = self
+            .columns
+            .iter()
+            .position(|column| column.attr == attr && column.data.value_type() == vtype);
         found.unwrap_or_else(|| {
             let mut data = ColumnData::Int(Vec::new());
             data.reset(vtype);
@@ -660,20 +697,54 @@ impl Block {
     }
 
     /// Add an immediate to the open row: the next value of `column`.
-    pub(crate) fn push_imm(&mut self, column: u32, cell: Cell) {
+    /// Panics unless `cell` is of the column's type.
+    pub fn push_imm(&mut self, column: u32, cell: Cell) {
         self.columns[column as usize].data.push(cell);
         self.imms.push(column);
     }
 
     /// Close the open row. `false` — and the row stays open — when the
     /// block's entries no longer count in 32 bits.
-    pub(crate) fn end_row(&mut self) -> bool {
+    pub fn end_row(&mut self) -> bool {
         let ends = (self.refs.len().try_into(), self.imms.len().try_into());
         let (Ok(refs), Ok(imms)) = ends else {
             return false;
         };
         self.ref_ends.push(refs);
         self.imm_ends.push(imms);
+        true
+    }
+
+    /// End every row with one more immediate: `cell` as a value of
+    /// `attr`, in a column of its own — what pushing it last before each
+    /// [`end_row`](Self::end_row) would have made. `false` — and the
+    /// block unchanged — when its entries would no longer count in 32
+    /// bits.
+    pub fn stamp(&mut self, attr: AttrId, cell: Cell) -> bool {
+        let rows = self.rows();
+        let total = self.imms.len() + rows;
+        if u32::try_from(total).is_err() {
+            return false;
+        }
+        let mut data = ColumnData::Int(Vec::new());
+        data.reset(cell.value_type());
+        self.columns.push(Column { attr, data });
+        let column = (self.columns.len() - 1) as u32;
+        // Back to front, each row's immediates move up by the stamps of
+        // the rows before it.
+        self.imms.resize(total, column);
+        for row in (0..rows).rev() {
+            let start = if row == 0 {
+                0
+            } else {
+                self.imm_ends[row - 1] as usize
+            };
+            let end = self.imm_ends[row] as usize;
+            self.imms.copy_within(start..end, start + row);
+            self.imms[end + row] = column;
+            self.imm_ends[row] = (end + row + 1) as u32;
+            self.columns[column as usize].data.push(cell);
+        }
         true
     }
 
@@ -1472,6 +1543,45 @@ mod tests {
             read.unwrap();
             assert_eq!(blocks, 7);
         }
+    }
+
+    #[test]
+    fn a_built_block_keys_columns_by_type_and_stamps_every_row_last() {
+        // Rows of 0, 1 and 3 immediates, an attribute with values of two
+        // types, and a stamp of an attribute the rows carry already.
+        let mut strings = StringTable::default();
+        let (x, y) = (strings.intern("x"), strings.intern("y"));
+        let mut block = Block::default();
+        let rows: [&[(AttrId, Cell)]; 4] = [
+            &[(1, Cell::Int(1)), (2, Cell::Str(x)), (1, Cell::Str(y))],
+            &[],
+            &[(1, Cell::Str(x))],
+            &[(2, Cell::Float(0.5)), (1, Cell::Int(-3))],
+        ];
+        for row in rows {
+            for &(attr, cell) in row {
+                let column = block.column_for(attr, cell.value_type());
+                block.push_imm(column, cell);
+            }
+            assert!(block.end_row());
+        }
+        assert_eq!(
+            block.columns().len(),
+            4,
+            "(1, int), (2, str), (1, str), (2, float)"
+        );
+        assert!(block.stamp(1, Cell::Str(y)));
+        let mut records = Vec::new();
+        block.append_records(&strings, &mut records);
+        let stamp = Entry::Imm(1, Value::str("y"));
+        for (record, row) in records.iter().zip(rows) {
+            let entry =
+                |&(attr, cell): &(AttrId, Cell)| Entry::Imm(attr, strings.get(cell).into_owned());
+            let mut want: Vec<Entry> = row.iter().map(entry).collect();
+            want.push(stamp.clone());
+            assert_eq!(record.entries(), &want[..]);
+        }
+        assert_eq!(records.len(), 4);
     }
 
     #[test]

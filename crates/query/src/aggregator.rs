@@ -20,7 +20,7 @@ use caliper_data::{
     AttrId, Attribute, AttributeStore, ContextTree, Entry, FlatRecord, FxBuildHasher, NodeId,
     Properties, SnapshotRecord, Value, ValueType,
 };
-use caliper_format::{Cell, StringTable};
+use caliper_format::{Block, Cell, StringTable};
 
 use crate::ast::{AggOp, OpKind, QuerySpec};
 use crate::ops::Reducer;
@@ -106,6 +106,76 @@ impl Eq for KeyCell {}
 impl std::hash::Hash for KeyCell {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.identity().hash(state);
+    }
+}
+
+impl KeyCell {
+    /// The cell's place in the key order of flushes and capped merges:
+    /// absent first, then numbers, then strings, each as
+    /// [`Value::total_cmp`] orders the values the cells stand for, with
+    /// no `Value` built. A number is placed by its `f64` image, in the
+    /// bit order `f64::total_cmp` compares; numbers of one image follow
+    /// by exact value (2^53 before 2^53 + 1 — an integer is within 2^10
+    /// of its image), then `Float`, `Int`/`UInt`, `Bool`, so that
+    /// distinct keys never tie. A string is placed by its text's rank
+    /// among its table's strings (`ranks`).
+    fn place(self, ranks: &[u32]) -> u128 {
+        // Class (2 bits), image (64), exact value less image (32, sign
+        // bit flipped), kind (2).
+        let number = |image: f64, exact: i128, kind: u128| {
+            let bits = image.to_bits() as i64;
+            let image_order = (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ 1 << 63;
+            let offset = (exact - image as i128) as i32 as u32 ^ 1 << 31;
+            1 << 98 | u128::from(image_order) << 34 | u128::from(offset) << 2 | kind
+        };
+        match self.0 {
+            None => 0,
+            Some(Cell::Float(x)) => number(x, x as i128, 0),
+            Some(Cell::Int(i)) => number(i as f64, i.into(), 1),
+            Some(Cell::UInt(u)) => number(u as f64, u.into(), 1),
+            Some(Cell::Bool(b)) => number(f64::from(u8::from(b)), b.into(), 2),
+            Some(Cell::Str(code)) => 2 << 98 | u128::from(ranks[code as usize]) << 34,
+        }
+    }
+}
+
+/// Every code of `strings` as its text's rank among the table's strings.
+fn ranks(strings: &StringTable) -> Vec<u32> {
+    let mut codes: Vec<u32> = (0..strings.len() as u32).collect();
+    codes.sort_unstable_by_key(|&code| strings.value(code).as_str());
+    let mut ranks = vec![0; codes.len()];
+    for (rank, code) in codes.into_iter().enumerate() {
+        ranks[code as usize] = rank as u32;
+    }
+    ranks
+}
+
+/// The order that sorts `n` keys — `key(i)` the `i`th, of `width` cells,
+/// strings as codes of `strings` — into key order: by their first cells'
+/// places, the keys that tie there by their second cells', and so on.
+fn key_order<'k>(
+    strings: &StringTable,
+    width: usize,
+    n: usize,
+    key: impl Fn(usize) -> &'k [KeyCell],
+) -> Vec<u32> {
+    let ranks = ranks(strings);
+    let places: Vec<u128> = (0..n)
+        .flat_map(|i| key(i).iter().map(|cell| cell.place(&ranks)))
+        .collect();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    sort_from_slot(&mut order, &places, width, 0);
+    order
+}
+
+fn sort_from_slot(keys: &mut [u32], places: &[u128], width: usize, slot: usize) {
+    if keys.len() < 2 || slot == width {
+        return;
+    }
+    let place = |key: &u32| places[*key as usize * width + slot];
+    keys.sort_unstable_by_key(place);
+    for tied in keys.chunk_by_mut(|a, b| place(a) == place(b)) {
+        sort_from_slot(tied, places, width, slot + 1);
     }
 }
 
@@ -608,7 +678,9 @@ impl Aggregator {
         // is looked up by its text once, however many groups carry it.
         let mut incoming: Vec<(Box<[KeyCell]>, u32)> = other.db.into_iter().collect();
         if self.max_groups.is_some() {
-            incoming.sort_by(|a, b| Self::key_cmp(&other.strings, &a.0, &b.0));
+            let key = |i: usize| &*incoming[i].0;
+            let order = key_order(&other.strings, self.spec.key.len(), incoming.len(), key);
+            incoming = order.iter().map(|&i| std::mem::take(&mut incoming[i as usize])).collect();
         }
         let (mut theirs, mut codes) = (other.entries, CodeMap::default());
         let mut key = std::mem::take(&mut self.key);
@@ -634,25 +706,52 @@ impl Aggregator {
         self.key = key;
     }
 
-    /// Total order on aggregation keys (slot-wise, by the values the
-    /// cells stand for in `strings`; absent sorts first) — the comparator
-    /// behind deterministic flush and capped merges.
-    fn key_cmp(strings: &StringTable, a: &[KeyCell], b: &[KeyCell]) -> std::cmp::Ordering {
-        let mut slots = a.iter().zip(b).map(|(a, b)| match (a.0, b.0) {
-            (Some(a), Some(b)) => strings.get(a).total_cmp(&strings.get(b)),
-            (a, b) => a.is_some().cmp(&b.is_some()),
-        });
-        slots.find(|ord| ord.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
+    /// Flush the database into result records, interning result
+    /// attributes in `out_store`: the rows of
+    /// [`flush_into`](Self::flush_into)'s block, one record per group in
+    /// key order, then the overflow bucket's.
+    pub fn flush(&self, out_store: &AttributeStore) -> Vec<FlatRecord> {
+        let (mut block, mut strings) = (Block::default(), StringTable::default());
+        self.flush_into(out_store, &mut block, &mut strings);
+        let mut cursors = vec![0; block.columns().len()];
+        (0..block.rows())
+            .map(|row| {
+                let imms = block.row_imms(row);
+                let mut pairs = Vec::with_capacity(imms.len());
+                for &c in imms {
+                    let column = &block.columns()[c as usize];
+                    let cell = column.data.get(cursors[c as usize]);
+                    cursors[c as usize] += 1;
+                    pairs.push((column.attr, strings.get(cell).into_owned()));
+                }
+                FlatRecord::from_pairs(pairs)
+            })
+            .collect()
     }
 
-    /// Flush the database into result records, interning result
-    /// attributes in `out_store`. Results are sorted by key for
-    /// deterministic output.
+    /// Flush the database into `block` as typed columns, one row per
+    /// group in key order, then the overflow bucket's: each row holds
+    /// the group's key values, then its reduction results, as
+    /// immediates of attributes interned in `out_store`, strings as
+    /// codes of `strings`. Results are sorted by key for deterministic
+    /// output. Nothing is built per group but the cells.
+    ///
+    /// Every column is typed by its attribute — a key label's type in
+    /// the input store (else its first value's in key order), a result's
+    /// type joined over all groups — and values are widened to it; a
+    /// value the attribute's type does not take (the attribute existed
+    /// in `out_store` with another) is carried as it is, in a column of
+    /// its own ([`Block::column_for`]).
     ///
     /// This realizes the paper's flush step: "iterating over all entries,
     /// reconstructing the key attributes, and appending the reduction
     /// results".
-    pub fn flush(&self, out_store: &AttributeStore) -> Vec<FlatRecord> {
+    pub fn flush_into(
+        &self,
+        out_store: &AttributeStore,
+        block: &mut Block,
+        strings: &mut StringTable,
+    ) {
         // When the overflow bucket is live its row carries the string
         // sentinel in every key column, so key columns must be typed as
         // strings; ordinary key values coerce to their string rendering.
@@ -660,9 +759,16 @@ impl Aggregator {
 
         // The rows: the groups sorted by key for deterministic output,
         // then the overflow bucket, which has no key (here: an empty one).
-        let mut rows: Vec<(&[KeyCell], &DbEntry)> = Vec::with_capacity(self.db.len() + 1);
-        rows.extend(self.db.iter().map(|(key, &group)| (&**key, &self.entries[group as usize])));
-        rows.sort_by(|a, b| Self::key_cmp(&self.strings, a.0, b.0));
+        let groups: Vec<(&[KeyCell], &DbEntry)> = self
+            .db
+            .iter()
+            .map(|(key, &group)| (&**key, &self.entries[group as usize]))
+            .collect();
+        let order = key_order(&self.strings, self.spec.key.len(), groups.len(), |i| {
+            groups[i].0
+        });
+        let mut rows: Vec<(&[KeyCell], &DbEntry)> = Vec::with_capacity(groups.len() + 1);
+        rows.extend(order.iter().map(|&i| groups[i as usize]));
         rows.extend(self.overflow.iter().map(|entry| (&[][..], entry)));
 
         let declare = |label: &str, vtype, properties| {
@@ -685,7 +791,7 @@ impl Aggregator {
                 } else {
                     self.store.find(label).map(|a| a.value_type()).or_else(|| {
                         let mut cells = rows.iter().filter_map(|(key, _)| key.get(slot)?.0);
-                        cells.next().map(|cell| self.strings.get(cell).value_type())
+                        cells.next().map(Cell::value_type)
                     })
                 };
                 vtype.map(|t| declare(label, t, Properties::DEFAULT))
@@ -728,37 +834,39 @@ impl Aggregator {
             })
             .collect();
 
-        // Widen a finished value to its attribute's joined type so the
-        // output stream is type-consistent.
-        let coerce = |attr: &Attribute, value: Value| match (attr.value_type(), &value) {
-            (ValueType::Float, v) if v.value_type() != ValueType::Float => {
-                Value::Float(v.to_f64().unwrap_or(0.0))
-            }
-            (ValueType::Str, v) if v.value_type() != ValueType::Str => Value::str(v.to_string()),
-            _ => value,
-        };
+        // Per output attribute — key labels, then ops — where its values
+        // go; and per string of this aggregator's table, its cell in
+        // `strings`, once a key has it.
+        let mut outputs: Vec<Option<Output>> = key_attrs
+            .iter()
+            .chain(&result_attrs)
+            .map(|attr| attr.as_ref().map(Output::new))
+            .collect();
+        let (keys, results) = outputs.split_at_mut(key_attrs.len());
+        let mut codes = vec![None; self.strings.len()];
 
         // The overflow row carries the sentinel in every key column and
         // the combined reductions of every group that did not fit.
-        let mut out = Vec::with_capacity(rows.len());
-        for (key, entry) in rows {
-            let mut rec = FlatRecord::new();
-            for (slot, attr) in key_attrs.iter().enumerate() {
-                let value = match key.get(slot) {
-                    Some(cell) => cell.0.map(|cell| self.strings.get(cell).into_owned()),
-                    None => Some(Value::str(OVERFLOW_KEY)),
+        for (key, entry) in &rows {
+            for (slot, output) in keys.iter_mut().enumerate() {
+                let Some(output) = output else { continue };
+                let cell = match key.get(slot) {
+                    None => Cell::Str(strings.intern(OVERFLOW_KEY)),
+                    Some(KeyCell(None)) => continue,
+                    Some(KeyCell(Some(Cell::Str(mine)))) => *codes[*mine as usize]
+                        .get_or_insert_with(|| strings.cell(self.strings.value(*mine))),
+                    Some(KeyCell(Some(number))) => *number,
                 };
-                if let (Some(value), Some(attr)) = (value, attr) {
-                    rec.push(attr.id(), coerce(attr, value));
+                output.put(block, strings, cell);
+            }
+            let finished = entry.reducers.iter().zip(&denominators);
+            for ((red, &denominator), output) in finished.zip(results.iter_mut()) {
+                if let (Some(value), Some(output)) = (red.finish(denominator), output) {
+                    let cell = strings.cell(&value);
+                    output.put(block, strings, cell);
                 }
             }
-            for (i, red) in entry.reducers.iter().enumerate() {
-                if let (Some(value), Some(attr)) = (red.finish(denominators[i]), &result_attrs[i])
-                {
-                    rec.push(attr.id(), coerce(attr, value));
-                }
-            }
-            out.push(rec);
+            assert!(block.end_row(), "a flush of more than 2^32 values");
         }
 
         // Self-instrumentation (flush-time, not per-record, so the
@@ -768,14 +876,55 @@ impl Aggregator {
         let m = caliper_data::metrics::global();
         m.counter("query.aggregator.records")
             .add(self.records_processed);
-        m.counter("query.aggregator.groups_flushed").add(out.len() as u64);
+        m.counter("query.aggregator.groups_flushed")
+            .add(rows.len() as u64);
         m.gauge("query.aggregator.groups_live")
             .set_max(self.db.len() as u64);
         m.counter("query.aggregator.overflow_records")
             .add(self.overflow_records());
         m.counter("query.aggregator.overflow_folds")
             .add(u64::from(self.overflow.is_some()));
-        out
+    }
+}
+
+/// Where a flush puts one output attribute's values: the attribute, its
+/// type, and its column of values of that type once a row has had one.
+struct Output {
+    attr: AttrId,
+    vtype: ValueType,
+    column: Option<u32>,
+}
+
+impl Output {
+    fn new(attr: &Attribute) -> Output {
+        Output {
+            attr: attr.id(),
+            vtype: attr.value_type(),
+            column: None,
+        }
+    }
+
+    /// Put `cell` on `block`'s open row, widened to the attribute's type
+    /// so that the output stream is type-consistent — or, if the type
+    /// does not take it, as it is, in a column of its own.
+    fn put(&mut self, block: &mut Block, strings: &mut StringTable, cell: Cell) {
+        let cell = match (self.vtype, cell) {
+            (ValueType::Float, Cell::Float(_)) | (ValueType::Str, Cell::Str(_)) => cell,
+            (ValueType::Float, other) => Cell::Float(strings.get(other).to_f64().unwrap_or(0.0)),
+            (ValueType::Str, other) => {
+                let text = strings.get(other).to_string();
+                Cell::Str(strings.intern(&text))
+            }
+            _ => cell,
+        };
+        let column = if cell.value_type() == self.vtype {
+            *self
+                .column
+                .get_or_insert_with(|| block.column_for(self.attr, self.vtype))
+        } else {
+            block.column_for(self.attr, cell.value_type())
+        };
+        block.push_imm(column, cell);
     }
 }
 
@@ -797,6 +946,9 @@ impl std::fmt::Debug for Aggregator {
         )
     }
 }
+
+#[cfg(test)]
+mod flush_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1006,6 +1158,50 @@ mod tests {
             .map(|r| r.get(i_attr.id()).unwrap().to_i64().unwrap())
             .collect();
         assert_eq!(keys, vec![1, 3, 5, 9]);
+    }
+
+    #[test]
+    fn integer_keys_of_one_f64_image_sort_by_value_at_one_shard_and_at_two() {
+        // 2^53 and 2^53 + 1 are one `f64` but two keys: their order is
+        // theirs, never the hash map's.
+        let store = Arc::new(AttributeStore::new());
+        let big = 1i64 << 53;
+        let records: Vec<FlatRecord> = [big + 1, big, big + 1, big - 1]
+            .iter()
+            .map(|&k| RecordBuilder::new(&store).with("k", k).build())
+            .collect();
+        let spec = AggregationSpec::from_query(&parse_query("AGGREGATE count GROUP BY k").unwrap());
+        let aggregated = |records: &[FlatRecord], cap| {
+            let mut agg = Aggregator::new(spec.clone(), Arc::clone(&store));
+            agg.set_max_groups(cap);
+            records.iter().for_each(|record| agg.add(record));
+            agg
+        };
+        let lines = |agg: &Aggregator| {
+            let out = AttributeStore::new();
+            agg.flush(&out)
+                .iter()
+                .map(|r| r.describe(&out))
+                .collect::<Vec<_>>()
+        };
+        let want = [
+            format!("k={},count=1", big - 1),
+            format!("k={big},count=1"),
+            format!("k={},count=2", big + 1),
+        ];
+        assert_eq!(lines(&aggregated(&records, None)), want);
+        for (left, right) in [
+            (&records[..2], &records[2..]),
+            (&records[2..], &records[..2]),
+        ] {
+            let mut merged = aggregated(left, None);
+            merged.merge(aggregated(right, None));
+            assert_eq!(lines(&merged), want);
+        }
+        // A capped merge admits the incoming keys in that order.
+        let mut capped = aggregated(&[], Some(2));
+        capped.merge(aggregated(&records, None));
+        assert_eq!(lines(&capped)[..2], want[..2]);
     }
 
     #[test]

@@ -59,9 +59,6 @@ pub use parallel::{
 };
 pub use parser::{parse_query, parse_query_spanned, ParseError, SpanMap};
 pub use pushdown::build_pushdown;
-pub use query::{
-    run_query, run_records_with_deadline, DeadlineRun, Pipeline, QueryResult,
-    DEADLINE_CHECK_INTERVAL,
-};
+pub use query::{run_query, Pipeline, QueryResult};
 pub use scan::{BlockFold, Scanned};
 pub use sema::analyze;

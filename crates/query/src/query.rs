@@ -372,59 +372,6 @@ pub fn run_query(ds: &Dataset, text: &str) -> Result<QueryResult, ParseError> {
     Ok(pipeline.finish())
 }
 
-/// What a deadline-bounded query run produced.
-///
-/// When the [`Deadline`](caliper_data::Deadline) expired mid-stream the
-/// result covers only the first [`DeadlineRun::processed`] input records
-/// — a *partial* answer the caller must label as such (the resident
-/// daemon returns it with an explicit warning, or as HTTP 408).
-#[derive(Debug)]
-pub struct DeadlineRun {
-    /// The (possibly partial) query result.
-    pub result: QueryResult,
-    /// False when the deadline expired before the whole input was seen.
-    pub complete: bool,
-    /// Input records processed before finishing or giving up.
-    pub processed: usize,
-}
-
-/// How many records a deadline-bounded run processes between deadline
-/// polls: large enough that the clock read is amortized into noise,
-/// small enough that a pathological query overshoots its budget by at
-/// most one chunk.
-pub const DEADLINE_CHECK_INTERVAL: usize = 64;
-
-/// Run a query over records the caller hands over, under a cooperative
-/// [`Deadline`](caliper_data::Deadline): the daemon-side counterpart of
-/// [`run_query`]. The deadline is polled every
-/// [`DEADLINE_CHECK_INTERVAL`] records; on expiry the pipeline is
-/// finished early with whatever it has absorbed, so a slow or
-/// pathological query costs a bounded slice of wall-clock instead of
-/// wedging its worker thread.
-pub fn run_records_with_deadline(
-    store: Arc<AttributeStore>,
-    records: Vec<FlatRecord>,
-    text: &str,
-    deadline: &caliper_data::Deadline,
-) -> Result<DeadlineRun, ParseError> {
-    let mut pipeline = Pipeline::from_text(text, store)?;
-    let mut processed = 0usize;
-    let mut complete = true;
-    for rec in records {
-        if processed.is_multiple_of(DEADLINE_CHECK_INTERVAL) && deadline.expired() {
-            complete = false;
-            break;
-        }
-        pipeline.process(rec);
-        processed += 1;
-    }
-    Ok(DeadlineRun {
-        result: pipeline.finish(),
-        complete,
-        processed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

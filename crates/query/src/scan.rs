@@ -29,10 +29,13 @@
 //!   (`tests/columnar_differential.rs`).
 //!
 //! [`BlockFold`] is that columnar fold, and the only one: whoever holds
-//! decoded [`Block`]s and an [`Aggregator`] folds them through it —
+//! [`Block`]s and an [`Aggregator`] folds them through it —
 //! [`Pipeline::scan_file`] here, and the resident daemon (`cali-served`),
 //! which folds every ingest batch and every replayed journal block into
-//! a stream's warm aggregate with it.
+//! a stream's warm aggregate with it. A pipeline takes blocks through
+//! [`Pipeline::fold_block`], which `scan_file` calls per block of a file
+//! and the daemon's query per stream, on the block each stream's warm
+//! aggregate flushes ([`Aggregator::flush_into`]).
 //!
 //! Both find their groups in the one table there is from keys to
 //! groups, the aggregation database
@@ -104,24 +107,12 @@ impl Pipeline {
             "scan_file: the pipeline was created over a different store"
         );
         let mut fold = BlockFold::new(&self.spec);
-        let mut rows = Vec::new();
         let (mut fold_s, mut folded) = (0.0, 0u64);
         let (mut dict, report) =
             scan_path(path, dict, policy, pushdown, &mut |ds, strings, block| {
                 let start = Instant::now();
-                // Row records a stream carries between its blocks keep
-                // their place in the order.
                 folded += (ds.records.len() + block.rows()) as u64;
-                self.process_dataset(ds);
-                ds.records.clear();
-                if let Some(aggregator) = &mut self.aggregator {
-                    fold.fold(aggregator, ds, strings, block);
-                } else {
-                    // A pass-through query keeps whole records.
-                    rows.clear();
-                    block.append_records(strings, &mut rows);
-                    for_each_flat(&ds.tree, &rows, |record| self.process(record));
-                }
+                self.fold_block(&mut fold, ds, strings, block);
                 fold_s += start.elapsed().as_secs_f64();
             })?;
 
@@ -131,13 +122,43 @@ impl Pipeline {
         self.process_dataset(&dict);
         dict.records.clear();
         fold_s += start.elapsed().as_secs_f64();
-        self.filters.add_type_mismatches(fold.type_mismatches);
         Ok(Scanned {
             dict,
             report,
             records: folded,
             fold_s,
         })
+    }
+
+    /// Fold one decoded `block` into this pipeline — after the row
+    /// records its stream carried ahead of it in `ds`, which keep their
+    /// place in the order: an aggregation through `fold`, a pass-through
+    /// query as whole records. The one step every holder of blocks takes
+    /// ([`scan_file`](Self::scan_file) per block of a file, `cali-served`
+    /// per stream of a query), with one `fold` per string table.
+    ///
+    /// `ds` is the dataset the block was decoded into, over the store
+    /// this pipeline was created over, and `strings` the table the
+    /// block's string codes refer to.
+    pub fn fold_block(
+        &mut self,
+        fold: &mut BlockFold,
+        ds: &mut Dataset,
+        strings: &mut StringTable,
+        block: &Block,
+    ) {
+        self.process_dataset(ds);
+        ds.records.clear();
+        match &mut self.aggregator {
+            Some(aggregator) => fold.fold(aggregator, ds, strings, block),
+            None => {
+                let mut rows = Vec::new();
+                block.append_records(strings, &mut rows);
+                for_each_flat(&ds.tree, &rows, |record| self.process(record));
+            }
+        }
+        self.filters
+            .add_type_mismatches(std::mem::take(&mut fold.type_mismatches));
     }
 }
 

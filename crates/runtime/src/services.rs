@@ -20,7 +20,7 @@ use caliper_data::{
     AttrId, Attribute, AttributeConflict, AttributeStore, ContextTree, Properties,
     SnapshotRecord, Value, ValueType,
 };
-use caliper_format::Dataset;
+use caliper_format::{Block, Dataset, StringTable};
 use caliper_query::{AggregationSpec, Aggregator};
 
 use crate::clock::Clock;
@@ -299,11 +299,17 @@ impl AggregateService {
         let spec = self.aggregator.spec().clone();
         let fresh = Aggregator::new(spec, Arc::clone(&self.store));
         let full = std::mem::replace(&mut self.aggregator, fresh);
-        for flat in full.flush(&self.store) {
-            self.spilled.push(SnapshotRecord::from(&flat));
-        }
+        flush_records(&full, &self.store, &mut self.spilled);
         self.spills += 1;
     }
+}
+
+/// `aggregator`'s groups as snapshot records, appended to `out`: the
+/// rows of the block it flushes, result attributes interned in `store`.
+fn flush_records(aggregator: &Aggregator, store: &AttributeStore, out: &mut Vec<SnapshotRecord>) {
+    let (mut block, mut strings) = (Block::default(), StringTable::default());
+    aggregator.flush_into(store, &mut block, &mut strings);
+    block.append_records(&strings, out);
 }
 
 impl Service for AggregateService {
@@ -323,9 +329,7 @@ impl Service for AggregateService {
         // append the reduction results (paper §IV-B). Result attributes
         // are interned in the output dataset's store.
         out.records.append(&mut self.spilled);
-        for flat in self.aggregator.flush(&out.store) {
-            out.push(SnapshotRecord::from(&flat));
-        }
+        flush_records(&self.aggregator, &out.store, &mut out.records);
     }
 
     fn output_records(&self) -> usize {

@@ -31,16 +31,16 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use caliper_data::metrics::{self, MetricsRegistry};
-use caliper_data::{AttributeStore, Deadline, Properties, ValueType};
+use caliper_data::Deadline;
 use caliper_faults::{sites, stable_hash};
 use caliper_format::retry::RetryPolicy;
-use caliper_query::{parse_query, run_records_with_deadline, AggregationSpec};
+use caliper_query::{parse_query, AggregationSpec};
 
 use crate::config::ServedConfig;
 use crate::http::{read_request, text_response, Request};
 use crate::protocol::{read_line, read_payload, Command, Reply};
 use crate::queue::BoundedQueue;
-use crate::state::{journal_path, stream_of_journal, valid_stream_name, StreamState};
+use crate::state::{journal_path, stream_of_journal, valid_stream_name, StreamState, WarmQuery};
 use crate::supervisor::{supervise, WorkerHealth};
 
 /// The `retry-after-ms` hint sent with `BUSY` replies.
@@ -276,9 +276,11 @@ impl ServerState {
         }
     }
 
-    /// The query plane: snapshot warm rows (all streams or one) into a
-    /// fresh store, tag each row with its stream, and evaluate `q`
-    /// under the per-query deadline. Returns `(status, body)`.
+    /// The query plane: `q` over the warm streams (all or one), one
+    /// stream's flushed block at a time ([`WarmQuery`]), under the
+    /// per-query deadline — checked before each stream, and a stream it
+    /// finds expired is left out of a 408 partial answer. Returns
+    /// `(status, body)`.
     fn run_http_query(&self, q: &str, stream_filter: Option<&str>) -> (u16, String) {
         self.metrics().counter("served.query.count").inc();
         let deadline = Deadline::after(self.cfg.query_deadline);
@@ -291,14 +293,6 @@ impl ServerState {
             return (503, format!("injected fault at {}\n", sites::SERVED_QUERY));
         }
 
-        let out_store = Arc::new(AttributeStore::new());
-        let stream_attr = match out_store.create("stream", ValueType::Str, Properties::DEFAULT) {
-            Ok(a) => a.id(),
-            Err(e) => return (500, format!("interning stream column: {e:?}\n")),
-        };
-        let mut rows = Vec::new();
-        let mut streams_seen = 0usize;
-        let mut streams_skipped = 0usize;
         let selected: Vec<_> = self
             .sorted_streams()
             .into_iter()
@@ -309,36 +303,36 @@ impl ServerState {
                 return (404, format!("unknown stream '{f}'\n"));
             }
         }
+        let mut query = match WarmQuery::new(q) {
+            Ok(query) => query,
+            Err(e) => return (400, format!("query error: {e}\n")),
+        };
+        let (mut streams_seen, mut streams_skipped) = (0usize, 0usize);
         for (_, stream) in &selected {
             if deadline.expired() {
                 streams_skipped += 1;
                 continue;
             }
-            let s = stream.lock().unwrap_or_else(|e| e.into_inner());
-            rows.extend(s.warm_rows(&out_store, stream_attr));
+            // The stream is locked for its flush only.
+            let block = query.block_of(&stream.lock().unwrap_or_else(|e| e.into_inner()));
+            query.fold(&block);
             streams_seen += 1;
         }
 
-        let warm_rows = rows.len();
-        match run_records_with_deadline(out_store, rows, q, &deadline) {
-            Err(e) => (400, format!("query error: {e}\n")),
-            Ok(run) if !run.complete || streams_skipped > 0 => {
-                self.metrics()
-                    .counter("served.query.deadline_exceeded")
-                    .inc();
-                let body = format!(
-                    "warning: deadline exceeded ({} ms): partial result over {} of {} rows, {} of {} streams\n{}",
-                    self.cfg.query_deadline.as_millis(),
-                    run.processed,
-                    warm_rows,
-                    streams_seen,
-                    streams_seen + streams_skipped,
-                    run.result.render()
-                );
-                (408, body)
-            }
-            Ok(run) => (200, run.result.render()),
+        let answer = query.finish().render();
+        if streams_skipped == 0 {
+            return (200, answer);
         }
+        self.metrics()
+            .counter("served.query.deadline_exceeded")
+            .inc();
+        let body = format!(
+            "warning: deadline exceeded ({} ms): partial result over {} of {} streams\n{answer}",
+            self.cfg.query_deadline.as_millis(),
+            streams_seen,
+            streams_seen + streams_skipped,
+        );
+        (408, body)
     }
 
     /// Serve one HTTP connection (one request, `Connection: close`).

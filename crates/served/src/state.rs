@@ -5,13 +5,13 @@
 //! dictionary — attribute store and context tree, grown as batches
 //! arrive — its string table and its decode buffers), a warm
 //! [`Aggregator`] with the [`BlockFold`] that feeds it, and a
-//! [`JournalWriter`]. A batch moves through them as one [`Block`](caliper_format::Block)
+//! [`JournalWriter`]. A batch moves through them as one [`Block`]
 //! of typed columns and never becomes records:
 //!
 //! 1. **decode** the payload whole, strictly, every row stamped with its
 //!    `journal.seq` ([`CaliReader::read_batch`]) — a bad line at any
 //!    ordinal, or no row at all, rejects the batch and leaves journal
-//!    bytes, warm rows and the sequence counter untouched;
+//!    bytes, the warm aggregate and the sequence counter untouched;
 //! 2. **journal** the block ([`JournalWriter::append_block`]);
 //! 3. **flush** (+ fsync per policy);
 //! 4. **fold** the block into the warm aggregate;
@@ -33,6 +33,11 @@
 //! post-recovery query results are byte-identical to an uninterrupted
 //! run over the same accepted batches.
 //!
+//! A query reads a stream the way a batch arrives: as one block
+//! ([`WarmQuery`]). The warm aggregate flushes its groups as typed
+//! columns, and the query's pipeline folds them with the same
+//! [`BlockFold`].
+//!
 //! A resident stream's memory is bounded by its dictionary and its
 //! groups. Records and globals leave with the batch; the string table —
 //! which a string attribute with ever-new values would otherwise grow
@@ -48,11 +53,14 @@
 //! not collapse.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use caliper_data::{AttrId, Deadline, FlatRecord, Properties, Value, ValueType};
+use caliper_data::{AttrId, Deadline, Properties, ValueType};
 use caliper_format::journal::{recover_file_blocks, RecoveryReport};
-use caliper_format::{CaliReader, FlushPolicy, JournalWriter, ReadPolicy, SEQ_ATTR};
-use caliper_query::{AggregationSpec, Aggregator, BlockFold};
+use caliper_format::{
+    Block, CaliReader, Cell, Dataset, FlushPolicy, JournalWriter, ReadPolicy, StringTable, SEQ_ATTR,
+};
+use caliper_query::{AggregationSpec, Aggregator, BlockFold, ParseError, Pipeline, QueryResult};
 
 use crate::config::ServedConfig;
 
@@ -286,18 +294,6 @@ impl StreamState {
         })
     }
 
-    /// Snapshot the warm aggregate as result rows interned into `out`,
-    /// each tagged `stream=<name>` via `stream_attr`. Non-destructive
-    /// ([`Aggregator::flush`] borrows), deterministic (rows sorted by
-    /// group key), so identical warm state renders identical rows.
-    pub fn warm_rows(&self, out: &caliper_data::AttributeStore, stream_attr: AttrId) -> Vec<FlatRecord> {
-        let mut rows = self.aggregator.flush(out);
-        for row in &mut rows {
-            row.push(stream_attr, Value::str(self.name.as_str()));
-        }
-        rows
-    }
-
     /// Final drain: flush (+fsync) the journal. Called on graceful
     /// shutdown after the queue is empty.
     pub fn finalize(&mut self) -> Result<(), String> {
@@ -307,10 +303,76 @@ impl StreamState {
     }
 }
 
+/// One query over warm streams — the query plane. Each stream's warm
+/// aggregate is flushed as one block of typed columns, a row per group
+/// ([`Aggregator::flush_into`]), every row ending in `stream=<name>` the
+/// way a batch's rows end in their `journal.seq`, and the block is
+/// folded into the query's pipeline ([`Pipeline::fold_block`]): no row
+/// is built unless a pass-through query keeps it. The streams' result
+/// attributes share one store, in which `stream` is the first, and
+/// their strings one table.
+pub struct WarmQuery {
+    pipeline: Pipeline,
+    fold: BlockFold,
+    /// The pipeline's store, and an empty context tree: a flushed block
+    /// refers to no node and carries no row record.
+    ds: Dataset,
+    strings: StringTable,
+    stream_attr: AttrId,
+}
+
+impl WarmQuery {
+    /// Parse `q` for a query over warm streams.
+    pub fn new(q: &str) -> Result<WarmQuery, ParseError> {
+        let ds = Dataset::new();
+        let stream_attr = ds
+            .store
+            .create("stream", ValueType::Str, Properties::DEFAULT)
+            .expect("a fresh store takes any label")
+            .id();
+        let pipeline = Pipeline::from_text(q, Arc::clone(&ds.store))?;
+        Ok(WarmQuery {
+            fold: BlockFold::new(pipeline.spec()),
+            pipeline,
+            ds,
+            strings: StringTable::default(),
+            stream_attr,
+        })
+    }
+
+    /// `stream`'s warm aggregate as a block for [`fold`](Self::fold).
+    /// Non-destructive (a flush borrows) and deterministic (rows in key
+    /// order), so identical warm state flushes identical blocks — and
+    /// the only part of a query that needs the stream.
+    pub fn block_of(&mut self, stream: &StreamState) -> Block {
+        let mut block = Block::default();
+        stream
+            .aggregator
+            .flush_into(&self.ds.store, &mut block, &mut self.strings);
+        let name = Cell::Str(self.strings.intern(&stream.name));
+        assert!(
+            block.stamp(self.stream_attr, name),
+            "a stream of more than 2^32 values"
+        );
+        block
+    }
+
+    /// Fold a block [`block_of`](Self::block_of) made into the answer.
+    pub fn fold(&mut self, block: &Block) {
+        self.pipeline
+            .fold_block(&mut self.fold, &mut self.ds, &mut self.strings, block);
+    }
+
+    /// The answer over the streams folded.
+    pub fn finish(self) -> QueryResult {
+        self.pipeline.finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caliper_data::{RecordBuilder, SnapshotRecord, NODE_NONE};
+    use caliper_data::{RecordBuilder, SnapshotRecord, Value, NODE_NONE};
     use caliper_format::Dataset;
     use caliper_query::parse_query;
     use proptest::prelude::*;
@@ -351,35 +413,39 @@ mod tests {
     }
 
     fn render(state: &StreamState) -> String {
-        let query = "SELECT kernel, count, sum#t, stream ORDER BY kernel FORMAT csv";
-        answer(|out, stream_attr| state.warm_rows(out, stream_attr), query).1
+        answer(
+            state,
+            "SELECT kernel, count, sum#t, stream ORDER BY kernel FORMAT csv",
+        )
+        .1
     }
 
-    /// The warm rows `warm_rows` flushes, described, and `query` over
-    /// them as the query plane renders it.
-    fn answer(
-        warm_rows: impl Fn(&caliper_data::AttributeStore, AttrId) -> Vec<FlatRecord>,
-        query: &str,
-    ) -> (Vec<String>, String) {
-        let out = std::sync::Arc::new(caliper_data::AttributeStore::new());
-        let stream_attr = out
-            .create("stream", ValueType::Str, Properties::DEFAULT)
-            .unwrap()
-            .id();
-        let rows = warm_rows(&out, stream_attr);
-        let described = rows.iter().map(|row| row.describe(&out)).collect();
-        let run = caliper_query::run_records_with_deadline(out, rows, query, &Deadline::unbounded())
-            .unwrap();
-        assert!(run.complete);
-        (described, run.result.render())
+    /// `query` over the stream as the query plane answers it: the
+    /// result's records, described, and the answer rendered.
+    fn answer(state: &StreamState, query: &str) -> (Vec<String>, String) {
+        let mut warm = WarmQuery::new(query).unwrap();
+        let block = warm.block_of(state);
+        warm.fold(&block);
+        described(warm.finish())
+    }
+
+    fn described(result: QueryResult) -> (Vec<String>, String) {
+        let records = result
+            .records
+            .iter()
+            .map(|r| r.describe(&result.store))
+            .collect();
+        (records, result.render())
     }
 
     /// The stream as it was while it handled records, kept as the
     /// oracle: a batch's rows derived from the decoded block
     /// (`Block::append_records`, behind `read_stream`), each stamped,
     /// journaled with `write_snapshot` (behind `append_snapshot`),
-    /// unpacked and `add`ed one by one; replay by the row recovery. (No
-    /// circuit breaker: the tests drive it with one that never trips.)
+    /// unpacked and `add`ed one by one; replay by the row recovery; a
+    /// query over the flushed rows, each tagged with the stream, fed to
+    /// `Pipeline::process` one by one. (No circuit breaker: the tests
+    /// drive it with one that never trips.)
     struct RowStream {
         name: String,
         ds: Dataset,
@@ -463,22 +529,29 @@ mod tests {
             })
         }
 
-        fn warm_rows(&self, out: &caliper_data::AttributeStore, stream_attr: AttrId) -> Vec<FlatRecord> {
-            let mut rows = self.aggregator.flush(out);
-            for row in &mut rows {
-                row.push(stream_attr, Value::str(self.name.as_str()));
+        fn answer(&self, query: &str) -> (Vec<String>, String) {
+            let out = Arc::new(caliper_data::AttributeStore::new());
+            let stream = out
+                .create("stream", ValueType::Str, Properties::DEFAULT)
+                .unwrap();
+            let rows = self.aggregator.flush(&out);
+            let mut pipeline = Pipeline::from_text(query, out).unwrap();
+            for mut row in rows {
+                row.push(stream.id(), Value::str(self.name.as_str()));
+                pipeline.process(row);
             }
-            rows
+            described(pipeline.finish())
         }
     }
 
     /// A stream and its oracle, each over its own data directory, fed
-    /// the same batches and held to the same journal bytes, acks, warm
-    /// rows and rendered answer.
+    /// the same batches and held to the same journal bytes, acks and
+    /// answers to `queries`.
     struct Pair {
         dirs: [PathBuf; 2],
         cfg: ServedConfig,
         spec: AggregationSpec,
+        queries: Vec<String>,
         state: StreamState,
         oracle: RowStream,
     }
@@ -487,12 +560,27 @@ mod tests {
 
     impl Pair {
         fn open(tag: &str, cfg: ServedConfig, spec: AggregationSpec) -> Pair {
+            Pair::asking(tag, cfg, spec, vec![ALL.to_string()])
+        }
+
+        /// [`open`](Self::open), asking `queries` after every step.
+        fn asking(
+            tag: &str,
+            cfg: ServedConfig,
+            spec: AggregationSpec,
+            queries: Vec<String>,
+        ) -> Pair {
             let dirs = [tmpdir(&format!("{tag}-blocks")), tmpdir(&format!("{tag}-rows"))];
-            Pair::reopen(dirs, cfg, spec)
+            Pair::reopen(dirs, cfg, spec, queries)
         }
 
         /// Open both over whatever their directories hold.
-        fn reopen(dirs: [PathBuf; 2], cfg: ServedConfig, spec: AggregationSpec) -> Pair {
+        fn reopen(
+            dirs: [PathBuf; 2],
+            cfg: ServedConfig,
+            spec: AggregationSpec,
+            queries: Vec<String>,
+        ) -> Pair {
             let [blocks, rows] = dirs.clone().map(|data_dir| ServedConfig {
                 data_dir,
                 max_stream_failures: u32::MAX,
@@ -504,6 +592,7 @@ mod tests {
                 dirs,
                 cfg,
                 spec,
+                queries,
             };
             // Replayed alike, report for report (but for where it was).
             let pathless = |report: &Option<RecoveryReport>| {
@@ -526,9 +615,10 @@ mod tests {
         }
 
         fn assert_same_answers(&self, when: &str) {
-            let blocks = answer(|out, attr| self.state.warm_rows(out, attr), ALL);
-            let rows = answer(|out, attr| self.oracle.warm_rows(out, attr), ALL);
-            assert_eq!(blocks, rows, "{when}");
+            for query in &self.queries {
+                let blocks = answer(&self.state, query);
+                assert_eq!(blocks, self.oracle.answer(query), "{when}: {query}");
+            }
             assert_eq!(self.state.groups(), self.oracle.aggregator.len(), "{when}");
         }
 
@@ -555,8 +645,14 @@ mod tests {
 
         /// Drop both (the final flush) and open them again.
         fn restart(self) -> Pair {
-            let Pair { dirs, cfg, spec, .. } = self;
-            Pair::reopen(dirs, cfg, spec)
+            let Pair {
+                dirs,
+                cfg,
+                spec,
+                queries,
+                ..
+            } = self;
+            Pair::reopen(dirs, cfg, spec, queries)
         }
 
         fn remove(self) {
@@ -640,15 +736,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The daemon against the row path, batch by batch: journal file
-        /// bytes, acks (and rejections, word for word), warm rows and
-        /// the rendered answer are the oracle's after every batch — of
-        /// 0, 1, a few, 64, 1 024 or 2 500 rows, clean or with a bad
-        /// line somewhere — and again after a restart replays the lot.
+        /// bytes, acks (and rejections, word for word) and the answers —
+        /// the result's records and their rendering — to `SELECT *` and
+        /// to a generated query, aggregating or not, with a WHERE or a
+        /// `GROUP BY stream`, are the oracle's after every batch — of 0,
+        /// 1, a few, 64, 1 024 or 2 500 rows, clean or with a bad line
+        /// somewhere — and again after a restart replays the lot.
         #[test]
         fn a_stream_of_blocks_is_the_stream_of_rows(
             texts in prop::collection::vec(arb_text(), 1..5),
             key in 0usize..6,
             max_groups in 0usize..3,
+            (asked, bound) in (0usize..6, 0u64..4),
             batches in prop::collection::vec(
                 (0usize..14, prop::collection::vec(arb_row(), 1..5), any::<u16>()),
                 1..5,
@@ -672,7 +771,17 @@ mod tests {
                 ..ServedConfig::default()
             };
             let spec = AggregationSpec::from_query(&parse_query(&query).unwrap());
-            let mut pair = Pair::open(&format!("oracle{case}"), cfg, spec);
+            let first = key.split(',').next().unwrap();
+            let asked = [
+                "AGGREGATE sum(count), max(max#i), min(min#u) GROUP BY stream FORMAT csv".to_string(),
+                format!("AGGREGATE count, sum(sum#f) WHERE {first} GROUP BY {first}, stream ORDER BY {first} FORMAT json"),
+                format!("SELECT {first}, count, sum#f, stream WHERE count > {bound} FORMAT expand"),
+                format!("SELECT * WHERE not({first}) ORDER BY count desc FORMAT csv"),
+                format!("AGGREGATE count, percent_total(sum#journal.seq) WHERE min#u < {bound} GROUP BY {first} FORMAT table"),
+                "LET n = scale(count, 2) AGGREGATE sum(n), avg(sum#f) WHERE stream = s1 GROUP BY stream FORMAT cali".to_string(),
+            ][asked].clone();
+            let queries = vec![ALL.to_string(), asked];
+            let mut pair = Pair::asking(&format!("oracle{case}"), cfg, spec, queries);
             for (n, (size, templates, damage)) in batches.iter().enumerate() {
                 let size = [0, 1, 1, 2, 3, 5, 7, 17, 17, 64, 64, 64, 1024, 2500][*size];
                 let mut bytes = payload(&texts, templates, size, n > 0);
@@ -740,7 +849,8 @@ mod tests {
             for dir in &dirs {
                 std::fs::write(journal_path(dir, "s1"), journal).unwrap();
             }
-            let mut pair = Pair::reopen(dirs, ServedConfig::default(), spec());
+            let mut pair =
+                Pair::reopen(dirs, ServedConfig::default(), spec(), vec![ALL.to_string()]);
             let report = pair.state.recovery.clone().unwrap();
             assert_eq!(
                 (report.salvaged, report.duplicates, report.missing, report.read.skipped),
@@ -764,7 +874,7 @@ mod tests {
             replay_deadline: std::time::Duration::ZERO,
             ..ServedConfig::default()
         };
-        let pair = Pair::reopen(dirs, cfg, spec());
+        let pair = Pair::reopen(dirs, cfg, spec(), vec![ALL.to_string()]);
         let report = pair.state.recovery.clone().unwrap();
         assert!(report.read.truncated && report.salvaged == 0, "{}", report.summary());
         assert_eq!(pair.state.groups(), 0);
@@ -882,7 +992,7 @@ mod tests {
                 // The table starts over before a batch is decoded, so a
                 // rejected batch is a restart and nothing else: the warm
                 // answer is what it was.
-                let warm = |pair: &Pair| answer(|out, attr| pair.state.warm_rows(out, attr), ALL);
+                let warm = |pair: &Pair| answer(&pair.state, ALL);
                 let before = warm(&pair);
                 assert!(pair.feed(b"garbage\n", "a rejected batch").is_err());
                 assert!(pair.state.reader.strings().len() < held, "the table did start over");

@@ -107,6 +107,18 @@ if printf '%s\n' "$runtime_src" | grep -E '\.unpack\(|Aggregator::add\b|\.add\(&
     echo "check.sh: crates/runtime handles rows on the snapshot path (listed above)" >&2
     exit 1
 fi
+# Nor does the daemon's query plane: a query flushes each stream's warm
+# aggregate as one block and folds it (DESIGN.md §11), so outside the
+# tests crates/served builds no row, flushes no aggregate to rows (an
+# `Aggregator::flush` takes a store; the journal's and the socket's
+# `flush()` take nothing) and keeps no row-at-a-time query runner. And
+# the aggregator orders keys by place, never by building values
+# (DESIGN.md §10): its old comparator stays gone.
+if printf '%s\n' "$served_src" | grep -E 'FlatRecord|\.flush\([^)]|warm_rows|run_records_with_deadline' \
+    || grep -rn 'key_cmp' crates/query/src; then
+    echo "check.sh: the query plane handles rows, or keys are ordered by value again (listed above)" >&2
+    exit 1
+fi
 # And the text line encoder allocates nothing per record: from its
 # marker to the end of `write_rows`, cali.rs formats no id or value into
 # a String of its own, clones no entry and copies no list.
