@@ -1,6 +1,8 @@
 //! Aligned text-table formatter — renders aggregation results like the
 //! `function loop.iteration count sum#time` table in §III-B of the paper.
 
+use std::fmt::Write;
+
 use caliper_data::{Attribute, FlatRecord, Value};
 
 /// A rendered table with a header row and data rows.
@@ -113,16 +115,19 @@ impl Table {
 /// Round a float cell to a fixed precision to keep tables readable;
 /// integers print without a decimal point.
 pub fn format_value(value: &Value) -> String {
-    match value {
-        Value::Float(f) => {
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                format!("{}", *f as i64)
-            } else {
-                format!("{f:.6}")
-            }
-        }
-        other => other.to_string(),
-    }
+    let mut out = String::new();
+    write_value(&mut out, value);
+    out
+}
+
+/// [`format_value`] appended to `out`.
+pub(crate) fn write_value(out: &mut String, value: &Value) {
+    let written = match value {
+        Value::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => write!(out, "{}", *f as i64),
+        Value::Float(f) => write!(out, "{f:.6}"),
+        other => write!(out, "{other}"),
+    };
+    written.expect("writing to a String");
 }
 
 /// Build a table from flat records and a column (attribute) list, in the

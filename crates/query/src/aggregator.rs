@@ -14,16 +14,17 @@
 //! [`Aggregator::merge`]), and analytical aggregation (driven by records
 //! read from `.cali` files).
 
+use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 use caliper_data::{
-    AttrId, Attribute, AttributeStore, ContextTree, Entry, FlatRecord, FxBuildHasher, NodeId,
-    Properties, SnapshotRecord, Value, ValueType,
+    fxhash, AttrId, Attribute, AttributeStore, ContextTree, Entry, FlatRecord, FxBuildHasher,
+    NodeId, Properties, SnapshotRecord, Value, ValueType,
 };
 use caliper_format::{Block, Cell, StringTable};
 
 use crate::ast::{AggOp, OpKind, QuerySpec};
-use crate::ops::Reducer;
+use crate::ops::Column;
 
 /// Key value of the overflow bucket in flushed results (the same
 /// sentinel upstream Caliper uses when its aggregation buffers fill).
@@ -191,43 +192,22 @@ pub(crate) struct CodeMap {
 
 const NO_CODE: u32 = u32::MAX;
 
+/// The end of a chain of groups whose keys hash alike.
+const NO_GROUP: u32 = u32::MAX;
+
 /// What a context-tree node's root-first path contributes to a key,
 /// worked out on the node's first sight ([`Aggregator::add_snapshot`]).
+#[derive(Clone, Copy)]
 enum NodeKey {
-    /// One cell per key label: the path's value for it — a nested
-    /// attribute's `/`-joined path as one code — or `None` where the
-    /// path does not carry the label, so that an immediate may.
-    Cells(Box<[KeyCell]>),
+    /// One cell per key label, from this offset of the aggregator's
+    /// `node_cells` on: the path's value for it — a nested attribute's
+    /// `/`-joined path as one code — or `None` where the path does not
+    /// carry the label, so that an immediate may.
+    Cells(usize),
     /// An op's target is on the path. A row lists the path's values
     /// before the immediates', so snapshots at this node take the row
     /// path.
     Rows,
-}
-
-/// One aggregation database entry: the reduction states for one unique key.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DbEntry {
-    pub(crate) reducers: Vec<Reducer>,
-    /// Input records folded into this entry (for capacity reporting;
-    /// unlike the `count` op this is tracked even without one).
-    pub(crate) records: u64,
-}
-
-impl DbEntry {
-    pub(crate) fn fresh(ops: &[AggOp]) -> DbEntry {
-        DbEntry {
-            reducers: ops.iter().map(Reducer::new).collect(),
-            records: 0,
-        }
-    }
-
-    /// Fold another entry of the same spec into this one.
-    fn fold(&mut self, other: &DbEntry) {
-        for (mine, theirs) in self.reducers.iter_mut().zip(&other.reducers) {
-            mine.merge(theirs);
-        }
-        self.records += other.records;
-    }
 }
 
 /// The streaming aggregator.
@@ -240,16 +220,24 @@ pub struct Aggregator {
     /// runs).
     key_attrs: Vec<Option<AttrId>>,
     target_attrs: Vec<Option<AttrId>>,
-    /// The aggregation database: key → index into `entries`, the one
-    /// table from keys to groups. The row path ([`Aggregator::add`]),
-    /// the block fold and [`Aggregator::merge`] all bring their keys
-    /// into `strings`' terms and go through [`Aggregator::admit`].
-    db: std::collections::HashMap<Box<[KeyCell]>, u32, FxBuildHasher>,
-    entries: Vec<DbEntry>,
-    /// The strings of admitted keys ([`Aggregator::key_code`]) — and of
-    /// cached context paths ([`Aggregator::add_snapshot`]), which a
-    /// snapshot whose immediates send it down the row path leaves
-    /// unused.
+    /// The aggregation database, by group id: the reduction states are a
+    /// column per op in `ops`, the records folded in (also `count`'s
+    /// result) a column of their own, and the keys one arena, a cell per
+    /// key label each. `table` holds per key hash the newest group with
+    /// it, and `chain` per group the next older one — the one table from
+    /// keys to groups. The row path ([`Aggregator::add`]), the block fold
+    /// and [`Aggregator::merge`] all bring their keys into `strings`'
+    /// terms and go through [`Aggregator::admit`].
+    ops: Vec<Column>,
+    records: Vec<u64>,
+    keys: Vec<KeyCell>,
+    table: HashMap<u64, u32, FxBuildHasher>,
+    chain: Vec<u32>,
+    /// The strings of admitted keys ([`Aggregator::key_code`]), of the
+    /// strings reduction states keep (a `min` or `max` over strings, a
+    /// lone string's `sum`) — and of cached context paths
+    /// ([`Aggregator::add_snapshot`]), which a snapshot whose immediates
+    /// send it down the row path leaves unused.
     strings: StringTable,
     /// What a [`CodeMap`] recognises this aggregator by.
     id: Arc<()>,
@@ -258,23 +246,26 @@ pub struct Aggregator {
     /// nested key attribute's path.
     key: Vec<KeyCell>,
     path: String,
-    /// [`Aggregator::add_snapshot`]'s cache, by context-tree node id. It
-    /// holds codes of `strings` and answers for the tree of id `tree`,
-    /// so it lives and dies with this aggregator and starts over when
-    /// handed another tree.
+    /// [`Aggregator::add_snapshot`]'s cache, by context-tree node id, and
+    /// the key cells it points into. It holds codes of `strings` and
+    /// answers for the tree of id `tree`, so it lives and dies with this
+    /// aggregator and starts over when handed another tree.
     nodes: Vec<Option<NodeKey>>,
+    node_cells: Vec<KeyCell>,
     tree: Option<u64>,
     /// Snapshots [`Aggregator::add_snapshot`] sent down the row path.
     snapshot_fallbacks: u64,
     records_processed: u64,
-    /// Capacity bound on `db` (None = unbounded, the historical mode).
+    /// Capacity bound on the database (None = unbounded, the historical
+    /// mode).
     max_groups: Option<usize>,
-    /// The overflow bucket: once `db` holds `max_groups` keys, records
-    /// with *new* keys fold in here instead of growing the database, so
-    /// a cardinality explosion degrades to coarser totals instead of
-    /// unbounded memory. Kept outside `db` so the `len() <= cap`
+    /// The overflow bucket's group: once the database holds `max_groups`
+    /// keys, records with *new* keys fold in here instead of growing it,
+    /// so a cardinality explosion degrades to coarser totals instead of
+    /// unbounded memory. A row of the columns with no key in `table`
+    /// (its cells in `keys` are placeholders), so the `len() <= cap`
     /// invariant is structural.
-    overflow: Option<DbEntry>,
+    overflow: Option<u32>,
 }
 
 impl Aggregator {
@@ -282,18 +273,23 @@ impl Aggregator {
     pub fn new(spec: AggregationSpec, store: Arc<AttributeStore>) -> Aggregator {
         let key_attrs = vec![None; spec.key.len()];
         let target_attrs = vec![None; spec.ops.len()];
+        let ops = spec.ops.iter().map(Column::new).collect();
         Aggregator {
             spec,
             store,
             key_attrs,
             target_attrs,
-            db: Default::default(),
-            entries: Vec::new(),
+            ops,
+            records: Vec::new(),
+            keys: Vec::new(),
+            table: HashMap::default(),
+            chain: Vec::new(),
             strings: StringTable::default(),
             id: Arc::new(()),
             key: Vec::new(),
             path: String::new(),
             nodes: Vec::new(),
+            node_cells: Vec::new(),
             tree: None,
             snapshot_fallbacks: 0,
             records_processed: 0,
@@ -323,7 +319,8 @@ impl Aggregator {
     /// Number of input records folded into the overflow bucket (0 when
     /// the capacity was never exceeded).
     pub fn overflow_records(&self) -> u64 {
-        self.overflow.as_ref().map_or(0, |e| e.records)
+        self.overflow
+            .map_or(0, |group| self.records[group as usize])
     }
 
     /// The aggregation spec.
@@ -339,12 +336,12 @@ impl Aggregator {
     /// Number of unique keys currently in the database (the number of
     /// output records a flush would produce).
     pub fn len(&self) -> usize {
-        self.db.len()
+        self.records.len() - usize::from(self.overflow.is_some())
     }
 
     /// True if no records have produced entries yet.
     pub fn is_empty(&self) -> bool {
-        self.db.is_empty()
+        self.len() == 0
     }
 
     /// Total number of input records processed.
@@ -366,7 +363,7 @@ impl Aggregator {
     }
 
     fn at_capacity(&self) -> bool {
-        self.max_groups.is_some_and(|cap| self.db.len() >= cap)
+        self.max_groups.is_some_and(|cap| self.len() >= cap)
     }
 
     /// The code of a key's string. A string no admitted key has makes
@@ -404,52 +401,72 @@ impl Aggregator {
         Some(map.codes[code as usize])
     }
 
-    /// Locate or create (from `entry`) the database entry for `key`: one
-    /// cell per key label, strings as codes of this aggregator's table.
-    /// Only a new group boxes it. At capacity, a *new* key is not
-    /// admitted (first-come admission, like upstream Caliper's fixed
-    /// aggregation buffers), nor is a key cut short at a string that
-    /// [`key_code`](Self::key_code) turned away: `None` tells the caller
-    /// to fold into the overflow bucket.
-    pub(crate) fn admit(
-        &mut self,
-        key: &[KeyCell],
-        entry: impl FnOnce(&[AggOp]) -> DbEntry,
-    ) -> Option<u32> {
-        if key.len() < self.spec.key.len() {
-            None
-        } else if let Some(&group) = self.db.get(key) {
-            Some(group)
-        } else if self.at_capacity() {
-            None
+    /// The key of keyed group `group`.
+    fn key_of(&self, group: u32) -> &[KeyCell] {
+        let width = self.spec.key.len();
+        &self.keys[group as usize * width..][..width]
+    }
+
+    /// The groups that have a key, by id.
+    fn keyed(&self) -> Vec<u32> {
+        let mut keyed = Vec::with_capacity(self.records.len());
+        keyed.extend((0..self.records.len() as u32).filter(|&group| Some(group) != self.overflow));
+        keyed
+    }
+
+    /// The group of `key` — one cell per key label, strings as codes of
+    /// this aggregator's table — found, or added with nothing folded in.
+    /// Nothing is allocated for a group: its key joins the arena, its
+    /// states the columns. At capacity, a *new* key is not admitted
+    /// (first-come admission, like upstream Caliper's fixed aggregation
+    /// buffers), nor is a key cut short at a string that
+    /// [`key_code`](Self::key_code) turned away: the overflow bucket's
+    /// group is the answer.
+    pub(crate) fn admit(&mut self, key: &[KeyCell]) -> u32 {
+        let hash = fxhash(key);
+        let mut group = self.table.get(&hash).copied().unwrap_or(NO_GROUP);
+        while group != NO_GROUP && self.key_of(group) != key {
+            group = self.chain[group as usize];
+        }
+        if group != NO_GROUP {
+            group
+        } else if key.len() < self.spec.key.len() || self.at_capacity() {
+            self.overflow_group()
         } else {
-            let group = self.entries.len() as u32;
-            self.entries.push(entry(&self.spec.ops));
-            self.db.insert(key.into(), group);
-            Some(group)
+            let next = self.table.insert(hash, self.records.len() as u32);
+            self.push_group(key.iter().copied(), next.unwrap_or(NO_GROUP))
         }
     }
 
-    /// The entry of an admitted group, or the overflow bucket for `None`.
-    fn entry_of<'a>(
-        entries: &'a mut [DbEntry],
-        overflow: &'a mut Option<DbEntry>,
-        ops: &[AggOp],
-        group: Option<u32>,
-    ) -> &'a mut DbEntry {
-        match group {
-            Some(group) => &mut entries[group as usize],
-            None => overflow.get_or_insert_with(|| DbEntry::fresh(ops)),
+    /// The overflow bucket's group, added on first use.
+    fn overflow_group(&mut self) -> u32 {
+        if let Some(group) = self.overflow {
+            return group;
         }
+        let absent = std::iter::repeat_n(KeyCell(None), self.spec.key.len());
+        let group = self.push_group(absent, NO_GROUP);
+        *self.overflow.insert(group)
     }
 
-    /// Count one input record into `group` (see [`Aggregator::admit`])
-    /// and return its entry, for the caller to feed the reducers.
-    pub(crate) fn count_into(&mut self, group: Option<u32>) -> &mut DbEntry {
+    /// A new group with nothing folded in: its id.
+    fn push_group(&mut self, key: impl Iterator<Item = KeyCell>, next: u32) -> u32 {
+        self.keys.extend(key);
+        self.chain.push(next);
+        self.ops.iter_mut().for_each(Column::push);
+        self.records.push(0);
+        (self.records.len() - 1) as u32
+    }
+
+    /// Count one input record into `group` (see [`Aggregator::admit`]),
+    /// for the caller to [`feed`](Self::feed) the ops next.
+    pub(crate) fn count_into(&mut self, group: u32) {
         self.records_processed += 1;
-        let entry = Self::entry_of(&mut self.entries, &mut self.overflow, &self.spec.ops, group);
-        entry.records += 1;
-        entry
+        self.records[group as usize] += 1;
+    }
+
+    /// Fold one occurrence of op `op`'s target into `group`.
+    pub(crate) fn feed(&mut self, group: u32, op: usize, value: &Value) {
+        self.ops[op].update(group as usize, value, &mut self.strings);
     }
 
     /// `record`'s grouping value for the `i`th key label, as a cell.
@@ -489,25 +506,20 @@ impl Aggregator {
         let mut key = std::mem::take(&mut self.key);
         key.clear();
         key.extend((0..self.spec.key.len()).map_while(|i| self.key_cell(record, i)));
-        let group = self.admit(&key, DbEntry::fresh);
+        let group = self.admit(&key);
         self.key = key;
 
-        // Fold the aggregation attributes into the entry.
-        self.records_processed += 1;
-        let ops = &self.spec.ops;
-        let entry = Self::entry_of(&mut self.entries, &mut self.overflow, ops, group);
-        entry.records += 1;
-        for (i, op) in ops.iter().enumerate() {
-            match op.kind {
-                OpKind::Count => entry.reducers[i].update(&Value::UInt(1)),
-                _ => {
-                    let target = op.target.as_deref().unwrap_or_default();
-                    if let Some(attr) = Self::resolve(&self.store, &mut self.target_attrs[i], target)
-                    {
-                        for value in record.all(attr) {
-                            entry.reducers[i].update(value);
-                        }
-                    }
+        // Fold the aggregation attributes into the group.
+        self.count_into(group);
+        for op in 0..self.spec.ops.len() {
+            let AggOp { kind, target, .. } = &self.spec.ops[op];
+            if *kind == OpKind::Count {
+                continue;
+            }
+            let label = target.as_deref().unwrap_or_default();
+            if let Some(attr) = Self::resolve(&self.store, &mut self.target_attrs[op], label) {
+                for value in record.all(attr) {
+                    self.feed(group, op, value);
                 }
             }
         }
@@ -519,8 +531,8 @@ impl Aggregator {
     /// is node ids plus immediate values). The first sight of a node
     /// walks its path once, under the tree's read lock, to the key cells
     /// it contributes; after that a snapshot copies those cells, sets
-    /// the immediates' and feeds the reducers from the immediates —
-    /// no lock, no string built, nothing allocated.
+    /// the immediates' and feeds the ops from the immediates — no lock,
+    /// no string built, nothing allocated.
     ///
     /// Shapes whose row is not "the node's cells, then each immediate
     /// once" take the row path: more than one node entry, a node `tree`
@@ -534,22 +546,14 @@ impl Aggregator {
             return self.add(&rec.unpack(tree));
         }
         let key = std::mem::take(&mut self.key);
-        let group = self.admit(&key, DbEntry::fresh);
+        let group = self.admit(&key);
         self.key = key;
 
-        self.records_processed += 1;
-        let ops = &self.spec.ops;
-        let entry = Self::entry_of(&mut self.entries, &mut self.overflow, ops, group);
-        entry.records += 1;
-        for (reducer, op) in entry.reducers.iter_mut().zip(ops) {
-            if op.kind == OpKind::Count {
-                reducer.update(&Value::UInt(1));
-            }
-        }
+        self.count_into(group);
         for (attr, value) in immediates(rec) {
-            for (reducer, target) in entry.reducers.iter_mut().zip(&self.target_attrs) {
-                if *target == Some(attr) {
-                    reducer.update(value);
+            for op in 0..self.target_attrs.len() {
+                if self.target_attrs[op] == Some(attr) {
+                    self.feed(group, op, value);
                 }
             }
         }
@@ -613,6 +617,7 @@ impl Aggregator {
         if self.tree != Some(tree.id()) {
             self.tree = Some(tree.id());
             self.nodes.clear();
+            self.node_cells.clear();
         }
         let index = node as usize;
         if !matches!(self.nodes.get(index), Some(Some(_))) {
@@ -624,9 +629,11 @@ impl Aggregator {
             }
             self.nodes[index] = Some(cached);
         }
-        match &self.nodes[index] {
-            Some(NodeKey::Cells(cells)) => {
-                self.key.extend_from_slice(cells);
+        match self.nodes[index] {
+            Some(NodeKey::Cells(start)) => {
+                let width = self.key_attrs.len();
+                self.key
+                    .extend_from_slice(&self.node_cells[start..start + width]);
                 true
             }
             _ => false,
@@ -648,59 +655,64 @@ impl Aggregator {
         {
             return Some(NodeKey::Rows);
         }
-        let mut cells = Vec::with_capacity(self.key_attrs.len());
+        let start = self.node_cells.len();
         for slot in 0..self.key_attrs.len() {
             let attr = self.key_attrs[slot];
             let values = path
                 .iter()
                 .filter(|(a, _)| Some(*a) == attr)
                 .map(|(_, v)| v);
-            cells.push(self.cell_of(values)?);
+            let Some(cell) = self.cell_of(values) else {
+                self.node_cells.truncate(start);
+                return None;
+            };
+            self.node_cells.push(cell);
         }
-        Some(NodeKey::Cells(cells.into()))
+        Some(NodeKey::Cells(start))
     }
 
     /// Merge another aggregator's database into this one (cross-process
-    /// reduction). Both must have the same spec.
+    /// reduction). Both must have the same spec. Each of the other's
+    /// groups folds its row of the columns into the row of the group its
+    /// key finds or starts here; nothing is freed per group.
     ///
     /// When a group capacity is set, the incoming groups are applied in
     /// sorted key order, so which keys win admission — and therefore the
     /// output — depends only on the *sequence* of merges (which callers
-    /// keep deterministic), never on hash-map iteration order.
+    /// keep deterministic), never on the order groups came about in.
     pub fn merge(&mut self, other: Aggregator) {
         debug_assert_eq!(self.spec, other.spec, "merging mismatched aggregations");
         self.records_processed += other.records_processed;
-        if let Some(theirs) = other.overflow {
-            let ops = &self.spec.ops;
-            Self::entry_of(&mut self.entries, &mut self.overflow, ops, None).fold(&theirs);
-        }
-        // Their keys in this aggregator's terms: each of their strings
-        // is looked up by its text once, however many groups carry it.
-        let mut incoming: Vec<(Box<[KeyCell]>, u32)> = other.db.into_iter().collect();
+        let mut incoming = other.keyed();
         if self.max_groups.is_some() {
-            let key = |i: usize| &*incoming[i].0;
+            let key = |i: usize| other.key_of(incoming[i]);
             let order = key_order(&other.strings, self.spec.key.len(), incoming.len(), key);
-            incoming = order.iter().map(|&i| std::mem::take(&mut incoming[i as usize])).collect();
+            incoming = order.iter().map(|&i| incoming[i as usize]).collect();
         }
-        let (mut theirs, mut codes) = (other.entries, CodeMap::default());
-        let mut key = std::mem::take(&mut self.key);
-        for (their_key, group) in incoming {
-            key.clear();
-            key.extend(their_key.iter().map_while(|cell| match cell.0 {
-                Some(Cell::Str(code)) => {
-                    let code = self.translate(&mut codes, &other.strings, code)?;
-                    Some(KeyCell(Some(Cell::Str(code))))
-                }
-                _ => Some(*cell),
-            }));
-            // Merge the group, honoring the capacity bound: it starts a
-            // group of this database, or folds into the one it finds or
-            // into the overflow bucket.
-            let mut entry = Some(std::mem::take(&mut theirs[group as usize]));
-            let group = self.admit(&key, |_| entry.take().expect("called once"));
-            if let Some(entry) = entry {
-                let ops = &self.spec.ops;
-                Self::entry_of(&mut self.entries, &mut self.overflow, ops, group).fold(&entry);
+        // Their overflow bucket into this one, then each group into the
+        // group its key finds or starts here — or, honoring the capacity
+        // bound, into the overflow bucket. Their keys are brought into
+        // this aggregator's terms: each of their strings is looked up by
+        // its text once, however many groups carry it.
+        let (mut codes, mut key) = (CodeMap::default(), std::mem::take(&mut self.key));
+        for theirs in other.overflow.into_iter().chain(incoming) {
+            let mine = if other.overflow == Some(theirs) {
+                self.overflow_group()
+            } else {
+                key.clear();
+                key.extend(other.key_of(theirs).iter().map_while(|cell| match cell.0 {
+                    Some(Cell::Str(code)) => {
+                        let code = self.translate(&mut codes, &other.strings, code)?;
+                        Some(KeyCell(Some(Cell::Str(code))))
+                    }
+                    _ => Some(*cell),
+                }));
+                self.admit(&key)
+            };
+            let (mine, theirs) = (mine as usize, theirs as usize);
+            self.records[mine] += other.records[theirs];
+            for (column, from) in self.ops.iter_mut().zip(&other.ops) {
+                column.merge(mine, from, theirs, &other.strings, &mut self.strings);
             }
         }
         self.key = key;
@@ -734,7 +746,8 @@ impl Aggregator {
     /// the group's key values, then its reduction results, as
     /// immediates of attributes interned in `out_store`, strings as
     /// codes of `strings`. Results are sorted by key for deterministic
-    /// output. Nothing is built per group but the cells.
+    /// output. The columns are gathered in that order and every result
+    /// finished once; nothing is built per group but the cells.
     ///
     /// Every column is typed by its attribute — a key label's type in
     /// the input store (else its first value's in key order), a result's
@@ -759,17 +772,17 @@ impl Aggregator {
 
         // The rows: the groups sorted by key for deterministic output,
         // then the overflow bucket, which has no key (here: an empty one).
-        let groups: Vec<(&[KeyCell], &DbEntry)> = self
-            .db
-            .iter()
-            .map(|(key, &group)| (&**key, &self.entries[group as usize]))
-            .collect();
-        let order = key_order(&self.strings, self.spec.key.len(), groups.len(), |i| {
-            groups[i].0
+        let keyed = self.keyed();
+        let order = key_order(&self.strings, self.spec.key.len(), keyed.len(), |i| {
+            self.key_of(keyed[i])
         });
-        let mut rows: Vec<(&[KeyCell], &DbEntry)> = Vec::with_capacity(groups.len() + 1);
-        rows.extend(order.iter().map(|&i| groups[i as usize]));
-        rows.extend(self.overflow.iter().map(|entry| (&[][..], entry)));
+        let mut rows: Vec<u32> = Vec::with_capacity(keyed.len() + 1);
+        rows.extend(order.iter().map(|&i| keyed[i as usize]));
+        rows.extend(self.overflow);
+        let key = |group: u32| match self.overflow {
+            Some(overflow) if overflow == group => &[][..],
+            _ => self.key_of(group),
+        };
 
         let declare = |label: &str, vtype, properties| {
             let created = out_store.create(label, vtype, properties);
@@ -790,7 +803,7 @@ impl Aggregator {
                     Some(ValueType::Str)
                 } else {
                     self.store.find(label).map(|a| a.value_type()).or_else(|| {
-                        let mut cells = rows.iter().filter_map(|(key, _)| key.get(slot)?.0);
+                        let mut cells = rows.iter().filter_map(|&group| key(group).get(slot)?.0);
                         cells.next().map(Cell::value_type)
                     })
                 };
@@ -798,30 +811,34 @@ impl Aggregator {
             })
             .collect();
 
-        // Determine result types per op: join over all entries.
-        let mut result_types: Vec<Option<ValueType>> = vec![None; self.spec.ops.len()];
-        // `percent_total` divides by the sum of raw sums over all rows
+        // Every group's results, row by row, as cells of `strings`.
+        // `percent_total` divides by the sum of its sums over all rows
         // (the overflow bucket too, so the percentages still total 100).
-        let mut denominators = vec![0.0; self.spec.ops.len()];
-        for (i, op) in self.spec.ops.iter().enumerate() {
-            if op.kind == OpKind::PercentTotal {
-                denominators[i] = rows.iter().map(|(_, e)| e.reducers[i].raw_sum()).sum();
+        let ops = self.ops.len();
+        let denominators: Vec<f64> = self.ops.iter().map(|op| op.denominator(&rows)).collect();
+        let mut results: Vec<Option<Cell>> = Vec::with_capacity(rows.len() * ops);
+        for &group in &rows {
+            let (group, records) = (group as usize, self.records[group as usize]);
+            for (op, &denominator) in self.ops.iter().zip(&denominators) {
+                results.push(op.finish(group, records, denominator, &self.strings, strings));
             }
         }
-        for (_, entry) in &rows {
-            for (i, red) in entry.reducers.iter().enumerate() {
-                if let Some(v) = red.finish(denominators[i]) {
-                    let t = v.value_type();
-                    result_types[i] = Some(match result_types[i] {
-                        None => t,
-                        Some(prev) if prev == t => t,
-                        // mixed numeric types widen to float; anything
-                        // else falls back to string
-                        Some(prev) if prev.is_numeric() && t.is_numeric() => ValueType::Float,
-                        Some(_) => ValueType::Str,
-                    });
-                }
-            }
+
+        // Determine result types per op: join over all groups.
+        let mut result_types: Vec<Option<ValueType>> = vec![None; ops];
+        for (i, cell) in results.iter().enumerate() {
+            let (Some(cell), joined) = (cell, &mut result_types[i % ops]) else {
+                continue;
+            };
+            let t = cell.value_type();
+            *joined = Some(match *joined {
+                None => t,
+                Some(prev) if prev == t => t,
+                // mixed numeric types widen to float; anything else
+                // falls back to string
+                Some(prev) if prev.is_numeric() && t.is_numeric() => ValueType::Float,
+                Some(_) => ValueType::Str,
+            });
         }
         let result_attrs: Vec<Option<Attribute>> = self
             .spec
@@ -842,12 +859,13 @@ impl Aggregator {
             .chain(&result_attrs)
             .map(|attr| attr.as_ref().map(Output::new))
             .collect();
-        let (keys, results) = outputs.split_at_mut(key_attrs.len());
+        let (keys, outputs) = outputs.split_at_mut(key_attrs.len());
         let mut codes = vec![None; self.strings.len()];
 
         // The overflow row carries the sentinel in every key column and
         // the combined reductions of every group that did not fit.
-        for (key, entry) in &rows {
+        for (row, &group) in rows.iter().enumerate() {
+            let key = key(group);
             for (slot, output) in keys.iter_mut().enumerate() {
                 let Some(output) = output else { continue };
                 let cell = match key.get(slot) {
@@ -859,11 +877,9 @@ impl Aggregator {
                 };
                 output.put(block, strings, cell);
             }
-            let finished = entry.reducers.iter().zip(&denominators);
-            for ((red, &denominator), output) in finished.zip(results.iter_mut()) {
-                if let (Some(value), Some(output)) = (red.finish(denominator), output) {
-                    let cell = strings.cell(&value);
-                    output.put(block, strings, cell);
+            for (cell, output) in results[row * ops..][..ops].iter().zip(outputs.iter_mut()) {
+                if let (Some(cell), Some(output)) = (cell, output) {
+                    output.put(block, strings, *cell);
                 }
             }
             assert!(block.end_row(), "a flush of more than 2^32 values");
@@ -879,7 +895,7 @@ impl Aggregator {
         m.counter("query.aggregator.groups_flushed")
             .add(rows.len() as u64);
         m.gauge("query.aggregator.groups_live")
-            .set_max(self.db.len() as u64);
+            .set_max(self.len() as u64);
         m.counter("query.aggregator.overflow_records")
             .add(self.overflow_records());
         m.counter("query.aggregator.overflow_folds")
@@ -941,7 +957,7 @@ impl std::fmt::Debug for Aggregator {
         write!(
             f,
             "Aggregator({} entries, {} records processed)",
-            self.db.len(),
+            self.len(),
             self.records_processed
         )
     }
@@ -949,6 +965,9 @@ impl std::fmt::Debug for Aggregator {
 
 #[cfg(test)]
 mod flush_oracle;
+
+#[cfg(test)]
+mod state_oracle;
 
 #[cfg(test)]
 mod tests {

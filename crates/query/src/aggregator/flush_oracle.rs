@@ -1,7 +1,10 @@
 //! `flush` held to the row emitter it was before it became the row view
 //! of `flush_into`. That emitter is copied below unchanged, but for its
-//! comparator's name and the metrics it published, and is the oracle:
-//! every pair of every row must carry the same label, class and bits.
+//! comparator's name, the metrics it published and the state it read —
+//! it takes each row's key and results as values now ([`Row`]), which is
+//! also how the state oracle (`state_oracle.rs`) hands it the old
+//! per-group state's rows — and is the oracle: every pair of every row
+//! must carry the same label, class and bits.
 //!
 //! Its comparator built a `Value` per slot and left distinct keys of one
 //! `f64` image (an `Int` and a `Float` of one value, 2^53 and 2^53 + 1)
@@ -16,34 +19,38 @@ use proptest::prelude::*;
 use super::*;
 use crate::parser::parse_query;
 
-/// The old key order: slot by slot, by the values the cells stand for
-/// in `strings`; absent sorts first.
-fn by_values(strings: &StringTable, a: &[KeyCell], b: &[KeyCell]) -> Ordering {
-    let mut slots = a.iter().zip(b).map(|(a, b)| match (a.0, b.0) {
-        (Some(a), Some(b)) => strings.get(a).total_cmp(&strings.get(b)),
+/// One row of the old emitter: the key's value per label (`None` where
+/// absent) — no key at all for the overflow bucket's row — and each
+/// op's finished result.
+pub(super) struct Row {
+    pub(super) key: Option<Vec<Option<Value>>>,
+    pub(super) results: Vec<Option<Value>>,
+}
+
+/// The old key order: slot by slot, by value; absent sorts first.
+pub(super) fn by_values(a: &[Option<Value>], b: &[Option<Value>]) -> Ordering {
+    let mut slots = a.iter().zip(b).map(|(a, b)| match (a, b) {
+        (Some(a), Some(b)) => a.total_cmp(b),
         (a, b) => a.is_some().cmp(&b.is_some()),
     });
     slots.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
 }
 
-/// The old `Aggregator::flush`.
-fn oracle(agg: &Aggregator, out_store: &AttributeStore) -> Vec<FlatRecord> {
-    let has_overflow = agg.overflow.is_some();
-    let mut rows: Vec<(&[KeyCell], &DbEntry)> = Vec::with_capacity(agg.db.len() + 1);
-    rows.extend(
-        agg.db
-            .iter()
-            .map(|(key, &group)| (&**key, &agg.entries[group as usize])),
-    );
-    rows.sort_by(|a, b| by_values(&agg.strings, a.0, b.0));
-    rows.extend(agg.overflow.iter().map(|entry| (&[][..], entry)));
-
+/// The old `Aggregator::flush` of an aggregation of `spec` over `store`,
+/// from its rows: the keyed ones in key order, then the overflow
+/// bucket's.
+pub(super) fn emit(
+    spec: &AggregationSpec,
+    store: &AttributeStore,
+    rows: &[Row],
+    out_store: &AttributeStore,
+) -> Vec<FlatRecord> {
+    let has_overflow = rows.iter().any(|row| row.key.is_none());
     let declare = |label: &str, vtype, properties| {
         let created = out_store.create(label, vtype, properties);
         created.unwrap_or_else(|_| out_store.find(label).expect("exists"))
     };
-    let key_attrs: Vec<Option<Attribute>> = agg
-        .spec
+    let key_attrs: Vec<Option<Attribute>> = spec
         .key
         .iter()
         .enumerate()
@@ -51,25 +58,21 @@ fn oracle(agg: &Aggregator, out_store: &AttributeStore) -> Vec<FlatRecord> {
             let vtype = if has_overflow {
                 Some(ValueType::Str)
             } else {
-                agg.store.find(label).map(|a| a.value_type()).or_else(|| {
-                    let mut cells = rows.iter().filter_map(|(key, _)| key.get(slot)?.0);
-                    cells.next().map(|cell| agg.strings.get(cell).value_type())
+                store.find(label).map(|a| a.value_type()).or_else(|| {
+                    let mut values = rows
+                        .iter()
+                        .filter_map(|row| row.key.as_ref()?[slot].as_ref());
+                    values.next().map(Value::value_type)
                 })
             };
             vtype.map(|t| declare(label, t, Properties::DEFAULT))
         })
         .collect();
 
-    let mut result_types: Vec<Option<ValueType>> = vec![None; agg.spec.ops.len()];
-    let mut denominators = vec![0.0; agg.spec.ops.len()];
-    for (i, op) in agg.spec.ops.iter().enumerate() {
-        if op.kind == OpKind::PercentTotal {
-            denominators[i] = rows.iter().map(|(_, e)| e.reducers[i].raw_sum()).sum();
-        }
-    }
-    for (_, entry) in &rows {
-        for (i, red) in entry.reducers.iter().enumerate() {
-            if let Some(v) = red.finish(denominators[i]) {
+    let mut result_types: Vec<Option<ValueType>> = vec![None; spec.ops.len()];
+    for row in rows {
+        for (i, result) in row.results.iter().enumerate() {
+            if let Some(v) = result {
                 let t = v.value_type();
                 result_types[i] = Some(match result_types[i] {
                     None => t,
@@ -80,13 +83,12 @@ fn oracle(agg: &Aggregator, out_store: &AttributeStore) -> Vec<FlatRecord> {
             }
         }
     }
-    let result_attrs: Vec<Option<Attribute>> = agg
-        .spec
+    let result_attrs: Vec<Option<Attribute>> = spec
         .ops
         .iter()
         .zip(&result_types)
         .map(|(op, vtype)| {
-            let label = op.result_label(&agg.spec.count_label);
+            let label = op.result_label(&spec.count_label);
             vtype.map(|t| declare(&label, t, Properties::AGGREGATABLE))
         })
         .collect();
@@ -100,20 +102,20 @@ fn oracle(agg: &Aggregator, out_store: &AttributeStore) -> Vec<FlatRecord> {
     };
 
     let mut out = Vec::with_capacity(rows.len());
-    for (key, entry) in rows {
+    for row in rows {
         let mut rec = FlatRecord::new();
         for (slot, attr) in key_attrs.iter().enumerate() {
-            let value = match key.get(slot) {
-                Some(cell) => cell.0.map(|cell| agg.strings.get(cell).into_owned()),
+            let value = match &row.key {
+                Some(key) => key[slot].clone(),
                 None => Some(Value::str(OVERFLOW_KEY)),
             };
             if let (Some(value), Some(attr)) = (value, attr) {
                 rec.push(attr.id(), coerce(attr, value));
             }
         }
-        for (i, red) in entry.reducers.iter().enumerate() {
-            if let (Some(value), Some(attr)) = (red.finish(denominators[i]), &result_attrs[i]) {
-                rec.push(attr.id(), coerce(attr, value));
+        for (result, attr) in row.results.iter().zip(&result_attrs) {
+            if let (Some(value), Some(attr)) = (result, attr) {
+                rec.push(attr.id(), coerce(attr, value.clone()));
             }
         }
         out.push(rec);
@@ -121,11 +123,50 @@ fn oracle(agg: &Aggregator, out_store: &AttributeStore) -> Vec<FlatRecord> {
     out
 }
 
+/// The old emitter over `agg`'s state: its groups sorted by
+/// [`by_values`], then the overflow bucket.
+fn oracle(agg: &Aggregator, out_store: &AttributeStore) -> Vec<FlatRecord> {
+    let value = |cell: &KeyCell| cell.0.map(|cell| agg.strings.get(cell).into_owned());
+    let mut keyed: Vec<(Vec<Option<Value>>, u32)> = agg
+        .keyed()
+        .into_iter()
+        .map(|group| (agg.key_of(group).iter().map(value).collect(), group))
+        .collect();
+    keyed.sort_by(|a, b| by_values(&a.0, &b.0));
+    let order: Vec<u32> = keyed
+        .iter()
+        .map(|(_, group)| *group)
+        .chain(agg.overflow)
+        .collect();
+    let denominators: Vec<f64> = agg.ops.iter().map(|op| op.denominator(&order)).collect();
+    let results = |group: u32| {
+        let (group, records) = (group as usize, agg.records[group as usize]);
+        let mut out = StringTable::default();
+        let mut finish = |(op, &d): (&Column, &f64)| {
+            let cell = op.finish(group, records, d, &agg.strings, &mut out)?;
+            Some(out.get(cell).into_owned())
+        };
+        agg.ops.iter().zip(&denominators).map(&mut finish).collect()
+    };
+    let mut rows: Vec<Row> = keyed
+        .into_iter()
+        .map(|(key, group)| Row {
+            key: Some(key),
+            results: results(group),
+        })
+        .collect();
+    rows.extend(agg.overflow.map(|group| Row {
+        key: None,
+        results: results(group),
+    }));
+    emit(&agg.spec, &agg.store, &rows, out_store)
+}
+
 /// Rows as `describe` renders them, and pair by pair as (label, class,
 /// bits) — a float by `f64::to_bits`, a string by its text.
-type Fingerprint = (Vec<String>, Vec<Vec<(String, String)>>);
+pub(super) type Fingerprint = (Vec<String>, Vec<Vec<(String, String)>>);
 
-fn fingerprint(rows: &[FlatRecord], store: &AttributeStore) -> Fingerprint {
+pub(super) fn fingerprint(rows: &[FlatRecord], store: &AttributeStore) -> Fingerprint {
     let described = rows.iter().map(|row| row.describe(store)).collect();
     let pairs = rows
         .iter()
@@ -155,7 +196,7 @@ fn fingerprint(rows: &[FlatRecord], store: &AttributeStore) -> Fingerprint {
 /// The input attributes, with the types the input store declares: key
 /// labels `a` (int), `b` (string), `c` (double); targets `x` (double),
 /// `y` (int).
-const LABELS: [(&str, ValueType); 5] = [
+pub(super) const LABELS: [(&str, ValueType); 5] = [
     ("a", ValueType::Int),
     ("b", ValueType::Str),
     ("c", ValueType::Float),

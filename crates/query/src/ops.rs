@@ -1,81 +1,131 @@
 //! Reduction operator implementations (§IV-B).
 //!
-//! Each operator is a small state machine with three operations:
-//! `update` folds one input value into the state (streaming reduction —
-//! the input is never stored), `merge` combines two states (used by
-//! cross-process tree reduction and by re-aggregation of pre-aggregated
-//! profiles), and `finish` produces the result value(s).
+//! An operator's state is a `Column` with one entry per group, indexed
+//! by group id — the aggregator holds one per op — and each operator has
+//! three operations on an entry: `update` folds one input value into it
+//! (streaming reduction — the input is never stored), `merge` folds
+//! another column's entry into it (cross-process tree reduction,
+//! re-aggregation of pre-aggregated profiles), and `finish` produces the
+//! result value. A [`Reducer`] is one entry of one operator's column.
+
+use std::cmp::Ordering;
+use std::fmt::Write;
 
 use caliper_data::Value;
+use caliper_format::{Cell, StringTable};
 
 use crate::ast::{AggOp, OpKind};
 
-/// Runtime state of one reduction operator instance.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Reducer {
-    /// `count`: number of input records.
-    Count(u64),
-    /// `sum`: type-preserving sum (Int+Int→Int, otherwise Float).
-    Sum(Option<Value>),
-    /// `min`: minimum under the data model's total order.
-    Min(Option<Value>),
-    /// `max`: maximum under the data model's total order.
-    Max(Option<Value>),
-    /// `avg`: arithmetic mean over numeric inputs.
-    Avg {
-        /// Sum of inputs.
-        sum: f64,
-        /// Number of inputs.
-        n: u64,
-    },
-    /// `histogram(lo, hi, nbins)`: fixed-width bin counts with
-    /// underflow/overflow bins.
+/// Reservoir capacity for the `percentile` operator. A reservoir never
+/// holds more, however many merges it went through.
+const PERCENTILE_CAPACITY: usize = 1024;
+
+/// One operator's state for every group, indexed by group id. A string
+/// a state keeps is a code of the aggregation's [`StringTable`].
+#[derive(Debug)]
+pub(crate) enum Column {
+    /// `count`: the group's input records, which its owner counts — the
+    /// column holds nothing.
+    Count,
+    /// `sum`: type-preserving sum (Int+Int→Int, UInt+UInt→UInt,
+    /// otherwise Float, and Float on overflow); a lone input keeps its
+    /// class, string or bool included.
+    Sum(Vec<Option<Cell>>),
+    /// `min` (`Less`) / `max` (`Greater`): the extreme under the data
+    /// model's total order ([`Value::total_cmp`]); the first of equals
+    /// wins.
+    Extreme(Ordering, Vec<Option<Cell>>),
+    /// `avg`: sum and number of numeric inputs.
+    Avg(Vec<(f64, u64)>),
+    /// `percent_total`: the group's sum, normalized to percent at flush
+    /// time by the sum over all groups ([`Column::denominator`]).
+    PercentTotal(Vec<f64>),
+    /// `variance` / `stddev` (`true`): Welford's (n, mean, M2), mergeable
+    /// by the parallel-variance formula.
+    Moments(bool, Vec<(u64, f64, f64)>),
+    /// `histogram(lo, hi, nbins)`: `nbins + 2` counts per group — inputs
+    /// below `lo`, the fixed-width bins, inputs at or above
+    /// `lo + nbins*width`.
     Histogram {
-        /// Lower bound of the first bin.
         lo: f64,
-        /// Bin width.
         width: f64,
-        /// Bin counts.
-        bins: Vec<u64>,
-        /// Inputs below `lo`.
-        under: u64,
-        /// Inputs at or above `lo + nbins*width`.
-        over: u64,
+        stride: usize,
+        counts: Vec<u64>,
     },
-    /// `percent_total`: per-key sum; normalized to percent at flush time
-    /// by the aggregator (which knows the global total).
-    PercentTotal(f64),
-    /// `variance` / `stddev`: Welford accumulator (mergeable via the
-    /// parallel-variance formula).
-    Moments {
-        /// Number of inputs.
-        n: u64,
-        /// Running mean.
-        mean: f64,
-        /// Sum of squared deviations from the mean (M2).
-        m2: f64,
-        /// Whether to report the standard deviation instead of the
-        /// variance.
-        stddev: bool,
-    },
-    /// `percentile(attr, p)`: deterministic bounded reservoir. Exact
-    /// while fewer than the capacity of inputs have been seen; beyond
-    /// that, a deterministic systematic sample (every k-th input) is
-    /// kept, which preserves quantiles of stationary streams.
-    Percentile {
-        /// Requested percentile in (0, 100).
-        p: f64,
-        /// Retained sample.
-        sample: Vec<f64>,
-        /// Keep every `stride`-th input once the reservoir is full.
-        stride: u64,
-        /// Inputs seen so far.
-        seen: u64,
-    },
+    /// `percentile(attr, p)`: a bounded reservoir per group.
+    Percentile(f64, Vec<Reservoir>),
 }
 
-/// Reservoir capacity for the `percentile` operator.
-const PERCENTILE_CAPACITY: usize = 1024;
+/// A deterministic bounded reservoir: exact while fewer than the
+/// capacity of inputs have been seen; beyond that, a systematic sample
+/// (every `stride`-th input), which preserves quantiles of stationary
+/// streams.
+#[derive(Debug)]
+pub(crate) struct Reservoir {
+    sample: Vec<f64>,
+    /// Keep every `stride`-th input once the reservoir has been full.
+    stride: u64,
+    /// Inputs seen so far.
+    seen: u64,
+}
+
+impl Reservoir {
+    const EMPTY: Reservoir = Reservoir {
+        sample: Vec::new(),
+        stride: 1,
+        seen: 0,
+    };
+
+    fn update(&mut self, v: f64) {
+        if self.seen.is_multiple_of(self.stride) {
+            if self.sample.len() >= PERCENTILE_CAPACITY {
+                // Thin deterministically: keep every other retained
+                // sample and double the stride.
+                let mut keep = 0;
+                self.sample.retain(|_| {
+                    keep += 1;
+                    keep % 2 == 1
+                });
+                self.stride *= 2;
+            }
+            self.sample.push(v);
+        }
+        self.seen += 1;
+    }
+
+    fn merge(&mut self, other: &Reservoir) {
+        // Keep each side's representation proportional to how many
+        // inputs it has actually seen — a naive concat would over-weight
+        // the smaller stream — within the capacity: this side's quota,
+        // rounded down but one at least, and the other side the rest (one
+        // at least too, as it saw at least one input).
+        let total = self.seen + other.seen;
+        if self.sample.len() + other.sample.len() > PERCENTILE_CAPACITY && total > 0 {
+            let quota = ((PERCENTILE_CAPACITY as u64 * self.seen) / total).max(1) as usize;
+            subsample_sorted(&mut self.sample, quota);
+            let mut theirs = other.sample.clone();
+            subsample_sorted(&mut theirs, PERCENTILE_CAPACITY - quota);
+            self.sample.extend_from_slice(&theirs);
+        } else {
+            self.sample.extend_from_slice(&other.sample);
+        }
+        self.stride = self.stride.max(other.stride);
+        self.seen = total;
+    }
+
+    fn quantile(&self, p: f64) -> Option<f64> {
+        if self.sample.is_empty() {
+            return None;
+        }
+        let mut sorted = self.sample.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let idx = (p / 100.0) * (sorted.len() - 1) as f64;
+        let lo = idx.floor() as usize;
+        let hi = idx.ceil() as usize;
+        let frac = idx - lo as f64;
+        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    }
+}
 
 /// Sort `v` and keep `target` evenly spaced elements (quantile-
 /// preserving subsample).
@@ -91,366 +141,286 @@ fn subsample_sorted(v: &mut Vec<f64>, target: usize) {
     *v = thinned;
 }
 
-impl Reducer {
-    /// Create the initial state for an operation.
-    pub fn new(op: &AggOp) -> Reducer {
+/// `prev + value` under `sum`'s rules; `prev` a cell of `strings`.
+fn add(prev: Cell, value: &Value, strings: &StringTable) -> Cell {
+    let exact = match (prev, value) {
+        (Cell::Int(a), Value::Int(b)) => a.checked_add(*b).map(Cell::Int),
+        (Cell::UInt(a), Value::UInt(b)) => a.checked_add(*b).map(Cell::UInt),
+        // What the float-space sum below makes of two floats, sooner.
+        (Cell::Float(a), Value::Float(b)) => Some(Cell::Float(a + b)),
+        _ => None,
+    };
+    // Mixed classes and overflow: in float space.
+    exact.unwrap_or_else(|| {
+        let prev = strings.get(prev).to_f64().unwrap_or(0.0);
+        Cell::Float(prev + value.to_f64().unwrap_or(0.0))
+    })
+}
+
+impl Column {
+    /// The column of `op`, with no entries yet.
+    pub(crate) fn new(op: &AggOp) -> Column {
+        let arg = |i: usize| op.args.get(i).and_then(Value::to_f64);
         match op.kind {
-            OpKind::Count => Reducer::Count(0),
-            OpKind::Sum => Reducer::Sum(None),
-            OpKind::Min => Reducer::Min(None),
-            OpKind::Max => Reducer::Max(None),
-            OpKind::Avg => Reducer::Avg { sum: 0.0, n: 0 },
+            OpKind::Count => Column::Count,
+            OpKind::Sum => Column::Sum(Vec::new()),
+            OpKind::Min => Column::Extreme(Ordering::Less, Vec::new()),
+            OpKind::Max => Column::Extreme(Ordering::Greater, Vec::new()),
+            OpKind::Avg => Column::Avg(Vec::new()),
+            OpKind::PercentTotal => Column::PercentTotal(Vec::new()),
+            OpKind::Variance => Column::Moments(false, Vec::new()),
+            OpKind::Stddev => Column::Moments(true, Vec::new()),
             OpKind::Histogram => {
-                let lo = op.args.first().and_then(Value::to_f64).unwrap_or(0.0);
-                let hi = op.args.get(1).and_then(Value::to_f64).unwrap_or(1.0);
-                let nbins = op
-                    .args
-                    .get(2)
-                    .and_then(Value::to_u64)
-                    .unwrap_or(10)
-                    .clamp(1, 4096) as usize;
-                let width = ((hi - lo) / nbins as f64).max(f64::MIN_POSITIVE);
-                Reducer::Histogram {
+                let (lo, hi) = (arg(0).unwrap_or(0.0), arg(1).unwrap_or(1.0));
+                let nbins = op.args.get(2).and_then(Value::to_u64);
+                let nbins = nbins.unwrap_or(10).clamp(1, 4096) as usize;
+                Column::Histogram {
                     lo,
-                    width,
-                    bins: vec![0; nbins],
-                    under: 0,
-                    over: 0,
+                    width: ((hi - lo) / nbins as f64).max(f64::MIN_POSITIVE),
+                    stride: nbins + 2,
+                    counts: Vec::new(),
                 }
             }
-            OpKind::PercentTotal => Reducer::PercentTotal(0.0),
-            OpKind::Variance | OpKind::Stddev => Reducer::Moments {
-                n: 0,
-                mean: 0.0,
-                m2: 0.0,
-                stddev: op.kind == OpKind::Stddev,
-            },
-            OpKind::Percentile => Reducer::Percentile {
-                p: op
-                    .args
-                    .first()
-                    .and_then(Value::to_f64)
-                    .unwrap_or(50.0)
-                    .clamp(0.0, 100.0),
-                sample: Vec::new(),
-                stride: 1,
-                seen: 0,
-            },
+            OpKind::Percentile => {
+                Column::Percentile(arg(0).unwrap_or(50.0).clamp(0.0, 100.0), Vec::new())
+            }
         }
     }
 
-    /// Fold one record occurrence into the state. `Count` is updated once
-    /// per record by the aggregator (not per value); all others are
-    /// updated once per value occurrence of their target attribute.
-    pub fn update(&mut self, value: &Value) {
+    /// Add an entry with no input folded in.
+    pub(crate) fn push(&mut self) {
         match self {
-            Reducer::Count(n) => *n += 1,
-            Reducer::Sum(acc) => {
-                *acc = match acc.take() {
-                    None => Some(value.clone()),
-                    Some(prev) => Some(
-                        prev.checked_add(value)
-                            // on overflow, saturate into float space
-                            .unwrap_or_else(|| {
-                                Value::Float(
-                                    prev.to_f64().unwrap_or(0.0) + value.to_f64().unwrap_or(0.0),
-                                )
-                            }),
-                    ),
+            Column::Count => {}
+            Column::Sum(acc) | Column::Extreme(_, acc) => acc.push(None),
+            Column::Avg(acc) => acc.push((0.0, 0)),
+            Column::PercentTotal(acc) => acc.push(0.0),
+            Column::Moments(_, acc) => acc.push((0, 0.0, 0.0)),
+            Column::Histogram { stride, counts, .. } => counts.resize(counts.len() + *stride, 0),
+            Column::Percentile(_, reservoirs) => reservoirs.push(Reservoir::EMPTY),
+        }
+    }
+
+    /// Fold one input value into entry `g`; a string the entry keeps is
+    /// interned in `strings`.
+    pub(crate) fn update(&mut self, g: usize, value: &Value, strings: &mut StringTable) {
+        let v = match self {
+            Column::Count => return,
+            Column::Sum(acc) => {
+                acc[g] = Some(match acc[g] {
+                    None => strings.cell(value),
+                    Some(prev) => add(prev, value, strings),
+                });
+                return;
+            }
+            Column::Extreme(wanted, acc) => {
+                let kept = &mut acc[g];
+                // Two floats compared as `Value::total_cmp` compares
+                // them, with no `Value` built of the kept one.
+                let wins = match (*kept, value) {
+                    (None, _) => true,
+                    (Some(Cell::Float(x)), Value::Float(v)) => v.total_cmp(&x) == *wanted,
+                    (Some(cell), _) => value.total_cmp(&strings.get(cell)) == *wanted,
                 };
-            }
-            Reducer::Min(acc) => {
-                let better = match acc {
-                    None => true,
-                    Some(prev) => value.total_cmp(prev).is_lt(),
-                };
-                if better {
-                    *acc = Some(value.clone());
+                if wins {
+                    *kept = Some(strings.cell(value));
                 }
+                return;
             }
-            Reducer::Max(acc) => {
-                let better = match acc {
-                    None => true,
-                    Some(prev) => value.total_cmp(prev).is_gt(),
-                };
-                if better {
-                    *acc = Some(value.clone());
-                }
+            _ => match value.to_f64() {
+                Some(v) => v,
+                None => return,
+            },
+        };
+        match self {
+            Column::Avg(acc) => {
+                acc[g].0 += v;
+                acc[g].1 += 1;
             }
-            Reducer::Avg { sum, n } => {
-                if let Some(v) = value.to_f64() {
-                    *sum += v;
-                    *n += 1;
-                }
+            Column::PercentTotal(acc) => acc[g] += v,
+            Column::Moments(_, acc) => {
+                let (n, mean, m2) = &mut acc[g];
+                *n += 1;
+                let delta = v - *mean;
+                *mean += delta / *n as f64;
+                *m2 += delta * (v - *mean);
             }
-            Reducer::Histogram {
+            Column::Histogram {
                 lo,
                 width,
-                bins,
-                under,
-                over,
-            } => {
-                if let Some(v) = value.to_f64() {
-                    if v < *lo {
-                        *under += 1;
-                    } else {
-                        let bin = ((v - *lo) / *width) as usize;
-                        if bin < bins.len() {
-                            bins[bin] += 1;
-                        } else {
-                            *over += 1;
-                        }
-                    }
-                }
-            }
-            Reducer::PercentTotal(sum) => {
-                if let Some(v) = value.to_f64() {
-                    *sum += v;
-                }
-            }
-            Reducer::Moments { n, mean, m2, .. } => {
-                if let Some(v) = value.to_f64() {
-                    *n += 1;
-                    let delta = v - *mean;
-                    *mean += delta / *n as f64;
-                    *m2 += delta * (v - *mean);
-                }
-            }
-            Reducer::Percentile {
-                sample,
                 stride,
-                seen,
-                ..
+                counts,
             } => {
-                if let Some(v) = value.to_f64() {
-                    if *seen % *stride == 0 {
-                        if sample.len() == PERCENTILE_CAPACITY {
-                            // Thin deterministically: keep every other
-                            // retained sample and double the stride.
-                            let mut keep = 0;
-                            sample.retain(|_| {
-                                keep += 1;
-                                keep % 2 == 1
-                            });
-                            *stride *= 2;
-                        }
-                        sample.push(v);
-                    }
-                    *seen += 1;
-                }
+                // Below `lo` slot 0, bin `i` slot `i + 1`, past the last
+                // bin the last slot.
+                let bin = if v < *lo {
+                    0
+                } else {
+                    (((v - *lo) / *width) as usize).saturating_add(1)
+                };
+                counts[g * *stride + bin.min(*stride - 1)] += 1;
             }
+            Column::Percentile(_, reservoirs) => reservoirs[g].update(v),
+            Column::Count | Column::Sum(_) | Column::Extreme(..) => {}
         }
     }
 
-    /// Combine another state into this one. Both states must come from
-    /// the same [`AggOp`]; mismatched shapes panic in debug builds and
-    /// are ignored in release builds.
-    pub fn merge(&mut self, other: &Reducer) {
+    /// Fold entry `og` of `other` — a column of the same op, strings as
+    /// codes of `from` — into entry `g`.
+    pub(crate) fn merge(
+        &mut self,
+        g: usize,
+        other: &Column,
+        og: usize,
+        from: &StringTable,
+        to: &mut StringTable,
+    ) {
         match (self, other) {
-            (Reducer::Count(a), Reducer::Count(b)) => *a += b,
-            (Reducer::Sum(a), Reducer::Sum(b)) => {
-                if let Some(bv) = b {
-                    match a.take() {
-                        None => *a = Some(bv.clone()),
-                        Some(av) => {
-                            *a = Some(av.checked_add(bv).unwrap_or_else(|| {
-                                Value::Float(
-                                    av.to_f64().unwrap_or(0.0) + bv.to_f64().unwrap_or(0.0),
-                                )
-                            }))
-                        }
-                    }
-                }
-            }
-            (Reducer::Min(a), Reducer::Min(b)) => {
-                if let Some(bv) = b {
-                    let better = match a {
-                        None => true,
-                        Some(av) => bv.total_cmp(av).is_lt(),
-                    };
-                    if better {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
-            (Reducer::Max(a), Reducer::Max(b)) => {
-                if let Some(bv) = b {
-                    let better = match a {
-                        None => true,
-                        Some(av) => bv.total_cmp(av).is_gt(),
-                    };
-                    if better {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
+            (Column::Count, Column::Count) => {}
             (
-                Reducer::Avg { sum: sa, n: na },
-                Reducer::Avg { sum: sb, n: nb },
+                mine @ (Column::Sum(_) | Column::Extreme(..)),
+                Column::Sum(theirs) | Column::Extreme(_, theirs),
             ) => {
-                *sa += sb;
-                *na += nb;
-            }
-            (
-                Reducer::Histogram {
-                    bins: ba,
-                    under: ua,
-                    over: oa,
-                    ..
-                },
-                Reducer::Histogram {
-                    bins: bb,
-                    under: ub,
-                    over: ob,
-                    ..
-                },
-            ) if ba.len() == bb.len() => {
-                for (a, b) in ba.iter_mut().zip(bb) {
-                    *a += b;
+                if let Some(cell) = theirs[og] {
+                    mine.update(g, &from.get(cell), to);
                 }
-                *ua += ub;
-                *oa += ob;
             }
-            (Reducer::PercentTotal(a), Reducer::PercentTotal(b)) => {
-                *a += b;
+            (Column::Avg(a), Column::Avg(b)) => {
+                a[g].0 += b[og].0;
+                a[g].1 += b[og].1;
             }
-            (
-                Reducer::Moments {
-                    n: na,
-                    mean: ma,
-                    m2: m2a,
-                    ..
-                },
-                Reducer::Moments {
-                    n: nb,
-                    mean: mb,
-                    m2: m2b,
-                    ..
-                },
-            ) => {
+            (Column::PercentTotal(a), Column::PercentTotal(b)) => a[g] += b[og],
+            (Column::Moments(_, a), Column::Moments(_, b)) => {
                 // Chan et al. parallel variance combination.
-                let n = *na + *nb;
-                if *nb > 0 {
+                let ((na, ma, m2a), (nb, mb, m2b)) = (&mut a[g], b[og]);
+                let n = *na + nb;
+                if nb > 0 {
                     if *na == 0 {
-                        *ma = *mb;
-                        *m2a = *m2b;
+                        *ma = mb;
+                        *m2a = m2b;
                     } else {
-                        let delta = *mb - *ma;
-                        *m2a += *m2b + delta * delta * (*na as f64) * (*nb as f64) / n as f64;
-                        *ma += delta * (*nb as f64) / n as f64;
+                        let delta = mb - *ma;
+                        *m2a += m2b + delta * delta * (*na as f64) * (nb as f64) / n as f64;
+                        *ma += delta * (nb as f64) / n as f64;
                     }
                     *na = n;
                 }
             }
-            (
-                Reducer::Percentile {
-                    sample: sa,
-                    seen: seena,
-                    ..
-                },
-                Reducer::Percentile {
-                    sample: sb,
-                    seen: seenb,
-                    ..
-                },
-            ) => {
-                // Keep each side's representation proportional to how
-                // many inputs it has actually seen — a naive concat
-                // would over-weight the smaller stream.
-                let total = *seena + *seenb;
-                if sa.len() + sb.len() > PERCENTILE_CAPACITY && total > 0 {
-                    let quota_a = ((PERCENTILE_CAPACITY as u64 * *seena) / total) as usize;
-                    let quota_b = PERCENTILE_CAPACITY - quota_a.min(PERCENTILE_CAPACITY);
-                    let target_a = quota_a.max(1).min(sa.len());
-                    subsample_sorted(sa, target_a);
-                    let mut b_copy = sb.clone();
-                    let target_b = quota_b.max(1).min(b_copy.len());
-                    subsample_sorted(&mut b_copy, target_b);
-                    sa.extend_from_slice(&b_copy);
-                } else {
-                    sa.extend_from_slice(sb);
+            (Column::Histogram { stride, counts, .. }, Column::Histogram { counts: b, .. }) => {
+                let theirs = &b[og * *stride..][..*stride];
+                for (mine, theirs) in counts[g * *stride..][..*stride].iter_mut().zip(theirs) {
+                    *mine += theirs;
                 }
-                *seena = total;
             }
-            (a, b) => {
-                debug_assert!(false, "merging mismatched reducers: {a:?} vs {b:?}");
-            }
+            (Column::Percentile(_, a), Column::Percentile(_, b)) => a[g].merge(&b[og]),
+            (a, b) => debug_assert!(false, "merging mismatched columns: {a:?} vs {b:?}"),
         }
+    }
+
+    /// Entry `g`'s result — its group having folded `records` records,
+    /// its strings codes of `strings` — as a cell of `out`.
+    /// `Sum`/`Min`/`Max`/`Avg` with no inputs yield `None` (no output
+    /// attribute for that group); `percent_total` divides by
+    /// `denominator`.
+    pub(crate) fn finish(
+        &self,
+        g: usize,
+        records: u64,
+        denominator: f64,
+        strings: &StringTable,
+        out: &mut StringTable,
+    ) -> Option<Cell> {
+        match self {
+            Column::Count => Some(Cell::UInt(records)),
+            Column::Sum(acc) | Column::Extreme(_, acc) => acc[g].map(|cell| match cell {
+                Cell::Str(code) => out.cell(strings.value(code)),
+                number => number,
+            }),
+            Column::Avg(acc) => {
+                let (sum, n) = acc[g];
+                (n > 0).then(|| Cell::Float(sum / n as f64))
+            }
+            Column::PercentTotal(acc) => {
+                (denominator > 0.0).then(|| Cell::Float(100.0 * acc[g] / denominator))
+            }
+            Column::Moments(stddev, acc) => {
+                let (n, _, m2) = acc[g];
+                let variance = m2 / n as f64;
+                (n > 0).then(|| Cell::Float(if *stddev { variance.sqrt() } else { variance }))
+            }
+            Column::Histogram { stride, counts, .. } => {
+                // Rendered as "under|b0 b1 ... bn|over" — a compact,
+                // parseable string representation.
+                let counts = &counts[g * *stride..][..*stride];
+                let mut text = format!("{}|", counts[0]);
+                for (i, count) in counts[1..*stride - 1].iter().enumerate() {
+                    let gap = if i > 0 { " " } else { "" };
+                    write!(text, "{gap}{count}").expect("writing to a String");
+                }
+                write!(text, "|{}", counts[*stride - 1]).expect("writing to a String");
+                Some(Cell::Str(out.intern(&text)))
+            }
+            Column::Percentile(p, reservoirs) => reservoirs[g].quantile(*p).map(Cell::Float),
+        }
+    }
+
+    /// What [`finish`](Self::finish) divides by for the entries `groups`
+    /// of a flush: for `percent_total`, their sums, added in that order;
+    /// 0 for every other op.
+    pub(crate) fn denominator(&self, groups: &[u32]) -> f64 {
+        match self {
+            Column::PercentTotal(sums) => groups.iter().map(|&g| sums[g as usize]).sum(),
+            _ => 0.0,
+        }
+    }
+}
+
+/// One group of one operator, with a string table of its own: the
+/// column code over a single entry, for reducing one stream of values
+/// by hand.
+#[derive(Debug)]
+pub struct Reducer {
+    column: Column,
+    /// Inputs folded in (what `count` counts).
+    inputs: u64,
+    strings: StringTable,
+}
+
+impl Reducer {
+    /// Create the initial state for an operation.
+    pub fn new(op: &AggOp) -> Reducer {
+        let mut column = Column::new(op);
+        column.push();
+        Reducer {
+            column,
+            inputs: 0,
+            strings: StringTable::default(),
+        }
+    }
+
+    /// Fold one input into the state: `count` counts the calls, every
+    /// other operator folds the value.
+    pub fn update(&mut self, value: &Value) {
+        self.inputs += 1;
+        self.column.update(0, value, &mut self.strings);
+    }
+
+    /// Combine another state of the same [`AggOp`] into this one.
+    pub fn merge(&mut self, other: &Reducer) {
+        self.inputs += other.inputs;
+        let (from, to) = (&other.strings, &mut self.strings);
+        self.column.merge(0, &other.column, 0, from, to);
     }
 
     /// Produce the result value. `Sum`/`Min`/`Max` with no inputs yield
-    /// `None` (no output attribute for that entry). `percent_total` needs
-    /// the global total, passed by the aggregator.
+    /// `None`; `percent_total` divides by the global total, passed by the
+    /// caller.
     pub fn finish(&self, percent_total_denominator: f64) -> Option<Value> {
-        match self {
-            Reducer::Count(n) => Some(Value::UInt(*n)),
-            Reducer::Sum(acc) => acc.clone(),
-            Reducer::Min(acc) => acc.clone(),
-            Reducer::Max(acc) => acc.clone(),
-            Reducer::Avg { sum, n } => {
-                if *n == 0 {
-                    None
-                } else {
-                    Some(Value::Float(sum / *n as f64))
-                }
-            }
-            Reducer::Histogram {
-                bins, under, over, ..
-            } => {
-                // Render as "under|b0 b1 ... bn|over" — a compact,
-                // parseable string representation.
-                let body: Vec<String> = bins.iter().map(u64::to_string).collect();
-                Some(Value::str(format!(
-                    "{}|{}|{}",
-                    under,
-                    body.join(" "),
-                    over
-                )))
-            }
-            Reducer::PercentTotal(sum) => {
-                if percent_total_denominator > 0.0 {
-                    Some(Value::Float(100.0 * sum / percent_total_denominator))
-                } else {
-                    None
-                }
-            }
-            Reducer::Moments { n, m2, stddev, .. } => {
-                if *n == 0 {
-                    None
-                } else {
-                    let variance = m2 / *n as f64;
-                    Some(Value::Float(if *stddev {
-                        variance.sqrt()
-                    } else {
-                        variance
-                    }))
-                }
-            }
-            Reducer::Percentile { p, sample, .. } => {
-                if sample.is_empty() {
-                    return None;
-                }
-                let mut sorted = sample.clone();
-                sorted.sort_by(|a, b| a.total_cmp(b));
-                let idx = (p / 100.0) * (sorted.len() - 1) as f64;
-                let lo = idx.floor() as usize;
-                let hi = idx.ceil() as usize;
-                let frac = idx - lo as f64;
-                Some(Value::Float(sorted[lo] * (1.0 - frac) + sorted[hi] * frac))
-            }
-        }
-    }
-
-    /// The raw numeric accumulation (used to compute percent_total
-    /// denominators across entries).
-    pub fn raw_sum(&self) -> f64 {
-        match self {
-            Reducer::PercentTotal(s) => *s,
-            Reducer::Sum(Some(v)) => v.to_f64().unwrap_or(0.0),
-            Reducer::Avg { sum, .. } => *sum,
-            Reducer::Count(n) => *n as f64,
-            _ => 0.0,
-        }
+        let mut out = StringTable::default();
+        let (inputs, strings) = (self.inputs, &self.strings);
+        let cell = self
+            .column
+            .finish(0, inputs, percent_total_denominator, strings, &mut out)?;
+        Some(out.get(cell).into_owned())
     }
 }
 
@@ -460,6 +430,18 @@ mod tests {
 
     fn op(kind: OpKind, target: Option<&str>) -> AggOp {
         AggOp::new(kind, target)
+    }
+
+    /// The samples a `percentile` reducer holds.
+    fn sample(r: &Reducer) -> &[f64] {
+        match &r.column {
+            Column::Percentile(_, reservoirs) => &reservoirs[0].sample,
+            other => panic!("not a percentile: {other:?}"),
+        }
+    }
+
+    fn held(r: &Reducer) -> usize {
+        sample(r).len()
     }
 
     #[test]
@@ -568,7 +550,6 @@ mod tests {
             left.merge(&right);
             assert_eq!(left.finish(0.0), all.finish(0.0), "kind {kind:?}");
             assert_eq!(left.finish(100.0), all.finish(100.0), "kind {kind:?}");
-            assert_eq!(left.raw_sum(), all.raw_sum(), "kind {kind:?}");
         }
     }
 
@@ -578,7 +559,6 @@ mod tests {
         r.update(&Value::Float(25.0));
         assert_eq!(r.finish(100.0), Some(Value::Float(25.0)));
         assert_eq!(r.finish(0.0), None);
-        assert_eq!(r.raw_sum(), 25.0);
     }
 
     #[test]
@@ -644,11 +624,7 @@ mod tests {
         for i in 0..100_000 {
             r.update(&Value::Int(i % 1000));
         }
-        if let Reducer::Percentile { sample, .. } = &r {
-            assert!(sample.len() <= super::PERCENTILE_CAPACITY + 1);
-        } else {
-            unreachable!();
-        }
+        assert!(held(&r) <= PERCENTILE_CAPACITY);
         // Median of a uniform 0..1000 stream ~ 500 (systematic sample).
         let v = r.finish(0.0).unwrap().to_f64().unwrap();
         assert!((v - 500.0).abs() < 60.0, "median estimate {v}");
@@ -666,14 +642,48 @@ mod tests {
             }
             acc.merge(&part);
         }
-        if let Reducer::Percentile { sample, .. } = &acc {
-            assert!(sample.len() <= 2 * super::PERCENTILE_CAPACITY);
-        } else {
-            unreachable!();
-        }
+        assert!(held(&acc) <= PERCENTILE_CAPACITY);
         // Stream was 0..16000 uniform; median ~ 8000.
         let v = acc.finish(0.0).unwrap().to_f64().unwrap();
         assert!((v - 8000.0).abs() < 800.0, "median estimate {v}");
+    }
+
+    #[test]
+    fn percentile_reservoir_stays_bounded_after_a_lopsided_merge() {
+        // Regression: one side's quota rounded down to nothing was still
+        // given a sample, the merge kept capacity + 1, and `update`,
+        // which thinned only at exactly the capacity, never thinned again.
+        let mut pop = op(OpKind::Percentile, Some("x"));
+        pop.args = vec![Value::Int(50)];
+        let filled = |n: i64| {
+            let mut r = Reducer::new(&pop);
+            (0..n).for_each(|i| r.update(&Value::Int(i)));
+            r
+        };
+        for (mut acc, other) in [(filled(1), filled(1024)), (filled(1024), filled(1))] {
+            acc.merge(&other);
+            assert_eq!(held(&acc), PERCENTILE_CAPACITY);
+            (0..200_000).for_each(|i| acc.update(&Value::Int(i)));
+            assert!(held(&acc) <= PERCENTILE_CAPACITY, "{} samples", held(&acc));
+        }
+    }
+
+    #[test]
+    fn a_merge_into_an_empty_reservoir_keeps_the_stride() {
+        // The empty side takes the other's sample and its coarser stride,
+        // so what follows the merge is sampled as it would have been
+        // without it (a new group of a merge starts empty).
+        let mut pop = op(OpKind::Percentile, Some("x"));
+        pop.args = vec![Value::Int(50)];
+        let mut alone = Reducer::new(&pop);
+        (0..5000).for_each(|i| alone.update(&Value::Int(i)));
+        let mut merged = Reducer::new(&pop);
+        merged.merge(&alone);
+        for i in 5000..9000 {
+            alone.update(&Value::Int(i));
+            merged.update(&Value::Int(i));
+        }
+        assert_eq!(sample(&merged), sample(&alone));
     }
 
     #[test]

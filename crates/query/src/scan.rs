@@ -18,9 +18,10 @@
 //!   evaluates LET and WHERE on them, brings the key's cells into the
 //!   aggregator's terms — a stream code becomes the aggregator's code
 //!   for the same string by one array look-up — has the aggregator find
-//!   the row's group by hashing them, and feeds the reducers from the
-//!   typed values. No `SnapshotRecord`, no `FlatRecord`, no boxed key: a
-//!   row allocates only when its group is new.
+//!   the row's group by hashing them, and feeds the group's reduction
+//!   states from the typed values. No `SnapshotRecord`, no `FlatRecord`,
+//!   no boxed key, and no allocation per row: a new group is one more
+//!   row of the aggregator's columns.
 //! * **CALB v1** has no block decoder (and is on the deletion ledger
 //!   rather than getting one). Its records — and the stray v1-style row
 //!   records a v2 stream may carry between blocks — are decoded as rows
@@ -40,8 +41,8 @@
 //! Both find their groups in the one table there is from keys to
 //! groups, the aggregation database
 //! ([`Aggregator::admit`](crate::Aggregator)) — the fold keeps none of
-//! its own and knows nothing about groups — use the same
-//! [`Reducer::update`](crate::Reducer::update) in the same order, and
+//! its own and knows nothing about groups — feed the same per-op
+//! columns in the same order, and
 //! evaluate LET and WHERE through the same functions
 //! ([`LetExpr::eval`](crate::LetExpr), `filter::cmp_occurrences`), so a
 //! pipeline may be fed by any mix of the two.
@@ -50,13 +51,13 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use caliper_data::{AttrId, NodeId, Value};
+use caliper_data::{AttrId, NodeId};
 use caliper_format::{
     for_each_flat, scan_path, Block, CaliError, Cell, Dataset, Pushdown, ReadPolicy, ReadReport,
     StringTable,
 };
 
-use crate::aggregator::{AggregationSpec, Aggregator, CodeMap, DbEntry, KeyCell};
+use crate::aggregator::{AggregationSpec, Aggregator, CodeMap, KeyCell};
 use crate::ast::{AggOp, Filter, LetDef, OpKind, QuerySpec};
 use crate::filter::cmp_occurrences;
 use crate::lets::LetResult;
@@ -293,7 +294,7 @@ impl BlockFold {
     /// Fold every row of `block`, in order, into `agg`: the rows a
     /// record-by-record [`Pipeline::process`] / [`Aggregator::add`] of
     /// the same records would admit, into the same groups, updating the
-    /// same reducers in the same order.
+    /// same reduction states in the same order.
     ///
     /// `ds` is the dataset the block was decoded into — its store is the
     /// one `agg` resolves labels against — and `strings` the table the
@@ -406,18 +407,14 @@ impl BlockFold {
                 };
                 Some(KeyCell(Some(Cell::Str(code?))))
             }));
-            let group = agg.admit(&self.key, DbEntry::fresh);
+            let group = agg.admit(&self.key);
 
             // AGGREGATE.
-            let entry = agg.count_into(group);
-            for (reducer, target) in entry.reducers.iter_mut().zip(&self.ops) {
-                match target {
-                    None => reducer.update(&Value::UInt(1)),
-                    Some(slot) => {
-                        for &cell in &self.row[*slot as usize] {
-                            reducer.update(&strings.get(cell));
-                        }
-                    }
+            agg.count_into(group);
+            for (op, target) in self.ops.iter().enumerate() {
+                let Some(slot) = target else { continue };
+                for &cell in &self.row[*slot as usize] {
+                    agg.feed(group, op, &strings.get(cell));
                 }
             }
         }

@@ -1,0 +1,161 @@
+//! A group is a row of the aggregator's columns and a key in its arena,
+//! so aggregating allocates as the columns grow, not per group: folding
+//! rows that each start a group allocates O(log n) times, and a merge
+//! whose keys all exist in the receiver allocates nothing per group. A
+//! test binary of its own because it installs a counting global
+//! allocator; until `cali-bench` has a `query.new_group_allocs` row
+//! (ROADMAP item 1d) this is that row.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use caliper_data::{Properties, Value, ValueType};
+use caliper_format::{Block, Dataset, StringTable};
+use caliper_query::{parse_query, AggregationSpec, Aggregator, BlockFold};
+
+thread_local! {
+    // Const-initialised and without a destructor: reading it from
+    // inside the allocator neither allocates nor registers a TLS dtor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// [`System`] plus a per-thread count of `alloc`/`realloc` calls, so
+/// the test harness's own threads are not counted.
+struct CountingAlloc;
+
+fn bump() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`;
+// the only addition is a thread-local bump that neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: `ptr` is a `System` block of `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` is a `System` block of `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations `f` makes on this thread, and what it returns.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let start = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - start, out)
+}
+
+/// The benchmark's distinct grouping: one group per record.
+const QUERY: &str = "AGGREGATE count, sum(sum#time.duration), min(sum#time.duration), \
+     max(sum#time.duration) GROUP BY kernel, mpi.function, mpi.rank, iteration";
+
+/// The records of the benchmark's distinct query over one ParaDiS-sized
+/// file set.
+const ROWS: usize = 34_392;
+
+/// A dataset and a block of `rows` records, every one a key of its own:
+/// eight kernels, an MPI function on every third, a rank per 4 299
+/// records and the iteration counting up.
+fn block_of(rows: usize) -> (Dataset, StringTable, Block) {
+    let ds = Dataset::new();
+    let attr = |label, vtype| ds.attribute(label, vtype, Properties::AS_VALUE).id();
+    let (kernel, function) = (
+        attr("kernel", ValueType::Str),
+        attr("mpi.function", ValueType::Str),
+    );
+    let (rank, iteration) = (
+        attr("mpi.rank", ValueType::Int),
+        attr("iteration", ValueType::Int),
+    );
+    let time = attr("sum#time.duration", ValueType::Float);
+    let (mut strings, mut block) = (StringTable::default(), Block::default());
+    for i in 0..rows {
+        let mut push = |attr, value: Value| {
+            let column = block.column_for(attr, value.value_type());
+            block.push_imm(column, strings.cell(&value));
+        };
+        push(kernel, Value::str(format!("kernel-{}", i % 8)));
+        if i % 3 == 0 {
+            push(
+                function,
+                Value::str(["MPI_Send", "MPI_Recv", "MPI_Wait"][i % 9 / 3]),
+            );
+        }
+        push(rank, Value::Int((i / 4299) as i64));
+        push(iteration, Value::Int(i as i64));
+        push(time, Value::Float(i as f64 * 0.25));
+        assert!(block.end_row());
+    }
+    (ds, strings, block)
+}
+
+/// Allocations of folding `rows` distinct-key rows into an empty
+/// aggregator (fold state included), and that aggregator.
+fn fold_counted(rows: usize) -> (u64, Aggregator) {
+    let (ds, mut strings, block) = block_of(rows);
+    let spec = AggregationSpec::from_query(&parse_query(QUERY).expect("query parses"));
+    let (allocations, agg) = counted(|| {
+        let mut agg = Aggregator::new(spec.clone(), Arc::clone(&ds.store));
+        BlockFold::for_aggregation(&spec).fold(&mut agg, &ds, &mut strings, &block);
+        agg
+    });
+    assert_eq!(agg.len(), rows, "every row a group of its own");
+    (allocations, agg)
+}
+
+#[test]
+fn new_groups_allocate_as_the_columns_grow() {
+    let (half, _) = fold_counted(ROWS / 2);
+    let (all, _) = fold_counted(ROWS);
+    // Each column, the key arena and the key table double once more from
+    // the one size to the other (about 150 allocations in all, where a
+    // box per group made two per row).
+    assert!(all <= 200, "{all} allocations for {ROWS} new groups");
+    assert!(
+        all - half <= 12,
+        "{half} allocations for {} groups, {all} for {ROWS}",
+        ROWS / 2
+    );
+}
+
+#[test]
+fn a_merge_into_existing_groups_allocates_nothing_per_group() {
+    let merged = |rows: usize| {
+        let (_, mut receiver) = fold_counted(rows);
+        let (_, incoming) = fold_counted(rows);
+        let (allocations, ()) = counted(|| receiver.merge(incoming));
+        assert_eq!(receiver.len(), rows, "every key existed");
+        allocations
+    };
+    // The merge's own scratch: the order of the incoming groups, the
+    // code map and the key buffer — whatever the number of groups.
+    let (few, many) = (merged(ROWS / 16), merged(ROWS));
+    assert_eq!(
+        few,
+        many,
+        "allocations merging {} groups, and {ROWS}",
+        ROWS / 16
+    );
+    assert!(many <= 3, "{many} allocations merging {ROWS} groups");
+}

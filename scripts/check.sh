@@ -52,11 +52,11 @@ for f in src/lib.rs crates/*/src/lib.rs vendor/*/src/lib.rs; do
         exit 1
     }
 done
-# One test binary is exempt: `snapshot_allocs.rs` installs a counting
-# global allocator (an `unsafe impl GlobalAlloc` that forwards to
-# `System`), which no safe code can do.
+# Two test binaries are exempt: `snapshot_allocs.rs` and
+# `group_allocs.rs` install a counting global allocator (an `unsafe impl
+# GlobalAlloc` that forwards to `System`), which no safe code can do.
 if grep -rn --include='*.rs' 'unsafe' src crates vendor | grep -v 'forbid(unsafe_code)' \
-    | grep -v '^crates/runtime/tests/snapshot_allocs\.rs:'; then
+    | grep -v -e '^crates/runtime/tests/snapshot_allocs\.rs:' -e '^crates/query/tests/group_allocs\.rs:'; then
     echo "check.sh: unsafe code found (listed above)" >&2
     exit 1
 fi
@@ -154,6 +154,13 @@ fi
 if grep -n 'HashMap' crates/query/src/scan.rs \
     || grep -n 'Option<Value>' crates/query/src/aggregator.rs; then
     echo "check.sh: a second key->group table, or a key of boxed values, is back (listed above)" >&2
+    exit 1
+fi
+# Group-state gate: a group is a row of the aggregator's accumulator
+# columns and a key in its arena (DESIGN.md §10). Outside the tests no
+# entry per group, no boxed key and no `Vec` of reducers comes back.
+if non_test_src query | grep -E 'DbEntry|Box<\[KeyCell\]>|Vec<Reducer>'; then
+    echo "check.sh: per-group state is boxed again (listed above)" >&2
     exit 1
 fi
 
