@@ -25,10 +25,23 @@ pub enum Entry {
 /// A compressed snapshot record.
 ///
 /// Records are cheap to clone: node references are `u32`s and immediate
-/// string values are reference-counted.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// string values are reference-counted. `clone_from` into a record
+/// whose buffer is large enough allocates nothing.
+#[derive(Debug, Default, PartialEq)]
 pub struct SnapshotRecord {
     entries: Vec<Entry>,
+}
+
+impl Clone for SnapshotRecord {
+    fn clone(&self) -> SnapshotRecord {
+        SnapshotRecord {
+            entries: self.entries.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &SnapshotRecord) {
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl SnapshotRecord {

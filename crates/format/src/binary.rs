@@ -327,7 +327,7 @@ pub fn to_binary(ds: &Dataset) -> Vec<u8> {
     for g in &ds.globals {
         w.write_globals(ds, g);
     }
-    for rec in &ds.records {
+    for rec in ds.rows().iter() {
         w.write_snapshot(ds, rec);
     }
     w.finish()

@@ -108,7 +108,7 @@ pub fn to_binary_v2_with(ds: &Dataset, opts: &V2WriteOptions) -> Vec<u8> {
     }
     let mut index: Vec<BlockInfo> = Vec::new();
     let mut path_cache: FxHashMap<NodeId, Vec<(AttrId, Value)>> = FxHashMap::default();
-    for chunk in ds.records.chunks(block_records) {
+    for chunk in ds.rows().chunks(block_records) {
         // Dictionary records first, in exactly the order the v1 writer
         // would emit them for the same record sequence (refs before
         // imms, record by record), so both encodings decode into
@@ -386,7 +386,7 @@ fn skip_footer(cursor: &mut Cursor<'_>) -> Result<(), CaliError> {
 /// allocated once. String columns of a [`Block`] hold codes, so decoding
 /// a string seen before costs one hash lookup and no allocation, and
 /// consumers can compare and group strings as integers.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct StringTable {
     codes: FxHashMap<Arc<str>, u32>,
     values: Vec<Value>,
@@ -496,7 +496,7 @@ impl Cell {
 
 /// The values of one column, in the vector type of their value type —
 /// in a decoded block, the attribute's declared one.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ColumnData {
     /// String codes (see [`StringTable`]).
     Str(Vec<u32>),
@@ -557,6 +557,17 @@ impl ColumnData {
         }
     }
 
+    /// An empty column of `vtype` with room for `capacity` values.
+    fn with_capacity(vtype: ValueType, capacity: usize) -> ColumnData {
+        match vtype {
+            ValueType::Str => ColumnData::Str(Vec::with_capacity(capacity)),
+            ValueType::Int => ColumnData::Int(Vec::with_capacity(capacity)),
+            ValueType::UInt => ColumnData::UInt(Vec::with_capacity(capacity)),
+            ValueType::Float => ColumnData::Float(Vec::with_capacity(capacity)),
+            ValueType::Bool => ColumnData::Bool(Vec::with_capacity(capacity)),
+        }
+    }
+
     /// Empty the column and make it hold `vtype`, keeping the buffer
     /// when the type is unchanged (the usual case from block to block).
     fn reset(&mut self, vtype: ValueType) {
@@ -566,15 +577,7 @@ impl ColumnData {
             (ColumnData::UInt(v), ValueType::UInt) => v.clear(),
             (ColumnData::Float(v), ValueType::Float) => v.clear(),
             (ColumnData::Bool(v), ValueType::Bool) => v.clear(),
-            _ => {
-                *self = match vtype {
-                    ValueType::Str => ColumnData::Str(Vec::new()),
-                    ValueType::Int => ColumnData::Int(Vec::new()),
-                    ValueType::UInt => ColumnData::UInt(Vec::new()),
-                    ValueType::Float => ColumnData::Float(Vec::new()),
-                    ValueType::Bool => ColumnData::Bool(Vec::new()),
-                }
-            }
+            _ => *self = ColumnData::with_capacity(vtype, 0),
         }
     }
 
@@ -613,7 +616,7 @@ impl ColumnData {
 
 /// One value column of a decoded [`Block`]: an attribute's immediate
 /// values in (row, occurrence) order.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Column {
     /// The attribute, by its id in the receiving dataset's store.
     pub attr: AttrId,
@@ -625,8 +628,9 @@ pub struct Column {
 /// decoder makes of a framed block, what the text reader
 /// ([`CaliReader`](crate::CaliReader)) makes of every
 /// [`DEFAULT_BLOCK_RECORDS`] `ctx` lines, and what others build row by
-/// row ([`column_for`](Self::column_for), [`push_imm`](Self::push_imm),
-/// [`end_row`](Self::end_row)) — an aggregation's flushed groups among
+/// row ([`push_ref`](Self::push_ref), [`column_for`](Self::column_for),
+/// [`push_imm`](Self::push_imm), [`end_row`](Self::end_row)) — an
+/// aggregation's flushed groups and the runtime's trace buffer among
 /// them.
 ///
 /// The row skeleton is two flat arrays with per-row end offsets: node
@@ -637,7 +641,7 @@ pub struct Column {
 /// cursor per column (as [`Block::append_records`] does). A `Block` is
 /// only ever handed out fully validated: every immediate has its value
 /// and no column has values left over.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Block {
     ref_ends: Vec<u32>,
     refs: Vec<NodeId>,
@@ -684,15 +688,15 @@ impl Block {
             .iter()
             .position(|column| column.attr == attr && column.data.value_type() == vtype);
         found.unwrap_or_else(|| {
-            let mut data = ColumnData::Int(Vec::new());
-            data.reset(vtype);
+            let data = ColumnData::with_capacity(vtype, 0);
             self.columns.push(Column { attr, data });
             self.columns.len() - 1
         }) as u32
     }
 
-    /// Add a node reference to the open row.
-    pub(crate) fn push_ref(&mut self, node: NodeId) {
+    /// Add a node reference to the open row. A row's references come
+    /// before its immediates, whatever order they were pushed in.
+    pub fn push_ref(&mut self, node: NodeId) {
         self.refs.push(node);
     }
 
@@ -726,8 +730,7 @@ impl Block {
         if u32::try_from(total).is_err() {
             return false;
         }
-        let mut data = ColumnData::Int(Vec::new());
-        data.reset(cell.value_type());
+        let data = ColumnData::with_capacity(cell.value_type(), rows);
         self.columns.push(Column { attr, data });
         let column = (self.columns.len() - 1) as u32;
         // Back to front, each row's immediates move up by the stamps of
@@ -755,6 +758,25 @@ impl Block {
         let kept = self.imm_ends.last().map_or(0, |&end| end as usize);
         for column in self.imms.drain(kept..) {
             self.columns[column as usize].data.pop();
+        }
+    }
+
+    /// A new, empty block with this one's columns in the same order and
+    /// every buffer pre-sized to what this one holds, and a little more:
+    /// the block after it in a stream whose rows keep their shape fills
+    /// up without growing a buffer.
+    pub fn presized(&self) -> Block {
+        let room = |len: usize| len + len / 32;
+        let columns = self.columns.iter().map(|column| Column {
+            attr: column.attr,
+            data: ColumnData::with_capacity(column.data.value_type(), room(column.data.len())),
+        });
+        Block {
+            ref_ends: Vec::with_capacity(room(self.ref_ends.len())),
+            refs: Vec::with_capacity(room(self.refs.len())),
+            imm_ends: Vec::with_capacity(room(self.imm_ends.len())),
+            imms: Vec::with_capacity(room(self.imms.len())),
+            columns: columns.collect(),
         }
     }
 
@@ -814,13 +836,16 @@ impl Block {
         }
     }
 
-    /// Materialise the block's rows as snapshot records — node
+    /// Materialise the block's rows as snapshot records, in order — node
     /// references first, then immediates, exactly what the v1 decoder
-    /// builds for the same records — and append them to `out`.
-    pub fn append_records(&self, strings: &StringTable, out: &mut Vec<SnapshotRecord>) {
+    /// builds for the same records. `strings` is the table the block's
+    /// string codes refer to.
+    pub fn records<'a>(
+        &'a self,
+        strings: &'a StringTable,
+    ) -> impl Iterator<Item = SnapshotRecord> + 'a {
         let mut cursors = vec![0usize; self.columns.len()];
-        out.reserve(self.rows());
-        for row in 0..self.rows() {
+        (0..self.rows()).map(move |row| {
             let (refs, imms) = (self.row_refs(row), self.row_imms(row));
             let mut entries = Vec::with_capacity(refs.len() + imms.len());
             entries.extend(refs.iter().map(|&node| Entry::Node(node)));
@@ -830,8 +855,14 @@ impl Block {
                 cursors[c as usize] += 1;
                 entries.push(Entry::Imm(column.attr, strings.get(cell).into_owned()));
             }
-            out.push(SnapshotRecord::from_entries(entries));
-        }
+            SnapshotRecord::from_entries(entries)
+        })
+    }
+
+    /// [`records`](Self::records), appended to `out`.
+    pub fn append_records(&self, strings: &StringTable, out: &mut Vec<SnapshotRecord>) {
+        out.reserve(self.rows());
+        out.extend(self.records(strings));
     }
 }
 
@@ -1582,6 +1613,16 @@ mod tests {
             assert_eq!(record.entries(), &want[..]);
         }
         assert_eq!(records.len(), 4);
+
+        // The next block of the stream: the same columns, empty.
+        let next = block.presized();
+        assert_eq!(next.rows(), 0);
+        let keys = |block: &Block| -> Vec<(AttrId, ValueType)> {
+            let columns = block.columns().iter();
+            columns.map(|c| (c.attr, c.data.value_type())).collect()
+        };
+        assert_eq!(keys(&next), keys(&block));
+        assert!(next.columns().iter().all(|c| c.data.is_empty()));
     }
 
     #[test]

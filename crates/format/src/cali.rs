@@ -414,13 +414,17 @@ impl<W: Write> CaliWriter<W> {
         Ok(())
     }
 
-    /// Write a whole dataset: globals first, then all snapshots.
+    /// Write a whole dataset: globals first, then all snapshots in
+    /// stream order — the rows, then the blocks'.
     pub fn write_dataset(&mut self, ds: &Dataset) -> io::Result<()> {
         for g in &ds.globals {
             self.write_globals(ds, g)?;
         }
         for rec in &ds.records {
             self.write_snapshot(ds, rec)?;
+        }
+        for (strings, block) in &ds.blocks {
+            self.write_block(ds, strings, block)?;
         }
         Ok(())
     }

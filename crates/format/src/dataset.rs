@@ -5,13 +5,24 @@
 //! dictionary, a context tree, dataset-global metadata records, and a
 //! sequence of snapshot records.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use caliper_data::{
     AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, Value, ValueType,
 };
 
+use crate::binary_v2::{Block, StringTable};
+
 /// An in-memory performance dataset.
+///
+/// Its snapshot records come two ways: as rows (`records`, what the
+/// file readers return) and as typed columns (`blocks`, what the
+/// runtime flushes). The stream is the records, then the blocks' rows,
+/// in order. Whatever reads a dataset whole — [`len`](Self::len),
+/// [`flat_records`](Self::flat_records), the writers, a query — reads
+/// both; rows are derived from a block only for a caller that asks for
+/// rows ([`rows`](Self::rows)).
 #[derive(Clone)]
 pub struct Dataset {
     /// Attribute dictionary for all records in this dataset.
@@ -20,19 +31,18 @@ pub struct Dataset {
     pub tree: Arc<ContextTree>,
     /// Dataset-wide metadata (e.g. `experiment`, `mpi.world.size`).
     pub globals: Vec<FlatRecord>,
-    /// The snapshot records, in stream order.
+    /// The snapshot records held as rows, in stream order, ahead of
+    /// every block's.
     pub records: Vec<SnapshotRecord>,
+    /// The snapshot records held as blocks, in stream order after
+    /// `records`: each block with the table its string codes refer to.
+    pub blocks: Vec<(Arc<StringTable>, Block)>,
 }
 
 impl Dataset {
     /// Create an empty dataset with fresh store and tree.
     pub fn new() -> Dataset {
-        Dataset {
-            store: Arc::new(AttributeStore::new()),
-            tree: Arc::new(ContextTree::new()),
-            globals: Vec::new(),
-            records: Vec::new(),
-        }
+        Dataset::with_context(Arc::new(AttributeStore::new()), Arc::new(ContextTree::new()))
     }
 
     /// Create a dataset sharing an existing store and tree (e.g. the
@@ -43,10 +53,12 @@ impl Dataset {
             tree,
             globals: Vec::new(),
             records: Vec::new(),
+            blocks: Vec::new(),
         }
     }
 
-    /// Append a snapshot record.
+    /// Append a snapshot record to `records` (which come before every
+    /// block in stream order).
     pub fn push(&mut self, record: SnapshotRecord) {
         self.records.push(record);
     }
@@ -79,19 +91,37 @@ impl Dataset {
             .find_map(|r| r.get(attr.id()).cloned())
     }
 
-    /// Number of snapshot records.
+    /// Number of snapshot records, rows and blocks.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records.len() + self.blocks.iter().map(|(_, block)| block.rows()).sum::<usize>()
     }
 
     /// True if there are no snapshot records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
-    /// Iterate the snapshot records expanded to flat records.
+    /// Every snapshot record in stream order, as rows: `records` as they
+    /// are when there are no blocks, else a copy of them followed by the
+    /// rows derived from the blocks.
+    pub fn rows(&self) -> Cow<'_, [SnapshotRecord]> {
+        if self.blocks.is_empty() {
+            return Cow::Borrowed(&self.records);
+        }
+        let mut rows = Vec::with_capacity(self.len());
+        rows.extend_from_slice(&self.records);
+        for (strings, block) in &self.blocks {
+            block.append_records(strings, &mut rows);
+        }
+        Cow::Owned(rows)
+    }
+
+    /// Iterate the snapshot records, in stream order, expanded to flat
+    /// records.
     pub fn flat_records(&self) -> impl Iterator<Item = FlatRecord> + '_ {
-        self.records.iter().map(|r| r.unpack(&self.tree))
+        let derived = self.blocks.iter().flat_map(|(strings, block)| block.records(strings));
+        let records = self.records.iter().map(|record| record.unpack(&self.tree));
+        records.chain(derived.map(|record| record.unpack(&self.tree)))
     }
 
     /// Convenience: intern an attribute in this dataset's store.
@@ -113,7 +143,7 @@ impl std::fmt::Debug for Dataset {
         write!(
             f,
             "Dataset({} records, {} globals, {} attrs, {} nodes)",
-            self.records.len(),
+            self.len(),
             self.globals.len(),
             self.store.len(),
             self.tree.len()
@@ -124,6 +154,7 @@ impl std::fmt::Debug for Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binary_v2::Cell;
     use caliper_data::NODE_NONE;
 
     #[test]
@@ -150,5 +181,38 @@ mod tests {
         assert_eq!(flats.len(), 1);
         let func = ds.store.find("function").unwrap();
         assert_eq!(flats[0].get(func.id()), Some(&Value::str("main")));
+    }
+
+    #[test]
+    fn block_rows_follow_the_records() {
+        let mut ds = Dataset::new();
+        let func = ds.attribute("function", ValueType::Str, Properties::NESTED);
+        let n = ds.attribute("n", ValueType::Int, Properties::AS_VALUE);
+        let main = ds.tree.get_child(NODE_NONE, func.id(), &Value::str("main"));
+        let mut rec = SnapshotRecord::new();
+        rec.push_imm(n.id(), Value::Int(0));
+        ds.push(rec);
+        let (mut strings, mut block) = (StringTable::default(), Block::default());
+        for i in 1..3 {
+            block.push_ref(main);
+            let column = block.column_for(n.id(), ValueType::Int);
+            block.push_imm(column, Cell::Int(i));
+            assert!(block.end_row());
+        }
+        let column = block.column_for(func.id(), ValueType::Str);
+        block.push_imm(column, Cell::Str(strings.intern("x")));
+        assert!(block.end_row());
+        ds.blocks.push((Arc::new(strings), block));
+
+        assert_eq!((ds.len(), ds.is_empty()), (4, false));
+        let described: Vec<String> = ds.flat_records().map(|r| r.describe(&ds.store)).collect();
+        assert_eq!(
+            described,
+            ["n=0", "function=main,n=1", "function=main,n=2", "function=x"]
+        );
+        let rows = ds.rows();
+        assert_eq!(rows.len(), 4);
+        assert_eq!(rows[0], ds.records[0]);
+        assert_eq!(format!("{ds:?}"), "Dataset(4 records, 0 globals, 2 attrs, 1 nodes)");
     }
 }

@@ -231,9 +231,12 @@ impl Pipeline {
         }
     }
 
-    /// Process every record of a dataset.
+    /// Process every record of a dataset, in stream order: its rows one
+    /// by one, then its blocks as columns (see
+    /// [`fold_block`](Self::fold_block)).
     pub fn process_dataset(&mut self, ds: &Dataset) {
         for_each_flat(&ds.tree, &ds.records, |rec| self.process(rec));
+        self.fold_blocks(ds);
     }
 
     /// Merge another pipeline's partial result into this one. Both

@@ -31,7 +31,9 @@
 //!
 //! [`BlockFold`] is that columnar fold, and the only one: whoever holds
 //! [`Block`]s and an [`Aggregator`] folds them through it —
-//! [`Pipeline::scan_file`] here, and the resident daemon (`cali-served`),
+//! [`Pipeline::scan_file`] here, [`Pipeline::process_dataset`] for the
+//! blocks a dataset holds (the runtime's output), and the resident
+//! daemon (`cali-served`),
 //! which folds every ingest batch and every replayed journal block into
 //! a stream's warm aggregate with it. A pipeline takes blocks through
 //! [`Pipeline::fold_block`], which `scan_file` calls per block of a file
@@ -148,8 +150,35 @@ impl Pipeline {
         strings: &mut StringTable,
         block: &Block,
     ) {
-        self.process_dataset(ds);
+        for_each_flat(&ds.tree, &ds.records, |record| self.process(record));
         ds.records.clear();
+        self.fold_rows(fold, ds, strings, block);
+    }
+
+    /// Fold the blocks a dataset holds (see [`Dataset::blocks`]), in
+    /// order, as [`fold_block`](Self::fold_block) folds a decoded one:
+    /// with one [`BlockFold`] per string table — a block's own table is
+    /// shared and stays as it is, so the fold works on a copy of it.
+    pub(crate) fn fold_blocks(&mut self, ds: &Dataset) {
+        let mut table: Option<(&Arc<StringTable>, StringTable, BlockFold)> = None;
+        for (shared, block) in &ds.blocks {
+            if !table.as_ref().is_some_and(|(last, ..)| Arc::ptr_eq(last, shared)) {
+                table = Some((shared, StringTable::clone(shared), BlockFold::new(&self.spec)));
+            }
+            let (_, strings, fold) = table.as_mut().expect("set above");
+            self.fold_rows(fold, ds, strings, block);
+        }
+    }
+
+    /// Fold `block`'s rows: an aggregation through `fold`, a pass-through
+    /// query as whole records.
+    fn fold_rows(
+        &mut self,
+        fold: &mut BlockFold,
+        ds: &Dataset,
+        strings: &mut StringTable,
+        block: &Block,
+    ) {
         match &mut self.aggregator {
             Some(aggregator) => fold.fold(aggregator, ds, strings, block),
             None => {

@@ -139,6 +139,9 @@ struct SinkInner {
     /// Context dataset sharing the process store/tree, so the journal
     /// writer can resolve the ids a snapshot references.
     ctx: Dataset,
+    /// The record being appended, stamped with its sequence number: the
+    /// snapshot's entries are copied into this one buffer, reused.
+    stamped: SnapshotRecord,
     next_seq: u64,
     write_errors: u64,
 }
@@ -151,6 +154,9 @@ struct SinkInner {
 /// run (reported once on stderr and visible in [`JournalStats`]).
 pub struct JournalSink {
     path: PathBuf,
+    /// The path as the `runtime.append` failpoint's label, and its key.
+    label: String,
+    key: u64,
     seq_attr: Attribute,
     /// Fast-path check so disabled sinks cost one atomic load.
     disabled: AtomicBool,
@@ -187,13 +193,17 @@ impl JournalSink {
         } else {
             JournalWriter::create(&cfg.path, policy)?
         };
+        let label = cfg.path.to_string_lossy().into_owned();
         let sink = Arc::new(JournalSink {
             path: cfg.path.clone(),
+            key: caliper_faults::stable_hash(&label),
+            label,
             seq_attr,
             disabled: AtomicBool::new(false),
             inner: Mutex::new(SinkInner {
                 writer: Some(writer),
                 ctx: Dataset::with_context(Arc::clone(store), Arc::clone(tree)),
+                stamped: SnapshotRecord::new(),
                 next_seq,
                 write_errors: 0,
             }),
@@ -217,6 +227,7 @@ impl JournalSink {
         let SinkInner {
             writer: Some(writer),
             ctx,
+            stamped,
             next_seq,
             ..
         } = &mut *inner
@@ -226,13 +237,8 @@ impl JournalSink {
         // The `runtime.append` failpoint, keyed by journal path: an
         // injected error takes the same road as a real one — through
         // `disable`, never a panic into the measured application.
-        let label = self.path.to_string_lossy();
-        if caliper_faults::trigger(
-            caliper_faults::sites::RUNTIME_APPEND,
-            caliper_faults::stable_hash(&label),
-            &label,
-        )
-        .is_some()
+        if caliper_faults::trigger(caliper_faults::sites::RUNTIME_APPEND, self.key, &self.label)
+            .is_some()
         {
             let e = std::io::Error::other(format!(
                 "injected fault at {}",
@@ -241,9 +247,9 @@ impl JournalSink {
             self.disable(&mut inner, e);
             return;
         }
-        let mut stamped = record.clone();
+        stamped.clone_from(record);
         stamped.push_imm(self.seq_attr.id(), Value::UInt(*next_seq));
-        match writer.append_snapshot(ctx, &stamped) {
+        match writer.append_snapshot(ctx, stamped) {
             Ok(()) => *next_seq += 1,
             Err(e) => self.disable(&mut inner, e),
         }

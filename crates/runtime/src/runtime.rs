@@ -17,10 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use caliper_data::{
-    Attribute, AttributeStore, ContextTree, MetricsRegistry, Properties, SnapshotRecord, Value,
-    ValueType,
+    Attribute, AttributeStore, ContextTree, MetricsRegistry, Properties, Value, ValueType,
 };
-use caliper_format::Dataset;
+use caliper_format::{Block, Cell, Dataset, StringTable};
 use parking_lot::{Mutex, RwLock};
 
 use crate::clock::Clock;
@@ -122,11 +121,14 @@ impl Channel {
         }
     }
 
-    /// Record flushed per-thread output into the channel dataset.
-    pub(crate) fn collect(&self, records: Dataset, snapshots: u64) {
+    /// Record flushed per-thread output into the channel dataset. The
+    /// services flush blocks, which keep the order the threads flushed
+    /// in.
+    pub(crate) fn collect(&self, flushed: Dataset, snapshots: u64) {
         let mut collected = self.collected.lock();
-        collected.records.extend(records.records);
-        collected.globals.extend(records.globals);
+        collected.records.extend(flushed.records);
+        collected.blocks.extend(flushed.blocks);
+        collected.globals.extend(flushed.globals);
         self.total_snapshots.fetch_add(snapshots, Ordering::Relaxed);
         self.flushed_threads.fetch_add(1, Ordering::Relaxed);
         // Flush is a cold path (once per thread), so the by-name
@@ -208,7 +210,8 @@ fn sample_journal_stats(metrics: &MetricsRegistry, stats: &crate::journal::Journ
 /// carrying `metric.name`, `metric.kind`, and `metric.value` — so a
 /// dogfooded profile can be analysed with the same CalQL pipeline as
 /// the program's own data, e.g.
-/// `GROUP BY metric.name AGGREGATE sum(metric.value)`.
+/// `GROUP BY metric.name AGGREGATE sum(metric.value)`. They are one
+/// block, after everything the threads flushed.
 fn append_metric_records(collected: &mut Dataset, metrics: &MetricsRegistry) {
     let name_attr = collected.attribute("metric.name", ValueType::Str, Properties::AS_VALUE);
     let kind_attr = collected.attribute("metric.kind", ValueType::Str, Properties::AS_VALUE);
@@ -217,15 +220,19 @@ fn append_metric_records(collected: &mut Dataset, metrics: &MetricsRegistry) {
         ValueType::UInt,
         Properties::AS_VALUE | Properties::AGGREGATABLE,
     );
+    let (mut strings, mut block) = (StringTable::default(), Block::default());
+    let name = block.column_for(name_attr.id(), ValueType::Str);
+    let kind = block.column_for(kind_attr.id(), ValueType::Str);
+    let value = block.column_for(value_attr.id(), ValueType::UInt);
     // snapshot() returns samples sorted by name, so the emitted records
     // are in a deterministic order.
     for sample in metrics.snapshot() {
-        let mut rec = SnapshotRecord::new();
-        rec.push_imm(name_attr.id(), Value::str(sample.name.as_str()));
-        rec.push_imm(kind_attr.id(), Value::str(sample.kind.name()));
-        rec.push_imm(value_attr.id(), Value::UInt(sample.value));
-        collected.push(rec);
+        block.push_imm(name, Cell::Str(strings.intern(&sample.name)));
+        block.push_imm(kind, Cell::Str(strings.intern(sample.kind.name())));
+        block.push_imm(value, Cell::UInt(sample.value));
+        assert!(block.end_row(), "a registry of more than 2^30 metrics");
     }
+    collected.blocks.push((Arc::new(strings), block));
 }
 
 impl std::fmt::Debug for Channel {
@@ -671,6 +678,78 @@ mod tests {
             "journal appended the two event snapshots"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two threads aggregating (with spills) and tracing on one channel,
+    /// metrics on: everything is flushed as blocks, in the order of the
+    /// flushes, and the dataset reads, writes and answers as its rows.
+    #[test]
+    fn a_channel_of_blocks_is_its_rows() {
+        let config = Config::event_aggregate("function", "count,sum(time.duration)")
+            .set("services", "event,timer,aggregate,trace")
+            .set("aggregate.max_entries", "4")
+            .set("metrics.enable", "true");
+        let caliper = Caliper::with_clock(config, Clock::virtual_clock());
+        let function = caliper.region_attribute("function");
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|threads| {
+            for t in 0..2 {
+                let (caliper, function, start) = (&caliper, &function, &start);
+                threads.spawn(move || {
+                    let mut scope = caliper.make_thread_scope();
+                    start.wait();
+                    for i in 0..700 {
+                        scope.begin(function, format!("f{}", (i + t) % 7));
+                        scope.advance_time(10);
+                        scope.end(function).unwrap();
+                    }
+                    scope.flush();
+                });
+            }
+        });
+        let ds = caliper.take_dataset();
+        assert!(ds.records.is_empty());
+
+        // Each thread's aggregate (spills, then the rest), then its
+        // trace, and the metrics last.
+        let count = ds.store.find("aggregate.count").unwrap();
+        let name = ds.store.find("metric.name").unwrap();
+        let mut kinds: Vec<&str> = ds
+            .flat_records()
+            .map(|row| match (row.get(count.id()), row.get(name.id())) {
+                (Some(_), _) => "aggregate",
+                (_, Some(_)) => "metric",
+                _ => "trace",
+            })
+            .collect();
+        let traced = kinds.iter().filter(|&&kind| kind == "trace").count();
+        kinds.dedup();
+        assert_eq!(kinds, ["aggregate", "trace", "aggregate", "trace", "metric"]);
+        assert_eq!(traced, 2 * 1400);
+        let total = |query: &str| {
+            let result = caliper_query::run_query(&ds, query).unwrap();
+            result.records[0].pairs()[0].1.to_u64()
+        };
+        assert_eq!(total("AGGREGATE sum(aggregate.count) AS n WHERE aggregate.count"), Some(2800));
+        assert!(total("AGGREGATE count WHERE aggregate.count").unwrap() > 2 * 8, "spilled");
+        assert_eq!(
+            total("AGGREGATE sum(metric.value) WHERE metric.name=runtime.flushed_threads"),
+            Some(2)
+        );
+
+        let mut rows = Dataset::with_context(Arc::clone(&ds.store), Arc::clone(&ds.tree));
+        rows.records = ds.rows().into_owned();
+        rows.globals.clone_from(&ds.globals);
+        assert_eq!(ds.len(), rows.len());
+        assert_eq!(caliper_format::cali::to_bytes(&ds), caliper_format::cali::to_bytes(&rows));
+        assert_eq!(caliper_format::to_binary_v2(&ds), caliper_format::to_binary_v2(&rows));
+        for query in [
+            "AGGREGATE sum(aggregate.count), sum(time.duration), count GROUP BY function",
+            "SELECT * WHERE function=f3",
+        ] {
+            let answer = |ds: &Dataset| caliper_query::run_query(ds, query).unwrap().render();
+            assert_eq!(answer(&ds), answer(&rows), "{query}");
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 use std::sync::Arc;
 
 use caliper_data::{
-    AttrId, Attribute, AttributeConflict, AttributeStore, ContextTree, Properties,
+    AttrId, Attribute, AttributeConflict, AttributeStore, ContextTree, Entry, Properties,
     SnapshotRecord, Value, ValueType,
 };
+use caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS;
 use caliper_format::{Block, Dataset, StringTable};
 use caliper_query::{AggregationSpec, Aggregator};
 
@@ -166,16 +167,18 @@ impl Service for TimerService {
                 Trigger::Begin(attr) => {
                     inclusive.begin_stacks.entry(attr).or_default().push(now);
                 }
-                // The end snapshot runs before the pop: the region's
-                // inclusive duration is now - its begin timestamp.
-                Trigger::End(attr) => {
-                    if let Some(begin) = inclusive
-                        .begin_stacks
-                        .get_mut(&attr)
-                        .and_then(|stack| stack.pop())
-                    {
+                // The end snapshot runs before the pop, and a set's
+                // before the end and begin it stands for: the region
+                // ending now lasted now - its begin timestamp, and a set
+                // begins the next one.
+                Trigger::End(attr) | Trigger::Set(attr) => {
+                    let stacks = &mut inclusive.begin_stacks;
+                    if let Some(begin) = stacks.get_mut(&attr).and_then(Vec::pop) {
                         let inclusive_us = (now - begin) as f64 / 1000.0;
                         rec.push_imm(inclusive.attr.id(), Value::Float(inclusive_us));
+                    }
+                    if let Trigger::Set(attr) = ctx.trigger {
+                        stacks.entry(attr).or_default().push(now);
                     }
                 }
                 _ => {}
@@ -188,9 +191,21 @@ impl Service for TimerService {
 
 /// The trace service: stores every snapshot record verbatim (the paper's
 /// "tracing" configuration — more data, computationally simpler).
+///
+/// The buffer is typed columns: each snapshot becomes one row of a
+/// [`Block`] — its node, then its immediates, strings as codes of the
+/// service's own [`StringTable`] — and a block that reaches
+/// [`DEFAULT_BLOCK_RECORDS`] rows gives way to a new one sized like it,
+/// so once the first blocks are cut a traced snapshot allocates nothing
+/// but its share of the next block's buffers. The flush hands the
+/// blocks over as they are.
 #[derive(Default)]
 pub struct TraceService {
-    buffer: Vec<SnapshotRecord>,
+    strings: StringTable,
+    /// Full blocks, in order.
+    full: Vec<Block>,
+    /// The block being filled.
+    block: Block,
 }
 
 impl TraceService {
@@ -201,12 +216,12 @@ impl TraceService {
 
     /// Records buffered so far.
     pub fn len(&self) -> usize {
-        self.buffer.len()
+        self.full.iter().map(Block::rows).sum::<usize>() + self.block.rows()
     }
 
     /// True if nothing was traced yet.
     pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
+        self.len() == 0
     }
 }
 
@@ -215,16 +230,37 @@ impl Service for TraceService {
         "trace"
     }
 
+    /// Append `rec` as a row. A row holds its node references ahead of
+    /// its immediates, which is the order of every snapshot: the
+    /// blackboard takes its node first, and services only add
+    /// immediates.
     fn consume(&mut self, _ctx: &ProcCtx<'_>, rec: &SnapshotRecord) {
-        self.buffer.push(rec.clone());
+        for entry in rec.entries() {
+            match entry {
+                Entry::Node(node) => self.block.push_ref(*node),
+                Entry::Imm(attr, value) => {
+                    let cell = self.strings.cell(value);
+                    let column = self.block.column_for(*attr, cell.value_type());
+                    self.block.push_imm(column, cell);
+                }
+            }
+        }
+        assert!(self.block.end_row(), "a snapshot of more than 2^32 entries");
+        if self.block.rows() == DEFAULT_BLOCK_RECORDS {
+            let next = self.block.presized();
+            self.full.push(std::mem::replace(&mut self.block, next));
+        }
     }
 
     fn flush(&mut self, _ctx: &ProcCtx<'_>, out: &mut Dataset) {
-        out.records.append(&mut self.buffer);
+        let strings = Arc::new(std::mem::take(&mut self.strings));
+        let open = std::mem::take(&mut self.block);
+        let blocks = self.full.drain(..).chain((open.rows() > 0).then_some(open));
+        out.blocks.extend(blocks.map(|block| (Arc::clone(&strings), block)));
     }
 
     fn output_records(&self) -> usize {
-        self.buffer.len()
+        self.len()
     }
 }
 
@@ -245,8 +281,8 @@ pub struct AggregateService {
     /// results and the database restarts. Partial results re-aggregate
     /// exactly in post-processing (sum-of-sums etc.).
     max_entries: usize,
-    /// Partial results spilled before the final flush.
-    spilled: Vec<SnapshotRecord>,
+    /// Partial results spilled before the final flush, a block each.
+    spilled: Vec<(Arc<StringTable>, Block)>,
     /// Number of spill events (diagnostics).
     spills: u64,
 }
@@ -299,17 +335,17 @@ impl AggregateService {
         let spec = self.aggregator.spec().clone();
         let fresh = Aggregator::new(spec, Arc::clone(&self.store));
         let full = std::mem::replace(&mut self.aggregator, fresh);
-        flush_records(&full, &self.store, &mut self.spilled);
+        self.spilled.push(flushed(&full, &self.store));
         self.spills += 1;
     }
 }
 
-/// `aggregator`'s groups as snapshot records, appended to `out`: the
-/// rows of the block it flushes, result attributes interned in `store`.
-fn flush_records(aggregator: &Aggregator, store: &AttributeStore, out: &mut Vec<SnapshotRecord>) {
+/// `aggregator`'s groups as the block it flushes, with the block's own
+/// string table, result attributes interned in `store`.
+fn flushed(aggregator: &Aggregator, store: &AttributeStore) -> (Arc<StringTable>, Block) {
     let (mut block, mut strings) = (Block::default(), StringTable::default());
     aggregator.flush_into(store, &mut block, &mut strings);
-    block.append_records(&strings, out);
+    (Arc::new(strings), block)
 }
 
 impl Service for AggregateService {
@@ -328,12 +364,13 @@ impl Service for AggregateService {
         // Flush the aggregation database: reconstruct key attributes and
         // append the reduction results (paper §IV-B). Result attributes
         // are interned in the output dataset's store.
-        out.records.append(&mut self.spilled);
-        flush_records(&self.aggregator, &out.store, &mut out.records);
+        out.blocks.append(&mut self.spilled);
+        out.blocks.push(flushed(&self.aggregator, &out.store));
     }
 
     fn output_records(&self) -> usize {
-        self.spilled.len() + self.aggregator.len()
+        let spilled: usize = self.spilled.iter().map(|(_, block)| block.rows()).sum();
+        spilled + self.aggregator.len()
     }
 }
 
@@ -481,6 +518,40 @@ mod tests {
     }
 
     #[test]
+    fn inclusive_timer_ends_a_region_on_set() {
+        let store = AttributeStore::new();
+        let tree = ContextTree::new();
+        let clock = Clock::virtual_clock();
+        let mut timer = TimerService::with_options(&store, true, false).unwrap();
+        let phase = store.create_simple("phase", ValueType::Str);
+        let inclusive = store.find(TimerService::INCLUSIVE_ATTR).unwrap();
+        let mut snap = |trigger: Trigger| {
+            let ctx = ProcCtx {
+                store: &store,
+                tree: &tree,
+                clock: &clock,
+                trigger,
+            };
+            let mut rec = SnapshotRecord::new();
+            timer.augment(&ctx, &mut rec);
+            rec.unpack(&tree).get(inclusive.id()).cloned()
+        };
+
+        // begin(phase) at t=0, set(phase) at t=10us, end(phase) at
+        // t=25us: the set ends the first phase and begins the second.
+        assert_eq!(snap(Trigger::Begin(phase.id())), None);
+        clock.advance_ns(10_000);
+        assert_eq!(snap(Trigger::Set(phase.id())), Some(Value::Float(10.0)));
+        clock.advance_ns(15_000);
+        assert_eq!(snap(Trigger::End(phase.id())), Some(Value::Float(15.0)));
+        // A set with nothing to end only begins.
+        let other = store.create_simple("other", ValueType::Str);
+        assert_eq!(snap(Trigger::Set(other.id())), None);
+        clock.advance_ns(5_000);
+        assert_eq!(snap(Trigger::End(other.id())), Some(Value::Float(5.0)));
+    }
+
+    #[test]
     fn trace_buffers_and_flushes() {
         let store = Arc::new(AttributeStore::new());
         let tree = Arc::new(ContextTree::new());
@@ -488,16 +559,33 @@ mod tests {
         let mut trace = TraceService::new();
         let c = ctx(&store, &tree, &clock);
 
-        for i in 0..5 {
+        // Two full blocks and part of a third, of rows that change
+        // shape: with and without a node, a string, a value of another
+        // type than the rest of its attribute's.
+        let node = tree.get_child(caliper_data::NODE_NONE, 1, &Value::str("main"));
+        let total = 2 * DEFAULT_BLOCK_RECORDS + 5;
+        let mut traced = Vec::new();
+        for i in 0..total as i64 {
             let mut rec = SnapshotRecord::new();
+            if i % 3 != 0 {
+                rec.push_node(node);
+            }
             rec.push_imm(0, Value::Int(i));
+            match i % 7 {
+                0 => rec.push_imm(2, Value::str(format!("s{}", i % 4))),
+                1 => rec.push_imm(0, Value::Float(0.5)),
+                _ => {}
+            }
             trace.consume(&c, &rec);
+            traced.push(rec);
         }
-        assert_eq!(trace.output_records(), 5);
+        assert_eq!(trace.output_records(), total);
 
         let mut out = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
         trace.flush(&c, &mut out);
-        assert_eq!(out.len(), 5);
+        assert_eq!(out.blocks.len(), 3);
+        assert_eq!(out.len(), total);
+        assert_eq!(out.rows().as_ref(), &traced[..]);
         assert!(trace.is_empty());
     }
 

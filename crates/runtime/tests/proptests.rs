@@ -1,8 +1,9 @@
 //! Property-based tests for the runtime: the blackboard must behave
 //! like a reference model (per-attribute stacks) under arbitrary
-//! begin/end/set sequences, snapshot processing must be lossless, and
-//! the on-line aggregate's snapshot path must fold what the row path
-//! folds.
+//! begin/end/set sequences, snapshot processing must be lossless, the
+//! on-line aggregate's snapshot path must fold what the row path folds,
+//! and the trace buffer's blocks must hold what copies of the snapshots
+//! hold.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -11,9 +12,11 @@ use caliper_data::{
     Attribute, AttributeStore, ContextTree, Entry, FlatRecord, Properties, SnapshotRecord, Value,
     ValueType, NODE_NONE,
 };
-use caliper_format::Dataset;
-use caliper_query::{parse_query, AggregationSpec, Aggregator};
-use caliper_runtime::{AggregateService, Blackboard, Clock, ProcCtx, Service, Trigger};
+use caliper_format::{cali, to_binary_v2, Dataset};
+use caliper_query::{parse_query, run_query, AggregationSpec, Aggregator};
+use caliper_runtime::{
+    AggregateService, Blackboard, Clock, ProcCtx, Service, TraceService, Trigger,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -226,21 +229,89 @@ proptest! {
         let got: Vec<String> = ds.flat_records().map(|row| described(&row, &ds.store)).collect();
         prop_assert_eq!(got, expected);
     }
+
+    /// The trace buffer's blocks hold what a copy of every snapshot
+    /// holds: a dataset of `rec.clone()`s is the oracle for the flushed
+    /// one's length, rows (floats by their bits), bytes in both
+    /// writers and answers to an aggregating and a pass-through query —
+    /// over values of every type, one of another type than its attribute
+    /// declares, set events and a late attribute, the steps played
+    /// `rounds` times so that blocks fill and are cut.
+    #[test]
+    fn trace_blocks_hold_what_copies_of_the_snapshots_hold(
+        steps in prop::collection::vec(arb_step_over(ATTRS.len() + MORE_ATTRS.len()), 0..80),
+        late_nested in any::<bool>(),
+        rounds in 1usize..100,
+    ) {
+        let store = Arc::new(AttributeStore::new());
+        let tree = Arc::new(ContextTree::new());
+        let clock = Clock::virtual_clock();
+        let ctx = ProcCtx { store: &store, tree: &tree, clock: &clock, trigger: Trigger::User };
+        let specs: Vec<AttrSpec> = ATTRS.iter().chain(&MORE_ATTRS).copied().collect();
+        let steps: Vec<Step> = steps.iter().cycle().take(steps.len() * rounds).cloned().collect();
+        let mut trace = TraceService::new();
+        let mut oracle = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
+        play_over(&specs, &store, &tree, &steps, late_nested, |rec| {
+            trace.consume(&ctx, rec);
+            oracle.push(rec.clone());
+        });
+        let mut traced = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
+        trace.flush(&ctx, &mut traced);
+
+        prop_assert_eq!(traced.len(), oracle.len());
+        let rows = |ds: &Dataset| -> Vec<String> {
+            ds.flat_records().map(|row| described(&row, &ds.store)).collect()
+        };
+        prop_assert_eq!(rows(&traced), rows(&oracle));
+        prop_assert_eq!(cali::to_bytes(&traced), cali::to_bytes(&oracle));
+        prop_assert_eq!(to_binary_v2(&traced), to_binary_v2(&oracle));
+        for query in TRACE_QUERIES {
+            let answer = |ds: &Dataset| {
+                let result = run_query(ds, query).unwrap();
+                let rows: Vec<String> =
+                    result.records.iter().map(|row| described(row, &result.store)).collect();
+                (rows, result.render())
+            };
+            prop_assert_eq!(answer(&traced), answer(&oracle), "{}", query);
+        }
+    }
 }
+
+/// What the trace test asks of a traced dataset: an aggregation keyed
+/// by a nested path, a bool and the attribute of mistyped values, and a
+/// pass-through query.
+const TRACE_QUERIES: [&str; 2] = [
+    "AGGREGATE count, sum(v.float), avg(n.int), max(v.odd), min(v.uint), max(late) \
+     GROUP BY n.str, v.bool, v.odd",
+    "SELECT * WHERE n.tag",
+];
 
 // ---------------------------------------------------------------------
 // The on-line aggregate's two paths. CleverLeaf's own schemes A, B and
 // C are held to the snapshot path in `crates/bench/tests/schemes.rs`.
 
+/// An attribute a generated run annotates: its label, declared type and
+/// properties, and the type of the values the run gives it.
+type AttrSpec = (&'static str, ValueType, Properties, ValueType);
+
 /// The attributes a generated run annotates: nested strings and ints,
 /// and values of three types.
-const ATTRS: [(&str, ValueType, Properties); 6] = [
-    ("n.str", ValueType::Str, Properties::NESTED),
-    ("n.int", ValueType::Int, Properties::NESTED),
-    ("n.tag", ValueType::Str, Properties::NESTED),
-    ("v.int", ValueType::Int, Properties::AS_VALUE),
-    ("v.str", ValueType::Str, Properties::AS_VALUE),
-    ("v.float", ValueType::Float, Properties::AS_VALUE),
+const ATTRS: [AttrSpec; 6] = [
+    ("n.str", ValueType::Str, Properties::NESTED, ValueType::Str),
+    ("n.int", ValueType::Int, Properties::NESTED, ValueType::Int),
+    ("n.tag", ValueType::Str, Properties::NESTED, ValueType::Str),
+    ("v.int", ValueType::Int, Properties::AS_VALUE, ValueType::Int),
+    ("v.str", ValueType::Str, Properties::AS_VALUE, ValueType::Str),
+    ("v.float", ValueType::Float, Properties::AS_VALUE, ValueType::Float),
+];
+
+/// What a traced run annotates beyond [`ATTRS`]: values of the two
+/// types those lack, and an attribute whose values are of another type
+/// than it declares.
+const MORE_ATTRS: [AttrSpec; 3] = [
+    ("v.uint", ValueType::UInt, Properties::AS_VALUE, ValueType::UInt),
+    ("v.bool", ValueType::Bool, Properties::AS_VALUE, ValueType::Bool),
+    ("v.odd", ValueType::Int, Properties::AS_VALUE, ValueType::Float),
 ];
 
 /// What a generated key names: every attribute, `late` (created by a
@@ -269,8 +340,14 @@ enum Step {
     CreateLate,
 }
 
+/// A step over [`ATTRS`] and the late attribute.
 fn arb_step() -> impl Strategy<Value = Step> {
-    let attr = 0usize..ATTRS.len() + 1;
+    arb_step_over(ATTRS.len())
+}
+
+/// A step over `attrs` attributes and the late one after them.
+fn arb_step_over(attrs: usize) -> impl Strategy<Value = Step> {
+    let attr = 0usize..attrs + 1;
     prop_oneof![
         (attr.clone(), 0usize..4).prop_map(|(a, v)| Step::Begin(a, v)),
         attr.clone().prop_map(Step::End),
@@ -286,8 +363,10 @@ fn arb_step() -> impl Strategy<Value = Step> {
 fn value(vtype: ValueType, v: usize) -> Value {
     match vtype {
         ValueType::Int => Value::Int(v as i64 % 3),
+        ValueType::UInt => Value::UInt([0, 7, u64::MAX, 7][v]),
         ValueType::Float => Value::Float([0.5, 1.5, -0.0, 0.0][v]),
-        _ => Value::str(["x", "y", "x/y", "z"][v]),
+        ValueType::Bool => Value::Bool(v % 2 == 1),
+        ValueType::Str => Value::str(["x", "y", "x/y", "z"][v]),
     }
 }
 
@@ -305,41 +384,53 @@ fn aggregation(key: &[usize], ops: &[usize]) -> AggregationSpec {
     AggregationSpec::new(ops, key)
 }
 
-/// Play `steps` on a blackboard over `tree`, handing each snapshot to
-/// `take` as it is taken.
+/// Play `steps` on a blackboard over `tree` annotating [`ATTRS`],
+/// handing each snapshot to `take` as it is taken.
 fn play(
+    store: &AttributeStore,
+    tree: &Arc<ContextTree>,
+    steps: &[Step],
+    late_nested: bool,
+    take: impl FnMut(&SnapshotRecord),
+) {
+    play_over(&ATTRS, store, tree, steps, late_nested, take);
+}
+
+/// [`play`] annotating `specs` (and, once a step asks, `late`, a string
+/// attribute).
+fn play_over(
+    specs: &[AttrSpec],
     store: &AttributeStore,
     tree: &Arc<ContextTree>,
     steps: &[Step],
     late_nested: bool,
     mut take: impl FnMut(&SnapshotRecord),
 ) {
-    let mut attrs: Vec<Attribute> = ATTRS
+    let mut attrs: Vec<(Attribute, ValueType)> = specs
         .iter()
-        .map(|&(label, vtype, properties)| store.create(label, vtype, properties).unwrap())
+        .map(|&(label, vtype, properties, values)| {
+            (store.create(label, vtype, properties).unwrap(), values)
+        })
         .collect();
     let mut bb = Blackboard::new(Arc::clone(tree));
     let mut rec = SnapshotRecord::new();
     for step in steps {
         match *step {
-            Step::Begin(a, v) if a < attrs.len() => {
-                bb.begin(&attrs[a], value(attrs[a].value_type(), v))
-            }
-            Step::End(a) if a < attrs.len() => drop(bb.end(&attrs[a])),
-            Step::Set(a, v) if a < attrs.len() => {
-                bb.set(&attrs[a], value(attrs[a].value_type(), v))
-            }
+            Step::Begin(a, v) if a < attrs.len() => bb.begin(&attrs[a].0, value(attrs[a].1, v)),
+            Step::End(a) if a < attrs.len() => drop(bb.end(&attrs[a].0)),
+            Step::Set(a, v) if a < attrs.len() => bb.set(&attrs[a].0, value(attrs[a].1, v)),
             Step::Snapshot => {
                 bb.snapshot_into(&mut rec);
                 take(&rec);
             }
-            Step::CreateLate if attrs.len() == ATTRS.len() => {
+            Step::CreateLate if attrs.len() == specs.len() => {
                 let properties = if late_nested {
                     Properties::NESTED
                 } else {
                     Properties::AS_VALUE
                 };
-                attrs.push(store.create("late", ValueType::Str, properties).unwrap());
+                let late = store.create("late", ValueType::Str, properties).unwrap();
+                attrs.push((late, ValueType::Str));
             }
             _ => {}
         }

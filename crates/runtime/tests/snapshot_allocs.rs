@@ -1,9 +1,13 @@
 //! On-line aggregation allocates nothing per snapshot once every
 //! context-tree node and every group has been seen — §IV-B's key of node
-//! ids plus immediates, hashed in pre-allocated memory. A test binary of
-//! its own because it installs a counting global allocator; until
-//! `cali-bench` has a `runtime.snapshot_agg_allocs` row (ROADMAP item
-//! 1d) this is that row.
+//! ids plus immediates, hashed in pre-allocated memory — and tracing
+//! next to nothing: a snapshot is a row of the trace buffer's current
+//! block, and a new block is allocated once per
+//! `DEFAULT_BLOCK_RECORDS` rows. A test binary of its own because it
+//! installs a counting global allocator; until `cali-bench` has the
+//! `runtime.snapshot_agg_allocs`, `runtime.snapshot_trace_allocs` and
+//! `runtime.trace_bytes_per_snapshot` rows (ROADMAP item 1d) this is
+//! those rows.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,17 +16,25 @@ use caliper_data::{Attribute, Properties, Value, ValueType};
 use caliper_runtime::{Caliper, Clock, Config, ThreadScope};
 
 thread_local! {
-    // Const-initialised and without a destructor: reading it from
+    // Const-initialised and without a destructor: reading them from
     // inside the allocator neither allocates nor registers a TLS dtor.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// [`System`] plus a per-thread count of `alloc`/`realloc` calls, so
-/// the test harness's own threads are not counted.
+/// [`System`] plus a per-thread count of `alloc`/`realloc` calls and of
+/// the bytes they ask for, so the test harness's own threads are not
+/// counted.
 struct CountingAlloc;
 
-fn bump() {
+fn bump(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+/// Allocations and bytes asked for on this thread so far.
+fn allocated() -> (u64, u64) {
+    (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get))
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`;
@@ -30,19 +42,19 @@ fn bump() {
 // unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: `ptr` is a `System` block of `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -152,13 +164,13 @@ fn an_aggregated_snapshot_allocates_nothing_in_steady_state() {
     let groups = scope.output_records();
 
     let before = scope.snapshot_count();
-    let start = ALLOCATIONS.with(Cell::get);
+    let (start, _) = allocated();
     let mut t = 3;
     while scope.snapshot_count() - before < 10_000 {
         app.timestep(&mut scope, t);
         t += 1;
     }
-    let allocations = ALLOCATIONS.with(Cell::get) - start;
+    let allocations = allocated().0 - start;
     let snapshots = scope.snapshot_count() - before;
 
     assert_eq!(scope.output_records(), groups, "the loop found a new group");
@@ -166,4 +178,32 @@ fn an_aggregated_snapshot_allocates_nothing_in_steady_state() {
         allocations, 0,
         "{allocations} allocations in {snapshots} snapshots"
     );
+}
+
+#[test]
+fn a_traced_snapshot_allocates_next_to_nothing_in_steady_state() {
+    let caliper = Caliper::with_clock(Config::event_trace(), Clock::virtual_clock());
+    let app = App::new(&caliper);
+    let mut scope = caliper.make_thread_scope();
+    app.start(&mut scope);
+    // Warm-up: every node, and blocks enough to be cut and sized.
+    let mut t = 0;
+    while scope.snapshot_count() < 5_000 {
+        app.timestep(&mut scope, t);
+        t += 1;
+    }
+
+    let before = scope.snapshot_count();
+    let (allocations, bytes) = allocated();
+    while scope.snapshot_count() - before < 100_000 {
+        app.timestep(&mut scope, t);
+        t += 1;
+    }
+    let snapshots = (scope.snapshot_count() - before) as f64;
+    let (allocations, bytes) = (allocated().0 - allocations, allocated().1 - bytes);
+    let per_snapshot = (allocations as f64 / snapshots, bytes as f64 / snapshots);
+
+    assert_eq!(scope.output_records() as u64, scope.snapshot_count());
+    assert!(per_snapshot.0 <= 0.01, "{allocations} allocations in {snapshots} snapshots");
+    assert!(per_snapshot.1 <= 64.0, "{bytes} bytes in {snapshots} snapshots");
 }

@@ -107,6 +107,16 @@ if printf '%s\n' "$runtime_src" | grep -E '\.unpack\(|Aggregator::add\b|\.add\(&
     echo "check.sh: crates/runtime handles rows on the snapshot path (listed above)" >&2
     exit 1
 fi
+# And its output is blocks (DESIGN.md §1): the trace buffer appends a
+# snapshot to typed columns, and every flush — the trace's, the
+# aggregate's and its spills, the metrics' — hands over blocks. Outside
+# the tests crates/runtime keeps no list of records, derives none from a
+# block and copies no snapshot.
+if printf '%s\n' "$runtime_src" \
+    | grep -E 'Vec<SnapshotRecord>|append_records|rec\.clone\(\)|record\.clone\(\)'; then
+    echo "check.sh: crates/runtime buffers or flushes rows (listed above)" >&2
+    exit 1
+fi
 # Nor does the daemon's query plane: a query flushes each stream's warm
 # aggregate as one block and folds it (DESIGN.md §11), so outside the
 # tests crates/served builds no row, flushes no aggregate to rows (an
