@@ -21,7 +21,7 @@ use caliper_data::{
     fxhash, AttrId, Attribute, AttributeStore, ContextTree, Entry, FlatRecord, FxBuildHasher,
     NodeId, Properties, SnapshotRecord, Value, ValueType,
 };
-use caliper_format::{Block, Cell, StringTable};
+use caliper_format::{Block, Cell, ColumnData, StringTable};
 
 use crate::ast::{AggOp, OpKind, QuerySpec};
 use crate::ops::Column;
@@ -182,12 +182,16 @@ fn sort_from_slot(keys: &mut [u32], places: &[u128], width: usize, slot: usize) 
 
 /// Another string table's codes as an aggregator's, filled in as that
 /// table's strings turn up in keys, so that a stream's fold or a merge
-/// looks a string up by its text once, not once per row or group. It
-/// knows whose codes it holds ([`Aggregator::translate`]).
+/// looks a string up by its text once, not once per row or group —
+/// and, for a key of one label, the group each code's key was admitted
+/// to ([`Aggregator::admit_code`]), so that a fold finds such a group
+/// by one more array look-up. It knows whose codes and groups it holds
+/// ([`Aggregator::translate`]).
 #[derive(Default)]
 pub(crate) struct CodeMap {
     owner: Weak<()>,
     codes: Vec<u32>,
+    groups: Vec<u32>,
 }
 
 const NO_CODE: u32 = u32::MAX;
@@ -386,12 +390,7 @@ impl Aggregator {
         from: &StringTable,
         code: u32,
     ) -> Option<u32> {
-        if map.owner.as_ptr() != Arc::as_ptr(&self.id) {
-            *map = CodeMap {
-                owner: Arc::downgrade(&self.id),
-                codes: Vec::new(),
-            };
-        }
+        self.claim(map);
         if map.codes.len() <= code as usize {
             map.codes.resize(from.len(), NO_CODE);
         }
@@ -399,6 +398,49 @@ impl Aggregator {
             map.codes[code as usize] = self.key_code(&from.value(code).to_text())?;
         }
         Some(map.codes[code as usize])
+    }
+
+    /// Start `map` over unless it holds this aggregator's codes.
+    #[inline]
+    fn claim(&self, map: &mut CodeMap) {
+        if map.owner.as_ptr() != Arc::as_ptr(&self.id) {
+            *map = CodeMap {
+                owner: Arc::downgrade(&self.id),
+                ..CodeMap::default()
+            };
+        }
+    }
+
+    /// The group of the key of one label whose value is the string
+    /// `from` calls `code`: [`translate`](Self::translate), then
+    /// [`admit`](Self::admit), until the key is admitted to a group of
+    /// its own, and one look-up in `map` after. (A key in the overflow
+    /// bucket is asked again each time, as a row would ask.)
+    #[inline]
+    pub(crate) fn admit_code(&mut self, map: &mut CodeMap, from: &StringTable, code: u32) -> u32 {
+        debug_assert_eq!(self.spec.key.len(), 1, "a key of one label");
+        self.claim(map);
+        match map.groups.get(code as usize) {
+            Some(&group) if group != NO_GROUP => group,
+            _ => self.admit_code_first(map, from, code),
+        }
+    }
+
+    /// [`admit_code`](Self::admit_code) of a code `map` holds no group
+    /// for.
+    #[cold]
+    fn admit_code_first(&mut self, map: &mut CodeMap, from: &StringTable, code: u32) -> u32 {
+        let group = match self.translate(map, from, code) {
+            Some(mine) => self.admit(&[KeyCell(Some(Cell::Str(mine)))]),
+            None => self.admit(&[]),
+        };
+        if Some(group) != self.overflow {
+            if map.groups.len() <= code as usize {
+                map.groups.resize(from.len(), NO_GROUP);
+            }
+            map.groups[code as usize] = group;
+        }
+        group
     }
 
     /// The key of keyed group `group`.
@@ -467,6 +509,20 @@ impl Aggregator {
     /// Fold one occurrence of op `op`'s target into `group`.
     pub(crate) fn feed(&mut self, group: u32, op: usize, value: &Value) {
         self.ops[op].update(group as usize, value, &mut self.strings);
+    }
+
+    /// Fold values of a block's column into op `op`'s states: `at` pairs
+    /// each group with the index of its value in `data`, in row order,
+    /// and `data`'s strings are codes of `from` ([`Column::update_from`]).
+    pub(crate) fn feed_column(
+        &mut self,
+        op: usize,
+        data: &ColumnData,
+        at: impl Iterator<Item = (u32, usize)>,
+        from: &StringTable,
+    ) {
+        let at = at.map(|(group, i)| (group as usize, i));
+        self.ops[op].update_from(data, at, from, &mut self.strings);
     }
 
     /// `record`'s grouping value for the `i`th key label, as a cell.

@@ -12,7 +12,7 @@ use std::cmp::Ordering;
 use std::fmt::Write;
 
 use caliper_data::Value;
-use caliper_format::{Cell, StringTable};
+use caliper_format::{Cell, ColumnData, StringTable};
 
 use crate::ast::{AggOp, OpKind};
 
@@ -141,20 +141,75 @@ fn subsample_sorted(v: &mut Vec<f64>, target: usize) {
     *v = thinned;
 }
 
-/// `prev + value` under `sum`'s rules; `prev` a cell of `strings`.
-fn add(prev: Cell, value: &Value, strings: &StringTable) -> Cell {
-    let exact = match (prev, value) {
-        (Cell::Int(a), Value::Int(b)) => a.checked_add(*b).map(Cell::Int),
-        (Cell::UInt(a), Value::UInt(b)) => a.checked_add(*b).map(Cell::UInt),
+/// `*prev += value` under `sum`'s rules; `prev` a cell of `strings`.
+/// In place: a sum of one type changes the number alone (a whole cell
+/// stored per value stalls the load of the next).
+fn add(prev: &mut Cell, value: &Value, strings: &StringTable) {
+    let exact = match (&mut *prev, value) {
+        (Cell::Int(a), Value::Int(b)) => a.checked_add(*b).map(|sum| *a = sum).is_some(),
+        (Cell::UInt(a), Value::UInt(b)) => a.checked_add(*b).map(|sum| *a = sum).is_some(),
         // What the float-space sum below makes of two floats, sooner.
-        (Cell::Float(a), Value::Float(b)) => Some(Cell::Float(a + b)),
-        _ => None,
+        (Cell::Float(a), Value::Float(b)) => {
+            *a += b;
+            true
+        }
+        _ => false,
     };
     // Mixed classes and overflow: in float space.
-    exact.unwrap_or_else(|| {
-        let prev = strings.get(prev).to_f64().unwrap_or(0.0);
-        Cell::Float(prev + value.to_f64().unwrap_or(0.0))
-    })
+    if !exact {
+        let sum = strings.get(*prev).to_f64().unwrap_or(0.0) + value.to_f64().unwrap_or(0.0);
+        *prev = Cell::Float(sum);
+    }
+}
+
+/// [`Column::update_from`] for `sum` over numbers of one type: what
+/// `update` of `value(v[i])` does to entry `g`, for each `(g, i)`.
+fn sum<T: Copy>(
+    acc: &mut [Option<Cell>],
+    v: &[T],
+    at: impl Iterator<Item = (usize, usize)>,
+    value: impl Fn(T) -> Value,
+    strings: &mut StringTable,
+) {
+    for (g, i) in at {
+        let value = value(v[i]);
+        match &mut acc[g] {
+            Some(prev) => add(prev, &value, strings),
+            empty => *empty = Some(strings.cell(&value)),
+        }
+    }
+}
+
+/// [`Column::update_from`] for `min` / `max` over numbers of one type:
+/// a number and a kept number compare by their `f64` images, and a kept
+/// string is greater — [`Value::total_cmp`]'s order — with the first of
+/// equals kept.
+fn extreme<T: Copy>(
+    wanted: Ordering,
+    acc: &mut [Option<Cell>],
+    v: &[T],
+    at: impl Iterator<Item = (usize, usize)>,
+    cell: impl Fn(T) -> Cell,
+    image: impl Fn(T) -> f64,
+) {
+    for (g, i) in at {
+        let x = v[i];
+        match &mut acc[g] {
+            Some(kept) => {
+                let order = match *kept {
+                    Cell::Str(_) => Ordering::Less,
+                    Cell::Float(k) => image(x).total_cmp(&k),
+                    Cell::Int(k) => image(x).total_cmp(&(k as f64)),
+                    Cell::UInt(k) => image(x).total_cmp(&(k as f64)),
+                    Cell::Bool(k) => image(x).total_cmp(&f64::from(u8::from(k))),
+                };
+                if order == wanted {
+                    *kept = cell(x);
+                }
+            }
+            empty => *empty = Some(cell(x)),
+        }
+    }
 }
 
 impl Column {
@@ -206,10 +261,10 @@ impl Column {
         let v = match self {
             Column::Count => return,
             Column::Sum(acc) => {
-                acc[g] = Some(match acc[g] {
-                    None => strings.cell(value),
+                match &mut acc[g] {
                     Some(prev) => add(prev, value, strings),
-                });
+                    empty => *empty = Some(strings.cell(value)),
+                }
                 return;
             }
             Column::Extreme(wanted, acc) => {
@@ -261,6 +316,41 @@ impl Column {
             }
             Column::Percentile(_, reservoirs) => reservoirs[g].update(v),
             Column::Count | Column::Sum(_) | Column::Extreme(..) => {}
+        }
+    }
+
+    /// Fold values of a block's column into entries: `at` pairs each
+    /// entry with the index of its value in `data`, in the order the
+    /// values come in, and `data`'s strings are codes of `from`. `sum`,
+    /// `min` and `max` over integers and floats are one loop per column
+    /// type over the accumulators; every other pairing is
+    /// [`update`](Self::update) value by value — the same states either
+    /// way.
+    pub(crate) fn update_from(
+        &mut self,
+        data: &ColumnData,
+        at: impl Iterator<Item = (usize, usize)>,
+        from: &StringTable,
+        strings: &mut StringTable,
+    ) {
+        match (self, data) {
+            (Column::Sum(acc), ColumnData::Float(v)) => sum(acc, v, at, Value::Float, strings),
+            (Column::Sum(acc), ColumnData::Int(v)) => sum(acc, v, at, Value::Int, strings),
+            (Column::Sum(acc), ColumnData::UInt(v)) => sum(acc, v, at, Value::UInt, strings),
+            (Column::Extreme(wanted, acc), ColumnData::Float(v)) => {
+                extreme(*wanted, acc, v, at, Cell::Float, |x| x)
+            }
+            (Column::Extreme(wanted, acc), ColumnData::Int(v)) => {
+                extreme(*wanted, acc, v, at, Cell::Int, |i| i as f64)
+            }
+            (Column::Extreme(wanted, acc), ColumnData::UInt(v)) => {
+                extreme(*wanted, acc, v, at, Cell::UInt, |u| u as f64)
+            }
+            (column, data) => {
+                for (g, i) in at {
+                    column.update(g, &from.get(data.get(i)), strings);
+                }
+            }
         }
     }
 

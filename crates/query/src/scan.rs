@@ -12,16 +12,22 @@
 //!   [`DEFAULT_BLOCK_RECORDS`](caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS)
 //!   snapshot lines — so one block is in memory at a time.
 //!   The fold resolves the attributes the query mentions once per
-//!   block, walks the rows with one cursor per column, gathers — per
-//!   row — only the occurrences of those attributes as [`Cell`]s
-//!   (numbers, or string *codes* of the stream's [`StringTable`]),
-//!   evaluates LET and WHERE on them, brings the key's cells into the
-//!   aggregator's terms — a stream code becomes the aggregator's code
-//!   for the same string by one array look-up — has the aggregator find
-//!   the row's group by hashing them, and feeds the group's reduction
-//!   states from the typed values. No `SnapshotRecord`, no `FlatRecord`,
-//!   no boxed key, and no allocation per row: a new group is one more
-//!   row of the aggregator's columns.
+//!   block and cuts the block into *runs*: consecutive rows with the
+//!   same immediates, column for column. Per run it plans where each of
+//!   those attributes is — in no row, one value per row of one column,
+//!   or on the rows' node paths (a constant where the rows share their
+//!   references, else each row's from the node cache) — decides LET and
+//!   WHERE once for the run where the plan settles them and row by row
+//!   where it does not, and so selects rows. It finds their groups in
+//!   row order — a stream's string *code* becomes the aggregator's code
+//!   for the same string, and for a key of one string its group, by one
+//!   array look-up; other keys are hashed — and then feeds each op from
+//!   its column, one loop over the run per op. No `SnapshotRecord`, no
+//!   `FlatRecord`, no boxed key, and no allocation per row: a new group
+//!   is one more row of the aggregator's columns. Only rows that carry
+//!   an attribute more than once (a nested path as key, repeated
+//!   values) are gathered row by row, as the [`Cell`]s of their
+//!   occurrences (numbers, or codes of the stream's [`StringTable`]).
 //! * **CALB v1** has no block decoder (and is on the deletion ledger
 //!   rather than getting one). Its records — and the stray v1-style row
 //!   records a v2 stream may carry between blocks — are decoded as rows
@@ -43,8 +49,8 @@
 //! Both find their groups in the one table there is from keys to
 //! groups, the aggregation database
 //! ([`Aggregator::admit`](crate::Aggregator)) — the fold keeps none of
-//! its own and knows nothing about groups — feed the same per-op
-//! columns in the same order, and
+//! its own, and its code map remembers a group only as the aggregator
+//! admitted it — feed the same per-op columns in the same order, and
 //! evaluate LET and WHERE through the same functions
 //! ([`LetExpr::eval`](crate::LetExpr), `filter::cmp_occurrences`), so a
 //! pipeline may be fed by any mix of the two.
@@ -55,12 +61,12 @@ use std::time::Instant;
 
 use caliper_data::{AttrId, NodeId};
 use caliper_format::{
-    for_each_flat, scan_path, Block, CaliError, Cell, Dataset, Pushdown, ReadPolicy, ReadReport,
-    StringTable,
+    for_each_flat, scan_path, Block, CaliError, Cell, ColumnData, Dataset, Pushdown, ReadPolicy,
+    ReadReport, StringTable,
 };
 
 use crate::aggregator::{AggregationSpec, Aggregator, CodeMap, KeyCell};
-use crate::ast::{AggOp, Filter, LetDef, OpKind, QuerySpec};
+use crate::ast::{AggOp, Filter, LetDef, LetExpr, OpKind, QuerySpec};
 use crate::filter::cmp_occurrences;
 use crate::lets::LetResult;
 use crate::query::Pipeline;
@@ -202,20 +208,71 @@ struct Slot {
 
 const NO_SLOT: u32 = u32::MAX;
 
+/// The slot of `attr`, or [`NO_SLOT`].
+fn slot_of(slots: &[Slot], attr: AttrId) -> u32 {
+    let found = slots.iter().position(|s| s.attr == Some(attr));
+    found.map_or(NO_SLOT, |s| s as u32)
+}
+
 /// The occurrences of slotted attributes on one context-tree node's
-/// root-first path, as (slot, value).
-type NodeCells = Box<[(u32, Cell)]>;
+/// root-first path, as (slot, value), and whether a slot occurs more
+/// than once among them.
+struct NodeCells {
+    cells: Box<[(u32, Cell)]>,
+    repeats: bool,
+}
+
+/// Where a slot's value is in the rows of a run, for a slot that occurs
+/// at most once per row (rows that have a slot more than once are
+/// gathered).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Place {
+    /// In no row.
+    Absent,
+    /// The same value in every row: a node path's, or a LET's result of
+    /// one.
+    Const(Cell),
+    /// `Column(c, base)`: row `i`'s value is value `base + i` of the
+    /// block's column `c` (a column each row reads once).
+    Column(u32, usize),
+    /// Row `i`'s value is the `i`th of the slot's values row by row —
+    /// what its LET worked out, or what the rows' node paths give it —
+    /// absent where that is `None`.
+    Computed,
+}
 
 /// The columnar fold: rows of decoded [`Block`]s into an [`Aggregator`],
 /// with the query's LET and WHERE applied on the way. It holds the
-/// per-stream plans and caches plus the scratch one row needs, all
-/// reused from row to row and block to block.
+/// per-stream caches plus the scratch one run of rows needs, all reused
+/// from run to run and block to block.
+///
+/// A block is folded a *run* at a time: consecutive rows with equal
+/// immediates, column for column, so that each attribute the query
+/// mentions is, in every row of the run, in the same place — the next
+/// value of one column, or in none — or on the rows' node paths: the
+/// same constant where the rows share their node references, and
+/// otherwise looked up row by row in the node cache (a trace's
+/// snapshots each sit on a node of their own, so runs of equal
+/// references would be runs of one). Planning a run changes nothing;
+/// then LET and WHERE are decided once for the run where the places
+/// settle them (`first()` takes its first present input's place,
+/// `exists` looks at the place) and row by row otherwise, through
+/// [`LetExpr::eval`](crate::LetExpr) and `filter::cmp_occurrences` as
+/// on rows, which leaves the rows the run keeps. Their groups are found
+/// in row order — as the aggregator admits them, so `max_groups` decides
+/// as on rows — and then every op takes its values from its column in
+/// one loop over those rows: each group sees its values in row order,
+/// and float sums come out bit for bit as on rows. Rows that carry an
+/// attribute the query mentions more than once (a nested path, repeated
+/// values, a LET's output on an attribute the row has) are gathered row
+/// by row instead ([`gathered_rows`](Self::gathered_rows)).
 ///
 /// What a fold remembers is about the *stream* — one [`StringTable`] at
 /// a time — and keyed by that table's codes: [`reset`](Self::reset) it
-/// when the table starts over or gives way to another. About groups it
-/// remembers nothing, so it may fold into any aggregator, one block
-/// into this one and the next into that.
+/// when the table starts over or gives way to another. What it
+/// remembers of groups lives in its code map, which knows whose groups
+/// they are, so it may fold into any aggregator, one block into this
+/// one and the next into that.
 pub struct BlockFold {
     slots: Vec<Slot>,
     /// Per LET binding: its definition, the slots of its inputs, and of
@@ -233,16 +290,27 @@ pub struct BlockFold {
     /// cached earlier — the node's attributes were all in the store
     /// when its block was set up.
     nodes: Vec<Option<NodeCells>>,
-    /// The stream's string codes as the aggregator's.
+    /// The stream's string codes as the aggregator's, and a key of one
+    /// string's groups.
     codes: CodeMap,
     pub(crate) type_mismatches: u64,
+    gathered: u64,
 
     /// Per column of the current block: its slot, and the next value.
     column_slots: Vec<u32>,
     cursors: Vec<usize>,
-    /// Per slot: its occurrences in the current row, in record order.
-    row: Vec<Vec<Cell>>,
+    /// Per slot, for the current run: where it is, and its values row
+    /// by row where those are worked out (`Place::Computed`).
+    places: Vec<Place>,
+    computed: Vec<Vec<Option<Cell>>>,
+    /// The rows of the run WHERE keeps, by index in the run, and the
+    /// group of each.
+    selected: Vec<u32>,
+    groups: Vec<u32>,
     key: Vec<KeyCell>,
+    /// The gather's: per slot, its occurrences in the current row, in
+    /// record order; and a `/`-joined key.
+    row: Vec<Vec<Cell>>,
     text: String,
 }
 
@@ -295,6 +363,8 @@ impl BlockFold {
             })
             .collect();
         BlockFold {
+            places: vec![Place::Absent; slots.len()],
+            computed: slots.iter().map(|_| Vec::new()).collect(),
             row: slots.iter().map(|_| Vec::new()).collect(),
             slots,
             lets,
@@ -304,8 +374,11 @@ impl BlockFold {
             nodes: Vec::new(),
             codes: CodeMap::default(),
             type_mismatches: 0,
+            gathered: 0,
             column_slots: Vec::new(),
             cursors: Vec::new(),
+            selected: Vec::new(),
+            groups: Vec::new(),
             key: Vec::new(),
             text: String::new(),
         }
@@ -320,10 +393,17 @@ impl BlockFold {
         self.nodes.clear();
     }
 
+    /// Rows folded so far through the row-by-row gather, which only rows
+    /// that carry an attribute the query mentions more than once take
+    /// (diagnostics: flat profiles should take none).
+    pub fn gathered_rows(&self) -> u64 {
+        self.gathered
+    }
+
     /// Fold every row of `block`, in order, into `agg`: the rows a
     /// record-by-record [`Pipeline::process`] / [`Aggregator::add`] of
     /// the same records would admit, into the same groups, updating the
-    /// same reduction states in the same order.
+    /// same reduction states with each group's values in the same order.
     ///
     /// `ds` is the dataset the block was decoded into — its store is the
     /// one `agg` resolves labels against — and `strings` the table the
@@ -339,138 +419,513 @@ impl BlockFold {
             slot.attr = agg.store().find(&slot.label).map(|attr| attr.id());
         }
         let slots = &self.slots;
-        let slot_of = |attr: AttrId| -> u32 {
-            let found = slots.iter().position(|s| s.attr == Some(attr));
-            found.map_or(NO_SLOT, |s| s as u32)
-        };
         self.column_slots.clear();
-        self.column_slots
-            .extend(block.columns().iter().map(|column| slot_of(column.attr)));
+        self.column_slots.extend(
+            block
+                .columns()
+                .iter()
+                .map(|column| slot_of(slots, column.attr)),
+        );
         self.cursors.clear();
         self.cursors.resize(block.columns().len(), 0);
 
-        for r in 0..block.rows() {
-            // Gather: node paths first, then immediates, as a flat
-            // record lists them.
-            self.row.iter_mut().for_each(Vec::clear);
-            for &node in block.row_refs(r) {
-                let cached = node_cells(&mut self.nodes, node, ds, strings, &slot_of);
-                for &(slot, cell) in cached {
-                    self.row[slot as usize].push(cell);
+        let mut start = 0;
+        while start < block.rows() {
+            match self.plan(ds, strings, block, start) {
+                Ok(end) => {
+                    self.fold_run(agg, strings, block, end - start);
+                    for &c in block.row_imms(start) {
+                        self.cursors[c as usize] += end - start;
+                    }
+                    start = end;
+                }
+                Err(end) => {
+                    self.gathered += (end - start) as u64;
+                    for r in start..end {
+                        self.gather(agg, ds, strings, block, r);
+                    }
+                    start = end;
                 }
             }
-            for &c in block.row_imms(r) {
-                let c = c as usize;
-                let i = self.cursors[c];
-                self.cursors[c] = i + 1;
-                let slot = self.column_slots[c];
-                if slot != NO_SLOT {
-                    self.row[slot as usize].push(block.columns()[c].data.get(i));
+        }
+    }
+
+    /// Plan the run of rows from `start` on — rows with row `start`'s
+    /// immediates, column for column — into `places`: `Ok` of the run's
+    /// end, or `Err` of the end of the rows to gather instead, where a
+    /// slot occurs more than once in a row (a LET's output counted as an
+    /// occurrence of its slot, and marked `Computed` until the LET runs).
+    ///
+    /// Where row `start + 1` shares row `start`'s node references too,
+    /// the run is the rows that do, and a slot on their path a constant.
+    /// Otherwise the run takes each row's path values from the node
+    /// cache into the slot's `computed` values, and ends before a row
+    /// whose path repeats a slot.
+    fn plan(
+        &mut self,
+        ds: &Dataset,
+        strings: &mut StringTable,
+        block: &Block,
+        start: usize,
+    ) -> Result<usize, usize> {
+        // Rows compared element by element: a slice `==` is a `memcmp`
+        // call, which costs more than the few entries of a row.
+        let (refs, imms) = (block.row_refs(start), block.row_imms(start));
+        let same_imms = |r: usize| r < block.rows() && block.row_imms(r).iter().eq(imms);
+        let same = |r: usize| same_imms(r) && block.row_refs(r).iter().eq(refs);
+        let mut end = start + 1;
+
+        let places = &mut self.places;
+        places.fill(Place::Absent);
+        for &c in imms {
+            let slot = self.column_slots[c as usize];
+            if slot != NO_SLOT && !put(places, slot, Place::Column(c, self.cursors[c as usize])) {
+                while same_imms(end) {
+                    end += 1;
                 }
+                return Err(end);
             }
-
-            // LET: each binding sees the outputs of those before it.
-            for (def, inputs, out) in &self.lets {
-                let row = &self.row;
-                let last = |i: usize| row[inputs[i] as usize].last().copied();
-                let result = def.expr.eval(
-                    |i| last(i).and_then(|cell| strings.get(cell).to_f64()),
-                    |i| last(i).is_some(),
-                );
-                let cell = match result {
-                    Some(LetResult::Number(x)) => Cell::Float(x),
-                    Some(LetResult::TextOf(i)) => match last(i).expect("present input") {
-                        text @ Cell::Str(_) => text,
-                        other => {
-                            let text = strings.get(other).to_string();
-                            Cell::Str(strings.intern(&text))
-                        }
-                    },
-                    None => continue,
-                };
-                self.row[*out as usize].push(cell);
+        }
+        if end == block.rows() || same(end) {
+            while same(end) {
+                end += 1;
             }
-
-            // WHERE.
-            let row = &self.row;
-            let type_mismatches = &mut self.type_mismatches;
-            let pass = self.filters.iter().all(|(filter, slot)| {
-                let cells = &row[*slot as usize];
-                match filter {
-                    Filter::Exists(_) => !cells.is_empty(),
-                    Filter::NotExists(_) => cells.is_empty(),
-                    Filter::Cmp { op, value, .. } => {
-                        if cells.is_empty() {
-                            return false;
-                        }
-                        let occurrences = cells.iter().map(|&cell| strings.get(cell));
-                        let (matched, mismatched) = cmp_occurrences(*op, value, occurrences);
-                        *type_mismatches += mismatched;
-                        matched
+            for &node in refs {
+                let path = node_cells(&mut self.nodes, node, ds, strings, &self.slots);
+                for &(slot, cell) in path.cells.iter() {
+                    if !put(places, slot, Place::Const(cell)) {
+                        return Err(end);
                     }
                 }
-            });
-            if !pass {
-                continue;
             }
-
-            // GROUP BY: the key's cells in the aggregator's terms,
-            // `/`-joining an attribute that occurs more than once (and cut
-            // short where the aggregator turns a string away).
-            self.key.clear();
-            self.key.extend(self.keys.iter().map_while(|&slot| {
-                let code = match self.row[slot as usize].as_slice() {
-                    [] => return Some(KeyCell(None)),
-                    [Cell::Str(code)] => agg.translate(&mut self.codes, strings, *code),
-                    [number] => return Some(KeyCell(Some(*number))),
-                    many => {
-                        self.text.clear();
-                        for (i, &cell) in many.iter().enumerate() {
-                            if i > 0 {
-                                self.text.push('/');
+        } else {
+            end = start;
+            'rows: while end == start || same_imms(end) {
+                let i = end - start;
+                for &node in block.row_refs(end) {
+                    let path = node_cells(&mut self.nodes, node, ds, strings, &self.slots);
+                    for &(slot, cell) in path.cells.iter() {
+                        let place = &mut places[slot as usize];
+                        let values = &mut self.computed[slot as usize];
+                        match place {
+                            Place::Absent => {
+                                *place = Place::Computed;
+                                values.clear();
                             }
-                            self.text.push_str(&strings.get(cell).to_text());
+                            Place::Computed if values.len() <= i => {}
+                            // A second occurrence in this row.
+                            _ => break 'rows,
                         }
-                        agg.key_code(&self.text)
+                        values.resize(i, None);
+                        values.push(Some(cell));
+                    }
+                }
+                end += 1;
+            }
+            if end == start {
+                // Row `start` is gathered, and so are the rows after it
+                // whose paths repeat a slot too.
+                end += 1;
+                while same_imms(end)
+                    && block.row_refs(end).iter().any(|&node| {
+                        node_cells(&mut self.nodes, node, ds, strings, &self.slots).repeats
+                    })
+                {
+                    end += 1;
+                }
+                return Err(end);
+            }
+            // A value per row of the run, `None` where the row's path has
+            // none (and none of the row the run ends before).
+            for (place, values) in places.iter().zip(&mut self.computed) {
+                if *place == Place::Computed {
+                    values.resize(end - start, None);
+                }
+            }
+        }
+        if self
+            .lets
+            .iter()
+            .all(|&(_, _, out)| put(places, out, Place::Computed))
+        {
+            Ok(end)
+        } else {
+            Err(end)
+        }
+    }
+
+    /// Fold the `len` rows of the run [`plan`](Self::plan) placed: LET,
+    /// WHERE, the kept rows' groups in row order, then each op over its
+    /// values.
+    fn fold_run(
+        &mut self,
+        agg: &mut Aggregator,
+        strings: &mut StringTable,
+        block: &Block,
+        len: usize,
+    ) {
+        let BlockFold {
+            lets,
+            filters,
+            keys,
+            ops,
+            codes,
+            type_mismatches,
+            places,
+            computed,
+            selected,
+            groups,
+            key,
+            ..
+        } = self;
+
+        // LET: each binding sees the outputs of those before it (and
+        // none of its own or later ones).
+        for &(_, _, out) in lets.iter() {
+            places[out as usize] = Place::Absent;
+        }
+        for (def, inputs, out) in lets.iter() {
+            let out = *out as usize;
+            let first = inputs
+                .iter()
+                .map(|&slot| places[slot as usize])
+                .find(|&place| place != Place::Absent);
+            places[out] = match (&def.expr, first) {
+                (LetExpr::First(_), None) => Place::Absent,
+                (LetExpr::First(_), Some(Place::Const(cell))) => {
+                    Place::Const(as_text(strings, cell))
+                }
+                (LetExpr::First(_), Some(Place::Column(c, base)))
+                    if matches!(block.columns()[c as usize].data, ColumnData::Str(_)) =>
+                {
+                    Place::Column(c, base)
+                }
+                _ => {
+                    let mut values = std::mem::take(&mut computed[out]);
+                    values.clear();
+                    for i in 0..len {
+                        let input = |k: usize| {
+                            let slot = inputs[k] as usize;
+                            value_at(places[slot], &computed[slot], block, i)
+                        };
+                        let result = def.expr.eval(
+                            |k| input(k).and_then(|cell| strings.get(cell).to_f64()),
+                            |k| input(k).is_some(),
+                        );
+                        values.push(match result {
+                            Some(LetResult::Number(x)) => Some(Cell::Float(x)),
+                            Some(LetResult::TextOf(k)) => {
+                                Some(as_text(strings, input(k).expect("present input")))
+                            }
+                            None => None,
+                        });
+                    }
+                    computed[out] = values;
+                    Place::Computed
+                }
+            };
+        }
+
+        // WHERE: each condition over the rows the ones before it kept.
+        selected.clear();
+        selected.extend(0..len as u32);
+        for (filter, slot) in filters.iter() {
+            let (place, values) = (places[*slot as usize], &computed[*slot as usize]);
+            match (filter, place) {
+                (Filter::Exists(_), Place::Computed) => {
+                    selected.retain(|&i| values[i as usize].is_some())
+                }
+                (Filter::NotExists(_), Place::Computed) => {
+                    selected.retain(|&i| values[i as usize].is_none())
+                }
+                (Filter::Exists(_) | Filter::Cmp { .. }, Place::Absent)
+                | (Filter::NotExists(_), Place::Const(_) | Place::Column(..)) => selected.clear(),
+                (Filter::Exists(_) | Filter::NotExists(_), _) => {}
+                (Filter::Cmp { op, value, .. }, Place::Const(cell)) => {
+                    let occurrence = std::iter::once(strings.get(cell));
+                    let (matched, mismatched) = cmp_occurrences(*op, value, occurrence);
+                    *type_mismatches += mismatched * selected.len() as u64;
+                    if !matched {
+                        selected.clear();
+                    }
+                }
+                (Filter::Cmp { op, value, .. }, _) => selected.retain(|&i| {
+                    let Some(cell) = value_at(place, values, block, i as usize) else {
+                        return false;
+                    };
+                    let occurrence = std::iter::once(strings.get(cell));
+                    let (matched, mismatched) = cmp_occurrences(*op, value, occurrence);
+                    *type_mismatches += mismatched;
+                    matched
+                }),
+            }
+        }
+        if selected.is_empty() {
+            return;
+        }
+
+        // GROUP BY, in row order: one key for the run where the places
+        // are constants, else a key per row — a key of one string is its
+        // group by stream code.
+        groups.clear();
+        let cell_at = |slot: u32, i: usize| {
+            value_at(places[slot as usize], &computed[slot as usize], block, i)
+        };
+        let constant =
+            |&slot: &u32| matches!(places[slot as usize], Place::Absent | Place::Const(_));
+        if keys.iter().all(constant) {
+            fill_key(key, keys, agg, codes, strings, |slot| cell_at(slot, 0));
+            let group = agg.admit(key);
+            groups.resize(selected.len(), group);
+        } else if let Some(column) = one_string(keys, places, block) {
+            let group = |&i: &u32| agg.admit_code(codes, strings, column[i as usize]);
+            groups.extend(selected.iter().map(group));
+        } else {
+            for &i in selected.iter() {
+                let i = i as usize;
+                let group = match cell_at(keys[0], i) {
+                    Some(Cell::Str(code)) if keys.len() == 1 => {
+                        agg.admit_code(codes, strings, code)
+                    }
+                    _ => {
+                        fill_key(key, keys, agg, codes, strings, |slot| cell_at(slot, i));
+                        agg.admit(key)
                     }
                 };
-                Some(KeyCell(Some(Cell::Str(code?))))
-            }));
-            let group = agg.admit(&self.key);
+                groups.push(group);
+            }
+        }
 
-            // AGGREGATE.
+        // AGGREGATE: per op, its values in row order.
+        for &group in groups.iter() {
             agg.count_into(group);
-            for (op, target) in self.ops.iter().enumerate() {
-                let Some(slot) = target else { continue };
-                for &cell in &self.row[*slot as usize] {
-                    agg.feed(group, op, &strings.get(cell));
+        }
+        for (op, target) in ops.iter().enumerate() {
+            let Some(slot) = target else { continue };
+            let rows = groups.iter().zip(selected.iter());
+            match places[*slot as usize] {
+                Place::Absent => {}
+                Place::Const(cell) => {
+                    let value = strings.get(cell);
+                    for &group in groups.iter() {
+                        agg.feed(group, op, &value);
+                    }
                 }
+                Place::Column(c, base) => {
+                    let at = rows.map(|(&group, &i)| (group, base + i as usize));
+                    agg.feed_column(op, &block.columns()[c as usize].data, at, strings);
+                }
+                Place::Computed => {
+                    for (&group, &i) in rows {
+                        if let Some(cell) = computed[*slot as usize][i as usize] {
+                            agg.feed(group, op, &strings.get(cell));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fold row `r` the long way: gather its occurrences of every slot,
+    /// then LET, WHERE, GROUP BY and AGGREGATE over them.
+    fn gather(
+        &mut self,
+        agg: &mut Aggregator,
+        ds: &Dataset,
+        strings: &mut StringTable,
+        block: &Block,
+        r: usize,
+    ) {
+        // Node paths first, then immediates, as a flat record lists them.
+        self.row.iter_mut().for_each(Vec::clear);
+        for &node in block.row_refs(r) {
+            let path = node_cells(&mut self.nodes, node, ds, strings, &self.slots);
+            for &(slot, cell) in path.cells.iter() {
+                self.row[slot as usize].push(cell);
+            }
+        }
+        for &c in block.row_imms(r) {
+            let c = c as usize;
+            let i = self.cursors[c];
+            self.cursors[c] = i + 1;
+            let slot = self.column_slots[c];
+            if slot != NO_SLOT {
+                self.row[slot as usize].push(block.columns()[c].data.get(i));
+            }
+        }
+
+        // LET: each binding sees the outputs of those before it.
+        for (def, inputs, out) in &self.lets {
+            let row = &self.row;
+            let last = |i: usize| row[inputs[i] as usize].last().copied();
+            let result = def.expr.eval(
+                |i| last(i).and_then(|cell| strings.get(cell).to_f64()),
+                |i| last(i).is_some(),
+            );
+            let cell = match result {
+                Some(LetResult::Number(x)) => Cell::Float(x),
+                Some(LetResult::TextOf(i)) => as_text(strings, last(i).expect("present input")),
+                None => continue,
+            };
+            self.row[*out as usize].push(cell);
+        }
+
+        // WHERE.
+        let row = &self.row;
+        let type_mismatches = &mut self.type_mismatches;
+        let pass = self.filters.iter().all(|(filter, slot)| {
+            let cells = &row[*slot as usize];
+            match filter {
+                Filter::Exists(_) => !cells.is_empty(),
+                Filter::NotExists(_) => cells.is_empty(),
+                Filter::Cmp { op, value, .. } => {
+                    if cells.is_empty() {
+                        return false;
+                    }
+                    let occurrences = cells.iter().map(|&cell| strings.get(cell));
+                    let (matched, mismatched) = cmp_occurrences(*op, value, occurrences);
+                    *type_mismatches += mismatched;
+                    matched
+                }
+            }
+        });
+        if !pass {
+            return;
+        }
+
+        // GROUP BY: the key's cells in the aggregator's terms,
+        // `/`-joining an attribute that occurs more than once (and cut
+        // short where the aggregator turns a string away).
+        self.key.clear();
+        for &slot in &self.keys {
+            let code = match self.row[slot as usize].as_slice() {
+                [] => {
+                    self.key.push(KeyCell(None));
+                    continue;
+                }
+                [Cell::Str(code)] => agg.translate(&mut self.codes, strings, *code),
+                [number] => {
+                    self.key.push(KeyCell(Some(*number)));
+                    continue;
+                }
+                many => {
+                    self.text.clear();
+                    for (i, &cell) in many.iter().enumerate() {
+                        if i > 0 {
+                            self.text.push('/');
+                        }
+                        self.text.push_str(&strings.get(cell).to_text());
+                    }
+                    agg.key_code(&self.text)
+                }
+            };
+            let Some(code) = code else { break };
+            self.key.push(KeyCell(Some(Cell::Str(code))));
+        }
+        let group = agg.admit(&self.key);
+
+        // AGGREGATE.
+        agg.count_into(group);
+        for (op, target) in self.ops.iter().enumerate() {
+            let Some(slot) = target else { continue };
+            for &cell in &self.row[*slot as usize] {
+                agg.feed(group, op, &strings.get(cell));
             }
         }
     }
 }
 
-/// The slotted occurrences on `node`'s root-first path, computed on the
-/// node's first sight.
+/// A key of one label whose rows take their values from a column of
+/// strings: that column's codes from the run's first row on.
+fn one_string<'b>(keys: &[u32], places: &[Place], block: &'b Block) -> Option<&'b [u32]> {
+    let &[slot] = keys else { return None };
+    let Place::Column(c, base) = places[slot as usize] else {
+        return None;
+    };
+    match &block.columns()[c as usize].data {
+        ColumnData::Str(codes) => Some(&codes[base..]),
+        _ => None,
+    }
+}
+
+/// Put a slot `at` a place: false where it had one already.
+fn put(places: &mut [Place], slot: u32, at: Place) -> bool {
+    let once = places[slot as usize] == Place::Absent;
+    places[slot as usize] = at;
+    once
+}
+
+/// Row `i` of a run's value at `place`; `computed` is the slot's values
+/// row by row.
+fn value_at(place: Place, computed: &[Option<Cell>], block: &Block, i: usize) -> Option<Cell> {
+    match place {
+        Place::Absent => None,
+        Place::Const(cell) => Some(cell),
+        Place::Column(c, base) => Some(block.columns()[c as usize].data.get(base + i)),
+        Place::Computed => computed[i],
+    }
+}
+
+/// Into `key`, `agg`'s key with the cell `value(slot)` for each label
+/// `slot` of `keys`: strings in the aggregator's terms, cut short at one
+/// the aggregator turns away. (A loop of pushes: `extend` of a
+/// `map_while` costs several times as much here.)
+fn fill_key(
+    key: &mut Vec<KeyCell>,
+    keys: &[u32],
+    agg: &mut Aggregator,
+    codes: &mut CodeMap,
+    strings: &StringTable,
+    value: impl Fn(u32) -> Option<Cell>,
+) {
+    key.clear();
+    for &slot in keys {
+        let cell = match value(slot) {
+            Some(Cell::Str(code)) => match agg.translate(codes, strings, code) {
+                Some(mine) => Some(Cell::Str(mine)),
+                None => return,
+            },
+            other => other,
+        };
+        key.push(KeyCell(cell));
+    }
+}
+
+/// `cell` as a string of `strings`: what `first()` makes of its input.
+fn as_text(strings: &mut StringTable, cell: Cell) -> Cell {
+    match cell {
+        Cell::Str(_) => cell,
+        other => {
+            let text = strings.get(other).to_string();
+            Cell::Str(strings.intern(&text))
+        }
+    }
+}
+
+/// The slotted occurrences on `node`'s root-first path, worked out on
+/// the node's first sight.
 fn node_cells<'a>(
     nodes: &'a mut Vec<Option<NodeCells>>,
     node: NodeId,
     ds: &Dataset,
     strings: &mut StringTable,
-    slot_of: &impl Fn(AttrId) -> u32,
-) -> &'a [(u32, Cell)] {
+    slots: &[Slot],
+) -> &'a NodeCells {
     let index = node as usize;
     if nodes.len() <= index {
         nodes.resize_with(index + 1, || None);
     }
     nodes[index].get_or_insert_with(|| {
-        ds.tree
+        let cells: Box<[(u32, Cell)]> = ds
+            .tree
             .path(node)
             .iter()
             .filter_map(|(attr, value)| {
-                let slot = slot_of(*attr);
+                let slot = slot_of(slots, *attr);
                 (slot != NO_SLOT).then(|| (slot, strings.cell(value)))
             })
-            .collect()
+            .collect();
+        let repeats = (1..cells.len()).any(|i| cells[..i].iter().any(|c| c.0 == cells[i].0));
+        NodeCells { cells, repeats }
     })
 }

@@ -11,18 +11,25 @@
 //! does not: node references with nested paths, an attribute both on a
 //! node path and immediate, repeated immediates, absent keys, every
 //! value type, strings that need every escape, integer sums that
-//! overflow into floats, and blocks of 1, 8 and 1024 rows. The text
-//! files are further roughed up the way hand-edited and foreign streams
-//! are (`\r\n` line ends, comments, blank lines, `__rec` not first).
+//! overflow into floats, and blocks of 1, 8 and 1024 rows. Each
+//! generated row comes 1–64 times with fresh values, so blocks hold the
+//! long runs of one shape the fold takes a column at a time, cut by
+//! shape changes and block ends — on one node, or on a different node
+//! each row. The text files are further roughed up the way hand-edited
+//! and foreign streams are (`\r\n` line ends, comments, blank lines,
+//! `__rec` not first).
+//!
+//! Blocks built by hand add what no reader makes: an attribute in two
+//! type columns, in one row and in one run.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
+use caliper_data::{Entry, Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_format::{
     binary, cali, for_each_flat, read_footer, read_path_into_filtered, scan_path,
-    to_binary_v2_with, Dataset, ReadPolicy, ReadReport, V2WriteOptions,
+    to_binary_v2_with, Block, Dataset, ReadPolicy, ReadReport, StringTable, V2WriteOptions,
 };
 use caliper_query::{
     build_pushdown, parse_query, AggregationSpec, Aggregator, BlockFold, Pipeline, QuerySpec,
@@ -32,6 +39,43 @@ use proptest::prelude::*;
 /// One generated record: (node choice, phase choice, immediates mask,
 /// iteration, time, count).
 type Row = (u8, u8, u8, i8, i16, u8);
+
+/// Each row `1 + repeat % 64` times in a row: the same immediates with
+/// fresh values each time, and — unless `repeat & 64` cycles through
+/// the node choices — the same node.
+fn repeated(rows: &[(Row, u8)]) -> Vec<Row> {
+    let mut out = Vec::new();
+    for &((node, phase, mask, it, t, count), repeat) in rows {
+        for k in 0..=(repeat % 64) {
+            out.push((
+                if repeat & 64 != 0 {
+                    node.wrapping_add(k)
+                } else {
+                    node
+                },
+                phase.wrapping_add(k / 3),
+                mask,
+                it.wrapping_add(k as i8),
+                t.wrapping_add(k as i16 * 7),
+                count.wrapping_add(k),
+            ));
+        }
+    }
+    out
+}
+
+/// Strategy of one generated row and its repeat count.
+fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<(Row, u8)>> {
+    prop::collection::vec(
+        (
+            (any::<u8>(), any::<u8>(), any::<u8>()),
+            (any::<i8>(), any::<i16>(), any::<u8>()),
+            any::<u8>(),
+        )
+            .prop_map(|((a, b, c), (d, e, f), repeat)| ((a, b, c, d, e, f), repeat)),
+        0..max,
+    )
+}
 
 /// The metrics registry is process-wide: cases take turns.
 static METRICS: Mutex<()> = Mutex::new(());
@@ -333,14 +377,7 @@ proptest! {
 
     #[test]
     fn columns_answer_what_rows_answer(
-        files in prop::collection::vec(
-            prop::collection::vec(
-                ((any::<u8>(), any::<u8>(), any::<u8>()), (any::<i8>(), any::<i16>(), any::<u8>()))
-                    .prop_map(|((a, b, c), (d, e, f))| (a, b, c, d, e, f)),
-                0..40,
-            ),
-            1..4,
-        ),
+        files in prop::collection::vec(rows_strategy(24), 1..4),
         choice in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
         cap in 0usize..4,
         blocks in 0usize..3,
@@ -353,7 +390,7 @@ proptest! {
         let dir = case_dir();
         let (mut text, mut v1, mut v2) = (Vec::new(), Vec::new(), Vec::new());
         for (i, rows) in files.iter().enumerate() {
-            let ds = dataset_of(rows);
+            let ds = dataset_of(&repeated(rows));
             text.push(write(&dir, &format!("f{i}.cali"), rough_text(&ds)));
             v1.push(write(&dir, &format!("f{i}.calb"), binary::to_binary(&ds)));
             v2.push(write(&dir, &format!("f{i}.calb2"), v2_bytes(&ds, block_records)));
@@ -687,4 +724,246 @@ fn one_fold_may_feed_several_aggregators() {
         assert_eq!(flushed(blocks), flushed(rows));
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `path` scanned block by block into one pipeline through one
+/// [`BlockFold`], as `scan_file` does: the rendered answer and the rows
+/// the fold gathered.
+fn scan_counting(spec: &QuerySpec, cap: Option<usize>, path: &Path) -> (String, u64) {
+    let dict = Dataset::new();
+    let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store)).with_max_groups(cap);
+    let mut fold = BlockFold::new(spec);
+    scan_path(
+        path,
+        dict,
+        ReadPolicy::Strict,
+        None,
+        &mut |ds, strings, block| pipeline.fold_block(&mut fold, ds, strings, block),
+    )
+    .expect("file scans");
+    (pipeline.finish().render(), fold.gathered_rows())
+}
+
+/// `ds`'s records as blocks of `block_rows` rows built by hand, strings
+/// as codes of the returned table — with a twist no reader makes: where
+/// `retype(i, k)` says so, the `k`th float immediate of record `i` goes
+/// into an `Int` column of its attribute, truncated, so that the
+/// attribute arrives in two type columns. The records are taken out of
+/// `ds`, which keeps their tree and store.
+fn hand_built(
+    ds: &mut Dataset,
+    block_rows: usize,
+    retype: impl Fn(usize, usize) -> bool,
+) -> (StringTable, Vec<Block>) {
+    let mut strings = StringTable::default();
+    let mut blocks = vec![Block::default()];
+    for (i, record) in std::mem::take(&mut ds.records).iter().enumerate() {
+        if blocks.last().expect("one block at least").rows() == block_rows {
+            blocks.push(Block::default());
+        }
+        let block = blocks.last_mut().expect("one block at least");
+        let mut floats = 0;
+        for entry in record.entries() {
+            match entry {
+                Entry::Node(node) => block.push_ref(*node),
+                Entry::Imm(attr, value) => {
+                    let value = match value {
+                        Value::Float(x) => {
+                            floats += 1;
+                            if retype(i, floats - 1) {
+                                Value::Int(*x as i64)
+                            } else {
+                                Value::Float(*x)
+                            }
+                        }
+                        other => other.clone(),
+                    };
+                    let column = block.column_for(*attr, value.value_type());
+                    block.push_imm(column, strings.cell(&value));
+                }
+            }
+        }
+        assert!(block.end_row());
+    }
+    (strings, blocks)
+}
+
+/// `blocks` folded into one pipeline — through one [`BlockFold`] with
+/// `columns`, else as the rows they derive — the rendered answer, and
+/// the rows the fold gathered.
+fn fold_hand_built(
+    spec: &QuerySpec,
+    cap: Option<usize>,
+    ds: &mut Dataset,
+    strings: &StringTable,
+    blocks: &[Block],
+    columns: bool,
+) -> (String, u64) {
+    let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&ds.store)).with_max_groups(cap);
+    let (mut strings, mut fold) = (strings.clone(), BlockFold::new(spec));
+    for block in blocks {
+        if columns {
+            pipeline.fold_block(&mut fold, ds, &mut strings, block);
+        } else {
+            let mut rows = Vec::new();
+            block.append_records(&strings, &mut rows);
+            for_each_flat(&ds.tree, &rows, |record| pipeline.process(record));
+        }
+    }
+    (pipeline.finish().render(), fold.gathered_rows())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Blocks with long runs, built by hand: `twist` 1 and 2 put the
+    /// first or the second float of every record into an `Int` column
+    /// (a record with both `time`s then has it in two type columns),
+    /// 3 the first float of every other record (the runs alternate
+    /// between the two columns).
+    #[test]
+    fn hand_built_blocks_fold_as_their_rows(
+        rows in rows_strategy(24),
+        choice in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
+        cap in 0usize..4,
+        blocks in 0usize..3,
+        twist in 0u8..4,
+    ) {
+        let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+        let query = query_of(choice);
+        let spec = parse_query(&query).expect("generated query parses");
+        let cap = CAPS[cap];
+        let mut ds = dataset_of(&repeated(&rows));
+        let retype = |i: usize, k: usize| match twist {
+            1 => k == 0,
+            2 => k == 1,
+            3 => k == 0 && i.is_multiple_of(2),
+            _ => false,
+        };
+        let (strings, blocks) = hand_built(&mut ds, [1, 8, 1024][blocks], retype);
+        let (want, _) = fold_hand_built(&spec, cap, &mut ds, &strings, &blocks, false);
+        let (got, _) = fold_hand_built(&spec, cap, &mut ds, &strings, &blocks, true);
+        prop_assert_eq!(got, want, "{} (twist {})", query, twist);
+    }
+}
+
+/// A run whose rows carry `time` twice sits between two runs that carry
+/// it once, all in one block: the fold gathers exactly that run's rows
+/// and folds the others a column at a time, with the answer of the
+/// rows.
+#[test]
+fn a_run_with_repeated_occurrences_is_gathered_between_columnar_runs() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |mask: u8, n: u8| -> Vec<Row> {
+        (0..n)
+            .map(|k| (1, k, mask, k as i8, k as i16 * 3 - 20, k))
+            .collect()
+    };
+    let (once, twice) = (1 | 2 | 4 | 16 | 64, 1 | 2 | 4 | 8 | 16 | 64);
+    let ds = dataset_of(&[run(once, 20), run(twice, 10), run(once, 20)].concat());
+    let dir = case_dir();
+    let files = [
+        write(&dir, "runs.calb2", v2_bytes(&ds, 1024)),
+        write(&dir, "runs.cali", rough_text(&ds)),
+    ];
+    for query in [
+        "AGGREGATE count, sum(time), min(time), max(time) GROUP BY phase, label \
+         ORDER BY phase, label FORMAT csv",
+        "LET scaled = scale(time, 1000) AGGREGATE sum(scaled), count, avg(time) \
+         WHERE n != 3 GROUP BY region, iter ORDER BY region, iter FORMAT csv",
+        "AGGREGATE percentile(time, 50), histogram(time, -20, 40, 6) GROUP BY label \
+         ORDER BY label FORMAT csv",
+    ] {
+        let spec = parse_query(query).unwrap();
+        for file in &files {
+            let oracle = via_rows(&spec, None, std::slice::from_ref(file), ReadPolicy::Strict);
+            let (rendered, gathered) = scan_counting(&spec, None, file);
+            assert_eq!(rendered, oracle.rendered, "{query}: {}", file.display());
+            assert_eq!(gathered, 10, "{query}: {}", file.display());
+        }
+    }
+    // A query that does not mention `time` gathers nothing.
+    let spec = parse_query("AGGREGATE count, sum(n) GROUP BY label").unwrap();
+    assert_eq!(scan_counting(&spec, None, &files[0]).1, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `max_groups` is reached in the middle of a run of one shape: the
+/// keys admitted, those turned into the overflow bucket and every
+/// reduction are the rows', for a key of one string (looked up by
+/// stream code), a number key and a key of both.
+#[test]
+fn max_groups_is_reached_in_the_middle_of_a_run() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let rows: Vec<Row> = (0..60u8)
+        .map(|k| (0, k, 1 | 2 | 4 | 64, k as i8 - 30, k as i16, k / 2))
+        .collect();
+    let ds = dataset_of(&rows);
+    let dir = case_dir();
+    let files = [
+        write(&dir, "capped.calb2", v2_bytes(&ds, 1024)),
+        write(&dir, "capped.cali", rough_text(&ds)),
+    ];
+    for (keys, cap) in [("label", 2), ("iter", 5), ("label, iter", 7), ("phase", 1)] {
+        let query = format!(
+            "AGGREGATE count, sum(time), max(label) GROUP BY {keys} ORDER BY {keys} FORMAT csv"
+        );
+        let spec = parse_query(&query).unwrap();
+        for file in &files {
+            let files = std::slice::from_ref(file);
+            let oracle = via_rows(&spec, Some(cap), files, ReadPolicy::Strict);
+            assert!(
+                oracle.rendered.contains("__overflow__"),
+                "{}",
+                oracle.rendered
+            );
+            assert_eq!(
+                via_scan(&spec, Some(cap), files, ReadPolicy::Strict),
+                oracle,
+                "{query}"
+            );
+            assert_eq!(
+                scan_counting(&spec, Some(cap), file),
+                (oracle.rendered, 0),
+                "{query}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An attribute in two type columns: a run with `time` in the `Float`
+/// column alone and one with it in the `Int` column alone are folded a
+/// column at a time, every row of a run with it in both is gathered —
+/// the rows' answer either way, down to which of two equal values of
+/// two types `min` and `max` keep (the first).
+#[test]
+fn an_attribute_in_two_type_columns_folds_as_its_rows() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |mask: u8| -> Vec<Row> {
+        (0..30u8)
+            .map(|k| (2, k, mask, k as i8, k as i16 * 5 - 40, k))
+            .collect()
+    };
+    let rows = [run(1 | 4 | 16), run(1 | 4 | 16), run(1 | 4 | 8 | 16)].concat();
+    let retype = |i: usize, k: usize| ((30..60).contains(&i) && k == 0) || (i >= 60 && k == 1);
+    for query in [
+        "AGGREGATE count, sum(time), min(time), max(time), avg(time) GROUP BY phase \
+         ORDER BY phase FORMAT csv",
+        "LET bin = truncate(time, 10), f = first(time, n) AGGREGATE count, sum(n) \
+         WHERE time > -10 GROUP BY bin, f ORDER BY bin, f FORMAT csv",
+        "AGGREGATE count, variance(time) GROUP BY time ORDER BY time FORMAT csv",
+        "AGGREGATE min(time), max(time) GROUP BY n ORDER BY n FORMAT json",
+    ] {
+        let spec = parse_query(query).unwrap();
+        let mut ds = dataset_of(&rows);
+        let (strings, blocks) = hand_built(&mut ds, 1024, retype);
+        let time = ds.store.find("time").expect("declared").id();
+        let columns = blocks[0].columns().iter().filter(|c| c.attr == time);
+        assert_eq!((blocks.len(), columns.count()), (1, 2));
+        let (want, _) = fold_hand_built(&spec, None, &mut ds, &strings, &blocks, false);
+        let (got, gathered) = fold_hand_built(&spec, None, &mut ds, &strings, &blocks, true);
+        assert_eq!(got, want, "{query}");
+        assert_eq!(gathered, 30, "{query}");
+    }
 }

@@ -1,10 +1,12 @@
 //! A group is a row of the aggregator's columns and a key in its arena,
 //! so aggregating allocates as the columns grow, not per group: folding
-//! rows that each start a group allocates O(log n) times, and a merge
-//! whose keys all exist in the receiver allocates nothing per group. A
-//! test binary of its own because it installs a counting global
-//! allocator; until `cali-bench` has a `query.new_group_allocs` row
-//! (ROADMAP item 1d) this is that row.
+//! rows that each start a group allocates O(log n) times, a merge whose
+//! keys all exist in the receiver allocates nothing per group, and once
+//! the fold's scratch has grown to a block, folding more blocks into
+//! groups that exist allocates nothing at all. A test binary of its own
+//! because it installs a counting global allocator; until `cali-bench`
+//! has a `query.new_group_allocs` row (ROADMAP item 1d) this is that
+//! row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,7 +14,7 @@ use std::sync::Arc;
 
 use caliper_data::{Properties, Value, ValueType};
 use caliper_format::{Block, Dataset, StringTable};
-use caliper_query::{parse_query, AggregationSpec, Aggregator, BlockFold};
+use caliper_query::{parse_query, AggregationSpec, Aggregator, BlockFold, QuerySpec};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
@@ -158,4 +160,82 @@ fn a_merge_into_existing_groups_allocates_nothing_per_group() {
         ROWS / 16
     );
     assert!(many <= 3, "{many} allocations merging {ROWS} groups");
+}
+
+/// The benchmark's `scan` and `wide` queries.
+const SCAN: &str = "LET region = first(kernel, mpi.function) \
+     AGGREGATE sum(sum#time.duration), sum(aggregate.count) GROUP BY region";
+const WIDE: &str = "AGGREGATE count, sum(sum#time.duration), min(sum#time.duration), \
+     max(sum#time.duration) GROUP BY kernel, mpi.function, iteration";
+
+/// A ParaDiS-shaped block of `iterations` × 11 records: per iteration
+/// eight kernel records, then three MPI-function records, each with the
+/// rank, the iteration, a visit count and a time — runs of rows of one
+/// shape, as a ParaDiS profile has them. `salt` varies the counts and
+/// times, not the keys.
+fn paradis_block(ds: &Dataset, strings: &mut StringTable, iterations: i64, salt: u64) -> Block {
+    let attr = |label, vtype| ds.attribute(label, vtype, Properties::AS_VALUE).id();
+    let (kernel, function) = (
+        attr("kernel", ValueType::Str),
+        attr("mpi.function", ValueType::Str),
+    );
+    let (rank, iteration) = (
+        attr("mpi.rank", ValueType::Int),
+        attr("iteration", ValueType::Int),
+    );
+    let count = attr("aggregate.count", ValueType::UInt);
+    let time = attr("sum#time.duration", ValueType::Float);
+    let mut block = Block::default();
+    for it in 0..iterations {
+        for (i, (region, name)) in (0..8)
+            .map(|k| (kernel, format!("kernel-{k}")))
+            .chain((0..3).map(|m| (function, format!("MPI_{m}"))))
+            .enumerate()
+        {
+            let mut push = |attr, value: Value| {
+                let column = block.column_for(attr, value.value_type());
+                block.push_imm(column, strings.cell(&value));
+            };
+            push(region, Value::str(name));
+            push(rank, Value::Int(3));
+            push(iteration, Value::Int(it));
+            push(count, Value::UInt(1 + (it as u64 + i as u64 + salt) % 7));
+            push(
+                time,
+                Value::Float((it as f64 + salt as f64) * 0.25 + i as f64),
+            );
+            assert!(block.end_row());
+        }
+    }
+    block
+}
+
+#[test]
+fn folding_into_existing_groups_allocates_nothing() {
+    for query in [SCAN, WIDE] {
+        let spec: QuerySpec = parse_query(query).expect("query parses");
+        let ds = Dataset::new();
+        let mut strings = StringTable::default();
+        let blocks: Vec<Block> = (0..4)
+            .map(|salt| paradis_block(&ds, &mut strings, 93, salt))
+            .collect();
+        let mut agg = Aggregator::new(AggregationSpec::from_query(&spec), Arc::clone(&ds.store));
+        let mut fold = BlockFold::new(&spec);
+        // The warm-up block admits every group and grows the scratch.
+        fold.fold(&mut agg, &ds, &mut strings, &blocks[0]);
+        let groups = agg.len();
+        let (allocations, ()) = counted(|| {
+            for block in &blocks[1..] {
+                fold.fold(&mut agg, &ds, &mut strings, block);
+            }
+        });
+        assert_eq!(agg.len(), groups, "{query}: no new group");
+        assert_eq!(agg.records_processed(), 4 * 93 * 11, "{query}");
+        assert_eq!(
+            fold.gathered_rows(),
+            0,
+            "{query}: every run folded as columns"
+        );
+        assert_eq!(allocations, 0, "{query}: allocations folding 3 warm blocks");
+    }
 }

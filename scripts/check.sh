@@ -160,7 +160,10 @@ fi
 
 # One-table gate: the aggregation database is the only map from keys to
 # groups, and its keys are cells (DESIGN.md §10). The columnar fold keeps
-# no hash map in front of it, and no key is built of `Value`s again.
+# no hash map in front of it — its one memo, the group of a one-string
+# key by stream code, is an array in `CodeMap` beside the code map,
+# filled by `Aggregator::admit_code` with admitted groups only and
+# started over with it — and no key is built of `Value`s again.
 if grep -n 'HashMap' crates/query/src/scan.rs \
     || grep -n 'Option<Value>' crates/query/src/aggregator.rs; then
     echo "check.sh: a second key->group table, or a key of boxed values, is back (listed above)" >&2
@@ -233,6 +236,19 @@ for bin in cali-query cali-served; do
         echo "check.sh: $bin --no-such-flag exited $rc, expected 1 and the usage text" >&2
         exit 1
     fi
+done
+
+# Paper-output gate: `table1` and `fig5`–`fig9` run CleverLeaf on its
+# virtual clock and fold the profiles through `BlockFold` (about 3 s
+# together), so what they print is a function of the code alone, and
+# must be byte for byte what `results/` holds. A change that moves a
+# paper figure regenerates its file (EXPERIMENTS.md) in the same change.
+for b in table1 fig5 fig6 fig7 fig8 fig9; do
+    ./target/release/"$b" > "$smoke/$b.csv" 2>/dev/null
+    cmp -s "$smoke/$b.csv" "results/$b.csv" || {
+        echo "check.sh: $b prints other bytes than results/$b.csv" >&2
+        exit 1
+    }
 done
 
 # Failure-injection smoke: a corrupt corpus must be salvageable with

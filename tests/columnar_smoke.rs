@@ -1,13 +1,17 @@
 //! Tier-1 smoke of the row/column equality: a CALB v2 file and a text
 //! `.cali` file scanned as columns (`Pipeline::scan_file`) answer exactly
-//! what the same records answer as rows. The full differential suite
-//! lives in `crates/query/tests/columnar_differential.rs`.
+//! what the same records answer as rows — and a flat ParaDiS profile
+//! takes the column-at-a-time fold all the way, gathering no row. The
+//! full differential suite lives in
+//! `crates/query/tests/columnar_differential.rs`.
 
+use std::path::Path;
 use std::sync::Arc;
 
-use caliper_format::{for_each_flat, read_path, Dataset, ReadPolicy, V2WriteOptions};
-use caliper_query::{parse_query, Pipeline};
+use caliper_format::{for_each_flat, read_path, scan_path, Dataset, ReadPolicy, V2WriteOptions};
+use caliper_query::{parse_query, BlockFold, Pipeline};
 use caliper_runtime::Config;
+use miniapps::paradis::{generate_rank, ParaDisParams};
 use miniapps::{CleverLeaf, CleverLeafParams};
 
 #[test]
@@ -73,4 +77,89 @@ fn columns_answer_what_rows_answer(text: bool) {
         assert_eq!(by_columns.finish().render(), expected, "{query}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn paradis_v2_folds_as_columns_and_gathers_no_row() {
+    paradis_folds_as_columns_and_gathers_no_row(false);
+}
+
+#[test]
+fn paradis_text_folds_as_columns_and_gathers_no_row() {
+    paradis_folds_as_columns_and_gathers_no_row(true);
+}
+
+/// The benchmark's `scan` and `wide` queries over two ParaDiS ranks:
+/// the fold's answer is the rows' answer, and every run of every block
+/// is folded a column at a time.
+fn paradis_folds_as_columns_and_gathers_no_row(text: bool) {
+    let dir = std::env::temp_dir().join(format!(
+        "caliper-columnar-paradis-{}-{text}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let params = ParaDisParams {
+        iterations: 12,
+        ..Default::default()
+    };
+    let paths: Vec<_> = (0..2)
+        .map(|rank| {
+            let ds = generate_rank(&params, rank);
+            let bytes = if text {
+                caliper_format::cali::to_bytes(&ds)
+            } else {
+                caliper_format::to_binary_v2(&ds)
+            };
+            let path = dir.join(format!("paradis-{rank}.data"));
+            std::fs::write(&path, bytes).unwrap();
+            path
+        })
+        .collect();
+
+    for query in [
+        "LET region = first(kernel, mpi.function) \
+         AGGREGATE sum(sum#time.duration), sum(aggregate.count) \
+         GROUP BY region ORDER BY region FORMAT csv",
+        "AGGREGATE count, sum(sum#time.duration), \
+         min(sum#time.duration), max(sum#time.duration) \
+         GROUP BY kernel, mpi.function, iteration \
+         ORDER BY kernel, mpi.function, iteration FORMAT csv",
+    ] {
+        let spec = parse_query(query).unwrap();
+        let mut expected = Vec::new();
+        let mut answers = Vec::new();
+        for path in &paths {
+            let rows = read_path(path).unwrap();
+            let mut by_rows = Pipeline::new(spec.clone(), Arc::clone(&rows.store));
+            for_each_flat(&rows.tree, &rows.records, |record| by_rows.process(record));
+            expected.push(by_rows.finish().render());
+            answers.push(fold_by_columns(&spec, path));
+        }
+        assert!(expected[0].lines().count() > 80, "{}", expected[0]);
+        assert_eq!(answers, expected, "{query}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `path` folded block by block through one [`BlockFold`], which must
+/// have gathered no row.
+fn fold_by_columns(spec: &caliper_query::QuerySpec, path: &Path) -> String {
+    let dict = Dataset::new();
+    let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
+    let mut fold = BlockFold::new(spec);
+    let (mut blocks, mut rows) = (0, 0);
+    scan_path(
+        path,
+        dict,
+        ReadPolicy::Strict,
+        None,
+        &mut |ds, strings, block| {
+            pipeline.fold_block(&mut fold, ds, strings, block);
+            (blocks, rows) = (blocks + 1, rows + block.rows());
+        },
+    )
+    .unwrap();
+    assert!(blocks >= 1 && rows > 1000, "{blocks} blocks, {rows} rows");
+    assert_eq!(fold.gathered_rows(), 0, "{}", path.display());
+    pipeline.finish().render()
 }
