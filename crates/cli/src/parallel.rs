@@ -149,6 +149,7 @@ pub fn parallel_query<E: Executor>(
     let pushdown = Arc::new(build_pushdown(&spec, None));
     let size = files_per_rank.len().max(1);
     let files = Arc::new(files_per_rank);
+    let root_spec = Arc::clone(&spec);
     let make = move |rank: usize, size: usize| {
         let spec = Arc::clone(&spec);
         let files = Arc::clone(&files);
@@ -156,15 +157,20 @@ pub fn parallel_query<E: Executor>(
         let init = move || {
             let start = Instant::now();
             let files = files.get(rank).map_or(&[][..], Vec::as_slice);
-            let pipeline = local_pipeline(&spec, files, ReadPolicy::Strict, &pushdown)
-                .map(|(pipeline, _)| pipeline)
-                .map_err(|e| e.to_string());
+            let contents = if files.is_empty() {
+                Contents::Nothing
+            } else {
+                match local_pipeline(&spec, files, ReadPolicy::Strict, &pushdown) {
+                    Ok((pipeline, _)) => Contents::Pipeline(Box::new(pipeline)),
+                    Err(e) => Contents::Failed(e.to_string()),
+                }
+            };
             let times = ParallelTimings {
                 local_max_s: start.elapsed().as_secs_f64(),
                 ..ParallelTimings::default()
             };
             Partial {
-                pipeline,
+                contents,
                 times,
                 merges: 0,
             }
@@ -183,7 +189,14 @@ pub fn parallel_query<E: Executor>(
             .and_then(Option::take)
             .ok_or_else(|| ParallelError::Io("rank 0 was killed by the fault plan".to_string()))?
             .expect("rank 0 is the reduction root");
-        let pipeline = partial.pipeline.map_err(ParallelError::Io)?;
+        let pipeline = match partial.contents {
+            Contents::Pipeline(pipeline) => *pipeline,
+            // No rank read anything: `local_pipeline` over no files.
+            Contents::Nothing => {
+                Pipeline::new(root_spec.as_ref().clone(), Arc::clone(&Dataset::new().store))
+            }
+            Contents::Failed(e) => return Err(ParallelError::Io(e)),
+        };
         let mut timings = partial.times;
         let start = Instant::now();
         let result = pipeline.finish();
@@ -197,28 +210,42 @@ pub fn parallel_query<E: Executor>(
     (run, hb)
 }
 
-/// What travels up the tree: a subtree's merged pipeline — or the read
-/// error that poisoned it — and the subtree's times.
+/// What travels up the tree: what the subtree read, and its times.
 struct Partial {
-    pipeline: Result<Pipeline, String>,
+    contents: Contents,
     times: ParallelTimings,
     /// Merges the holding rank has absorbed: the level its next merge
     /// counts at.
     merges: usize,
 }
 
+/// What a subtree read. Most ranks of a large world hold no file, and
+/// theirs is nothing: no pipeline is built for them, and merging one
+/// is the identity.
+enum Contents {
+    /// No rank of the subtree had a file.
+    Nothing,
+    /// The subtree's merged pipeline. Boxed, so a partial stays a few
+    /// words wherever the reduction moves it.
+    Pipeline(Box<Pipeline>),
+    /// The read error that poisoned the subtree.
+    Failed(String),
+}
+
 impl Partial {
     /// The associative merge of the reduction: pipelines merge (an
-    /// error on either side wins), times fold by `max`, and the merge
-    /// times itself into the receiving side's next level.
+    /// error on either side wins, nothing on either side is the
+    /// identity), times fold by `max`, and the merge times itself into
+    /// the receiving side's next level.
     fn merge(mut self, incoming: Partial) -> Partial {
         let start = Instant::now();
-        self.pipeline = match (self.pipeline, incoming.pipeline) {
-            (Ok(mut acc), Ok(theirs)) => {
-                acc.merge(theirs);
-                Ok(acc)
+        self.contents = match (self.contents, incoming.contents) {
+            (Contents::Failed(e), _) | (_, Contents::Failed(e)) => Contents::Failed(e),
+            (Contents::Pipeline(mut acc), Contents::Pipeline(theirs)) => {
+                acc.merge(*theirs);
+                Contents::Pipeline(acc)
             }
-            (Err(e), _) | (_, Err(e)) => Err(e),
+            (Contents::Nothing, other) | (other, Contents::Nothing) => other,
         };
         let merge_s = start.elapsed().as_secs_f64();
 
@@ -408,6 +435,86 @@ mod tests {
         };
         run_everywhere(&per_rank, &FaultPlan::new().kill(2, 0), opts, check);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `paths[i]` on rank `i * stride` of `ranks`, every other rank
+    /// empty: with a stride above 1, empty ranks receive partials that
+    /// hold a pipeline as well as send nothing to ranks that hold one.
+    fn spread(paths: &[PathBuf], ranks: usize, stride: usize) -> Vec<Vec<PathBuf>> {
+        let mut per_rank = vec![Vec::new(); ranks];
+        for (i, path) in paths.iter().enumerate() {
+            per_rank[i * stride].push(path.clone());
+        }
+        per_rank
+    }
+
+    #[test]
+    fn mostly_empty_worlds_match_serial() {
+        let dir = temp_dir("sparse");
+        let (paths, _) = one_file_per_rank(&dir, 5);
+        let expect = serial(&paths);
+        for (ranks, stride) in [(37, 9), (5, 1)] {
+            run_everywhere(
+                &spread(&paths, ranks, stride),
+                &FaultPlan::new(),
+                ResilienceOptions::default(),
+                |name, topology, run| {
+                    assert_eq!(run.result.render(), expect, "{ranks} ranks, {name} {topology:?}");
+                    assert!(run.coverage.is_complete(), "{ranks} ranks, {name} {topology:?}");
+                },
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn killing_an_empty_rank_or_a_full_one_covers_exactly_the_survivors() {
+        let dir = temp_dir("sparse-kill");
+        let (paths, _) = one_file_per_rank(&dir, 5);
+        let per_rank = spread(&paths, 37, 9);
+        let opts = ResilienceOptions {
+            timeout: std::time::Duration::from_millis(150),
+            retries: 1,
+            backoff: std::time::Duration::from_millis(50),
+        };
+        // Each victim dies at its first comm op. Rank 5 (empty) and rank
+        // 9 (the second file) are leaves of the flat tree; in nodes of
+        // three, rank 5 is a leaf and rank 9 leads {9, 10, 11}.
+        for (victim, flat_lost, nodes_lost) in [(5, vec![5], vec![5]), (9, vec![9], vec![9, 10, 11])]
+        {
+            let check = |name: &str, topology, run: QueryRun| {
+                let lost = if topology == Topology::Flat { &flat_lost } else { &nodes_lost };
+                assert_eq!(&run.coverage.lost, lost, "victim {victim}, {name} {topology:?}");
+                let survivors: Vec<PathBuf> =
+                    run.coverage.included.iter().flat_map(|&r| per_rank[r].clone()).collect();
+                assert_eq!(
+                    run.result.render(),
+                    serial(&survivors),
+                    "victim {victim}, {name} {topology:?}"
+                );
+            };
+            run_everywhere(&per_rank, &FaultPlan::new().kill(victim, 0), opts, check);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_world_without_files_renders_the_empty_pipeline() {
+        let spec = parse_query(QUERY).unwrap();
+        let pushdown = build_pushdown(&spec, None);
+        let none: &[PathBuf] = &[];
+        let (empty, _) = local_pipeline(&spec, none, ReadPolicy::Strict, &pushdown).unwrap();
+        let expect = empty.finish().render();
+        assert_eq!(expect, serial(none));
+        run_everywhere(
+            &vec![Vec::new(); 6],
+            &FaultPlan::new(),
+            ResilienceOptions::default(),
+            |name, topology, run| {
+                assert_eq!(run.result.render(), expect, "{name} {topology:?}");
+                assert!(run.coverage.is_complete(), "{name} {topology:?}");
+            },
+        );
     }
 
     #[test]

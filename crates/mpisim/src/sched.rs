@@ -276,21 +276,6 @@ impl<T: RankTask> RankState<T> {
             done: false,
         }
     }
-
-    /// Placeholder used to move a state into a worker and back.
-    fn vacant() -> RankState<T> {
-        RankState {
-            task: None,
-            out: None,
-            buffer: Vec::new(),
-            wait: None,
-            wait_gen: 0,
-            local_now: 0,
-            ops: 0,
-            alive: false,
-            done: false,
-        }
-    }
 }
 
 /// An outgoing message buffered during a step, stamped with the
@@ -659,83 +644,67 @@ impl EventEngine {
             let batch_len = batch.len() as u64;
             stats.events += batch_len;
 
+            // --- snapshot liveness ---
+            let alive: Vec<bool> = states.iter().map(|s| s.alive).collect();
+
             // --- group per rank, preserving (time, seq) order ---
             // The heap popped the batch in seq order and the sort is
-            // stable, so each rank's events stay in that order.
+            // stable, so each rank's events stay in that order. Ranks
+            // come out ascending, so one walk down `states` with
+            // `split_first_mut` lends each batch rank its own state, to
+            // be stepped where it lies.
             batch.sort_by_key(|ev| ev.kind.rank());
-            let mut work: Vec<(usize, Vec<EvKind>)> = Vec::new();
+            let mut work: Vec<(usize, &mut RankState<T>, Vec<EvKind>)> = Vec::new();
+            let (mut rest, mut base) = (&mut states[..], 0);
             for ev in batch {
                 let rank = ev.kind.rank();
                 match work.last_mut() {
-                    Some((r, kinds)) if *r == rank => kinds.push(ev.kind),
-                    _ => work.push((rank, vec![ev.kind])),
+                    Some((r, _, kinds)) if *r == rank => kinds.push(ev.kind),
+                    _ => {
+                        let (state, tail) = std::mem::take(&mut rest)[rank - base..]
+                            .split_first_mut()
+                            .expect("events name ranks of the world");
+                        (rest, base) = (tail, rank + 1);
+                        work.push((rank, state, vec![ev.kind]));
+                    }
                 }
             }
 
-            // --- snapshot liveness; step the batch's ranks ---
-            let alive: Vec<bool> = states.iter().map(|s| s.alive).collect();
-            let mut stepped: Vec<(usize, RankState<T>, Effects)> =
-                if workers <= 1 || work.len() <= 1 {
-                    work.into_iter()
-                        .map(|(rank, kinds)| {
-                            let mut state =
-                                std::mem::replace(&mut states[rank], RankState::vacant());
-                            let mut effects = Effects::armed(tracing);
-                            for kind in kinds {
-                                process_event(
-                                    &mut state, now, kind, size, &plan, &alive, &mut effects,
-                                );
-                            }
-                            (rank, state, effects)
-                        })
-                        .collect()
-                } else {
-                    let mut taken: Vec<(usize, RankState<T>, Vec<EvKind>)> = work
-                        .into_iter()
-                        .map(|(rank, kinds)| {
-                            let state = std::mem::replace(&mut states[rank], RankState::vacant());
-                            (rank, state, kinds)
+            // --- step the batch's ranks against the snapshot ---
+            let step = |(rank, state, kinds): &mut (usize, &mut RankState<T>, Vec<EvKind>)| {
+                let mut effects = Effects::armed(tracing);
+                for kind in kinds.drain(..) {
+                    process_event(state, now, kind, size, &plan, &alive, &mut effects);
+                }
+                (*rank, effects)
+            };
+            let stepped: Vec<(usize, Effects)> = if workers <= 1 || work.len() <= 1 {
+                work.iter_mut().map(step).collect()
+            } else {
+                let chunk = work.len().div_ceil(workers);
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = work
+                        .chunks_mut(chunk)
+                        .map(|mine| {
+                            let step = &step;
+                            scope.spawn(move || mine.iter_mut().map(step).collect::<Vec<_>>())
                         })
                         .collect();
-                    let chunk = taken.len().div_ceil(workers);
-                    let plan = &plan;
-                    let alive = &alive[..];
-                    let results: Vec<Vec<(usize, RankState<T>, Effects)>> =
-                        std::thread::scope(|scope| {
-                            let mut handles = Vec::new();
-                            while !taken.is_empty() {
-                                let rest = taken.split_off(chunk.min(taken.len()));
-                                let mine = std::mem::replace(&mut taken, rest);
-                                handles.push(scope.spawn(move || {
-                                    mine.into_iter()
-                                        .map(|(rank, mut state, kinds)| {
-                                            let mut effects = Effects::armed(tracing);
-                                            for kind in kinds {
-                                                process_event(
-                                                    &mut state, now, kind, size, plan, alive,
-                                                    &mut effects,
-                                                );
-                                            }
-                                            (rank, state, effects)
-                                        })
-                                        .collect()
-                                }));
-                            }
-                            handles
-                                .into_iter()
-                                .map(|h| match h.join() {
-                                    Ok(v) => v,
-                                    Err(e) => std::panic::resume_unwind(e),
-                                })
-                                .collect()
-                        });
-                    results.into_iter().flatten().collect()
-                };
+                    // Chunks are joined in order, so effects stay in
+                    // rank order.
+                    handles
+                        .into_iter()
+                        .flat_map(|h| match h.join() {
+                            Ok(v) => v,
+                            Err(e) => std::panic::resume_unwind(e),
+                        })
+                        .collect()
+                })
+            };
 
             // --- apply effects in rank order: deterministic seqs ---
-            stepped.sort_by_key(|&(rank, _, _)| rank);
             let mut stale_in_batch = 0u64;
-            for (rank, state, effects) in stepped {
+            for (rank, effects) in stepped {
                 stale_in_batch += effects.stale_timers;
                 stats.dropped += effects.dropped;
                 stats.timeouts += effects.timeouts;
@@ -770,7 +739,6 @@ impl EventEngine {
                     });
                     next_seq += 1;
                 }
-                states[rank] = state;
             }
             // Stale timers fire after their receive was satisfied;
             // a batch of nothing else must not stretch the makespan.

@@ -7,7 +7,7 @@
 use std::time::{Duration, Instant};
 
 use mpisim::{
-    EventEngine, FaultPlan, ReduceTask, ResilienceOptions, SchedStats, Topology,
+    EventEngine, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, SchedStats, Topology,
 };
 
 const RANKS: usize = 4096;
@@ -83,6 +83,61 @@ fn worker_pool_size_is_invisible_at_scale() {
         let (out, stats) = scaled_run(workers);
         assert_eq!(out, base, "workers {workers}");
         assert_eq!(stats, base_stats, "workers {workers}");
+    }
+}
+
+/// Per-rank outputs of a reduction over [`Bulky`] values.
+type BulkyOutputs = Vec<Option<Option<(Bulky, ReduceCoverage)>>>;
+
+/// A payload the size of a real partial's bookkeeping: 512 bytes a
+/// rank, carried in its task, its accumulator and its output.
+type Bulky = [u64; 64];
+
+/// The pinned run with a [`Bulky`] value per rank — element `i` of rank
+/// `r` is `r × (i + 1)` — summed element-wise.
+fn bulky_run(workers: usize) -> (BulkyOutputs, SchedStats) {
+    let engine = EventEngine::with_workers(workers);
+    let plan = FaultPlan::seeded_kills(KILL_SEED, KILLS, RANKS);
+    let opts = ResilienceOptions::default();
+    engine.run_tasks_with_stats(RANKS, plan, move |rank, size| {
+        ReduceTask::new(
+            rank,
+            size,
+            Topology::Flat,
+            move || -> Bulky { std::array::from_fn(|i| (rank * (i + 1)) as u64) },
+            |mut a: Bulky, b: Bulky| {
+                for (a, b) in a.iter_mut().zip(b) {
+                    *a += b;
+                }
+                a
+            },
+            opts,
+        )
+    })
+}
+
+/// The scheduler steps each rank's state where it lies, so what a task
+/// carries cannot change what the run does: the same events, makespan
+/// and losses as the `u64` run, and the same bytes at any pool size.
+#[test]
+fn a_bulky_payload_changes_nothing_observable() {
+    let (outs, stats) = bulky_run(1);
+    assert_eq!(stats, scaled_run(1).1, "the u64 run's accounting");
+    assert_eq!(stats.events, GOLDEN_EVENTS);
+    assert_eq!(stats.virtual_time_ns, GOLDEN_VIRTUAL_NS);
+    assert_eq!(stats.ranks_lost, GOLDEN_RANKS_LOST);
+    let root = outs[0].as_ref().expect("root survives");
+    let (sum, coverage) = root.as_ref().expect("root output");
+    for (i, &element) in sum.iter().enumerate() {
+        assert_eq!(element, GOLDEN_SUM * (i as u64 + 1), "element {i}");
+    }
+    assert_eq!(coverage.included.len(), GOLDEN_INCLUDED);
+
+    let base = format!("{outs:?}");
+    for workers in [2, 4] {
+        let (outs, other) = bulky_run(workers);
+        assert_eq!(format!("{outs:?}"), base, "workers {workers}");
+        assert_eq!(other, stats, "workers {workers}");
     }
 }
 

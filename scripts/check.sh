@@ -52,11 +52,12 @@ for f in src/lib.rs crates/*/src/lib.rs vendor/*/src/lib.rs; do
         exit 1
     }
 done
-# Two test binaries are exempt: `snapshot_allocs.rs` and
-# `group_allocs.rs` install a counting global allocator (an `unsafe impl
-# GlobalAlloc` that forwards to `System`), which no safe code can do.
+# Three test binaries are exempt: `snapshot_allocs.rs`, `group_allocs.rs`
+# and `reduce_allocs.rs` install a counting global allocator (an `unsafe
+# impl GlobalAlloc` that forwards to `System`), which no safe code can do.
 if grep -rn --include='*.rs' 'unsafe' src crates vendor | grep -v 'forbid(unsafe_code)' \
-    | grep -v -e '^crates/runtime/tests/snapshot_allocs\.rs:' -e '^crates/query/tests/group_allocs\.rs:'; then
+    | grep -v -e '^crates/runtime/tests/snapshot_allocs\.rs:' -e '^crates/query/tests/group_allocs\.rs:' \
+        -e '^crates/cli/tests/reduce_allocs\.rs:'; then
     echo "check.sh: unsafe code found (listed above)" >&2
     exit 1
 fi
@@ -330,7 +331,16 @@ for flags in "--engine threads" "--workers 1" "--workers 4" "--nodes 2"; do
         exit 1
     }
 done
-echo "check.sh: mpi-caliquery: identical output across engines, workers and topologies; 131072 ranks in ${big_elapsed}s"
+# Sparse = dense: over 4096 ranks all but two hold no file, send nothing
+# but their coverage, and must leave the answer as it is over two.
+for flags in "" "--workers 4" "--nodes 64"; do
+    "$mpiq" --ranks 4096 $flags -q "$mq" "$golden"/data/rank0.cali "$golden"/data/rank1.cali \
+        | cmp -s - "$smoke/mpiq.out" || {
+        echo "check.sh: mpi-caliquery --ranks 4096 $flags differs from the 2-rank invocation" >&2
+        exit 1
+    }
+done
+echo "check.sh: mpi-caliquery: identical output across engines, workers, topologies and 2 or 4096 ranks; 131072 ranks in ${big_elapsed}s"
 
 # One fold behind every cali-query --threads N: a file that can neither
 # be read nor merged is dropped as unreadable (the merge failpoint fires
