@@ -547,7 +547,7 @@ impl ColumnData {
     }
 
     /// The type of the values the column holds.
-    fn value_type(&self) -> ValueType {
+    pub fn value_type(&self) -> ValueType {
         match self {
             ColumnData::Str(_) => ValueType::Str,
             ColumnData::Int(_) => ValueType::Int,
@@ -558,7 +558,7 @@ impl ColumnData {
     }
 
     /// An empty column of `vtype` with room for `capacity` values.
-    fn with_capacity(vtype: ValueType, capacity: usize) -> ColumnData {
+    pub fn with_capacity(vtype: ValueType, capacity: usize) -> ColumnData {
         match vtype {
             ValueType::Str => ColumnData::Str(Vec::with_capacity(capacity)),
             ValueType::Int => ColumnData::Int(Vec::with_capacity(capacity)),
@@ -581,8 +581,8 @@ impl ColumnData {
         }
     }
 
-    /// Append `cell`, which is of the column's type.
-    fn push(&mut self, cell: Cell) {
+    /// Append `cell`. Panics unless it is of the column's type.
+    pub fn push(&mut self, cell: Cell) {
         match (self, cell) {
             (ColumnData::Str(v), Cell::Str(code)) => v.push(code),
             (ColumnData::Int(v), Cell::Int(i)) => v.push(i),
@@ -590,6 +590,23 @@ impl ColumnData {
             (ColumnData::Float(v), Cell::Float(x)) => v.push(x),
             (ColumnData::Bool(v), Cell::Bool(b)) => v.push(b),
             _ => panic!("a cell pushed onto a column of another type"),
+        }
+    }
+
+    /// Append every value of `other`, a column of the same type — by
+    /// taking its buffer when this one is empty.
+    fn append(&mut self, other: ColumnData) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        match (self, other) {
+            (ColumnData::Str(v), ColumnData::Str(mut w)) => v.append(&mut w),
+            (ColumnData::Int(v), ColumnData::Int(mut w)) => v.append(&mut w),
+            (ColumnData::UInt(v), ColumnData::UInt(mut w)) => v.append(&mut w),
+            (ColumnData::Float(v), ColumnData::Float(mut w)) => v.append(&mut w),
+            (ColumnData::Bool(v), ColumnData::Bool(mut w)) => v.append(&mut w),
+            _ => panic!("a column appended to a column of another type"),
         }
     }
 
@@ -629,9 +646,10 @@ pub struct Column {
 /// ([`CaliReader`](crate::CaliReader)) makes of every
 /// [`DEFAULT_BLOCK_RECORDS`] `ctx` lines, and what others build row by
 /// row ([`push_ref`](Self::push_ref), [`column_for`](Self::column_for),
-/// [`push_imm`](Self::push_imm), [`end_row`](Self::end_row)) — an
-/// aggregation's flushed groups and the runtime's trace buffer among
-/// them.
+/// [`push_imm`](Self::push_imm), [`end_row`](Self::end_row)) — the
+/// runtime's trace buffer among them — or a column at a time
+/// ([`push_columns`](Self::push_columns)), as an aggregation flushes its
+/// groups.
 ///
 /// The row skeleton is two flat arrays with per-row end offsets: node
 /// references (already remapped into the receiving dataset's context
@@ -719,34 +737,68 @@ impl Block {
         true
     }
 
-    /// End every row with one more immediate: `cell` as a value of
-    /// `attr`, in a column of its own — what pushing it last before each
-    /// [`end_row`](Self::end_row) would have made. `false` — and the
+    /// Append `rows` rows without node references, given a column at a
+    /// time rather than row by row: row `r`'s immediates are, in the
+    /// order of `columns`, the next value of each column whose rows
+    /// include `r` (`None`: every row) — what pushing them with
+    /// [`push_imm`](Self::push_imm) and ending each row would have made.
+    /// A column's values join the block's column of its attribute and
+    /// type, whole unless two of `columns` share one. `false` — and the
     /// block unchanged — when its entries would no longer count in 32
-    /// bits.
-    pub fn stamp(&mut self, attr: AttrId, cell: Cell) -> bool {
-        let rows = self.rows();
-        let total = self.imms.len() + rows;
-        if u32::try_from(total).is_err() {
+    /// bits. Panics unless each column says of every row whether it
+    /// includes it, and holds one value per row it includes.
+    pub fn push_columns(&mut self, rows: usize, columns: Vec<(Column, Option<Vec<bool>>)>) -> bool {
+        for (column, included) in &columns {
+            let values = included.as_ref().map_or(rows, |included| {
+                assert_eq!(included.len(), rows, "rows included of {rows}");
+                included.iter().filter(|&&r| r).count()
+            });
+            assert_eq!(column.data.len(), values, "a column of {values} rows");
+        }
+        let imms = columns
+            .iter()
+            .map(|(column, _)| column.data.len())
+            .sum::<usize>();
+        if u32::try_from(self.imms.len() + imms).is_err() {
             return false;
         }
-        let data = ColumnData::with_capacity(cell.value_type(), rows);
-        self.columns.push(Column { attr, data });
-        let column = (self.columns.len() - 1) as u32;
-        // Back to front, each row's immediates move up by the stamps of
-        // the rows before it.
-        self.imms.resize(total, column);
-        for row in (0..rows).rev() {
-            let start = if row == 0 {
-                0
-            } else {
-                self.imm_ends[row - 1] as usize
-            };
-            let end = self.imm_ends[row] as usize;
-            self.imms.copy_within(start..end, start + row);
-            self.imms[end + row] = column;
-            self.imm_ends[row] = (end + row + 1) as u32;
-            self.columns[column as usize].data.push(cell);
+        let targets: Vec<u32> = columns
+            .iter()
+            .map(|(column, _)| self.column_for(column.attr, column.data.value_type()))
+            .collect();
+
+        // The skeleton, row by row.
+        let refs = self.refs.len() as u32;
+        self.imms.reserve(imms);
+        self.imm_ends.reserve(rows);
+        self.ref_ends.resize(self.ref_ends.len() + rows, refs);
+        for row in 0..rows {
+            for ((_, included), &target) in columns.iter().zip(&targets) {
+                if included.as_ref().is_none_or(|rows| rows[row]) {
+                    self.imms.push(target);
+                }
+            }
+            self.imm_ends.push(self.imms.len() as u32);
+        }
+
+        // The values: a column at a time, or — where two columns feed one
+        // — in the skeleton's order.
+        let shared = (1..targets.len()).any(|i| targets[..i].contains(&targets[i]));
+        if !shared {
+            for ((column, _), target) in columns.into_iter().zip(targets) {
+                self.columns[target as usize].data.append(column.data);
+            }
+            return true;
+        }
+        let mut next = vec![0; columns.len()];
+        for row in 0..rows {
+            for (k, (column, included)) in columns.iter().enumerate() {
+                if included.as_ref().is_none_or(|rows| rows[row]) {
+                    let cell = column.data.get(next[k]);
+                    next[k] += 1;
+                    self.columns[targets[k] as usize].data.push(cell);
+                }
+            }
         }
         true
     }
@@ -1577,9 +1629,9 @@ mod tests {
     }
 
     #[test]
-    fn a_built_block_keys_columns_by_type_and_stamps_every_row_last() {
-        // Rows of 0, 1 and 3 immediates, an attribute with values of two
-        // types, and a stamp of an attribute the rows carry already.
+    fn a_built_block_keys_columns_by_type() {
+        // Rows of 0, 1 and 3 immediates, and an attribute with values of
+        // two types.
         let mut strings = StringTable::default();
         let (x, y) = (strings.intern("x"), strings.intern("y"));
         let mut block = Block::default();
@@ -1601,15 +1653,12 @@ mod tests {
             4,
             "(1, int), (2, str), (1, str), (2, float)"
         );
-        assert!(block.stamp(1, Cell::Str(y)));
         let mut records = Vec::new();
         block.append_records(&strings, &mut records);
-        let stamp = Entry::Imm(1, Value::str("y"));
         for (record, row) in records.iter().zip(rows) {
             let entry =
                 |&(attr, cell): &(AttrId, Cell)| Entry::Imm(attr, strings.get(cell).into_owned());
-            let mut want: Vec<Entry> = row.iter().map(entry).collect();
-            want.push(stamp.clone());
+            let want: Vec<Entry> = row.iter().map(entry).collect();
             assert_eq!(record.entries(), &want[..]);
         }
         assert_eq!(records.len(), 4);
@@ -1623,6 +1672,82 @@ mod tests {
         };
         assert_eq!(keys(&next), keys(&block));
         assert!(next.columns().iter().all(|c| c.data.is_empty()));
+    }
+
+    #[test]
+    fn columns_pushed_whole_make_the_rows_pushed_one_by_one() {
+        // After a row pushed the usual way: a dense column, a sparse one
+        // and, in the same place of the row, a column of another type for
+        // the rows the sparse one skips — and two columns that share a
+        // block column, whose values must interleave row by row.
+        let mut strings = StringTable::default();
+        let (x, y) = (strings.intern("x"), strings.intern("y"));
+        let column = |attr, data| Column { attr, data };
+        let columns = vec![
+            (column(1, ColumnData::Int(vec![4, 5, 6])), None),
+            (
+                column(2, ColumnData::Str(vec![x, y])),
+                Some(vec![true, false, true]),
+            ),
+            (
+                column(2, ColumnData::Float(vec![0.5])),
+                Some(vec![false, true, false]),
+            ),
+            (column(3, ColumnData::UInt(vec![7, 8, 9])), None),
+            (
+                column(1, ColumnData::Int(vec![-1, -2])),
+                Some(vec![false, true, true]),
+            ),
+        ];
+        let mut by_row = Block::default();
+        let mut whole = Block::default();
+        for block in [&mut by_row, &mut whole] {
+            let column = block.column_for(1, ValueType::Int);
+            block.push_imm(column, Cell::Int(0));
+            assert!(block.end_row());
+        }
+        let rows = 3;
+        let mut next = vec![0; columns.len()];
+        for row in 0..rows {
+            for ((pushed, included), next) in columns.iter().zip(&mut next) {
+                if included.as_ref().is_none_or(|rows: &Vec<bool>| rows[row]) {
+                    let column = by_row.column_for(pushed.attr, pushed.data.value_type());
+                    by_row.push_imm(column, pushed.data.get(*next));
+                    *next += 1;
+                }
+            }
+            assert!(by_row.end_row());
+        }
+        assert!(whole.push_columns(rows, columns.clone()));
+        let records = |block: &Block| block.records(&strings).collect::<Vec<_>>();
+        assert_eq!(records(&whole), records(&by_row));
+        assert_eq!(whole.rows(), 4);
+        // The same columns, if not in the same order.
+        let values = |block: &Block| -> Vec<String> {
+            let columns = block.columns().iter();
+            let mut values: Vec<String> = columns
+                .map(|c| format!("{} {:?}", c.attr, c.data))
+                .collect();
+            values.sort();
+            values
+        };
+        assert_eq!(values(&whole), values(&by_row));
+
+        // Unshared columns are appended whole.
+        let mut block = Block::default();
+        assert!(block.push_columns(rows, columns[..4].to_vec()));
+        assert_eq!(block.columns().len(), 4);
+        assert_eq!(block.row_imms(1), &[0, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a column of 2 rows")]
+    fn a_column_short_of_its_rows_is_refused() {
+        let column = Column {
+            attr: 1,
+            data: ColumnData::Int(vec![1]),
+        };
+        Block::default().push_columns(2, vec![(column, Some(vec![true, true]))]);
     }
 
     #[test]

@@ -21,10 +21,10 @@ use caliper_data::{
     fxhash, AttrId, Attribute, AttributeStore, ContextTree, Entry, FlatRecord, FxBuildHasher,
     NodeId, Properties, SnapshotRecord, Value, ValueType,
 };
-use caliper_format::{Block, Cell, ColumnData, StringTable};
+use caliper_format::{Block, Cell, Column as BlockColumn, ColumnData, StringTable};
 
 use crate::ast::{AggOp, OpKind, QuerySpec};
-use crate::ops::Column;
+use crate::ops::{Column, Included, Values};
 
 /// Key value of the overflow bucket in flushed results (the same
 /// sentinel upstream Caliper uses when its aggregation buffers fill).
@@ -154,6 +154,14 @@ fn ranks(strings: &StringTable) -> Vec<u32> {
 /// The order that sorts `n` keys — `key(i)` the `i`th, of `width` cells,
 /// strings as codes of `strings` — into key order: by their first cells'
 /// places, the keys that tie there by their second cells', and so on.
+///
+/// A slot at a time, the last first, each pass a stable sort of the
+/// order so far by that slot, so that keys that tie on a slot keep the
+/// order the slots after it gave them. A pass counts: the slot's cells
+/// fall into buckets in place order — absent, then each integer by its
+/// distance from the least, then each string by its rank — unless the
+/// slot holds a float or a bool, or integers further apart than there
+/// are keys. Then the pass compares (place, key) pairs.
 fn key_order<'k>(
     strings: &StringTable,
     width: usize,
@@ -161,23 +169,58 @@ fn key_order<'k>(
     key: impl Fn(usize) -> &'k [KeyCell],
 ) -> Vec<u32> {
     let ranks = ranks(strings);
-    let places: Vec<u128> = (0..n)
-        .flat_map(|i| key(i).iter().map(|cell| cell.place(&ranks)))
-        .collect();
     let mut order: Vec<u32> = (0..n as u32).collect();
-    sort_from_slot(&mut order, &places, width, 0);
+    let mut sorted = vec![0; n];
+    // Per key, its cell in the slot at hand and that cell's bucket.
+    let (mut cells, mut buckets) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for slot in (0..width).rev() {
+        cells.clear();
+        cells.extend((0..n).map(|i| key(i)[slot]));
+        let integer = |cell: &KeyCell| match cell.0 {
+            Some(Cell::Int(v)) => Some(i128::from(v)),
+            Some(Cell::UInt(v)) => Some(i128::from(v)),
+            _ => None,
+        };
+        let countable = !cells
+            .iter()
+            .any(|cell| matches!(cell.0, Some(Cell::Float(_) | Cell::Bool(_))));
+        let (lo, hi) = cells
+            .iter()
+            .filter_map(integer)
+            .fold((i128::MAX, i128::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        let span = if lo > hi { 0 } else { hi - lo + 1 };
+        if !countable || span > n as i128 {
+            let mut pairs: Vec<(u128, u32)> = order
+                .iter()
+                .map(|&i| (cells[i as usize].place(&ranks), i))
+                .collect();
+            pairs.sort_by_key(|&(place, _)| place);
+            order.clear();
+            order.extend(pairs.into_iter().map(|(_, i)| i));
+            continue;
+        }
+        let span = span as usize;
+        buckets.clear();
+        buckets.extend(cells.iter().map(|cell| match (cell.0, integer(cell)) {
+            (Some(Cell::Str(code)), _) => 1 + span + ranks[code as usize] as usize,
+            (_, Some(v)) => 1 + (v - lo) as usize,
+            _ => 0,
+        }));
+        let mut starts = vec![0; span + ranks.len() + 2];
+        for &i in &order {
+            starts[buckets[i as usize] + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        for &i in &order {
+            let start = &mut starts[buckets[i as usize]];
+            sorted[*start] = i;
+            *start += 1;
+        }
+        std::mem::swap(&mut order, &mut sorted);
+    }
     order
-}
-
-fn sort_from_slot(keys: &mut [u32], places: &[u128], width: usize, slot: usize) {
-    if keys.len() < 2 || slot == width {
-        return;
-    }
-    let place = |key: &u32| places[*key as usize * width + slot];
-    keys.sort_unstable_by_key(place);
-    for tied in keys.chunk_by_mut(|a, b| place(a) == place(b)) {
-        sort_from_slot(tied, places, width, slot + 1);
-    }
 }
 
 /// Another string table's codes as an aggregator's, filled in as that
@@ -777,20 +820,26 @@ impl Aggregator {
     /// Flush the database into result records, interning result
     /// attributes in `out_store`: the rows of
     /// [`flush_into`](Self::flush_into)'s block, one record per group in
-    /// key order, then the overflow bucket's.
+    /// key order, then the overflow bucket's — filled a column at a time.
     pub fn flush(&self, out_store: &AttributeStore) -> Vec<FlatRecord> {
-        let (mut block, mut strings) = (Block::default(), StringTable::default());
-        self.flush_into(out_store, &mut block, &mut strings);
-        let mut cursors = vec![0; block.columns().len()];
-        (0..block.rows())
+        let mut strings = StringTable::default();
+        let (rows, columns) = self.flush_columns(out_store, &mut strings);
+        let mut next = vec![0; columns.len()];
+        (0..rows)
             .map(|row| {
-                let imms = block.row_imms(row);
-                let mut pairs = Vec::with_capacity(imms.len());
-                for &c in imms {
-                    let column = &block.columns()[c as usize];
-                    let cell = column.data.get(cursors[c as usize]);
-                    cursors[c as usize] += 1;
-                    pairs.push((column.attr, strings.get(cell).into_owned()));
+                let mut pairs = Vec::with_capacity(columns.len());
+                for ((column, included), next) in columns.iter().zip(&mut next) {
+                    if included.as_ref().is_none_or(|rows| rows[row]) {
+                        let value = match &column.data {
+                            ColumnData::Str(v) => strings.value(v[*next]).clone(),
+                            ColumnData::Int(v) => Value::Int(v[*next]),
+                            ColumnData::UInt(v) => Value::UInt(v[*next]),
+                            ColumnData::Float(v) => Value::Float(v[*next]),
+                            ColumnData::Bool(v) => Value::Bool(v[*next]),
+                        };
+                        pairs.push((column.attr, value));
+                        *next += 1;
+                    }
                 }
                 FlatRecord::from_pairs(pairs)
             })
@@ -802,15 +851,20 @@ impl Aggregator {
     /// the group's key values, then its reduction results, as
     /// immediates of attributes interned in `out_store`, strings as
     /// codes of `strings`. Results are sorted by key for deterministic
-    /// output. The columns are gathered in that order and every result
-    /// finished once; nothing is built per group but the cells.
+    /// output. Every key label's values and every op's results are
+    /// gathered, finished and handed to the block a column at a time;
+    /// nothing is built per group.
     ///
     /// Every column is typed by its attribute — a key label's type in
     /// the input store (else its first value's in key order), a result's
     /// type joined over all groups — and values are widened to it; a
     /// value the attribute's type does not take (the attribute existed
     /// in `out_store` with another) is carried as it is, in a column of
-    /// its own ([`Block::column_for`]).
+    /// its own.
+    ///
+    /// A `stamp` ends every row with one more immediate: its cell, as a
+    /// value of its attribute, in a column of its own — how the daemon
+    /// tags each stream's rows with the stream's name.
     ///
     /// This realizes the paper's flush step: "iterating over all entries,
     /// reconstructing the key attributes, and appending the reduction
@@ -820,7 +874,27 @@ impl Aggregator {
         out_store: &AttributeStore,
         block: &mut Block,
         strings: &mut StringTable,
+        stamp: Option<(AttrId, Cell)>,
     ) {
+        let (rows, mut columns) = self.flush_columns(out_store, strings);
+        if let Some((attr, cell)) = stamp {
+            let mut data = ColumnData::with_capacity(cell.value_type(), rows);
+            (0..rows).for_each(|_| data.push(cell));
+            columns.push((BlockColumn { attr, data }, None));
+        }
+        assert!(
+            block.push_columns(rows, columns),
+            "a flush of more than 2^32 values"
+        );
+    }
+
+    /// The rows of a flush — as [`flush_into`](Self::flush_into) hands
+    /// them to its block, a column at a time — and how many there are.
+    fn flush_columns(
+        &self,
+        out_store: &AttributeStore,
+        strings: &mut StringTable,
+    ) -> (usize, Columns) {
         // When the overflow bucket is live its row carries the string
         // sentinel in every key column, so key columns must be typed as
         // strings; ordinary key values coerce to their string rendering.
@@ -867,78 +941,45 @@ impl Aggregator {
             })
             .collect();
 
-        // Every group's results, row by row, as cells of `strings`.
-        // `percent_total` divides by the sum of its sums over all rows
-        // (the overflow bucket too, so the percentages still total 100).
-        let ops = self.ops.len();
-        let denominators: Vec<f64> = self.ops.iter().map(|op| op.denominator(&rows)).collect();
-        let mut results: Vec<Option<Cell>> = Vec::with_capacity(rows.len() * ops);
-        for &group in &rows {
-            let (group, records) = (group as usize, self.records[group as usize]);
-            for (op, &denominator) in self.ops.iter().zip(&denominators) {
-                results.push(op.finish(group, records, denominator, &self.strings, strings));
+        // A column at a time — each key label's, then each op's results —
+        // every row's value, strings as codes of `strings`, and the columns
+        // it goes out in. The overflow row carries the sentinel in every
+        // key column and the combined reductions of every group that did
+        // not fit. `percent_total` divides by the sum of its sums over all
+        // rows (the overflow bucket's too, so the percentages still total
+        // 100).
+        let mut columns = Vec::with_capacity(key_attrs.len() + self.ops.len());
+        let (mut codes, mut sentinel) = (vec![None; self.strings.len()], None);
+        for (slot, attr) in key_attrs.iter().enumerate() {
+            let Some(attr) = attr else { continue };
+            let mut values = Values::with_capacity(rows.len());
+            for &group in &rows {
+                values.push(match key(group).get(slot) {
+                    None => Some(Cell::Str(
+                        *sentinel.get_or_insert_with(|| strings.intern(OVERFLOW_KEY)),
+                    )),
+                    Some(KeyCell(None)) => None,
+                    Some(KeyCell(Some(Cell::Str(mine)))) => Some(
+                        *codes[*mine as usize]
+                            .get_or_insert_with(|| strings.cell(self.strings.value(*mine))),
+                    ),
+                    Some(KeyCell(Some(number))) => Some(*number),
+                });
             }
+            emit(attr, values, strings, &mut columns);
         }
-
-        // Determine result types per op: join over all groups.
-        let mut result_types: Vec<Option<ValueType>> = vec![None; ops];
-        for (i, cell) in results.iter().enumerate() {
-            let (Some(cell), joined) = (cell, &mut result_types[i % ops]) else {
-                continue;
-            };
-            let t = cell.value_type();
-            *joined = Some(match *joined {
-                None => t,
-                Some(prev) if prev == t => t,
-                // mixed numeric types widen to float; anything else
-                // falls back to string
-                Some(prev) if prev.is_numeric() && t.is_numeric() => ValueType::Float,
-                Some(_) => ValueType::Str,
-            });
-        }
-        let result_attrs: Vec<Option<Attribute>> = self
-            .spec
-            .ops
-            .iter()
-            .zip(&result_types)
-            .map(|(op, vtype)| {
+        for (op, column) in self.spec.ops.iter().zip(&self.ops) {
+            let values = column.finish_column(&rows, &self.records, &self.strings, strings);
+            // The result type: joined over all groups.
+            if let Some(vtype) = values.joined_type() {
                 let label = op.result_label(&self.spec.count_label);
-                vtype.map(|t| declare(&label, t, Properties::AGGREGATABLE))
-            })
-            .collect();
-
-        // Per output attribute — key labels, then ops — where its values
-        // go; and per string of this aggregator's table, its cell in
-        // `strings`, once a key has it.
-        let mut outputs: Vec<Option<Output>> = key_attrs
-            .iter()
-            .chain(&result_attrs)
-            .map(|attr| attr.as_ref().map(Output::new))
-            .collect();
-        let (keys, outputs) = outputs.split_at_mut(key_attrs.len());
-        let mut codes = vec![None; self.strings.len()];
-
-        // The overflow row carries the sentinel in every key column and
-        // the combined reductions of every group that did not fit.
-        for (row, &group) in rows.iter().enumerate() {
-            let key = key(group);
-            for (slot, output) in keys.iter_mut().enumerate() {
-                let Some(output) = output else { continue };
-                let cell = match key.get(slot) {
-                    None => Cell::Str(strings.intern(OVERFLOW_KEY)),
-                    Some(KeyCell(None)) => continue,
-                    Some(KeyCell(Some(Cell::Str(mine)))) => *codes[*mine as usize]
-                        .get_or_insert_with(|| strings.cell(self.strings.value(*mine))),
-                    Some(KeyCell(Some(number))) => *number,
-                };
-                output.put(block, strings, cell);
+                emit(
+                    &declare(&label, vtype, Properties::AGGREGATABLE),
+                    values,
+                    strings,
+                    &mut columns,
+                );
             }
-            for (cell, output) in results[row * ops..][..ops].iter().zip(outputs.iter_mut()) {
-                if let (Some(cell), Some(output)) = (cell, output) {
-                    output.put(block, strings, *cell);
-                }
-            }
-            assert!(block.end_row(), "a flush of more than 2^32 values");
         }
 
         // Self-instrumentation (flush-time, not per-record, so the
@@ -956,48 +997,64 @@ impl Aggregator {
             .add(self.overflow_records());
         m.counter("query.aggregator.overflow_folds")
             .add(u64::from(self.overflow.is_some()));
+        (rows.len(), columns)
     }
 }
 
-/// Where a flush puts one output attribute's values: the attribute, its
-/// type, and its column of values of that type once a row has had one.
-struct Output {
-    attr: AttrId,
-    vtype: ValueType,
-    column: Option<u32>,
-}
+/// A flush's columns as [`Block::push_columns`] takes them, each with
+/// the rows it has a value on (`None`: every row).
+type Columns = Vec<(BlockColumn, Option<Vec<bool>>)>;
 
-impl Output {
-    fn new(attr: &Attribute) -> Output {
-        Output {
-            attr: attr.id(),
-            vtype: attr.value_type(),
-            column: None,
+/// One output attribute's values as the columns [`Block::push_columns`]
+/// takes, appended to `out`: the values widened to the attribute's type,
+/// so that the output stream is type-consistent, in one column — as they
+/// are if they all have that type — and a value the type does not take,
+/// as it is, in a column of its own type.
+fn emit(attr: &Attribute, values: Values, strings: &mut StringTable, out: &mut Columns) {
+    let (id, vtype) = (attr.id(), attr.value_type());
+    let values = match values.into_column(vtype) {
+        Ok((data, rows)) => return out.push((BlockColumn { attr: id, data }, rows)),
+        Err(values) => values.into_cells(),
+    };
+    let rows = values.len();
+    let mut columns = vec![(
+        ColumnData::with_capacity(vtype, rows),
+        Included::with_capacity(rows),
+    )];
+    for (row, cell) in values.into_iter().enumerate() {
+        let at = cell.map(|cell| {
+            let cell = match (vtype, cell) {
+                (ValueType::Float, Cell::Float(_)) | (ValueType::Str, Cell::Str(_)) => cell,
+                (ValueType::Float, other) => {
+                    Cell::Float(strings.get(other).to_f64().unwrap_or(0.0))
+                }
+                (ValueType::Str, other) => {
+                    let text = strings.get(other).to_string();
+                    Cell::Str(strings.intern(&text))
+                }
+                _ => cell,
+            };
+            let at = columns
+                .iter()
+                .position(|(data, _)| data.value_type() == cell.value_type());
+            let at = at.unwrap_or_else(|| {
+                let (data, mut included) = (
+                    ColumnData::with_capacity(cell.value_type(), 0),
+                    Included::with_capacity(rows),
+                );
+                (0..row).for_each(|earlier| included.mark(earlier, false));
+                columns.push((data, included));
+                columns.len() - 1
+            });
+            columns[at].0.push(cell);
+            at
+        });
+        for (i, (_, included)) in columns.iter_mut().enumerate() {
+            included.mark(row, Some(i) == at);
         }
     }
-
-    /// Put `cell` on `block`'s open row, widened to the attribute's type
-    /// so that the output stream is type-consistent — or, if the type
-    /// does not take it, as it is, in a column of its own.
-    fn put(&mut self, block: &mut Block, strings: &mut StringTable, cell: Cell) {
-        let cell = match (self.vtype, cell) {
-            (ValueType::Float, Cell::Float(_)) | (ValueType::Str, Cell::Str(_)) => cell,
-            (ValueType::Float, other) => Cell::Float(strings.get(other).to_f64().unwrap_or(0.0)),
-            (ValueType::Str, other) => {
-                let text = strings.get(other).to_string();
-                Cell::Str(strings.intern(&text))
-            }
-            _ => cell,
-        };
-        let column = if cell.value_type() == self.vtype {
-            *self
-                .column
-                .get_or_insert_with(|| block.column_for(self.attr, self.vtype))
-        } else {
-            block.column_for(self.attr, cell.value_type())
-        };
-        block.push_imm(column, cell);
-    }
+    let columns = columns.into_iter().filter(|(data, _)| !data.is_empty());
+    out.extend(columns.map(|(data, rows)| (BlockColumn { attr: id, data }, rows.into_rows())));
 }
 
 /// A snapshot record's immediate entries, in entry order.
@@ -1665,5 +1722,60 @@ mod tests {
             .map(|r| r.get(p.id()).unwrap().to_f64().unwrap())
             .sum();
         assert!((total - 100.0).abs() < 1e-9);
+    }
+
+    /// A cell of one of the classes `classes` lists (by their index in
+    /// the match below), picked by `pick`: absent, small and large
+    /// integers of both classes — some of one `f64` image, some further
+    /// apart than there are keys — floats, bools and strings.
+    fn key_cell(strings: &mut StringTable, classes: &[u8], pick: u16) -> KeyCell {
+        let n = i64::from(pick >> 4);
+        let big = 1i64 << 53;
+        KeyCell(match classes[pick as usize % classes.len()] {
+            0 => None,
+            1 => Some(Cell::Int(n - 40)),
+            2 => Some(Cell::UInt(n as u64)),
+            3 => Some(Cell::Int(big + n % 3 - 1)),
+            4 => Some(Cell::UInt(u64::MAX - n as u64 % 3)),
+            5 => Some(Cell::Float(n as f64 / 4.0 - 3.0)),
+            6 => Some(Cell::Bool(n % 2 == 0)),
+            7 => Some(Cell::Int(i64::MIN + n)),
+            _ => Some(Cell::Str(strings.intern(&format!("s{}", n % 13)))),
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Whether a pass counts or compares, the keys come out in the
+        /// order of their places, slot by slot.
+        #[test]
+        fn key_order_is_the_order_of_the_places(
+            flavors in proptest::collection::vec(0usize..6, 1..4),
+            picks in proptest::collection::vec(proptest::prelude::any::<u16>(), 0..150),
+        ) {
+            const CLASSES: [&[u8]; 6] =
+                [&[0, 1, 2, 8], &[0, 8], &[1, 2], &[1, 2, 3, 7], &[0, 1, 2, 3, 4, 5, 6, 7, 8], &[0, 4, 6]];
+            let width = flavors.len();
+            let mut strings = StringTable::default();
+            // Distinct keys, as a database holds them.
+            let mut keys: Vec<Vec<KeyCell>> = Vec::new();
+            for chunk in picks.chunks_exact(width) {
+                let key: Vec<KeyCell> = chunk
+                    .iter()
+                    .zip(&flavors)
+                    .map(|(&pick, &flavor)| key_cell(&mut strings, CLASSES[flavor], pick))
+                    .collect();
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+            let ranks = ranks(&strings);
+            let places = |key: &[KeyCell]| key.iter().map(|cell| cell.place(&ranks)).collect::<Vec<_>>();
+            let mut want: Vec<u32> = (0..keys.len() as u32).collect();
+            want.sort_by(|&a, &b| places(&keys[a as usize]).cmp(&places(&keys[b as usize])));
+            let got = key_order(&strings, width, keys.len(), |i| &keys[i]);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

@@ -11,7 +11,7 @@
 use std::cmp::Ordering;
 use std::fmt::Write;
 
-use caliper_data::Value;
+use caliper_data::{Value, ValueType};
 use caliper_format::{Cell, ColumnData, StringTable};
 
 use crate::ast::{AggOp, OpKind};
@@ -461,6 +461,178 @@ impl Column {
             Column::PercentTotal(sums) => groups.iter().map(|&g| sums[g as usize]).sum(),
             _ => 0.0,
         }
+    }
+
+    /// The results of entries `groups`, in that order — entry `g`'s group
+    /// having folded `records[g]` records — as cells of `out`: what
+    /// [`finish`](Self::finish) makes of each, over the
+    /// [`denominator`](Self::denominator) of `groups`, a column at a
+    /// time.
+    pub(crate) fn finish_column(
+        &self,
+        groups: &[u32],
+        records: &[u64],
+        strings: &StringTable,
+        out: &mut StringTable,
+    ) -> Values {
+        let mut values = Values::with_capacity(groups.len());
+        match self {
+            Column::Count => {
+                values.data = Some(ColumnData::UInt(
+                    groups.iter().map(|&g| records[g as usize]).collect(),
+                ));
+                values.rows = groups.len();
+            }
+            _ => {
+                let denominator = self.denominator(groups);
+                for &g in groups {
+                    let g = g as usize;
+                    values.push(self.finish(g, records[g], denominator, strings, out));
+                }
+            }
+        }
+        values
+    }
+}
+
+/// The values of one output attribute of a flush, pushed a row at a
+/// time: while they share a type, a column of that type and the rows it
+/// has a value on; once they do not, every row's cell.
+#[derive(Debug)]
+pub(crate) struct Values {
+    capacity: usize,
+    rows: usize,
+    data: Option<ColumnData>,
+    included: Included,
+    mixed: Option<Vec<Option<Cell>>>,
+}
+
+impl Values {
+    /// No values yet, with room for `rows` rows.
+    pub(crate) fn with_capacity(rows: usize) -> Values {
+        Values {
+            capacity: rows,
+            rows: 0,
+            data: None,
+            included: Included::with_capacity(rows),
+            mixed: None,
+        }
+    }
+
+    /// The next row's value, if it has one.
+    #[inline]
+    pub(crate) fn push(&mut self, cell: Option<Cell>) {
+        match (&mut self.mixed, cell, &mut self.data) {
+            (Some(cells), ..) => cells.push(cell),
+            (None, None, _) => self.included.mark(self.rows, false),
+            (None, Some(cell), Some(data)) if data.value_type() == cell.value_type() => {
+                data.push(cell);
+                self.included.mark(self.rows, true);
+            }
+            (None, Some(cell), data @ None) => {
+                let mut typed = ColumnData::with_capacity(cell.value_type(), self.capacity);
+                typed.push(cell);
+                *data = Some(typed);
+                self.included.mark(self.rows, true);
+            }
+            (None, Some(cell), Some(_)) => {
+                let mut cells = self.typed_cells();
+                cells.push(Some(cell));
+                self.mixed = Some(cells);
+            }
+        }
+        self.rows += 1;
+    }
+
+    /// The type the values join to: theirs if they share one; mixed
+    /// numbers widen to `Float`, anything else to `Str`. `None` when no
+    /// row has a value.
+    pub(crate) fn joined_type(&self) -> Option<ValueType> {
+        match &self.mixed {
+            None => self.data.as_ref().map(ColumnData::value_type),
+            Some(cells) => cells.iter().flatten().map(|cell| cell.value_type()).reduce(
+                |joined, t| match joined {
+                    _ if joined == t => t,
+                    _ if joined.is_numeric() && t.is_numeric() => ValueType::Float,
+                    _ => ValueType::Str,
+                },
+            ),
+        }
+    }
+
+    /// The values as a column of type `vtype` and the rows it has a
+    /// value on (`None`: every row), if they are all of that type.
+    pub(crate) fn into_column(
+        self,
+        vtype: ValueType,
+    ) -> Result<(ColumnData, Option<Vec<bool>>), Values> {
+        match self.data {
+            Some(data) if self.mixed.is_none() && data.value_type() == vtype => {
+                Ok((data, self.included.into_rows()))
+            }
+            _ => Err(self),
+        }
+    }
+
+    /// Every row's cell.
+    pub(crate) fn into_cells(self) -> Vec<Option<Cell>> {
+        match self.mixed {
+            Some(cells) => cells,
+            None => self.typed_cells(),
+        }
+    }
+
+    /// Every row's cell, while the values share a type.
+    fn typed_cells(&self) -> Vec<Option<Cell>> {
+        let mut next = 0;
+        let has = |row: usize| self.included.rows.as_ref().is_none_or(|rows| rows[row]);
+        (0..self.rows)
+            .map(|row| {
+                let data = self.data.as_ref().filter(|_| has(row))?;
+                next += 1;
+                Some(data.get(next - 1))
+            })
+            .collect()
+    }
+}
+
+/// The rows of a flush a column has a value on, as
+/// [`Block::push_columns`](caliper_format::Block::push_columns) takes
+/// them: `None` while every row so far has one.
+#[derive(Debug)]
+pub(crate) struct Included {
+    rows: Option<Vec<bool>>,
+    capacity: usize,
+}
+
+impl Included {
+    /// No row marked yet, of `capacity` rows in all.
+    pub(crate) fn with_capacity(capacity: usize) -> Included {
+        Included {
+            rows: None,
+            capacity,
+        }
+    }
+
+    /// Whether row `row`, the one after the rows marked so far, has a
+    /// value.
+    #[inline]
+    pub(crate) fn mark(&mut self, row: usize, has: bool) {
+        match &mut self.rows {
+            Some(rows) => rows.push(has),
+            None if has => {}
+            None => {
+                let mut rows = Vec::with_capacity(self.capacity);
+                rows.resize(row, true);
+                rows.push(false);
+                self.rows = Some(rows);
+            }
+        }
+    }
+
+    /// The rows marked, `None` if all have a value.
+    pub(crate) fn into_rows(self) -> Option<Vec<bool>> {
+        self.rows
     }
 }
 

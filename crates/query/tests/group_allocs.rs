@@ -3,7 +3,8 @@
 //! rows that each start a group allocates O(log n) times, a merge whose
 //! keys all exist in the receiver allocates nothing per group, and once
 //! the fold's scratch has grown to a block, folding more blocks into
-//! groups that exist allocates nothing at all. A test binary of its own
+//! groups that exist allocates nothing at all. A flush allocates per
+//! column, not per group. A test binary of its own
 //! because it installs a counting global allocator; until `cali-bench`
 //! has a `query.new_group_allocs` row (ROADMAP item 1d) this is that
 //! row.
@@ -12,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use caliper_data::{Properties, Value, ValueType};
+use caliper_data::{AttributeStore, Properties, Value, ValueType};
 use caliper_format::{Block, Dataset, StringTable};
 use caliper_query::{parse_query, AggregationSpec, Aggregator, BlockFold, QuerySpec};
 
@@ -160,6 +161,33 @@ fn a_merge_into_existing_groups_allocates_nothing_per_group() {
         ROWS / 16
     );
     assert!(many <= 3, "{many} allocations merging {ROWS} groups");
+}
+
+#[test]
+fn a_flush_allocates_per_column_not_per_group() {
+    let flushed = |rows: usize| {
+        let (_, agg) = fold_counted(rows);
+        let flush = || {
+            let (mut block, mut strings) = (Block::default(), StringTable::default());
+            agg.flush_into(&AttributeStore::new(), &mut block, &mut strings, None);
+            block
+        };
+        flush(); // registers the flush's metrics
+        let (allocations, block) = counted(flush);
+        assert_eq!(block.rows(), rows);
+        allocations
+    };
+    // The key sort's scratch, each column's values and the rows it has a
+    // value on, the block's arrays, the output store and its attributes —
+    // whatever the number of groups.
+    let (few, many) = (flushed(ROWS / 16), flushed(ROWS));
+    assert_eq!(
+        few,
+        many,
+        "allocations flushing {} groups, and {ROWS}",
+        ROWS / 16
+    );
+    assert!(many <= 80, "{many} allocations flushing {ROWS} groups");
 }
 
 /// The benchmark's `scan` and `wide` queries.

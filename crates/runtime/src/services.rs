@@ -344,7 +344,7 @@ impl AggregateService {
 /// string table, result attributes interned in `store`.
 fn flushed(aggregator: &Aggregator, store: &AttributeStore) -> (Arc<StringTable>, Block) {
     let (mut block, mut strings) = (Block::default(), StringTable::default());
-    aggregator.flush_into(store, &mut block, &mut strings);
+    aggregator.flush_into(store, &mut block, &mut strings, None);
     (Arc::new(strings), block)
 }
 

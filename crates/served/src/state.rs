@@ -346,14 +346,11 @@ impl WarmQuery {
     /// the only part of a query that needs the stream.
     pub fn block_of(&mut self, stream: &StreamState) -> Block {
         let mut block = Block::default();
+        let name = Cell::Str(self.strings.intern(&stream.name));
+        let stamp = Some((self.stream_attr, name));
         stream
             .aggregator
-            .flush_into(&self.ds.store, &mut block, &mut self.strings);
-        let name = Cell::Str(self.strings.intern(&stream.name));
-        assert!(
-            block.stamp(self.stream_attr, name),
-            "a stream of more than 2^32 values"
-        );
+            .flush_into(&self.ds.store, &mut block, &mut self.strings, stamp);
         block
     }
 
