@@ -35,16 +35,16 @@
 //! With `--ranks N` the harness instead runs one fault-tolerant tree
 //! reduction over N *simulated* ranks with synthetic per-rank payloads
 //! (no input files — at 16 384 ranks, file I/O would dwarf the thing
-//! being measured). The default `--engine event` is the deterministic
-//! virtual-clock scheduler of `mpisim::sched`: everything written to
-//! stdout — the merged value, the coverage, the event count, the
-//! virtual-clock makespan — is byte-identical across runs and across
-//! `--workers` values, which is exactly what `scripts/check.sh` pins.
+//! being measured), on the deterministic virtual-clock scheduler of
+//! `mpisim::sched`. Everything written to stdout — the merged value, the
+//! coverage, the event count, the virtual-clock makespan — is
+//! byte-identical across runs and across `--workers` values, which is
+//! exactly what `scripts/check.sh` pins.
 //! Wall-clock time (machine-dependent) goes to stderr.
 //!
 //! Usage: `fig4 [--quick] [--max-np N] [--kill RANK]`
-//!        `fig4 --ranks N [--engine event|threads] [--nodes N]
-//!              [--workers W] [--kills K] [--kill-seed S]`
+//!        `fig4 --ranks N [--nodes N] [--workers W] [--kills K]
+//!              [--kill-seed S]`
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -52,10 +52,7 @@ use std::time::Instant;
 use cali_cli::{parallel_query, read_files, QueryRun};
 use caliper_query::run_query;
 use miniapps::paradis::{self, ParaDisParams, EVALUATION_QUERY};
-use mpisim::{
-    EventEngine, Executor, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, ThreadEngine,
-    Topology,
-};
+use mpisim::{EventEngine, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, Topology};
 
 /// The evaluation query over the first `np` files, one per rank, on
 /// the single-worker event engine.
@@ -121,12 +118,6 @@ fn coverage_line(c: &ReduceCoverage) -> String {
 /// simulated ranks, payload = rank index, merge = sum. Deterministic
 /// results to stdout, wall-clock to stderr.
 fn synthetic_scale_run(args: &[String], ranks: usize) {
-    let engine_name = args
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("event");
     let nodes: usize = flag(args, "--nodes").unwrap_or(1);
     let workers: usize = flag(args, "--workers").unwrap_or(1);
     let kills: usize = flag(args, "--kills").unwrap_or(0);
@@ -143,40 +134,25 @@ fn synthetic_scale_run(args: &[String], ranks: usize) {
     };
 
     eprintln!(
-        "# synthetic scale run: {ranks} ranks, engine {engine_name}, {nodes} node(s), \
+        "# synthetic scale run: {ranks} ranks, {nodes} node(s), \
          {workers} worker(s), {kills} seeded kill(s) (seed {seed:#x})"
     );
     let t = Instant::now();
-    let (root, stats) = match engine_name {
-        "event" => {
-            let engine = EventEngine::with_workers(workers);
-            let (mut outputs, stats) = engine.run_tasks_with_stats(ranks, plan, make);
-            (outputs[0].take(), Some(stats))
-        }
-        "threads" => {
-            assert!(
-                ranks <= 512,
-                "--engine threads spawns one OS thread per rank; use --engine event past 512"
-            );
-            let mut outputs = ThreadEngine.run_tasks(ranks, plan, make);
-            (outputs[0].take(), None)
-        }
-        other => panic!("unknown --engine '{other}' (use 'event' or 'threads')"),
-    };
+    let engine = EventEngine::with_workers(workers);
+    let (mut outputs, stats) = engine.run_tasks_with_stats(ranks, plan, make);
     let wall = t.elapsed().as_secs_f64();
 
-    let (sum, coverage) = root
+    let (sum, coverage) = outputs[0]
+        .take()
         .expect("rank 0 is never a seeded victim")
         .expect("rank 0 is the reduction root");
-    println!("engine,{engine_name},ranks,{ranks},nodes,{nodes},kills,{kills}");
+    println!("engine,event,ranks,{ranks},nodes,{nodes},kills,{kills}");
     println!("sum,{sum}");
     println!("{}", coverage_line(&coverage));
-    if let Some(stats) = stats {
-        println!(
-            "sched_events,{},virtual_time_ns,{}",
-            stats.events, stats.virtual_time_ns
-        );
-    }
+    println!(
+        "sched_events,{},virtual_time_ns,{}",
+        stats.events, stats.virtual_time_ns
+    );
     eprintln!("# wall: {wall:.3} s");
 }
 

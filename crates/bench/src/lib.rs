@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use caliper_data::AttributeStore;
-use caliper_format::{CaliReader, Dataset};
+use caliper_format::{CaliReader, Dataset, ReadPolicy, ReadReport};
 use caliper_query::QueryResult;
 
 /// The paper's three aggregation schemes (§V-B), as `aggregate.key`
@@ -45,18 +45,28 @@ pub mod schemes {
     pub const OPS: &str = "count,sum(time.duration),min(time.duration),max(time.duration)";
 }
 
-/// Merge per-rank datasets into one (shared dictionary), as feeding all
-/// per-process `.cali` files to the query tool would.
+/// Merge per-rank datasets into one, as feeding all per-process `.cali`
+/// files to the query tool would: one dictionary, and the snapshots as
+/// blocks of typed columns over one string table (`Dataset::blocks`), so
+/// that a query folds them as the tools fold files.
 pub fn merge_datasets(datasets: &[Dataset]) -> Dataset {
-    let mut merged = Dataset::new();
+    let mut reader = CaliReader::new();
+    let mut blocks = Vec::new();
     for ds in datasets {
         let bytes = caliper_format::cali::to_bytes(ds);
-        let mut reader = CaliReader::into_dataset(merged);
         reader
-            .read_stream(std::io::BufReader::new(&bytes[..]))
+            .scan_stream(
+                &bytes[..],
+                ReadPolicy::Strict,
+                &mut ReadReport::default(),
+                None,
+                &mut |_, _, block| blocks.push(block.clone()),
+            )
             .expect("in-memory cali roundtrip");
-        merged = reader.finish();
     }
+    let strings = Arc::new(reader.strings().clone());
+    let mut merged = reader.finish();
+    merged.blocks = blocks.into_iter().map(|block| (Arc::clone(&strings), block)).collect();
     merged
 }
 
@@ -231,6 +241,7 @@ mod tests {
         };
         let merged = merge_datasets(&[make(1), make(2)]);
         assert_eq!(merged.len(), 2);
+        assert!(merged.records.is_empty(), "the snapshots are blocks");
         assert_eq!(merged.store.len(), 1);
     }
 }

@@ -1077,12 +1077,6 @@ impl std::fmt::Debug for Aggregator {
 }
 
 #[cfg(test)]
-mod flush_oracle;
-
-#[cfg(test)]
-mod state_oracle;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_query;

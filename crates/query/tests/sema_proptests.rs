@@ -4,7 +4,9 @@
 //! panicking — with or without spans, with or without a schema — and
 //! its output must be deterministic and sorted. The spec generator is
 //! the round-trip one: random [`QuerySpec`] values are rendered to
-//! canonical text and re-parsed to obtain genuine parser spans.
+//! canonical text and re-parsed to obtain genuine parser spans. The
+//! parser itself meets damaged text: the example queries of
+//! docs/CALQL.md, corrupted as `caliper_faults` corrupts bytes.
 
 use caliper_data::{Properties, Value, ValueType};
 use caliper_format::Schema;
@@ -197,6 +199,51 @@ proptest! {
             prop_assert!(text.contains(d.code));
             let json = d.render_json(&rendered);
             prop_assert!(caliper_format::parse_json(&json).is_ok(), "bad json: {json}");
+        }
+    }
+}
+
+/// The example queries of docs/CALQL.md: its `calql` code blocks.
+fn doc_queries() -> Vec<String> {
+    let doc = include_str!("../../../docs/CALQL.md");
+    doc.split("```calql\n")
+        .skip(1)
+        .map(|block| block.split("```").next().unwrap().to_string())
+        .collect()
+}
+
+/// Every doc query, corrupted one to three times over by each of
+/// `caliper_faults`' modes for a fixed budget of seeds, parses to a
+/// query or an error and analyzes, and what comes back is bounded by
+/// the text: an error points into it, and there are not more
+/// diagnostics than bytes.
+#[test]
+fn damaged_doc_queries_parse_and_analyze_without_panicking() {
+    use caliper_faults::{corrupt_bytes, CorruptMode};
+    let modes = [CorruptMode::Bitflip, CorruptMode::Truncate, CorruptMode::GarbageBlock];
+    let queries = doc_queries();
+    assert!(queries.len() >= 4, "docs/CALQL.md lost its examples");
+    let schema = schema();
+    for query in &queries {
+        for seed in 0..600u64 {
+            let mut bytes = query.clone().into_bytes();
+            for round in 0..=seed % 3 {
+                corrupt_bytes(modes[(seed + round) as usize % 3], seed * 3 + round, &mut bytes);
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            match parse_query_spanned(&text) {
+                Ok((spec, spans)) => {
+                    for s in [Some(&schema), None] {
+                        let diags = analyze(&spec, Some(&spans), s);
+                        assert!(diags.len() <= text.len() + 8, "{} diagnostics of '{text}'", diags.len());
+                        analyze(&spec, None, s);
+                    }
+                }
+                Err(e) => {
+                    assert!(e.pos <= e.end && e.end <= text.len(), "{e:?} outside '{text}'");
+                    assert!(e.message.len() <= text.len() + 256, "{e:?}");
+                }
+            }
         }
     }
 }

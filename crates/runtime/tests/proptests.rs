@@ -1,9 +1,10 @@
 //! Property-based tests for the runtime: the blackboard must behave
 //! like a reference model (per-attribute stacks) under arbitrary
-//! begin/end/set sequences, snapshot processing must be lossless, the
-//! on-line aggregate's snapshot path must fold what the row path folds,
-//! and the trace buffer's blocks must hold what copies of the snapshots
-//! hold.
+//! begin/end/set sequences, snapshot processing must be lossless, and
+//! the trace buffer's blocks must hold what copies of the snapshots
+//! hold. The on-line aggregate is held to the reference evaluator in the
+//! root package's `tests/every_path.rs`; the snapshot shapes it hands to
+//! the row path are built by hand below.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,9 +15,7 @@ use caliper_data::{
 };
 use caliper_format::{cali, to_binary_v2, Dataset};
 use caliper_query::{parse_query, run_query, AggregationSpec, Aggregator};
-use caliper_runtime::{
-    AggregateService, Blackboard, Clock, ProcCtx, Service, TraceService, Trigger,
-};
+use caliper_runtime::{Blackboard, Clock, ProcCtx, Service, TraceService, Trigger};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -163,73 +162,6 @@ proptest! {
         prop_assert!(bb.is_empty());
     }
 
-    /// `Aggregator::add_snapshot` folds what `add` of the unpacked row
-    /// folds: generated runs over nested and `AS_VALUE` attributes,
-    /// generated keys (nested keys that join, a label that never
-    /// resolves, an attribute created after the aggregator) and ops
-    /// (targets on the path and off it), with and without a group cap.
-    #[test]
-    fn snapshot_path_folds_what_the_row_path_folds(
-        steps in prop::collection::vec(arb_step(), 0..80),
-        key in prop::collection::vec(0usize..LABELS.len(), 0..4),
-        ops in prop::collection::vec(0usize..OPS.len(), 0..3),
-        late_nested in any::<bool>(),
-        cap in 0usize..6,
-    ) {
-        let store = Arc::new(AttributeStore::new());
-        let tree = Arc::new(ContextTree::new());
-        let spec = aggregation(&key, &ops);
-        let cap = (cap > 0).then_some(cap);
-        let mut snapshots = Aggregator::new(spec.clone(), Arc::clone(&store));
-        let mut rows = Aggregator::new(spec, Arc::clone(&store));
-        snapshots.set_max_groups(cap);
-        rows.set_max_groups(cap);
-        play(&store, &tree, &steps, late_nested, |rec| {
-            snapshots.add_snapshot(rec, &tree);
-            rows.add(&rec.unpack(&tree));
-        });
-        let (out, row_out) = (AttributeStore::new(), AttributeStore::new());
-        prop_assert_eq!(flushed(&snapshots, &out), flushed(&rows, &row_out));
-        prop_assert_eq!(snapshots.records_processed(), rows.records_processed());
-        prop_assert_eq!(snapshots.overflow_records(), rows.overflow_records());
-    }
-
-    /// A bounded service spills and starts over — its node cache with
-    /// it — into the partial results the row path spills.
-    #[test]
-    fn spilling_service_folds_what_the_row_path_folds(
-        steps in prop::collection::vec(arb_step(), 0..80),
-        key in prop::collection::vec(0usize..LABELS.len(), 0..4),
-        ops in prop::collection::vec(0usize..OPS.len(), 0..3),
-        late_nested in any::<bool>(),
-        max_entries in 1usize..6,
-    ) {
-        let store = Arc::new(AttributeStore::new());
-        let tree = Arc::new(ContextTree::new());
-        let clock = Clock::virtual_clock();
-        let ctx = || ProcCtx { store: &store, tree: &tree, clock: &clock, trigger: Trigger::User };
-        let spec = aggregation(&key, &ops);
-        let mut service = AggregateService::with_capacity(spec.clone(), Arc::clone(&store), max_entries);
-        // The row path, spilling as the service does, all into one store.
-        let spec = spec.with_count_label(AggregateService::COUNT_ATTR);
-        let (out, mut expected) = (AttributeStore::new(), Vec::new());
-        let mut rows = Aggregator::new(spec.clone(), Arc::clone(&store));
-        play(&store, &tree, &steps, late_nested, |rec| {
-            service.consume(&ctx(), rec);
-            rows.add(&rec.unpack(&tree));
-            if rows.len() >= max_entries {
-                let fresh = Aggregator::new(spec.clone(), Arc::clone(&store));
-                expected.extend(flushed(&std::mem::replace(&mut rows, fresh), &out));
-            }
-        });
-        expected.extend(flushed(&rows, &out));
-
-        let mut ds = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
-        service.flush(&ctx(), &mut ds);
-        let got: Vec<String> = ds.flat_records().map(|row| described(&row, &ds.store)).collect();
-        prop_assert_eq!(got, expected);
-    }
-
     /// The trace buffer's blocks hold what a copy of every snapshot
     /// holds: a dataset of `rec.clone()`s is the oracle for the flushed
     /// one's length, rows (floats by their bits), bytes in both
@@ -314,23 +246,6 @@ const MORE_ATTRS: [AttrSpec; 3] = [
     ("v.odd", ValueType::Int, Properties::AS_VALUE, ValueType::Float),
 ];
 
-/// What a generated key names: every attribute, `late` (created by a
-/// [`Step::CreateLate`] mid-run) and a label that never resolves.
-const LABELS: [&str; 8] = [
-    "n.str", "n.int", "n.tag", "v.int", "v.str", "v.float", "late", "never",
-];
-
-/// What generated ops are drawn from; `avg(n.int)` targets the path.
-const OPS: [&str; 7] = [
-    "count",
-    "sum(v.float)",
-    "min(v.int)",
-    "max(v.str)",
-    "avg(n.int)",
-    "sum(late)",
-    "max(never)",
-];
-
 #[derive(Debug, Clone)]
 enum Step {
     Begin(usize, usize),
@@ -338,11 +253,6 @@ enum Step {
     Set(usize, usize),
     Snapshot,
     CreateLate,
-}
-
-/// A step over [`ATTRS`] and the late attribute.
-fn arb_step() -> impl Strategy<Value = Step> {
-    arb_step_over(ATTRS.len())
 }
 
 /// A step over `attrs` attributes and the late one after them.
@@ -370,34 +280,9 @@ fn value(vtype: ValueType, v: usize) -> Value {
     }
 }
 
-fn aggregation(key: &[usize], ops: &[usize]) -> AggregationSpec {
-    let key = key.iter().map(|&k| LABELS[k].to_string()).collect();
-    let ops: Vec<&str> = ops.iter().map(|&o| OPS[o]).collect();
-    let ops = match ops.is_empty() {
-        true => Vec::new(),
-        false => {
-            parse_query(&format!("AGGREGATE {}", ops.join(",")))
-                .unwrap()
-                .ops
-        }
-    };
-    AggregationSpec::new(ops, key)
-}
-
-/// Play `steps` on a blackboard over `tree` annotating [`ATTRS`],
-/// handing each snapshot to `take` as it is taken.
-fn play(
-    store: &AttributeStore,
-    tree: &Arc<ContextTree>,
-    steps: &[Step],
-    late_nested: bool,
-    take: impl FnMut(&SnapshotRecord),
-) {
-    play_over(&ATTRS, store, tree, steps, late_nested, take);
-}
-
-/// [`play`] annotating `specs` (and, once a step asks, `late`, a string
-/// attribute).
+/// Play `steps` on a blackboard over `tree` annotating `specs` (and,
+/// once a step asks, `late`, a string attribute), handing each snapshot
+/// to `take` as it is taken.
 fn play_over(
     specs: &[AttrSpec],
     store: &AttributeStore,

@@ -208,6 +208,34 @@ mod tests {
         assert_eq!(accepted.path, "/healthz");
     }
 
+    /// Damaged requests — an over-long request line and a header flood
+    /// among them — never panic the reader, which reads at most a
+    /// request line and the headers it allows, and whatever request it
+    /// makes of them is no longer than its lines.
+    #[test]
+    fn damaged_requests_are_read_within_bounds() {
+        use crate::protocol::{tests::mutants, MAX_LINE_BYTES};
+        let plain = "GET /query?q=AGGREGATE+count%2Csum(t)&stream=s1&format=csv HTTP/1.1\r\n\
+                     Host: x\r\nAccept: */*\r\n\r\n";
+        let flood = format!("GET /healthz HTTP/1.1\r\n{}\r\n", "X-Pad: 1\r\n".repeat(MAX_HEADER_LINES + 1));
+        let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE_BYTES));
+        for base in [plain, &flood, &long] {
+            for bytes in mutants(base.as_bytes()) {
+                let mut reader = Cursor::new(&bytes[..]);
+                if let Ok(Some(req)) = read_request(&mut reader) {
+                    assert!(req.method.len() + req.path.len() <= MAX_LINE_BYTES);
+                    // A byte decodes to at most a replacement character.
+                    let params: usize = req.params.iter().map(|(k, v)| k.len() + v.len()).sum();
+                    assert!(params <= 3 * MAX_LINE_BYTES);
+                }
+                let most = (MAX_HEADER_LINES + 2) * (MAX_LINE_BYTES + 2);
+                assert!(reader.position() <= most as u64);
+            }
+        }
+        assert!(read_request(&mut Cursor::new(flood.as_bytes())).is_err());
+        assert!(read_request(&mut Cursor::new(long.as_bytes())).is_err());
+    }
+
     #[test]
     fn responses_carry_length_and_close() {
         let resp = String::from_utf8(text_response(408, "deadline exceeded")).unwrap();

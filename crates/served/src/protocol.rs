@@ -241,8 +241,47 @@ pub fn read_payload(reader: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use caliper_faults::{corrupt_bytes, CorruptMode};
+
+    /// `base`, corrupted one to three times over by each of
+    /// `caliper_faults`' modes, for a fixed budget of seeds.
+    pub(crate) fn mutants(base: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let modes = [CorruptMode::Bitflip, CorruptMode::Truncate, CorruptMode::GarbageBlock];
+        (0..600u64).map(move |seed| {
+            let mut bytes = base.to_vec();
+            for round in 0..=seed % 3 {
+                corrupt_bytes(modes[(seed + round) as usize % 3], seed * 3 + round, &mut bytes);
+            }
+            bytes
+        })
+    }
+
+    /// Damaged command streams — an over-long line among them — never
+    /// panic the reader or the parser: every line read is within the
+    /// cap, every command and error within what was read.
+    #[test]
+    fn damaged_command_lines_are_read_and_parsed_within_bounds() {
+        let long = format!("HELLO {}\nPING\n", "s".repeat(MAX_LINE_BYTES));
+        let bases = ["HELLO rank0\nBATCH 4096\n", "PING\r\nQUIT\n", &long];
+        for base in bases {
+            for bytes in mutants(base.as_bytes()) {
+                let mut reader = io::Cursor::new(&bytes[..]);
+                while let Ok(Some(line)) = read_line(&mut reader) {
+                    assert!(line.len() <= MAX_LINE_BYTES);
+                    match Command::parse(&line) {
+                        Ok(Command::Hello(stream)) => assert!(stream.len() <= line.len()),
+                        Ok(_) => {}
+                        Err(e) => assert!(e.len() <= line.len() + 64, "{e}"),
+                    }
+                }
+                assert!(reader.position() <= bytes.len() as u64);
+            }
+        }
+        // Undamaged, the over-long line is refused.
+        assert!(read_line(&mut io::Cursor::new(long.as_bytes())).is_err());
+    }
 
     #[test]
     fn replies_round_trip() {

@@ -177,6 +177,13 @@ if non_test_src query | grep -E 'DbEntry|Box<\[KeyCell\]>|Vec<Reducer>'; then
     echo "check.sh: per-group state is boxed again (listed above)" >&2
     exit 1
 fi
+# One-oracle gate: `tests/every_path.rs` holds every execution path to
+# the reference evaluator in `tests/oracle`, which derives each answer
+# from the query alone — it takes the parser's AST and no engine code.
+if grep -rnE 'Aggregator|BlockFold|Pipeline|Reducer|run_query|parallel_query|LetSet|FilterSet' tests/oracle; then
+    echo "check.sh: the reference evaluator uses engine code (listed above)" >&2
+    exit 1
+fi
 
 # One-reader gate: an input file is opened and parsed by `scan_path`
 # and its dictionary-only sibling, and by nothing else (DESIGN.md §9).
@@ -285,11 +292,11 @@ cargo run -q --release -p caliper-bench --bin fig4 -- --quick --max-np 8 --kill 
 # byte-identical across runs and across worker-pool sizes.
 fig4=./target/release/fig4
 scale_start=$(date +%s)
-"$fig4" --ranks 2048 --engine event --kills 5 --kill-seed 7 \
+"$fig4" --ranks 2048 --kills 5 --kill-seed 7 \
     > "$smoke/scale-a.out" 2>/dev/null
-"$fig4" --ranks 2048 --engine event --kills 5 --kill-seed 7 \
+"$fig4" --ranks 2048 --kills 5 --kill-seed 7 \
     > "$smoke/scale-b.out" 2>/dev/null
-"$fig4" --ranks 2048 --engine event --kills 5 --kill-seed 7 --workers 4 \
+"$fig4" --ranks 2048 --kills 5 --kill-seed 7 --workers 4 \
     > "$smoke/scale-c.out" 2>/dev/null
 scale_elapsed=$(( $(date +%s) - scale_start ))
 cmp -s "$smoke/scale-a.out" "$smoke/scale-b.out" \
