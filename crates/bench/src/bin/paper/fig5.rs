@@ -8,25 +8,18 @@
 //!   GROUP BY kernel`
 //!
 //! CPU time is estimated from the sample counts (10 ms per sample).
-//!
-//! Usage: `fig5 [--quick]`
 
-use caliper_bench::{bar_chart, merge_datasets, result_pairs};
+use caliper_bench::{bar_chart, merge_datasets, result_pairs, Claim};
 use caliper_query::run_query;
 use caliper_runtime::Config;
 use miniapps::{CleverLeaf, CleverLeafParams};
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        CleverLeafParams {
-            timesteps: 20,
-            ranks: 4,
-            ..CleverLeafParams::case_study()
-        }
-    } else {
-        CleverLeafParams::case_study()
-    };
+use cali_cli::CliArgs;
+
+const OTHER: &str = "(other/unannotated)";
+
+pub fn run(args: &CliArgs) -> Vec<Claim> {
+    let params = crate::clever_leaf(args, CleverLeafParams::case_study(), 4);
     eprintln!(
         "# Figure 5 reproduction: CleverLeaf triple point {}x{}, {} levels, {} ranks, 100 Hz sampling",
         params.coarse.0, params.coarse.1, params.levels, params.ranks
@@ -50,7 +43,7 @@ fn main() {
     // key; label them like the paper's figure does.
     for (label, _) in &mut rows {
         if label.is_empty() {
-            *label = "(other/unannotated)".to_string();
+            *label = OTHER.to_string();
         }
     }
 
@@ -61,17 +54,19 @@ fn main() {
 
     eprintln!();
     eprint!("{}", bar_chart(&rows, 50));
-    eprintln!();
-    eprintln!("# Shape checks vs. the paper (Figure 5):");
     let get = |k: &str| rows.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap_or(0.0);
-    let other = get("(other/unannotated)");
-    let calc_dt = get("calc-dt");
-    let rest: f64 = rows
-        .iter()
-        .filter(|(n, _)| n != "(other/unannotated)" && n != "calc-dt")
-        .map(|(_, v)| v)
-        .sum();
-    eprintln!("#   most samples fall outside annotated kernels: other={other} vs all kernels={}", calc_dt + rest);
-    eprintln!("#   calc-dt dominates the annotated kernels: {calc_dt} vs next {:.0}",
-        rows.iter().filter(|(n, _)| n != "(other/unannotated)" && n != "calc-dt").map(|(_, v)| *v).fold(0.0, f64::max));
+    let (other, calc_dt) = (get(OTHER), get("calc-dt"));
+    let rest = || rows.iter().filter(|(n, _)| n != OTHER && n != "calc-dt").map(|(_, v)| *v);
+    let kernels = calc_dt + rest().sum::<f64>();
+    let next = rest().fold(0.0, f64::max);
+    vec![
+        Claim::gate(
+            other > kernels,
+            format!("most samples fall outside annotated kernels: other={other} vs all kernels={kernels}"),
+        ),
+        Claim::gate(
+            calc_dt > next,
+            format!("calc-dt dominates the annotated kernels: {calc_dt} vs next {next:.0}"),
+        ),
+    ]
 }

@@ -4,35 +4,24 @@
 //! `AGGREGATE count, time.duration GROUP BY mpi.function` on-line, then
 //! sum across processes off-line and report the top 10 MPI functions by
 //! accumulated CPU time.
-//!
-//! Usage: `fig6 [--quick]`
 
-use caliper_bench::{bar_chart, merge_datasets, result_pairs};
+use caliper_bench::{bar_chart, merge_datasets, result_pairs, Claim};
 use caliper_query::run_query;
 use caliper_runtime::Config;
 use miniapps::{CleverLeaf, CleverLeafParams};
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let params = if quick {
-        CleverLeafParams {
-            timesteps: 20,
-            ranks: 4,
-            ..CleverLeafParams::case_study()
-        }
-    } else {
-        CleverLeafParams::case_study()
-    };
+use cali_cli::CliArgs;
+
+pub fn run(args: &CliArgs) -> Vec<Claim> {
+    let params = crate::clever_leaf(args, CleverLeafParams::case_study(), 4);
     eprintln!(
         "# Figure 6 reproduction: CleverLeaf, {} ranks, MPI interception via the wrapper hooks",
         params.ranks
     );
     let app = CleverLeaf::new(params);
 
-    let config =
-        Config::event_aggregate("mpi.function", "count,sum(time.duration)");
-    let datasets = app.run_all(&config);
-    let merged = merge_datasets(&datasets);
+    let config = Config::event_aggregate("mpi.function", "count,sum(time.duration)");
+    let merged = merge_datasets(&app.run_all(&config));
     let result = run_query(
         &merged,
         "AGGREGATE sum(sum#time.duration), sum(aggregate.count) \
@@ -58,24 +47,21 @@ fn main() {
         .collect();
     eprint!("{}", bar_chart(&top10, 50));
     eprintln!("# (bars in seconds of accumulated CPU time)");
-    eprintln!();
-    eprintln!("# Shape checks vs. the paper (Figure 6):");
-    eprintln!(
-        "#   top function is MPI_Barrier: {}",
-        time_rows.first().map(|(n, _)| n.as_str()) == Some("MPI_Barrier")
-    );
-    eprintln!(
-        "#   second is MPI_Allreduce: {}",
-        time_rows.get(1).map(|(n, _)| n.as_str()) == Some("MPI_Allreduce")
-    );
+    let name = |i: usize| time_rows.get(i).map_or("(none)", |(n, _)| n.as_str());
     let barrier = time_rows.first().map(|(_, v)| *v).unwrap_or(0.0);
     let p2p: f64 = time_rows
         .iter()
         .filter(|(n, _)| n == "MPI_Isend" || n == "MPI_Irecv" || n == "MPI_Waitall")
         .map(|(_, v)| v)
         .sum();
-    eprintln!(
-        "#   point-to-point time is comparatively small: {:.1}% of barrier time",
-        100.0 * p2p / barrier
-    );
+    vec![
+        Claim::gate(
+            (name(0), name(1)) == ("MPI_Barrier", "MPI_Allreduce"),
+            format!("top two functions are MPI_Barrier and MPI_Allreduce: {}, {}", name(0), name(1)),
+        ),
+        Claim::advisory(format!(
+            "point-to-point time is comparatively small: {:.1}% of barrier time",
+            100.0 * p2p / barrier
+        )),
+    ]
 }

@@ -1,8 +1,8 @@
 //! # caliper-bench — harnesses regenerating the paper's tables & figures
 //!
-//! One binary per evaluation artifact:
+//! One binary, `paper <artifact>`, regenerates each evaluation artifact:
 //!
-//! | binary   | paper artifact | content |
+//! | artifact | paper artifact | content |
 //! |----------|----------------|---------|
 //! | `table1` | Table I        | snapshots & output records per config |
 //! | `fig3`   | Figure 3       | on-line aggregation overhead (wall-clock) |
@@ -18,9 +18,11 @@
 //! against); everything else that is timed is a row of `cali-bench`
 //! (`benchmark/`).
 //!
-//! All binaries accept `--quick` for a reduced problem size and write
-//! CSV to stdout with commentary on stderr, so their output can be
-//! piped into plotting tools directly.
+//! Every artifact accepts `--quick` for a reduced problem size and
+//! writes CSV to stdout with commentary on stderr, so its output can be
+//! piped into plotting tools directly. Its [`Claim`]s against the paper
+//! close the commentary; a deterministic one that fails makes `paper`
+//! exit 2 ([`exit_code`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,6 +72,69 @@ pub fn merge_datasets(datasets: &[Dataset]) -> Dataset {
     merged
 }
 
+/// How a [`Claim`] against the paper came out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// A deterministic comparison that holds.
+    Holds,
+    /// A deterministic comparison that does not hold.
+    Fails,
+    /// Printed, never gated: a wall-clock shape or a ratio against the
+    /// paper's numbers.
+    Advisory,
+    /// The run is too small for the claim to apply.
+    NotApplicable,
+}
+
+/// One claim against the paper: what is compared, with the numbers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Claim {
+    /// The comparison and the numbers it compared.
+    pub text: String,
+    /// How it came out.
+    pub verdict: Verdict,
+}
+
+impl Claim {
+    /// A deterministic claim: it holds or it fails.
+    pub fn gate(holds: bool, text: impl Into<String>) -> Claim {
+        let verdict = if holds { Verdict::Holds } else { Verdict::Fails };
+        Claim { text: text.into(), verdict }
+    }
+
+    /// A claim that is printed and never gated.
+    pub fn advisory(text: impl Into<String>) -> Claim {
+        Claim { text: text.into(), verdict: Verdict::Advisory }
+    }
+
+    /// A claim the run is too small to test.
+    pub fn not_applicable(text: impl Into<String>) -> Claim {
+        Claim { text: text.into(), verdict: Verdict::NotApplicable }
+    }
+}
+
+impl std::fmt::Display for Claim {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let verdict = match self.verdict {
+            Verdict::Holds => "holds",
+            Verdict::Fails => "fails",
+            Verdict::Advisory => "advisory",
+            Verdict::NotApplicable => "n/a",
+        };
+        write!(f, "[{verdict}] {}", self.text)
+    }
+}
+
+/// The exit status of a run that made `claims`: 2 if a deterministic
+/// claim fails, 0 otherwise.
+pub fn exit_code(claims: &[Claim]) -> u8 {
+    if claims.iter().any(|c| c.verdict == Verdict::Fails) {
+        2
+    } else {
+        0
+    }
+}
+
 /// Extract `(key column, value column)` pairs from a query result, for
 /// CSV emission. Missing cells are skipped.
 pub fn result_pairs(result: &QueryResult, key: &str, value: &str) -> Vec<(String, f64)> {
@@ -114,17 +179,6 @@ pub fn bar_chart(rows: &[(String, f64)], width: usize) -> String {
     out
 }
 
-/// Basic statistics over a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stats {
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
 /// Median of a sample (0 for empty input).
 pub fn median(samples: &[f64]) -> f64 {
     if samples.is_empty() {
@@ -140,24 +194,7 @@ pub fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// Compute mean/min/max of a sample (empty input yields zeros).
-pub fn stats(samples: &[f64]) -> Stats {
-    if samples.is_empty() {
-        return Stats {
-            mean: 0.0,
-            min: 0.0,
-            max: 0.0,
-        };
-    }
-    let sum: f64 = samples.iter().sum();
-    Stats {
-        mean: sum / samples.len() as f64,
-        min: samples.iter().copied().fold(f64::INFINITY, f64::min),
-        max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-    }
-}
-
-/// Five-number summary (for the Figure 7 distribution plot).
+/// Five-number summary (Figure 3's run times, Figure 7's distributions).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FiveNum {
     /// Minimum.
@@ -198,15 +235,6 @@ pub fn five_num(samples: &[f64]) -> FiveNum {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_basics() {
-        let s = stats(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(stats(&[]).mean, 0.0);
-    }
 
     #[test]
     fn five_num_quartiles() {

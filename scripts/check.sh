@@ -236,8 +236,9 @@ scripts/lint_doc_queries.sh "$lint_query"
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 # Usage smoke: a flag a binary does not know is a usage error, not a
-# switch nobody reads (all eight binaries: crates/cli/tests/cli_bin.rs).
-for bin in cali-query cali-served; do
+# switch nobody reads (all eight binaries: crates/cli/tests/cli_bin.rs;
+# `paper`: crates/bench/tests/paper.rs).
+for bin in cali-query cali-served paper; do
     rc=0
     ./target/release/"$bin" --no-such-flag > /dev/null 2> "$smoke/usage.err" || rc=$?
     if [ "$rc" -ne 1 ] || ! grep -q "^usage: $bin" "$smoke/usage.err"; then
@@ -246,13 +247,22 @@ for bin in cali-query cali-served; do
     fi
 done
 
-# Paper-output gate: `table1` and `fig5`–`fig9` run CleverLeaf on its
-# virtual clock and fold the profiles through `BlockFold` (about 3 s
-# together), so what they print is a function of the code alone, and
-# must be byte for byte what `results/` holds. A change that moves a
-# paper figure regenerates its file (EXPERIMENTS.md) in the same change.
+# Paper-output gate: `paper table1` and `paper fig5`–`fig9` run
+# CleverLeaf on its virtual clock and fold the profiles through
+# `BlockFold` (about 3 s together), so what they print is a function of
+# the code alone, and must be byte for byte what `results/` holds. A
+# change that moves a paper figure regenerates its file (EXPERIMENTS.md)
+# in the same change. Their deterministic claims against the paper are
+# gates too: one that fails exits 2.
+paper=./target/release/paper
 for b in table1 fig5 fig6 fig7 fig8 fig9; do
-    ./target/release/"$b" > "$smoke/$b.csv" 2>/dev/null
+    rc=0
+    "$paper" "$b" > "$smoke/$b.csv" 2> "$smoke/$b.log" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        grep '^#   \[fails\]' "$smoke/$b.log" >&2 || true
+        echo "check.sh: paper $b exited $rc" >&2
+        exit 1
+    fi
     cmp -s "$smoke/$b.csv" "results/$b.csv" || {
         echo "check.sh: $b prints other bytes than results/$b.csv" >&2
         exit 1
@@ -261,8 +271,8 @@ done
 
 # Failure-injection smoke: a corrupt corpus must be salvageable with
 # --lenient (and fatal without), and a killed rank must leave fig4's
-# resilient reduction with an honest coverage report (asserted inside
-# the harness).
+# resilient reduction with an honest coverage report (a gated claim:
+# `paper fig4` exits 2 unless the result equals the survivors' fold).
 printf '__rec=attr,id=0,name=kernel,type=string,prop=default\n__rec=ctx,attr=0,data=ok\n' \
     > "$smoke/good.cali"
 printf '__rec=attr,id=0,name=kernel,type=string,prop=default\n__rec=ctx,attr=99,data=broken\n__rec=ctx,attr=0,data=ok\n' \
@@ -283,20 +293,18 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 grep -q "ok" "$smoke/lenient.out"
-cargo run -q --release -p caliper-bench --bin fig4 -- --quick --max-np 8 --kill 3 \
-    > /dev/null
+"$paper" fig4 --quick --max-np 8 --kill 3 > /dev/null
 
 # Event-engine scale smoke: a 2048-rank resilient tree reduction with a
 # seeded kill plan must finish inside a strict wall-clock budget (a
 # scheduler regression toward thread-per-rank cost blows it) and be
 # byte-identical across runs and across worker-pool sizes.
-fig4=./target/release/fig4
 scale_start=$(date +%s)
-"$fig4" --ranks 2048 --kills 5 --kill-seed 7 \
+"$paper" fig4 --ranks 2048 --kills 5 --kill-seed 7 \
     > "$smoke/scale-a.out" 2>/dev/null
-"$fig4" --ranks 2048 --kills 5 --kill-seed 7 \
+"$paper" fig4 --ranks 2048 --kills 5 --kill-seed 7 \
     > "$smoke/scale-b.out" 2>/dev/null
-"$fig4" --ranks 2048 --kills 5 --kill-seed 7 --workers 4 \
+"$paper" fig4 --ranks 2048 --kills 5 --kill-seed 7 --workers 4 \
     > "$smoke/scale-c.out" 2>/dev/null
 scale_elapsed=$(( $(date +%s) - scale_start ))
 cmp -s "$smoke/scale-a.out" "$smoke/scale-b.out" \
@@ -317,7 +325,7 @@ echo "check.sh: event-engine smoke: 2048 ranks, seeded kills, deterministic in $
 # the rank count: 131072 ranks take under a second when it is, and well
 # over the budget with one linear scan per event or per rank in it.
 big_start=$(date +%s)
-"$fig4" --ranks 131072 > /dev/null 2>&1
+"$paper" fig4 --ranks 131072 > /dev/null 2>&1
 big_elapsed=$(( $(date +%s) - big_start ))
 if [ "$big_elapsed" -gt 10 ]; then
     echo "check.sh: 131072-rank reduction took ${big_elapsed}s (budget 10s)" >&2
