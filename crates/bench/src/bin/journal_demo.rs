@@ -98,13 +98,14 @@ fn main() -> ExitCode {
     caliper.take_dataset(); // flushes the journal
     if let Some(sink) = caliper.default_channel().journal() {
         let stats = sink.stats();
+        let counters = &stats.counters;
         eprintln!(
             "journal_demo: {} snapshots journaled to {} ({} flushes, {} forced, {} syncs)",
-            stats.durable,
+            counters.durable,
             journal,
-            stats.flushes,
-            stats.forced_flushes,
-            stats.syncs
+            counters.flushes,
+            counters.forced_flushes,
+            counters.syncs
         );
         if stats.disabled {
             return fail("journaling was disabled by a write error");

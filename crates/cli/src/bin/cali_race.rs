@@ -12,10 +12,10 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use cali_cli::parse_args;
+use cali_cli::{parse_args, write_trace};
 use mpisim::{
     analyze, Action, EventEngine, Executor, FaultPlan, HbTrace, RankTask, ReduceCoverage,
-    ReduceTask, ResilienceOptions, SchedError, TaskCtx, ThreadEngine, Topology, TracedRun, Wake,
+    ReduceTask, ResilienceOptions, Run, SchedError, TaskCtx, ThreadEngine, Topology, Wake,
 };
 
 const USAGE: &str = "usage: cali-race [--program NAME] [--ranks N] [--engine event|threads] [options]
@@ -159,7 +159,7 @@ struct RunSummary {
     trace: HbTrace,
 }
 
-fn summarize<Out>(run: TracedRun<Out>, size: usize) -> RunSummary {
+fn summarize<Out>(run: Run<Out>, size: usize) -> RunSummary {
     match run.outputs {
         Ok(outs) => RunSummary {
             finished: outs.iter().filter(|o| o.is_some()).count(),
@@ -187,29 +187,30 @@ fn run_program<E: Executor>(
     match program {
         "reduce" => {
             let opts = ResilienceOptions::default();
-            let run: TracedRun<Option<(u64, ReduceCoverage)>> =
-                engine.run_tasks_traced(size, plan, move |rank, size| {
-                    ReduceTask::new(
-                        rank,
-                        size,
-                        topology,
-                        move || rank as u64,
-                        |a: u64, b: u64| a + b,
-                        opts,
-                    )
-                });
+            let make = move |rank, size| {
+                ReduceTask::new(
+                    rank,
+                    size,
+                    topology,
+                    move || rank as u64,
+                    |a: u64, b: u64| a + b,
+                    opts,
+                )
+            };
+            let run: Run<Option<(u64, ReduceCoverage)>> = engine.run(size, plan, make, true);
             Ok(summarize(run, size))
         }
         "wildcard-race" => {
-            let run = engine.run_tasks_traced(size, plan, |rank, size| WildcardGather {
+            let make = |rank, size| WildcardGather {
                 rank,
                 size,
                 got: 0,
-            });
+            };
+            let run = engine.run(size, plan, make, true);
             Ok(summarize(run, size))
         }
         "deadlock" => {
-            let run = engine.run_tasks_traced(size, plan, |rank, size| WaitRing { rank, size });
+            let run = engine.run(size, plan, |rank, size| WaitRing { rank, size }, true);
             Ok(summarize(run, size))
         }
         "straggler" => {
@@ -217,7 +218,7 @@ fn run_program<E: Executor>(
                 return Err("--program straggler needs at least 2 ranks".into());
             }
             let plan = plan.delay(1, 0, Duration::from_millis(50));
-            let run = engine.run_tasks_traced(size, plan, |rank, _| Straggler { rank });
+            let run = engine.run(size, plan, |rank, _| Straggler { rank }, true);
             Ok(summarize(run, size))
         }
         other => Err(format!(
@@ -329,6 +330,10 @@ fn main() -> ExitCode {
                 eprintln!("cali-race: --program deadlock requires --engine event");
                 return ExitCode::FAILURE;
             }
+            if args.get(&["workers"]).is_some() {
+                eprintln!("cali-race: --workers requires --engine event\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
             run_program(&ThreadEngine, program, size, plan, topology)
         }
         other => {
@@ -346,15 +351,7 @@ fn main() -> ExitCode {
 
     summary.trace.record_metrics();
     if let Some(path) = args.get(&["trace"]) {
-        let write = std::fs::File::create(path)
-            .map_err(|e| e.to_string())
-            .and_then(|f| {
-                summary
-                    .trace
-                    .write_cali(std::io::BufWriter::new(f))
-                    .map_err(|e| e.to_string())
-            });
-        if let Err(e) = write {
+        if let Err(e) = write_trace(&summary.trace, std::path::Path::new(path)) {
             eprintln!("cali-race: --trace {path}: {e}");
             return ExitCode::FAILURE;
         }

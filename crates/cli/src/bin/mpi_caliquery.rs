@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cali_cli::{parallel_query, parse_args, CliArgs, ParallelError, QueryRun};
+use cali_cli::{parallel_query, parse_args, write_trace, CliArgs, ParallelError, QueryRun};
 use mpisim::{EventEngine, FaultPlan, HbTrace, ResilienceOptions, ThreadEngine, Topology};
 
 const USAGE: &str = "usage: mpi-caliquery --np N [-q QUERY] [--timings] INPUT.cali...
@@ -85,9 +85,7 @@ fn report(
     if let Some(trace) = trace {
         trace.record_metrics();
         if let Some(path) = args.get(&["trace"]) {
-            let written = std::fs::File::create(path)
-                .and_then(|file| trace.write_cali(std::io::BufWriter::new(file)));
-            if let Err(e) = written {
+            if let Err(e) = write_trace(&trace, std::path::Path::new(path)) {
                 eprintln!("mpi-caliquery: --trace {path}: {e}");
                 return ExitCode::FAILURE;
             }
@@ -242,6 +240,10 @@ fn main() -> ExitCode {
         "event" => {
             let engine = EventEngine::with_workers(workers);
             parallel_query(&engine, topology, query, per_rank, plan, opts, traced)
+        }
+        "threads" if args.get(&["workers"]).is_some() => {
+            eprintln!("mpi-caliquery: --workers requires --engine event\n{USAGE}");
+            return ExitCode::FAILURE;
         }
         "threads" => parallel_query(&ThreadEngine, topology, query, per_rank, plan, opts, traced),
         other => {

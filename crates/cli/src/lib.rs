@@ -20,7 +20,14 @@ pub use args::{parse_args, CliArgs, UsageError};
 pub use lint::{check_query, exit_code, infer_schema, summary_line, CheckedQuery};
 pub use parallel::{local_pipeline, parallel_query, ParallelError, ParallelTimings, QueryRun};
 
-use caliper_format::{scan_path, BlockSink, CaliError, Dataset, ReadPolicy, ReadReport};
+use std::io::Write;
+
+use caliper_data::{Properties, ValueType};
+use caliper_format::{
+    scan_path, Block, BlockSink, CaliError, CaliWriter, Cell, Dataset, ReadPolicy, ReadReport,
+    StringTable,
+};
+use mpisim::HbTrace;
 
 /// Read and merge multiple `.cali` (text) or `.calb` (binary) files
 /// into one dataset (shared attribute dictionary and context tree).
@@ -71,4 +78,44 @@ fn scan_files<P: AsRef<std::path::Path>>(
         reports.push(report);
     }
     Ok((ds, reports))
+}
+
+/// Write a happens-before trace to `path` as text `.cali`: one snapshot
+/// per event, carrying `mpisim.rank`, `hb.event`, `hb.time.ns`,
+/// `hb.clock` (the rank's own clock component, i.e. the event's 1-based
+/// position in its rank's program order) and — when the event names
+/// them — `hb.peer` and `hb.tag`, so `cali-query` aggregates a
+/// communication schedule like any other profile. The dump of
+/// `mpi-caliquery --trace` and `cali-race --trace`.
+pub fn write_trace(trace: &HbTrace, path: &std::path::Path) -> std::io::Result<()> {
+    let ds = Dataset::new();
+    let (mut strings, mut block) = (StringTable::default(), Block::default());
+    let summed = Properties::AS_VALUE | Properties::AGGREGATABLE;
+    let [rank, event, time, clock, peer, tag] = [
+        ("mpisim.rank", ValueType::Int, Properties::AS_VALUE),
+        ("hb.event", ValueType::Str, Properties::AS_VALUE),
+        ("hb.time.ns", ValueType::UInt, summed),
+        ("hb.clock", ValueType::UInt, summed),
+        ("hb.peer", ValueType::Int, Properties::AS_VALUE),
+        ("hb.tag", ValueType::UInt, Properties::AS_VALUE),
+    ]
+    .map(|(name, vtype, props)| block.column_for(ds.attribute(name, vtype, props).id(), vtype));
+    for (r, events) in trace.events.iter().enumerate() {
+        for (i, ev) in events.iter().enumerate() {
+            block.push_imm(rank, Cell::Int(r as i64));
+            block.push_imm(event, Cell::Str(strings.intern(ev.kind.name())));
+            block.push_imm(time, Cell::UInt(ev.at_ns));
+            block.push_imm(clock, Cell::UInt(i as u64 + 1));
+            if let Some(p) = ev.kind.peer() {
+                block.push_imm(peer, Cell::Int(p as i64));
+            }
+            if let Some(t) = ev.kind.tag() {
+                block.push_imm(tag, Cell::UInt(u64::from(t)));
+            }
+            assert!(block.end_row(), "a trace of more than 2^32 entries");
+        }
+    }
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    CaliWriter::new(&mut out).write_block(&ds, &strings, &block)?;
+    out.flush()
 }

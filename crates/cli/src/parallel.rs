@@ -177,12 +177,7 @@ pub fn parallel_query<E: Executor>(
         };
         ReduceTask::new(rank, size, topology, init, Partial::merge, opts)
     };
-    let (outputs, hb) = if trace {
-        let run = engine.run_tasks_traced(size, plan, make);
-        (run.outputs, Some(run.trace))
-    } else {
-        (engine.try_run_tasks(size, plan, make), None)
-    };
+    let mpisim::Run { outputs, trace: hb, .. } = engine.run(size, plan, make, trace);
     let run = outputs.map_err(ParallelError::Deadlock).and_then(|mut outputs| {
         let (partial, coverage) = outputs
             .first_mut()
@@ -207,7 +202,7 @@ pub fn parallel_query<E: Executor>(
             timings,
         })
     });
-    (run, hb)
+    (run, trace.then_some(hb))
 }
 
 /// What travels up the tree: what the subtree read, and its times.

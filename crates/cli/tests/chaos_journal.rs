@@ -66,10 +66,10 @@ fn transient_journal_write_and_fsync_faults_are_absorbed_by_retry() {
     let (journal, stats, _) = run_workload("retry-j", 10, true);
     // fail(2) on the write path plus fail(1) on the fsync path, all
     // absorbed: the injected attempts are counted, nothing is lost.
-    assert_eq!(stats.retries, 3, "{stats:?}");
+    assert_eq!(stats.counters.retries, 3, "{stats:?}");
     assert!(!stats.disabled, "{stats:?}");
     assert_eq!(stats.write_errors, 0, "{stats:?}");
-    assert_eq!(stats.appended, stats.durable, "{stats:?}");
+    assert_eq!(stats.counters.appended, stats.counters.durable, "{stats:?}");
 
     // The journal on disk is complete: a clean (fault-free, separate
     // process) recovery salvages every snapshot.

@@ -500,6 +500,24 @@ fn mpi_caliquery_rejects_passthrough() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn mpi_caliquery_rejects_workers_on_the_thread_engine() {
+    let (dir, paths) = write_inputs("threads-workers", 1);
+    let out = Command::new(env!("CARGO_BIN_EXE_mpi-caliquery"))
+        .args(["--engine", "threads", "--workers", "2"])
+        .args(&paths)
+        .output()
+        .expect("run mpi-caliquery");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr.starts_with("mpi-caliquery: --workers requires --engine event\nusage: mpi-caliquery"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--no-lint` silences the lint and changes nothing else: the schema
 /// is the dictionary the run's one read of each file builds, and the
 /// pushdown comes from the query alone. So over a corpus that types one

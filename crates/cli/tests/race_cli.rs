@@ -84,6 +84,17 @@ fn deadlock_exits_2_and_names_the_cycle() {
 }
 
 #[test]
+fn workers_on_the_thread_engine_is_a_usage_error() {
+    let (code, stdout, stderr) = cali_race(&["--engine", "threads", "--workers", "4"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.starts_with("cali-race: --workers requires --engine event\nusage: cali-race"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn straggler_warns_and_deny_warnings_exits_1() {
     let (code, stdout, _) = cali_race(&["--program", "straggler", "--ranks", "2"]);
     assert_eq!(code, Some(0));
@@ -113,6 +124,24 @@ fn trace_dump_is_aggregatable_by_cali_query() {
         assert!(stdout.contains(event), "missing {event} rows in:\n{stdout}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_dump_is_one_snapshot_per_event() {
+    let mut trace = mpisim::HbTrace::new(2);
+    let event = |kind, at_ns| mpisim::TraceEvent { kind, at_ns };
+    trace.events[0].push(event(mpisim::TraceKind::Start, 0));
+    trace.events[0].push(event(mpisim::TraceKind::Send { dest: 1, tag: 7, ok: true }, 10));
+    let matched = mpisim::TraceKind::Match { src: 0, tag: 7, wildcard: false };
+    trace.events[1].push(event(matched, 1_010));
+    let path = std::env::temp_dir().join(format!("cali-race-dump-{}.cali", std::process::id()));
+    cali_cli::write_trace(&trace, &path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let ds = cali_cli::read_files(&[&path]).expect("the dump reads back");
+    assert_eq!(ds.len(), 3, "{text}");
+    assert!(text.contains(",attr=1,data=send,"), "{text}");
+    assert!(text.contains(",attr=4,data=1,attr=5,data=7\n"), "{text}");
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Seeded never-panic loops over the block decoders: text `.cali` and
-//! CALB v2 files, damaged by every `caliper_faults::corrupt_bytes` mode,
+//! Seeded never-panic loops over the decoders: text `.cali`, CALB v1
+//! and CALB v2 files, damaged by every `caliper_faults::corrupt_bytes` mode,
 //! scanned the way the tools scan them (`scan_path`, blocks handed to a
-//! sink), strict and lenient, with and without a `Pushdown`.
+//! sink; a v1 file's records land in the dataset), strict and lenient,
+//! with and without a `Pushdown`.
 //!
 //! A v2 file is damaged over the whole stream and over targeted regions
 //! too — each block's payload, each block's head (the row count and the
@@ -20,7 +21,7 @@ use std::path::{Path, PathBuf};
 use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_faults::{corrupt_bytes, CorruptMode};
 use caliper_format::{
-    cali, read_footer, scan_path, to_binary_v2_with, Dataset, Predicate, Pushdown, PushdownOp,
+    binary, cali, read_footer, scan_path, to_binary_v2_with, Dataset, Predicate, Pushdown, PushdownOp,
     ReadPolicy, V2WriteOptions,
 };
 
@@ -69,11 +70,12 @@ fn pushdowns() -> Vec<Option<Pushdown>> {
     vec![None, Some(late), Some(kernel)]
 }
 
-/// Rows `scan_path` hands to its block sink, or the error it returns.
+/// Rows `scan_path` hands to its block sink (or, for CALB v1, which
+/// frames no blocks, appends to the dataset), or the error it returns.
 fn scan_rows(path: &Path, policy: ReadPolicy, pushdown: Option<&Pushdown>) -> Result<usize, String> {
     let mut rows = 0;
     scan_path(path, Dataset::new(), policy, pushdown, &mut |_, _, block| rows += block.rows())
-        .map(|_| rows)
+        .map(|(ds, _)| rows + ds.records.len())
         .map_err(|e| e.to_string())
 }
 
@@ -131,6 +133,12 @@ fn fuzz(name: &str, bytes: &[u8], regions: &[(String, Range<usize>)], seeds: u64
 fn damaged_text_files_never_panic_the_block_scan() {
     let bytes = cali::to_bytes(&sample());
     fuzz("text", &bytes, &[("stream".into(), 0..bytes.len())], 200);
+}
+
+#[test]
+fn damaged_v1_files_never_panic_the_scan() {
+    let bytes = binary::to_binary(&sample());
+    fuzz("v1", &bytes, &[("stream".into(), 0..bytes.len())], 200);
 }
 
 #[test]

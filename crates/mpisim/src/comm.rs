@@ -1,30 +1,30 @@
-//! Point-to-point communication between simulated ranks.
+//! Point-to-point communication between the thread engine's ranks.
 //!
-//! Each rank owns one inbox (an MPMC channel); `send` deposits a tagged,
-//! type-erased message into the destination's inbox, `recv` blocks until
-//! a message matching `(source, tag)` arrives, buffering mismatched
-//! messages — the standard MPI matching semantics, minus wildcards on
-//! tags (a wildcard source is supported via [`Comm::recv_any`]).
+//! Each rank owns one inbox (an MPMC channel); a send deposits a tagged,
+//! type-erased [`Msg`] into the destination's inbox, a receive blocks
+//! until a message matching `(source, tag)` arrives — `source` may be a
+//! wildcard — buffering mismatched messages: the standard MPI matching
+//! semantics, minus wildcards on tags. `Comm` is the thread engine's
+//! transport under [`TaskCtx`](crate::task::TaskCtx) and
+//! [`Action::Recv`](crate::task::Action::Recv); [`CommError`] and
+//! [`Tag`] are what tasks see of it.
 //!
 //! # Failure semantics
 //!
-//! A rank that dies (panics or is killed by a
-//! [`FaultPlan`]) drops its inbox receiver while the
-//! senders — shared from an `Arc` by every surviving rank — stay alive.
-//! The consequences, which fault-tolerant collectives must handle, are:
+//! A rank that dies (panics or is killed by a [`FaultPlan`]) drops its
+//! inbox receiver while the senders — shared from an `Arc` by every
+//! surviving rank — stay alive. The consequences, which fault-tolerant
+//! tasks must handle, are:
 //!
 //! * **sends to a dead rank fail** with [`CommError::Disconnected`]
 //!   (the channel sees zero receivers), *but only after the victim's
 //!   thread has finished unwinding* — a send that races the death may
 //!   still succeed and the message is simply lost;
-//! * **receives from a dead rank hang forever** under plain
-//!   [`recv`](Comm::recv): nothing will ever arrive, yet the channel
-//!   never disconnects because the receiving rank itself keeps every
-//!   sender alive. Bounded waiting therefore requires
-//!   [`recv_timeout`](Comm::recv_timeout), which turns the silent peer
-//!   into a [`CommError::Timeout`].
+//! * **receives from a dead rank never match**: nothing will ever
+//!   arrive, yet the channel never disconnects because the receiving
+//!   rank itself keeps every sender alive. Only a bounded receive ends,
+//!   in a [`CommError::Timeout`].
 
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,11 +36,6 @@ use crate::trace::{SharedTrace, TraceKind};
 
 /// Message tag (as in MPI).
 pub type Tag = u32;
-
-/// What travels over the channels: the same [`Msg`] the task layer
-/// sees, so [`drive_task`](crate::world::drive_task) forwards payloads
-/// without re-boxing.
-pub(crate) type Packet = Msg;
 
 /// A point-to-point communication failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,14 +96,16 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// A rank's communicator handle.
-pub struct Comm {
+/// A rank's communicator handle on the thread engine. Messages are the
+/// task layer's own [`Msg`], so a payload boxed once by a task travels
+/// to the channel and back without re-boxing.
+pub(crate) struct Comm {
     rank: usize,
     size: usize,
-    inboxes: Arc<Vec<Sender<Packet>>>,
-    inbox: Receiver<Packet>,
+    inboxes: Arc<Vec<Sender<Msg>>>,
+    inbox: Receiver<Msg>,
     /// Messages received but not yet matched.
-    pending: Vec<Packet>,
+    pending: Vec<Msg>,
     /// Faults scripted for this world, if any.
     faults: Option<Arc<FaultPlan>>,
     /// Happens-before trace collector, when the run is traced. `None`
@@ -116,16 +113,17 @@ pub struct Comm {
     trace: Option<Arc<SharedTrace>>,
     /// Number of communication operations this rank has issued; the
     /// fault plan's notion of time.
-    ops: Cell<u64>,
+    ops: u64,
 }
 
 impl Comm {
     pub(crate) fn new(
         rank: usize,
         size: usize,
-        inboxes: Arc<Vec<Sender<Packet>>>,
-        inbox: Receiver<Packet>,
+        inboxes: Arc<Vec<Sender<Msg>>>,
+        inbox: Receiver<Msg>,
         faults: Option<Arc<FaultPlan>>,
+        trace: Option<Arc<SharedTrace>>,
     ) -> Comm {
         Comm {
             rank,
@@ -134,45 +132,34 @@ impl Comm {
             inbox,
             pending: Vec::new(),
             faults,
-            trace: None,
-            ops: Cell::new(0),
+            trace,
+            ops: 0,
         }
     }
 
-    /// Arm the happens-before trace hook (world launcher only).
-    pub(crate) fn set_trace(&mut self, trace: Arc<SharedTrace>) {
-        self.trace = Some(trace);
-    }
-
     /// Record `kind` into the trace, when armed.
-    fn rec(&self, kind: TraceKind) {
+    pub(crate) fn rec(&self, kind: TraceKind) {
         if let Some(trace) = &self.trace {
             trace.record(self.rank, kind);
         }
     }
 
     /// This rank's id, 0-based.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.rank
     }
 
     /// Number of ranks in the world.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
-    }
-
-    /// Number of communication operations this rank has issued so far —
-    /// the time axis a [`FaultPlan`] is scripted in.
-    pub fn ops(&self) -> u64 {
-        self.ops.get()
     }
 
     /// Consults the fault plan before a communication operation: sleeps
     /// through any scripted delay, then unwinds if this is the op the
     /// rank is scripted to die at.
-    fn fault_point(&self) {
-        let op = self.ops.get();
-        self.ops.set(op + 1);
+    fn fault_point(&mut self) {
+        let op = self.ops;
+        self.ops += 1;
         let Some(plan) = &self.faults else { return };
         if let Some(d) = plan.delay_at(self.rank, op) {
             std::thread::sleep(d);
@@ -184,17 +171,15 @@ impl Comm {
         }
     }
 
-    /// Send `value` to `dest` with `tag`. Non-blocking (buffered send).
-    /// Fails with [`CommError::Disconnected`] if `dest` has shut down.
-    pub fn send<T: Send + 'static>(&self, dest: usize, tag: Tag, value: T) -> Result<(), CommError> {
-        self.send_payload(dest, tag, Box::new(value))
-    }
-
-    /// Type-erased send — the form the task layer
-    /// ([`TaskCtx`](crate::task::TaskCtx)) uses, so a payload boxed once
-    /// by a state machine travels to the channel without re-boxing.
-    /// Counts as one fault-plan op, like any other communication.
-    pub fn send_payload(&self, dest: usize, tag: Tag, payload: Payload) -> Result<(), CommError> {
+    /// Send `payload` to `dest` with `tag`. Non-blocking (buffered
+    /// send); fails with [`CommError::Disconnected`] if `dest` has shut
+    /// down. Counts as one fault-plan op.
+    pub(crate) fn send_payload(
+        &mut self,
+        dest: usize,
+        tag: Tag,
+        payload: Payload,
+    ) -> Result<(), CommError> {
         assert!(dest < self.size, "send to rank {dest} out of range");
         self.fault_point();
         let sent = self.inboxes[dest]
@@ -217,131 +202,68 @@ impl Comm {
         sent
     }
 
-    /// Type-erased receive: blocks (bounded by `timeout` when given)
-    /// until a message matching `(src, tag)` arrives and returns it
-    /// whole. The task layer's receive path; typed wrappers below
-    /// downcast on top of it.
-    pub fn recv_msg(
+    /// Receive: blocks (bounded by `timeout` when given) until a
+    /// message matching `(src, tag)` arrives — `src == None` matches
+    /// any source — and returns it whole. Counts as one fault-plan op.
+    pub(crate) fn recv_msg(
         &mut self,
         src: Option<usize>,
         tag: Tag,
         timeout: Option<Duration>,
     ) -> Result<Msg, CommError> {
-        self.recv_packet(src, tag, timeout)
-    }
-
-    fn take_pending(&mut self, src: Option<usize>, tag: Tag) -> Option<Packet> {
-        let idx = self
-            .pending
-            .iter()
-            .position(|p| p.tag == tag && src.map(|s| s == p.src).unwrap_or(true))?;
-        Some(self.pending.remove(idx))
-    }
-
-    fn recv_context(src: Option<usize>, tag: Tag) -> String {
-        match src {
-            Some(s) => format!("recv from rank {s}, tag {tag}"),
-            None => format!("recv from any rank, tag {tag}"),
-        }
-    }
-
-    fn recv_packet(
-        &mut self,
-        src: Option<usize>,
-        tag: Tag,
-        timeout: Option<Duration>,
-    ) -> Result<Packet, CommError> {
         self.fault_point();
-        if let Some(p) = self.take_pending(src, tag) {
+        let matches = |m: &Msg| m.tag == tag && src.is_none_or(|s| s == m.src);
+        if let Some(i) = self.pending.iter().position(matches) {
+            let m = self.pending.remove(i);
             self.rec(TraceKind::Match {
-                src: p.src,
-                tag: p.tag,
+                src: m.src,
+                tag,
                 wildcard: src.is_none(),
             });
-            return Ok(p);
+            return Ok(m);
         }
         self.rec(TraceKind::WaitPost {
             src,
             tag,
             timeout_ns: timeout.map(|t| t.as_nanos().min(u128::from(u64::MAX)) as u64),
         });
+        let context = || match src {
+            Some(s) => format!("recv from rank {s}, tag {tag}"),
+            None => format!("recv from any rank, tag {tag}"),
+        };
         let deadline = timeout.map(|t| (Instant::now() + t, t));
         loop {
-            let packet = match deadline {
+            let m = match deadline {
                 None => self
                     .inbox
                     .recv()
-                    .map_err(|_| CommError::disconnected(Self::recv_context(src, tag)))?,
+                    .map_err(|_| CommError::disconnected(context()))?,
                 Some((deadline, total)) => {
                     let remaining = deadline.saturating_duration_since(Instant::now());
                     match self.inbox.recv_timeout(remaining) {
-                        Ok(p) => p,
+                        Ok(m) => m,
                         Err(RecvTimeoutError::Timeout) => {
                             caliper_data::metrics::global()
                                 .counter_volatile("mpisim.comm.timeouts")
                                 .inc();
                             self.rec(TraceKind::Timeout { src, tag });
-                            return Err(CommError::timeout(Self::recv_context(src, tag), total));
+                            return Err(CommError::timeout(context(), total));
                         }
                         Err(RecvTimeoutError::Disconnected) => {
-                            return Err(CommError::disconnected(Self::recv_context(src, tag)));
+                            return Err(CommError::disconnected(context()));
                         }
                     }
                 }
             };
-            let matches = packet.tag == tag && src.map(|s| s == packet.src).unwrap_or(true);
-            if matches {
+            if matches(&m) {
                 self.rec(TraceKind::Match {
-                    src: packet.src,
-                    tag: packet.tag,
+                    src: m.src,
+                    tag,
                     wildcard: src.is_none(),
                 });
-                return Ok(packet);
+                return Ok(m);
             }
-            self.pending.push(packet);
+            self.pending.push(m);
         }
-    }
-
-    fn downcast<T: Send + 'static>(packet: Packet, context: &str) -> T {
-        *packet
-            .payload
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("type mismatch on {context}"))
-    }
-
-    /// Blocking receive of a `T` from `src` with `tag`. Panics if the
-    /// matching message's payload has a different type — a type-level
-    /// protocol mismatch is a bug, not a runtime condition.
-    pub fn recv<T: Send + 'static>(&mut self, src: usize, tag: Tag) -> Result<T, CommError> {
-        let packet = self.recv_packet(Some(src), tag, None)?;
-        Ok(Self::downcast(packet, &Self::recv_context(Some(src), tag)))
-    }
-
-    /// Like [`recv`](Comm::recv), but gives up with
-    /// [`CommError::Timeout`] once `timeout` elapses without a matching
-    /// message. The building block of fault-tolerant collectives: a dead
-    /// peer never disconnects this rank's inbox (every surviving rank
-    /// keeps all senders alive), it just goes silent.
-    pub fn recv_timeout<T: Send + 'static>(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<T, CommError> {
-        let packet = self.recv_packet(Some(src), tag, Some(timeout))?;
-        Ok(Self::downcast(packet, &Self::recv_context(Some(src), tag)))
-    }
-
-    /// Blocking receive from any source; returns `(source, value)`.
-    pub fn recv_any<T: Send + 'static>(&mut self, tag: Tag) -> Result<(usize, T), CommError> {
-        let packet = self.recv_packet(None, tag, None)?;
-        let src = packet.src;
-        Ok((src, Self::downcast(packet, &Self::recv_context(None, tag))))
-    }
-}
-
-impl std::fmt::Debug for Comm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Comm(rank {} of {})", self.rank, self.size)
     }
 }

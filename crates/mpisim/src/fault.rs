@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] describes, ahead of a run, which ranks misbehave and
 //! when. "When" is measured in **communication operations**: every
-//! `send`/`recv`/`recv_any` (and their timeout variants) a rank issues
-//! counts as one step, starting from 0. Pinning faults to the op counter
+//! send a rank's task makes and every receive it asks for (bounded or
+//! not, named source or wildcard) counts as one step, starting from 0. Pinning faults to the op counter
 //! rather than wall-clock time makes failure tests reproducible: killing
 //! rank 2 at op 1 kills it *after* it received its child's contribution
 //! and *before* it forwarded the merged value, every single run.
@@ -11,15 +11,17 @@
 //! Faults are injected *at* the fault point, before the operation takes
 //! effect:
 //!
-//! * a **kill** unwinds the rank's thread (its inbox is dropped, so
-//!   later sends to it fail with
+//! * a **kill** ends the rank (later sends to it fail with
 //!   [`CommError::Disconnected`](crate::CommError::Disconnected) and
 //!   pending receives from it time out);
-//! * a **delay** sleeps the rank before the operation proceeds,
-//!   modelling a straggler rather than a crash.
+//! * a **delay** holds the rank back before the operation proceeds —
+//!   a wall-clock sleep on the thread engine, a jump of the rank's
+//!   local clock on the event engine — modelling a straggler rather
+//!   than a crash.
 //!
-//! Plans are executed by [`crate::world::run_with_faults`]; the plain
-//! [`crate::world::run`] never injects anything.
+//! Plans are executed by either engine's
+//! [`Executor::run`](crate::task::Executor::run); an empty plan injects
+//! nothing.
 //!
 //! Plans share the workspace fault-spec grammar (`caliper-faults`):
 //! [`FaultPlan::from_spec`] lifts `mpi.kill=at(rank,op)` and
@@ -35,7 +37,7 @@ use caliper_faults::{sites, FaultAction, FaultRule, SpecError};
 /// Scripted faults for one simulated world run.
 ///
 /// Build with the fluent constructors and hand to
-/// [`run_with_faults`](crate::world::run_with_faults):
+/// [`Executor::run`](crate::task::Executor::run):
 ///
 /// ```
 /// use std::time::Duration;
@@ -214,7 +216,10 @@ mod tests {
         let b = FaultPlan::seeded_kills(7, 5, 1024);
         assert_eq!(a.kills, b.kills);
         assert_eq!(a.kills.len(), 5);
-        assert!(a.kills.iter().all(|&(r, op)| (1..1024).contains(&r) && op < 3));
+        assert!(a
+            .kills
+            .iter()
+            .all(|&(r, op)| (1..1024).contains(&r) && op < 3));
         let mut victims: Vec<usize> = a.kills.iter().map(|&(r, _)| r).collect();
         victims.sort_unstable();
         victims.dedup();

@@ -34,20 +34,19 @@
 //! If the event heap drains while live tasks still wait without a
 //! timeout, no message can ever arrive: the scheduler reports a
 //! structured [`SchedError::Deadlock`] naming the blocked ranks and any
-//! wait cycles among them (via
-//! [`EventEngine::try_run_tasks_with_stats`]; the panicking
-//! [`run_tasks`](Executor::run_tasks) entry point panics with the
+//! wait cycles among them in [`Run::outputs`] ([`Executor::run`]; the
+//! [`EventEngine::run_tasks_with_stats`] shortcut panics with the
 //! error's message) — the event-loop analogue of the thread engine's
 //! watchdog-guarded deadlock tests.
 //!
 //! # Tracing
 //!
-//! [`EventEngine::run_tasks_traced`] records a structured
+//! [`Executor::run`] with `trace` set records a structured
 //! happens-before trace ([`HbTrace`]) of the run for the offline
 //! analyzer in [`crate::hb`]. The hook is a per-batch boolean: when
-//! tracing is off (every other entry point), the only cost is testing
-//! that flag, and the recorded trace — timestamps included, since the
-//! clock is virtual — is byte-identical for any worker-pool size.
+//! tracing is off, the only cost is testing that flag, and the recorded
+//! trace — timestamps included, since the clock is virtual — is
+//! byte-identical for any worker-pool size.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -55,8 +54,8 @@ use std::panic::AssertUnwindSafe;
 
 use crate::comm::{CommError, Tag};
 use crate::fault::{FaultPlan, RankKilled};
-use crate::task::{Action, Executor, Msg, Payload, RankTask, TaskCtx, Wake};
-use crate::trace::{HbTrace, TraceEvent, TraceKind, TracedRun};
+use crate::task::{Action, Executor, Msg, Payload, RankTask, Run, TaskCtx, Wake};
+use crate::trace::{HbTrace, TraceEvent, TraceKind};
 
 /// Virtual time, in nanoseconds since the start of the run.
 pub type SimTime = u64;
@@ -105,13 +104,6 @@ pub struct SchedStats {
     /// Ranks killed by the fault plan.
     pub ranks_lost: u64,
 }
-
-/// Outputs plus scheduler statistics of a fallible engine run.
-pub type SchedOutcome<Out> = Result<(Vec<Option<Out>>, SchedStats), SchedError>;
-
-/// Everything `run_core` produces: the run outcome, the scheduler
-/// statistics, and the (possibly empty) happens-before trace.
-type CoreRun<Out> = (Result<Vec<Option<Out>>, SchedError>, SchedStats, HbTrace);
 
 /// A structured scheduler failure — the event engine's replacement for
 /// the former bare "virtual deadlock" panic.
@@ -426,7 +418,7 @@ fn feed<T: RankTask>(
             }
             Action::Recv { src, tag, timeout } => {
                 // The receive is a communication op: the fault point
-                // fires before any matching, like `Comm::recv*`.
+                // fires before any matching, as on the thread engine.
                 let op = state.ops;
                 state.ops += 1;
                 if let Some(d) = plan.delay_at(rank, op) {
@@ -545,11 +537,10 @@ fn process_event<T: RankTask>(
 }
 
 impl EventEngine {
-    /// Like [`Executor::run_tasks`], but also returns the run's
-    /// [`SchedStats`]. Panics with the [`SchedError`] message on a
-    /// virtual deadlock; use
-    /// [`try_run_tasks_with_stats`](EventEngine::try_run_tasks_with_stats)
-    /// for the structured error.
+    /// [`Executor::run`] untraced, returning the outputs with the
+    /// run's [`SchedStats`], for a `make` that need not be shared
+    /// across threads. Panics with the [`SchedError`] message on a
+    /// virtual deadlock.
     pub fn run_tasks_with_stats<T, F>(
         &self,
         size: usize,
@@ -561,50 +552,14 @@ impl EventEngine {
         T::Out: Send + 'static,
         F: Fn(usize, usize) -> T,
     {
-        match self.try_run_tasks_with_stats(size, plan, make) {
-            Ok(out) => out,
+        let run = self.run_core(size, plan, make, false);
+        match run.outputs {
+            Ok(outs) => (outs, run.stats.expect("the event engine counts")),
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// Like [`run_tasks_with_stats`](EventEngine::run_tasks_with_stats),
-    /// but a virtual deadlock is a structured [`SchedError::Deadlock`]
-    /// naming the blocked ranks and their wait cycles, instead of a
-    /// panic.
-    pub fn try_run_tasks_with_stats<T, F>(
-        &self,
-        size: usize,
-        plan: FaultPlan,
-        make: F,
-    ) -> SchedOutcome<T::Out>
-    where
-        T: RankTask + Send,
-        T::Out: Send + 'static,
-        F: Fn(usize, usize) -> T,
-    {
-        let (outputs, stats, _) = self.run_core(size, plan, make, false);
-        outputs.map(|outs| (outs, stats))
-    }
-
-    /// Run with the happens-before trace hook armed. The trace (and
-    /// everything else) is byte-identical across worker-pool sizes, and
-    /// is returned even when the run deadlocks — so the analyzer can
-    /// name the wait cycle.
-    pub fn run_tasks_traced<T, F>(&self, size: usize, plan: FaultPlan, make: F) -> TracedRun<T::Out>
-    where
-        T: RankTask + Send,
-        T::Out: Send + 'static,
-        F: Fn(usize, usize) -> T,
-    {
-        let (outputs, stats, trace) = self.run_core(size, plan, make, true);
-        TracedRun {
-            outputs,
-            stats: Some(stats),
-            trace,
-        }
-    }
-
-    fn run_core<T, F>(&self, size: usize, plan: FaultPlan, make: F, tracing: bool) -> CoreRun<T::Out>
+    fn run_core<T, F>(&self, size: usize, plan: FaultPlan, make: F, tracing: bool) -> Run<T::Out>
     where
         T: RankTask + Send,
         T::Out: Send + 'static,
@@ -786,7 +741,11 @@ impl EventEngine {
             .counter_volatile("mpisim.ranks_lost")
             .add(stats.ranks_lost);
 
-        (outcome, stats, trace)
+        Run {
+            outputs: outcome,
+            stats: Some(stats),
+            trace,
+        }
     }
 }
 
@@ -795,45 +754,20 @@ impl Executor for EventEngine {
         "event"
     }
 
-    fn run_tasks<T, F>(&self, size: usize, plan: FaultPlan, make: F) -> Vec<Option<T::Out>>
+    fn run<T, F>(&self, size: usize, plan: FaultPlan, make: F, trace: bool) -> Run<T::Out>
     where
         T: RankTask + Send,
         T::Out: Send + 'static,
         F: Fn(usize, usize) -> T + Send + Sync + 'static,
     {
-        self.run_tasks_with_stats(size, plan, make).0
-    }
-
-    fn try_run_tasks<T, F>(
-        &self,
-        size: usize,
-        plan: FaultPlan,
-        make: F,
-    ) -> Result<Vec<Option<T::Out>>, SchedError>
-    where
-        T: RankTask + Send,
-        T::Out: Send + 'static,
-        F: Fn(usize, usize) -> T + Send + Sync + 'static,
-    {
-        self.try_run_tasks_with_stats(size, plan, make)
-            .map(|(outs, _)| outs)
-    }
-
-    fn run_tasks_traced<T, F>(&self, size: usize, plan: FaultPlan, make: F) -> TracedRun<T::Out>
-    where
-        T: RankTask + Send,
-        T::Out: Send + 'static,
-        F: Fn(usize, usize) -> T + Send + Sync + 'static,
-    {
-        EventEngine::run_tasks_traced(self, size, plan, make)
+        self.run_core(size, plan, make, trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::ResilienceOptions;
-    use crate::task::{ReduceTask, Topology};
+    use crate::task::{ReduceTask, ResilienceOptions, Topology};
     use std::time::Duration;
 
     type SumOutputs = Vec<Option<Option<(u64, crate::ReduceCoverage)>>>;
@@ -975,7 +909,8 @@ mod tests {
             fn into_output(self) {}
         }
         let err = EventEngine::new()
-            .try_run_tasks_with_stats(1, FaultPlan::new(), |_, _| WaitForever)
+            .run(1, FaultPlan::new(), |_, _| WaitForever, false)
+            .outputs
             .unwrap_err();
         let SchedError::Deadlock {
             cycles, blocked, ..
@@ -1004,7 +939,8 @@ mod tests {
         }
         // A 3-cycle: 0 waits on 1 waits on 2 waits on 0.
         let err = EventEngine::new()
-            .try_run_tasks_with_stats(3, FaultPlan::new(), |rank, size| WaitOn((rank + 1) % size))
+            .run(3, FaultPlan::new(), |rank, size| WaitOn((rank + 1) % size), false)
+            .outputs
             .unwrap_err();
         let SchedError::Deadlock {
             cycles, blocked, ..
@@ -1026,7 +962,7 @@ mod tests {
         };
         let run = |workers: usize| {
             let engine = EventEngine::with_workers(workers);
-            engine.run_tasks_traced(64, plan(), move |rank, size| {
+            let make = move |rank, size| {
                 ReduceTask::new(
                     rank,
                     size,
@@ -1035,7 +971,8 @@ mod tests {
                     |a: u64, b: u64| a + b,
                     ResilienceOptions::default(),
                 )
-            })
+            };
+            engine.run(64, plan(), make, true)
         };
         let base = run(1);
         let (outs, stats) = sum_reduce(

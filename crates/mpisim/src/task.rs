@@ -1,40 +1,42 @@
 //! Ranks as resumable state machines.
 //!
-//! The thread-per-rank world (`world.rs`) caps realistic runs at a few
-//! hundred ranks: every simulated rank costs an OS thread, a stack, and
-//! real wall-clock time for every timeout it waits out. To reach the
-//! cluster-scale rank counts the paper measures (1 000–16 000), ranks
-//! must instead be *resumable state machines*: a [`RankTask`] owns its
-//! protocol state, is advanced one communication event at a time, and
-//! between events occupies nothing but its own struct.
+//! Every simulated rank is a [`RankTask`]: it owns its protocol state,
+//! is advanced one communication event at a time, and between events
+//! occupies nothing but its own struct. That is what lets the world
+//! reach the cluster-scale rank counts the paper measures (1 000–16 000)
+//! in one process.
 //!
 //! The same task runs on two engines behind the [`Executor`] trait:
 //!
-//! * [`ThreadEngine`](crate::world::ThreadEngine) — one OS thread per
-//!   rank, blocking channel receives, wall-clock timeouts. The original
-//!   execution model; still the reference for equivalence tests.
 //! * [`EventEngine`](crate::sched::EventEngine) — a deterministic
 //!   virtual-clock event loop (see `sched.rs`): timeouts and delays are
 //!   heap events costing zero wall-clock time, and 16k ranks fit in one
 //!   process comfortably.
+//! * [`ThreadEngine`](crate::world::ThreadEngine) — one OS thread per
+//!   rank, blocking channel receives, wall-clock timeouts.
 //!
 //! The centerpiece task is [`ReduceTask`]: the paper's binomial-tree
-//! reduction (§IV-C) with the fault-tolerant coverage semantics of
-//! [`reduce_tree_resilient`](crate::collectives::reduce_tree_resilient),
-//! generalized over a [`Topology`] — flat, or node-local two-level
-//! pre-reduction (intra-node merge, then a cross-node binomial tree, as
-//! in the Caliper/Benchpark MPI-communication-patterns study). Both the
-//! blocking function and the event engine drive *this* state machine,
-//! so there is exactly one implementation of the collective to trust.
+//! reduction (§IV-C) — "'leaf' processes send the local aggregation
+//! results to their parent, where the partial results are aggregated
+//! again" — made fault-tolerant and generalized over a [`Topology`]:
+//! flat, or node-local two-level pre-reduction (intra-node merge, then
+//! a cross-node binomial tree, as in the Caliper/Benchpark
+//! MPI-communication-patterns study). Both engines drive *this* state
+//! machine, so there is exactly one implementation of the collective to
+//! trust.
 
 use std::any::Any;
 use std::time::Duration;
 
-use crate::collectives::{ReduceCoverage, ResilienceOptions, TAG_RESIL};
 use crate::comm::{CommError, Tag};
 use crate::fault::FaultPlan;
-use crate::sched::SchedError;
-use crate::trace::TracedRun;
+use crate::sched::{SchedError, SchedStats};
+use crate::trace::HbTrace;
+
+/// Base tag of the reduction; each tree level uses its own tag
+/// (`TAG_RESIL + level`) so a straggler's late message from one level
+/// can never be mistaken for traffic of a later one.
+const TAG_RESIL: Tag = 0xC0DE + 0x100;
 
 /// A type-erased message payload, exactly what the thread engine's
 /// channels carry.
@@ -92,8 +94,8 @@ pub enum Action {
 /// Engine services available to a task during a step.
 ///
 /// Sends are non-blocking (buffered) on both engines and count as
-/// communication ops for [`FaultPlan`] scripting, exactly like
-/// [`Comm::send`](crate::Comm::send).
+/// communication ops for [`FaultPlan`] scripting, exactly like the
+/// receives a task asks for with [`Action::Recv`].
 pub trait TaskCtx {
     /// This rank's id.
     fn rank(&self) -> usize;
@@ -111,7 +113,7 @@ pub trait TaskCtx {
 /// through the [`TaskCtx`] and returns the next [`Action`]. A task
 /// must be driven by exactly one engine at a time; it never blocks.
 pub trait RankTask: 'static {
-    /// The per-rank result collected by [`Executor::run_tasks`].
+    /// The per-rank result collected by [`Executor::run`].
     type Out;
 
     /// Advance the state machine by one event.
@@ -133,43 +135,107 @@ pub trait Executor {
     fn name(&self) -> &'static str;
 
     /// Run `make(rank, size)` tasks on all `size` ranks under `plan`.
-    fn run_tasks<T, F>(&self, size: usize, plan: FaultPlan, make: F) -> Vec<Option<T::Out>>
+    ///
+    /// With `trace`, the happens-before hook is armed (see
+    /// [`crate::trace`]) and the [`Run`] carries the recorded
+    /// [`HbTrace`]: on the event engine it is deterministic (virtual
+    /// timestamps, worker-pool invariant) and survives a deadlock; on
+    /// the thread engine timestamps are wall-clock but the
+    /// happens-before structure is faithful.
+    fn run<T, F>(&self, size: usize, plan: FaultPlan, make: F, trace: bool) -> Run<T::Out>
     where
         T: RankTask + Send,
         T::Out: Send + 'static,
         F: Fn(usize, usize) -> T + Send + Sync + 'static;
+}
 
-    /// Like [`run_tasks`](Executor::run_tasks), but a detected
-    /// scheduling failure is a structured [`SchedError`] instead of a
-    /// panic. Only the event engine can *detect* a virtual deadlock
-    /// (the thread engine's blocked ranks simply block); the default
-    /// implementation therefore just delegates.
-    fn try_run_tasks<T, F>(
-        &self,
-        size: usize,
-        plan: FaultPlan,
-        make: F,
-    ) -> Result<Vec<Option<T::Out>>, SchedError>
-    where
-        T: RankTask + Send,
-        T::Out: Send + 'static,
-        F: Fn(usize, usize) -> T + Send + Sync + 'static,
-    {
-        Ok(self.run_tasks(size, plan, make))
+/// The outcome of one [`Executor::run`]: the per-rank outputs (or the
+/// structured scheduler error a deadlocked event-engine run ends in),
+/// the scheduler stats when the engine has them, and the recorded
+/// trace — which is present *even when the run deadlocked*, so the
+/// analyzer can name the wait cycle.
+#[derive(Debug)]
+pub struct Run<Out> {
+    /// Per-rank outputs in rank order (`None` for killed ranks), or
+    /// the scheduler error that ended the run. Only the event engine
+    /// can *detect* a virtual deadlock; the thread engine's blocked
+    /// ranks simply block.
+    pub outputs: Result<Vec<Option<Out>>, SchedError>,
+    /// Event-engine scheduler stats; `None` on the thread engine.
+    pub stats: Option<SchedStats>,
+    /// The recorded happens-before trace; empty when the run was not
+    /// traced.
+    pub trace: HbTrace,
+}
+
+/// Tuning knobs for [`ReduceTask`].
+///
+/// `timeout` and `backoff` are *base* (tree level 0) values; the
+/// reduction doubles them per level, because a partner at level *l* may
+/// legitimately stall for its own full timeout budget at every level
+/// below before it can forward. With doubling, the budget at level *l*
+/// strictly exceeds the sum of all lower-level budgets, so cascaded
+/// waits below a slow-but-alive partner never get misread as a death.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResilienceOptions {
+    /// Base wait per receive before suspecting the partner.
+    pub timeout: Duration,
+    /// Additional receive attempts after the first timeout. Retries
+    /// exist for stragglers, not corpses: a delayed partner's message
+    /// arrives during a retry, a dead partner's never does.
+    pub retries: u32,
+    /// Extra wait added per retry attempt (linear backoff): attempt
+    /// *n* waits `timeout + n * backoff`.
+    pub backoff: Duration,
+}
+
+impl Default for ResilienceOptions {
+    fn default() -> ResilienceOptions {
+        ResilienceOptions {
+            timeout: Duration::from_millis(250),
+            retries: 2,
+            backoff: Duration::from_millis(100),
+        }
+    }
+}
+
+impl ResilienceOptions {
+    /// Worst-case total wait for one level-0 partner before declaring
+    /// it lost. (At level *l* the budget is this, times `2^l`.)
+    pub fn total_wait(&self) -> Duration {
+        let mut total = Duration::ZERO;
+        for attempt in 0..=self.retries {
+            total += self.timeout + self.backoff * attempt;
+        }
+        total
     }
 
-    /// Run with the happens-before trace hook armed (see
-    /// [`crate::trace`]): returns the outputs *and* the recorded
-    /// [`HbTrace`](crate::trace::HbTrace) for offline analysis. On the
-    /// event engine the trace is deterministic (virtual timestamps,
-    /// worker-pool invariant) and survives a deadlock; on the thread
-    /// engine timestamps are wall-clock but the happens-before
-    /// structure is faithful.
-    fn run_tasks_traced<T, F>(&self, size: usize, plan: FaultPlan, make: F) -> TracedRun<T::Out>
-    where
-        T: RankTask + Send,
-        T::Out: Send + 'static,
-        F: Fn(usize, usize) -> T + Send + Sync + 'static;
+    /// The options with timeout and backoff scaled for tree `level`.
+    fn at_level(&self, level: u32) -> ResilienceOptions {
+        let scale = 1u32 << level.min(20); // 2^20 × base ≫ any sane tree
+        ResilienceOptions {
+            timeout: self.timeout * scale,
+            retries: self.retries,
+            backoff: self.backoff * scale,
+        }
+    }
+}
+
+/// Which ranks' contributions made it into a reduction.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReduceCoverage {
+    /// Ranks whose values are folded into the result, ascending.
+    pub included: Vec<usize>,
+    /// Ranks whose values were lost (dead, or stranded behind a dead
+    /// ancestor), ascending. Complement of `included` in `0..size`.
+    pub lost: Vec<usize>,
+}
+
+impl ReduceCoverage {
+    /// True if every rank's contribution arrived.
+    pub fn is_complete(&self) -> bool {
+        self.lost.is_empty()
+    }
 }
 
 /// Reduction tree shape.
@@ -283,18 +349,32 @@ pub(crate) fn reduce_schedule(rank: usize, size: usize, topology: Topology) -> V
     }
 }
 
-/// The fault-tolerant tree reduction as a [`RankTask`] — the single
-/// implementation behind
-/// [`reduce_tree_resilient`](crate::collectives::reduce_tree_resilient)
-/// (blocking, thread engine) and every event-engine reduction.
+/// The fault-tolerant binomial-tree reduction toward rank 0, as a
+/// [`RankTask`] — the one reduction of the crate, on either engine.
 ///
-/// Semantics are those documented on `reduce_tree_resilient`: bounded,
-/// retried receives with per-level budget doubling; silent partners are
-/// written off with their whole subtree; the payload carries the set of
-/// ranks folded in, so the root's [`ReduceCoverage`] is exact. `init`
-/// produces the rank's local value lazily on the first step, so on the
-/// event engine the (possibly expensive) local phase runs inside the
-/// scheduler's worker pool.
+/// Dead subtrees are routed around instead of deadlocking or aborting
+/// the survivors:
+///
+/// * every internal receive is bounded and retried per
+///   [`ResilienceOptions`], with per-level budget doubling; a partner
+///   that stays silent is written off and the reduction continues
+///   without its subtree;
+/// * the payload carries, alongside the partial value, the list of
+///   ranks folded into it, so the root's [`ReduceCoverage`] states
+///   *exactly* which contributions the result covers.
+///
+/// Rank 0's output is `Some((merged, coverage))`, every other rank's
+/// `None`. When a partner dies *mid*-protocol (after receiving its
+/// children's values, before forwarding), its whole subtree is lost
+/// with it — the coverage charges every rank of that subtree, exactly
+/// the values the dead rank had already absorbed. The merge order is
+/// the tree order restricted to surviving subtrees, so for an
+/// associative `merge` the result equals the serial in-order fold over
+/// `coverage.included`.
+///
+/// `init` produces the rank's local value lazily on the first step, so
+/// on the event engine the (possibly expensive) local phase runs inside
+/// the scheduler's worker pool.
 pub struct ReduceTask<T, F, I> {
     rank: usize,
     size: usize,

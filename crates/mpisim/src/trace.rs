@@ -1,9 +1,11 @@
 //! Structured happens-before communication traces.
 //!
-//! Both execution engines can record, behind a hook that costs nothing
-//! when disarmed, every communication-relevant event a rank performs:
-//! sends (including refused sends to dead peers), receive posts,
-//! matches, timeout firings, scripted kills, and task completion. The
+//! Both execution engines can record — when
+//! [`Executor::run`](crate::task::Executor::run) is asked to trace,
+//! behind a hook that costs nothing otherwise — every
+//! communication-relevant event a rank performs: sends (including
+//! refused sends to dead peers), receive posts, matches, timeout
+//! firings, scripted kills, and task completion. The
 //! result is an [`HbTrace`]: one event list per rank, in that rank's
 //! program order, which is exactly the input the offline
 //! happens-before analyzer ([`crate::hb`]) needs — program order plus
@@ -17,13 +19,7 @@
 //! but timestamps are wall-clock nanoseconds and therefore vary run to
 //! run; the happens-before *structure* (which the analyzer consumes) is
 //! still faithful.
-//!
-//! The trace doubles as a dataset: [`HbTrace::write_cali`] renders it
-//! as text `.cali` records (`mpisim.rank`, `hb.event`, `hb.time.ns`,
-//! `hb.clock`, `hb.peer`, `hb.tag`) so `cali-query` can aggregate a
-//! communication schedule like any other profile.
 
-use std::io::{self, Write};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -83,7 +79,7 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    /// Short stable name, used by the `.cali` dump and reports.
+    /// Short stable name, used by trace dumps and reports.
     pub fn name(&self) -> &'static str {
         match self {
             TraceKind::Start => "start",
@@ -132,7 +128,8 @@ pub struct TraceEvent {
 }
 
 /// A complete happens-before trace of one run: per-rank event lists in
-/// program order. Build one with the engines' `run_tasks_traced`.
+/// program order. An [`Executor::run`](crate::task::Executor::run)
+/// with `trace` set records one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HbTrace {
     /// One event list per rank, in that rank's program order.
@@ -187,72 +184,6 @@ impl HbTrace {
             .add(matches + timeouts);
         m.counter_volatile("mpisim.hb.edges.kill").add(kill_edges);
     }
-
-    /// Render the trace as text `.cali` records: one snapshot per
-    /// event carrying `mpisim.rank`, `hb.event`, `hb.time.ns`,
-    /// `hb.clock` (the rank's own clock component, i.e. the event's
-    /// 1-based position in its rank's program order), and — when the
-    /// event names them — `hb.peer` and `hb.tag`. The output is a
-    /// well-formed `.cali` stream `cali-query` aggregates directly.
-    pub fn write_cali(&self, mut out: impl Write) -> io::Result<()> {
-        writeln!(
-            out,
-            "__rec=attr,id=0,name=mpisim.rank,type=int,prop=asvalue"
-        )?;
-        writeln!(out, "__rec=attr,id=1,name=hb.event,type=string,prop=asvalue")?;
-        writeln!(
-            out,
-            "__rec=attr,id=2,name=hb.time.ns,type=uint,prop=asvalue\\,aggregatable"
-        )?;
-        writeln!(
-            out,
-            "__rec=attr,id=3,name=hb.clock,type=uint,prop=asvalue\\,aggregatable"
-        )?;
-        writeln!(out, "__rec=attr,id=4,name=hb.peer,type=int,prop=asvalue")?;
-        writeln!(out, "__rec=attr,id=5,name=hb.tag,type=uint,prop=asvalue")?;
-        for (rank, events) in self.events.iter().enumerate() {
-            for (i, ev) in events.iter().enumerate() {
-                write!(
-                    out,
-                    "__rec=ctx,attr=0,data={rank},attr=1,data={},attr=2,data={},attr=3,data={}",
-                    ev.kind.name(),
-                    ev.at_ns,
-                    i + 1
-                )?;
-                if let Some(peer) = ev.kind.peer() {
-                    write!(out, ",attr=4,data={peer}")?;
-                }
-                if let Some(tag) = ev.kind.tag() {
-                    write!(out, ",attr=5,data={tag}")?;
-                }
-                writeln!(out)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`write_cali`](HbTrace::write_cali) into a fresh string.
-    pub fn to_cali_string(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_cali(&mut buf).expect("write to Vec cannot fail");
-        String::from_utf8(buf).expect("trace dump is ASCII")
-    }
-}
-
-/// The outcome of a traced run: the per-rank outputs (or the structured
-/// scheduler error a deadlocked event-engine run ends in), the
-/// scheduler stats when the engine has them, and the recorded trace —
-/// which is present *even when the run deadlocked*, so the analyzer can
-/// name the wait cycle.
-#[derive(Debug)]
-pub struct TracedRun<Out> {
-    /// Per-rank outputs in rank order (`None` for killed ranks), or
-    /// the scheduler error that ended the run.
-    pub outputs: Result<Vec<Option<Out>>, crate::sched::SchedError>,
-    /// Event-engine scheduler stats; `None` on the thread engine.
-    pub stats: Option<crate::sched::SchedStats>,
-    /// The recorded happens-before trace.
-    pub trace: HbTrace,
 }
 
 /// Shared trace collector for the thread engine: one mutex-guarded
@@ -301,36 +232,6 @@ impl SharedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cali_dump_is_wellformed_and_readable() {
-        let mut trace = HbTrace::new(2);
-        trace.events[0].push(TraceEvent {
-            kind: TraceKind::Start,
-            at_ns: 0,
-        });
-        trace.events[0].push(TraceEvent {
-            kind: TraceKind::Send {
-                dest: 1,
-                tag: 7,
-                ok: true,
-            },
-            at_ns: 10,
-        });
-        trace.events[1].push(TraceEvent {
-            kind: TraceKind::Match {
-                src: 0,
-                tag: 7,
-                wildcard: false,
-            },
-            at_ns: 1_010,
-        });
-        let text = trace.to_cali_string();
-        let ds = caliper_format::cali::from_bytes(text.as_bytes()).expect("dump parses");
-        assert_eq!(ds.len(), 3);
-        assert!(text.contains("attr=1,data=send,"));
-        assert!(text.contains("attr=4,data=1"));
-    }
 
     #[test]
     fn shared_trace_collects_per_rank_in_order() {

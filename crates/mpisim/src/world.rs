@@ -1,73 +1,65 @@
-//! The world launcher: runs N ranks as OS threads.
+//! The thread engine: runs N ranks as OS threads.
 //!
-//! This is the original execution model, kept as the reference engine:
-//! every rank is an OS thread, receives block on channels, and timeouts
-//! cost real wall-clock time. [`ThreadEngine`] exposes it behind the
-//! [`Executor`] trait so the same [`RankTask`] state machines run here
-//! and on the virtual-clock [`EventEngine`](crate::sched::EventEngine);
-//! [`drive_task`] is the blocking driver that adapts a task to a
-//! [`Comm`].
+//! Every rank is an OS thread, its receives block on channels (a
+//! crate-private `Comm`), and timeouts cost real wall-clock time.
+//! [`ThreadEngine`] runs the same [`RankTask`] state machines as the
+//! virtual-clock [`EventEngine`](crate::sched::EventEngine), behind the
+//! same [`Executor`] trait: a private driver turns each
+//! [`Action::Recv`] into one blocking receive, each [`TaskCtx::send`]
+//! into one channel send.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Once};
 
 use crossbeam::channel::unbounded;
 
-use crate::comm::{Comm, CommError, Packet, Tag};
+use crate::comm::{Comm, CommError, Tag};
 use crate::fault::{FaultPlan, RankKilled};
-use crate::task::{Action, Executor, Payload, RankTask, TaskCtx, Wake};
-use crate::trace::{SharedTrace, TraceKind, TracedRun};
+use crate::task::{Action, Executor, Msg, Payload, RankTask, Run, TaskCtx, Wake};
+use crate::trace::{HbTrace, SharedTrace, TraceKind};
 
-/// Run `body` on `size` simulated ranks, each on its own thread, and
-/// collect the per-rank return values in rank order.
-///
-/// Panics in any rank propagate (the world aborts with that panic), so
-/// test assertions inside ranks behave as expected.
-pub fn run<R, F>(size: usize, body: F) -> Vec<R>
-where
-    R: Send + 'static,
-    F: Fn(Comm) -> R + Send + Sync + 'static,
-{
-    launch(size, None, None, body)
-        .into_iter()
-        .enumerate()
-        .map(|(rank, r)| match r {
-            Ok(r) => r,
-            Err(e) => resume_rank_panic(rank, e),
-        })
-        .collect()
+/// The thread-per-rank engine behind the [`Executor`] trait: one OS
+/// thread per rank, blocking receives, wall-clock timeouts. Accurate to
+/// real concurrency (including races) but capped at a few hundred
+/// ranks; use [`EventEngine`](crate::sched::EventEngine) beyond that.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ThreadEngine;
+
+impl Executor for ThreadEngine {
+    fn name(&self) -> &'static str {
+        "threads"
+    }
+
+    fn run<T, F>(&self, size: usize, plan: FaultPlan, make: F, trace: bool) -> Run<T::Out>
+    where
+        T: RankTask + Send,
+        T::Out: Send + 'static,
+        F: Fn(usize, usize) -> T + Send + Sync + 'static,
+    {
+        let shared = trace.then(|| Arc::new(SharedTrace::new(size)));
+        let outputs = launch(size, plan, shared.clone(), move |comm| {
+            let task = make(comm.rank(), comm.size());
+            drive_task(comm, task)
+        });
+        let trace = shared.map_or_else(HbTrace::default, |shared| {
+            Arc::try_unwrap(shared)
+                .expect("all rank threads joined, no collector clones remain")
+                .into_trace()
+        });
+        Run {
+            outputs: Ok(outputs),
+            stats: None,
+            trace,
+        }
+    }
 }
 
-/// Run `body` on `size` simulated ranks under a scripted [`FaultPlan`].
-///
-/// Ranks the plan kills unwind at their scripted communication op and
-/// contribute `None`; every surviving rank's return value comes back as
-/// `Some(..)`, in rank order. A rank that panics for any *other* reason
-/// still propagates — fault injection must not swallow genuine bugs in
-/// rank code (including test assertions).
-///
-/// ```
-/// use mpisim::{run_with_faults, FaultPlan};
-///
-/// let out = run_with_faults(3, FaultPlan::new().kill(1, 0), |mut comm| {
-///     if comm.rank() == 1 {
-///         // First comm op: scripted death, never returns.
-///         let _ = comm.send(0, 0, ());
-///     }
-///     comm.rank()
-/// });
-/// assert_eq!(out, vec![Some(0), None, Some(2)]);
-/// ```
-pub fn run_with_faults<R, F>(size: usize, plan: FaultPlan, body: F) -> Vec<Option<R>>
-where
-    R: Send + 'static,
-    F: Fn(Comm) -> R + Send + Sync + 'static,
-{
-    run_with_faults_inner(size, plan, None, body)
-}
-
-/// [`run_with_faults`] with an optional armed trace collector.
-fn run_with_faults_inner<R, F>(
+/// Runs `body` on `size` ranks, each on its own thread over its own
+/// [`Comm`], under `plan`, and collects the return values in rank
+/// order: `None` for a rank the plan killed. A rank that panics for any
+/// *other* reason propagates — fault injection must not swallow genuine
+/// bugs in rank code (including test assertions).
+fn launch<R, F>(
     size: usize,
     plan: FaultPlan,
     trace: Option<Arc<SharedTrace>>,
@@ -75,20 +67,45 @@ fn run_with_faults_inner<R, F>(
 ) -> Vec<Option<R>>
 where
     R: Send + 'static,
-    F: Fn(Comm) -> R + Send + Sync + 'static,
+    F: Fn(&mut Comm) -> R + Send + Sync + 'static,
 {
+    assert!(size > 0, "world size must be positive");
     if plan.has_kills() {
         silence_injected_kill_panics();
     }
-    let faults = if plan.is_empty() {
-        None
-    } else {
-        Some(Arc::new(plan))
-    };
-    launch(size, faults, trace, body)
+    let faults = (!plan.is_empty()).then(|| Arc::new(plan));
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..size).map(|_| unbounded::<Msg>()).unzip();
+    let inboxes = Arc::new(senders);
+    let body = Arc::new(body);
+
+    let handles: Vec<_> = receivers
         .into_iter()
         .enumerate()
-        .map(|(rank, r)| match r {
+        .map(|(rank, inbox)| {
+            let (inboxes, body) = (Arc::clone(&inboxes), Arc::clone(&body));
+            let (faults, trace) = (faults.clone(), trace.clone());
+            std::thread::Builder::new()
+                .name(format!("rank-{rank}"))
+                .spawn(move || {
+                    let mut comm = Comm::new(rank, size, inboxes, inbox, faults, trace);
+                    comm.rec(TraceKind::Start);
+                    // Catch the unwind here, so the thread returns and
+                    // drops the Comm (and with it the rank's inbox
+                    // receiver) the moment the rank dies — that drop is
+                    // what lets survivors see sends to this rank fail.
+                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| body(&mut comm)));
+                    if out.is_ok() {
+                        comm.rec(TraceKind::Done);
+                    }
+                    out
+                })
+                .expect("spawn rank thread")
+        })
+        .collect();
+    handles
+        .into_iter()
+        .enumerate()
+        .map(|(rank, h)| match h.join().unwrap_or_else(Err) {
             Ok(r) => Some(r),
             Err(e) if e.is::<RankKilled>() => {
                 caliper_data::metrics::global()
@@ -96,92 +113,34 @@ where
                     .inc();
                 None
             }
-            Err(e) => resume_rank_panic(rank, e),
+            Err(e) => std::panic::resume_unwind(Box::new(format!(
+                "rank {rank} panicked: {:?}",
+                e.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+            ))),
         })
         .collect()
 }
 
-/// Spawns the rank threads and joins them, returning each rank's
-/// outcome: its return value, or the panic payload it unwound with.
-fn launch<R, F>(
-    size: usize,
-    faults: Option<Arc<FaultPlan>>,
-    trace: Option<Arc<SharedTrace>>,
-    body: F,
-) -> Vec<Result<R, Box<dyn std::any::Any + Send>>>
-where
-    R: Send + 'static,
-    F: Fn(Comm) -> R + Send + Sync + 'static,
-{
-    assert!(size > 0, "world size must be positive");
-    let mut senders = Vec::with_capacity(size);
-    let mut receivers = Vec::with_capacity(size);
-    for _ in 0..size {
-        let (tx, rx) = unbounded::<Packet>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let inboxes = Arc::new(senders);
-    let body = Arc::new(body);
-
-    let mut handles = Vec::with_capacity(size);
-    for (rank, inbox) in receivers.into_iter().enumerate() {
-        let inboxes = Arc::clone(&inboxes);
-        let body = Arc::clone(&body);
-        let faults = faults.clone();
-        let trace = trace.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .spawn(move || {
-                    let mut comm = Comm::new(rank, size, inboxes, inbox, faults);
-                    if let Some(t) = &trace {
-                        comm.set_trace(Arc::clone(t));
-                        t.record(rank, TraceKind::Start);
-                    }
-                    // Catch the unwind here so the Comm (and with it the
-                    // rank's inbox receiver) is dropped the moment the
-                    // rank dies — that drop is what lets survivors see
-                    // sends to this rank fail.
-                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| body(comm)));
-                    if let (Some(t), Ok(_)) = (&trace, &out) {
-                        t.record(rank, TraceKind::Done);
-                    }
-                    out
-                })
-                .expect("spawn rank thread"),
-        );
-    }
-    handles
-        .into_iter()
-        .map(|h| h.join().unwrap_or_else(|e| Err(e)))
-        .collect()
-}
-
-/// Drives a [`RankTask`] to completion against a blocking [`Comm`] —
-/// the thread engine's half of the shared-collectives contract. Every
-/// [`Action::Recv`] becomes one (bounded or unbounded) blocking receive
-/// and counts one communication op, every [`TaskCtx::send`] one send
-/// op, so [`FaultPlan`] schedules mean the same thing here as on the
-/// event engine.
-pub fn drive_task<T: RankTask>(comm: &mut Comm, mut task: T) -> T::Out {
+/// Drives a [`RankTask`] to completion against a blocking [`Comm`].
+/// Every [`Action::Recv`] becomes one (bounded or unbounded) blocking
+/// receive and counts one communication op, every [`TaskCtx::send`] one
+/// send op, so [`FaultPlan`] schedules mean the same thing here as on
+/// the event engine.
+fn drive_task<T: RankTask>(comm: &mut Comm, mut task: T) -> T::Out {
     let mut wake = Wake::Start;
     loop {
-        let action = {
-            let mut ctx = CommTaskCtx { comm };
-            task.step(&mut ctx, wake)
-        };
-        match action {
+        match task.step(&mut CommTaskCtx { comm }, wake) {
             Action::Done => return task.into_output(),
             Action::Recv { src, tag, timeout } => {
-                wake = match comm.recv_msg(src, tag, timeout) {
-                    Ok(msg) => Wake::Message(msg),
-                    Err(e) if e.is_timeout() => Wake::Timeout,
-                    // The inbox cannot disconnect while this rank lives
-                    // (it holds every sender, its own included); a
-                    // shutdown race is indistinguishable from silence.
-                    Err(_) => Wake::Timeout,
-                };
+                // The inbox cannot disconnect while this rank lives (it
+                // holds every sender, its own included), so an error is
+                // a timeout, or a shutdown race indistinguishable from
+                // silence.
+                wake = comm
+                    .recv_msg(src, tag, timeout)
+                    .map_or(Wake::Timeout, Wake::Message);
             }
         }
     }
@@ -203,61 +162,6 @@ impl TaskCtx for CommTaskCtx<'_> {
     fn send(&mut self, dest: usize, tag: Tag, payload: Payload) -> Result<(), CommError> {
         self.comm.send_payload(dest, tag, payload)
     }
-}
-
-/// The thread-per-rank engine behind the [`Executor`] trait: one OS
-/// thread per rank, blocking receives, wall-clock timeouts. Accurate to
-/// real concurrency (including races) but capped at a few hundred
-/// ranks; use [`EventEngine`](crate::sched::EventEngine) beyond that.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadEngine;
-
-impl Executor for ThreadEngine {
-    fn name(&self) -> &'static str {
-        "threads"
-    }
-
-    fn run_tasks<T, F>(&self, size: usize, plan: FaultPlan, make: F) -> Vec<Option<T::Out>>
-    where
-        T: RankTask + Send,
-        T::Out: Send + 'static,
-        F: Fn(usize, usize) -> T + Send + Sync + 'static,
-    {
-        run_with_faults(size, plan, move |mut comm| {
-            let task = make(comm.rank(), comm.size());
-            drive_task(&mut comm, task)
-        })
-    }
-
-    fn run_tasks_traced<T, F>(&self, size: usize, plan: FaultPlan, make: F) -> TracedRun<T::Out>
-    where
-        T: RankTask + Send,
-        T::Out: Send + 'static,
-        F: Fn(usize, usize) -> T + Send + Sync + 'static,
-    {
-        let shared = Arc::new(SharedTrace::new(size));
-        let outputs = run_with_faults_inner(size, plan, Some(Arc::clone(&shared)), move |mut comm| {
-            let task = make(comm.rank(), comm.size());
-            drive_task(&mut comm, task)
-        });
-        let trace = Arc::try_unwrap(shared)
-            .expect("all rank threads joined, no collector clones remain")
-            .into_trace();
-        TracedRun {
-            outputs: Ok(outputs),
-            stats: None,
-            trace,
-        }
-    }
-}
-
-fn resume_rank_panic(rank: usize, e: Box<dyn std::any::Any + Send>) -> ! {
-    std::panic::resume_unwind(Box::new(format!(
-        "rank {rank} panicked: {:?}",
-        e.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-    )))
 }
 
 /// Installs (once per process) a panic hook that suppresses the default
@@ -292,25 +196,44 @@ mod tests {
             .unwrap_or(0)
     }
 
+    /// Run `body` on `size` fault-free ranks; every rank returns.
+    fn run<R: Send + 'static>(
+        size: usize,
+        body: impl Fn(&mut Comm) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        launch(size, FaultPlan::new(), None, body)
+            .into_iter()
+            .map(|r| r.expect("no rank is killed without faults"))
+            .collect()
+    }
+
+    fn send(comm: &mut Comm, dest: usize, tag: Tag, value: u64) -> Result<(), CommError> {
+        comm.send_payload(dest, tag, Box::new(value))
+    }
+
+    /// A blocking receive of a `u64` from `src` (`None`: any source),
+    /// with its source.
+    fn recv(comm: &mut Comm, src: Option<usize>, tag: Tag) -> (usize, u64) {
+        let msg = comm.recv_msg(src, tag, None).unwrap();
+        (msg.src, *msg.payload.downcast::<u64>().unwrap())
+    }
+
     #[test]
-    fn faults_and_messages_feed_the_metrics_registry() {
+    fn a_killed_rank_is_none_and_feeds_the_metrics_registry() {
         // Other tests in this process also send messages and kill
         // ranks, so assert on deltas, not absolute values.
         let msgs_before = global_counter("mpisim.comm.messages");
         let lost_before = global_counter("mpisim.ranks_lost");
-        let out = run_with_faults(3, FaultPlan::new().kill(2, 0), |mut comm| {
+        let out = launch(3, FaultPlan::new().kill(2, 0), None, |comm| {
             match comm.rank() {
-                0 => {
-                    let v: u64 = comm.recv(1, 0).unwrap();
-                    v
-                }
+                0 => recv(comm, Some(1), 0).1,
                 1 => {
-                    comm.send(0, 0, 17u64).unwrap();
+                    send(comm, 0, 0, 17).unwrap();
                     0
                 }
                 _ => {
-                    let _ = comm.send(0, 0, 0u64); // scripted death here
-                    0
+                    let _ = send(comm, 0, 0, 0); // scripted death here
+                    unreachable!("rank 2 is killed at op 0")
                 }
             }
         });
@@ -327,46 +250,47 @@ mod tests {
 
     #[test]
     fn ring_pass() {
-        let sums = run(4, |mut comm| {
+        let sums = run(4, |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send(next, 0, comm.rank() as u64).unwrap();
-            let from_prev: u64 = comm.recv(prev, 0).unwrap();
-            from_prev + comm.rank() as u64
+            send(comm, next, 0, comm.rank() as u64).unwrap();
+            recv(comm, Some(prev), 0).1 + comm.rank() as u64
         });
         assert_eq!(sums, vec![3, 1, 3, 5]);
     }
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let results = run(2, |mut comm| {
+        let results = run(2, |comm| {
             if comm.rank() == 0 {
                 // Send tag 1 first, then tag 0.
-                comm.send(1, 1, "second".to_string()).unwrap();
-                comm.send(1, 0, "first".to_string()).unwrap();
+                send(comm, 1, 1, 2).unwrap();
+                send(comm, 1, 0, 1).unwrap();
                 Vec::new()
             } else {
                 // Receive in the opposite order.
-                let a: String = comm.recv(0, 0).unwrap();
-                let b: String = comm.recv(0, 1).unwrap();
-                vec![a, b]
+                vec![recv(comm, Some(0), 0).1, recv(comm, Some(0), 1).1]
             }
         });
-        assert_eq!(results[1], vec!["first", "second"]);
+        assert_eq!(results[1], vec![1, 2]);
     }
 
     #[test]
-    fn recv_any_matches_any_source() {
-        let totals = run(4, |mut comm| {
+    fn wildcard_receive_matches_any_source() {
+        let totals = run(4, |comm| {
             if comm.rank() == 0 {
-                let mut total = 0u64;
+                let mut sources = Vec::new();
+                let mut total = 0;
                 for _ in 1..comm.size() {
-                    let (_, v): (usize, u64) = comm.recv_any(7).unwrap();
+                    let (src, v) = recv(comm, None, 7);
+                    sources.push(src);
                     total += v;
                 }
+                sources.sort_unstable();
+                assert_eq!(sources, vec![1, 2, 3]);
                 total
             } else {
-                comm.send(0, 7, comm.rank() as u64).unwrap();
+                send(comm, 0, 7, comm.rank() as u64).unwrap();
                 0
             }
         });
@@ -375,82 +299,53 @@ mod tests {
 
     #[test]
     fn single_rank_world() {
-        let out = run(1, |comm| comm.size());
-        assert_eq!(out, vec![1]);
+        let out = run(1, |comm| (comm.rank(), comm.size()));
+        assert_eq!(out, vec![(0, 1)]);
     }
 
     #[test]
-    fn recv_timeout_bounds_the_wait() {
-        let out = run(2, |mut comm| {
+    fn bounded_receive_times_out() {
+        let out = run(2, |comm| {
             if comm.rank() == 0 {
                 // Rank 1 never sends: the wait must end in a timeout.
                 let err = comm
-                    .recv_timeout::<u64>(1, 9, Duration::from_millis(40))
+                    .recv_msg(Some(1), 9, Some(Duration::from_millis(40)))
                     .unwrap_err();
                 assert!(err.is_timeout(), "{err}");
-                true
-            } else {
-                true
             }
+            true
         });
         assert_eq!(out, vec![true, true]);
     }
 
     #[test]
-    fn killed_rank_maps_to_none_and_faults_dont_leak() {
-        let out = run_with_faults(3, FaultPlan::new().kill(2, 0), |mut comm| {
-            match comm.rank() {
-                0 => {
-                    let v: u64 = comm.recv(1, 0).unwrap();
-                    v
-                }
-                1 => {
-                    comm.send(0, 0, 41u64).unwrap();
-                    1
-                }
-                _ => {
-                    // First op is the scripted death.
-                    let _ = comm.send(0, 0, 99u64);
-                    unreachable!("rank 2 is killed at op 0")
-                }
-            }
-        });
-        assert_eq!(out, vec![Some(41), Some(1), None]);
-    }
-
-    #[test]
     fn delays_make_stragglers_not_corpses() {
         let t0 = std::time::Instant::now();
-        let out = run_with_faults(
-            2,
-            FaultPlan::new().delay(1, 0, Duration::from_millis(50)),
-            |mut comm| {
-                if comm.rank() == 0 {
-                    comm.recv::<u64>(1, 0).unwrap()
-                } else {
-                    comm.send(0, 0, 7u64).unwrap();
-                    7
-                }
-            },
-        );
+        let plan = FaultPlan::new().delay(1, 0, Duration::from_millis(50));
+        let out = launch(2, plan, None, |comm| {
+            if comm.rank() == 0 {
+                recv(comm, Some(1), 0).1
+            } else {
+                send(comm, 0, 0, 7).unwrap();
+                7
+            }
+        });
         assert_eq!(out, vec![Some(7), Some(7)]);
         assert!(t0.elapsed() >= Duration::from_millis(50));
     }
 
     #[test]
     fn sends_to_a_dead_rank_eventually_disconnect() {
-        let out = run_with_faults(2, FaultPlan::new().kill(1, 0), |mut comm| {
+        let out = launch(2, FaultPlan::new().kill(1, 0), None, |comm| {
             if comm.rank() == 0 {
                 // Rank 1 dies on its first op; once its inbox is gone our
                 // sends fail. Retry until the death becomes observable.
-                loop {
-                    if comm.send(1, 0, 1u64).is_err() {
-                        return true;
-                    }
+                while send(comm, 1, 0, 1).is_ok() {
                     std::thread::sleep(Duration::from_millis(1));
                 }
+                true
             } else {
-                let _ = comm.recv::<u64>(0, 0);
+                let _ = recv(comm, Some(0), 0);
                 unreachable!("rank 1 is killed at op 0")
             }
         });

@@ -45,7 +45,7 @@ fn reduce_render<E: Executor>(
     } else {
         Topology::Flat
     };
-    let outs = engine.run_tasks(size, plan, move |rank, size| {
+    let make = move |rank, size| {
         ReduceTask::new(
             rank,
             size,
@@ -54,8 +54,8 @@ fn reduce_render<E: Executor>(
             |a, b| a + &b,
             opts,
         )
-    });
-    format!("{outs:?}")
+    };
+    format!("{:?}", engine.run(size, plan, make, false).outputs.unwrap())
 }
 
 proptest! {

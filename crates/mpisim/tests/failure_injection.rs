@@ -1,17 +1,16 @@
 //! Failure injection for the simulated MPI world: scripted rank deaths
-//! and delays against the tree reduction.
+//! and delays against the tree reduction, on the thread engine (real
+//! threads, wall-clock timeouts).
 //!
 //! The deadlock regression and lost-set tests here pin the failure
 //! model documented in DESIGN.md: a dead rank makes its parent's
-//! bounded receive time out (never hang), and the resilient reduction
-//! reports *exactly* which ranks' contributions the merged result
-//! covers.
+//! bounded receive time out (never hang), and the reduction reports
+//! *exactly* which ranks' contributions the merged result covers.
 
 use std::time::Duration;
 
 use mpisim::{
-    reduce_tree, reduce_tree_resilient, FaultPlan, ReduceCoverage, ResilienceOptions, run,
-    run_with_faults,
+    Executor, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, ThreadEngine, Topology,
 };
 
 /// Runs `f` on a watchdog thread; panics if it does not finish within
@@ -45,21 +44,47 @@ fn bits_of(ranks: &[usize]) -> u64 {
     ranks.iter().map(|&r| rank_bit(r)).fold(0, |a, b| a | b)
 }
 
+type Outputs = Vec<Option<Option<(u64, ReduceCoverage)>>>;
+
+/// The rank-bit reduction on `size` threads under `plan`, each rank's
+/// output (`None` for a killed rank), under the deadline watchdog.
+fn reduce_bits(size: usize, plan: FaultPlan, opts: ResilienceOptions, limit: Duration) -> Outputs {
+    with_deadline(limit, move || {
+        let make = move |rank, size| {
+            ReduceTask::new(
+                rank,
+                size,
+                Topology::Flat,
+                move || rank_bit(rank),
+                |a, b| a | b,
+                opts,
+            )
+        };
+        ThreadEngine
+            .run(size, plan, make, false)
+            .outputs
+            .expect("the thread engine detects no deadlock")
+    })
+}
+
+/// The root's merged value and coverage.
+fn root(outputs: &Outputs) -> &(u64, ReduceCoverage) {
+    outputs[0]
+        .as_ref()
+        .expect("the root survives")
+        .as_ref()
+        .expect("rank 0 is the root")
+}
+
 #[test]
 fn resilient_reduction_reports_a_killed_leaf_exactly() {
-    let results = with_deadline(Duration::from_secs(20), || {
-        run_with_faults(8, FaultPlan::new().kill(5, 0), |mut comm| {
-            let mine = rank_bit(comm.rank());
-            reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &quick_opts())
-        })
-    });
-    let (merged, coverage) = results[0]
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap();
+    let results = reduce_bits(
+        8,
+        FaultPlan::new().kill(5, 0),
+        quick_opts(),
+        Duration::from_secs(20),
+    );
+    let (merged, coverage) = root(&results);
     assert_eq!(coverage.lost, vec![5], "exact lost set");
     assert_eq!(coverage.included, vec![0, 1, 2, 3, 4, 6, 7]);
     assert_eq!(*merged, bits_of(&coverage.included));
@@ -74,42 +99,36 @@ fn resilient_reduction_loses_a_dead_internal_nodes_subtree() {
     // mid-protocol failure. The root must charge the whole {2, 3}
     // subtree as lost, and the merged value must cover exactly the
     // survivors' contributions.
-    let results = with_deadline(Duration::from_secs(20), || {
-        run_with_faults(8, FaultPlan::new().kill(2, 1), |mut comm| {
-            let mine = rank_bit(comm.rank());
-            reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &quick_opts())
-        })
-    });
+    let results = reduce_bits(
+        8,
+        FaultPlan::new().kill(2, 1),
+        quick_opts(),
+        Duration::from_secs(20),
+    );
     assert!(results[2].is_none());
-    let (merged, coverage) = results[0]
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap();
+    let (merged, coverage) = root(&results);
     assert_eq!(coverage.lost, vec![2, 3]);
     assert_eq!(coverage.included, vec![0, 1, 4, 5, 6, 7]);
     assert_eq!(*merged, bits_of(&coverage.included));
 }
 
 #[test]
-fn resilient_matches_plain_reduction_when_fault_free() {
+fn fault_free_reduction_is_the_in_order_fold() {
     for size in [1usize, 2, 3, 5, 8, 13] {
-        let resilient = run(size, |mut comm| {
-            let mine = rank_bit(comm.rank());
-            reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &ResilienceOptions::default())
-                .unwrap()
-        });
-        let plain = run(size, |mut comm| {
-            let mine = rank_bit(comm.rank());
-            reduce_tree(&mut comm, mine, |a, b| a | b).unwrap()
-        });
-        let (merged, coverage) = resilient[0].clone().unwrap();
-        assert_eq!(Some(merged), plain[0], "size {size}");
+        let results = reduce_bits(
+            size,
+            FaultPlan::new(),
+            ResilienceOptions::default(),
+            Duration::from_secs(20),
+        );
+        let (merged, coverage) = root(&results);
+        let serial = (0..size).map(rank_bit).fold(0, |a, b| a | b);
+        assert_eq!(*merged, serial, "size {size}");
         assert!(coverage.is_complete(), "size {size}: {coverage:?}");
         assert_eq!(coverage.included, (0..size).collect::<Vec<_>>());
-        assert!(resilient[1..].iter().all(Option::is_none));
+        assert!(results[1..]
+            .iter()
+            .all(|out| out.as_ref().unwrap().is_none()));
     }
 }
 
@@ -120,23 +139,9 @@ fn delayed_straggler_is_still_included() {
     // total) comfortably covers the straggler. Nothing may be lost.
     let opts = quick_opts();
     assert!(opts.total_wait() > Duration::from_millis(150));
-    let results = with_deadline(Duration::from_secs(20), move || {
-        run_with_faults(
-            4,
-            FaultPlan::new().delay(1, 0, Duration::from_millis(150)),
-            move |mut comm| {
-                let mine = rank_bit(comm.rank());
-                reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &opts)
-            },
-        )
-    });
-    let (merged, coverage) = results[0]
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap()
-        .as_ref()
-        .unwrap();
+    let plan = FaultPlan::new().delay(1, 0, Duration::from_millis(150));
+    let results = reduce_bits(4, plan, opts, Duration::from_secs(20));
+    let (merged, coverage) = root(&results);
     assert!(coverage.is_complete(), "{coverage:?}");
     assert_eq!(*merged, bits_of(&[0, 1, 2, 3]));
 }
@@ -154,18 +159,17 @@ fn every_single_rank_kill_is_self_consistent() {
         // at ops the victim actually reaches.
         let victim_ops = if victim % 2 == 1 { 1 } else { 2 };
         for op in 0..victim_ops as u64 {
-            let results = with_deadline(Duration::from_secs(30), move || {
-                run_with_faults(size, FaultPlan::new().kill(victim, op), |mut comm| {
-                    let mine = rank_bit(comm.rank());
-                    reduce_tree_resilient(&mut comm, mine, |a, b| a | b, &quick_opts())
-                })
-            });
+            let plan = FaultPlan::new().kill(victim, op);
+            let results = reduce_bits(size, plan, quick_opts(), Duration::from_secs(30));
             assert!(results[victim].is_none(), "victim {victim} op {op}");
-            let root = results[0].as_ref().unwrap().as_ref().unwrap();
-            let (merged, ReduceCoverage { included, lost }) = root.as_ref().unwrap();
+            let (merged, ReduceCoverage { included, lost }) = root(&results);
             let mut all: Vec<usize> = included.iter().chain(lost.iter()).copied().collect();
             all.sort_unstable();
-            assert_eq!(all, (0..size).collect::<Vec<_>>(), "victim {victim} op {op}");
+            assert_eq!(
+                all,
+                (0..size).collect::<Vec<_>>(),
+                "victim {victim} op {op}"
+            );
             assert!(lost.contains(&victim), "victim {victim} op {op}: {lost:?}");
             assert_eq!(*merged, bits_of(included), "victim {victim} op {op}");
         }

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use mpisim::hb::{self, VClock};
-use mpisim::{EventEngine, FaultPlan, ReduceTask, ResilienceOptions, Topology, TraceKind};
+use mpisim::{EventEngine, Executor, FaultPlan, ReduceTask, ResilienceOptions, Topology, TraceKind};
 use proptest::prelude::*;
 
 /// Build a clock from a dense assignment: `ticks[r]` ticks of rank `r`.
@@ -105,7 +105,7 @@ proptest! {
 #[test]
 fn one_rank_world_is_linear_and_clean() {
     let engine = EventEngine::default();
-    let run = engine.run_tasks_traced(1, FaultPlan::new(), |rank, size| {
+    let make = |rank, size| {
         ReduceTask::new(
             rank,
             size,
@@ -114,7 +114,8 @@ fn one_rank_world_is_linear_and_clean() {
             |a: u64, b: u64| a + b,
             ResilienceOptions::default(),
         )
-    });
+    };
+    let run = engine.run(1, FaultPlan::new(), make, true);
     assert_eq!(run.trace.size(), 1);
     let clocks = hb::clocks(&run.trace);
     for pair in clocks[0].windows(2) {
@@ -133,7 +134,7 @@ fn killed_ranks_clocks_freeze_at_kill_time() {
     let victim = 4;
     let engine = EventEngine::default();
     let plan = FaultPlan::new().kill(victim, 1);
-    let run = engine.run_tasks_traced(16, plan, |rank, size| {
+    let make = |rank, size| {
         ReduceTask::new(
             rank,
             size,
@@ -145,7 +146,8 @@ fn killed_ranks_clocks_freeze_at_kill_time() {
                 ..ResilienceOptions::default()
             },
         )
-    });
+    };
+    let run = engine.run(16, plan, make, true);
     let events = &run.trace.events[victim];
     assert!(
         matches!(events.last().map(|e| &e.kind), Some(TraceKind::Killed)),
@@ -183,15 +185,11 @@ fn clocks_are_worker_invariant() {
         )
     };
     let plan = || FaultPlan::new().kill(7, 1).delay(3, 0, Duration::from_millis(2));
-    let baseline = hb::clocks(
-        &EventEngine::with_workers(1)
-            .run_tasks_traced(96, plan(), mk)
-            .trace,
-    );
+    let baseline = hb::clocks(&EventEngine::with_workers(1).run(96, plan(), mk, true).trace);
     for workers in [2, 4] {
         let clocks = hb::clocks(
             &EventEngine::with_workers(workers)
-                .run_tasks_traced(96, plan(), mk)
+                .run(96, plan(), mk, true)
                 .trace,
         );
         assert_eq!(baseline, clocks, "clocks diverged with {workers} workers");

@@ -190,12 +190,13 @@ proptest! {
         workers in 1usize..4,
     ) {
         let engine = EventEngine::with_workers(workers);
-        let run = engine.run_tasks_traced(size, FaultPlan::new(), move |rank, size| RacyGather {
+        let make = move |rank, size| RacyGather {
             rank,
             size,
             per,
             got: 0,
-        });
+        };
+        let run = engine.run(size, FaultPlan::new(), make, true);
         prop_assert!(run.outputs.is_ok());
         let analysis = analyze(&run.trace);
         prop_assert!(
@@ -210,12 +211,13 @@ proptest! {
     #[test]
     fn ordered_gathers_are_always_clean(size in 2usize..12, per in 1usize..3) {
         let engine = EventEngine::default();
-        let run = engine.run_tasks_traced(size, FaultPlan::new(), move |rank, size| OrderedGather {
+        let make = move |rank, size| OrderedGather {
             rank,
             size,
             per,
             got: 0,
-        });
+        };
+        let run = engine.run(size, FaultPlan::new(), make, true);
         prop_assert!(run.outputs.is_ok());
         let analysis = analyze(&run.trace);
         prop_assert!(analysis.is_clean(), "{}", analysis.render());
@@ -225,10 +227,11 @@ proptest! {
     #[test]
     fn token_rings_are_always_clean(size in 1usize..16) {
         let engine = EventEngine::default();
-        let run = engine.run_tasks_traced(size, FaultPlan::new(), |rank, size| TokenRing {
+        let make = |rank, size| TokenRing {
             rank,
             size,
-        });
+        };
+        let run = engine.run(size, FaultPlan::new(), make, true);
         prop_assert!(run.outputs.is_ok());
         let analysis = analyze(&run.trace);
         prop_assert!(analysis.is_clean(), "{}", analysis.render());
@@ -240,10 +243,11 @@ proptest! {
     fn wait_rings_name_their_exact_cycle(size in 2usize..12, k in 2usize..8) {
         let k = k.min(size);
         let engine = EventEngine::default();
-        let run = engine.run_tasks_traced(size, FaultPlan::new(), move |rank, _| PartialWaitRing {
+        let make = move |rank, _| PartialWaitRing {
             rank,
             k,
-        });
+        };
+        let run = engine.run(size, FaultPlan::new(), make, true);
         prop_assert!(run.outputs.is_err(), "a wait ring must be a scheduler deadlock");
         let analysis = analyze(&run.trace);
         let cycle: Vec<String> = (0..k).chain([0]).map(|r| r.to_string()).collect();
@@ -265,7 +269,7 @@ proptest! {
 fn straggler_is_a_timeout_hazard_warning() {
     let engine = EventEngine::default();
     let plan = FaultPlan::new().delay(1, 0, Duration::from_millis(50));
-    let run = engine.run_tasks_traced(4, plan, |rank, _| Straggler { rank });
+    let run = engine.run(4, plan, |rank, _| Straggler { rank }, true);
     assert!(run.outputs.is_ok());
     let analysis = analyze(&run.trace);
     assert!(
@@ -282,12 +286,13 @@ fn straggler_is_a_timeout_hazard_warning() {
 /// happens-before structure, so the analyzer must flag the same race.
 #[test]
 fn thread_engine_traces_expose_the_same_race() {
-    let run = ThreadEngine.run_tasks_traced(6, FaultPlan::new(), |rank, size| RacyGather {
+    let make = |rank, size| RacyGather {
         rank,
         size,
         per: 1,
         got: 0,
-    });
+    };
+    let run = ThreadEngine.run(6, FaultPlan::new(), make, true);
     assert!(run.outputs.is_ok());
     let analysis = analyze(&run.trace);
     assert!(

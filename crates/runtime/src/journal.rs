@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once, Weak};
 
 use caliper_data::{Attribute, AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, Value, ValueType};
-use caliper_format::journal::{FlushPolicy, JournalWriter, SEQ_ATTR};
+use caliper_format::journal::{FlushPolicy, JournalCounters, JournalWriter, SEQ_ATTR};
 use caliper_format::{Dataset, ReadPolicy};
 use parking_lot::Mutex;
 
@@ -51,12 +51,9 @@ use crate::services::{ProcCtx, Service};
 pub struct JournalConfig {
     /// Journal file path (`journal.path`).
     pub path: PathBuf,
-    /// Records between flushes (`journal.flush_interval`, min 1).
-    pub flush_interval: u64,
-    /// Buffer byte cap forcing an early flush (`journal.max_buffer`).
-    pub max_buffer: usize,
-    /// `fsync` after each flush (`journal.fsync`).
-    pub fsync: bool,
+    /// When the writer drains: `journal.flush_interval` (min 1),
+    /// `journal.max_buffer` and `journal.fsync`.
+    pub policy: FlushPolicy,
     /// Append to an existing journal instead of truncating
     /// (`journal.append`); the sequence resumes after the highest
     /// recovered sequence number.
@@ -99,9 +96,11 @@ impl JournalConfig {
         }
         Ok(Some(JournalConfig {
             path: PathBuf::from(path),
-            flush_interval,
-            max_buffer: config.try_u64("journal.max_buffer", 1 << 20)? as usize,
-            fsync: config.try_bool("journal.fsync", false)?,
+            policy: FlushPolicy {
+                flush_interval,
+                max_buffer: config.try_u64("journal.max_buffer", 1 << 20)? as usize,
+                fsync: config.try_bool("journal.fsync", false)?,
+            },
             append: config.try_bool("journal.append", false)?,
         }))
     }
@@ -112,19 +111,11 @@ impl JournalConfig {
 pub struct JournalStats {
     /// Journal file path.
     pub path: PathBuf,
-    /// Records appended (snapshots + globals, buffered or durable).
-    pub appended: u64,
-    /// Records drained to the file (durable against process death).
-    pub durable: u64,
-    /// Buffer drains performed.
-    pub flushes: u64,
-    /// Flushes forced by the `journal.max_buffer` byte cap.
-    pub forced_flushes: u64,
-    /// `fsync` calls performed.
-    pub syncs: u64,
-    /// Transient write/fsync errors absorbed by bounded retry
-    /// ([`caliper_format::retry`]).
-    pub retries: u64,
+    /// What the writer has done: records appended and made durable,
+    /// flushes (forced ones among them), `fsync`s, and the transient
+    /// errors absorbed by bounded retry ([`caliper_format::retry`]).
+    /// All zero once the sink has shut down.
+    pub counters: JournalCounters,
     /// Next sequence number to be assigned.
     pub next_seq: u64,
     /// Write errors observed (the sink disables itself on the first).
@@ -177,11 +168,6 @@ impl JournalSink {
         let seq_attr = store
             .create(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE)
             .map_err(|e| std::io::Error::other(format!("cannot intern {SEQ_ATTR}: {e}")))?;
-        let policy = FlushPolicy {
-            flush_interval: cfg.flush_interval,
-            max_buffer: cfg.max_buffer,
-            fsync: cfg.fsync,
-        };
         let mut next_seq = 0;
         let writer = if cfg.append {
             if let Ok((_, report)) =
@@ -189,9 +175,9 @@ impl JournalSink {
             {
                 next_seq = report.max_seq.map(|m| m + 1).unwrap_or(0);
             }
-            JournalWriter::open_append(&cfg.path, policy)?
+            JournalWriter::open_append(&cfg.path, cfg.policy)?
         } else {
-            JournalWriter::create(&cfg.path, policy)?
+            JournalWriter::create(&cfg.path, cfg.policy)?
         };
         let label = cfg.path.to_string_lossy().into_owned();
         let sink = Arc::new(JournalSink {
@@ -308,19 +294,9 @@ impl JournalSink {
     /// Current accounting.
     pub fn stats(&self) -> JournalStats {
         let inner = self.inner.lock();
-        let counters = inner
-            .writer
-            .as_ref()
-            .map(|w| w.counters())
-            .unwrap_or_default();
         JournalStats {
             path: self.path.clone(),
-            appended: counters.appended,
-            durable: counters.durable,
-            flushes: counters.flushes,
-            forced_flushes: counters.forced_flushes,
-            syncs: counters.syncs,
-            retries: counters.retries,
+            counters: inner.writer.as_ref().map(|w| w.counters()).unwrap_or_default(),
             next_seq: inner.next_seq,
             write_errors: inner.write_errors,
             disabled: self.disabled.load(Ordering::Relaxed),
@@ -429,9 +405,9 @@ mod tests {
     #[test]
     fn config_defaults_and_overrides() {
         let cfg = JournalConfig::from_config(&base()).unwrap().unwrap();
-        assert_eq!(cfg.flush_interval, 1);
-        assert_eq!(cfg.max_buffer, 1 << 20);
-        assert!(!cfg.fsync);
+        assert_eq!(cfg.policy.flush_interval, 1);
+        assert_eq!(cfg.policy.max_buffer, 1 << 20);
+        assert!(!cfg.policy.fsync);
         assert!(!cfg.append);
 
         let cfg = JournalConfig::from_config(
@@ -442,8 +418,8 @@ mod tests {
         )
         .unwrap()
         .unwrap();
-        assert_eq!(cfg.flush_interval, 64);
-        assert!(cfg.fsync);
+        assert_eq!(cfg.policy.flush_interval, 64);
+        assert!(cfg.policy.fsync);
         assert!(cfg.append);
 
         // `journal` in the services list also enables it.
@@ -493,9 +469,7 @@ mod tests {
         let tree = Arc::new(ContextTree::new());
         let cfg = JournalConfig {
             path: PathBuf::from("/dev/full"),
-            flush_interval: 1,
-            max_buffer: 1 << 20,
-            fsync: false,
+            policy: FlushPolicy::default(),
             append: false,
         };
         // /dev/full accepts open but fails writes; skip the test where

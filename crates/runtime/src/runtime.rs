@@ -190,14 +190,15 @@ impl Channel {
 /// runtime counters. Called at dataset-take time — the journal keeps
 /// its own counters internally, so the hot path pays nothing extra.
 fn sample_journal_stats(metrics: &MetricsRegistry, stats: &crate::journal::JournalStats) {
-    metrics.gauge("runtime.journal.appended").set(stats.appended);
-    metrics.gauge("runtime.journal.durable").set(stats.durable);
-    metrics.gauge("runtime.journal.flushes").set(stats.flushes);
+    let counters = &stats.counters;
+    metrics.gauge("runtime.journal.appended").set(counters.appended);
+    metrics.gauge("runtime.journal.durable").set(counters.durable);
+    metrics.gauge("runtime.journal.flushes").set(counters.flushes);
     metrics
         .gauge("runtime.journal.forced_flushes")
-        .set(stats.forced_flushes);
-    metrics.gauge("runtime.journal.syncs").set(stats.syncs);
-    metrics.gauge("runtime.journal.retries").set(stats.retries);
+        .set(counters.forced_flushes);
+    metrics.gauge("runtime.journal.syncs").set(counters.syncs);
+    metrics.gauge("runtime.journal.retries").set(counters.retries);
     metrics
         .gauge("runtime.journal.write_errors")
         .set(stats.write_errors);

@@ -103,8 +103,8 @@ fn panic_hook_flushes_the_journal_buffer() {
     assert!(handle.join().is_err());
 
     let stats = caliper.default_channel().journal().unwrap().stats();
-    assert_eq!(stats.appended, 16, "8 begin + 8 end event snapshots");
-    assert_eq!(stats.durable, 16, "panic hook drained the buffer");
+    assert_eq!(stats.counters.appended, 16, "8 begin + 8 end event snapshots");
+    assert_eq!(stats.counters.durable, 16, "panic hook drained the buffer");
 
     let (_, report) = recover_file(&path, ReadPolicy::lenient()).unwrap();
     assert_eq!(report.salvaged, 16);
@@ -169,16 +169,16 @@ fn journal_stats_track_flush_progress() {
         scope.end(&function).unwrap();
     }
     let stats = sink.stats();
-    assert_eq!(stats.appended, 10);
-    assert_eq!(stats.durable, 0, "interval not reached, nothing flushed");
+    assert_eq!(stats.counters.appended, 10);
+    assert_eq!(stats.counters.durable, 0, "interval not reached, nothing flushed");
     assert_eq!(stats.next_seq, 10);
     assert!(!stats.disabled);
     assert_eq!(stats.write_errors, 0);
 
     scope.flush(); // thread flush drains the journal
     let stats = sink.stats();
-    assert_eq!(stats.durable, 10);
-    assert!(stats.flushes >= 1);
+    assert_eq!(stats.counters.durable, 10);
+    assert!(stats.counters.flushes >= 1);
     let _ = std::fs::remove_file(&path);
 }
 

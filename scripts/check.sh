@@ -208,6 +208,14 @@ if grep -rn 'infer_path\|infer_binary\|infer_text\|scan_binary_record\|skip_valu
     exit 1
 fi
 
+# One-reduction gate: every rank program is a `RankTask` run by an
+# `Executor` (DESIGN.md §7); the blocking closure API over `Comm`, its
+# second tree reduction and the extra run entry points stay deleted.
+if grep -rnE '\breduce_tree|run_with_faults|recv_any|try_run_tasks|run_tasks_traced' crates src tests examples; then
+    echo "check.sh: a second way to run a rank program is back (listed above)" >&2
+    exit 1
+fi
+
 # Static-analysis gate: every golden check fixture must produce its
 # pinned diagnostics (asserted byte-for-byte by the check_golden test
 # in `cargo test` above); here, re-assert the exit-code contract over
@@ -246,6 +254,15 @@ for bin in cali-query cali-served paper; do
         exit 1
     fi
 done
+# `--workers` steps the event engine only: on the thread engine it is a
+# usage error, not a flag nobody reads.
+rc=0
+./target/release/mpi-caliquery --engine threads --workers 2 "$golden"/data/rank0.cali \
+    > /dev/null 2> "$smoke/usage.err" || rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "^usage: mpi-caliquery" "$smoke/usage.err"; then
+    echo "check.sh: mpi-caliquery --engine threads --workers 2 exited $rc, expected 1 and the usage text" >&2
+    exit 1
+fi
 
 # Paper-output gate: `paper table1` and `paper fig5`–`fig9` run
 # CleverLeaf on its virtual clock and fold the profiles through

@@ -5,7 +5,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cali_cli::{parallel_query, read_files};
-use caliper_repro::mpi::{EventEngine, FaultPlan, ResilienceOptions, ThreadEngine, Topology};
+use caliper_repro::mpi::{
+    EventEngine, Executor, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, Run,
+    ThreadEngine, Topology,
+};
 use caliper_repro::prelude::*;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -282,27 +285,30 @@ fn tree_reduction_inside_mpisim_matches_pipeline_merge() {
     }
     let reference = reference.unwrap().finish().to_table().render();
 
-    // mpisim: one rank per dataset, reduce_tree over pipelines.
+    // mpisim: one rank per dataset, `ReduceTask` over pipelines, on
+    // both engines.
     let datasets = Arc::new(datasets);
     let spec = Arc::new(spec);
-    let results = caliper_repro::mpi::run(6, move |mut comm| {
-        let ds = &datasets[comm.rank()];
-        let mut p = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
-        p.process_dataset(ds);
-        caliper_repro::mpi::reduce_tree(&mut comm, p, |mut a, b| {
+    let make = move |rank: usize, size: usize| {
+        let (datasets, spec) = (Arc::clone(&datasets), Arc::clone(&spec));
+        let init = move || {
+            let ds = &datasets[rank];
+            let mut p = Pipeline::new((*spec).clone(), Arc::clone(&ds.store));
+            p.process_dataset(ds);
+            p
+        };
+        let merge = |mut a: Pipeline, b| {
             a.merge(b);
             a
-        })
-        .unwrap()
-    });
-    let from_tree = results
-        .into_iter()
-        .next()
-        .unwrap()
-        .expect("root result")
-        .finish()
-        .to_table()
-        .render();
-
-    assert_eq!(reference, from_tree);
+        };
+        ReduceTask::new(rank, size, Topology::Flat, init, merge, ResilienceOptions::default())
+    };
+    let from_tree = |run: Run<Option<(Pipeline, ReduceCoverage)>>| {
+        let (root, coverage) = run.outputs.unwrap().swap_remove(0).unwrap().expect("root result");
+        assert!(coverage.is_complete());
+        root.finish().to_table().render()
+    };
+    let make_too = make.clone();
+    assert_eq!(reference, from_tree(EventEngine::new().run(6, FaultPlan::new(), make, false)));
+    assert_eq!(reference, from_tree(ThreadEngine.run(6, FaultPlan::new(), make_too, false)));
 }

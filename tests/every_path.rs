@@ -324,7 +324,7 @@ fn every_path(
             };
             ReduceTask::new(rank, size, topology, init, merge, ResilienceOptions::default())
         };
-        let mut roots = EventEngine::new().run_tasks(files.len(), FaultPlan::new(), make);
+        let mut roots = EventEngine::new().run(files.len(), FaultPlan::new(), make, false).outputs.unwrap();
         let (want, _) = roots[0].take().flatten().unwrap();
         let want = want.finish(&declared, &mut Schema::new());
         let mut render = None;
