@@ -365,7 +365,7 @@ mod tests {
         )
         .unwrap();
         let kernel = result.store.find("kernel").unwrap();
-        let top = result.records[0].get(kernel.id()).unwrap().to_string();
+        let top = result.records.row(0).get(kernel.id()).unwrap().to_string();
         assert_eq!(top, "calc-dt");
     }
 
@@ -384,7 +384,7 @@ mod tests {
             .unwrap();
             let f = result.store.find("mpi.function").unwrap();
             let s = result.store.find("sum#sum#time.duration").unwrap();
-            for rec in &result.records {
+            for rec in result.records.iter() {
                 let name = rec.get(f.id()).unwrap().to_string();
                 let val = rec.get(s.id()).unwrap().to_f64().unwrap();
                 *total.entry(name).or_default() += val;

@@ -45,7 +45,7 @@ fn level_table(params: &CleverLeafParams, attr: &str, rows: usize) -> (Vec<Vec<f
     let time = result.store.find("sum#sum#time.duration").unwrap();
 
     let mut table = vec![vec![0.0f64; params.levels]; rows];
-    for rec in &result.records {
+    for rec in result.records.iter() {
         let (Some(l), Some(x), Some(v)) = (
             rec.get(level.id()).and_then(|v| v.to_i64()),
             rec.get(x.id()).and_then(|v| v.to_i64()),

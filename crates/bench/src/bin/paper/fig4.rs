@@ -174,7 +174,7 @@ fn failure_injection_check(paths: &[PathBuf], np: usize, victim: usize) -> Claim
     let ds = read_files(&survivor_paths).expect("read survivor files");
     let serial = run_query(&ds, EVALUATION_QUERY).expect("serial reference query");
     Claim::gate(
-        serial.to_table().render() == result.to_table().render(),
+        serial.to_table() == result.to_table(),
         format!(
             "killing rank {victim}: the result ({} output records) equals the serial fold over the {} surviving ranks",
             result.records.len(),

@@ -104,9 +104,9 @@ fn list_globals(ds: &caliper_format::Dataset) -> String {
     out
 }
 
-/// Print the run's per-worker breakdown, mirroring
-/// `mpi-caliquery --timings`.
-fn report_timings(timings: &ShardTimings) {
+/// Print the run's per-worker breakdown and the `render_s` seconds the
+/// result took to render, mirroring `mpi-caliquery --timings`.
+fn report_timings(timings: &ShardTimings, render_s: f64) {
     for (id, w) in timings.workers.iter().enumerate() {
         eprintln!(
             "# worker {id}: read {:.6} s, process {:.6} s ({} files, {} records)",
@@ -115,8 +115,9 @@ fn report_timings(timings: &ShardTimings) {
     }
     eprintln!("# slowest worker:    {:.6} s", timings.worker_max_s());
     eprintln!("# root merge:        {:.6} s", timings.merge_s);
-    eprintln!("# order/select/format: {:.6} s", timings.finish_s);
-    eprintln!("# critical path:     {:.6} s", timings.total_s());
+    eprintln!("# finish:            {:.6} s", timings.finish_s);
+    eprintln!("# render:            {render_s:.6} s");
+    eprintln!("# critical path:     {:.6} s", timings.total_s() + render_s);
 }
 
 /// Print the per-file skipped-work summaries for every file the lenient
@@ -392,10 +393,13 @@ fn main() -> ExitCode {
         partial |= report_skipped(&found.reports, policy);
         partial |= report_failures(&found.failures);
         report_overflow(&result, max_groups);
+        let start = std::time::Instant::now();
+        let rendered = result.render();
+        let render_s = start.elapsed().as_secs_f64();
         if args.has(&["timings"]) && !found.workers.is_empty() {
-            report_timings(&found);
+            report_timings(&found, render_s);
         }
-        result.render()
+        rendered
     };
     match args.get(&["o", "output"]) {
         Some(path) => {

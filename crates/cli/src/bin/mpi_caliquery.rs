@@ -30,7 +30,7 @@ Options:
   --timings           print the per-phase timing breakdown to stderr:
                       local read+process (max over ranks), tree
                       reduction (critical path and per level), root
-                      finish, total; on the event engine also the
+                      finish, render, total; on the event engine also the
                       scheduler's counters. The times ride the same
                       reduction as the data, so this works with every
                       other flag, --faults included.
@@ -103,7 +103,10 @@ fn report(
     }
     let code = match outcome {
         Ok(run) => {
-            print!("{}", run.result.render());
+            let start = std::time::Instant::now();
+            let rendered = run.result.render();
+            let render_s = start.elapsed().as_secs_f64();
+            print!("{rendered}");
             if args.has(&["timings"]) {
                 let t = &run.timings;
                 eprintln!("# local read+process (max over ranks): {:.6} s", t.local_max_s);
@@ -112,7 +115,11 @@ fn report(
                     eprintln!("#   level {level}: {t:.6} s");
                 }
                 eprintln!("# root finish:                         {:.6} s", t.finish_s);
-                eprintln!("# total:                               {:.6} s", t.total_s());
+                eprintln!("# render:                              {render_s:.6} s");
+                eprintln!(
+                    "# total:                               {:.6} s",
+                    t.total_s() + render_s
+                );
                 if sched {
                     let m = caliper_data::metrics::global();
                     eprintln!(

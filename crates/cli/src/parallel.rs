@@ -44,7 +44,8 @@ pub struct ParallelTimings {
     /// rank had absorbed before — in a fault-free flat tree, the tree
     /// level.
     pub level_merge_max_s: Vec<f64>,
-    /// Time rank 0 spent finishing (flush + sort + column resolution).
+    /// Time rank 0 spent finishing: the flush, ORDER BY, LIMIT and
+    /// SELECT ([`Pipeline::finish`]), short of rendering the result.
     pub finish_s: f64,
 }
 

@@ -24,7 +24,18 @@ struct Case {
     name: &'static str,
     query: &'static str,
     extra_args: &'static [&'static str],
+    /// Input files under `tests/golden/data/`.
+    inputs: &'static [&'static str],
 }
+
+/// The two ranks of the Listing 1 workload ([`generate_rank`]).
+const RANKS: &[&str] = &["rank0.cali", "rank1.cali"];
+/// Nested regions two and three deep ([`generate_nested`]).
+const NESTED: &[&str] = &["nested.cali"];
+/// One key label declared `int` in one file and `double` in the other
+/// ([`generate_phases`]): the flush carries the values the key's type
+/// does not take in a block column of their own type.
+const PHASES: &[&str] = &["phase-int.cali", "phase-float.cali"];
 
 /// The conformance queries. Together they cover every output format,
 /// WHERE/SELECT/ORDER BY/LIMIT/LET, the bucketing and distribution
@@ -34,76 +45,188 @@ const CASES: &[Case] = &[
         name: "count-by-function",
         query: "AGGREGATE count GROUP BY function ORDER BY function",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "sum-by-function-iteration",
         query: "AGGREGATE sum(time.duration) GROUP BY function, loop.iteration \
                 ORDER BY function, loop.iteration",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "csv-avg",
         query: "AGGREGATE avg(time.duration) GROUP BY function ORDER BY function FORMAT csv",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "json-min-max",
         query: "AGGREGATE min(time.duration), max(time.duration) GROUP BY function \
                 ORDER BY function FORMAT json",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "where-filter",
         query: "AGGREGATE count WHERE function GROUP BY function ORDER BY function",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "let-scale",
         query: "LET time.ms = scale(time.duration, 0.001) \
                 AGGREGATE sum(time.ms) GROUP BY function ORDER BY function",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "order-desc-limit",
         query: "AGGREGATE sum(time.duration) GROUP BY function \
                 SELECT function, sum#time.duration ORDER BY sum#time.duration desc LIMIT 2",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "histogram",
         query: "AGGREGATE histogram(time.duration, 0, 60, 6) GROUP BY function \
                 ORDER BY function",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "percentile",
         query: "AGGREGATE percentile(time.duration, 95) GROUP BY function ORDER BY function",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "percent-total",
         query: "AGGREGATE percent_total(time.duration) GROUP BY function ORDER BY function",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "expand-passthrough",
         query: "SELECT function, time.duration LIMIT 4 FORMAT expand",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "flamegraph",
         query: "AGGREGATE sum(time.duration) WHERE function GROUP BY function FORMAT flamegraph",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "cali-reaggregation",
         query: "AGGREGATE count, sum(time.duration) GROUP BY function FORMAT cali",
         extra_args: &[],
+        inputs: RANKS,
     },
     Case {
         name: "max-groups-overflow",
         query: "AGGREGATE count, sum(time.duration) GROUP BY function ORDER BY function",
         extra_args: &["--max-groups", "2"],
+        inputs: RANKS,
+    },
+    Case {
+        name: "csv-noheader",
+        query: "AGGREGATE count, sum(time.duration) GROUP BY function ORDER BY function \
+                FORMAT csv(noheader)",
+        extra_args: &[],
+        inputs: RANKS,
+    },
+    Case {
+        name: "table-noheader",
+        query: "AGGREGATE count, sum(time.duration) GROUP BY function, loop.iteration \
+                ORDER BY function, loop.iteration FORMAT table(noheader)",
+        extra_args: &[],
+        inputs: RANKS,
+    },
+    Case {
+        name: "json-pretty",
+        query: "AGGREGATE count, avg(time.duration) GROUP BY function ORDER BY function \
+                FORMAT json(pretty)",
+        extra_args: &[],
+        inputs: RANKS,
+    },
+    Case {
+        name: "nested-passthrough-csv",
+        query: "SELECT function, time.duration WHERE function FORMAT csv",
+        extra_args: &[],
+        inputs: NESTED,
+    },
+    Case {
+        name: "nested-passthrough-json",
+        query: "SELECT function, time.duration WHERE function FORMAT json",
+        extra_args: &[],
+        inputs: NESTED,
+    },
+    Case {
+        name: "nested-passthrough-table",
+        query: "SELECT function, time.duration ORDER BY function desc FORMAT table",
+        extra_args: &[],
+        inputs: NESTED,
+    },
+    Case {
+        name: "order-desc-absent-limit",
+        query: "AGGREGATE count, sum(time.duration) GROUP BY function, loop.iteration \
+                ORDER BY function desc LIMIT 7 FORMAT csv",
+        extra_args: &[],
+        inputs: RANKS,
+    },
+    Case {
+        name: "select-missing-label",
+        query: "AGGREGATE count GROUP BY function SELECT function, no.such.label, count \
+                ORDER BY function",
+        extra_args: &[],
+        inputs: RANKS,
+    },
+    Case {
+        name: "select-missing-label-csv",
+        query: "AGGREGATE count GROUP BY function SELECT no.such.label, function \
+                ORDER BY function FORMAT csv",
+        extra_args: &[],
+        inputs: RANKS,
+    },
+    Case {
+        name: "cali-passthrough",
+        query: "SELECT * WHERE function LIMIT 6 FORMAT cali",
+        extra_args: &[],
+        inputs: RANKS,
+    },
+    Case {
+        name: "json-select",
+        query: "AGGREGATE count, sum(time.duration) GROUP BY function \
+                SELECT function, count ORDER BY function FORMAT json",
+        extra_args: &[],
+        inputs: RANKS,
+    },
+    Case {
+        name: "cali-select",
+        query: "AGGREGATE count, sum(time.duration) GROUP BY function \
+                SELECT count, function ORDER BY function desc FORMAT cali",
+        extra_args: &[],
+        inputs: RANKS,
+    },
+    Case {
+        name: "mixed-key-csv",
+        query: "AGGREGATE count, sum(t) GROUP BY phase ORDER BY phase FORMAT csv",
+        extra_args: &[],
+        inputs: PHASES,
+    },
+    Case {
+        name: "mixed-key-json",
+        query: "AGGREGATE count, sum(t) GROUP BY phase ORDER BY phase desc FORMAT json",
+        extra_args: &[],
+        inputs: PHASES,
+    },
+    Case {
+        name: "mixed-key-table",
+        query: "AGGREGATE count, sum(t) GROUP BY phase FORMAT table",
+        extra_args: &[],
+        inputs: PHASES,
     },
 ];
 
@@ -143,18 +266,70 @@ fn generate_rank(rank: u64) -> caliper_format::Dataset {
     caliper.take_dataset()
 }
 
-/// The checked-in input files, regenerating them under `UPDATE_GOLDEN=1`.
-fn input_files() -> Vec<PathBuf> {
+/// Nested `function` regions under a virtual clock: `main`, `main/foo`,
+/// `main/bar/baz`, so pass-through rows carry paths two and three deep,
+/// and one record outside every region.
+fn generate_nested() -> caliper_format::Dataset {
+    let caliper = Caliper::with_clock(Config::event_trace(), Clock::virtual_clock());
+    let function = caliper.region_attribute("function");
+    let mut scope = caliper.make_thread_scope();
+    scope.advance_time(3_000);
+    for step in 0..2u64 {
+        scope.begin(&function, "main");
+        scope.begin(&function, "foo");
+        scope.advance_time((10 + step) * 1_000);
+        scope.end(&function).unwrap();
+        scope.begin(&function, "bar");
+        scope.begin(&function, "baz");
+        scope.advance_time((5 + step) * 1_000);
+        scope.end(&function).unwrap();
+        scope.end(&function).unwrap();
+        scope.end(&function).unwrap();
+    }
+    scope.flush();
+    caliper.take_dataset()
+}
+
+/// One rank's `phase`/`t` records with `phase` declared as `vtype`.
+fn generate_phases(vtype: caliper_data::ValueType, phases: &[&str]) -> caliper_format::Dataset {
+    use caliper_data::{Properties, SnapshotRecord, Value, ValueType};
+    let mut ds = caliper_format::Dataset::new();
+    let phase = ds.attribute("phase", vtype, Properties::AS_VALUE);
+    let t = ds.attribute("t", ValueType::Float, Properties::AS_VALUE);
+    for (i, text) in phases.iter().enumerate() {
+        let mut rec = SnapshotRecord::new();
+        if !text.is_empty() {
+            rec.push_imm(phase.id(), Value::parse_typed(text, vtype).unwrap());
+        }
+        rec.push_imm(t.id(), Value::Float(1.5 + i as f64));
+        ds.push(rec);
+    }
+    ds
+}
+
+/// Every checked-in input file by name, generated.
+fn generate_inputs() -> Vec<(&'static str, caliper_format::Dataset)> {
+    use caliper_data::ValueType;
+    vec![
+        ("rank0.cali", generate_rank(0)),
+        ("rank1.cali", generate_rank(1)),
+        ("nested.cali", generate_nested()),
+        ("phase-int.cali", generate_phases(ValueType::Int, &["1", "3", "", "2"])),
+        ("phase-float.cali", generate_phases(ValueType::Float, &["1.5", "3", "2.25"])),
+    ]
+}
+
+/// The checked-in input files named `names`, regenerating every input
+/// under `UPDATE_GOLDEN=1`.
+fn data_files(names: &[&str]) -> Vec<PathBuf> {
     let data_dir = golden_dir().join("data");
-    let paths: Vec<PathBuf> = (0..2)
-        .map(|rank| data_dir.join(format!("rank{rank}.cali")))
-        .collect();
     if update_golden() {
         std::fs::create_dir_all(&data_dir).unwrap();
-        for (rank, path) in paths.iter().enumerate() {
-            caliper_format::cali::write_file(&generate_rank(rank as u64), path).unwrap();
+        for (name, ds) in generate_inputs() {
+            caliper_format::cali::write_file(&ds, data_dir.join(name)).unwrap();
         }
     }
+    let paths: Vec<PathBuf> = names.iter().map(|name| data_dir.join(name)).collect();
     for path in &paths {
         assert!(
             path.exists(),
@@ -163,6 +338,11 @@ fn input_files() -> Vec<PathBuf> {
         );
     }
     paths
+}
+
+/// The checked-in rank files.
+fn input_files() -> Vec<PathBuf> {
+    data_files(RANKS)
 }
 
 fn run_cali_query(query: &str, extra_args: &[&str], inputs: &[PathBuf]) -> std::process::Output {
@@ -209,9 +389,8 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn golden_query_outputs_are_stable() {
-    let inputs = input_files();
     for case in CASES {
-        let out = run_cali_query(case.query, case.extra_args, &inputs);
+        let out = run_cali_query(case.query, case.extra_args, &data_files(case.inputs));
         assert!(
             out.status.success(),
             "case '{}' failed: {}",
@@ -412,12 +591,15 @@ fn golden_inputs_regenerate_deterministically() {
     let a = caliper_format::cali::to_bytes(&generate_rank(0));
     let b = caliper_format::cali::to_bytes(&generate_rank(0));
     assert_eq!(a, b);
-    let checked_in = std::fs::read(golden_dir().join("data/rank0.cali")).unwrap();
-    assert_eq!(
-        a, checked_in,
-        "generator drifted from the checked-in golden input — \
-         run UPDATE_GOLDEN=1 to refresh data and expectations together"
-    );
+    for (name, ds) in generate_inputs() {
+        let checked_in = std::fs::read(golden_dir().join("data").join(name)).unwrap();
+        assert_eq!(
+            caliper_format::cali::to_bytes(&ds),
+            checked_in,
+            "generator drifted from the checked-in golden input {name} — \
+             run UPDATE_GOLDEN=1 to refresh data and expectations together"
+        );
+    }
 }
 
 /// Dogfood end-to-end: a runtime channel with `metrics.enable = true`

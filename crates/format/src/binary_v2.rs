@@ -41,7 +41,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use caliper_data::{
-    AttrId, Entry, FxHashMap, FxHashSet, NodeId, SnapshotRecord, Value, ValueType,
+    AttrId, Entry, FlatRecord, FxHashMap, FxHashSet, NodeId, SnapshotRecord, Value, ValueType,
 };
 
 use crate::binary::{
@@ -688,8 +688,20 @@ impl Block {
     /// Row `row`'s immediates in entry order, each as the index of the
     /// column whose next value it takes.
     pub fn row_imms(&self, row: usize) -> &[u32] {
+        &self.imms[self.imm_span(row)]
+    }
+
+    /// Where row `row`'s immediates are among all the block's, which
+    /// [`imms`](Self::imms) lists in row order.
+    pub(crate) fn imm_span(&self, row: usize) -> std::ops::Range<usize> {
         let start = if row == 0 { 0 } else { self.imm_ends[row - 1] };
-        &self.imms[start as usize..self.imm_ends[row] as usize]
+        start as usize..self.imm_ends[row] as usize
+    }
+
+    /// Every row's immediates, row after row: each the index of the
+    /// column whose next value it takes.
+    pub(crate) fn imms(&self) -> &[u32] {
+        &self.imms
     }
 
     // A block is built row by row: entries are pushed as a row's values
@@ -735,6 +747,21 @@ impl Block {
         self.ref_ends.push(refs);
         self.imm_ends.push(imms);
         true
+    }
+
+    /// Append `record` as a row of immediates, its pairs in order, each
+    /// value in its attribute's column of the value's type and strings
+    /// as codes of `strings`. `false` — and the block unchanged — when
+    /// the block's entries no longer count in 32 bits.
+    pub fn push_record(&mut self, strings: &mut StringTable, record: &FlatRecord) -> bool {
+        for (attr, value) in record.pairs() {
+            let column = self.column_for(*attr, value.value_type());
+            self.push_imm(column, strings.cell(value));
+        }
+        self.end_row() || {
+            self.abandon_row();
+            false
+        }
     }
 
     /// Append `rows` rows without node references, given a column at a

@@ -265,7 +265,7 @@ impl<W: Write> CaliWriter<W> {
 // references, the immediates, end.
 
 /// Append `n` in decimal, as `Display` prints it.
-fn push_u64(line: &mut String, mut n: u64) {
+pub(crate) fn push_u64(line: &mut String, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -279,18 +279,21 @@ fn push_u64(line: &mut String, mut n: u64) {
     line.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
+/// Append `magnitude` in decimal, after a `-` when `negative`.
+pub(crate) fn push_int(line: &mut String, magnitude: u64, negative: bool) {
+    if negative {
+        line.push('-');
+    }
+    push_u64(line, magnitude);
+}
+
 /// Append `value` as a `data=` field carries it: [`Value`]'s `Display`,
 /// escaped. Only strings can hold a character that needs escaping.
 fn push_value(line: &mut String, value: &Value) {
     use std::fmt::Write;
     match value {
         Value::Str(text) => escape_into(text, line),
-        Value::Int(i) => {
-            if *i < 0 {
-                line.push('-');
-            }
-            push_u64(line, i.unsigned_abs());
-        }
+        Value::Int(i) => push_int(line, i.unsigned_abs(), *i < 0),
         Value::UInt(u) => push_u64(line, *u),
         Value::Float(x) => write!(line, "{x}").expect("writing to a String cannot fail"),
         Value::Bool(b) => write!(line, "{b}").expect("writing to a String cannot fail"),

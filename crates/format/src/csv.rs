@@ -1,10 +1,10 @@
 //! CSV output for aggregation results — the format the benchmark
 //! harnesses emit so figures can be re-plotted with any tool.
 
-use std::fmt::Write;
+use caliper_data::Attribute;
 
-use caliper_data::{Attribute, FlatRecord};
-
+use crate::binary_v2::Cell;
+use crate::rows::{BlockRows, Escapes, Picker};
 use crate::table::write_value;
 
 /// Quote a CSV field per RFC 4180 when needed.
@@ -30,21 +30,13 @@ fn push_field(out: &mut String, input: &str) {
     }
 }
 
-/// Render records as CSV with one column per attribute in `columns`.
-pub fn records_to_csv(columns: &[Attribute], records: &[FlatRecord]) -> String {
-    records_to_csv_opts(columns, records, true)
-}
-
-/// Render records as CSV, optionally without the header row (`FORMAT
-/// csv(noheader)`). A cell is its value as
-/// [`format_value`](crate::table::format_value) prints it — a nested
-/// attribute's `/`-joined path ([`FlatRecord::path_string`]) as text —
-/// written into one buffer that every cell reuses, and quoted from there.
-pub fn records_to_csv_opts(
-    columns: &[Attribute],
-    records: &[FlatRecord],
-    header: bool,
-) -> String {
+/// Render rows as CSV with one column per attribute in `columns`,
+/// optionally without the header row (`FORMAT csv(noheader)`). A cell
+/// is its value as the table formatter writes it — a nested
+/// attribute's several values as the text of their `/`-joined path —
+/// quoted where it needs to be; each string of the rows' table is
+/// quoted once.
+pub fn write_csv(rows: &BlockRows, columns: &[Attribute], header: bool) -> String {
     let mut out = String::new();
     if header {
         for (i, col) in columns.iter().enumerate() {
@@ -55,25 +47,31 @@ pub fn records_to_csv_opts(
         }
         out.push('\n');
     }
-    let mut cell = String::new();
-    for rec in records {
-        for (i, col) in columns.iter().enumerate() {
-            if i > 0 {
+    let mut picker = Picker::new(rows, columns.iter().map(Attribute::id));
+    let mut quoted = Escapes::new(rows.strings());
+    let mut path = String::new();
+    for i in 0..rows.len() {
+        picker.pick(rows, i);
+        for j in 0..columns.len() {
+            if j > 0 {
                 out.push(',');
             }
-            cell.clear();
-            let mut values = rec.all(col.id());
-            match (values.next(), values.next()) {
-                (None, _) => continue,
-                (Some(value), None) => write_value(&mut cell, value),
-                (Some(first), Some(second)) => {
-                    write!(cell, "{first}/{second}").expect("writing to a String");
-                    for value in values {
-                        write!(cell, "/{value}").expect("writing to a String");
+            let slot = picker.slot(j);
+            match picker.found(slot) {
+                (0, ..) => {}
+                // A number never needs quoting.
+                (1, k, _) => match rows.cell_at(k) {
+                    Cell::Str(code) => {
+                        quoted.push(&mut out, rows.strings(), code, |text, to| push_field(to, text))
                     }
+                    number => write_value(&mut out, &rows.value(number)),
+                },
+                _ => {
+                    path.clear();
+                    rows.write_path(&mut path, picker.cells(rows, slot));
+                    push_field(&mut out, &path);
                 }
             }
-            push_field(&mut out, &cell);
         }
         out.push('\n');
     }
@@ -83,7 +81,8 @@ pub fn records_to_csv_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caliper_data::{AttributeStore, Value, ValueType};
+    use crate::rows::tests::rows_of;
+    use caliper_data::{AttributeStore, FlatRecord, Value, ValueType};
 
     #[test]
     fn quoting_rules() {
@@ -101,7 +100,7 @@ mod tests {
         let mut rec = FlatRecord::new();
         rec.push(k.id(), Value::str("advec,cell"));
         rec.push(n.id(), Value::UInt(5));
-        let csv = records_to_csv(&[k, n], &[rec]);
+        let csv = write_csv(&rows_of(&[rec]), &[k, n], true);
         assert_eq!(csv, "kernel,count\n\"advec,cell\",5\n");
     }
 
@@ -111,13 +110,13 @@ mod tests {
         let k = store.create_simple("kernel", ValueType::Str);
         let mut rec = FlatRecord::new();
         rec.push(k.id(), Value::str("advec"));
-        let csv = records_to_csv_opts(&[k], &[rec], false);
+        let csv = write_csv(&rows_of(&[rec]), &[k], false);
         assert_eq!(csv, "advec\n");
     }
 
     #[test]
     fn cells_render_as_their_path_strings_format() {
-        // One value as `format_value` prints it; several as the text of
+        // One value as `write_value` writes it; several as the text of
         // their `/`-joined path; either quoted when it needs to be.
         let store = AttributeStore::new();
         let f = store.create_simple("function", ValueType::Str);
@@ -129,7 +128,7 @@ mod tests {
         let mut nested = FlatRecord::new();
         nested.push(t.id(), Value::Float(2.5));
         nested.push(t.id(), Value::Float(3.0));
-        let csv = records_to_csv_opts(&[f, t], &[rec, nested], false);
+        let csv = write_csv(&rows_of(&[rec, nested]), &[f, t], false);
         assert_eq!(csv, "\"main/a,b\",2.500000\n,2.5/3\n");
     }
 
@@ -140,7 +139,7 @@ mod tests {
         let n = store.create_simple("count", ValueType::UInt);
         let mut rec = FlatRecord::new();
         rec.push(n.id(), Value::UInt(5));
-        let csv = records_to_csv(&[k, n], &[rec]);
+        let csv = write_csv(&rows_of(&[rec]), &[k, n], true);
         assert_eq!(csv, "kernel,count\n,5\n");
     }
 }

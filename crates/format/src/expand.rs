@@ -2,32 +2,47 @@
 //! `label=value,label=value,...` — Caliper's human-greppable debug
 //! output for record streams.
 
-use caliper_data::{AttributeStore, FlatRecord};
+use std::fmt::Write;
 
+use caliper_data::Attribute;
+
+use crate::binary_v2::Cell;
 use crate::escape::escape_into;
+use crate::rows::{BlockRows, Escapes, Picker};
 
-/// Render one record in expand form.
-pub fn expand_record(store: &AttributeStore, record: &FlatRecord) -> String {
-    let mut out = String::new();
-    for (i, (attr, value)) in record.pairs().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Render rows one per line, each as its immediates of the attributes
+/// in `columns`, in the row's own order, as `label=value` pairs — a
+/// nested attribute's values one pair each — with `.cali` escaping.
+/// Each string of the rows' table is escaped once.
+pub fn write_expand(rows: &BlockRows, columns: &[Attribute]) -> String {
+    let picker = Picker::new(rows, columns.iter().map(Attribute::id));
+    // Per slot: its label, escaped, and the `=`.
+    let mut labels = Vec::new();
+    for (j, column) in columns.iter().enumerate() {
+        if picker.slot(j) == labels.len() {
+            let mut label = String::new();
+            escape_into(column.name(), &mut label);
+            label.push('=');
+            labels.push(label);
         }
-        match store.name_of(*attr) {
-            Some(name) => escape_into(&name, &mut out),
-            None => out.push_str(&format!("#{attr}")),
-        }
-        out.push('=');
-        escape_into(&value.to_string(), &mut out);
     }
-    out
-}
-
-/// Render a record list, one record per line.
-pub fn expand_records(store: &AttributeStore, records: &[FlatRecord]) -> String {
+    let mut escaped = Escapes::new(rows.strings());
     let mut out = String::new();
-    for rec in records {
-        out.push_str(&expand_record(store, rec));
+    for i in 0..rows.len() {
+        let mut first = true;
+        for k in rows.span(i) {
+            let Some(slot) = picker.slot_at(rows, k) else { continue };
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            out.push_str(&labels[slot]);
+            match rows.cell_at(k) {
+                Cell::Str(code) => escaped.push(&mut out, rows.strings(), code, escape_into),
+                // A number's text holds nothing to escape.
+                number => write!(out, "{}", rows.value(number)).expect("writing to a String"),
+            }
+        }
         out.push('\n');
     }
     out
@@ -36,7 +51,8 @@ pub fn expand_records(store: &AttributeStore, records: &[FlatRecord]) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caliper_data::{Value, ValueType};
+    use crate::rows::tests::rows_of;
+    use caliper_data::{AttributeStore, FlatRecord, Value, ValueType};
 
     #[test]
     fn expands_in_record_order() {
@@ -47,10 +63,12 @@ mod tests {
         rec.push(a.id(), Value::str("main"));
         rec.push(a.id(), Value::str("foo"));
         rec.push(b.id(), Value::Int(17));
+        let rows = rows_of(&[rec]);
         assert_eq!(
-            expand_record(&store, &rec),
-            "function=main,function=foo,loop.iteration=17"
+            write_expand(&rows, &[b.clone(), a.clone()]),
+            "function=main,function=foo,loop.iteration=17\n"
         );
+        assert_eq!(write_expand(&rows, &[b]), "loop.iteration=17\n");
     }
 
     #[test]
@@ -59,7 +77,7 @@ mod tests {
         let a = store.create_simple("x", ValueType::Str);
         let mut rec = FlatRecord::new();
         rec.push(a.id(), Value::str("a,b=c"));
-        assert_eq!(expand_record(&store, &rec), "x=a\\,b\\=c");
+        assert_eq!(write_expand(&rows_of(&[rec.clone(), rec]), &[a]), "x=a\\,b\\=c\nx=a\\,b\\=c\n");
     }
 
     #[test]
@@ -70,6 +88,6 @@ mod tests {
         r1.push(a.id(), Value::Int(1));
         let mut r2 = FlatRecord::new();
         r2.push(a.id(), Value::Int(2));
-        assert_eq!(expand_records(&store, &[r1, r2]), "x=1\nx=2\n");
+        assert_eq!(write_expand(&rows_of(&[r1, r2]), &[a]), "x=1\nx=2\n");
     }
 }

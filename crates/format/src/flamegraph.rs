@@ -9,42 +9,49 @@
 //!
 //! Path components come from the selected key columns in order (nested
 //! attributes contribute their whole `a/b/c` path, split on `/`); the
-//! value is the first numeric result column, rounded to an integer as
-//! the format requires.
+//! value is the last selected column, rounded to an integer as the
+//! format requires.
 
-use caliper_data::{Attribute, FlatRecord};
+use std::fmt::Write;
 
-/// Render records as collapsed stacks. `path_columns` build the stack
-/// (left = outermost); `value_column` supplies the sample weight.
-/// Records missing the value column, or with no path at all, are
-/// skipped.
-pub fn records_to_flamegraph(
+use caliper_data::Attribute;
+
+use crate::rows::{BlockRows, Picker};
+
+/// Render rows as collapsed stacks. `path_columns` build the stack
+/// (left = outermost); `value_column` supplies the sample weight (a
+/// row's last value of it). Rows missing the value column are skipped;
+/// a row with no path at all is `(root)`.
+pub fn write_flamegraph(
+    rows: &BlockRows,
     path_columns: &[Attribute],
     value_column: &Attribute,
-    records: &[FlatRecord],
 ) -> String {
-    let mut out = String::new();
-    for rec in records {
-        let Some(value) = rec.get(value_column.id()).and_then(|v| v.to_f64()) else {
-            continue;
-        };
-        let mut frames: Vec<String> = Vec::new();
-        for col in path_columns {
-            if let Some(path) = rec.path_string(col.id()) {
-                for frame in path.to_string().split('/') {
-                    if !frame.is_empty() {
-                        // The folded format reserves ';' and ' '.
-                        frames.push(frame.replace([';', ' '], "_"));
-                    }
+    let columns = path_columns.iter().chain([value_column]);
+    let mut picker = Picker::new(rows, columns.map(Attribute::id));
+    let value_slot = picker.slot(path_columns.len());
+    let (mut out, mut path) = (String::new(), String::new());
+    for i in 0..rows.len() {
+        picker.pick(rows, i);
+        let (count, _, last) = picker.found(value_slot);
+        let value = (count > 0).then(|| rows.value(rows.cell_at(last)).to_f64());
+        let Some(Some(value)) = value else { continue };
+        let line = out.len();
+        for j in 0..path_columns.len() {
+            path.clear();
+            rows.write_path(&mut path, picker.cells(rows, picker.slot(j)));
+            for frame in path.split('/').filter(|frame| !frame.is_empty()) {
+                if out.len() > line {
+                    out.push(';');
                 }
+                // The folded format reserves ';' and ' '.
+                out.extend(frame.chars().map(|c| if c == ';' || c == ' ' { '_' } else { c }));
             }
         }
-        if frames.is_empty() {
-            frames.push("(root)".to_string());
+        if out.len() == line {
+            out.push_str("(root)");
         }
-        out.push_str(&frames.join(";"));
-        out.push(' ');
-        out.push_str(&format!("{}\n", value.round() as i64));
+        writeln!(out, " {}", value.round() as i64).expect("writing to a String");
     }
     out
 }
@@ -52,7 +59,8 @@ pub fn records_to_flamegraph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caliper_data::{AttributeStore, Value, ValueType};
+    use crate::rows::tests::rows_of;
+    use caliper_data::{AttributeStore, FlatRecord, Value, ValueType};
 
     #[test]
     fn renders_folded_stacks() {
@@ -67,7 +75,7 @@ mod tests {
         rec.push(kernel.id(), Value::str("calc-dt"));
         rec.push(time.id(), Value::Float(42.4));
 
-        let out = records_to_flamegraph(&[func, kernel], &time, &[rec]);
+        let out = write_flamegraph(&rows_of(&[rec]), &[func, kernel], &time);
         assert_eq!(out, "main;hydro_cycle;calc-dt 42\n");
     }
 
@@ -78,7 +86,7 @@ mod tests {
         let time = store.create_simple("time", ValueType::Float);
         let mut rec = FlatRecord::new();
         rec.push(func.id(), Value::str("main"));
-        let out = records_to_flamegraph(&[func], &time, &[rec]);
+        let out = write_flamegraph(&rows_of(&[rec]), &[func], &time);
         assert!(out.is_empty());
     }
 
@@ -89,7 +97,7 @@ mod tests {
         let time = store.create_simple("time", ValueType::Float);
         let mut rec = FlatRecord::new();
         rec.push(time.id(), Value::Float(7.0));
-        let out = records_to_flamegraph(&[func], &time, &[rec]);
+        let out = write_flamegraph(&rows_of(&[rec]), &[func], &time);
         assert_eq!(out, "(root) 7\n");
     }
 }

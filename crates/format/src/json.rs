@@ -1,17 +1,28 @@
-//! Hand-rolled JSON encoder (record lists) and a minimal parser.
+//! Hand-rolled JSON encoder (result rows) and a minimal parser.
 //!
-//! The encoder emits an array of objects, one per record, with
+//! The encoder emits an array of objects, one per row, with
 //! attribute labels as keys. The parser ([`parse_json`]) reads back the
 //! same subset — the tools use it to validate their own machine-
 //! readable outputs (`cali-query --stats=json`, `FORMAT json`) without
 //! pulling in serde_json; the subset of JSON we need — objects and
 //! arrays of string/number/bool values — is tiny.
 
-use caliper_data::{AttributeStore, FlatRecord, Value};
+use std::fmt::Write;
+
+use caliper_data::{Attribute, Value};
+
+use crate::binary_v2::Cell;
+use crate::rows::{BlockRows, Escapes, Picker};
 
 /// Escape a string per RFC 8259.
 pub fn escape_json(input: &str) -> String {
     let mut out = String::with_capacity(input.len() + 2);
+    escape_json_into(input, &mut out);
+    out
+}
+
+/// [`escape_json`] appended to `out`.
+fn escape_json_into(input: &str, out: &mut String) {
     for ch in input.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -19,110 +30,96 @@ pub fn escape_json(input: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String")
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Encode one value as a JSON literal. Non-finite floats become `null`
-/// (JSON has no NaN/Inf).
-pub fn value_to_json(value: &Value) -> String {
-    match value {
-        Value::Str(s) => format!("\"{}\"", escape_json(s)),
-        Value::Int(i) => i.to_string(),
-        Value::UInt(u) => u.to_string(),
-        Value::Float(f) if f.is_finite() => {
-            // Ensure the output re-parses as a float, not an int.
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                f.to_string()
-            }
+/// `input` as a JSON string literal, appended to `out`.
+fn push_string(input: &str, out: &mut String) {
+    out.push('"');
+    escape_json_into(input, out);
+    out.push('"');
+}
+
+/// Append one value to `out` as a JSON literal. Non-finite floats
+/// become `null` (JSON has no NaN/Inf).
+fn write_json_value(out: &mut String, value: &Value) {
+    let written = match value {
+        Value::Str(s) => {
+            push_string(s, out);
+            Ok(())
         }
-        Value::Float(_) => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-    }
-}
-
-/// Collect a record's members as (escaped key, encoded value) pairs.
-/// Repeated (nested) attributes are joined into their path string,
-/// matching the table formatter.
-fn json_members(store: &AttributeStore, record: &FlatRecord) -> Vec<(String, String)> {
-    let mut seen = Vec::new();
-    let mut members = Vec::new();
-    for (attr, _) in record.pairs() {
-        if seen.contains(attr) {
-            continue;
+        Value::Int(i) => write!(out, "{i}"),
+        Value::UInt(u) => write!(out, "{u}"),
+        // Ensure the output re-parses as a float, not an int.
+        Value::Float(f) if f.is_finite() && f.fract() == 0.0 && f.abs() < 1e15 => {
+            write!(out, "{f:.1}")
         }
-        seen.push(*attr);
-        let name = match store.name_of(*attr) {
-            Some(n) => n,
-            None => continue,
-        };
-        let value = record
-            .path_string(*attr)
-            .expect("attribute present by construction");
-        members.push((escape_json(&name), value_to_json(&value)));
-    }
-    members
+        Value::Float(f) if f.is_finite() => write!(out, "{f}"),
+        Value::Float(_) => write!(out, "null"),
+        Value::Bool(b) => write!(out, "{b}"),
+    };
+    written.expect("writing to a String");
 }
 
-/// Encode one record as a JSON object.
-pub fn record_to_json(store: &AttributeStore, record: &FlatRecord) -> String {
-    let mut out = String::from("{");
-    for (i, (key, value)) in json_members(store, record).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(key);
-        out.push_str("\":");
-        out.push_str(value);
-    }
-    out.push('}');
-    out
-}
-
-/// Encode a record list as a JSON array of objects, one record per line.
-pub fn records_to_json(store: &AttributeStore, records: &[FlatRecord]) -> String {
-    records_to_json_opts(store, records, false)
-}
-
-/// Encode a record list as JSON. With `pretty`, each member gets its own
+/// Encode rows as a JSON array of objects, one per row, with
+/// attribute labels as keys. An object holds the row's attributes
+/// among `columns`, in the row's own order; a nested attribute's
+/// several values are joined into their path string, as the table
+/// formatter joins them. With `pretty`, each member gets its own
 /// indented line (`FORMAT json(pretty)`); otherwise one compact object
-/// per line.
-pub fn records_to_json_opts(
-    store: &AttributeStore,
-    records: &[FlatRecord],
-    pretty: bool,
-) -> String {
+/// per line. Each string of the rows' table is escaped once.
+pub fn write_json(rows: &BlockRows, columns: &[Attribute], pretty: bool) -> String {
+    let mut picker = Picker::new(rows, columns.iter().map(Attribute::id));
+    // Per slot: its member's key, escaped and quoted.
+    let mut keys = Vec::new();
+    for (j, column) in columns.iter().enumerate() {
+        if picker.slot(j) == keys.len() {
+            let mut key = String::new();
+            push_string(column.name(), &mut key);
+            keys.push(key);
+        }
+    }
+    let (open, separator, assign, close) = if pretty {
+        ("{\n  ", ",\n  ", ": ", "\n}")
+    } else {
+        ("{", ",", ":", "}")
+    };
+    let mut escaped = Escapes::new(rows.strings());
+    let mut path = String::new();
     let mut out = String::from("[\n");
-    for (i, rec) in records.iter().enumerate() {
+    for i in 0..rows.len() {
         if i > 0 {
             out.push_str(",\n");
         }
-        if pretty {
-            let members = json_members(store, rec);
-            if members.is_empty() {
-                out.push_str("{}");
-            } else {
-                out.push_str("{\n");
-                for (j, (key, value)) in members.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(",\n");
-                    }
-                    out.push_str("  \"");
-                    out.push_str(key);
-                    out.push_str("\": ");
-                    out.push_str(value);
-                }
-                out.push_str("\n}");
+        picker.pick(rows, i);
+        let mut members = 0;
+        for k in rows.span(i) {
+            // A member per attribute, where its first value is.
+            let Some(slot) = picker.slot_at(rows, k) else { continue };
+            let (count, first, _) = picker.found(slot);
+            if first != k {
+                continue;
             }
-        } else {
-            out.push_str(&record_to_json(store, rec));
+            out.push_str(if members == 0 { open } else { separator });
+            out.push_str(&keys[slot]);
+            out.push_str(assign);
+            match (count, rows.cell_at(k)) {
+                (1, Cell::Str(code)) => escaped.push(&mut out, rows.strings(), code, push_string),
+                (1, number) => write_json_value(&mut out, &rows.value(number)),
+                _ => {
+                    path.clear();
+                    rows.write_path(&mut path, picker.cells(rows, slot));
+                    push_string(&path, &mut out);
+                }
+            }
+            members += 1;
         }
+        out.push_str(if members == 0 { "{}" } else { close });
     }
     out.push_str("\n]\n");
     out
@@ -396,7 +393,8 @@ impl JsonParser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caliper_data::ValueType;
+    use crate::rows::tests::rows_of;
+    use caliper_data::{AttributeStore, FlatRecord, ValueType};
 
     #[test]
     fn escapes_special_characters() {
@@ -406,17 +404,22 @@ mod tests {
 
     #[test]
     fn values_encode_per_type() {
-        assert_eq!(value_to_json(&Value::Int(-3)), "-3");
-        assert_eq!(value_to_json(&Value::UInt(3)), "3");
-        assert_eq!(value_to_json(&Value::Float(1.5)), "1.5");
-        assert_eq!(value_to_json(&Value::Float(2.0)), "2.0");
-        assert_eq!(value_to_json(&Value::Float(f64::NAN)), "null");
-        assert_eq!(value_to_json(&Value::Bool(true)), "true");
-        assert_eq!(value_to_json(&Value::str("x")), "\"x\"");
+        let json = |value: Value| {
+            let mut out = String::new();
+            write_json_value(&mut out, &value);
+            out
+        };
+        assert_eq!(json(Value::Int(-3)), "-3");
+        assert_eq!(json(Value::UInt(3)), "3");
+        assert_eq!(json(Value::Float(1.5)), "1.5");
+        assert_eq!(json(Value::Float(2.0)), "2.0");
+        assert_eq!(json(Value::Float(f64::NAN)), "null");
+        assert_eq!(json(Value::Bool(true)), "true");
+        assert_eq!(json(Value::str("x")), "\"x\"");
     }
 
     #[test]
-    fn records_render_as_objects() {
+    fn rows_render_as_objects() {
         let store = AttributeStore::new();
         let func = store.create_simple("function", ValueType::Str);
         let count = store.create_simple("count", ValueType::UInt);
@@ -424,12 +427,22 @@ mod tests {
         rec.push(func.id(), Value::str("main"));
         rec.push(func.id(), Value::str("foo"));
         rec.push(count.id(), Value::UInt(7));
-        let json = record_to_json(&store, &rec);
-        assert_eq!(json, "{\"function\":\"main/foo\",\"count\":7}");
-
-        let arr = records_to_json(&store, &[rec.clone(), rec]);
-        assert!(arr.starts_with("[\n{"));
-        assert_eq!(arr.matches("\"count\":7").count(), 2);
+        let rows = rows_of(&[rec.clone(), rec]);
+        let json = write_json(&rows, &[func.clone(), count.clone()], false);
+        assert_eq!(
+            json,
+            "[\n{\"function\":\"main/foo\",\"count\":7},\n{\"function\":\"main/foo\",\"count\":7}\n]\n"
+        );
+        // Members keep the row's order, whatever the columns'; only
+        // the columns' attributes are members.
+        assert_eq!(
+            write_json(&rows, &[count, func.clone()], false).lines().nth(1),
+            Some("{\"function\":\"main/foo\",\"count\":7},")
+        );
+        assert_eq!(
+            write_json(&rows, &[func], false).lines().nth(1),
+            Some("{\"function\":\"main/foo\"},")
+        );
     }
 
     #[test]
@@ -438,13 +451,14 @@ mod tests {
         let func = store.create_simple("function", ValueType::Str);
         let mut rec = FlatRecord::new();
         rec.push(func.id(), Value::str("main"));
-        let pretty = records_to_json_opts(&store, &[rec.clone()], true);
-        assert_eq!(pretty, "[\n{\n  \"function\": \"main\"\n}\n]\n");
+        let rows = rows_of(&[rec, FlatRecord::new()]);
+        let pretty = write_json(&rows, std::slice::from_ref(&func), true);
+        assert_eq!(pretty, "[\n{\n  \"function\": \"main\"\n},\n{}\n]\n");
         // Pretty output must still parse.
         assert!(parse_json(&pretty).is_ok());
         assert_eq!(
-            records_to_json_opts(&store, &[rec], false),
-            "[\n{\"function\":\"main\"}\n]\n"
+            write_json(&rows, &[func], false),
+            "[\n{\"function\":\"main\"},\n{}\n]\n"
         );
     }
 
@@ -485,7 +499,7 @@ mod tests {
         rec.push(func.id(), Value::str("main \"quoted\""));
         rec.push(t.id(), Value::Float(2.0));
         rec.push(n.id(), Value::UInt(7));
-        let doc = parse_json(&records_to_json(&store, &[rec])).unwrap();
+        let doc = parse_json(&write_json(&rows_of(&[rec]), &[func, t, n], false)).unwrap();
         let Json::Array(items) = &doc else {
             panic!("expected array, got {doc:?}")
         };

@@ -8,8 +8,10 @@
 //! * [`cali`] — the self-describing, line-oriented `.cali` stream codec
 //!   used to persist per-process datasets for off-line cross-process and
 //!   analytical aggregation (paper §IV-C).
-//! * [`table`], [`csv`], [`json`], [`expand`] — output formatters for
-//!   aggregation results, mirroring `cali-query`'s formatters.
+//! * [`BlockRows`] — a query result: the rows of a typed-column block in
+//!   an order of their own, and [`table`], [`csv`], [`json`],
+//!   [`expand`], [`flamegraph`] — the formatters that render it a row
+//!   at a time from its columns, mirroring `cali-query`'s formatters.
 //!
 //! ```
 //! use caliper_format::{cali, Dataset};
@@ -44,6 +46,7 @@ pub mod policy;
 pub mod pushdown;
 pub mod reader;
 pub mod retry;
+pub mod rows;
 pub mod schema;
 pub mod table;
 
@@ -62,4 +65,4 @@ pub use reader::{
     for_each_flat, read_path, read_path_into, read_path_into_filtered,
     read_path_reported_filtered, scan_dictionary, scan_path, RecordBatch,
 };
-pub use table::Table;
+pub use rows::BlockRows;

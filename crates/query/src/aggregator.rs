@@ -21,7 +21,7 @@ use caliper_data::{
     fxhash, AttrId, Attribute, AttributeStore, ContextTree, Entry, FlatRecord, FxBuildHasher,
     NodeId, Properties, SnapshotRecord, Value, ValueType,
 };
-use caliper_format::{Block, Cell, Column as BlockColumn, ColumnData, StringTable};
+use caliper_format::{Block, BlockRows, Cell, Column as BlockColumn, ColumnData, StringTable};
 
 use crate::ast::{AggOp, OpKind, QuerySpec};
 use crate::ops::{Column, Included, Values};
@@ -817,33 +817,14 @@ impl Aggregator {
         self.key = key;
     }
 
-    /// Flush the database into result records, interning result
-    /// attributes in `out_store`: the rows of
-    /// [`flush_into`](Self::flush_into)'s block, one record per group in
-    /// key order, then the overflow bucket's — filled a column at a time.
-    pub fn flush(&self, out_store: &AttributeStore) -> Vec<FlatRecord> {
-        let mut strings = StringTable::default();
-        let (rows, columns) = self.flush_columns(out_store, &mut strings);
-        let mut next = vec![0; columns.len()];
-        (0..rows)
-            .map(|row| {
-                let mut pairs = Vec::with_capacity(columns.len());
-                for ((column, included), next) in columns.iter().zip(&mut next) {
-                    if included.as_ref().is_none_or(|rows| rows[row]) {
-                        let value = match &column.data {
-                            ColumnData::Str(v) => strings.value(v[*next]).clone(),
-                            ColumnData::Int(v) => Value::Int(v[*next]),
-                            ColumnData::UInt(v) => Value::UInt(v[*next]),
-                            ColumnData::Float(v) => Value::Float(v[*next]),
-                            ColumnData::Bool(v) => Value::Bool(v[*next]),
-                        };
-                        pairs.push((column.attr, value));
-                        *next += 1;
-                    }
-                }
-                FlatRecord::from_pairs(pairs)
-            })
-            .collect()
+    /// Flush the database into result rows, interning result attributes
+    /// in `out_store`: [`flush_into`](Self::flush_into)'s block and
+    /// strings, one row per group in key order, then the overflow
+    /// bucket's.
+    pub fn flush(&self, out_store: &AttributeStore) -> BlockRows {
+        let (mut block, mut strings) = (Block::default(), StringTable::default());
+        self.flush_into(out_store, &mut block, &mut strings, None);
+        BlockRows::new(block, strings)
     }
 
     /// Flush the database into `block` as typed columns, one row per
@@ -876,25 +857,6 @@ impl Aggregator {
         strings: &mut StringTable,
         stamp: Option<(AttrId, Cell)>,
     ) {
-        let (rows, mut columns) = self.flush_columns(out_store, strings);
-        if let Some((attr, cell)) = stamp {
-            let mut data = ColumnData::with_capacity(cell.value_type(), rows);
-            (0..rows).for_each(|_| data.push(cell));
-            columns.push((BlockColumn { attr, data }, None));
-        }
-        assert!(
-            block.push_columns(rows, columns),
-            "a flush of more than 2^32 values"
-        );
-    }
-
-    /// The rows of a flush — as [`flush_into`](Self::flush_into) hands
-    /// them to its block, a column at a time — and how many there are.
-    fn flush_columns(
-        &self,
-        out_store: &AttributeStore,
-        strings: &mut StringTable,
-    ) -> (usize, Columns) {
         // When the overflow bucket is live its row carries the string
         // sentinel in every key column, so key columns must be typed as
         // strings; ordinary key values coerce to their string rendering.
@@ -941,20 +903,26 @@ impl Aggregator {
             })
             .collect();
 
-        // A column at a time — each key label's, then each op's results —
+        // A column at a time — the key labels', then each op's results —
         // every row's value, strings as codes of `strings`, and the columns
-        // it goes out in. The overflow row carries the sentinel in every
-        // key column and the combined reductions of every group that did
-        // not fit. `percent_total` divides by the sum of its sums over all
-        // rows (the overflow bucket's too, so the percentages still total
-        // 100).
+        // it goes out in. The key labels' columns fill in one pass over
+        // the rows, so that each group's key is read once. The overflow
+        // row carries the sentinel in every key column and the combined
+        // reductions of every group that did not fit. `percent_total`
+        // divides by the sum of its sums over all rows (the overflow
+        // bucket's too, so the percentages still total 100).
         let mut columns = Vec::with_capacity(key_attrs.len() + self.ops.len());
         let (mut codes, mut sentinel) = (vec![None; self.strings.len()], None);
-        for (slot, attr) in key_attrs.iter().enumerate() {
-            let Some(attr) = attr else { continue };
-            let mut values = Values::with_capacity(rows.len());
-            for &group in &rows {
-                values.push(match key(group).get(slot) {
+        let slots: Vec<(usize, &Attribute)> = key_attrs
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, attr)| Some((slot, attr.as_ref()?)))
+            .collect();
+        let mut keys: Vec<Values> = slots.iter().map(|_| Values::with_capacity(rows.len())).collect();
+        for &group in &rows {
+            let key = key(group);
+            for (&(slot, _), values) in slots.iter().zip(&mut keys) {
+                values.push(match key.get(slot) {
                     None => Some(Cell::Str(
                         *sentinel.get_or_insert_with(|| strings.intern(OVERFLOW_KEY)),
                     )),
@@ -966,6 +934,8 @@ impl Aggregator {
                     Some(KeyCell(Some(number))) => Some(*number),
                 });
             }
+        }
+        for ((_, attr), values) in slots.iter().zip(keys) {
             emit(attr, values, strings, &mut columns);
         }
         for (op, column) in self.spec.ops.iter().zip(&self.ops) {
@@ -997,7 +967,16 @@ impl Aggregator {
             .add(self.overflow_records());
         m.counter("query.aggregator.overflow_folds")
             .add(u64::from(self.overflow.is_some()));
-        (rows.len(), columns)
+        let rows = rows.len();
+        if let Some((attr, cell)) = stamp {
+            let mut data = ColumnData::with_capacity(cell.value_type(), rows);
+            (0..rows).for_each(|_| data.push(cell));
+            columns.push((BlockColumn { attr, data }, None));
+        }
+        assert!(
+            block.push_columns(rows, columns),
+            "a flush of more than 2^32 values"
+        );
     }
 }
 
@@ -1120,7 +1099,7 @@ mod tests {
             agg.add(rec);
         }
         let out_store = Arc::new(AttributeStore::new());
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         (out_store, out)
     }
 
@@ -1238,7 +1217,7 @@ mod tests {
             agg.add(r);
         }
         let out_store = AttributeStore::new();
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         assert!(out_store.find("aggregate.count").is_some());
         assert!(out_store.find("count").is_none());
         assert_eq!(out.len(), 1);
@@ -1259,7 +1238,7 @@ mod tests {
         agg.add(&r1);
         agg.add(&r2);
         let out_store = AttributeStore::new();
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         assert_eq!(out.len(), 2);
         let f = out_store.find("function").unwrap();
         let c = out_store.find("count").unwrap();
@@ -1305,7 +1284,7 @@ mod tests {
         };
         let lines = |agg: &Aggregator| {
             let out = AttributeStore::new();
-            agg.flush(&out)
+            agg.flush(&out).iter().collect::<Vec<_>>()
                 .iter()
                 .map(|r| r.describe(&out))
                 .collect::<Vec<_>>()
@@ -1341,7 +1320,7 @@ mod tests {
         let rec = RecordBuilder::new(&store).with("late.attr", "x").build();
         agg.add(&rec);
         let out_store = AttributeStore::new();
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         assert_eq!(out.len(), 2);
     }
 
@@ -1359,7 +1338,7 @@ mod tests {
             agg.add(r);
         }
         let out_store = AttributeStore::new();
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         assert_eq!(out.len(), 2);
         // No ops -> no result attributes beyond the key.
         assert_eq!(out_store.len(), 1);
@@ -1396,7 +1375,7 @@ mod tests {
         agg.add(&int_rec);
         agg.add(&float_rec);
         let out_store = AttributeStore::new();
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         let sum = out_store.find("sum#x").unwrap();
         assert_eq!(sum.value_type(), ValueType::Float);
         assert_eq!(out.len(), 2);
@@ -1422,7 +1401,7 @@ mod tests {
         let mut agg = Aggregator::new(AggregationSpec::from_query(&spec), store);
         agg.add(&rec);
         let out_store = AttributeStore::new();
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         assert_eq!(out.len(), 1);
         let sum = out_store.find("sum#x").unwrap();
         let count = out_store.find("count").unwrap();
@@ -1458,7 +1437,7 @@ mod tests {
         assert_eq!(agg.overflow_records(), 12);
 
         let out_store = AttributeStore::new();
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         assert_eq!(out.len(), 5); // 4 groups + overflow row, last
         let k = out_store.find("k").unwrap();
         let count = out_store.find("count").unwrap();
@@ -1520,7 +1499,7 @@ mod tests {
         };
         let flushed = |agg: &Aggregator| {
             let out_store = AttributeStore::new();
-            let out = agg.flush(&out_store);
+            let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].describe(&out_store), "k=3,count=2");
             out[0].get(out_store.find("k").unwrap().id()).cloned()
@@ -1602,7 +1581,7 @@ mod tests {
             }
             assert!(root.len() <= 3);
             let out_store = AttributeStore::new();
-            let out = root.flush(&out_store);
+            let out = root.flush(&out_store).iter().collect::<Vec<_>>();
             let count = out_store.find("count").unwrap();
             let total: u64 = out
                 .iter()
@@ -1636,7 +1615,7 @@ mod tests {
             agg.add(r);
         }
         let out_store = AttributeStore::new();
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         let i_attr = out_store.find("i").unwrap();
         assert_eq!(i_attr.value_type(), ValueType::Str);
         for rec in &out {
@@ -1670,7 +1649,7 @@ mod tests {
             agg.add(r);
         }
         let out_store = AttributeStore::new();
-        let out = agg.flush(&out_store);
+        let out = agg.flush(&out_store).iter().collect::<Vec<_>>();
         assert_eq!(out.len(), 3);
         let p = out_store.find("percent_total#time").unwrap();
         let total: f64 = out

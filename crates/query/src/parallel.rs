@@ -236,7 +236,9 @@ pub struct ShardTimings {
     /// Seconds spent under the merge lock, merging files into the root
     /// as their turn came.
     pub merge_s: f64,
-    /// Seconds the root spent in ORDER BY / SELECT / FORMAT.
+    /// Seconds the root spent finishing: the flush, ORDER BY, LIMIT and
+    /// SELECT ([`Pipeline::finish`]), up to the result and short of its
+    /// rendering.
     pub finish_s: f64,
     /// Per-file [`ReadReport`]s in input-file order (one per file that
     /// was read; under [`ReadPolicy::Strict`] these are all clean).

@@ -9,23 +9,26 @@
 use std::sync::Arc;
 
 use caliper_data::{
-    Attribute, AttributeStore, FlatRecord, Properties, SnapshotRecord, ValueType,
+    Attribute, AttributeStore, ContextTree, FlatRecord, Properties, ValueType,
 };
 use caliper_format::dataset::Dataset;
-use caliper_format::{csv, expand, for_each_flat, json, table};
+use caliper_format::{csv, expand, flamegraph, for_each_flat, json, table};
+use caliper_format::{Block, BlockRows, CaliWriter, StringTable};
 
 use crate::aggregator::{AggregationSpec, Aggregator};
 use crate::ast::{FormatOpt, OutputFormat, QuerySpec, SortDir};
 use crate::filter::FilterSet;
 use crate::lets::LetSet;
 use crate::parser::{parse_query, ParseError};
+use crate::scan::BlockFold;
 
-/// The result of a finished query: records plus presentation metadata.
+/// The result of a finished query: rows plus presentation metadata.
 pub struct QueryResult {
-    /// Store the result records' attribute ids refer to.
+    /// Store the result rows' attribute ids refer to.
     pub store: Arc<AttributeStore>,
-    /// Result records (aggregation entries or filtered pass-through).
-    pub records: Vec<FlatRecord>,
+    /// Result rows (aggregation entries or filtered pass-through), as
+    /// the columns of one block in ORDER BY order, LIMIT applied.
+    pub records: BlockRows,
     /// Output columns in presentation order.
     pub columns: Vec<Attribute>,
     /// Requested output format.
@@ -40,8 +43,8 @@ pub struct QueryResult {
 
 impl QueryResult {
     /// Render as an aligned text table regardless of the format clause.
-    pub fn to_table(&self) -> table::Table {
-        table::records_to_table(&self.columns, &self.records)
+    pub fn to_table(&self) -> String {
+        table::write_table(&self.records, &self.columns, true)
     }
 
     /// Is a flag-style formatter option present (case-insensitive)?
@@ -51,49 +54,46 @@ impl QueryResult {
             .any(|o| o.name.eq_ignore_ascii_case(name))
     }
 
-    /// Render in the query's requested output format.
+    /// Render in the query's requested output format. Every format
+    /// writes only the output columns: `table` and `csv` in their order,
+    /// the others in each row's own.
     pub fn render(&self) -> String {
+        let (rows, columns) = (&self.records, &self.columns);
         match self.format {
-            OutputFormat::Table => self.to_table().render_opts(!self.has_opt("noheader")),
-            OutputFormat::Csv => csv::records_to_csv_opts(
-                &self.columns,
-                &self.records,
-                !self.has_opt("noheader"),
-            ),
-            OutputFormat::Json => {
-                json::records_to_json_opts(&self.store, &self.records, self.has_opt("pretty"))
-            }
-            OutputFormat::Expand => expand::expand_records(&self.store, &self.records),
+            OutputFormat::Table => table::write_table(rows, columns, !self.has_opt("noheader")),
+            OutputFormat::Csv => csv::write_csv(rows, columns, !self.has_opt("noheader")),
+            OutputFormat::Json => json::write_json(rows, columns, self.has_opt("pretty")),
+            OutputFormat::Expand => expand::write_expand(rows, columns),
             OutputFormat::Flamegraph => {
                 // Last selected column is the value; the preceding
                 // columns build the stack.
-                if self.columns.len() < 2 {
+                let Some((value, path)) = columns.split_last().filter(|(_, path)| !path.is_empty())
+                else {
                     return String::from(
                         "# flamegraph output needs at least two columns (path..., value)\n",
                     );
-                }
-                let (path, value) = self.columns.split_at(self.columns.len() - 1);
-                caliper_format::flamegraph::records_to_flamegraph(
-                    path,
-                    &value[0],
-                    &self.records,
-                )
+                };
+                flamegraph::write_flamegraph(rows, path, value)
             }
             OutputFormat::Cali => {
-                let mut ds = Dataset::with_context(
-                    Arc::clone(&self.store),
-                    Arc::new(caliper_data::ContextTree::new()),
-                );
-                ds.records.extend(self.records.iter().map(SnapshotRecord::from));
-                String::from_utf8(caliper_format::cali::to_bytes(&ds))
-                    .expect("cali output is UTF-8")
+                let ds = Dataset::with_context(Arc::clone(&self.store), Arc::new(ContextTree::new()));
+                let block = rows.to_block(|attr| columns.iter().any(|c| c.id() == attr));
+                let mut writer = CaliWriter::new(Vec::new());
+                writer
+                    .write_block(&ds, rows.strings(), &block)
+                    .expect("writing to a Vec cannot fail");
+                let bytes = writer.finish().expect("flushing a Vec cannot fail");
+                String::from_utf8(bytes).expect("cali output is UTF-8")
             }
         }
     }
 
-    /// Run another query over this result's records — interactive
+    /// Run another query over this result's rows — interactive
     /// drill-down, as in the paper's §VI workflow where each analysis
     /// question is a new query over the previously aggregated profile.
+    /// The rows, in order, are folded as one block
+    /// ([`Pipeline::fold_block`]), as `cali-served` folds each stream's
+    /// flushed block.
     ///
     /// ```
     /// # use caliper_data::{AttributeStore, RecordBuilder};
@@ -109,9 +109,11 @@ impl QueryResult {
     /// ```
     pub fn requery(&self, text: &str) -> Result<QueryResult, ParseError> {
         let mut pipeline = Pipeline::from_text(text, Arc::clone(&self.store))?;
-        for rec in &self.records {
-            pipeline.process(rec.clone());
-        }
+        let mut ds = Dataset::with_context(Arc::clone(&self.store), Arc::new(ContextTree::new()));
+        let mut fold = BlockFold::new(pipeline.spec());
+        let mut strings = self.records.strings().clone();
+        let block = self.records.to_block(|_| true);
+        pipeline.fold_block(&mut fold, &mut ds, &mut strings, &block);
         Ok(pipeline.finish())
     }
 
@@ -149,7 +151,9 @@ pub struct Pipeline {
     /// Boxed: a pipeline is moved about whole — up a reduction tree, one
     /// per rank — and most of its size would be the aggregator's.
     pub(crate) aggregator: Option<Box<Aggregator>>,
-    passthrough: Vec<FlatRecord>,
+    /// A pass-through query's matching records, as the rows of one
+    /// block, and the table its string codes refer to.
+    passthrough: (Block, StringTable),
     pub(crate) input_store: Arc<AttributeStore>,
 }
 
@@ -172,7 +176,7 @@ impl Pipeline {
             lets,
             filters,
             aggregator,
-            passthrough: Vec::new(),
+            passthrough: Default::default(),
             input_store: store,
         }
     }
@@ -227,7 +231,10 @@ impl Pipeline {
         }
         match &mut self.aggregator {
             Some(agg) => agg.add(&record),
-            None => self.passthrough.push(record),
+            None => {
+                let (block, strings) = &mut self.passthrough;
+                assert!(block.push_record(strings, &record), "a result of more than 2^32 values");
+            }
         }
     }
 
@@ -244,12 +251,18 @@ impl Pipeline {
     /// databases by key *value*, so the other pipeline may have read its
     /// input over a store of its own — every file of `cali-query` and
     /// every rank of `mpi-caliquery` does. Pass-through queries
-    /// concatenate their record lists, whose attribute ids refer to the
-    /// input store: merge those only over a shared one.
+    /// concatenate their rows, whose attribute ids refer to the input
+    /// store: merge those only over a shared one.
     pub fn merge(&mut self, other: Pipeline) {
         match (&mut self.aggregator, other.aggregator) {
             (Some(mine), Some(theirs)) => mine.merge(*theirs),
-            (None, None) => self.passthrough.extend(other.passthrough),
+            (None, None) => {
+                let (block, strings) = &mut self.passthrough;
+                let (theirs, their_strings) = other.passthrough;
+                for record in BlockRows::new(theirs, their_strings).iter() {
+                    assert!(block.push_record(strings, &record), "a result of more than 2^32 values");
+                }
+            }
             _ => debug_assert!(false, "merging aggregation with pass-through pipeline"),
         }
     }
@@ -259,7 +272,7 @@ impl Pipeline {
     pub fn len(&self) -> usize {
         match &self.aggregator {
             Some(agg) => agg.len(),
-            None => self.passthrough.len(),
+            None => self.passthrough.0.rows(),
         }
     }
 
@@ -268,80 +281,50 @@ impl Pipeline {
         self.len() == 0
     }
 
-    /// Finish: flush the aggregation, apply ORDER BY and SELECT, and
-    /// return the result.
+    /// Finish: flush the aggregation (or take the pass-through rows) as
+    /// one block, apply ORDER BY and LIMIT to the order of its rows and
+    /// resolve SELECT to its attributes, and return the result.
     pub fn finish(self) -> QueryResult {
         let overflow_records = self.overflow_records();
         // The flush types key columns by the input attribute of the
         // same label; a LET output no row-path record interned yet (the
         // block fold works on labels) must exist by now.
         self.lets.intern_outputs();
-        let (store, mut records) = match self.aggregator {
+        let (store, mut rows) = match self.aggregator {
             Some(agg) => {
                 let out_store = Arc::new(AttributeStore::new());
-                let records = agg.flush(&out_store);
-                (out_store, records)
+                let (mut block, mut strings) = (Block::default(), StringTable::default());
+                agg.flush_into(&out_store, &mut block, &mut strings, None);
+                (out_store, BlockRows::new(block, strings))
             }
-            None => (self.input_store, self.passthrough),
+            None => {
+                let (block, strings) = self.passthrough;
+                (self.input_store, BlockRows::new(block, strings))
+            }
         };
 
-        // ORDER BY
-        if !self.spec.order_by.is_empty() {
-            let keys: Vec<(Option<Attribute>, SortDir)> = self
-                .spec
-                .order_by
-                .iter()
-                .map(|k| (store.find(&k.attr), k.dir))
-                .collect();
-            records.sort_by(|a, b| {
-                for (attr, dir) in &keys {
-                    let ord = match attr {
-                        Some(attr) => {
-                            let va = a.path_string(attr.id());
-                            let vb = b.path_string(attr.id());
-                            match (va, vb) {
-                                (None, None) => std::cmp::Ordering::Equal,
-                                (None, Some(_)) => std::cmp::Ordering::Less,
-                                (Some(_), None) => std::cmp::Ordering::Greater,
-                                (Some(va), Some(vb)) => va.total_cmp(&vb),
-                            }
-                        }
-                        None => std::cmp::Ordering::Equal,
-                    };
-                    let ord = match dir {
-                        SortDir::Asc => ord,
-                        SortDir::Desc => ord.reverse(),
-                    };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-
+        // ORDER BY (a label no row carries orders nothing).
+        let keys: Vec<_> = self
+            .spec
+            .order_by
+            .iter()
+            .filter_map(|k| Some((store.find(&k.attr)?.id(), k.dir == SortDir::Desc)))
+            .collect();
+        rows.sort(&keys);
         if let Some(limit) = self.spec.limit {
-            records.truncate(limit);
+            rows.truncate(limit);
         }
 
         // Column selection.
         let labels: Vec<String> = match (&self.spec.select, self.spec.is_aggregation()) {
             (Some(cols), _) => cols.clone(),
             (None, true) => self.spec.default_columns("count"),
-            (None, false) => {
-                // All attributes in order of first appearance.
-                let mut seen = Vec::new();
-                for rec in &records {
-                    for (attr, _) in rec.pairs() {
-                        if !seen.contains(attr) {
-                            seen.push(*attr);
-                        }
-                    }
-                }
-                seen.iter()
-                    .filter_map(|id| store.name_of(*id).map(|n| n.to_string()))
-                    .collect()
-            }
+            // All attributes in order of first appearance.
+            (None, false) => rows
+                .attributes()
+                .into_iter()
+                .filter_map(|id| store.name_of(id).map(|n| n.to_string()))
+                .collect(),
         };
         let columns: Vec<Attribute> = labels
             .iter()
@@ -358,7 +341,7 @@ impl Pipeline {
 
         QueryResult {
             store,
-            records,
+            records: rows,
             columns,
             format: self.spec.format,
             format_opts: self.spec.format_opts,
@@ -378,7 +361,7 @@ pub fn run_query(ds: &Dataset, text: &str) -> Result<QueryResult, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caliper_data::{RecordBuilder, Value};
+    use caliper_data::{RecordBuilder, SnapshotRecord, Value};
 
     fn sample_dataset() -> Dataset {
         let mut ds = Dataset::new();
@@ -556,7 +539,7 @@ mod tests {
         assert_eq!(result.records.len(), 3);
         // The top-3 are the foo rows (sum 40 each), not bar (20).
         let f = result.store.find("function").unwrap();
-        for rec in &result.records {
+        for rec in result.records.iter() {
             assert_eq!(rec.get(f.id()), Some(&Value::str("foo")));
         }
     }
@@ -572,7 +555,7 @@ mod tests {
         assert_eq!(refined.records.len(), 2);
         let t = refined.store.find("t").unwrap();
         assert_eq!(
-            refined.records[0].get(t.id()).unwrap().to_i64(),
+            refined.records.row(0).get(t.id()).unwrap().to_i64(),
             Some(160)
         );
     }

@@ -4,7 +4,8 @@
 //! keys all exist in the receiver allocates nothing per group, and once
 //! the fold's scratch has grown to a block, folding more blocks into
 //! groups that exist allocates nothing at all. A flush allocates per
-//! column, not per group. A test binary of its own
+//! column, not per group, and so do finishing a query and rendering its
+//! result, short of the output's doubling. A test binary of its own
 //! because it installs a counting global allocator; until `cali-bench`
 //! has a `query.new_group_allocs` row (ROADMAP item 1d) this is that
 //! row.
@@ -15,7 +16,7 @@ use std::sync::Arc;
 
 use caliper_data::{AttributeStore, Properties, Value, ValueType};
 use caliper_format::{Block, Dataset, StringTable};
-use caliper_query::{parse_query, AggregationSpec, Aggregator, BlockFold, QuerySpec};
+use caliper_query::{parse_query, AggregationSpec, Aggregator, BlockFold, Pipeline, QuerySpec};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
@@ -188,6 +189,53 @@ fn a_flush_allocates_per_column_not_per_group() {
         ROWS / 16
     );
     assert!(many <= 80, "{many} allocations flushing {ROWS} groups");
+}
+
+/// Allocations of finishing a pipeline that folded `rows` distinct-key
+/// rows under `query`, and of rendering its result, and the output.
+fn finished_and_rendered(query: &str, rows: usize) -> (u64, u64, String) {
+    let (mut ds, mut strings, block) = block_of(rows);
+    let mut pipeline = Pipeline::from_text(query, Arc::clone(&ds.store)).expect("query parses");
+    pipeline.fold_block(&mut BlockFold::new(pipeline.spec()), &mut ds, &mut strings, &block);
+    assert_eq!(pipeline.len(), rows, "every row a group of its own");
+    let (finish, result) = counted(|| pipeline.finish());
+    let (render, out) = counted(|| result.render());
+    (finish, render, out)
+}
+
+#[test]
+fn a_result_is_finished_and_rendered_per_column_not_per_row() {
+    // The distinct query as the benchmark renders it, and sorted into a
+    // table, whose cells are gathered before they are aligned.
+    let csv = format!("{QUERY} FORMAT csv");
+    let table = format!("{QUERY} ORDER BY kernel desc, iteration FORMAT table");
+    for query in [csv.as_str(), table.as_str()] {
+        finished_and_rendered(query, 100); // registers the flush's metrics
+        let few = finished_and_rendered(query, 1_000);
+        let many = finished_and_rendered(query, ROWS);
+        assert_eq!(few.2.lines().count(), 1_001, "{query}");
+        assert_eq!(many.2.lines().count(), ROWS + 1, "{query}");
+        // Finishing: the flush's columns, the block, the rows' order and
+        // where each value sits, each sort key's cells — per column, not
+        // per group; and the stable sort's scratch, which a short order
+        // keeps on the stack.
+        assert!(
+            many.0 <= few.0 + 1,
+            "{query}: {} allocations finishing 1 000 groups, {} finishing {ROWS}",
+            few.0,
+            many.0
+        );
+        // Rendering: per column too, but the output (and a table's
+        // gathered cells) double as they grow.
+        let doublings = (ROWS as f64 / 1_000.0).log2().ceil() as u64;
+        assert!(
+            many.1 <= few.1 + 2 * doublings,
+            "{query}: {} allocations rendering 1 000 groups, {} rendering {ROWS}",
+            few.1,
+            many.1
+        );
+        assert!(many.0 + many.1 <= 150, "{query}: {} + {}", many.0, many.1);
+    }
 }
 
 /// The benchmark's `scan` and `wide` queries.

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use caliper_data::{AttributeStore, FlatRecord, Value, ValueType};
 use caliper_query::{parse_query, AggregationSpec, Aggregator, Pipeline};
+use caliper_format::BlockRows;
 use proptest::prelude::*;
 
 /// A synthetic record: (function index, iteration, time).
@@ -153,10 +154,10 @@ proptest! {
         }
         let s1 = AttributeStore::new();
         let s2 = AttributeStore::new();
-        let sum_of = |out: &[FlatRecord], store: &AttributeStore| -> i64 {
+        let sum_of = |out: &BlockRows, store: &AttributeStore| -> i64 {
             let attr = store.find("sum#time").unwrap();
             out.iter()
-                .filter_map(|r| r.get(attr.id()))
+                .filter_map(|r| r.get(attr.id()).cloned())
                 .map(|v| v.to_i64().unwrap())
                 .sum()
         };
@@ -182,7 +183,7 @@ proptest! {
         let min = out_store.find("min#time").unwrap();
         let max = out_store.find("max#time").unwrap();
         let avg = out_store.find("avg#time").unwrap();
-        for rec in &out {
+        for rec in out.iter() {
             let lo = rec.get(min.id()).unwrap().to_f64().unwrap();
             let hi = rec.get(max.id()).unwrap().to_f64().unwrap();
             let mean = rec.get(avg.id()).unwrap().to_f64().unwrap();
@@ -220,8 +221,8 @@ proptest! {
         }
 
         prop_assert_eq!(
-            filtered_pipeline.finish().to_table().render(),
-            manual_pipeline.finish().to_table().render()
+            filtered_pipeline.finish().to_table(),
+            manual_pipeline.finish().to_table()
         );
     }
 }

@@ -183,7 +183,7 @@ mod tests {
         .unwrap();
         assert_eq!(result.records.len(), 1);
         let t = result.store.find("t").unwrap();
-        assert_eq!(result.records[0].get(t.id()).unwrap().to_f64(), Some(40.0));
+        assert_eq!(result.records.row(0).get(t.id()).unwrap().to_f64(), Some(40.0));
 
         // set + snapshot also route through the global scope.
         mark_set("phase", "solve");

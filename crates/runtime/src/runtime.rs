@@ -729,7 +729,7 @@ mod tests {
         assert_eq!(traced, 2 * 1400);
         let total = |query: &str| {
             let result = caliper_query::run_query(&ds, query).unwrap();
-            result.records[0].pairs()[0].1.to_u64()
+            result.records.row(0).pairs()[0].1.to_u64()
         };
         assert_eq!(total("AGGREGATE sum(aggregate.count) AS n WHERE aggregate.count"), Some(2800));
         assert!(total("AGGREGATE count WHERE aggregate.count").unwrap() > 2 * 8, "spilled");

@@ -632,7 +632,7 @@ mod tests {
                        GROUP BY kernel ORDER BY kernel";
         let a = caliper_query::run_query(&out_b, requery).unwrap();
         let b = caliper_query::run_query(&out_u, requery).unwrap();
-        assert_eq!(a.to_table().render(), b.to_table().render());
+        assert_eq!(a.to_table(), b.to_table());
     }
 
     #[test]

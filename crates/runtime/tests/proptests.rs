@@ -201,7 +201,7 @@ proptest! {
             let answer = |ds: &Dataset| {
                 let result = run_query(ds, query).unwrap();
                 let rows: Vec<String> =
-                    result.records.iter().map(|row| described(row, &result.store)).collect();
+                    result.records.iter().map(|row| described(&row, &result.store)).collect();
                 (rows, result.render())
             };
             prop_assert_eq!(answer(&traced), answer(&oracle), "{}", query);
@@ -326,7 +326,7 @@ fn play_over(
 fn flushed(agg: &Aggregator, out: &AttributeStore) -> Vec<String> {
     agg.flush(out)
         .iter()
-        .map(|row| described(row, out))
+        .map(|row| described(&row, out))
         .collect()
 }
 

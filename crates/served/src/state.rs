@@ -533,7 +533,7 @@ mod tests {
                 .unwrap();
             let rows = self.aggregator.flush(&out);
             let mut pipeline = Pipeline::from_text(query, out).unwrap();
-            for mut row in rows {
+            for mut row in rows.iter() {
                 row.push(stream.id(), Value::str(self.name.as_str()));
                 pipeline.process(row);
             }

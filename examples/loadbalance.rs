@@ -97,7 +97,7 @@ fn main() {
     let kernel_attr = result.store.find("kernel").unwrap();
     let time_attr = result.store.find("time_s").unwrap();
     let mut per_kernel: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
-    for rec in &result.records {
+    for rec in result.records.iter() {
         if let (Some(k), Some(t)) = (rec.get(kernel_attr.id()), rec.get(time_attr.id())) {
             per_kernel
                 .entry(k.to_string())

@@ -74,8 +74,8 @@ fn main() {
     .expect("trace query");
     println!("{}", from_trace.render());
     assert_eq!(
-        result.to_table().render(),
-        from_trace.to_table().render(),
+        result.to_table(),
+        from_trace.to_table(),
         "on-line and off-line aggregation must agree"
     );
     println!("(identical — §VI-F: multiple ways to obtain the same end result)");

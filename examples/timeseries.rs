@@ -55,7 +55,7 @@ fn main() {
     let us = per_window.store.find("us").unwrap();
     let mut crossover = None;
     let mut windows: std::collections::BTreeMap<i64, (f64, f64)> = Default::default();
-    for rec in &per_window.records {
+    for rec in per_window.records.iter() {
         let (Some(w), Some(p), Some(v)) = (
             rec.get(window.id()).and_then(|v| v.to_f64()),
             rec.get(phase_attr.id()),

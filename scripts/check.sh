@@ -216,6 +216,24 @@ if grep -rnE '\breduce_tree|run_with_faults|recv_any|try_run_tasks|run_tasks_tra
     exit 1
 fi
 
+# One-representation gate: a query's result is the block it was
+# flushed into (DESIGN.md §10). The renderers read it a row at a time
+# from its columns and take no record, and `Pipeline::finish` flushes
+# with `flush_into`, never through the row view `Aggregator::flush`.
+renderer_src=$(printf '%s\n' "$format_src" | grep -E '^crates/format/src/(csv|table|json|expand|flamegraph)\.rs:')
+finish_src=$(awk '/^    pub fn finish\(self\)/ { on = 1 }
+    on { print "crates/query/src/query.rs:" FNR ": " $0 }
+    on && /^    }$/ { exit }' crates/query/src/query.rs)
+if [ -z "$finish_src" ]; then
+    echo "check.sh: Pipeline::finish not found in crates/query/src/query.rs" >&2
+    exit 1
+fi
+if printf '%s\n' "$renderer_src" | grep -F 'FlatRecord' \
+    || printf '%s\n' "$finish_src" | grep -E '\.flush\(|FlatRecord'; then
+    echo "check.sh: a second result representation is back (listed above)" >&2
+    exit 1
+fi
+
 # Static-analysis gate: every golden check fixture must produce its
 # pinned diagnostics (asserted byte-for-byte by the check_golden test
 # in `cargo test` above); here, re-assert the exit-code contract over

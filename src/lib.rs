@@ -73,7 +73,7 @@ pub mod prelude {
         AttrId, Attribute, AttributeStore, ContextTree, Entry, FlatRecord, Properties,
         RecordBuilder, SnapshotRecord, Value, ValueType, NODE_NONE,
     };
-    pub use caliper_format::{cali, Dataset, Table};
+    pub use caliper_format::{cali, BlockRows, Dataset};
     pub use caliper_query::{
         parse_query, run_query, AggregationSpec, Aggregator, OutputFormat, Pipeline, QueryResult,
     };

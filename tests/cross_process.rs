@@ -63,8 +63,8 @@ fn file_roundtrip_preserves_query_results() {
     let roundtripped = run_query(&reloaded, query).unwrap();
 
     assert_eq!(
-        direct.to_table().render(),
-        roundtripped.to_table().render()
+        direct.to_table(),
+        roundtripped.to_table()
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -99,8 +99,8 @@ fn parallel_query_equals_serial_query() {
             parallel_query(&ThreadEngine, Topology::Flat, query, per_rank, plan, opts, false);
         for (engine, run) in [("event", event.unwrap()), ("threads", threads.unwrap())] {
             assert_eq!(
-                serial.to_table().render(),
-                run.result.to_table().render(),
+                serial.to_table(),
+                run.result.to_table(),
                 "np = {np}, {engine} engine"
             );
             assert_eq!(run.coverage.included.len(), np);
@@ -257,7 +257,7 @@ fn two_stage_aggregation_matches_single_stage() {
     )
     .unwrap();
 
-    assert_eq!(a.to_table().render(), b.to_table().render());
+    assert_eq!(a.to_table(), b.to_table());
 }
 
 #[test]
@@ -283,7 +283,7 @@ fn tree_reduction_inside_mpisim_matches_pipeline_merge() {
             None => reference = Some(p),
         }
     }
-    let reference = reference.unwrap().finish().to_table().render();
+    let reference = reference.unwrap().finish().to_table();
 
     // mpisim: one rank per dataset, `ReduceTask` over pipelines, on
     // both engines.
@@ -306,7 +306,7 @@ fn tree_reduction_inside_mpisim_matches_pipeline_merge() {
     let from_tree = |run: Run<Option<(Pipeline, ReduceCoverage)>>| {
         let (root, coverage) = run.outputs.unwrap().swap_remove(0).unwrap().expect("root result");
         assert!(coverage.is_complete());
-        root.finish().to_table().render()
+        root.finish().to_table()
     };
     let make_too = make.clone();
     assert_eq!(reference, from_tree(EventEngine::new().run(6, FaultPlan::new(), make, false)));

@@ -187,7 +187,7 @@ fn folded<'r>(
 }
 
 /// Flushed or queried rows as the oracle's, labels from `store`.
-fn rows_of<'r>(store: &AttributeStore, rows: impl IntoIterator<Item = &'r FlatRecord>) -> Vec<Row> {
+fn rows_of(store: &AttributeStore, rows: impl IntoIterator<Item = FlatRecord>) -> Vec<Row> {
     let pair = |(a, v): &(u32, Value)| (store.name_of(*a).unwrap().to_string(), v.clone());
     rows.into_iter().map(|rec| rec.pairs().iter().map(pair).collect()).collect()
 }
@@ -275,7 +275,7 @@ fn every_path(
                     .with_pushdown(pushdown.clone());
                 let (result, timings) = parallel_query_files(&text, paths, &options).unwrap();
                 let path = format!("parallel_query_files {encoding} threads={threads} cap={cap:?}");
-                check(&path, &rows_of(&result.store, &result.records), &want_rows)?;
+                check(&path, &rows_of(&result.store, result.records.iter()), &want_rows)?;
                 prop_assert_eq!(result.overflow_records, want.overflow_records(), "{}", path);
                 prop_assert_eq!(timings.workers.len(), threads.min(files.len()), "{}", path);
                 prop_assert!(timings.failures.is_empty(), "{}", path);
@@ -306,7 +306,7 @@ fn every_path(
         };
         let path = format!("rows cap={cap:?}");
         let want_rows = want.finish(&declarations(&query, &all, files[0].v), &mut Schema::new());
-        check(&path, &rows_of(&result.store, &result.records), &want_rows)?;
+        check(&path, &rows_of(&result.store, result.records.iter()), &want_rows)?;
         prop_assert_eq!(result.overflow_records, want.overflow_records(), "{}", path);
     }
 
@@ -335,7 +335,7 @@ fn every_path(
             let (run, _) = parallel_query(&engine, topology, &text, per_rank, faults, opts, false);
             let result = run.unwrap().result;
             let path = format!("parallel_query {topology:?} {}", paths[0].display());
-            check(&path, &rows_of(&result.store, &result.records), &want)?;
+            check(&path, &rows_of(&result.store, result.records.iter()), &want)?;
             let render = render.get_or_insert_with(|| result.render());
             prop_assert_eq!(&result.render(), render, "{}", path);
         }
@@ -378,14 +378,14 @@ fn every_path(
     service.flush(&ctx, &mut flushed);
     check(
         "AggregateService",
-        &rows_of(&store, &flushed.flat_records().collect::<Vec<_>>()),
+        &rows_of(&store, flushed.flat_records()),
         &want,
     )?;
     let out = AttributeStore::new();
     let want_capped = folded(&online, "count", cap, &all);
     let want_rows =
         want_capped.finish(&declarations(&online, &all, files[0].v), &mut Schema::new());
-    check("add_snapshot capped", &rows_of(&out, &capped.flush(&out)), &want_rows)?;
+    check("add_snapshot capped", &rows_of(&out, capped.flush(&out).iter()), &want_rows)?;
     prop_assert_eq!(capped.overflow_records(), want_capped.overflow_records());
     prop_assert_eq!(capped.records_processed(), all.len() as u64);
     let requery = format!(
@@ -394,7 +394,7 @@ fn every_path(
     let result = run_query(&flushed, &requery).unwrap();
     let requeried = folded(&parse_query(&requery).unwrap(), "count", None, &want)
         .finish(&|l| schema.get(l).copied(), &mut Schema::new());
-    check("AggregateService re-aggregated", &rows_of(&result.store, &result.records), &requeried)?;
+    check("AggregateService re-aggregated", &rows_of(&result.store, result.records.iter()), &requeried)?;
 
     // `cali-served`: a stream per file, two batches each, queried warm,
     // then reopened from the journals and queried again.
@@ -428,7 +428,7 @@ fn every_path(
             warm.fold(&block);
         }
         let result = warm.finish();
-        check(&format!("cali-served {pass}"), &rows_of(&result.store, &result.records), &want)?;
+        check(&format!("cali-served {pass}"), &rows_of(&result.store, result.records.iter()), &want)?;
         renders.push(result.render());
         drop(std::mem::take(&mut streams));
         streams = open();

@@ -31,7 +31,7 @@ fn stddev_and_variance_over_trace() {
     .unwrap();
     let get = |label: &str| -> f64 {
         let attr = result.store.find(label).unwrap();
-        result.records[0].get(attr.id()).unwrap().to_f64().unwrap()
+        result.records.row(0).get(attr.id()).unwrap().to_f64().unwrap()
     };
     // Uniform 1..=100: mean 50.5, population variance (n^2-1)/12 = 833.25.
     assert!((get("avg#time.duration") - 50.5).abs() < 1e-9);
@@ -50,7 +50,7 @@ fn percentiles_over_trace() {
     .unwrap();
     let get = |label: &str| -> f64 {
         let attr = result.store.find(label).unwrap();
-        result.records[0].get(attr.id()).unwrap().to_f64().unwrap()
+        result.records.row(0).get(attr.id()).unwrap().to_f64().unwrap()
     };
     let p50 = get("percentile.50#time.duration");
     let p95 = get("percentile.95#time.duration");
@@ -118,7 +118,7 @@ fn counters_aggregate_like_time() {
     .unwrap();
     let us = result.store.find("sum#time.duration").unwrap();
     let instructions = result.store.find("sum#cpu.instructions").unwrap();
-    let rec = &result.records[0];
+    let rec = &result.records.row(0);
     // 10 x 1000 ns at 1 GHz / IPC 1 -> 10000 instructions; 10 us total.
     assert_eq!(rec.get(us.id()).unwrap().to_f64(), Some(10.0));
     assert_eq!(rec.get(instructions.id()).unwrap().to_u64(), Some(10_000));

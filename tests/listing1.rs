@@ -142,5 +142,5 @@ fn online_and_offline_paths_agree() {
     )
     .unwrap();
 
-    assert_eq!(online.to_table().render(), offline.to_table().render());
+    assert_eq!(online.to_table(), offline.to_table());
 }

@@ -95,7 +95,7 @@ fn order_by_sorts_descending() {
     // calc-dt dominates, so it must be first.
     let k = result.store.find("kernel").unwrap();
     assert_eq!(
-        result.records[0].get(k.id()),
+        result.records.row(0).get(k.id()),
         Some(&Value::str("calc-dt"))
     );
 }
@@ -129,7 +129,7 @@ fn let_scale_converts_units_through_aggregation() {
     .unwrap();
     let value = |r: &QueryResult| {
         let t = r.store.find("t").unwrap();
-        r.records[0].get(t.id()).unwrap().to_f64().unwrap()
+        r.records.row(0).get(t.id()).unwrap().to_f64().unwrap()
     };
     let ratio = value(&us) / value(&ms);
     assert!((ratio - 1000.0).abs() < 1e-6 * 1000.0, "ratio {ratio}");
@@ -170,7 +170,7 @@ fn histogram_over_profile_data() {
     )
     .unwrap();
     let h = result.store.find("histogram#sum#time.duration").unwrap();
-    for rec in &result.records {
+    for rec in result.records.iter() {
         let text = rec.get(h.id()).unwrap().to_string();
         // "under|b0 b1 b2 b3|over"
         let parts: Vec<&str> = text.split('|').collect();
