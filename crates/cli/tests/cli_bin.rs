@@ -447,6 +447,47 @@ fn cali_query_lenient_salvages_a_corrupt_corpus() {
 }
 
 #[test]
+fn cali_query_refuses_a_line_torn_after_its_attr_id() {
+    let dir = std::env::temp_dir().join(format!("cali-bin-test-torn-attr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // A text file torn right after an `attr=<id>`: the last line has an
+    // immediate whose `data` never came, so it must not read as a
+    // shorter record. The file cut at the start of that line is what a
+    // lenient read salvages.
+    let text = String::from_utf8(caliper_format::cali::to_bytes(&tiny_dataset(0, 12))).unwrap();
+    let line_start = text.find("__rec=ctx").expect("has a ctx record");
+    let attr = line_start + text[line_start..].find(",attr=").expect("ctx record has an immediate");
+    let cut = attr + text[attr..].find(",data=").unwrap();
+    let torn = dir.join("torn.cali");
+    std::fs::write(&torn, &text.as_bytes()[..cut]).unwrap();
+    let prefix = dir.join("prefix.cali");
+    std::fs::write(&prefix, &text.as_bytes()[..line_start]).unwrap();
+    let line_no = text[..line_start].lines().count() + 1;
+
+    let run = |lenient: bool, path: &PathBuf| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_cali-query"));
+        cmd.arg("-q").arg("SELECT * FORMAT expand");
+        if lenient {
+            cmd.arg("--lenient");
+        }
+        cmd.arg(path).output().expect("run cali-query")
+    };
+    let strict = run(false, &torn);
+    assert!(!strict.status.success());
+    let stderr = String::from_utf8_lossy(&strict.stderr);
+    assert!(
+        stderr.contains(&format!("line {line_no}: attr field without data")),
+        "{stderr}"
+    );
+    let lenient = run(true, &torn);
+    assert_eq!(lenient.status.code(), Some(2), "{}", String::from_utf8_lossy(&lenient.stderr));
+    let salvaged = run(false, &prefix);
+    assert!(salvaged.status.success());
+    assert_eq!(lenient.stdout, salvaged.stdout);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cali_query_max_groups_bounds_the_database() {
     let dir = std::env::temp_dir().join(format!("cali-bin-test-capped-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -444,11 +444,15 @@ impl StringTable {
     }
 
     /// `text` as a cell of type `vtype` ([`Value::parse_typed`]'s
-    /// rules), a string interned without building a `Value` first.
+    /// rules), parsed straight into the cell: no `Value` is built, and
+    /// a string is interned.
     pub(crate) fn parse(&mut self, text: &str, vtype: ValueType) -> Option<Cell> {
         match vtype {
             ValueType::Str => Some(Cell::Str(self.intern(text))),
-            other => Value::parse_typed(text, other).map(|value| self.cell(&value)),
+            ValueType::Int => text.parse().ok().map(Cell::Int),
+            ValueType::UInt => text.parse().ok().map(Cell::UInt),
+            ValueType::Float => text.parse().ok().map(Cell::Float),
+            ValueType::Bool => Value::parse_typed(text, vtype).map(|value| self.cell(&value)),
         }
     }
 

@@ -14,6 +14,12 @@
 //! __rec=globals[,ref=<u32>]*[,attr=<u32>,data=<esc>]*         (dataset metadata)
 //! ```
 //!
+//! A globals record holds `attr`/`data` pairs only: the reader checks
+//! that a `globals` line's `ref`s name declared nodes and then drops
+//! them, and no writer emits them. An `attr` field must be followed by
+//! its `data` field before the line ends and before the next `attr` or
+//! `ref`; other keys are passed over.
+//!
 //! Immediate values are rendered with [`Value`]'s `Display` and parsed
 //! back using the attribute's declared type, so the encoding is
 //! type-faithful for int/uint/bool and shortest-roundtrip for floats.
@@ -36,16 +42,25 @@
 //!
 //! # Reading
 //!
-//! There is one line parser. Every line is tokenised by
-//! [`escape::fields`](crate::escape::fields) into borrowed `key=value`
-//! fields (a field is copied only to resolve a backslash escape), and a
-//! `ctx` line appends a row straight to a [`Block`] of typed columns —
-//! the structure the CALB v2 decoder fills — without building a record:
+//! There is one line grammar and one tokenizer,
+//! [`escape::fields`](crate::escape::fields), which cuts a line into
+//! borrowed `key=value` fields (a field is copied only to resolve a
+//! backslash escape). The fields that make up nearly all of a file are
+//! read in place instead: a line that starts `__rec=ctx,` is recognised
+//! without tokenising that field, and a `ctx` or `globals` line's
+//! `ref=`, `attr=` and `data=` fields are matched as literal bytes — an
+//! id parsed from its digits where they lie (what `u32::from_str`
+//! accepts), a value borrowed up to the next `,`. Any other field — an
+//! escaped key, a backslash in a value, an id the in-place read
+//! declines, an unknown key, an empty field — goes through the
+//! tokenizer, which reads a plain field the same way. A `ctx` line
+//! appends a row straight to a [`Block`] of typed columns — the
+//! structure the CALB v2 decoder fills — without building a record:
 //! node references as remapped ids, each immediate parsed by its
-//! attribute's declared type into that attribute's column, strings
-//! interned once per stream. A line that fails is taken back out of the
-//! block, so a lenient skip loses exactly that line. Blocks of
-//! [`DEFAULT_BLOCK_RECORDS`] rows go to a [`BlockSink`]:
+//! attribute's declared type straight into a cell of that attribute's
+//! column, strings interned once per stream. A line that fails is taken
+//! back out of the block, so a lenient skip loses exactly that line.
+//! Blocks of [`DEFAULT_BLOCK_RECORDS`] rows go to a [`BlockSink`]:
 //! [`CaliReader::scan_stream`] hands them to the caller as columns
 //! (which is how [`scan_path`](crate::scan_path) and the query engine's
 //! columnar fold read text), and every entry point that returns rows —
@@ -66,6 +81,7 @@
 //! lets the service reject a batch with a bad line at any ordinal
 //! without having journaled or folded any of it.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
@@ -667,6 +683,13 @@ impl CaliReader {
     /// snapshot row is taken back out of the block — so a lenient skip
     /// is exact.
     fn parse_record(&mut self, line: &str, report: &mut ReadReport) -> Result<bool, CaliError> {
+        // A snapshot line as every writer of ours starts it is read from
+        // its first field on, the `__rec` field passed over untokenised.
+        if let Some(rest) = line.strip_prefix("__rec=ctx") {
+            if rest.is_empty() || rest.starts_with(',') {
+                return self.read_snapshot(rest.get(1..).unwrap_or(""), report).map(|()| true);
+            }
+        }
         // `__rec` leads every line a writer of ours produced; one that
         // carries it elsewhere is tokenised from the start again.
         let mut rest = fields(line);
@@ -681,31 +704,36 @@ impl CaliReader {
         match kind.as_ref() {
             "attr" => self.read_attr(rest).map(|()| false),
             "node" => self.read_node(rest, report).map(|()| false),
-            "ctx" => {
-                let mut row = self.read_entries(rest, None, report);
-                if row.is_ok() {
-                    if let Some((column, seq)) = self.stamp {
-                        self.block.push_imm(column, Cell::UInt(seq));
-                    }
-                    if !self.block.end_row() {
-                        row = Err(self.err("block exceeds 2^32 entries"));
-                    } else if let Some((_, seq)) = &mut self.stamp {
-                        *seq += 1;
-                    }
-                }
-                if row.is_err() {
-                    self.block.abandon_row();
-                }
-                row.map(|()| true)
-            }
+            "ctx" => self.read_snapshot(rest.as_str(), report).map(|()| true),
             "globals" => {
                 let mut flat = FlatRecord::new();
-                self.read_entries(rest, Some(&mut flat), report)?;
+                self.read_entries(rest.as_str(), Some(&mut flat), report)?;
                 self.ds.globals.push(flat);
                 Ok(true)
             }
             other => Err(self.err(format!("unknown record kind '{other}'"))),
         }
+    }
+
+    /// Read the fields of a `ctx` line onto a new row of the block,
+    /// stamped when a batch is being read; a line that fails is taken
+    /// back out of the block.
+    fn read_snapshot(&mut self, line: &str, report: &mut ReadReport) -> Result<(), CaliError> {
+        let mut row = self.read_entries(line, None, report);
+        if row.is_ok() {
+            if let Some((column, seq)) = self.stamp {
+                self.block.push_imm(column, Cell::UInt(seq));
+            }
+            if !self.block.end_row() {
+                row = Err(self.err("block exceeds 2^32 entries"));
+            } else if let Some((_, seq)) = &mut self.stamp {
+                *seq += 1;
+            }
+        }
+        if row.is_err() {
+            self.block.abandon_row();
+        }
+        row
     }
 
     /// Lenient-mode error disposition: count the skip and carry on while
@@ -796,22 +824,26 @@ impl CaliReader {
         Ok(())
     }
 
-    /// Read the entries of a `ctx` or `globals` line: into `globals`
-    /// when given, else onto the block's open row (which the caller
-    /// closes, or takes back if this fails).
+    /// Read the entries of a `ctx` or `globals` line — the fields of
+    /// `line`, which [`next_entry`] takes off one at a time: into
+    /// `globals` when given, else onto the block's open row (which the
+    /// caller closes, or takes back if this fails). A globals record
+    /// holds pairs only, so its `ref`s are validated and dropped.
     fn read_entries(
         &mut self,
-        fields: Fields<'_>,
+        line: &str,
         mut globals: Option<&mut FlatRecord>,
         report: &mut ReadReport,
     ) -> Result<(), CaliError> {
         let mut pending_attr: Option<StreamAttr> = None;
-        for (k, v) in fields {
-            match k.as_ref() {
-                "ref" => {
-                    let id: u32 = v
-                        .parse()
-                        .map_err(|_| self.err(format!("invalid node ref '{v}'")))?;
+        let mut rest = line;
+        while let Some(field) = next_entry(&mut rest) {
+            match field {
+                EntryField::Ref(id) => {
+                    if pending_attr.is_some() {
+                        return Err(self.err(ATTR_WITHOUT_DATA));
+                    }
+                    let id = id.map_err(|v| self.err(format!("invalid node ref '{v}'")))?;
                     let Some(&local) = self.node_map.get(&id) else {
                         report.dangling_dropped += 1;
                         return Err(self.err(format!("ref to unknown node {id}")));
@@ -820,10 +852,11 @@ impl CaliReader {
                         self.block.push_ref(local);
                     }
                 }
-                "attr" => {
-                    let id: u32 = v
-                        .parse()
-                        .map_err(|_| self.err(format!("invalid attr id '{v}'")))?;
+                EntryField::Attr(id) => {
+                    if pending_attr.is_some() {
+                        return Err(self.err(ATTR_WITHOUT_DATA));
+                    }
+                    let id = id.map_err(|v| self.err(format!("invalid attr id '{v}'")))?;
                     let Some(declared) = self.attr_map.get_mut(&id) else {
                         return Err(self.undeclared_attr(id, report));
                     };
@@ -832,7 +865,7 @@ impl CaliReader {
                     }
                     pending_attr = Some(*declared);
                 }
-                "data" => {
+                EntryField::Data(v) => {
                     let StreamAttr {
                         attr,
                         vtype,
@@ -851,8 +884,11 @@ impl CaliReader {
                     };
                     parsed.ok_or_else(|| self.err(format!("cannot parse '{v}' as {vtype}")))?;
                 }
-                _ => {}
+                EntryField::Other => {}
             }
+        }
+        if pending_attr.is_some() {
+            return Err(self.err(ATTR_WITHOUT_DATA));
         }
         Ok(())
     }
@@ -993,6 +1029,93 @@ impl CaliReader {
     pub fn finish(mut self) -> Dataset {
         self.hand_out(&mut append_rows);
         self.ds
+    }
+}
+
+/// The error of an `attr` field whose `data` field never comes: the
+/// line ends, or another `attr` or a `ref` follows first.
+const ATTR_WITHOUT_DATA: &str = "attr field without data";
+
+/// A field of a `ctx` or `globals` line, as [`CaliReader::read_entries`]
+/// takes it.
+enum EntryField<'a> {
+    /// `ref=`: a node id, or the text that is none.
+    Ref(Result<u32, Cow<'a, str>>),
+    /// `attr=`: an attribute id, or the text that is none.
+    Attr(Result<u32, Cow<'a, str>>),
+    /// `data=`: the value, escapes resolved.
+    Data(Cow<'a, str>),
+    /// Any other key, which the reader passes over.
+    Other,
+}
+
+/// Take the next field off `rest`. A plain `ref=<id>`, `attr=<id>` or
+/// `data=<value>` is read where it lies: the id parsed from its digits,
+/// the value borrowed up to the next `,`. Everything else — an escaped
+/// key, a backslash in a value, an id `u32::from_str` rejects, another
+/// key, an empty field — goes through [`fields`], which reads a plain
+/// field the same way.
+fn next_entry<'a>(rest: &mut &'a str) -> Option<EntryField<'a>> {
+    let line = *rest;
+    let bytes = line.as_bytes();
+    let in_place = if bytes.starts_with(b"data=") {
+        plain_value(line, 5).map(|(v, next)| (EntryField::Data(Cow::Borrowed(v)), next))
+    } else if bytes.starts_with(b"attr=") {
+        plain_id(line, 5).map(|(id, next)| (EntryField::Attr(Ok(id)), next))
+    } else if bytes.starts_with(b"ref=") {
+        plain_id(line, 4).map(|(id, next)| (EntryField::Ref(Ok(id)), next))
+    } else {
+        None
+    };
+    if let Some((field, next)) = in_place {
+        *rest = next;
+        return Some(field);
+    }
+    let mut tokens = fields(line);
+    let (key, value) = tokens.next()?;
+    *rest = tokens.as_str();
+    Some(match key.as_ref() {
+        "ref" => EntryField::Ref(value.parse().map_err(|_| value)),
+        "attr" => EntryField::Attr(value.parse().map_err(|_| value)),
+        "data" => EntryField::Data(value),
+        _ => EntryField::Other,
+    })
+}
+
+/// The id whose digits start at byte `from` of `line` and run to the
+/// next `,` or the end, with the rest of the line after that `,` —
+/// when `u32::from_str` would accept them: an optional `+`, at least
+/// one digit, leading zeros allowed, no overflow.
+fn plain_id(line: &str, from: usize) -> Option<(u32, &str)> {
+    let bytes = line.as_bytes();
+    let digits = from + usize::from(bytes.get(from) == Some(&b'+'));
+    let (mut at, mut id) = (digits, 0u64);
+    while let Some(&b) = bytes.get(at) {
+        match b {
+            b'0'..=b'9' => id = id * 10 + u64::from(b - b'0'),
+            b',' => break,
+            _ => return None,
+        }
+        if id > u64::from(u32::MAX) {
+            return None;
+        }
+        at += 1;
+    }
+    if at == digits {
+        return None;
+    }
+    Some((id as u32, line.get(at + 1..).unwrap_or("")))
+}
+
+/// The value that starts at byte `from` of `line` and runs to the next
+/// `,` or the end, with the rest of the line after that `,` — when it
+/// holds no backslash.
+fn plain_value(line: &str, from: usize) -> Option<(&str, &str)> {
+    let value = &line.as_bytes()[from..];
+    match value.iter().position(|&b| b == b',' || b == b'\\') {
+        None => Some((&line[from..], "")),
+        Some(end) if value[end] == b',' => Some((&line[from..from + end], &line[from + end + 1..])),
+        Some(_) => None,
     }
 }
 

@@ -85,9 +85,11 @@ fn unescaped(raw: &str, has_escape: bool) -> Cow<'_, str> {
 /// with neither key nor `=` (`,,`) is not a field. Keys and values
 /// borrow from the line and allocate only when they hold a backslash.
 ///
-/// This is the one tokenizer every text line goes through — the reader's
-/// `attr`, `node`, `ctx` and `globals` records and the lines of a saved
-/// schema file.
+/// This is the one tokenizer of the text format — of the reader's
+/// `attr` and `node` records, of every field of a `ctx` or `globals`
+/// record that the reader does not read in place (an escaped or unknown
+/// key, a value with a backslash, an id it declines), and of the lines
+/// of a saved schema file.
 pub fn fields(line: &str) -> Fields<'_> {
     Fields { rest: line }
 }
@@ -96,6 +98,13 @@ pub fn fields(line: &str) -> Fields<'_> {
 #[derive(Debug, Clone)]
 pub struct Fields<'a> {
     rest: &'a str,
+}
+
+impl<'a> Fields<'a> {
+    /// The part of the line not tokenised yet (as `Chars::as_str`).
+    pub fn as_str(&self) -> &'a str {
+        self.rest
+    }
 }
 
 /// The bytes the tokenizer stops at: `,` `=` and `\\`.
@@ -226,6 +235,7 @@ mod tests {
             (k, v),
             (Cow::Borrowed("plain"), Cow::Borrowed("value"))
         ));
+        assert_eq!(it.as_str(), "esc\\,aped=v\\=w");
         let (k, v) = it.next().unwrap();
         assert!(matches!((&k, &v), (Cow::Owned(_), Cow::Owned(_))));
         assert_eq!((k.as_ref(), v.as_ref()), ("esc,aped", "v=w"));

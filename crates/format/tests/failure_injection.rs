@@ -81,6 +81,31 @@ fn data_without_preceding_attr_is_an_error() {
 }
 
 #[test]
+fn attr_without_data_is_an_error() {
+    // An `attr` whose `data` never comes — the line ends, or another
+    // `attr` or a `ref` comes first — fails its line: strict reading
+    // errors, lenient reading skips exactly that line. Another key in
+    // between is passed over as ever.
+    let head = "__rec=attr,id=0,name=k,type=string,prop=default\n\
+                __rec=attr,id=1,name=n,type=int,prop=default\n\
+                __rec=node,id=0,attr=0,data=root\n";
+    let kept = "__rec=ctx,attr=0,note=x,data=kept\n";
+    for line in [
+        "__rec=ctx,attr=0,data=a,attr=1",
+        "__rec=ctx,attr=0,attr=1,data=5",
+        "__rec=ctx,attr=1,ref=0,data=5",
+        "__rec=ctx,attr=1,note=x",
+        "__rec=globals,attr=0,data=a,attr=1",
+    ] {
+        let input = format!("{head}{line}\n{kept}");
+        let err = cali::from_bytes(input.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 4: attr field without data"), "{line}: {err}");
+        let (ds, report) = cali::from_bytes_with(input.as_bytes(), ReadPolicy::lenient()).unwrap();
+        assert_eq!((ds.len(), ds.globals.len(), report.skipped), (1, 0, 1), "{line}");
+    }
+}
+
+#[test]
 fn duplicate_attribute_with_conflicting_type_is_an_error() {
     let input = "__rec=attr,id=0,name=x,type=int,prop=default\n\
                  __rec=attr,id=1,name=x,type=string,prop=default\n";

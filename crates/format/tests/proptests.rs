@@ -905,3 +905,134 @@ proptest! {
         prop_assert_eq!(std::fs::read(&block_path).unwrap(), std::fs::read(&row_path).unwrap());
     }
 }
+
+/// The dictionary of the `ctx` / `globals` lines below: a string, an
+/// int, a uint, a double and a bool attribute (ids 0–4), and two nodes
+/// (ids 0 and 1).
+const ENTRY_HEAD: &str = "__rec=attr,id=0,name=s,type=string,prop=default\n\
+                          __rec=attr,id=1,name=i,type=int,prop=asvalue\n\
+                          __rec=attr,id=2,name=u,type=uint,prop=asvalue\n\
+                          __rec=attr,id=3,name=f,type=double,prop=asvalue\n\
+                          __rec=attr,id=4,name=b,type=bool,prop=asvalue\n\
+                          __rec=node,id=0,attr=0,data=root\n\
+                          __rec=node,id=1,attr=0,parent=0,data=leaf\n";
+
+/// Ids as a line may spell them: declared ones, with a `+` or leading
+/// zeros, ten digits, the largest `u32` (declared by nothing), past it,
+/// empty, signed, and not a number.
+const ENTRY_IDS: &[&str] = &[
+    "0", "1", "2", "3", "4", "+1", "003", "0000000004", "4294967295", "4294967296",
+    "99999999999", "", "+", "-1", "1x", "1=2",
+];
+
+/// Values as a line may spell them (escapes written out): strings with
+/// escaped separators, backslashes and newlines, signed, overflowing and
+/// floating-point numbers, booleans.
+const ENTRY_VALUES: &[&str] = &[
+    "x", "a\\,b", "k\\=v", "back\\\\slash", "two\\nlines", "a=b", "-5", "+7", "007",
+    "9223372036854775808", "-9223372036854775809", "18446744073709551616", "1.5", "-0.0",
+    "1e300", "inf", "true", "0", "",
+];
+
+/// A field of a generated `ctx` / `globals` line: its key and value as
+/// written, or `None` for an empty field (`,,`).
+type EntryFieldText = Option<(String, String)>;
+
+/// One field, or — half the time — an `attr` / `data` pair, which on the
+/// string attribute 0 always reads.
+fn arb_entry_fields() -> impl Strategy<Value = Vec<EntryFieldText>> {
+    (any::<u8>(), any::<u8>(), any::<u8>()).prop_map(|(kind, id, value)| {
+        let field = |key: &str, text: &str| Some((key.to_string(), text.to_string()));
+        let id = ENTRY_IDS[id as usize % ENTRY_IDS.len()];
+        let value = ENTRY_VALUES[value as usize % ENTRY_VALUES.len()];
+        match kind % 12 {
+            0 => vec![field("attr", "0"), field("data", value)],
+            1..=5 => vec![field("attr", id), field("data", value)],
+            6 => vec![field("attr", id)],
+            7 => vec![field("ref", id)],
+            8 => vec![field("data", value)],
+            9 | 10 => vec![field("note", value)],
+            _ => vec![None],
+        }
+    })
+}
+
+/// `text` with a backslash put before its first character that does
+/// not start or end an escape already and is no `n` or `r` (whose escapes
+/// mean a line break): the text unescapes to what it did before.
+fn escape_one(text: &str) -> String {
+    let (mut out, mut done) = (String::new(), false);
+    let mut chars = text.chars();
+    while let Some(c) = chars.next() {
+        if c == '\\' {
+            out.push(c);
+            out.extend(chars.next());
+            continue;
+        }
+        if !done && c != 'n' && c != 'r' {
+            out.push('\\');
+            done = true;
+        }
+        out.push(c);
+    }
+    out
+}
+
+/// The stream of `lines` after [`ENTRY_HEAD`]; with `escaped`, every
+/// key and value of every data line carries one more escape.
+fn entry_stream(lines: &[(bool, Vec<EntryFieldText>, u8)], escaped: bool) -> Vec<u8> {
+    let spell = |text: &str| if escaped { escape_one(text) } else { text.to_string() };
+    let mut out = ENTRY_HEAD.to_string();
+    for (globals, fields, end) in lines {
+        let kind = if *globals { "globals" } else { "ctx" };
+        let mut line = format!("{}={}", spell("__rec"), spell(kind));
+        for field in fields {
+            line.push(',');
+            if let Some((key, value)) = field {
+                line.push_str(&format!("{}={}", spell(key), spell(value)));
+            }
+        }
+        line.push_str(match end % 3 {
+            0 => "\n",
+            1 => ",\n",
+            _ => "\r\n",
+        });
+        out.push_str(&line);
+    }
+    out.into_bytes()
+}
+
+/// Everything a read of `bytes` under `policy` tells: the result, the
+/// report, the rows and globals decoded.
+fn read_outcome(bytes: &[u8], policy: ReadPolicy) -> String {
+    let mut reader = CaliReader::new();
+    let mut report = ReadReport::default();
+    let read = reader.read_stream_with(bytes, policy, &mut report);
+    let ds = reader.finish();
+    let globals: Vec<String> = ds.globals.iter().map(|g| g.describe(&ds.store)).collect();
+    format!("{read:?}\n{report:?}\nrows {:?}\nglobals {globals:?}", ordered_lines(&ds))
+}
+
+proptest! {
+    /// The in-place read of a `ctx` / `globals` line and the tokenizer
+    /// it falls back to agree: one more escape in every key and value —
+    /// which sends every field, and the `__rec` field, through
+    /// `escape::fields` — changes no row, no global, no error text and
+    /// no count of the report, strict or lenient.
+    #[test]
+    fn fields_read_in_place_read_as_the_tokenizer_reads_them(
+        lines in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec(arb_entry_fields(), 0..6), any::<u8>()),
+            1..6,
+        ),
+    ) {
+        let lines: Vec<_> = lines
+            .into_iter()
+            .map(|(globals, fields, end)| (globals, fields.concat(), end))
+            .collect();
+        let (plain, escaped) = (entry_stream(&lines, false), entry_stream(&lines, true));
+        for policy in [ReadPolicy::Strict, ReadPolicy::lenient()] {
+            prop_assert_eq!(read_outcome(&plain, policy), read_outcome(&escaped, policy));
+        }
+    }
+}

@@ -208,6 +208,17 @@ if grep -rn 'infer_path\|infer_binary\|infer_text\|scan_binary_record\|skip_valu
     exit 1
 fi
 
+# One-tokenizer gate: a text line is cut into fields by
+# `escape::fields` alone (DESIGN.md §10). The reader reads a `ctx` or
+# `globals` line's plain `ref=`, `attr=` and `data=` fields in place and
+# hands every other field to it. Outside the tests, crates/format
+# defines `fn fields` only in escape.rs and splits no line by hand.
+if printf '%s\n' "$format_src" | grep -E 'fn fields[(<]' | grep -v '^crates/format/src/escape.rs:' \
+    || printf '%s\n' "$format_src" | grep -E "split\(','|split_once\('='|splitn\("; then
+    echo "check.sh: a second text tokenizer is back (listed above)" >&2
+    exit 1
+fi
+
 # One-reduction gate: every rank program is a `RankTask` run by an
 # `Executor` (DESIGN.md §7); the blocking closure API over `Comm`, its
 # second tree reduction and the extra run entry points stay deleted.
