@@ -41,7 +41,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use caliper_data::{
-    AttrId, Entry, FlatRecord, FxHashMap, FxHashSet, NodeId, SnapshotRecord, Value, ValueType,
+    AttrId, Entry, FxHashMap, FxHashSet, NodeId, SnapshotRecord, Value, ValueType,
 };
 
 use crate::binary::{
@@ -753,14 +753,23 @@ impl Block {
         true
     }
 
-    /// Append `record` as a row of immediates, its pairs in order, each
-    /// value in its attribute's column of the value's type and strings
-    /// as codes of `strings`. `false` — and the block unchanged — when
-    /// the block's entries no longer count in 32 bits.
-    pub fn push_record(&mut self, strings: &mut StringTable, record: &FlatRecord) -> bool {
-        for (attr, value) in record.pairs() {
-            let column = self.column_for(*attr, value.value_type());
-            self.push_imm(column, strings.cell(value));
+    /// Append `record` as a row: its node references, then its
+    /// immediates in order, each value in its attribute's column of the
+    /// value's type and strings as codes of `strings` — the one way a
+    /// snapshot record becomes a row. A row holds its references ahead of
+    /// its immediates whatever order the record lists them in, as every
+    /// writer writes them. `false` — and the block unchanged — when the
+    /// block's entries no longer count in 32 bits.
+    pub fn push_snapshot(&mut self, strings: &mut StringTable, record: &SnapshotRecord) -> bool {
+        for entry in record.entries() {
+            match entry {
+                Entry::Node(node) => self.push_ref(*node),
+                Entry::Imm(attr, value) => {
+                    let cell = strings.cell(value);
+                    let column = self.column_for(*attr, cell.value_type());
+                    self.push_imm(column, cell);
+                }
+            }
         }
         self.end_row() || {
             self.abandon_row();
@@ -865,7 +874,7 @@ impl Block {
 
     /// Empty the block, keeping its columns (and every buffer) for the
     /// stream's next rows.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.ref_ends.clear();
         self.refs.clear();
         self.imm_ends.clear();

@@ -62,7 +62,7 @@ pub use journal::{FlushPolicy, JournalCounters, JournalWriter, RecoveryReport, S
 pub use json::{parse_json, Json, JsonError};
 pub use policy::{ReadPolicy, ReadReport, MAX_REPORTED_ERRORS};
 pub use reader::{
-    for_each_flat, read_path, read_path_into, read_path_into_filtered,
+    read_path, read_path_into, read_path_into_filtered,
     read_path_reported_filtered, scan_dictionary, scan_path, RecordBatch,
 };
 pub use rows::BlockRows;

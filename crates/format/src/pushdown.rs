@@ -12,8 +12,8 @@
 //!
 //! `may_match` may only return `false` when **no** record of the block
 //! would satisfy the filter set at query time. The decision mirrors the
-//! runtime comparison semantics exactly (see `FilterSet` in
-//! `caliper-query`):
+//! runtime comparison semantics exactly (see `filter::cmp_occurrences`
+//! in `caliper-query`):
 //!
 //! * equality is `Value`'s `PartialEq` — class-strict, floats by bit
 //!   pattern, with the deliberate `Int`/`UInt` numeric exception;

@@ -16,17 +16,15 @@
 //! * [`scan_dictionary`] — the same read again, for whoever wants only
 //!   what the file declares (an attribute schema): snapshots are passed
 //!   over unread;
-//! * [`RecordBatch`] / [`for_each_flat`] — a contiguous, cheaply
-//!   cloneable slice of a decoded [`Dataset`]'s snapshot records, and
-//!   their expansion to flat records in stream order.
+//! * [`RecordBatch`] — a contiguous, cheaply cloneable slice of a
+//!   decoded [`Dataset`]'s snapshot records, and their expansion to flat
+//!   records in stream order.
 
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-use caliper_data::{
-    AttrId, ContextTree, Entry, FlatRecord, FxHashMap, NodeId, SnapshotRecord, Value,
-};
+use caliper_data::{AttrId, Entry, FlatRecord, FxHashMap, NodeId, Value};
 
 use crate::binary;
 use crate::binary_v2::{append_rows, BlockSink};
@@ -262,37 +260,25 @@ impl RecordBatch {
     }
 
     /// Visit the batch's records expanded to flat records, in stream
-    /// order (see [`for_each_flat`]).
-    pub fn for_each_flat(&self, f: impl FnMut(FlatRecord)) {
-        for_each_flat(&self.dataset.tree, &self.dataset.records[self.range.clone()], f)
-    }
-}
-
-/// Visit `records` expanded to flat records against `tree`, in order,
-/// caching node-path expansions across the call.
-///
-/// This is the row path's aggregation hot loop: records overwhelmingly
-/// share context-tree nodes, so walking the tree once per *unique* node
-/// (instead of once per record as [`SnapshotRecord::unpack`] does)
-/// removes most locking and allocation from the per-record cost.
-pub fn for_each_flat(
-    tree: &ContextTree,
-    records: &[SnapshotRecord],
-    mut f: impl FnMut(FlatRecord),
-) {
-    let mut cache: FxHashMap<NodeId, Vec<(AttrId, Value)>> = FxHashMap::default();
-    for rec in records {
-        let mut pairs: Vec<(AttrId, Value)> = Vec::with_capacity(rec.len() * 2);
-        for entry in rec.entries() {
-            match entry {
-                Entry::Node(id) => {
-                    let path = cache.entry(*id).or_insert_with(|| tree.path(*id));
-                    pairs.extend_from_slice(path);
+    /// order, walking the tree once per node rather than once per record
+    /// as [`SnapshotRecord::unpack`](caliper_data::SnapshotRecord::unpack)
+    /// does.
+    pub fn for_each_flat(&self, mut f: impl FnMut(FlatRecord)) {
+        let tree = &self.dataset.tree;
+        let mut cache: FxHashMap<NodeId, Vec<(AttrId, Value)>> = FxHashMap::default();
+        for rec in &self.dataset.records[self.range.clone()] {
+            let mut pairs: Vec<(AttrId, Value)> = Vec::with_capacity(rec.len() * 2);
+            for entry in rec.entries() {
+                match entry {
+                    Entry::Node(id) => {
+                        let path = cache.entry(*id).or_insert_with(|| tree.path(*id));
+                        pairs.extend_from_slice(path);
+                    }
+                    Entry::Imm(attr, value) => pairs.push((*attr, value.clone())),
                 }
-                Entry::Imm(attr, value) => pairs.push((*attr, value.clone())),
             }
+            f(FlatRecord::from_pairs(pairs));
         }
-        f(FlatRecord::from_pairs(pairs));
     }
 }
 

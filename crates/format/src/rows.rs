@@ -349,13 +349,13 @@ impl Escapes {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use caliper_data::{AttributeStore, ValueType};
+    use caliper_data::{AttributeStore, SnapshotRecord, ValueType};
 
     /// Rows of `records`, built through the block's row builder.
     pub(crate) fn rows_of(records: &[FlatRecord]) -> BlockRows {
         let (mut block, mut strings) = (Block::default(), StringTable::default());
         for rec in records {
-            assert!(block.push_record(&mut strings, rec));
+            assert!(block.push_snapshot(&mut strings, &SnapshotRecord::from(rec)));
         }
         BlockRows::new(block, strings)
     }

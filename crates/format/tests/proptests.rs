@@ -85,8 +85,8 @@ fn record_multiset(ds: &Dataset) -> Vec<String> {
     out
 }
 
-/// Runtime semantics of one pushed-down comparison (mirrors
-/// `FilterSet`: presence required; `!=` means *every* occurrence
+/// Runtime semantics of one pushed-down comparison (mirrors the query's
+/// WHERE: presence required; `!=` means *every* occurrence
 /// differs, the other operators mean *some* occurrence satisfies).
 fn record_matches(ds: &Dataset, rec: &caliper_data::FlatRecord, pred: &Predicate) -> bool {
     let (name, op, literal) = match pred {

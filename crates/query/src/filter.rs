@@ -1,13 +1,14 @@
-//! WHERE-clause evaluation over flat records.
+//! What a WHERE comparison means: how `attr <op> literal` reads the
+//! occurrences of the attribute in one row, and which comparisons can
+//! never depend on the data. The block fold ([`BlockFold`](crate::BlockFold))
+//! is the one evaluator of WHERE; it compares through
+//! `cmp_occurrences`, a run's constant once and other rows one by one.
 
 use std::borrow::Borrow;
-use std::cell::Cell;
-use std::sync::Arc;
 
-use caliper_data::metrics::Counter;
-use caliper_data::{AttrId, AttributeStore, FlatRecord, Value, ValueType};
+use caliper_data::{Value, ValueType};
 
-use crate::ast::{CmpOp, Filter};
+use crate::ast::CmpOp;
 
 /// Can a comparison between a value of type `lhs` and one of type `rhs`
 /// ever be non-constant?
@@ -18,8 +19,8 @@ use crate::ast::{CmpOp, Filter};
 /// different classes (other than the `Int`/`UInt` pair) and ordering
 /// comparisons between a string and a number always produce the same
 /// answer, whatever the data says. The sema pass reports such filters
-/// at check time (`W004`); [`FilterSet::matches`] counts them at run
-/// time in the `query.filter.type_mismatch` metric.
+/// at check time (`W004`); the fold counts them at run time in the
+/// `query.filter.type_mismatch` metric.
 pub fn cmp_types_compatible(op: CmpOp, lhs: ValueType, rhs: ValueType) -> bool {
     let int_like = |t: ValueType| matches!(t, ValueType::Int | ValueType::UInt);
     match op {
@@ -36,7 +37,7 @@ pub fn cmp_types_compatible(op: CmpOp, lhs: ValueType, rhs: ValueType) -> bool {
 /// when *any* occurrence satisfies it. Also returns how many occurrences
 /// have a value class that can never satisfy (or fail) the comparison —
 /// the silent type-coercion drop the `query.filter.type_mismatch` metric
-/// makes visible. Shared by the row path and the block fold.
+/// makes visible.
 pub(crate) fn cmp_occurrences<V: Borrow<Value>>(
     op: CmpOp,
     literal: &Value,
@@ -55,162 +56,82 @@ pub(crate) fn cmp_occurrences<V: Borrow<Value>>(
     (matched, mismatched as u64)
 }
 
-/// Compiled filter bound to an attribute store. Attribute lookups are
-/// cached; labels that do not resolve (yet) behave as "attribute absent".
-pub struct FilterSet {
-    filters: Vec<(Filter, Cell<Option<AttrId>>)>,
-    store: Arc<AttributeStore>,
-    type_mismatches: Counter,
-}
-
-impl FilterSet {
-    /// Compile a filter list against a store.
-    pub fn new(filters: Vec<Filter>, store: Arc<AttributeStore>) -> FilterSet {
-        FilterSet {
-            filters: filters
-                .into_iter()
-                .map(|f| (f, Cell::new(None)))
-                .collect(),
-            store,
-            type_mismatches: caliper_data::metrics::global()
-                .counter("query.filter.type_mismatch"),
-        }
-    }
-
-    /// True if there are no conditions (everything passes).
-    pub fn is_empty(&self) -> bool {
-        self.filters.is_empty()
-    }
-
-    /// Publish mismatches counted outside [`FilterSet::matches`].
-    pub(crate) fn add_type_mismatches(&self, n: u64) {
-        if n > 0 {
-            self.type_mismatches.add(n);
-        }
-    }
-
-    fn resolve(&self, cache: &Cell<Option<AttrId>>, label: &str) -> Option<AttrId> {
-        if cache.get().is_none() {
-            cache.set(self.store.find(label).map(|attr| attr.id()));
-        }
-        cache.get()
-    }
-
-    /// Evaluate all conditions (AND) against a record.
-    pub fn matches(&self, record: &FlatRecord) -> bool {
-        self.filters.iter().all(|(filter, cache)| match filter {
-            Filter::Exists(label) => match self.resolve(cache, label) {
-                Some(attr) => record.contains(attr),
-                None => false,
-            },
-            Filter::NotExists(label) => match self.resolve(cache, label) {
-                Some(attr) => !record.contains(attr),
-                None => true,
-            },
-            Filter::Cmp { attr, op, value } => match self.resolve(cache, attr) {
-                Some(attr) if record.contains(attr) => {
-                    let (matched, mismatched) = cmp_occurrences(*op, value, record.all(attr));
-                    self.add_type_mismatches(mismatched);
-                    matched
-                }
-                _ => false,
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caliper_data::{RecordBuilder, Value};
+    use crate::run_query;
+    use caliper_data::{RecordBuilder, SnapshotRecord};
+    use caliper_format::Dataset;
 
-    fn store_and_records() -> (Arc<AttributeStore>, Vec<FlatRecord>) {
-        let store = Arc::new(AttributeStore::new());
-        let records = vec![
-            RecordBuilder::new(&store)
-                .with("kernel", "calc-dt")
-                .with("mpi.rank", 0i64)
-                .with("time.duration", 5.0)
-                .build(),
-            RecordBuilder::new(&store)
-                .with("mpi.function", "MPI_Barrier")
-                .with("mpi.rank", 1i64)
-                .with("time.duration", 50.0)
-                .build(),
-        ];
-        (store, records)
+    /// A dataset of `records`, each given as its pairs in order.
+    fn dataset(records: &[&[(&str, Value)]]) -> Dataset {
+        let mut ds = Dataset::new();
+        for pairs in records {
+            let rec = pairs
+                .iter()
+                .fold(RecordBuilder::new(&ds.store), |rec, (label, value)| {
+                    rec.with(label, value.clone())
+                })
+                .build();
+            ds.push(SnapshotRecord::from(&rec));
+        }
+        ds
     }
 
-    fn eval(filters: Vec<Filter>, store: &Arc<AttributeStore>, rec: &FlatRecord) -> bool {
-        FilterSet::new(filters, Arc::clone(store)).matches(rec)
+    /// The two records the comparisons below look at: a kernel record
+    /// of rank 0 and an MPI record of rank 1.
+    fn records() -> Dataset {
+        dataset(&[
+            &[
+                ("kernel", Value::str("calc-dt")),
+                ("mpi.rank", Value::Int(0)),
+                ("time.duration", Value::Float(5.0)),
+            ],
+            &[
+                ("mpi.function", Value::str("MPI_Barrier")),
+                ("mpi.rank", Value::Int(1)),
+                ("time.duration", Value::Float(50.0)),
+            ],
+        ])
+    }
+
+    /// The ranks of the records `where_` keeps, in order.
+    fn kept(ds: &Dataset, where_: &str) -> Vec<i64> {
+        let result = run_query(ds, &format!("SELECT * {where_}")).unwrap();
+        let rank = result.store.find("mpi.rank").unwrap().id();
+        let ranks = result.records.iter().map(|r| r.get(rank).unwrap().to_i64().unwrap());
+        ranks.collect()
     }
 
     #[test]
     fn exists_and_not_exists() {
-        let (store, recs) = store_and_records();
+        let ds = records();
         // WHERE not(mpi.function) — the paper's exclusion of MPI records.
-        let f = vec![Filter::NotExists("mpi.function".into())];
-        assert!(eval(f.clone(), &store, &recs[0]));
-        assert!(!eval(f, &store, &recs[1]));
-
-        let f = vec![Filter::Exists("kernel".into())];
-        assert!(eval(f.clone(), &store, &recs[0]));
-        assert!(!eval(f, &store, &recs[1]));
+        assert_eq!(kept(&ds, "WHERE not(mpi.function)"), [0]);
+        assert_eq!(kept(&ds, "WHERE kernel"), [0]);
+        assert_eq!(kept(&ds, "WHERE mpi.function"), [1]);
     }
 
     #[test]
     fn unresolved_labels() {
-        let (store, recs) = store_and_records();
-        assert!(!eval(vec![Filter::Exists("nope".into())], &store, &recs[0]));
-        assert!(eval(
-            vec![Filter::NotExists("nope".into())],
-            &store,
-            &recs[0]
-        ));
-        assert!(!eval(
-            vec![Filter::Cmp {
-                attr: "nope".into(),
-                op: CmpOp::Eq,
-                value: Value::Int(0)
-            }],
-            &store,
-            &recs[0]
-        ));
+        let ds = records();
+        assert_eq!(kept(&ds, "WHERE nope"), [0; 0]);
+        assert_eq!(kept(&ds, "WHERE not(nope)"), [0, 1]);
+        assert_eq!(kept(&ds, "WHERE nope = 0"), [0; 0]);
     }
 
     #[test]
     fn comparisons() {
-        let (store, recs) = store_and_records();
-        let rank_eq_0 = vec![Filter::Cmp {
-            attr: "mpi.rank".into(),
-            op: CmpOp::Eq,
-            value: Value::Int(0),
-        }];
-        assert!(eval(rank_eq_0.clone(), &store, &recs[0]));
-        assert!(!eval(rank_eq_0, &store, &recs[1]));
-
-        let slow = vec![Filter::Cmp {
-            attr: "time.duration".into(),
-            op: CmpOp::Gt,
-            value: Value::Float(10.0),
-        }];
-        assert!(!eval(slow.clone(), &store, &recs[0]));
-        assert!(eval(slow, &store, &recs[1]));
+        let ds = records();
+        assert_eq!(kept(&ds, "WHERE mpi.rank = 0"), [0]);
+        assert_eq!(kept(&ds, "WHERE time.duration > 10.0"), [1]);
     }
 
     #[test]
     fn conditions_are_anded() {
-        let (store, recs) = store_and_records();
-        let both = vec![
-            Filter::Exists("kernel".into()),
-            Filter::Cmp {
-                attr: "mpi.rank".into(),
-                op: CmpOp::Eq,
-                value: Value::Int(0),
-            },
-        ];
-        assert!(eval(both.clone(), &store, &recs[0]));
-        assert!(!eval(both, &store, &recs[1]));
+        let ds = records();
+        assert_eq!(kept(&ds, "WHERE kernel, mpi.rank = 0"), [0]);
+        assert_eq!(kept(&ds, "WHERE kernel, mpi.rank = 1"), [0; 0]);
     }
 
     #[test]
@@ -231,47 +152,27 @@ mod tests {
 
     #[test]
     fn mismatched_comparisons_bump_metric() {
-        let (store, recs) = store_and_records();
+        let ds = dataset(&[&[("mpi.rank", Value::Int(0)), ("time.duration", Value::Float(5.0))]]);
         let counter = caliper_data::metrics::global().counter("query.filter.type_mismatch");
         let before = counter.get();
         // Float attribute compared against an Int literal: the classic
         // never-matches footgun.
-        let f = vec![Filter::Cmp {
-            attr: "time.duration".into(),
-            op: CmpOp::Eq,
-            value: Value::Int(5),
-        }];
-        assert!(!eval(f, &store, &recs[0]));
+        assert_eq!(kept(&ds, "WHERE time.duration = 5"), [0; 0]);
         assert_eq!(counter.get(), before + 1);
         // A compatible comparison leaves the counter alone.
-        let ok = vec![Filter::Cmp {
-            attr: "time.duration".into(),
-            op: CmpOp::Gt,
-            value: Value::Int(1),
-        }];
-        assert!(eval(ok, &store, &recs[0]));
+        assert_eq!(kept(&ds, "WHERE time.duration > 1"), [0]);
         assert_eq!(counter.get(), before + 1);
     }
 
     #[test]
     fn ne_requires_no_occurrence_to_match() {
-        let store = Arc::new(AttributeStore::new());
-        let func = store.create_simple("function", caliper_data::ValueType::Str);
-        let mut rec = FlatRecord::new();
-        rec.push(func.id(), Value::str("main"));
-        rec.push(func.id(), Value::str("foo"));
-        let ne_main = vec![Filter::Cmp {
-            attr: "function".into(),
-            op: CmpOp::Ne,
-            value: Value::str("main"),
-        }];
+        let ds = dataset(&[&[
+            ("mpi.rank", Value::Int(0)),
+            ("function", Value::str("main")),
+            ("function", Value::str("foo")),
+        ]]);
         // "main" occurs, so != main fails even though "foo" also occurs.
-        assert!(!eval(ne_main, &store, &rec));
-        let ne_bar = vec![Filter::Cmp {
-            attr: "function".into(),
-            op: CmpOp::Ne,
-            value: Value::str("bar"),
-        }];
-        assert!(eval(ne_bar, &store, &rec));
+        assert_eq!(kept(&ds, "WHERE function != main"), [0; 0]);
+        assert_eq!(kept(&ds, "WHERE function != bar"), [0]);
     }
 }

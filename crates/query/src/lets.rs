@@ -3,10 +3,7 @@
 //! capability the paper's related-work section credits to Cube's metric
 //! language, generalized here to arbitrary attributes.
 
-use std::cell::Cell;
-use std::sync::Arc;
-
-use caliper_data::{AttrId, AttributeStore, FlatRecord, Properties, Value, ValueType};
+use caliper_data::{AttrId, AttributeStore, Properties, ValueType};
 
 use crate::ast::{LetDef, LetExpr};
 
@@ -31,9 +28,9 @@ impl LetExpr {
     /// Evaluate over one record, however it is laid out: `number(i)` is
     /// the numeric view of the innermost occurrence of input `i` (`None`
     /// when absent or not a number), `present(i)` whether input `i`
-    /// occurs at all. Absent inputs produce no output. Both the row
-    /// path ([`LetSet::apply`]) and the block fold evaluate through
-    /// this, so the forms mean the same on either.
+    /// occurs at all. Absent inputs produce no output. The block fold
+    /// evaluates every binding through this, over a run of rows or over
+    /// one gathered row alike.
     pub(crate) fn eval(
         &self,
         number: impl Fn(usize) -> Option<f64>,
@@ -61,206 +58,123 @@ pub(crate) enum LetResult {
     TextOf(usize),
 }
 
-/// One compiled binding: the definition plus lazily resolved attribute
-/// ids (on-line, attributes appear as the program runs).
-struct Binding {
-    def: LetDef,
-    out: Cell<Option<AttrId>>,
-    /// Whether `out` is an attribute this binding added to the store,
-    /// the data not having declared the label by then.
-    added: Cell<bool>,
-    /// The expression's input labels in argument order, each with its
-    /// attribute id once the label resolves.
-    inputs: Vec<(String, Cell<Option<AttrId>>)>,
-}
-
-/// Compiled LET bindings bound to an attribute store.
-pub struct LetSet {
-    bindings: Vec<Binding>,
-    store: Arc<AttributeStore>,
+/// The bindings' output attributes, interned in the input's store once
+/// the input has declared what it declares (the fold itself works on
+/// labels, and needs an output's attribute only to keep a row whole).
+#[derive(Default)]
+pub(crate) struct LetSet {
+    defs: Vec<LetDef>,
+    /// Per binding, once interned: its output attribute; and the outputs
+    /// this set added to the store, the data not having declared their
+    /// labels by then.
+    outs: Vec<AttrId>,
+    added: Vec<AttrId>,
 }
 
 impl LetSet {
-    /// Compile LET definitions. Output attributes are interned when the
-    /// first record is evaluated, or when the pipeline finishes; input
-    /// labels are looked up until they resolve, then never again.
-    pub fn new(defs: Vec<LetDef>, store: Arc<AttributeStore>) -> LetSet {
-        let bindings = defs
-            .into_iter()
-            .map(|def| Binding {
-                inputs: def
-                    .expr
-                    .inputs()
-                    .into_iter()
-                    .map(|label| (label.to_string(), Cell::new(None)))
-                    .collect(),
-                out: Cell::new(None),
-                added: Cell::new(false),
-                def,
-            })
-            .collect();
-        LetSet { bindings, store }
-    }
-
-    /// True if there are no bindings.
-    pub fn is_empty(&self) -> bool {
-        self.bindings.is_empty()
-    }
-
-    /// The binding's output attribute, interned on first use. A label
-    /// the data already declares keeps the data's attribute, whatever
-    /// its type — which is why this waits for the input's dictionary
-    /// instead of running at compile time, where it would claim the
-    /// label first.
-    fn out_attr(&self, binding: &Binding) -> AttrId {
-        if let Some(id) = binding.out.get() {
-            return id;
-        }
-        let name = &binding.def.name;
-        let attr = self.store.find(name).unwrap_or_else(|| {
-            binding.added.set(true);
-            self.store
-                .create(name, binding.def.expr.value_type(), Properties::AS_VALUE)
-                .unwrap_or_else(|_| self.store.find(name).expect("exists"))
-        });
-        binding.out.set(Some(attr.id()));
-        attr.id()
+    /// The bindings of `defs`, their outputs not interned yet.
+    pub(crate) fn new(defs: Vec<LetDef>) -> LetSet {
+        LetSet { defs, ..LetSet::default() }
     }
 
     /// Whether `attr` is an output some binding added to the store —
     /// not something the input declared.
     pub(crate) fn added(&self, attr: AttrId) -> bool {
-        self.bindings.iter().any(|b| b.added.get() && b.out.get() == Some(attr))
+        self.added.contains(&attr)
     }
 
-    /// Intern every output attribute, in definition order.
-    pub(crate) fn intern_outputs(&self) {
-        for binding in &self.bindings {
-            self.out_attr(binding);
+    /// Every binding's output attribute in `store`, in definition order,
+    /// interned on the first call. A label the data already declares
+    /// keeps the data's attribute, whatever its type — which is why this
+    /// waits for the input's dictionary instead of running at compile
+    /// time, where it would claim the label first.
+    pub(crate) fn intern_outputs(&mut self, store: &AttributeStore) -> &[AttrId] {
+        let LetSet { defs, outs, added } = self;
+        if outs.len() < defs.len() {
+            *outs = defs
+                .iter()
+                .map(|LetDef { name, expr }| {
+                    let attr = store.find(name).unwrap_or_else(|| {
+                        let created = store.create(name, expr.value_type(), Properties::AS_VALUE);
+                        let attr = created.unwrap_or_else(|_| store.find(name).expect("exists"));
+                        added.push(attr.id());
+                        attr
+                    });
+                    attr.id()
+                })
+                .collect();
         }
-    }
-
-    /// Evaluate all bindings, appending derived values to the record.
-    /// Bindings whose inputs are absent produce no output.
-    pub fn apply(&self, record: &mut FlatRecord) {
-        for binding in &self.bindings {
-            let out = self.out_attr(binding);
-            let lookup = |i: usize| -> Option<&Value> {
-                let (label, attr) = &binding.inputs[i];
-                if attr.get().is_none() {
-                    attr.set(self.store.find(label).map(|attr| attr.id()));
-                }
-                record.get(attr.get()?)
-            };
-            let result = binding.def.expr.eval(
-                |i| lookup(i).and_then(Value::to_f64),
-                |i| lookup(i).is_some(),
-            );
-            let value = match result {
-                Some(LetResult::Number(x)) => Value::Float(x),
-                Some(LetResult::TextOf(i)) => {
-                    Value::str(lookup(i).expect("present input").to_string())
-                }
-                None => continue,
-            };
-            record.push(out, value);
-        }
+        outs
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use caliper_data::RecordBuilder;
+    use crate::run_query;
+    use caliper_data::{RecordBuilder, SnapshotRecord, Value, ValueType};
+    use caliper_format::Dataset;
 
-    fn letset(defs: Vec<LetDef>, store: &Arc<AttributeStore>) -> LetSet {
-        LetSet::new(defs, Arc::clone(store))
+    /// `let_` over one record of `pairs` (`declared` declared first, in
+    /// that order): the value of label `at` in the row it keeps.
+    fn output(let_: &str, declared: &[&str], pairs: &[(&str, Value)], at: &str) -> Option<Value> {
+        let mut ds = Dataset::new();
+        for name in declared {
+            ds.store.create_simple(name, ValueType::Str);
+        }
+        let rec = pairs
+            .iter()
+            .fold(RecordBuilder::new(&ds.store), |rec, (l, v)| rec.with(l, v.clone()))
+            .build();
+        ds.push(SnapshotRecord::from(&rec));
+        let result = run_query(&ds, &format!("{let_} SELECT *")).unwrap();
+        assert_eq!(result.records.len(), 1);
+        let attr = result.store.find(at)?.id();
+        result.records.row(0).get(attr).cloned()
     }
 
     #[test]
     fn scale_converts_units() {
-        let store = Arc::new(AttributeStore::new());
-        let mut rec = RecordBuilder::new(&store).with("time.duration", 2500.0).build();
-        let ls = letset(
-            vec![LetDef {
-                name: "time.ms".into(),
-                expr: LetExpr::Scale("time.duration".into(), 0.001),
-            }],
-            &store,
+        let ms = output(
+            "LET time.ms = scale(time.duration, 0.001)",
+            &[],
+            &[("time.duration", Value::Float(2500.0))],
+            "time.ms",
         );
-        ls.apply(&mut rec);
-        let ms = store.find("time.ms").unwrap();
-        assert_eq!(rec.get(ms.id()), Some(&Value::Float(2.5)));
+        assert_eq!(ms, Some(Value::Float(2.5)));
     }
 
     #[test]
     fn ratio_guards_division_by_zero() {
-        let store = Arc::new(AttributeStore::new());
-        let mut rec = RecordBuilder::new(&store)
-            .with("bytes", 100.0)
-            .with("time", 0.0)
-            .build();
-        let ls = letset(
-            vec![LetDef {
-                name: "bw".into(),
-                expr: LetExpr::Ratio("bytes".into(), "time".into()),
-            }],
-            &store,
-        );
-        ls.apply(&mut rec);
-        let bw = store.find("bw").unwrap();
-        assert_eq!(rec.get(bw.id()), None);
+        let pairs = [("bytes", Value::Float(100.0)), ("time", Value::Float(0.0))];
+        assert_eq!(output("LET bw = ratio(bytes, time)", &[], &pairs, "bw"), None);
     }
 
     #[test]
     fn first_picks_first_present() {
-        let store = Arc::new(AttributeStore::new());
-        // intern both candidate attributes
-        store.create_simple("annotation", ValueType::Str);
-        store.create_simple("function", ValueType::Str);
-        let mut rec = RecordBuilder::new(&store).with("function", "foo").build();
-        let ls = letset(
-            vec![LetDef {
-                name: "region".into(),
-                expr: LetExpr::First(vec!["annotation".into(), "function".into()]),
-            }],
-            &store,
+        let region = output(
+            "LET region = first(annotation, function)",
+            &["annotation", "function"],
+            &[("function", Value::str("foo"))],
+            "region",
         );
-        ls.apply(&mut rec);
-        let region = store.find("region").unwrap();
-        assert_eq!(rec.get(region.id()), Some(&Value::str("foo")));
+        assert_eq!(region, Some(Value::str("foo")));
     }
 
     #[test]
     fn truncate_bins_values() {
-        let store = Arc::new(AttributeStore::new());
-        let ls = letset(
-            vec![LetDef {
-                name: "iter.bin".into(),
-                expr: LetExpr::Truncate("iteration".into(), 10.0),
-            }],
-            &store,
-        );
         for (input, expect) in [(0i64, 0.0), (9, 0.0), (10, 10.0), (27, 20.0)] {
-            let mut rec = RecordBuilder::new(&store).with("iteration", input).build();
-            ls.apply(&mut rec);
-            let bin = store.find("iter.bin").unwrap();
-            assert_eq!(rec.get(bin.id()), Some(&Value::Float(expect)), "input {input}");
+            let bin = output(
+                "LET iter.bin = truncate(iteration, 10)",
+                &[],
+                &[("iteration", Value::Int(input))],
+                "iter.bin",
+            );
+            assert_eq!(bin, Some(Value::Float(expect)), "input {input}");
         }
     }
 
     #[test]
     fn absent_inputs_produce_no_output() {
-        let store = Arc::new(AttributeStore::new());
-        let ls = letset(
-            vec![LetDef {
-                name: "y".into(),
-                expr: LetExpr::Scale("missing".into(), 2.0),
-            }],
-            &store,
-        );
-        let mut rec = FlatRecord::new();
-        ls.apply(&mut rec);
-        assert!(rec.is_empty());
+        assert_eq!(output("LET y = scale(missing, 2)", &[], &[], "y"), None);
     }
 }

@@ -6,18 +6,17 @@
 //! results are combined with [`Pipeline::merge`] up a reduction tree
 //! (§IV-C); [`Pipeline::finish`] is then called once, at the root.
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use caliper_data::{
-    Attribute, AttributeStore, ContextTree, FlatRecord, Properties, ValueType,
+    Attribute, AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, ValueType,
 };
 use caliper_format::dataset::Dataset;
-use caliper_format::{csv, expand, flamegraph, for_each_flat, json, table};
+use caliper_format::{csv, expand, flamegraph, json, table};
 use caliper_format::{Block, BlockRows, CaliWriter, StringTable};
 
 use crate::aggregator::{AggregationSpec, Aggregator};
 use crate::ast::{FormatOpt, OutputFormat, QuerySpec, SortDir};
-use crate::filter::FilterSet;
 use crate::lets::LetSet;
 use crate::parser::{parse_query, ParseError};
 use crate::scan::BlockFold;
@@ -109,11 +108,10 @@ impl QueryResult {
     /// ```
     pub fn requery(&self, text: &str) -> Result<QueryResult, ParseError> {
         let mut pipeline = Pipeline::from_text(text, Arc::clone(&self.store))?;
-        let mut ds = Dataset::with_context(Arc::clone(&self.store), Arc::new(ContextTree::new()));
         let mut fold = BlockFold::new(pipeline.spec());
         let mut strings = self.records.strings().clone();
         let block = self.records.to_block(|_| true);
-        pipeline.fold_block(&mut fold, &mut ds, &mut strings, &block);
+        pipeline.fold_rows(&mut fold, &NO_NODES, &mut strings, &block);
         Ok(pipeline.finish())
     }
 
@@ -147,22 +145,28 @@ impl std::fmt::Debug for QueryResult {
 pub struct Pipeline {
     pub(crate) spec: QuerySpec,
     pub(crate) lets: LetSet,
-    pub(crate) filters: FilterSet,
     /// Boxed: a pipeline is moved about whole — up a reduction tree, one
     /// per rank — and most of its size would be the aggregator's.
     pub(crate) aggregator: Option<Box<Aggregator>>,
     /// A pass-through query's matching records, as the rows of one
     /// block, and the table its string codes refer to.
-    passthrough: (Block, StringTable),
+    pub(crate) passthrough: (Block, StringTable),
     pub(crate) input_store: Arc<AttributeStore>,
+    /// The fold row records go through, the table of their strings and
+    /// the block they are built into, made when the first one comes.
+    pub(crate) row_fold: Option<Box<(BlockFold, StringTable, Block)>>,
 }
+
+/// The tree of a record that refers to no node.
+static NO_NODES: LazyLock<ContextTree> = LazyLock::new(ContextTree::new);
 
 impl Pipeline {
     /// Create a pipeline for a parsed query over records whose attribute
     /// ids refer to `store`.
     pub fn new(spec: QuerySpec, store: Arc<AttributeStore>) -> Pipeline {
-        let lets = LetSet::new(spec.lets.clone(), Arc::clone(&store));
-        let filters = FilterSet::new(spec.filters.clone(), Arc::clone(&store));
+        // Listed in `--stats` from the start, at 0 until a WHERE meets a
+        // comparison the data cannot decide (see `BlockFold`).
+        caliper_data::metrics::global().counter("query.filter.type_mismatch");
         let aggregator = if spec.is_aggregation() {
             Some(Box::new(Aggregator::new(
                 AggregationSpec::from_query(&spec),
@@ -172,12 +176,12 @@ impl Pipeline {
             None
         };
         Pipeline {
+            lets: LetSet::new(spec.lets.clone()),
             spec,
-            lets,
-            filters,
             aggregator,
             passthrough: Default::default(),
             input_store: store,
+            row_fold: None,
         }
     }
 
@@ -221,28 +225,18 @@ impl Pipeline {
         self.input_store.all().into_iter().filter(declared)
     }
 
-    /// Process one input record.
-    pub fn process(&mut self, mut record: FlatRecord) {
-        if !self.lets.is_empty() {
-            self.lets.apply(&mut record);
-        }
-        if !self.filters.is_empty() && !self.filters.matches(&record) {
-            return;
-        }
-        match &mut self.aggregator {
-            Some(agg) => agg.add(&record),
-            None => {
-                let (block, strings) = &mut self.passthrough;
-                assert!(block.push_record(strings, &record), "a result of more than 2^32 values");
-            }
-        }
+    /// Fold one input record, at once: as a block of one row, its pairs
+    /// the row's immediates in order, through the [`BlockFold`] this
+    /// pipeline keeps for row records — the fold every block takes.
+    pub fn process(&mut self, record: FlatRecord) {
+        self.fold_records(&[SnapshotRecord::from(&record)], &NO_NODES);
     }
 
-    /// Process every record of a dataset, in stream order: its rows one
-    /// by one, then its blocks as columns (see
+    /// Process every record of a dataset, in stream order: its row
+    /// records, then its blocks, all as columns (see
     /// [`fold_block`](Self::fold_block)).
     pub fn process_dataset(&mut self, ds: &Dataset) {
-        for_each_flat(&ds.tree, &ds.records, |rec| self.process(rec));
+        self.fold_records(&ds.records, &ds.tree);
         self.fold_blocks(ds);
     }
 
@@ -260,7 +254,8 @@ impl Pipeline {
                 let (block, strings) = &mut self.passthrough;
                 let (theirs, their_strings) = other.passthrough;
                 for record in BlockRows::new(theirs, their_strings).iter() {
-                    assert!(block.push_record(strings, &record), "a result of more than 2^32 values");
+                    let pushed = block.push_snapshot(strings, &SnapshotRecord::from(&record));
+                    assert!(pushed, "a result of more than 2^32 values");
                 }
             }
             _ => debug_assert!(false, "merging aggregation with pass-through pipeline"),
@@ -286,11 +281,12 @@ impl Pipeline {
     /// resolve SELECT to its attributes, and return the result.
     pub fn finish(self) -> QueryResult {
         let overflow_records = self.overflow_records();
+        let Pipeline { spec, mut lets, aggregator, passthrough, input_store, .. } = self;
         // The flush types key columns by the input attribute of the
-        // same label; a LET output no row-path record interned yet (the
-        // block fold works on labels) must exist by now.
-        self.lets.intern_outputs();
-        let (store, mut rows) = match self.aggregator {
+        // same label; a LET output no kept row interned yet (the block
+        // fold works on labels) must exist by now.
+        lets.intern_outputs(&input_store);
+        let (store, mut rows) = match aggregator {
             Some(agg) => {
                 let out_store = Arc::new(AttributeStore::new());
                 let (mut block, mut strings) = (Block::default(), StringTable::default());
@@ -298,27 +294,26 @@ impl Pipeline {
                 (out_store, BlockRows::new(block, strings))
             }
             None => {
-                let (block, strings) = self.passthrough;
-                (self.input_store, BlockRows::new(block, strings))
+                let (block, strings) = passthrough;
+                (input_store, BlockRows::new(block, strings))
             }
         };
 
         // ORDER BY (a label no row carries orders nothing).
-        let keys: Vec<_> = self
-            .spec
+        let keys: Vec<_> = spec
             .order_by
             .iter()
             .filter_map(|k| Some((store.find(&k.attr)?.id(), k.dir == SortDir::Desc)))
             .collect();
         rows.sort(&keys);
-        if let Some(limit) = self.spec.limit {
+        if let Some(limit) = spec.limit {
             rows.truncate(limit);
         }
 
         // Column selection.
-        let labels: Vec<String> = match (&self.spec.select, self.spec.is_aggregation()) {
+        let labels: Vec<String> = match (&spec.select, spec.is_aggregation()) {
             (Some(cols), _) => cols.clone(),
-            (None, true) => self.spec.default_columns("count"),
+            (None, true) => spec.default_columns("count"),
             // All attributes in order of first appearance.
             (None, false) => rows
                 .attributes()
@@ -343,8 +338,8 @@ impl Pipeline {
             store,
             records: rows,
             columns,
-            format: self.spec.format,
-            format_opts: self.spec.format_opts,
+            format: spec.format,
+            format_opts: spec.format_opts,
             overflow_records,
         }
     }

@@ -8,9 +8,8 @@
 //!
 //! * **Text `.cali` and CALB v2** are folded as columns. Either reader
 //!   hands over one validated [`Block`] at a time — v2 the blocks its
-//!   writer framed, text a block per
-//!   [`DEFAULT_BLOCK_RECORDS`](caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS)
-//!   snapshot lines — so one block is in memory at a time.
+//!   writer framed, text a block per [`DEFAULT_BLOCK_RECORDS`] snapshot
+//!   lines — so one block is in memory at a time.
 //!   The fold resolves the attributes the query mentions once per
 //!   block and cuts the block into *runs*: consecutive rows with the
 //!   same immediates, column for column. Per run it plans where each of
@@ -28,41 +27,43 @@
 //!   an attribute more than once (a nested path as key, repeated
 //!   values) are gathered row by row, as the [`Cell`]s of their
 //!   occurrences (numbers, or codes of the stream's [`StringTable`]).
-//! * **CALB v1** has no block decoder (and is on the deletion ledger
-//!   rather than getting one). Its records — and the stray v1-style row
-//!   records a v2 stream may carry between blocks — are decoded as rows
-//!   and go through [`Pipeline::process`], the path that defines what a
-//!   query means and the oracle the block fold is tested against
-//!   (`tests/columnar_differential.rs`).
+//! * **Row records** — what CALB v1 decodes (it has no block decoder,
+//!   and is on the deletion ledger rather than getting one), the stray
+//!   v1-style records a v2 stream may carry between blocks, and the
+//!   records of an in-memory [`Dataset`] — become block rows the way the
+//!   runtime's trace buffer makes them ([`Block::push_snapshot`]),
+//!   [`DEFAULT_BLOCK_RECORDS`] to a block, and fold as columns too.
 //!
-//! [`BlockFold`] is that columnar fold, and the only one: whoever holds
-//! [`Block`]s and an [`Aggregator`] folds them through it —
-//! [`Pipeline::scan_file`] here, [`Pipeline::process_dataset`] for the
-//! blocks a dataset holds (the runtime's output), and the resident
-//! daemon (`cali-served`),
-//! which folds every ingest batch and every replayed journal block into
-//! a stream's warm aggregate with it. A pipeline takes blocks through
-//! [`Pipeline::fold_block`], which `scan_file` calls per block of a file
-//! and the daemon's query per stream, on the block each stream's warm
-//! aggregate flushes ([`Aggregator::flush_into`]).
+//! [`BlockFold`] is that columnar fold, and the only evaluator of LET
+//! and WHERE there is: whoever holds [`Block`]s folds them through it —
+//! [`Pipeline::scan_file`] here, [`Pipeline::process_dataset`] for what
+//! a dataset holds (the runtime's output), [`Pipeline::process`] for one
+//! record, as a block of one row, and the resident daemon
+//! (`cali-served`), which folds every ingest batch and every replayed
+//! journal block into a stream's warm aggregate with it. A pipeline
+//! takes blocks through [`Pipeline::fold_block`], which `scan_file`
+//! calls per block of a file and the daemon's query per stream, on the
+//! block each stream's warm aggregate flushes
+//! ([`Aggregator::flush_into`]).
 //!
-//! Both find their groups in the one table there is from keys to
+//! After LET and WHERE the fold hands the rows it keeps to a sink: an
+//! aggregation's groups — found in the one table there is from keys to
 //! groups, the aggregation database
-//! ([`Aggregator::admit`](crate::Aggregator)) — the fold keeps none of
-//! its own, and its code map remembers a group only as the aggregator
-//! admitted it — feed the same per-op columns in the same order, and
-//! evaluate LET and WHERE through the same functions
-//! ([`LetExpr::eval`](crate::LetExpr), `filter::cmp_occurrences`), so a
-//! pipeline may be fed by any mix of the two.
+//! ([`Aggregator::admit`](crate::Aggregator)); the fold keeps none of its
+//! own, and its code map remembers a group only as the aggregator
+//! admitted it — or, for a pass-through query, the result block, which
+//! takes each kept row whole: its node paths' values, its immediates and
+//! its LET outputs, the pairs of the record the row stands for.
 
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use caliper_data::{AttrId, NodeId};
+use caliper_data::{AttrId, AttributeStore, ContextTree, NodeId, SnapshotRecord, Value};
+use caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS;
 use caliper_format::{
-    for_each_flat, scan_path, Block, CaliError, Cell, ColumnData, Dataset, Pushdown, ReadPolicy,
-    ReadReport, StringTable,
+    scan_path, Block, CaliError, Cell, ColumnData, Dataset, Pushdown, ReadPolicy, ReadReport,
+    StringTable,
 };
 
 use crate::aggregator::{AggregationSpec, Aggregator, CodeMap, KeyCell};
@@ -88,9 +89,9 @@ pub struct Scanned {
 impl Pipeline {
     /// Read one `.cali` or `CALB` file under `policy` (with an optional
     /// zone-map `pushdown`) and fold its records into this pipeline, in
-    /// stream order. Text and CALB v2 snapshots are folded as columns,
-    /// one block in memory at a time; v1 records as rows (see the
-    /// [module docs](self)).
+    /// stream order. Text and CALB v2 snapshots are folded as the blocks
+    /// the reader hands over, one in memory at a time; v1 records as the
+    /// blocks they make (see the [module docs](self)).
     ///
     /// `dict` receives the file's dictionary; its store must be the one
     /// this pipeline was created over. Scanning several files into one
@@ -99,8 +100,7 @@ impl Pipeline {
     ///
     /// The file is the unit of work: its contribution to the pipeline is
     /// its records folded in stream order, whoever calls this — a worker
-    /// of `cali-query`, a rank of `mpi-caliquery` — and equal to what
-    /// [`Pipeline::process`] makes of the same records one by one.
+    /// of `cali-query`, a rank of `mpi-caliquery`.
     ///
     /// On an error the pipeline has absorbed part of the file and must
     /// be discarded.
@@ -128,7 +128,7 @@ impl Pipeline {
         // What a v1 file decoded: rows.
         let start = Instant::now();
         folded += dict.records.len() as u64;
-        self.process_dataset(&dict);
+        self.fold_records(&dict.records, &dict.tree);
         dict.records.clear();
         fold_s += start.elapsed().as_secs_f64();
         Ok(Scanned {
@@ -141,10 +141,10 @@ impl Pipeline {
 
     /// Fold one decoded `block` into this pipeline — after the row
     /// records its stream carried ahead of it in `ds`, which keep their
-    /// place in the order: an aggregation through `fold`, a pass-through
-    /// query as whole records. The one step every holder of blocks takes
-    /// ([`scan_file`](Self::scan_file) per block of a file, `cali-served`
-    /// per stream of a query), with one `fold` per string table.
+    /// place in the order — through `fold`. The one step every holder of
+    /// blocks takes ([`scan_file`](Self::scan_file) per block of a file,
+    /// `cali-served` per stream of a query), with one `fold` per string
+    /// table.
     ///
     /// `ds` is the dataset the block was decoded into, over the store
     /// this pipeline was created over, and `strings` the table the
@@ -156,9 +156,9 @@ impl Pipeline {
         strings: &mut StringTable,
         block: &Block,
     ) {
-        for_each_flat(&ds.tree, &ds.records, |record| self.process(record));
+        self.fold_records(&ds.records, &ds.tree);
         ds.records.clear();
-        self.fold_rows(fold, ds, strings, block);
+        self.fold_rows(fold, &ds.tree, strings, block);
     }
 
     /// Fold the blocks a dataset holds (see [`Dataset::blocks`]), in
@@ -172,30 +172,70 @@ impl Pipeline {
                 table = Some((shared, StringTable::clone(shared), BlockFold::new(&self.spec)));
             }
             let (_, strings, fold) = table.as_mut().expect("set above");
-            self.fold_rows(fold, ds, strings, block);
+            self.fold_rows(fold, &ds.tree, strings, block);
         }
     }
 
-    /// Fold `block`'s rows: an aggregation through `fold`, a pass-through
-    /// query as whole records.
-    fn fold_rows(
+    /// Fold row records whose nodes are in `tree`, in order: as blocks
+    /// of [`DEFAULT_BLOCK_RECORDS`] rows ([`Block::push_snapshot`])
+    /// through the fold, string table and block the pipeline keeps for
+    /// row records.
+    pub(crate) fn fold_records(&mut self, records: &[SnapshotRecord], tree: &ContextTree) {
+        if records.is_empty() {
+            return;
+        }
+        let mut rows = self.row_fold.take().unwrap_or_else(|| {
+            Box::new((BlockFold::new(&self.spec), StringTable::default(), Block::default()))
+        });
+        for records in records.chunks(DEFAULT_BLOCK_RECORDS) {
+            let (fold, strings, block) = &mut *rows;
+            block.clear();
+            for record in records {
+                assert!(block.push_snapshot(strings, record), "a block of more than 2^32 entries");
+            }
+            self.fold_rows(fold, tree, strings, block);
+        }
+        self.row_fold = Some(rows);
+    }
+
+    /// Fold `block`'s rows through `fold`: into the aggregation, or —
+    /// a pass-through query — whole into the result block. `tree` holds
+    /// the nodes the rows refer to.
+    pub(crate) fn fold_rows(
         &mut self,
         fold: &mut BlockFold,
-        ds: &Dataset,
+        tree: &ContextTree,
         strings: &mut StringTable,
         block: &Block,
     ) {
-        match &mut self.aggregator {
-            Some(aggregator) => fold.fold(aggregator, ds, strings, block),
-            None => {
-                let mut rows = Vec::new();
-                block.append_records(strings, &mut rows);
-                for_each_flat(&ds.tree, &rows, |record| self.process(record));
-            }
+        if block.rows() == 0 {
+            return;
         }
-        self.filters
-            .add_type_mismatches(std::mem::take(&mut fold.type_mismatches));
+        fold.resolve(&self.input_store);
+        let sink = match &mut self.aggregator {
+            Some(aggregator) => Sink::Groups(aggregator),
+            None => Sink::Rows {
+                lets: self.lets.intern_outputs(&self.input_store),
+                block: &mut self.passthrough.0,
+                strings: &mut self.passthrough.1,
+            },
+        };
+        fold.fold_into(sink, tree, strings, block);
     }
+}
+
+/// Where the rows a fold keeps go.
+enum Sink<'a> {
+    /// An aggregation: each row into its group.
+    Groups(&'a mut Aggregator),
+    /// A pass-through query's result: each row appended whole to
+    /// `block` — its node paths' values, its immediates, then its LET
+    /// outputs as attributes `lets` — strings as codes of `strings`.
+    Rows {
+        block: &'a mut Block,
+        strings: &'a mut StringTable,
+        lets: &'a [AttrId],
+    },
 }
 
 /// An attribute the query mentions, by label, with its id in the input
@@ -241,10 +281,11 @@ enum Place {
     Computed,
 }
 
-/// The columnar fold: rows of decoded [`Block`]s into an [`Aggregator`],
-/// with the query's LET and WHERE applied on the way. It holds the
-/// per-stream caches plus the scratch one run of rows needs, all reused
-/// from run to run and block to block.
+/// The columnar fold: rows of decoded [`Block`]s through the query's
+/// LET and WHERE into an [`Aggregator`] — or, for a pass-through query,
+/// whole into its result block. It holds the per-stream caches plus the
+/// scratch one run of rows needs, all reused from run to run and block
+/// to block.
 ///
 /// A block is folded a *run* at a time: consecutive rows with equal
 /// immediates, column for column, so that each attribute the query
@@ -257,15 +298,16 @@ enum Place {
 /// then LET and WHERE are decided once for the run where the places
 /// settle them (`first()` takes its first present input's place,
 /// `exists` looks at the place) and row by row otherwise, through
-/// [`LetExpr::eval`](crate::LetExpr) and `filter::cmp_occurrences` as
-/// on rows, which leaves the rows the run keeps. Their groups are found
-/// in row order — as the aggregator admits them, so `max_groups` decides
-/// as on rows — and then every op takes its values from its column in
-/// one loop over those rows: each group sees its values in row order,
-/// and float sums come out bit for bit as on rows. Rows that carry an
-/// attribute the query mentions more than once (a nested path, repeated
-/// values, a LET's output on an attribute the row has) are gathered row
-/// by row instead ([`gathered_rows`](Self::gathered_rows)).
+/// [`LetExpr::eval`](crate::LetExpr) and `filter::cmp_occurrences`,
+/// which leaves the rows the run keeps. An aggregation finds their
+/// groups in row order — as the aggregator admits them, so `max_groups`
+/// decides as record by record — and then every op takes its values
+/// from its column in one loop over those rows: each group sees its
+/// values in row order, and float sums come out bit for bit as record
+/// by record. Rows that carry an attribute the query mentions more than
+/// once (a nested path, repeated values, a LET's output on an attribute
+/// the row has) are gathered row by row instead
+/// ([`gathered_rows`](Self::gathered_rows)).
 ///
 /// What a fold remembers is about the *stream* — one [`StringTable`] at
 /// a time — and keyed by that table's codes: [`reset`](Self::reset) it
@@ -273,6 +315,7 @@ enum Place {
 /// remembers of groups lives in its code map, which knows whose groups
 /// they are, so it may fold into any aggregator, one block into this
 /// one and the next into that.
+#[derive(Default)]
 pub struct BlockFold {
     slots: Vec<Slot>,
     /// Per LET binding: its definition, the slots of its inputs, and of
@@ -285,15 +328,18 @@ pub struct BlockFold {
     /// Per op: the slot of its target (`None` for `count`).
     ops: Vec<Option<u32>>,
 
-    /// Per context-tree node seen so far, by node id: its slotted
-    /// occurrences. A label that resolves later cannot be on a path
-    /// cached earlier — the node's attributes were all in the store
-    /// when its block was set up.
+    /// Per context-tree node seen so far, by node id, of the tree whose
+    /// id is `tree`: its slotted occurrences. A label that resolves later
+    /// cannot be on a path cached earlier — the node's attributes were
+    /// all in the store when its block was set up.
     nodes: Vec<Option<NodeCells>>,
+    tree: u64,
     /// The stream's string codes as the aggregator's, and a key of one
     /// string's groups.
     codes: CodeMap,
-    pub(crate) type_mismatches: u64,
+    /// WHERE comparisons whose types never let the data decide, counted
+    /// over a block and published (`query.filter.type_mismatch`) after.
+    type_mismatches: u64,
     gathered: u64,
 
     /// Per column of the current block: its slot, and the next value.
@@ -312,10 +358,18 @@ pub struct BlockFold {
     /// record order; and a `/`-joined key.
     row: Vec<Vec<Cell>>,
     text: String,
+    /// Per LET binding, the output of the row being kept, if any.
+    outputs: Vec<Option<Cell>>,
+    /// The copy of kept rows: the block's next row, per column its next
+    /// value there, and the node paths of the row being kept.
+    copied: usize,
+    copy_cursors: Vec<usize>,
+    path: Vec<(AttrId, Value)>,
 }
 
 impl BlockFold {
-    /// The fold of a whole query: LET, WHERE, GROUP BY and the ops.
+    /// The fold of a whole query: LET, WHERE, and GROUP BY and the ops
+    /// — or, for a pass-through query, the rows kept whole.
     pub fn new(spec: &QuerySpec) -> BlockFold {
         BlockFold::over(&spec.lets, &spec.filters, &spec.key, &spec.ops)
     }
@@ -338,7 +392,7 @@ impl BlockFold {
                 slots.len() - 1
             }) as u32
         };
-        let lets = lets
+        let lets: Vec<_> = lets
             .iter()
             .map(|def| {
                 let inputs = def.expr.inputs().into_iter().map(&mut slot).collect();
@@ -366,21 +420,13 @@ impl BlockFold {
             places: vec![Place::Absent; slots.len()],
             computed: slots.iter().map(|_| Vec::new()).collect(),
             row: slots.iter().map(|_| Vec::new()).collect(),
+            outputs: vec![None; lets.len()],
             slots,
             lets,
             filters,
             keys,
             ops,
-            nodes: Vec::new(),
-            codes: CodeMap::default(),
-            type_mismatches: 0,
-            gathered: 0,
-            column_slots: Vec::new(),
-            cursors: Vec::new(),
-            selected: Vec::new(),
-            groups: Vec::new(),
-            key: Vec::new(),
-            text: String::new(),
+            ..BlockFold::default()
         }
     }
 
@@ -400,10 +446,9 @@ impl BlockFold {
         self.gathered
     }
 
-    /// Fold every row of `block`, in order, into `agg`: the rows a
-    /// record-by-record [`Pipeline::process`] / [`Aggregator::add`] of
-    /// the same records would admit, into the same groups, updating the
-    /// same reduction states with each group's values in the same order.
+    /// Fold every row of `block`, in order, into `agg`: each row WHERE
+    /// keeps into its group, updating its reduction states with each
+    /// group's values in row order.
     ///
     /// `ds` is the dataset the block was decoded into — its store is the
     /// one `agg` resolves labels against — and `strings` the table the
@@ -415,9 +460,26 @@ impl BlockFold {
         strings: &mut StringTable,
         block: &Block,
     ) {
+        self.resolve(agg.store());
+        self.fold_into(Sink::Groups(agg), &ds.tree, strings, block);
+    }
+
+    /// Resolve the labels not resolved yet against `store`.
+    fn resolve(&mut self, store: &AttributeStore) {
         for slot in self.slots.iter_mut().filter(|s| s.attr.is_none()) {
-            slot.attr = agg.store().find(&slot.label).map(|attr| attr.id());
+            slot.attr = store.find(&slot.label).map(|attr| attr.id());
         }
+    }
+
+    /// Fold every row of `block`, in order, into `sink`, the nodes its
+    /// rows refer to in `tree`.
+    fn fold_into(
+        &mut self,
+        mut sink: Sink,
+        tree: &ContextTree,
+        strings: &mut StringTable,
+        block: &Block,
+    ) {
         let slots = &self.slots;
         self.column_slots.clear();
         self.column_slots.extend(
@@ -428,12 +490,31 @@ impl BlockFold {
         );
         self.cursors.clear();
         self.cursors.resize(block.columns().len(), 0);
+        self.copied = 0;
+        self.copy_cursors.clone_from(&self.cursors);
+        if self.tree != tree.id() {
+            self.tree = tree.id();
+            self.nodes.clear();
+        }
 
         let mut start = 0;
         while start < block.rows() {
-            match self.plan(ds, strings, block, start) {
+            match self.plan(tree, strings, block, start) {
                 Ok(end) => {
-                    self.fold_run(agg, strings, block, end - start);
+                    self.select_run(strings, block, end - start);
+                    match &mut sink {
+                        Sink::Groups(agg) => self.group_run(agg, strings, block),
+                        Sink::Rows { .. } => {
+                            for k in 0..self.selected.len() {
+                                let i = self.selected[k] as usize;
+                                for ((_, _, out), output) in self.lets.iter().zip(&mut self.outputs) {
+                                    let out = *out as usize;
+                                    *output = value_at(self.places[out], &self.computed[out], block, i);
+                                }
+                                self.keep(&mut sink, tree, strings, block, start + i);
+                            }
+                        }
+                    }
                     for &c in block.row_imms(start) {
                         self.cursors[c as usize] += end - start;
                     }
@@ -442,11 +523,15 @@ impl BlockFold {
                 Err(end) => {
                     self.gathered += (end - start) as u64;
                     for r in start..end {
-                        self.gather(agg, ds, strings, block, r);
+                        self.gather(&mut sink, tree, strings, block, r);
                     }
                     start = end;
                 }
             }
+        }
+        if self.type_mismatches > 0 {
+            let counter = caliper_data::metrics::global().counter("query.filter.type_mismatch");
+            counter.add(std::mem::take(&mut self.type_mismatches));
         }
     }
 
@@ -463,7 +548,7 @@ impl BlockFold {
     /// whose path repeats a slot.
     fn plan(
         &mut self,
-        ds: &Dataset,
+        tree: &ContextTree,
         strings: &mut StringTable,
         block: &Block,
         start: usize,
@@ -491,7 +576,7 @@ impl BlockFold {
                 end += 1;
             }
             for &node in refs {
-                let path = node_cells(&mut self.nodes, node, ds, strings, &self.slots);
+                let path = node_cells(&mut self.nodes, node, tree, strings, &self.slots);
                 for &(slot, cell) in path.cells.iter() {
                     if !put(places, slot, Place::Const(cell)) {
                         return Err(end);
@@ -503,7 +588,7 @@ impl BlockFold {
             'rows: while end == start || same_imms(end) {
                 let i = end - start;
                 for &node in block.row_refs(end) {
-                    let path = node_cells(&mut self.nodes, node, ds, strings, &self.slots);
+                    let path = node_cells(&mut self.nodes, node, tree, strings, &self.slots);
                     for &(slot, cell) in path.cells.iter() {
                         let place = &mut places[slot as usize];
                         let values = &mut self.computed[slot as usize];
@@ -528,7 +613,7 @@ impl BlockFold {
                 end += 1;
                 while same_imms(end)
                     && block.row_refs(end).iter().any(|&node| {
-                        node_cells(&mut self.nodes, node, ds, strings, &self.slots).repeats
+                        node_cells(&mut self.nodes, node, tree, strings, &self.slots).repeats
                     })
                 {
                     end += 1;
@@ -554,28 +639,16 @@ impl BlockFold {
         }
     }
 
-    /// Fold the `len` rows of the run [`plan`](Self::plan) placed: LET,
-    /// WHERE, the kept rows' groups in row order, then each op over its
-    /// values.
-    fn fold_run(
-        &mut self,
-        agg: &mut Aggregator,
-        strings: &mut StringTable,
-        block: &Block,
-        len: usize,
-    ) {
+    /// LET and WHERE over the `len` rows of the run [`plan`](Self::plan)
+    /// placed, which leave the rows the run keeps in `selected`.
+    fn select_run(&mut self, strings: &mut StringTable, block: &Block, len: usize) {
         let BlockFold {
             lets,
             filters,
-            keys,
-            ops,
-            codes,
             type_mismatches,
             places,
             computed,
             selected,
-            groups,
-            key,
             ..
         } = self;
 
@@ -660,6 +733,22 @@ impl BlockFold {
                 }),
             }
         }
+    }
+
+    /// Group and reduce the rows of the run [`select_run`](Self::select_run)
+    /// kept: their groups in row order, then each op over its values.
+    fn group_run(&mut self, agg: &mut Aggregator, strings: &mut StringTable, block: &Block) {
+        let BlockFold {
+            keys,
+            ops,
+            codes,
+            places,
+            computed,
+            selected,
+            groups,
+            key,
+            ..
+        } = self;
         if selected.is_empty() {
             return;
         }
@@ -727,11 +816,11 @@ impl BlockFold {
     }
 
     /// Fold row `r` the long way: gather its occurrences of every slot,
-    /// then LET, WHERE, GROUP BY and AGGREGATE over them.
+    /// then LET and WHERE over them, and into `sink`.
     fn gather(
         &mut self,
-        agg: &mut Aggregator,
-        ds: &Dataset,
+        sink: &mut Sink,
+        tree: &ContextTree,
         strings: &mut StringTable,
         block: &Block,
         r: usize,
@@ -739,7 +828,7 @@ impl BlockFold {
         // Node paths first, then immediates, as a flat record lists them.
         self.row.iter_mut().for_each(Vec::clear);
         for &node in block.row_refs(r) {
-            let path = node_cells(&mut self.nodes, node, ds, strings, &self.slots);
+            let path = node_cells(&mut self.nodes, node, tree, strings, &self.slots);
             for &(slot, cell) in path.cells.iter() {
                 self.row[slot as usize].push(cell);
             }
@@ -755,19 +844,18 @@ impl BlockFold {
         }
 
         // LET: each binding sees the outputs of those before it.
-        for (def, inputs, out) in &self.lets {
+        for ((def, inputs, out), output) in self.lets.iter().zip(&mut self.outputs) {
             let row = &self.row;
             let last = |i: usize| row[inputs[i] as usize].last().copied();
             let result = def.expr.eval(
                 |i| last(i).and_then(|cell| strings.get(cell).to_f64()),
                 |i| last(i).is_some(),
             );
-            let cell = match result {
-                Some(LetResult::Number(x)) => Cell::Float(x),
-                Some(LetResult::TextOf(i)) => as_text(strings, last(i).expect("present input")),
-                None => continue,
-            };
-            self.row[*out as usize].push(cell);
+            *output = result.map(|result| match result {
+                LetResult::Number(x) => Cell::Float(x),
+                LetResult::TextOf(i) => as_text(strings, last(i).expect("present input")),
+            });
+            self.row[*out as usize].extend(*output);
         }
 
         // WHERE.
@@ -789,9 +877,11 @@ impl BlockFold {
                 }
             }
         });
-        if !pass {
-            return;
-        }
+        let agg = match sink {
+            _ if !pass => return,
+            Sink::Groups(agg) => agg,
+            Sink::Rows { .. } => return self.keep(sink, tree, strings, block, r),
+        };
 
         // GROUP BY: the key's cells in the aggregator's terms,
         // `/`-joining an attribute that occurs more than once (and cut
@@ -832,6 +922,52 @@ impl BlockFold {
                 agg.feed(group, op, &strings.get(cell));
             }
         }
+    }
+
+    /// Append row `r` of `block` whole to a pass-through sink: its node
+    /// paths' values, its immediates, then the LET `outputs` worked out
+    /// for it — the rows before it, kept or not, only stepped over.
+    fn keep(
+        &mut self,
+        sink: &mut Sink,
+        tree: &ContextTree,
+        strings: &mut StringTable,
+        block: &Block,
+        r: usize,
+    ) {
+        let Sink::Rows { block: out, strings: out_strings, lets } = sink else {
+            unreachable!("rows are kept for a pass-through sink only");
+        };
+        let mut push = |attr: AttrId, value: &Value| {
+            let cell = out_strings.cell(value);
+            let column = out.column_for(attr, cell.value_type());
+            out.push_imm(column, cell);
+        };
+        self.path.clear();
+        for &node in block.row_refs(r) {
+            tree.path_into(node, &mut self.path);
+        }
+        for (attr, value) in &self.path {
+            push(*attr, value);
+        }
+        for row in self.copied..r {
+            for &c in block.row_imms(row) {
+                self.copy_cursors[c as usize] += 1;
+            }
+        }
+        for &c in block.row_imms(r) {
+            let column = &block.columns()[c as usize];
+            let next = &mut self.copy_cursors[c as usize];
+            push(column.attr, &strings.get(column.data.get(*next)));
+            *next += 1;
+        }
+        self.copied = r + 1;
+        for (&attr, output) in lets.iter().zip(&self.outputs) {
+            if let Some(cell) = *output {
+                push(attr, &strings.get(cell));
+            }
+        }
+        assert!(out.end_row(), "a result of more than 2^32 values");
     }
 }
 
@@ -907,7 +1043,7 @@ fn as_text(strings: &mut StringTable, cell: Cell) -> Cell {
 fn node_cells<'a>(
     nodes: &'a mut Vec<Option<NodeCells>>,
     node: NodeId,
-    ds: &Dataset,
+    tree: &ContextTree,
     strings: &mut StringTable,
     slots: &[Slot],
 ) -> &'a NodeCells {
@@ -916,8 +1052,7 @@ fn node_cells<'a>(
         nodes.resize_with(index + 1, || None);
     }
     nodes[index].get_or_insert_with(|| {
-        let cells: Box<[(u32, Cell)]> = ds
-            .tree
+        let cells: Box<[(u32, Cell)]> = tree
             .path(node)
             .iter()
             .filter_map(|(attr, value)| {

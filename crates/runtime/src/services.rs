@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use caliper_data::{
-    AttrId, Attribute, AttributeConflict, AttributeStore, ContextTree, Entry, Properties,
+    AttrId, Attribute, AttributeConflict, AttributeStore, ContextTree, Properties,
     SnapshotRecord, Value, ValueType,
 };
 use caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS;
@@ -230,22 +230,13 @@ impl Service for TraceService {
         "trace"
     }
 
-    /// Append `rec` as a row. A row holds its node references ahead of
-    /// its immediates, which is the order of every snapshot: the
-    /// blackboard takes its node first, and services only add
-    /// immediates.
+    /// Append `rec` as a row ([`Block::push_snapshot`]). A row holds
+    /// its node references ahead of its immediates, which is the order
+    /// of every snapshot: the blackboard takes its node first, and
+    /// services only add immediates.
     fn consume(&mut self, _ctx: &ProcCtx<'_>, rec: &SnapshotRecord) {
-        for entry in rec.entries() {
-            match entry {
-                Entry::Node(node) => self.block.push_ref(*node),
-                Entry::Imm(attr, value) => {
-                    let cell = self.strings.cell(value);
-                    let column = self.block.column_for(*attr, cell.value_type());
-                    self.block.push_imm(column, cell);
-                }
-            }
-        }
-        assert!(self.block.end_row(), "a snapshot of more than 2^32 entries");
+        let pushed = self.block.push_snapshot(&mut self.strings, rec);
+        assert!(pushed, "a snapshot of more than 2^32 entries");
         if self.block.rows() == DEFAULT_BLOCK_RECORDS {
             let next = self.block.presized();
             self.full.push(std::mem::replace(&mut self.block, next));

@@ -13,10 +13,12 @@
 //! One request per connection (`Connection: close`), bodies ignored on
 //! GET, percent-encoding decoded for query parameters. Anything the
 //! parser does not understand is a 400 — never a panic, never a hang
-//! (sockets carry read timeouts).
+//! (a request is read within one time budget, [`Budgeted`]).
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// A parsed request line + query parameters. Headers are read and
 /// discarded (none affect these endpoints).
@@ -115,6 +117,34 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
         path,
         params,
     }))
+}
+
+/// A connection read under one time budget for the whole request:
+/// before each read the socket's read timeout is set to what is left of
+/// it. A client that trickles bytes, each just before a read would time
+/// out, so holds a handler no longer than one that sends nothing.
+pub struct Budgeted {
+    conn: TcpStream,
+    deadline: Instant,
+}
+
+impl Budgeted {
+    /// Read from `conn` until `budget` from now.
+    pub fn new(conn: TcpStream, budget: Duration) -> Budgeted {
+        Budgeted { conn, deadline: Instant::now() + budget }
+    }
+}
+
+impl Read for Budgeted {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            let msg = "request not read within its time budget";
+            return Err(io::Error::new(io::ErrorKind::TimedOut, msg));
+        }
+        self.conn.set_read_timeout(Some(left))?;
+        self.conn.read(buf)
+    }
 }
 
 /// Render a complete HTTP/1.1 response (status + minimal headers +
@@ -234,6 +264,36 @@ mod tests {
         }
         assert!(read_request(&mut Cursor::new(flood.as_bytes())).is_err());
         assert!(read_request(&mut Cursor::new(long.as_bytes())).is_err());
+    }
+
+    /// A client that sends a byte every 50 ms — well inside any one
+    /// read's wait — is cut off when the request's budget runs out, not
+    /// after its last header line.
+    #[test]
+    fn a_trickled_request_is_cut_off_at_its_budget() {
+        use std::io::{BufReader, Write};
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            let request = format!("GET /healthz HTTP/1.1\r\n{}\r\n", "X-Pad: 1\r\n".repeat(10));
+            for byte in request.bytes() {
+                if conn.write_all(&[byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let (conn, _) = listener.accept().unwrap();
+        let start = Instant::now();
+        let budget = Duration::from_millis(300);
+        let read = read_request(&mut BufReader::new(Budgeted::new(conn, budget)));
+        let took = start.elapsed();
+        assert!(read.is_err(), "{read:?}");
+        assert!(took >= budget && took < Duration::from_secs(2), "gave up after {took:?}");
+        client.join().unwrap();
     }
 
     #[test]

@@ -37,7 +37,7 @@ use caliper_format::retry::RetryPolicy;
 use caliper_query::{parse_query, AggregationSpec};
 
 use crate::config::ServedConfig;
-use crate::http::{read_request, text_response, Request};
+use crate::http::{read_request, text_response, Budgeted, Request};
 use crate::protocol::{read_line, read_payload, Command, Reply};
 use crate::queue::BoundedQueue;
 use crate::state::{journal_path, stream_of_journal, valid_stream_name, StreamState, WarmQuery};
@@ -337,13 +337,14 @@ impl ServerState {
 
     /// Serve one HTTP connection (one request, `Connection: close`).
     fn handle_http(&self, conn: TcpStream) {
-        let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
         let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
         let mut writer = match conn.try_clone() {
             Ok(w) => w,
             Err(_) => return,
         };
-        let mut reader = BufReader::new(conn);
+        // The whole request line and headers within 10 s, however the
+        // client paces its bytes.
+        let mut reader = BufReader::new(Budgeted::new(conn, Duration::from_secs(10)));
         let req = match read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) => return,

@@ -245,6 +245,20 @@ if printf '%s\n' "$renderer_src" | grep -F 'FlatRecord' \
     exit 1
 fi
 
+# One-evaluator gate: the block fold is the only evaluator of LET and
+# WHERE (DESIGN.md §10). Row records enter it as block rows, and a
+# pass-through query's kept rows leave it whole, so outside the tests
+# crates/query/src keeps no row filter (`FilterSet`), no row LET
+# (`fn apply`), flattens no record, derives no record from a block and
+# keeps no list of records; and only scan.rs compares occurrences
+# (`cmp_occurrences`) or evaluates a LET expression (`expr.eval`).
+query_src=$(non_test_src query)
+if printf '%s\n' "$query_src" | grep -E 'FilterSet|fn apply\b|for_each_flat|append_records|Vec<SnapshotRecord>' \
+    || printf '%s\n' "$query_src" | grep -E 'cmp_occurrences\(|expr\.eval\(' | grep -v '^crates/query/src/scan.rs:'; then
+    echo "check.sh: a second evaluator of LET or WHERE is back (listed above)" >&2
+    exit 1
+fi
+
 # Static-analysis gate: every golden check fixture must produce its
 # pinned diagnostics (asserted byte-for-byte by the check_golden test
 # in `cargo test` above); here, re-assert the exit-code contract over

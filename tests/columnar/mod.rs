@@ -1,11 +1,8 @@
-//! Differential suite for the columnar fold (`Pipeline::scan_file`) over
-//! the two encodings that reach it — CALB v2 blocks and text `.cali`,
-//! whose reader cuts its snapshot lines into the same blocks: for
-//! generated datasets × generated aggregation queries, the rendered
-//! result and the stable `--stats` metrics must be what the row path
-//! produces — `read_path` → `for_each_flat` → `Pipeline::process`, the
-//! path that defines what a query means — over the same records as text,
-//! CALB v1 and CALB v2.
+//! The block fold's own cases, held to the reference evaluator: for
+//! generated datasets × generated aggregation queries, `Pipeline::scan_file`
+//! over text `.cali`, CALB v1 and CALB v2 must answer what the oracle
+//! folds of the same records, and the query layer's `--stats` metrics
+//! must be equal across the three encodings.
 //!
 //! The datasets carry everything the ParaDiS corpus of the benchmark
 //! does not: node references with nested paths, an attribute both on a
@@ -23,36 +20,37 @@
 //! type columns, in one row and in one run.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use caliper_data::{Entry, Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_format::{
-    binary, cali, for_each_flat, read_footer, read_path_into_filtered, scan_path,
-    to_binary_v2_with, Block, Dataset, ReadPolicy, ReadReport, StringTable, V2WriteOptions,
+    binary, cali, read_footer, read_path_into_filtered, scan_path, to_binary_v2_with, Block,
+    Dataset, ReadPolicy, ReadReport, StringTable, V2WriteOptions,
 };
 use caliper_query::{
-    build_pushdown, parse_query, AggregationSpec, Aggregator, BlockFold, Pipeline, QuerySpec,
+    build_pushdown, parse_query, AggregationSpec, Aggregator, BlockFold, LetExpr, Pipeline,
+    QueryResult, QuerySpec,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+use crate::oracle::{Row, Schema};
+use crate::{check, check_in_order, folded, rows_of, CASE, METRICS};
 
 /// One generated record: (node choice, phase choice, immediates mask,
 /// iteration, time, count).
-type Row = (u8, u8, u8, i8, i16, u8);
+type Generated = (u8, u8, u8, i8, i16, u8);
 
 /// Each row `1 + repeat % 64` times in a row: the same immediates with
 /// fresh values each time, and — unless `repeat & 64` cycles through
 /// the node choices — the same node.
-fn repeated(rows: &[(Row, u8)]) -> Vec<Row> {
+fn repeated(rows: &[(Generated, u8)]) -> Vec<Generated> {
     let mut out = Vec::new();
     for &((node, phase, mask, it, t, count), repeat) in rows {
         for k in 0..=(repeat % 64) {
             out.push((
-                if repeat & 64 != 0 {
-                    node.wrapping_add(k)
-                } else {
-                    node
-                },
+                if repeat & 64 != 0 { node.wrapping_add(k) } else { node },
                 phase.wrapping_add(k / 3),
                 mask,
                 it.wrapping_add(k as i8),
@@ -65,7 +63,7 @@ fn repeated(rows: &[(Row, u8)]) -> Vec<Row> {
 }
 
 /// Strategy of one generated row and its repeat count.
-fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<(Row, u8)>> {
+fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<(Generated, u8)>> {
     prop::collection::vec(
         (
             (any::<u8>(), any::<u8>(), any::<u8>()),
@@ -77,14 +75,22 @@ fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<(Row, u8)>> {
     )
 }
 
-/// The metrics registry is process-wide: cases take turns.
-static METRICS: Mutex<()> = Mutex::new(());
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
 /// Label values; two of them need every escape the text encoding has.
 const LABELS: [&str; 4] = ["L0", "L1,x=y\\z", "L2", "L3\nnext\rline\\"];
 
-fn dataset_of(rows: &[Row]) -> Dataset {
+/// The type each attribute of [`dataset_of`] is declared with.
+fn declared_type(label: &str) -> Option<ValueType> {
+    Some(match label {
+        "region" | "phase" | "label" => ValueType::Str,
+        "iter" => ValueType::Int,
+        "time" => ValueType::Float,
+        "n" | "big" => ValueType::UInt,
+        "flag" => ValueType::Bool,
+        _ => return None,
+    })
+}
+
+fn dataset_of(rows: &[Generated]) -> Dataset {
     let mut ds = Dataset::new();
     let region = ds.attribute("region", ValueType::Str, Properties::NESTED);
     let phase = ds.attribute("phase", ValueType::Str, Properties::NESTED);
@@ -119,37 +125,29 @@ fn dataset_of(rows: &[Row]) -> Dataset {
                 rec.push_node(solve);
             }
         }
-        if mask & 1 != 0 {
-            let text = phases[phase_choice as usize % phases.len()];
-            rec.push_imm(phase.id(), Value::str(text));
-        }
-        if mask & 2 != 0 {
-            rec.push_imm(iter.id(), Value::Int(it as i64));
-        }
-        if mask & 4 != 0 {
-            rec.push_imm(time.id(), Value::Float(t as f64 * 0.25));
-        }
-        if mask & 8 != 0 {
-            rec.push_imm(time.id(), Value::Float(t as f64 * 0.5 + 1.0));
-        }
-        if mask & 16 != 0 {
-            rec.push_imm(n.id(), Value::UInt(count as u64));
-        }
-        if mask & 32 != 0 {
-            rec.push_imm(flag.id(), Value::Bool(count % 2 == 0));
-        }
-        if mask & 64 != 0 {
-            rec.push_imm(
-                label.id(),
-                Value::str(LABELS[count as usize % LABELS.len()]),
-            );
-        }
-        if mask & 128 != 0 {
-            rec.push_imm(big.id(), Value::UInt(u64::MAX - count as u64));
+        let imms = [
+            (1, phase.id(), Value::str(phases[phase_choice as usize % phases.len()])),
+            (2, iter.id(), Value::Int(it as i64)),
+            (4, time.id(), Value::Float(t as f64 * 0.25)),
+            (8, time.id(), Value::Float(t as f64 * 0.5 + 1.0)),
+            (16, n.id(), Value::UInt(count as u64)),
+            (32, flag.id(), Value::Bool(count % 2 == 0)),
+            (64, label.id(), Value::str(LABELS[count as usize % LABELS.len()])),
+            (128, big.id(), Value::UInt(u64::MAX - count as u64)),
+        ];
+        for (bit, attr, value) in imms {
+            if mask & bit != 0 {
+                rec.push_imm(attr, value);
+            }
         }
         ds.push(rec);
     }
     ds
+}
+
+/// `ds`'s records as the oracle reads them: node paths, then immediates.
+fn records_of(ds: &Dataset) -> Vec<Row> {
+    rows_of(&ds.store, ds.flat_records())
 }
 
 const LETS: &[&str] = &[
@@ -208,25 +206,58 @@ fn query_of(choice: (u8, u8, u8, u8)) -> String {
     )
 }
 
-/// The stable metrics of whatever ran since the last reset.
-fn stats() -> String {
-    caliper_data::metrics::global().render_text(true)
+/// The key label types a pipeline's store holds: a label the data
+/// declared keeps the data's type (`carried`: only labels some record
+/// carries, as a writer declares a label at its first use), a LET output
+/// the data does not declare has its expression's.
+fn declarations<'a>(
+    spec: &'a QuerySpec,
+    carried: Option<&'a [Row]>,
+) -> impl Fn(&str) -> Option<ValueType> + 'a {
+    move |label| {
+        let declared = carried.is_none_or(|rows| rows.iter().flatten().any(|(l, _)| l == label));
+        let data = declared.then(|| declared_type(label)).flatten();
+        data.or_else(|| {
+            let def = spec.lets.iter().find(|def| def.name == label)?;
+            Some(match def.expr {
+                LetExpr::First(_) => ValueType::Str,
+                _ => ValueType::Float,
+            })
+        })
+    }
 }
 
-/// The query layer's own metrics. `query.filter.type_mismatch` is left
-/// out: it counts occurrences WHERE looked at, and a v2 read skips
-/// whole blocks of them that text and v1 must decode.
-fn query_stats(stats: &str) -> String {
+/// The oracle's answer to `spec` over `files`, a partial per file merged
+/// in file order: its rows and its overflow count.
+fn oracle(spec: &QuerySpec, cap: Option<usize>, files: &[Vec<Row>]) -> (Vec<Row>, u64) {
+    let mut want = folded(spec, "count", cap, &files[0]);
+    files[1..].iter().for_each(|file| want.merge(folded(spec, "count", cap, file)));
+    let rows = want.finish(&declarations(spec, Some(&files[0])), &mut Schema::new());
+    (rows, want.overflow_records())
+}
+
+/// A finished query's rows and overflow count.
+fn answer(result: QueryResult) -> (Vec<Row>, u64) {
+    (rows_of(&result.store, result.records.iter()), result.overflow_records)
+}
+
+/// The query layer's own metrics since the last reset.
+/// `query.filter.type_mismatch` is left out: it counts occurrences
+/// WHERE looked at, and a v2 read skips whole blocks of them that text
+/// and v1 must decode.
+fn query_stats() -> String {
+    let stats = caliper_data::metrics::global().render_text(true);
     let lines = stats.lines().filter(|line| {
         line.starts_with("query.") && !line.starts_with("query.filter.type_mismatch=")
     });
     lines.collect::<Vec<_>>().join("\n")
 }
 
-/// What one path produced: rendered result, stable metrics, read reports.
-#[derive(Debug, PartialEq)]
+/// What one scan produced: the answer, the query layer's metrics and
+/// each file's read report.
 struct Outcome {
-    rendered: String,
+    rows: Vec<Row>,
+    overflow: u64,
     stats: String,
     reports: Vec<String>,
 }
@@ -239,95 +270,59 @@ fn report_text(report: &ReadReport) -> String {
 }
 
 /// One pipeline per file, merged in file order — what `cali-query` does.
-fn run(
+fn scan_files(
     spec: &QuerySpec,
     cap: Option<usize>,
     files: &[PathBuf],
-    feed: impl Fn(&mut Pipeline, &Path, Dataset) -> ReadReport,
+    policy: ReadPolicy,
 ) -> Outcome {
     caliper_data::metrics::global().reset();
+    let pushdown = build_pushdown(spec, None);
     let mut root: Option<Pipeline> = None;
     let mut reports = Vec::new();
     for path in files {
         let dict = Dataset::new();
         let mut pipeline =
             Pipeline::new(spec.clone(), Arc::clone(&dict.store)).with_max_groups(cap);
-        reports.push(report_text(&feed(&mut pipeline, path, dict)));
+        let scanned = pipeline.scan_file(path, dict, policy, Some(&pushdown));
+        let scanned = scanned.expect("file scans");
+        assert!(scanned.dict.records.is_empty());
+        reports.push(report_text(&scanned.report));
         match &mut root {
             Some(root) => root.merge(pipeline),
             None => root = Some(pipeline),
         }
     }
-    let rendered = root.expect("at least one file").finish().render();
-    Outcome {
-        rendered,
-        stats: stats(),
-        reports,
-    }
+    let (rows, overflow) = answer(root.expect("at least one file").finish());
+    Outcome { rows, overflow, stats: query_stats(), reports }
 }
 
-/// The oracle: decode to rows, flatten, `Pipeline::process`.
-fn via_rows(
-    spec: &QuerySpec,
-    cap: Option<usize>,
-    files: &[PathBuf],
-    policy: ReadPolicy,
-) -> Outcome {
+/// The read reports of the row reader over `files`.
+fn row_reports(spec: &QuerySpec, files: &[PathBuf], policy: ReadPolicy) -> Vec<String> {
     let pushdown = build_pushdown(spec, None);
-    run(spec, cap, files, |pipeline, path, dict| {
-        let (ds, report) =
-            read_path_into_filtered(path, dict, policy, Some(&pushdown)).expect("file reads");
-        for_each_flat(&ds.tree, &ds.records, |record| pipeline.process(record));
-        report
-    })
-}
-
-/// The path under test: `scan_file` (columns for v2).
-fn via_scan(
-    spec: &QuerySpec,
-    cap: Option<usize>,
-    files: &[PathBuf],
-    policy: ReadPolicy,
-) -> Outcome {
-    let pushdown = build_pushdown(spec, None);
-    run(spec, cap, files, |pipeline, path, dict| {
-        let scanned = pipeline
-            .scan_file(path, dict, policy, Some(&pushdown))
-            .expect("file scans");
-        assert!(scanned.dict.records.is_empty());
-        scanned.report
-    })
+    let report = |path: &PathBuf| {
+        let read = read_path_into_filtered(path, Dataset::new(), policy, Some(&pushdown));
+        report_text(&read.expect("file reads").1)
+    };
+    files.iter().map(report).collect()
 }
 
 /// One pipeline over all the files, through one shared dictionary —
 /// what a rank of `mpi-caliquery` does with the files it is dealt.
-/// With `columns`, every file but each third is scanned — a fresh
-/// `BlockFold` over a string table of the file's own, all into the one
-/// aggregator — and the rest go in row by row in between; without, all
-/// of them do, which is the oracle.
-fn one_pipeline(spec: &QuerySpec, cap: Option<usize>, files: &[PathBuf], columns: bool) -> String {
-    caliper_data::metrics::global().reset();
+fn one_pipeline(spec: &QuerySpec, cap: Option<usize>, files: &[PathBuf]) -> (Vec<Row>, u64) {
     let pushdown = build_pushdown(spec, None);
     let mut dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store)).with_max_groups(cap);
-    for (i, path) in files.iter().enumerate() {
-        dict = if columns && i % 3 != 1 {
-            let scanned = pipeline.scan_file(path, dict, ReadPolicy::Strict, Some(&pushdown));
-            scanned.expect("file scans").dict
-        } else {
-            let read = read_path_into_filtered(path, dict, ReadPolicy::Strict, Some(&pushdown));
-            let mut ds = read.expect("file reads").0;
-            for_each_flat(&ds.tree, &ds.records, |record| pipeline.process(record));
-            ds.records.clear();
-            ds
-        };
+    for path in files {
+        let scanned = pipeline.scan_file(path, dict, ReadPolicy::Strict, Some(&pushdown));
+        dict = scanned.expect("file scans").dict;
     }
-    pipeline.finish().render()
+    answer(pipeline.finish())
 }
 
 fn case_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
-        "caliper-columnar-diff-{}-{}",
+        "caliper-columnar-{}-{}",
         std::process::id(),
         CASE.fetch_add(1, Ordering::Relaxed)
     ));
@@ -342,13 +337,7 @@ fn write(dir: &Path, name: &str, bytes: Vec<u8>) -> PathBuf {
 }
 
 fn v2_bytes(ds: &Dataset, block_records: usize) -> Vec<u8> {
-    to_binary_v2_with(
-        ds,
-        &V2WriteOptions {
-            block_records,
-            footer: true,
-        },
-    )
+    to_binary_v2_with(ds, &V2WriteOptions { block_records, footer: true })
 }
 
 /// `ds` as text, then roughed up without changing what it says: every
@@ -372,66 +361,66 @@ fn rough_text(ds: &Dataset) -> Vec<u8> {
     out.into_bytes()
 }
 
+/// One generated case: see the module docs.
+fn columns_fold(
+    files: Vec<Vec<(Generated, u8)>>,
+    choice: (u8, u8, u8, u8),
+    cap: Option<usize>,
+    block_records: usize,
+) -> Result<(), TestCaseError> {
+    let query = query_of(choice);
+    let spec = parse_query(&query).expect("generated query parses");
+    let dir = case_dir();
+    let (mut records, mut text, mut v1, mut v2) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for (i, rows) in files.iter().enumerate() {
+        let ds = dataset_of(&repeated(rows));
+        records.push(records_of(&ds));
+        text.push(write(&dir, &format!("f{i}.cali"), rough_text(&ds)));
+        v1.push(write(&dir, &format!("f{i}.calb"), binary::to_binary(&ds)));
+        v2.push(write(&dir, &format!("f{i}.calb2"), v2_bytes(&ds, block_records)));
+    }
+    let (want, overflow) = oracle(&spec, cap, &records);
+
+    // Across encodings the reader's byte and block counts differ by
+    // construction; the answer and the query's own metrics do not.
+    let mut stats = None;
+    for (encoding, paths) in [("v2", &v2), ("text", &text), ("v1", &v1)] {
+        let outcome = scan_files(&spec, cap, paths, ReadPolicy::Strict);
+        check(&format!("{encoding}: {query}"), &outcome.rows, &want)?;
+        prop_assert_eq!(outcome.overflow, overflow, "{}: {}", encoding, query);
+        let stats = stats.get_or_insert_with(|| outcome.stats.clone());
+        prop_assert_eq!(&outcome.stats, stats, "{}: {}", encoding, query);
+    }
+
+    // Several streams, each with codes of its own, all into one
+    // aggregator. (Not with the LET that shadows `iter`: it retypes the
+    // attribute in the shared store, and the next file's declaration is
+    // refused.)
+    let mixed: Vec<PathBuf> = (0..files.len()).map(|i| [&v2, &text, &v1][i % 3][i].clone()).collect();
+    if !query.starts_with("LET iter") {
+        let all = records.concat();
+        let want = folded(&spec, "count", cap, &all);
+        let want_rows = want.finish(&declarations(&spec, Some(&all)), &mut Schema::new());
+        let (rows, got_overflow) = one_pipeline(&spec, cap, &mixed);
+        check(&format!("one pipeline: {query}"), &rows, &want_rows)?;
+        prop_assert_eq!(got_overflow, want.overflow_records(), "one pipeline: {}", query);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn columns_answer_what_rows_answer(
+    fn columns_fold_what_the_oracle_folds(
         files in prop::collection::vec(rows_strategy(24), 1..4),
         choice in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
         cap in 0usize..4,
         blocks in 0usize..3,
     ) {
         let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-        let query = query_of(choice);
-        let spec = parse_query(&query).expect("generated query parses");
-        let cap = CAPS[cap];
-        let block_records = [1, 8, 1024][blocks];
-        let dir = case_dir();
-        let (mut text, mut v1, mut v2) = (Vec::new(), Vec::new(), Vec::new());
-        for (i, rows) in files.iter().enumerate() {
-            let ds = dataset_of(&repeated(rows));
-            text.push(write(&dir, &format!("f{i}.cali"), rough_text(&ds)));
-            v1.push(write(&dir, &format!("f{i}.calb"), binary::to_binary(&ds)));
-            v2.push(write(&dir, &format!("f{i}.calb2"), v2_bytes(&ds, block_records)));
-        }
-        let strict = ReadPolicy::Strict;
-
-        let oracle = via_rows(&spec, cap, &v2, strict);
-        let columns = via_scan(&spec, cap, &v2, strict);
-        prop_assert_eq!(&columns, &oracle, "v2 columns vs v2 rows: {}", query);
-
-        let text_rows = via_rows(&spec, cap, &text, strict);
-        let text_columns = via_scan(&spec, cap, &text, strict);
-        prop_assert_eq!(&text_columns, &text_rows, "text columns vs text rows: {}", query);
-
-        // Across encodings the reader's byte and block counts differ by
-        // construction; the answer and the query's own metrics do not.
-        for (what, outcome) in [
-            ("text rows", text_rows),
-            ("text scan", text_columns),
-            ("v1 rows", via_rows(&spec, cap, &v1, strict)),
-            ("v1 scan", via_scan(&spec, cap, &v1, strict)),
-        ] {
-            prop_assert_eq!(&outcome.rendered, &oracle.rendered, "{}: {}", what, query);
-            prop_assert_eq!(
-                query_stats(&outcome.stats), query_stats(&oracle.stats), "{}: {}", what, query
-            );
-        }
-
-        // Several streams, each with codes of its own, and rows in
-        // between, all into one aggregator. (Not with the LET that
-        // shadows `iter`: it retypes the attribute in the shared store,
-        // and the next file's declaration is refused on either path.)
-        let mixed: Vec<PathBuf> =
-            (0..files.len()).map(|i| [&v2, &text][i % 2][i].clone()).collect();
-        if !query.starts_with("LET iter") {
-            prop_assert_eq!(
-                one_pipeline(&spec, cap, &mixed, true), one_pipeline(&spec, cap, &mixed, false),
-                "one pipeline, scans and rows: {}", query
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        columns_fold(files, choice, CAPS[cap], [1, 8, 1024][blocks])?;
     }
 }
 
@@ -445,26 +434,17 @@ fn payload_start(bytes: &[u8], offset: usize) -> usize {
     pos + 1
 }
 
-/// Corrupt each block ordinal in turn: under a lenient policy the
-/// columnar path loses exactly that block — nothing of it is folded,
-/// every later block resyncs — with the same `ReadReport` and the same
-/// answer as the row path.
+/// Corrupt each block ordinal in turn: under a lenient policy the scan
+/// loses exactly that block — nothing of it is folded, every later
+/// block resyncs — and answers what the oracle folds of the other
+/// blocks' records, with the row reader's `ReadReport`.
 #[test]
-fn a_corrupt_block_costs_both_paths_exactly_that_block() {
+fn a_corrupt_block_costs_exactly_that_block() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Row> = (0..50u8)
-        .map(|i| {
-            (
-                i,
-                i / 3,
-                0b0111_0111 ^ (i % 8),
-                i as i8 - 20,
-                i as i16 * 7,
-                i,
-            )
-        })
-        .collect();
+    let rows: Vec<Generated> =
+        (0..50u8).map(|i| (i, i / 3, 0b0111_0111 ^ (i % 8), i as i8 - 20, i as i16 * 7, i)).collect();
     let ds = dataset_of(&rows);
+    let records = records_of(&ds);
     let clean = v2_bytes(&ds, 8);
     let index = read_footer(&clean).expect("footer present");
     assert_eq!(index.len(), 7);
@@ -473,47 +453,25 @@ fn a_corrupt_block_costs_both_paths_exactly_that_block() {
          GROUP BY region, bin ORDER BY region, bin FORMAT csv",
     )
     .unwrap();
-    let count_of = |outcome: &Outcome| -> u64 {
-        let header: Vec<&str> = outcome
-            .rendered
-            .lines()
-            .next()
-            .unwrap()
-            .split(',')
-            .collect();
-        let column = header.iter().position(|h| *h == "count").unwrap();
-        let rows = outcome.rendered.lines().skip(1);
-        rows.map(|line| line.split(',').nth(column).unwrap().parse::<u64>().unwrap())
-            .sum()
-    };
     let dir = case_dir();
+    let mut start = 0;
     for (ordinal, block) in index.iter().enumerate() {
         let mut damaged = clean.clone();
         // The row-count varint: 0xff makes the payload claim more rows
         // than it holds.
         damaged[payload_start(&clean, block.offset as usize)] = 0xff;
-        let path = write(&dir, &format!("damaged{ordinal}.calb2"), damaged);
-        let files = [path];
+        let files = [write(&dir, &format!("damaged{ordinal}.calb2"), damaged)];
 
         let lenient = ReadPolicy::lenient();
-        let oracle = via_rows(&spec, None, &files, lenient);
-        let columns = via_scan(&spec, None, &files, lenient);
-        assert_eq!(columns, oracle, "block {ordinal}");
-        assert_eq!(
-            count_of(&columns),
-            rows.len() as u64 - block.rows,
-            "block {ordinal}"
-        );
-        assert!(
-            columns.reports[0].contains("skipped: 1"),
-            "{}",
-            columns.reports[0]
-        );
-        assert!(
-            columns.reports[0].contains("truncated: false"),
-            "{}",
-            columns.reports[0]
-        );
+        let outcome = scan_files(&spec, None, &files, lenient);
+        let end = start + block.rows as usize;
+        let survivors = [&records[..start], &records[end..]].concat();
+        let (want, _) = oracle(&spec, None, &[survivors]);
+        check(&format!("block {ordinal}"), &outcome.rows, &want).unwrap();
+        assert_eq!(outcome.reports, row_reports(&spec, &files, lenient), "block {ordinal}");
+        assert!(outcome.reports[0].contains("skipped: 1"), "{}", outcome.reports[0]);
+        assert!(outcome.reports[0].contains("truncated: false"), "{}", outcome.reports[0]);
+        start = end;
 
         // Strict: the file fails, and says which.
         let dict = Dataset::new();
@@ -522,36 +480,23 @@ fn a_corrupt_block_costs_both_paths_exactly_that_block() {
             .scan_file(&files[0], dict, ReadPolicy::Strict, None)
             .err()
             .expect("strict scan of a corrupt block fails");
-        assert!(
-            err.to_string().contains(&format!("damaged{ordinal}.calb2")),
-            "{err}"
-        );
+        assert!(err.to_string().contains(&format!("damaged{ordinal}.calb2")), "{err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Corrupt each line of a text file in turn. Under a lenient policy the
-/// columnar path loses exactly that line — a snapshot row that was half
-/// appended is taken back, a lost declaration costs the lines that
-/// needed it, every other line folds — which is to say: the answer of
-/// the file *without* the line, one more skip, and the same `ReadReport`
-/// and answer as the row path. Under a strict policy both paths fail
-/// with the same error, naming the line.
+/// scan loses exactly that line — a snapshot row that was half appended
+/// is taken back, a lost declaration costs the lines that needed it,
+/// every other line folds — which is to say: the answer of the file
+/// *without* the line, one more skip, and the row reader's
+/// `ReadReport`. Under a strict policy the scan fails with the row
+/// reader's error, naming the line.
 #[test]
-fn a_corrupt_line_costs_both_paths_exactly_that_line() {
+fn a_corrupt_line_costs_exactly_that_line() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Row> = (0..40u8)
-        .map(|i| {
-            (
-                i,
-                i / 3,
-                0b0111_0111 ^ (i % 8),
-                i as i8 - 20,
-                i as i16 * 7,
-                i,
-            )
-        })
-        .collect();
+    let rows: Vec<Generated> =
+        (0..40u8).map(|i| (i, i / 3, 0b0111_0111 ^ (i % 8), i as i8 - 20, i as i16 * 7, i)).collect();
     let clean = String::from_utf8(rough_text(&dataset_of(&rows))).unwrap();
     let lines: Vec<&str> = clean.split_inclusive('\n').collect();
     let spec = parse_query(
@@ -586,67 +531,60 @@ fn a_corrupt_line_costs_both_paths_exactly_that_line() {
             bytes.extend_from_slice(lines[ordinal + 1..].concat().as_bytes());
             bytes
         };
-        let damaged = [write(
-            &dir,
-            &format!("damaged{ordinal}.cali"),
-            splice(&damaged_line),
-        )];
+        let damaged = [write(&dir, &format!("damaged{ordinal}.cali"), splice(&damaged_line))];
         let without = [write(&dir, &format!("without{ordinal}.cali"), splice(b""))];
 
-        let oracle = via_rows(&spec, None, &damaged, lenient);
-        let columns = via_scan(&spec, None, &damaged, lenient);
-        assert_eq!(columns, oracle, "line {}", ordinal + 1);
-        let removed = via_scan(&spec, None, &without, lenient);
-        assert_eq!(columns.rendered, removed.rendered, "line {}", ordinal + 1);
+        let columns = scan_files(&spec, None, &damaged, lenient);
+        assert_eq!(columns.reports, row_reports(&spec, &damaged, lenient), "line {}", ordinal + 1);
+        let removed = scan_files(&spec, None, &without, lenient);
+        let at = format!("line {}", ordinal + 1);
+        check_in_order(&at, &columns.rows, &removed.rows).unwrap();
         let (got, want) = (&columns.reports[0], &removed.reports[0]);
         assert_eq!(field(got, "skipped"), field(want, "skipped") + 1, "{got}");
         assert_eq!(field(got, "records"), field(want, "records"), "{got}");
-        assert_eq!(
-            field(got, "dangling_dropped"),
-            field(want, "dangling_dropped"),
-            "{got}"
-        );
+        assert_eq!(field(got, "dangling_dropped"), field(want, "dangling_dropped"), "{got}");
         assert!(got.contains("truncated: false"), "{got}");
-        assert!(
-            got.contains(&format!("parse error at line {}:", ordinal + 1)),
-            "{got}"
-        );
+        assert!(got.contains(&format!("parse error at line {}:", ordinal + 1)), "{got}");
 
-        // Strict: the same first error from both paths, naming the line.
+        // Strict: the row reader's first error, naming the line.
         let dict = Dataset::new();
         let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
         let scan_err = pipeline
             .scan_file(&damaged[0], dict, ReadPolicy::Strict, None)
             .err()
             .expect("strict scan of a corrupt line fails");
-        let rows_err =
-            read_path_into_filtered(&damaged[0], Dataset::new(), ReadPolicy::Strict, None)
-                .expect_err("strict read of a corrupt line fails");
+        let rows_err = read_path_into_filtered(&damaged[0], Dataset::new(), ReadPolicy::Strict, None)
+            .expect_err("strict read of a corrupt line fails");
         assert_eq!(scan_err.to_string(), rows_err.to_string());
-        let named = format!(
-            "damaged{ordinal}.cali: parse error at line {}:",
-            ordinal + 1
-        );
+        let named = format!("damaged{ordinal}.cali: parse error at line {}:", ordinal + 1);
         assert!(scan_err.to_string().contains(&named), "{scan_err}");
     }
     assert!(corrupted > 50, "{corrupted} lines corrupted");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A pass-through query keeps whole records, so `scan_file` materialises
-/// a v2 block's rows for it — with the same result as reading rows.
+/// A pass-through query keeps whole rows — node paths, immediates and
+/// LET outputs — in stream order, out of every block WHERE looks at.
 #[test]
-fn pass_through_queries_get_their_rows() {
+fn pass_through_queries_keep_their_rows() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Row> = (0..40u8)
-        .map(|i| (i, i, 0b0101_0111, i as i8 - 9, i as i16, i))
-        .collect();
+    let rows: Vec<Generated> = (0..40u8).map(|i| (i, i, 0b0101_0111, i as i8 - 9, i as i16, i)).collect();
+    let ds = dataset_of(&rows);
     let dir = case_dir();
-    let v2 = [write(&dir, "rows.calb2", v2_bytes(&dataset_of(&rows), 8))];
-    let spec = parse_query("SELECT region, phase, iter, time WHERE iter > 0 FORMAT csv").unwrap();
-    let oracle = via_rows(&spec, None, &v2, ReadPolicy::Strict);
-    assert!(oracle.rendered.lines().count() > 10, "{}", oracle.rendered);
-    assert_eq!(via_scan(&spec, None, &v2, ReadPolicy::Strict), oracle);
+    let files = [
+        write(&dir, "rows.calb2", v2_bytes(&ds, 8)),
+        write(&dir, "rows.cali", rough_text(&ds)),
+        write(&dir, "rows.calb", binary::to_binary(&ds)),
+    ];
+    let query = "LET bin = truncate(iter, 4) SELECT region, phase, iter, time, bin \
+                 WHERE iter > 0 FORMAT csv";
+    let spec = parse_query(query).unwrap();
+    let want = folded(&spec, "count", None, &records_of(&ds)).finish(&|_| None, &mut Schema::new());
+    assert!(want.len() > 10, "{}", want.len());
+    for file in &files {
+        let outcome = scan_files(&spec, None, std::slice::from_ref(file), ReadPolicy::Strict);
+        check_in_order(&file.display().to_string(), &outcome.rows, &want).unwrap();
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -657,91 +595,79 @@ fn pass_through_queries_get_their_rows() {
 fn row_records_between_blocks_fold_in_stream_order() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
     let labelled = |counts: &[u8]| -> Dataset {
-        let rows: Vec<Row> = counts.iter().map(|&c| (1, 0, 64, 0, 0, c)).collect();
+        let rows: Vec<Generated> = counts.iter().map(|&c| (1, 0, 64, 0, 0, c)).collect();
         dataset_of(&rows)
     };
-    let no_footer = V2WriteOptions {
-        block_records: 8,
-        footer: false,
-    };
+    let no_footer = V2WriteOptions { block_records: 8, footer: false };
+    let parts = [labelled(&[0, 1]), labelled(&[2, 2]), labelled(&[3, 0])];
     // Every stream starts with the four magic bytes and a version byte.
-    let mut bytes = to_binary_v2_with(&labelled(&[0, 1]), &no_footer);
-    bytes.extend_from_slice(&binary::to_binary(&labelled(&[2, 2]))[5..]);
-    bytes.extend_from_slice(&to_binary_v2_with(&labelled(&[3, 0]), &no_footer)[5..]);
+    let mut bytes = to_binary_v2_with(&parts[0], &no_footer);
+    bytes.extend_from_slice(&binary::to_binary(&parts[1])[5..]);
+    bytes.extend_from_slice(&to_binary_v2_with(&parts[2], &no_footer)[5..]);
     let dir = case_dir();
-    let mixed = [write(&dir, "mixed.calb2", bytes)];
+    let mixed = write(&dir, "mixed.calb2", bytes);
 
     let spec = parse_query("AGGREGATE count GROUP BY label ORDER BY label FORMAT csv").unwrap();
-    let oracle = via_rows(&spec, Some(3), &mixed, ReadPolicy::Strict);
-    assert!(oracle.rendered.contains("L2,2"), "{}", oracle.rendered);
-    assert!(!oracle.rendered.contains("L3"), "{}", oracle.rendered);
-
-    caliper_data::metrics::global().reset();
+    let records: Vec<Row> = parts.iter().flat_map(records_of).collect();
+    let (want, overflow) = oracle(&spec, Some(3), &[records]);
     let dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec, Arc::clone(&dict.store)).with_max_groups(Some(3));
-    let scanned = pipeline
-        .scan_file(&mixed[0], dict, ReadPolicy::Strict, None)
-        .unwrap();
+    let scanned = pipeline.scan_file(&mixed, dict, ReadPolicy::Strict, None).unwrap();
     assert_eq!((scanned.records, scanned.report.blocks), (6, 2));
-    assert_eq!(pipeline.finish().render(), oracle.rendered);
+    let (rows, got_overflow) = answer(pipeline.finish());
+    check("mixed", &rows, &want).unwrap();
+    // L0, L1 and L2 are admitted; L3 comes after the cap.
+    assert_eq!((got_overflow, overflow), (1, 1));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// What a fold remembers is about the stream, not about the aggregator:
 /// one fold may deal a stream's blocks out to several aggregators, each
-/// of which ends up with what the rows of its blocks add up to.
+/// of which ends up with what the oracle folds of its blocks' rows.
 #[test]
 fn one_fold_may_feed_several_aggregators() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Row> = (0..60u8).map(|i| (i, i / 7, 1 | 4 | 64, 0, i as i16, i / 5)).collect();
+    let rows: Vec<Generated> = (0..60u8).map(|i| (i, i / 7, 1 | 4 | 64, 0, i as i16, i / 5)).collect();
     let dir = case_dir();
     let file = write(&dir, "dealt.calb2", v2_bytes(&dataset_of(&rows), 8));
     let query = parse_query("AGGREGATE count, sum(time) GROUP BY label, region, phase").unwrap();
     let spec = AggregationSpec::from_query(&query);
 
     let dict = Dataset::new();
-    let aggregators =
-        || [0, 1, 2].map(|_| Aggregator::new(spec.clone(), Arc::clone(&dict.store)));
-    let (mut by_blocks, mut by_rows) = (aggregators(), aggregators());
+    let mut aggregators = [0, 1, 2].map(|_| Aggregator::new(spec.clone(), Arc::clone(&dict.store)));
+    let mut dealt: [Vec<Row>; 3] = Default::default();
     let mut fold = BlockFold::for_aggregation(&spec);
-    let (mut block_no, mut records) = (0, Vec::new());
+    let mut block_no = 0;
     scan_path(&file, dict, ReadPolicy::Strict, None, &mut |ds, strings, block| {
-        fold.fold(&mut by_blocks[block_no % 3], ds, strings, block);
-        records.clear();
-        block.append_records(strings, &mut records);
-        for_each_flat(&ds.tree, &records, |record| by_rows[block_no % 3].add(&record));
+        fold.fold(&mut aggregators[block_no % 3], ds, strings, block);
+        let records = block.records(strings).map(|record| record.unpack(&ds.tree));
+        dealt[block_no % 3].extend(rows_of(&ds.store, records));
         block_no += 1;
     })
     .expect("file scans");
     assert_eq!(block_no, 8);
-    for (blocks, rows) in by_blocks.iter().zip(&by_rows) {
-        let flushed = |agg: &Aggregator| {
-            let out = caliper_data::AttributeStore::new();
-            let rows: Vec<String> = agg.flush(&out).iter().map(|r| r.describe(&out)).collect();
-            rows
-        };
-        assert!(rows.len() > 3);
-        assert_eq!(flushed(blocks), flushed(rows));
+    for (agg, records) in aggregators.iter().zip(&dealt) {
+        let out = caliper_data::AttributeStore::new();
+        let want = folded(&query, "count", None, records);
+        let want = want.finish(&declarations(&query, None), &mut Schema::new());
+        assert!(want.len() > 3);
+        check("dealt", &rows_of(&out, agg.flush(&out).iter()), &want).unwrap();
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `path` scanned block by block into one pipeline through one
-/// [`BlockFold`], as `scan_file` does: the rendered answer and the rows
-/// the fold gathered.
-fn scan_counting(spec: &QuerySpec, cap: Option<usize>, path: &Path) -> (String, u64) {
+/// [`BlockFold`], as `scan_file` does: the answer, and the rows the fold
+/// gathered.
+fn scan_counting(spec: &QuerySpec, cap: Option<usize>, path: &Path) -> ((Vec<Row>, u64), u64) {
     let dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store)).with_max_groups(cap);
     let mut fold = BlockFold::new(spec);
-    scan_path(
-        path,
-        dict,
-        ReadPolicy::Strict,
-        None,
-        &mut |ds, strings, block| pipeline.fold_block(&mut fold, ds, strings, block),
-    )
+    scan_path(path, dict, ReadPolicy::Strict, None, &mut |ds, strings, block| {
+        pipeline.fold_block(&mut fold, ds, strings, block)
+    })
     .expect("file scans");
-    (pipeline.finish().render(), fold.gathered_rows())
+    (answer(pipeline.finish()), fold.gathered_rows())
 }
 
 /// `ds`'s records as blocks of `block_rows` rows built by hand, strings
@@ -749,12 +675,13 @@ fn scan_counting(spec: &QuerySpec, cap: Option<usize>, path: &Path) -> (String, 
 /// `retype(i, k)` says so, the `k`th float immediate of record `i` goes
 /// into an `Int` column of its attribute, truncated, so that the
 /// attribute arrives in two type columns. The records are taken out of
-/// `ds`, which keeps their tree and store.
+/// `ds`, which keeps their tree and store; the oracle's rows are those
+/// the blocks hold.
 fn hand_built(
     ds: &mut Dataset,
     block_rows: usize,
     retype: impl Fn(usize, usize) -> bool,
-) -> (StringTable, Vec<Block>) {
+) -> (StringTable, Vec<Block>, Vec<Row>) {
     let mut strings = StringTable::default();
     let mut blocks = vec![Block::default()];
     for (i, record) in std::mem::take(&mut ds.records).iter().enumerate() {
@@ -785,32 +712,33 @@ fn hand_built(
         }
         assert!(block.end_row());
     }
-    (strings, blocks)
+    let records = blocks.iter().flat_map(|block| block.records(&strings));
+    let rows = rows_of(&ds.store, records.map(|record| record.unpack(&ds.tree)).collect::<Vec<_>>());
+    (strings, blocks, rows)
 }
 
-/// `blocks` folded into one pipeline — through one [`BlockFold`] with
-/// `columns`, else as the rows they derive — the rendered answer, and
-/// the rows the fold gathered.
+/// `blocks` folded into one pipeline through one [`BlockFold`]: the
+/// answer, and the rows the fold gathered.
 fn fold_hand_built(
     spec: &QuerySpec,
     cap: Option<usize>,
     ds: &mut Dataset,
     strings: &StringTable,
     blocks: &[Block],
-    columns: bool,
-) -> (String, u64) {
+) -> ((Vec<Row>, u64), u64) {
     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&ds.store)).with_max_groups(cap);
     let (mut strings, mut fold) = (strings.clone(), BlockFold::new(spec));
     for block in blocks {
-        if columns {
-            pipeline.fold_block(&mut fold, ds, &mut strings, block);
-        } else {
-            let mut rows = Vec::new();
-            block.append_records(&strings, &mut rows);
-            for_each_flat(&ds.tree, &rows, |record| pipeline.process(record));
-        }
+        pipeline.fold_block(&mut fold, ds, &mut strings, block);
     }
-    (pipeline.finish().render(), fold.gathered_rows())
+    (answer(pipeline.finish()), fold.gathered_rows())
+}
+
+/// What the oracle folds of `records` in memory, whose store declares
+/// every attribute of [`dataset_of`].
+fn in_memory(spec: &QuerySpec, cap: Option<usize>, records: &[Row]) -> (Vec<Row>, u64) {
+    let want = folded(spec, "count", cap, records);
+    (want.finish(&declarations(spec, None), &mut Schema::new()), want.overflow_records())
 }
 
 proptest! {
@@ -822,7 +750,7 @@ proptest! {
     /// 3 the first float of every other record (the runs alternate
     /// between the two columns).
     #[test]
-    fn hand_built_blocks_fold_as_their_rows(
+    fn hand_built_blocks_fold_what_the_oracle_folds(
         rows in rows_strategy(24),
         choice in (any::<u8>(), any::<u8>(), any::<u8>(), any::<u8>()),
         cap in 0usize..4,
@@ -840,27 +768,26 @@ proptest! {
             3 => k == 0 && i.is_multiple_of(2),
             _ => false,
         };
-        let (strings, blocks) = hand_built(&mut ds, [1, 8, 1024][blocks], retype);
-        let (want, _) = fold_hand_built(&spec, cap, &mut ds, &strings, &blocks, false);
-        let (got, _) = fold_hand_built(&spec, cap, &mut ds, &strings, &blocks, true);
-        prop_assert_eq!(got, want, "{} (twist {})", query, twist);
+        let (strings, blocks, records) = hand_built(&mut ds, [1, 8, 1024][blocks], retype);
+        let ((rows, overflow), _) = fold_hand_built(&spec, cap, &mut ds, &strings, &blocks);
+        let (want, want_overflow) = in_memory(&spec, cap, &records);
+        check(&format!("{query} (twist {twist})"), &rows, &want)?;
+        prop_assert_eq!(overflow, want_overflow);
     }
 }
 
 /// A run whose rows carry `time` twice sits between two runs that carry
 /// it once, all in one block: the fold gathers exactly that run's rows
-/// and folds the others a column at a time, with the answer of the
-/// rows.
+/// and folds the others a column at a time, with the oracle's answer.
 #[test]
 fn a_run_with_repeated_occurrences_is_gathered_between_columnar_runs() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let run = |mask: u8, n: u8| -> Vec<Row> {
-        (0..n)
-            .map(|k| (1, k, mask, k as i8, k as i16 * 3 - 20, k))
-            .collect()
+    let run = |mask: u8, n: u8| -> Vec<Generated> {
+        (0..n).map(|k| (1, k, mask, k as i8, k as i16 * 3 - 20, k)).collect()
     };
     let (once, twice) = (1 | 2 | 4 | 16 | 64, 1 | 2 | 4 | 8 | 16 | 64);
     let ds = dataset_of(&[run(once, 20), run(twice, 10), run(once, 20)].concat());
+    let records = records_of(&ds);
     let dir = case_dir();
     let files = [
         write(&dir, "runs.calb2", v2_bytes(&ds, 1024)),
@@ -875,10 +802,10 @@ fn a_run_with_repeated_occurrences_is_gathered_between_columnar_runs() {
          ORDER BY label FORMAT csv",
     ] {
         let spec = parse_query(query).unwrap();
+        let (want, _) = oracle(&spec, None, std::slice::from_ref(&records));
         for file in &files {
-            let oracle = via_rows(&spec, None, std::slice::from_ref(file), ReadPolicy::Strict);
-            let (rendered, gathered) = scan_counting(&spec, None, file);
-            assert_eq!(rendered, oracle.rendered, "{query}: {}", file.display());
+            let ((rows, _), gathered) = scan_counting(&spec, None, file);
+            check(&format!("{query}: {}", file.display()), &rows, &want).unwrap();
             assert_eq!(gathered, 10, "{query}: {}", file.display());
         }
     }
@@ -890,15 +817,15 @@ fn a_run_with_repeated_occurrences_is_gathered_between_columnar_runs() {
 
 /// `max_groups` is reached in the middle of a run of one shape: the
 /// keys admitted, those turned into the overflow bucket and every
-/// reduction are the rows', for a key of one string (looked up by
+/// reduction are the oracle's, for a key of one string (looked up by
 /// stream code), a number key and a key of both.
 #[test]
 fn max_groups_is_reached_in_the_middle_of_a_run() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Row> = (0..60u8)
-        .map(|k| (0, k, 1 | 2 | 4 | 64, k as i8 - 30, k as i16, k / 2))
-        .collect();
+    let rows: Vec<Generated> =
+        (0..60u8).map(|k| (0, k, 1 | 2 | 4 | 64, k as i8 - 30, k as i16, k / 2)).collect();
     let ds = dataset_of(&rows);
+    let records = records_of(&ds);
     let dir = case_dir();
     let files = [
         write(&dir, "capped.calb2", v2_bytes(&ds, 1024)),
@@ -909,24 +836,12 @@ fn max_groups_is_reached_in_the_middle_of_a_run() {
             "AGGREGATE count, sum(time), max(label) GROUP BY {keys} ORDER BY {keys} FORMAT csv"
         );
         let spec = parse_query(&query).unwrap();
+        let (want, overflow) = oracle(&spec, Some(cap), std::slice::from_ref(&records));
+        assert!(overflow > 0, "{query}");
         for file in &files {
-            let files = std::slice::from_ref(file);
-            let oracle = via_rows(&spec, Some(cap), files, ReadPolicy::Strict);
-            assert!(
-                oracle.rendered.contains("__overflow__"),
-                "{}",
-                oracle.rendered
-            );
-            assert_eq!(
-                via_scan(&spec, Some(cap), files, ReadPolicy::Strict),
-                oracle,
-                "{query}"
-            );
-            assert_eq!(
-                scan_counting(&spec, Some(cap), file),
-                (oracle.rendered, 0),
-                "{query}"
-            );
+            let ((rows, got_overflow), gathered) = scan_counting(&spec, Some(cap), file);
+            check(&query, &rows, &want).unwrap();
+            assert_eq!((got_overflow, gathered), (overflow, 0), "{query}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -935,15 +850,13 @@ fn max_groups_is_reached_in_the_middle_of_a_run() {
 /// An attribute in two type columns: a run with `time` in the `Float`
 /// column alone and one with it in the `Int` column alone are folded a
 /// column at a time, every row of a run with it in both is gathered —
-/// the rows' answer either way, down to which of two equal values of
+/// the oracle's answer either way, down to which of two equal values of
 /// two types `min` and `max` keep (the first).
 #[test]
 fn an_attribute_in_two_type_columns_folds_as_its_rows() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let run = |mask: u8| -> Vec<Row> {
-        (0..30u8)
-            .map(|k| (2, k, mask, k as i8, k as i16 * 5 - 40, k))
-            .collect()
+    let run = |mask: u8| -> Vec<Generated> {
+        (0..30u8).map(|k| (2, k, mask, k as i8, k as i16 * 5 - 40, k)).collect()
     };
     let rows = [run(1 | 4 | 16), run(1 | 4 | 16), run(1 | 4 | 8 | 16)].concat();
     let retype = |i: usize, k: usize| ((30..60).contains(&i) && k == 0) || (i >= 60 && k == 1);
@@ -957,13 +870,12 @@ fn an_attribute_in_two_type_columns_folds_as_its_rows() {
     ] {
         let spec = parse_query(query).unwrap();
         let mut ds = dataset_of(&rows);
-        let (strings, blocks) = hand_built(&mut ds, 1024, retype);
+        let (strings, blocks, records) = hand_built(&mut ds, 1024, retype);
         let time = ds.store.find("time").expect("declared").id();
         let columns = blocks[0].columns().iter().filter(|c| c.attr == time);
         assert_eq!((blocks.len(), columns.count()), (1, 2));
-        let (want, _) = fold_hand_built(&spec, None, &mut ds, &strings, &blocks, false);
-        let (got, gathered) = fold_hand_built(&spec, None, &mut ds, &strings, &blocks, true);
-        assert_eq!(got, want, "{query}");
+        let ((got, _), gathered) = fold_hand_built(&spec, None, &mut ds, &strings, &blocks);
+        check(query, &got, &in_memory(&spec, None, &records).0).unwrap();
         assert_eq!(gathered, 30, "{query}");
     }
 }

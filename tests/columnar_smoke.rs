@@ -1,14 +1,14 @@
 //! Tier-1 smoke of the row/column equality: a CALB v2 file and a text
 //! `.cali` file scanned as columns (`Pipeline::scan_file`) answer exactly
-//! what the same records answer as rows — and a flat ParaDiS profile
-//! takes the column-at-a-time fold all the way, gathering no row. The
-//! full differential suite lives in
-//! `crates/query/tests/columnar_differential.rs`.
+//! what the same records answer read as rows (`read_path`, then
+//! `Pipeline::process_dataset`) — and a flat ParaDiS profile takes the
+//! column-at-a-time fold all the way, gathering no row. The fold's own
+//! suite, held to the reference evaluator, is `tests/columnar/`.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use caliper_format::{for_each_flat, read_path, scan_path, Dataset, ReadPolicy, V2WriteOptions};
+use caliper_format::{read_path, scan_path, Dataset, ReadPolicy, V2WriteOptions};
 use caliper_query::{parse_query, BlockFold, Pipeline};
 use caliper_runtime::Config;
 use miniapps::paradis::{generate_rank, ParaDisParams};
@@ -59,7 +59,7 @@ fn columns_answer_what_rows_answer(text: bool) {
         let rows = read_path(&path).unwrap();
         assert_eq!(rows.len(), ds.len());
         let mut by_rows = Pipeline::new(spec.clone(), Arc::clone(&rows.store));
-        for_each_flat(&rows.tree, &rows.records, |record| by_rows.process(record));
+        by_rows.process_dataset(&rows);
 
         let dict = Dataset::new();
         let mut by_columns = Pipeline::new(spec, Arc::clone(&dict.store));
@@ -131,7 +131,7 @@ fn paradis_folds_as_columns_and_gathers_no_row(text: bool) {
         for path in &paths {
             let rows = read_path(path).unwrap();
             let mut by_rows = Pipeline::new(spec.clone(), Arc::clone(&rows.store));
-            for_each_flat(&rows.tree, &rows.records, |record| by_rows.process(record));
+            by_rows.process_dataset(&rows);
             expected.push(by_rows.finish().render());
             answers.push(fold_by_columns(&spec, path));
         }

@@ -1,6 +1,6 @@
-//! Every execution path of an aggregation held to one reference
-//! evaluator (`oracle`, which shares no code with the engine): generated
-//! files and a generated query go through
+//! Every execution path of a query held to one reference evaluator
+//! (`oracle`, which shares no code with the engine): generated files and
+//! a generated aggregation go through
 //!
 //! * `parallel_query_files` at 1, 2 and 4 workers over text, CALB v2
 //!   and CALB v2 with pushdown, with and without `--degrade` (no faults)
@@ -20,21 +20,35 @@
 //! Each path's rows must be the oracle's composed in that path's merge
 //! order (DESIGN.md §6) — label, type and bits of every pair — and the
 //! runs that share a merge order must render the same bytes.
+//!
+//! A generated pass-through query (`LET … SELECT * WHERE …`) goes
+//! through `cali-query`'s pipeline over text, CALB v1 and CALB v2 (with
+//! and without pushdown), `run_query` over the rows and
+//! `Pipeline::process` record by record; and pass-through queries over
+//! the served streams' warm answers through `WarmQuery`. Their rows must
+//! be the oracle's kept rows in stream order.
+//!
+//! `columnar` holds the block fold's own cases to the oracle: runs of
+//! 1–64 rows, nested paths, an attribute in two type columns and blocks
+//! built by hand.
 
+mod columnar;
 mod oracle;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use cali_cli::parallel_query;
+use cali_cli::{local_pipeline, parallel_query};
 use caliper_data::{
     AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, Value, ValueType,
     NODE_NONE,
 };
-use caliper_format::{cali, to_binary_v2_with, Dataset, Pushdown, V2WriteOptions};
+use caliper_format::{
+    binary, cali, to_binary_v2_with, Dataset, Pushdown, ReadPolicy, V2WriteOptions,
+};
 use caliper_query::{
-    parallel_query_files, parse_query, run_query, AggregationSpec, Aggregator, LetExpr,
-    ParallelOptions, Pipeline, QuerySpec,
+    build_pushdown, parallel_query_files, parse_query, run_query, AggregationSpec, Aggregator,
+    LetExpr, ParallelOptions, Pipeline, QuerySpec,
 };
 use caliper_runtime::{AggregateService, Clock, ProcCtx, Service, Trigger};
 use caliper_served::state::{StreamState, WarmQuery};
@@ -196,20 +210,32 @@ fn rows_of(store: &AttributeStore, rows: impl IntoIterator<Item = FlatRecord>) -
 /// type and value — a float by its bits.
 fn check(path: &str, got: &[Row], want: &[Row]) -> Result<(), TestCaseError> {
     let sorted = |rows: &[Row]| {
-        let pair = |(label, v): &(String, Value)| match v {
-            Value::Float(x) => format!("{label}=float:{:#018x}", x.to_bits()),
-            v => format!("{label}={}:{v}", v.value_type().name()),
-        };
-        let mut rows: Vec<String> =
-            rows.iter().map(|row| row.iter().map(pair).collect::<Vec<_>>().join(",")).collect();
+        let mut rows = encoded(rows);
         rows.sort();
         rows
     };
-    let (got, want) = (sorted(got), sorted(want));
+    same(path, sorted(got), sorted(want), "sorted order")
+}
+
+/// `got` and `want` hold the same rows in the same order.
+fn check_in_order(path: &str, got: &[Row], want: &[Row]) -> Result<(), TestCaseError> {
+    same(path, encoded(got), encoded(want), "order")
+}
+
+/// Each row as its pairs' labels, types and values — a float by its bits.
+fn encoded(rows: &[Row]) -> Vec<String> {
+    let pair = |(label, v): &(String, Value)| match v {
+        Value::Float(x) => format!("{label}=float:{:#018x}", x.to_bits()),
+        v => format!("{label}={}:{v}", v.value_type().name()),
+    };
+    rows.iter().map(|row| row.iter().map(pair).collect::<Vec<_>>().join(",")).collect()
+}
+
+fn same(path: &str, got: Vec<String>, want: Vec<String>, order: &str) -> Result<(), TestCaseError> {
     let at = got.iter().zip(&want).take_while(|(g, w)| g == w).count();
     prop_assert!(
         got == want,
-        "{path}: {} rows, the oracle {}; first difference in sorted order: {:#?} where the oracle has {:#?}",
+        "{path}: {} rows, the oracle {}; first difference in {order}: {:#?} where the oracle has {:#?}",
         got.len(),
         want.len(),
         got.get(at),
@@ -219,6 +245,10 @@ fn check(path: &str, got: &[Row], want: &[Row]) -> Result<(), TestCaseError> {
 }
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
+
+/// The metrics registry is process-wide, and `columnar` reads it: cases
+/// take turns.
+static METRICS: Mutex<()> = Mutex::new(());
 
 /// One generated case through every path: see the module docs.
 fn every_path(
@@ -420,15 +450,26 @@ fn every_path(
             stream.process_batch(&cali::to_bytes(&dataset(file.v, batch))).unwrap();
         }
     }
+    // A pass-through query over the streams' warm answers keeps what
+    // the oracle keeps of their rows, in stream order and key order.
+    let warm_query = WARM[(key + where_) % WARM.len()];
+    let warm_want = folded(&parse_query(warm_query).unwrap(), "count", None, &want)
+        .finish(&|_| None, &mut Schema::new());
     let mut renders = Vec::new();
     for pass in ["warm", "replayed"] {
         let mut warm = WarmQuery::new("SELECT * FORMAT expand").unwrap();
+        let mut kept = WarmQuery::new(warm_query).unwrap();
         for stream in &streams {
             let block = warm.block_of(stream);
             warm.fold(&block);
+            let block = kept.block_of(stream);
+            kept.fold(&block);
         }
         let result = warm.finish();
-        check(&format!("cali-served {pass}"), &rows_of(&result.store, result.records.iter()), &want)?;
+        check_in_order(&format!("cali-served {pass}"), &rows_of(&result.store, result.records.iter()), &want)?;
+        let path = format!("cali-served {pass}: {warm_query}");
+        let kept = kept.finish();
+        check_in_order(&path, &rows_of(&kept.store, kept.records.iter()), &warm_want)?;
         renders.push(result.render());
         drop(std::mem::take(&mut streams));
         streams = open();
@@ -439,13 +480,72 @@ fn every_path(
     Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Pass-through queries over the served streams' warm answers: rows of
+/// keys, results and `stream`.
+const WARM: [&str; 4] = [
+    "SELECT * FORMAT expand",
+    "LET L = scale(count, 0.5) SELECT * WHERE count > 1 FORMAT expand",
+    "LET L = first(k, i, stream) SELECT * WHERE not(sum#x) FORMAT expand",
+    "SELECT * WHERE stream = r0 FORMAT expand",
+];
 
-    #[test]
-    fn every_path_folds_what_the_oracle_folds(
-        generated in prop::collection::vec(
-            (0u8..3, 0usize..CYCLES.len(), prop::collection::vec(
+/// One generated pass-through query through every path that keeps rows
+/// (see the module docs). The files share one class of `v`, since
+/// `cali-query` reads them through one dictionary.
+fn every_pass_through_path(files: Vec<File>, (let_, where_): (usize, usize)) -> Result<(), TestCaseError> {
+    let text = format!("{} SELECT * {} FORMAT expand", LETS[let_], WHERES[where_]);
+    let query = parse_query(&text).unwrap();
+    let all: Vec<Row> = files.iter().flat_map(|f| f.rows.clone()).collect();
+    let want = folded(&query, "count", None, &all).finish(&|_| None, &mut Schema::new());
+
+    let dir = std::env::temp_dir().join(format!(
+        "caliper-every-pass-through-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut paths: [Vec<_>; 3] = Default::default();
+    for (i, file) in files.iter().enumerate() {
+        let ds = dataset(file.v, &file.rows);
+        let blocks = V2WriteOptions { block_records: 16, footer: true };
+        let bytes = [cali::to_bytes(&ds), binary::to_binary(&ds), to_binary_v2_with(&ds, &blocks)];
+        for ((encoded, paths), ext) in bytes.into_iter().zip(&mut paths).zip(["cali", "calb", "calb2"]) {
+            paths.push(dir.join(format!("f{i}.{ext}")));
+            std::fs::write(paths.last().unwrap(), encoded).unwrap();
+        }
+    }
+    let [text_paths, v1_paths, v2_paths] = &paths;
+    let (none, pushdown) = (Pushdown::default(), build_pushdown(&query, None));
+    for (encoding, paths, pushdown) in [
+        ("text", text_paths, &none),
+        ("v1", v1_paths, &none),
+        ("v2", v2_paths, &none),
+        ("v2+pushdown", v2_paths, &pushdown),
+    ] {
+        let (pipeline, _) = local_pipeline(&query, paths, ReadPolicy::Strict, pushdown).unwrap();
+        let result = pipeline.finish();
+        let path = format!("local_pipeline {encoding}: {text}");
+        check_in_order(&path, &rows_of(&result.store, result.records.iter()), &want)?;
+    }
+
+    let rows_ds = dataset(files[0].v, &all);
+    let result = run_query(&rows_ds, &text).unwrap();
+    check_in_order(&format!("run_query: {text}"), &rows_of(&result.store, result.records.iter()), &want)?;
+    let mut pipeline = Pipeline::new(query, Arc::clone(&rows_ds.store));
+    rows_ds.flat_records().for_each(|record| pipeline.process(record));
+    let result = pipeline.finish();
+    check_in_order(&format!("process: {text}"), &rows_of(&result.store, result.records.iter()), &want)?;
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+/// Generated files (see [`Generated`]).
+fn generated_files() -> impl Strategy<Value = Generated> {
+    prop::collection::vec(
+        (
+            0u8..3,
+            0usize..CYCLES.len(),
+            prop::collection::vec(
                 (
                     0usize..PATHS.len(),
                     0u8..10,
@@ -453,11 +553,32 @@ proptest! {
                     0usize..REPEATS.len(),
                 ),
                 0..10,
-            )),
-            1..5,
+            ),
         ),
+        1..5,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_path_folds_what_the_oracle_folds(
+        generated in generated_files(),
         choices in (0usize..KEYS.len(), 0usize..LETS.len(), 0usize..WHERES.len(), 0usize..4),
     ) {
+        let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
         every_path(files_of(generated), choices)?;
+    }
+
+    #[test]
+    fn every_pass_through_path_keeps_what_the_oracle_keeps(
+        generated in generated_files(),
+        choices in (0usize..LETS.len(), 0usize..WHERES.len()),
+    ) {
+        let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+        let v = generated[0].0;
+        let one_class = generated.into_iter().map(|(_, cycles, rows)| (v, cycles, rows));
+        every_pass_through_path(files_of(one_class.collect()), choices)?;
     }
 }

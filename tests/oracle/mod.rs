@@ -1,19 +1,22 @@
-//! A reference evaluator for CalQL aggregation, small enough to audit by
-//! eye: rows of `(label, value)` pairs, in record order, folded into an
-//! ordered map from key to per-op state. Written from docs/CALQL.md and
+//! A reference evaluator for CalQL, small enough to audit by eye: rows
+//! of `(label, value)` pairs, in record order, folded into an ordered map
+//! from key to per-op state — or, for a pass-through query (no AGGREGATE,
+//! no GROUP BY), kept as they are. Written from docs/CALQL.md and
 //! DESIGN.md §6/§10, it shares nothing with the engine but the parsed
 //! query: no interning, no blocks, no columns, no hashing.
 //!
 //! * [`Oracle::fold`] takes one record: LET appends its outputs, WHERE
-//!   keeps or drops the record, the key is read (absent, the value, or
+//!   keeps or drops the record, and a pass-through query keeps it, LET
+//!   outputs and all. Otherwise the key is read (absent, the value, or
 //!   the `/`-joined text of several occurrences), the group is found or
 //!   admitted first-come under the cap — else the overflow group — and
 //!   each op folds every occurrence of its target.
-//! * [`Oracle::merge`] folds another partial in: its overflow group
-//!   first, then its groups in key order, admitted as a record's key is.
+//! * [`Oracle::merge`] folds another partial in: its kept rows after
+//!   ours; its overflow group first, then its groups in key order,
+//!   admitted as a record's key is.
 //! * [`Oracle::finish`] makes the rows a flush makes: groups in key
 //!   order, then the overflow row, every column typed as DESIGN.md §10
-//!   types it ("Flush is a block").
+//!   types it ("Flush is a block") — or the kept rows, in stream order.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -297,8 +300,11 @@ impl Group {
     }
 }
 
-/// One partial aggregation of a query: what a record stream folded.
+/// One partial of a query: what a record stream folded.
 pub struct Oracle {
+    /// No op and no key: the records WHERE keeps are the answer.
+    pass_through: bool,
+    kept: Vec<Row>,
     lets: Vec<LetDef>,
     filters: Vec<Filter>,
     key: Vec<String>,
@@ -384,6 +390,8 @@ impl Oracle {
     /// holding at most `cap` keyed groups.
     pub fn new(query: &QuerySpec, count_label: &str, cap: Option<usize>) -> Oracle {
         Oracle {
+            pass_through: query.ops.is_empty() && query.key.is_empty(),
+            kept: Vec::new(),
             lets: query.lets.clone(),
             filters: query.filters.clone(),
             key: query.key.clone(),
@@ -427,6 +435,9 @@ impl Oracle {
         if !self.filters.iter().all(|f| passes(f, &row)) {
             return;
         }
+        if self.pass_through {
+            return self.kept.push(row);
+        }
         let key = self.key.iter().map(|label| {
             let mut vs = values(&row, label);
             KeyPart(match (vs.next(), vs.next()) {
@@ -451,6 +462,7 @@ impl Oracle {
 
     /// Fold `other`, a partial of the same query, into this one.
     pub fn merge(&mut self, other: Oracle) {
+        self.kept.extend(other.kept);
         if let Some(theirs) = other.overflow {
             let ops = &self.ops;
             self.overflow.get_or_insert_with(|| Group::new(ops)).merge(ops, theirs);
@@ -461,9 +473,10 @@ impl Oracle {
         }
     }
 
-    /// The rows of a flush: a key label's type is `declared`'s, else its
-    /// first value's in key order (`Str` when there is an overflow row);
-    /// a result's is the join of its values. Each label is declared in
+    /// The kept rows of a pass-through query, in stream order. Else the
+    /// rows of a flush: a key label's type is `declared`'s, else its first
+    /// value's in key order (`Str` when there is an overflow row); a
+    /// result's is the join of its values. Each label is declared in
     /// `out`, the store the rows go to, unless it is there already — then
     /// the type it has there types the column.
     pub fn finish(
@@ -471,6 +484,9 @@ impl Oracle {
         declared: &dyn Fn(&str) -> Option<ValueType>,
         out: &mut Schema,
     ) -> Vec<Row> {
+        if self.pass_through {
+            return self.kept.clone();
+        }
         let rows: Vec<(Option<&[KeyPart]>, &Group)> = (self.groups.iter())
             .map(|(k, g)| (Some(&k[..]), g))
             .chain(self.overflow.iter().map(|g| (None, g)))
@@ -567,6 +583,23 @@ mod hand {
         // A group none of whose records has the target has no result.
         let (rows, _) = run("AGGREGATE count, sum(x)", None, None, &[row(&[("y", Value::Int(1))])]);
         assert_eq!(rows, [row(&[("count", Value::UInt(1))])]);
+    }
+
+    #[test]
+    fn a_pass_through_keeps_the_rows_where_keeps_with_let_outputs() {
+        let rows = [
+            row(&[("x", Value::Int(4)), ("s", Value::str("a"))]),
+            row(&[("s", Value::str("b"))]),
+            row(&[("x", Value::Int(-1))]),
+        ];
+        let query = "LET y = scale(x, 0.5) SELECT * WHERE not(s) FORMAT csv";
+        let (out, schema) = run(query, None, None, &rows);
+        assert_eq!(out, [row(&[("x", Value::Int(-1)), ("y", Value::Float(-0.5))])]);
+        assert!(schema.is_empty());
+        // SELECT picks columns to print; the rows keep every pair.
+        let (out, _) = run("LET y = scale(x, 0.5) SELECT x WHERE s", None, None, &rows);
+        let first = row(&[("x", Value::Int(4)), ("s", Value::str("a")), ("y", Value::Float(2.0))]);
+        assert_eq!(out, [first, rows[1].clone()]);
     }
 
     #[test]
