@@ -8,23 +8,25 @@
 //! possible.
 //!
 //! The same engine serves all three aggregation applications from the
-//! paper: on-line event aggregation (driven by runtime snapshots, keyed
-//! straight from their context-tree node: [`Aggregator::add_snapshot`]),
-//! cross-process aggregation (entries merged up a reduction tree via
-//! [`Aggregator::merge`]), and analytical aggregation (driven by records
-//! read from `.cali` files).
+//! paper, fed by one fold ([`BlockFold`]): on-line event aggregation
+//! (the runtime's snapshots, appended to a block and folded from their
+//! context-tree nodes and immediates), cross-process aggregation
+//! (entries merged up a reduction tree via [`Aggregator::merge`]), and
+//! analytical aggregation (driven by records read from `.cali` files).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 use caliper_data::{
-    fxhash, AttrId, Attribute, AttributeStore, ContextTree, Entry, FlatRecord, FxBuildHasher,
-    NodeId, Properties, SnapshotRecord, Value, ValueType,
+    fxhash, AttrId, Attribute, AttributeStore, FlatRecord, FxBuildHasher, Properties, Value,
+    ValueType,
 };
 use caliper_format::{Block, BlockRows, Cell, Column as BlockColumn, ColumnData, StringTable};
 
-use crate::ast::{AggOp, OpKind, QuerySpec};
+use crate::ast::{AggOp, QuerySpec};
 use crate::ops::{Column, Included, Values};
+use crate::query::NO_NODES;
+use crate::scan::BlockFold;
 
 /// Key value of the overflow bucket in flushed results (the same
 /// sentinel upstream Caliper uses when its aggregation buffers fill).
@@ -227,8 +229,8 @@ fn key_order<'k>(
 /// table's strings turn up in keys, so that a stream's fold or a merge
 /// looks a string up by its text once, not once per row or group —
 /// and, for a key of one label, the group each code's key was admitted
-/// to ([`Aggregator::admit_code`]), so that a fold finds such a group
-/// by one more array look-up. It knows whose codes and groups it holds
+/// to ([`CodeMap::remember`]), so that a fold finds such a group by one
+/// more array look-up. It knows whose codes and groups it holds
 /// ([`Aggregator::translate`]).
 #[derive(Default)]
 pub(crate) struct CodeMap {
@@ -242,66 +244,55 @@ const NO_CODE: u32 = u32::MAX;
 /// The end of a chain of groups whose keys hash alike.
 const NO_GROUP: u32 = u32::MAX;
 
-/// What a context-tree node's root-first path contributes to a key,
-/// worked out on the node's first sight ([`Aggregator::add_snapshot`]).
-#[derive(Clone, Copy)]
-enum NodeKey {
-    /// One cell per key label, from this offset of the aggregator's
-    /// `node_cells` on: the path's value for it — a nested attribute's
-    /// `/`-joined path as one code — or `None` where the path does not
-    /// carry the label, so that an immediate may.
-    Cells(usize),
-    /// An op's target is on the path. A row lists the path's values
-    /// before the immediates', so snapshots at this node take the row
-    /// path.
-    Rows,
+impl CodeMap {
+    /// The group the key of one label, the string `code`, was admitted
+    /// to in `agg`, if this map remembers one — it starts over unless
+    /// it holds `agg`'s codes.
+    #[inline]
+    pub(crate) fn group(&mut self, agg: &Aggregator, code: u32) -> Option<u32> {
+        agg.claim(self);
+        self.groups.get(code as usize).copied().filter(|&group| group != NO_GROUP)
+    }
+
+    /// Remember that the key of one label, the string `code` of a table
+    /// of `len` strings, was admitted to `group`.
+    pub(crate) fn remember(&mut self, code: u32, group: u32, len: usize) {
+        if self.groups.len() <= code as usize {
+            self.groups.resize(len, NO_GROUP);
+        }
+        self.groups[code as usize] = group;
+    }
 }
 
 /// The streaming aggregator.
 pub struct Aggregator {
     spec: AggregationSpec,
     store: Arc<AttributeStore>,
-    /// Lazily resolved attribute ids of the key and target labels:
-    /// labels may refer to attributes that do not exist yet when the
-    /// aggregation starts (on-line, attributes appear as the program
-    /// runs).
-    key_attrs: Vec<Option<AttrId>>,
-    target_attrs: Vec<Option<AttrId>>,
     /// The aggregation database, by group id: the reduction states are a
     /// column per op in `ops`, the records folded in (also `count`'s
     /// result) a column of their own, and the keys one arena, a cell per
     /// key label each. `table` holds per key hash the newest group with
     /// it, and `chain` per group the next older one — the one table from
-    /// keys to groups. The row path ([`Aggregator::add`]), the block fold
-    /// and [`Aggregator::merge`] all bring their keys into `strings`'
-    /// terms and go through [`Aggregator::admit`].
+    /// keys to groups. The block fold ([`BlockFold`], which
+    /// [`Aggregator::add`] takes too) and [`Aggregator::merge`] bring
+    /// their keys into `strings`' terms and go through
+    /// [`Aggregator::admit`].
     ops: Vec<Column>,
     records: Vec<u64>,
     keys: Vec<KeyCell>,
     table: HashMap<u64, u32, FxBuildHasher>,
     chain: Vec<u32>,
-    /// The strings of admitted keys ([`Aggregator::key_code`]), of the
-    /// strings reduction states keep (a `min` or `max` over strings, a
-    /// lone string's `sum`) — and of cached context paths
-    /// ([`Aggregator::add_snapshot`]), which a snapshot whose immediates
-    /// send it down the row path leaves unused.
+    /// The strings of admitted keys ([`Aggregator::key_code`]) and of
+    /// the strings reduction states keep (a `min` or `max` over strings,
+    /// a lone string's `sum`).
     strings: StringTable,
     /// What a [`CodeMap`] recognises this aggregator by.
     id: Arc<()>,
-    /// Scratch of [`Aggregator::add`], [`Aggregator::add_snapshot`] and
-    /// [`Aggregator::merge`]: the key on its way to `admit`, and a
-    /// nested key attribute's path.
+    /// [`Aggregator::merge`]'s scratch: a key on its way to `admit`.
     key: Vec<KeyCell>,
-    path: String,
-    /// [`Aggregator::add_snapshot`]'s cache, by context-tree node id, and
-    /// the key cells it points into. It holds codes of `strings` and
-    /// answers for the tree of id `tree`, so it lives and dies with this
-    /// aggregator and starts over when handed another tree.
-    nodes: Vec<Option<NodeKey>>,
-    node_cells: Vec<KeyCell>,
-    tree: Option<u64>,
-    /// Snapshots [`Aggregator::add_snapshot`] sent down the row path.
-    snapshot_fallbacks: u64,
+    /// What [`Aggregator::add`] folds a record as: a block of one row,
+    /// the table of its strings, and the fold; made on the first record.
+    rows: Option<Box<(BlockFold, StringTable, Block)>>,
     records_processed: u64,
     /// Capacity bound on the database (None = unbounded, the historical
     /// mode).
@@ -318,14 +309,10 @@ pub struct Aggregator {
 impl Aggregator {
     /// Create an aggregator resolving labels against `store`.
     pub fn new(spec: AggregationSpec, store: Arc<AttributeStore>) -> Aggregator {
-        let key_attrs = vec![None; spec.key.len()];
-        let target_attrs = vec![None; spec.ops.len()];
         let ops = spec.ops.iter().map(Column::new).collect();
         Aggregator {
             spec,
             store,
-            key_attrs,
-            target_attrs,
             ops,
             records: Vec::new(),
             keys: Vec::new(),
@@ -334,11 +321,7 @@ impl Aggregator {
             strings: StringTable::default(),
             id: Arc::new(()),
             key: Vec::new(),
-            path: String::new(),
-            nodes: Vec::new(),
-            node_cells: Vec::new(),
-            tree: None,
-            snapshot_fallbacks: 0,
+            rows: None,
             records_processed: 0,
             max_groups: None,
             overflow: None,
@@ -396,19 +379,6 @@ impl Aggregator {
         self.records_processed
     }
 
-    /// Snapshots [`add_snapshot`](Self::add_snapshot) folded through the
-    /// row path (diagnostics: the runtime's schemes should take none).
-    pub fn snapshot_fallbacks(&self) -> u64 {
-        self.snapshot_fallbacks
-    }
-
-    fn resolve(store: &AttributeStore, slot: &mut Option<AttrId>, label: &str) -> Option<AttrId> {
-        if slot.is_none() {
-            *slot = store.find(label).map(|attr| attr.id());
-        }
-        *slot
-    }
-
     fn at_capacity(&self) -> bool {
         self.max_groups.is_some_and(|cap| self.len() >= cap)
     }
@@ -445,7 +415,7 @@ impl Aggregator {
 
     /// Start `map` over unless it holds this aggregator's codes.
     #[inline]
-    fn claim(&self, map: &mut CodeMap) {
+    pub(crate) fn claim(&self, map: &mut CodeMap) {
         if map.owner.as_ptr() != Arc::as_ptr(&self.id) {
             *map = CodeMap {
                 owner: Arc::downgrade(&self.id),
@@ -454,36 +424,9 @@ impl Aggregator {
         }
     }
 
-    /// The group of the key of one label whose value is the string
-    /// `from` calls `code`: [`translate`](Self::translate), then
-    /// [`admit`](Self::admit), until the key is admitted to a group of
-    /// its own, and one look-up in `map` after. (A key in the overflow
-    /// bucket is asked again each time, as a row would ask.)
-    #[inline]
-    pub(crate) fn admit_code(&mut self, map: &mut CodeMap, from: &StringTable, code: u32) -> u32 {
-        debug_assert_eq!(self.spec.key.len(), 1, "a key of one label");
-        self.claim(map);
-        match map.groups.get(code as usize) {
-            Some(&group) if group != NO_GROUP => group,
-            _ => self.admit_code_first(map, from, code),
-        }
-    }
-
-    /// [`admit_code`](Self::admit_code) of a code `map` holds no group
-    /// for.
-    #[cold]
-    fn admit_code_first(&mut self, map: &mut CodeMap, from: &StringTable, code: u32) -> u32 {
-        let group = match self.translate(map, from, code) {
-            Some(mine) => self.admit(&[KeyCell(Some(Cell::Str(mine)))]),
-            None => self.admit(&[]),
-        };
-        if Some(group) != self.overflow {
-            if map.groups.len() <= code as usize {
-                map.groups.resize(from.len(), NO_GROUP);
-            }
-            map.groups[code as usize] = group;
-        }
-        group
+    /// True for the overflow bucket's group.
+    pub(crate) fn is_overflow(&self, group: u32) -> bool {
+        self.overflow == Some(group)
     }
 
     /// The key of keyed group `group`.
@@ -568,206 +511,25 @@ impl Aggregator {
         self.ops[op].update_from(data, at, from, &mut self.strings);
     }
 
-    /// `record`'s grouping value for the `i`th key label, as a cell.
-    fn key_cell(&mut self, record: &FlatRecord, i: usize) -> Option<KeyCell> {
-        let attr = Self::resolve(&self.store, &mut self.key_attrs[i], &self.spec.key[i]);
-        self.cell_of(attr.into_iter().flat_map(|attr| record.all(attr)))
-    }
-
-    /// The grouping value of a key label's occurrences, in record
-    /// order, as a cell: absent for none, the value if there is one, the
-    /// `/`-joined path if the attribute is nested
-    /// ([`FlatRecord::path_string`], without building the value). `None`
-    /// where [`key_code`](Self::key_code) turns a string away.
-    fn cell_of<'v>(&mut self, mut values: impl Iterator<Item = &'v Value>) -> Option<KeyCell> {
-        let cell = match (values.next(), values.next()) {
-            (None, _) => return Some(KeyCell(None)),
-            (Some(Value::Str(text)), None) => Cell::Str(self.key_code(text)?),
-            (Some(number), None) => self.strings.cell(number),
-            (Some(first), Some(second)) => {
-                let mut path = std::mem::take(&mut self.path);
-                path.clear();
-                path.push_str(&first.to_text());
-                for value in std::iter::once(second).chain(values) {
-                    path.push('/');
-                    path.push_str(&value.to_text());
-                }
-                let code = self.key_code(&path);
-                self.path = path;
-                Cell::Str(code?)
-            }
-        };
-        Some(KeyCell(Some(cell)))
-    }
-
-    /// Process one input record (streaming update).
+    /// Process one input record (streaming update): as a block of one
+    /// row, its pairs the row's immediates in order, through the
+    /// [`BlockFold`] this aggregator keeps for records — the fold every
+    /// block takes.
     pub fn add(&mut self, record: &FlatRecord) {
-        let mut key = std::mem::take(&mut self.key);
-        key.clear();
-        key.extend((0..self.spec.key.len()).map_while(|i| self.key_cell(record, i)));
-        let group = self.admit(&key);
-        self.key = key;
-
-        // Fold the aggregation attributes into the group.
-        self.count_into(group);
-        for op in 0..self.spec.ops.len() {
-            let AggOp { kind, target, .. } = &self.spec.ops[op];
-            if *kind == OpKind::Count {
-                continue;
-            }
-            let label = target.as_deref().unwrap_or_default();
-            if let Some(attr) = Self::resolve(&self.store, &mut self.target_attrs[op], label) {
-                for value in record.all(attr) {
-                    self.feed(group, op, value);
-                }
-            }
-        }
-    }
-
-    /// Process one snapshot record whose node entries refer to `tree`:
-    /// exactly what [`add`](Self::add) of `rec.unpack(tree)` does, which
-    /// stays the definition, without building that row (§IV-B: the key
-    /// is node ids plus immediate values). The first sight of a node
-    /// walks its path once, under the tree's read lock, to the key cells
-    /// it contributes; after that a snapshot copies those cells, sets
-    /// the immediates' and feeds the ops from the immediates — no lock,
-    /// no string built, nothing allocated.
-    ///
-    /// Shapes whose row is not "the node's cells, then each immediate
-    /// once" take the row path: more than one node entry, a node `tree`
-    /// does not know, an op target on the path, a key label both on the
-    /// path and an immediate or twice an immediate, and a key string
-    /// turned away at the [group cap](Self::set_max_groups) — counted
-    /// by [`snapshot_fallbacks`](Self::snapshot_fallbacks).
-    pub fn add_snapshot(&mut self, rec: &SnapshotRecord, tree: &ContextTree) {
-        if !self.snapshot_key(rec, tree) {
-            self.snapshot_fallbacks += 1;
-            return self.add(&rec.unpack(tree));
-        }
-        let key = std::mem::take(&mut self.key);
-        let group = self.admit(&key);
-        self.key = key;
-
-        self.count_into(group);
-        for (attr, value) in immediates(rec) {
-            for op in 0..self.target_attrs.len() {
-                if self.target_attrs[op] == Some(attr) {
-                    self.feed(group, op, value);
-                }
-            }
-        }
-    }
-
-    /// `rec`'s key into `self.key`, or false for a shape the row path
-    /// takes ([`add_snapshot`](Self::add_snapshot)).
-    fn snapshot_key(&mut self, rec: &SnapshotRecord, tree: &ContextTree) -> bool {
-        for (slot, label) in self.key_attrs.iter_mut().zip(&self.spec.key) {
-            Self::resolve(&self.store, slot, label);
-        }
-        for (slot, op) in self.target_attrs.iter_mut().zip(&self.spec.ops) {
-            if op.kind != OpKind::Count {
-                Self::resolve(&self.store, slot, op.target.as_deref().unwrap_or_default());
-            }
-        }
-        let mut nodes = rec.entries().iter().filter_map(|entry| match entry {
-            Entry::Node(node) => Some(*node),
-            Entry::Imm(..) => None,
+        let mut rows = self.rows.take().unwrap_or_else(|| {
+            let fold = BlockFold::for_aggregation(&self.spec);
+            Box::new((fold, StringTable::default(), Block::default()))
         });
-        let (node, None) = (nodes.next(), nodes.next()) else {
-            return false;
-        };
-        self.key.clear();
-        match node {
-            None => self.key.resize(self.spec.key.len(), KeyCell(None)),
-            Some(node) if self.node_key(node, tree) => {}
-            Some(_) => return false,
+        let (fold, strings, block) = &mut *rows;
+        block.clear();
+        for (attr, value) in record.pairs() {
+            let cell = strings.cell(value);
+            let column = block.column_for(*attr, cell.value_type());
+            block.push_imm(column, cell);
         }
-
-        // Every immediate key label once, and only where the path has
-        // none — checked before a string is looked up, so the row path
-        // finds the table as it was.
-        for (i, (attr, _)) in immediates(rec).enumerate() {
-            for slot in 0..self.key.len() {
-                if self.key_attrs[slot] == Some(attr)
-                    && (self.key[slot].0.is_some()
-                        || immediates(rec).take(i).any(|(earlier, _)| earlier == attr))
-                {
-                    return false;
-                }
-            }
-        }
-        for (attr, value) in immediates(rec) {
-            for slot in 0..self.key.len() {
-                if self.key_attrs[slot] == Some(attr) {
-                    match self.cell_of(std::iter::once(value)) {
-                        Some(cell) => self.key[slot] = cell,
-                        None => return false,
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Append what `node`'s path contributes to a key to `self.key`,
-    /// working it out on the node's first sight. False where snapshots
-    /// at `node` take the row path.
-    fn node_key(&mut self, node: NodeId, tree: &ContextTree) -> bool {
-        if self.tree != Some(tree.id()) {
-            self.tree = Some(tree.id());
-            self.nodes.clear();
-            self.node_cells.clear();
-        }
-        let index = node as usize;
-        if !matches!(self.nodes.get(index), Some(Some(_))) {
-            let Some(cached) = self.path_key(node, tree) else {
-                return false;
-            };
-            if self.nodes.len() <= index {
-                self.nodes.resize_with(index + 1, || None);
-            }
-            self.nodes[index] = Some(cached);
-        }
-        match self.nodes[index] {
-            Some(NodeKey::Cells(start)) => {
-                let width = self.key_attrs.len();
-                self.key
-                    .extend_from_slice(&self.node_cells[start..start + width]);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// What `node`'s root-first path contributes to a key — the one
-    /// place the snapshot path takes the tree's lock. `None`, nothing to
-    /// remember, for a node the tree does not know and for a path whose
-    /// key string is turned away at capacity.
-    fn path_key(&mut self, node: NodeId, tree: &ContextTree) -> Option<NodeKey> {
-        let path = tree.path(node);
-        if path.is_empty() {
-            return None;
-        }
-        if path
-            .iter()
-            .any(|(attr, _)| self.target_attrs.contains(&Some(*attr)))
-        {
-            return Some(NodeKey::Rows);
-        }
-        let start = self.node_cells.len();
-        for slot in 0..self.key_attrs.len() {
-            let attr = self.key_attrs[slot];
-            let values = path
-                .iter()
-                .filter(|(a, _)| Some(*a) == attr)
-                .map(|(_, v)| v);
-            let Some(cell) = self.cell_of(values) else {
-                self.node_cells.truncate(start);
-                return None;
-            };
-            self.node_cells.push(cell);
-        }
-        Some(NodeKey::Cells(start))
+        assert!(block.end_row(), "a record of more than 2^32 values");
+        fold.fold(self, &NO_NODES, strings, block);
+        self.rows = Some(rows);
     }
 
     /// Merge another aggregator's database into this one (cross-process
@@ -1034,14 +796,6 @@ fn emit(attr: &Attribute, values: Values, strings: &mut StringTable, out: &mut C
     }
     let columns = columns.into_iter().filter(|(data, _)| !data.is_empty());
     out.extend(columns.map(|(data, rows)| (BlockColumn { attr: id, data }, rows.into_rows())));
-}
-
-/// A snapshot record's immediate entries, in entry order.
-fn immediates(rec: &SnapshotRecord) -> impl Iterator<Item = (AttrId, &Value)> {
-    rec.entries().iter().filter_map(|entry| match entry {
-        Entry::Imm(attr, value) => Some((*attr, value)),
-        Entry::Node(_) => None,
-    })
 }
 
 impl std::fmt::Debug for Aggregator {

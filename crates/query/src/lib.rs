@@ -23,10 +23,14 @@
 //! ```
 //!
 //! The same [`Aggregator`] engine serves all three aggregation
-//! applications from the paper: on-line event aggregation (the runtime's
-//! aggregate service feeds it snapshot records), cross-process
-//! aggregation (partial [`Pipeline`]s are merged up a reduction tree),
-//! and off-line analytical aggregation ([`run_query`] over a dataset).
+//! applications from the paper, and one fold, [`BlockFold`], is the
+//! way into it: on-line event aggregation (the runtime's aggregate
+//! service appends snapshot records to a block and folds it), off-line
+//! analytical aggregation ([`run_query`] over a dataset, a file's
+//! blocks, a daemon stream's batches — and [`Aggregator::add`] of one
+//! record, a block of one row), and cross-process aggregation (partial
+//! [`Pipeline`]s are merged up a reduction tree, [`Aggregator::merge`]
+//! the one other way a key is admitted).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,5 +64,5 @@ pub use parallel::{
 pub use parser::{parse_query, parse_query_spanned, ParseError, SpanMap};
 pub use pushdown::build_pushdown;
 pub use query::{run_query, Pipeline, QueryResult};
-pub use scan::{BlockFold, Scanned};
+pub use scan::{BlockFold, Scanned, MAX_STREAM_STRINGS};
 pub use sema::analyze;

@@ -158,7 +158,7 @@ pub struct Pipeline {
 }
 
 /// The tree of a record that refers to no node.
-static NO_NODES: LazyLock<ContextTree> = LazyLock::new(ContextTree::new);
+pub(crate) static NO_NODES: LazyLock<ContextTree> = LazyLock::new(ContextTree::new);
 
 impl Pipeline {
     /// Create a pipeline for a parsed query over records whose attribute

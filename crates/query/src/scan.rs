@@ -37,10 +37,12 @@
 //! [`BlockFold`] is that columnar fold, and the only evaluator of LET
 //! and WHERE there is: whoever holds [`Block`]s folds them through it —
 //! [`Pipeline::scan_file`] here, [`Pipeline::process_dataset`] for what
-//! a dataset holds (the runtime's output), [`Pipeline::process`] for one
-//! record, as a block of one row, and the resident daemon
-//! (`cali-served`), which folds every ingest batch and every replayed
-//! journal block into a stream's warm aggregate with it. A pipeline
+//! a dataset holds (the runtime's output), [`Pipeline::process`] and
+//! [`Aggregator::add`] for one record, as a block of one row, the
+//! runtime's aggregate service for the snapshots it appends to a block,
+//! and the resident daemon (`cali-served`), which folds every ingest
+//! batch and every replayed journal block into a stream's warm
+//! aggregate with it. A pipeline
 //! takes blocks through [`Pipeline::fold_block`], which `scan_file`
 //! calls per block of a file and the daemon's query per stream, on the
 //! block each stream's warm aggregate flushes
@@ -240,13 +242,24 @@ enum Sink<'a> {
 
 /// An attribute the query mentions, by label, with its id in the input
 /// store once the label resolves. Labels resolve at block boundaries
-/// and never change afterwards.
+/// and never change afterwards. `joined`: the label is a GROUP BY key
+/// and nothing else, so that a node path's occurrences of it are only
+/// ever `/`-joined into a key.
 struct Slot {
     label: String,
     attr: Option<AttrId>,
+    joined: bool,
 }
 
 const NO_SLOT: u32 = u32::MAX;
+
+/// Strings a stream's table may hold before it is started over, with a
+/// [`BlockFold::reset`] of the fold whose caches are keyed by its codes
+/// (between blocks, so a block can overshoot by what it carries) — a
+/// `cali-served` stream's and the runtime's aggregate service's. Only
+/// the table's codes are forgotten, never a group: the cost of a reset
+/// is the fold's code map and node cache refilled.
+pub const MAX_STREAM_STRINGS: usize = 1 << 16;
 
 /// The slot of `attr`, or [`NO_SLOT`].
 fn slot_of(slots: &[Slot], attr: AttrId) -> u32 {
@@ -255,12 +268,18 @@ fn slot_of(slots: &[Slot], attr: AttrId) -> u32 {
 }
 
 /// The occurrences of slotted attributes on one context-tree node's
-/// root-first path, as (slot, value), and whether a slot occurs more
-/// than once among them.
+/// root-first path, as (slot, value) — a `joined` slot's several as one
+/// `/`-joined string, the key the gather would join of them — and
+/// whether a slot occurs more than once among them.
 struct NodeCells {
-    cells: Box<[(u32, Cell)]>,
+    cells: Vec<(u32, Cell)>,
     repeats: bool,
 }
+
+/// What a node the tree does not know (or
+/// [`NODE_NONE`](caliper_data::NODE_NONE)) contributes to
+/// a row: nothing, as [`ContextTree::path`] finds nothing for it.
+static UNKNOWN_NODE: NodeCells = NodeCells { cells: Vec::new(), repeats: false };
 
 /// Where a slot's value is in the rows of a run, for a slot that occurs
 /// at most once per row (rows that have a slot more than once are
@@ -388,6 +407,7 @@ impl BlockFold {
                 slots.push(Slot {
                     label: label.to_string(),
                     attr: None,
+                    joined: false,
                 });
                 slots.len() - 1
             }) as u32
@@ -395,11 +415,11 @@ impl BlockFold {
         let lets: Vec<_> = lets
             .iter()
             .map(|def| {
-                let inputs = def.expr.inputs().into_iter().map(&mut slot).collect();
+                let inputs: Vec<u32> = def.expr.inputs().into_iter().map(&mut slot).collect();
                 (def.clone(), inputs, slot(&def.name))
             })
             .collect();
-        let filters = filters
+        let filters: Vec<(Filter, u32)> = filters
             .iter()
             .map(|filter| {
                 let label = match filter {
@@ -410,12 +430,18 @@ impl BlockFold {
             })
             .collect();
         let keys: Vec<u32> = key.iter().map(|label| slot(label)).collect();
-        let ops = ops
+        let ops: Vec<Option<u32>> = ops
             .iter()
             .map(|op| {
                 (op.kind != OpKind::Count).then(|| slot(op.target.as_deref().unwrap_or_default()))
             })
             .collect();
+        for &key in &keys {
+            let read = |s: &u32| *s == key;
+            slots[key as usize].joined = !ops.iter().flatten().any(read)
+                && !filters.iter().any(|(_, s)| read(s))
+                && !lets.iter().any(|(_, inputs, _)| inputs.iter().any(read));
+        }
         BlockFold {
             places: vec![Place::Absent; slots.len()],
             computed: slots.iter().map(|_| Vec::new()).collect(),
@@ -450,18 +476,18 @@ impl BlockFold {
     /// keeps into its group, updating its reduction states with each
     /// group's values in row order.
     ///
-    /// `ds` is the dataset the block was decoded into — its store is the
-    /// one `agg` resolves labels against — and `strings` the table the
-    /// block's string codes refer to.
+    /// `tree` holds the nodes the rows refer to, `agg` resolves labels
+    /// against the store their attributes are in, and `strings` is the
+    /// table the block's string codes refer to.
     pub fn fold(
         &mut self,
         agg: &mut Aggregator,
-        ds: &Dataset,
+        tree: &ContextTree,
         strings: &mut StringTable,
         block: &Block,
     ) {
         self.resolve(agg.store());
-        self.fold_into(Sink::Groups(agg), &ds.tree, strings, block);
+        self.fold_into(Sink::Groups(agg), tree, strings, block);
     }
 
     /// Resolve the labels not resolved yet against `store`.
@@ -767,14 +793,14 @@ impl BlockFold {
             let group = agg.admit(key);
             groups.resize(selected.len(), group);
         } else if let Some(column) = one_string(keys, places, block) {
-            let group = |&i: &u32| agg.admit_code(codes, strings, column[i as usize]);
+            let group = |&i: &u32| admit_code(agg, codes, strings, column[i as usize]);
             groups.extend(selected.iter().map(group));
         } else {
             for &i in selected.iter() {
                 let i = i as usize;
                 let group = match cell_at(keys[0], i) {
                     Some(Cell::Str(code)) if keys.len() == 1 => {
-                        agg.admit_code(codes, strings, code)
+                        admit_code(agg, codes, strings, code)
                     }
                     _ => {
                         fill_key(key, keys, agg, codes, strings, |slot| cell_at(slot, i));
@@ -971,6 +997,32 @@ impl BlockFold {
     }
 }
 
+/// The group of the key of one label whose value is the string
+/// `strings` calls `code`: [`Aggregator::translate`], then
+/// [`Aggregator::admit`], until the key is admitted to a group of its
+/// own, and one look-up in `codes` after. (A key in the overflow bucket
+/// is asked again each time, as a row would ask.)
+#[inline]
+fn admit_code(agg: &mut Aggregator, codes: &mut CodeMap, strings: &StringTable, code: u32) -> u32 {
+    match codes.group(agg, code) {
+        Some(group) => group,
+        None => admit_code_first(agg, codes, strings, code),
+    }
+}
+
+/// [`admit_code`] of a code `codes` holds no group for.
+#[cold]
+fn admit_code_first(agg: &mut Aggregator, codes: &mut CodeMap, strings: &StringTable, code: u32) -> u32 {
+    let group = match agg.translate(codes, strings, code) {
+        Some(mine) => agg.admit(&[KeyCell(Some(Cell::Str(mine)))]),
+        None => agg.admit(&[]),
+    };
+    if !agg.is_overflow(group) {
+        codes.remember(code, group, strings.len());
+    }
+    group
+}
+
 /// A key of one label whose rows take their values from a column of
 /// strings: that column's codes from the run's first row on.
 fn one_string<'b>(keys: &[u32], places: &[Place], block: &'b Block) -> Option<&'b [u32]> {
@@ -1039,7 +1091,8 @@ fn as_text(strings: &mut StringTable, cell: Cell) -> Cell {
 }
 
 /// The slotted occurrences on `node`'s root-first path, worked out on
-/// the node's first sight.
+/// the node's first sight — a node the tree does not know yet is asked
+/// again each time, since the tree may grow it.
 fn node_cells<'a>(
     nodes: &'a mut Vec<Option<NodeCells>>,
     node: NodeId,
@@ -1048,19 +1101,42 @@ fn node_cells<'a>(
     slots: &[Slot],
 ) -> &'a NodeCells {
     let index = node as usize;
+    if matches!(nodes.get(index), Some(Some(_))) {
+        return nodes[index].as_ref().expect("cached");
+    }
+    let path = tree.path(node);
+    if path.is_empty() {
+        return &UNKNOWN_NODE;
+    }
+    let mut cells: Vec<(u32, Cell)> = Vec::new();
+    for (i, (attr, value)) in path.iter().enumerate() {
+        let slot = slot_of(slots, *attr);
+        if slot == NO_SLOT {
+            continue;
+        }
+        if !slots[slot as usize].joined {
+            cells.push((slot, strings.cell(value)));
+        } else if !cells.iter().any(|&(s, _)| s == slot) {
+            // The first occurrence: all of them, joined as the gather
+            // joins them.
+            let mut later = path[i + 1..].iter().filter(|(a, _)| a == attr).map(|(_, v)| v);
+            let cell = match later.next() {
+                None => strings.cell(value),
+                Some(next) => {
+                    let mut text = value.to_text().into_owned();
+                    for value in std::iter::once(next).chain(later) {
+                        text.push('/');
+                        text.push_str(&value.to_text());
+                    }
+                    Cell::Str(strings.intern(&text))
+                }
+            };
+            cells.push((slot, cell));
+        }
+    }
+    let repeats = (1..cells.len()).any(|i| cells[..i].iter().any(|c| c.0 == cells[i].0));
     if nodes.len() <= index {
         nodes.resize_with(index + 1, || None);
     }
-    nodes[index].get_or_insert_with(|| {
-        let cells: Box<[(u32, Cell)]> = tree
-            .path(node)
-            .iter()
-            .filter_map(|(attr, value)| {
-                let slot = slot_of(slots, *attr);
-                (slot != NO_SLOT).then(|| (slot, strings.cell(value)))
-            })
-            .collect();
-        let repeats = (1..cells.len()).any(|i| cells[..i].iter().any(|c| c.0 == cells[i].0));
-        NodeCells { cells, repeats }
-    })
+    nodes[index].insert(NodeCells { cells, repeats })
 }

@@ -121,7 +121,7 @@ fn fold_counted(rows: usize) -> (u64, Aggregator) {
     let spec = AggregationSpec::from_query(&parse_query(QUERY).expect("query parses"));
     let (allocations, agg) = counted(|| {
         let mut agg = Aggregator::new(spec.clone(), Arc::clone(&ds.store));
-        BlockFold::for_aggregation(&spec).fold(&mut agg, &ds, &mut strings, &block);
+        BlockFold::for_aggregation(&spec).fold(&mut agg, &ds.tree, &mut strings, &block);
         agg
     });
     assert_eq!(agg.len(), rows, "every row a group of its own");
@@ -298,11 +298,11 @@ fn folding_into_existing_groups_allocates_nothing() {
         let mut agg = Aggregator::new(AggregationSpec::from_query(&spec), Arc::clone(&ds.store));
         let mut fold = BlockFold::new(&spec);
         // The warm-up block admits every group and grows the scratch.
-        fold.fold(&mut agg, &ds, &mut strings, &blocks[0]);
+        fold.fold(&mut agg, &ds.tree, &mut strings, &blocks[0]);
         let groups = agg.len();
         let (allocations, ()) = counted(|| {
             for block in &blocks[1..] {
-                fold.fold(&mut agg, &ds, &mut strings, block);
+                fold.fold(&mut agg, &ds.tree, &mut strings, block);
             }
         });
         assert_eq!(agg.len(), groups, "{query}: no new group");

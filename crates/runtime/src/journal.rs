@@ -39,8 +39,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once, Weak};
 
 use caliper_data::{Attribute, AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, Value, ValueType};
-use caliper_format::journal::{FlushPolicy, JournalCounters, JournalWriter, SEQ_ATTR};
-use caliper_format::{Dataset, ReadPolicy};
+use caliper_format::journal::{
+    recover_file_blocks, FlushPolicy, JournalCounters, JournalWriter, SEQ_ATTR,
+};
+use caliper_format::{CaliReader, Dataset, ReadPolicy};
 use parking_lot::Mutex;
 
 use crate::config::{Config, ConfigError};
@@ -170,9 +172,11 @@ impl JournalSink {
             .map_err(|e| std::io::Error::other(format!("cannot intern {SEQ_ATTR}: {e}")))?;
         let mut next_seq = 0;
         let writer = if cfg.append {
-            if let Ok((_, report)) =
-                caliper_format::journal::recover_file(&cfg.path, ReadPolicy::lenient())
-            {
+            // Only the sequence is wanted: the salvaged blocks are
+            // dropped as they come, never made into rows.
+            let (mut reader, policy) = (CaliReader::new(), ReadPolicy::lenient());
+            let drop_blocks = &mut |_: &mut _, _: &mut _, _: &mut _| {};
+            if let Ok(report) = recover_file_blocks(&mut reader, &cfg.path, policy, None, drop_blocks) {
                 next_seq = report.max_seq.map(|m| m + 1).unwrap_or(0);
             }
             JournalWriter::open_append(&cfg.path, cfg.policy)?

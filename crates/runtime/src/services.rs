@@ -22,7 +22,7 @@ use caliper_data::{
 };
 use caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS;
 use caliper_format::{Block, Dataset, StringTable};
-use caliper_query::{AggregationSpec, Aggregator};
+use caliper_query::{AggregationSpec, Aggregator, BlockFold, MAX_STREAM_STRINGS};
 
 use crate::clock::Clock;
 
@@ -70,7 +70,7 @@ pub trait Service: Send {
 
     /// Number of output records a flush would currently produce
     /// (Table I's "output records" column).
-    fn output_records(&self) -> usize {
+    fn output_records(&mut self, _ctx: &ProcCtx<'_>) -> usize {
         0
     }
 }
@@ -250,20 +250,36 @@ impl Service for TraceService {
         out.blocks.extend(blocks.map(|block| (Arc::clone(&strings), block)));
     }
 
-    fn output_records(&self) -> usize {
+    fn output_records(&mut self, _ctx: &ProcCtx<'_>) -> usize {
         self.len()
     }
 }
 
 /// The on-line aggregation service (§IV-B): streams snapshot records
 /// into a per-thread aggregation database, keyed by their context-tree
-/// node and immediates ([`Aggregator::add_snapshot`]) — no lock, string
-/// or allocation per snapshot once the nodes and groups have been seen.
+/// node and immediates — no lock, string or allocation per snapshot
+/// once the nodes and groups have been seen.
+///
+/// It is the trace buffer plus the fold every block takes: a snapshot
+/// becomes a row of a [`Block`] ([`Block::push_snapshot`]), and every
+/// 64 rows the block is folded into the database by the one
+/// [`BlockFold`] the service keeps, which works a node path out once and
+/// then reads it from its node cache. With a bounded database the block
+/// is folded after every snapshot, so that it spills where it fills up;
+/// and whatever is pending is folded by the flush (and before
+/// [`output_records`](Service::output_records) counts). The service
+/// serves one context tree, the runtime's.
 ///
 /// The service's count operator emits `aggregate.count`, which off-line
 /// queries re-aggregate with `sum(aggregate.count)` (§VI-B).
 pub struct AggregateService {
     aggregator: Aggregator,
+    /// The snapshots not folded yet, strings as codes of `strings`, and
+    /// the fold that takes them. The table starts over, and the fold's
+    /// caches with it, once it holds more than [`MAX_STREAM_STRINGS`].
+    block: Block,
+    strings: StringTable,
+    fold: BlockFold,
     store: Arc<AttributeStore>,
     /// Maximum number of entries in the in-memory database before the
     /// database is spilled (0 = unbounded). On-line aggregation runs
@@ -277,6 +293,11 @@ pub struct AggregateService {
     /// Number of spill events (diagnostics).
     spills: u64,
 }
+
+/// Snapshots an unbounded [`AggregateService`] appends to its block
+/// before it folds them: few enough that the fold's scratch, sized by
+/// the first blocks, never grows again.
+const FOLD_ROWS: usize = 64;
 
 impl AggregateService {
     /// Label of the on-line count result attribute.
@@ -296,7 +317,10 @@ impl AggregateService {
     ) -> AggregateService {
         let spec = spec.with_count_label(Self::COUNT_ATTR);
         AggregateService {
+            fold: BlockFold::for_aggregation(&spec),
             aggregator: Aggregator::new(spec, Arc::clone(&store)),
+            block: Block::default(),
+            strings: StringTable::default(),
             store,
             max_entries,
             spilled: Vec::new(),
@@ -304,7 +328,8 @@ impl AggregateService {
         }
     }
 
-    /// Entries currently in the aggregation database.
+    /// Entries currently in the aggregation database (the snapshots not
+    /// folded yet aside).
     pub fn len(&self) -> usize {
         self.aggregator.len()
     }
@@ -312,6 +337,19 @@ impl AggregateService {
     /// True if the aggregation database has no entries.
     pub fn is_empty(&self) -> bool {
         self.aggregator.is_empty()
+    }
+
+    /// Fold the pending snapshots, whose nodes are in `tree`.
+    fn fold_pending(&mut self, tree: &ContextTree) {
+        if self.block.rows() == 0 {
+            return;
+        }
+        self.fold.fold(&mut self.aggregator, tree, &mut self.strings, &self.block);
+        self.block.clear();
+        if self.strings.len() > MAX_STREAM_STRINGS {
+            self.strings = StringTable::default();
+            self.fold.reset();
+        }
     }
 
     /// Number of times the database overflowed and spilled.
@@ -345,21 +383,27 @@ impl Service for AggregateService {
     }
 
     fn consume(&mut self, ctx: &ProcCtx<'_>, rec: &SnapshotRecord) {
-        self.aggregator.add_snapshot(rec, ctx.tree);
+        let pushed = self.block.push_snapshot(&mut self.strings, rec);
+        assert!(pushed, "a snapshot of more than 2^32 entries");
+        if self.max_entries > 0 || self.block.rows() == FOLD_ROWS {
+            self.fold_pending(ctx.tree);
+        }
         if self.max_entries > 0 && self.aggregator.len() >= self.max_entries {
             self.spill();
         }
     }
 
-    fn flush(&mut self, _ctx: &ProcCtx<'_>, out: &mut Dataset) {
+    fn flush(&mut self, ctx: &ProcCtx<'_>, out: &mut Dataset) {
         // Flush the aggregation database: reconstruct key attributes and
         // append the reduction results (paper §IV-B). Result attributes
         // are interned in the output dataset's store.
+        self.fold_pending(ctx.tree);
         out.blocks.append(&mut self.spilled);
         out.blocks.push(flushed(&self.aggregator, &out.store));
     }
 
-    fn output_records(&self) -> usize {
+    fn output_records(&mut self, ctx: &ProcCtx<'_>) -> usize {
+        self.fold_pending(ctx.tree);
         let spilled: usize = self.spilled.iter().map(|(_, block)| block.rows()).sum();
         spilled + self.aggregator.len()
     }
@@ -570,7 +614,7 @@ mod tests {
             trace.consume(&c, &rec);
             traced.push(rec);
         }
-        assert_eq!(trace.output_records(), total);
+        assert_eq!(trace.output_records(&c), total);
 
         let mut out = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
         trace.flush(&c, &mut out);
@@ -664,7 +708,7 @@ mod tests {
             rec.push_imm(kernel.id(), Value::str(name));
             service.consume(&c, &rec);
         }
-        assert_eq!(service.output_records(), 2);
+        assert_eq!(service.output_records(&c), 2);
 
         let mut out = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
         service.flush(&c, &mut out);

@@ -189,24 +189,21 @@ impl ThreadScope {
         self.channels.iter().map(|c| c.snapshot_count).sum()
     }
 
-    /// Sum of the services' current output record counts, over channels.
-    pub fn output_records(&self) -> usize {
+    /// Sum of the services' current output record counts, over channels
+    /// (an aggregate service folds what it holds first).
+    pub fn output_records(&mut self) -> usize {
+        let ctx = proc_ctx(&self.caliper, Trigger::User);
         self.channels
-            .iter()
-            .flat_map(|c| c.services.iter())
-            .map(|s| s.output_records())
+            .iter_mut()
+            .flat_map(|c| c.services.iter_mut())
+            .map(|s| s.output_records(&ctx))
             .sum()
     }
 
     fn run_snapshot(&mut self, channel_idx: usize, trigger: Trigger) {
         let rec = &mut self.record;
         self.blackboard.snapshot_into(rec);
-        let ctx = ProcCtx {
-            store: self.caliper.store(),
-            tree: self.caliper.tree(),
-            clock: self.caliper.clock(),
-            trigger,
-        };
+        let ctx = proc_ctx(&self.caliper, trigger);
         let channel = &mut self.channels[channel_idx];
         for service in &mut channel.services {
             service.augment(&ctx, rec);
@@ -319,12 +316,7 @@ impl ThreadScope {
             return;
         }
         self.flushed = true;
-        let ctx = ProcCtx {
-            store: self.caliper.store(),
-            tree: self.caliper.tree(),
-            clock: self.caliper.clock(),
-            trigger: Trigger::User,
-        };
+        let ctx = proc_ctx(&self.caliper, Trigger::User);
         for channel in &mut self.channels {
             let mut out = Dataset::with_context(
                 Arc::clone(self.caliper.store()),
@@ -335,6 +327,16 @@ impl ThreadScope {
             }
             channel.channel.collect(out, channel.snapshot_count);
         }
+    }
+}
+
+/// The context `caliper`'s services are called in, for `trigger`.
+fn proc_ctx(caliper: &Caliper, trigger: Trigger) -> ProcCtx<'_> {
+    ProcCtx {
+        store: caliper.store(),
+        tree: caliper.tree(),
+        clock: caliper.clock(),
+        trigger,
     }
 }
 

@@ -3,18 +3,18 @@
 //! begin/end/set sequences, snapshot processing must be lossless, and
 //! the trace buffer's blocks must hold what copies of the snapshots
 //! hold. The on-line aggregate is held to the reference evaluator in the
-//! root package's `tests/every_path.rs`; the snapshot shapes it hands to
-//! the row path are built by hand below.
+//! root package's `tests/every_path.rs`, generated snapshots and shapes
+//! built by hand alike.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use caliper_data::{
-    Attribute, AttributeStore, ContextTree, Entry, FlatRecord, Properties, SnapshotRecord, Value,
-    ValueType, NODE_NONE,
+    Attribute, AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, Value,
+    ValueType,
 };
 use caliper_format::{cali, to_binary_v2, Dataset};
-use caliper_query::{parse_query, run_query, AggregationSpec, Aggregator};
+use caliper_query::run_query;
 use caliper_runtime::{Blackboard, Clock, ProcCtx, Service, TraceService, Trigger};
 use proptest::prelude::*;
 
@@ -322,14 +322,6 @@ fn play_over(
     }
 }
 
-/// An aggregator's flushed rows, result attributes interned in `out`.
-fn flushed(agg: &Aggregator, out: &AttributeStore) -> Vec<String> {
-    agg.flush(out)
-        .iter()
-        .map(|row| described(&row, out))
-        .collect()
-}
-
 /// A row as `label=value,…`, and its floats by their bits, which the
 /// text rounds.
 fn described(row: &FlatRecord, store: &AttributeStore) -> String {
@@ -342,157 +334,4 @@ fn described(row: &FlatRecord, store: &AttributeStore) -> String {
         })
         .collect();
     format!("{} {bits:x?}", row.describe(store))
-}
-
-/// Each shape the snapshot path hands to the row path, built by hand,
-/// takes it, and a plain snapshot does not; either way the flush is the
-/// row path's.
-#[test]
-fn fallback_shapes_take_the_row_path() {
-    let store = Arc::new(AttributeStore::new());
-    let tree = ContextTree::new();
-    let create = |label, vtype, properties| store.create(label, vtype, properties).unwrap().id();
-    let n = create("n.str", ValueType::Str, Properties::NESTED);
-    let tag = create("n.tag", ValueType::Str, Properties::NESTED);
-    let v = create("v.str", ValueType::Str, Properties::AS_VALUE);
-    let f = create("v.float", ValueType::Float, Properties::AS_VALUE);
-    let main = tree.get_child(NODE_NONE, n, &Value::str("main"));
-    let foo = tree.get_child(main, n, &Value::str("foo"));
-    let tagged = tree.get_child(foo, tag, &Value::str("t"));
-    let text = |attr, s: &str| Entry::Imm(attr, Value::str(s));
-    let time = Entry::Imm(f, Value::Float(1.5));
-
-    // (shape, key, ops, group cap, records, snapshots the row path takes)
-    let cases = [
-        (
-            "plain",
-            "n.str,v.str,n.tag",
-            "count,sum(v.float)",
-            None,
-            vec![
-                vec![Entry::Node(foo), text(v, "a"), time.clone()],
-                vec![Entry::Node(tagged), time.clone()],
-                vec![text(v, "b")],
-                vec![],
-            ],
-            0,
-        ),
-        (
-            "two node entries",
-            "n.str",
-            "count,sum(v.float)",
-            None,
-            vec![vec![Entry::Node(main), Entry::Node(tagged), time.clone()]],
-            1,
-        ),
-        (
-            "a key on the path and an immediate",
-            "n.str",
-            "count",
-            None,
-            vec![vec![Entry::Node(foo), text(n, "x")], vec![Entry::Node(foo)]],
-            1,
-        ),
-        (
-            "a key twice an immediate",
-            "v.str",
-            "count",
-            None,
-            vec![vec![text(v, "a"), text(v, "b")], vec![text(v, "a")]],
-            1,
-        ),
-        (
-            "an op target on the path",
-            "v.str",
-            "count,max(n.tag)",
-            None,
-            vec![
-                vec![Entry::Node(tagged), text(v, "a")],
-                vec![Entry::Node(foo)],
-            ],
-            1,
-        ),
-        (
-            "a node the tree does not know",
-            "n.str",
-            "count",
-            None,
-            vec![vec![Entry::Node(99)], vec![Entry::Node(NODE_NONE)]],
-            2,
-        ),
-        (
-            "key strings turned away at capacity",
-            "n.str,v.str",
-            "count",
-            Some(1),
-            vec![
-                vec![text(v, "a")],
-                vec![Entry::Node(foo), text(v, "a")],
-                vec![text(v, "b")],
-                vec![text(v, "a")],
-            ],
-            2,
-        ),
-        (
-            "at capacity, a key of no new string",
-            "v.str,n.tag",
-            "count",
-            Some(1),
-            vec![
-                vec![text(v, "a")],
-                vec![Entry::Node(foo)],
-                vec![text(v, "a"), time.clone()],
-            ],
-            0,
-        ),
-    ];
-    for (name, key, ops, cap, records, fallbacks) in cases {
-        let spec = AggregationSpec::from_query(
-            &parse_query(&format!("AGGREGATE {ops} GROUP BY {key}")).unwrap(),
-        );
-        let mut snapshots = Aggregator::new(spec.clone(), Arc::clone(&store));
-        let mut rows = Aggregator::new(spec, Arc::clone(&store));
-        snapshots.set_max_groups(cap);
-        rows.set_max_groups(cap);
-        for entries in records {
-            let rec = SnapshotRecord::from_entries(entries);
-            snapshots.add_snapshot(&rec, &tree);
-            rows.add(&rec.unpack(&tree));
-        }
-        assert_eq!(snapshots.snapshot_fallbacks(), fallbacks, "{name}");
-        assert_eq!(
-            flushed(&snapshots, &AttributeStore::new()),
-            flushed(&rows, &AttributeStore::new()),
-            "{name}"
-        );
-    }
-}
-
-/// A snapshot's node is cached per tree: another tree with the same ids
-/// — here, one after another, likely at one address — starts the cache
-/// over.
-#[test]
-fn another_tree_starts_the_node_cache_over() {
-    let store = Arc::new(AttributeStore::new());
-    let n = store
-        .create("n.str", ValueType::Str, Properties::NESTED)
-        .unwrap()
-        .id();
-    let spec = AggregationSpec::from_query(&parse_query("AGGREGATE count GROUP BY n.str").unwrap());
-    let mut snapshots = Aggregator::new(spec.clone(), Arc::clone(&store));
-    let mut rows = Aggregator::new(spec, Arc::clone(&store));
-    for name in ["main", "other"] {
-        let tree = ContextTree::new();
-        let node = tree.get_child(NODE_NONE, n, &Value::str(name));
-        let rec = SnapshotRecord::from_entries(vec![Entry::Node(node)]);
-        snapshots.add_snapshot(&rec, &tree);
-        rows.add(&rec.unpack(&tree));
-    }
-    assert_eq!(snapshots.snapshot_fallbacks(), 0);
-    let out = AttributeStore::new();
-    assert_eq!(
-        flushed(&snapshots, &out),
-        ["n.str=main,count=1 []", "n.str=other,count=1 []"]
-    );
-    assert_eq!(flushed(&snapshots, &out), flushed(&rows, &out));
 }

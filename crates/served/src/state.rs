@@ -60,15 +60,11 @@ use caliper_format::journal::{recover_file_blocks, RecoveryReport};
 use caliper_format::{
     Block, CaliReader, Cell, Dataset, FlushPolicy, JournalWriter, ReadPolicy, StringTable, SEQ_ATTR,
 };
-use caliper_query::{AggregationSpec, Aggregator, BlockFold, ParseError, Pipeline, QueryResult};
+use caliper_query::{
+    AggregationSpec, Aggregator, BlockFold, ParseError, Pipeline, QueryResult, MAX_STREAM_STRINGS,
+};
 
 use crate::config::ServedConfig;
-
-/// Strings a stream's table may hold before it is started over (between
-/// batches, so a batch can overshoot by what it carries). Only the
-/// table's codes are forgotten, never a group: the cost of a reset is
-/// the fold's code map and node cache refilled.
-pub(crate) const MAX_STREAM_STRINGS: usize = 1 << 16;
 
 /// Acknowledgement data for one accepted batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +148,7 @@ impl StreamState {
                 &path,
                 ReadPolicy::lenient(),
                 Some(&deadline),
-                &mut |ds, strings, block| fold.fold(&mut aggregator, ds, strings, block),
+                &mut |ds, strings, block| fold.fold(&mut aggregator, &ds.tree, strings, block),
             )
             .map_err(|e| format!("replaying journal {}: {e}", path.display()))?;
             Some(report)
@@ -285,7 +281,7 @@ impl StreamState {
                 self.name
             ));
         }
-        self.fold.fold(&mut self.aggregator, ds, strings, block);
+        self.fold.fold(&mut self.aggregator, &ds.tree, strings, block);
         let records = block.rows() as u64;
         self.next_seq += records;
         Ok(BatchAck {

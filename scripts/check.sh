@@ -96,8 +96,8 @@ if printf '%s\n' "$served_src" | grep -F 'crates/served/src/state.rs:' \
     exit 1
 fi
 # Nor does the runtime's snapshot path: a snapshot is taken into the
-# record the thread scope reuses and folded from its node and its
-# immediates (`add_snapshot`, DESIGN.md §1), so outside the tests
+# record the thread scope reuses, appended to a block and folded from
+# its node and its immediates by `BlockFold` (DESIGN.md §1), so outside the tests
 # crates/runtime unpacks no record, builds no row, feeds the aggregate
 # none and takes no snapshot of a fresh record. (The journal's
 # `append_globals` writes the dataset's global metadata, which are rows
@@ -182,6 +182,26 @@ fi
 # from the query alone — it takes the parser's AST and no engine code.
 if grep -rnE 'Aggregator|BlockFold|Pipeline|Reducer|run_query|parallel_query|LetSet|FilterSet' tests/oracle; then
     echo "check.sh: the reference evaluator uses engine code (listed above)" >&2
+    exit 1
+fi
+
+# One-way-in gate: the runtime's snapshots reach the group table the
+# way every block does, through `BlockFold` (DESIGN.md §1, §10). The
+# snapshot evaluator and its node cache stay deleted, and only the fold
+# (crates/query/src/scan.rs) and `Aggregator::merge` admit a key.
+if grep -rnE 'add_snapshot|snapshot_fallbacks|NodeKey|node_key|path_key' crates/*/src; then
+    echo "check.sh: a second way into the group table is back (listed above)" >&2
+    exit 1
+fi
+merge_src=$(awk '/^    pub fn merge\(&mut self, other: Aggregator\)/ { on = 1 }
+    on { print "crates/query/src/aggregator.rs:" FNR ": " $0 }
+    on && /^    }$/ { exit }' crates/query/src/aggregator.rs)
+merge_admits=$(printf '%s\n' "$merge_src" | grep -F '.admit(' | cut -d: -f1,2)
+other_admits=$(grep -rn --include='*.rs' -F '.admit(' crates src tests examples \
+    | grep -v '^crates/query/src/scan.rs:' | cut -d: -f1,2)
+if [ -z "$merge_admits" ] || [ "$other_admits" != "$merge_admits" ]; then
+    printf '%s\n' "$other_admits" >&2
+    echo "check.sh: Aggregator::admit is called outside scan.rs and Aggregator::merge (all calls outside scan.rs listed above)" >&2
     exit 1
 fi
 

@@ -639,7 +639,7 @@ fn one_fold_may_feed_several_aggregators() {
     let mut fold = BlockFold::for_aggregation(&spec);
     let mut block_no = 0;
     scan_path(&file, dict, ReadPolicy::Strict, None, &mut |ds, strings, block| {
-        fold.fold(&mut aggregators[block_no % 3], ds, strings, block);
+        fold.fold(&mut aggregators[block_no % 3], &ds.tree, strings, block);
         let records = block.records(strings).map(|record| record.unpack(&ds.tree));
         dealt[block_no % 3].extend(rows_of(&ds.store, records));
         block_no += 1;

@@ -13,7 +13,8 @@
 //!   `mpisim::ReduceTask` of the same topology;
 //! * the runtime's `AggregateService` with a spill capacity — one stream,
 //!   flushed and started over whenever it holds that many groups — a
-//!   capped `add_snapshot`, and a re-aggregation of what was flushed;
+//!   capped `BlockFold` of the snapshots' block, and a re-aggregation of
+//!   what was flushed;
 //! * `cali-served`'s `StreamState`, a stream per file, queried through
 //!   `WarmQuery`, reopened from its journal and queried again.
 //!
@@ -28,6 +29,13 @@
 //! the served streams' warm answers through `WarmQuery`. Their rows must
 //! be the oracle's kept rows in stream order.
 //!
+//! Snapshot shapes built by hand — node-less, on a node the tree does
+//! not know, a nested key label that is also an op target, a WHERE or
+//! LET input or an immediate, key strings turned away at the group cap
+//! — go through the runtime's `AggregateService`, unbounded and
+//! spilling, and a capped `BlockFold` (or, with a WHERE or LET, a
+//! `Pipeline`), each held to the oracle's fold of the unpacked records.
+//!
 //! `columnar` holds the block fold's own cases to the oracle: runs of
 //! 1–64 rows, nested paths, an attribute in two type columns and blocks
 //! built by hand.
@@ -40,15 +48,16 @@ use std::sync::{Arc, Mutex};
 
 use cali_cli::{local_pipeline, parallel_query};
 use caliper_data::{
-    AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, Value, ValueType,
+    AttributeStore, ContextTree, Entry, FlatRecord, Properties, SnapshotRecord, Value, ValueType,
     NODE_NONE,
 };
 use caliper_format::{
-    binary, cali, to_binary_v2_with, Dataset, Pushdown, ReadPolicy, V2WriteOptions,
+    binary, cali, to_binary_v2_with, Block, Dataset, Pushdown, ReadPolicy, StringTable,
+    V2WriteOptions,
 };
 use caliper_query::{
     build_pushdown, parallel_query_files, parse_query, run_query, AggregationSpec, Aggregator,
-    LetExpr, ParallelOptions, Pipeline, QuerySpec,
+    BlockFold, LetExpr, ParallelOptions, Pipeline, QuerySpec,
 };
 use caliper_runtime::{AggregateService, Clock, ProcCtx, Service, Trigger};
 use caliper_served::state::{StreamState, WarmQuery};
@@ -383,8 +392,9 @@ fn every_path(
     let online_spec = AggregationSpec::from_query(&query);
     let mut service =
         AggregateService::with_capacity(online_spec.clone(), Arc::clone(&store), capacity);
-    let mut capped = Aggregator::new(online_spec, Arc::clone(&store));
+    let mut capped = Aggregator::new(online_spec.clone(), Arc::clone(&store));
     capped.set_max_groups(cap);
+    let (mut strings, mut block) = (StringTable::default(), Block::default());
     // The oracle's view of the store: what the rows declared so far, and
     // the results each spill declared.
     let mut schema = Schema::new();
@@ -393,7 +403,7 @@ fn every_path(
     for (i, record) in all.iter().enumerate() {
         fill(&mut snapshots, files[0].v, &all[i..=i]);
         service.consume(&ctx, &snapshots.records[i]);
-        capped.add_snapshot(&snapshots.records[i], &tree);
+        assert!(block.push_snapshot(&mut strings, &snapshots.records[i]));
         for (label, _) in record {
             schema.entry(label.clone()).or_insert_with(|| label_type(label, files[0].v));
         }
@@ -404,6 +414,7 @@ fn every_path(
             partial = fresh();
         }
     }
+    BlockFold::for_aggregation(&online_spec).fold(&mut capped, &tree, &mut strings, &block);
     let mut flushed = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
     service.flush(&ctx, &mut flushed);
     check(
@@ -415,7 +426,7 @@ fn every_path(
     let want_capped = folded(&online, "count", cap, &all);
     let want_rows =
         want_capped.finish(&declarations(&online, &all, files[0].v), &mut Schema::new());
-    check("add_snapshot capped", &rows_of(&out, capped.flush(&out).iter()), &want_rows)?;
+    check("BlockFold capped", &rows_of(&out, capped.flush(&out).iter()), &want_rows)?;
     prop_assert_eq!(capped.overflow_records(), want_capped.overflow_records());
     prop_assert_eq!(capped.records_processed(), all.len() as u64);
     let requery = format!(
@@ -478,6 +489,207 @@ fn every_path(
     drop(streams);
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
+}
+
+/// The runtime's snapshot shapes, built by hand (see the module docs):
+/// each through an `AggregateService` that never spills and ones that
+/// spill at 1 and 2 groups, and through a `BlockFold` of the snapshots'
+/// block into an aggregator capped at the shape's cap — or, for a query
+/// with a WHERE or LET, through a capped `Pipeline` — against the
+/// oracle's fold of the unpacked records.
+#[test]
+fn every_snapshot_shape_folds_what_the_oracle_folds() {
+    let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
+    let declared = [
+        ("n.str", ValueType::Str, Properties::NESTED),
+        ("n.tag", ValueType::Str, Properties::NESTED),
+        ("n.num", ValueType::Int, Properties::NESTED),
+        ("v.str", ValueType::Str, Properties::AS_VALUE),
+        ("v.float", ValueType::Float, Properties::AS_VALUE),
+    ];
+    let inputs: Schema = declared.iter().map(|&(label, t, _)| (label.to_string(), t)).collect();
+    let input = |label: &str| inputs.get(label).copied();
+    // A store and tree per shape, so that a shape's flushes declare their
+    // results in a store of their own; the ids come out alike each time.
+    let setup = || {
+        let (store, tree) = (Arc::new(AttributeStore::new()), Arc::new(ContextTree::new()));
+        let id = |&(label, vtype, properties)| store.create(label, vtype, properties).unwrap().id();
+        let [n, tag, num, v, f] = declared.each_ref().map(id);
+        let main = tree.get_child(NODE_NONE, n, &Value::str("main"));
+        let foo = tree.get_child(main, n, &Value::str("foo"));
+        let tagged = tree.get_child(foo, tag, &Value::str("t"));
+        let three = tree.get_child(tagged, num, &Value::Int(3));
+        let counted = tree.get_child(three, num, &Value::Int(4));
+        (store, tree, [n, tag, num, v, f], [main, foo, tagged, three, counted])
+    };
+    let (_, _, [n, _, _, v, f], [main, foo, tagged, three, counted]) = setup();
+    let node = Entry::Node;
+    let text = |attr, s: &str| Entry::Imm(attr, Value::str(s));
+    let time = || Entry::Imm(f, Value::Float(1.5));
+
+    // (shape, query, group cap, records)
+    let shapes = [
+        (
+            "node-less and plain",
+            "AGGREGATE count, sum(v.float) GROUP BY n.str, v.str, n.tag",
+            None,
+            vec![vec![node(foo), text(v, "a"), time()], vec![node(tagged), time()], vec![text(v, "b")], vec![]],
+        ),
+        (
+            "two node entries",
+            "AGGREGATE count, sum(v.float) GROUP BY n.str",
+            None,
+            vec![vec![node(main), node(tagged), time()], vec![node(foo)]],
+        ),
+        (
+            "a key label on the path and an immediate",
+            "AGGREGATE count GROUP BY n.str",
+            None,
+            vec![vec![node(foo), text(n, "x")], vec![node(foo)], vec![node(main), text(n, "x")]],
+        ),
+        (
+            "a key label twice an immediate",
+            "AGGREGATE count GROUP BY v.str",
+            None,
+            vec![vec![text(v, "a"), text(v, "b")], vec![text(v, "a")]],
+        ),
+        (
+            "an op target on the path",
+            "AGGREGATE count, max(n.tag) GROUP BY v.str",
+            None,
+            vec![vec![node(tagged), text(v, "a")], vec![node(foo)]],
+        ),
+        (
+            "a node the tree does not know",
+            "AGGREGATE count GROUP BY n.str",
+            None,
+            vec![vec![node(99)], vec![node(NODE_NONE)], vec![node(foo)]],
+        ),
+        (
+            "key strings turned away at the cap",
+            "AGGREGATE count GROUP BY n.str, v.str",
+            Some(1),
+            vec![vec![text(v, "a")], vec![node(foo), text(v, "a")], vec![text(v, "b")], vec![text(v, "a")]],
+        ),
+        (
+            "at the cap, a key of no new string",
+            "AGGREGATE count GROUP BY v.str, n.tag",
+            Some(1),
+            vec![vec![text(v, "a")], vec![node(foo)], vec![text(v, "a"), time()]],
+        ),
+        (
+            "a nested key label that is also a sum target",
+            "AGGREGATE count, sum(n.num) GROUP BY n.num, n.str",
+            None,
+            vec![vec![node(counted)], vec![node(counted), time()], vec![node(three)], vec![node(tagged)]],
+        ),
+        (
+            "a nested key label that a WHERE compares",
+            "AGGREGATE count, sum(v.float) WHERE n.str = foo GROUP BY n.str",
+            Some(2),
+            vec![vec![node(foo), time()], vec![node(main), time()], vec![node(counted)], vec![text(v, "a")]],
+        ),
+        (
+            "a nested key label that a LET reads",
+            "LET L = first(n.str) AGGREGATE count GROUP BY n.str, L",
+            None,
+            vec![vec![node(foo)], vec![node(tagged), time()], vec![node(main)]],
+        ),
+        (
+            "a nested key label that also arrives as an immediate",
+            "AGGREGATE count, sum(v.float) GROUP BY n.str, v.str",
+            None,
+            vec![
+                vec![node(foo), text(n, "x"), text(v, "a")],
+                vec![node(foo), text(v, "a")],
+                vec![node(counted), text(n, "y"), time()],
+                vec![node(foo), text(n, "x"), text(v, "a")],
+            ],
+        ),
+    ];
+    let clock = Clock::virtual_clock();
+    for (shape, text, cap, entries) in shapes {
+        let query = parse_query(text).unwrap();
+        let (store, tree, ..) = setup();
+        let records: Vec<SnapshotRecord> =
+            entries.into_iter().map(SnapshotRecord::from_entries).collect();
+        let rows = rows_of(&store, records.iter().map(|record| record.unpack(&tree)));
+        let want = folded(&query, "count", cap, &rows);
+
+        if !query.filters.is_empty() || !query.lets.is_empty() {
+            let mut ds = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
+            records.into_iter().for_each(|record| ds.push(record));
+            let mut pipeline = Pipeline::new(query.clone(), Arc::clone(&store)).with_max_groups(cap);
+            pipeline.process_dataset(&ds);
+            let result = pipeline.finish();
+            // The LETs here are `first()`s: strings.
+            let lets = |label: &str| query.lets.iter().any(|def| def.name == label);
+            let declared = |label: &str| if lets(label) { Some(ValueType::Str) } else { input(label) };
+            let want_rows = want.finish(&declared, &mut Schema::new());
+            let got = rows_of(&result.store, result.records.iter());
+            check(&format!("{shape}: Pipeline"), &got, &want_rows).unwrap();
+            assert_eq!(result.overflow_records, want.overflow_records(), "{shape}");
+            continue;
+        }
+
+        // The service: spilled blocks and the last one, in the store the
+        // snapshots' attributes are in.
+        let spec = AggregationSpec::from_query(&query);
+        let ctx = ProcCtx { store: &store, tree: &tree, clock: &clock, trigger: Trigger::User };
+        let mut schema = inputs.clone();
+        for capacity in [0, 1, 2] {
+            let mut service =
+                AggregateService::with_capacity(spec.clone(), Arc::clone(&store), capacity);
+            let fresh = || Oracle::new(&query, AggregateService::COUNT_ATTR, None);
+            let (mut want, mut partial) = (Vec::new(), fresh());
+            for (i, (record, row)) in records.iter().zip(&rows).enumerate() {
+                service.consume(&ctx, record);
+                partial.fold(row);
+                if capacity > 0 && partial.len() >= capacity || i + 1 == rows.len() {
+                    let declared = schema.clone();
+                    want.extend(partial.finish(&|l| declared.get(l).copied(), &mut schema));
+                    partial = fresh();
+                }
+            }
+            let mut flushed = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
+            service.flush(&ctx, &mut flushed);
+            let path = format!("{shape}: AggregateService capacity {capacity}");
+            check(&path, &rows_of(&store, flushed.flat_records()), &want).unwrap();
+        }
+
+        // The snapshots' block folded into a capped aggregator.
+        let mut capped = Aggregator::new(spec.clone(), Arc::clone(&store));
+        capped.set_max_groups(cap);
+        let (mut strings, mut block) = (StringTable::default(), Block::default());
+        records.iter().for_each(|record| assert!(block.push_snapshot(&mut strings, record)));
+        BlockFold::for_aggregation(&spec).fold(&mut capped, &tree, &mut strings, &block);
+        let out = AttributeStore::new();
+        let want_rows = want.finish(&input, &mut Schema::new());
+        let path = format!("{shape}: BlockFold cap {cap:?}");
+        check(&path, &rows_of(&out, capped.flush(&out).iter()), &want_rows).unwrap();
+        assert_eq!(capped.overflow_records(), want.overflow_records(), "{shape}");
+    }
+
+    // A fold's node cache answers for one tree: another tree with the
+    // same node ids — here, one after another — starts it over.
+    let (store, ..) = setup();
+    let query = parse_query("AGGREGATE count GROUP BY n.str").unwrap();
+    let spec = AggregationSpec::from_query(&query);
+    let mut agg = Aggregator::new(spec.clone(), Arc::clone(&store));
+    let (mut fold, mut strings) = (BlockFold::for_aggregation(&spec), StringTable::default());
+    let mut rows = Vec::new();
+    for name in ["main", "other"] {
+        let tree = ContextTree::new();
+        let record = SnapshotRecord::from_entries(vec![node(tree.get_child(NODE_NONE, n, &Value::str(name)))]);
+        let mut block = Block::default();
+        assert!(block.push_snapshot(&mut strings, &record));
+        fold.fold(&mut agg, &tree, &mut strings, &block);
+        rows.extend(rows_of(&store, [record.unpack(&tree)]));
+    }
+    let out = AttributeStore::new();
+    let want = folded(&query, "count", None, &rows).finish(&input, &mut Schema::new());
+    assert_eq!(want.len(), 2);
+    check("another tree", &rows_of(&out, agg.flush(&out).iter()), &want).unwrap();
 }
 
 /// Pass-through queries over the served streams' warm answers: rows of
