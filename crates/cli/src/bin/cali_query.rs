@@ -30,7 +30,9 @@ Options:
                       files taken off a shared counter — never more
                       workers than files (default: available
                       parallelism; 1 = one worker, the same path;
-                      output is identical for every N)
+                      output is identical for every N). Aggregations
+                      only: a pass-through SELECT reads its files in
+                      order through one pipeline, whatever N is
   --lenient           skip corrupt records instead of aborting; a per-file
                       summary of skipped work is printed on stderr
                       (opening a missing file is still an error)
@@ -41,7 +43,8 @@ Options:
   --max-groups N      cap the aggregation database at N groups; once at
                       capacity, records with new keys fold into a single
                       \"__overflow__\" bucket (memory stays bounded, totals
-                      stay exact, output stays identical for every --threads)
+                      stay exact, output stays identical for every --threads;
+                      a usage error with a pass-through query)
   --check[=json]      validate the query against the inputs' attribute
                       schema and exit without aggregating (the inputs
                       are read for what they declare, their snapshots
@@ -60,8 +63,11 @@ Options:
                       file whose read exhausts the transient-error
                       retries, report the dropped shard on stderr, and
                       exit 2; output stays identical for every --threads
-  --timings           report a timing breakdown on stderr, one line per
-                      worker the run had (for every --threads N)
+                      (aggregations only: a usage error with a
+                      pass-through query)
+  --timings           report an aggregation's timing breakdown on stderr,
+                      one line per worker the run had (for every
+                      --threads N)
   --stats[=FORMAT]    report pipeline self-instrumentation metrics on
                       stderr after the query: sorted name=value lines
                       (or one JSON object with --stats=json). The block
@@ -354,6 +360,13 @@ fn main() -> ExitCode {
         // calling thread. Either way WHERE is pushed down to the blocks,
         // by the query alone.
         let spanned = parse_query_spanned(query).ok();
+        if spanned.as_ref().is_some_and(|(spec, _)| !spec.is_aggregation()) {
+            let refused = [("--degrade", degrade), ("--max-groups", max_groups.is_some())];
+            if let Some((flag, _)) = refused.iter().find(|(_, given)| *given) {
+                eprintln!("cali-query: {flag} applies to aggregations, not to a pass-through query\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
+        }
         let run = match &spanned {
             Some((spec, _)) if !spec.is_aggregation() => {
                 local_pipeline(spec, &args.positional, policy, &build_pushdown(spec, None))

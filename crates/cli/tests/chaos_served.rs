@@ -22,7 +22,12 @@
 //!   time, with the `draining` reply read in full before the exit;
 //! * a worker wedged past `served.shutdown.deadline.ms` ends the drain
 //!   at the deadline, and a batch no worker is left to process ends it
-//!   at once: exit 2, `drained=false` on stderr.
+//!   at once: exit 2, `drained=false` on stderr;
+//! * hostile names and lying requests never panic it: an 8 KB stream
+//!   name or one that escapes the data directory is refused and creates
+//!   no journal, an 8 KB `stream=` is a 404, and a request whose
+//!   `Content-Length` is huge, short or long is answered and closed
+//!   within the 10 s request budget — and the daemon serves on.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -569,4 +574,101 @@ fn drain_does_not_wait_for_a_verdict_no_worker_is_left_to_give() {
     );
     assert!(!matches!(sender.join().unwrap(), Ok(Reply::Ok(_))));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Write `request` whole to `addr`, then read until the daemon closes
+/// the connection: what it answered, and how long that took.
+fn exchange(addr: SocketAddr, request: &[u8]) -> (String, Duration) {
+    let started = Instant::now();
+    let mut conn = TcpStream::connect_timeout(&addr, Duration::from_secs(10)).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(15))).unwrap();
+    conn.set_write_timeout(Some(Duration::from_secs(15))).unwrap();
+    conn.write_all(request).unwrap();
+    let mut raw = Vec::new();
+    conn.read_to_end(&mut raw).expect("the daemon answers and closes");
+    (String::from_utf8_lossy(&raw).into_owned(), started.elapsed())
+}
+
+#[test]
+fn hostile_names_and_lying_requests_never_panic() {
+    let dir = tmpdir("hostile");
+    let daemon = Daemon::start(&dir, &["--workers", "1"]);
+    let data = dir.join("data");
+    let journals = || {
+        let mut names: Vec<_> = walk(&dir).into_iter().filter(|p| !p.ends_with("ports.txt")).collect();
+        names.sort();
+        names
+    };
+    let before = journals();
+
+    // HELLO: a name of 8 KB — the longest line the protocol reads, and
+    // one byte over — or one that leaves the data directory.
+    let long = "n".repeat(8 * 1024);
+    let hostile = [
+        long[..8 * 1024 - "HELLO ".len()].to_string(),
+        long.clone(),
+        "../escape".to_string(),
+        "../../escape".to_string(),
+        "a/b".to_string(),
+        "/tmp/abs".to_string(),
+        ".hidden".to_string(),
+        "..".to_string(),
+        "a\\b".to_string(),
+    ];
+    for name in &hostile {
+        let (reply, _) = exchange(daemon.ingest, format!("HELLO {name}\n").as_bytes());
+        let what = &name[..name.len().min(16)];
+        assert!(reply.starts_with("ERR "), "HELLO {what}…: {}", &reply[..reply.len().min(80)]);
+        assert_eq!(reply.matches('\n').count(), 1, "HELLO {what}…: one reply, then closed");
+    }
+    assert_eq!(journals(), before, "a refused HELLO created a file");
+    assert!(!dir.join("escape.journal.cali").exists() && !data.join("a").exists());
+
+    // A query over an 8 KB stream name names no stream.
+    let (status, body) = daemon.http_req("GET", &format!("/query?q=SELECT+*&stream={}", &long[..8000])).unwrap();
+    assert_eq!(status, 404, "{}", &body[..body.len().min(80)]);
+
+    // Content-Length: huge, past u64, longer than the body sent,
+    // shorter than it — with and without a body, GET and POST.
+    for (method, path, want) in [("GET", "/healthz", 200), ("POST", "/stats", 405)] {
+        for (length, body) in [
+            ("18446744073709551615", ""),
+            ("99999999999999999999999", "x"),
+            ("1048576", "only a little"),
+            ("3", "rather more than three bytes"),
+            ("-1", "negative"),
+            ("ten", ""),
+        ] {
+            let request = format!("{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n{body}");
+            let (reply, took) = exchange(daemon.http, request.as_bytes());
+            let ctx = format!("{method} {path} Content-Length: {length}");
+            assert!(reply.starts_with(&format!("HTTP/1.1 {want} ")), "{ctx}: {reply}");
+            assert!(took < Duration::from_secs(10), "{ctx}: closed after {took:?}");
+        }
+    }
+
+    // Still serving: ingest and query as ever.
+    assert_eq!(daemon.http_req("GET", "/readyz").unwrap().0, 200);
+    let mut client = daemon.client("rank0");
+    assert!(client.send_batch(&batch_payload(0, 4)).unwrap().is_ok());
+    let _ = client.quit();
+    let (status, body) = daemon.query();
+    assert_eq!(status, 200);
+    assert!(body.contains("rank0"), "{body}");
+    daemon.shutdown(0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file under `dir`, recursively.
+fn walk(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(walk(&path));
+        } else {
+            out.push(path);
+        }
+    }
+    out
 }

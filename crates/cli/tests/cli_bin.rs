@@ -294,6 +294,51 @@ fn cali_query_threads_output_is_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A pass-through query reads its files in order through one pipeline:
+/// `--threads` changes nothing, and the aggregation-only flags are
+/// refused by name rather than ignored.
+#[test]
+fn pass_through_queries_refuse_aggregation_flags() {
+    let (dir, paths) = write_inputs("passthrough-flags", 3);
+    let query = "SELECT kernel, mpi.rank WHERE iteration > 0 FORMAT csv";
+    let run = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_cali-query"))
+            .args(["-q", query])
+            .args(extra)
+            .args(&paths)
+            .output()
+            .expect("run cali-query")
+    };
+    let plain = run(&[]);
+    assert!(plain.status.success(), "{}", String::from_utf8_lossy(&plain.stderr));
+    assert!(plain.stdout.len() > 100);
+    for threads in ["1", "4"] {
+        let out = run(&["--threads", threads]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.stdout, plain.stdout, "--threads {threads}");
+    }
+    for (extra, flag) in [(&["--degrade"][..], "--degrade"), (&["--max-groups", "2"][..], "--max-groups")] {
+        let out = run(extra);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag}");
+        assert!(
+            stderr.starts_with(&format!(
+                "cali-query: {flag} applies to aggregations, not to a pass-through query\nusage: cali-query"
+            )),
+            "{stderr}"
+        );
+    }
+    // The same flags still serve an aggregation.
+    let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
+        .args(["-q", "AGGREGATE count GROUP BY kernel", "--degrade", "--max-groups", "2"])
+        .args(&paths)
+        .output()
+        .expect("run cali-query");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cali_query_threads_reports_timings_and_bad_values() {
     let (dir, paths) = write_inputs("threads-timings", 2);

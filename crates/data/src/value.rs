@@ -227,7 +227,8 @@ impl Value {
     }
 
     /// True if this value is "truthy": non-empty string, nonzero number,
-    /// `true`. Used by `WHERE attribute` existence filters.
+    /// `true`. Used to coerce a value to a `bool` attribute (a `WHERE
+    /// attribute` condition tests presence, not truth).
     pub fn is_truthy(&self) -> bool {
         match self {
             Value::Str(s) => !s.is_empty(),

@@ -1417,7 +1417,7 @@ pub fn read_footer(bytes: &[u8]) -> Option<Vec<BlockInfo>> {
 mod tests {
     use super::*;
     use crate::binary::{from_binary, from_binary_with, read_binary_into_filtered, to_binary};
-    use crate::pushdown::{Predicate, PushdownOp};
+    use crate::pushdown::{CmpOp, Filter};
     use caliper_data::{Properties, SnapshotRecord, NODE_NONE};
 
     fn sample() -> Dataset {
@@ -1511,9 +1511,9 @@ mod tests {
         let bytes = to_binary_v2_with(&ds, &small_blocks());
         let mut pd = Pushdown::new();
         // iteration >= 40: only the last two 8-record blocks qualify.
-        pd.push(Predicate::Cmp {
+        pd.push(Filter::Cmp {
             attr: "iteration".into(),
-            op: PushdownOp::Ge,
+            op: CmpOp::Ge,
             value: Value::Int(40),
         });
         let mut report = ReadReport::default();
@@ -1549,7 +1549,7 @@ mod tests {
         let ds = sample();
         let bytes = to_binary_v2_with(&ds, &small_blocks());
         let mut pd = Pushdown::new();
-        pd.push(Predicate::Exists("no.such.attr".into()));
+        pd.push(Filter::Exists("no.such.attr".into()));
         let mut report = ReadReport::default();
         let got = read_binary_into_filtered(
             &bytes,

@@ -12,6 +12,10 @@
 //!   an order of their own, and [`table`], [`csv`], [`json`],
 //!   [`expand`], [`flamegraph`] — the formatters that render it a row
 //!   at a time from its columns, mirroring `cali-query`'s formatters.
+//! * [`pushdown`] — the CalQL `WHERE` clause, decided in one place: its
+//!   conditions ([`Filter`], [`CmpOp`]), the row test the query engine
+//!   runs on every row ([`Filter::row_passes`]), and the block test the
+//!   CALB v2 reader skips undecoded blocks by ([`Pushdown::may_match`]).
 //!
 //! ```
 //! use caliper_format::{cali, Dataset};
@@ -55,7 +59,7 @@ pub use binary_v2::{
     ColumnData, StringTable, V2WriteOptions,
 };
 pub use cali::{CaliError, CaliReader, CaliWriter};
-pub use pushdown::{AttrStats, Predicate, Pushdown, PushdownOp, ZoneStat};
+pub use pushdown::{cmp_types_compatible, AttrStats, CmpOp, Filter, Pushdown, ZoneStat};
 pub use dataset::Dataset;
 pub use schema::{AttrSchema, Schema};
 pub use journal::{FlushPolicy, JournalCounters, JournalWriter, RecoveryReport, SEQ_ATTR};

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_faults::{corrupt_bytes, CorruptMode};
 use caliper_format::{
-    binary, cali, read_footer, scan_path, to_binary_v2_with, Dataset, Predicate, Pushdown, PushdownOp,
+    binary, cali, read_footer, scan_path, to_binary_v2_with, CmpOp, Dataset, Filter, Pushdown,
     ReadPolicy, V2WriteOptions,
 };
 
@@ -63,10 +63,10 @@ fn sample() -> Dataset {
 /// Pushdowns that skip some of the blocks of the sample and none.
 fn pushdowns() -> Vec<Option<Pushdown>> {
     let mut late = Pushdown::new();
-    late.push(Predicate::Cmp { attr: "iteration".into(), op: PushdownOp::Ge, value: Value::Int(150) });
+    late.push(Filter::Cmp { attr: "iteration".into(), op: CmpOp::Ge, value: Value::Int(150) });
     let mut kernel = Pushdown::new();
-    kernel.push(Predicate::Exists("kernel".into()));
-    kernel.push(Predicate::Cmp { attr: "kernel".into(), op: PushdownOp::Eq, value: Value::str("advec") });
+    kernel.push(Filter::Exists("kernel".into()));
+    kernel.push(Filter::Cmp { attr: "kernel".into(), op: CmpOp::Eq, value: Value::str("advec") });
     vec![None, Some(late), Some(kernel)]
 }
 

@@ -4,7 +4,7 @@
 //! the escaping layer must roundtrip arbitrary strings.
 
 use caliper_data::{Entry, FlatRecord, Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
-use caliper_format::pushdown::{Predicate, Pushdown, PushdownOp};
+use caliper_format::pushdown::{CmpOp, Filter, Pushdown};
 use caliper_format::{
     cali, escape, CaliReader, Dataset, FlushPolicy, JournalWriter, ReadPolicy, ReadReport,
     V2WriteOptions, SEQ_ATTR,
@@ -85,30 +85,51 @@ fn record_multiset(ds: &Dataset) -> Vec<String> {
     out
 }
 
-/// Runtime semantics of one pushed-down comparison (mirrors the query's
-/// WHERE: presence required; `!=` means *every* occurrence
-/// differs, the other operators mean *some* occurrence satisfies).
-fn record_matches(ds: &Dataset, rec: &caliper_data::FlatRecord, pred: &Predicate) -> bool {
-    let (name, op, literal) = match pred {
-        Predicate::Cmp { attr, op, value } => (attr, op, value),
-        _ => unreachable!("only Cmp predicates are generated here"),
-    };
-    let Some(attr) = ds.store.find(name) else {
-        return false;
-    };
-    let mut occurrences = rec.all(attr.id()).peekable();
-    if occurrences.peek().is_none() {
-        return false;
+/// Values for the zone-map soundness property: a few of each class, so
+/// that a block's bounds often equal the literal, and integers about 2⁵³,
+/// where different values compare equal as the `f64`s `total_cmp` reads.
+fn arb_zone_value() -> impl Strategy<Value = Value> {
+    const BIG: i64 = 1 << 53;
+    prop_oneof![
+        "[a-d]{0,2}".prop_map(Value::str),
+        (-2i64..3).prop_map(Value::Int),
+        (BIG - 1..BIG + 2).prop_map(Value::Int),
+        (0u64..3).prop_map(Value::UInt),
+        (-2i32..3).prop_map(|i| Value::Float(f64::from(i) / 2.0)),
+        any::<bool>().prop_map(Value::Bool),
+    ]
+}
+
+/// Every WHERE condition on `attr`: `exists`, `not()`, and each
+/// comparison against each of `literals`.
+fn every_filter(attr: &str, literals: &[Value]) -> Vec<Filter> {
+    const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    let mut filters = vec![Filter::Exists(attr.into()), Filter::NotExists(attr.into())];
+    for op in OPS {
+        filters.extend(literals.iter().map(|value| Filter::Cmp {
+            attr: attr.into(),
+            op,
+            value: value.clone(),
+        }));
     }
-    use std::cmp::Ordering;
-    match op {
-        PushdownOp::Eq => occurrences.any(|v| v == literal),
-        PushdownOp::Ne => occurrences.all(|v| v != literal),
-        PushdownOp::Lt => occurrences.any(|v| v.total_cmp(literal) == Ordering::Less),
-        PushdownOp::Gt => occurrences.any(|v| v.total_cmp(literal) == Ordering::Greater),
-        PushdownOp::Le => occurrences.any(|v| v.total_cmp(literal) != Ordering::Greater),
-        PushdownOp::Ge => occurrences.any(|v| v.total_cmp(literal) != Ordering::Less),
-    }
+    filters
+}
+
+/// The descriptions of the records of `ds` that pass `filter` by the
+/// query engine's own row test, sorted.
+fn passing_records(ds: &Dataset, filter: &Filter) -> Vec<String> {
+    let attr = ds.store.find(filter.label());
+    let mut out: Vec<String> = ds
+        .flat_records()
+        .filter(|rec| {
+            let occurrences: Vec<&Value> =
+                attr.iter().flat_map(|attr| rec.all(attr.id())).collect();
+            filter.row_passes(occurrences.into_iter()).0
+        })
+        .map(|rec| rec.describe(&ds.store))
+        .collect();
+    out.sort();
+    out
 }
 
 proptest! {
@@ -189,82 +210,72 @@ proptest! {
     }
 
     /// Zone-map soundness: a pushdown-filtered decode may drop whole
-    /// blocks, but every record the predicate actually matches must
-    /// survive — a skipped block can never contain a matching record.
+    /// blocks, but a skipped block never holds a record the fold's own
+    /// row test (`Filter::row_passes`) passes. Every condition shape is
+    /// tried — `exists`, `not()` and each comparison — on each typed
+    /// immediate, each nested attribute on the node path (often several
+    /// occurrences per record) and an undeclared name, against every
+    /// value the attribute takes (so a block's bounds meet the literal)
+    /// and a literal of any type.
     #[test]
     fn zone_map_skips_never_drop_a_matching_record(
         labels in prop::collection::vec(arb_label(), 2..4),
         records in prop::collection::vec(
             (
-                prop::collection::vec((0usize..4, "[a-d]{0,3}"), 0..4),
-                prop::collection::vec((0usize..4, arb_roundtrip_value()), 0..4),
+                prop::collection::vec((0usize..4, "[a-d]{0,2}"), 0..5),
+                prop::collection::vec((0usize..4, arb_zone_value()), 0..4),
             ),
             0..40,
         ),
         block_records in 1usize..8,
-        attr_idx in 0usize..4,
-        op_idx in 0usize..6,
-        raw_literal in arb_roundtrip_value(),
+        raw_literal in arb_zone_value(),
     ) {
         let ds = build_dataset(&labels, &records);
-        // Compare against one of the immediate attributes, with the
-        // literal coerced to its declared type (the typed-comparison
-        // case sema admits for pushdown).
-        let literal = match attr_idx {
-            0 => Value::str(raw_literal.to_string()),
-            1 => Value::Int(raw_literal.to_i64().unwrap_or(0)),
-            2 => Value::UInt(raw_literal.to_u64().unwrap_or(0)),
-            _ => Value::Float(raw_literal.to_f64().unwrap_or(0.0)),
-        };
-        let op = [
-            PushdownOp::Eq,
-            PushdownOp::Ne,
-            PushdownOp::Lt,
-            PushdownOp::Le,
-            PushdownOp::Gt,
-            PushdownOp::Ge,
-        ][op_idx];
-        let pred = Predicate::Cmp {
-            attr: format!("imm.{attr_idx}"),
-            op,
-            value: literal,
-        };
-        let mut pd = Pushdown::new();
-        pd.push(pred.clone());
-
         let v2 = caliper_format::to_binary_v2_with(
             &ds,
             &V2WriteOptions { block_records, footer: true },
         );
-        let mut report = ReadReport::default();
-        let filtered = caliper_format::binary::read_binary_into_filtered(
-            &v2,
-            Dataset::new(),
-            ReadPolicy::Strict,
-            &mut report,
-            Some(&pd),
-        )
-        .unwrap();
-        prop_assert_eq!(report.blocks, ds.len().div_ceil(block_records) as u64);
-
-        let mut matching: Vec<String> = ds
-            .flat_records()
-            .filter(|r| record_matches(&ds, r, &pred))
-            .map(|r| r.describe(&ds.store))
-            .collect();
-        matching.sort();
-        let mut kept_matching: Vec<String> = filtered
-            .flat_records()
-            .filter(|r| record_matches(&filtered, r, &pred))
-            .map(|r| r.describe(&filtered.store))
-            .collect();
-        kept_matching.sort();
-        // Every matching record survives (same multiset on both sides)…
-        prop_assert_eq!(&matching, &kept_matching);
-        // …and whatever else survives came from the original stream.
         let full = record_multiset(&ds);
-        for rec in record_multiset(&filtered) {
-            prop_assert!(full.binary_search(&rec).is_ok());
+        let mut names: Vec<String> = (0..4).map(|i| format!("imm.{i}")).collect();
+        names.extend(labels.iter().enumerate().map(|(i, l)| format!("n.{i}.{l}")));
+        names.push("no.such.attr".into());
+        for name in &names {
+            let mut literals = vec![raw_literal.clone()];
+            if let Some(attr) = ds.store.find(name) {
+                for rec in ds.flat_records() {
+                    for value in rec.all(attr.id()) {
+                        if !literals.contains(value) {
+                            literals.push(value.clone());
+                        }
+                    }
+                }
+            }
+            for filter in every_filter(name, &literals) {
+                let mut pd = Pushdown::new();
+                pd.push(filter.clone());
+                let mut report = ReadReport::default();
+                let filtered = caliper_format::binary::read_binary_into_filtered(
+                    &v2,
+                    Dataset::new(),
+                    ReadPolicy::Strict,
+                    &mut report,
+                    Some(&pd),
+                )
+                .unwrap();
+                prop_assert_eq!(report.blocks, ds.len().div_ceil(block_records) as u64);
+                // Every passing record survives (same multiset on both
+                // sides)…
+                prop_assert_eq!(
+                    passing_records(&ds, &filter),
+                    passing_records(&filtered, &filter),
+                    "{:?}",
+                    filter
+                );
+                // …and whatever else survives came from the original stream.
+                for rec in record_multiset(&filtered) {
+                    prop_assert!(full.binary_search(&rec).is_ok());
+                }
+            }
         }
     }
 

@@ -16,8 +16,13 @@
 //! paper; `SELECT`, `ORDER BY`, `LET` and `FORMAT` are the natural
 //! extensions the Caliper query tool grew (and that the paper's related
 //! work discussion attributes to Cube's derived-metric language).
+//!
+//! A WHERE condition ([`Filter`], [`CmpOp`]) is defined beside the
+//! zone-map pushdown in `caliper_format::pushdown`, which decides both
+//! whether a row passes it and whether a block can be skipped.
 
 use caliper_data::Value;
+pub use caliper_format::pushdown::{CmpOp, Filter};
 
 /// Reduction operator kinds.
 ///
@@ -137,71 +142,6 @@ impl AggOp {
             (kind, None) => kind.name().to_string(),
         }
     }
-}
-
-/// Comparison operators of WHERE conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `=`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl CmpOp {
-    /// Evaluate `lhs op rhs` using the data model's total order (numeric
-    /// comparison for numbers, lexical for strings).
-    pub fn eval(self, lhs: &Value, rhs: &Value) -> bool {
-        use std::cmp::Ordering::*;
-        match self {
-            CmpOp::Eq => lhs == rhs,
-            CmpOp::Ne => lhs != rhs,
-            CmpOp::Lt => lhs.total_cmp(rhs) == Less,
-            CmpOp::Le => lhs.total_cmp(rhs) != Greater,
-            CmpOp::Gt => lhs.total_cmp(rhs) == Greater,
-            CmpOp::Ge => lhs.total_cmp(rhs) != Less,
-        }
-    }
-
-    /// The operator as written in queries.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-}
-
-/// One WHERE condition. Conditions in a clause are AND-combined.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Filter {
-    /// `WHERE attr` — the record carries the attribute (with a truthy
-    /// path value).
-    Exists(String),
-    /// `WHERE not(attr)` — the record does not carry the attribute.
-    NotExists(String),
-    /// `WHERE attr <op> literal` — any occurrence satisfies the
-    /// comparison (for `!=`: no occurrence equals the literal).
-    Cmp {
-        /// Attribute label.
-        attr: String,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Literal to compare against.
-        value: Value,
-    },
 }
 
 /// Derived-attribute definition: `LET name = func(args...)`.
@@ -387,15 +327,6 @@ mod tests {
         }
         assert_eq!(OpKind::from_name("SUM"), Some(OpKind::Sum));
         assert_eq!(OpKind::from_name("bogus"), None);
-    }
-
-    #[test]
-    fn cmp_ops_evaluate() {
-        assert!(CmpOp::Eq.eval(&Value::Int(3), &Value::Int(3)));
-        assert!(CmpOp::Ne.eval(&Value::Int(3), &Value::Int(4)));
-        assert!(CmpOp::Lt.eval(&Value::Int(3), &Value::Float(3.5)));
-        assert!(CmpOp::Ge.eval(&Value::str("b"), &Value::str("a")));
-        assert!(CmpOp::Le.eval(&Value::UInt(2), &Value::Int(2)));
     }
 
     #[test]

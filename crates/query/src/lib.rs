@@ -31,6 +31,12 @@
 //! record, a block of one row), and cross-process aggregation (partial
 //! [`Pipeline`]s are merged up a reduction tree, [`Aggregator::merge`]
 //! the one other way a key is admitted).
+//!
+//! A `WHERE` condition ([`Filter`], [`CmpOp`]) is the format layer's
+//! type (`caliper_format::pushdown`, re-exported here): one module
+//! decides whether a row passes it, which the fold asks, and whether a
+//! CALB v2 block may be skipped, which the reader asks
+//! ([`build_pushdown`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +45,6 @@ pub mod aggregator;
 pub mod diag;
 pub mod display;
 pub mod ast;
-pub mod filter;
 pub mod lets;
 pub mod lexer;
 pub mod ops;
@@ -51,6 +56,7 @@ pub mod scan;
 pub mod sema;
 
 pub use aggregator::{AggregationSpec, Aggregator, OVERFLOW_KEY};
+pub use caliper_format::pushdown::cmp_types_compatible;
 pub use ast::{
     AggOp, CmpOp, Filter, FormatOpt, LetDef, LetExpr, OpKind, OutputFormat, QuerySpec, SortDir,
     SortKey,

@@ -240,25 +240,17 @@ impl Pipeline {
         self.fold_blocks(ds);
     }
 
-    /// Merge another pipeline's partial result into this one. Both
-    /// pipelines must run the same query. Aggregations merge their
-    /// databases by key *value*, so the other pipeline may have read its
-    /// input over a store of its own — every file of `cali-query` and
-    /// every rank of `mpi-caliquery` does. Pass-through queries
-    /// concatenate their rows, whose attribute ids refer to the input
-    /// store: merge those only over a shared one.
+    /// Merge another aggregation pipeline's partial result into this
+    /// one. Both pipelines must run the same aggregation. They merge
+    /// their databases by key *value*, so the other pipeline may have
+    /// read its input over a store of its own — every file of
+    /// `cali-query` and every rank of `mpi-caliquery` does. Pass-through
+    /// queries are not merged: their drivers scan the files in order
+    /// through one pipeline.
     pub fn merge(&mut self, other: Pipeline) {
         match (&mut self.aggregator, other.aggregator) {
             (Some(mine), Some(theirs)) => mine.merge(*theirs),
-            (None, None) => {
-                let (block, strings) = &mut self.passthrough;
-                let (theirs, their_strings) = other.passthrough;
-                for record in BlockRows::new(theirs, their_strings).iter() {
-                    let pushed = block.push_snapshot(strings, &SnapshotRecord::from(&record));
-                    assert!(pushed, "a result of more than 2^32 values");
-                }
-            }
-            _ => debug_assert!(false, "merging aggregation with pass-through pipeline"),
+            _ => debug_assert!(false, "merging a pass-through pipeline"),
         }
     }
 

@@ -70,7 +70,6 @@ use caliper_format::{
 
 use crate::aggregator::{AggregationSpec, Aggregator, CodeMap, KeyCell};
 use crate::ast::{AggOp, Filter, LetDef, LetExpr, OpKind, QuerySpec};
-use crate::filter::cmp_occurrences;
 use crate::lets::LetResult;
 use crate::query::Pipeline;
 
@@ -317,10 +316,11 @@ enum Place {
 /// then LET and WHERE are decided once for the run where the places
 /// settle them (`first()` takes its first present input's place,
 /// `exists` looks at the place) and row by row otherwise, through
-/// [`LetExpr::eval`](crate::LetExpr) and `filter::cmp_occurrences`,
-/// which leaves the rows the run keeps. An aggregation finds their
-/// groups in row order — as the aggregator admits them, so `max_groups`
-/// decides as record by record — and then every op takes its values
+/// [`LetExpr::eval`](crate::LetExpr) and the one row test of WHERE,
+/// [`Filter::row_passes`] (the gather calls it too), which leaves the
+/// rows the run keeps. An aggregation finds their groups in row order —
+/// as the aggregator admits them, so `max_groups` decides as record by
+/// record — and then every op takes its values
 /// from its column in one loop over those rows: each group sees its
 /// values in row order, and float sums come out bit for bit as record
 /// by record. Rows that carry an attribute the query mentions more than
@@ -421,13 +421,7 @@ impl BlockFold {
             .collect();
         let filters: Vec<(Filter, u32)> = filters
             .iter()
-            .map(|filter| {
-                let label = match filter {
-                    Filter::Exists(label) | Filter::NotExists(label) => label,
-                    Filter::Cmp { attr, .. } => attr,
-                };
-                (filter.clone(), slot(label))
-            })
+            .map(|filter| (filter.clone(), slot(filter.label())))
             .collect();
         let keys: Vec<u32> = key.iter().map(|label| slot(label)).collect();
         let ops: Vec<Option<u32>> = ops
@@ -730,33 +724,30 @@ impl BlockFold {
         selected.extend(0..len as u32);
         for (filter, slot) in filters.iter() {
             let (place, values) = (places[*slot as usize], &computed[*slot as usize]);
-            match (filter, place) {
-                (Filter::Exists(_), Place::Computed) => {
-                    selected.retain(|&i| values[i as usize].is_some())
+            let test = |i: usize| {
+                let cell = value_at(place, values, block, i);
+                filter.row_passes(cell.into_iter().map(|cell| strings.get(cell)))
+            };
+            // Decided once where the place settles it: in no row, the
+            // same value in every row, or a column only a presence test
+            // reads.
+            let once = match place {
+                Place::Absent | Place::Const(_) => true,
+                Place::Column(..) => !matches!(filter, Filter::Cmp { .. }),
+                Place::Computed => false,
+            };
+            if once {
+                let (matched, mismatched) = test(0);
+                *type_mismatches += mismatched * selected.len() as u64;
+                if !matched {
+                    selected.clear();
                 }
-                (Filter::NotExists(_), Place::Computed) => {
-                    selected.retain(|&i| values[i as usize].is_none())
-                }
-                (Filter::Exists(_) | Filter::Cmp { .. }, Place::Absent)
-                | (Filter::NotExists(_), Place::Const(_) | Place::Column(..)) => selected.clear(),
-                (Filter::Exists(_) | Filter::NotExists(_), _) => {}
-                (Filter::Cmp { op, value, .. }, Place::Const(cell)) => {
-                    let occurrence = std::iter::once(strings.get(cell));
-                    let (matched, mismatched) = cmp_occurrences(*op, value, occurrence);
-                    *type_mismatches += mismatched * selected.len() as u64;
-                    if !matched {
-                        selected.clear();
-                    }
-                }
-                (Filter::Cmp { op, value, .. }, _) => selected.retain(|&i| {
-                    let Some(cell) = value_at(place, values, block, i as usize) else {
-                        return false;
-                    };
-                    let occurrence = std::iter::once(strings.get(cell));
-                    let (matched, mismatched) = cmp_occurrences(*op, value, occurrence);
+            } else {
+                selected.retain(|&i| {
+                    let (matched, mismatched) = test(i as usize);
                     *type_mismatches += mismatched;
                     matched
-                }),
+                });
             }
         }
     }
@@ -888,20 +879,10 @@ impl BlockFold {
         let row = &self.row;
         let type_mismatches = &mut self.type_mismatches;
         let pass = self.filters.iter().all(|(filter, slot)| {
-            let cells = &row[*slot as usize];
-            match filter {
-                Filter::Exists(_) => !cells.is_empty(),
-                Filter::NotExists(_) => cells.is_empty(),
-                Filter::Cmp { op, value, .. } => {
-                    if cells.is_empty() {
-                        return false;
-                    }
-                    let occurrences = cells.iter().map(|&cell| strings.get(cell));
-                    let (matched, mismatched) = cmp_occurrences(*op, value, occurrences);
-                    *type_mismatches += mismatched;
-                    matched
-                }
-            }
+            let occurrences = row[*slot as usize].iter().map(|&cell| strings.get(cell));
+            let (matched, mismatched) = filter.row_passes(occurrences);
+            *type_mismatches += mismatched;
+            matched
         });
         let agg = match sink {
             _ if !pass => return,
@@ -1139,4 +1120,112 @@ fn node_cells<'a>(
         nodes.resize_with(index + 1, || None);
     }
     nodes[index].insert(NodeCells { cells, repeats })
+}
+
+#[cfg(test)]
+mod tests {
+    //! WHERE through the fold, end to end: which records a pass-through
+    //! query keeps. The row test itself is unit-tested beside it, in
+    //! `caliper_format::pushdown`.
+
+    use super::*;
+    use crate::run_query;
+    use caliper_data::RecordBuilder;
+
+    /// A dataset of `records`, each given as its pairs in order.
+    fn dataset(records: &[&[(&str, Value)]]) -> Dataset {
+        let mut ds = Dataset::new();
+        for pairs in records {
+            let rec = pairs
+                .iter()
+                .fold(RecordBuilder::new(&ds.store), |rec, (label, value)| {
+                    rec.with(label, value.clone())
+                })
+                .build();
+            ds.push(SnapshotRecord::from(&rec));
+        }
+        ds
+    }
+
+    /// The two records the comparisons below look at: a kernel record
+    /// of rank 0 and an MPI record of rank 1.
+    fn records() -> Dataset {
+        dataset(&[
+            &[
+                ("kernel", Value::str("calc-dt")),
+                ("mpi.rank", Value::Int(0)),
+                ("time.duration", Value::Float(5.0)),
+            ],
+            &[
+                ("mpi.function", Value::str("MPI_Barrier")),
+                ("mpi.rank", Value::Int(1)),
+                ("time.duration", Value::Float(50.0)),
+            ],
+        ])
+    }
+
+    /// The ranks of the records `where_` keeps, in order.
+    fn kept(ds: &Dataset, where_: &str) -> Vec<i64> {
+        let result = run_query(ds, &format!("SELECT * {where_}")).unwrap();
+        let rank = result.store.find("mpi.rank").unwrap().id();
+        let ranks = result.records.iter().map(|r| r.get(rank).unwrap().to_i64().unwrap());
+        ranks.collect()
+    }
+
+    #[test]
+    fn exists_and_not_exists() {
+        let ds = records();
+        // WHERE not(mpi.function) — the paper's exclusion of MPI records.
+        assert_eq!(kept(&ds, "WHERE not(mpi.function)"), [0]);
+        assert_eq!(kept(&ds, "WHERE kernel"), [0]);
+        assert_eq!(kept(&ds, "WHERE mpi.function"), [1]);
+    }
+
+    #[test]
+    fn unresolved_labels() {
+        let ds = records();
+        assert_eq!(kept(&ds, "WHERE nope"), [0; 0]);
+        assert_eq!(kept(&ds, "WHERE not(nope)"), [0, 1]);
+        assert_eq!(kept(&ds, "WHERE nope = 0"), [0; 0]);
+    }
+
+    #[test]
+    fn comparisons() {
+        let ds = records();
+        assert_eq!(kept(&ds, "WHERE mpi.rank = 0"), [0]);
+        assert_eq!(kept(&ds, "WHERE time.duration > 10.0"), [1]);
+    }
+
+    #[test]
+    fn conditions_are_anded() {
+        let ds = records();
+        assert_eq!(kept(&ds, "WHERE kernel, mpi.rank = 0"), [0]);
+        assert_eq!(kept(&ds, "WHERE kernel, mpi.rank = 1"), [0; 0]);
+    }
+
+    #[test]
+    fn mismatched_comparisons_bump_metric() {
+        let ds = dataset(&[&[("mpi.rank", Value::Int(0)), ("time.duration", Value::Float(5.0))]]);
+        let counter = caliper_data::metrics::global().counter("query.filter.type_mismatch");
+        let before = counter.get();
+        // Float attribute compared against an Int literal: the classic
+        // never-matches footgun.
+        assert_eq!(kept(&ds, "WHERE time.duration = 5"), [0; 0]);
+        assert_eq!(counter.get(), before + 1);
+        // A compatible comparison leaves the counter alone.
+        assert_eq!(kept(&ds, "WHERE time.duration > 1"), [0]);
+        assert_eq!(counter.get(), before + 1);
+    }
+
+    #[test]
+    fn ne_requires_no_occurrence_to_match() {
+        let ds = dataset(&[&[
+            ("mpi.rank", Value::Int(0)),
+            ("function", Value::str("main")),
+            ("function", Value::str("foo")),
+        ]]);
+        // "main" occurs, so != main fails even though "foo" also occurs.
+        assert_eq!(kept(&ds, "WHERE function != main"), [0; 0]);
+        assert_eq!(kept(&ds, "WHERE function != bar"), [0]);
+    }
 }

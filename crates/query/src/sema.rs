@@ -36,11 +36,11 @@
 use std::collections::BTreeMap;
 
 use caliper_data::ValueType;
+use caliper_format::pushdown::cmp_types_compatible;
 use caliper_format::schema::Schema;
 
 use crate::ast::{CmpOp, Filter, LetExpr, OpKind, QuerySpec};
 use crate::diag::{suggest, Diagnostic, Span};
-use crate::filter::cmp_types_compatible;
 use crate::parser::SpanMap;
 
 /// The result-column label of `count` ops (cf.
@@ -282,15 +282,12 @@ fn check_filters(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
     // comparisons.
     for (i, filter) in ctx.spec.filters.iter().enumerate() {
         let span = ctx.filter_span(i);
-        let attr = match filter {
-            Filter::Exists(a) | Filter::NotExists(a) => a,
-            Filter::Cmp { attr, .. } => attr,
-        };
+        let attr = filter.label();
         if !ctx.input_known(attr) {
             diags.push(ctx.unknown_input(attr, "WHERE", span));
             continue;
         }
-        check_pushdown_eligibility(ctx, attr, span, diags);
+        check_pushdown_eligibility(ctx, filter, span, diags);
         if let Filter::Cmp { attr, op, value } = filter {
             if let Some(attr_type) = ctx.input_type(attr) {
                 let literal_type = value.value_type();
@@ -326,16 +323,17 @@ fn check_filters(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
 }
 
 /// W007: the WHERE clause is correct but cannot use the CALB v2
-/// columnar block-skip fast path (cf. `caliper_query::pushdown`), so
-/// the reader decodes every block. Purely advisory — results are
-/// unaffected.
+/// columnar block-skip fast path — [`Filter::pushable`], the rule
+/// `build_pushdown` applies, refuses it — so the reader decodes every
+/// block. Purely advisory — results are unaffected.
 fn check_pushdown_eligibility(
     ctx: &Context<'_>,
-    attr: &str,
+    filter: &Filter,
     span: Option<Span>,
     diags: &mut Vec<Diagnostic>,
 ) {
-    if ctx.let_types.contains_key(attr) {
+    let attr = filter.label();
+    if !filter.pushable(ctx.spec.lets.iter().map(|l| l.name.as_str())) {
         diags.push(
             Diagnostic::warning(
                 "W007",
@@ -551,10 +549,7 @@ fn check_lets(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
         let name = def.name.as_str();
         let used_by_ops = spec.ops.iter().any(|op| op.target.as_deref() == Some(name));
         let used_by_key = spec.key.iter().any(|k| k == name);
-        let used_by_filters = spec.filters.iter().any(|f| match f {
-            Filter::Exists(a) | Filter::NotExists(a) => a == name,
-            Filter::Cmp { attr, .. } => attr == name,
-        });
+        let used_by_filters = spec.filters.iter().any(|f| f.label() == name);
         let used_by_select = spec
             .select
             .as_ref()

@@ -180,7 +180,11 @@ fi
 # One-oracle gate: `tests/every_path.rs` holds every execution path to
 # the reference evaluator in `tests/oracle`, which derives each answer
 # from the query alone — it takes the parser's AST and no engine code.
-if grep -rnE 'Aggregator|BlockFold|Pipeline|Reducer|run_query|parallel_query|LetSet|FilterSet' tests/oracle; then
+# The AST's WHERE types carry the engine's own tests (the row test
+# `row_passes`, the block test `may_match`, `CmpOp::eval`), which the
+# oracle's `passes` must not call either.
+if grep -rnE 'Aggregator|BlockFold|Pipeline|Reducer|run_query|parallel_query|LetSet|FilterSet' tests/oracle \
+    || grep -rnE 'row_passes|may_match|\.eval\(|cmp_types_compatible|pushable' tests/oracle; then
     echo "check.sh: the reference evaluator uses engine code (listed above)" >&2
     exit 1
 fi
@@ -270,12 +274,27 @@ fi
 # pass-through query's kept rows leave it whole, so outside the tests
 # crates/query/src keeps no row filter (`FilterSet`), no row LET
 # (`fn apply`), flattens no record, derives no record from a block and
-# keeps no list of records; and only scan.rs compares occurrences
-# (`cmp_occurrences`) or evaluates a LET expression (`expr.eval`).
+# keeps no list of records; only scan.rs runs the row test of WHERE
+# (`row_passes`), compares values (`.eval(` of a `CmpOp`) or evaluates a
+# LET expression (`expr.eval`); and the row test is defined once, in the
+# one module that decides the WHERE clause,
+# crates/format/src/pushdown.rs.
 query_src=$(non_test_src query)
-if printf '%s\n' "$query_src" | grep -E 'FilterSet|fn apply\b|for_each_flat|append_records|Vec<SnapshotRecord>' \
-    || printf '%s\n' "$query_src" | grep -E 'cmp_occurrences\(|expr\.eval\(' | grep -v '^crates/query/src/scan.rs:'; then
+row_tests=$(for c in crates/*/; do non_test_src "$(basename "$c")"; done | grep -E 'fn row_passes\b|fn cmp_occurrences\b' || true)
+if printf '%s\n' "$query_src" | grep -E 'FilterSet|fn apply\b|for_each_flat|append_records|Vec<SnapshotRecord>|cmp_occurrences' \
+    || printf '%s\n' "$query_src" | grep -E 'row_passes\(|\.eval\(' | grep -v '^crates/query/src/scan.rs:' \
+    || [ "$(printf '%s\n' "$row_tests" | cut -d: -f1)" != crates/format/src/pushdown.rs ]; then
+    printf '%s\n' "$row_tests"
     echo "check.sh: a second evaluator of LET or WHERE is back (listed above)" >&2
+    exit 1
+fi
+# One-WHERE gate: the WHERE clause is decided in one module over one
+# `Filter` type (DESIGN.md §10); the reader's mirror of it (its own
+# operator and predicate types, their conversion) and the test-local
+# re-derivation the skip property used to be proven against stay
+# deleted.
+if grep -rnE 'PushdownOp|Predicate::|convert_op|fn record_matches' crates src tests; then
+    echo "check.sh: a second copy of the WHERE clause is back (listed above)" >&2
     exit 1
 fi
 
