@@ -4,12 +4,14 @@
 //! A journaling runtime (`journal.enable=true`) appends every completed
 //! snapshot to an append-only `.cali` journal; when the process dies —
 //! panic, OOM kill, `kill -9` — the journal holds a valid prefix of the
-//! run's data, possibly ending in a torn line. This tool ingests such
-//! journals through the lenient reader, deduplicates double-written
-//! tails via the `journal.seq` sequence attribute, reports exactly what
-//! was salvaged and what was lost, and either re-emits the salvaged
-//! data as a clean `.cali` file or feeds it straight into the CalQL
-//! aggregator.
+//! run's data, possibly ending in a torn line. `cali-served` journals
+//! each accepted batch as it was received, one frame per batch, which
+//! a crash can tear the same way. This tool ingests such journals
+//! through the lenient reader — a frame decoded whole or dropped whole —
+//! deduplicates double-written tails via the `journal.seq` sequence
+//! attribute, reports exactly what was salvaged and what was lost, and
+//! either re-emits the salvaged data as a clean `.cali` file or feeds
+//! it straight into the CalQL aggregator.
 //!
 //! ```text
 //! cali-recover [-q QUERY] [-o FILE] [--max-errors N] JOURNAL.cali...
@@ -25,11 +27,14 @@ use caliper_format::{cali, CaliReader, ReadPolicy, ReadReport};
 const USAGE: &str = "usage: cali-recover [-q QUERY] [-o FILE] [--max-errors N] JOURNAL.cali...
 
 Salvages snapshot journals written by a journaling profiling run that
-died mid-flight. Torn trailing lines are dropped, corrupt lines are
-skipped, double-written tail records (after an append-mode resume) are
-deduplicated by their journal.seq stamp, and sequence gaps are reported
-as lost records. A per-journal and a combined salvage summary go to
-stderr.
+died mid-flight, or by cali-served. Torn trailing lines are dropped,
+corrupt lines are skipped, double-written tail records (after an
+append-mode resume) are deduplicated by their journal.seq stamp, and
+sequence gaps are reported as lost records. A cali-served journal holds
+one frame per batch, as the batch was received: a frame is salvaged
+whole or not at all, one that a crash tore is dropped (reported as
+truncated), and one that does not decode counts as one corrupt line.
+A per-journal and a combined salvage summary go to stderr.
 
 Options:
   -q, --query QUERY   aggregate the salvaged snapshots with a CalQL

@@ -8,7 +8,10 @@
 //!   restarts the worker, the batch is redelivered, and the final query
 //!   result is byte-identical to a fault-free run;
 //! * `kill -9` + restart reproduces every acknowledged batch
-//!   byte-identically (ack-after-flush + journal replay);
+//!   byte-identically (ack-after-flush + journal replay), and a batch
+//!   whose frame a crash tore costs that batch alone, said on stderr;
+//! * a payload carrying a frame's header line is refused (`ERR`) and
+//!   leaves the journal as it was;
 //! * everything a query serves is durable: a batch whose journal write
 //!   fails is answered `DEGRADED` and contributes nothing to the warm
 //!   state — the degraded daemon, and a restart over the same journals,
@@ -327,6 +330,84 @@ fn a_batch_the_journal_refuses_is_not_served() {
     let daemon = Daemon::start(&dir, &[]);
     let (status, after) = warm_rows(&daemon);
     assert_eq!((status, &after), (200, &acknowledged), "restart");
+    daemon.shutdown(0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_torn_frame_costs_its_batch_and_nothing_else() {
+    let dir = tmpdir("torn-frame");
+    let mut daemon = Daemon::start(&dir, &["--fsync"]);
+    for ack in ingest_standard(&daemon) {
+        assert!(ack.is_ok(), "{}", ack.to_line());
+    }
+    let (status, acknowledged) = daemon.query();
+    assert_eq!(status, 200, "{acknowledged}");
+    // A fourth batch, which the kill below tears: its frame is cut short
+    // of its last 17 bytes, as a crash mid-write leaves it.
+    let journal = dir.join("data").join("rank0.journal.cali");
+    let before = std::fs::read(&journal).unwrap();
+    let mut client = daemon.client("rank0");
+    assert!(client.send_batch(&batch_payload(3, 12)).unwrap().is_ok());
+    let _ = client.quit();
+    let (status, with_fourth) = daemon.query();
+    assert_eq!(status, 200, "{with_fourth}");
+    daemon.child.kill().unwrap();
+    daemon.child.wait().unwrap();
+    std::mem::forget(daemon);
+    let whole = std::fs::read(&journal).unwrap();
+    assert_eq!(&whole[..before.len()], &before[..], "a batch rewrote the journal before it");
+    std::fs::write(&journal, &whole[..whole.len() - 17]).unwrap();
+
+    // Every acknowledged batch but the torn one is served, and the
+    // replay says what it dropped.
+    let stderr_path = dir.join("stderr.txt");
+    let stderr = || Stdio::from(std::fs::File::create(&stderr_path).unwrap());
+    let daemon = Daemon::start_with(&dir, &["--fsync"], &[], stderr());
+    let (status, replayed) = daemon.query();
+    assert_eq!((status, &replayed), (200, &acknowledged), "replay over a torn frame");
+    // Sent again, the batch lands after the torn frame, and a restart
+    // serves it once.
+    let mut client = daemon.client("rank0");
+    let ack = client.send_batch(&batch_payload(3, 12)).unwrap();
+    assert_eq!(ack.to_line(), "OK seq=35 records=12");
+    let _ = client.quit();
+    daemon.shutdown(0);
+    let log = std::fs::read_to_string(&stderr_path).unwrap();
+    assert!(log.contains("replaying stream 'rank0'") && log.contains("torn frame"), "{log}");
+    let daemon = Daemon::start_with(&dir, &[], &[], stderr());
+    let (status, restarted) = daemon.query();
+    assert_eq!((status, &restarted), (200, &with_fourth), "restart after the resent batch");
+    daemon.shutdown(0);
+    let log = std::fs::read_to_string(&stderr_path).unwrap();
+    assert!(log.contains("truncated"), "the torn frame is still reported: {log}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_payload_with_a_frame_line_is_refused_and_not_journaled() {
+    let dir = tmpdir("frame-line");
+    let daemon = Daemon::start(&dir, &[]);
+    let mut client = daemon.client("rank0");
+    assert!(client.send_batch(&batch_payload(0, 4)).unwrap().is_ok());
+    let journal = dir.join("data").join("rank0.journal.cali");
+    let clean = batch_payload(1, 4);
+    let mut seq = 3;
+    for line in [&b"__rec=batch,seq=4,bytes=9\n"[..], b"bytes=9,__rec=batch,seq=4\n"] {
+        for payload in [[line, &clean[..]].concat(), [&clean[..], line].concat()] {
+            let before = std::fs::read(&journal).unwrap();
+            match client.send_batch(&payload).unwrap() {
+                Reply::Error(reason) => assert!(reason.contains("unknown record kind 'batch'"), "{reason}"),
+                other => panic!("expected ERR, got {}", other.to_line()),
+            }
+            assert_eq!(std::fs::read(&journal).unwrap(), before, "a refused batch was journaled");
+            // The stream is none the worse.
+            seq += 4;
+            let ack = client.send_batch(&clean).unwrap().to_line();
+            assert_eq!(ack, format!("OK seq={seq} records=4"));
+        }
+    }
+    let _ = client.quit();
     daemon.shutdown(0);
     let _ = std::fs::remove_dir_all(&dir);
 }

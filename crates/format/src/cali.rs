@@ -175,7 +175,7 @@ pub struct CaliWriter<W: Write> {
     written_nodes: FxHashSet<NodeId>,
     line: String,
     dangling_drops: u64,
-    /// Per-block scratch of `write_rows`: the next unwritten value of
+    /// Per-block scratch of `write_block`: the next unwritten value of
     /// each column.
     cursors: Vec<usize>,
 }
@@ -272,7 +272,7 @@ impl<W: Write> CaliWriter<W> {
 
 // ---- the line encoder ----
 //
-// Everything from here to the end of `write_rows` runs per record (the
+// Everything from here to the end of `write_block` runs per record (the
 // declarations above run once per id) and allocates nothing: no id or
 // value is formatted into a `String` of its own, no entry is cloned, no
 // list copied — `scripts/check.sh` holds this stretch to it. A data
@@ -394,18 +394,6 @@ impl<W: Write> CaliWriter<W> {
     /// block, without building them. `strings` is the table the block's
     /// string codes refer to, `ds` the dataset it was decoded into.
     pub fn write_block(&mut self, ds: &Dataset, strings: &StringTable, block: &Block) -> io::Result<()> {
-        self.write_rows(ds, strings, block, |_| Ok(()))
-    }
-
-    /// [`write_block`](Self::write_block), with `after_row` called on
-    /// the sink after every row's line (the journal's flush policy).
-    pub(crate) fn write_rows(
-        &mut self,
-        ds: &Dataset,
-        strings: &StringTable,
-        block: &Block,
-        mut after_row: impl FnMut(&mut W) -> io::Result<()>,
-    ) -> io::Result<()> {
         let columns = block.columns();
         self.cursors.clear();
         self.cursors.resize(columns.len(), 0);
@@ -428,7 +416,6 @@ impl<W: Write> CaliWriter<W> {
                 self.push_imm(column.attr, &strings.get(column.data.get(next)));
             }
             self.end_line()?;
-            after_row(&mut self.out)?;
         }
         Ok(())
     }
@@ -589,26 +576,28 @@ impl CaliReader {
     /// stamped with `seq_attr` (an unsigned-integer attribute of this
     /// reader's store) as its last immediate, counting up from
     /// `first_seq` — a column of the block like any other. Globals the
-    /// batch carries are read and dropped.
+    /// batch carries are read and dropped (those read before it stay).
     ///
-    /// The block stays valid until the reader is used again.
+    /// The block is handed over the way a [`BlockSink`] takes one, and
+    /// stays valid until the reader is used again.
     pub fn read_batch(
         &mut self,
         bytes: &[u8],
         seq_attr: AttrId,
         first_seq: u64,
-    ) -> Result<(&Dataset, &mut StringTable, &Block), CaliError> {
+    ) -> Result<(&mut Dataset, &mut StringTable, &mut Block), CaliError> {
         self.begin_stream();
         let column = self.block.column_for(seq_attr, ValueType::UInt);
         self.stamp = Some((column, first_seq));
+        let globals = self.ds.globals.len();
         let read = self.read_lines(bytes, ReadPolicy::Strict, &mut ReadReport::default(), None, None);
         self.stamp = None;
-        self.ds.globals.clear();
+        self.ds.globals.truncate(globals);
         if let Err(e) = read {
             self.block.clear();
             return Err(e);
         }
-        Ok((&self.ds, &mut self.strings, &self.block))
+        Ok((&mut self.ds, &mut self.strings, &mut self.block))
     }
 
     fn err(&self, message: impl Into<String>) -> CaliError {
@@ -656,7 +645,7 @@ impl CaliReader {
                 }
                 Ok(())
             }
-            Err(e) => self.skip_or_fail(e, policy, report),
+            Err(e) => report.skip_or_fail(e, policy),
         }
     }
 
@@ -734,26 +723,6 @@ impl CaliReader {
             self.block.abandon_row();
         }
         row
-    }
-
-    /// Lenient-mode error disposition: count the skip and carry on while
-    /// the budget lasts; propagate the error otherwise.
-    fn skip_or_fail(
-        &mut self,
-        e: CaliError,
-        policy: ReadPolicy,
-        report: &mut ReadReport,
-    ) -> Result<(), CaliError> {
-        if !policy.is_lenient() {
-            return Err(e);
-        }
-        report.skipped += 1;
-        report.note_error(e.to_string());
-        if report.skipped > policy.max_errors() {
-            Err(e)
-        } else {
-            Ok(())
-        }
     }
 
     fn read_attr(&mut self, fields: Fields<'_>) -> Result<(), CaliError> {
@@ -1010,7 +979,7 @@ impl CaliReader {
                 Err(_) => {
                     self.line_no += 1;
                     let e = self.err("invalid UTF-8 in line");
-                    self.skip_or_fail(e, policy, report)
+                    report.skip_or_fail(e, policy)
                 }
             };
             if line.is_err() {

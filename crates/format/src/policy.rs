@@ -18,10 +18,10 @@
 //! Either way, nothing is dropped invisibly: a [`ReadReport`] counts the
 //! records decoded, the records skipped, the entries dropped because of
 //! dangling ids, and carries the first few error messages verbatim.
-//!
-//! [`CaliError`]: crate::cali::CaliError
 
 use std::path::PathBuf;
+
+use crate::cali::CaliError;
 
 /// Maximum number of verbatim error messages kept in a [`ReadReport`];
 /// further errors are only counted ([`ReadReport::suppressed_errors`]).
@@ -118,6 +118,22 @@ impl ReadReport {
             self.errors.push(message.into());
         } else {
             self.suppressed_errors += 1;
+        }
+    }
+
+    /// Lenient-mode error disposition: count the skip and carry on while
+    /// the budget lasts; propagate the error otherwise (and always under
+    /// [`ReadPolicy::Strict`]).
+    pub(crate) fn skip_or_fail(&mut self, e: CaliError, policy: ReadPolicy) -> Result<(), CaliError> {
+        if !policy.is_lenient() {
+            return Err(e);
+        }
+        self.skipped += 1;
+        self.note_error(e.to_string());
+        if self.skipped > policy.max_errors() {
+            Err(e)
+        } else {
+            Ok(())
         }
     }
 

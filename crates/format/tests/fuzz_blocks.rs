@@ -14,6 +14,13 @@
 //! never yields more rows than the clean file holds; a strict scan
 //! returns `Ok` or `Err`, and when it is `Ok` the lenient scan yields
 //! the same rows.
+//!
+//! A journal of frames — the batches as sent, behind their header lines
+//! — goes through the same damage, over the whole journal, each frame
+//! and each header line, and is recovered the way the daemon replays it
+//! (`journal::recover_blocks`, lenient), without a deadline and with one
+//! that has passed: nothing panics, and no recovery salvages more rows
+//! than were written.
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -21,8 +28,8 @@ use std::path::{Path, PathBuf};
 use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_faults::{corrupt_bytes, CorruptMode};
 use caliper_format::{
-    binary, cali, read_footer, scan_path, to_binary_v2_with, CmpOp, Dataset, Filter, Pushdown,
-    ReadPolicy, V2WriteOptions,
+    binary, cali, journal, read_footer, scan_path, to_binary_v2_with, CaliReader, CaliWriter, CmpOp,
+    Dataset, Filter, FlushPolicy, JournalWriter, Pushdown, ReadPolicy, V2WriteOptions,
 };
 
 const MODES: [CorruptMode; 3] = [CorruptMode::Bitflip, CorruptMode::Truncate, CorruptMode::GarbageBlock];
@@ -158,4 +165,92 @@ fn damaged_v2_blocks_zone_maps_and_footer_never_panic_the_block_scan() {
         regions.push((format!("block {i} head"), start..(start + 24).min(end)));
     }
     fuzz("v2", &bytes, &regions, 24);
+}
+
+/// The sample as a daemon journals it: five batches of 40 snapshots,
+/// each a self-describing stream (the first with the globals, the last
+/// without its final newline), framed by `JournalWriter::append_batch`.
+/// Returns the journal and each frame's span, header line included.
+fn framed_journal() -> (Vec<u8>, Vec<Range<usize>>) {
+    let ds = sample();
+    let path = std::env::temp_dir().join(format!("fuzz-blocks-{}-framed", std::process::id()));
+    let mut writer = JournalWriter::create(&path, FlushPolicy::default()).unwrap();
+    let header = std::fs::metadata(&path).unwrap().len() as usize;
+    let mut frames = Vec::new();
+    for (n, chunk) in ds.records.chunks(40).enumerate() {
+        let mut batch = CaliWriter::new(Vec::new());
+        if n == 0 {
+            batch.write_globals(&ds, &ds.globals[0]).unwrap();
+        }
+        for record in chunk {
+            batch.write_snapshot(&ds, record).unwrap();
+        }
+        let mut payload = batch.finish().unwrap();
+        if n == 4 {
+            payload.pop();
+        }
+        writer.append_batch(n as u64 * 40, chunk.len() as u64, &payload).unwrap();
+        writer.flush().unwrap();
+        let end = std::fs::metadata(&path).unwrap().len() as usize;
+        frames.push(frames.last().map_or(header, |last: &Range<usize>| last.end)..end);
+    }
+    drop(writer);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    (bytes, frames)
+}
+
+/// Rows `recover_blocks` hands on from `bytes`, leniently, under
+/// `deadline`.
+fn recovered_rows(bytes: &[u8], deadline: Option<&caliper_data::Deadline>) -> usize {
+    let mut rows = 0;
+    let report = journal::recover_blocks(
+        &mut CaliReader::new(),
+        bytes,
+        ReadPolicy::lenient(),
+        deadline,
+        &mut |_, _, block| rows += block.rows(),
+    )
+    .expect("a lenient recovery without an error budget returns what it salvaged");
+    assert_eq!(report.salvaged as usize, rows);
+    rows
+}
+
+#[test]
+fn damaged_framed_journals_never_panic_the_recovery() {
+    let (bytes, frames) = framed_journal();
+    assert_eq!(recovered_rows(&bytes, None), RECORDS as usize);
+    let passed = caliper_data::Deadline::after(std::time::Duration::ZERO);
+    assert_eq!(recovered_rows(&bytes, Some(&passed)), 0);
+    let mut regions = vec![("journal".to_string(), 0..bytes.len(), 200)];
+    for (n, frame) in frames.iter().enumerate() {
+        let line = bytes[frame.clone()].iter().position(|&b| b == b'\n').unwrap() + 1;
+        regions.push((format!("frame {n}"), frame.clone(), 24));
+        regions.push((format!("frame {n} header"), frame.start..frame.start + line, 24));
+    }
+    for (name, region, seeds) in regions {
+        let mut lost = 0;
+        for mode in MODES {
+            for seed in 0..seeds {
+                let damaged = damage(&bytes, region.clone(), mode, seed);
+                let what = format!("{name} {mode:?} seed {seed}");
+                let rows = recovered_rows(&damaged, None);
+                assert!(rows <= RECORDS as usize, "{what}: {rows} rows salvaged of {RECORDS}");
+                assert_eq!(recovered_rows(&damaged, Some(&passed)), 0, "{what}");
+                let strict = journal::recover_blocks(
+                    &mut CaliReader::new(),
+                    &damaged,
+                    ReadPolicy::Strict,
+                    None,
+                    &mut |_, _, _| {},
+                );
+                if let Ok(report) = strict {
+                    assert!(report.salvaged as usize <= rows, "{what}: strict salvaged more");
+                }
+                lost += usize::from(rows < RECORDS as usize);
+            }
+        }
+        // The damage reaches the recovery: some of it costs rows.
+        assert!(lost > 0, "{name}: no damaged journal lost a row");
+    }
 }

@@ -844,9 +844,10 @@ proptest! {
 
     /// `write_block` over a decoded block is `write_snapshot` over the
     /// records `append_records` derives from it, row for row — for the
-    /// stamped blocks of successive batches through one resident reader
-    /// — and `JournalWriter::append_block` keeps the books of as many
-    /// `append_snapshot` calls, whatever the flush policy.
+    /// stamped blocks of successive batches through one resident reader.
+    /// And a journal of the batches as sent (`JournalWriter::append_batch`)
+    /// counts what as many `append_snapshot` calls of those records count,
+    /// whatever the flush policy, and replays to the same records.
     #[test]
     fn write_block_is_write_snapshot_over_the_derived_records(
         names in prop::collection::vec(arb_text(), 6),
@@ -864,7 +865,7 @@ proptest! {
             FlushPolicy { flush_interval: 1, ..FlushPolicy::default() },
             FlushPolicy { flush_interval: 7, ..FlushPolicy::default() },
             FlushPolicy { flush_interval: u64::MAX, ..FlushPolicy::default() },
-            // A buffer of a line or two: forced flushes inside a block.
+            // A buffer of a line or two: forced flushes on every append.
             FlushPolicy { flush_interval: u64::MAX, max_buffer: 64, fsync: false },
         ][policy];
         let dir = std::env::temp_dir().join(format!("caliper-write-block-{}", std::process::id()));
@@ -891,20 +892,23 @@ proptest! {
                 }
                 ds.push(rec);
             }
-            let (ds, strings, block) = reader.read_batch(&cali::to_bytes(&ds), seq, next_seq).unwrap();
+            let payload = cali::to_bytes(&ds);
+            let (ds, strings, block) = reader.read_batch(&payload, seq, next_seq).unwrap();
             prop_assert_eq!(block.rows(), records.len());
-            next_seq += block.rows() as u64;
+            let rows = block.rows() as u64;
 
             let mut derived = Vec::new();
             block.append_records(strings, &mut derived);
             by_block.write_block(ds, strings, block).unwrap();
-            block_journal.append_block(ds, strings, block).unwrap();
+            block_journal.append_batch(next_seq, rows, &payload).unwrap();
             for rec in &derived {
                 by_row.write_snapshot(ds, rec).unwrap();
                 row_journal.append_snapshot(ds, rec).unwrap();
             }
-            prop_assert_eq!(block_journal.counters(), row_journal.counters());
-            prop_assert_eq!(block_journal.pending(), row_journal.pending());
+            next_seq += rows;
+            let (framed, lined) = (block_journal.counters(), row_journal.counters());
+            prop_assert_eq!(framed.appended, lined.appended);
+            prop_assert_eq!(framed.durable + block_journal.pending(), lined.durable + row_journal.pending());
         }
         let (by_block, by_row) = (by_block.finish().unwrap(), by_row.finish().unwrap());
         let lines = |bytes: &[u8]| -> Vec<String> {
@@ -913,7 +917,12 @@ proptest! {
         prop_assert_eq!(lines(&by_block), lines(&by_row));
         prop_assert_eq!(by_block, by_row);
         drop((block_journal, row_journal));
-        prop_assert_eq!(std::fs::read(&block_path).unwrap(), std::fs::read(&row_path).unwrap());
+        let replay = |path: &std::path::Path| {
+            let (ds, report) = caliper_format::journal::recover_file(path, ReadPolicy::Strict).unwrap();
+            let records: Vec<String> = ds.flat_records().map(|r| r.describe(&ds.store)).collect();
+            (records, report.salvaged, report.max_seq, report.data_lost())
+        };
+        prop_assert_eq!(replay(&block_path), replay(&row_path));
     }
 }
 

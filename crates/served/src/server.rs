@@ -560,12 +560,18 @@ impl Server {
         }
         names.sort();
         for name in names {
-            state.stream(&name).map_err(|e| {
+            let stream = state.stream(&name).map_err(|e| {
                 format!(
                     "recovering stream '{name}' from {}: {e}",
                     journal_path(&state.cfg.data_dir, &name).display()
                 )
             })?;
+            // What a replay could not salvage — a torn batch, a corrupt
+            // one, a replay out of budget — is said, not kept quiet.
+            let stream = stream.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(report) = stream.recovery.as_ref().filter(|r| r.data_lost()) {
+                eprintln!("cali-served: replaying stream '{name}': {}", report.summary());
+            }
         }
         state.refresh_health_gauges();
         Ok(Server {

@@ -5,14 +5,16 @@
 //! dictionary — attribute store and context tree, grown as batches
 //! arrive — its string table and its decode buffers), a warm
 //! [`Aggregator`] with the [`BlockFold`] that feeds it, and a
-//! [`JournalWriter`]. A batch moves through them as one [`Block`]
-//! of typed columns and never becomes records:
+//! [`JournalWriter`]. A batch is decoded once, into one [`Block`] of
+//! typed columns, and never becomes records:
 //!
 //! 1. **decode** the payload whole, strictly, every row stamped with its
 //!    `journal.seq` ([`CaliReader::read_batch`]) — a bad line at any
 //!    ordinal, or no row at all, rejects the batch and leaves journal
 //!    bytes, the warm aggregate and the sequence counter untouched;
-//! 2. **journal** the block ([`JournalWriter::append_block`]);
+//! 2. **frame** the payload as it was received, behind one header line
+//!    naming its first sequence number and its length
+//!    ([`JournalWriter::append_batch`]): nothing is encoded again;
 //! 3. **flush** (+ fsync per policy);
 //! 4. **fold** the block into the warm aggregate;
 //! 5. **ack**.
@@ -27,11 +29,14 @@
 //! of its journal.
 //!
 //! On restart, [`StreamState::open`] replays the stream's journal with
-//! [`recover_file_blocks`] (lenient, torn tails expected,
-//! sequence-deduplicated) through the same resident reader and folds the
-//! salvaged blocks with the same fold live batches take, so
-//! post-recovery query results are byte-identical to an uninterrupted
-//! run over the same accepted batches.
+//! [`recover_file_blocks`] (lenient, torn frames expected,
+//! sequence-deduplicated) through the same resident reader: each frame
+//! is decoded as its batch was at ingest and folded with the same fold,
+//! the string table bounded between frames as between batches — ingest
+//! without the journal. Post-recovery query results are therefore
+//! byte-identical to an uninterrupted run over the same accepted
+//! batches. (A journal written before the daemon journaled frames, one
+//! line per record, replays too, and takes frames after it.)
 //!
 //! A query reads a stream the way a batch arrives: as one block
 //! ([`WarmQuery`]). The warm aggregate flushes its groups as typed
@@ -140,7 +145,8 @@ impl StreamState {
         aggregator.set_max_groups(cfg.max_groups);
         let mut fold = BlockFold::for_aggregation(spec);
 
-        // Replay: the salvaged blocks take the fold live batches take.
+        // Replay: the salvaged blocks take the fold live batches take,
+        // and the string table its bound.
         let recovery = if path.exists() {
             let deadline = Deadline::after(cfg.replay_deadline);
             let report = recover_file_blocks(
@@ -148,7 +154,7 @@ impl StreamState {
                 &path,
                 ReadPolicy::lenient(),
                 Some(&deadline),
-                &mut |ds, strings, block| fold.fold(&mut aggregator, &ds.tree, strings, block),
+                &mut |ds, strings, block| fold_replayed(&mut fold, &mut aggregator, ds, strings, block),
             )
             .map_err(|e| format!("replaying journal {}: {e}", path.display()))?;
             Some(report)
@@ -250,9 +256,8 @@ impl StreamState {
     }
 
     fn try_process(&mut self, payload: &[u8]) -> Result<BatchAck, String> {
-        if self.reader.strings().len() > MAX_STREAM_STRINGS {
+        if strings_past_bound(self.reader.strings(), &mut self.fold) {
             self.reader.reset_strings();
-            self.fold.reset();
         }
 
         // Decode the whole batch before anything is journaled or
@@ -265,12 +270,14 @@ impl StreamState {
         if block.rows() == 0 {
             return Err("batch rejected: no records".to_string());
         }
+        let records = block.rows() as u64;
 
-        // Journal and flush, and only then fold: a batch the journal
-        // did not take is not served either. The journal may hold part
-        // of it (a forced flush on the way), which is why the stream
-        // stops taking batches — a restart replays whatever got there.
-        let journaled = match self.journal.append_block(ds, strings, block) {
+        // Journal the payload as it came and flush, and only then fold:
+        // a batch the journal did not take is not served either. The
+        // journal may hold the batch all the same (written, and then
+        // its fsync failed), which is why the stream stops taking
+        // batches — a restart replays whatever got there.
+        let journaled = match self.journal.append_batch(self.next_seq, records, payload) {
             Ok(()) => self.journal.flush().map_err(|e| format!("journal flush: {e}")),
             Err(e) => Err(format!("journal append: {e}")),
         };
@@ -282,7 +289,6 @@ impl StreamState {
             ));
         }
         self.fold.fold(&mut self.aggregator, &ds.tree, strings, block);
-        let records = block.rows() as u64;
         self.next_seq += records;
         Ok(BatchAck {
             last_seq: self.next_seq - 1,
@@ -296,6 +302,33 @@ impl StreamState {
         self.journal
             .flush()
             .map_err(|e| format!("final flush of stream '{}': {e}", self.name))
+    }
+}
+
+/// Whether a stream's string table has passed its bound and is to start
+/// over; if so, the fold's caches keyed by its codes are dropped here.
+/// Asked between two batches: by ingest before it decodes one, by replay
+/// after it folds one.
+fn strings_past_bound(strings: &StringTable, fold: &mut BlockFold) -> bool {
+    let past = strings.len() > MAX_STREAM_STRINGS;
+    if past {
+        fold.reset();
+    }
+    past
+}
+
+/// Fold a block the journal's replay salvaged, as a batch is folded at
+/// ingest, then bound the string table as ingest does before the next.
+fn fold_replayed(
+    fold: &mut BlockFold,
+    aggregator: &mut Aggregator,
+    ds: &Dataset,
+    strings: &mut StringTable,
+    block: &Block,
+) {
+    fold.fold(aggregator, &ds.tree, strings, block);
+    if strings_past_bound(strings, fold) {
+        *strings = StringTable::default();
     }
 }
 
@@ -434,29 +467,43 @@ mod tests {
     /// The stream as it was while it handled records, kept as the
     /// oracle: a batch's rows derived from the decoded block
     /// (`Block::append_records`, behind `read_stream`), each stamped,
-    /// journaled with `write_snapshot` (behind `append_snapshot`),
     /// unpacked and `add`ed one by one; replay by the row recovery; a
     /// query over the flushed rows, each tagged with the stream, fed to
-    /// `Pipeline::process` one by one. (No circuit breaker: the tests
-    /// drive it with one that never trips.)
+    /// `Pipeline::process` one by one. Its journal is written by hand,
+    /// as the journal module states it: the header, then for each
+    /// accepted batch the line `__rec=batch,seq=<first seq>,bytes=<L>`
+    /// and the payload as sent (`\n`-terminated, counted in `L`); a
+    /// journal that ends torn is resumed after `,attr=torn\n`. (No
+    /// circuit breaker: the tests drive it with one that never trips.)
     struct RowStream {
         name: String,
         ds: Dataset,
         aggregator: Aggregator,
-        journal: JournalWriter,
+        journal: PathBuf,
         seq_attr: AttrId,
         next_seq: u64,
         recovery: Option<RecoveryReport>,
     }
 
+    /// A batch's frame, as the journal module states it.
+    fn frame(first_seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = payload.to_vec();
+        if !bytes.ends_with(b"\n") {
+            bytes.push(b'\n');
+        }
+        [format!("__rec=batch,seq={first_seq},bytes={}\n", bytes.len()).into_bytes(), bytes].concat()
+    }
+
+    /// Append `bytes` to the file at `path`.
+    fn append(path: &Path, bytes: &[u8]) {
+        use std::io::Write;
+        let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
     impl RowStream {
         fn open(name: &str, cfg: &ServedConfig, spec: &AggregationSpec) -> RowStream {
             let path = journal_path(&cfg.data_dir, name);
-            let policy = FlushPolicy {
-                flush_interval: u64::MAX,
-                max_buffer: 8 << 20,
-                fsync: cfg.fsync,
-            };
             let (mut ds, recovery) = if path.exists() {
                 let deadline = Deadline::after(cfg.replay_deadline);
                 let mut reader = CaliReader::new();
@@ -472,13 +519,12 @@ mod tests {
             } else {
                 (Dataset::new(), None)
             };
-            let journal = if recovery.is_some() {
-                JournalWriter::open_append(&path, policy)
-            } else {
+            if recovery.is_none() {
                 std::fs::create_dir_all(&cfg.data_dir).unwrap();
-                JournalWriter::create(&path, policy)
+                std::fs::write(&path, format!("{}\n", caliper_format::journal::JOURNAL_HEADER)).unwrap();
+            } else if !std::fs::read(&path).unwrap().ends_with(b"\n") {
+                append(&path, b",attr=torn\n");
             }
-            .unwrap();
             let seq_attr = ds.attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE).id();
             let mut aggregator = Aggregator::new(spec.clone(), std::sync::Arc::clone(&ds.store));
             aggregator.set_max_groups(cfg.max_groups);
@@ -491,7 +537,7 @@ mod tests {
                 next_seq: recovery.as_ref().and_then(|r| r.max_seq).map_or(0, |m| m + 1),
                 ds,
                 aggregator,
-                journal,
+                journal: path,
                 seq_attr,
                 recovery,
             }
@@ -507,15 +553,14 @@ mod tests {
             if records.is_empty() {
                 return Err("batch rejected: no records".to_string());
             }
+            append(&self.journal, &frame(self.next_seq, payload));
             let mut folded = 0;
             for mut stamped in records {
                 stamped.push_imm(self.seq_attr, Value::UInt(self.next_seq));
-                self.journal.append_snapshot(&self.ds, &stamped).unwrap();
                 self.aggregator.add(&stamped.unpack(&self.ds.tree));
                 self.next_seq += 1;
                 folded += 1;
             }
-            self.journal.flush().unwrap();
             Ok(BatchAck {
                 last_seq: self.next_seq - 1,
                 records: folded,
@@ -538,8 +583,10 @@ mod tests {
     }
 
     /// A stream and its oracle, each over its own data directory, fed
-    /// the same batches and held to the same journal bytes, acks and
-    /// answers to `queries`.
+    /// the same batches and held to the same acks and answers to
+    /// `queries` — and the stream's journal to the oracle's: what it was
+    /// when opened, then a frame per accepted batch, its bytes the
+    /// payload as sent.
     struct Pair {
         dirs: [PathBuf; 2],
         cfg: ServedConfig,
@@ -618,7 +665,7 @@ mod tests {
         /// One batch through both; returns what the stream answered.
         fn process_batch(&mut self, payload: &[u8], when: &str) -> Result<BatchAck, String> {
             let ack = self.feed(payload, when);
-            self.assert_same_journals(when);
+            self.assert_journal_is_the_payloads_as_sent(when);
             ack
         }
 
@@ -631,9 +678,9 @@ mod tests {
             ack
         }
 
-        fn assert_same_journals(&self, when: &str) {
-            let [blocks, rows] = self.journals();
-            assert!(blocks == rows, "journal bytes differ {when}");
+        fn assert_journal_is_the_payloads_as_sent(&self, when: &str) {
+            let [journal, as_sent] = self.journals();
+            assert!(journal == as_sent, "the journal is not the payloads as sent {when}");
         }
 
         /// Drop both (the final flush) and open them again.
@@ -794,50 +841,72 @@ mod tests {
         }
     }
 
-    /// A journal of three batches (1 100 records, so a replay reads it
-    /// as two blocks) and its `ctx` lines.
+    /// Three batches of 600, 436 and 64 records as sent, and the
+    /// journal a stream writes of them.
     fn journal_of_three_batches(tag: &str) -> (Vec<u8>, Vec<Vec<u8>>) {
         let dir = tmpdir(tag);
         let mut state = StreamState::open("s1", &test_cfg(&dir), &spec()).unwrap();
+        let mut payloads = Vec::new();
         for (n, size) in [(0, 600), (1, 436), (2, 64)] {
             let kernels: Vec<(String, i64)> =
                 (0..size).map(|i| (format!("k{}", (i + n) % 7), i)).collect();
             let kernels: Vec<(&str, i64)> = kernels.iter().map(|(k, t)| (k.as_str(), *t)).collect();
-            state.process_batch(&batch(&kernels)).unwrap();
+            payloads.push(batch(&kernels));
+            state.process_batch(payloads.last().unwrap()).unwrap();
         }
         drop(state);
         let bytes = std::fs::read(journal_path(&dir, "s1")).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-        let ctx = bytes
-            .split_inclusive(|&b| b == b'\n')
-            .filter(|line| line.starts_with(b"__rec=ctx"))
-            .map(<[u8]>::to_vec)
-            .collect();
-        (bytes, ctx)
+        (bytes, payloads)
+    }
+
+    /// The answer to [`ALL`] of a stream that was sent `payloads`.
+    fn live_answer(tag: &str, payloads: &[&[u8]]) -> (Vec<String>, String) {
+        let dir = tmpdir(tag);
+        let mut state = StreamState::open("s1", &test_cfg(&dir), &spec()).unwrap();
+        for payload in payloads {
+            state.process_batch(payload).unwrap();
+        }
+        let live = answer(&state, ALL);
+        drop(state);
+        let _ = std::fs::remove_dir_all(&dir);
+        live
     }
 
     #[test]
     fn replay_folds_what_the_row_recovery_salvages() {
-        let (clean, ctx) = journal_of_three_batches("replay-source");
-        assert_eq!(ctx.len(), 1100);
+        let (clean, payloads) = journal_of_three_batches("replay-source");
+        let header = format!("{}\n", caliper_format::journal::JOURNAL_HEADER).into_bytes();
+        let frames = [frame(0, &payloads[0]), frame(600, &payloads[1]), frame(1036, &payloads[2])];
+        assert_eq!(clean, [header, frames.concat()].concat(), "the journal is the payloads as sent");
         let torn = clean[..clean.len() - 11].to_vec();
-        let doubled_tail = [clean.clone(), ctx[1090..].concat()].concat();
-        // The same number twice in a row inside the first block, and a
-        // span of the first block written again in the second.
-        let doubled_across = [clean.clone(), ctx[3].clone(), ctx[3].clone(), ctx[500..540].concat()].concat();
-        let at = clean.windows(ctx[700].len()).position(|w| w == ctx[700]).unwrap();
+        let doubled_tail = [clean.clone(), frames[2].clone()].concat();
+        // The first frame twice more: every number of it seen before.
+        let doubled_across = [clean.clone(), frames[0].clone(), frames[0].clone()].concat();
+        // A line of the middle frame that does not parse, its length
+        // kept: that frame is dropped whole.
+        let ctx = payloads[1]
+            .split_inclusive(|&b| b == b'\n')
+            .find(|line| line.starts_with(b"__rec=ctx"))
+            .unwrap();
+        let at = clean.windows(ctx.len()).rposition(|w| w == ctx).unwrap();
+        assert!((frames[0].len()..frames[0].len() + frames[1].len()).contains(&(at - 30)));
         let mut corrupt = clean.clone();
-        corrupt.splice(at..at + ctx[700].len(), b"__rec=ctx,ref=9999\n".iter().copied());
+        let bad = format!("__rec=ctx,ref={}\n", "9".repeat(ctx.len() - 15));
+        corrupt.splice(at..at + ctx.len(), bad.bytes());
+        assert_eq!(corrupt.len(), clean.len());
 
-        // (salvaged, duplicates, missing, skipped)
+        // (salvaged, duplicates, missing, skipped, truncated), and the
+        // batches a stream sent the survivors answers as.
+        let all = [&payloads[0][..], &payloads[1], &payloads[2]];
         let cases = [
-            ("clean", &clean, (1100, 0, 0, 0)),
-            ("torn", &torn, (1099, 0, 0, 1)),
-            ("doubled-tail", &doubled_tail, (1100, 10, 0, 0)),
-            ("doubled-across", &doubled_across, (1100, 42, 0, 0)),
-            ("corrupt", &corrupt, (1099, 0, 1, 1)),
+            ("clean", &clean, (1100, 0, 0, 0, false), all.to_vec()),
+            ("torn", &torn, (1036, 0, 0, 1, true), all[..2].to_vec()),
+            ("doubled-tail", &doubled_tail, (1100, 64, 0, 0, false), all.to_vec()),
+            ("doubled-across", &doubled_across, (1100, 1200, 0, 0, false), all.to_vec()),
+            ("corrupt", &corrupt, (664, 0, 436, 1, false), vec![all[0], all[2]]),
         ];
-        for (tag, journal, (salvaged, duplicates, missing, skipped)) in cases {
+        for (tag, journal, want, survivors) in cases {
             let dirs = [tmpdir(&format!("replay-{tag}-blocks")), tmpdir(&format!("replay-{tag}-rows"))];
             for dir in &dirs {
                 std::fs::write(journal_path(dir, "s1"), journal).unwrap();
@@ -845,14 +914,19 @@ mod tests {
             let mut pair =
                 Pair::reopen(dirs, ServedConfig::default(), spec(), vec![ALL.to_string()]);
             let report = pair.state.recovery.clone().unwrap();
+            let read = &report.read;
             assert_eq!(
-                (report.salvaged, report.duplicates, report.missing, report.read.skipped),
-                (salvaged, duplicates, missing, skipped),
-                "{tag}"
+                (report.salvaged, report.duplicates, report.missing, read.skipped, read.truncated),
+                want,
+                "{tag}: {}",
+                report.summary()
             );
-            assert_eq!(pair.state.accepted_records(), salvaged, "{tag}");
+            assert_eq!(pair.state.accepted_records(), want.0, "{tag}");
+            // Replayed, the stream answers what a stream sent the
+            // surviving batches answers.
+            assert_eq!(answer(&pair.state, ALL), live_answer(&format!("live-{tag}"), &survivors), "{tag}");
             // Both carry on from the same sequence number, on the same
-            // (possibly newline-terminated) file.
+            // (possibly resynchronized) file.
             let ack = pair.process_batch(&batch(&[("k1", 5), ("new", 6)]), tag).unwrap();
             assert_eq!(ack.last_seq, report.max_seq.unwrap() + 2, "{tag}");
             pair.restart().remove();
@@ -872,6 +946,208 @@ mod tests {
         assert!(report.read.truncated && report.salvaged == 0, "{}", report.summary());
         assert_eq!(pair.state.groups(), 0);
         pair.remove();
+    }
+
+    #[test]
+    fn a_cut_anywhere_in_the_last_frame_costs_that_batch_alone() {
+        let dir = tmpdir("cut");
+        let cfg = ServedConfig {
+            max_stream_failures: u32::MAX,
+            ..test_cfg(&dir)
+        };
+        let payloads = [
+            batch(&[("a", 10), ("b", 5), ("a", 1)]),
+            batch_with_globals(&[("c", 2)]),
+            batch(&[("b", 7), ("d", 3)]),
+        ];
+        let next = batch(&[("a", 100), ("e", 1)]);
+        let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        for payload in &payloads {
+            state.process_batch(payload).unwrap();
+        }
+        drop(state);
+        let path = journal_path(&dir, "s1");
+        let journal = std::fs::read(&path).unwrap();
+        let last = journal.len() - frame(4, &payloads[2]).len();
+        let acked = live_answer("cut-acked", &[&payloads[0], &payloads[1]]);
+        let resumed = live_answer("cut-resumed", &[&payloads[0], &payloads[1], &next]);
+        for cut in last..journal.len() {
+            std::fs::write(&path, &journal[..cut]).unwrap();
+            let torn = cut > last;
+            let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+            let report = state.recovery.clone().unwrap();
+            assert_eq!((report.salvaged, report.read.truncated), (4, torn), "cut at {cut}: {}", report.summary());
+            assert_eq!(answer(&state, ALL), acked, "cut at {cut}");
+            let ack = state.process_batch(&next).unwrap();
+            assert_eq!((ack.last_seq, ack.records), (5, 2), "cut at {cut}");
+            assert_eq!(answer(&state, ALL), resumed, "cut at {cut}");
+            drop(state);
+            // Restarted, every acknowledged batch is served, and the torn
+            // one is still reported.
+            let state = StreamState::open("s1", &cfg, &spec()).unwrap();
+            let report = state.recovery.clone().unwrap();
+            assert_eq!(
+                (report.salvaged, report.read.truncated, report.read.skipped),
+                (6, torn, u64::from(torn)),
+                "cut at {cut}, restarted: {}",
+                report.summary()
+            );
+            assert_eq!(answer(&state, ALL), resumed, "cut at {cut}, restarted");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_payload_carrying_a_frame_line_is_refused() {
+        let dir = tmpdir("frame-line");
+        let cfg = ServedConfig {
+            max_stream_failures: u32::MAX,
+            ..test_cfg(&dir)
+        };
+        let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        state.process_batch(&batch(&[("a", 1)])).unwrap();
+        let path = journal_path(&dir, "s1");
+        let before = std::fs::read(&path).unwrap();
+        let clean = batch(&[("b", 2)]);
+        for line in [&b"__rec=batch,seq=0,bytes=2\n"[..], b"seq=0,__rec=batch,bytes=2\n"] {
+            for at in [0, clean.len()] {
+                let payload = [&clean[..at], line, &clean[at..]].concat();
+                let err = state.process_batch(&payload).unwrap_err();
+                assert!(err.contains("unknown record kind 'batch'"), "{err}");
+                assert!(!state.degraded());
+                assert_eq!(std::fs::read(&path).unwrap(), before, "{err}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_payload_with_a_journal_seq_of_its_own_replays_in_full() {
+        // A runtime's journal sent as a batch: every record carries the
+        // `journal.seq` its writer stamped, which the daemon's stamp
+        // follows. Replay knows the rows by the daemon's stamp.
+        let dir = tmpdir("own-seq");
+        let cfg = test_cfg(&dir);
+        let payload = b"__rec=attr,id=0,name=kernel,type=string,prop=asvalue\n\
+                        __rec=attr,id=1,name=journal.seq,type=uint,prop=asvalue\n\
+                        __rec=ctx,attr=0,data=a,attr=1,data=0\n\
+                        __rec=ctx,attr=0,data=b,attr=1,data=0\n";
+        let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        for _ in 0..3 {
+            state.process_batch(payload).unwrap();
+        }
+        let live = render(&state);
+        drop(state);
+        let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        let report = state.recovery.clone().unwrap();
+        assert_eq!((report.salvaged, report.duplicates, report.max_seq), (6, 0, Some(5)));
+        assert_eq!(render(&state), live);
+        assert_eq!(state.process_batch(payload).unwrap().last_seq, 7);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_of_lines_then_frames_replays_to_the_live_answer() {
+        let dir = tmpdir("upgrade");
+        let cfg = test_cfg(&dir);
+        let payloads: Vec<Vec<u8>> = (0..6)
+            .map(|n| batch_with_globals(&[("a", n), ("b", 2 * n), (["c", "d"][n as usize % 2], 1)]))
+            .collect();
+        // The journal as the daemon wrote it one line per record: each
+        // decoded batch's records, stamped, through `append_snapshot`.
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = journal_path(&dir, "s1");
+        let policy = FlushPolicy::default();
+        let mut lines = JournalWriter::create(&path, policy).unwrap();
+        let mut reader = CaliReader::new();
+        let seq = reader.dataset().attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE).id();
+        let mut next_seq = 0;
+        for payload in &payloads[..3] {
+            let (ds, strings, block) = reader.read_batch(payload, seq, next_seq).unwrap();
+            let mut records = Vec::new();
+            block.append_records(strings, &mut records);
+            for record in &records {
+                lines.append_snapshot(ds, record).unwrap();
+            }
+            next_seq += records.len() as u64;
+        }
+        drop(lines);
+        let old = std::fs::read(&path).unwrap();
+        assert!(!old.windows(12).any(|w| w == b"__rec=batch,"));
+
+        let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        assert_eq!(state.recovery.as_ref().unwrap().salvaged, 9);
+        let ack = state.process_batch(&payloads[3]).unwrap();
+        assert_eq!(ack.last_seq, 11);
+        for payload in &payloads[4..] {
+            state.process_batch(payload).unwrap();
+        }
+        let live = answer(&state, ALL);
+        drop(state);
+        let journal = std::fs::read(&path).unwrap();
+        let frames = [frame(9, &payloads[3]), frame(12, &payloads[4]), frame(15, &payloads[5])];
+        assert_eq!(journal, [old, frames.concat()].concat());
+
+        let state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        let report = state.recovery.as_ref().unwrap();
+        assert!(!report.data_lost(), "{}", report.summary());
+        assert_eq!((report.salvaged, report.max_seq), (18, Some(17)));
+        assert_eq!(answer(&state, ALL), live);
+        let all: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+        assert_eq!(live, live_answer("upgrade-live", &all));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_bounds_the_string_table_frame_by_frame() {
+        // 70 batches of 1 024 records, each with a string of its own:
+        // 71 680 distinct strings in the journal.
+        let dir = tmpdir("replay-strings");
+        let cfg = test_cfg(&dir);
+        let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        for n in 0..70 {
+            let mut ds = Dataset::new();
+            let kernel = ds.attribute("kernel", ValueType::Str, Properties::AS_VALUE).id();
+            let t = ds.attribute("t", ValueType::Int, Properties::AS_VALUE).id();
+            let note = ds.attribute("note", ValueType::Str, Properties::AS_VALUE).id();
+            for i in 0..1024 {
+                let mut rec = SnapshotRecord::new();
+                rec.push_imm(kernel, Value::str(format!("k{}", (i + n) % 5)));
+                rec.push_imm(t, Value::Int(i));
+                rec.push_imm(note, Value::str(format!("note {n}.{i}")));
+                ds.push(rec);
+            }
+            state.process_batch(&caliper_format::cali::to_bytes(&ds)).unwrap();
+        }
+        let live = render(&state);
+        drop(state);
+        let bound = MAX_STREAM_STRINGS + 1024 + 8;
+
+        // Never above the bound by more than one batch, at any frame.
+        let (mut reader, spec) = (CaliReader::new(), spec());
+        let mut aggregator = Aggregator::new(spec.clone(), Arc::clone(&reader.dataset().store));
+        let mut fold = BlockFold::for_aggregation(&spec);
+        let mut resets = 0;
+        let report = recover_file_blocks(
+            &mut reader,
+            journal_path(&dir, "s1"),
+            ReadPolicy::lenient(),
+            None,
+            &mut |ds, strings, block| {
+                let held = strings.len();
+                assert!(held <= bound, "{held} strings");
+                fold_replayed(&mut fold, &mut aggregator, ds, strings, block);
+                resets += usize::from(strings.len() < held);
+            },
+        )
+        .unwrap();
+        assert_eq!(report.salvaged, 70 * 1024);
+        assert_eq!(resets, 1, "the table did start over");
+
+        let state = StreamState::open("s1", &cfg, &spec).unwrap();
+        assert!(state.reader.strings().len() <= bound, "{}", state.reader.strings().len());
+        assert_eq!(render(&state), live);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -998,8 +1274,12 @@ mod tests {
             held = now;
         }
         assert_eq!(resets, 300 * 1024 / MAX_STREAM_STRINGS, "the table did start over");
-        pair.assert_same_journals("after 300 batches");
-        pair.restart().remove();
+        pair.assert_journal_is_the_payloads_as_sent("after 300 batches");
+        // Replayed, the table is bounded as it was at ingest.
+        let pair = pair.restart();
+        let now = pair.state.reader.strings().len();
+        assert!(now <= MAX_STREAM_STRINGS + 1024 + 8, "{now} strings after the replay");
+        pair.remove();
     }
 
     #[test]

@@ -131,16 +131,16 @@ if printf '%s\n' "$served_src" | grep -E 'FlatRecord|\.flush\([^)]|warm_rows|run
     exit 1
 fi
 # And the text line encoder allocates nothing per record: from its
-# marker to the end of `write_rows`, cali.rs formats no id or value into
+# marker to the end of `write_block`, cali.rs formats no id or value into
 # a String of its own, clones no entry and copies no list.
 encoder_src=$(awk '
     /^#\[cfg\(test\)\]/ { exit }
     /^\/\/ ---- the line encoder ----$/ { on = 1 }
     on { print FILENAME ":" FNR ": " $0 }
-    on && /fn write_rows\(/ { last = 1 }
+    on && /fn write_block\(/ { last = 1 }
     on && last && /^    }$/ { exit }
 ' crates/format/src/cali.rs)
-for landmark in 'fn push_value(' 'fn write_snapshot(' 'fn write_globals(' 'fn write_rows('; do
+for landmark in 'fn push_value(' 'fn write_snapshot(' 'fn write_globals(' 'fn write_block('; do
     printf '%s\n' "$encoder_src" | grep -qF "$landmark" || {
         echo "check.sh: '$landmark' is not inside cali.rs' line-encoder stretch; move the marker with it" >&2
         exit 1
@@ -148,6 +148,22 @@ for landmark in 'fn push_value(' 'fn write_snapshot(' 'fn write_globals(' 'fn wr
 done
 if printf '%s\n' "$encoder_src" | grep -E 'to_string\(\)|\.to_vec\(\)|\.clone\(\)'; then
     echo "check.sh: the text line encoder allocates per record (listed above)" >&2
+    exit 1
+fi
+
+# Journal gate: the daemon journals each batch as it was received, one
+# frame per batch (DESIGN.md §11), so outside the tests crates/served
+# encodes nothing it journals — no `CaliWriter`, no `write_block`, no
+# per-row `append_block` — and a frame's header line is written and
+# read in one place, the journal module.
+if printf '%s\n' "$served_src" | grep -E 'CaliWriter|write_block|append_block'; then
+    echo "check.sh: crates/served encodes what it journals (listed above)" >&2
+    exit 1
+fi
+if find src crates/*/src -name '*.rs' | sort | while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+    done | grep -F '__rec=batch' | grep -v '^crates/format/src/journal.rs:'; then
+    echo "check.sh: a batch frame's header line is spelled outside the journal module (listed above)" >&2
     exit 1
 fi
 
