@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use caliper_bench::schemes;
 use caliper_data::{AttributeStore, Value};
-use caliper_query::{parse_query, AggregationSpec, Aggregator, BlockFold};
+use caliper_query::{parse_query, AggregationSpec, Aggregator};
 use caliper_runtime::{AggregateService, Caliper, Clock, Config};
 use miniapps::{CleverLeaf, CleverLeafParams, WorkMode};
 
@@ -33,11 +33,11 @@ fn schemes_a_b_and_c_fold_every_snapshot_as_columns() {
         let spec = AggregationSpec::from_query(&parse_query(&query).unwrap())
             .with_count_label(AggregateService::COUNT_ATTR);
         let mut offline = Aggregator::new(spec.clone(), Arc::clone(&trace.store));
-        let (mut fold, mut strings) = (BlockFold::for_aggregation(&spec), (**shared).clone());
+        let mut strings = (**shared).clone();
         for (_, block) in &trace.blocks {
-            fold.fold(&mut offline, &trace.tree, &mut strings, block);
+            offline.fold_block(&trace.tree, &mut strings, block);
         }
-        assert_eq!(fold.gathered_rows(), 0, "{key}");
+        assert_eq!(offline.gathered_rows(), 0, "{key}");
         assert_eq!(offline.records_processed(), trace.len() as u64, "{key}");
 
         let config = Config::event_aggregate(key, schemes::OPS);

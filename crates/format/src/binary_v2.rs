@@ -38,6 +38,7 @@
 use std::borrow::Cow;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use caliper_data::{
@@ -386,13 +387,44 @@ fn skip_footer(cursor: &mut Cursor<'_>) -> Result<(), CaliError> {
 /// allocated once. String columns of a [`Block`] hold codes, so decoding
 /// a string seen before costs one hash lookup and no allocation, and
 /// consumers can compare and group strings as integers.
+///
+/// A table is append-only and has an identity ([`id`](Self::id)): a
+/// cache keyed by its codes checks the id to know whose codes it holds.
+/// A new table — [`Default`] or [`Clone`] — gets an id of its own; a
+/// moved one keeps it.
 #[derive(Debug, Clone, Default)]
 pub struct StringTable {
     codes: FxHashMap<Arc<str>, u32>,
     values: Vec<Value>,
+    id: TableId,
+}
+
+/// A [`StringTable`]'s identity: process-unique, and new for every
+/// table made, a clone included.
+#[derive(Debug)]
+struct TableId(u64);
+
+impl Default for TableId {
+    fn default() -> TableId {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        TableId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for TableId {
+    fn clone(&self) -> TableId {
+        TableId::default()
+    }
 }
 
 impl StringTable {
+    /// This table among the process's tables: no two tables share an
+    /// id, a clone and its original included — what a cache of answers
+    /// per code checks it is answering for.
+    pub fn id(&self) -> u64 {
+        self.id.0
+    }
+
     /// The code of `text` if it has one. Never assigns: a caller that
     /// must not grow the table looks up first and interns on its own
     /// terms.
@@ -1809,5 +1841,21 @@ mod tests {
         let back = crate::binary::read_file(&path).unwrap();
         assert_eq!(back.len(), ds.len());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_string_table_is_new_when_made_and_the_same_when_moved() {
+        let (a, b) = (StringTable::default(), StringTable::default());
+        assert_ne!(a.id(), b.id(), "two defaults");
+        let mut original = StringTable::default();
+        original.intern("x");
+        let copy = original.clone();
+        assert_ne!(copy.id(), original.id(), "a clone");
+        assert_eq!(copy.find("x"), original.find("x"), "a clone holds the same codes");
+        let id = original.id();
+        let moved = original;
+        assert_eq!(moved.id(), id, "a move");
+        let boxed = Box::new(moved);
+        assert_eq!(boxed.id(), id, "a move into a box");
     }
 }

@@ -542,14 +542,21 @@ impl CaliReader {
         &self.ds
     }
 
+    /// Drop the globals read so far — what a resident reader, which
+    /// keeps a stream's dictionary and nothing else, does once it has
+    /// handed them on.
+    pub fn clear_globals(&mut self) {
+        self.ds.globals.clear();
+    }
+
     /// The reader's string table.
     pub fn strings(&self) -> &StringTable {
         &self.strings
     }
 
-    /// Start over with an empty string table. Codes handed out so far
-    /// mean nothing afterwards, so whoever kept any — in caches keyed by
-    /// them — drops those at the same time. Rows not yet handed out are
+    /// Start over with a new, empty string table. Codes handed out so
+    /// far mean nothing afterwards; a cache keyed by them knows the new
+    /// table by its [`id`](StringTable::id). Rows not yet handed out are
     /// dropped with their codes.
     pub fn reset_strings(&mut self) {
         self.strings = StringTable::default();
@@ -575,8 +582,10 @@ impl CaliReader {
     /// kept; what it declared stays in the dictionary). Every row is
     /// stamped with `seq_attr` (an unsigned-integer attribute of this
     /// reader's store) as its last immediate, counting up from
-    /// `first_seq` — a column of the block like any other. Globals the
-    /// batch carries are read and dropped (those read before it stay).
+    /// `first_seq` — a column of the block like any other. The globals
+    /// the batch carries are handed over with it, appended to the
+    /// dataset's as a stream's are; whoever keeps the reader resident
+    /// drops them ([`clear_globals`](Self::clear_globals)).
     ///
     /// The block is handed over the way a [`BlockSink`] takes one, and
     /// stays valid until the reader is used again.
@@ -592,8 +601,8 @@ impl CaliReader {
         let globals = self.ds.globals.len();
         let read = self.read_lines(bytes, ReadPolicy::Strict, &mut ReadReport::default(), None, None);
         self.stamp = None;
-        self.ds.globals.truncate(globals);
         if let Err(e) = read {
+            self.ds.globals.truncate(globals);
             self.block.clear();
             return Err(e);
         }
@@ -1351,13 +1360,16 @@ mod tests {
             Arc::clone(&reader.dataset().tree),
         ));
         rows.read_stream(&bytes[..]).unwrap();
-        let mut want = rows.finish().records;
+        let read = rows.finish();
+        let mut want = read.records;
         for (i, rec) in want.iter_mut().enumerate() {
             rec.push_imm(seq.id(), Value::UInt(40 + i as u64));
         }
         assert_eq!(stamped, want);
         let ds = reader.dataset();
-        assert!(ds.records.is_empty() && ds.globals.is_empty(), "nothing is kept");
+        assert!(ds.records.is_empty(), "no record is kept");
+        assert!(!read.globals.is_empty());
+        assert_eq!(ds.globals, read.globals, "the batch's globals are handed over");
     }
 
     #[test]
@@ -1365,12 +1377,18 @@ mod tests {
         let mut reader = CaliReader::new();
         let seq = reader.dataset().attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
         let clean = batch_bytes(6);
+        // An accepted batch's globals dropped as a resident reader drops
+        // them; a failed one must leave none.
         let rows_of = |reader: &mut CaliReader, bytes: &[u8]| {
-            reader.read_batch(bytes, seq.id(), 7).map(|(_, strings, block)| {
+            let rows = reader.read_batch(bytes, seq.id(), 7).map(|(_, strings, block)| {
                 let mut rows = Vec::new();
                 block.append_records(strings, &mut rows);
                 rows
-            })
+            });
+            if rows.is_ok() {
+                reader.clear_globals();
+            }
+            rows
         };
         let want = rows_of(&mut reader, &clean).unwrap();
         assert_eq!(want.len(), 6);

@@ -8,7 +8,7 @@
 //! possible.
 //!
 //! The same engine serves all three aggregation applications from the
-//! paper, fed by one fold ([`BlockFold`]): on-line event aggregation
+//! paper, fed by one block fold: on-line event aggregation
 //! (the runtime's snapshots, appended to a block and folded from their
 //! context-tree nodes and immediates), cross-process aggregation
 //! (entries merged up a reduction tree via [`Aggregator::merge`]), and
@@ -18,15 +18,15 @@ use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 use caliper_data::{
-    fxhash, AttrId, Attribute, AttributeStore, FlatRecord, FxBuildHasher, Properties, Value,
-    ValueType,
+    fxhash, AttrId, Attribute, AttributeStore, ContextTree, FlatRecord, FxBuildHasher, Properties,
+    Value, ValueType,
 };
 use caliper_format::{Block, BlockRows, Cell, Column as BlockColumn, ColumnData, StringTable};
 
 use crate::ast::{AggOp, QuerySpec};
 use crate::ops::{Column, Included, Values};
 use crate::query::NO_NODES;
-use crate::scan::BlockFold;
+use crate::scan::{BlockFold, Sink};
 
 /// Key value of the overflow bucket in flushed results (the same
 /// sentinel upstream Caliper uses when its aggregation buffers fill).
@@ -273,10 +273,9 @@ pub struct Aggregator {
     /// result) a column of their own, and the keys one arena, a cell per
     /// key label each. `table` holds per key hash the newest group with
     /// it, and `chain` per group the next older one — the one table from
-    /// keys to groups. The block fold ([`BlockFold`], which
-    /// [`Aggregator::add`] takes too) and [`Aggregator::merge`] bring
-    /// their keys into `strings`' terms and go through
-    /// [`Aggregator::admit`].
+    /// keys to groups. The block fold (this aggregator's own, `fold`,
+    /// or a pipeline's) and [`Aggregator::merge`] bring their keys into
+    /// `strings`' terms and go through [`Aggregator::admit`].
     ops: Vec<Column>,
     records: Vec<u64>,
     keys: Vec<KeyCell>,
@@ -290,9 +289,13 @@ pub struct Aggregator {
     id: Arc<()>,
     /// [`Aggregator::merge`]'s scratch: a key on its way to `admit`.
     key: Vec<KeyCell>,
-    /// What [`Aggregator::add`] folds a record as: a block of one row,
-    /// the table of its strings, and the fold; made on the first record.
-    rows: Option<Box<(BlockFold, StringTable, Block)>>,
+    /// The fold of this aggregation, which every block
+    /// ([`Aggregator::fold_block`]) and record ([`Aggregator::add`])
+    /// takes, made when the first one comes.
+    fold: Option<Box<BlockFold>>,
+    /// What [`Aggregator::add`] folds a record as: a block of one row
+    /// and the table of its strings, made on the first record.
+    rows: Option<Box<(StringTable, Block)>>,
     records_processed: u64,
     /// Capacity bound on the database (None = unbounded, the historical
     /// mode).
@@ -321,6 +324,7 @@ impl Aggregator {
             strings: StringTable::default(),
             id: Arc::new(()),
             key: Vec::new(),
+            fold: None,
             rows: None,
             records_processed: 0,
             max_groups: None,
@@ -356,11 +360,6 @@ impl Aggregator {
     /// The aggregation spec.
     pub fn spec(&self) -> &AggregationSpec {
         &self.spec
-    }
-
-    /// The store key and target labels are resolved against.
-    pub(crate) fn store(&self) -> &AttributeStore {
-        &self.store
     }
 
     /// Number of unique keys currently in the database (the number of
@@ -512,15 +511,11 @@ impl Aggregator {
     }
 
     /// Process one input record (streaming update): as a block of one
-    /// row, its pairs the row's immediates in order, through the
-    /// [`BlockFold`] this aggregator keeps for records — the fold every
-    /// block takes.
+    /// row, its pairs the row's immediates in order, through the fold
+    /// every block takes.
     pub fn add(&mut self, record: &FlatRecord) {
-        let mut rows = self.rows.take().unwrap_or_else(|| {
-            let fold = BlockFold::for_aggregation(&self.spec);
-            Box::new((fold, StringTable::default(), Block::default()))
-        });
-        let (fold, strings, block) = &mut *rows;
+        let mut rows = self.rows.take().unwrap_or_default();
+        let (strings, block) = &mut *rows;
         block.clear();
         for (attr, value) in record.pairs() {
             let cell = strings.cell(value);
@@ -528,8 +523,42 @@ impl Aggregator {
             block.push_imm(column, cell);
         }
         assert!(block.end_row(), "a record of more than 2^32 values");
-        fold.fold(self, &NO_NODES, strings, block);
+        self.fold_block(&NO_NODES, strings, block);
         self.rows = Some(rows);
+    }
+
+    /// Fold every row of `block`, in order, through this aggregation's
+    /// fold: each row into its group, updating its reduction states with
+    /// each group's values in row order. `tree` holds the nodes the rows
+    /// refer to, over the store this aggregator resolves labels against,
+    /// and `strings` is the table the block's string codes refer to —
+    /// the fold starts its caches over when that is another table than
+    /// the last block's.
+    pub fn fold_block(&mut self, tree: &ContextTree, strings: &mut StringTable, block: &Block) {
+        let mut fold = self
+            .fold
+            .take()
+            .unwrap_or_else(|| Box::new(BlockFold::for_aggregation(&self.spec)));
+        fold.resolve(&self.store);
+        fold.fold_into(Sink::Groups(self), tree, strings, block);
+        self.fold = Some(fold);
+    }
+
+    /// Rows folded so far through the fold's row-by-row gather (see
+    /// [`Pipeline::gathered_rows`](crate::Pipeline::gathered_rows)).
+    pub fn gathered_rows(&self) -> u64 {
+        self.fold.as_ref().map_or(0, |fold| fold.gathered_rows())
+    }
+
+    /// Start the database over, empty, and hand back the groups so far
+    /// as an aggregator of their own — what an on-line service spills.
+    /// The fold and its caches stay with this aggregator.
+    pub fn restart(&mut self) -> Aggregator {
+        let mut fresh = Aggregator::new(self.spec.clone(), Arc::clone(&self.store));
+        fresh.max_groups = self.max_groups;
+        let mut full = std::mem::replace(self, fresh);
+        (self.fold, self.rows) = (full.fold.take(), full.rows.take());
+        full
     }
 
     /// Merge another aggregator's database into this one (cross-process

@@ -23,14 +23,18 @@
 //! ```
 //!
 //! The same [`Aggregator`] engine serves all three aggregation
-//! applications from the paper, and one fold, [`BlockFold`], is the
-//! way into it: on-line event aggregation (the runtime's aggregate
-//! service appends snapshot records to a block and folds it), off-line
-//! analytical aggregation ([`run_query`] over a dataset, a file's
-//! blocks, a daemon stream's batches — and [`Aggregator::add`] of one
-//! record, a block of one row), and cross-process aggregation (partial
-//! [`Pipeline`]s are merged up a reduction tree, [`Aggregator::merge`]
-//! the one other way a key is admitted).
+//! applications from the paper, and one block fold is the way into it,
+//! owned by a [`Pipeline`] (the fold of its query) or an [`Aggregator`]
+//! (the fold of its aggregation) and by nothing else: on-line event
+//! aggregation (the runtime's aggregate service appends snapshot
+//! records to a block and hands it to [`Aggregator::fold_block`]),
+//! off-line analytical aggregation ([`run_query`] over a dataset, a
+//! file's blocks through [`Pipeline::fold_block`], a daemon stream's
+//! batches — and [`Aggregator::add`] of one record, a block of one
+//! row), and cross-process aggregation (partial [`Pipeline`]s are
+//! merged up a reduction tree, [`Aggregator::merge`] the one other way
+//! a key is admitted). The fold's caches follow the identity of the
+//! string table a block's codes refer to, so no caller pairs the two.
 //!
 //! A `WHERE` condition ([`Filter`], [`CmpOp`]) is the format layer's
 //! type (`caliper_format::pushdown`, re-exported here): one module
@@ -70,5 +74,5 @@ pub use parallel::{
 pub use parser::{parse_query, parse_query_spanned, ParseError, SpanMap};
 pub use pushdown::build_pushdown;
 pub use query::{run_query, Pipeline, QueryResult};
-pub use scan::{BlockFold, Scanned, MAX_STREAM_STRINGS};
+pub use scan::{Scanned, MAX_STREAM_STRINGS};
 pub use sema::analyze;

@@ -19,7 +19,7 @@ use crate::aggregator::{AggregationSpec, Aggregator};
 use crate::ast::{FormatOpt, OutputFormat, QuerySpec, SortDir};
 use crate::lets::LetSet;
 use crate::parser::{parse_query, ParseError};
-use crate::scan::BlockFold;
+use crate::scan::{BlockFold, Sink};
 
 /// The result of a finished query: rows plus presentation metadata.
 pub struct QueryResult {
@@ -108,10 +108,9 @@ impl QueryResult {
     /// ```
     pub fn requery(&self, text: &str) -> Result<QueryResult, ParseError> {
         let mut pipeline = Pipeline::from_text(text, Arc::clone(&self.store))?;
-        let mut fold = BlockFold::new(pipeline.spec());
         let mut strings = self.records.strings().clone();
         let block = self.records.to_block(|_| true);
-        pipeline.fold_rows(&mut fold, &NO_NODES, &mut strings, &block);
+        pipeline.fold_rows(&NO_NODES, &mut strings, &block);
         Ok(pipeline.finish())
     }
 
@@ -152,9 +151,12 @@ pub struct Pipeline {
     /// block, and the table its string codes refer to.
     pub(crate) passthrough: (Block, StringTable),
     pub(crate) input_store: Arc<AttributeStore>,
-    /// The fold row records go through, the table of their strings and
-    /// the block they are built into, made when the first one comes.
-    pub(crate) row_fold: Option<Box<(BlockFold, StringTable, Block)>>,
+    /// The fold of the query, which every block takes, made when the
+    /// first one comes.
+    pub(crate) fold: Option<Box<BlockFold>>,
+    /// The table of row records' strings and the block they are built
+    /// into, made when the first one comes.
+    pub(crate) rows: Option<Box<(StringTable, Block)>>,
 }
 
 /// The tree of a record that refers to no node.
@@ -181,7 +183,8 @@ impl Pipeline {
             aggregator,
             passthrough: Default::default(),
             input_store: store,
-            row_fold: None,
+            fold: None,
+            rows: None,
         }
     }
 
@@ -210,6 +213,19 @@ impl Pipeline {
         self.aggregator.as_ref().map_or(0, |a| a.overflow_records())
     }
 
+    /// Records folded into the aggregation so far (0 for a
+    /// pass-through query).
+    pub fn records_processed(&self) -> u64 {
+        self.aggregator.as_ref().map_or(0, |agg| agg.records_processed())
+    }
+
+    /// Rows folded so far through the fold's row-by-row gather, which
+    /// only rows that carry an attribute the query mentions more than
+    /// once take (diagnostics: flat profiles should take none).
+    pub fn gathered_rows(&self) -> u64 {
+        self.fold.as_ref().map_or(0, |fold| fold.gathered_rows())
+    }
+
     /// The parsed query spec.
     pub fn spec(&self) -> &QuerySpec {
         &self.spec
@@ -226,8 +242,7 @@ impl Pipeline {
     }
 
     /// Fold one input record, at once: as a block of one row, its pairs
-    /// the row's immediates in order, through the [`BlockFold`] this
-    /// pipeline keeps for row records — the fold every block takes.
+    /// the row's immediates in order, through the fold every block takes.
     pub fn process(&mut self, record: FlatRecord) {
         self.fold_records(&[SnapshotRecord::from(&record)], &NO_NODES);
     }
@@ -238,6 +253,26 @@ impl Pipeline {
     pub fn process_dataset(&mut self, ds: &Dataset) {
         self.fold_records(&ds.records, &ds.tree);
         self.fold_blocks(ds);
+    }
+
+    /// Fold `block`'s rows through the pipeline's fold: into the
+    /// aggregation, or — a pass-through query — whole into the result
+    /// block. `tree` holds the nodes the rows refer to.
+    pub(crate) fn fold_rows(&mut self, tree: &ContextTree, strings: &mut StringTable, block: &Block) {
+        if block.rows() == 0 {
+            return;
+        }
+        let fold = self.fold.get_or_insert_with(|| Box::new(BlockFold::new(&self.spec)));
+        fold.resolve(&self.input_store);
+        let sink = match &mut self.aggregator {
+            Some(aggregator) => Sink::Groups(aggregator),
+            None => Sink::Rows {
+                lets: self.lets.intern_outputs(&self.input_store),
+                block: &mut self.passthrough.0,
+                strings: &mut self.passthrough.1,
+            },
+        };
+        fold.fold_into(sink, tree, strings, block);
     }
 
     /// Merge another aggregation pipeline's partial result into this

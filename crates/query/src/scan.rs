@@ -34,19 +34,26 @@
 //!   runtime's trace buffer makes them ([`Block::push_snapshot`]),
 //!   [`DEFAULT_BLOCK_RECORDS`] to a block, and fold as columns too.
 //!
-//! [`BlockFold`] is that columnar fold, and the only evaluator of LET
-//! and WHERE there is: whoever holds [`Block`]s folds them through it —
+//! `BlockFold` is that columnar fold, and the only evaluator of LET and
+//! WHERE there is. Two types own one, and every holder of [`Block`]s
+//! goes through them: a [`Pipeline`] owns the fold of its query —
 //! [`Pipeline::scan_file`] here, [`Pipeline::process_dataset`] for what
-//! a dataset holds (the runtime's output), [`Pipeline::process`] and
-//! [`Aggregator::add`] for one record, as a block of one row, the
-//! runtime's aggregate service for the snapshots it appends to a block,
-//! and the resident daemon (`cali-served`), which folds every ingest
-//! batch and every replayed journal block into a stream's warm
-//! aggregate with it. A pipeline
-//! takes blocks through [`Pipeline::fold_block`], which `scan_file`
-//! calls per block of a file and the daemon's query per stream, on the
-//! block each stream's warm aggregate flushes
-//! ([`Aggregator::flush_into`]).
+//! a dataset holds (the runtime's output), [`Pipeline::process`] for
+//! one record, as a block of one row, and [`Pipeline::fold_block`],
+//! which `scan_file` calls per block of a file and the daemon's query
+//! per stream, on the block each stream's warm aggregate flushes
+//! ([`Aggregator::flush_into`]); an [`Aggregator`] owns the fold of its
+//! aggregation — [`Aggregator::fold_block`], which the runtime's
+//! aggregate service takes for the snapshots it appends to a block and
+//! the resident daemon (`cali-served`) for every ingest batch and every
+//! replayed journal block, and [`Aggregator::add`] for one record.
+//!
+//! A fold's caches — its node cache and its code map — are keyed by the
+//! codes of one [`StringTable`], and the fold knows whose: it compares
+//! the table's [`id`](StringTable::id) at each block, as it compares the
+//! context tree's, and starts its caches over when it changes. So no
+//! caller pairs a fold with a table, and a table's owner that starts the
+//! table over (`MAX_STREAM_STRINGS`) just makes a new one.
 //!
 //! After LET and WHERE the fold hands the rows it keeps to a sink: an
 //! aggregation's groups — found in the one table there is from keys to
@@ -116,13 +123,12 @@ impl Pipeline {
             Arc::ptr_eq(&self.input_store, &dict.store),
             "scan_file: the pipeline was created over a different store"
         );
-        let mut fold = BlockFold::new(&self.spec);
         let (mut fold_s, mut folded) = (0.0, 0u64);
         let (mut dict, report) =
             scan_path(path, dict, policy, pushdown, &mut |ds, strings, block| {
                 let start = Instant::now();
                 folded += (ds.records.len() + block.rows()) as u64;
-                self.fold_block(&mut fold, ds, strings, block);
+                self.fold_block(ds, strings, block);
                 fold_s += start.elapsed().as_secs_f64();
             })?;
 
@@ -142,91 +148,57 @@ impl Pipeline {
 
     /// Fold one decoded `block` into this pipeline — after the row
     /// records its stream carried ahead of it in `ds`, which keep their
-    /// place in the order — through `fold`. The one step every holder of
-    /// blocks takes ([`scan_file`](Self::scan_file) per block of a file,
-    /// `cali-served` per stream of a query), with one `fold` per string
-    /// table.
+    /// place in the order — through the pipeline's fold. The one step
+    /// every holder of blocks takes ([`scan_file`](Self::scan_file) per
+    /// block of a file, `cali-served` per stream of a query).
     ///
     /// `ds` is the dataset the block was decoded into, over the store
     /// this pipeline was created over, and `strings` the table the
     /// block's string codes refer to.
-    pub fn fold_block(
-        &mut self,
-        fold: &mut BlockFold,
-        ds: &mut Dataset,
-        strings: &mut StringTable,
-        block: &Block,
-    ) {
+    pub fn fold_block(&mut self, ds: &mut Dataset, strings: &mut StringTable, block: &Block) {
         self.fold_records(&ds.records, &ds.tree);
         ds.records.clear();
-        self.fold_rows(fold, &ds.tree, strings, block);
+        self.fold_rows(&ds.tree, strings, block);
     }
 
     /// Fold the blocks a dataset holds (see [`Dataset::blocks`]), in
-    /// order, as [`fold_block`](Self::fold_block) folds a decoded one:
-    /// with one [`BlockFold`] per string table — a block's own table is
-    /// shared and stays as it is, so the fold works on a copy of it.
+    /// order, as [`fold_block`](Self::fold_block) folds a decoded one —
+    /// a block's own table is shared and stays as it is, so the fold
+    /// works on a copy of it.
     pub(crate) fn fold_blocks(&mut self, ds: &Dataset) {
-        let mut table: Option<(&Arc<StringTable>, StringTable, BlockFold)> = None;
+        let mut table: Option<(&Arc<StringTable>, StringTable)> = None;
         for (shared, block) in &ds.blocks {
-            if !table.as_ref().is_some_and(|(last, ..)| Arc::ptr_eq(last, shared)) {
-                table = Some((shared, StringTable::clone(shared), BlockFold::new(&self.spec)));
+            if !table.as_ref().is_some_and(|(last, _)| Arc::ptr_eq(last, shared)) {
+                table = Some((shared, StringTable::clone(shared)));
             }
-            let (_, strings, fold) = table.as_mut().expect("set above");
-            self.fold_rows(fold, &ds.tree, strings, block);
+            let (_, strings) = table.as_mut().expect("set above");
+            self.fold_rows(&ds.tree, strings, block);
         }
     }
 
     /// Fold row records whose nodes are in `tree`, in order: as blocks
-    /// of [`DEFAULT_BLOCK_RECORDS`] rows ([`Block::push_snapshot`])
-    /// through the fold, string table and block the pipeline keeps for
-    /// row records.
+    /// of [`DEFAULT_BLOCK_RECORDS`] rows ([`Block::push_snapshot`]),
+    /// through the string table and block the pipeline keeps for row
+    /// records.
     pub(crate) fn fold_records(&mut self, records: &[SnapshotRecord], tree: &ContextTree) {
         if records.is_empty() {
             return;
         }
-        let mut rows = self.row_fold.take().unwrap_or_else(|| {
-            Box::new((BlockFold::new(&self.spec), StringTable::default(), Block::default()))
-        });
+        let mut rows = self.rows.take().unwrap_or_default();
         for records in records.chunks(DEFAULT_BLOCK_RECORDS) {
-            let (fold, strings, block) = &mut *rows;
+            let (strings, block) = &mut *rows;
             block.clear();
             for record in records {
                 assert!(block.push_snapshot(strings, record), "a block of more than 2^32 entries");
             }
-            self.fold_rows(fold, tree, strings, block);
+            self.fold_rows(tree, strings, block);
         }
-        self.row_fold = Some(rows);
-    }
-
-    /// Fold `block`'s rows through `fold`: into the aggregation, or —
-    /// a pass-through query — whole into the result block. `tree` holds
-    /// the nodes the rows refer to.
-    pub(crate) fn fold_rows(
-        &mut self,
-        fold: &mut BlockFold,
-        tree: &ContextTree,
-        strings: &mut StringTable,
-        block: &Block,
-    ) {
-        if block.rows() == 0 {
-            return;
-        }
-        fold.resolve(&self.input_store);
-        let sink = match &mut self.aggregator {
-            Some(aggregator) => Sink::Groups(aggregator),
-            None => Sink::Rows {
-                lets: self.lets.intern_outputs(&self.input_store),
-                block: &mut self.passthrough.0,
-                strings: &mut self.passthrough.1,
-            },
-        };
-        fold.fold_into(sink, tree, strings, block);
+        self.rows = Some(rows);
     }
 }
 
 /// Where the rows a fold keeps go.
-enum Sink<'a> {
+pub(crate) enum Sink<'a> {
     /// An aggregation: each row into its group.
     Groups(&'a mut Aggregator),
     /// A pass-through query's result: each row appended whole to
@@ -252,12 +224,12 @@ struct Slot {
 
 const NO_SLOT: u32 = u32::MAX;
 
-/// Strings a stream's table may hold before it is started over, with a
-/// [`BlockFold::reset`] of the fold whose caches are keyed by its codes
-/// (between blocks, so a block can overshoot by what it carries) — a
-/// `cali-served` stream's and the runtime's aggregate service's. Only
-/// the table's codes are forgotten, never a group: the cost of a reset
-/// is the fold's code map and node cache refilled.
+/// Strings a stream's table may hold before its owner starts it over
+/// with a new one (between blocks, so a block can overshoot by what it
+/// carries) — a `cali-served` stream's and the runtime's aggregate
+/// service's. Only the table's codes are forgotten, never a group: the
+/// fold that meets the new table starts its code map and node cache
+/// over, and the cost is those refilled.
 pub const MAX_STREAM_STRINGS: usize = 1 << 16;
 
 /// The slot of `attr`, or [`NO_SLOT`].
@@ -329,13 +301,13 @@ enum Place {
 /// ([`gathered_rows`](Self::gathered_rows)).
 ///
 /// What a fold remembers is about the *stream* — one [`StringTable`] at
-/// a time — and keyed by that table's codes: [`reset`](Self::reset) it
-/// when the table starts over or gives way to another. What it
-/// remembers of groups lives in its code map, which knows whose groups
-/// they are, so it may fold into any aggregator, one block into this
-/// one and the next into that.
+/// a time — and keyed by that table's codes: at each block it compares
+/// the table's id with the one its caches are for, and starts them over
+/// when the table is another. What it remembers of groups lives in its
+/// code map, which knows whose groups they are, so it may fold into any
+/// aggregator, one block into this one and the next into that.
 #[derive(Default)]
-pub struct BlockFold {
+pub(crate) struct BlockFold {
     slots: Vec<Slot>,
     /// Per LET binding: its definition, the slots of its inputs, and of
     /// its output.
@@ -354,8 +326,10 @@ pub struct BlockFold {
     nodes: Vec<Option<NodeCells>>,
     tree: u64,
     /// The stream's string codes as the aggregator's, and a key of one
-    /// string's groups.
+    /// string's groups. It and `nodes` hold codes of the table whose id
+    /// is `table`.
     codes: CodeMap,
+    table: u64,
     /// WHERE comparisons whose types never let the data decide, counted
     /// over a block and published (`query.filter.type_mismatch`) after.
     type_mismatches: u64,
@@ -389,13 +363,13 @@ pub struct BlockFold {
 impl BlockFold {
     /// The fold of a whole query: LET, WHERE, and GROUP BY and the ops
     /// — or, for a pass-through query, the rows kept whole.
-    pub fn new(spec: &QuerySpec) -> BlockFold {
+    pub(crate) fn new(spec: &QuerySpec) -> BlockFold {
         BlockFold::over(&spec.lets, &spec.filters, &spec.key, &spec.ops)
     }
 
     /// The fold of an aggregation alone: every row is grouped and
     /// reduced.
-    pub fn for_aggregation(spec: &AggregationSpec) -> BlockFold {
+    pub(crate) fn for_aggregation(spec: &AggregationSpec) -> BlockFold {
         BlockFold::over(&[], &[], &spec.key, &spec.ops)
     }
 
@@ -450,42 +424,15 @@ impl BlockFold {
         }
     }
 
-    /// Forget what was learnt about the string table's codes. Call it
-    /// when the stream's string table starts over; the cost is a code
-    /// map and a node cache refilled as the stream's strings and nodes
-    /// come by again.
-    pub fn reset(&mut self) {
-        self.codes = CodeMap::default();
-        self.nodes.clear();
-    }
-
     /// Rows folded so far through the row-by-row gather, which only rows
     /// that carry an attribute the query mentions more than once take
     /// (diagnostics: flat profiles should take none).
-    pub fn gathered_rows(&self) -> u64 {
+    pub(crate) fn gathered_rows(&self) -> u64 {
         self.gathered
     }
 
-    /// Fold every row of `block`, in order, into `agg`: each row WHERE
-    /// keeps into its group, updating its reduction states with each
-    /// group's values in row order.
-    ///
-    /// `tree` holds the nodes the rows refer to, `agg` resolves labels
-    /// against the store their attributes are in, and `strings` is the
-    /// table the block's string codes refer to.
-    pub fn fold(
-        &mut self,
-        agg: &mut Aggregator,
-        tree: &ContextTree,
-        strings: &mut StringTable,
-        block: &Block,
-    ) {
-        self.resolve(agg.store());
-        self.fold_into(Sink::Groups(agg), tree, strings, block);
-    }
-
     /// Resolve the labels not resolved yet against `store`.
-    fn resolve(&mut self, store: &AttributeStore) {
+    pub(crate) fn resolve(&mut self, store: &AttributeStore) {
         for slot in self.slots.iter_mut().filter(|s| s.attr.is_none()) {
             slot.attr = store.find(&slot.label).map(|attr| attr.id());
         }
@@ -493,7 +440,7 @@ impl BlockFold {
 
     /// Fold every row of `block`, in order, into `sink`, the nodes its
     /// rows refer to in `tree`.
-    fn fold_into(
+    pub(crate) fn fold_into(
         &mut self,
         mut sink: Sink,
         tree: &ContextTree,
@@ -512,8 +459,11 @@ impl BlockFold {
         self.cursors.resize(block.columns().len(), 0);
         self.copied = 0;
         self.copy_cursors.clone_from(&self.cursors);
-        if self.tree != tree.id() {
-            self.tree = tree.id();
+        if (self.tree, self.table) != (tree.id(), strings.id()) {
+            if self.table != strings.id() {
+                self.codes = CodeMap::default();
+            }
+            (self.tree, self.table) = (tree.id(), strings.id());
             self.nodes.clear();
         }
 
@@ -1215,6 +1165,63 @@ mod tests {
         // A compatible comparison leaves the counter alone.
         assert_eq!(kept(&ds, "WHERE time.duration > 1"), [0]);
         assert_eq!(counter.get(), before + 1);
+    }
+
+    /// One owner, two tables: a block of table A, then a block of a new
+    /// table B, in which code 0 names another string (and the string a
+    /// node path adds gets another code), through one pipeline and one
+    /// aggregator with nothing called in between. Each answers as a
+    /// fresh owner does over the same rows in one table.
+    #[test]
+    fn one_owner_folds_blocks_of_two_tables() {
+        use crate::parse_query;
+        use caliper_data::{Properties, ValueType, NODE_NONE};
+
+        let mut ds = Dataset::new();
+        let region = ds.attribute("region", ValueType::Str, Properties::NESTED).id();
+        let kernel = ds.attribute("kernel", ValueType::Str, Properties::AS_VALUE).id();
+        let t = ds.attribute("t", ValueType::Int, Properties::AS_VALUE).id();
+        let main = ds.tree.get_child(NODE_NONE, region, &Value::str("main"));
+        let block_of = |strings: &mut StringTable, rows: &[(&str, i64)]| {
+            let mut block = Block::default();
+            for &(name, value) in rows {
+                let mut rec = SnapshotRecord::new();
+                rec.push_node(main);
+                rec.push_imm(kernel, Value::str(name));
+                rec.push_imm(t, Value::Int(value));
+                assert!(block.push_snapshot(strings, &rec));
+            }
+            block
+        };
+        let (rows_a, rows_b) = ([("alpha", 1), ("beta", 2)], [("gamma", 4), ("alpha", 8), ("delta", 16)]);
+        let (mut a, mut b, mut one) =
+            (StringTable::default(), StringTable::default(), StringTable::default());
+        let (block_a, block_b) = (block_of(&mut a, &rows_a), block_of(&mut b, &rows_b));
+        let block_one = block_of(&mut one, &[&rows_a[..], &rows_b[..]].concat());
+        assert_ne!(a.value(0), b.value(0));
+
+        let text = "AGGREGATE count, sum(t) GROUP BY region, kernel ORDER BY kernel FORMAT csv";
+        let mut fresh = Pipeline::from_text(text, Arc::clone(&ds.store)).unwrap();
+        fresh.fold_block(&mut ds, &mut one, &block_one);
+        let want = fresh.finish().render();
+        assert_eq!(want.lines().count(), 5, "{want}");
+        let mut two = Pipeline::from_text(text, Arc::clone(&ds.store)).unwrap();
+        two.fold_block(&mut ds, &mut a, &block_a);
+        two.fold_block(&mut ds, &mut b, &block_b);
+        assert_eq!(two.finish().render(), want, "one pipeline");
+
+        let spec = AggregationSpec::from_query(&parse_query(text).unwrap());
+        let answer = |agg: Aggregator| {
+            let out = AttributeStore::new();
+            let rows = agg.flush(&out);
+            rows.iter().map(|row| row.describe(&out)).collect::<Vec<_>>()
+        };
+        let mut fresh = Aggregator::new(spec.clone(), Arc::clone(&ds.store));
+        fresh.fold_block(&ds.tree, &mut one, &block_one);
+        let mut agg = Aggregator::new(spec, Arc::clone(&ds.store));
+        agg.fold_block(&ds.tree, &mut a, &block_a);
+        agg.fold_block(&ds.tree, &mut b, &block_b);
+        assert_eq!(answer(agg), answer(fresh), "one aggregator");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use caliper_data::{AttributeStore, Properties, Value, ValueType};
 use caliper_format::{Block, Dataset, StringTable};
-use caliper_query::{parse_query, AggregationSpec, Aggregator, BlockFold, Pipeline, QuerySpec};
+use caliper_query::{parse_query, AggregationSpec, Aggregator, Pipeline};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
@@ -121,7 +121,7 @@ fn fold_counted(rows: usize) -> (u64, Aggregator) {
     let spec = AggregationSpec::from_query(&parse_query(QUERY).expect("query parses"));
     let (allocations, agg) = counted(|| {
         let mut agg = Aggregator::new(spec.clone(), Arc::clone(&ds.store));
-        BlockFold::for_aggregation(&spec).fold(&mut agg, &ds.tree, &mut strings, &block);
+        agg.fold_block(&ds.tree, &mut strings, &block);
         agg
     });
     assert_eq!(agg.len(), rows, "every row a group of its own");
@@ -196,7 +196,7 @@ fn a_flush_allocates_per_column_not_per_group() {
 fn finished_and_rendered(query: &str, rows: usize) -> (u64, u64, String) {
     let (mut ds, mut strings, block) = block_of(rows);
     let mut pipeline = Pipeline::from_text(query, Arc::clone(&ds.store)).expect("query parses");
-    pipeline.fold_block(&mut BlockFold::new(pipeline.spec()), &mut ds, &mut strings, &block);
+    pipeline.fold_block(&mut ds, &mut strings, &block);
     assert_eq!(pipeline.len(), rows, "every row a group of its own");
     let (finish, result) = counted(|| pipeline.finish());
     let (render, out) = counted(|| result.render());
@@ -289,26 +289,24 @@ fn paradis_block(ds: &Dataset, strings: &mut StringTable, iterations: i64, salt:
 #[test]
 fn folding_into_existing_groups_allocates_nothing() {
     for query in [SCAN, WIDE] {
-        let spec: QuerySpec = parse_query(query).expect("query parses");
-        let ds = Dataset::new();
+        let mut ds = Dataset::new();
         let mut strings = StringTable::default();
         let blocks: Vec<Block> = (0..4)
             .map(|salt| paradis_block(&ds, &mut strings, 93, salt))
             .collect();
-        let mut agg = Aggregator::new(AggregationSpec::from_query(&spec), Arc::clone(&ds.store));
-        let mut fold = BlockFold::new(&spec);
+        let mut pipeline = Pipeline::from_text(query, Arc::clone(&ds.store)).expect("query parses");
         // The warm-up block admits every group and grows the scratch.
-        fold.fold(&mut agg, &ds.tree, &mut strings, &blocks[0]);
-        let groups = agg.len();
+        pipeline.fold_block(&mut ds, &mut strings, &blocks[0]);
+        let groups = pipeline.len();
         let (allocations, ()) = counted(|| {
             for block in &blocks[1..] {
-                fold.fold(&mut agg, &ds.tree, &mut strings, block);
+                pipeline.fold_block(&mut ds, &mut strings, block);
             }
         });
-        assert_eq!(agg.len(), groups, "{query}: no new group");
-        assert_eq!(agg.records_processed(), 4 * 93 * 11, "{query}");
+        assert_eq!(pipeline.len(), groups, "{query}: no new group");
+        assert_eq!(pipeline.records_processed(), 4 * 93 * 11, "{query}");
         assert_eq!(
-            fold.gathered_rows(),
+            pipeline.gathered_rows(),
             0,
             "{query}: every run folded as columns"
         );

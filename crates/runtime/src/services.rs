@@ -22,7 +22,7 @@ use caliper_data::{
 };
 use caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS;
 use caliper_format::{Block, Dataset, StringTable};
-use caliper_query::{AggregationSpec, Aggregator, BlockFold, MAX_STREAM_STRINGS};
+use caliper_query::{AggregationSpec, Aggregator, MAX_STREAM_STRINGS};
 
 use crate::clock::Clock;
 
@@ -262,11 +262,12 @@ impl Service for TraceService {
 ///
 /// It is the trace buffer plus the fold every block takes: a snapshot
 /// becomes a row of a [`Block`] ([`Block::push_snapshot`]), and every
-/// 64 rows the block is folded into the database by the one
-/// [`BlockFold`] the service keeps, which works a node path out once and
-/// then reads it from its node cache. With a bounded database the block
-/// is folded after every snapshot, so that it spills where it fills up;
-/// and whatever is pending is folded by the flush (and before
+/// 64 rows the block is folded into the database by the aggregator's
+/// own fold ([`Aggregator::fold_block`]), which works a node path out
+/// once and then reads it from its node cache. With a bounded database
+/// the block is folded after every snapshot, so that it spills where it
+/// fills up ([`Aggregator::restart`], which keeps the fold and its
+/// caches); and whatever is pending is folded by the flush (and before
 /// [`output_records`](Service::output_records) counts). The service
 /// serves one context tree, the runtime's.
 ///
@@ -274,12 +275,11 @@ impl Service for TraceService {
 /// queries re-aggregate with `sum(aggregate.count)` (§VI-B).
 pub struct AggregateService {
     aggregator: Aggregator,
-    /// The snapshots not folded yet, strings as codes of `strings`, and
-    /// the fold that takes them. The table starts over, and the fold's
-    /// caches with it, once it holds more than [`MAX_STREAM_STRINGS`].
+    /// The snapshots not folded yet, strings as codes of `strings`. The
+    /// table starts over once it holds more than [`MAX_STREAM_STRINGS`]
+    /// (a new table, which the fold's caches follow).
     block: Block,
     strings: StringTable,
-    fold: BlockFold,
     store: Arc<AttributeStore>,
     /// Maximum number of entries in the in-memory database before the
     /// database is spilled (0 = unbounded). On-line aggregation runs
@@ -317,7 +317,6 @@ impl AggregateService {
     ) -> AggregateService {
         let spec = spec.with_count_label(Self::COUNT_ATTR);
         AggregateService {
-            fold: BlockFold::for_aggregation(&spec),
             aggregator: Aggregator::new(spec, Arc::clone(&store)),
             block: Block::default(),
             strings: StringTable::default(),
@@ -344,11 +343,10 @@ impl AggregateService {
         if self.block.rows() == 0 {
             return;
         }
-        self.fold.fold(&mut self.aggregator, tree, &mut self.strings, &self.block);
+        self.aggregator.fold_block(tree, &mut self.strings, &self.block);
         self.block.clear();
         if self.strings.len() > MAX_STREAM_STRINGS {
             self.strings = StringTable::default();
-            self.fold.reset();
         }
     }
 
@@ -361,9 +359,7 @@ impl AggregateService {
     /// store, so spilled records share ids with the final flush) and
     /// restart it.
     fn spill(&mut self) {
-        let spec = self.aggregator.spec().clone();
-        let fresh = Aggregator::new(spec, Arc::clone(&self.store));
-        let full = std::mem::replace(&mut self.aggregator, fresh);
+        let full = self.aggregator.restart();
         self.spilled.push(flushed(&full, &self.store));
         self.spills += 1;
     }

@@ -4,9 +4,10 @@
 //! Each ingest stream owns a resident [`CaliReader`] (the stream's
 //! dictionary — attribute store and context tree, grown as batches
 //! arrive — its string table and its decode buffers), a warm
-//! [`Aggregator`] with the [`BlockFold`] that feeds it, and a
-//! [`JournalWriter`]. A batch is decoded once, into one [`Block`] of
-//! typed columns, and never becomes records:
+//! [`Aggregator`], which owns the fold that feeds it
+//! ([`Aggregator::fold_block`]), and a [`JournalWriter`]. A batch is
+//! decoded once, into one [`Block`] of typed columns, and never becomes
+//! records:
 //!
 //! 1. **decode** the payload whole, strictly, every row stamped with its
 //!    `journal.seq` ([`CaliReader::read_batch`]) — a bad line at any
@@ -31,24 +32,29 @@
 //! On restart, [`StreamState::open`] replays the stream's journal with
 //! [`recover_file_blocks`] (lenient, torn frames expected,
 //! sequence-deduplicated) through the same resident reader: each frame
-//! is decoded as its batch was at ingest and folded with the same fold,
-//! the string table bounded between frames as between batches — ingest
-//! without the journal. Post-recovery query results are therefore
-//! byte-identical to an uninterrupted run over the same accepted
-//! batches. (A journal written before the daemon journaled frames, one
-//! line per record, replays too, and takes frames after it.)
+//! is decoded as its batch was at ingest and folded by the same
+//! aggregator, the string table bounded between frames as between
+//! batches — ingest without the journal. Post-recovery query results
+//! are therefore byte-identical to an uninterrupted run over the same
+//! accepted batches. (A journal written before the daemon journaled
+//! frames, one line per record, replays too, and takes frames after
+//! it.)
 //!
 //! A query reads a stream the way a batch arrives: as one block
 //! ([`WarmQuery`]). The warm aggregate flushes its groups as typed
-//! columns, and the query's pipeline folds them with the same
-//! [`BlockFold`].
+//! columns, and the query's pipeline folds them with its own fold
+//! ([`Pipeline::fold_block`]).
 //!
 //! A resident stream's memory is bounded by its dictionary and its
-//! groups. Records and globals leave with the batch; the string table —
-//! which a string attribute with ever-new values would otherwise grow
-//! for as long as the daemon runs — is started over, together with the
-//! fold's caches keyed by its codes, once it holds more than
-//! `MAX_STREAM_STRINGS` (65 536) strings.
+//! groups. Records leave with the batch, and globals — which the
+//! reader hands over with each batch, and which the journal keeps as
+//! they were sent — are dropped after each batch and once after the
+//! replay. The string table — which a string attribute with ever-new
+//! values would otherwise grow for as long as the daemon runs — is
+//! started over, a new table, once it holds more than
+//! `MAX_STREAM_STRINGS` (65 536) strings: before a batch is decoded,
+//! so a rejected batch cannot grow it past that, and the fold, which
+//! knows the table by its id, starts its caches over with it.
 //!
 //! A stream whose batches keep failing (parse errors, journal I/O
 //! errors) trips a circuit breaker after
@@ -66,7 +72,7 @@ use caliper_format::{
     Block, CaliReader, Cell, Dataset, FlushPolicy, JournalWriter, ReadPolicy, StringTable, SEQ_ATTR,
 };
 use caliper_query::{
-    AggregationSpec, Aggregator, BlockFold, ParseError, Pipeline, QueryResult, MAX_STREAM_STRINGS,
+    AggregationSpec, Aggregator, ParseError, Pipeline, QueryResult, MAX_STREAM_STRINGS,
 };
 
 use crate::config::ServedConfig;
@@ -85,7 +91,6 @@ pub struct StreamState {
     name: String,
     reader: CaliReader,
     aggregator: Aggregator,
-    fold: BlockFold,
     journal: JournalWriter,
     seq_attr: AttrId,
     next_seq: u64,
@@ -143,10 +148,9 @@ impl StreamState {
         let store = std::sync::Arc::clone(&reader.dataset().store);
         let mut aggregator = Aggregator::new(spec.clone(), store);
         aggregator.set_max_groups(cfg.max_groups);
-        let mut fold = BlockFold::for_aggregation(spec);
 
-        // Replay: the salvaged blocks take the fold live batches take,
-        // and the string table its bound.
+        // Replay: the salvaged blocks are folded as live batches are,
+        // and the string table bounded between them as between batches.
         let recovery = if path.exists() {
             let deadline = Deadline::after(cfg.replay_deadline);
             let report = recover_file_blocks(
@@ -154,9 +158,15 @@ impl StreamState {
                 &path,
                 ReadPolicy::lenient(),
                 Some(&deadline),
-                &mut |ds, strings, block| fold_replayed(&mut fold, &mut aggregator, ds, strings, block),
+                &mut |ds, strings, block| {
+                    aggregator.fold_block(&ds.tree, strings, block);
+                    if strings.len() > MAX_STREAM_STRINGS {
+                        *strings = StringTable::default();
+                    }
+                },
             )
             .map_err(|e| format!("replaying journal {}: {e}", path.display()))?;
+            reader.clear_globals();
             Some(report)
         } else {
             None
@@ -182,7 +192,6 @@ impl StreamState {
                 .map_or(0, |max| max + 1),
             seq_attr,
             aggregator,
-            fold,
             journal,
             reader,
             consecutive_failures: 0,
@@ -256,7 +265,7 @@ impl StreamState {
     }
 
     fn try_process(&mut self, payload: &[u8]) -> Result<BatchAck, String> {
-        if strings_past_bound(self.reader.strings(), &mut self.fold) {
+        if self.reader.strings().len() > MAX_STREAM_STRINGS {
             self.reader.reset_strings();
         }
 
@@ -267,6 +276,7 @@ impl StreamState {
             .reader
             .read_batch(payload, self.seq_attr, self.next_seq)
             .map_err(|e| format!("batch rejected: {e}"))?;
+        ds.globals.clear();
         if block.rows() == 0 {
             return Err("batch rejected: no records".to_string());
         }
@@ -288,7 +298,7 @@ impl StreamState {
                 self.name
             ));
         }
-        self.fold.fold(&mut self.aggregator, &ds.tree, strings, block);
+        self.aggregator.fold_block(&ds.tree, strings, block);
         self.next_seq += records;
         Ok(BatchAck {
             last_seq: self.next_seq - 1,
@@ -305,33 +315,6 @@ impl StreamState {
     }
 }
 
-/// Whether a stream's string table has passed its bound and is to start
-/// over; if so, the fold's caches keyed by its codes are dropped here.
-/// Asked between two batches: by ingest before it decodes one, by replay
-/// after it folds one.
-fn strings_past_bound(strings: &StringTable, fold: &mut BlockFold) -> bool {
-    let past = strings.len() > MAX_STREAM_STRINGS;
-    if past {
-        fold.reset();
-    }
-    past
-}
-
-/// Fold a block the journal's replay salvaged, as a batch is folded at
-/// ingest, then bound the string table as ingest does before the next.
-fn fold_replayed(
-    fold: &mut BlockFold,
-    aggregator: &mut Aggregator,
-    ds: &Dataset,
-    strings: &mut StringTable,
-    block: &Block,
-) {
-    fold.fold(aggregator, &ds.tree, strings, block);
-    if strings_past_bound(strings, fold) {
-        *strings = StringTable::default();
-    }
-}
-
 /// One query over warm streams — the query plane. Each stream's warm
 /// aggregate is flushed as one block of typed columns, a row per group
 /// ([`Aggregator::flush_into`]), every row ending in `stream=<name>` the
@@ -342,7 +325,6 @@ fn fold_replayed(
 /// their strings one table.
 pub struct WarmQuery {
     pipeline: Pipeline,
-    fold: BlockFold,
     /// The pipeline's store, and an empty context tree: a flushed block
     /// refers to no node and carries no row record.
     ds: Dataset,
@@ -361,7 +343,6 @@ impl WarmQuery {
             .id();
         let pipeline = Pipeline::from_text(q, Arc::clone(&ds.store))?;
         Ok(WarmQuery {
-            fold: BlockFold::new(pipeline.spec()),
             pipeline,
             ds,
             strings: StringTable::default(),
@@ -385,8 +366,7 @@ impl WarmQuery {
 
     /// Fold a block [`block_of`](Self::block_of) made into the answer.
     pub fn fold(&mut self, block: &Block) {
-        self.pipeline
-            .fold_block(&mut self.fold, &mut self.ds, &mut self.strings, block);
+        self.pipeline.fold_block(&mut self.ds, &mut self.strings, block);
     }
 
     /// The answer over the streams folded.
@@ -1126,7 +1106,6 @@ mod tests {
         // Never above the bound by more than one batch, at any frame.
         let (mut reader, spec) = (CaliReader::new(), spec());
         let mut aggregator = Aggregator::new(spec.clone(), Arc::clone(&reader.dataset().store));
-        let mut fold = BlockFold::for_aggregation(&spec);
         let mut resets = 0;
         let report = recover_file_blocks(
             &mut reader,
@@ -1136,7 +1115,11 @@ mod tests {
             &mut |ds, strings, block| {
                 let held = strings.len();
                 assert!(held <= bound, "{held} strings");
-                fold_replayed(&mut fold, &mut aggregator, ds, strings, block);
+                // As `StreamState::open` replays a frame.
+                aggregator.fold_block(&ds.tree, strings, block);
+                if strings.len() > MAX_STREAM_STRINGS {
+                    *strings = StringTable::default();
+                }
                 resets += usize::from(strings.len() < held);
             },
         )
@@ -1280,6 +1263,71 @@ mod tests {
         let now = pair.state.reader.strings().len();
         assert!(now <= MAX_STREAM_STRINGS + 1024 + 8, "{now} strings after the replay");
         pair.remove();
+    }
+
+    #[test]
+    fn rejected_batches_keep_the_resident_table_bounded() {
+        // 300 batches that each intern 1 024 fresh strings and then fail
+        // on their last line: the table starts over before a batch is
+        // decoded, so a rejected batch grows it by one batch at most.
+        let dir = tmpdir("rejected-strings");
+        let cfg = ServedConfig {
+            max_stream_failures: u32::MAX,
+            ..test_cfg(&dir)
+        };
+        let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
+        let mut resets = 0;
+        for n in 0..300 {
+            let mut ds = Dataset::new();
+            let note = ds.attribute("note", ValueType::Str, Properties::AS_VALUE).id();
+            for i in 0..1024 {
+                let mut rec = SnapshotRecord::new();
+                rec.push_imm(note, Value::str(format!("note {n}.{i}")));
+                ds.push(rec);
+            }
+            let mut bad = caliper_format::cali::to_bytes(&ds);
+            bad.extend_from_slice(b"__rec=ctx,attr=4000,data=1\n");
+            let held = state.reader.strings().len();
+            assert!(state.process_batch(&bad).is_err(), "batch {n}");
+            let now = state.reader.strings().len();
+            assert!(now <= MAX_STREAM_STRINGS + 1024 + 8, "{now} strings after batch {n}");
+            resets += usize::from(now < held);
+        }
+        assert!(resets > 0, "the table did start over");
+        assert_eq!(state.accepted_batches(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_served_journal_keeps_the_globals_each_batch_sent() {
+        let dir = tmpdir("recover-globals");
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../cli/tests/golden/data/rank0.cali");
+        let payload = std::fs::read(&golden).unwrap();
+        let mut state = StreamState::open("s1", &test_cfg(&dir), &spec()).unwrap();
+        for _ in 0..2 {
+            state.process_batch(&payload).unwrap();
+            assert!(state.reader.dataset().globals.is_empty(), "a resident stream keeps none");
+        }
+        drop(state);
+        // Replayed, the stream keeps none either.
+        let state = StreamState::open("s1", &test_cfg(&dir), &spec()).unwrap();
+        assert!(state.reader.dataset().globals.is_empty());
+        drop(state);
+
+        let (salvaged, report) =
+            caliper_format::journal::recover_file(journal_path(&dir, "s1"), ReadPolicy::lenient())
+                .unwrap();
+        // rank0 sends its globals as two records (`mpi.rank`, then
+        // `experiment`): two a batch.
+        let sent = caliper_format::read_path(&golden).unwrap();
+        assert_eq!(sent.globals.len(), 2);
+        assert!(report.summary().contains(" + 4 globals,"), "{}", report.summary());
+        assert_eq!(report.globals, 4);
+        let described = |ds: &Dataset| -> Vec<String> {
+            ds.globals.iter().map(|g| g.describe(&ds.store)).collect()
+        };
+        assert_eq!(described(&salvaged), [described(&sent), described(&sent)].concat());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

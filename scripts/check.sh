@@ -97,7 +97,7 @@ if printf '%s\n' "$served_src" | grep -F 'crates/served/src/state.rs:' \
 fi
 # Nor does the runtime's snapshot path: a snapshot is taken into the
 # record the thread scope reuses, appended to a block and folded from
-# its node and its immediates by `BlockFold` (DESIGN.md §1), so outside the tests
+# its node and its immediates by the aggregator's fold (DESIGN.md §1), so outside the tests
 # crates/runtime unpacks no record, builds no row, feeds the aggregate
 # none and takes no snapshot of a fresh record. (The journal's
 # `append_globals` writes the dataset's global metadata, which are rows
@@ -206,7 +206,7 @@ if grep -rnE 'Aggregator|BlockFold|Pipeline|Reducer|run_query|parallel_query|Let
 fi
 
 # One-way-in gate: the runtime's snapshots reach the group table the
-# way every block does, through `BlockFold` (DESIGN.md §1, §10). The
+# way every block does, through the block fold (DESIGN.md §1, §10). The
 # snapshot evaluator and its node cache stay deleted, and only the fold
 # (crates/query/src/scan.rs) and `Aggregator::merge` admit a key.
 if grep -rnE 'add_snapshot|snapshot_fallbacks|NodeKey|node_key|path_key' crates/*/src; then
@@ -222,6 +222,22 @@ other_admits=$(grep -rn --include='*.rs' -F '.admit(' crates src tests examples 
 if [ -z "$merge_admits" ] || [ "$other_admits" != "$merge_admits" ]; then
     printf '%s\n' "$other_admits" >&2
     echo "check.sh: Aggregator::admit is called outside scan.rs and Aggregator::merge (all calls outside scan.rs listed above)" >&2
+    exit 1
+fi
+
+# One-owner gate: a fold's caches (its node cache, its code map) are
+# keyed by the codes of one string table and follow that table's
+# identity (`StringTable::id`), so no caller pairs a fold with a table
+# or resets it (DESIGN.md §10). Two types own a fold: a `Pipeline` the
+# fold of its query, made in query.rs, and an `Aggregator` the fold of
+# its aggregation, made in aggregator.rs. Outside the tests no other
+# file builds one, and the hand-paired resets stay deleted.
+fold_src=$(for c in crates/*/; do non_test_src "$(basename "$c")"; done)
+if printf '%s\n' "$fold_src" | grep -F 'BlockFold::new' | grep -v '^crates/query/src/query.rs:' \
+    || printf '%s\n' "$fold_src" | grep -F 'BlockFold::for_aggregation' | grep -v '^crates/query/src/aggregator.rs:' \
+    || grep -rnE 'strings_past_bound|fold_replayed' crates src tests \
+    || grep -nE 'pub fn reset\b' crates/query/src/scan.rs; then
+    echo "check.sh: a fold is built or reset outside its two owners (listed above)" >&2
     exit 1
 fi
 
@@ -364,7 +380,7 @@ fi
 
 # Paper-output gate: `paper table1` and `paper fig5`–`fig9` run
 # CleverLeaf on its virtual clock and fold the profiles through
-# `BlockFold` (about 3 s together), so what they print is a function of
+# the block fold (about 3 s together), so what they print is a function of
 # the code alone, and must be byte for byte what `results/` holds. A
 # change that moves a paper figure regenerates its file (EXPERIMENTS.md)
 # in the same change. Their deterministic claims against the paper are

@@ -29,7 +29,7 @@ use caliper_format::{
     Dataset, ReadPolicy, ReadReport, StringTable, V2WriteOptions,
 };
 use caliper_query::{
-    build_pushdown, parse_query, AggregationSpec, Aggregator, BlockFold, LetExpr, Pipeline,
+    build_pushdown, parse_query, AggregationSpec, Aggregator, LetExpr, Pipeline,
     QueryResult, QuerySpec,
 };
 use proptest::prelude::*;
@@ -622,8 +622,9 @@ fn row_records_between_blocks_fold_in_stream_order() {
 }
 
 /// What a fold remembers is about the stream, not about the aggregator:
-/// one fold may deal a stream's blocks out to several aggregators, each
-/// of which ends up with what the oracle folds of its blocks' rows.
+/// the fold an aggregator keeps when it restarts ([`Aggregator::restart`])
+/// deals a stream's blocks out to the databases it hands back, each of
+/// which ends up with what the oracle folds of its blocks' rows.
 #[test]
 fn one_fold_may_feed_several_aggregators() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
@@ -634,17 +635,21 @@ fn one_fold_may_feed_several_aggregators() {
     let spec = AggregationSpec::from_query(&query);
 
     let dict = Dataset::new();
-    let mut aggregators = [0, 1, 2].map(|_| Aggregator::new(spec.clone(), Arc::clone(&dict.store)));
+    let mut aggregator = Aggregator::new(spec.clone(), Arc::clone(&dict.store));
+    let mut aggregators = Vec::new();
     let mut dealt: [Vec<Row>; 3] = Default::default();
-    let mut fold = BlockFold::for_aggregation(&spec);
     let mut block_no = 0;
     scan_path(&file, dict, ReadPolicy::Strict, None, &mut |ds, strings, block| {
-        fold.fold(&mut aggregators[block_no % 3], &ds.tree, strings, block);
+        if block_no % 3 == 0 && block_no > 0 {
+            aggregators.push(aggregator.restart());
+        }
+        aggregator.fold_block(&ds.tree, strings, block);
         let records = block.records(strings).map(|record| record.unpack(&ds.tree));
-        dealt[block_no % 3].extend(rows_of(&ds.store, records));
+        dealt[block_no / 3].extend(rows_of(&ds.store, records));
         block_no += 1;
     })
     .expect("file scans");
+    aggregators.push(aggregator);
     assert_eq!(block_no, 8);
     for (agg, records) in aggregators.iter().zip(&dealt) {
         let out = caliper_data::AttributeStore::new();
@@ -656,18 +661,17 @@ fn one_fold_may_feed_several_aggregators() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `path` scanned block by block into one pipeline through one
-/// [`BlockFold`], as `scan_file` does: the answer, and the rows the fold
-/// gathered.
+/// `path` scanned block by block into one pipeline, as `scan_file`
+/// does: the answer, and the rows the pipeline's fold gathered.
 fn scan_counting(spec: &QuerySpec, cap: Option<usize>, path: &Path) -> ((Vec<Row>, u64), u64) {
     let dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store)).with_max_groups(cap);
-    let mut fold = BlockFold::new(spec);
     scan_path(path, dict, ReadPolicy::Strict, None, &mut |ds, strings, block| {
-        pipeline.fold_block(&mut fold, ds, strings, block)
+        pipeline.fold_block(ds, strings, block)
     })
     .expect("file scans");
-    (answer(pipeline.finish()), fold.gathered_rows())
+    let gathered = pipeline.gathered_rows();
+    (answer(pipeline.finish()), gathered)
 }
 
 /// `ds`'s records as blocks of `block_rows` rows built by hand, strings
@@ -717,8 +721,8 @@ fn hand_built(
     (strings, blocks, rows)
 }
 
-/// `blocks` folded into one pipeline through one [`BlockFold`]: the
-/// answer, and the rows the fold gathered.
+/// `blocks` folded into one pipeline: the answer, and the rows the
+/// pipeline's fold gathered.
 fn fold_hand_built(
     spec: &QuerySpec,
     cap: Option<usize>,
@@ -727,11 +731,12 @@ fn fold_hand_built(
     blocks: &[Block],
 ) -> ((Vec<Row>, u64), u64) {
     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&ds.store)).with_max_groups(cap);
-    let (mut strings, mut fold) = (strings.clone(), BlockFold::new(spec));
+    let mut strings = strings.clone();
     for block in blocks {
-        pipeline.fold_block(&mut fold, ds, &mut strings, block);
+        pipeline.fold_block(ds, &mut strings, block);
     }
-    (answer(pipeline.finish()), fold.gathered_rows())
+    let gathered = pipeline.gathered_rows();
+    (answer(pipeline.finish()), gathered)
 }
 
 /// What the oracle folds of `records` in memory, whose store declares

@@ -9,7 +9,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use caliper_format::{read_path, scan_path, Dataset, ReadPolicy, V2WriteOptions};
-use caliper_query::{parse_query, BlockFold, Pipeline};
+use caliper_query::{parse_query, Pipeline};
 use caliper_runtime::Config;
 use miniapps::paradis::{generate_rank, ParaDisParams};
 use miniapps::{CleverLeaf, CleverLeafParams};
@@ -141,12 +141,11 @@ fn paradis_folds_as_columns_and_gathers_no_row(text: bool) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `path` folded block by block through one [`BlockFold`], which must
+/// `path` folded block by block through one pipeline, whose fold must
 /// have gathered no row.
 fn fold_by_columns(spec: &caliper_query::QuerySpec, path: &Path) -> String {
     let dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
-    let mut fold = BlockFold::new(spec);
     let (mut blocks, mut rows) = (0, 0);
     scan_path(
         path,
@@ -154,12 +153,12 @@ fn fold_by_columns(spec: &caliper_query::QuerySpec, path: &Path) -> String {
         ReadPolicy::Strict,
         None,
         &mut |ds, strings, block| {
-            pipeline.fold_block(&mut fold, ds, strings, block);
+            pipeline.fold_block(ds, strings, block);
             (blocks, rows) = (blocks + 1, rows + block.rows());
         },
     )
     .unwrap();
     assert!(blocks >= 1 && rows > 1000, "{blocks} blocks, {rows} rows");
-    assert_eq!(fold.gathered_rows(), 0, "{}", path.display());
+    assert_eq!(pipeline.gathered_rows(), 0, "{}", path.display());
     pipeline.finish().render()
 }

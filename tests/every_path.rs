@@ -13,8 +13,8 @@
 //!   `mpisim::ReduceTask` of the same topology;
 //! * the runtime's `AggregateService` with a spill capacity — one stream,
 //!   flushed and started over whenever it holds that many groups — a
-//!   capped `BlockFold` of the snapshots' block, and a re-aggregation of
-//!   what was flushed;
+//!   capped aggregator's fold of the snapshots' block, and a
+//!   re-aggregation of what was flushed;
 //! * `cali-served`'s `StreamState`, a stream per file, queried through
 //!   `WarmQuery`, reopened from its journal and queried again.
 //!
@@ -33,8 +33,9 @@
 //! not know, a nested key label that is also an op target, a WHERE or
 //! LET input or an immediate, key strings turned away at the group cap
 //! — go through the runtime's `AggregateService`, unbounded and
-//! spilling, and a capped `BlockFold` (or, with a WHERE or LET, a
-//! `Pipeline`), each held to the oracle's fold of the unpacked records.
+//! spilling, and a capped `Aggregator::fold_block` (or, with a WHERE or
+//! LET, a `Pipeline`), each held to the oracle's fold of the unpacked
+//! records.
 //!
 //! `columnar` holds the block fold's own cases to the oracle: runs of
 //! 1–64 rows, nested paths, an attribute in two type columns and blocks
@@ -57,7 +58,7 @@ use caliper_format::{
 };
 use caliper_query::{
     build_pushdown, parallel_query_files, parse_query, run_query, AggregationSpec, Aggregator,
-    BlockFold, LetExpr, ParallelOptions, Pipeline, QuerySpec,
+    LetExpr, ParallelOptions, Pipeline, QuerySpec,
 };
 use caliper_runtime::{AggregateService, Clock, ProcCtx, Service, Trigger};
 use caliper_served::state::{StreamState, WarmQuery};
@@ -414,7 +415,7 @@ fn every_path(
             partial = fresh();
         }
     }
-    BlockFold::for_aggregation(&online_spec).fold(&mut capped, &tree, &mut strings, &block);
+    capped.fold_block(&tree, &mut strings, &block);
     let mut flushed = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
     service.flush(&ctx, &mut flushed);
     check(
@@ -426,7 +427,7 @@ fn every_path(
     let want_capped = folded(&online, "count", cap, &all);
     let want_rows =
         want_capped.finish(&declarations(&online, &all, files[0].v), &mut Schema::new());
-    check("BlockFold capped", &rows_of(&out, capped.flush(&out).iter()), &want_rows)?;
+    check("Aggregator::fold_block capped", &rows_of(&out, capped.flush(&out).iter()), &want_rows)?;
     prop_assert_eq!(capped.overflow_records(), want_capped.overflow_records());
     prop_assert_eq!(capped.records_processed(), all.len() as u64);
     let requery = format!(
@@ -493,8 +494,8 @@ fn every_path(
 
 /// The runtime's snapshot shapes, built by hand (see the module docs):
 /// each through an `AggregateService` that never spills and ones that
-/// spill at 1 and 2 groups, and through a `BlockFold` of the snapshots'
-/// block into an aggregator capped at the shape's cap — or, for a query
+/// spill at 1 and 2 groups, and through the fold of the snapshots' block
+/// by an aggregator capped at the shape's cap — or, for a query
 /// with a WHERE or LET, through a capped `Pipeline` — against the
 /// oracle's fold of the unpacked records.
 #[test]
@@ -662,10 +663,10 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
         capped.set_max_groups(cap);
         let (mut strings, mut block) = (StringTable::default(), Block::default());
         records.iter().for_each(|record| assert!(block.push_snapshot(&mut strings, record)));
-        BlockFold::for_aggregation(&spec).fold(&mut capped, &tree, &mut strings, &block);
+        capped.fold_block(&tree, &mut strings, &block);
         let out = AttributeStore::new();
         let want_rows = want.finish(&input, &mut Schema::new());
-        let path = format!("{shape}: BlockFold cap {cap:?}");
+        let path = format!("{shape}: Aggregator::fold_block cap {cap:?}");
         check(&path, &rows_of(&out, capped.flush(&out).iter()), &want_rows).unwrap();
         assert_eq!(capped.overflow_records(), want.overflow_records(), "{shape}");
     }
@@ -676,14 +677,14 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
     let query = parse_query("AGGREGATE count GROUP BY n.str").unwrap();
     let spec = AggregationSpec::from_query(&query);
     let mut agg = Aggregator::new(spec.clone(), Arc::clone(&store));
-    let (mut fold, mut strings) = (BlockFold::for_aggregation(&spec), StringTable::default());
+    let mut strings = StringTable::default();
     let mut rows = Vec::new();
     for name in ["main", "other"] {
         let tree = ContextTree::new();
         let record = SnapshotRecord::from_entries(vec![node(tree.get_child(NODE_NONE, n, &Value::str(name)))]);
         let mut block = Block::default();
         assert!(block.push_snapshot(&mut strings, &record));
-        fold.fold(&mut agg, &tree, &mut strings, &block);
+        agg.fold_block(&tree, &mut strings, &block);
         rows.extend(rows_of(&store, [record.unpack(&tree)]));
     }
     let out = AttributeStore::new();
