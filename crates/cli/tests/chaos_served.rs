@@ -26,6 +26,9 @@
 //! * a worker wedged past `served.shutdown.deadline.ms` ends the drain
 //!   at the deadline, and a batch no worker is left to process ends it
 //!   at once: exit 2, `drained=false` on stderr;
+//! * each listener runs a bounded number of connection handlers: 256
+//!   idle ingest connections cost the bound in threads, and those past
+//!   it are refused with one `ERR` line;
 //! * hostile names and lying requests never panic it: an 8 KB stream
 //!   name or one that escapes the data directory is refused and creates
 //!   no journal, an 8 KB `stream=` is a 404, and a request whose
@@ -654,6 +657,45 @@ fn drain_does_not_wait_for_a_verdict_no_worker_is_left_to_give() {
         "{stderr}"
     );
     assert!(!matches!(sender.join().unwrap(), Ok(Reply::Ok(_))));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each listener runs at most 32 connection handlers, a thread each: 256
+/// idle ingest connections cost 32 threads, not 256. The first 32 are
+/// served (a `PING` is answered), every one past them reads one `ERR`
+/// line and then EOF, and the daemon still answers `/readyz` and drains.
+#[test]
+fn connections_past_the_handler_bound_are_refused_and_cost_no_thread() {
+    const BOUND: usize = 32;
+    const WORKERS: usize = 2;
+    let dir = tmpdir("handler-bound");
+    let daemon = Daemon::start(&dir, &["--workers", &WORKERS.to_string()]);
+    let mut conns: Vec<TcpStream> = (0..256)
+        .map(|_| {
+            let conn = TcpStream::connect_timeout(&daemon.ingest, Duration::from_secs(10)).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            conn
+        })
+        .collect();
+    // Accepted in the order they connected: the first BOUND hold the
+    // handlers, the rest are refused as they come.
+    for (i, conn) in conns.iter_mut().enumerate().skip(BOUND) {
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "ERR too many connections\n", "connection {i}");
+    }
+    let tasks = format!("/proc/{}/task", daemon.child.id());
+    let threads = std::fs::read_dir(tasks).unwrap().count();
+    assert!(threads <= 2 * BOUND + WORKERS + 3, "{threads} threads for 256 connections");
+    for conn in &mut conns[..BOUND] {
+        conn.write_all(b"PING\n").unwrap();
+        let mut reply = [0u8; 8];
+        conn.read_exact(&mut reply).unwrap();
+        assert_eq!(&reply, b"OK pong\n");
+    }
+    assert_eq!(daemon.http_req("GET", "/readyz").unwrap().0, 200);
+    drop(conns);
+    daemon.shutdown(0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -420,7 +420,9 @@ pub fn recover_file(
 }
 
 /// [`recover_blocks`] over the file at `path`, errors and the report's
-/// read accounting naming it.
+/// read accounting naming it. The file is read the way every input is,
+/// through the `io.open` / `io.read` failpoints with the bounded retry,
+/// so one transient error does not cost a replay.
 pub fn recover_file_blocks(
     reader: &mut CaliReader,
     path: impl AsRef<Path>,
@@ -429,7 +431,8 @@ pub fn recover_file_blocks(
     on_block: &mut BlockSink<'_>,
 ) -> Result<RecoveryReport, CaliError> {
     let path = path.as_ref();
-    let bytes = std::fs::read(path).map_err(|e| CaliError::from(e).with_path(path))?;
+    let bytes = crate::reader::read_bytes_with_faults(path)
+        .map_err(|e| CaliError::from(e).with_path(path))?;
     let mut report = recover_blocks(reader, &bytes, policy, deadline, on_block)
         .map_err(|e| e.with_path(path))?;
     report.read.path = Some(path.to_path_buf());

@@ -164,8 +164,9 @@ fn open_and_scan(
 /// spec fails a reproducible subset of (file, attempt) pairs. Retries
 /// taken are published as `format.reader.retries` — a function of the
 /// spec and the file set alone, so the metric stays stable across
-/// `--threads`.
-fn read_bytes_with_faults(path: &Path) -> std::io::Result<Vec<u8>> {
+/// `--threads`. Every file a run reads comes in here, journals replayed
+/// included (`journal::recover_file_blocks`).
+pub(crate) fn read_bytes_with_faults(path: &Path) -> std::io::Result<Vec<u8>> {
     use crate::retry::{injected_error, RetryPolicy};
     use caliper_faults::sites;
 

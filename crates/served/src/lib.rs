@@ -13,9 +13,11 @@
 //!
 //! Robustness is the point, not a feature flag:
 //!
-//! * **Backpressure** — ingest flows through a [`queue::BoundedQueue`];
-//!   a full queue answers `BUSY retry-after-ms=…` instead of blocking
-//!   the accept loop or buffering without bound.
+//! * **Backpressure** — ingest flows through one bounded queue, part of
+//!   the daemon's one state and its pure transition function; a full
+//!   queue answers `BUSY retry-after-ms=…` instead of blocking the
+//!   accept loop or buffering without bound, and each listener runs a
+//!   bounded number of connection handlers.
 //! * **Supervision** — ingest workers run under [`supervisor::supervise`]:
 //!   panics are caught, workers restart on a seeded backoff schedule,
 //!   and a crash loop trips into a visible degraded state (exit code 2).
@@ -38,16 +40,15 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod daemon;
 pub mod http;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod state;
 pub mod supervisor;
 
 pub use config::ServedConfig;
 pub use protocol::{IngestClient, Reply};
-pub use queue::BoundedQueue;
 pub use server::{ExitSummary, Server, ServerState};
 pub use state::StreamState;
 pub use supervisor::WorkerHealth;

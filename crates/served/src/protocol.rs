@@ -59,10 +59,7 @@ impl Reply {
     /// Parse a wire line (trailing newline optional).
     pub fn parse(line: &str) -> Result<Reply, String> {
         let line = line.trim_end_matches(['\r', '\n']);
-        let (word, rest) = match line.split_once(' ') {
-            Some((w, r)) => (w, r),
-            None => (line, ""),
-        };
+        let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
         match word {
             "OK" => Ok(Reply::Ok(rest.to_string())),
             "BUSY" => {
@@ -102,10 +99,7 @@ impl Command {
     /// Parse a command line (trailing newline optional).
     pub fn parse(line: &str) -> Result<Command, String> {
         let line = line.trim_end_matches(['\r', '\n']);
-        let (word, rest) = match line.split_once(' ') {
-            Some((w, r)) => (w, r.trim()),
-            None => (line, ""),
-        };
+        let (word, rest) = line.split_once(' ').map_or((line, ""), |(w, r)| (w, r.trim()));
         match (word, rest) {
             ("HELLO", stream) if !stream.is_empty() => Ok(Command::Hello(stream.to_string())),
             ("HELLO", _) => Err("HELLO needs a stream name".to_string()),
@@ -233,10 +227,16 @@ impl IngestClient {
     }
 }
 
-/// Read exactly `len` payload bytes (the `BATCH` body).
+/// Read exactly `len` payload bytes (the `BATCH` body); fewer is
+/// `UnexpectedEof`. The peer chooses `len`, so the buffer starts at
+/// 64 KiB at most and grows with the bytes that arrive: a peer that
+/// announces a large batch and goes silent pins no more than that.
 pub fn read_payload(reader: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
-    let mut buf = vec![0u8; len];
-    reader.read_exact(&mut buf)?;
+    let mut buf = Vec::with_capacity(len.min(64 * 1024));
+    reader.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "batch payload cut short"));
+    }
     Ok(buf)
 }
 
@@ -281,6 +281,33 @@ pub(crate) mod tests {
         }
         // Undamaged, the over-long line is refused.
         assert!(read_line(&mut io::Cursor::new(long.as_bytes())).is_err());
+    }
+
+    /// A `Read` that delivers `prefix` and then nothing, keeping the
+    /// largest buffer it was handed.
+    struct Silent<'a> {
+        prefix: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Silent<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.prefix.read(buf)
+        }
+    }
+
+    /// `BATCH 4194304` and silence pins at most 64 KiB, not 4 MiB; a
+    /// payload cut short is an error, and a whole one comes back whole.
+    #[test]
+    fn a_payload_buffer_grows_with_the_bytes_that_arrive() {
+        let mut peer = Silent { prefix: b"__rec=ctx", largest: 0 };
+        let err = read_payload(&mut peer, 4 << 20).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(peer.largest <= 64 * 1024, "handed a buffer of {} bytes", peer.largest);
+        let whole = vec![b'x'; 200_000];
+        assert_eq!(read_payload(&mut &whole[..], whole.len()).unwrap(), whole);
+        assert_eq!(read_payload(&mut &whole[..], 10).unwrap(), &whole[..10]);
     }
 
     #[test]

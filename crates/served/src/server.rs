@@ -1,19 +1,24 @@
 //! The daemon: accept loops, supervised ingest workers, the query
 //! plane, graceful drain, and the exit-code contract.
 //!
-//! Thread layout (each thread blocks on the event it waits for; the
-//! lifecycle and the drain order are DESIGN.md §11):
+//! What the threads coordinate on is one value behind one lock, the
+//! `Daemon` of `daemon.rs`, changed only by its pure `step`. Every
+//! thread here is a driver: lock, step, unlock, then do what the step
+//! returned (wake a worker, spawn or refuse a handler, process a batch,
+//! return). Thread layout (each blocks on the event it waits for; the
+//! phases and the drain order are DESIGN.md §11):
 //!
-//! * one ingest + one HTTP accept loop in a blocking `accept()`
+//! * one ingest and one HTTP accept loop in a blocking `accept()`
 //!   (handlers run elsewhere, so an overloaded daemon never stops
 //!   answering `BUSY`/`503`; injected `served.accept` faults drop
 //!   connections here without touching the loop);
-//! * one connection-handler thread per ingest/HTTP connection (HTTP
-//!   concurrency is capped; over-cap connections get `503`);
-//! * `workers` supervised ingest workers in the bounded queue's `pop()`
-//!   ([`supervise`]: restart on panic with seeded backoff, trip after
-//!   the restart budget);
-//! * the caller's thread in [`Server::run`], on the `Lifecycle`.
+//! * at most `MAX_HANDLERS` (32) connection handlers per listener, a thread
+//!   each; past the bound an HTTP connection is answered `503` and an
+//!   ingest connection one `ERR` line, then closed;
+//! * `workers` supervised ingest workers, waiting for a batch on a
+//!   condition variable of the one lock ([`supervise`]: restart on
+//!   panic with seeded backoff, trip after the restart budget);
+//! * the caller's thread in [`Server::run`], waiting for the phase.
 //!
 //! Shutdown is cooperative (`POST /shutdown` or the client `--shutdown`
 //! flag): refuse batches, let workers empty the closed queue, write
@@ -26,20 +31,20 @@ use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use caliper_data::metrics::{self, MetricsRegistry};
+use caliper_data::metrics::{self, Gauge, MetricsRegistry};
 use caliper_data::Deadline;
 use caliper_faults::{sites, stable_hash};
 use caliper_format::retry::RetryPolicy;
 use caliper_query::{parse_query, AggregationSpec};
 
 use crate::config::ServedConfig;
+use crate::daemon::{Daemon, Effects, Event, Listener, Phase, MAX_HANDLERS};
 use crate::http::{read_request, text_response, Budgeted, Request};
 use crate::protocol::{read_line, read_payload, Command, Reply};
-use crate::queue::BoundedQueue;
 use crate::state::{journal_path, stream_of_journal, valid_stream_name, StreamState, WarmQuery};
 use crate::supervisor::{supervise, WorkerHealth};
 
@@ -47,8 +52,6 @@ use crate::supervisor::{supervise, WorkerHealth};
 const BUSY_RETRY_AFTER_MS: u64 = 100;
 /// How long a connection handler waits for its batch's worker verdict.
 const BATCH_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
-/// Concurrent HTTP handler cap; over-cap connections get `503`.
-const HTTP_MAX_CONCURRENT: usize = 32;
 /// Ingest connection read timeout (idle clients are dropped).
 const CONN_READ_TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -63,49 +66,20 @@ struct Batch {
     reply: SyncSender<Reply>,
 }
 
-/// The daemon's phases, in the only order they are passed through.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    #[default]
-    Serving,
-    /// The queue is closed: batches are refused, workers finish it.
-    Draining,
-    /// [`Server::run`] is done waiting: the accept loops exit.
-    Stopped,
-}
-
-/// The one place that knows the daemon's state. Only [`Server::run`]
-/// waits for a change, on `ServerState::changed`.
-#[derive(Default)]
-struct Lifecycle {
-    phase: Phase,
-    /// Supervised worker threads that have not exited.
-    live_workers: usize,
-    /// Batches and HTTP requests read whose reply is not written yet.
-    in_flight_replies: usize,
-    /// HTTP handler threads, capped at [`HTTP_MAX_CONCURRENT`].
-    http_handlers: usize,
-}
-
-/// Runs its closure when dropped: on every way out of the scope or
-/// thread that owns it, a panic included.
-struct OnDrop<F: Fn()>(F);
-
-impl<F: Fn()> Drop for OnDrop<F> {
-    fn drop(&mut self) {
-        (self.0)()
-    }
-}
-
 /// Everything the daemon's threads share.
 pub struct ServerState {
     cfg: ServedConfig,
     spec: AggregationSpec,
     streams: Mutex<BTreeMap<String, Arc<Mutex<StreamState>>>>,
-    queue: BoundedQueue<Batch>,
-    lifecycle: Mutex<Lifecycle>,
-    /// Notified on every change of `lifecycle` once the drain began.
+    /// The one lock: changed only through [`ServerState::step`] and the
+    /// workers' pops.
+    daemon: Mutex<Daemon<Batch>>,
+    /// Workers wait here for a batch.
+    work: Condvar,
+    /// [`Server::run`] waits here for the phase.
     changed: Condvar,
+    /// `served.queue.depth`, set at every step.
+    depth: Gauge,
     batch_ordinal: AtomicU64,
     conn_ordinal: AtomicU64,
 }
@@ -116,12 +90,13 @@ impl ServerState {
         let spec = parse_query(&spec_query)
             .map_err(|e| format!("served.aggregate.*: invalid scheme '{spec_query}': {e}"))?;
         Ok(ServerState {
-            queue: BoundedQueue::new(cfg.queue_depth),
+            daemon: Mutex::new(Daemon::new(cfg.queue_depth, cfg.workers.max(1), MAX_HANDLERS)),
             cfg,
             spec: AggregationSpec::from_query(&spec),
             streams: Mutex::new(BTreeMap::new()),
-            lifecycle: Mutex::default(),
+            work: Condvar::new(),
             changed: Condvar::new(),
+            depth: metrics::global().gauge_volatile("served.queue.depth"),
             batch_ordinal: AtomicU64::new(0),
             conn_ordinal: AtomicU64::new(0),
         })
@@ -131,51 +106,43 @@ impl ServerState {
         metrics::global()
     }
 
-    fn lifecycle(&self) -> MutexGuard<'_, Lifecycle> {
-        self.lifecycle.lock().unwrap_or_else(|e| e.into_inner())
+    fn daemon(&self) -> MutexGuard<'_, Daemon<Batch>> {
+        self.daemon.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Change the lifecycle and tell `run` — unless still `Serving`:
-    /// then `run` waits for the phase alone, and a wake-up per reply
-    /// written would cost each batch two context switches.
-    fn update(&self, change: impl FnOnce(&mut Lifecycle)) {
-        let mut lifecycle = self.lifecycle();
-        change(&mut lifecycle);
-        if lifecycle.phase != Phase::Serving {
-            self.changed.notify_all();
+    /// Lock, step, unlock, then wake whom the step says to wake.
+    fn step(&self, event: Event<Batch>) -> Effects<Batch> {
+        let mut daemon = self.daemon();
+        let effects = daemon.step(event);
+        self.depth.set(daemon.depth() as u64);
+        drop(daemon);
+        match effects {
+            Effects::WakeOne => self.work.notify_one(),
+            Effects::WakeAll => {
+                self.work.notify_all();
+                self.changed.notify_all();
+            }
+            _ => {}
         }
-    }
-
-    /// A reply is owed, and the drain waits for it, until the guard
-    /// returned is dropped.
-    fn owe_reply(&self) -> OnDrop<impl Fn() + '_> {
-        self.lifecycle().in_flight_replies += 1;
-        OnDrop(move || self.update(|l| l.in_flight_replies -= 1))
+        effects
     }
 
     /// Begin the graceful drain (idempotent): refuse batches from now
-    /// on, then close the queue so each worker exits once it is empty.
+    /// on; each worker exits once the queue is empty.
     pub fn begin_shutdown(&self) {
-        self.update(|l| {
-            if l.phase == Phase::Serving {
-                l.phase = Phase::Draining;
-            }
-        });
-        self.queue.close();
+        self.step(Event::BeginShutdown);
     }
 
     /// Readiness: the queue below its high-watermark (full = not
     /// ready: new batches would only bounce) and not draining. Replay
     /// is over before [`Server::bind`] hands out a server to ask.
     fn ready(&self) -> (bool, String) {
-        let depth = self.queue.len();
-        let draining = self.lifecycle().phase != Phase::Serving;
-        let ready = depth < self.queue.capacity() && !draining;
-        let detail = format!(
-            "replay_complete=true queue_depth={depth}/{} draining={draining}",
-            self.queue.capacity()
-        );
-        (ready, detail)
+        let daemon = self.daemon();
+        let (depth, capacity) = (daemon.depth(), daemon.capacity());
+        let draining = daemon.phase() != Phase::Serving;
+        drop(daemon);
+        let detail = format!("replay_complete=true queue_depth={depth}/{capacity} draining={draining}");
+        (depth < capacity && !draining, detail)
     }
 
     /// Get or open a stream's state. Opening journals + replays under
@@ -211,9 +178,7 @@ impl ServerState {
 
     fn refresh_degraded_gauge(&self) -> usize {
         let n = self.degraded_streams().len();
-        self.metrics()
-            .gauge("served.streams.degraded")
-            .set(n as u64);
+        self.metrics().gauge("served.streams.degraded").set(n as u64);
         n
     }
 
@@ -226,10 +191,7 @@ impl ServerState {
         let label = format!("{}#{}", batch.stream, batch.ordinal);
         let key = stable_hash(&label);
         if caliper_faults::trigger(sites::SERVED_INGEST, key, &label).is_some() {
-            self.queue.requeue_front(batch);
-            self.metrics()
-                .gauge_volatile("served.queue.depth")
-                .set(self.queue.len() as u64);
+            self.step(Event::Requeue(batch));
             panic!("injected worker kill at {} ({label})", sites::SERVED_INGEST);
         }
         let mut payload = batch.payload;
@@ -243,9 +205,7 @@ impl ServerState {
                 match s.process_batch(&payload) {
                     Ok(ack) => {
                         self.metrics().counter("served.ingest.accepted").inc();
-                        self.metrics()
-                            .counter("served.ingest.records")
-                            .add(ack.records);
+                        self.metrics().counter("served.ingest.records").add(ack.records);
                         Reply::Ok(format!("seq={} records={}", ack.last_seq, ack.records))
                     }
                     Err(msg) => {
@@ -267,12 +227,21 @@ impl ServerState {
         let _ = batch.reply.try_send(reply);
     }
 
+    /// Pop and process batches until the step says the queue is
+    /// closed and empty, or the daemon stopped.
     fn worker_loop(&self) {
-        while let Some(batch) = self.queue.pop() {
-            self.metrics()
-                .gauge_volatile("served.queue.depth")
-                .set(self.queue.len() as u64);
-            self.process(batch);
+        let mut daemon = self.daemon();
+        loop {
+            match daemon.step(Event::Pop) {
+                Effects::Run(batch) => {
+                    self.depth.set(daemon.depth() as u64);
+                    drop(daemon);
+                    self.process(batch);
+                    daemon = self.daemon();
+                }
+                Effects::Wait => daemon = self.work.wait(daemon).unwrap_or_else(|e| e.into_inner()),
+                _ => return,
+            }
         }
     }
 
@@ -298,10 +267,8 @@ impl ServerState {
             .into_iter()
             .filter(|(name, _)| stream_filter.is_none_or(|f| f == name))
             .collect();
-        if let Some(f) = stream_filter {
-            if selected.is_empty() {
-                return (404, format!("unknown stream '{f}'\n"));
-            }
+        if let Some(f) = stream_filter.filter(|_| selected.is_empty()) {
+            return (404, format!("unknown stream '{f}'\n"));
         }
         let mut query = match WarmQuery::new(q) {
             Ok(query) => query,
@@ -323,25 +290,36 @@ impl ServerState {
         if streams_skipped == 0 {
             return (200, answer);
         }
-        self.metrics()
-            .counter("served.query.deadline_exceeded")
-            .inc();
-        let body = format!(
-            "warning: deadline exceeded ({} ms): partial result over {} of {} streams\n{answer}",
-            self.cfg.query_deadline.as_millis(),
-            streams_seen,
-            streams_seen + streams_skipped,
-        );
-        (408, body)
+        self.metrics().counter("served.query.deadline_exceeded").inc();
+        let (ms, total) = (self.cfg.query_deadline.as_millis(), streams_seen + streams_skipped);
+        let warning = format!("deadline exceeded ({ms} ms): partial result over {streams_seen} of {total} streams");
+        (408, format!("warning: {warning}\n{answer}"))
+    }
+
+    /// Serve one admitted connection on its own thread, then give its
+    /// handler count back.
+    fn serve(&self, kind: Listener, conn: TcpStream) {
+        match kind {
+            Listener::Ingest => self.handle_ingest(conn),
+            Listener::Http => self.handle_http(conn),
+        }
+        self.step(Event::HandlerDone(kind));
+    }
+
+    /// Whether an armed `served.accept` rule drops this connection.
+    fn accept_fault(&self) -> bool {
+        let ordinal = self.conn_ordinal.fetch_add(1, Ordering::SeqCst);
+        let hit = caliper_faults::trigger(sites::SERVED_ACCEPT, ordinal, &format!("conn#{ordinal}")).is_some();
+        if hit {
+            self.metrics().counter("served.accept.rejected").inc();
+        }
+        hit
     }
 
     /// Serve one HTTP connection (one request, `Connection: close`).
     fn handle_http(&self, conn: TcpStream) {
         let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
-        let mut writer = match conn.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
+        let Ok(mut writer) = conn.try_clone() else { return };
         // The whole request line and headers within 10 s, however the
         // client paces its bytes.
         let mut reader = BufReader::new(Budgeted::new(conn, Duration::from_secs(10)));
@@ -353,22 +331,19 @@ impl ServerState {
                 return;
             }
         };
-        let _owed = self.owe_reply();
+        self.step(Event::Read);
         let (status, body) = self.route(&req);
         let _ = writer.write_all(&text_response(status, &body));
+        self.step(Event::Replied);
     }
 
     fn route(&self, req: &Request) -> (u16, String) {
         match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/healthz") => (200, "ok\n".to_string()),
-            ("GET", "/readyz") => {
-                let (ready, detail) = self.ready();
-                if ready {
-                    (200, format!("ready\n{detail}\n"))
-                } else {
-                    (503, format!("not ready\n{detail}\n"))
-                }
-            }
+            ("GET", "/readyz") => match self.ready() {
+                (true, detail) => (200, format!("ready\n{detail}\n")),
+                (false, detail) => (503, format!("not ready\n{detail}\n")),
+            },
             ("GET", "/stats") => {
                 self.refresh_health_gauges();
                 (200, self.metrics().render_text(true))
@@ -400,10 +375,7 @@ impl ServerState {
     fn handle_ingest(&self, conn: TcpStream) {
         let _ = conn.set_read_timeout(Some(CONN_READ_TIMEOUT));
         let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
-        let mut writer = match conn.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
+        let Ok(mut writer) = conn.try_clone() else { return };
         let mut reader = BufReader::new(conn);
         let mut bound: Option<String> = None;
         let send = |writer: &mut TcpStream, reply: Reply| -> std::io::Result<()> {
@@ -424,9 +396,9 @@ impl ServerState {
                     return;
                 }
             };
-            // Set once a batch is read, dropped after its reply is
-            // written below: the drain waits for every reply owed.
-            let _owed;
+            // A batch read is owed its reply until the reply is written:
+            // the drain waits for it.
+            let mut owed = false;
             let reply = match command {
                 Command::Ping => Reply::Ok("pong".to_string()),
                 Command::Quit => {
@@ -444,28 +416,29 @@ impl ServerState {
                     }
                 },
                 Command::Batch(len) => {
-                    if len > self.cfg.batch_max_bytes {
-                        let _ = send(
-                            &mut writer,
-                            Reply::Error(format!(
-                                "batch of {len} bytes exceeds served.batch.max.bytes={}",
-                                self.cfg.batch_max_bytes
-                            )),
-                        );
+                    let max = self.cfg.batch_max_bytes;
+                    if len > max {
+                        let e = format!("batch of {len} bytes exceeds served.batch.max.bytes={max}");
+                        let _ = send(&mut writer, Reply::Error(e));
                         return; // payload unread: stream is desynced
                     }
-                    let payload = match read_payload(&mut reader, len) {
-                        Ok(p) => p,
-                        Err(_) => return,
-                    };
-                    _owed = self.owe_reply();
+                    let Ok(payload) = read_payload(&mut reader, len) else { return };
+                    owed = true;
                     match &bound {
-                        None => Reply::Error("HELLO <stream> must precede BATCH".to_string()),
+                        None => {
+                            self.step(Event::Read);
+                            Reply::Error("HELLO <stream> must precede BATCH".to_string())
+                        }
+                        // Owed from the push on, whatever the queue says.
                         Some(stream) => self.admit_batch(stream.clone(), payload),
                     }
                 }
             };
-            if send(&mut writer, reply).is_err() {
+            let sent = send(&mut writer, reply);
+            if owed {
+                self.step(Event::Replied);
+            }
+            if sent.is_err() {
                 return;
             }
         }
@@ -482,32 +455,17 @@ impl ServerState {
             ordinal: self.batch_ordinal.fetch_add(1, Ordering::SeqCst),
             reply: tx,
         };
-        match self.queue.try_push(batch) {
-            // The drain closed the queue: `BUSY` would ask the client
-            // to retry a daemon that is going away.
-            Err(_) if self.lifecycle().phase != Phase::Serving => {
-                Reply::Error("draining: not accepting batches".to_string())
-            }
-            Err(_) => {
+        match self.step(Event::Push(batch)) {
+            // The drain began: `BUSY` would ask the client to retry a
+            // daemon that is going away.
+            Effects::Refuse => Reply::Error("draining: not accepting batches".to_string()),
+            Effects::Busy => {
                 self.metrics().counter("served.ingest.rejected").inc();
-                Reply::Busy {
-                    retry_after_ms: BUSY_RETRY_AFTER_MS,
-                }
+                Reply::Busy { retry_after_ms: BUSY_RETRY_AFTER_MS }
             }
-            Ok(()) => {
-                self.metrics()
-                    .gauge_volatile("served.queue.depth")
-                    .set(self.queue.len() as u64);
-                match rx.recv_timeout(BATCH_REPLY_TIMEOUT) {
-                    Ok(reply) => reply,
-                    Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                        Reply::Error(
-                            "ingest verdict timed out; batch state unknown, safe to retry"
-                                .to_string(),
-                        )
-                    }
-                }
-            }
+            _ => rx.recv_timeout(BATCH_REPLY_TIMEOUT).unwrap_or_else(|_| {
+                Reply::Error("ingest verdict timed out; batch state unknown, safe to retry".to_string())
+            }),
         }
     }
 }
@@ -550,14 +508,9 @@ impl Server {
         // after readiness reflect every previously acknowledged batch.
         std::fs::create_dir_all(&state.cfg.data_dir)
             .map_err(|e| format!("creating data dir: {e}"))?;
-        let mut names = Vec::new();
         let entries = std::fs::read_dir(&state.cfg.data_dir)
             .map_err(|e| format!("scanning data dir: {e}"))?;
-        for entry in entries.flatten() {
-            if let Some(stream) = stream_of_journal(&entry.path()) {
-                names.push(stream);
-            }
-        }
+        let mut names: Vec<String> = entries.flatten().filter_map(|e| stream_of_journal(&e.path())).collect();
         names.sort();
         for name in names {
             let stream = state.stream(&name).map_err(|e| {
@@ -574,11 +527,7 @@ impl Server {
             }
         }
         state.refresh_health_gauges();
-        Ok(Server {
-            state,
-            ingest_listener,
-            http_listener,
-        })
+        Ok(Server { state, ingest_listener, http_listener })
     }
 
     /// The bound ingest address.
@@ -617,11 +566,9 @@ impl Server {
                 jitter_seed: None,
             }
             .with_jitter(stable_hash(&format!("served.worker.{i}")));
-            // Owned by the worker body, so run when the supervised
-            // thread ends, clean exit or tripped: the count is the join.
-            state.lifecycle().live_workers += 1;
+            // The supervised thread's end, clean exit or tripped, is the
+            // worker's exit: the count is the join.
             let exited = Arc::clone(state);
-            let alive = OnDrop(move || exited.update(|l| l.live_workers -= 1));
             supervise(
                 &format!("served-worker-{i}"),
                 state.cfg.max_restarts,
@@ -629,78 +576,70 @@ impl Server {
                 health,
                 move |_| restart_metric.inc(),
                 move || {
-                    let _alive = &alive;
-                    st.worker_loop()
+                    exited.step(Event::WorkerExit);
                 },
+                move || st.worker_loop(),
             );
         }
 
-        let spawn_accept = |(listener, ingest): (TcpListener, bool)| {
+        let spawn_accept = |(listener, kind): (TcpListener, Listener)| {
             let addr = listener.local_addr().expect("bound listener");
             let st = Arc::clone(state);
             let accept_loop = move || loop {
-                let accepted = listener.accept();
-                if st.lifecycle().phase == Phase::Stopped {
-                    // `run`'s wake-up connection, or a peer that came
-                    // too late: no ordinal, no fault site, no handler.
-                    return;
-                }
-                let Ok((mut conn, _peer)) = accepted else {
+                let Ok((mut conn, _peer)) = listener.accept() else {
                     // E.g. out of descriptors: back off, so a failing
                     // `accept` is not a busy loop.
                     std::thread::sleep(Duration::from_millis(10));
                     continue;
                 };
-                let ordinal = st.conn_ordinal.fetch_add(1, Ordering::SeqCst);
-                let label = format!("conn#{ordinal}");
-                if caliper_faults::trigger(sites::SERVED_ACCEPT, ordinal, &label).is_some() {
+                match st.step(Event::Accept(kind)) {
                     // Injected accept failure: drop the connection; the
                     // loop itself never dies.
-                    st.metrics().counter("served.accept.rejected").inc();
-                    continue;
+                    Effects::Spawn if st.accept_fault() => {
+                        st.step(Event::HandlerDone(kind));
+                    }
+                    Effects::Spawn => {
+                        let _ = conn.set_nodelay(true);
+                        let handler = Arc::clone(&st);
+                        std::thread::spawn(move || handler.serve(kind, conn));
+                    }
+                    Effects::Refuse => {
+                        let _ = conn.write_all(&match kind {
+                            Listener::Ingest => b"ERR too many connections\n".to_vec(),
+                            Listener::Http => text_response(503, "too many concurrent requests\n"),
+                        });
+                    }
+                    // Stopped: `run`'s wake-up connection, or a peer that
+                    // came too late: no ordinal, no fault site, no handler.
+                    _ => return,
                 }
-                let _ = conn.set_nodelay(true);
-                let handler = Arc::clone(&st);
-                if ingest {
-                    std::thread::spawn(move || handler.handle_ingest(conn));
-                    continue;
-                }
-                let mut lifecycle = st.lifecycle();
-                if lifecycle.http_handlers >= HTTP_MAX_CONCURRENT {
-                    drop(lifecycle);
-                    let _ = conn.write_all(&text_response(503, "too many concurrent requests\n"));
-                    continue;
-                }
-                lifecycle.http_handlers += 1;
-                drop(lifecycle);
-                std::thread::spawn(move || {
-                    handler.handle_http(conn);
-                    handler.lifecycle().http_handlers -= 1;
-                });
             };
-            (addr, std::thread::spawn(accept_loop))
+            let accept_loop = std::thread::Builder::new()
+                .name(format!("served-accept-{kind:?}"))
+                .spawn(accept_loop)
+                .expect("spawning an accept loop");
+            (addr, accept_loop)
         };
-        let accept_threads =
-            [(self.ingest_listener, true), (self.http_listener, false)].map(spawn_accept);
+        let listeners = [(self.ingest_listener, Listener::Ingest), (self.http_listener, Listener::Http)];
+        let accept_threads = listeners.map(spawn_accept);
 
-        // Serving: until somebody asks for the drain.
-        let serving = state
+        // Serving until somebody asks for the drain, then draining until
+        // the step stops it — every worker out and every reply owed
+        // written, but those no worker is left to give — or the deadline
+        // passes.
+        let daemon = state
             .changed
-            .wait_while(state.lifecycle(), |l| l.phase == Phase::Serving)
+            .wait_while(state.daemon(), |d| d.phase() == Phase::Serving)
             .unwrap_or_else(|e| e.into_inner());
-        // Draining: until every worker has exited (the queue is closed,
-        // so each does once it is empty, or trips) and every reply owed
-        // is written, or the deadline passes. A batch the last worker
-        // to trip left queued gets no verdict: its reply is not coming.
-        let (mut lifecycle, _) = state
+        let (daemon, _) = state
             .changed
-            .wait_timeout_while(serving, state.cfg.shutdown_deadline, |l| {
-                l.live_workers > 0 || l.in_flight_replies > state.queue.len()
-            })
+            .wait_timeout_while(daemon, state.cfg.shutdown_deadline, |d| d.phase() == Phase::Draining)
             .unwrap_or_else(|e| e.into_inner());
-        let mut drained = lifecycle.live_workers == 0 && state.queue.is_empty();
-        lifecycle.phase = Phase::Stopped;
-        drop(lifecycle);
+        drop(daemon);
+        state.step(Event::Deadline);
+        let Phase::Stopped { mut drained } = state.daemon().phase() else {
+            unreachable!("the deadline stops a drain")
+        };
 
         // A blocked `accept()` returns only for a connection. A loop
         // whose wake-up failed is left behind, not waited for.
@@ -722,11 +661,8 @@ impl Server {
         let tripped_workers = worker_health.iter().filter(|h| h.tripped()).count();
         let degraded_streams = state.degraded_streams();
         state.refresh_health_gauges();
-        let exit_code = if tripped_workers > 0 || !degraded_streams.is_empty() || !drained {
-            2
-        } else {
-            0
-        };
+        let degraded = tripped_workers > 0 || !degraded_streams.is_empty() || !drained;
+        let exit_code = if degraded { 2 } else { 0 };
         ExitSummary {
             exit_code,
             degraded_streams,
@@ -942,7 +878,7 @@ mod tests {
             state.admit_batch("s1".to_string(), batch(&[("a", 1)])),
             Reply::Error("draining: not accepting batches".to_string())
         );
-        assert!(state.queue.is_empty());
+        assert_eq!(state.daemon().depth(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -970,7 +906,7 @@ mod tests {
         let stream = state.stream("s1").unwrap();
         let wedge = stream.lock().unwrap();
         // Wait for a worker to hold the stream: only a batch that made
-        // it into the queue gets there. (`in_flight_replies` goes up
+        // it into the queue gets there. (A reply is owed from
         // before the push, and a drain begun in between refuses it.)
         let held = Arc::strong_count(&stream);
         let sender = std::thread::spawn(move || early.send_batch(&batch(&[("a", 10)])).unwrap());
@@ -991,7 +927,7 @@ mod tests {
             )
         );
         assert_eq!(
-            state.lifecycle().phase,
+            state.daemon().phase(),
             Phase::Draining,
             "a reply is still owed"
         );
@@ -1006,15 +942,8 @@ mod tests {
         assert!(summary.drained);
         // The admitted batch once, the refused one never.
         assert_eq!(accepted.get() - accepted_before, 1);
-        let lifecycle = state.lifecycle();
-        assert_eq!(
-            (
-                lifecycle.phase,
-                lifecycle.live_workers,
-                lifecycle.in_flight_replies
-            ),
-            (Phase::Stopped, 0, 0)
-        );
+        // Drained: every worker exited and no reply is owed.
+        assert_eq!(state.daemon().phase(), Phase::Stopped { drained: true });
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -52,39 +52,38 @@ impl WorkerHealth {
 /// `backoff` schedule between restarts, re-capped at its final delay
 /// for restarts beyond the schedule length) and stops on clean return.
 /// `on_restart` runs after each panic is caught — the hook that bumps
-/// the restart metric.
+/// the restart metric — and `on_exit` once, as the thread ends.
 pub fn supervise(
     name: &str,
     max_restarts: u32,
     backoff: RetryPolicy,
     health: Arc<WorkerHealth>,
     on_restart: impl Fn(u64) + Send + 'static,
+    on_exit: impl FnOnce() + Send + 'static,
     body: impl Fn() + Send + 'static,
 ) -> JoinHandle<()> {
-    let name = name.to_string();
     std::thread::Builder::new()
-        .name(name.clone())
+        .name(name.to_string())
         .spawn(move || {
             let delays = backoff.delays();
             loop {
                 if catch_unwind(AssertUnwindSafe(&body)).is_ok() {
-                    return; // clean exit (shutdown observed)
+                    break; // clean exit (shutdown observed)
                 }
                 let restarts = health.restarts.fetch_add(1, Ordering::Relaxed) + 1;
                 on_restart(restarts);
                 if restarts > u64::from(max_restarts) {
                     health.tripped.store(true, Ordering::Relaxed);
-                    return;
+                    break;
                 }
                 // Beyond the schedule, keep sleeping the final (capped)
                 // delay rather than restarting immediately.
                 let idx = (restarts as usize - 1).min(delays.len().saturating_sub(1));
-                if let Some(delay) = delays.get(idx) {
-                    if !delay.is_zero() {
-                        std::thread::sleep(*delay);
-                    }
+                if let Some(delay) = delays.get(idx).filter(|d| !d.is_zero()) {
+                    std::thread::sleep(*delay);
                 }
             }
+            on_exit();
         })
         .unwrap_or_else(|e| panic!("spawning supervised thread '{name}': {e}"))
 }
@@ -109,7 +108,7 @@ mod tests {
         let attempts = Arc::new(AtomicU32::new(0));
         let health = Arc::new(WorkerHealth::default());
         let a = Arc::clone(&attempts);
-        let handle = supervise("test-worker", 5, no_backoff(), Arc::clone(&health), |_| {}, move || {
+        let handle = supervise("test-worker", 5, no_backoff(), Arc::clone(&health), |_| {}, || {}, move || {
             if a.fetch_add(1, Ordering::Relaxed) < 2 {
                 panic!("injected");
             }
@@ -133,6 +132,7 @@ mod tests {
             move |_| {
                 h.fetch_add(1, Ordering::Relaxed);
             },
+            || {},
             || panic!("always"),
         );
         handle.join().unwrap();
@@ -147,7 +147,7 @@ mod tests {
         let attempts = Arc::new(AtomicU32::new(0));
         let health = Arc::new(WorkerHealth::default());
         let a = Arc::clone(&attempts);
-        supervise("calm", 5, no_backoff(), Arc::clone(&health), |_| {}, move || {
+        supervise("calm", 5, no_backoff(), Arc::clone(&health), |_| {}, || {}, move || {
             a.fetch_add(1, Ordering::Relaxed);
         })
         .join()

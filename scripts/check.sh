@@ -86,6 +86,41 @@ if [ "$served_sleeps" != "$want_sleeps" ]; then
     exit 1
 fi
 
+# One-state gate: what the daemon's threads coordinate on is one value
+# behind one lock, changed only by the pure `step` of daemon.rs
+# (DESIGN.md §11), so outside its tests that module names no lock,
+# socket, thread, I/O or clock; and the two-lock queue it replaced
+# stays deleted.
+daemon_src=$(printf '%s\n' "$served_src" | grep -F 'crates/served/src/daemon.rs:' || true)
+if [ -z "$daemon_src" ] || printf '%s\n' "$daemon_src" | grep -E 'std::(sync|net|thread|io)|Instant'; then
+    echo "check.sh: crates/served/src/daemon.rs is gone, or its step names a lock, socket, thread, I/O or clock (listed above)" >&2
+    exit 1
+fi
+if [ -e crates/served/src/queue.rs ] || grep -rn 'BoundedQueue' --include='*.rs' src crates tests examples; then
+    echo "check.sh: crates/served's BoundedQueue is back (listed above)" >&2
+    exit 1
+fi
+# Thread gate: the daemon's threads are two accept loops and the
+# supervised workers (a named `Builder` spawn each, one in server.rs and
+# one in supervisor.rs) and its connection handlers, which the step
+# admits up to a bound per listener. So the one `thread::spawn` outside
+# the tests is the accept loop's admitted-handler arm, `Effects::Spawn`.
+handler_spawns=$(printf '%s\n' "$served_src" | awk '
+    /=>/ { arm = $0 }
+    /thread::spawn\(/ { print ((arm ~ /Effects::Spawn =>/) ? "admitted" : "unbounded") ": " $0 }')
+builder_spawns=$(printf '%s\n' "$served_src" | grep -F '.spawn(' | cut -d: -f1 | uniq -c | tr -s ' \n' ' ')
+if [ "$(printf '%s\n' "$handler_spawns" | grep -c '^admitted: ')" != 1 ] \
+    || printf '%s\n' "$handler_spawns" | grep '^unbounded: ' \
+    || [ "$builder_spawns" != " 1 crates/served/src/server.rs 1 crates/served/src/supervisor.rs " ]; then
+    printf '%s\n' "$served_src" | grep -F 'spawn(' >&2
+    echo "check.sh: crates/served starts a thread outside its accept loops, workers and admitted handlers (all spawns listed above)" >&2
+    exit 1
+fi
+# The step's explorer on its two largest shapes (3 connections × 3
+# batches × 1 and 2 workers, 1.1 million states): too slow unoptimised
+# for the workspace run above, so here, optimised.
+cargo test -q --release -p caliper-served --lib -- --ignored every_interleaving
+
 # No-rows gate: a stream's batches and its replay travel as blocks
 # (DESIGN.md §10, §11) — state.rs neither unpacks a record nor feeds
 # the aggregate one by one outside its tests, where the row path lives
@@ -244,15 +279,16 @@ fi
 # One-reader gate: an input file is opened and parsed by `scan_path`
 # and its dictionary-only sibling, and by nothing else (DESIGN.md §9).
 # Outside the tests, crates/format opens a file for reading only in
-# reader.rs, in journal.rs, and in the `read_file` conveniences of the
-# two row codecs; schema.rs holds a table and its saved form — it walks
-# no binary stream and touches no file.
+# reader.rs (a journal's replay included: it reads through the same
+# failpoints and retry) and in the `read_file` conveniences of the two
+# row codecs; schema.rs holds a table and its saved form — it walks no
+# binary stream and touches no file.
 format_src=$(non_test_src format)
 format_reads=$(printf '%s\n' "$format_src" | grep -E 'File::open|fs::read' | cut -d: -f1 | uniq -c | tr -s ' \n' ' ')
-want_reads=" 1 crates/format/src/binary.rs 1 crates/format/src/cali.rs 1 crates/format/src/journal.rs 1 crates/format/src/reader.rs "
+want_reads=" 1 crates/format/src/binary.rs 1 crates/format/src/cali.rs 1 crates/format/src/reader.rs "
 if [ "$format_reads" != "$want_reads" ]; then
     printf '%s\n' "$format_src" | grep -E 'File::open|fs::read' >&2
-    echo "check.sh: crates/format reads files outside reader.rs, journal.rs and the two read_file conveniences (all reads listed above)" >&2
+    echo "check.sh: crates/format reads files outside reader.rs and the two read_file conveniences (all reads listed above)" >&2
     exit 1
 fi
 if printf '%s\n' "$format_src" | grep -F 'crates/format/src/schema.rs:' | grep -E 'Cursor|std::fs|std::io'; then
