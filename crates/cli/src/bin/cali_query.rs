@@ -67,7 +67,10 @@ Options:
                       pass-through query)
   --timings           report an aggregation's timing breakdown on stderr,
                       one line per worker the run had (for every
-                      --threads N)
+                      --threads N); `root merge` is the time spent
+                      closing the parts of the root files were folded
+                      into, and merging the files parked in their own
+                      pipelines
   --stats[=FORMAT]    report pipeline self-instrumentation metrics on
                       stderr after the query: sorted name=value lines
                       (or one JSON object with --stats=json). The block

@@ -344,6 +344,55 @@ fn count_column_total(stdout: &[u8]) -> u64 {
         .sum()
 }
 
+/// A CALB v2 file that fails in the middle — its fourth block of six
+/// overwritten on disk — while it is folded into a part of the root
+/// (`--threads 1` folds every file after the first into the root
+/// itself): `--degrade` drops it whole, the keys only it had included,
+/// and prints what a run over the other files prints.
+#[test]
+fn a_file_corrupt_in_its_middle_block_is_dropped_whole_at_every_thread_count() {
+    use caliper_format::binary_v2::{read_footer, to_binary_v2_with, V2WriteOptions};
+    let dir = std::env::temp_dir().join(format!("cali-chaos-middle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let opts = V2WriteOptions { block_records: 16, footer: true };
+    let paths: Vec<PathBuf> = (0..6)
+        .map(|f| {
+            // File 3's first records carry keys of their own.
+            let mut ds = tiny_dataset(f, 96);
+            if f == 3 {
+                let kernel = ds.store.find("kernel").unwrap().id();
+                for rec in &mut ds.records[..20] {
+                    let node = ds.tree.get_child(caliper_data::NODE_NONE, kernel, &"only3".into());
+                    *rec = caliper_data::SnapshotRecord::new();
+                    rec.push_node(node);
+                }
+            }
+            let mut bytes = to_binary_v2_with(&ds, &opts);
+            if f == 3 {
+                let blocks = read_footer(&bytes).expect("a footer");
+                let (start, end) = (blocks[3].offset as usize + 8, blocks[4].offset as usize);
+                bytes[start..end].fill(0xff);
+            }
+            let path = dir.join(format!("f{f}.calb2"));
+            std::fs::write(&path, bytes).unwrap();
+            path
+        })
+        .collect();
+    let mut others = paths.clone();
+    others.remove(3);
+    let reference = query(&[&["-q", QUERY][..], &paths_as_strs(&others)].concat());
+    assert_eq!(reference.status.code(), Some(0));
+    for threads in ["1", "2", "4"] {
+        let args = [&["-q", QUERY, "--threads", threads, "--degrade"][..], &paths_as_strs(&paths)];
+        let out = query(&args.concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {stderr}");
+        assert!(stderr.contains("f3.calb2"), "--threads {threads}: {stderr}");
+        assert_eq!(out.stdout, reference.stdout, "--threads {threads}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn v2_block_faults_lose_whole_blocks_and_report_exact_counts() {
     let (dir, _paths) = text_corpus("v2block");

@@ -264,6 +264,23 @@ impl CodeMap {
     }
 }
 
+/// A part of an aggregator: a second set of state columns over the same
+/// groups, which a stream folds into as into a database of its own, and
+/// which then merges into the aggregator's states group by group — or
+/// is dropped, leaving no trace ([`Aggregator::open_part`]).
+struct Part {
+    /// While the part is open, the aggregator's own states, set aside
+    /// with the part's in their place; while it is closed, the part's,
+    /// every row reset, for the next one. As long as the aggregator's.
+    ops: Vec<Column>,
+    records: Vec<u64>,
+    /// The groups the open part counted a record into, first count first.
+    touched: Vec<u32>,
+    /// Open since the aggregator had this many groups and had processed
+    /// this many records.
+    open: Option<(usize, u64)>,
+}
+
 /// The streaming aggregator.
 pub struct Aggregator {
     spec: AggregationSpec,
@@ -297,6 +314,8 @@ pub struct Aggregator {
     /// and the table of its strings, made on the first record.
     rows: Option<Box<(StringTable, Block)>>,
     records_processed: u64,
+    /// The part, open or kept for the next ([`Aggregator::open_part`]).
+    part: Option<Box<Part>>,
     /// Capacity bound on the database (None = unbounded, the historical
     /// mode).
     max_groups: Option<usize>,
@@ -327,6 +346,7 @@ impl Aggregator {
             fold: None,
             rows: None,
             records_processed: 0,
+            part: None,
             max_groups: None,
             overflow: None,
         }
@@ -479,16 +499,115 @@ impl Aggregator {
     fn push_group(&mut self, key: impl Iterator<Item = KeyCell>, next: u32) -> u32 {
         self.keys.extend(key);
         self.chain.push(next);
-        self.ops.iter_mut().for_each(Column::push);
-        self.records.push(0);
-        (self.records.len() - 1) as u32
+        let groups = self.records.len() + 1;
+        for (ops, records) in self.states() {
+            ops.iter_mut().for_each(|column| column.resize(groups));
+            records.push(0);
+        }
+        (groups - 1) as u32
+    }
+
+    /// The state columns: the aggregator's, and the part's if it has one.
+    fn states(&mut self) -> impl Iterator<Item = (&mut Vec<Column>, &mut Vec<u64>)> {
+        let part = self.part.as_deref_mut().map(|part| (&mut part.ops, &mut part.records));
+        std::iter::once((&mut self.ops, &mut self.records)).chain(part)
     }
 
     /// Count one input record into `group` (see [`Aggregator::admit`]),
     /// for the caller to [`feed`](Self::feed) the ops next.
     pub(crate) fn count_into(&mut self, group: u32) {
         self.records_processed += 1;
-        self.records[group as usize] += 1;
+        let count = &mut self.records[group as usize];
+        if *count == 0 {
+            if let Some(part) = self.part.as_deref_mut().filter(|part| part.open.is_some()) {
+                part.touched.push(group);
+            }
+        }
+        *count += 1;
+    }
+
+    /// Open a part: from here on, what is folded in goes to states of
+    /// its own — for each group, as if into a database that held nothing
+    /// — while new keys are admitted to the database as ever. Nothing
+    /// is merged or turned away until the part is closed
+    /// ([`close_part`](Self::close_part)) or dropped
+    /// ([`drop_part`](Self::drop_part)). An uncapped database only: a
+    /// capped one admits a stream's keys first-come, then merges them
+    /// in key order, which a part cannot reproduce.
+    pub(crate) fn open_part(&mut self) {
+        debug_assert!(self.max_groups.is_none(), "a part of a capped database");
+        let groups = self.records.len();
+        let part = self.part.get_or_insert_with(|| {
+            let mut ops: Vec<Column> = self.spec.ops.iter().map(Column::new).collect();
+            ops.iter_mut().for_each(|column| column.resize(groups));
+            Box::new(Part { ops, records: vec![0; groups], touched: Vec::new(), open: None })
+        });
+        debug_assert!(part.open.is_none(), "a part is open already");
+        std::mem::swap(&mut self.ops, &mut part.ops);
+        std::mem::swap(&mut self.records, &mut part.records);
+        part.open = Some((groups, self.records_processed));
+    }
+
+    /// Take the open part out, its states set aside and the aggregator's
+    /// back in their place: the part, and the groups and the records
+    /// processed when it opened.
+    fn shut_part(&mut self) -> (Box<Part>, usize, u64) {
+        let mut part = self.part.take().expect("an open part");
+        let (groups, records_processed) = part.open.take().expect("an open part");
+        std::mem::swap(&mut self.ops, &mut part.ops);
+        std::mem::swap(&mut self.records, &mut part.records);
+        (part, groups, records_processed)
+    }
+
+    /// Close the open part: each group it touched merges its part state
+    /// into its own, as [`merge`](Self::merge) merges another database's
+    /// group into it ([`Column::merge`]) — with no key looked up or
+    /// string translated — and the part's rows are reset.
+    pub(crate) fn close_part(&mut self) {
+        let (mut part, ..) = self.shut_part();
+        let Part { ops, records, touched, .. } = &mut *part;
+        for &group in touched.iter() {
+            let g = group as usize;
+            self.records[g] += std::mem::take(&mut records[g]);
+            for (column, theirs) in self.ops.iter_mut().zip(ops.iter_mut()) {
+                column.merge(g, theirs, g, None, &mut self.strings);
+                theirs.reset(g);
+            }
+        }
+        touched.clear();
+        self.part = Some(part);
+    }
+
+    /// Drop the open part, and with it every trace of what was folded
+    /// into it: its touched rows are reset, the groups it admitted come
+    /// off the table, the columns and the key arena — the newest first,
+    /// each the newest of its hash, whose table entry goes back to the
+    /// next older group in its chain — and the records it counted are
+    /// uncounted. Strings interned meanwhile stay: the table only grows,
+    /// and nothing refers to them. The aggregator takes a new identity,
+    /// so that no code map remembers a group that is gone.
+    pub(crate) fn drop_part(&mut self) {
+        let (mut part, groups, records_processed) = self.shut_part();
+        for group in part.touched.drain(..) {
+            part.records[group as usize] = 0;
+            part.ops.iter_mut().for_each(|column| column.reset(group as usize));
+        }
+        self.part = Some(part);
+        for group in (groups..self.records.len()).rev() {
+            let hash = fxhash(self.key_of(group as u32));
+            match self.chain[group] {
+                NO_GROUP => self.table.remove(&hash),
+                older => self.table.insert(hash, older),
+            };
+        }
+        self.keys.truncate(groups * self.spec.key.len());
+        self.chain.truncate(groups);
+        for (ops, records) in self.states() {
+            ops.iter_mut().for_each(|column| column.resize(groups));
+            records.truncate(groups);
+        }
+        self.records_processed = records_processed;
+        self.id = Arc::new(());
     }
 
     /// Fold one occurrence of op `op`'s target into `group`.
@@ -572,6 +691,9 @@ impl Aggregator {
     /// keep deterministic), never on the order groups came about in.
     pub fn merge(&mut self, other: Aggregator) {
         debug_assert_eq!(self.spec, other.spec, "merging mismatched aggregations");
+        debug_assert!(self.part.as_ref().is_none_or(|part| part.open.is_none()), "a part is open");
+        #[cfg(test)]
+        crate::parallel::tests::BUILT.with(|built| built.set((built.get().0, built.get().1 + 1)));
         self.records_processed += other.records_processed;
         let mut incoming = other.keyed();
         if self.max_groups.is_some() {
@@ -602,7 +724,7 @@ impl Aggregator {
             let (mine, theirs) = (mine as usize, theirs as usize);
             self.records[mine] += other.records[theirs];
             for (column, from) in self.ops.iter_mut().zip(&other.ops) {
-                column.merge(mine, from, theirs, &other.strings, &mut self.strings);
+                column.merge(mine, from, theirs, Some(&other.strings), &mut self.strings);
             }
         }
         self.key = key;
@@ -1498,6 +1620,146 @@ mod tests {
             7 => Some(Cell::Int(i64::MIN + n)),
             _ => Some(Cell::Str(strings.intern(&format!("s{}", n % 13)))),
         })
+    }
+
+    /// Every op kind: `sum`, `min` and `max` over integers, floats and
+    /// strings, and the float ops over floats.
+    const EVERY_OP: &str = "AGGREGATE count, sum(x), sum(f), sum(s), min(x), min(f), min(s), \
+        max(x), max(f), max(s), avg(f), percent_total(f), variance(f), stddev(f), \
+        histogram(f, -1, 1, 4), percentile(f, 50) GROUP BY k";
+
+    /// Records over keys `keys`, `-0.0`, NaN and non-integer floats
+    /// among their values, some without `x`.
+    fn part_records(store: &Arc<AttributeStore>, keys: &[&str], seed: i64) -> Vec<FlatRecord> {
+        let floats = [-0.0, 0.1, -0.7, f64::NAN, 1.0 / 3.0, 2.5e-3, -0.0, 0.6];
+        (0..24)
+            .map(|i| {
+                let mut rec = RecordBuilder::new(store)
+                    .with("k", keys[(i as usize * 7 + seed as usize) % keys.len()])
+                    .with("f", floats[(i + seed) as usize % floats.len()])
+                    .with("s", ["p", "q", "r"][(i + 2 * seed) as usize % 3]);
+                if i % 5 != 0 {
+                    rec = rec.with("x", i * seed - 40);
+                }
+                rec.build()
+            })
+            .collect()
+    }
+
+    /// A flush, every float by its bits.
+    fn bits(agg: &Aggregator) -> Vec<String> {
+        let out = AttributeStore::new();
+        let rows = agg.flush(&out).iter().collect::<Vec<_>>();
+        rows.iter()
+            .map(|row| {
+                let cell = |(attr, value): &(AttrId, Value)| {
+                    let name = out.name_of(*attr).unwrap_or_default().to_string();
+                    match value {
+                        Value::Float(x) => format!("{name}={:#x}", x.to_bits()),
+                        other => format!("{name}={other:?}"),
+                    }
+                };
+                row.pairs().iter().map(cell).collect::<Vec<_>>().join(",")
+            })
+            .collect()
+    }
+
+    fn every_op(store: &Arc<AttributeStore>, records: &[FlatRecord]) -> Aggregator {
+        let spec = AggregationSpec::from_query(&parse_query(EVERY_OP).unwrap());
+        let mut agg = Aggregator::new(spec, Arc::clone(store));
+        records.iter().for_each(|record| agg.add(record));
+        agg
+    }
+
+    #[test]
+    fn a_closed_part_is_the_merge_of_its_records_folded_apart() {
+        let store = Arc::new(AttributeStore::new());
+        let root = part_records(&store, &["a", "b", "c"], 1);
+        for (keys, seed) in [(&["a", "b", "c"][..], 2), (&["c", "d", "e"], 3), (&["f", "g"], 4)] {
+            let file = part_records(&store, keys, seed);
+            // Into a root that holds groups, and into one that holds none.
+            for base in [&root[..], &[]] {
+                let mut merged = every_op(&store, base);
+                merged.merge(every_op(&store, &file));
+                let mut lent = every_op(&store, base);
+                lent.open_part();
+                file.iter().for_each(|record| lent.add(record));
+                lent.close_part();
+                assert_eq!(bits(&lent), bits(&merged), "keys {keys:?}, base of {}", base.len());
+                assert_eq!(lent.len(), merged.len());
+                assert_eq!(lent.records_processed(), merged.records_processed());
+                // A second part folds into rows the first one reset.
+                merged.merge(every_op(&store, &file));
+                lent.open_part();
+                file.iter().for_each(|record| lent.add(record));
+                lent.close_part();
+                assert_eq!(bits(&lent), bits(&merged), "a second part");
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_part_leaves_no_trace() {
+        let store = Arc::new(AttributeStore::new());
+        let root = part_records(&store, &["a", "b", "c"], 1);
+        let file = part_records(&store, &["b", "d", "e", "f"], 2);
+        let mut agg = every_op(&store, &root);
+        let keys = ["a", "b", "c", "d", "e", "f"];
+        let lookup = |agg: &Aggregator| -> Vec<Option<u32>> {
+            let group = |text: &str| {
+                let key = [KeyCell(Some(Cell::Str(agg.strings.find(text)?)))];
+                let mut group = agg.table.get(&fxhash(&key[..])).copied().unwrap_or(NO_GROUP);
+                while group != NO_GROUP && agg.key_of(group) != key {
+                    group = agg.chain[group as usize];
+                }
+                (group != NO_GROUP).then_some(group)
+            };
+            keys.iter().map(|&text| group(text)).collect()
+        };
+        let before = (agg.len(), agg.records_processed(), bits(&agg), lookup(&agg));
+        assert_eq!(before.3[3..], [None, None, None]);
+        for _ in 0..2 {
+            agg.open_part();
+            file.iter().for_each(|record| agg.add(record));
+            assert_eq!(agg.len(), 6, "the part admitted new keys");
+            agg.drop_part();
+            let after = (agg.len(), agg.records_processed(), bits(&agg), lookup(&agg));
+            assert_eq!(after, before);
+        }
+        // What follows folds as if the dropped parts had never been.
+        let mut merged = every_op(&store, &root);
+        merged.merge(every_op(&store, &file));
+        agg.open_part();
+        file.iter().for_each(|record| agg.add(record));
+        agg.close_part();
+        assert_eq!(bits(&agg), bits(&merged));
+    }
+
+    /// Merging a state into a group's empty one copies it, for every
+    /// column. `avg`'s and `percent_total`'s sums start at `+0.0` and so
+    /// never hold `-0.0` (the one value `+0.0 +` does not copy), a
+    /// reservoir extends an empty sample, and the moments copy at `n = 0`
+    /// — so a closed part is copied into the groups new to the database,
+    /// through the same merge.
+    #[test]
+    fn merging_into_an_empty_group_is_a_copy() {
+        let spec = parse_query(EVERY_OP).unwrap();
+        let mut strings = StringTable::default();
+        let floats = [-0.0, f64::NAN, -f64::NAN, 0.1, -0.7].map(Value::Float);
+        let inputs = [&floats[..1], &floats[..2], &floats[2..3], &floats[1..], &[Value::str("p")]];
+        for values in inputs {
+            for op in &spec.ops {
+                let mut theirs = Column::new(op);
+                theirs.resize(1);
+                values.iter().for_each(|value| theirs.update(0, value, &mut strings));
+                let mut mine = Column::new(op);
+                mine.resize(1);
+                mine.merge(0, &theirs, 0, None, &mut strings);
+                // `Debug` prints `-0.0` and `0.0` apart.
+                let (mine, theirs) = (format!("{mine:?}"), format!("{theirs:?}"));
+                assert_eq!(mine, theirs, "{op:?} over {values:?}");
+            }
+        }
     }
 
     proptest::proptest! {

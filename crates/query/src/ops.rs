@@ -242,16 +242,30 @@ impl Column {
         }
     }
 
-    /// Add an entry with no input folded in.
-    pub(crate) fn push(&mut self) {
+    /// Entry `g` back to no input folded in.
+    pub(crate) fn reset(&mut self, g: usize) {
         match self {
             Column::Count => {}
-            Column::Sum(acc) | Column::Extreme(_, acc) => acc.push(None),
-            Column::Avg(acc) => acc.push((0.0, 0)),
-            Column::PercentTotal(acc) => acc.push(0.0),
-            Column::Moments(_, acc) => acc.push((0, 0.0, 0.0)),
-            Column::Histogram { stride, counts, .. } => counts.resize(counts.len() + *stride, 0),
-            Column::Percentile(_, reservoirs) => reservoirs.push(Reservoir::EMPTY),
+            Column::Sum(acc) | Column::Extreme(_, acc) => acc[g] = None,
+            Column::Avg(acc) => acc[g] = (0.0, 0),
+            Column::PercentTotal(acc) => acc[g] = 0.0,
+            Column::Moments(_, acc) => acc[g] = (0, 0.0, 0.0),
+            Column::Histogram { stride, counts, .. } => counts[g * *stride..][..*stride].fill(0),
+            Column::Percentile(_, reservoirs) => reservoirs[g] = Reservoir::EMPTY,
+        }
+    }
+
+    /// `n` entries: the first `n` kept, and as many added as it takes,
+    /// with no input folded in.
+    pub(crate) fn resize(&mut self, n: usize) {
+        match self {
+            Column::Count => {}
+            Column::Sum(acc) | Column::Extreme(_, acc) => acc.resize(n, None),
+            Column::Avg(acc) => acc.resize(n, (0.0, 0)),
+            Column::PercentTotal(acc) => acc.resize(n, 0.0),
+            Column::Moments(_, acc) => acc.resize(n, (0, 0.0, 0.0)),
+            Column::Histogram { stride, counts, .. } => counts.resize(n * *stride, 0),
+            Column::Percentile(_, reservoirs) => reservoirs.resize_with(n, || Reservoir::EMPTY),
         }
     }
 
@@ -355,13 +369,14 @@ impl Column {
     }
 
     /// Fold entry `og` of `other` — a column of the same op, strings as
-    /// codes of `from` — into entry `g`.
+    /// codes of `from`, or of `to` itself where `from` is `None` — into
+    /// entry `g`.
     pub(crate) fn merge(
         &mut self,
         g: usize,
         other: &Column,
         og: usize,
-        from: &StringTable,
+        from: Option<&StringTable>,
         to: &mut StringTable,
     ) {
         match (self, other) {
@@ -371,7 +386,8 @@ impl Column {
                 Column::Sum(theirs) | Column::Extreme(_, theirs),
             ) => {
                 if let Some(cell) = theirs[og] {
-                    mine.update(g, &from.get(cell), to);
+                    let value = from.unwrap_or(to).get(cell).into_owned();
+                    mine.update(g, &value, to);
                 }
             }
             (Column::Avg(a), Column::Avg(b)) => {
@@ -651,7 +667,7 @@ impl Reducer {
     /// Create the initial state for an operation.
     pub fn new(op: &AggOp) -> Reducer {
         let mut column = Column::new(op);
-        column.push();
+        column.resize(1);
         Reducer {
             column,
             inputs: 0,
@@ -670,7 +686,7 @@ impl Reducer {
     pub fn merge(&mut self, other: &Reducer) {
         self.inputs += other.inputs;
         let (from, to) = (&other.strings, &mut self.strings);
-        self.column.merge(0, &other.column, 0, from, to);
+        self.column.merge(0, &other.column, 0, Some(from), to);
     }
 
     /// Produce the result value. `Sum`/`Min`/`Max` with no inputs yield

@@ -14,34 +14,51 @@
 //! has. `--threads 1` is this pool with one worker — the calling thread,
 //! nothing spawned — not a second code path.
 //!
-//! # Design: a local accumulate and an ordered eager merge
+//! # Design: a lent root, and an ordered eager merge for the rest
 //!
 //! * **The file is the work unit.** A file's contribution is its records
-//!   folded in stream order into a private [`Pipeline`] (LET → WHERE →
-//!   aggregate) by [`Pipeline::scan_file`] — decode and aggregation are
-//!   one pass, one block in memory at a time. It is a function of the
-//!   file's bytes and the query alone, and the same fold a rank of
-//!   `mpi-caliquery` runs over the file.
+//!   folded in stream order (LET → WHERE → aggregate) by
+//!   [`Pipeline::scan_file`] — decode and aggregation are one pass, one
+//!   block in memory at a time — as if into a database that held
+//!   nothing. It is a function of the file's bytes and the query alone,
+//!   and the same fold a rank of `mpi-caliquery` runs over the file.
 //! * **Worker pool.** The calling thread is worker 0 and up to
 //!   `threads − 1` more are spawned — never more workers than files, a
 //!   worker beyond the file count could not be handed one. Workers take
 //!   files off a shared counter, and the hot record-processing path
-//!   takes **zero cross-thread locks**: a worker touches only its local
-//!   aggregation database, exactly like the runtime's per-thread on-line
-//!   databases (§IV-B).
-//! * **Ordered eager merge.** A worker that finishes a file parks the
-//!   file's pipeline under the one lock of the run. Whoever then holds
-//!   the next file in input order merges it — and any parked successors
-//!   — into the root pipeline, in ascending file order. With one worker
-//!   every file is the next file: it is merged the moment it is scanned
-//!   and before the next one is opened, so memory is bounded by the
-//!   largest file's database plus the root. With N workers only files
-//!   that finished ahead of a slower predecessor stay parked. The root
-//!   then runs the ordinary [`finish`](Pipeline::finish) (ORDER BY →
-//!   SELECT → FORMAT).
+//!   takes **zero cross-thread locks**: a worker touches only the
+//!   database it folds into, exactly like the runtime's per-thread
+//!   on-line databases (§IV-B).
+//! * **The root is lent to the file whose turn it is.** Before it opens
+//!   a file, a worker asks the run's one lock whether that file is the
+//!   next in input order. If it is — and the root exists and no group
+//!   capacity is set — nothing else can merge before it, so the worker
+//!   takes the root and folds the file into an open *part* of it
+//!   (`Pipeline::scan_part`): a second set of state columns over the
+//!   root's groups, which the file fills as a database of its own would
+//!   be filled, while its new keys join the root's one group table. The
+//!   file's own dictionary and store stay its own; the fold resolves
+//!   against them. When the file's turn is decided the part is closed —
+//!   each group it touched merges its part state into its root state
+//!   through the same per-group merge as [`Aggregator::merge`](crate::Aggregator::merge),
+//!   with no key hashed and no string translated — or dropped, leaving
+//!   no trace. With one worker every file after the first is folded this
+//!   way: one pipeline, one group table and no key-by-key merge.
+//! * **Ordered eager merge for the rest.** The first file (there is no
+//!   root yet; its pipeline becomes the root, and its store the root's
+//!   dictionary), every file that a worker opened ahead of its turn, and
+//!   every file of a capped run fold into a private [`Pipeline`]. A
+//!   worker that finishes one parks it under the lock, and whoever then
+//!   holds the next file in input order merges it — and any parked
+//!   successors — into the root, key by key, in ascending file order.
+//!   A capped run parks every file: `--max-groups` admits a file's keys
+//!   first-come and then the root admits them in sorted key order, which
+//!   a part cannot reproduce. The root then runs the ordinary
+//!   [`finish`](Pipeline::finish) (ORDER BY → SELECT → FORMAT).
 //! * **Failures in file order.** A file fails when its read fails or,
 //!   after a successful read, its `shard.merge` failpoint fires — both
-//!   decided when the file's turn to merge comes, so per file index.
+//!   decided when the file's turn comes, so per file index. A failed
+//!   read drops its part at once; a fired failpoint drops it then.
 //!   Without [`ParallelOptions::degrade`] the lowest-index failing
 //!   file's error is returned and workers stop taking files; with it the
 //!   file is dropped, recorded as a [`ShardFailure`], and the fold goes
@@ -50,19 +67,23 @@
 //! # The result does not depend on the worker count
 //!
 //! A file's contribution is its records folded in stream order,
-//! whichever worker reads it, and files merge into the root in input
-//! order (the merge-order contract, DESIGN.md §6), so the root performs
-//! the same sequence of [`Aggregator::merge`](crate::Aggregator::merge)
-//! operations every time: scheduling can only change *who* computes a
-//! partial and *when*. This is why the root is merged in input order
-//! instead of letting each worker pre-merge the files it happens to
-//! process: for integer reductions pre-merging would be fine
-//! (count/sum/min/max are associative and commutative), but
-//! floating-point addition is not associative, so any
-//! scheduling-dependent merge order could flip low-order bits between
-//! runs. Ordered merging buys bit-for-bit reproducibility at the cost of
-//! parking the databases of out-of-order files — key-count sized, not
-//! record-count sized.
+//! whichever worker reads it and whether into a pipeline of its own or
+//! into a part, and contributions merge into the root in input order
+//! (the merge-order contract, DESIGN.md §6): each group of the root
+//! receives the same per-file partials, by the same per-group merge, in
+//! the same order, every time — a group new to the root receives its
+//! first partial by a merge into an empty group either way. Scheduling
+//! can only change *who* computes a partial, *when*, and whether it is
+//! parked. This is why contributions merge in input order instead of
+//! letting each worker pre-merge the files it happens to process: for
+//! integer reductions pre-merging would be fine (count/sum/min/max are
+//! associative and commutative), but floating-point addition is not
+//! associative, so any scheduling-dependent merge order could flip
+//! low-order bits between runs. It is also why a part is closed per
+//! file rather than once at the end: one part over every file would fold
+//! them all left to right, another order of additions. Ordered merging
+//! buys bit-for-bit reproducibility at the cost of parking the databases
+//! of out-of-order files — key-count sized, not record-count sized.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -70,8 +91,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use caliper_data::Attribute;
 use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport, Schema};
 
+use crate::aggregator::Aggregator;
 use crate::parser::{parse_query, ParseError};
 use crate::pushdown::build_pushdown;
 use crate::query::{Pipeline, QueryResult};
@@ -233,8 +256,9 @@ pub struct ShardTimings {
     /// Per-worker read/process breakdown, indexed by worker id: one per
     /// worker the run had, `min(threads, files)` and at least one.
     pub workers: Vec<WorkerTimings>,
-    /// Seconds spent under the merge lock, merging files into the root
-    /// as their turn came.
+    /// Seconds spent under the merge lock as files took their turn:
+    /// closing the parts of the root files were folded into, and merging
+    /// parked files into the root.
     pub merge_s: f64,
     /// Seconds the root spent finishing: the flush, ORDER BY, LIMIT and
     /// SELECT ([`Pipeline::finish`]), up to the result and short of its
@@ -272,16 +296,22 @@ impl ShardTimings {
     }
 }
 
-/// A scanned file waiting for its turn to merge: its pipeline and its
-/// read report, or why the read failed.
-type Scan = Result<(Pipeline, ReadReport), CaliError>;
+/// A scanned file waiting for its turn: the pipeline of its own it was
+/// folded into, to merge into the root — `None` where it was folded into
+/// an open part of the root, lent to its worker, to close — the
+/// attributes its dictionary declares and its read report; or why the
+/// read failed.
+type Scan = Result<(Option<Pipeline>, Vec<Attribute>, ReadReport), CaliError>;
 
 /// The root of the fold and everything decided in file order. One lock
-/// guards it; workers hold it to park a file and to merge.
+/// guards it; workers hold it to borrow the root, to park a file and to
+/// merge.
 #[derive(Default)]
 struct OrderedMerge<'a> {
     paths: &'a [PathBuf],
     degrade: bool,
+    /// Whether the root may be lent: not under a group capacity.
+    lend: bool,
     root: Option<Pipeline>,
     /// The file whose turn it is: every file below is merged or dropped.
     next: usize,
@@ -295,11 +325,28 @@ struct OrderedMerge<'a> {
 }
 
 impl OrderedMerge<'_> {
-    /// Park `file`, then merge every parked file whose turn has come, in
-    /// ascending file order. The order — and with it the fault
-    /// decisions, which are keyed on the file index — depends on the
-    /// file list alone, never on which worker gets here when.
-    fn park(&mut self, file: usize, scan: Scan) {
+    /// The root, lent to the worker that took `file` if it is the file
+    /// whose turn it is: nothing else can merge before that file has,
+    /// so the worker folds it straight into a part of the root, which
+    /// comes back with the file's [`park`](Self::park).
+    fn lend(&mut self, file: usize) -> Option<Pipeline> {
+        if self.lend && file == self.next {
+            self.root.take()
+        } else {
+            None
+        }
+    }
+
+    /// Park `file` — and take back the root if it was lent for it —
+    /// then merge every parked file whose turn has come, in ascending
+    /// file order: a file's part is closed, a file's own pipeline merged
+    /// into the root. The order — and with it the fault decisions, which
+    /// are keyed on the file index — depends on the file list alone,
+    /// never on which worker gets here when.
+    fn park(&mut self, file: usize, scan: Scan, lent: Option<Pipeline>) {
+        if lent.is_some() {
+            self.root = lent;
+        }
         self.parked.insert(file, scan);
         let start = Instant::now();
         let paths = self.paths;
@@ -307,17 +354,23 @@ impl OrderedMerge<'_> {
             let Some(scan) = self.parked.remove(&self.next) else { break };
             let path = &paths[self.next];
             // The merge failpoint fires only after a successful read, so
-            // a file that fails both ways is reported as unreadable.
-            let merged = scan.and_then(|(pipeline, report)| {
+            // a file that fails both ways is reported as unreadable. (A
+            // failed read dropped its part already.)
+            let merged = scan.and_then(|(own, schema, report)| {
                 self.timings.reports.push(report);
-                self.timings.schema.extend(pipeline.input_attributes());
-                shard_merge_fault(self.next, path).map_or(Ok(pipeline), Err)
+                self.timings.schema.extend(schema);
+                let Some(e) = shard_merge_fault(self.next, path) else { return Ok(own) };
+                if own.is_none() {
+                    part_of(&mut self.root).drop_part();
+                }
+                Err(e)
             });
             match merged {
-                Ok(pipeline) => match &mut self.root {
+                Ok(Some(pipeline)) => match &mut self.root {
                     Some(root) => root.merge(pipeline),
                     None => self.root = Some(pipeline),
                 },
+                Ok(None) => part_of(&mut self.root).close_part(),
                 Err(e) if self.degrade => {
                     // Stable, so degraded `--stats` output is the same
                     // for every thread count.
@@ -336,6 +389,12 @@ impl OrderedMerge<'_> {
         }
         self.timings.merge_s += start.elapsed().as_secs_f64();
     }
+}
+
+/// The aggregation of a root a part was folded into.
+fn part_of(root: &mut Option<Pipeline>) -> &mut Aggregator {
+    let root = root.as_mut().expect("a part is folded into a root");
+    root.aggregator.as_deref_mut().expect("an aggregation")
 }
 
 /// Runs an aggregation `query` over `paths` with a pool of
@@ -372,8 +431,10 @@ pub fn parallel_query_files<P: AsRef<Path>>(
     let merge = Mutex::new(OrderedMerge {
         paths: &paths,
         degrade: options.degrade,
+        lend: max_groups.is_none(),
         ..Default::default()
     });
+    let lock = || merge.lock().expect("no worker panics while merging");
     // Workers take the next unread file until none is left.
     let next_file = AtomicUsize::new(0);
     let worker = || -> WorkerTimings {
@@ -383,21 +444,27 @@ pub fn parallel_query_files<P: AsRef<Path>>(
             let file = next_file.fetch_add(1, Ordering::Relaxed);
             let Some(path) = paths.get(file) else { break };
             let start = Instant::now();
-            let dict = Dataset::new();
-            let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store))
-                .with_max_groups(max_groups);
-            let scanned =
-                pipeline.scan_file(path, dict, options.read_policy, pushdown.as_deref());
+            let mut lent = lock().lend(file);
+            let (dict, policy, pushdown) = (Dataset::new(), options.read_policy, pushdown.as_deref());
+            let scanned = match &mut lent {
+                Some(root) => root.scan_part(path, dict, policy, pushdown).map(|s| (None, s)),
+                None => {
+                    let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store))
+                        .with_max_groups(max_groups);
+                    let scanned = pipeline.scan_file(path, dict, policy, pushdown);
+                    scanned.map(|s| (Some(pipeline), s))
+                }
+            };
             timings.files += 1;
             timings.read_s += start.elapsed().as_secs_f64();
-            let scan = scanned.map(|scanned| {
+            let scan = scanned.map(|(own, scanned)| {
                 timings.read_s -= scanned.fold_s;
                 timings.process_s += scanned.fold_s;
                 timings.records += scanned.records;
-                (pipeline, scanned.report)
+                (own, scanned.dict.store.all(), scanned.report)
             });
-            let mut merge = merge.lock().expect("no worker panics while merging");
-            merge.park(file, scan);
+            let mut merge = lock();
+            merge.park(file, scan, lent);
             if merge.error.is_some() {
                 // Every file below the failing one is already taken, so
                 // what is left to hand out cannot change the answer.
@@ -452,10 +519,16 @@ fn shard_merge_fault(file: usize, path: &Path) -> Option<CaliError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use caliper_data::{Properties, SnapshotRecord, Value, ValueType};
     use caliper_format::{cali, Dataset};
+
+    thread_local! {
+        /// Pipelines made and aggregations merged on this thread (a
+        /// run at one worker runs on the calling thread).
+        pub(crate) static BUILT: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+    }
 
     fn write_inputs(dir: &Path, files: usize, records: usize) -> Vec<PathBuf> {
         std::fs::create_dir_all(dir).unwrap();
@@ -504,6 +577,27 @@ mod tests {
             renders.push(result.render());
         }
         assert!(renders.windows(2).all(|w| w[0] == w[1]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_worker_folds_every_file_into_the_one_root_and_merges_none() {
+        let dir = std::env::temp_dir().join("caliper-parallel-test-lent");
+        let paths = write_inputs(&dir, 5, 40);
+        let run = |cap| {
+            BUILT.with(|built| built.set((0, 0)));
+            let opts = ParallelOptions::with_threads(1).with_max_groups(cap);
+            let (result, _) = parallel_query_files(QUERY, &paths, &opts).unwrap();
+            (result.render(), BUILT.with(|built| built.get()))
+        };
+        // The first file's pipeline is the root; every other file folds
+        // into a part of it.
+        let (lent, built) = run(None);
+        assert_eq!(built, (1, 0), "(pipelines, merges) uncapped");
+        // Capped, every file folds into a pipeline of its own and merges.
+        let (parked, built) = run(Some(100));
+        assert_eq!(built, (5, 4), "(pipelines, merges) capped");
+        assert_eq!(lent, parked);
         std::fs::remove_dir_all(&dir).ok();
     }
 

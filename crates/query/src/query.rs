@@ -166,6 +166,8 @@ impl Pipeline {
     /// Create a pipeline for a parsed query over records whose attribute
     /// ids refer to `store`.
     pub fn new(spec: QuerySpec, store: Arc<AttributeStore>) -> Pipeline {
+        #[cfg(test)]
+        crate::parallel::tests::BUILT.with(|built| built.set((built.get().0 + 1, built.get().1)));
         // Listed in `--stats` from the start, at 0 until a WHERE meets a
         // comparison the data cannot decide (see `BlockFold`).
         caliper_data::metrics::global().counter("query.filter.type_mismatch");

@@ -53,7 +53,12 @@
 //! the table's [`id`](StringTable::id) at each block, as it compares the
 //! context tree's, and starts its caches over when it changes. So no
 //! caller pairs a fold with a table, and a table's owner that starts the
-//! table over (`MAX_STREAM_STRINGS`) just makes a new one.
+//! table over (`MAX_STREAM_STRINGS`) just makes a new one. Its labels
+//! resolve against one [`AttributeStore`], which it also knows: a
+//! pipeline's fold resolves each file folded into a part of it
+//! (`Pipeline::scan_part`, the lent root of `cali-query`) against that
+//! file's own store, and starts its labels and node cache over when the
+//! store is another.
 //!
 //! After LET and WHERE the fold hands the rows it keeps to a sink: an
 //! aggregation's groups — found in the one table there is from keys to
@@ -65,7 +70,7 @@
 //! its LET outputs, the pairs of the record the row stands for.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use caliper_data::{AttrId, AttributeStore, ContextTree, NodeId, SnapshotRecord, Value};
@@ -144,6 +149,31 @@ impl Pipeline {
             records: folded,
             fold_s,
         })
+    }
+
+    /// [`scan_file`](Self::scan_file) for a file with a dictionary of
+    /// its own — `dict` over another store than this pipeline's — into
+    /// an open part of this pipeline's aggregation
+    /// ([`Aggregator::open_part`]): the file's records are folded as
+    /// into a pipeline of their own, over its store, into this one's
+    /// groups. The part is left open for the caller to close or drop; a
+    /// failed read drops it.
+    pub(crate) fn scan_part(
+        &mut self,
+        path: &Path,
+        dict: Dataset,
+        policy: ReadPolicy,
+        pushdown: Option<&Pushdown>,
+    ) -> Result<Scanned, CaliError> {
+        let aggregator = self.aggregator.as_mut().expect("a part of an aggregation");
+        aggregator.open_part();
+        let store = std::mem::replace(&mut self.input_store, Arc::clone(&dict.store));
+        let scanned = self.scan_file(path, dict, policy, pushdown);
+        self.input_store = store;
+        if scanned.is_err() {
+            self.aggregator.as_mut().expect("an aggregation").drop_part();
+        }
+        scanned
     }
 
     /// Fold one decoded `block` into this pipeline — after the row
@@ -301,9 +331,10 @@ enum Place {
 /// ([`gathered_rows`](Self::gathered_rows)).
 ///
 /// What a fold remembers is about the *stream* — one [`StringTable`] at
-/// a time — and keyed by that table's codes: at each block it compares
-/// the table's id with the one its caches are for, and starts them over
-/// when the table is another. What it remembers of groups lives in its
+/// a time, over one [`AttributeStore`] — and keyed by that table's
+/// codes: at each block it compares the table's id with the one its
+/// caches are for, and the store with the one its labels resolved
+/// against, and starts them over when either is another. What it remembers of groups lives in its
 /// code map, which knows whose groups they are, so it may fold into any
 /// aggregator, one block into this one and the next into that.
 #[derive(Default)]
@@ -319,10 +350,13 @@ pub(crate) struct BlockFold {
     /// Per op: the slot of its target (`None` for `count`).
     ops: Vec<Option<u32>>,
 
+    /// The store the slots resolve against: held weakly, which keeps
+    /// its address from being another store's while it is compared.
+    store: Weak<AttributeStore>,
     /// Per context-tree node seen so far, by node id, of the tree whose
-    /// id is `tree`: its slotted occurrences. A label that resolves later
-    /// cannot be on a path cached earlier — the node's attributes were
-    /// all in the store when its block was set up.
+    /// id is `tree`, over `store`: its slotted occurrences. A label that
+    /// resolves later cannot be on a path cached earlier — the node's
+    /// attributes were all in the store when its block was set up.
     nodes: Vec<Option<NodeCells>>,
     tree: u64,
     /// The stream's string codes as the aggregator's, and a key of one
@@ -431,8 +465,15 @@ impl BlockFold {
         self.gathered
     }
 
-    /// Resolve the labels not resolved yet against `store`.
-    pub(crate) fn resolve(&mut self, store: &AttributeStore) {
+    /// Resolve the labels not resolved yet against `store` — every
+    /// label, and the node cache started over, when `store` is another
+    /// store than the last one's.
+    pub(crate) fn resolve(&mut self, store: &Arc<AttributeStore>) {
+        if !std::ptr::eq(self.store.as_ptr(), Arc::as_ptr(store)) {
+            self.store = Arc::downgrade(store);
+            self.slots.iter_mut().for_each(|slot| slot.attr = None);
+            self.nodes.clear();
+        }
         for slot in self.slots.iter_mut().filter(|s| s.attr.is_none()) {
             slot.attr = store.find(&slot.label).map(|attr| attr.id());
         }

@@ -54,8 +54,9 @@ pub(crate) enum Event<B> {
     /// A handler read a request whole, an HTTP request or a batch it
     /// cannot offer: a reply is owed.
     Read,
-    /// The reply owed for a `Read` or a `Push` is written, or failed.
-    Replied,
+    /// The reply owed for a `Read` or a `Push` is written, or failed;
+    /// `ack`: it answers a batch the queue admitted.
+    Replied { ack: bool },
     /// A handler read a batch whole and offers it to the queue: a reply
     /// is owed, whatever the queue says.
     Push(B),
@@ -106,6 +107,9 @@ pub(crate) struct Daemon<B> {
     live_workers: usize,
     /// Batches and HTTP requests read whose reply is not written.
     owed: usize,
+    /// Of those, the batches the queue admitted: a clean drain writes
+    /// every one of their replies.
+    acks: usize,
     /// Running handlers, per [`Listener`].
     handlers: [usize; 2],
     max_handlers: usize,
@@ -121,6 +125,7 @@ impl<B> Daemon<B> {
             capacity: capacity.max(1),
             live_workers: workers,
             owed: 0,
+            acks: 0,
             handlers: [0; 2],
             max_handlers,
         }
@@ -158,8 +163,9 @@ impl<B> Daemon<B> {
                 self.owed += 1;
                 Effects::None
             }
-            Event::Replied => {
+            Event::Replied { ack } => {
                 self.owed -= 1;
+                self.acks -= usize::from(ack);
                 Effects::None
             }
             Event::Push(batch) => {
@@ -170,6 +176,7 @@ impl<B> Daemon<B> {
                     Effects::Busy
                 } else {
                     self.queue.push_back(batch);
+                    self.acks += 1;
                     Effects::WakeOne
                 }
             }
@@ -196,9 +203,11 @@ impl<B> Daemon<B> {
         // The drain ends at its deadline, or by itself once every worker
         // is out and every reply owed is written but those of queued
         // batches: with no worker left, their verdicts are not coming.
+        // It is clean when every admitted batch was run and acked — at
+        // the deadline a verdict may be in its handler's hands, unwritten.
         let over = self.live_workers == 0 && self.owed <= self.queue.len();
         if self.phase == Phase::Draining && (deadline || over) {
-            let drained = self.live_workers == 0 && self.queue.is_empty();
+            let drained = self.live_workers == 0 && self.queue.is_empty() && self.acks == 0;
             self.phase = Phase::Stopped { drained };
             return Effects::WakeAll;
         }
@@ -512,7 +521,7 @@ mod tests {
                 // The one HTTP handler's count bounds nothing: it goes
                 // with the reply.
                 Conn::Writing(_) if self.is_http(c) => {
-                    self.step(Event::Replied);
+                    self.step(Event::Replied { ack: false });
                     self.step(Event::HandlerDone(Listener::Http));
                     Conn::Closed
                 }
@@ -529,8 +538,9 @@ mod tests {
                     Conn::Closed
                 }
                 Conn::Writing(k) => {
-                    self.step(Event::Replied);
-                    if self.admitted & (1 << id(k)) != 0 {
+                    let ack = self.admitted & (1 << id(k)) != 0;
+                    self.step(Event::Replied { ack });
+                    if ack {
                         self.replied |= 1 << id(k);
                     }
                     Conn::Idle(k + 1)
@@ -564,15 +574,16 @@ mod tests {
 
         /// What must hold in every state: the daemon's counters are the
         /// ones the threads' positions give, no admitted batch is lost or
-        /// doubled, and a clean drain left no batch without its verdict.
-        /// (Its reply may still be on its way: `drained` is about the
-        /// work, and a slow reader does not degrade the exit.)
+        /// doubled, and a clean drain left no admitted batch without its
+        /// reply written.
         fn check(&self, shape: &Shape) {
             let d = &self.daemon;
             let owing = |c: &&Conn| matches!(c, Conn::Read | Conn::Waiting(_) | Conn::Writing(_));
             let running = |c: &&Conn| !matches!(c, Conn::Connecting | Conn::Closed);
             let (ingest, http) = (&self.conns[..self.http], &self.conns[self.http..]);
             assert_eq!(d.owed, self.conns.iter().filter(owing).count(), "replies owed");
+            let unacked = self.admitted & !self.replied;
+            assert_eq!(d.acks, unacked.count_ones() as usize, "acks owed");
             assert_eq!(d.handlers[0], ingest.iter().filter(running).count(), "ingest handlers");
             assert_eq!(d.handlers[1], http.iter().filter(running).count(), "HTTP handlers");
             assert!(d.handlers.iter().all(|&h| h <= shape.max_handlers), "past the bound");
@@ -593,7 +604,7 @@ mod tests {
             let held = self.workers.iter().filter(|w| matches!(w, Worker::Busy(_))).count();
             assert_eq!(d.queue.len() + held, waiting, "a batch nobody waits for");
             if d.phase == (Phase::Stopped { drained: true }) {
-                assert_eq!(waiting, 0, "drained, yet an admitted batch has no verdict");
+                assert_eq!(unacked, 0, "drained, yet an admitted batch's reply is not written");
             }
         }
 
@@ -792,6 +803,29 @@ mod tests {
         assert_eq!(world.workers[0], Worker::Gone);
         assert_eq!(world.conns[..2], [Conn::Writing(0), Conn::Waiting(0)]);
         assert_eq!(world.daemon.queue, [BATCHES_MAX], "b was never run");
+    }
+
+    /// The deadline passes after the worker handed its verdict over but
+    /// before the handler wrote the `OK`: the drain is not clean, so the
+    /// exit says the ack may be lost.
+    #[test]
+    fn a_deadline_before_the_ack_is_written_is_not_a_clean_drain() {
+        let (batch, shutdown) = (Move::Conn(0), Move::Conn(1));
+        // Accepted, queued, popped; `POST /shutdown` read and the drain
+        // begun; the verdict handed over; the worker finds the queue
+        // closed and empty, and its thread ends.
+        let mut moves = vec![batch, batch, Move::Worker(0)];
+        moves.extend([shutdown; 3]);
+        moves.extend([Move::Worker(0); 3]);
+        let world = replay(SMALL, &moves);
+        assert_eq!((world.conns[0], world.workers[0]), (Conn::Writing(0), Worker::Gone));
+        assert_eq!(world.daemon.phase, Phase::Draining, "the ack is owed");
+        moves.push(Move::Deadline);
+        let world = replay(SMALL, &moves);
+        assert_eq!(world.daemon.phase, Phase::Stopped { drained: false });
+        // The handler writes the `OK` after the exit was decided.
+        moves.push(batch);
+        assert_eq!(replay(SMALL, &moves).replied, 1);
     }
 
     /// `chaos_served.rs`'s case: a worker killed mid-batch puts it back,

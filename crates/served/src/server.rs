@@ -334,7 +334,7 @@ impl ServerState {
         self.step(Event::Read);
         let (status, body) = self.route(&req);
         let _ = writer.write_all(&text_response(status, &body));
-        self.step(Event::Replied);
+        self.step(Event::Replied { ack: false });
     }
 
     fn route(&self, req: &Request) -> (u16, String) {
@@ -397,8 +397,8 @@ impl ServerState {
                 }
             };
             // A batch read is owed its reply until the reply is written:
-            // the drain waits for it.
-            let mut owed = false;
+            // the drain waits for it. `ack`: the queue admitted the batch.
+            let (mut owed, mut ack) = (false, false);
             let reply = match command {
                 Command::Ping => Reply::Ok("pong".to_string()),
                 Command::Quit => {
@@ -430,13 +430,17 @@ impl ServerState {
                             Reply::Error("HELLO <stream> must precede BATCH".to_string())
                         }
                         // Owed from the push on, whatever the queue says.
-                        Some(stream) => self.admit_batch(stream.clone(), payload),
+                        Some(stream) => {
+                            let reply;
+                            (reply, ack) = self.admit_batch(stream.clone(), payload);
+                            reply
+                        }
                     }
                 }
             };
             let sent = send(&mut writer, reply);
             if owed {
-                self.step(Event::Replied);
+                self.step(Event::Replied { ack });
             }
             if sent.is_err() {
                 return;
@@ -447,7 +451,8 @@ impl ServerState {
     /// Admit one batch to the bounded queue and wait for its verdict.
     /// A full queue answers `BUSY` immediately — admission never
     /// blocks, so the accept path stays responsive under overload.
-    fn admit_batch(&self, stream: String, payload: Vec<u8>) -> Reply {
+    /// The reply, and whether the queue admitted the batch.
+    fn admit_batch(&self, stream: String, payload: Vec<u8>) -> (Reply, bool) {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let batch = Batch {
             stream,
@@ -458,14 +463,17 @@ impl ServerState {
         match self.step(Event::Push(batch)) {
             // The drain began: `BUSY` would ask the client to retry a
             // daemon that is going away.
-            Effects::Refuse => Reply::Error("draining: not accepting batches".to_string()),
+            Effects::Refuse => (Reply::Error("draining: not accepting batches".to_string()), false),
             Effects::Busy => {
                 self.metrics().counter("served.ingest.rejected").inc();
-                Reply::Busy { retry_after_ms: BUSY_RETRY_AFTER_MS }
+                (Reply::Busy { retry_after_ms: BUSY_RETRY_AFTER_MS }, false)
             }
-            _ => rx.recv_timeout(BATCH_REPLY_TIMEOUT).unwrap_or_else(|_| {
-                Reply::Error("ingest verdict timed out; batch state unknown, safe to retry".to_string())
-            }),
+            _ => (
+                rx.recv_timeout(BATCH_REPLY_TIMEOUT).unwrap_or_else(|_| {
+                    Reply::Error("ingest verdict timed out; batch state unknown, safe to retry".to_string())
+                }),
+                true,
+            ),
         }
     }
 }
@@ -876,7 +884,7 @@ mod tests {
         state.begin_shutdown();
         assert_eq!(
             state.admit_batch("s1".to_string(), batch(&[("a", 1)])),
-            Reply::Error("draining: not accepting batches".to_string())
+            (Reply::Error("draining: not accepting batches".to_string()), false)
         );
         assert_eq!(state.daemon().depth(), 0);
         let _ = std::fs::remove_dir_all(&dir);

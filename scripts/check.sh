@@ -545,6 +545,22 @@ grep -q "injected fault at io.read" "$smoke/both-1.err" && grep -qx "exit 2" "$s
     exit 1
 }
 
+# Float golden: five text files whose groups overlap across files, with
+# non-integer doubles, under one query over every op kind. The expected
+# bytes were written by the build that merged each file's own pipeline
+# into the root key by key; the lent root (DESIGN.md §6) must print them
+# at every worker count — a fold in any other order moves a last digit.
+floats="$golden"/floats
+for n in 1 2 3; do
+    ./target/release/cali-query --no-lint --threads "$n" -q "$(cat "$floats"/every-op.calql)" \
+        "$floats"/f0.cali "$floats"/f1.cali "$floats"/f2.cali "$floats"/f3.cali "$floats"/f4.cali \
+        > "$smoke/float-golden-$n.out"
+    cmp -s "$floats"/every-op.txt "$smoke/float-golden-$n.out" || {
+        echo "check.sh: cali-query --threads $n differs from the float golden" >&2
+        exit 1
+    }
+done
+
 # Crash-recovery smoke: run the journaling CleverLeaf demo, SIGKILL it
 # mid-run, and verify (a) the torn journal is a byte prefix of a clean
 # run's (pacing never changes the data), (b) cali-recover salvages it,
