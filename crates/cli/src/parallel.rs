@@ -140,41 +140,34 @@ pub fn parallel_query<E: Executor>(
     trace: bool,
 ) -> (Result<QueryRun, ParallelError>, Option<HbTrace>) {
     let spec = match parse_query(query) {
-        Ok(spec) if spec.is_aggregation() => Arc::new(spec),
+        Ok(spec) if spec.is_aggregation() => spec,
         Ok(_) => return (Err(ParallelError::NotAnAggregation), None),
         Err(e) => return (Err(ParallelError::Parse(e)), None),
     };
     // One schema-free pushdown for every rank, as `cali-query` builds
     // for its workers: which blocks a file's scan skips depends on the
     // file and the query alone.
-    let pushdown = Arc::new(build_pushdown(&spec, None));
+    let pushdown = build_pushdown(&spec, None);
     let size = files_per_rank.len().max(1);
-    let files = Arc::new(files_per_rank);
-    let root_spec = Arc::clone(&spec);
+    let shared = Arc::new((spec, files_per_rank, pushdown));
+    let root = Arc::clone(&shared);
     let make = move |rank: usize, size: usize| {
-        let spec = Arc::clone(&spec);
-        let files = Arc::clone(&files);
-        let pushdown = Arc::clone(&pushdown);
+        let shared = Arc::clone(&shared);
         let init = move || {
-            let start = Instant::now();
+            let (spec, files, pushdown) = &*shared;
             let files = files.get(rank).map_or(&[][..], Vec::as_slice);
-            let contents = if files.is_empty() {
-                Contents::Nothing
-            } else {
-                match local_pipeline(&spec, files, ReadPolicy::Strict, &pushdown) {
-                    Ok((pipeline, _)) => Contents::Pipeline(Box::new(pipeline)),
-                    Err(e) => Contents::Failed(e.to_string()),
-                }
-            };
-            let times = ParallelTimings {
-                local_max_s: start.elapsed().as_secs_f64(),
-                ..ParallelTimings::default()
-            };
-            Partial {
-                contents,
-                times,
-                merges: 0,
+            if files.is_empty() {
+                // Nothing to read, and nothing to time.
+                return Partial::default();
             }
+            let start = Instant::now();
+            let contents = match local_pipeline(spec, files, ReadPolicy::Strict, pushdown) {
+                Ok((pipeline, _)) => Contents::Pipeline(Box::new(pipeline)),
+                Err(e) => Contents::Failed(e.to_string()),
+            };
+            let local_max_s = start.elapsed().as_secs_f64();
+            let times = ParallelTimings { local_max_s, ..ParallelTimings::default() };
+            Partial { contents, times, ..Partial::default() }
         };
         ReduceTask::new(rank, size, topology, init, Partial::merge, opts)
     };
@@ -189,11 +182,12 @@ pub fn parallel_query<E: Executor>(
             Contents::Pipeline(pipeline) => *pipeline,
             // No rank read anything: `local_pipeline` over no files.
             Contents::Nothing => {
-                Pipeline::new(root_spec.as_ref().clone(), Arc::clone(&Dataset::new().store))
+                Pipeline::new(root.0.clone(), Arc::clone(&Dataset::new().store))
             }
             Contents::Failed(e) => return Err(ParallelError::Io(e)),
         };
         let mut timings = partial.times;
+        timings.level_merge_max_s.resize(partial.levels, 0.0);
         let start = Instant::now();
         let result = pipeline.finish();
         timings.finish_s = start.elapsed().as_secs_f64();
@@ -207,9 +201,15 @@ pub fn parallel_query<E: Executor>(
 }
 
 /// What travels up the tree: what the subtree read, and its times.
+#[derive(Default)]
 struct Partial {
     contents: Contents,
+    /// The subtree's times. `level_merge_max_s` may stop short of
+    /// `levels`: the levels past its end saw only untimed merges and
+    /// read zero.
     times: ParallelTimings,
+    /// Tree levels the subtree's merges span.
+    levels: usize,
     /// Merges the holding rank has absorbed: the level its next merge
     /// counts at.
     merges: usize,
@@ -218,8 +218,10 @@ struct Partial {
 /// What a subtree read. Most ranks of a large world hold no file, and
 /// theirs is nothing: no pipeline is built for them, and merging one
 /// is the identity.
+#[derive(Default)]
 enum Contents {
     /// No rank of the subtree had a file.
+    #[default]
     Nothing,
     /// The subtree's merged pipeline. Boxed, so a partial stays a few
     /// words wherever the reduction moves it.
@@ -232,9 +234,11 @@ impl Partial {
     /// The associative merge of the reduction: pipelines merge (an
     /// error on either side wins, nothing on either side is the
     /// identity), times fold by `max`, and the merge times itself into
-    /// the receiving side's next level.
+    /// the receiving side's next level — unless both sides hold
+    /// nothing, which reads no clock and allocates nothing.
     fn merge(mut self, incoming: Partial) -> Partial {
-        let start = Instant::now();
+        let nothing = |contents: &Contents| matches!(contents, Contents::Nothing);
+        let start = (!nothing(&self.contents) || !nothing(&incoming.contents)).then(Instant::now);
         self.contents = match (self.contents, incoming.contents) {
             (Contents::Failed(e), _) | (_, Contents::Failed(e)) => Contents::Failed(e),
             (Contents::Pipeline(mut acc), Contents::Pipeline(theirs)) => {
@@ -243,17 +247,21 @@ impl Partial {
             }
             (Contents::Nothing, other) | (other, Contents::Nothing) => other,
         };
-        let merge_s = start.elapsed().as_secs_f64();
+        let merge_s = start.map(|start| start.elapsed().as_secs_f64());
 
         let times = &mut self.times;
         times.local_max_s = times.local_max_s.max(incoming.times.local_max_s);
         let levels = &mut times.level_merge_max_s;
         let theirs = incoming.times.level_merge_max_s;
-        levels.resize(levels.len().max(theirs.len()).max(self.merges + 1), 0.0);
+        let timed = merge_s.map_or(0, |_| self.merges + 1);
+        levels.resize(levels.len().max(theirs.len()).max(timed), 0.0);
         for (mine, theirs) in levels.iter_mut().zip(theirs) {
             *mine = mine.max(theirs);
         }
-        levels[self.merges] = levels[self.merges].max(merge_s);
+        if let Some(merge_s) = merge_s {
+            levels[self.merges] = levels[self.merges].max(merge_s);
+        }
+        self.levels = self.levels.max(incoming.levels).max(self.merges + 1);
         self.merges += 1;
         self
     }

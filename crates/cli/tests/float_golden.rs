@@ -33,3 +33,59 @@ fn every_op_over_overlapping_files_prints_the_float_golden_at_every_thread_count
         );
     }
 }
+
+/// A group whose `t` sum is NaN gets no `percent_total`, and takes
+/// nothing from the others: over the golden files plus one holding a
+/// single `t=NaN` record of `k0`, the other groups keep a share each,
+/// and their shares total 100.
+#[test]
+fn a_nan_sum_costs_only_its_own_group_its_percent_total() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/floats");
+    let nan_dir = std::env::temp_dir().join(format!("float-golden-nan-{}", std::process::id()));
+    std::fs::create_dir_all(&nan_dir).unwrap();
+    let nan_file = nan_dir.join("nan.cali");
+    let f0 = std::fs::read_to_string(dir.join("f0.cali")).unwrap();
+    let header: String = f0
+        .lines()
+        .take_while(|l| l.starts_with("__rec=attr"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(
+        &nan_file,
+        header + "__rec=ctx,attr=0,data=k0,attr=1,data=0,attr=2,data=NaN,attr=3,data=s0\n",
+    )
+    .unwrap();
+    let mut files: Vec<PathBuf> = (0..5).map(|f| dir.join(format!("f{f}.cali"))).collect();
+    files.push(nan_file);
+    let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
+        .args([
+            "--no-lint",
+            "-q",
+            "AGGREGATE percent_total(t), sum(t) GROUP BY kernel ORDER BY kernel FORMAT csv",
+        ])
+        .args(&files)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(&nan_dir).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let mut rows = stdout.lines();
+    assert_eq!(rows.next(), Some("kernel,percent_total#t,sum#t"));
+    let mut total = 0.0;
+    for row in rows {
+        let [kernel, share, sum] = row.split(',').collect::<Vec<_>>()[..] else {
+            panic!("{row}");
+        };
+        if kernel == "k0" {
+            assert_eq!((share, sum), ("", "NaN"), "{stdout}");
+        } else {
+            total += share.parse::<f64>().unwrap_or_else(|_| panic!("{stdout}"));
+        }
+    }
+    // Five shares printed to six decimals.
+    assert!((total - 100.0).abs() < 1e-5, "{total}\n{stdout}");
+}

@@ -109,11 +109,15 @@ fn an_empty_rank_allocates_little() {
     let extra = (4096 - 1024) as f64;
     let per_rank = (many - few) as f64 / extra;
     let bytes_per_rank = (many_bytes - few_bytes) as f64 / extra;
+    eprintln!("{per_rank:.2} allocations, {bytes_per_rank:.0} bytes per empty rank");
     // The reduction with a whole pipeline per rank made 29.9 allocations
-    // and 15.0 KB per empty rank.
-    assert!(per_rank <= 10.0, "{per_rank:.1} allocations per empty rank");
+    // and 15.0 KB per empty rank; the scheduler that kept its events in
+    // a binary heap, stepped each rank with effects of its own and
+    // stored each task's schedule made 8.88 and 3 098 B, and fails
+    // these bounds.
+    assert!(per_rank <= 4.0, "{per_rank:.2} allocations per empty rank");
     assert!(
-        bytes_per_rank <= 4096.0,
+        bytes_per_rank <= 2048.0,
         "{bytes_per_rank:.0} bytes allocated per empty rank"
     );
     std::fs::remove_dir_all(&dir).ok();

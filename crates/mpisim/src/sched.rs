@@ -7,7 +7,7 @@
 //! * virtual time is a `u64` nanosecond counter that only ever jumps to
 //!   the timestamp of the next scheduled event — nothing sleeps;
 //! * a send is stamped at the sender's local virtual time and delivered
-//!   `latency` later as a heap event;
+//!   `latency` later as a calendar event;
 //! * a bounded receive registers a **timer event** at its virtual
 //!   deadline — timeouts are first-class events, so a reduction that
 //!   waits out seconds of (virtual) timeout budget for dead partners
@@ -18,20 +18,23 @@
 //!
 //! # Determinism
 //!
-//! Events are ordered by `(virtual time, sequence number)`; sequence
-//! numbers are assigned in deterministic (rank-ascending) order when
-//! effects are applied. All events sharing the minimal timestamp form a
-//! **batch**: their tasks are stepped — possibly in parallel on a
-//! bounded worker pool — against an immutable snapshot of the batch
-//! start state, and their effects (sends, timers, deaths) are applied
+//! Pending events sit in a **calendar**: per virtual timestamp, that
+//! timestamp's events in the order they were scheduled, which is
+//! deterministic because events are only scheduled while effects are
+//! applied, in rank-ascending order. All events of the earliest
+//! timestamp form a **batch**, popped whole: its ranks are stepped —
+//! split into runs of whole ranks, one per worker of a bounded pool,
+//! each with one reused effects buffer — against the liveness at the
+//! batch's start, and their effects (sends, timers, deaths) are applied
 //! in rank order afterwards. Worker-pool size therefore cannot change
 //! any outcome: runs are byte-identical for 1, 2, or N workers, and the
 //! event count and final virtual time are identical too (pinned by the
-//! determinism tests).
+//! determinism tests, which also pin the order events are processed
+//! in).
 //!
 //! # Virtual deadlock
 //!
-//! If the event heap drains while live tasks still wait without a
+//! If the calendar empties while live tasks still wait without a
 //! timeout, no message can ever arrive: the scheduler reports a
 //! structured [`SchedError::Deadlock`] naming the blocked ranks and any
 //! wait cycles among them in [`Run::outputs`] ([`Executor::run`]; the
@@ -48,8 +51,7 @@
 //! trace — timestamps included, since the clock is virtual — is
 //! byte-identical for any worker-pool size.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 
 use crate::comm::{CommError, Tag};
@@ -91,7 +93,7 @@ pub struct SchedStats {
     /// Virtual timestamp of the last *acted-upon* event — the virtual
     /// makespan of the run (stale timers do not extend it).
     pub virtual_time_ns: SimTime,
-    /// High-water mark of the event heap.
+    /// High-water mark of the events pending in the calendar.
     pub max_queue_depth: usize,
     /// Messages sent (and accepted for delivery).
     pub messages: u64,
@@ -109,7 +111,7 @@ pub struct SchedStats {
 /// the former bare "virtual deadlock" panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
-    /// The event heap drained while live ranks still waited on messages
+    /// The calendar emptied while live ranks still waited on messages
     /// that can never arrive.
     Deadlock {
         /// Wait cycles among the blocked ranks, each listed in wait
@@ -120,7 +122,7 @@ pub enum SchedError {
         cycles: Vec<Vec<usize>>,
         /// Every blocked rank, ascending.
         blocked: Vec<usize>,
-        /// Virtual time at which the heap drained.
+        /// Virtual time at which the calendar emptied.
         at_ns: SimTime,
     },
 }
@@ -176,14 +178,7 @@ impl EventEngine {
     }
 }
 
-/// A scheduled event. Ordered by `(time, seq)` — `seq` makes the order
-/// total and deterministic.
-struct Ev {
-    time: SimTime,
-    seq: u64,
-    kind: EvKind,
-}
-
+/// A scheduled event of one rank.
 enum EvKind {
     /// Initial wake of `rank` at time 0.
     Start { rank: usize },
@@ -202,21 +197,28 @@ impl EvKind {
     }
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Ev) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
+/// Pending events: per timestamp, that timestamp's events in the order
+/// they were scheduled. Every event is scheduled while a batch's effects
+/// are applied, in rank order, so that order is deterministic, and a
+/// timestamp's events are popped as one batch.
+#[derive(Default)]
+struct Calendar {
+    slots: BTreeMap<SimTime, Vec<EvKind>>,
+    /// Events in `slots`.
+    pending: usize,
 }
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Ev) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+impl Calendar {
+    fn push(&mut self, at: SimTime, kind: EvKind) {
+        self.slots.entry(at).or_default().push(kind);
+        self.pending += 1;
     }
-}
-impl Ord for Ev {
-    /// Reversed so the `BinaryHeap` pops the *earliest* event.
-    fn cmp(&self, other: &Ev) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+
+    /// The earliest timestamp and all its events.
+    fn pop(&mut self) -> Option<(SimTime, Vec<EvKind>)> {
+        let (at, batch) = self.slots.pop_first()?;
+        self.pending -= batch.len();
+        Some((at, batch))
     }
 }
 
@@ -234,8 +236,7 @@ impl Wait {
 
 /// Everything the scheduler tracks per rank.
 struct RankState<T: RankTask> {
-    task: Option<T>,
-    out: Option<T::Out>,
+    life: Life<T>,
     /// Delivered but unmatched messages, in delivery order.
     buffer: Vec<Msg>,
     wait: Option<Wait>,
@@ -250,67 +251,75 @@ struct RankState<T: RankTask> {
     local_now: SimTime,
     /// Communication ops issued — the [`FaultPlan`] time axis.
     ops: u64,
-    alive: bool,
-    done: bool,
+}
+
+/// Where a rank is: stepping its task, finished with its output, or
+/// killed by the fault plan.
+enum Life<T: RankTask> {
+    Running(T),
+    Done(T::Out),
+    Dead,
 }
 
 impl<T: RankTask> RankState<T> {
     fn new(task: T) -> RankState<T> {
         RankState {
-            task: Some(task),
-            out: None,
+            life: Life::Running(task),
             buffer: Vec::new(),
             wait: None,
             wait_gen: 0,
             local_now: 0,
             ops: 0,
-            alive: true,
-            done: false,
         }
+    }
+
+    fn running(&self) -> bool {
+        matches!(self.life, Life::Running(_))
+    }
+
+    /// The fault plan kills the rank here.
+    fn die(&mut self, rank: usize, effects: &mut Effects) {
+        self.life = Life::Dead;
+        self.wait = None;
+        self.buffer.clear();
+        effects.died.push(rank);
+        effects.rec(rank, self.local_now, TraceKind::Killed);
     }
 }
 
-/// An outgoing message buffered during a step, stamped with the
-/// sender's local virtual time.
-struct OutMsg {
-    at: SimTime,
-    dest: usize,
-    src: usize,
-    tag: Tag,
-    payload: Payload,
-}
-
-/// Deterministically ordered side effects of stepping one rank.
+/// The side effects of stepping one worker chunk of a batch, in the
+/// order the chunk's ranks (ascending) produced them. One buffer per
+/// worker, reused batch after batch.
 #[derive(Default)]
 struct Effects {
-    sends: Vec<OutMsg>,
-    /// `(deadline, generation)` timers to arm.
+    /// Events to schedule, in the order they are scheduled: each rank's
+    /// deliveries, then its timers.
+    scheduled: Vec<(SimTime, EvKind)>,
+    /// `(deadline, generation)` timers the rank being stepped armed,
+    /// moved to `scheduled` once its events are stepped.
     timers: Vec<(SimTime, u64)>,
+    /// Ranks the fault plan killed.
+    died: Vec<usize>,
     /// Local tallies folded into [`SchedStats`] at apply time.
+    sent: u64,
     dropped: u64,
     timeouts: u64,
     stale_timers: u64,
-    died: bool,
-    /// Happens-before events recorded during the step, appended to the
-    /// rank's trace lane at apply time. Only populated when `tracing`.
-    trace: Vec<TraceEvent>,
+    /// Happens-before events recorded during the step, appended to
+    /// their rank's trace lane at apply time. Only populated when
+    /// `tracing`.
+    trace: Vec<(usize, TraceEvent)>,
     /// The trace hook: when false (the default), recording is a single
     /// branch per call site and nothing allocates.
     tracing: bool,
 }
 
 impl Effects {
-    fn armed(tracing: bool) -> Effects {
-        Effects {
-            tracing,
-            ..Effects::default()
-        }
-    }
-
-    /// Record `kind` at virtual time `at` — a no-op unless tracing.
-    fn rec(&mut self, at: SimTime, kind: TraceKind) {
+    /// Record `kind` of `rank` at virtual time `at` — a no-op unless
+    /// tracing.
+    fn rec(&mut self, rank: usize, at: SimTime, kind: TraceKind) {
         if self.tracing {
-            self.trace.push(TraceEvent { kind, at_ns: at });
+            self.trace.push((rank, TraceEvent { kind, at_ns: at }));
         }
     }
 }
@@ -322,8 +331,8 @@ struct EventCtx<'a> {
     ops: &'a mut u64,
     local_now: &'a mut SimTime,
     plan: &'a FaultPlan,
-    /// Liveness snapshot at batch start: sends observe it, so results
-    /// are independent of intra-batch stepping order.
+    /// Liveness at batch start: sends observe it, so results are
+    /// independent of intra-batch stepping order.
     alive: &'a [bool],
     effects: &'a mut Effects,
 }
@@ -348,18 +357,19 @@ impl TaskCtx for EventCtx<'_> {
             std::panic::panic_any(RankKilled);
         }
         let ok = self.alive[dest];
-        self.effects
-            .rec(*self.local_now, TraceKind::Send { dest, tag, ok });
+        let at = *self.local_now;
+        self.effects.rec(self.rank, at, TraceKind::Send { dest, tag, ok });
         if !ok {
             return Err(CommError::disconnected(format!("send to rank {dest}")));
         }
-        self.effects.sends.push(OutMsg {
-            at: *self.local_now,
-            dest,
+        let msg = Msg {
             src: self.rank,
             tag,
             payload,
-        });
+        };
+        let deliver = (at + LATENCY_NS, EvKind::Deliver { dest, msg });
+        self.effects.scheduled.push(deliver);
+        self.effects.sent += 1;
         Ok(())
     }
 }
@@ -376,18 +386,14 @@ fn feed<T: RankTask>(
     rank: usize,
 ) {
     loop {
-        let RankState {
-            task,
-            ops,
-            local_now,
-            ..
-        } = &mut *state;
-        let Some(task) = task.as_mut() else { return };
+        let Life::Running(task) = &mut state.life else {
+            return;
+        };
         let mut ctx = EventCtx {
             rank,
             size,
-            ops,
-            local_now,
+            ops: &mut state.ops,
+            local_now: &mut state.local_now,
             plan,
             alive,
             effects,
@@ -395,25 +401,18 @@ fn feed<T: RankTask>(
         let action = match std::panic::catch_unwind(AssertUnwindSafe(|| task.step(&mut ctx, wake)))
         {
             Ok(action) => action,
-            Err(payload) if payload.is::<RankKilled>() => {
-                state.task = None;
-                state.alive = false;
-                state.wait = None;
-                state.buffer.clear();
-                effects.died = true;
-                effects.rec(state.local_now, TraceKind::Killed);
-                return;
-            }
+            Err(payload) if payload.is::<RankKilled>() => return state.die(rank, effects),
             // A genuine bug in task code: propagate, as the thread
             // engine does — fault injection must not swallow it.
             Err(payload) => std::panic::resume_unwind(payload),
         };
         match action {
             Action::Done => {
-                let task = state.task.take().expect("task present");
-                state.out = Some(task.into_output());
-                state.done = true;
-                effects.rec(state.local_now, TraceKind::Done);
+                let Life::Running(task) = std::mem::replace(&mut state.life, Life::Dead) else {
+                    unreachable!("the task just stepped");
+                };
+                state.life = Life::Done(task.into_output());
+                effects.rec(rank, state.local_now, TraceKind::Done);
                 return;
             }
             Action::Recv { src, tag, timeout } => {
@@ -425,18 +424,13 @@ fn feed<T: RankTask>(
                     state.local_now += d.as_nanos() as SimTime;
                 }
                 if plan.kill_at(rank, op) {
-                    state.task = None;
-                    state.alive = false;
-                    state.wait = None;
-                    state.buffer.clear();
-                    effects.died = true;
-                    effects.rec(state.local_now, TraceKind::Killed);
-                    return;
+                    return state.die(rank, effects);
                 }
                 let wait = Wait { src, tag };
                 if let Some(i) = state.buffer.iter().position(|m| wait.matches(m)) {
                     let msg = state.buffer.remove(i);
                     effects.rec(
+                        rank,
                         state.local_now,
                         TraceKind::Match {
                             src: msg.src,
@@ -455,6 +449,7 @@ fn feed<T: RankTask>(
                     effects.timers.push((deadline, state.wait_gen));
                 }
                 effects.rec(
+                    rank,
                     state.local_now,
                     TraceKind::WaitPost {
                         src: wait.src,
@@ -489,11 +484,11 @@ fn process_event<T: RankTask>(
     let rank = kind.rank();
     match kind {
         EvKind::Start { .. } => {
-            effects.rec(state.local_now, TraceKind::Start);
+            effects.rec(rank, state.local_now, TraceKind::Start);
             feed(state, Wake::Start, size, plan, alive, effects, rank)
         }
         EvKind::Deliver { msg, .. } => {
-            if !state.alive || state.done {
+            if !state.running() {
                 // The thread-engine analogue: a send that raced the
                 // destination's death succeeded, and the message is
                 // simply lost.
@@ -505,6 +500,7 @@ fn process_event<T: RankTask>(
                     let wildcard = w.src.is_none();
                     state.wait = None;
                     effects.rec(
+                        rank,
                         state.local_now,
                         TraceKind::Match {
                             src: msg.src,
@@ -518,10 +514,11 @@ fn process_event<T: RankTask>(
             }
         }
         EvKind::Timer { gen, .. } => {
-            if state.alive && !state.done && state.wait.is_some() && gen == state.wait_gen {
+            if state.running() && state.wait.is_some() && gen == state.wait_gen {
                 let w = state.wait.take().expect("checked above");
                 effects.timeouts += 1;
                 effects.rec(
+                    rank,
                     state.local_now,
                     TraceKind::Timeout {
                         src: w.src,
@@ -534,6 +531,62 @@ fn process_event<T: RankTask>(
             }
         }
     }
+}
+
+/// One worker's share of a batch: a run of whole ranks' events, sorted
+/// by rank, the states of the ranks `base..base + states.len()` they
+/// name, and the worker's effects buffer.
+struct Chunk<'a, T: RankTask> {
+    base: usize,
+    states: &'a mut [RankState<T>],
+    events: &'a mut [EvKind],
+    effects: &'a mut Effects,
+}
+
+impl<T: RankTask> Chunk<'_, T> {
+    /// Steps every event of the chunk, rank by rank in rank order and
+    /// each rank's events in the order they were scheduled.
+    fn step(self, now: SimTime, size: usize, plan: &FaultPlan, alive: &[bool]) {
+        let Chunk { base, states, events, effects } = self;
+        for i in 0..events.len() {
+            let rank = events[i].rank();
+            // A spent `Start` stays behind; the batch is dropped once stepped.
+            let kind = std::mem::replace(&mut events[i], EvKind::Start { rank });
+            process_event(&mut states[rank - base], now, kind, size, plan, alive, effects);
+            // A rank's timers are scheduled after all its deliveries.
+            if events.get(i + 1).is_none_or(|next| next.rank() != rank) {
+                let timers = effects.timers.drain(..);
+                effects.scheduled.extend(timers.map(|(at, gen)| (at, EvKind::Timer { rank, gen })));
+            }
+        }
+    }
+}
+
+/// Splits the rank-sorted `batch` into at most `effects.len()` chunks of
+/// whole ranks, of about equal event counts, each lent the states of
+/// its ranks and an effects buffer of its own.
+fn chunks<'a, T: RankTask>(
+    batch: &'a mut [EvKind],
+    states: &'a mut [RankState<T>],
+    effects: &'a mut [Effects],
+) -> Vec<Chunk<'a, T>> {
+    let per_chunk = batch.len().div_ceil(effects.len());
+    let mut chunks = Vec::with_capacity(effects.len());
+    let (mut rest_events, mut rest_states, mut base) = (batch, states, 0);
+    let mut buffers = effects.iter_mut();
+    while !rest_events.is_empty() {
+        let mut cut = per_chunk.min(rest_events.len());
+        let last = rest_events[cut - 1].rank();
+        while rest_events.get(cut).is_some_and(|ev| ev.rank() == last) {
+            cut += 1;
+        }
+        let (events, later_events) = rest_events.split_at_mut(cut);
+        let (states, later_states) = rest_states.split_at_mut(last + 1 - base);
+        let effects = buffers.next().expect("at most one chunk per buffer");
+        chunks.push(Chunk { base, states, events, effects });
+        (rest_events, rest_states, base) = (later_events, later_states, last + 1);
+    }
+    chunks
 }
 
 impl EventEngine {
@@ -577,122 +630,60 @@ impl EventEngine {
 
         let mut states: Vec<RankState<T>> =
             (0..size).map(|rank| RankState::new(make(rank, size))).collect();
-        let mut heap: BinaryHeap<Ev> = BinaryHeap::with_capacity(size * 2);
-        let mut next_seq: u64 = 0;
+        let mut alive = vec![true; size];
+        let mut calendar = Calendar::default();
         for rank in 0..size {
-            heap.push(Ev {
-                time: 0,
-                seq: next_seq,
-                kind: EvKind::Start { rank },
-            });
-            next_seq += 1;
+            calendar.push(0, EvKind::Start { rank });
         }
-        stats.max_queue_depth = heap.len();
+        stats.max_queue_depth = calendar.pending;
+        let armed = || Effects { tracing, ..Effects::default() };
+        let mut effects: Vec<Effects> = (0..workers).map(|_| armed()).collect();
 
-        while let Some(first) = heap.pop() {
-            // --- collect the batch: every event at the minimal time ---
-            let now = first.time;
-            let mut batch = vec![first];
-            while heap.peek().map(|ev| ev.time == now).unwrap_or(false) {
-                batch.push(heap.pop().expect("peeked"));
-            }
+        while let Some((now, mut batch)) = calendar.pop() {
             let batch_len = batch.len() as u64;
             stats.events += batch_len;
 
-            // --- snapshot liveness ---
-            let alive: Vec<bool> = states.iter().map(|s| s.alive).collect();
-
-            // --- group per rank, preserving (time, seq) order ---
-            // The heap popped the batch in seq order and the sort is
-            // stable, so each rank's events stay in that order. Ranks
-            // come out ascending, so one walk down `states` with
-            // `split_first_mut` lends each batch rank its own state, to
-            // be stepped where it lies.
-            batch.sort_by_key(|ev| ev.kind.rank());
-            let mut work: Vec<(usize, &mut RankState<T>, Vec<EvKind>)> = Vec::new();
-            let (mut rest, mut base) = (&mut states[..], 0);
-            for ev in batch {
-                let rank = ev.kind.rank();
-                match work.last_mut() {
-                    Some((r, _, kinds)) if *r == rank => kinds.push(ev.kind),
-                    _ => {
-                        let (state, tail) = std::mem::take(&mut rest)[rank - base..]
-                            .split_first_mut()
-                            .expect("events name ranks of the world");
-                        (rest, base) = (tail, rank + 1);
-                        work.push((rank, state, vec![ev.kind]));
+            // --- step the batch's ranks against the liveness at its start ---
+            // The sort is stable, so each rank's events stay in the
+            // order they were scheduled, and ranks come out ascending:
+            // each chunk is a run of whole ranks, stepped where their
+            // states lie. The calling thread steps the first chunk; with
+            // one worker there is no other.
+            batch.sort_by_key(EvKind::rank);
+            std::thread::scope(|scope| {
+                let mut chunks = chunks(&mut batch, &mut states, &mut effects).into_iter();
+                let first = chunks.next();
+                let (plan, alive) = (&plan, &alive);
+                let handles: Vec<_> = chunks
+                    .map(|chunk| scope.spawn(move || chunk.step(now, size, plan, alive)))
+                    .collect();
+                if let Some(chunk) = first {
+                    chunk.step(now, size, plan, alive);
+                }
+                for handle in handles {
+                    if let Err(e) = handle.join() {
+                        std::panic::resume_unwind(e);
                     }
                 }
-            }
+            });
 
-            // --- step the batch's ranks against the snapshot ---
-            let step = |(rank, state, kinds): &mut (usize, &mut RankState<T>, Vec<EvKind>)| {
-                let mut effects = Effects::armed(tracing);
-                for kind in kinds.drain(..) {
-                    process_event(state, now, kind, size, &plan, &alive, &mut effects);
-                }
-                (*rank, effects)
-            };
-            let stepped: Vec<(usize, Effects)> = if workers <= 1 || work.len() <= 1 {
-                work.iter_mut().map(step).collect()
-            } else {
-                let chunk = work.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = work
-                        .chunks_mut(chunk)
-                        .map(|mine| {
-                            let step = &step;
-                            scope.spawn(move || mine.iter_mut().map(step).collect::<Vec<_>>())
-                        })
-                        .collect();
-                    // Chunks are joined in order, so effects stay in
-                    // rank order.
-                    handles
-                        .into_iter()
-                        .flat_map(|h| match h.join() {
-                            Ok(v) => v,
-                            Err(e) => std::panic::resume_unwind(e),
-                        })
-                        .collect()
-                })
-            };
-
-            // --- apply effects in rank order: deterministic seqs ---
+            // --- apply effects in rank order: deterministic event order ---
             let mut stale_in_batch = 0u64;
-            for (rank, effects) in stepped {
+            for effects in &mut effects {
                 stale_in_batch += effects.stale_timers;
-                stats.dropped += effects.dropped;
-                stats.timeouts += effects.timeouts;
-                stats.stale_timers += effects.stale_timers;
-                if effects.died {
-                    stats.ranks_lost += 1;
+                stats.messages += std::mem::take(&mut effects.sent);
+                stats.dropped += std::mem::take(&mut effects.dropped);
+                stats.timeouts += std::mem::take(&mut effects.timeouts);
+                stats.stale_timers += std::mem::take(&mut effects.stale_timers);
+                stats.ranks_lost += effects.died.len() as u64;
+                for rank in effects.died.drain(..) {
+                    alive[rank] = false;
                 }
-                if tracing {
-                    trace.events[rank].extend(effects.trace);
+                for (rank, event) in effects.trace.drain(..) {
+                    trace.events[rank].push(event);
                 }
-                for out in effects.sends {
-                    stats.messages += 1;
-                    heap.push(Ev {
-                        time: out.at + LATENCY_NS,
-                        seq: next_seq,
-                        kind: EvKind::Deliver {
-                            dest: out.dest,
-                            msg: Msg {
-                                src: out.src,
-                                tag: out.tag,
-                                payload: out.payload,
-                            },
-                        },
-                    });
-                    next_seq += 1;
-                }
-                for (deadline, gen) in effects.timers {
-                    heap.push(Ev {
-                        time: deadline,
-                        seq: next_seq,
-                        kind: EvKind::Timer { rank, gen },
-                    });
-                    next_seq += 1;
+                for (at, event) in effects.scheduled.drain(..) {
+                    calendar.push(at, event);
                 }
             }
             // Stale timers fire after their receive was satisfied;
@@ -700,21 +691,25 @@ impl EventEngine {
             if stale_in_batch < batch_len {
                 stats.virtual_time_ns = stats.virtual_time_ns.max(now);
             }
-            stats.max_queue_depth = stats.max_queue_depth.max(heap.len());
+            stats.max_queue_depth = stats.max_queue_depth.max(calendar.pending);
         }
 
-        // --- heap drained: every live task must have finished ---
+        // --- calendar empty: every live task must have finished ---
         let blocked_waits: Vec<(usize, Option<usize>, Tag)> = states
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.alive && !s.done)
+            .filter(|(_, s)| s.running())
             .map(|(r, s)| match &s.wait {
                 Some(w) => (r, w.src, w.tag),
                 None => (r, None, 0),
             })
             .collect();
         let outcome = if blocked_waits.is_empty() {
-            Ok(states.into_iter().map(|s| s.out).collect())
+            let out = |s: RankState<T>| match s.life {
+                Life::Done(out) => Some(out),
+                _ => None,
+            };
+            Ok(states.into_iter().map(out).collect())
         } else {
             Err(SchedError::Deadlock {
                 cycles: crate::hb::find_wait_cycles(&blocked_waits).cycles,

@@ -10,7 +10,7 @@
 //!
 //! * [`EventEngine`](crate::sched::EventEngine) — a deterministic
 //!   virtual-clock event loop (see `sched.rs`): timeouts and delays are
-//!   heap events costing zero wall-clock time, and 16k ranks fit in one
+//!   calendar events costing zero wall-clock time, and 16k ranks fit in one
 //!   process comfortably.
 //! * [`ThreadEngine`](crate::world::ThreadEngine) — one OS thread per
 //!   rank, blocking channel receives, wall-clock timeouts.
@@ -285,51 +285,55 @@ fn ceil_log2(n: usize) -> u32 {
     }
 }
 
-/// Binomial-tree rounds for participant `idx` of `n`, with tree levels
-/// starting at `level_base` and participant indices mapped to global
-/// ranks through `map`.
-fn binomial_rounds(
+/// The round of participant `idx` of an `n`-wide binomial tree at tree
+/// level `level` or the first level after it that has one, with levels
+/// numbered from `level_base` and participant indices mapped to global
+/// ranks through `map`; `None` past the last. `level` must be one the
+/// participant reaches: its first, or one past a level it received at.
+fn binomial_round(
     idx: usize,
     n: usize,
     level_base: u32,
+    level: u32,
     map: impl Fn(usize) -> usize,
-) -> Vec<Round> {
-    let mut rounds = Vec::new();
-    let mut step = 1usize;
-    let mut level = level_base;
-    while step < n {
-        if idx.is_multiple_of(2 * step) {
-            if idx + step < n {
-                rounds.push(Round::Recv {
-                    from: map(idx + step),
-                    level,
-                });
-            }
-        } else {
-            rounds.push(Round::Send {
+) -> Option<Round> {
+    let mut level = level.max(level_base);
+    loop {
+        let step = 1usize.checked_shl(level - level_base)?;
+        if step >= n {
+            return None;
+        }
+        if !idx.is_multiple_of(2 * step) {
+            return Some(Round::Send {
                 to: map(idx - step),
                 level,
             });
-            break;
         }
-        step *= 2;
+        if idx + step < n {
+            return Some(Round::Recv {
+                from: map(idx + step),
+                level,
+            });
+        }
         level += 1;
     }
-    rounds
 }
 
-/// The complete, deterministic reduction schedule of `rank` in a world
-/// of `size` under `topology`. Every non-root rank's schedule ends in
-/// exactly one `Send`; rank 0's never sends (it is the root).
+/// The round of `rank`'s reduction schedule in a world of `size` under
+/// `topology` at tree level `level` or the first level after it that
+/// has one; `None` once the schedule is exhausted. Every non-root
+/// rank's schedule ends in exactly one `Send`; rank 0's never sends (it
+/// is the root). A schedule is walked from level 0, each `Recv` at
+/// level `l` followed by the round at `l + 1` or later.
 ///
 /// Level numbers are globally consistent — a `Recv { from, level }`
 /// pairs with `from`'s `Send { level }` on tag `TAG_RESIL + level` —
 /// and strictly increase along every rank's schedule, so the per-level
 /// timeout doubling of [`ResilienceOptions`] stays sound: the budget at
 /// a level strictly exceeds the sum of all lower-level budgets.
-pub(crate) fn reduce_schedule(rank: usize, size: usize, topology: Topology) -> Vec<Round> {
+pub(crate) fn round_at(rank: usize, size: usize, topology: Topology, level: u32) -> Option<Round> {
     match topology {
-        Topology::Flat => binomial_rounds(rank, size, 0, |r| r),
+        Topology::Flat => binomial_round(rank, size, 0, level, |r| r),
         Topology::TwoLevel { ranks_per_node } => {
             let rpn = ranks_per_node.max(1);
             let node = rank / rpn;
@@ -339,12 +343,11 @@ pub(crate) fn reduce_schedule(rank: usize, size: usize, topology: Topology) -> V
             // All nodes share one level numbering sized for the largest
             // node, so intra- and cross-node tags can never collide.
             let intra_levels = ceil_log2(rpn);
-            let mut rounds = binomial_rounds(local, node_size, 0, |i| base + i);
-            if local == 0 {
-                let nnodes = size.div_ceil(rpn);
-                rounds.extend(binomial_rounds(node, nnodes, intra_levels, |n| n * rpn));
-            }
-            rounds
+            // Past its node's rounds, a node leader reduces across nodes.
+            let nodes = size.div_ceil(rpn);
+            let across = || binomial_round(node, nodes, intra_levels, level, |n| n * rpn);
+            binomial_round(local, node_size, 0, level, |i| base + i)
+                .or_else(|| (local == 0).then(across).flatten())
         }
     }
 }
@@ -375,18 +378,32 @@ pub(crate) fn reduce_schedule(rank: usize, size: usize, topology: Topology) -> V
 /// `init` produces the rank's local value lazily on the first step, so
 /// on the event engine the (possibly expensive) local phase runs inside
 /// the scheduler's worker pool.
+///
+/// A task stores no schedule: it works out each round from its rank,
+/// the world size, the topology and the level it has reached, and holds
+/// its `init`, its partial or its output in one slot, so a rank costs a
+/// few words and allocates only what it sends.
 pub struct ReduceTask<T, F, I> {
     rank: usize,
     size: usize,
-    schedule: Vec<Round>,
-    next_round: usize,
-    init: Option<I>,
+    topology: Topology,
+    /// The level of the round in progress, or the first level to look
+    /// for the next round at.
+    level: u32,
+    attempt: u32,
     merge: F,
     opts: ResilienceOptions,
-    attempt: u32,
-    acc: Option<T>,
-    included: Vec<usize>,
-    out: Option<Option<(T, ReduceCoverage)>>,
+    slot: Slot<T, I>,
+}
+
+/// What a [`ReduceTask`] holds: one of these at a time.
+enum Slot<T, I> {
+    /// Before the first step: the local phase, not yet run.
+    Init(I),
+    /// The partial so far and the ranks folded into it.
+    Acc(T, Vec<usize>),
+    /// The finished task's output.
+    Out(Option<(T, ReduceCoverage)>),
 }
 
 impl<T, F, I> ReduceTask<T, F, I>
@@ -409,15 +426,20 @@ where
         ReduceTask {
             rank,
             size,
-            schedule: reduce_schedule(rank, size, topology),
-            next_round: 0,
-            init: Some(init),
+            topology,
+            level: 0,
+            attempt: 0,
             merge,
             opts,
-            attempt: 0,
-            acc: None,
-            included: Vec::new(),
-            out: None,
+            slot: Slot::Init(init),
+        }
+    }
+
+    /// The partial and its ranks, leaving the slot empty-handed.
+    fn take_acc(&mut self) -> (T, Vec<usize>) {
+        match std::mem::replace(&mut self.slot, Slot::Out(None)) {
+            Slot::Acc(acc, included) => (acc, included),
+            _ => panic!("rank {} holds no partial", self.rank),
         }
     }
 
@@ -430,46 +452,43 @@ where
 
     /// Move to the next blocking receive, retirement, or completion.
     fn advance(&mut self, ctx: &mut dyn TaskCtx) -> Action {
-        if let Some(&round) = self.schedule.get(self.next_round) {
-            match round {
-                Round::Recv { from, level } => {
-                    self.attempt = 0;
-                    return Action::Recv {
-                        src: Some(from),
-                        tag: TAG_RESIL + level,
-                        timeout: Some(self.wait_for(level)),
-                    };
-                }
-                Round::Send { to, level } => {
-                    let acc = self.acc.take().expect("sender holds a value");
-                    let included = std::mem::take(&mut self.included);
-                    // A failed send means the parent is already dead:
-                    // this subtree is stranded and shows up in the
-                    // root's lost set — exactly the wanted semantics,
-                    // so the error is swallowed and the rank retires.
-                    let _ = ctx.send(to, TAG_RESIL + level, Box::new((acc, included)));
-                    self.next_round = self.schedule.len();
-                    self.out = Some(None);
-                    return Action::Done;
+        match round_at(self.rank, self.size, self.topology, self.level) {
+            Some(Round::Recv { from, level }) => {
+                self.level = level;
+                self.attempt = 0;
+                Action::Recv {
+                    src: Some(from),
+                    tag: TAG_RESIL + level,
+                    timeout: Some(self.wait_for(level)),
                 }
             }
+            Some(Round::Send { to, level }) => {
+                let (acc, included) = self.take_acc();
+                // A failed send means the parent is already dead:
+                // this subtree is stranded and shows up in the
+                // root's lost set — exactly the wanted semantics,
+                // so the error is swallowed and the rank retires.
+                let _ = ctx.send(to, TAG_RESIL + level, Box::new((acc, included)));
+                Action::Done
+            }
+            None => {
+                // Schedule exhausted without a Send: this rank is the root.
+                let (acc, mut included) = self.take_acc();
+                included.sort_unstable();
+                included.dedup();
+                // `included` is sorted: the lost ranks are the gaps
+                // between its entries, found in one walk.
+                let mut lost = Vec::new();
+                let mut next = 0;
+                for &rank in &included {
+                    lost.extend(next..rank);
+                    next = rank + 1;
+                }
+                lost.extend(next..self.size);
+                self.slot = Slot::Out(Some((acc, ReduceCoverage { included, lost })));
+                Action::Done
+            }
         }
-        // Schedule exhausted without a Send: this rank is the root.
-        let acc = self.acc.take().expect("root holds the merged value");
-        let mut included = std::mem::take(&mut self.included);
-        included.sort_unstable();
-        included.dedup();
-        // `included` is sorted: the lost ranks are the gaps between
-        // its entries, found in one walk.
-        let mut lost = Vec::new();
-        let mut next = 0;
-        for &rank in &included {
-            lost.extend(next..rank);
-            next = rank + 1;
-        }
-        lost.extend(next..self.size);
-        self.out = Some(Some((acc, ReduceCoverage { included, lost })));
-        Action::Done
     }
 }
 
@@ -484,9 +503,10 @@ where
     fn step(&mut self, ctx: &mut dyn TaskCtx, wake: Wake) -> Action {
         match wake {
             Wake::Start => {
-                let init = self.init.take().expect("start wake arrives once");
-                self.acc = Some(init());
-                self.included.push(self.rank);
+                let Slot::Init(init) = std::mem::replace(&mut self.slot, Slot::Out(None)) else {
+                    panic!("start wake arrives once");
+                };
+                self.slot = Slot::Acc(init(), vec![self.rank]);
                 self.advance(ctx)
             }
             Wake::Message(msg) => {
@@ -496,14 +516,16 @@ where
                     .unwrap_or_else(|_| {
                         panic!("type mismatch on reduce payload from rank {}", msg.src)
                     });
-                let mine = self.acc.take().expect("receiver holds a value");
-                self.acc = Some((self.merge)(mine, theirs));
-                self.included.extend(their_ranks);
-                self.next_round += 1;
+                let (mine, mut included) = self.take_acc();
+                included.extend(their_ranks);
+                self.slot = Slot::Acc((self.merge)(mine, theirs), included);
+                self.level += 1;
                 self.advance(ctx)
             }
             Wake::Timeout => {
-                let Some(&Round::Recv { from, level }) = self.schedule.get(self.next_round) else {
+                let Some(Round::Recv { from, level }) =
+                    round_at(self.rank, self.size, self.topology, self.level)
+                else {
                     panic!("timeout wake outside a receive round");
                 };
                 self.attempt += 1;
@@ -519,7 +541,7 @@ where
                     // Partner presumed dead; continue without its
                     // subtree — its ranks never reach any included
                     // list, so the root charges the loss exactly.
-                    self.next_round += 1;
+                    self.level += 1;
                     self.advance(ctx)
                 }
             }
@@ -527,13 +549,104 @@ where
     }
 
     fn into_output(self) -> Self::Out {
-        self.out.expect("task is done")
+        match self.slot {
+            Slot::Out(out) => out,
+            _ => panic!("task is done"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Binomial-tree rounds for participant `idx` of `n`, with tree
+    /// levels starting at `level_base` and participant indices mapped
+    /// to global ranks through `map`.
+    fn binomial_rounds(
+        idx: usize,
+        n: usize,
+        level_base: u32,
+        map: impl Fn(usize) -> usize,
+    ) -> Vec<Round> {
+        let mut rounds = Vec::new();
+        let mut step = 1usize;
+        let mut level = level_base;
+        while step < n {
+            if idx.is_multiple_of(2 * step) {
+                if idx + step < n {
+                    rounds.push(Round::Recv {
+                        from: map(idx + step),
+                        level,
+                    });
+                }
+            } else {
+                rounds.push(Round::Send {
+                    to: map(idx - step),
+                    level,
+                });
+                break;
+            }
+            step *= 2;
+            level += 1;
+        }
+        rounds
+    }
+
+    /// The complete reduction schedule of `rank` in a world of `size`
+    /// under `topology`, written out round by round: the oracle
+    /// [`round_at`] is held to.
+    fn reduce_schedule(rank: usize, size: usize, topology: Topology) -> Vec<Round> {
+        match topology {
+            Topology::Flat => binomial_rounds(rank, size, 0, |r| r),
+            Topology::TwoLevel { ranks_per_node } => {
+                let rpn = ranks_per_node.max(1);
+                let node = rank / rpn;
+                let local = rank % rpn;
+                let base = node * rpn;
+                let node_size = rpn.min(size - base);
+                let intra_levels = ceil_log2(rpn);
+                let mut rounds = binomial_rounds(local, node_size, 0, |i| base + i);
+                if local == 0 {
+                    let nnodes = size.div_ceil(rpn);
+                    rounds.extend(binomial_rounds(node, nnodes, intra_levels, |n| n * rpn));
+                }
+                rounds
+            }
+        }
+    }
+
+    /// `rank`'s rounds as a task walks them: from level 0, each `Recv`
+    /// at level `l` followed by the round at `l + 1` or later.
+    fn walked(rank: usize, size: usize, topology: Topology) -> Vec<Round> {
+        let mut rounds = Vec::new();
+        let mut level = 0;
+        while let Some(round) = round_at(rank, size, topology, level) {
+            rounds.push(round);
+            match round {
+                Round::Recv { level: l, .. } => level = l + 1,
+                Round::Send { .. } => break,
+            }
+        }
+        rounds
+    }
+
+    #[test]
+    fn the_walked_rounds_are_the_written_out_schedule() {
+        for size in (1..=70).chain([127, 128, 129, 1000, 1024]) {
+            let nodes =
+                [1, 2, 3, 5, 8, 13, 64].map(|ranks_per_node| Topology::TwoLevel { ranks_per_node });
+            for topology in std::iter::once(Topology::Flat).chain(nodes) {
+                for rank in 0..size {
+                    assert_eq!(
+                        walked(rank, size, topology),
+                        reduce_schedule(rank, size, topology),
+                        "rank {rank} of {size}, {topology:?}"
+                    );
+                }
+            }
+        }
+    }
 
     fn recv_from(rounds: &[Round]) -> Vec<usize> {
         rounds

@@ -7,7 +7,8 @@
 use std::time::{Duration, Instant};
 
 use mpisim::{
-    EventEngine, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, SchedStats, Topology,
+    EventEngine, Executor, FaultPlan, ReduceCoverage, ReduceTask, ResilienceOptions, SchedStats,
+    Topology,
 };
 
 const RANKS: usize = 4096;
@@ -176,3 +177,80 @@ fn delayed_parent_scenario_completes_without_wall_clock_spin() {
         wall.elapsed()
     );
 }
+
+/// FNV-1a over `text`: a 64-bit digest that is the same on every build
+/// and platform, unlike `std`'s hashers.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+const ORDER_RANKS: usize = 512;
+
+/// Seeded kills plus four stragglers: rank 3 sends 300 ms late (its
+/// parent's first 250 ms receive times out and the retry takes it),
+/// rank 6 sends its level-1 partial 700 ms late (past that level's
+/// 500 ms timeout), and rank 17 sends 2 s late, past every retry, so
+/// its parent writes it off and the message lands on a rank that has
+/// moved on. Rank 9's message reaches rank 8 at the very nanosecond
+/// rank 8's first receive times out: the timer was scheduled first, so
+/// it fires first and the retry takes the message. Every satisfied
+/// receive leaves a stale timer behind.
+fn order_plan() -> FaultPlan {
+    FaultPlan::seeded_kills(11, 5, ORDER_RANKS)
+        .delay(3, 0, Duration::from_millis(300))
+        .delay(9, 0, Duration::from_micros(249_999))
+        .delay(6, 1, Duration::from_millis(700))
+        .delay(17, 0, Duration::from_millis(2_000))
+}
+
+/// The traced run under [`order_plan`], and a digest of everything it
+/// observed: the happens-before trace (every rank's events in program
+/// order, with their virtual timestamps), the scheduler's stats and the
+/// outputs.
+fn order_run(topology: Topology, workers: usize) -> (u64, SchedStats) {
+    let opts = ResilienceOptions::default();
+    let make = move |rank: usize, size: usize| {
+        ReduceTask::new(
+            rank,
+            size,
+            topology,
+            move || rank as u64,
+            |a: u64, b: u64| a + b,
+            opts,
+        )
+    };
+    let run = EventEngine::with_workers(workers).run(ORDER_RANKS, order_plan(), make, true);
+    let stats = run.stats.expect("the event engine counts");
+    let observed = format!("{:?}\n{stats:?}\n{:?}", run.trace, run.outputs);
+    (fnv1a(&observed), stats)
+}
+
+/// The order in which events are processed, not just how many: a
+/// digest of the trace, stats and outputs of a 512-rank run with kills,
+/// retries, written-off stragglers, a timer and a delivery due at the
+/// same nanosecond, and stale timers, in both topologies, pinned to
+/// what the binary-heap scheduler produced and held at every pool size.
+#[test]
+fn the_event_order_is_pinned() {
+    let cases = [
+        (Topology::Flat, GOLDEN_ORDER_FLAT),
+        (Topology::two_level_for(ORDER_RANKS, 24), GOLDEN_ORDER_NODES),
+    ];
+    for (topology, golden) in cases {
+        for workers in [1, 2, 4] {
+            let (digest, stats) = order_run(topology, workers);
+            assert!(stats.timeouts > 0 && stats.stale_timers > 0, "{topology:?}: {stats:?}");
+            assert!(stats.ranks_lost > 0, "{topology:?}: {stats:?}");
+            assert_eq!(digest, golden, "{topology:?}, {workers} workers: {stats:?}");
+        }
+    }
+}
+
+/// [`order_run`]'s digests, taken from the scheduler that kept its
+/// events in a binary heap ordered by `(time, sequence number)`: the
+/// flat tree (1 528 events, 13 timeouts, 494 stale timers) and nodes of
+/// 22 ranks (1 504 events, 12 timeouts, 471 stale timers).
+const GOLDEN_ORDER_FLAT: u64 = 2_022_280_084_965_057_015;
+const GOLDEN_ORDER_NODES: u64 = 11_919_461_464_603_791_174;

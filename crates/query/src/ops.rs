@@ -445,9 +445,8 @@ impl Column {
                 let (sum, n) = acc[g];
                 (n > 0).then(|| Cell::Float(sum / n as f64))
             }
-            Column::PercentTotal(acc) => {
-                (denominator > 0.0).then(|| Cell::Float(100.0 * acc[g] / denominator))
-            }
+            Column::PercentTotal(acc) => (denominator > 0.0 && acc[g].is_finite())
+                .then(|| Cell::Float(100.0 * acc[g] / denominator)),
             Column::Moments(stddev, acc) => {
                 let (n, _, m2) = acc[g];
                 let variance = m2 / n as f64;
@@ -470,11 +469,16 @@ impl Column {
     }
 
     /// What [`finish`](Self::finish) divides by for the entries `groups`
-    /// of a flush: for `percent_total`, their sums, added in that order;
-    /// 0 for every other op.
+    /// of a flush: for `percent_total`, their finite sums, added in that
+    /// order (a NaN or infinite sum gets no share and takes none from
+    /// the others); 0 for every other op.
     pub(crate) fn denominator(&self, groups: &[u32]) -> f64 {
         match self {
-            Column::PercentTotal(sums) => groups.iter().map(|&g| sums[g as usize]).sum(),
+            Column::PercentTotal(sums) => groups
+                .iter()
+                .map(|&g| sums[g as usize])
+                .filter(|sum| sum.is_finite())
+                .sum(),
             _ => 0.0,
         }
     }

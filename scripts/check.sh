@@ -52,12 +52,13 @@ for f in src/lib.rs crates/*/src/lib.rs vendor/*/src/lib.rs; do
         exit 1
     }
 done
-# Three test binaries are exempt: `snapshot_allocs.rs`, `group_allocs.rs`
-# and `reduce_allocs.rs` install a counting global allocator (an `unsafe
-# impl GlobalAlloc` that forwards to `System`), which no safe code can do.
+# Four test binaries are exempt: `snapshot_allocs.rs`, `group_allocs.rs`,
+# `reduce_allocs.rs` and `sched_allocs.rs` install a counting global
+# allocator (an `unsafe impl GlobalAlloc` that forwards to `System`),
+# which no safe code can do.
 if grep -rn --include='*.rs' 'unsafe' src crates vendor | grep -v 'forbid(unsafe_code)' \
     | grep -v -e '^crates/runtime/tests/snapshot_allocs\.rs:' -e '^crates/query/tests/group_allocs\.rs:' \
-        -e '^crates/cli/tests/reduce_allocs\.rs:'; then
+        -e '^crates/cli/tests/reduce_allocs\.rs:' -e '^crates/mpisim/tests/sched_allocs\.rs:'; then
     echo "check.sh: unsafe code found (listed above)" >&2
     exit 1
 fi
@@ -522,7 +523,31 @@ for flags in "" "--workers 4" "--nodes 64"; do
         exit 1
     }
 done
-echo "check.sh: mpi-caliquery: identical output across engines, workers, topologies and 2 or 4096 ranks; 131072 ranks in ${big_elapsed}s"
+# And at the benchmark's 16384 ranks, on one worker and on four: the
+# same bytes, and exactly the scheduler counters the benchmark's
+# `mpisim.*` rows read (DESIGN.md §12: 16384 starts, 16383 deliveries,
+# 16383 timers, 14 tree levels of 1 µs each).
+for workers in 1 4; do
+    "$mpiq" --ranks 16384 --workers "$workers" --timings -q "$mq" \
+        "$golden"/data/rank0.cali "$golden"/data/rank1.cali \
+        > "$smoke/mpiq-16k.out" 2> "$smoke/mpiq-16k.err"
+    cmp -s "$smoke/mpiq-16k.out" "$smoke/mpiq.out" || {
+        echo "check.sh: mpi-caliquery --ranks 16384 --workers $workers differs from the 2-rank invocation" >&2
+        exit 1
+    }
+    sched=$(sed -n 's/^# sched \([a-z ]*\): *\(.*\)$/\1: \2/p' "$smoke/mpiq-16k.err" | tr '\n' ';')
+    if [ "$sched" != "events: 49150;virtual time: 14000 ns;max queue depth: 16384;" ]; then
+        echo "check.sh: mpi-caliquery --ranks 16384 --workers $workers: scheduler counters '$sched'" >&2
+        exit 1
+    fi
+done
+echo "check.sh: mpi-caliquery: identical output across engines, workers, topologies and 2, 4096 or 16384 ranks; 131072 ranks in ${big_elapsed}s"
+# The calendar replaced the event heap (DESIGN.md §12): events are
+# kept per timestamp in the order they were scheduled.
+if grep -rn 'BinaryHeap' crates/mpisim/src; then
+    echo "check.sh: crates/mpisim/src keeps its events in a binary heap again (listed above)" >&2
+    exit 1
+fi
 
 # One fold behind every cali-query --threads N: a file that can neither
 # be read nor merged is dropped as unreadable (the merge failpoint fires
