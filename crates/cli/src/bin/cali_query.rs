@@ -8,11 +8,11 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use cali_cli::{lint, local_pipeline, parse_args, read_dictionaries};
+use cali_cli::{lint, parse_args, read_dictionaries};
 use caliper_format::{ReadPolicy, ReadReport};
 use caliper_query::{
-    analyze, build_pushdown, parallel_query_files, parse_query_spanned, ParallelOptions,
-    QueryResult, ShardFailure, ShardTimings, OVERFLOW_KEY,
+    analyze, parallel_query_files, parse_query_spanned, ParallelOptions, QueryResult,
+    ShardFailure, ShardTimings, OVERFLOW_KEY,
 };
 
 const USAGE: &str = "usage: cali-query [-q QUERY] [-o FILE] [--threads N] INPUT.cali...
@@ -31,8 +31,9 @@ Options:
                       workers than files (default: available
                       parallelism; 1 = one worker, the same path;
                       output is identical for every N). Aggregations
-                      only: a pass-through SELECT reads its files in
-                      order through one pipeline, whatever N is
+                      only: a pass-through SELECT has one worker,
+                      which reads its files in order into one pipeline,
+                      whatever N is
   --lenient           skip corrupt records instead of aborting; a per-file
                       summary of skipped work is printed on stderr
                       (opening a missing file is still an error)
@@ -65,12 +66,12 @@ Options:
                       exit 2; output stays identical for every --threads
                       (aggregations only: a usage error with a
                       pass-through query)
-  --timings           report an aggregation's timing breakdown on stderr,
-                      one line per worker the run had (for every
-                      --threads N); `root merge` is the time spent
-                      closing the parts of the root files were folded
-                      into, and merging the files parked in their own
-                      pipelines
+  --timings           report the run's timing breakdown on stderr, one
+                      line per worker the run had (for every --threads
+                      N; a pass-through run has one); `root merge` is
+                      the time spent closing the parts of the root files
+                      were folded into, and merging the files parked in
+                      their own pipelines
   --stats[=FORMAT]    report pipeline self-instrumentation metrics on
                       stderr after the query: sorted name=value lines
                       (or one JSON object with --stats=json). The block
@@ -355,12 +356,9 @@ fn main() -> ExitCode {
             list_globals(&dict)
         }
     } else {
-        // Every file is read once, by the run. A pass-through query
-        // keeps its matching rows against one dictionary, so its files
-        // go through one pipeline in order; an aggregation (and a query
-        // that does not parse, for the engine to say so) goes to the
-        // worker pool — --threads 1 is the pool with one worker, the
-        // calling thread. Either way WHERE is pushed down to the blocks,
+        // Every file is read once, by the run: the worker pool, which
+        // --threads 1 is with one worker — the calling thread — and a
+        // pass-through query always. WHERE is pushed down to the blocks,
         // by the query alone.
         let spanned = parse_query_spanned(query).ok();
         if spanned.as_ref().is_some_and(|(spec, _)| !spec.is_aggregation()) {
@@ -370,28 +368,11 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        let run = match &spanned {
-            Some((spec, _)) if !spec.is_aggregation() => {
-                local_pipeline(spec, &args.positional, policy, &build_pushdown(spec, None))
-                    .map(|(pipeline, reports)| {
-                        let found = ShardTimings {
-                            reports,
-                            schema: pipeline.input_attributes().collect(),
-                            ..ShardTimings::default()
-                        };
-                        (pipeline.finish(), found)
-                    })
-                    .map_err(|e| e.to_string())
-            }
-            _ => {
-                let options = ParallelOptions::with_threads(threads)
-                    .with_read_policy(policy)
-                    .with_max_groups(max_groups)
-                    .with_degrade(degrade);
-                parallel_query_files(query, &args.positional, &options).map_err(|e| e.to_string())
-            }
-        };
-        let (result, found) = match run {
+        let options = ParallelOptions::with_threads(threads)
+            .with_read_policy(policy)
+            .with_max_groups(max_groups)
+            .with_degrade(degrade);
+        let (result, found) = match parallel_query_files(query, &args.positional, &options) {
             Ok(run) => run,
             Err(e) => {
                 eprintln!("cali-query: {e}");
@@ -412,7 +393,7 @@ fn main() -> ExitCode {
         let start = std::time::Instant::now();
         let rendered = result.render();
         let render_s = start.elapsed().as_secs_f64();
-        if args.has(&["timings"]) && !found.workers.is_empty() {
+        if args.has(&["timings"]) {
             report_timings(&found, render_s);
         }
         rendered

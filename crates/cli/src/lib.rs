@@ -5,9 +5,9 @@
 //! * `cali-query` — analytical aggregation over `.cali` files, folded
 //!   by [`caliper_query::parallel_query_files`] on `--threads N` workers.
 //! * `mpi-caliquery` — the scalable parallel query application: each
-//!   (simulated) MPI process aggregates its assigned input files
-//!   locally, then partial results are combined up a binomial reduction
-//!   tree to rank 0.
+//!   (simulated) MPI process folds its assigned input files locally, by
+//!   the same fold, then partial results are combined up a binomial
+//!   reduction tree to rank 0.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +18,7 @@ pub mod parallel;
 
 pub use args::{parse_args, CliArgs, UsageError};
 pub use lint::{check_query, exit_code, infer_schema, summary_line, CheckedQuery};
-pub use parallel::{local_pipeline, parallel_query, ParallelError, ParallelTimings, QueryRun};
+pub use parallel::{parallel_query, ParallelError, ParallelTimings, QueryRun};
 
 use std::io::Write;
 

@@ -19,13 +19,12 @@
 //! path over the tree levels is the machine-independent quantity (see
 //! DESIGN.md §3).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport};
 use caliper_query::{
-    build_pushdown, parse_query, ParseError, Pipeline, QueryResult, QuerySpec,
+    build_pushdown, fold_files, parse_query, ParallelOptions, ParseError, Pipeline, QueryResult,
 };
 use mpisim::{
     Executor, FaultPlan, HbTrace, ReduceCoverage, ReduceTask, ResilienceOptions, SchedError,
@@ -70,7 +69,7 @@ pub enum ParallelError {
     Parse(ParseError),
     /// The query has no aggregation — partial results of a pass-through
     /// query cannot be merged across processes.
-    NotAnAggregation,
+    PassThrough,
     /// A rank failed to read its input files.
     Io(String),
     /// The scheduler detected that the run can never finish — a
@@ -82,7 +81,7 @@ impl std::fmt::Display for ParallelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParallelError::Parse(e) => write!(f, "query parse error: {e}"),
-            ParallelError::NotAnAggregation => {
+            ParallelError::PassThrough => {
                 f.write_str("parallel queries must aggregate (use AGGREGATE and/or GROUP BY)")
             }
             ParallelError::Io(m) => write!(f, "input error: {m}"),
@@ -118,9 +117,11 @@ pub struct QueryRun {
 /// the run, and the coverage states exactly which ranks' data the
 /// result covers.
 ///
-/// Rank `i` reads and aggregates `files_per_rank[i]` inside its task's
-/// first step, so on the event engine the worker pool parallelizes the
-/// file reads and a slow read costs no virtual time. A rank whose input
+/// Rank `i` folds `files_per_rank[i]` inside its task's first step, by
+/// the fold `cali-query --threads 1` runs over them ([`fold_files`] on
+/// one worker), so at one rank the result is `cali-query`'s byte for
+/// byte; on the event engine the worker pool parallelizes the file
+/// reads and a slow read costs no virtual time. A rank whose input
 /// fails to read poisons its partial result; the error surfaces at the
 /// root as [`ParallelError::Io`] rather than silently shrinking
 /// coverage.
@@ -141,27 +142,28 @@ pub fn parallel_query<E: Executor>(
 ) -> (Result<QueryRun, ParallelError>, Option<HbTrace>) {
     let spec = match parse_query(query) {
         Ok(spec) if spec.is_aggregation() => spec,
-        Ok(_) => return (Err(ParallelError::NotAnAggregation), None),
+        Ok(_) => return (Err(ParallelError::PassThrough), None),
         Err(e) => return (Err(ParallelError::Parse(e)), None),
     };
-    // One schema-free pushdown for every rank, as `cali-query` builds
-    // for its workers: which blocks a file's scan skips depends on the
-    // file and the query alone.
-    let pushdown = build_pushdown(&spec, None);
+    // A rank folds its files as `cali-query` does, on one worker, under
+    // one schema-free pushdown for every rank: which blocks a file's
+    // scan skips depends on the file and the query alone.
+    let local = ParallelOptions::with_threads(1)
+        .with_pushdown(Some(Arc::new(build_pushdown(&spec, None))));
     let size = files_per_rank.len().max(1);
-    let shared = Arc::new((spec, files_per_rank, pushdown));
+    let shared = Arc::new((spec, files_per_rank, local));
     let root = Arc::clone(&shared);
     let make = move |rank: usize, size: usize| {
         let shared = Arc::clone(&shared);
         let init = move || {
-            let (spec, files, pushdown) = &*shared;
+            let (spec, files, local) = &*shared;
             let files = files.get(rank).map_or(&[][..], Vec::as_slice);
             if files.is_empty() {
                 // Nothing to read, and nothing to time.
                 return Partial::default();
             }
             let start = Instant::now();
-            let contents = match local_pipeline(spec, files, ReadPolicy::Strict, pushdown) {
+            let contents = match fold_files(spec, files, local) {
                 Ok((pipeline, _)) => Contents::Pipeline(Box::new(pipeline)),
                 Err(e) => Contents::Failed(e.to_string()),
             };
@@ -180,10 +182,8 @@ pub fn parallel_query<E: Executor>(
             .expect("rank 0 is the reduction root");
         let pipeline = match partial.contents {
             Contents::Pipeline(pipeline) => *pipeline,
-            // No rank read anything: `local_pipeline` over no files.
-            Contents::Nothing => {
-                Pipeline::new(root.0.clone(), Arc::clone(&Dataset::new().store))
-            }
+            // No rank read anything: the fold over no files.
+            Contents::Nothing => Pipeline::new(root.0.clone(), Arc::default()),
             Contents::Failed(e) => return Err(ParallelError::Io(e)),
         };
         let mut timings = partial.times;
@@ -267,34 +267,11 @@ impl Partial {
     }
 }
 
-/// One pipeline over `files`, scanned in order through one shared
-/// dictionary — per file the step `cali-query`'s workers run — with the
-/// per-file read reports. It is a rank's local phase, and all there is
-/// to a pass-through query, whose matching rows need one dictionary to
-/// refer to: one block is in memory at a time, and only rows that pass
-/// WHERE are kept.
-pub fn local_pipeline<P: AsRef<Path>>(
-    spec: &QuerySpec,
-    files: &[P],
-    policy: ReadPolicy,
-    pushdown: &Pushdown,
-) -> Result<(Pipeline, Vec<ReadReport>), CaliError> {
-    let mut dict = Dataset::new();
-    let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
-    let mut reports = Vec::with_capacity(files.len());
-    for path in files {
-        let scanned = pipeline.scan_file(path, dict, policy, Some(pushdown))?;
-        dict = scanned.dict;
-        reports.push(scanned.report);
-    }
-    Ok((pipeline, reports))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::read_files;
-    use caliper_query::run_query;
+    use caliper_query::{parallel_query_files, run_query};
     use miniapps::paradis::{self, ParaDisParams};
     use mpisim::{EventEngine, ThreadEngine};
 
@@ -504,11 +481,9 @@ mod tests {
 
     #[test]
     fn a_world_without_files_renders_the_empty_pipeline() {
-        let spec = parse_query(QUERY).unwrap();
-        let pushdown = build_pushdown(&spec, None);
         let none: &[PathBuf] = &[];
-        let (empty, _) = local_pipeline(&spec, none, ReadPolicy::Strict, &pushdown).unwrap();
-        let expect = empty.finish().render();
+        let (empty, _) = parallel_query_files(QUERY, none, &ParallelOptions::with_threads(1)).unwrap();
+        let expect = empty.render();
         assert_eq!(expect, serial(none));
         run_everywhere(
             &vec![Vec::new(); 6],
@@ -598,7 +573,7 @@ mod tests {
             ResilienceOptions::default(),
             true,
         );
-        assert!(matches!(run.unwrap_err(), ParallelError::NotAnAggregation));
+        assert!(matches!(run.unwrap_err(), ParallelError::PassThrough));
         assert!(hb.is_none(), "the world never ran");
     }
 }

@@ -106,6 +106,11 @@ fn streaming_query_matches_merged_query() {
     let (_, stderr) = run(&["--timings"], query);
     assert!(stderr.contains("# worker 0:"), "{stderr}");
     assert!(!stderr.contains("# worker 1:") && !stderr.contains("# serial"), "{stderr}");
+    // A pass-through query runs on one worker whatever --threads asks,
+    // and --timings prints that worker's line.
+    let (_, stderr) = run(&["--timings", "--threads", "4"], "SELECT * LIMIT 3");
+    assert!(stderr.contains("# worker 0: ") && stderr.contains("(5 files, "), "{stderr}");
+    assert!(!stderr.contains("# worker 1:"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

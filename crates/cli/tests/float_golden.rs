@@ -6,9 +6,16 @@
 //! same bytes at every worker count. A float sum folded in any other
 //! order — one fold over all files, say — moves a last digit here.
 //! `scripts/check.sh` runs the same comparison on the release binary.
+//!
+//! A rank of `mpi-caliquery` folds its files by the same fold, so one
+//! rank holding all five prints the same bytes too.
 
 use std::path::PathBuf;
 use std::process::Command;
+
+use cali_cli::parallel_query;
+use caliper_query::{parallel_query_files, ParallelOptions};
+use mpisim::{EventEngine, Executor, FaultPlan, ResilienceOptions, ThreadEngine, Topology};
 
 #[test]
 fn every_op_over_overlapping_files_prints_the_float_golden_at_every_thread_count() {
@@ -31,6 +38,61 @@ fn every_op_over_overlapping_files_prints_the_float_golden_at_every_thread_count
             out.stdout == expected,
             "--threads {threads} differs from every-op.txt"
         );
+    }
+}
+
+/// One rank over the five files is `cali-query`'s fold of them: the
+/// same bytes as `parallel_query_files` at 1, 2 and 3 workers and as
+/// the golden, on both engines and in both topologies.
+#[test]
+fn one_rank_over_the_float_files_prints_what_cali_query_prints() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/floats");
+    let query = std::fs::read_to_string(dir.join("every-op.calql")).unwrap();
+    let query = query.trim();
+    let expected = String::from_utf8(std::fs::read(dir.join("every-op.txt")).unwrap()).unwrap();
+    let files: Vec<PathBuf> = (0..5).map(|f| dir.join(format!("f{f}.cali"))).collect();
+    for threads in [1, 2, 3] {
+        let opts = ParallelOptions::with_threads(threads);
+        let (result, _) = parallel_query_files(query, &files, &opts).unwrap();
+        assert!(
+            result.render() == expected,
+            "parallel_query_files at {threads} workers"
+        );
+    }
+    fn one_rank<E: Executor>(
+        engine: &E,
+        topology: Topology,
+        query: &str,
+        files: &[PathBuf],
+    ) -> String {
+        let (run, _) = parallel_query(
+            engine,
+            topology,
+            query,
+            vec![files.to_vec()],
+            FaultPlan::new(),
+            ResilienceOptions::default(),
+            false,
+        );
+        run.unwrap().result.render()
+    }
+    for topology in [Topology::Flat, Topology::TwoLevel { ranks_per_node: 1 }] {
+        for (name, out) in [
+            (
+                "event/1",
+                one_rank(&EventEngine::with_workers(1), topology, query, &files),
+            ),
+            (
+                "event/4",
+                one_rank(&EventEngine::with_workers(4), topology, query, &files),
+            ),
+            ("threads", one_rank(&ThreadEngine, topology, query, &files)),
+        ] {
+            assert!(
+                out == expected,
+                "one rank, {name} {topology:?}, differs from every-op.txt"
+            );
+        }
     }
 }
 

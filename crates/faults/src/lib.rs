@@ -29,8 +29,11 @@
 //! * `key` is a **stable identifier** of the item at risk — a hashed
 //!   file path, a block ordinal, a file index — never a global hit
 //!   counter, so decisions do not depend on thread interleaving.
-//! * `attempt` is a per-`(site, key)` counter, so retry loops observe a
-//!   reproducible sequence of transient errors.
+//! * `attempt` is a per-`(site, key, label)` counter, so retry loops
+//!   observe a reproducible sequence of transient errors, and two items
+//!   that share a key — block 0 of two files — count apart.
+//!   The label picks the counter only: what an attempt decides stays a
+//!   function of `(site, key, attempt, seed)`.
 //! * `seed` comes from the spec.
 //!
 //! A run with a fixed spec therefore injects *the same* faults into *the
@@ -198,7 +201,8 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// A set of armed fault rules with per-`(site, key)` attempt state.
+/// A set of armed fault rules with per-`(site, key, label)` attempt
+/// state.
 ///
 /// Most code uses the process-global set (installed from `CALI_FAULTS`
 /// or [`install_spec`]) through the free functions [`trigger`] /
@@ -207,8 +211,9 @@ impl std::error::Error for SpecError {}
 #[derive(Debug)]
 pub struct FaultSet {
     rules: Vec<FaultRule>,
-    /// attempt counters keyed by mix(site, key) — independent of global
-    /// hit order, so decisions are stable across thread interleavings.
+    /// attempt counters keyed by mix(site, key, label) — independent of
+    /// global hit order, so decisions are stable across thread
+    /// interleavings, and one item's attempts are not another's.
     attempts: Mutex<HashMap<u64, u32>>,
 }
 
@@ -260,7 +265,7 @@ impl FaultSet {
                 }
                 FaultAction::Err { p, seed } => {
                     if !hit {
-                        attempt = self.next_attempt(site, key);
+                        attempt = self.next_attempt(site, key, label);
                         hit = true;
                     }
                     if hash01(site, key, attempt, seed) < p {
@@ -269,7 +274,7 @@ impl FaultSet {
                 }
                 FaultAction::Fail { n } => {
                     if !hit {
-                        attempt = self.next_attempt(site, key);
+                        attempt = self.next_attempt(site, key, label);
                         hit = true;
                     }
                     if attempt < n {
@@ -298,8 +303,8 @@ impl FaultSet {
         mutated
     }
 
-    fn next_attempt(&self, site: &str, key: u64) -> u32 {
-        let slot = mix(&[site_hash(site), key]);
+    fn next_attempt(&self, site: &str, key: u64, label: &str) -> u32 {
+        let slot = mix(&[site_hash(site), key, stable_hash(label)]);
         let mut map = self
             .attempts
             .lock()
@@ -625,6 +630,24 @@ mod tests {
         assert_eq!(set.trigger("io.read", 8, "b"), Some(Injected::TransientErr));
         // Other sites are unarmed.
         assert_eq!(set.trigger("io.open", 7, "a"), None);
+    }
+
+    /// Block 0 of one file and block 0 of another share a key, not a
+    /// counter: a rule whose filter matches both fires on both alike.
+    #[test]
+    fn attempts_are_counted_per_label() {
+        let set = FaultSet::parse("v2.block~shard=fail(1)").unwrap();
+        for block in 0..3 {
+            assert_eq!(set.trigger("v2.block", block, "shard0.calb2"), Some(Injected::TransientErr));
+            assert_eq!(set.trigger("v2.block", block, "shard1.calb2"), Some(Injected::TransientErr));
+        }
+        // Each file's second attempt at a block passes.
+        assert_eq!(set.trigger("v2.block", 0, "shard0.calb2"), None);
+        assert_eq!(set.trigger("v2.block", 0, "shard1.calb2"), None);
+        // What an attempt decides does not depend on the label.
+        let err = FaultSet::parse("v2.block=err(0.5,9)").unwrap();
+        let fired = |label: &str| (0..64).map(|k| err.trigger("v2.block", k, label).is_some()).collect::<Vec<_>>();
+        assert_eq!(fired("a.calb2"), fired("b.calb2"));
     }
 
     #[test]

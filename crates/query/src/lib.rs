@@ -68,7 +68,7 @@ pub use ast::{
 pub use diag::{Diagnostic, Severity, Span};
 pub use ops::Reducer;
 pub use parallel::{
-    parallel_query_files, ParallelOptions, ParallelQueryError, ShardFailure,
+    fold_files, parallel_query_files, ParallelOptions, ParallelQueryError, ShardFailure,
     ShardTimings, WorkerTimings,
 };
 pub use parser::{parse_query, parse_query_spanned, ParseError, SpanMap};

@@ -10,9 +10,16 @@
 //! the two scaling strategies compose: each rank of a distributed query
 //! could itself shard over local cores.
 //!
-//! [`parallel_query_files`] is the only aggregation driver `cali-query`
-//! has. `--threads 1` is this pool with one worker — the calling thread,
-//! nothing spawned — not a second code path.
+//! [`fold_files`] is the only code that folds a list of files into a
+//! pipeline. [`parallel_query_files`] — all of `cali-query` — is a parse,
+//! that fold and the root's [`finish`](Pipeline::finish); each rank of
+//! `mpi-caliquery` calls the fold over its own files with one worker and
+//! ships the unfinished root up the tree. `--threads 1` is this pool with
+//! one worker — the calling thread, nothing spawned — not a second code
+//! path. A pass-through query keeps its matching rows against one
+//! dictionary, so it always runs on one worker, and each file after the
+//! first scans into the root whole: no part, and one store for every
+//! kept row.
 //!
 //! # Design: a lent root, and an ordered eager merge for the rest
 //!
@@ -95,6 +102,7 @@ use caliper_data::Attribute;
 use caliper_format::{CaliError, Dataset, Pushdown, ReadPolicy, ReadReport, Schema};
 
 use crate::aggregator::Aggregator;
+use crate::ast::QuerySpec;
 use crate::parser::{parse_query, ParseError};
 use crate::pushdown::build_pushdown;
 use crate::query::{Pipeline, QueryResult};
@@ -109,7 +117,8 @@ pub struct ParallelOptions {
     /// [`ReadPolicy::Lenient`] for skip-and-report ingest).
     pub read_policy: ReadPolicy,
     /// Group capacity per aggregation shard and for the merged root
-    /// database (`None` = unbounded). See
+    /// database (`None` = unbounded; a pass-through query holds rows, not
+    /// groups, and ignores it). See
     /// [`Aggregator::set_max_groups`](crate::Aggregator::set_max_groups).
     pub max_groups: Option<usize>,
     /// WHERE-predicate pushdown handed to every worker's reader so
@@ -122,7 +131,8 @@ pub struct ParallelOptions {
     /// failpoint fired), drop that file's contribution and record a
     /// [`ShardFailure`] instead of aborting the whole query. Failures
     /// are decided per *file index*, so degraded output is byte-identical
-    /// across thread counts.
+    /// across thread counts. Aggregations only: a pass-through run stops
+    /// at its first failed file.
     pub degrade: bool,
 }
 
@@ -191,10 +201,6 @@ impl ParallelOptions {
 pub enum ParallelQueryError {
     /// The query text does not parse.
     Parse(ParseError),
-    /// The query has no AGGREGATE clause: a pass-through query needs
-    /// every record in one place and gains nothing from sharding — run
-    /// it on the serial path instead.
-    NotAnAggregation,
     /// An input file failed to read or parse; the error names the file
     /// ([`CaliError::File`]).
     Read(CaliError),
@@ -204,9 +210,6 @@ impl std::fmt::Display for ParallelQueryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParallelQueryError::Parse(e) => write!(f, "query error: {e}"),
-            ParallelQueryError::NotAnAggregation => {
-                write!(f, "parallel execution requires an aggregation query")
-            }
             ParallelQueryError::Read(e) => write!(f, "{e}"),
         }
     }
@@ -262,7 +265,7 @@ pub struct ShardTimings {
     pub merge_s: f64,
     /// Seconds the root spent finishing: the flush, ORDER BY, LIMIT and
     /// SELECT ([`Pipeline::finish`]), up to the result and short of its
-    /// rendering.
+    /// rendering (0 from [`fold_files`], which leaves the root unfinished).
     pub finish_s: f64,
     /// Per-file [`ReadReport`]s in input-file order (one per file that
     /// was read; under [`ReadPolicy::Strict`] these are all clean).
@@ -360,8 +363,8 @@ impl OrderedMerge<'_> {
                 self.timings.reports.push(report);
                 self.timings.schema.extend(schema);
                 let Some(e) = shard_merge_fault(self.next, path) else { return Ok(own) };
-                if own.is_none() {
-                    part_of(&mut self.root).drop_part();
+                if let Some(part) = part_of(&mut self.root).filter(|_| own.is_none()) {
+                    part.drop_part();
                 }
                 Err(e)
             });
@@ -370,7 +373,11 @@ impl OrderedMerge<'_> {
                     Some(root) => root.merge(pipeline),
                     None => self.root = Some(pipeline),
                 },
-                Ok(None) => part_of(&mut self.root).close_part(),
+                Ok(None) => {
+                    if let Some(part) = part_of(&mut self.root) {
+                        part.close_part();
+                    }
+                }
                 Err(e) if self.degrade => {
                     // Stable, so degraded `--stats` output is the same
                     // for every thread count.
@@ -391,46 +398,46 @@ impl OrderedMerge<'_> {
     }
 }
 
-/// The aggregation of a root a part was folded into.
-fn part_of(root: &mut Option<Pipeline>) -> &mut Aggregator {
-    let root = root.as_mut().expect("a part is folded into a root");
-    root.aggregator.as_deref_mut().expect("an aggregation")
+/// The aggregation of the root a file was folded into a part of — none
+/// for a pass-through root, which its files scan into whole.
+fn part_of(root: &mut Option<Pipeline>) -> Option<&mut Aggregator> {
+    root.as_mut()?.aggregator.as_deref_mut()
 }
 
-/// Runs an aggregation `query` over `paths` with a pool of
-/// `min(`[`ParallelOptions::threads`]`, paths.len())` workers, at least
-/// one — the calling thread and the rest spawned — returning the result
-/// and the per-worker timing breakdown.
+/// Folds `paths` into one unfinished root [`Pipeline`] for `spec` with a
+/// pool of `min(`[`ParallelOptions::threads`]`, paths.len())` workers, at
+/// least one — the calling thread and the rest spawned; a pass-through
+/// query takes one — and returns it with the run's timing breakdown
+/// (whose `finish_s` is left 0). The root is what finishing turns into
+/// the result: [`parallel_query_files`] finishes it, a rank of
+/// `mpi-caliquery` ships it up the tree.
 ///
-/// The output is deterministic and independent of the worker count —
-/// see the [module docs](self) for the argument. Pass-through queries
-/// are rejected with [`ParallelQueryError::NotAnAggregation`]: they need
-/// every record in one place, so there is nothing to fold.
-pub fn parallel_query_files<P: AsRef<Path>>(
-    query: &str,
+/// The root does not depend on the worker count — see the
+/// [module docs](self) for the argument. Errors name the lowest-index
+/// failing file.
+pub fn fold_files<P: AsRef<Path>>(
+    spec: &QuerySpec,
     paths: &[P],
     options: &ParallelOptions,
-) -> Result<(QueryResult, ShardTimings), ParallelQueryError> {
-    let spec = parse_query(query)?;
-    if !spec.is_aggregation() {
-        return Err(ParallelQueryError::NotAnAggregation);
-    }
+) -> Result<(Pipeline, ShardTimings), CaliError> {
+    let aggregation = spec.is_aggregation();
     // The file is the work unit: a worker beyond the file count could
-    // never be handed one.
-    let threads = options.effective_threads().min(paths.len()).max(1);
-    let max_groups = options.max_groups;
+    // never be handed one. A pass-through query's kept rows refer to one
+    // store, which one worker lends from file to file.
+    let threads = if aggregation { options.effective_threads().min(paths.len()).max(1) } else { 1 };
+    let max_groups = options.max_groups.filter(|_| aggregation);
     // One pushdown instance for every worker: block skipping is a pure
     // function of (input bytes, pushdown), so sharing it keeps reads —
     // and the `blocks_skipped` accounting — thread-count independent.
     let pushdown: Option<Arc<Pushdown>> = options.pushdown.clone().or_else(|| {
-        let pd = build_pushdown(&spec, None);
+        let pd = build_pushdown(spec, None);
         (!pd.is_empty()).then(|| Arc::new(pd))
     });
     let paths: Vec<PathBuf> = paths.iter().map(|p| p.as_ref().to_path_buf()).collect();
 
     let merge = Mutex::new(OrderedMerge {
         paths: &paths,
-        degrade: options.degrade,
+        degrade: options.degrade && aggregation,
         lend: max_groups.is_none(),
         ..Default::default()
     });
@@ -445,23 +452,34 @@ pub fn parallel_query_files<P: AsRef<Path>>(
             let Some(path) = paths.get(file) else { break };
             let start = Instant::now();
             let mut lent = lock().lend(file);
-            let (dict, policy, pushdown) = (Dataset::new(), options.read_policy, pushdown.as_deref());
+            let (policy, pushdown) = (options.read_policy, pushdown.as_deref());
+            // Each arm also names what the file declares: its dictionary
+            // less the LET outputs a pass-through fold added to it.
             let scanned = match &mut lent {
-                Some(root) => root.scan_part(path, dict, policy, pushdown).map(|s| (None, s)),
+                Some(root) if !aggregation => {
+                    let dict = Dataset::with_context(Arc::clone(&root.input_store), Default::default());
+                    let scanned = root.scan_file(path, dict, policy, pushdown);
+                    scanned.map(|s| (None, root.input_attributes().collect(), s))
+                }
+                Some(root) => root
+                    .scan_part(path, Dataset::new(), policy, pushdown)
+                    .map(|s| (None, s.dict.store.all(), s)),
                 None => {
+                    let dict = Dataset::new();
                     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store))
                         .with_max_groups(max_groups);
                     let scanned = pipeline.scan_file(path, dict, policy, pushdown);
-                    scanned.map(|s| (Some(pipeline), s))
+                    let declared = pipeline.input_attributes().collect();
+                    scanned.map(|s| (Some(pipeline), declared, s))
                 }
             };
             timings.files += 1;
             timings.read_s += start.elapsed().as_secs_f64();
-            let scan = scanned.map(|(own, scanned)| {
+            let scan = scanned.map(|(own, declared, scanned)| {
                 timings.read_s -= scanned.fold_s;
                 timings.process_s += scanned.fold_s;
                 timings.records += scanned.records;
-                (own, scanned.dict.store.all(), scanned.report)
+                (own, declared, scanned.report)
             });
             let mut merge = lock();
             merge.park(file, scan, lent);
@@ -486,21 +504,33 @@ pub fn parallel_query_files<P: AsRef<Path>>(
 
     let merge = merge.into_inner().expect("no worker panics while merging");
     if let Some(e) = merge.error {
-        return Err(ParallelQueryError::Read(e));
+        return Err(e);
     }
-    let metrics = caliper_data::metrics::global();
-    metrics
-        .gauge_volatile("query.parallel.workers")
-        .set_max(threads as u64);
     let root = merge.root.unwrap_or_else(|| {
-        Pipeline::new(spec, Arc::new(caliper_data::AttributeStore::new()))
-            .with_max_groups(max_groups)
+        Pipeline::new(spec.clone(), Arc::default()).with_max_groups(max_groups)
     });
     let mut timings = merge.timings;
     timings.workers = workers;
-    let t0 = Instant::now();
+    Ok((root, timings))
+}
+
+/// Runs `query` over `paths`: parses it, folds the files
+/// ([`fold_files`]) and finishes the root, returning the result and the
+/// run's timing breakdown. The output is deterministic and independent
+/// of the worker count.
+pub fn parallel_query_files<P: AsRef<Path>>(
+    query: &str,
+    paths: &[P],
+    options: &ParallelOptions,
+) -> Result<(QueryResult, ShardTimings), ParallelQueryError> {
+    let spec = parse_query(query)?;
+    let (root, mut timings) = fold_files(&spec, paths, options).map_err(ParallelQueryError::Read)?;
+    caliper_data::metrics::global()
+        .gauge_volatile("query.parallel.workers")
+        .set_max(timings.workers.len() as u64);
+    let start = Instant::now();
     let result = root.finish();
-    timings.finish_s = t0.elapsed().as_secs_f64();
+    timings.finish_s = start.elapsed().as_secs_f64();
     Ok((result, timings))
 }
 
@@ -670,15 +700,33 @@ pub(crate) mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A pass-through query folds on one worker, whatever `threads`
+    /// asks, each file scanning into the root whole: the rows it keeps
+    /// are the rows a fold over every file read into one dataset keeps,
+    /// in file order, and a group capacity changes nothing.
     #[test]
-    fn pass_through_queries_are_rejected() {
-        let err = parallel_query_files(
-            "SELECT kernel FORMAT csv",
-            &Vec::<PathBuf>::new(),
-            &ParallelOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, ParallelQueryError::NotAnAggregation));
+    fn a_pass_through_query_folds_on_one_worker_into_one_pipeline() {
+        let dir = std::env::temp_dir().join("caliper-parallel-test-pass-through");
+        let paths = write_inputs(&dir, 3, 12);
+        let text = "LET t2 = scale(time, 2) SELECT kernel, time, t2 WHERE time > 4 FORMAT csv";
+        let mut all = Dataset::new();
+        for path in &paths {
+            all = caliper_format::read_path_into(path, all).unwrap();
+        }
+        let expect = crate::run_query(&all, text).unwrap().render();
+        for cap in [None, Some(1)] {
+            BUILT.with(|built| built.set((0, 0)));
+            let opts = ParallelOptions::with_threads(4).with_max_groups(cap);
+            let (result, timings) = parallel_query_files(text, &paths, &opts).unwrap();
+            assert_eq!(BUILT.with(|built| built.get()), (1, 0), "(pipelines, merges)");
+            assert_eq!(result.render(), expect);
+            assert_eq!(timings.workers.len(), 1);
+            assert_eq!(timings.workers[0].files, 3);
+            assert_eq!(timings.reports.len(), 3);
+            // The schema is what the files declare: no LET output.
+            assert!(timings.schema.get("time").is_some() && timings.schema.get("t2").is_none());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

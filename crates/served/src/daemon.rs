@@ -143,6 +143,13 @@ impl<B> Daemon<B> {
         self.capacity
     }
 
+    /// Replies owed, of those the acks, and the running handlers per
+    /// listener.
+    #[cfg(test)]
+    pub(crate) fn owing(&self) -> (usize, usize, [usize; 2]) {
+        (self.owed, self.acks, self.handlers)
+    }
+
     /// The transition function: the only way the daemon changes.
     pub(crate) fn step(&mut self, event: Event<B>) -> Effects<B> {
         let serving = self.phase == Phase::Serving;

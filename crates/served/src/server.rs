@@ -66,6 +66,43 @@ struct Batch {
     reply: SyncSender<Reply>,
 }
 
+/// A connection's handler as the daemon counts it: made when the
+/// handler starts and dropped when it returns or unwinds, which steps
+/// `HandlerDone` — after the `Replied` of a reply still owed. So a
+/// handler that panics gives its slot back and keeps no drain waiting.
+struct Handler<'a> {
+    state: &'a ServerState,
+    kind: Listener,
+    /// The reply owed, if one is; `Some(true)`: it answers a batch the
+    /// queue admitted.
+    owed: Option<bool>,
+}
+
+impl Handler<'_> {
+    /// Step `event` — a `Read`, or a batch's `Push` — after which a
+    /// reply is owed.
+    fn owe(&mut self, event: Event<Batch>) -> Effects<Batch> {
+        let push = matches!(event, Event::Push(_));
+        let effects = self.state.step(event);
+        self.owed = Some(push && !matches!(effects, Effects::Refuse | Effects::Busy));
+        effects
+    }
+
+    /// The reply owed, if one is, is written, or failed.
+    fn replied(&mut self) {
+        if let Some(ack) = self.owed.take() {
+            self.state.step(Event::Replied { ack });
+        }
+    }
+}
+
+impl Drop for Handler<'_> {
+    fn drop(&mut self) {
+        self.replied();
+        self.state.step(Event::HandlerDone(self.kind));
+    }
+}
+
 /// Everything the daemon's threads share.
 pub struct ServerState {
     cfg: ServedConfig,
@@ -297,13 +334,13 @@ impl ServerState {
     }
 
     /// Serve one admitted connection on its own thread, then give its
-    /// handler count back.
+    /// handler count back — also when the handler panics.
     fn serve(&self, kind: Listener, conn: TcpStream) {
+        let mut handler = Handler { state: self, kind, owed: None };
         match kind {
-            Listener::Ingest => self.handle_ingest(conn),
-            Listener::Http => self.handle_http(conn),
+            Listener::Ingest => self.handle_ingest(conn, &mut handler),
+            Listener::Http => self.handle_http(conn, &mut handler),
         }
-        self.step(Event::HandlerDone(kind));
     }
 
     /// Whether an armed `served.accept` rule drops this connection.
@@ -317,7 +354,7 @@ impl ServerState {
     }
 
     /// Serve one HTTP connection (one request, `Connection: close`).
-    fn handle_http(&self, conn: TcpStream) {
+    fn handle_http(&self, conn: TcpStream, handler: &mut Handler<'_>) {
         let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
         let Ok(mut writer) = conn.try_clone() else { return };
         // The whole request line and headers within 10 s, however the
@@ -331,10 +368,10 @@ impl ServerState {
                 return;
             }
         };
-        self.step(Event::Read);
+        handler.owe(Event::Read);
         let (status, body) = self.route(&req);
         let _ = writer.write_all(&text_response(status, &body));
-        self.step(Event::Replied { ack: false });
+        handler.replied();
     }
 
     fn route(&self, req: &Request) -> (u16, String) {
@@ -372,7 +409,7 @@ impl ServerState {
     }
 
     /// Serve one ingest connection.
-    fn handle_ingest(&self, conn: TcpStream) {
+    fn handle_ingest(&self, conn: TcpStream, handler: &mut Handler<'_>) {
         let _ = conn.set_read_timeout(Some(CONN_READ_TIMEOUT));
         let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
         let Ok(mut writer) = conn.try_clone() else { return };
@@ -397,8 +434,7 @@ impl ServerState {
                 }
             };
             // A batch read is owed its reply until the reply is written:
-            // the drain waits for it. `ack`: the queue admitted the batch.
-            let (mut owed, mut ack) = (false, false);
+            // the drain waits for it.
             let reply = match command {
                 Command::Ping => Reply::Ok("pong".to_string()),
                 Command::Quit => {
@@ -423,25 +459,18 @@ impl ServerState {
                         return; // payload unread: stream is desynced
                     }
                     let Ok(payload) = read_payload(&mut reader, len) else { return };
-                    owed = true;
                     match &bound {
                         None => {
-                            self.step(Event::Read);
+                            handler.owe(Event::Read);
                             Reply::Error("HELLO <stream> must precede BATCH".to_string())
                         }
                         // Owed from the push on, whatever the queue says.
-                        Some(stream) => {
-                            let reply;
-                            (reply, ack) = self.admit_batch(stream.clone(), payload);
-                            reply
-                        }
+                        Some(stream) => self.admit_batch(stream.clone(), payload, handler),
                     }
                 }
             };
             let sent = send(&mut writer, reply);
-            if owed {
-                self.step(Event::Replied { ack });
-            }
+            handler.replied();
             if sent.is_err() {
                 return;
             }
@@ -451,8 +480,7 @@ impl ServerState {
     /// Admit one batch to the bounded queue and wait for its verdict.
     /// A full queue answers `BUSY` immediately — admission never
     /// blocks, so the accept path stays responsive under overload.
-    /// The reply, and whether the queue admitted the batch.
-    fn admit_batch(&self, stream: String, payload: Vec<u8>) -> (Reply, bool) {
+    fn admit_batch(&self, stream: String, payload: Vec<u8>, handler: &mut Handler<'_>) -> Reply {
         let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let batch = Batch {
             stream,
@@ -460,20 +488,17 @@ impl ServerState {
             ordinal: self.batch_ordinal.fetch_add(1, Ordering::SeqCst),
             reply: tx,
         };
-        match self.step(Event::Push(batch)) {
+        match handler.owe(Event::Push(batch)) {
             // The drain began: `BUSY` would ask the client to retry a
             // daemon that is going away.
-            Effects::Refuse => (Reply::Error("draining: not accepting batches".to_string()), false),
+            Effects::Refuse => Reply::Error("draining: not accepting batches".to_string()),
             Effects::Busy => {
                 self.metrics().counter("served.ingest.rejected").inc();
-                (Reply::Busy { retry_after_ms: BUSY_RETRY_AFTER_MS }, false)
+                Reply::Busy { retry_after_ms: BUSY_RETRY_AFTER_MS }
             }
-            _ => (
-                rx.recv_timeout(BATCH_REPLY_TIMEOUT).unwrap_or_else(|_| {
-                    Reply::Error("ingest verdict timed out; batch state unknown, safe to retry".to_string())
-                }),
-                true,
-            ),
+            _ => rx.recv_timeout(BATCH_REPLY_TIMEOUT).unwrap_or_else(|_| {
+                Reply::Error("ingest verdict timed out; batch state unknown, safe to retry".to_string())
+            }),
         }
     }
 }
@@ -720,6 +745,37 @@ mod tests {
         caliper_format::cali::to_bytes(&ds)
     }
 
+    /// A handler that panics with a reply owed — an HTTP request's, a
+    /// batch's the queue admitted — gives its slot back and owes
+    /// nothing: the listener's bound and the drain do not wait for it.
+    #[test]
+    fn a_handler_that_panics_gives_its_slot_back_and_owes_no_reply() {
+        let dir = tmpdir("handler-panic");
+        let state = ServerState::new(cfg(&dir)).unwrap();
+        for kind in [Listener::Http, Listener::Ingest] {
+            assert!(matches!(state.step(Event::Accept(kind)), Effects::Spawn));
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut handler = Handler { state: &state, kind, owed: None };
+                let event = match kind {
+                    Listener::Http => Event::Read,
+                    Listener::Ingest => {
+                        let (reply, _) = std::sync::mpsc::sync_channel(1);
+                        let (stream, payload) = ("r0".to_string(), batch(&[("k", 1)]));
+                        Event::Push(Batch { stream, payload, ordinal: 0, reply })
+                    }
+                };
+                handler.owe(event);
+                assert_eq!(state.daemon().owing().0, 1, "{kind:?}: a reply is owed");
+                panic!("a handler bug");
+            }));
+            assert!(panicked.is_err());
+            assert_eq!(state.daemon().owing(), (0, 0, [0, 0]), "{kind:?}");
+        }
+        // The admitted batch is still queued for a worker.
+        assert_eq!(state.daemon().depth(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
         let mut conn =
             TcpStream::connect_timeout(&addr, Duration::from_secs(5)).expect("connect");
@@ -882,10 +938,14 @@ mod tests {
         let dir = tmpdir("drain-race");
         let state = ServerState::new(cfg(&dir)).unwrap();
         state.begin_shutdown();
+        assert!(matches!(state.step(Event::Accept(Listener::Ingest)), Effects::Spawn));
+        let mut handler = Handler { state: &state, kind: Listener::Ingest, owed: None };
         assert_eq!(
-            state.admit_batch("s1".to_string(), batch(&[("a", 1)])),
-            (Reply::Error("draining: not accepting batches".to_string()), false)
+            state.admit_batch("s1".to_string(), batch(&[("a", 1)]), &mut handler),
+            Reply::Error("draining: not accepting batches".to_string())
         );
+        assert_eq!(handler.owed, Some(false), "a reply is owed, and no ack");
+        drop(handler);
         assert_eq!(state.daemon().depth(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -320,6 +320,16 @@ if grep -rnE '\breduce_tree|run_with_faults|recv_any|try_run_tasks|run_tasks_tra
     exit 1
 fi
 
+# One-fold gate: a list of files is folded into a pipeline by one
+# function, `caliper_query::fold_files` (DESIGN.md §6) — `cali-query`'s
+# aggregations and pass-through queries alike, and each rank of
+# `mpi-caliquery`. The second fold a rank ran, and the error that sent a
+# pass-through query around the pool, stay deleted.
+if grep -rnE 'local_pipeline|NotAnAggregation' crates src tests; then
+    echo "check.sh: a second fold over a list of files is back (listed above)" >&2
+    exit 1
+fi
+
 # One-representation gate: a query's result is the block it was
 # flushed into (DESIGN.md §10). The renderers read it a row at a time
 # from its columns and take no record, and `Pipeline::finish` flushes
@@ -701,15 +711,28 @@ cmp -s "$smoke/pq-v2-1.out" "$smoke/pq-v2-nolint.out" \
     exit 1
 }
 # The cross-driver half of the merge-order contract (DESIGN.md §6): a
-# file's partial is the same fold in both drivers. ONE file, because
-# that is all they share — across files cali-query folds left to right
-# and the rank tree pairwise.
+# rank folds its files by `cali-query`'s fold. Over one file, and over
+# the five float files under every op kind, where another order of
+# additions moves a last digit: one rank prints what cali-query prints
+# at any --threads, on either engine, any --workers, and in nodes. (At
+# two ranks or more the tree combines partials pairwise, another order.)
 "$query" --threads 1 -q "$pq" "$smoke/golden.calb2" > "$smoke/pq-one-query.out" 2>/dev/null
 "$mpiq" --np 1 -q "$pq" "$smoke/golden.calb2" > "$smoke/pq-one-mpi.out" 2>/dev/null
 cmp -s "$smoke/pq-one-query.out" "$smoke/pq-one-mpi.out" || {
     echo "check.sh: cali-query --threads 1 and mpi-caliquery --np 1 differ over one file" >&2
     exit 1
 }
+fq="$(cat "$golden"/floats/every-op.calql)"
+ffiles="$golden/floats/f0.cali $golden/floats/f1.cali $golden/floats/f2.cali $golden/floats/f3.cali $golden/floats/f4.cali"
+for n in 1 3; do
+    "$query" --no-lint --threads "$n" -q "$fq" $ffiles > "$smoke/float-query-$n.out"
+    for flags in "--workers 1" "--workers 4" "--engine threads" "--nodes 1"; do
+        "$mpiq" --np 1 $flags -q "$fq" $ffiles | cmp -s "$smoke/float-query-$n.out" - || {
+            echo "check.sh: cali-query --threads $n and mpi-caliquery --np 1 $flags differ over the float files" >&2
+            exit 1
+        }
+    done
+done
 echo "check.sh: columnar smoke: v1/v2 outputs identical, $(sed -n 's/^format.reader.blocks_skipped=//p' "$smoke/pq-v2-1.stats") blocks skipped"
 
 # Chaos smoke: a typo'd fault spec must be a hard error, transient

@@ -23,8 +23,9 @@
 //! runs that share a merge order must render the same bytes.
 //!
 //! A generated pass-through query (`LET … SELECT * WHERE …`) goes
-//! through `cali-query`'s pipeline over text, CALB v1 and CALB v2 (with
-//! and without pushdown), `run_query` over the rows and
+//! through `parallel_query_files` (asked for two workers, run on one)
+//! over text, CALB v1 and CALB v2 (with and without pushdown),
+//! `run_query` over the rows and
 //! `Pipeline::process` record by record; and pass-through queries over
 //! the served streams' warm answers through `WarmQuery`. Their rows must
 //! be the oracle's kept rows in stream order.
@@ -47,13 +48,13 @@ mod oracle;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cali_cli::{local_pipeline, parallel_query};
+use cali_cli::parallel_query;
 use caliper_data::{
     AttributeStore, ContextTree, Entry, FlatRecord, Properties, SnapshotRecord, Value, ValueType,
     NODE_NONE,
 };
 use caliper_format::{
-    binary, cali, to_binary_v2_with, Block, Dataset, Pushdown, ReadPolicy, StringTable,
+    binary, cali, to_binary_v2_with, Block, Dataset, Pushdown, StringTable,
     V2WriteOptions,
 };
 use caliper_query::{
@@ -735,9 +736,9 @@ fn every_pass_through_path(files: Vec<File>, (let_, where_): (usize, usize)) -> 
         ("v2", v2_paths, &none),
         ("v2+pushdown", v2_paths, &pushdown),
     ] {
-        let (pipeline, _) = local_pipeline(&query, paths, ReadPolicy::Strict, pushdown).unwrap();
-        let result = pipeline.finish();
-        let path = format!("local_pipeline {encoding}: {text}");
+        let opts = ParallelOptions::with_threads(2).with_pushdown(Some(Arc::new(pushdown.clone())));
+        let (result, _) = parallel_query_files(&text, paths, &opts).unwrap();
+        let path = format!("parallel_query_files {encoding}: {text}");
         check_in_order(&path, &rows_of(&result.store, result.records.iter()), &want)?;
     }
 
