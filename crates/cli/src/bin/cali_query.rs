@@ -27,7 +27,7 @@ Options:
                       (see docs/CALQL.md for the full language reference)
   -o, --output FILE   write the result to FILE instead of stdout
   --threads N         aggregate with up to N workers, each folding whole
-                      files taken off a shared counter — never more
+                      files, handed out in input order — never more
                       workers than files (default: available
                       parallelism; 1 = one worker, the same path;
                       output is identical for every N). Aggregations
@@ -68,10 +68,12 @@ Options:
                       pass-through query)
   --timings           report the run's timing breakdown on stderr, one
                       line per worker the run had (for every --threads
-                      N; a pass-through run has one); `root merge` is
-                      the time spent closing the parts of the root files
-                      were folded into, and merging the files parked in
-                      their own pipelines
+                      N; a pass-through run has one); a worker's read
+                      time starts once it holds its file (and the root,
+                      if lent), so waiting for the lock is in no line;
+                      `root merge` is the time spent closing the parts
+                      of the root files were folded into, and merging
+                      the files parked in their own pipelines
   --stats[=FORMAT]    report pipeline self-instrumentation metrics on
                       stderr after the query: sorted name=value lines
                       (or one JSON object with --stats=json). The block
@@ -383,7 +385,7 @@ fn main() -> ExitCode {
         // of the inputs built. Never alters the result or the exit code;
         // --no-lint silences it and changes nothing else.
         if let Some((spec, spans)) = spanned.as_ref().filter(|_| !args.has(&["no-lint"])) {
-            for diag in analyze(spec, Some(spans), Some(&found.schema)) {
+            for diag in analyze(spec, Some(spans), Some(&found.schema())) {
                 eprint!("{}", diag.render("<query>", query));
             }
         }

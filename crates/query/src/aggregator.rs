@@ -13,6 +13,18 @@
 //! context-tree nodes and immediates), cross-process aggregation
 //! (entries merged up a reduction tree via [`Aggregator::merge`]), and
 //! analytical aggregation (driven by records read from `.cali` files).
+//!
+//! Two databases' groups meet in one per-group combine (`combine`: one
+//! group's state row and record count folded into another's), which
+//! two matchers call. [`Aggregator::merge`] matches another database's
+//! groups to this one's by key — found in the table, or added — for the
+//! partials of the tree and of the files parked in pipelines of their
+//! own. A *part* of the database (`Aggregator::open_part`), which a
+//! file folded into `cali-query`'s lent root fills, shares this
+//! database's group ids, so closing it matches by id and looks no key
+//! up. Either way each group receives the partials in the order the
+//! caller merges them, which the merge-order contract fixes (DESIGN.md
+//! §6).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
@@ -548,34 +560,34 @@ impl Aggregator {
         part.open = Some((groups, self.records_processed));
     }
 
-    /// Take the open part out, its states set aside and the aggregator's
-    /// back in their place: the part, and the groups and the records
+    /// Shut the open part: its states set aside and the aggregator's back
+    /// in their place, each row it touched combined into the
+    /// aggregator's if it is to be `kept` ([`combine`](Self::combine)),
+    /// then reset for the next part. The groups and the records
     /// processed when it opened.
-    fn shut_part(&mut self) -> (Box<Part>, usize, u64) {
+    fn shut_part(&mut self, kept: bool) -> (usize, u64) {
         let mut part = self.part.take().expect("an open part");
-        let (groups, records_processed) = part.open.take().expect("an open part");
-        std::mem::swap(&mut self.ops, &mut part.ops);
-        std::mem::swap(&mut self.records, &mut part.records);
-        (part, groups, records_processed)
+        let opened = part.open.take().expect("an open part");
+        let Part { ops, records, touched, .. } = &mut *part;
+        std::mem::swap(&mut self.ops, ops);
+        std::mem::swap(&mut self.records, records);
+        for group in touched.drain(..) {
+            if kept {
+                self.combine(group, ops, records, group, None);
+            }
+            records[group as usize] = 0;
+            ops.iter_mut().for_each(|column| column.reset(group as usize));
+        }
+        self.part = Some(part);
+        opened
     }
 
-    /// Close the open part: each group it touched merges its part state
-    /// into its own, as [`merge`](Self::merge) merges another database's
-    /// group into it ([`Column::merge`]) — with no key looked up or
-    /// string translated — and the part's rows are reset.
+    /// Close the open part: each group it touched combines its part row
+    /// into its own, as [`merge`](Self::merge) combines another
+    /// database's group — with no key looked up or string translated —
+    /// and the part's rows are reset.
     pub(crate) fn close_part(&mut self) {
-        let (mut part, ..) = self.shut_part();
-        let Part { ops, records, touched, .. } = &mut *part;
-        for &group in touched.iter() {
-            let g = group as usize;
-            self.records[g] += std::mem::take(&mut records[g]);
-            for (column, theirs) in self.ops.iter_mut().zip(ops.iter_mut()) {
-                column.merge(g, theirs, g, None, &mut self.strings);
-                theirs.reset(g);
-            }
-        }
-        touched.clear();
-        self.part = Some(part);
+        self.shut_part(true);
     }
 
     /// Drop the open part, and with it every trace of what was folded
@@ -587,12 +599,7 @@ impl Aggregator {
     /// and nothing refers to them. The aggregator takes a new identity,
     /// so that no code map remembers a group that is gone.
     pub(crate) fn drop_part(&mut self) {
-        let (mut part, groups, records_processed) = self.shut_part();
-        for group in part.touched.drain(..) {
-            part.records[group as usize] = 0;
-            part.ops.iter_mut().for_each(|column| column.reset(group as usize));
-        }
-        self.part = Some(part);
+        let (groups, records_processed) = self.shut_part(false);
         for group in (groups..self.records.len()).rev() {
             let hash = fxhash(self.key_of(group as u32));
             match self.chain[group] {
@@ -608,6 +615,25 @@ impl Aggregator {
         }
         self.records_processed = records_processed;
         self.id = Arc::new(());
+    }
+
+    /// The one per-group merge: row `og` of a source's state columns
+    /// `ops` and record counts `records` — its strings codes of `from`,
+    /// or of this aggregator's own table where `from` is `None` —
+    /// combined into group `g`'s.
+    fn combine(
+        &mut self,
+        g: u32,
+        ops: &[Column],
+        records: &[u64],
+        og: u32,
+        from: Option<&StringTable>,
+    ) {
+        let (g, og) = (g as usize, og as usize);
+        self.records[g] += records[og];
+        for (column, theirs) in self.ops.iter_mut().zip(ops) {
+            column.merge(g, theirs, og, from, &mut self.strings);
+        }
     }
 
     /// Fold one occurrence of op `op`'s target into `group`.
@@ -721,11 +747,7 @@ impl Aggregator {
                 }));
                 self.admit(&key)
             };
-            let (mine, theirs) = (mine as usize, theirs as usize);
-            self.records[mine] += other.records[theirs];
-            for (column, from) in self.ops.iter_mut().zip(&other.ops) {
-                column.merge(mine, from, theirs, Some(&other.strings), &mut self.strings);
-            }
+            self.combine(mine, &other.ops, &other.records, theirs, Some(&other.strings));
         }
         self.key = key;
     }

@@ -2,8 +2,10 @@
 //!
 //! `spec.to_string()` produces query text that parses back to an
 //! equivalent spec (`parse(render(spec)) == spec`, verified by property
-//! tests). Used to ship queries across the simulated MPI substrate and
-//! to echo normalized queries in tool output.
+//! tests). No query crosses the simulated MPI substrate as text — every
+//! rank of `mpi-caliquery` folds with the one parsed spec — so this is
+//! the normalized form of a query for whoever prints one, and the round
+//! trip the property tests hold the parser to.
 
 use std::fmt;
 

@@ -32,8 +32,9 @@ pub(crate) enum Column {
     /// class, string or bool included.
     Sum(Vec<Option<Cell>>),
     /// `min` (`Less`) / `max` (`Greater`): the extreme under the data
-    /// model's total order ([`Value::total_cmp`]); the first of equals
-    /// wins.
+    /// model's total order ([`Value::total_cmp`]), in which numbers of
+    /// one `f64` image follow by exact value and then by class
+    /// ([`exact`]), so that only equal cells tie.
     Extreme(Ordering, Vec<Option<Cell>>),
     /// `avg`: sum and number of numeric inputs.
     Avg(Vec<(f64, u64)>),
@@ -180,10 +181,26 @@ fn sum<T: Copy>(
     }
 }
 
+/// Where two numbers of one `f64` image part in `min`'s and `max`'s
+/// order: by exact value (2^53 before 2^53 + 1; an integer's image is
+/// that of a float only if the float is integral), then by class in
+/// [`ValueType`]'s order — `Int`, `UInt`, `Float`, `Bool` — so that no
+/// two distinct cells tie and no merge order decides which survives.
+/// Strings tie only when equal.
+fn exact(cell: Cell) -> (i128, u8) {
+    match cell {
+        Cell::Int(i) => (i.into(), 0),
+        Cell::UInt(u) => (u.into(), 1),
+        Cell::Float(x) => (x as i128, 2),
+        Cell::Bool(b) => (b.into(), 3),
+        Cell::Str(_) => (0, 4),
+    }
+}
+
 /// [`Column::update_from`] for `min` / `max` over numbers of one type:
-/// a number and a kept number compare by their `f64` images, and a kept
-/// string is greater — [`Value::total_cmp`]'s order — with the first of
-/// equals kept.
+/// a number and a kept number compare by their `f64` images, then by
+/// [`exact`], and a kept string is greater — [`Value::total_cmp`]'s
+/// order.
 fn extreme<T: Copy>(
     wanted: Ordering,
     acc: &mut [Option<Cell>],
@@ -203,7 +220,7 @@ fn extreme<T: Copy>(
                     Cell::UInt(k) => image(x).total_cmp(&(k as f64)),
                     Cell::Bool(k) => image(x).total_cmp(&f64::from(u8::from(k))),
                 };
-                if order == wanted {
+                if order.then_with(|| exact(cell(x)).cmp(&exact(*kept))) == wanted {
                     *kept = cell(x);
                 }
             }
@@ -284,11 +301,17 @@ impl Column {
             Column::Extreme(wanted, acc) => {
                 let kept = &mut acc[g];
                 // Two floats compared as `Value::total_cmp` compares
-                // them, with no `Value` built of the kept one.
+                // them, with no `Value` built of the kept one: of one
+                // image they are equal.
                 let wins = match (*kept, value) {
                     (None, _) => true,
                     (Some(Cell::Float(x)), Value::Float(v)) => v.total_cmp(&x) == *wanted,
-                    (Some(cell), _) => value.total_cmp(&strings.get(cell)) == *wanted,
+                    (Some(cell), _) => {
+                        let order = value.total_cmp(&strings.get(cell));
+                        // Interns nothing: a string ties only with the
+                        // kept one's text, which the table holds.
+                        order.then_with(|| exact(strings.cell(value)).cmp(&exact(cell))) == *wanted
+                    }
                 };
                 if wins {
                     *kept = Some(strings.cell(value));
@@ -991,17 +1014,33 @@ mod tests {
     }
 
     #[test]
-    fn min_max_ties_keep_first_seen_value() {
-        // Equal magnitudes across types are not "better": the first
-        // occurrence wins, so results are deterministic in input order.
-        let mut lo = Reducer::new(&op(OpKind::Min, Some("x")));
-        let mut hi = Reducer::new(&op(OpKind::Max, Some("x")));
-        for v in [Value::Int(2), Value::Float(2.0), Value::UInt(2)] {
-            lo.update(&v);
-            hi.update(&v);
+    fn min_max_ties_break_by_exact_value_then_class() {
+        // Numbers of one `f64` image are not equal unless they are one
+        // cell: the exact value decides, then the class (Int, UInt,
+        // Float, Bool), whatever order they come in.
+        const TWO_53: i64 = 1 << 53;
+        let cases = [
+            [Value::Int(2), Value::Float(2.0), Value::UInt(2)],
+            [Value::Int(TWO_53 + 1), Value::Int(TWO_53), Value::Float(TWO_53 as f64)],
+            [Value::Bool(true), Value::UInt(1), Value::Float(1.0)],
+        ];
+        let expect = [
+            (Value::Int(2), Value::Float(2.0)),
+            (Value::Int(TWO_53), Value::Int(TWO_53 + 1)),
+            (Value::UInt(1), Value::Bool(true)),
+        ];
+        for (values, (min, max)) in cases.iter().zip(expect) {
+            for rotation in 0..values.len() {
+                let mut lo = Reducer::new(&op(OpKind::Min, Some("x")));
+                let mut hi = Reducer::new(&op(OpKind::Max, Some("x")));
+                for v in values.iter().cycle().skip(rotation).take(values.len()) {
+                    lo.update(v);
+                    hi.update(v);
+                }
+                assert_eq!(lo.finish(0.0), Some(min.clone()), "{values:?}");
+                assert_eq!(hi.finish(0.0), Some(max.clone()), "{values:?}");
+            }
         }
-        assert_eq!(lo.finish(0.0), Some(Value::Int(2)));
-        assert_eq!(hi.finish(0.0), Some(Value::Int(2)));
     }
 
     #[test]

@@ -31,45 +31,55 @@
 //!   and the same fold a rank of `mpi-caliquery` runs over the file.
 //! * **Worker pool.** The calling thread is worker 0 and up to
 //!   `threads − 1` more are spawned — never more workers than files, a
-//!   worker beyond the file count could not be handed one. Workers take
-//!   files off a shared counter, and the hot record-processing path
-//!   takes **zero cross-thread locks**: a worker touches only the
-//!   database it folds into, exactly like the runtime's per-thread
-//!   on-line databases (§IV-B).
-//! * **The root is lent to the file whose turn it is.** Before it opens
-//!   a file, a worker asks the run's one lock whether that file is the
-//!   next in input order. If it is — and the root exists and no group
-//!   capacity is set — nothing else can merge before it, so the worker
-//!   takes the root and folds the file into an open *part* of it
-//!   (`Pipeline::scan_part`): a second set of state columns over the
-//!   root's groups, which the file fills as a database of its own would
-//!   be filled, while its new keys join the root's one group table. The
-//!   file's own dictionary and store stay its own; the fold resolves
-//!   against them. When the file's turn is decided the part is closed —
-//!   each group it touched merges its part state into its root state
-//!   through the same per-group merge as [`Aggregator::merge`](crate::Aggregator::merge),
-//!   with no key hashed and no string translated — or dropped, leaving
-//!   no trace. With one worker every file after the first is folded this
-//!   way: one pipeline, one group table and no key-by-key merge.
+//!   worker beyond the file count could not be handed one. The hot
+//!   record-processing path takes **zero cross-thread locks**: a worker
+//!   touches only the database it folds into, exactly like the
+//!   runtime's per-thread on-line databases (§IV-B).
+//! * **One step per file boundary.** Everything decided in file order
+//!   sits under the run's one lock, and a worker takes it once between
+//!   two files, to *settle* the file it read and be handed the next
+//!   (`OrderedMerge::settle`): the file is settled at once if its turn
+//!   has come — parked only if it is ahead of its turn — then every
+//!   parked successor whose turn has come, in ascending file order; then
+//!   the next unread file is handed out, with the root if its turn has
+//!   come. At one worker every file is settled in its turn, and nothing
+//!   is ever parked.
+//! * **The root is lent to the file whose turn it is.** A file handed
+//!   out in its turn — the root existing and no group capacity set — can
+//!   have nothing merge before it, so its worker takes the root along and
+//!   folds the file into an open *part* of it (`Pipeline::scan_part`): a
+//!   second set of state columns over the root's groups, which the file
+//!   fills as a database of its own would be filled, while its new keys
+//!   join the root's one group table. The file's own dictionary and store
+//!   stay its own; the fold resolves against them. When the file is
+//!   settled the part is closed — each group it touched combines its part
+//!   row into its root row through the one per-group combine that
+//!   [`Aggregator::merge`](crate::Aggregator::merge) also calls, with no
+//!   key hashed and no string translated — or dropped, leaving no trace.
+//!   With one worker every file after the first is folded this way: one
+//!   pipeline, one group table and no key-by-key merge.
 //! * **Ordered eager merge for the rest.** The first file (there is no
 //!   root yet; its pipeline becomes the root, and its store the root's
-//!   dictionary), every file that a worker opened ahead of its turn, and
-//!   every file of a capped run fold into a private [`Pipeline`]. A
-//!   worker that finishes one parks it under the lock, and whoever then
-//!   holds the next file in input order merges it — and any parked
-//!   successors — into the root, key by key, in ascending file order.
-//!   A capped run parks every file: `--max-groups` admits a file's keys
+//!   dictionary), every file a worker opened ahead of its turn, and every
+//!   file of a capped run fold into a private [`Pipeline`], which is
+//!   merged into the root, key by key, when the file is settled. A capped
+//!   run never lends the root: `--max-groups` admits a file's keys
 //!   first-come and then the root admits them in sorted key order, which
 //!   a part cannot reproduce. The root then runs the ordinary
 //!   [`finish`](Pipeline::finish) (ORDER BY → SELECT → FORMAT).
+//! * **What the files declare, kept per file.** A scan reports the
+//!   attributes it added to its dictionary
+//!   ([`Scanned::declared`](crate::Scanned::declared)); settling a file
+//!   keeps that list, and [`ShardTimings::schema`] builds the run's
+//!   schema from the lists only when asked — `cali-query`'s lint does, a
+//!   rank of `mpi-caliquery` does not.
 //! * **Failures in file order.** A file fails when its read fails or,
 //!   after a successful read, its `shard.merge` failpoint fires — both
-//!   decided when the file's turn comes, so per file index. A failed
-//!   read drops its part at once; a fired failpoint drops it then.
-//!   Without [`ParallelOptions::degrade`] the lowest-index failing
-//!   file's error is returned and workers stop taking files; with it the
-//!   file is dropped, recorded as a [`ShardFailure`], and the fold goes
-//!   on.
+//!   decided when the file is settled, so per file index. A failed read
+//!   drops its part at once; a fired failpoint drops it then. Without
+//!   [`ParallelOptions::degrade`] the lowest-index failing file's error
+//!   is returned and no file is handed out after it; with it the file is
+//!   dropped, recorded as a [`ShardFailure`], and the fold goes on.
 //!
 //! # The result does not depend on the worker count
 //!
@@ -94,7 +104,6 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -107,8 +116,10 @@ use crate::parser::{parse_query, ParseError};
 use crate::pushdown::build_pushdown;
 use crate::query::{Pipeline, QueryResult};
 
-/// Tuning knobs for [`parallel_query_files`].
-#[derive(Debug, Clone)]
+/// Tuning knobs for [`parallel_query_files`]. The default: available
+/// parallelism, strict reads, no group capacity, the query's own
+/// pushdown, no degradation.
+#[derive(Debug, Clone, Default)]
 pub struct ParallelOptions {
     /// Worker thread count; `0` means "use available parallelism". A
     /// run never has more workers than files.
@@ -134,18 +145,6 @@ pub struct ParallelOptions {
     /// across thread counts. Aggregations only: a pass-through run stops
     /// at its first failed file.
     pub degrade: bool,
-}
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        ParallelOptions {
-            threads: 0,
-            read_policy: ReadPolicy::Strict,
-            max_groups: None,
-            pushdown: None,
-            degrade: false,
-        }
-    }
 }
 
 impl ParallelOptions {
@@ -253,7 +252,7 @@ pub struct ShardFailure {
 
 /// Timing breakdown of one parallel query run, plus what reading the
 /// files turned up: the per-file read reports (what lenient ingest
-/// skipped) and the attribute schema they declare.
+/// skipped) and the attributes they declare.
 #[derive(Debug, Clone, Default)]
 pub struct ShardTimings {
     /// Per-worker read/process breakdown, indexed by worker id: one per
@@ -275,12 +274,10 @@ pub struct ShardTimings {
     /// means the result is partial — `cali-query` reports each failure
     /// on stderr and exits 2.
     pub failures: Vec<ShardFailure>,
-    /// The attributes the files that were read declare: each file's
-    /// dictionary as its scan built it, observed in input-file order (one
-    /// name with two types across files is `mixed`). What the query is
-    /// linted against — the streams describe themselves, so the read
-    /// that answers the query is the read that learns the schema.
-    pub schema: Schema,
+    /// Per file that was read, in input-file order, what it declares
+    /// ([`Scanned::declared`](crate::Scanned::declared)); see
+    /// [`schema`](Self::schema).
+    declared: Vec<Vec<Attribute>>,
 }
 
 impl ShardTimings {
@@ -297,104 +294,129 @@ impl ShardTimings {
     pub fn total_s(&self) -> f64 {
         self.worker_max_s() + self.merge_s + self.finish_s
     }
+
+    /// The attributes the files that were read declare, observed in
+    /// input-file order (one name with two types across files is
+    /// `mixed`): what the query is linted against — the streams describe
+    /// themselves, so the read that answers the query is the read that
+    /// learns the schema. Built when asked for; a run keeps each file's
+    /// list alone.
+    pub fn schema(&self) -> Schema {
+        self.declared.iter().flatten().cloned().collect()
+    }
 }
 
 /// A scanned file waiting for its turn: the pipeline of its own it was
 /// folded into, to merge into the root — `None` where it was folded into
-/// an open part of the root, lent to its worker, to close — the
-/// attributes its dictionary declares and its read report; or why the
-/// read failed.
+/// an open part of the root, lent to its worker, to close — what it
+/// declares and its read report; or why the read failed.
 type Scan = Result<(Option<Pipeline>, Vec<Attribute>, ReadReport), CaliError>;
 
+/// A file a worker is done with: its index, its scan, and the root if
+/// it was lent for the file.
+type Done = (usize, Scan, Option<Pipeline>);
+
 /// The root of the fold and everything decided in file order. One lock
-/// guards it; workers hold it to borrow the root, to park a file and to
-/// merge.
+/// guards it, and a worker holds it once per file boundary
+/// ([`settle`](Self::settle)).
 #[derive(Default)]
 struct OrderedMerge<'a> {
-    paths: &'a [PathBuf],
+    paths: &'a [&'a Path],
     degrade: bool,
     /// Whether the root may be lent: not under a group capacity.
-    lend: bool,
+    lendable: bool,
     root: Option<Pipeline>,
+    /// The next file to hand out.
+    unread: usize,
     /// The file whose turn it is: every file below is merged or dropped.
     next: usize,
-    /// Files scanned ahead of `next`.
+    /// Files scanned ahead of their turn.
     parked: BTreeMap<usize, Scan>,
     /// Without `degrade`: the lowest-index failing file's error.
     error: Option<CaliError>,
-    /// The run's `reports`, `failures` and `merge_s`, filled in as files
-    /// take their turn.
+    /// The run's `reports`, `failures`, declared attributes and
+    /// `merge_s`, filled in as files take their turn.
     timings: ShardTimings,
 }
 
 impl OrderedMerge<'_> {
-    /// The root, lent to the worker that took `file` if it is the file
-    /// whose turn it is: nothing else can merge before that file has,
-    /// so the worker folds it straight into a part of the root, which
-    /// comes back with the file's [`park`](Self::park).
-    fn lend(&mut self, file: usize) -> Option<Pipeline> {
-        if self.lend && file == self.next {
-            self.root.take()
-        } else {
-            None
-        }
-    }
-
-    /// Park `file` — and take back the root if it was lent for it —
-    /// then merge every parked file whose turn has come, in ascending
-    /// file order: a file's part is closed, a file's own pipeline merged
-    /// into the root. The order — and with it the fault decisions, which
-    /// are keyed on the file index — depends on the file list alone,
-    /// never on which worker gets here when.
-    fn park(&mut self, file: usize, scan: Scan, lent: Option<Pipeline>) {
-        if lent.is_some() {
-            self.root = lent;
-        }
-        self.parked.insert(file, scan);
+    /// A worker's one step at a file boundary. It settles the file it is
+    /// `done` with — at once if its turn has come, else parked — and then
+    /// every parked file whose turn has come, in ascending file order: a
+    /// file's part is closed, a file's own pipeline merged into the root.
+    /// Then it hands out the next unread file, with the root if that
+    /// file's turn has come: nothing else can settle before it, so the
+    /// worker folds it straight into a part of the root, which comes
+    /// back with the file. After an error nothing is handed out: every
+    /// file below the failing one is taken already, so what is left
+    /// cannot change the answer. The order — and with it the fault
+    /// decisions, which are keyed on the file index — depends on the
+    /// file list alone, never on which worker gets here when.
+    fn settle(&mut self, done: Option<Done>) -> Option<(usize, Option<Pipeline>)> {
         let start = Instant::now();
-        let paths = self.paths;
-        while self.error.is_none() {
-            let Some(scan) = self.parked.remove(&self.next) else { break };
-            let path = &paths[self.next];
-            // The merge failpoint fires only after a successful read, so
-            // a file that fails both ways is reported as unreadable. (A
-            // failed read dropped its part already.)
-            let merged = scan.and_then(|(own, schema, report)| {
-                self.timings.reports.push(report);
-                self.timings.schema.extend(schema);
-                let Some(e) = shard_merge_fault(self.next, path) else { return Ok(own) };
-                if let Some(part) = part_of(&mut self.root).filter(|_| own.is_none()) {
-                    part.drop_part();
-                }
-                Err(e)
-            });
-            match merged {
-                Ok(Some(pipeline)) => match &mut self.root {
-                    Some(root) => root.merge(pipeline),
-                    None => self.root = Some(pipeline),
-                },
-                Ok(None) => {
-                    if let Some(part) = part_of(&mut self.root) {
-                        part.close_part();
-                    }
-                }
-                Err(e) if self.degrade => {
-                    // Stable, so degraded `--stats` output is the same
-                    // for every thread count.
-                    caliper_data::metrics::global()
-                        .counter("query.shards_failed")
-                        .inc();
-                    self.timings.failures.push(ShardFailure {
-                        file: self.next,
-                        path: path.clone(),
-                        error: e.to_string(),
-                    });
-                }
-                Err(e) => self.error = Some(e),
+        let mut turn = None;
+        if let Some((file, scan, lent)) = done {
+            self.root = self.root.take().or(lent);
+            if file == self.next {
+                turn = Some(scan);
+            } else {
+                self.parked.insert(file, scan);
             }
-            self.next += 1;
+        }
+        while self.error.is_none() {
+            let Some(scan) = turn.take().or_else(|| self.parked.remove(&self.next)) else { break };
+            self.take_turn(scan);
         }
         self.timings.merge_s += start.elapsed().as_secs_f64();
+        let file = self.unread;
+        if self.error.is_some() || file == self.paths.len() {
+            return None;
+        }
+        self.unread += 1;
+        let lent = if self.lendable && file == self.next { self.root.take() } else { None };
+        Some((file, lent))
+    }
+
+    /// Settle the file whose turn it is, `next`, from its scan.
+    fn take_turn(&mut self, scan: Scan) {
+        let path = self.paths[self.next];
+        // The merge failpoint fires only after a successful read, so a
+        // file that fails both ways is reported as unreadable. (A failed
+        // read dropped its part already.)
+        let merged = scan.and_then(|(own, declared, report)| {
+            self.timings.reports.push(report);
+            self.timings.declared.push(declared);
+            let Some(e) = shard_merge_fault(self.next, path) else { return Ok(own) };
+            if let Some(part) = part_of(&mut self.root).filter(|_| own.is_none()) {
+                part.drop_part();
+            }
+            Err(e)
+        });
+        match merged {
+            Ok(Some(pipeline)) => match &mut self.root {
+                Some(root) => root.merge(pipeline),
+                None => self.root = Some(pipeline),
+            },
+            Ok(None) => {
+                if let Some(part) = part_of(&mut self.root) {
+                    part.close_part();
+                }
+            }
+            Err(e) if self.degrade => {
+                // Stable, so degraded `--stats` output is the same for
+                // every thread count.
+                caliper_data::metrics::global()
+                    .counter("query.shards_failed")
+                    .inc();
+                self.timings.failures.push(ShardFailure {
+                    file: self.next,
+                    path: path.to_path_buf(),
+                    error: e.to_string(),
+                });
+            }
+            Err(e) => self.error = Some(e),
+        }
+        self.next += 1;
     }
 }
 
@@ -433,61 +455,50 @@ pub fn fold_files<P: AsRef<Path>>(
         let pd = build_pushdown(spec, None);
         (!pd.is_empty()).then(|| Arc::new(pd))
     });
-    let paths: Vec<PathBuf> = paths.iter().map(|p| p.as_ref().to_path_buf()).collect();
+    let paths: Vec<&Path> = paths.iter().map(AsRef::as_ref).collect();
 
     let merge = Mutex::new(OrderedMerge {
         paths: &paths,
         degrade: options.degrade && aggregation,
-        lend: max_groups.is_none(),
+        lendable: max_groups.is_none(),
         ..Default::default()
     });
-    let lock = || merge.lock().expect("no worker panics while merging");
-    // Workers take the next unread file until none is left.
-    let next_file = AtomicUsize::new(0);
+    // A worker settles the file it read and takes the next, in one step
+    // under the lock, until none is left.
     let worker = || -> WorkerTimings {
         let mut timings = WorkerTimings::default();
+        let mut done = None;
         loop {
-            // Relaxed: the counter hands out indices and publishes nothing.
-            let file = next_file.fetch_add(1, Ordering::Relaxed);
-            let Some(path) = paths.get(file) else { break };
+            let Some((file, mut lent)) = merge.lock().expect("no worker panics").settle(done) else {
+                break;
+            };
             let start = Instant::now();
-            let mut lent = lock().lend(file);
-            let (policy, pushdown) = (options.read_policy, pushdown.as_deref());
-            // Each arm also names what the file declares: its dictionary
-            // less the LET outputs a pass-through fold added to it.
+            let (path, policy, pushdown) = (paths[file], options.read_policy, pushdown.as_deref());
             let scanned = match &mut lent {
                 Some(root) if !aggregation => {
                     let dict = Dataset::with_context(Arc::clone(&root.input_store), Default::default());
-                    let scanned = root.scan_file(path, dict, policy, pushdown);
-                    scanned.map(|s| (None, root.input_attributes().collect(), s))
+                    root.scan_file(path, dict, policy, pushdown).map(|s| (None, s))
                 }
-                Some(root) => root
-                    .scan_part(path, Dataset::new(), policy, pushdown)
-                    .map(|s| (None, s.dict.store.all(), s)),
+                Some(root) => {
+                    root.scan_part(path, Dataset::new(), policy, pushdown).map(|s| (None, s))
+                }
                 None => {
                     let dict = Dataset::new();
                     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store))
                         .with_max_groups(max_groups);
                     let scanned = pipeline.scan_file(path, dict, policy, pushdown);
-                    let declared = pipeline.input_attributes().collect();
-                    scanned.map(|s| (Some(pipeline), declared, s))
+                    scanned.map(|s| (Some(pipeline), s))
                 }
             };
             timings.files += 1;
             timings.read_s += start.elapsed().as_secs_f64();
-            let scan = scanned.map(|(own, declared, scanned)| {
+            let scan = scanned.map(|(own, scanned)| {
                 timings.read_s -= scanned.fold_s;
                 timings.process_s += scanned.fold_s;
                 timings.records += scanned.records;
-                (own, declared, scanned.report)
+                (own, scanned.declared, scanned.report)
             });
-            let mut merge = lock();
-            merge.park(file, scan, lent);
-            if merge.error.is_some() {
-                // Every file below the failing one is already taken, so
-                // what is left to hand out cannot change the answer.
-                next_file.store(paths.len(), Ordering::Relaxed);
-            }
+            done = Some((file, scan, lent));
         }
         timings
     };
@@ -724,7 +735,36 @@ pub(crate) mod tests {
             assert_eq!(timings.workers[0].files, 3);
             assert_eq!(timings.reports.len(), 3);
             // The schema is what the files declare: no LET output.
-            assert!(timings.schema.get("time").is_some() && timings.schema.get("t2").is_none());
+            let schema = timings.schema();
+            assert!(schema.get("time").is_some() && schema.get("t2").is_none());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The run's schema is each file's declarations observed in input
+    /// order, however the files were folded: one name of two types is
+    /// `mixed`.
+    #[test]
+    fn a_name_two_files_declare_with_two_types_is_mixed_in_the_run_schema() {
+        let dir = std::env::temp_dir().join("caliper-parallel-test-schema");
+        let mut paths = write_inputs(&dir, 3, 8);
+        let declared = [(ValueType::Int, Value::Int(3)), (ValueType::Float, Value::Float(0.5))];
+        for (f, (vtype, value)) in declared.into_iter().enumerate() {
+            let mut ds = Dataset::new();
+            let x = ds.attribute("x", vtype, Properties::AS_VALUE);
+            let mut rec = SnapshotRecord::new();
+            rec.push_imm(x.id(), value);
+            ds.push(rec);
+            paths[f] = dir.join(format!("x{f}.cali"));
+            cali::write_file(&ds, &paths[f]).unwrap();
+        }
+        for threads in [1, 2, 3] {
+            let opts = ParallelOptions::with_threads(threads);
+            let (_, timings) = parallel_query_files(QUERY, &paths, &opts).unwrap();
+            let schema = timings.schema();
+            let type_of = |name| schema.get(name).map(|attr| attr.type_name());
+            assert_eq!(type_of("x"), Some("mixed"), "{threads} workers");
+            assert_eq!(type_of("time"), Some("int"), "{threads} workers");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

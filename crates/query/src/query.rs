@@ -233,16 +233,6 @@ impl Pipeline {
         &self.spec
     }
 
-    /// The attributes the input has declared so far: the input store's
-    /// — the dictionary every scan into this pipeline built — less the
-    /// LET outputs the pipeline added to it itself. Collected or
-    /// extended into a [`Schema`](caliper_format::Schema), they are what
-    /// the query is linted against.
-    pub fn input_attributes(&self) -> impl Iterator<Item = Attribute> + '_ {
-        let declared = |attr: &Attribute| !self.lets.added(attr.id());
-        self.input_store.all().into_iter().filter(declared)
-    }
-
     /// Fold one input record, at once: as a block of one row, its pairs
     /// the row's immediates in order, through the fold every block takes.
     pub fn process(&mut self, record: FlatRecord) {

@@ -73,7 +73,7 @@ use std::path::Path;
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-use caliper_data::{AttrId, AttributeStore, ContextTree, NodeId, SnapshotRecord, Value};
+use caliper_data::{AttrId, Attribute, AttributeStore, ContextTree, NodeId, SnapshotRecord, Value};
 use caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS;
 use caliper_format::{
     scan_path, Block, CaliError, Cell, ColumnData, Dataset, Pushdown, ReadPolicy, ReadReport,
@@ -90,6 +90,11 @@ pub struct Scanned {
     /// The dictionary dataset, grown by the file's attributes, context
     /// tree nodes and globals. It holds no snapshot records.
     pub dict: Dataset,
+    /// What the file declares that the dictionary did not hold yet: the
+    /// attributes the scan added to its store, less the LET outputs the
+    /// fold added to it (a pass-through fold interns them into the store
+    /// its kept rows refer to).
+    pub declared: Vec<Attribute>,
     /// What the read decoded and what it had to leave behind.
     pub report: ReadReport,
     /// Snapshot records folded into the pipeline.
@@ -129,6 +134,7 @@ impl Pipeline {
             "scan_file: the pipeline was created over a different store"
         );
         let (mut fold_s, mut folded) = (0.0, 0u64);
+        let known = dict.store.len() as AttrId;
         let (mut dict, report) =
             scan_path(path, dict, policy, pushdown, &mut |ds, strings, block| {
                 let start = Instant::now();
@@ -143,8 +149,12 @@ impl Pipeline {
         self.fold_records(&dict.records, &dict.tree);
         dict.records.clear();
         fold_s += start.elapsed().as_secs_f64();
+        let declared = (known..dict.store.len() as AttrId)
+            .filter_map(|id| dict.store.get(id).filter(|_| !self.lets.added(id)))
+            .collect();
         Ok(Scanned {
             dict,
+            declared,
             report,
             records: folded,
             fold_s,

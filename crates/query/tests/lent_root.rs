@@ -2,11 +2,12 @@
 //! (`parallel_query_files` with one worker folds every file after the
 //! first into the root itself): its part is dropped, and the answer is
 //! the answer over the other files, byte for byte, at every worker
-//! count.
+//! count. So is the answer when the first file fails, whose own
+//! pipeline would have become the root, and when the last one does.
 //!
-//! Two ways to fail, both for file 3 of 6 CALB v2 files, under
-//! `degrade`: a corrupt middle block (the strict read fails after the
-//! part folded the blocks before it, new keys included), and the
+//! Two ways to fail, both for files 0, 3 and 5 of 6 CALB v2 files,
+//! under `degrade`: a corrupt middle block (the strict read fails after
+//! the part folded the blocks before it, new keys included), and the
 //! `shard.merge` failpoint (after a whole successful read). This binary
 //! holds the one test that arms the process-wide fault set.
 
@@ -92,19 +93,26 @@ fn run(paths: &[PathBuf], threads: usize) -> (String, Vec<usize>) {
 #[test]
 fn a_file_that_fails_inside_the_lent_root_leaves_no_trace() {
     let root = std::env::temp_dir().join(format!("caliper-lent-root-{}", std::process::id()));
-    caliper_faults::install_spec("shard.merge~merge-case/f3.=fail(1000)").unwrap();
+    const FAILING: [usize; 3] = [0, 3, 5];
+    let spec: Vec<String> = FAILING
+        .iter()
+        .map(|f| format!("shard.merge~merge-case/f{f}.=fail(1000)"))
+        .collect();
+    caliper_faults::install_spec(&spec.join(";")).unwrap();
     let block_case = write_files(&root.join("block-case"));
-    corrupt_middle_block(&block_case[3]);
+    for f in FAILING {
+        corrupt_middle_block(&block_case[f]);
+    }
     let merge_case = write_files(&root.join("merge-case"));
     for paths in [block_case, merge_case] {
-        let mut others = paths.clone();
-        others.remove(3);
+        let others: Vec<PathBuf> = [1, 2, 4].iter().map(|&f| paths[f].clone()).collect();
         let (want, dropped) = run(&others, 1);
         assert!(dropped.is_empty());
-        for threads in [1, 2, 4] {
+        let case = paths[0].parent().expect("a case directory").display();
+        for threads in [1, 2, 3, 4] {
             let (got, dropped) = run(&paths, threads);
-            assert_eq!(dropped, [3], "{}, {threads} workers", paths[3].display());
-            assert_eq!(got, want, "{}, {threads} workers", paths[3].display());
+            assert_eq!(dropped, FAILING, "{case}, {threads} workers");
+            assert_eq!(got, want, "{case}, {threads} workers");
         }
         // No group the dropped file brought is left behind, empty.
         assert!(!want.contains("only3"));

@@ -45,8 +45,8 @@ const TABLE: &str = "\
 op            int   float mixed str
 count         -     -     -     -
 sum           FA    FCA   FCA   n/a
-min           C     -     C     C
-max           C     -     C     C
+min           -     -     -     -
+max           -     -     -     -
 avg           FA    FCA   FCA   n/a
 histogram     -     -     -     n/a
 percent_total FA    FA    FA    n/a

@@ -52,13 +52,14 @@ for f in src/lib.rs crates/*/src/lib.rs vendor/*/src/lib.rs; do
         exit 1
     }
 done
-# Four test binaries are exempt: `snapshot_allocs.rs`, `group_allocs.rs`,
-# `reduce_allocs.rs` and `sched_allocs.rs` install a counting global
-# allocator (an `unsafe impl GlobalAlloc` that forwards to `System`),
-# which no safe code can do.
+# Five test binaries are exempt: `snapshot_allocs.rs`, `group_allocs.rs`,
+# `fold_allocs.rs`, `reduce_allocs.rs` and `sched_allocs.rs` install a
+# counting global allocator (an `unsafe impl GlobalAlloc` that forwards
+# to `System`), which no safe code can do.
 if grep -rn --include='*.rs' 'unsafe' src crates vendor | grep -v 'forbid(unsafe_code)' \
     | grep -v -e '^crates/runtime/tests/snapshot_allocs\.rs:' -e '^crates/query/tests/group_allocs\.rs:' \
-        -e '^crates/cli/tests/reduce_allocs\.rs:' -e '^crates/mpisim/tests/sched_allocs\.rs:'; then
+        -e '^crates/query/tests/fold_allocs\.rs:' -e '^crates/cli/tests/reduce_allocs\.rs:' \
+        -e '^crates/mpisim/tests/sched_allocs\.rs:'; then
     echo "check.sh: unsafe code found (listed above)" >&2
     exit 1
 fi
@@ -594,6 +595,38 @@ for n in 1 2 3; do
         echo "check.sh: cali-query --threads $n differs from the float golden" >&2
         exit 1
     }
+done
+
+# The same files under a cap: every file of a --max-groups run folds
+# into a pipeline of its own and parks until its turn. The expected
+# bytes were written by the build whose driver took two lock rounds per
+# file (`every-op-max-groups-5.txt`).
+for n in 1 2 3; do
+    ./target/release/cali-query --no-lint --threads "$n" --max-groups 5 \
+        -q "$(cat "$floats"/every-op.calql)" \
+        "$floats"/f0.cali "$floats"/f1.cali "$floats"/f2.cali "$floats"/f3.cali "$floats"/f4.cali \
+        > "$smoke/float-capped-$n.out" 2> /dev/null
+    cmp -s "$floats"/every-op-max-groups-5.txt "$smoke/float-capped-$n.out" || {
+        echo "check.sh: cali-query --threads $n --max-groups 5 differs from the capped float golden" >&2
+        exit 1
+    }
+done
+# The first file dropped: the file whose pipeline would be the root. A
+# degraded run prints the bytes of a clean run over the other files,
+# and exits 2.
+./target/release/cali-query --no-lint --threads 1 -q "$(cat "$floats"/every-op.calql)" \
+    "$floats"/f1.cali "$floats"/f2.cali "$floats"/f3.cali "$floats"/f4.cali \
+    > "$smoke/float-without-f0.out"
+for n in 1 3; do
+    rc=0
+    ./target/release/cali-query --no-lint --threads "$n" --degrade \
+        --faults "shard.merge~f0.cali=fail(1)" -q "$(cat "$floats"/every-op.calql)" \
+        "$floats"/f0.cali "$floats"/f1.cali "$floats"/f2.cali "$floats"/f3.cali "$floats"/f4.cali \
+        > "$smoke/float-drop-f0-$n.out" 2> /dev/null || rc=$?
+    if [ "$rc" -ne 2 ] || ! cmp -s "$smoke/float-without-f0.out" "$smoke/float-drop-f0-$n.out"; then
+        echo "check.sh: --degrade with f0.cali dropped at --threads $n exited $rc or differs from a run over f1-f4" >&2
+        exit 1
+    fi
 done
 
 # Crash-recovery smoke: run the journaling CleverLeaf demo, SIGKILL it

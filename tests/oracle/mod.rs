@@ -92,8 +92,8 @@ enum State {
     /// `count` reads the group's record count.
     Count,
     Sum(Option<Value>),
-    /// `min` (`Less`) or `max` (`Greater`): the first value no later one
-    /// beats under `Value::total_cmp`.
+    /// `min` (`Less`) or `max` (`Greater`): the value no other beats
+    /// under [`extreme_cmp`].
     Extreme(Ordering, Option<Value>),
     Avg(f64, u64),
     PercentTotal(f64),
@@ -128,6 +128,20 @@ fn add(a: &Value, b: &Value) -> Value {
     exact.unwrap_or_else(|| Value::Float(a.to_f64().unwrap_or(0.0) + b.to_f64().unwrap_or(0.0)))
 }
 
+/// `min`'s and `max`'s order: `Value::total_cmp`, and numbers of one
+/// `f64` image by exact value, then as `Int`, `UInt`, `Float`, `Bool`,
+/// so that only equal values tie.
+fn extreme_cmp(a: &Value, b: &Value) -> Ordering {
+    let exact = |v: &Value| match *v {
+        Value::Int(i) => (i128::from(i), 0),
+        Value::UInt(u) => (i128::from(u), 1),
+        Value::Float(x) => (x as i128, 2),
+        Value::Bool(b) => (i128::from(b), 3),
+        Value::Str(_) => (0, 4),
+    };
+    a.total_cmp(b).then_with(|| exact(a).cmp(&exact(b)))
+}
+
 /// Sort `v` and keep `target` evenly spaced samples of it.
 fn thin(v: &mut Vec<f64>, target: usize) {
     if v.len() > target && target > 0 {
@@ -159,7 +173,7 @@ impl State {
                 *sum = Some(sum.as_ref().map_or_else(|| value.clone(), |s| add(s, value)))
             }
             State::Extreme(wanted, kept) => {
-                if kept.as_ref().is_none_or(|k| value.total_cmp(k) == *wanted) {
+                if kept.as_ref().is_none_or(|k| extreme_cmp(value, k) == *wanted) {
                     *kept = Some(value.clone());
                 }
             }
@@ -607,6 +621,17 @@ mod hand {
         let xs = [Value::str("10"), Value::Int(5), Value::Float(5.0)];
         assert_eq!(one("AGGREGATE min(x)", &xs), Some(Value::Int(5)));
         assert_eq!(one("AGGREGATE max(x)", &xs), Some(Value::str("10")));
+    }
+
+    #[test]
+    fn min_and_max_of_one_image_order_by_value_then_class() {
+        let big = 1i64 << 53;
+        let xs = [Value::Int(big + 1), Value::Int(big), Value::Float(big as f64)];
+        assert_eq!(one("AGGREGATE min(x)", &xs), Some(Value::Int(big)));
+        assert_eq!(one("AGGREGATE max(x)", &xs), Some(Value::Int(big + 1)));
+        let ones = [Value::Float(1.0), Value::Bool(true), Value::UInt(1), Value::Int(1)];
+        assert_eq!(one("AGGREGATE min(x)", &ones), Some(Value::Int(1)));
+        assert_eq!(one("AGGREGATE max(x)", &ones), Some(Value::Bool(true)));
     }
 
     #[test]
