@@ -13,6 +13,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use cali_cli::{parse_args, read_files_reported};
+use caliper_format::binary_v2::MAX_BLOCK_RECORDS;
 use caliper_format::{binary, to_binary_v2_with, ReadPolicy, V2WriteOptions};
 
 const USAGE: &str = "usage: cali-pack [-o FILE] [--v1] [--block-records N] INPUT...
@@ -27,7 +28,8 @@ Options:
   -o, --output FILE    write the re-encoded stream to FILE
                        (default: stdout)
   --v1                 emit record-oriented CALB v1 instead of v2
-  --block-records N    records per v2 block (default: 1024)
+  --block-records N    records per v2 block (default: 1024, at most
+                       1048576)
   --no-footer          omit the v2 footer block index
   --lenient            skip corrupt input records instead of aborting
   --max-errors N       like --lenient, but give up on a file after
@@ -116,9 +118,10 @@ fn main() -> ExitCode {
     }
     let block_records = match args.get(&["block-records"]).map(str::parse::<usize>) {
         None => V2WriteOptions::default().block_records,
-        Some(Ok(n)) if n > 0 => n,
+        Some(Ok(n)) if (1..=MAX_BLOCK_RECORDS).contains(&n) => n,
         Some(_) => {
-            eprintln!("cali-pack: --block-records takes a positive integer\n{USAGE}");
+            let most = MAX_BLOCK_RECORDS;
+            eprintln!("cali-pack: --block-records takes an integer from 1 to {most}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };

@@ -402,6 +402,58 @@ fn golden_query_outputs_are_stable() {
     }
 }
 
+/// Every golden query prints its golden over the same data as CALB v2,
+/// each file re-packed to a `.calb2` of its own at 1, 3 and 1024
+/// records a block: node references and nested strings
+/// (`nested.cali`), a key label typed two ways (`phase-*.cali`),
+/// single-row blocks, blocks cut mid-pattern — and, at `--threads 1`
+/// and `3`, the float golden, whose association is per file.
+#[test]
+fn every_golden_query_prints_its_golden_over_v2_at_three_block_sizes() {
+    let names = ["rank0.cali", "rank1.cali", "nested.cali", "phase-int.cali", "phase-float.cali"];
+    let floats = golden_dir().join("floats");
+    let float_query = std::fs::read_to_string(floats.join("every-op.calql")).unwrap();
+    let float_golden = std::fs::read(floats.join("every-op.txt")).unwrap();
+    let float_files: Vec<PathBuf> = (0..5).map(|f| floats.join(format!("f{f}.cali"))).collect();
+    for block_records in [1, 3, 1024] {
+        let dir = std::env::temp_dir().join(format!("cali-v2-blocks-{}-{block_records}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = caliper_format::V2WriteOptions { block_records, footer: true };
+        let repack = |path: &Path| -> PathBuf {
+            let ds = caliper_format::read_path(path).unwrap();
+            let packed = dir.join(path.file_name().unwrap()).with_extension("calb2");
+            std::fs::write(&packed, caliper_format::to_binary_v2_with(&ds, &opts)).unwrap();
+            packed
+        };
+        for path in data_files(&names) {
+            repack(&path);
+        }
+        for case in CASES {
+            let inputs: Vec<PathBuf> = case
+                .inputs
+                .iter()
+                .map(|name| dir.join(name).with_extension("calb2"))
+                .collect();
+            let out = run_cali_query(case.query, case.extra_args, &inputs);
+            let what = format!("'{}' at {block_records} records a block", case.name);
+            assert!(out.status.success(), "{what}: {}", String::from_utf8_lossy(&out.stderr));
+            let expected = golden_dir().join("expected").join(format!("{}.txt", case.name));
+            let expected = std::fs::read(expected).unwrap();
+            assert!(out.stdout == expected, "{what}:\n{}", String::from_utf8_lossy(&out.stdout));
+        }
+        let packed: Vec<PathBuf> = float_files.iter().map(|path| repack(path)).collect();
+        for threads in ["1", "3"] {
+            let out = run_cali_query(float_query.trim(), &["--no-lint", "--threads", threads], &packed);
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            assert!(
+                out.stdout == float_golden,
+                "every-op.calql at {block_records} records a block, --threads {threads}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// The `--stats` block is part of the conformance surface too: its
 /// stable metrics are pure functions of the input bytes, so the stderr
 /// block is pinned as a golden file *and* must be byte-identical for

@@ -521,6 +521,13 @@ pub(crate) fn scan_binary_into(
     if version == crate::binary_v2::VERSION_V2 {
         return crate::binary_v2::scan_v2_body(cursor, ds, policy, report, pushdown, on_block);
     }
+    if version == crate::binary_v2::RETIRED_V2 {
+        return Err(cursor.err(format!(
+            "binary cali version {version} (an earlier CALB v2 block layout, now version \
+             {}) is no longer read: re-pack the file from its source with cali-pack",
+            crate::binary_v2::VERSION_V2
+        )));
+    }
     if version != VERSION {
         return Err(cursor.err(format!("unsupported binary cali version {version}")));
     }

@@ -11,26 +11,38 @@
 //!   view of each record, so a reader holding a typed WHERE predicate
 //!   (see [`crate::pushdown`]) can prove "no record in this block can
 //!   match" and skip the whole payload without decoding a single record;
-//! * a row **skeleton** (per record: node refs and immediate attribute
-//!   ids), followed by per-attribute **value columns** holding the
-//!   immediate values in (row, occurrence) order.
+//! * the rows' **skeleton**, each row shape stated once: a table of
+//!   shapes (node references per row, immediate attribute ids), the
+//!   rows as runs of one shape, and the node references of the rows
+//!   whose shape has any;
+//! * the **values**: the block's distinct strings, once each, then per
+//!   attribute a column of its immediate values in (row, occurrence)
+//!   order, strings as indices into that block dictionary.
+//!
+//! A block needs nothing from another block, only the stream's
+//! attribute and node dictionary, so one that is damaged is skipped and
+//! costs no other.
 //!
 //! An optional footer index (tag `0x06`, terminated by a fixed-width
 //! length and the `"2BLC"` end magic) lets readers enumerate block
 //! offsets from the tail of the file without scanning.
 //!
 //! The byte-level layout of every structure is specified normatively in
-//! **`docs/CALB.md`**; this module doc is a summary.
+//! **`docs/CALB.md`**; this module doc is a summary. The stream's
+//! version byte is `03`; streams of the retired `02` block layout, which
+//! repeated every string and every row's skeleton, are refused by name.
 //!
 //! There is one block decoder, and it keeps the layout: a block decodes
-//! into a [`Block`] — flat skeleton arrays plus one typed vector per
-//! column, strings interned in a per-stream [`StringTable`], buffers
-//! reused from block to block — which consumers that aggregate fold
-//! directly (`caliper-query`'s `scan` module). Consumers that want rows
-//! get them *derived* from the columns ([`Block::append_records`]), so
-//! decoding a v2 stream still reconstructs exactly the same dataset as
-//! the equivalent v1 stream, record for record and entry for entry, and
-//! query results are byte-identical across encodings. Under [`ReadPolicy::Lenient`], a
+//! into a [`Block`] — flat skeleton arrays filled from the shape runs,
+//! plus one typed vector per column, strings interned in a per-stream
+//! [`StringTable`] once per block and only once the whole block has
+//! validated, buffers reused from block to block — which consumers that
+//! aggregate fold directly (`caliper-query`'s `scan` module). Consumers
+//! that want rows get them *derived* from the columns
+//! ([`Block::append_records`]), so decoding a v2 stream still
+//! reconstructs exactly the same dataset as the equivalent v1 stream,
+//! record for record and entry for entry, and query results are
+//! byte-identical across encodings. Under [`ReadPolicy::Lenient`], a
 //! corrupt block payload is skipped and decoding *resyncs* at the next
 //! record (the length frame survives), while a torn length frame or a
 //! corrupt dictionary record falls back to v1's valid-prefix semantics.
@@ -54,7 +66,9 @@ use crate::policy::{ReadPolicy, ReadReport};
 use crate::pushdown::{AttrStats, Pushdown, ZoneStat};
 
 /// Version byte identifying the block-columnar v2 stream flavor.
-pub(crate) const VERSION_V2: u8 = 2;
+pub(crate) const VERSION_V2: u8 = 3;
+/// Version byte of the retired block layout, refused by name.
+pub(crate) const RETIRED_V2: u8 = 2;
 /// Record tag for a length-framed record block.
 pub(crate) const TAG_BLOCK: u8 = 0x05;
 /// Record tag for the trailing footer index.
@@ -65,10 +79,15 @@ pub(crate) const END_MAGIC: &[u8; 4] = b"2BLC";
 /// Default number of snapshot records grouped into one block.
 pub const DEFAULT_BLOCK_RECORDS: usize = 1024;
 
+/// Most snapshot records one block may hold. Rows of a shape with no
+/// entries cost no payload bytes, so this is what bounds the memory a
+/// block's row count can ask a reader for.
+pub const MAX_BLOCK_RECORDS: usize = 1 << 20;
+
 /// Writer knobs for [`to_binary_v2_with`].
 #[derive(Debug, Clone)]
 pub struct V2WriteOptions {
-    /// Snapshot records per block (clamped to at least 1).
+    /// Snapshot records per block (clamped to `1..=MAX_BLOCK_RECORDS`).
     pub block_records: usize,
     /// Whether to append the footer block index.
     pub footer: bool,
@@ -102,7 +121,7 @@ pub fn to_binary_v2(ds: &Dataset) -> Vec<u8> {
 
 /// Serialize a dataset to the block-columnar v2 format.
 pub fn to_binary_v2_with(ds: &Dataset, opts: &V2WriteOptions) -> Vec<u8> {
-    let block_records = opts.block_records.max(1);
+    let block_records = opts.block_records.clamp(1, MAX_BLOCK_RECORDS);
     let mut w = BinaryWriter::with_version(VERSION_V2);
     for g in &ds.globals {
         w.write_globals(ds, g);
@@ -175,14 +194,18 @@ fn declared_type(ds: &Dataset, attr: AttrId) -> ValueType {
 /// Project a value through its attribute's declared type, mirroring the
 /// `put_value`/`get_value` round trip — zone bounds must describe the
 /// values a reader will actually reconstruct, not the writer-side ones.
-fn coerce(vtype: ValueType, value: &Value) -> Value {
-    match vtype {
+/// A value of the declared type is its own projection.
+fn coerce(vtype: ValueType, value: &Value) -> Cow<'_, Value> {
+    if value.value_type() == vtype {
+        return Cow::Borrowed(value);
+    }
+    Cow::Owned(match vtype {
         ValueType::Str => Value::str(value.to_text().as_ref()),
         ValueType::Int => Value::Int(value.to_i64().unwrap_or(0)),
         ValueType::UInt => Value::UInt(value.to_u64().unwrap_or(0)),
         ValueType::Float => Value::Float(value.to_f64().unwrap_or(0.0)),
         ValueType::Bool => Value::Bool(value.is_truthy()),
-    }
+    })
 }
 
 /// Running zone accumulator for one attribute of one block.
@@ -205,26 +228,29 @@ fn encode_block(
     // first-appearance order for deterministic output.
     let mut zone_order: Vec<AttrId> = Vec::new();
     let mut zones: FxHashMap<AttrId, ZoneAcc> = FxHashMap::default();
-    let mut observe = |attr: AttrId, value: Value, row: usize| match zones.entry(attr) {
-        std::collections::hash_map::Entry::Vacant(slot) => {
-            zone_order.push(attr);
-            slot.insert(ZoneAcc {
-                present: 1,
-                last_row: row,
-                min: value.clone(),
-                max: value,
-            });
-        }
-        std::collections::hash_map::Entry::Occupied(mut slot) => {
-            let acc = slot.get_mut();
-            if acc.last_row != row {
-                acc.present += 1;
-                acc.last_row = row;
+    let mut observe = |attr: AttrId, value: &Value, row: usize| {
+        let value = coerce(declared_type(ds, attr), value);
+        match zones.entry(attr) {
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                zone_order.push(attr);
+                slot.insert(ZoneAcc {
+                    present: 1,
+                    last_row: row,
+                    min: value.clone().into_owned(),
+                    max: value.into_owned(),
+                });
             }
-            if value.total_cmp(&acc.min) == std::cmp::Ordering::Less {
-                acc.min = value;
-            } else if value.total_cmp(&acc.max) == std::cmp::Ordering::Greater {
-                acc.max = value;
+            std::collections::hash_map::Entry::Occupied(mut slot) => {
+                let acc = slot.get_mut();
+                if acc.last_row != row {
+                    acc.present += 1;
+                    acc.last_row = row;
+                }
+                if value.total_cmp(&acc.min) == std::cmp::Ordering::Less {
+                    acc.min = value.into_owned();
+                } else if value.total_cmp(&acc.max) == std::cmp::Ordering::Greater {
+                    acc.max = value.into_owned();
+                }
             }
         }
     };
@@ -236,12 +262,10 @@ fn encode_block(
                         .entry(*id)
                         .or_insert_with(|| ds.tree.path(*id));
                     for (attr, value) in pairs.iter() {
-                        observe(*attr, coerce(declared_type(ds, *attr), value), row);
+                        observe(*attr, value, row);
                     }
                 }
-                Entry::Imm(attr, value) => {
-                    observe(*attr, coerce(declared_type(ds, *attr), value), row);
-                }
+                Entry::Imm(attr, value) => observe(*attr, value, row),
             }
         }
     }
@@ -255,32 +279,55 @@ fn encode_block(
         put_value(&mut payload, vtype, &acc.max);
     }
 
-    // Row skeletons: refs then immediate attribute ids, per record.
+    // The skeleton: each distinct row shape once, as `n_refs` and the
+    // immediates' attribute ids, in first-appearance order; the rows as
+    // runs of one shape; then the node references, row by row.
+    let mut shape_of: FxHashMap<Vec<u64>, u64> = FxHashMap::default();
+    let mut shapes = Vec::new();
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    let mut refs = Vec::new();
+    let mut key: Vec<u64> = Vec::new();
     for rec in chunk {
-        let mut refs = 0u64;
-        let mut imms = 0u64;
+        // The key is the shape as written: `n_refs`, `n_imms`, the ids.
+        key.clear();
+        key.extend([0, 0]);
         for entry in rec.entries() {
             match entry {
-                Entry::Node(_) => refs += 1,
-                Entry::Imm(..) => imms += 1,
+                Entry::Node(id) => {
+                    put_varint(&mut refs, *id as u64);
+                    key[0] += 1;
+                }
+                Entry::Imm(attr, _) => key.push(*attr as u64),
             }
         }
-        put_varint(&mut payload, refs);
-        for entry in rec.entries() {
-            if let Entry::Node(id) = entry {
-                put_varint(&mut payload, *id as u64);
+        key[1] = key.len() as u64 - 2;
+        let shape = match shape_of.get(&key[..]) {
+            Some(&shape) => shape,
+            None => {
+                key.iter().for_each(|&n| put_varint(&mut shapes, n));
+                let shape = shape_of.len() as u64;
+                shape_of.insert(key.clone(), shape);
+                shape
             }
-        }
-        put_varint(&mut payload, imms);
-        for entry in rec.entries() {
-            if let Entry::Imm(attr, _) = entry {
-                put_varint(&mut payload, *attr as u64);
-            }
+        };
+        match runs.last_mut() {
+            Some((len, last)) if *last == shape => *len += 1,
+            _ => runs.push((1, shape)),
         }
     }
+    put_varint(&mut payload, shape_of.len() as u64);
+    payload.extend_from_slice(&shapes);
+    put_varint(&mut payload, runs.len() as u64);
+    for (len, shape) in runs {
+        put_varint(&mut payload, len);
+        put_varint(&mut payload, shape);
+    }
+    payload.extend_from_slice(&refs);
 
-    // Value columns: per attribute, the immediate values in (row,
-    // occurrence) order, again in first-appearance order.
+    // The values: per attribute, the immediate values in (row,
+    // occurrence) order, again in first-appearance order; a string as
+    // its index among the block's strings, which are numbered in the
+    // order the columns first name them.
     let mut col_order: Vec<AttrId> = Vec::new();
     let mut cols: FxHashMap<AttrId, Vec<&Value>> = FxHashMap::default();
     for rec in chunk {
@@ -295,16 +342,36 @@ fn encode_block(
             }
         }
     }
-    put_varint(&mut payload, col_order.len() as u64);
+    let mut index_of: FxHashMap<String, u64> = FxHashMap::default();
+    let mut strings = Vec::new();
+    let mut columns = Vec::new();
+    put_varint(&mut columns, col_order.len() as u64);
     for attr in &col_order {
         let values = &cols[attr];
         let vtype = declared_type(ds, *attr);
-        put_varint(&mut payload, *attr as u64);
-        put_varint(&mut payload, values.len() as u64);
+        put_varint(&mut columns, *attr as u64);
+        put_varint(&mut columns, values.len() as u64);
         for value in values {
-            put_value(&mut payload, vtype, value);
+            if vtype != ValueType::Str {
+                put_value(&mut columns, vtype, value);
+                continue;
+            }
+            let text = value.to_text();
+            let index = match index_of.get(text.as_ref()) {
+                Some(&index) => index,
+                None => {
+                    let index = index_of.len() as u64;
+                    put_value(&mut strings, vtype, value);
+                    index_of.insert(text.into_owned(), index);
+                    index
+                }
+            };
+            put_varint(&mut columns, index);
         }
     }
+    put_varint(&mut payload, index_of.len() as u64);
+    payload.extend_from_slice(&strings);
+    payload.extend_from_slice(&columns);
     payload
 }
 
@@ -997,8 +1064,15 @@ const NO_COLUMN: u32 = u32::MAX;
 /// immediates want a value, and which column supplies them.
 struct Demand {
     attr_id: u64,
-    imms: usize,
+    imms: u64,
     column: u32,
+}
+
+/// One row shape of a block: the node references each of its rows
+/// carries, and where its immediates are in [`BlockDecoder::shape_imms`].
+struct Shape {
+    refs: u64,
+    imms: std::ops::Range<usize>,
 }
 
 /// The one CALB v2 block decoder: payload bytes in, a validated
@@ -1010,15 +1084,28 @@ struct BlockDecoder {
     /// Columns of earlier blocks, kept for their buffers.
     spare: Vec<Column>,
     /// The block's distinct stream attribute ids in first-appearance
-    /// order; until the columns are matched, the skeleton's immediates
-    /// index into this list.
+    /// order over the shapes.
     demands: Vec<Demand>,
     demand_of: FxHashMap<u64, u32>,
-    /// The previous row's immediates as (attribute id, `demands` index):
-    /// consecutive rows mostly carry the same attributes in the same
-    /// positions, which saves the hash lookup.
-    prev_row: Vec<(u64, u32)>,
-    this_row: Vec<(u64, u32)>,
+    shapes: Vec<Shape>,
+    /// Every shape's immediates, shape after shape: until the columns
+    /// are matched an index into `demands`, then the column's.
+    shape_imms: Vec<u32>,
+    /// The rows, as (rows, shape) runs.
+    runs: Vec<(u32, u32)>,
+    /// The block dictionary's string codes in the stream's table.
+    codes: Vec<u32>,
+}
+
+/// Read a count of items of at least `min_bytes` bytes each, refusing
+/// one the rest of the payload cannot hold: what a corrupt count can
+/// make a reader reserve stays bounded by the payload.
+fn count(payload: &mut Cursor<'_>, min_bytes: usize, what: &str) -> Result<usize, CaliError> {
+    let n = payload.varint()?;
+    if n > ((payload.bytes.len() - payload.pos) / min_bytes) as u64 {
+        return Err(payload.err(format!("{n} {what} overrun the block payload")));
+    }
+    Ok(n as usize)
 }
 
 impl BlockDecoder {
@@ -1037,8 +1124,9 @@ impl BlockDecoder {
     /// Decode one block payload into `self.block`. Returns `Ok(false)`
     /// when the pushdown proves no record can match (the caller accounts
     /// the skip). Only after `Ok(true)` is the block complete and
-    /// validated; nothing downstream sees it otherwise, so a corrupt
-    /// block never leaves partial rows behind.
+    /// validated, and only then are its strings interned in `strings`;
+    /// nothing downstream sees it otherwise, so a corrupt block never
+    /// leaves partial rows or strings behind.
     fn decode(
         &mut self,
         payload: &mut Cursor<'_>,
@@ -1049,6 +1137,9 @@ impl BlockDecoder {
         names: &NameIndex,
     ) -> Result<bool, CaliError> {
         let rows = payload.varint()?;
+        if rows > MAX_BLOCK_RECORDS as u64 {
+            return Err(payload.err(format!("block of {rows} records, more than a block holds")));
+        }
 
         // Zone maps.
         let nzones = payload.varint()?;
@@ -1085,126 +1176,166 @@ impl BlockDecoder {
             }
         }
 
-        // Row skeletons, node refs resolved through the dictionary.
-        self.block.ref_ends.clear();
-        self.block.refs.clear();
-        self.block.imm_ends.clear();
-        self.block.imms.clear();
+        self.block.clear();
         self.spare.extend(self.block.columns.drain(..).rev());
         self.demands.clear();
         self.demand_of.clear();
-        self.prev_row.clear();
-        for _ in 0..rows {
-            let nrefs = payload.varint()?;
-            for _ in 0..nrefs {
-                let id = payload.varint()?;
-                match decoder.node_map.get(&id) {
-                    Some(local) => self.block.refs.push(*local),
-                    None => {
-                        report.dangling_dropped += 1;
-                        return Err(payload.err(format!("ref to unknown node {id}")));
-                    }
-                }
-            }
-            let nimm = payload.varint()?;
-            self.this_row.clear();
-            for k in 0..nimm {
+        self.shapes.clear();
+        self.shape_imms.clear();
+        self.runs.clear();
+
+        // The shape table: per shape, `n_refs` and the immediates'
+        // attribute ids.
+        for _ in 0..count(payload, 2, "row shapes")? {
+            let refs = payload.varint()?;
+            let start = self.shape_imms.len();
+            for _ in 0..count(payload, 1, "shape immediates")? {
                 let attr_id = payload.varint()?;
-                let demand = match self.prev_row.get(k as usize) {
-                    Some(&(prev_id, demand)) if prev_id == attr_id => demand,
-                    _ => self.demand(attr_id),
-                };
-                self.demands[demand as usize].imms += 1;
-                self.this_row.push((attr_id, demand));
-                self.block.imms.push(demand);
+                decoder.lookup_attr(payload, attr_id, "shape", report)?;
+                let demand = self.demand(attr_id);
+                self.shape_imms.push(demand);
             }
-            std::mem::swap(&mut self.prev_row, &mut self.this_row);
-            let (refs, imms) = (self.block.refs.len(), self.block.imms.len());
-            if refs > u32::MAX as usize || imms > u32::MAX as usize {
-                return Err(payload.err("block skeleton exceeds 2^32 entries"));
-            }
-            self.block.ref_ends.push(refs as u32);
-            self.block.imm_ends.push(imms as u32);
+            let imms = start..self.shape_imms.len();
+            self.shapes.push(Shape { refs, imms });
         }
 
-        // Value columns, each into the vector of its declared type.
-        let ncols = payload.varint()?;
-        for _ in 0..ncols {
+        // The runs, which must cover the rows exactly; each adds its
+        // rows' references and immediates to what the block asks for.
+        let (mut covered, mut refs, mut imms) = (0u64, 0u64, 0u64);
+        for _ in 0..count(payload, 2, "runs")? {
+            let len = payload.varint()?;
+            let shape = payload.varint()?;
+            if len == 0 {
+                return Err(payload.err("a run of no rows"));
+            }
+            covered = covered.saturating_add(len);
+            if covered > rows {
+                return Err(payload.err(format!("runs cover more than the block's {rows} rows")));
+            }
+            let Some(row) = self.shapes.get(shape as usize) else {
+                return Err(payload.err(format!("run of shape {shape} of {}", self.shapes.len())));
+            };
+            refs = refs.saturating_add(len.saturating_mul(row.refs));
+            imms = imms.saturating_add(len.saturating_mul(row.imms.len() as u64));
+            for &demand in &self.shape_imms[row.imms.clone()] {
+                let demand = &mut self.demands[demand as usize];
+                demand.imms = demand.imms.saturating_add(len);
+            }
+            self.runs.push((len as u32, shape as u32));
+        }
+        if covered != rows {
+            return Err(payload.err(format!("runs cover {covered} of the block's {rows} rows")));
+        }
+        if refs > u32::MAX as u64 || imms > u32::MAX as u64 {
+            return Err(payload.err("block skeleton exceeds 2^32 entries"));
+        }
+
+        // Node references, every one of at least a byte.
+        if refs > (payload.bytes.len() - payload.pos) as u64 {
+            return Err(payload.err(format!("{refs} node references overrun the block payload")));
+        }
+        self.block.refs.reserve(refs as usize);
+        for _ in 0..refs {
+            let id = payload.varint()?;
+            match decoder.node_map.get(&id) {
+                Some(local) => self.block.refs.push(*local),
+                None => {
+                    report.dangling_dropped += 1;
+                    return Err(payload.err(format!("ref to unknown node {id}")));
+                }
+            }
+        }
+
+        // The block dictionary, each string checked once; interned only
+        // once the whole block has validated.
+        let nstrings = count(payload, 1, "strings")?;
+        let mut texts = Vec::with_capacity(nstrings);
+        for _ in 0..nstrings {
+            let len = payload.varint()? as usize;
+            let text = std::str::from_utf8(payload.take(len)?)
+                .map_err(|_| payload.err("invalid UTF-8 in string value"))?;
+            texts.push(text);
+        }
+
+        // Value columns, each into the vector of its declared type, and
+        // each exactly as long as the skeleton asks.
+        for _ in 0..count(payload, 2, "value columns")? {
             let attr_id = payload.varint()?;
             let (attr, vtype) = decoder.lookup_attr(payload, attr_id, "column", report)?;
             let nvalues = payload.varint()?;
+            let demand = self.demand(attr_id) as usize;
+            let demand = &mut self.demands[demand];
+            if demand.column != NO_COLUMN {
+                return Err(payload.err(format!("duplicate value column for attribute {attr_id}")));
+            }
+            match nvalues.cmp(&demand.imms) {
+                std::cmp::Ordering::Less => {
+                    return Err(payload.err(format!("value column underrun for {attr_id}")))
+                }
+                std::cmp::Ordering::Greater => return Err(payload.err("value column overrun")),
+                std::cmp::Ordering::Equal => {}
+            }
+            demand.column = self.block.columns.len() as u32;
             let mut column = self.spare.pop().unwrap_or(Column {
                 attr,
                 data: ColumnData::Int(Vec::new()),
             });
             column.attr = attr;
             column.data.reset(vtype);
-            let filled = fill_column(&mut column.data, nvalues, payload, strings);
-            let index = self.block.columns.len() as u32;
+            let filled = fill_column(&mut column.data, nvalues, payload, texts.len());
             self.block.columns.push(column);
             filled?;
-            let demand = self.demand(attr_id) as usize;
-            if self.demands[demand].column != NO_COLUMN {
-                return Err(payload.err(format!("duplicate value column for attribute {attr_id}")));
-            }
-            self.demands[demand].column = index;
         }
-
-        self.match_columns(payload, decoder, report)?;
+        if let Some(short) = self
+            .demands
+            .iter()
+            .find(|d| d.column == NO_COLUMN && d.imms > 0)
+        {
+            return Err(payload.err(format!("value column underrun for {}", short.attr_id)));
+        }
         if !payload.at_end() {
             return Err(payload.err("trailing bytes in block payload"));
         }
-        Ok(true)
-    }
 
-    /// Point every immediate of the skeleton at its column, after
-    /// checking that the columns supply exactly the values the skeleton
-    /// asks for. When they do not, the error is the one a row-by-row
-    /// reassembly would hit first.
-    fn match_columns(
-        &mut self,
-        payload: &Cursor<'_>,
-        decoder: &BinaryDecoder,
-        report: &mut ReadReport,
-    ) -> Result<(), CaliError> {
-        let columns = &self.block.columns;
-        let supplied = |d: &Demand| match columns.get(d.column as usize) {
-            Some(column) => column.data.len(),
-            None => 0,
-        };
-        if self.demands.iter().any(|d| d.imms > supplied(d)) {
-            let mut left: Vec<usize> = self.demands.iter().map(supplied).collect();
-            for &demand in &self.block.imms {
-                let attr_id = self.demands[demand as usize].attr_id;
-                decoder.lookup_attr(payload, attr_id, "imm", report)?;
-                match left[demand as usize].checked_sub(1) {
-                    Some(rest) => left[demand as usize] = rest,
-                    None => {
-                        return Err(payload.err(format!("value column underrun for {attr_id}")))
-                    }
-                }
+        // The block is valid: intern its strings, and lay the rows out.
+        self.codes.clear();
+        self.codes
+            .extend(texts.iter().map(|text| strings.intern(text)));
+        for column in &mut self.block.columns {
+            if let ColumnData::Str(values) = &mut column.data {
+                values.iter_mut().for_each(|v| *v = self.codes[*v as usize]);
             }
         }
-        if self.demands.iter().any(|d| d.imms < supplied(d)) {
-            return Err(payload.err("value column overrun"));
+        for imm in &mut self.shape_imms {
+            *imm = self.demands[*imm as usize].column;
         }
-        // A canonical writer lists columns in the skeleton's
-        // first-appearance order, which makes this the identity.
-        if self.demands.iter().enumerate().any(|(i, d)| d.column != i as u32) {
-            for imm in &mut self.block.imms {
-                *imm = self.demands[*imm as usize].column;
+        let block = &mut self.block;
+        block.ref_ends.reserve(rows as usize);
+        block.imm_ends.reserve(rows as usize);
+        block.imms.reserve(imms as usize);
+        let mut ref_end = 0u32;
+        for &(len, shape) in &self.runs {
+            let shape = &self.shapes[shape as usize];
+            let row = &self.shape_imms[shape.imms.clone()];
+            for _ in 0..len {
+                ref_end += shape.refs as u32;
+                block.ref_ends.push(ref_end);
+                block.imms.extend_from_slice(row);
+                block.imm_ends.push(block.imms.len() as u32);
             }
         }
-        Ok(())
+        Ok(true)
     }
 }
 
-/// Decode `nvalues` values of `data`'s type from the payload.
+/// Decode `nvalues` values of `data`'s type from the payload; a string
+/// is its index among the block's `nstrings` strings until the block is
+/// known to be valid.
 fn fill_column(
     data: &mut ColumnData,
     nvalues: u64,
     payload: &mut Cursor<'_>,
-    strings: &mut StringTable,
+    nstrings: usize,
 ) -> Result<(), CaliError> {
     // Every value takes at least one byte, which bounds what a corrupt
     // count can make us reserve.
@@ -1213,10 +1344,11 @@ fn fill_column(
         ColumnData::Str(v) => {
             v.reserve(reserve);
             for _ in 0..nvalues {
-                let len = payload.varint()? as usize;
-                let text = std::str::from_utf8(payload.take(len)?)
-                    .map_err(|_| payload.err("invalid UTF-8 in string value"))?;
-                v.push(strings.intern(text));
+                let index = payload.varint()?;
+                if index >= nstrings as u64 {
+                    return Err(payload.err(format!("string {index} of the block's {nstrings}")));
+                }
+                v.push(index as u32);
             }
         }
         ColumnData::Int(v) => {
@@ -1841,6 +1973,161 @@ mod tests {
         let back = crate::binary::read_file(&path).unwrap();
         assert_eq!(back.len(), ds.len());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The dataset of `docs/CALB.md` §6.
+    fn spec_example() -> Dataset {
+        let mut ds = Dataset::new();
+        let region = ds.attribute("region", ValueType::Str, Properties::NESTED);
+        let rank = ds.attribute("rank", ValueType::Int, Properties::AS_VALUE);
+        let phase = ds.attribute("phase", ValueType::Str, Properties::AS_VALUE);
+        let main = ds
+            .tree
+            .get_child(NODE_NONE, region.id(), &Value::str("main"));
+        for r in 0..2 {
+            let mut rec = SnapshotRecord::new();
+            rec.push_node(main);
+            rec.push_imm(rank.id(), Value::Int(r));
+            rec.push_imm(phase.id(), Value::str("init"));
+            ds.push(rec);
+        }
+        ds
+    }
+
+    /// The bytes of the first `text` fence under `heading` in
+    /// `docs/CALB.md`: each line's leading two-digit hex tokens, up to
+    /// the first word that is not one.
+    fn spec_hex(heading: &str) -> Vec<u8> {
+        let spec = include_str!("../../../docs/CALB.md");
+        let section = &spec[spec.find(heading).expect("the heading")..];
+        let fence = &section[section.find("```text\n").expect("a hex fence") + 8..];
+        let fence = &fence[..fence.find("```").expect("the fence's end")];
+        let byte = |token: &str| {
+            let hex = token.len() == 2 && token.bytes().all(|b| b.is_ascii_hexdigit());
+            hex.then(|| u8::from_str_radix(token, 16).unwrap())
+        };
+        fence
+            .lines()
+            .flat_map(|line| line.split_whitespace().map_while(byte).collect::<Vec<_>>())
+            .collect()
+    }
+
+    #[test]
+    fn the_spec_worked_example_is_the_writers_output() {
+        let ds = spec_example();
+        let v1 = spec_hex("### 6.1");
+        let v2 = spec_hex("### 6.2");
+        assert_eq!(to_binary(&ds), v1, "§6.1");
+        for block_records in [2, 3, DEFAULT_BLOCK_RECORDS] {
+            let opts = V2WriteOptions {
+                block_records,
+                footer: true,
+            };
+            assert_eq!(
+                to_binary_v2_with(&ds, &opts),
+                v2,
+                "§6.2 at {block_records} records a block"
+            );
+        }
+        for bytes in [v1, v2] {
+            let back = from_binary(&bytes).unwrap();
+            assert_eq!(describe_all(&back), describe_all(&ds));
+            assert_eq!(to_binary(&back), to_binary(&ds));
+        }
+    }
+
+    #[test]
+    fn a_stream_of_the_retired_layout_is_refused_by_name() {
+        let mut bytes = to_binary_v2(&sample());
+        bytes[4] = RETIRED_V2;
+        for policy in [ReadPolicy::Strict, ReadPolicy::lenient()] {
+            let err = from_binary_with(&bytes, policy).unwrap_err().to_string();
+            assert!(
+                err.contains("version 2") && err.contains("re-pack"),
+                "{err}"
+            );
+        }
+        assert!(read_footer(&bytes).is_none());
+    }
+
+    /// Three blocks of four rows, a string and a small count each; the
+    /// middle block names strings the others do not, and the last one
+    /// names one of those.
+    fn three_blocks(middle: bool) -> Dataset {
+        let mut ds = Dataset::new();
+        let kernel = ds.attribute("kernel", ValueType::Str, Properties::AS_VALUE);
+        let n = ds.attribute("n", ValueType::UInt, Properties::AS_VALUE);
+        let blocks: [[&str; 4]; 3] = [
+            ["a", "b", "a", "b"],
+            ["x", "y", "a", "z"],
+            ["c", "b", "x", "c"],
+        ];
+        for (i, names) in blocks.iter().enumerate() {
+            if i == 1 && !middle {
+                continue;
+            }
+            for (k, name) in names.iter().enumerate() {
+                let mut rec = SnapshotRecord::new();
+                rec.push_imm(kernel.id(), Value::str(*name));
+                rec.push_imm(n.id(), Value::UInt(k as u64));
+                ds.push(rec);
+            }
+        }
+        ds
+    }
+
+    /// Per block handed on by a lenient `scan_path` of `bytes`: the
+    /// string table's size, the block's string codes, and its rows.
+    fn scanned_blocks(bytes: &[u8], name: &str) -> Vec<(usize, Vec<u32>, Vec<String>)> {
+        let dir = std::env::temp_dir().join(format!("caliper-v2-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("blocks.calb2");
+        std::fs::write(&path, bytes).unwrap();
+        let mut seen = Vec::new();
+        crate::reader::scan_path(
+            &path,
+            Dataset::new(),
+            ReadPolicy::lenient(),
+            None,
+            &mut |_, strings, block| {
+                let codes = block.columns().iter().flat_map(|c| match &c.data {
+                    ColumnData::Str(codes) => codes.clone(),
+                    _ => Vec::new(),
+                });
+                let rows = block
+                    .records(strings)
+                    .map(|r| format!("{:?}", r.entries()))
+                    .collect();
+                seen.push((strings.len(), codes.collect(), rows));
+            },
+        )
+        .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        seen
+    }
+
+    #[test]
+    fn a_rejected_block_leaves_the_string_table_as_it_was() {
+        let opts = V2WriteOptions {
+            block_records: 4,
+            footer: true,
+        };
+        let mut bytes = to_binary_v2_with(&three_blocks(true), &opts);
+        // The middle block ends with its last column: `n`, four values
+        // of one byte each after its count. One more value than the
+        // rows ask for is an overrun, found after the block's strings
+        // were read.
+        let index = read_footer(&bytes).unwrap();
+        let count = index[2].offset as usize - 5;
+        assert_eq!(bytes[count], 4);
+        bytes[count] = 5;
+        let damaged = scanned_blocks(&bytes, "damaged");
+        let clean = scanned_blocks(&to_binary_v2_with(&three_blocks(false), &opts), "clean");
+        assert_eq!(damaged.len(), 2, "the middle block is skipped");
+        assert_eq!(damaged, clean);
+        // Codes are numbered in the order the columns first name them.
+        assert_eq!(clean[0].0, 2);
+        assert_eq!(clean[1], (4, vec![2, 1, 3, 2], clean[1].2.clone()));
     }
 
     #[test]

@@ -6,14 +6,18 @@
 //!
 //! A v2 file is damaged over the whole stream and over targeted regions
 //! too — each block's payload, each block's head (the row count and the
-//! zone maps lead the payload) and the footer — so that every decoder
-//! sees damage whatever the seed budget. The budget is fixed: the loops
-//! are deterministic and need no environment variable.
+//! zone maps lead the payload), each block's shape table, run list, node
+//! references, string dictionary and string-index column, and the
+//! footer — so that every decoder sees damage whatever the seed budget.
+//! The budget is fixed: the loops are deterministic and need no
+//! environment variable.
 //!
 //! Asserted for every damaged file: nothing panics; a lenient scan
 //! never yields more rows than the clean file holds; a strict scan
 //! returns `Ok` or `Err`, and when it is `Ok` the lenient scan yields
-//! the same rows.
+//! the same rows. Handcrafted blocks that claim 2^60 strings, shapes,
+//! runs or rows are refused: a reader that reserved room for such a
+//! count would ask for exabytes and abort the test process.
 //!
 //! A journal of frames — the batches as sent, behind their header lines
 //! — goes through the same damage, over the whole journal, each frame
@@ -25,7 +29,7 @@
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use caliper_data::{Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
+use caliper_data::{AttrId, Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_faults::{corrupt_bytes, CorruptMode};
 use caliper_format::{
     binary, cali, journal, read_footer, scan_path, to_binary_v2_with, CaliReader, CaliWriter, CmpOp,
@@ -148,10 +152,100 @@ fn damaged_v1_files_never_panic_the_scan() {
     fuzz("v1", &bytes, &[("stream".into(), 0..bytes.len())], 200);
 }
 
+/// A cursor over a block payload, reading it as `docs/CALB.md` §4.2
+/// lays it out, to find where its sections are.
+struct Walk<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Walk<'_> {
+    fn varint(&mut self) -> u64 {
+        let (mut value, mut shift) = (0, 0);
+        loop {
+            let byte = self.bytes[self.pos];
+            self.pos += 1;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return value;
+            }
+            shift += 7;
+        }
+    }
+
+    fn value(&mut self, vtype: ValueType) {
+        match vtype {
+            ValueType::Str => self.pos += self.varint() as usize,
+            ValueType::Int | ValueType::UInt => {
+                self.varint();
+            }
+            ValueType::Float => self.pos += 8,
+            ValueType::Bool => self.pos += 1,
+        }
+    }
+
+    /// Read `n` items with `item`, returning the span they take.
+    fn span(&mut self, n: u64, mut item: impl FnMut(&mut Self)) -> Range<usize> {
+        let start = self.pos;
+        (0..n).for_each(|_| item(self));
+        start..self.pos
+    }
+}
+
+/// The sections of the block at `offset` in `bytes` (a stream of `ds`),
+/// by name: the shape table, the run list, the node references, the
+/// string dictionary, and each string column's indices.
+fn block_sections(bytes: &[u8], offset: usize, ds: &Dataset) -> Vec<(&'static str, Range<usize>)> {
+    let vtype = |id: u64| ds.store.get(id as AttrId).unwrap().value_type();
+    let mut walk = Walk { bytes, pos: offset + 1 };
+    walk.varint(); // payload_len
+    let rows = walk.varint();
+    let zones = walk.varint();
+    walk.span(zones, |w| {
+        let t = vtype(w.varint());
+        w.varint();
+        w.value(t);
+        w.value(t);
+    });
+    let mut refs_per_shape = Vec::new();
+    let shapes = walk.varint();
+    let shapes = walk.span(shapes, |w| {
+        refs_per_shape.push(w.varint());
+        let imms = w.varint();
+        w.span(imms, |w| {
+            w.varint();
+        });
+    });
+    let mut refs = 0;
+    let runs = walk.varint();
+    let runs = walk.span(runs, |w| {
+        let len = w.varint();
+        refs += len * refs_per_shape[w.varint() as usize];
+    });
+    let node_refs = walk.span(refs, |w| {
+        w.varint();
+    });
+    let strings = walk.varint();
+    let strings = walk.span(strings, |w| w.value(ValueType::Str));
+    let mut sections = vec![("shapes", shapes), ("runs", runs), ("node refs", node_refs), ("strings", strings)];
+    for _ in 0..walk.varint() {
+        let t = vtype(walk.varint());
+        let n = walk.varint();
+        // A string value is an index into the dictionary.
+        let values = walk.span(n, |w| w.value(if t == ValueType::Str { ValueType::UInt } else { t }));
+        if t == ValueType::Str {
+            sections.push(("string indices", values));
+        }
+    }
+    assert!(rows > 0 && sections.iter().all(|(_, span)| !span.is_empty()), "{sections:?}");
+    sections
+}
+
 #[test]
 fn damaged_v2_blocks_zone_maps_and_footer_never_panic_the_block_scan() {
     let opts = V2WriteOptions { block_records: 48, footer: true };
-    let bytes = to_binary_v2_with(&sample(), &opts);
+    let ds = sample();
+    let bytes = to_binary_v2_with(&ds, &opts);
     let blocks = read_footer(&bytes).expect("a clean footer");
     assert_eq!(blocks.len(), 5);
     // The footer record starts where the u32 before the end magic says.
@@ -163,8 +257,84 @@ fn damaged_v2_blocks_zone_maps_and_footer_never_panic_the_block_scan() {
         let end = blocks.get(i + 1).map_or(footer, |next| next.offset as usize);
         regions.push((format!("block {i}"), start..end));
         regions.push((format!("block {i} head"), start..(start + 24).min(end)));
+        for (section, span) in block_sections(&bytes, start, &ds) {
+            assert!(span.end <= end, "block {i} {section}");
+            regions.push((format!("block {i} {section}"), span));
+        }
     }
     fuzz("v2", &bytes, &regions, 24);
+}
+
+/// A strict scan of the sample's stream up to its first block, followed
+/// by one handcrafted block.
+fn scan_handcrafted(payload: &[u8]) -> Result<usize, String> {
+    let opts = V2WriteOptions { block_records: 48, footer: true };
+    let bytes = to_binary_v2_with(&sample(), &opts);
+    let first = read_footer(&bytes).unwrap()[0].offset as usize;
+    let mut stream = bytes[..first].to_vec();
+    stream.push(0x05);
+    put_varint(&mut stream, payload.len() as u64);
+    stream.extend_from_slice(payload);
+    let path = std::env::temp_dir().join(format!("fuzz-blocks-{}-handcrafted", std::process::id()));
+    std::fs::write(&path, &stream).unwrap();
+    let rows = scan_rows(&path, ReadPolicy::Strict, None);
+    std::fs::remove_file(&path).ok();
+    rows
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A block payload of the given counts and items, in §4.2's order: the
+/// rows and no zone maps, then each section as its count and its items.
+fn payload(rows: u64, sections: &[(u64, &[u64])]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_varint(&mut out, rows);
+    put_varint(&mut out, 0);
+    for &(count, items) in sections {
+        put_varint(&mut out, count);
+        items.iter().for_each(|&item| put_varint(&mut out, item));
+    }
+    out
+}
+
+#[test]
+fn handcrafted_counts_are_refused_before_anything_is_reserved_for_them() {
+    let kernel = sample().store.find("kernel").unwrap().id() as u64;
+    let huge = 1u64 << 60;
+    // One row of one shape, its `kernel` the block's one string.
+    let one_row = |index: u64| {
+        let mut out = payload(1, &[(1, &[0, 1, kernel]), (1, &[1, 0])]);
+        out.extend_from_slice(&[1, 1, b'a']);
+        out.extend(payload(0, &[(1, &[kernel, 1, index])]).split_off(2));
+        out
+    };
+    assert_eq!(scan_handcrafted(&one_row(0)), Ok(1), "the handcrafted block is well formed");
+    let mut strings = payload(1, &[(1, &[0, 0]), (1, &[1, 0])]);
+    put_varint(&mut strings, huge);
+    let cases = [
+        ("2^60 rows", payload(huge, &[(1, &[0, 0]), (1, &[huge, 0]), (0, &[]), (0, &[])])),
+        ("2^60 shapes", payload(2, &[(huge, &[0, 0])])),
+        ("2^60 shape immediates", payload(2, &[(1, &[0, huge, kernel])])),
+        ("2^60 runs", payload(2, &[(1, &[0, 0]), (huge, &[1, 0])])),
+        ("2^60 strings", strings),
+        ("2^60 columns", payload(1, &[(1, &[0, 0]), (1, &[1, 0]), (0, &[]), (huge, &[kernel, 0])])),
+        ("2^60 node references", payload(1, &[(1, &[huge, 0]), (1, &[1, 0]), (0, &[])])),
+        ("runs past the rows", payload(2, &[(1, &[0, 0]), (2, &[2, 0, 1, 0]), (0, &[]), (0, &[])])),
+        ("runs short of the rows", payload(3, &[(1, &[0, 0]), (1, &[2, 0]), (0, &[]), (0, &[])])),
+        ("a run of no rows", payload(0, &[(1, &[0, 0]), (1, &[0, 0]), (0, &[]), (0, &[])])),
+        ("a shape past the table", payload(1, &[(1, &[0, 0]), (1, &[1, 1]), (0, &[]), (0, &[])])),
+        ("a string index past the end", one_row(1)),
+    ];
+    for (what, payload) in cases {
+        let rows = scan_handcrafted(&payload);
+        assert!(rows.is_err(), "{what}: {rows:?}");
+    }
 }
 
 /// The sample as a daemon journals it: five batches of 40 snapshots,

@@ -766,6 +766,35 @@ for n in 1 3; do
         }
     done
 done
+# The float files as CALB v2, one file each (the float golden's
+# association is per file): the same bytes as the text files give.
+fpacked=""
+for f in 0 1 2 3 4; do
+    "$pack" -o "$smoke/f$f.calb2" --block-records 3 "$golden/floats/f$f.cali" 2>/dev/null
+    fpacked="$fpacked $smoke/f$f.calb2"
+done
+for n in 1 3; do
+    "$query" --no-lint --threads "$n" -q "$fq" $fpacked | cmp -s "$golden"/floats/every-op.txt - || {
+        echo "check.sh: every-op.calql over the float files as CALB v2 differs from every-op.txt (--threads $n)" >&2
+        exit 1
+    }
+done
+"$mpiq" --np 1 -q "$fq" $fpacked | cmp -s "$golden"/floats/every-op.txt - || {
+    echo "check.sh: mpi-caliquery --np 1 over the float files as CALB v2 differs from every-op.txt" >&2
+    exit 1
+}
+# A stream of the retired block layout (version byte 02) is a wrong
+# file, not a damaged one: exit 1 naming the version, --lenient too.
+cp "$smoke/golden.calb2" "$smoke/retired.calb2"
+printf '\002' | dd of="$smoke/retired.calb2" bs=1 seek=4 conv=notrunc 2>/dev/null
+for lenient in "" --lenient; do
+    status=0
+    "$query" $lenient -q "$pq" "$smoke/retired.calb2" > /dev/null 2> "$smoke/retired.err" || status=$?
+    [ "$status" -eq 1 ] && grep -q "version 2" "$smoke/retired.err" || {
+        echo "check.sh: a version-02 stream must exit 1 naming its version (${lenient:-strict}; exit $status)" >&2
+        exit 1
+    }
+done
 echo "check.sh: columnar smoke: v1/v2 outputs identical, $(sed -n 's/^format.reader.blocks_skipped=//p' "$smoke/pq-v2-1.stats") blocks skipped"
 
 # Chaos smoke: a typo'd fault spec must be a hard error, transient
