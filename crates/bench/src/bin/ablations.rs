@@ -30,7 +30,7 @@ use caliper_data::{
     fxhash, AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, Value, ValueType,
     NODE_NONE,
 };
-use caliper_format::{Dataset, Pushdown, V2WriteOptions};
+use caliper_format::{Dataset, Pushdown};
 use caliper_query::{
     build_pushdown, parallel_query_files, parse_query, AggregationSpec, Aggregator, ParallelOptions,
 };
@@ -203,11 +203,7 @@ fn selective_where(scale: &Scale) {
     let v1 = dir.join("clustered.calb");
     let v2 = dir.join("clustered.calb2");
     caliper_format::binary::write_file(&ds, &v1).unwrap();
-    let v2_options = V2WriteOptions {
-        block_records: PER_BLOCK,
-        footer: true,
-    };
-    std::fs::write(&v2, caliper_format::to_binary_v2_with(&ds, &v2_options)).unwrap();
+    std::fs::write(&v2, caliper_format::to_binary_v2_with(&ds, PER_BLOCK)).unwrap();
 
     let query = format!(
         "AGGREGATE count, sum(time.duration) WHERE rank = {} GROUP BY function ORDER BY function",

@@ -2,7 +2,7 @@
 //! CALB v2 layout (or back to record-oriented v1).
 //!
 //! ```text
-//! cali-pack [-o FILE] [--v1] [--block-records N] [--no-footer] INPUT...
+//! cali-pack [-o FILE] [--v1] [--block-records N] INPUT...
 //! ```
 //!
 //! Inputs may be text `.cali` or binary CALB v1/v2 (sniffed from the
@@ -13,8 +13,8 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use cali_cli::{parse_args, read_files_reported};
-use caliper_format::binary_v2::MAX_BLOCK_RECORDS;
-use caliper_format::{binary, to_binary_v2_with, ReadPolicy, V2WriteOptions};
+use caliper_format::binary_v2::{DEFAULT_BLOCK_RECORDS, MAX_BLOCK_RECORDS};
+use caliper_format::{binary, to_binary_v2_with, ReadPolicy};
 
 const USAGE: &str = "usage: cali-pack [-o FILE] [--v1] [--block-records N] INPUT...
 
@@ -30,7 +30,6 @@ Options:
   --v1                 emit record-oriented CALB v1 instead of v2
   --block-records N    records per v2 block (default: 1024, at most
                        1048576)
-  --no-footer          omit the v2 footer block index
   --lenient            skip corrupt input records instead of aborting
   --max-errors N       like --lenient, but give up on a file after
                        skipping more than N corrupt records
@@ -97,7 +96,7 @@ fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
         &["o", "output", "block-records", "max-errors", "mutate", "seed"],
-        &["h", "help", "lenient", "no-footer", "v1"],
+        &["h", "help", "lenient", "v1"],
     ) {
         Ok(args) => args,
         Err(e) => {
@@ -117,7 +116,7 @@ fn main() -> ExitCode {
         return mutate_files(mode, args.get(&["seed"]), &args.positional);
     }
     let block_records = match args.get(&["block-records"]).map(str::parse::<usize>) {
-        None => V2WriteOptions::default().block_records,
+        None => DEFAULT_BLOCK_RECORDS,
         Some(Ok(n)) if (1..=MAX_BLOCK_RECORDS).contains(&n) => n,
         Some(_) => {
             let most = MAX_BLOCK_RECORDS;
@@ -153,11 +152,7 @@ fn main() -> ExitCode {
     let bytes = if args.has(&["v1"]) {
         binary::to_binary(&ds)
     } else {
-        let opts = V2WriteOptions {
-            block_records,
-            footer: !args.has(&["no-footer"]),
-        };
-        to_binary_v2_with(&ds, &opts)
+        to_binary_v2_with(&ds, block_records)
     };
     match args.get(&["o", "output"]) {
         Some(path) => {

@@ -72,14 +72,13 @@ Exit codes: 0 success, 1 error, 2 success but the result is partial
 /// Report one run: dump (`--trace FILE`) and/or analyze (`--analyze`)
 /// the happens-before trace when one was recorded, print the result,
 /// the `--timings` breakdown — with the scheduler's counters when the
-/// event engine (`sched`) ran — and the coverage. Analysis errors
+/// event engine ran — and the coverage. Analysis errors
 /// (message races, deadlock cycles) fail the run even when the query
 /// itself produced a result.
 fn report(
     outcome: Result<QueryRun, ParallelError>,
     trace: Option<HbTrace>,
     args: &CliArgs,
-    sched: bool,
 ) -> ExitCode {
     let mut analysis_errors = false;
     if let Some(trace) = trace {
@@ -120,20 +119,10 @@ fn report(
                     "# total:                               {:.6} s",
                     t.total_s() + render_s
                 );
-                if sched {
-                    let m = caliper_data::metrics::global();
-                    eprintln!(
-                        "# sched events:          {}",
-                        m.counter_volatile("mpisim.sched.events").get()
-                    );
-                    eprintln!(
-                        "# sched virtual time:    {} ns",
-                        m.gauge_volatile("mpisim.sched.virtual_time_ns").get()
-                    );
-                    eprintln!(
-                        "# sched max queue depth: {}",
-                        m.gauge_volatile("mpisim.sched.max_queue_depth").get()
-                    );
+                if let Some(sched) = &run.sched {
+                    eprintln!("# sched events:          {}", sched.events);
+                    eprintln!("# sched virtual time:    {} ns", sched.virtual_time_ns);
+                    eprintln!("# sched max queue depth: {}", sched.max_queue_depth);
                 }
             }
             let coverage = &run.coverage;
@@ -258,5 +247,5 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    report(outcome, trace, &args, engine == "event")
+    report(outcome, trace, &args)
 }

@@ -28,7 +28,7 @@ use caliper_query::{
 };
 use mpisim::{
     Executor, FaultPlan, HbTrace, ReduceCoverage, ReduceTask, ResilienceOptions, SchedError,
-    Topology,
+    SchedStats, Topology,
 };
 
 /// Timing breakdown of one parallel query run, over the ranks the
@@ -106,6 +106,9 @@ pub struct QueryRun {
     pub coverage: ReduceCoverage,
     /// The per-phase timing breakdown.
     pub timings: ParallelTimings,
+    /// What the event engine's scheduler did; `None` on the thread
+    /// engine.
+    pub sched: Option<SchedStats>,
 }
 
 /// Run `query` over `files_per_rank.len()` simulated query processes on
@@ -173,7 +176,7 @@ pub fn parallel_query<E: Executor>(
         };
         ReduceTask::new(rank, size, topology, init, Partial::merge, opts)
     };
-    let mpisim::Run { outputs, trace: hb, .. } = engine.run(size, plan, make, trace);
+    let mpisim::Run { outputs, trace: hb, stats } = engine.run(size, plan, make, trace);
     let run = outputs.map_err(ParallelError::Deadlock).and_then(|mut outputs| {
         let (partial, coverage) = outputs
             .first_mut()
@@ -195,6 +198,7 @@ pub fn parallel_query<E: Executor>(
             result,
             coverage,
             timings,
+            sched: stats,
         })
     });
     (run, trace.then_some(hb))
@@ -543,14 +547,10 @@ mod tests {
             iterations: 2,
             ..Default::default()
         };
-        let opts = caliper_format::V2WriteOptions {
-            block_records: 16,
-            footer: true,
-        };
         let (mut paths, mut blocks) = (Vec::new(), Vec::new());
         for (rank, ds) in paradis::generate(&params, 4).iter().enumerate() {
             paths.push(dir.join(format!("rank{rank}.calb2")));
-            std::fs::write(&paths[rank], caliper_format::to_binary_v2_with(ds, &opts)).unwrap();
+            std::fs::write(&paths[rank], caliper_format::to_binary_v2_with(ds, 16)).unwrap();
             blocks.push(ds.len().div_ceil(16) as u64);
         }
         let expect = run_query(&read_files(&paths).unwrap(), WHERE_RANK_2).unwrap().render();

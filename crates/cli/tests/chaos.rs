@@ -351,10 +351,9 @@ fn count_column_total(stdout: &[u8]) -> u64 {
 /// and prints what a run over the other files prints.
 #[test]
 fn a_file_corrupt_in_its_middle_block_is_dropped_whole_at_every_thread_count() {
-    use caliper_format::binary_v2::{read_footer, to_binary_v2_with, V2WriteOptions};
+    use caliper_format::binary_v2::{read_footer, to_binary_v2_with};
     let dir = std::env::temp_dir().join(format!("cali-chaos-middle-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let opts = V2WriteOptions { block_records: 16, footer: true };
     let paths: Vec<PathBuf> = (0..6)
         .map(|f| {
             // File 3's first records carry keys of their own.
@@ -367,7 +366,7 @@ fn a_file_corrupt_in_its_middle_block_is_dropped_whole_at_every_thread_count() {
                     rec.push_node(node);
                 }
             }
-            let mut bytes = to_binary_v2_with(&ds, &opts);
+            let mut bytes = to_binary_v2_with(&ds, 16);
             if f == 3 {
                 let blocks = read_footer(&bytes).expect("a footer");
                 let (start, end) = (blocks[3].offset as usize + 8, blocks[4].offset as usize);
@@ -399,13 +398,7 @@ fn v2_block_faults_lose_whole_blocks_and_report_exact_counts() {
     // One v2 file, 36 records in blocks of 8 (8+8+8+8+4).
     let merged = tiny_dataset(0, 36);
     let total = merged.len() as u64;
-    let bytes = caliper_format::to_binary_v2_with(
-        &merged,
-        &caliper_format::V2WriteOptions {
-            block_records: 8,
-            footer: true,
-        },
-    );
+    let bytes = caliper_format::to_binary_v2_with(&merged, 8);
     let v2 = dir.join("all.calb2");
     std::fs::write(&v2, &bytes).unwrap();
 

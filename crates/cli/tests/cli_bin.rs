@@ -79,6 +79,39 @@ fn cali_query_reads_binary_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A CALB fault is named by its byte, not by a line: a retired version
+/// byte by its offset in the file, a damaged block by its ordinal and
+/// the offset in its payload.
+#[test]
+fn cali_query_names_a_binary_fault_by_its_byte() {
+    let (dir, paths) = write_inputs("decode-error", 1);
+    let ds = caliper_format::cali::read_file(&paths[0]).unwrap();
+    let clean = caliper_format::to_binary_v2_with(&ds, 16);
+    let run = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
+            .args(["-q", "AGGREGATE count GROUP BY kernel"])
+            .arg(&path)
+            .output()
+            .expect("run cali-query");
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    let mut retired = clean.clone();
+    retired[4] = 2;
+    let stderr = run("retired.calb2", &retired);
+    assert!(stderr.contains("retired.calb2: decode error at byte 4: binary cali version 2"), "{stderr}");
+    assert!(!stderr.contains("line"), "{stderr}");
+    // Block 2's row count as eleven continuation bytes: more than 64 bits.
+    let mut torn = clean.clone();
+    let payload = caliper_format::read_footer(&clean).unwrap()[2].offset as usize + 3;
+    torn[payload..payload + 12].fill(0xff);
+    let stderr = run("torn.calb2", &torn);
+    assert!(stderr.contains("torn.calb2: decode error in block 2 at payload byte 11: varint overflow"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn streaming_query_matches_merged_query() {
     let (dir, paths) = write_inputs("streaming", 5);
@@ -120,18 +153,17 @@ fn streaming_query_matches_merged_query() {
 /// one dataset and filtering it prints.
 #[test]
 fn pass_through_queries_scan_and_skip_blocks() {
-    use caliper_format::{to_binary_v2_with, V2WriteOptions};
+    use caliper_format::to_binary_v2_with;
     let dir = std::env::temp_dir().join(format!("cali-bin-test-select-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let params = ParaDisParams {
         iterations: 3,
         ..Default::default()
     };
-    let options = V2WriteOptions { block_records: 16, ..Default::default() };
     let mut paths = Vec::new();
     for (rank, ds) in paradis::generate(&params, 3).iter().enumerate() {
         paths.push(dir.join(format!("rank{rank}.calb2")));
-        std::fs::write(&paths[rank], to_binary_v2_with(ds, &options)).unwrap();
+        std::fs::write(&paths[rank], to_binary_v2_with(ds, 16)).unwrap();
     }
     let merged = cali_cli::read_files(&paths).unwrap();
     for query in [
@@ -619,7 +651,7 @@ fn mpi_caliquery_rejects_workers_on_the_thread_engine() {
 #[test]
 fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
     use caliper_data::{Properties, SnapshotRecord, Value, ValueType};
-    use caliper_format::{to_binary_v2_with, V2WriteOptions};
+    use caliper_format::to_binary_v2_with;
     let dir = std::env::temp_dir().join(format!("cali-bin-test-mixed-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let declared = [ValueType::Int, ValueType::Str, ValueType::Float, ValueType::UInt];
@@ -640,9 +672,8 @@ fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
             rec.push_imm(x.id(), value);
             ds.push(rec);
         }
-        let options = V2WriteOptions { block_records: 16, ..Default::default() };
         let path = dir.join(format!("x-{f}.calb2"));
-        std::fs::write(&path, to_binary_v2_with(&ds, &options)).unwrap();
+        std::fs::write(&path, to_binary_v2_with(&ds, 16)).unwrap();
         paths.push(path);
     }
     // stdout, the `--stats` block (all of stderr: a comparison on a

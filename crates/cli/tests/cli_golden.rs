@@ -418,11 +418,10 @@ fn every_golden_query_prints_its_golden_over_v2_at_three_block_sizes() {
     for block_records in [1, 3, 1024] {
         let dir = std::env::temp_dir().join(format!("cali-v2-blocks-{}-{block_records}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let opts = caliper_format::V2WriteOptions { block_records, footer: true };
         let repack = |path: &Path| -> PathBuf {
             let ds = caliper_format::read_path(path).unwrap();
             let packed = dir.join(path.file_name().unwrap()).with_extension("calb2");
-            std::fs::write(&packed, caliper_format::to_binary_v2_with(&ds, &opts)).unwrap();
+            std::fs::write(&packed, caliper_format::to_binary_v2_with(&ds, block_records)).unwrap();
             packed
         };
         for path in data_files(&names) {
@@ -494,10 +493,7 @@ fn v2_pushdown_skips_blocks_identically_across_thread_counts() {
     std::fs::create_dir_all(&dir).unwrap();
     let v2_path = dir.join("golden.calb2");
     // Tiny blocks so the selective WHERE below has whole blocks to skip.
-    let bytes = caliper_format::to_binary_v2_with(
-        &ds,
-        &caliper_format::V2WriteOptions { block_records: 4, footer: true },
-    );
+    let bytes = caliper_format::to_binary_v2_with(&ds, 4);
     std::fs::write(&v2_path, bytes).unwrap();
 
     let query = "AGGREGATE count, sum(time.duration) WHERE loop.iteration > 2 \
@@ -555,8 +551,7 @@ fn cleverleaf_v2_matches_text_across_thread_counts() {
         caliper_format::cali::write_file(ds, &text[rank]).unwrap();
         v2.push(dir.join(format!("rank{rank}.calb2")));
         // Small blocks: several per file, so skips happen.
-        let opts = caliper_format::V2WriteOptions { block_records: 64, footer: true };
-        std::fs::write(&v2[rank], caliper_format::to_binary_v2_with(ds, &opts)).unwrap();
+        std::fs::write(&v2[rank], caliper_format::to_binary_v2_with(ds, 64)).unwrap();
     }
     let cases: &[(&str, &[&str])] = &[
         (

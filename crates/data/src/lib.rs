@@ -43,6 +43,7 @@
 pub mod attribute;
 pub mod deadline;
 pub mod fxhash;
+pub mod identity;
 pub mod metrics;
 pub mod node;
 pub mod record;
@@ -52,6 +53,7 @@ pub mod value;
 pub use attribute::{AttrId, Attribute, Properties, ATTR_NONE};
 pub use deadline::{CancelHandle, Deadline};
 pub use fxhash::{fxhash, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use identity::Identity;
 pub use metrics::{MetricKind, MetricSample, MetricsRegistry, Stability};
 pub use node::{ContextTree, NodeData, NodeId, NODE_NONE};
 pub use record::{Entry, FlatRecord, RecordBuilder, SnapshotRecord};

@@ -10,12 +10,11 @@
 //! valid for the lifetime of the process and snapshot records can be
 //! processed long after the annotations that produced them have ended.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::RwLock;
 
 use crate::attribute::AttrId;
 use crate::fxhash::FxHashMap;
+use crate::identity::Identity;
 use crate::value::Value;
 
 /// Numeric identifier of a context-tree node.
@@ -49,19 +48,10 @@ struct TreeInner {
 /// write lock only when a new (parent, attr, value) combination appears —
 /// which for typical workloads happens a bounded number of times, once
 /// per unique program context.
+#[derive(Default)]
 pub struct ContextTree {
     inner: RwLock<TreeInner>,
-    id: u64,
-}
-
-impl Default for ContextTree {
-    fn default() -> ContextTree {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        ContextTree {
-            inner: RwLock::default(),
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-        }
-    }
+    id: Identity,
 }
 
 impl ContextTree {
@@ -70,11 +60,10 @@ impl ContextTree {
         ContextTree::default()
     }
 
-    /// This tree among the process's trees: no two trees share an id,
-    /// not even one dropped and one created later at its address — what
-    /// a cache of answers per node id checks it is answering for.
+    /// This tree's [`Identity`]: what a cache of answers per node id
+    /// checks it is answering for.
     pub fn id(&self) -> u64 {
-        self.id
+        self.id.get()
     }
 
     /// Find or create the child of `parent` labelled `(attr, value)`.

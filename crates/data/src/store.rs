@@ -11,6 +11,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::attribute::{AttrId, AttrMeta, Attribute, Properties};
+use crate::identity::Identity;
 use crate::value::ValueType;
 
 /// Error returned when an attribute label is re-created with a conflicting
@@ -52,12 +53,19 @@ struct StoreInner {
 #[derive(Default)]
 pub struct AttributeStore {
     inner: RwLock<StoreInner>,
+    id: Identity,
 }
 
 impl AttributeStore {
     /// Create an empty store.
     pub fn new() -> AttributeStore {
         AttributeStore::default()
+    }
+
+    /// This store's [`Identity`]: what labels resolved against it check
+    /// they were resolved against.
+    pub fn id(&self) -> u64 {
+        self.id.get()
     }
 
     /// Intern an attribute. If the label already exists with the same

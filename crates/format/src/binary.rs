@@ -61,8 +61,9 @@ pub(crate) struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     pub(crate) fn err(&self, message: impl Into<String>) -> CaliError {
-        CaliError::Parse {
-            line: self.pos,
+        CaliError::Decode {
+            block: None,
+            byte: self.pos,
             message: message.into(),
         }
     }
@@ -340,6 +341,10 @@ pub(crate) struct BinaryDecoder {
     /// receiving dataset.
     pub(crate) attr_map: FxHashMap<u64, (AttrId, ValueType)>,
     pub(crate) node_map: FxHashMap<u64, NodeId>,
+    /// Attributes a stream id named before it was declared again under
+    /// another name, and the ones it names since: a zone under that id
+    /// speaks for neither alone.
+    pub(crate) renamed: Vec<AttrId>,
 }
 
 impl BinaryDecoder {
@@ -347,6 +352,7 @@ impl BinaryDecoder {
         BinaryDecoder {
             attr_map: FxHashMap::default(),
             node_map: FxHashMap::default(),
+            renamed: Vec::new(),
         }
     }
 
@@ -392,7 +398,11 @@ impl BinaryDecoder {
                     .store
                     .create(&name, vtype, props)
                     .map_err(|e| cursor.err(e.to_string()))?;
-                self.attr_map.insert(id, (attr.id(), vtype));
+                if let Some((was, _)) = self.attr_map.insert(id, (attr.id(), vtype)) {
+                    if was != attr.id() {
+                        self.renamed.extend([was, attr.id()]);
+                    }
+                }
                 Ok(false)
             }
             TAG_NODE => {
@@ -515,21 +525,26 @@ pub(crate) fn scan_binary_into(
     let mut cursor = Cursor { bytes, pos: 0 };
     let magic = cursor.take(4)?;
     if magic != MAGIC {
-        return Err(cursor.err("not a binary cali stream (bad magic)"));
+        return Err(Cursor { bytes, pos: 0 }.err("not a binary cali stream (bad magic)"));
     }
+    // A wrong version is a fault of its own byte.
+    let at_version = Cursor {
+        bytes,
+        pos: cursor.pos,
+    };
     let version = cursor.u8()?;
     if version == crate::binary_v2::VERSION_V2 {
         return crate::binary_v2::scan_v2_body(cursor, ds, policy, report, pushdown, on_block);
     }
     if version == crate::binary_v2::RETIRED_V2 {
-        return Err(cursor.err(format!(
+        return Err(at_version.err(format!(
             "binary cali version {version} (an earlier CALB v2 block layout, now version \
              {}) is no longer read: re-pack the file from its source with cali-pack",
             crate::binary_v2::VERSION_V2
         )));
     }
     if version != VERSION {
-        return Err(cursor.err(format!("unsupported binary cali version {version}")));
+        return Err(at_version.err(format!("unsupported binary cali version {version}")));
     }
 
     let mut decoder = BinaryDecoder::new();

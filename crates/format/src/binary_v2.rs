@@ -23,9 +23,10 @@
 //! attribute and node dictionary, so one that is damaged is skipped and
 //! costs no other.
 //!
-//! An optional footer index (tag `0x06`, terminated by a fixed-width
-//! length and the `"2BLC"` end magic) lets readers enumerate block
-//! offsets from the tail of the file without scanning.
+//! A footer index (tag `0x06`, terminated by a fixed-width length and
+//! the `"2BLC"` end magic), always written, lets readers enumerate block
+//! offsets from the tail of the file without scanning; a stream without
+//! one (torn, or from an older writer) still reads.
 //!
 //! The byte-level layout of every structure is specified normatively in
 //! **`docs/CALB.md`**; this module doc is a summary. The stream's
@@ -50,16 +51,13 @@
 use std::borrow::Cow;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use caliper_data::{
-    AttrId, Entry, FxHashMap, FxHashSet, NodeId, SnapshotRecord, Value, ValueType,
+    AttrId, AttributeStore, Entry, FxHashMap, Identity, NodeId, SnapshotRecord, Value, ValueType,
 };
 
-use crate::binary::{
-    get_value, put_value, put_varint, BinaryDecoder, BinaryWriter, Cursor, MAGIC, TAG_ATTR,
-};
+use crate::binary::{get_value, put_value, put_varint, BinaryDecoder, BinaryWriter, Cursor, MAGIC};
 use crate::cali::CaliError;
 use crate::dataset::Dataset;
 use crate::policy::{ReadPolicy, ReadReport};
@@ -84,24 +82,6 @@ pub const DEFAULT_BLOCK_RECORDS: usize = 1024;
 /// block's row count can ask a reader for.
 pub const MAX_BLOCK_RECORDS: usize = 1 << 20;
 
-/// Writer knobs for [`to_binary_v2_with`].
-#[derive(Debug, Clone)]
-pub struct V2WriteOptions {
-    /// Snapshot records per block (clamped to `1..=MAX_BLOCK_RECORDS`).
-    pub block_records: usize,
-    /// Whether to append the footer block index.
-    pub footer: bool,
-}
-
-impl Default for V2WriteOptions {
-    fn default() -> V2WriteOptions {
-        V2WriteOptions {
-            block_records: DEFAULT_BLOCK_RECORDS,
-            footer: true,
-        }
-    }
-}
-
 /// One entry of the footer block index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockInfo {
@@ -113,15 +93,17 @@ pub struct BlockInfo {
 
 // ---- writer ----
 
-/// Serialize a dataset to the block-columnar v2 format with default
-/// options.
+/// Serialize a dataset to the block-columnar v2 format, in blocks of
+/// [`DEFAULT_BLOCK_RECORDS`] records.
 pub fn to_binary_v2(ds: &Dataset) -> Vec<u8> {
-    to_binary_v2_with(ds, &V2WriteOptions::default())
+    to_binary_v2_with(ds, DEFAULT_BLOCK_RECORDS)
 }
 
-/// Serialize a dataset to the block-columnar v2 format.
-pub fn to_binary_v2_with(ds: &Dataset, opts: &V2WriteOptions) -> Vec<u8> {
-    let block_records = opts.block_records.clamp(1, MAX_BLOCK_RECORDS);
+/// Serialize a dataset to the block-columnar v2 format, in blocks of
+/// `block_records` records (clamped to `1..=MAX_BLOCK_RECORDS`), and
+/// close it with the footer block index.
+pub fn to_binary_v2_with(ds: &Dataset, block_records: usize) -> Vec<u8> {
+    let block_records = block_records.clamp(1, MAX_BLOCK_RECORDS);
     let mut w = BinaryWriter::with_version(VERSION_V2);
     for g in &ds.globals {
         w.write_globals(ds, g);
@@ -154,18 +136,16 @@ pub fn to_binary_v2_with(ds: &Dataset, opts: &V2WriteOptions) -> Vec<u8> {
         put_varint(&mut w.out, payload.len() as u64);
         w.out.extend_from_slice(&payload);
     }
-    if opts.footer {
-        let footer_start = w.out.len();
-        w.out.push(TAG_FOOTER);
-        put_varint(&mut w.out, index.len() as u64);
-        for info in &index {
-            put_varint(&mut w.out, info.offset);
-            put_varint(&mut w.out, info.rows);
-        }
-        let footer_len = (w.out.len() - footer_start) as u32;
-        w.out.extend_from_slice(&footer_len.to_le_bytes());
-        w.out.extend_from_slice(END_MAGIC);
+    let footer_start = w.out.len();
+    w.out.push(TAG_FOOTER);
+    put_varint(&mut w.out, index.len() as u64);
+    for info in &index {
+        put_varint(&mut w.out, info.offset);
+        put_varint(&mut w.out, info.rows);
     }
+    let footer_len = (w.out.len() - footer_start) as u32;
+    w.out.extend_from_slice(&footer_len.to_le_bytes());
+    w.out.extend_from_slice(END_MAGIC);
     w.finish()
 }
 
@@ -377,47 +357,6 @@ fn encode_block(
 
 // ---- reader ----
 
-/// Incremental view of the stream dictionary's attribute *names*, used
-/// to resolve pushdown predicates (which are keyed by name) to the
-/// stream-local ids zone maps are keyed by. Duplicate declarations make
-/// a name — or, for re-declared ids, the whole dictionary — ambiguous,
-/// in which case the resolver answers [`AttrStats::Unsure`] and no
-/// block is ever skipped on that evidence.
-#[derive(Default)]
-struct NameIndex {
-    by_name: FxHashMap<String, Option<u64>>,
-    declared_ids: FxHashSet<u64>,
-    tainted: bool,
-}
-
-impl NameIndex {
-    fn declare(&mut self, id: u64, name: &str) {
-        if !self.declared_ids.insert(id) {
-            self.tainted = true;
-        }
-        match self.by_name.entry(name.to_string()) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Some(id));
-            }
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                slot.insert(None);
-            }
-        }
-    }
-}
-
-/// Re-parse the id and name of a `TAG_ATTR` record without consuming
-/// it (the main decode happens in [`BinaryDecoder::read_record`]; this
-/// keeps the [`NameIndex`] in sync without widening that API).
-fn peek_attr(bytes: &[u8], pos: usize) -> Option<(u64, String)> {
-    let mut cursor = Cursor { bytes, pos };
-    cursor.u8().ok()?;
-    let id = cursor.varint().ok()?;
-    let len = cursor.varint().ok()? as usize;
-    let name = std::str::from_utf8(cursor.take(len).ok()?).ok()?;
-    Some((id, name.to_string()))
-}
-
 fn read_block_frame<'a>(cursor: &mut Cursor<'a>) -> Result<&'a [u8], CaliError> {
     cursor.u8()?; // TAG_BLOCK, already peeked
     let len = cursor.varint()? as usize;
@@ -455,41 +394,22 @@ fn skip_footer(cursor: &mut Cursor<'_>) -> Result<(), CaliError> {
 /// a string seen before costs one hash lookup and no allocation, and
 /// consumers can compare and group strings as integers.
 ///
-/// A table is append-only and has an identity ([`id`](Self::id)): a
-/// cache keyed by its codes checks the id to know whose codes it holds.
-/// A new table — [`Default`] or [`Clone`] — gets an id of its own; a
-/// moved one keeps it.
+/// A table is append-only and has an [`Identity`] ([`id`](Self::id)):
+/// a cache keyed by its codes checks the id to know whose codes it
+/// holds. A new table — [`Default`] or [`Clone`] — gets an id of its
+/// own; a moved one keeps it.
 #[derive(Debug, Clone, Default)]
 pub struct StringTable {
     codes: FxHashMap<Arc<str>, u32>,
     values: Vec<Value>,
-    id: TableId,
-}
-
-/// A [`StringTable`]'s identity: process-unique, and new for every
-/// table made, a clone included.
-#[derive(Debug)]
-struct TableId(u64);
-
-impl Default for TableId {
-    fn default() -> TableId {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        TableId(NEXT.fetch_add(1, Ordering::Relaxed))
-    }
-}
-
-impl Clone for TableId {
-    fn clone(&self) -> TableId {
-        TableId::default()
-    }
+    id: Identity,
 }
 
 impl StringTable {
-    /// This table among the process's tables: no two tables share an
-    /// id, a clone and its original included — what a cache of answers
-    /// per code checks it is answering for.
+    /// This table's [`Identity`]: what a cache of answers per code
+    /// checks it is answering for.
     pub fn id(&self) -> u64 {
-        self.id.0
+        self.id.get()
     }
 
     /// The code of `text` if it has one. Never assigns: a caller that
@@ -1134,41 +1054,46 @@ impl BlockDecoder {
         strings: &mut StringTable,
         report: &mut ReadReport,
         pushdown: Option<&Pushdown>,
-        names: &NameIndex,
+        store: &AttributeStore,
     ) -> Result<bool, CaliError> {
         let rows = payload.varint()?;
         if rows > MAX_BLOCK_RECORDS as u64 {
             return Err(payload.err(format!("block of {rows} records, more than a block holds")));
         }
 
-        // Zone maps.
+        // Zone maps, each under the attribute the dictionary maps its
+        // stream id to: the map that decodes the block's columns.
         let nzones = payload.varint()?;
-        let mut zones: Vec<(u64, ZoneStat)> = Vec::new();
+        let mut zones: Vec<(AttrId, ZoneStat)> = Vec::new();
         for _ in 0..nzones {
             let attr_id = payload.varint()?;
             let present = payload.varint()?;
             if present > rows {
                 return Err(payload.err("zone presence count exceeds block rows"));
             }
-            let vtype = decoder.lookup_attr(payload, attr_id, "zone", report)?.1;
+            let (attr, vtype) = decoder.lookup_attr(payload, attr_id, "zone", report)?;
             let min = get_value(payload, vtype)?;
             let max = get_value(payload, vtype)?;
-            zones.push((attr_id, ZoneStat { present, min, max }));
+            zones.push((attr, ZoneStat { present, min, max }));
         }
 
         if let Some(pd) = pushdown {
+            // A name the stream never declared is in no row; one zone is
+            // the attribute's; two stream ids naming one attribute, or an
+            // attribute a re-declared id once named (its nodes may still
+            // carry it), leave the block undecided.
             let stats = |name: &str| -> AttrStats<'_> {
-                if names.tainted {
+                let Some(attr) = store.find(name).map(|a| a.id()) else {
+                    return AttrStats::Absent;
+                };
+                if decoder.renamed.contains(&attr) {
                     return AttrStats::Unsure;
                 }
-                match names.by_name.get(name) {
-                    None => AttrStats::Absent,
-                    Some(None) => AttrStats::Unsure,
-                    Some(Some(id)) => zones
-                        .iter()
-                        .find(|(zid, _)| zid == id)
-                        .map(|(_, z)| AttrStats::Zone(z))
-                        .unwrap_or(AttrStats::Absent),
+                let mut found = zones.iter().filter(|(id, _)| *id == attr);
+                match (found.next(), found.next()) {
+                    (None, _) => AttrStats::Absent,
+                    (Some((_, zone)), None) => AttrStats::Zone(zone),
+                    (Some(_), Some(_)) => AttrStats::Unsure,
                 }
             };
             if !pd.may_match(rows, stats) {
@@ -1400,10 +1325,8 @@ fn block_fault(
         None => String::new(),
     };
     if faults.trigger(sites::V2_BLOCK, ordinal, &label).is_some() {
-        return Err(CaliError::Parse {
-            line: ordinal as usize,
-            message: format!("injected fault at {} (block {ordinal})", sites::V2_BLOCK),
-        });
+        let payload = Cursor { bytes: payload, pos: 0 };
+        return Err(payload.err(format!("injected fault at {}", sites::V2_BLOCK)));
     }
     let mut owned = payload.to_vec();
     if faults.mutate(sites::V2_BLOCK, ordinal, &label, &mut owned) {
@@ -1443,7 +1366,6 @@ pub(crate) fn scan_v2_body(
     mut on_block: Option<&mut BlockSink<'_>>,
 ) -> Result<(), CaliError> {
     let mut decoder = BinaryDecoder::new();
-    let mut names = NameIndex::default();
     let mut strings = StringTable::default();
     let mut blocks = BlockDecoder::default();
     let pushdown = pushdown.filter(|pd| !pd.is_empty());
@@ -1469,9 +1391,18 @@ pub(crate) fn scan_v2_body(
                             bytes: faulted.as_deref().unwrap_or(payload_bytes),
                             pos: 0,
                         };
-                        blocks.decode(&mut payload, &decoder, &mut strings, report, pushdown, &names)
+                        blocks.decode(&mut payload, &decoder, &mut strings, report, pushdown, &ds.store)
                     }
                 };
+                // A payload cursor counts from the payload's first byte.
+                let decoded = decoded.map_err(|e| match e {
+                    CaliError::Decode { byte, message, .. } => CaliError::Decode {
+                        block: Some(ordinal),
+                        byte,
+                        message,
+                    },
+                    other => other,
+                });
                 match decoded {
                     Ok(true) => {
                         report.records += blocks.block.rows() as u64;
@@ -1497,24 +1428,10 @@ pub(crate) fn scan_v2_body(
                     return lenient_stop(policy, report, e);
                 }
             }
-            _ => {
-                let pending = if tag == TAG_ATTR {
-                    peek_attr(cursor.bytes, cursor.pos)
-                } else {
-                    None
-                };
-                match decoder.read_record(&mut cursor, ds, report) {
-                    Ok(is_data) => {
-                        if let Some((id, name)) = pending {
-                            names.declare(id, &name);
-                        }
-                        if is_data {
-                            report.records += 1;
-                        }
-                    }
-                    Err(e) => return lenient_stop(policy, report, e),
-                }
-            }
+            _ => match decoder.read_record(&mut cursor, ds, report) {
+                Ok(is_data) => report.records += is_data as u64,
+                Err(e) => return lenient_stop(policy, report, e),
+            },
         }
     }
     Ok(())
@@ -1614,18 +1531,11 @@ mod tests {
         ds.flat_records().map(|r| r.describe(&ds.store)).collect()
     }
 
-    fn small_blocks() -> V2WriteOptions {
-        V2WriteOptions {
-            block_records: 8,
-            footer: true,
-        }
-    }
-
     #[test]
     fn v2_decodes_to_the_same_dataset_as_v1() {
         let ds = sample();
         let v1 = from_binary(&to_binary(&ds)).unwrap();
-        let v2 = from_binary(&to_binary_v2_with(&ds, &small_blocks())).unwrap();
+        let v2 = from_binary(&to_binary_v2_with(&ds, 8)).unwrap();
         assert_eq!(v2.len(), v1.len());
         assert_eq!(describe_all(&v2), describe_all(&v1));
         assert_eq!(v2.global("experiment"), Some(Value::str("v2-test")));
@@ -1638,7 +1548,7 @@ mod tests {
     #[test]
     fn v2_report_counts_blocks() {
         let ds = sample();
-        let bytes = to_binary_v2_with(&ds, &small_blocks());
+        let bytes = to_binary_v2_with(&ds, 8);
         let (back, report) = from_binary_with(&bytes, ReadPolicy::Strict).unwrap();
         assert_eq!(back.len(), ds.len());
         assert_eq!(report.blocks, 50usize.div_ceil(8) as u64);
@@ -1649,30 +1559,28 @@ mod tests {
     #[test]
     fn footer_indexes_every_block() {
         let ds = sample();
-        let bytes = to_binary_v2_with(&ds, &small_blocks());
+        let bytes = to_binary_v2_with(&ds, 8);
         let index = read_footer(&bytes).unwrap();
         assert_eq!(index.len(), 50usize.div_ceil(8));
         assert_eq!(index.iter().map(|b| b.rows).sum::<u64>(), 50);
         for info in &index {
             assert_eq!(bytes[info.offset as usize], TAG_BLOCK);
         }
-        let no_footer = to_binary_v2_with(
-            &ds,
-            &V2WriteOptions {
-                block_records: 8,
-                footer: false,
-            },
-        );
-        assert!(read_footer(&no_footer).is_none());
+        // The footer is the stream's tail: its record, its length and
+        // the end magic.
+        let footer_len =
+            u32::from_le_bytes(bytes[bytes.len() - 8..bytes.len() - 4].try_into().unwrap());
+        let no_footer = &bytes[..bytes.len() - 8 - footer_len as usize];
+        assert!(read_footer(no_footer).is_none());
         assert!(read_footer(&to_binary(&ds)).is_none());
         // A footerless stream still decodes fully.
-        assert_eq!(from_binary(&no_footer).unwrap().len(), ds.len());
+        assert_eq!(from_binary(no_footer).unwrap().len(), ds.len());
     }
 
     #[test]
     fn pushdown_skips_blocks_and_keeps_all_matches() {
         let ds = sample();
-        let bytes = to_binary_v2_with(&ds, &small_blocks());
+        let bytes = to_binary_v2_with(&ds, 8);
         let mut pd = Pushdown::new();
         // iteration >= 40: only the last two 8-record blocks qualify.
         pd.push(Filter::Cmp {
@@ -1711,7 +1619,7 @@ mod tests {
     #[test]
     fn pushdown_on_absent_attribute_skips_everything() {
         let ds = sample();
-        let bytes = to_binary_v2_with(&ds, &small_blocks());
+        let bytes = to_binary_v2_with(&ds, 8);
         let mut pd = Pushdown::new();
         pd.push(Filter::Exists("no.such.attr".into()));
         let mut report = ReadReport::default();
@@ -1732,7 +1640,7 @@ mod tests {
     #[test]
     fn truncation_at_every_byte_never_panics() {
         let ds = sample();
-        let bytes = to_binary_v2_with(&ds, &small_blocks());
+        let bytes = to_binary_v2_with(&ds, 8);
         let full = from_binary(&bytes).unwrap().len();
         let mut last = 0usize;
         for cut in 0..=bytes.len() {
@@ -1750,7 +1658,7 @@ mod tests {
     #[test]
     fn lenient_resyncs_past_a_corrupt_block() {
         let ds = sample();
-        let bytes = to_binary_v2_with(&ds, &small_blocks());
+        let bytes = to_binary_v2_with(&ds, 8);
         let index = read_footer(&bytes).unwrap();
         // Wreck the first block's payload (row count varint) without
         // touching its length frame.
@@ -1774,7 +1682,7 @@ mod tests {
     #[test]
     fn corrupt_dictionary_record_is_a_valid_prefix_stop() {
         let ds = sample();
-        let bytes = to_binary_v2_with(&ds, &small_blocks());
+        let bytes = to_binary_v2_with(&ds, 8);
         let mut corrupt = bytes.clone();
         corrupt[5] = 0x7f; // first record tag becomes unknown
         let (back, report) = from_binary_with(&corrupt, ReadPolicy::lenient()).unwrap();
@@ -1798,7 +1706,7 @@ mod tests {
                 *rec = SnapshotRecord::from_entries(vec![Entry::Imm(n, Value::UInt(i as u64))]);
             }
         }
-        let bytes = to_binary_v2_with(&ds, &small_blocks());
+        let bytes = to_binary_v2_with(&ds, 8);
         for pattern in [0b1usize, 0b10110, 0b0, usize::MAX] {
             let keep = |row: usize| pattern >> (row % 7) & 1 == 1;
             let mut blocks = 0;
@@ -2019,12 +1927,8 @@ mod tests {
         let v2 = spec_hex("### 6.2");
         assert_eq!(to_binary(&ds), v1, "§6.1");
         for block_records in [2, 3, DEFAULT_BLOCK_RECORDS] {
-            let opts = V2WriteOptions {
-                block_records,
-                footer: true,
-            };
             assert_eq!(
-                to_binary_v2_with(&ds, &opts),
+                to_binary_v2_with(&ds, block_records),
                 v2,
                 "§6.2 at {block_records} records a block"
             );
@@ -2043,7 +1947,8 @@ mod tests {
         for policy in [ReadPolicy::Strict, ReadPolicy::lenient()] {
             let err = from_binary_with(&bytes, policy).unwrap_err().to_string();
             assert!(
-                err.contains("version 2") && err.contains("re-pack"),
+                err.starts_with("decode error at byte 4: binary cali version 2")
+                    && err.contains("re-pack"),
                 "{err}"
             );
         }
@@ -2108,11 +2013,7 @@ mod tests {
 
     #[test]
     fn a_rejected_block_leaves_the_string_table_as_it_was() {
-        let opts = V2WriteOptions {
-            block_records: 4,
-            footer: true,
-        };
-        let mut bytes = to_binary_v2_with(&three_blocks(true), &opts);
+        let mut bytes = to_binary_v2_with(&three_blocks(true), 4);
         // The middle block ends with its last column: `n`, four values
         // of one byte each after its count. One more value than the
         // rows ask for is an overrun, found after the block's strings
@@ -2122,12 +2023,34 @@ mod tests {
         assert_eq!(bytes[count], 4);
         bytes[count] = 5;
         let damaged = scanned_blocks(&bytes, "damaged");
-        let clean = scanned_blocks(&to_binary_v2_with(&three_blocks(false), &opts), "clean");
+        let clean = scanned_blocks(&to_binary_v2_with(&three_blocks(false), 4), "clean");
         assert_eq!(damaged.len(), 2, "the middle block is skipped");
         assert_eq!(damaged, clean);
         // Codes are numbered in the order the columns first name them.
         assert_eq!(clean[0].0, 2);
         assert_eq!(clean[1], (4, vec![2, 1, 3, 2], clean[1].2.clone()));
+    }
+
+    /// A fault in a block's payload is named by the block's ordinal and
+    /// its offset in that payload, strict and lenient alike.
+    #[test]
+    fn a_corrupt_block_is_named_by_its_ordinal_and_payload_byte() {
+        let mut bytes = to_binary_v2_with(&three_blocks(true), 4);
+        // Block 1's payload: the row count (4), the zone count, the
+        // first zone's attribute id, then its presence count, which
+        // may not exceed the rows.
+        let frame = read_footer(&bytes).unwrap()[1].offset as usize;
+        let payload = frame + 2;
+        assert_eq!(bytes[payload], 4);
+        assert_eq!(bytes[payload + 3], 4);
+        bytes[payload + 3] = 9;
+        let want =
+            "decode error in block 1 at payload byte 4: zone presence count exceeds block rows";
+        let err = from_binary_with(&bytes, ReadPolicy::Strict).unwrap_err();
+        assert_eq!(err.to_string(), want);
+        let (back, report) = from_binary_with(&bytes, ReadPolicy::lenient()).unwrap();
+        assert_eq!((back.len(), report.skipped), (8, 1));
+        assert_eq!(report.errors, vec![want.to_string()]);
     }
 
     #[test]

@@ -109,6 +109,16 @@ pub enum CaliError {
         /// Human-readable description of the problem.
         message: String,
     },
+    /// Malformed binary (CALB) input, at the byte it was found.
+    Decode {
+        /// The CALB v2 block whose payload holds the fault (its ordinal
+        /// in the stream, from 0), or `None` outside a block payload.
+        block: Option<u64>,
+        /// Offset of the fault: in the stream, or in the block's payload.
+        byte: usize,
+        /// Human-readable description of the problem.
+        message: String,
+    },
     /// A failure attributed to a specific input file: wraps the
     /// underlying I/O or parse error with the path, so multi-file tools
     /// can report *which* input was bad.
@@ -141,6 +151,10 @@ impl std::fmt::Display for CaliError {
             CaliError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
+            CaliError::Decode { block, byte, message } => match block {
+                None => write!(f, "decode error at byte {byte}: {message}"),
+                Some(k) => write!(f, "decode error in block {k} at payload byte {byte}: {message}"),
+            },
             CaliError::File { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }

@@ -56,7 +56,7 @@ pub mod table;
 
 pub use binary_v2::{
     read_footer, to_binary_v2, to_binary_v2_with, Block, BlockInfo, BlockSink, Cell, Column,
-    ColumnData, StringTable, V2WriteOptions,
+    ColumnData, StringTable,
 };
 pub use cali::{CaliError, CaliReader, CaliWriter};
 pub use pushdown::{cmp_types_compatible, AttrStats, CmpOp, Filter, Pushdown, ZoneStat};

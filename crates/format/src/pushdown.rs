@@ -199,8 +199,8 @@ pub enum AttrStats<'a> {
     /// name is undeclared in the stream, or declared but absent from
     /// this block's zone map.
     Absent,
-    /// The reader cannot reason about the name safely (e.g. the stream
-    /// dictionary declares it more than once); assume anything.
+    /// The reader cannot reason about the name safely (e.g. two stream
+    /// ids name it in one block); assume anything.
     Unsure,
     /// The attribute's zone statistics for this block.
     Zone(&'a ZoneStat),

@@ -33,7 +33,7 @@ use caliper_data::{AttrId, Properties, SnapshotRecord, Value, ValueType, NODE_NO
 use caliper_faults::{corrupt_bytes, CorruptMode};
 use caliper_format::{
     binary, cali, journal, read_footer, scan_path, to_binary_v2_with, CaliReader, CaliWriter, CmpOp,
-    Dataset, Filter, FlushPolicy, JournalWriter, Pushdown, ReadPolicy, V2WriteOptions,
+    Dataset, Filter, FlushPolicy, JournalWriter, Pushdown, ReadPolicy,
 };
 
 const MODES: [CorruptMode; 3] = [CorruptMode::Bitflip, CorruptMode::Truncate, CorruptMode::GarbageBlock];
@@ -243,9 +243,8 @@ fn block_sections(bytes: &[u8], offset: usize, ds: &Dataset) -> Vec<(&'static st
 
 #[test]
 fn damaged_v2_blocks_zone_maps_and_footer_never_panic_the_block_scan() {
-    let opts = V2WriteOptions { block_records: 48, footer: true };
     let ds = sample();
-    let bytes = to_binary_v2_with(&ds, &opts);
+    let bytes = to_binary_v2_with(&ds, 48);
     let blocks = read_footer(&bytes).expect("a clean footer");
     assert_eq!(blocks.len(), 5);
     // The footer record starts where the u32 before the end magic says.
@@ -268,8 +267,7 @@ fn damaged_v2_blocks_zone_maps_and_footer_never_panic_the_block_scan() {
 /// A strict scan of the sample's stream up to its first block, followed
 /// by one handcrafted block.
 fn scan_handcrafted(payload: &[u8]) -> Result<usize, String> {
-    let opts = V2WriteOptions { block_records: 48, footer: true };
-    let bytes = to_binary_v2_with(&sample(), &opts);
+    let bytes = to_binary_v2_with(&sample(), 48);
     let first = read_footer(&bytes).unwrap()[0].offset as usize;
     let mut stream = bytes[..first].to_vec();
     stream.push(0x05);

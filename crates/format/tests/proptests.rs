@@ -6,8 +6,7 @@
 use caliper_data::{Entry, FlatRecord, Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_format::pushdown::{CmpOp, Filter, Pushdown};
 use caliper_format::{
-    cali, escape, CaliReader, Dataset, FlushPolicy, JournalWriter, ReadPolicy, ReadReport,
-    V2WriteOptions, SEQ_ATTR,
+    cali, escape, CaliReader, Dataset, FlushPolicy, JournalWriter, ReadPolicy, ReadReport, SEQ_ATTR,
 };
 use proptest::prelude::*;
 
@@ -75,6 +74,13 @@ fn build_dataset(labels: &[String], records: &ArbRecords) -> Dataset {
         ds.push(rec);
     }
     ds
+}
+
+/// The length of a v2 stream's footer: its record, the record's
+/// length and the end magic, at the stream's tail.
+fn footer_bytes(v2: &[u8]) -> usize {
+    let trailer = v2.len() - 8;
+    8 + u32::from_le_bytes(v2[trailer..trailer + 4].try_into().unwrap()) as usize
 }
 
 /// Sorted flat-record descriptions — a dataset's multiset of expanded
@@ -179,7 +185,7 @@ proptest! {
 
     /// The block-columnar v2 encoding of any dataset must decode to the
     /// same record multiset as the v1 encoding, for every block size and
-    /// with or without a footer — and both decodes must re-encode to
+    /// with or without its footer — and both decodes must re-encode to
     /// byte-identical v1 streams (the dictionaries come back in the same
     /// creation order).
     #[test]
@@ -197,7 +203,10 @@ proptest! {
     ) {
         let ds = build_dataset(&labels, &records);
         let v1 = caliper_format::binary::to_binary(&ds);
-        let v2 = caliper_format::to_binary_v2_with(&ds, &V2WriteOptions { block_records, footer });
+        let mut v2 = caliper_format::to_binary_v2_with(&ds, block_records);
+        if !footer {
+            v2.truncate(v2.len() - footer_bytes(&v2));
+        }
         let d1 = caliper_format::binary::from_binary(&v1).unwrap();
         let d2 = caliper_format::binary::from_binary(&v2).unwrap();
         prop_assert_eq!(d1.len(), ds.len());
@@ -231,10 +240,7 @@ proptest! {
         raw_literal in arb_zone_value(),
     ) {
         let ds = build_dataset(&labels, &records);
-        let v2 = caliper_format::to_binary_v2_with(
-            &ds,
-            &V2WriteOptions { block_records, footer: true },
-        );
+        let v2 = caliper_format::to_binary_v2_with(&ds, block_records);
         let full = record_multiset(&ds);
         let mut names: Vec<String> = (0..4).map(|i| format!("imm.{i}")).collect();
         names.extend(labels.iter().enumerate().map(|(i, l)| format!("n.{i}.{l}")));
@@ -295,10 +301,7 @@ proptest! {
         block_records in 1usize..5,
     ) {
         let ds = build_dataset(&labels, &records);
-        let v2 = caliper_format::to_binary_v2_with(
-            &ds,
-            &V2WriteOptions { block_records, footer: true },
-        );
+        let v2 = caliper_format::to_binary_v2_with(&ds, block_records);
         let mut last = 0usize;
         for cut in 5..=v2.len() {
             match caliper_format::binary::from_binary_with(
@@ -391,10 +394,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let ds = numbered_dataset(records);
-        let bytes = caliper_format::to_binary_v2_with(
-            &ds,
-            &V2WriteOptions { block_records, footer: true },
-        );
+        let bytes = caliper_format::to_binary_v2_with(&ds, block_records);
         let clean = ordered_lines(&caliper_format::binary::from_binary(&bytes).unwrap());
         let blocks = records.div_ceil(block_records);
         let ordinal = (ordinal_seed % blocks as u64) as usize;
@@ -440,13 +440,7 @@ proptest! {
 fn v2_detected_corruption_loses_exactly_the_damaged_block() {
     let records = 23;
     let ds = numbered_dataset(records);
-    let bytes = caliper_format::to_binary_v2_with(
-        &ds,
-        &V2WriteOptions {
-            block_records: 4,
-            footer: true,
-        },
-    );
+    let bytes = caliper_format::to_binary_v2_with(&ds, 4);
     let clean = ordered_lines(&caliper_format::binary::from_binary(&bytes).unwrap());
     let blocks = caliper_format::read_footer(&bytes).unwrap().len();
     for ordinal in 0..blocks {
@@ -1055,4 +1049,145 @@ proptest! {
             prop_assert_eq!(read_outcome(&plain, policy), read_outcome(&escaped, policy));
         }
     }
+}
+
+/// A dataset for the odd-dictionary streams: a nested `fn` path whose
+/// nodes later blocks keep referring to, two integer immediates that
+/// come alone, together or not at all, block by block (4 records a
+/// block), and a string immediate.
+fn dictionary_dataset() -> Dataset {
+    let mut ds = Dataset::new();
+    let func = ds.attribute("fn", ValueType::Str, Properties::NESTED);
+    let alpha = ds.attribute("alpha", ValueType::Int, Properties::AS_VALUE);
+    let omega = ds.attribute("omega", ValueType::Int, Properties::AS_VALUE);
+    let kind = ds.attribute("kind", ValueType::Str, Properties::AS_VALUE);
+    let main = ds.tree.get_child(NODE_NONE, func.id(), &Value::str("main"));
+    let inner = ds.tree.get_child(main, func.id(), &Value::str("inner"));
+    for i in 0..48i64 {
+        let mut rec = SnapshotRecord::new();
+        match i % 3 {
+            0 => rec.push_node(main),
+            1 => rec.push_node(inner),
+            _ if i >= 32 => {
+                let late = ds.tree.get_child(NODE_NONE, func.id(), &Value::str("late"));
+                rec.push_node(late);
+            }
+            _ => {}
+        }
+        if (0..8).contains(&i) || (16..24).contains(&i) || i >= 32 {
+            rec.push_imm(alpha.id(), Value::Int(i));
+        }
+        if (8..24).contains(&i) || i % 7 == 0 {
+            rec.push_imm(omega.id(), Value::Int(100 - i));
+        }
+        if i % 5 != 0 {
+            rec.push_imm(kind.id(), Value::str(if i < 20 { "x" } else { "y" }));
+        }
+        ds.push(rec);
+    }
+    ds
+}
+
+/// A v2 stream of `ds` at 4 records a block, its footer cut off (the
+/// edits below move the blocks it indexes), and its block offsets.
+fn footerless_v2(ds: &Dataset) -> (Vec<u8>, Vec<usize>) {
+    let mut bytes = caliper_format::to_binary_v2_with(ds, 4);
+    let offsets = caliper_format::read_footer(&bytes).unwrap().iter().map(|b| b.offset as usize).collect();
+    bytes.truncate(bytes.len() - footer_bytes(&bytes));
+    (bytes, offsets)
+}
+
+/// A `TAG_ATTR` record declaring stream id `id` (< 128) as `name`.
+fn attr_record(id: u8, name: &str, vtype: ValueType) -> Vec<u8> {
+    let tag = match vtype {
+        ValueType::Str => 0,
+        ValueType::Int => 1,
+        _ => unreachable!("the odd dictionaries declare strings and integers"),
+    };
+    [&[0x01, id, name.len() as u8][..], name.as_bytes(), &[tag, 0]].concat()
+}
+
+/// Every pushable WHERE on every name the stream declares (and on one
+/// it never declares) keeps exactly the rows that pass it in the same
+/// read without pushdown. Returns how many blocks the pushdowns skipped.
+fn assert_pushdown_sound(bytes: &[u8], what: &str) -> u64 {
+    let full = caliper_format::binary::from_binary(bytes).unwrap();
+    let mut names: Vec<String> = full.store.all().iter().map(|a| a.name().to_string()).collect();
+    names.push("no.such.attr".into());
+    let mut skipped = 0;
+    for name in &names {
+        let mut literals = vec![Value::Int(5), Value::str("x")];
+        if let Some(attr) = full.store.find(name) {
+            for rec in full.flat_records() {
+                for value in rec.all(attr.id()) {
+                    if !literals.contains(value) {
+                        literals.push(value.clone());
+                    }
+                }
+            }
+        }
+        for filter in every_filter(name, &literals) {
+            let mut pd = Pushdown::new();
+            pd.push(filter.clone());
+            let mut report = ReadReport::default();
+            let filtered = caliper_format::binary::read_binary_into_filtered(
+                bytes,
+                Dataset::new(),
+                ReadPolicy::Strict,
+                &mut report,
+                Some(&pd),
+            )
+            .unwrap();
+            skipped += report.blocks_skipped;
+            assert_eq!(
+                passing_records(&full, &filter),
+                passing_records(&filtered, &filter),
+                "{what}: {filter:?}"
+            );
+        }
+    }
+    skipped
+}
+
+/// One attribute name under two stream ids: a block's zone for either
+/// id alone is the attribute's zone only when the other id is absent
+/// from the block.
+#[test]
+fn pushdown_is_sound_when_one_name_has_two_stream_ids() {
+    let (mut bytes, _) = footerless_v2(&dictionary_dataset());
+    let at = bytes.windows(5).position(|w| w == b"omega").unwrap();
+    assert_eq!(bytes.windows(5).filter(|w| w == b"omega").count(), 1);
+    bytes[at..at + 5].copy_from_slice(b"alpha");
+    let full = caliper_format::binary::from_binary(&bytes).unwrap();
+    assert!(full.store.find("omega").is_none(), "both ids now name alpha");
+    assert!(assert_pushdown_sound(&bytes, "two ids, one name") > 0);
+}
+
+/// A stream id declared again under another name between blocks: later
+/// blocks still refer to nodes made under the old name, and their zone
+/// for that id mixes both names' values.
+#[test]
+fn pushdown_is_sound_when_a_stream_id_is_renamed_between_blocks() {
+    let ds = dictionary_dataset();
+    let (bytes, offsets) = footerless_v2(&ds);
+    let id = |name: &str| ds.store.find(name).unwrap().id() as u8;
+    for (renamed, vtype, to) in [("fn", ValueType::Str, "fx"), ("alpha", ValueType::Int, "gamma")] {
+        for cut in [offsets[1], offsets[5]] {
+            let spliced =
+                [&bytes[..cut], &attr_record(id(renamed), to, vtype)[..], &bytes[cut..]].concat();
+            let full = caliper_format::binary::from_binary(&spliced).unwrap();
+            assert!(full.store.find(to).is_some());
+            let what = format!("{renamed} renamed {to} at byte {cut}");
+            assert!(assert_pushdown_sound(&spliced, &what) > 0, "{what}");
+        }
+    }
+}
+
+/// A WHERE on a name the stream never declares: no row carries it, so
+/// every block is skipped or kept as the row test decides, and none of
+/// the rows it keeps is lost.
+#[test]
+fn pushdown_is_sound_on_a_name_the_stream_never_declares() {
+    let (bytes, _) = footerless_v2(&dictionary_dataset());
+    assert!(assert_pushdown_sound(&bytes, "undeclared name") > 0);
 }

@@ -719,13 +719,6 @@ impl EventEngine {
         };
 
         let metrics = caliper_data::metrics::global();
-        metrics.counter_volatile("mpisim.sched.events").add(stats.events);
-        metrics
-            .gauge_volatile("mpisim.sched.virtual_time_ns")
-            .set(stats.virtual_time_ns);
-        metrics
-            .gauge_volatile("mpisim.sched.max_queue_depth")
-            .set_max(stats.max_queue_depth as u64);
         metrics
             .counter_volatile("mpisim.comm.messages")
             .add(stats.messages);

@@ -27,11 +27,11 @@
 //! §6).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use caliper_data::{
-    fxhash, AttrId, Attribute, AttributeStore, ContextTree, FlatRecord, FxBuildHasher, Properties,
-    Value, ValueType,
+    fxhash, AttrId, Attribute, AttributeStore, ContextTree, FlatRecord, FxBuildHasher, Identity,
+    Properties, Value, ValueType,
 };
 use caliper_format::{Block, BlockRows, Cell, Column as BlockColumn, ColumnData, StringTable};
 
@@ -246,7 +246,7 @@ fn key_order<'k>(
 /// ([`Aggregator::translate`]).
 #[derive(Default)]
 pub(crate) struct CodeMap {
-    owner: Weak<()>,
+    owner: u64,
     codes: Vec<u32>,
     groups: Vec<u32>,
 }
@@ -288,9 +288,8 @@ struct Part {
     records: Vec<u64>,
     /// The groups the open part counted a record into, first count first.
     touched: Vec<u32>,
-    /// Open since the aggregator had this many groups and had processed
-    /// this many records.
-    open: Option<(usize, u64)>,
+    /// Open since the aggregator had this many groups.
+    open: Option<usize>,
 }
 
 /// The streaming aggregator.
@@ -315,7 +314,7 @@ pub struct Aggregator {
     /// a lone string's `sum`).
     strings: StringTable,
     /// What a [`CodeMap`] recognises this aggregator by.
-    id: Arc<()>,
+    id: Identity,
     /// [`Aggregator::merge`]'s scratch: a key on its way to `admit`.
     key: Vec<KeyCell>,
     /// The fold of this aggregation, which every block
@@ -325,7 +324,6 @@ pub struct Aggregator {
     /// What [`Aggregator::add`] folds a record as: a block of one row
     /// and the table of its strings, made on the first record.
     rows: Option<Box<(StringTable, Block)>>,
-    records_processed: u64,
     /// The part, open or kept for the next ([`Aggregator::open_part`]).
     part: Option<Box<Part>>,
     /// Capacity bound on the database (None = unbounded, the historical
@@ -353,11 +351,10 @@ impl Aggregator {
             table: HashMap::default(),
             chain: Vec::new(),
             strings: StringTable::default(),
-            id: Arc::new(()),
+            id: Identity::default(),
             key: Vec::new(),
             fold: None,
             rows: None,
-            records_processed: 0,
             part: None,
             max_groups: None,
             overflow: None,
@@ -405,9 +402,14 @@ impl Aggregator {
         self.len() == 0
     }
 
-    /// Total number of input records processed.
+    /// Total number of input records processed: every record is counted
+    /// into one group's row of the records column.
     pub fn records_processed(&self) -> u64 {
-        self.records_processed
+        debug_assert!(
+            self.part.as_ref().is_none_or(|part| part.open.is_none()),
+            "a part is open"
+        );
+        self.records.iter().sum()
     }
 
     fn at_capacity(&self) -> bool {
@@ -447,9 +449,9 @@ impl Aggregator {
     /// Start `map` over unless it holds this aggregator's codes.
     #[inline]
     pub(crate) fn claim(&self, map: &mut CodeMap) {
-        if map.owner.as_ptr() != Arc::as_ptr(&self.id) {
+        if map.owner != self.id.get() {
             *map = CodeMap {
-                owner: Arc::downgrade(&self.id),
+                owner: self.id.get(),
                 ..CodeMap::default()
             };
         }
@@ -497,6 +499,32 @@ impl Aggregator {
         }
     }
 
+    /// Into `key`, `cells` in this aggregator's terms, for
+    /// [`admit`](Self::admit): strings, codes of `from`, translated
+    /// through `codes`, and the key cut short at one this aggregator
+    /// turns away. (A loop of pushes: `extend` of a `map_while` costs
+    /// several times as much here.)
+    #[inline]
+    pub(crate) fn fill_key(
+        &mut self,
+        key: &mut Vec<KeyCell>,
+        cells: impl Iterator<Item = Option<Cell>>,
+        codes: &mut CodeMap,
+        from: &StringTable,
+    ) {
+        key.clear();
+        for cell in cells {
+            let cell = match cell {
+                Some(Cell::Str(code)) => match self.translate(codes, from, code) {
+                    Some(mine) => Some(Cell::Str(mine)),
+                    None => return,
+                },
+                other => other,
+            };
+            key.push(KeyCell(cell));
+        }
+    }
+
     /// The overflow bucket's group, added on first use.
     fn overflow_group(&mut self) -> u32 {
         if let Some(group) = self.overflow {
@@ -528,7 +556,6 @@ impl Aggregator {
     /// Count one input record into `group` (see [`Aggregator::admit`]),
     /// for the caller to [`feed`](Self::feed) the ops next.
     pub(crate) fn count_into(&mut self, group: u32) {
-        self.records_processed += 1;
         let count = &mut self.records[group as usize];
         if *count == 0 {
             if let Some(part) = self.part.as_deref_mut().filter(|part| part.open.is_some()) {
@@ -557,15 +584,14 @@ impl Aggregator {
         debug_assert!(part.open.is_none(), "a part is open already");
         std::mem::swap(&mut self.ops, &mut part.ops);
         std::mem::swap(&mut self.records, &mut part.records);
-        part.open = Some((groups, self.records_processed));
+        part.open = Some(groups);
     }
 
     /// Shut the open part: its states set aside and the aggregator's back
     /// in their place, each row it touched combined into the
     /// aggregator's if it is to be `kept` ([`combine`](Self::combine)),
-    /// then reset for the next part. The groups and the records
-    /// processed when it opened.
-    fn shut_part(&mut self, kept: bool) -> (usize, u64) {
+    /// then reset for the next part. The groups when it opened.
+    fn shut_part(&mut self, kept: bool) -> usize {
         let mut part = self.part.take().expect("an open part");
         let opened = part.open.take().expect("an open part");
         let Part { ops, records, touched, .. } = &mut *part;
@@ -594,12 +620,12 @@ impl Aggregator {
     /// into it: its touched rows are reset, the groups it admitted come
     /// off the table, the columns and the key arena — the newest first,
     /// each the newest of its hash, whose table entry goes back to the
-    /// next older group in its chain — and the records it counted are
+    /// next older group in its chain — and so the records it counted are
     /// uncounted. Strings interned meanwhile stay: the table only grows,
     /// and nothing refers to them. The aggregator takes a new identity,
     /// so that no code map remembers a group that is gone.
     pub(crate) fn drop_part(&mut self) {
-        let (groups, records_processed) = self.shut_part(false);
+        let groups = self.shut_part(false);
         for group in (groups..self.records.len()).rev() {
             let hash = fxhash(self.key_of(group as u32));
             match self.chain[group] {
@@ -613,8 +639,7 @@ impl Aggregator {
             ops.iter_mut().for_each(|column| column.resize(groups));
             records.truncate(groups);
         }
-        self.records_processed = records_processed;
-        self.id = Arc::new(());
+        self.id = Identity::default();
     }
 
     /// The one per-group merge: row `og` of a source's state columns
@@ -720,7 +745,6 @@ impl Aggregator {
         debug_assert!(self.part.as_ref().is_none_or(|part| part.open.is_none()), "a part is open");
         #[cfg(test)]
         crate::parallel::tests::BUILT.with(|built| built.set((built.get().0, built.get().1 + 1)));
-        self.records_processed += other.records_processed;
         let mut incoming = other.keyed();
         if self.max_groups.is_some() {
             let key = |i: usize| other.key_of(incoming[i]);
@@ -737,14 +761,8 @@ impl Aggregator {
             let mine = if other.overflow == Some(theirs) {
                 self.overflow_group()
             } else {
-                key.clear();
-                key.extend(other.key_of(theirs).iter().map_while(|cell| match cell.0 {
-                    Some(Cell::Str(code)) => {
-                        let code = self.translate(&mut codes, &other.strings, code)?;
-                        Some(KeyCell(Some(Cell::Str(code))))
-                    }
-                    _ => Some(*cell),
-                }));
+                let cells = other.key_of(theirs).iter().map(|cell| cell.0);
+                self.fill_key(&mut key, cells, &mut codes, &other.strings);
                 self.admit(&key)
             };
             self.combine(mine, &other.ops, &other.records, theirs, Some(&other.strings));
@@ -893,7 +911,7 @@ impl Aggregator {
         // stays byte-identical for any worker-thread count.
         let m = caliper_data::metrics::global();
         m.counter("query.aggregator.records")
-            .add(self.records_processed);
+            .add(self.records_processed());
         m.counter("query.aggregator.groups_flushed")
             .add(rows.len() as u64);
         m.gauge("query.aggregator.groups_live")
@@ -977,7 +995,7 @@ impl std::fmt::Debug for Aggregator {
             f,
             "Aggregator({} entries, {} records processed)",
             self.len(),
-            self.records_processed
+            self.records_processed()
         )
     }
 }
@@ -1716,8 +1734,47 @@ mod tests {
                 file.iter().for_each(|record| lent.add(record));
                 lent.close_part();
                 assert_eq!(bits(&lent), bits(&merged), "a second part");
+                // The records column counts every record folded in.
+                let records = (base.len() + 2 * file.len()) as u64;
+                assert_eq!(lent.records_processed(), records, "keys {keys:?}, base of {}", base.len());
+                assert_eq!(merged.records_processed(), records, "keys {keys:?}, base of {}", base.len());
             }
         }
+    }
+
+    /// A capped merge brings each incoming key into this aggregator's
+    /// terms cell by cell, and a string it turns away cuts the key short,
+    /// first cell or second: that group goes to the overflow bucket, as
+    /// does a key of known strings that finds no room.
+    #[test]
+    fn a_capped_merge_overflows_a_key_turned_away_mid_key() {
+        let store = Arc::new(AttributeStore::new());
+        let spec = parse_query("AGGREGATE count, sum(x), min(s) GROUP BY a, b").unwrap();
+        let spec = AggregationSpec::from_query(&spec);
+        let record = |a: &str, b: &str, x: i64| {
+            let s = ["m", "n"][x as usize % 2];
+            RecordBuilder::new(&store).with("a", a).with("b", b).with("x", x).with("s", s).build()
+        };
+        let mut agg = Aggregator::new(spec.clone(), Arc::clone(&store));
+        agg.set_max_groups(Some(2));
+        agg.add(&record("p", "q", 1));
+        agg.add(&record("p", "r", 2));
+        let mut other = Aggregator::new(spec, Arc::clone(&store));
+        for (a, b, x) in [("p", "q", 10), ("q", "new", 20), ("z", "q", 40), ("r", "p", 80), ("q", "new", 160)] {
+            other.add(&record(a, b, x));
+        }
+        agg.merge(other);
+        assert_eq!((agg.len(), agg.overflow_records(), agg.records_processed()), (2, 4, 7));
+        // Neither string turned away was interned: the cap bounds them.
+        assert_eq!((agg.strings.find("new"), agg.strings.find("z")), (None, None));
+        assert_eq!(
+            bits(&agg),
+            [
+                "a=Str(\"p\"),b=Str(\"q\"),count=UInt(2),sum#x=Int(11),min#s=Str(\"m\")",
+                "a=Str(\"p\"),b=Str(\"r\"),count=UInt(1),sum#x=Int(2),min#s=Str(\"m\")",
+                "a=Str(\"__overflow__\"),b=Str(\"__overflow__\"),count=UInt(4),sum#x=Int(300),min#s=Str(\"m\")",
+            ]
+        );
     }
 
     #[test]

@@ -70,7 +70,7 @@
 //! its LET outputs, the pairs of the record the row stands for.
 
 use std::path::Path;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
 use caliper_data::{AttrId, Attribute, AttributeStore, ContextTree, NodeId, SnapshotRecord, Value};
@@ -360,9 +360,8 @@ pub(crate) struct BlockFold {
     /// Per op: the slot of its target (`None` for `count`).
     ops: Vec<Option<u32>>,
 
-    /// The store the slots resolve against: held weakly, which keeps
-    /// its address from being another store's while it is compared.
-    store: Weak<AttributeStore>,
+    /// The id of the store the slots resolve against.
+    store: u64,
     /// Per context-tree node seen so far, by node id, of the tree whose
     /// id is `tree`, over `store`: its slotted occurrences. A label that
     /// resolves later cannot be on a path cached earlier — the node's
@@ -478,9 +477,9 @@ impl BlockFold {
     /// Resolve the labels not resolved yet against `store` — every
     /// label, and the node cache started over, when `store` is another
     /// store than the last one's.
-    pub(crate) fn resolve(&mut self, store: &Arc<AttributeStore>) {
-        if !std::ptr::eq(self.store.as_ptr(), Arc::as_ptr(store)) {
-            self.store = Arc::downgrade(store);
+    pub(crate) fn resolve(&mut self, store: &AttributeStore) {
+        if self.store != store.id() {
+            self.store = store.id();
             self.slots.iter_mut().for_each(|slot| slot.attr = None);
             self.nodes.clear();
         }
@@ -781,7 +780,8 @@ impl BlockFold {
         let constant =
             |&slot: &u32| matches!(places[slot as usize], Place::Absent | Place::Const(_));
         if keys.iter().all(constant) {
-            fill_key(key, keys, agg, codes, strings, |slot| cell_at(slot, 0));
+            let cells = keys.iter().map(|&slot| cell_at(slot, 0));
+            agg.fill_key(key, cells, codes, strings);
             let group = agg.admit(key);
             groups.resize(selected.len(), group);
         } else if let Some(column) = one_string(keys, places, block) {
@@ -795,7 +795,8 @@ impl BlockFold {
                         admit_code(agg, codes, strings, code)
                     }
                     _ => {
-                        fill_key(key, keys, agg, codes, strings, |slot| cell_at(slot, i));
+                        let cells = keys.iter().map(|&slot| cell_at(slot, i));
+                        agg.fill_key(key, cells, codes, strings);
                         agg.admit(key)
                     }
                 };
@@ -1033,31 +1034,6 @@ fn value_at(place: Place, computed: &[Option<Cell>], block: &Block, i: usize) ->
         Place::Const(cell) => Some(cell),
         Place::Column(c, base) => Some(block.columns()[c as usize].data.get(base + i)),
         Place::Computed => computed[i],
-    }
-}
-
-/// Into `key`, `agg`'s key with the cell `value(slot)` for each label
-/// `slot` of `keys`: strings in the aggregator's terms, cut short at one
-/// the aggregator turns away. (A loop of pushes: `extend` of a
-/// `map_while` costs several times as much here.)
-fn fill_key(
-    key: &mut Vec<KeyCell>,
-    keys: &[u32],
-    agg: &mut Aggregator,
-    codes: &mut CodeMap,
-    strings: &StringTable,
-    value: impl Fn(u32) -> Option<Cell>,
-) {
-    key.clear();
-    for &slot in keys {
-        let cell = match value(slot) {
-            Some(Cell::Str(code)) => match agg.translate(codes, strings, code) {
-                Some(mine) => Some(Cell::Str(mine)),
-                None => return,
-            },
-            other => other,
-        };
-        key.push(KeyCell(cell));
     }
 }
 

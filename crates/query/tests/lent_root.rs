@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 
 use caliper_data::{Properties, SnapshotRecord, Value, ValueType};
-use caliper_format::binary_v2::{read_footer, to_binary_v2_with, V2WriteOptions};
+use caliper_format::binary_v2::{read_footer, to_binary_v2_with};
 use caliper_format::Dataset;
 use caliper_query::{parallel_query_files, ParallelOptions};
 
@@ -53,14 +53,10 @@ fn dataset(f: usize) -> Dataset {
 /// The six files under `dir`, blocks of 16 records, each with a footer.
 fn write_files(dir: &Path) -> Vec<PathBuf> {
     std::fs::create_dir_all(dir).unwrap();
-    let opts = V2WriteOptions {
-        block_records: 16,
-        footer: true,
-    };
     (0..6)
         .map(|f| {
             let path = dir.join(format!("f{f}.calb2"));
-            std::fs::write(&path, to_binary_v2_with(&dataset(f), &opts)).unwrap();
+            std::fs::write(&path, to_binary_v2_with(&dataset(f), 16)).unwrap();
             path
         })
         .collect()

@@ -46,7 +46,7 @@ fn main() {
         ResilienceOptions::default(),
         false,
     );
-    let QueryRun { result, timings, coverage } = run.expect("parallel query");
+    let QueryRun { result, timings, coverage, .. } = run.expect("parallel query");
 
     println!("== {} output records (paper: 85); top 10 by total time ==\n", result.records.len());
     let top = result

@@ -990,4 +990,7 @@ if [ "$rc" -ne 1 ]; then
     exit 1
 fi
 echo "check.sh: race analysis: 2048-rank certificate clean and deterministic, demo exit codes pinned"
+# Advisory, no gate: each crate's non-test source lines, the row a
+# simplicity change shows its deletions in.
+./scripts/nontest_lines.sh | sed 's/^/check.sh: /'
 echo "check.sh: all gates passed"

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use caliper_data::{Entry, Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_format::{
     binary, cali, read_footer, read_path_into_filtered, scan_path, to_binary_v2_with, Block,
-    Dataset, ReadPolicy, ReadReport, StringTable, V2WriteOptions,
+    Dataset, ReadPolicy, ReadReport, StringTable,
 };
 use caliper_query::{
     build_pushdown, parse_query, AggregationSpec, Aggregator, LetExpr, Pipeline,
@@ -337,7 +337,7 @@ fn write(dir: &Path, name: &str, bytes: Vec<u8>) -> PathBuf {
 }
 
 fn v2_bytes(ds: &Dataset, block_records: usize) -> Vec<u8> {
-    to_binary_v2_with(ds, &V2WriteOptions { block_records, footer: true })
+    to_binary_v2_with(ds, block_records)
 }
 
 /// `ds` as text, then roughed up without changing what it says: every
@@ -598,12 +598,20 @@ fn row_records_between_blocks_fold_in_stream_order() {
         let rows: Vec<Generated> = counts.iter().map(|&c| (1, 0, 64, 0, 0, c)).collect();
         dataset_of(&rows)
     };
-    let no_footer = V2WriteOptions { block_records: 8, footer: false };
+    // Every stream starts with the four magic bytes and a version byte,
+    // and a v2 stream ends with its footer, which indexes its own blocks
+    // only: the footer's record, its length and the end magic go.
+    let footerless = |ds: &Dataset| {
+        let mut bytes = to_binary_v2_with(ds, 8);
+        let trailer = bytes.len() - 8;
+        let footer = u32::from_le_bytes(bytes[trailer..trailer + 4].try_into().unwrap());
+        bytes.truncate(trailer - footer as usize);
+        bytes
+    };
     let parts = [labelled(&[0, 1]), labelled(&[2, 2]), labelled(&[3, 0])];
-    // Every stream starts with the four magic bytes and a version byte.
-    let mut bytes = to_binary_v2_with(&parts[0], &no_footer);
+    let mut bytes = footerless(&parts[0]);
     bytes.extend_from_slice(&binary::to_binary(&parts[1])[5..]);
-    bytes.extend_from_slice(&to_binary_v2_with(&parts[2], &no_footer)[5..]);
+    bytes.extend_from_slice(&footerless(&parts[2])[5..]);
     let dir = case_dir();
     let mixed = write(&dir, "mixed.calb2", bytes);
 

@@ -8,7 +8,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use caliper_format::{read_path, scan_path, Dataset, ReadPolicy, V2WriteOptions};
+use caliper_format::{read_path, scan_path, Dataset, ReadPolicy};
 use caliper_query::{parse_query, Pipeline};
 use caliper_runtime::Config;
 use miniapps::paradis::{generate_rank, ParaDisParams};
@@ -37,14 +37,10 @@ fn columns_answer_what_rows_answer(text: bool) {
         std::process::id()
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    let opts = V2WriteOptions {
-        block_records: 32,
-        footer: true,
-    };
     let bytes = if text {
         caliper_format::cali::to_bytes(&ds)
     } else {
-        caliper_format::to_binary_v2_with(&ds, &opts)
+        caliper_format::to_binary_v2_with(&ds, 32)
     };
     let path = dir.join("rank0.data");
     std::fs::write(&path, bytes).unwrap();

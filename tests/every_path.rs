@@ -55,7 +55,6 @@ use caliper_data::{
 };
 use caliper_format::{
     binary, cali, to_binary_v2_with, Block, Dataset, Pushdown, StringTable,
-    V2WriteOptions,
 };
 use caliper_query::{
     build_pushdown, parallel_query_files, parse_query, run_query, AggregationSpec, Aggregator,
@@ -293,8 +292,7 @@ fn every_path(
         text_paths.push(dir.join(format!("f{i}.cali")));
         cali::write_file(&ds, &text_paths[i]).unwrap();
         v2_paths.push(dir.join(format!("f{i}.calb2")));
-        let blocks = V2WriteOptions { block_records: 16, footer: true };
-        std::fs::write(&v2_paths[i], to_binary_v2_with(&ds, &blocks)).unwrap();
+        std::fs::write(&v2_paths[i], to_binary_v2_with(&ds, 16)).unwrap();
     }
 
     // `parallel_query_files`: a partial per file, merged in file order.
@@ -721,8 +719,7 @@ fn every_pass_through_path(files: Vec<File>, (let_, where_): (usize, usize)) -> 
     let mut paths: [Vec<_>; 3] = Default::default();
     for (i, file) in files.iter().enumerate() {
         let ds = dataset(file.v, &file.rows);
-        let blocks = V2WriteOptions { block_records: 16, footer: true };
-        let bytes = [cali::to_bytes(&ds), binary::to_binary(&ds), to_binary_v2_with(&ds, &blocks)];
+        let bytes = [cali::to_bytes(&ds), binary::to_binary(&ds), to_binary_v2_with(&ds, 16)];
         for ((encoded, paths), ext) in bytes.into_iter().zip(&mut paths).zip(["cali", "calb", "calb2"]) {
             paths.push(dir.join(format!("f{i}.{ext}")));
             std::fs::write(paths.last().unwrap(), encoded).unwrap();
