@@ -69,8 +69,7 @@ impl CleverLeafAttrs {
     /// Intern all instrumentation attributes in a runtime.
     pub fn new(caliper: &Arc<Caliper>) -> CleverLeafAttrs {
         let nested = |name: &str| caliper.attribute(name, ValueType::Str, Properties::NESTED);
-        let value_int =
-            |name: &str| caliper.attribute(name, ValueType::Int, Properties::AS_VALUE);
+        let value_int = |name: &str| caliper.attribute(name, ValueType::Int, Properties::AS_VALUE);
         CleverLeafAttrs {
             function: nested("function"),
             annotation: nested("annotation"),
@@ -232,7 +231,13 @@ impl CleverLeaf {
                 14_000 + (p.ranks as f64).log2() as u64 * 2_000 + wait * 3 / 10,
                 mode,
             );
-            self.mpi_call(&mut scope, &attrs, "MPI_Barrier", wait * 7 / 10 + 2_000, mode);
+            self.mpi_call(
+                &mut scope,
+                &attrs,
+                "MPI_Barrier",
+                wait * 7 / 10 + 2_000,
+                mode,
+            );
 
             // Periodic collectives: load-balance checks and output.
             if t % 10 == 0 {
@@ -277,12 +282,7 @@ impl CleverLeaf {
     /// Run one rank with a real clock and spinning work; returns the
     /// process dataset, the wall-clock seconds elapsed, and the number
     /// of snapshots processed. Used by the Figure 3 overhead harness.
-    pub fn run_rank_timed(
-        &self,
-        rank: usize,
-        config: &Config,
-        scale: f64,
-    ) -> (Dataset, f64, u64) {
+    pub fn run_rank_timed(&self, rank: usize, config: &Config, scale: f64) -> (Dataset, f64, u64) {
         let caliper = Caliper::new(config.clone());
         let start = Instant::now();
         self.run_rank(rank, &caliper, WorkMode::Spin { scale });
@@ -348,10 +348,7 @@ mod tests {
             app.run_rank(0, &caliper, mode);
             caliper_format::cali::to_bytes(&caliper.take_dataset())
         };
-        assert_eq!(
-            run(WorkMode::Virtual),
-            run(WorkMode::Paced { scale: 1e-6 })
-        );
+        assert_eq!(run(WorkMode::Virtual), run(WorkMode::Paced { scale: 1e-6 }));
     }
 
     #[test]

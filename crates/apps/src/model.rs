@@ -140,7 +140,9 @@ impl CleverLeafParams {
     /// reports 219 382 snapshots per process for 100 timesteps).
     pub fn patches(&self, level: usize, timestep: usize) -> usize {
         const CELLS_PER_PATCH: f64 = 320.0;
-        (self.cells(level, timestep) / CELLS_PER_PATCH).ceil().max(1.0) as usize
+        (self.cells(level, timestep) / CELLS_PER_PATCH)
+            .ceil()
+            .max(1.0) as usize
     }
 
     /// Per-rank, per-level compute-speed factor (>= ~0.85), modelling
@@ -161,10 +163,17 @@ impl CleverLeafParams {
     }
 
     /// Virtual nanoseconds of compute for one kernel invocation.
-    pub fn kernel_time_ns(&self, kernel_cost_ps: u64, rank: usize, level: usize, timestep: usize) -> u64 {
+    pub fn kernel_time_ns(
+        &self,
+        kernel_cost_ps: u64,
+        rank: usize,
+        level: usize,
+        timestep: usize,
+    ) -> u64 {
         let cells = self.cells(level, timestep);
         let base = cells * kernel_cost_ps as f64 / 1000.0;
-        let wiggle = 1.0 + 0.02 * (noise(self.seed, &[rank as u64, level as u64, timestep as u64]) - 0.5);
+        let wiggle =
+            1.0 + 0.02 * (noise(self.seed, &[rank as u64, level as u64, timestep as u64]) - 0.5);
         (base * self.imbalance(rank, level) * wiggle) as u64
     }
 

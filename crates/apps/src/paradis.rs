@@ -176,15 +176,15 @@ pub fn generate_rank(params: &ParaDisParams, rank: usize) -> Dataset {
 
     for iter in 0..params.iterations {
         for (i, name) in PARADIS_KERNELS.iter().enumerate() {
-            let visits = 1 + (noise(params.seed, &[rank as u64, i as u64, iter as u64]) * 6.0) as u64;
+            let visits =
+                1 + (noise(params.seed, &[rank as u64, i as u64, iter as u64]) * 6.0) as u64;
             let base = 20.0 + 400.0 * noise(params.seed, &[i as u64]);
             let jitter = 0.8 + 0.4 * noise(params.seed, &[rank as u64, i as u64, iter as u64, 1]);
             push(kernel.id(), name, iter as i64, visits, base * jitter);
         }
         for (i, name) in PARADIS_MPI.iter().enumerate() {
             let key = 1000 + i as u64;
-            let visits =
-                2 + (noise(params.seed, &[rank as u64, key, iter as u64]) * 10.0) as u64;
+            let visits = 2 + (noise(params.seed, &[rank as u64, key, iter as u64]) * 10.0) as u64;
             let base = 10.0 + 250.0 * noise(params.seed, &[key]);
             let jitter = 0.8 + 0.4 * noise(params.seed, &[rank as u64, key, iter as u64, 1]);
             push(mpi_function.id(), name, iter as i64, visits, base * jitter);
@@ -261,8 +261,15 @@ mod tests {
     #[test]
     fn files_roundtrip() {
         let dir = std::env::temp_dir().join("paradis-test");
-        let paths = write_files(&ParaDisParams { iterations: 2, ..Default::default() }, 3, &dir)
-            .unwrap();
+        let paths = write_files(
+            &ParaDisParams {
+                iterations: 2,
+                ..Default::default()
+            },
+            3,
+            &dir,
+        )
+        .unwrap();
         assert_eq!(paths.len(), 3);
         let ds = caliper_format::cali::read_file(&paths[0]).unwrap();
         assert!(!ds.is_empty());

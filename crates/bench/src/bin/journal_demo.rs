@@ -41,10 +41,7 @@ fn main() -> ExitCode {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value_of = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value_of = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--journal" => match value_of("--journal") {
                 Ok(v) => journal = Some(v),
@@ -101,11 +98,7 @@ fn main() -> ExitCode {
         let counters = &stats.counters;
         eprintln!(
             "journal_demo: {} snapshots journaled to {} ({} flushes, {} forced, {} syncs)",
-            counters.durable,
-            journal,
-            counters.flushes,
-            counters.forced_flushes,
-            counters.syncs
+            counters.durable, journal, counters.flushes, counters.forced_flushes, counters.syncs
         );
         if stats.disabled {
             return fail("journaling was disabled by a write error");

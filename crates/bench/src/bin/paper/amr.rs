@@ -84,7 +84,12 @@ pub fn fig8(args: &CliArgs) -> Vec<Claim> {
 
     let decile = timesteps / 10;
     let first = |l: usize| table[..decile].iter().map(|r| r[l]).sum::<f64>();
-    let last = |l: usize| table[timesteps - decile..].iter().map(|r| r[l]).sum::<f64>();
+    let last = |l: usize| {
+        table[timesteps - decile..]
+            .iter()
+            .map(|r| r[l])
+            .sum::<f64>()
+    };
     vec![
         Claim::advisory(format!(
             "level 0 roughly constant: first decile {:.3} s vs last {:.3} s (ratio {:.2})",
@@ -92,8 +97,14 @@ pub fn fig8(args: &CliArgs) -> Vec<Claim> {
             last(0),
             last(0) / first(0)
         )),
-        Claim::advisory(format!("level 1 increases slightly: ratio {:.2}", last(1) / first(1))),
-        Claim::advisory(format!("level 2 increases significantly: ratio {:.2}", last(2) / first(2))),
+        Claim::advisory(format!(
+            "level 1 increases slightly: ratio {:.2}",
+            last(1) / first(1)
+        )),
+        Claim::advisory(format!(
+            "level 2 increases significantly: ratio {:.2}",
+            last(2) / first(2)
+        )),
     ]
 }
 
@@ -134,7 +145,10 @@ fn rank_claims(table: &[Vec<f64>]) -> Vec<Claim> {
         return claims;
     }
     let (l0, l1) = (table[8][0], table[8][1]);
-    claims.push(Claim::gate(l1 > l0, format!("{rank8}: {l1:.3} vs {l0:.3} s")));
+    claims.push(Claim::gate(
+        l1 > l0,
+        format!("{rank8}: {l1:.3} vs {l0:.3} s"),
+    ));
     let others_l0: f64 = table
         .iter()
         .enumerate()

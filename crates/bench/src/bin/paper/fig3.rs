@@ -46,18 +46,41 @@ pub fn run(args: &CliArgs) -> Vec<Claim> {
     let configs: Vec<(&'static str, Config)> = vec![
         ("baseline", Config::baseline()),
         ("trace (sample)", Config::sampled_trace(sample_ns)),
-        ("scheme A (sample)", Config::sampled_aggregate(sample_ns, schemes::A, schemes::OPS)),
-        ("scheme B (sample)", Config::sampled_aggregate(sample_ns, schemes::B, schemes::OPS)),
-        ("scheme C (sample)", Config::sampled_aggregate(sample_ns, schemes::C, schemes::OPS)),
+        (
+            "scheme A (sample)",
+            Config::sampled_aggregate(sample_ns, schemes::A, schemes::OPS),
+        ),
+        (
+            "scheme B (sample)",
+            Config::sampled_aggregate(sample_ns, schemes::B, schemes::OPS),
+        ),
+        (
+            "scheme C (sample)",
+            Config::sampled_aggregate(sample_ns, schemes::C, schemes::OPS),
+        ),
         ("trace (event)", Config::event_trace()),
-        ("scheme A (event)", Config::event_aggregate(schemes::A, schemes::OPS)),
-        ("scheme B (event)", Config::event_aggregate(schemes::B, schemes::OPS)),
-        ("scheme C (event)", Config::event_aggregate(schemes::C, schemes::OPS)),
+        (
+            "scheme A (event)",
+            Config::event_aggregate(schemes::A, schemes::OPS),
+        ),
+        (
+            "scheme B (event)",
+            Config::event_aggregate(schemes::B, schemes::OPS),
+        ),
+        (
+            "scheme C (event)",
+            Config::event_aggregate(schemes::C, schemes::OPS),
+        ),
     ];
 
     let mut rows: Vec<Row> = configs
         .iter()
-        .map(|(name, _)| Row { name, seconds: Vec::new(), snapshots: 0, outputs: 0 })
+        .map(|(name, _)| Row {
+            name,
+            seconds: Vec::new(),
+            snapshots: 0,
+            outputs: 0,
+        })
         .collect();
     // Interleave configurations round-robin (one full round per run) so
     // slow machine drift — CPU frequency, noisy neighbours — affects

@@ -86,9 +86,17 @@ struct Point {
 fn query_run(paths: &[PathBuf], np: usize, plan: FaultPlan) -> QueryRun {
     let per_rank = paths[..np].iter().map(|p| vec![p.clone()]).collect();
     let opts = ResilienceOptions::default();
-    parallel_query(&EventEngine::new(), Topology::Flat, EVALUATION_QUERY, per_rank, plan, opts, false)
-        .0
-        .expect("parallel query")
+    parallel_query(
+        &EventEngine::new(),
+        Topology::Flat,
+        EVALUATION_QUERY,
+        per_rank,
+        plan,
+        opts,
+        false,
+    )
+    .0
+    .expect("parallel query")
 }
 
 fn weak_scaling(args: &CliArgs) -> Vec<Claim> {
@@ -98,7 +106,9 @@ fn weak_scaling(args: &CliArgs) -> Vec<Claim> {
     }
     let kill: Option<usize> = flag(args, "kill");
     if let Some(victim) = kill.filter(|&v| v == 0 || v >= max_np) {
-        usage(&format!("--kill takes a non-root rank below --max-np {max_np} (got {victim})"));
+        usage(&format!(
+            "--kill takes a non-root rank below --max-np {max_np} (got {victim})"
+        ));
     }
     let dir = std::env::temp_dir().join(format!("caliper-fig4-{}", std::process::id()));
     let params = ParaDisParams::default();
@@ -113,7 +123,9 @@ fn weak_scaling(args: &CliArgs) -> Vec<Claim> {
     let mut np = 1;
     while np <= max_np {
         let t = Instant::now();
-        let QueryRun { result, timings, .. } = query_run(&paths, np, FaultPlan::new());
+        let QueryRun {
+            result, timings, ..
+        } = query_run(&paths, np, FaultPlan::new());
         let wall = t.elapsed().as_secs_f64();
         let (total, local_max, reduction, finish) = (
             timings.total_s(),
@@ -127,7 +139,14 @@ fn weak_scaling(args: &CliArgs) -> Vec<Claim> {
         eprintln!(
             "# np {np:>5}: total {total:.4} s = local {local_max:.4} + reduction {reduction:.5} ({levels} levels) + finish {finish:.5}; {records} output records (paper: 85)"
         );
-        points.push(Point { np, total, local_max, reduction, levels, records });
+        points.push(Point {
+            np,
+            total,
+            local_max,
+            reduction,
+            levels,
+            records,
+        });
         np *= 2;
     }
 
@@ -136,7 +155,10 @@ fn weak_scaling(args: &CliArgs) -> Vec<Claim> {
     let mut claims = vec![
         Claim::gate(
             points.iter().all(|p| p.records == PAPER_RECORDS),
-            format!("{PAPER_RECORDS} output records at every np: [{}]", counts.join(" ")),
+            format!(
+                "{PAPER_RECORDS} output records at every np: [{}]",
+                counts.join(" ")
+            ),
         ),
         Claim::advisory(format!(
             "local input time roughly constant (weak scaling): {:.4} s at np 1, {:.4} s at np {}",
@@ -163,14 +185,20 @@ fn weak_scaling(args: &CliArgs) -> Vec<Claim> {
 fn failure_injection_check(paths: &[PathBuf], np: usize, victim: usize) -> Claim {
     eprintln!();
     eprintln!("# failure injection: killing rank {victim} at its first comm op, np = {np}");
-    let QueryRun { result, coverage, .. } = query_run(paths, np, FaultPlan::new().kill(victim, 0));
+    let QueryRun {
+        result, coverage, ..
+    } = query_run(paths, np, FaultPlan::new().kill(victim, 0));
     eprintln!(
         "# reduction coverage: {}/{} ranks included; lost subtree: {:?}",
         coverage.included.len(),
         np,
         coverage.lost
     );
-    let survivor_paths: Vec<PathBuf> = coverage.included.iter().map(|&r| paths[r].clone()).collect();
+    let survivor_paths: Vec<PathBuf> = coverage
+        .included
+        .iter()
+        .map(|&r| paths[r].clone())
+        .collect();
     let ds = read_files(&survivor_paths).expect("read survivor files");
     let serial = run_query(&ds, EVALUATION_QUERY).expect("serial reference query");
     Claim::gate(
@@ -211,7 +239,14 @@ fn synthetic_scale_run(args: &CliArgs, ranks: usize) -> Vec<Claim> {
     let plan = FaultPlan::seeded_kills(seed, kills, ranks);
     let opts = ResilienceOptions::default();
     let make = move |rank: usize, size: usize| {
-        ReduceTask::new(rank, size, topology, move || rank as u64, |a, b| a + b, opts)
+        ReduceTask::new(
+            rank,
+            size,
+            topology,
+            move || rank as u64,
+            |a, b| a + b,
+            opts,
+        )
     };
 
     eprintln!(

@@ -54,9 +54,18 @@ pub fn run(args: &CliArgs) -> Vec<Claim> {
 
     eprintln!();
     eprint!("{}", bar_chart(&rows, 50));
-    let get = |k: &str| rows.iter().find(|(n, _)| n == k).map(|(_, v)| *v).unwrap_or(0.0);
+    let get = |k: &str| {
+        rows.iter()
+            .find(|(n, _)| n == k)
+            .map(|(_, v)| *v)
+            .unwrap_or(0.0)
+    };
     let (other, calc_dt) = (get(OTHER), get("calc-dt"));
-    let rest = || rows.iter().filter(|(n, _)| n != OTHER && n != "calc-dt").map(|(_, v)| *v);
+    let rest = || {
+        rows.iter()
+            .filter(|(n, _)| n != OTHER && n != "calc-dt")
+            .map(|(_, v)| *v)
+    };
     let kernels = calc_dt + rest().sum::<f64>();
     let next = rest().fold(0.0, f64::max);
     vec![

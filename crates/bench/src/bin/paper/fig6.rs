@@ -57,7 +57,11 @@ pub fn run(args: &CliArgs) -> Vec<Claim> {
     vec![
         Claim::gate(
             (name(0), name(1)) == ("MPI_Barrier", "MPI_Allreduce"),
-            format!("top two functions are MPI_Barrier and MPI_Allreduce: {}, {}", name(0), name(1)),
+            format!(
+                "top two functions are MPI_Barrier and MPI_Allreduce: {}, {}",
+                name(0),
+                name(1)
+            ),
         ),
         Claim::advisory(format!(
             "point-to-point time is comparatively small: {:.1}% of barrier time",

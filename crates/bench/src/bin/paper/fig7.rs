@@ -21,7 +21,10 @@ fn per_rank_seconds(merged: &Dataset, filter: &str) -> Vec<f64> {
     let query = format!("AGGREGATE sum(sum#time.duration) WHERE {filter} GROUP BY mpi.rank");
     let result = run_query(merged, &query).expect("figure 7 query");
     let rank = result.store.find("mpi.rank").expect("mpi.rank column");
-    let value = result.store.find("sum#sum#time.duration").expect("value column");
+    let value = result
+        .store
+        .find("sum#sum#time.duration")
+        .expect("value column");
     result
         .records
         .iter()
@@ -62,8 +65,14 @@ pub fn run(args: &CliArgs) -> Vec<Claim> {
 
     // Category -> per-rank totals (seconds).
     let mut categories = vec![
-        ("computation (total)".to_string(), per_rank_seconds(&merged, "not(mpi.function)")),
-        ("MPI (total)".to_string(), per_rank_seconds(&merged, "mpi.function")),
+        (
+            "computation (total)".to_string(),
+            per_rank_seconds(&merged, "not(mpi.function)"),
+        ),
+        (
+            "MPI (total)".to_string(),
+            per_rank_seconds(&merged, "mpi.function"),
+        ),
     ];
     for attr in ["mpi.function", "kernel"] {
         for name in top2(&merged, attr) {

@@ -43,17 +43,65 @@ struct Artifact {
     run: fn(&CliArgs) -> Vec<Claim>,
 }
 
-const FIG4_FLAGS: [&str; 7] = ["max-np", "kill", "ranks", "nodes", "workers", "kills", "kill-seed"];
+const FIG4_FLAGS: [&str; 7] = [
+    "max-np",
+    "kill",
+    "ranks",
+    "nodes",
+    "workers",
+    "kills",
+    "kill-seed",
+];
 
 const ARTIFACTS: [Artifact; 8] = [
-    Artifact { name: "table1", heading: "Table I", flags: &[], run: table1::run },
-    Artifact { name: "fig3", heading: "Figure 3", flags: &["runs", "scale"], run: fig3::run },
-    Artifact { name: "fig4", heading: "Figure 4", flags: &FIG4_FLAGS, run: fig4::run },
-    Artifact { name: "fig5", heading: "Figure 5", flags: &[], run: fig5::run },
-    Artifact { name: "fig6", heading: "Figure 6", flags: &[], run: fig6::run },
-    Artifact { name: "fig7", heading: "Figure 7", flags: &[], run: fig7::run },
-    Artifact { name: "fig8", heading: "Figure 8", flags: &[], run: amr::fig8 },
-    Artifact { name: "fig9", heading: "Figure 9", flags: &[], run: amr::fig9 },
+    Artifact {
+        name: "table1",
+        heading: "Table I",
+        flags: &[],
+        run: table1::run,
+    },
+    Artifact {
+        name: "fig3",
+        heading: "Figure 3",
+        flags: &["runs", "scale"],
+        run: fig3::run,
+    },
+    Artifact {
+        name: "fig4",
+        heading: "Figure 4",
+        flags: &FIG4_FLAGS,
+        run: fig4::run,
+    },
+    Artifact {
+        name: "fig5",
+        heading: "Figure 5",
+        flags: &[],
+        run: fig5::run,
+    },
+    Artifact {
+        name: "fig6",
+        heading: "Figure 6",
+        flags: &[],
+        run: fig6::run,
+    },
+    Artifact {
+        name: "fig7",
+        heading: "Figure 7",
+        flags: &[],
+        run: fig7::run,
+    },
+    Artifact {
+        name: "fig8",
+        heading: "Figure 8",
+        flags: &[],
+        run: amr::fig8,
+    },
+    Artifact {
+        name: "fig9",
+        heading: "Figure 9",
+        flags: &[],
+        run: amr::fig9,
+    },
 ];
 
 fn main() -> ExitCode {
@@ -75,8 +123,13 @@ fn usage(message: &str) -> ! {
     std::process::exit(1)
 }
 
-fn parse(args: impl IntoIterator<Item = String>) -> Result<(&'static Artifact, CliArgs), UsageError> {
-    let value_flags = ["runs", "scale"].into_iter().chain(FIG4_FLAGS).collect::<Vec<_>>();
+fn parse(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(&'static Artifact, CliArgs), UsageError> {
+    let value_flags = ["runs", "scale"]
+        .into_iter()
+        .chain(FIG4_FLAGS)
+        .collect::<Vec<_>>();
     let args = parse_args(args, &value_flags, &["quick"])?;
     let [name] = args.positional.as_slice() else {
         return Err(UsageError("name exactly one artifact".into()));
@@ -85,7 +138,11 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<(&'static Artifact, C
         .iter()
         .find(|a| a.name == name)
         .ok_or_else(|| UsageError(format!("unknown artifact `{name}`")))?;
-    if let Some(flag) = args.options.keys().find(|f| !artifact.flags.contains(&f.as_str())) {
+    if let Some(flag) = args
+        .options
+        .keys()
+        .find(|f| !artifact.flags.contains(&f.as_str()))
+    {
         return Err(UsageError(format!("{name} takes no --{flag}")));
     }
     Ok((artifact, args))
@@ -95,14 +152,22 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<(&'static Artifact, C
 /// error.
 fn flag<T: FromStr>(args: &CliArgs, flag: &str) -> Option<T> {
     let value = args.get(&[flag])?;
-    Some(value.parse().unwrap_or_else(|_| usage(&format!("--{flag} cannot take `{value}`"))))
+    Some(
+        value
+            .parse()
+            .unwrap_or_else(|_| usage(&format!("--{flag} cannot take `{value}`"))),
+    )
 }
 
 /// `full`, or with `--quick` its first 20 timesteps on `quick_ranks`
 /// ranks.
 fn clever_leaf(args: &CliArgs, full: CleverLeafParams, quick_ranks: usize) -> CleverLeafParams {
     if args.has(&["quick"]) {
-        CleverLeafParams { timesteps: 20, ranks: quick_ranks, ..full }
+        CleverLeafParams {
+            timesteps: 20,
+            ranks: quick_ranks,
+            ..full
+        }
     } else {
         full
     }

@@ -22,13 +22,31 @@ pub fn run(args: &CliArgs) -> Vec<Claim> {
     let sample_ns = 10_000_000; // 10 ms, as in the paper
     let rows = [
         ("Trace (sample)", Config::sampled_trace(sample_ns)),
-        ("Scheme A (sample)", Config::sampled_aggregate(sample_ns, schemes::A, schemes::OPS)),
-        ("Scheme B (sample)", Config::sampled_aggregate(sample_ns, schemes::B, schemes::OPS)),
-        ("Scheme C (sample)", Config::sampled_aggregate(sample_ns, schemes::C, schemes::OPS)),
+        (
+            "Scheme A (sample)",
+            Config::sampled_aggregate(sample_ns, schemes::A, schemes::OPS),
+        ),
+        (
+            "Scheme B (sample)",
+            Config::sampled_aggregate(sample_ns, schemes::B, schemes::OPS),
+        ),
+        (
+            "Scheme C (sample)",
+            Config::sampled_aggregate(sample_ns, schemes::C, schemes::OPS),
+        ),
         ("Trace (event)", Config::event_trace()),
-        ("Scheme A (event)", Config::event_aggregate(schemes::A, schemes::OPS)),
-        ("Scheme B (event)", Config::event_aggregate(schemes::B, schemes::OPS)),
-        ("Scheme C (event)", Config::event_aggregate(schemes::C, schemes::OPS)),
+        (
+            "Scheme A (event)",
+            Config::event_aggregate(schemes::A, schemes::OPS),
+        ),
+        (
+            "Scheme B (event)",
+            Config::event_aggregate(schemes::B, schemes::OPS),
+        ),
+        (
+            "Scheme C (event)",
+            Config::event_aggregate(schemes::C, schemes::OPS),
+        ),
     ];
 
     println!("config,snapshots,output_records");
@@ -39,19 +57,29 @@ pub fn run(args: &CliArgs) -> Vec<Claim> {
         // process, too).
         let caliper = Caliper::with_clock(config, Clock::virtual_clock());
         app.run_rank(0, &caliper, WorkMode::Virtual);
-        let (snapshots, outputs) = (caliper.total_snapshots(), caliper.take_dataset().len() as u64);
+        let (snapshots, outputs) = (
+            caliper.total_snapshots(),
+            caliper.take_dataset().len() as u64,
+        );
         println!("{name},{snapshots},{outputs}");
         results.push((name, snapshots, outputs));
     }
 
     eprintln!();
-    eprintln!("# {:<20} {:>10} {:>15}", "Config", "Snapshots", "Output records");
+    eprintln!(
+        "# {:<20} {:>10} {:>15}",
+        "Config", "Snapshots", "Output records"
+    );
     for (name, snapshots, outputs) in &results {
         eprintln!("# {name:<20} {snapshots:>10} {outputs:>15}");
     }
     let get = |n: &str| *results.iter().find(|(name, _, _)| *name == n).unwrap();
     let (_, trace_snapshots, trace) = get("Trace (event)");
-    let (a, b, c) = (get("Scheme A (event)").2, get("Scheme B (event)").2, get("Scheme C (event)").2);
+    let (a, b, c) = (
+        get("Scheme A (event)").2,
+        get("Scheme B (event)").2,
+        get("Scheme C (event)").2,
+    );
     vec![
         Claim::gate(
             trace == trace_snapshots,

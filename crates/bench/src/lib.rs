@@ -68,7 +68,10 @@ pub fn merge_datasets(datasets: &[Dataset]) -> Dataset {
     }
     let strings = Arc::new(reader.strings().clone());
     let mut merged = reader.finish();
-    merged.blocks = blocks.into_iter().map(|block| (Arc::clone(&strings), block)).collect();
+    merged.blocks = blocks
+        .into_iter()
+        .map(|block| (Arc::clone(&strings), block))
+        .collect();
     merged
 }
 
@@ -98,18 +101,31 @@ pub struct Claim {
 impl Claim {
     /// A deterministic claim: it holds or it fails.
     pub fn gate(holds: bool, text: impl Into<String>) -> Claim {
-        let verdict = if holds { Verdict::Holds } else { Verdict::Fails };
-        Claim { text: text.into(), verdict }
+        let verdict = if holds {
+            Verdict::Holds
+        } else {
+            Verdict::Fails
+        };
+        Claim {
+            text: text.into(),
+            verdict,
+        }
     }
 
     /// A claim that is printed and never gated.
     pub fn advisory(text: impl Into<String>) -> Claim {
-        Claim { text: text.into(), verdict: Verdict::Advisory }
+        Claim {
+            text: text.into(),
+            verdict: Verdict::Advisory,
+        }
     }
 
     /// A claim the run is too small to test.
     pub fn not_applicable(text: impl Into<String>) -> Claim {
-        Claim { text: text.into(), verdict: Verdict::NotApplicable }
+        Claim {
+            text: text.into(),
+            verdict: Verdict::NotApplicable,
+        }
     }
 }
 
@@ -248,10 +264,7 @@ mod tests {
 
     #[test]
     fn bar_chart_scales() {
-        let chart = bar_chart(
-            &[("a".to_string(), 10.0), ("bb".to_string(), 5.0)],
-            10,
-        );
+        let chart = bar_chart(&[("a".to_string(), 10.0), ("bb".to_string(), 5.0)], 10);
         let lines: Vec<&str> = chart.lines().collect();
         assert!(lines[0].contains("##########"));
         assert!(lines[1].contains("#####"));

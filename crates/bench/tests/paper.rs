@@ -14,11 +14,19 @@ fn paper(args: &[&str]) -> Output {
 
 #[test]
 fn an_unknown_flag_or_artifact_is_a_usage_error() {
-    for args in [&["fig4", "--engine", "event"][..], &["fig10"], &["table1", "--ranks", "8"], &[]] {
+    for args in [
+        &["fig4", "--engine", "event"][..],
+        &["fig10"],
+        &["table1", "--ranks", "8"],
+        &[],
+    ] {
         let out = paper(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.lines().any(|l| l.starts_with("usage: paper")), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("usage: paper")),
+            "{args:?}: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }
@@ -28,15 +36,24 @@ fn fig9_quick_gates_its_rank_claims() {
     let out = paper(&["fig9", "--quick"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(stderr.contains("# Shape checks vs. the paper (Figure 9):"), "{stderr}");
+    assert!(
+        stderr.contains("# Shape checks vs. the paper (Figure 9):"),
+        "{stderr}"
+    );
     // `--quick` keeps fig9's 10 ranks, so ranks 7 and 8 exist and their
     // claims are gated; at 8 ranks or fewer they print as `[n/a]` (the
     // unit test beside `rank_claims`).
     for rank in ["rank 7", "rank 8"] {
-        assert!(stderr.contains(&format!("#   [holds] {rank} ")), "{rank}: {stderr}");
+        assert!(
+            stderr.contains(&format!("#   [holds] {rank} ")),
+            "{rank}: {stderr}"
+        );
     }
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert_eq!(stdout.lines().next(), Some("rank,level0_s,level1_s,level2_s"));
+    assert_eq!(
+        stdout.lines().next(),
+        Some("rank,level0_s,level1_s,level2_s")
+    );
     assert_eq!(stdout.lines().count(), 1 + 10);
 }
 

@@ -26,7 +26,10 @@ fn schemes_a_b_and_c_fold_every_snapshot_as_columns() {
     // The trace buffer's blocks share one string table; the fold keeps
     // codes of it, and of what its node cache adds to it, across blocks.
     let shared = &trace.blocks.first().expect("a traced block").0;
-    assert!(trace.blocks.iter().all(|(strings, _)| Arc::ptr_eq(strings, shared)));
+    assert!(trace
+        .blocks
+        .iter()
+        .all(|(strings, _)| Arc::ptr_eq(strings, shared)));
 
     for key in [schemes::A, schemes::B, schemes::C] {
         let query = format!("AGGREGATE {} GROUP BY {key}", schemes::OPS);
@@ -45,7 +48,11 @@ fn schemes_a_b_and_c_fold_every_snapshot_as_columns() {
         app.run_rank(1, &online, WorkMode::Virtual);
         assert_eq!(online.total_snapshots(), trace.len() as u64, "{key}");
         let online = online.take_dataset();
-        let count = online.store.find(AggregateService::COUNT_ATTR).unwrap().id();
+        let count = online
+            .store
+            .find(AggregateService::COUNT_ATTR)
+            .unwrap()
+            .id();
         let folded: u64 = online
             .flat_records()
             .filter_map(|row| row.get(count).and_then(Value::to_u64))
@@ -53,9 +60,15 @@ fn schemes_a_b_and_c_fold_every_snapshot_as_columns() {
         assert_eq!(folded, trace.len() as u64, "{key}");
 
         let out = AttributeStore::new();
-        let want: Vec<String> = offline.flush(&out).iter().map(|row| row.describe(&out)).collect();
-        let got: Vec<String> =
-            online.flat_records().map(|row| row.describe(&online.store)).collect();
+        let want: Vec<String> = offline
+            .flush(&out)
+            .iter()
+            .map(|row| row.describe(&out))
+            .collect();
+        let got: Vec<String> = online
+            .flat_records()
+            .map(|row| row.describe(&online.store))
+            .collect();
         assert_eq!(got, want, "{key}");
     }
 }

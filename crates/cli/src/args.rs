@@ -62,7 +62,10 @@ pub fn parse_args(
                 _ => return Err(UsageError(format!("unknown flag {arg}"))),
             };
             out.options.insert(name.to_string(), value.clone());
-            out.repeated.entry(name.to_string()).or_default().push(value);
+            out.repeated
+                .entry(name.to_string())
+                .or_default()
+                .push(value);
         } else {
             out.positional.push(arg);
         }

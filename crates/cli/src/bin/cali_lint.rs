@@ -10,7 +10,8 @@ use std::process::ExitCode;
 use cali_cli::{lint, parse_args};
 use caliper_format::{ReadPolicy, Schema};
 
-const USAGE: &str = "usage: cali-lint [-q QUERY]... [-i INPUT.cali]... [--schema FILE] QUERY_FILE...
+const USAGE: &str =
+    "usage: cali-lint [-q QUERY]... [-i INPUT.cali]... [--schema FILE] QUERY_FILE...
 
 Checks CalQL queries for errors (unknown attributes, type mismatches,
 contradictory filters, ...) without aggregating any data. Queries come
@@ -40,8 +41,7 @@ Exit codes: 0 clean, 1 at least one error, 2 warnings only.
 /// Read a query file: the query is the concatenation of its
 /// non-comment, non-blank lines (so long queries can be wrapped).
 fn read_query_file(path: &str) -> Result<String, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let query: Vec<&str> = text
         .lines()
         .map(str::trim)
@@ -95,7 +95,9 @@ fn main() -> ExitCode {
 
     if let Some(path) = args.get(&["save-schema"]) {
         let Some(schema) = &schema else {
-            eprintln!("cali-lint: --save-schema needs a schema source (--input or --schema)\n{USAGE}");
+            eprintln!(
+                "cali-lint: --save-schema needs a schema source (--input or --schema)\n{USAGE}"
+            );
             return ExitCode::FAILURE;
         };
         if let Err(e) = std::fs::write(path, schema.to_text()) {

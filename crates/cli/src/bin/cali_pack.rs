@@ -86,7 +86,11 @@ fn mutate_files(mode: &str, seed: Option<&str>, paths: &[String]) -> ExitCode {
         eprintln!(
             "cali-pack: mutated {path}: {mode:?} seed {seed}: {before} -> {} bytes{}",
             bytes.len(),
-            if changed { "" } else { " (no change: empty file)" }
+            if changed {
+                ""
+            } else {
+                " (no change: empty file)"
+            }
         );
     }
     ExitCode::SUCCESS
@@ -95,7 +99,14 @@ fn mutate_files(mode: &str, seed: Option<&str>, paths: &[String]) -> ExitCode {
 fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
-        &["o", "output", "block-records", "max-errors", "mutate", "seed"],
+        &[
+            "o",
+            "output",
+            "block-records",
+            "max-errors",
+            "mutate",
+            "seed",
+        ],
         &["h", "help", "lenient", "v1"],
     ) {
         Ok(args) => args,

@@ -11,8 +11,8 @@ use std::process::ExitCode;
 use cali_cli::{lint, parse_args, read_dictionaries};
 use caliper_format::{ReadPolicy, ReadReport};
 use caliper_query::{
-    analyze, parallel_query_files, parse_query_spanned, ParallelOptions, QueryResult,
-    ShardFailure, ShardTimings, OVERFLOW_KEY,
+    analyze, parallel_query_files, parse_query_spanned, ParallelOptions, QueryResult, ShardFailure,
+    ShardTimings, OVERFLOW_KEY,
 };
 
 const USAGE: &str = "usage: cali-query [-q QUERY] [-o FILE] [--threads N] INPUT.cali...
@@ -236,10 +236,27 @@ fn report_overflow(result: &QueryResult, max_groups: Option<usize>) {
 fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
-        &["q", "query", "o", "output", "threads", "max-errors", "max-groups", "faults"],
         &[
-            "h", "help", "check", "degrade", "lenient", "list-attributes", "list-globals",
-            "no-lint", "stats", "timings",
+            "q",
+            "query",
+            "o",
+            "output",
+            "threads",
+            "max-errors",
+            "max-groups",
+            "faults",
+        ],
+        &[
+            "h",
+            "help",
+            "check",
+            "degrade",
+            "lenient",
+            "list-attributes",
+            "list-globals",
+            "no-lint",
+            "stats",
+            "timings",
         ],
     ) {
         Ok(args) => args,
@@ -278,7 +295,9 @@ fn main() -> ExitCode {
     let check_json = match args.get(&["check"]) {
         Some("json") => Some(true),
         Some(other) => {
-            eprintln!("cali-query: unknown check format '{other}' (use --check or --check=json)\n{USAGE}");
+            eprintln!(
+                "cali-query: unknown check format '{other}' (use --check or --check=json)\n{USAGE}"
+            );
             return ExitCode::FAILURE;
         }
         None if args.has(&["check"]) => Some(false),
@@ -363,8 +382,14 @@ fn main() -> ExitCode {
         // pass-through query always. WHERE is pushed down to the blocks,
         // by the query alone.
         let spanned = parse_query_spanned(query).ok();
-        if spanned.as_ref().is_some_and(|(spec, _)| !spec.is_aggregation()) {
-            let refused = [("--degrade", degrade), ("--max-groups", max_groups.is_some())];
+        if spanned
+            .as_ref()
+            .is_some_and(|(spec, _)| !spec.is_aggregation())
+        {
+            let refused = [
+                ("--degrade", degrade),
+                ("--max-groups", max_groups.is_some()),
+            ];
             if let Some((flag, _)) = refused.iter().find(|(_, given)| *given) {
                 eprintln!("cali-query: {flag} applies to aggregations, not to a pass-through query\n{USAGE}");
                 return ExitCode::FAILURE;

@@ -18,7 +18,8 @@ use mpisim::{
     ReduceTask, ResilienceOptions, Run, SchedError, TaskCtx, ThreadEngine, Topology, Wake,
 };
 
-const USAGE: &str = "usage: cali-race [--program NAME] [--ranks N] [--engine event|threads] [options]
+const USAGE: &str =
+    "usage: cali-race [--program NAME] [--ranks N] [--engine event|threads] [options]
 
 Runs a rank program under the happens-before trace hook and analyzes
 the communication trace for message races (M001), wait-cycle deadlocks
@@ -201,11 +202,7 @@ fn run_program<E: Executor>(
             Ok(summarize(run, size))
         }
         "wildcard-race" => {
-            let make = |rank, size| WildcardGather {
-                rank,
-                size,
-                got: 0,
-            };
+            let make = |rank, size| WildcardGather { rank, size, got: 0 };
             let run = engine.run(size, plan, make, true);
             Ok(summarize(run, size))
         }
@@ -231,7 +228,15 @@ fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
         &[
-            "program", "ranks", "np", "engine", "workers", "nodes", "kills", "kill-seed", "faults",
+            "program",
+            "ranks",
+            "np",
+            "engine",
+            "workers",
+            "nodes",
+            "kills",
+            "kill-seed",
+            "faults",
             "trace",
         ],
         &["h", "help", "deny-warnings"],
@@ -309,7 +314,10 @@ fn main() -> ExitCode {
     // Topology: flat binomial tree, or two-level over --nodes groups.
     let (topology, topo_desc) = match args.get(&["nodes"]) {
         Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => (Topology::two_level_for(size, n), format!("two-level ({n} nodes)")),
+            Ok(n) if n > 0 => (
+                Topology::two_level_for(size, n),
+                format!("two-level ({n} nodes)"),
+            ),
             _ => {
                 eprintln!("cali-race: invalid --nodes '{v}'");
                 return ExitCode::FAILURE;

@@ -83,7 +83,10 @@ fn http_request(
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed HTTP status line")
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "malformed HTTP status line",
+            )
         })?;
     let body = raw
         .split_once("\r\n\r\n")
@@ -311,10 +314,27 @@ fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
         &[
-            "data-dir", "port", "http-port", "ports-file", "aggregate", "group-by",
-            "queue-depth", "workers", "deadline-ms", "max-restarts", "max-groups",
-            "batch-max-bytes", "config", "faults", "connect", "stream", "http",
-            "client-query", "query-stream", "probe", "timeout-ms",
+            "data-dir",
+            "port",
+            "http-port",
+            "ports-file",
+            "aggregate",
+            "group-by",
+            "queue-depth",
+            "workers",
+            "deadline-ms",
+            "max-restarts",
+            "max-groups",
+            "batch-max-bytes",
+            "config",
+            "faults",
+            "connect",
+            "stream",
+            "http",
+            "client-query",
+            "query-stream",
+            "probe",
+            "timeout-ms",
         ],
         &["h", "help", "fsync", "shutdown", "stats"],
     ) {

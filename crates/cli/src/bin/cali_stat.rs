@@ -117,7 +117,8 @@ fn main() -> ExitCode {
 
     // Attribute table, sorted by occurrence count.
     let mut attrs = ds.store.all();
-    attrs.sort_by_key(|a| std::cmp::Reverse(stats.get(&a.id()).map(|s| s.occurrences).unwrap_or(0)));
+    attrs
+        .sort_by_key(|a| std::cmp::Reverse(stats.get(&a.id()).map(|s| s.occurrences).unwrap_or(0)));
     println!(
         "{:<28} {:>8} {:>9} {:>12} {:>12} {:>12}  properties",
         "attribute", "type", "occurs", "min", "mean", "max"

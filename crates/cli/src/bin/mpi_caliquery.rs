@@ -108,8 +108,14 @@ fn report(
             print!("{rendered}");
             if args.has(&["timings"]) {
                 let t = &run.timings;
-                eprintln!("# local read+process (max over ranks): {:.6} s", t.local_max_s);
-                eprintln!("# tree reduction (critical path):      {:.6} s", t.reduction_s());
+                eprintln!(
+                    "# local read+process (max over ranks): {:.6} s",
+                    t.local_max_s
+                );
+                eprintln!(
+                    "# tree reduction (critical path):      {:.6} s",
+                    t.reduction_s()
+                );
                 for (level, t) in t.level_merge_max_s.iter().enumerate() {
                     eprintln!("#   level {level}: {t:.6} s");
                 }
@@ -153,7 +159,9 @@ fn report(
 fn main() -> ExitCode {
     let args = match parse_args(
         std::env::args().skip(1),
-        &["q", "query", "np", "ranks", "faults", "engine", "nodes", "workers", "trace"],
+        &[
+            "q", "query", "np", "ranks", "faults", "engine", "nodes", "workers", "trace",
+        ],
         &["h", "help", "analyze", "timings"],
     ) {
         Ok(args) => args,

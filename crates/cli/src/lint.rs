@@ -148,7 +148,8 @@ mod tests {
     }
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("cali-lint-test-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("cali-lint-test-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -165,7 +166,12 @@ mod tests {
         for (path, bytes) in &files {
             std::fs::write(path, bytes).unwrap();
             let inferred = infer_schema(&[path], ReadPolicy::Strict).unwrap();
-            assert_eq!(inferred, Schema::from_store(&ds.store), "{}", path.display());
+            assert_eq!(
+                inferred,
+                Schema::from_store(&ds.store),
+                "{}",
+                path.display()
+            );
             assert_eq!(inferred.len(), 2);
             let t = inferred.get("time.duration").unwrap();
             assert_eq!(t.value_type, Some(ValueType::Float));
@@ -202,12 +208,20 @@ __rec=ctx,ref=99,attr=1,data=not-a-number
         std::fs::write(&path, text).unwrap();
         // What the file declares goes through the reader: a bad line is
         // its error, named by file and line, or its lenient skip.
-        let err = infer_schema(&[&path], ReadPolicy::Strict).unwrap_err().to_string();
-        assert!(err.contains("damaged.cali") && err.contains("line 4"), "{err}");
+        let err = infer_schema(&[&path], ReadPolicy::Strict)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("damaged.cali") && err.contains("line 4"),
+            "{err}"
+        );
         // The damaged snapshot on line 6 is never looked at.
         let inferred = infer_schema(&[&path], ReadPolicy::lenient()).unwrap();
         assert_eq!(inferred.len(), 2);
-        assert_eq!(inferred.get("function").unwrap().value_type, Some(ValueType::Str));
+        assert_eq!(
+            inferred.get("function").unwrap().value_type,
+            Some(ValueType::Str)
+        );
 
         // A torn binary stream: an error, or the attributes declared
         // before the tear.
@@ -254,7 +268,11 @@ __rec=ctx,ref=99,attr=1,data=not-a-number
         assert_eq!(checked.diagnostics[0].code, "W001");
         assert_eq!(exit_code(std::slice::from_ref(&checked)), 2);
         // Any error anywhere wins over warnings.
-        let bad = check_query("b", "AGGREGATE sum(function) GROUP BY function", Some(&schema()));
+        let bad = check_query(
+            "b",
+            "AGGREGATE sum(function) GROUP BY function",
+            Some(&schema()),
+        );
         assert_eq!(exit_code(&[checked, bad]), 1);
     }
 
@@ -289,7 +307,11 @@ __rec=ctx,ref=99,attr=1,data=not-a-number
             "LET u = scale(time.duration, 2) AGGREGATE count GROUP BY function",
             Some(&schema()),
         );
-        let err = check_query("b", "AGGREGATE sum(function) GROUP BY function", Some(&schema()));
+        let err = check_query(
+            "b",
+            "AGGREGATE sum(function) GROUP BY function",
+            Some(&schema()),
+        );
         let line = summary_line(&[warn, err]);
         assert_eq!(line, "1 error, 1 warning in 2 queries");
     }

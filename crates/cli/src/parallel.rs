@@ -151,8 +151,8 @@ pub fn parallel_query<E: Executor>(
     // A rank folds its files as `cali-query` does, on one worker, under
     // one schema-free pushdown for every rank: which blocks a file's
     // scan skips depends on the file and the query alone.
-    let local = ParallelOptions::with_threads(1)
-        .with_pushdown(Some(Arc::new(build_pushdown(&spec, None))));
+    let local =
+        ParallelOptions::with_threads(1).with_pushdown(Some(Arc::new(build_pushdown(&spec, None))));
     let size = files_per_rank.len().max(1);
     let shared = Arc::new((spec, files_per_rank, local));
     let root = Arc::clone(&shared);
@@ -171,36 +171,51 @@ pub fn parallel_query<E: Executor>(
                 Err(e) => Contents::Failed(e.to_string()),
             };
             let local_max_s = start.elapsed().as_secs_f64();
-            let times = ParallelTimings { local_max_s, ..ParallelTimings::default() };
-            Partial { contents, times, ..Partial::default() }
+            let times = ParallelTimings {
+                local_max_s,
+                ..ParallelTimings::default()
+            };
+            Partial {
+                contents,
+                times,
+                ..Partial::default()
+            }
         };
         ReduceTask::new(rank, size, topology, init, Partial::merge, opts)
     };
-    let mpisim::Run { outputs, trace: hb, stats } = engine.run(size, plan, make, trace);
-    let run = outputs.map_err(ParallelError::Deadlock).and_then(|mut outputs| {
-        let (partial, coverage) = outputs
-            .first_mut()
-            .and_then(Option::take)
-            .ok_or_else(|| ParallelError::Io("rank 0 was killed by the fault plan".to_string()))?
-            .expect("rank 0 is the reduction root");
-        let pipeline = match partial.contents {
-            Contents::Pipeline(pipeline) => *pipeline,
-            // No rank read anything: the fold over no files.
-            Contents::Nothing => Pipeline::new(root.0.clone(), Arc::default()),
-            Contents::Failed(e) => return Err(ParallelError::Io(e)),
-        };
-        let mut timings = partial.times;
-        timings.level_merge_max_s.resize(partial.levels, 0.0);
-        let start = Instant::now();
-        let result = pipeline.finish();
-        timings.finish_s = start.elapsed().as_secs_f64();
-        Ok(QueryRun {
-            result,
-            coverage,
-            timings,
-            sched: stats,
-        })
-    });
+    let mpisim::Run {
+        outputs,
+        trace: hb,
+        stats,
+    } = engine.run(size, plan, make, trace);
+    let run = outputs
+        .map_err(ParallelError::Deadlock)
+        .and_then(|mut outputs| {
+            let (partial, coverage) = outputs
+                .first_mut()
+                .and_then(Option::take)
+                .ok_or_else(|| {
+                    ParallelError::Io("rank 0 was killed by the fault plan".to_string())
+                })?
+                .expect("rank 0 is the reduction root");
+            let pipeline = match partial.contents {
+                Contents::Pipeline(pipeline) => *pipeline,
+                // No rank read anything: the fold over no files.
+                Contents::Nothing => Pipeline::new(root.0.clone(), Arc::default()),
+                Contents::Failed(e) => return Err(ParallelError::Io(e)),
+            };
+            let mut timings = partial.times;
+            timings.level_merge_max_s.resize(partial.levels, 0.0);
+            let start = Instant::now();
+            let result = pipeline.finish();
+            timings.finish_s = start.elapsed().as_secs_f64();
+            Ok(QueryRun {
+                result,
+                coverage,
+                timings,
+                sched: stats,
+            })
+        });
     (run, trace.then_some(hb))
 }
 
@@ -282,7 +297,8 @@ mod tests {
     const QUERY: &str = "AGGREGATE sum(sum#time.duration), sum(aggregate.count) GROUP BY kernel";
 
     fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("caliquery-test-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("caliquery-test-{name}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -299,7 +315,9 @@ mod tests {
     }
 
     fn serial(paths: &[PathBuf]) -> String {
-        run_query(&read_files(paths).unwrap(), QUERY).unwrap().render()
+        run_query(&read_files(paths).unwrap(), QUERY)
+            .unwrap()
+            .render()
     }
 
     /// One run; the trace comes back exactly when asked for.
@@ -311,8 +329,15 @@ mod tests {
         opts: ResilienceOptions,
         trace: bool,
     ) -> QueryRun {
-        let (run, hb) =
-            parallel_query(engine, topology, QUERY, per_rank.to_vec(), plan.clone(), opts, trace);
+        let (run, hb) = parallel_query(
+            engine,
+            topology,
+            QUERY,
+            per_rank.to_vec(),
+            plan.clone(),
+            opts,
+            trace,
+        );
         assert_eq!(hb.is_some(), trace, "{} {topology:?}", engine.name());
         run.unwrap()
     }
@@ -328,9 +353,17 @@ mod tests {
         for topology in [Topology::Flat, Topology::TwoLevel { ranks_per_node: 3 }] {
             for trace in [false, true] {
                 let one = EventEngine::new();
-                check("event/1", topology, run_on(&one, topology, per_rank, plan, opts, trace));
+                check(
+                    "event/1",
+                    topology,
+                    run_on(&one, topology, per_rank, plan, opts, trace),
+                );
                 let four = EventEngine::with_workers(4);
-                check("event/4", topology, run_on(&four, topology, per_rank, plan, opts, trace));
+                check(
+                    "event/4",
+                    topology,
+                    run_on(&four, topology, per_rank, plan, opts, trace),
+                );
                 check(
                     "threads",
                     topology,
@@ -404,11 +437,23 @@ mod tests {
             backoff: std::time::Duration::from_millis(50),
         };
         let check = |name: &str, topology, run: QueryRun| {
-            let lost = if topology == Topology::Flat { vec![2, 3] } else { vec![2] };
+            let lost = if topology == Topology::Flat {
+                vec![2, 3]
+            } else {
+                vec![2]
+            };
             assert_eq!(run.coverage.lost, lost, "{name} {topology:?}");
-            let survivors: Vec<PathBuf> =
-                run.coverage.included.iter().map(|&r| paths[r].clone()).collect();
-            assert_eq!(run.result.render(), serial(&survivors), "{name} {topology:?}");
+            let survivors: Vec<PathBuf> = run
+                .coverage
+                .included
+                .iter()
+                .map(|&r| paths[r].clone())
+                .collect();
+            assert_eq!(
+                run.result.render(),
+                serial(&survivors),
+                "{name} {topology:?}"
+            );
             // Timings ride the same fold, so they survive the kill: the
             // root timed one merge per partial that reached it.
             assert_eq!(
@@ -444,8 +489,15 @@ mod tests {
                 &FaultPlan::new(),
                 ResilienceOptions::default(),
                 |name, topology, run| {
-                    assert_eq!(run.result.render(), expect, "{ranks} ranks, {name} {topology:?}");
-                    assert!(run.coverage.is_complete(), "{ranks} ranks, {name} {topology:?}");
+                    assert_eq!(
+                        run.result.render(),
+                        expect,
+                        "{ranks} ranks, {name} {topology:?}"
+                    );
+                    assert!(
+                        run.coverage.is_complete(),
+                        "{ranks} ranks, {name} {topology:?}"
+                    );
                 },
             );
         }
@@ -465,13 +517,25 @@ mod tests {
         // Each victim dies at its first comm op. Rank 5 (empty) and rank
         // 9 (the second file) are leaves of the flat tree; in nodes of
         // three, rank 5 is a leaf and rank 9 leads {9, 10, 11}.
-        for (victim, flat_lost, nodes_lost) in [(5, vec![5], vec![5]), (9, vec![9], vec![9, 10, 11])]
+        for (victim, flat_lost, nodes_lost) in
+            [(5, vec![5], vec![5]), (9, vec![9], vec![9, 10, 11])]
         {
             let check = |name: &str, topology, run: QueryRun| {
-                let lost = if topology == Topology::Flat { &flat_lost } else { &nodes_lost };
-                assert_eq!(&run.coverage.lost, lost, "victim {victim}, {name} {topology:?}");
-                let survivors: Vec<PathBuf> =
-                    run.coverage.included.iter().flat_map(|&r| per_rank[r].clone()).collect();
+                let lost = if topology == Topology::Flat {
+                    &flat_lost
+                } else {
+                    &nodes_lost
+                };
+                assert_eq!(
+                    &run.coverage.lost, lost,
+                    "victim {victim}, {name} {topology:?}"
+                );
+                let survivors: Vec<PathBuf> = run
+                    .coverage
+                    .included
+                    .iter()
+                    .flat_map(|&r| per_rank[r].clone())
+                    .collect();
                 assert_eq!(
                     run.result.render(),
                     serial(&survivors),
@@ -486,7 +550,8 @@ mod tests {
     #[test]
     fn a_world_without_files_renders_the_empty_pipeline() {
         let none: &[PathBuf] = &[];
-        let (empty, _) = parallel_query_files(QUERY, none, &ParallelOptions::with_threads(1)).unwrap();
+        let (empty, _) =
+            parallel_query_files(QUERY, none, &ParallelOptions::with_threads(1)).unwrap();
         let expect = empty.render();
         assert_eq!(expect, serial(none));
         run_everywhere(
@@ -503,7 +568,10 @@ mod tests {
     #[test]
     fn read_failures_surface_as_io_errors() {
         let missing = PathBuf::from("/nonexistent/file.cali");
-        for per_rank in [vec![vec![missing.clone()]], vec![vec![], vec![missing.clone()]]] {
+        for per_rank in [
+            vec![vec![missing.clone()]],
+            vec![vec![], vec![missing.clone()]],
+        ] {
             let (run, _) = parallel_query(
                 &EventEngine::new(),
                 Topology::Flat,
@@ -553,7 +621,9 @@ mod tests {
             std::fs::write(&paths[rank], caliper_format::to_binary_v2_with(ds, 16)).unwrap();
             blocks.push(ds.len().div_ceil(16) as u64);
         }
-        let expect = run_query(&read_files(&paths).unwrap(), WHERE_RANK_2).unwrap().render();
+        let expect = run_query(&read_files(&paths).unwrap(), WHERE_RANK_2)
+            .unwrap()
+            .render();
         assert!(expect.lines().count() > 10, "{expect}");
         // No block of ranks 0, 1 and 3 can hold a match.
         let ruled_out = blocks[0] + blocks[1] + blocks[3];

@@ -147,7 +147,12 @@ fn transient_read_faults_are_retried_to_success() {
         (out.status.code(), out.stdout, out.stderr)
     };
     let unfaulted = check(&[]);
-    assert_eq!(unfaulted.0, Some(1), "E003: {}", String::from_utf8_lossy(&unfaulted.1));
+    assert_eq!(
+        unfaulted.0,
+        Some(1),
+        "E003: {}",
+        String::from_utf8_lossy(&unfaulted.1)
+    );
     assert_eq!(check(&["--faults", "io.read=fail(1)"]), unfaulted);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -169,9 +174,16 @@ fn exhausted_retries_are_a_hard_error_without_degrade() {
     args.push("--check");
     let out = query(&args);
     assert_eq!(out.status.code(), Some(1));
-    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("in1.cali") && stderr.contains("injected fault"), "{stderr}");
+    assert!(
+        stderr.contains("in1.cali") && stderr.contains("injected fault"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -210,7 +222,10 @@ fn degrade_drops_the_failed_shard_deterministically() {
             String::from_utf8_lossy(&out.stderr)
         );
         let stderr = String::from_utf8(out.stderr.clone()).unwrap();
-        assert!(stderr.contains("dropped shard"), "--threads {threads}: {stderr}");
+        assert!(
+            stderr.contains("dropped shard"),
+            "--threads {threads}: {stderr}"
+        );
         assert!(
             stderr.contains("partial result: 1 input file(s) dropped after retries"),
             "--threads {threads}: {stderr}"
@@ -289,8 +304,14 @@ fn a_file_that_fails_both_ways_is_dropped_as_unreadable_on_every_thread_count() 
         let out = query(&args);
         let stderr = String::from_utf8(out.stderr.clone()).unwrap();
         assert_eq!(out.status.code(), Some(2), "--threads {threads}: {stderr}");
-        assert!(stderr.contains("injected fault at io.read"), "--threads {threads}: {stderr}");
-        assert!(!stderr.contains("shard.merge"), "--threads {threads}: {stderr}");
+        assert!(
+            stderr.contains("injected fault at io.read"),
+            "--threads {threads}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("shard.merge"),
+            "--threads {threads}: {stderr}"
+        );
         outputs.push(out);
     }
     for out in &outputs[1..] {
@@ -323,7 +344,11 @@ fn strict_runs_name_the_first_unreadable_file_on_every_thread_count() {
             args.extend(paths_as_strs(&paths));
             let out = query(&args);
             let stderr = String::from_utf8(out.stderr).unwrap();
-            assert_eq!(out.status.code(), Some(1), "round {round}, --threads {threads}: {stderr}");
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "round {round}, --threads {threads}: {stderr}"
+            );
             assert!(
                 stderr.contains("in1.cali") && !stderr.contains("in3.cali"),
                 "round {round}, --threads {threads}: {stderr}"
@@ -361,7 +386,9 @@ fn a_file_corrupt_in_its_middle_block_is_dropped_whole_at_every_thread_count() {
             if f == 3 {
                 let kernel = ds.store.find("kernel").unwrap().id();
                 for rec in &mut ds.records[..20] {
-                    let node = ds.tree.get_child(caliper_data::NODE_NONE, kernel, &"only3".into());
+                    let node = ds
+                        .tree
+                        .get_child(caliper_data::NODE_NONE, kernel, &"only3".into());
                     *rec = caliper_data::SnapshotRecord::new();
                     rec.push_node(node);
                 }
@@ -382,7 +409,10 @@ fn a_file_corrupt_in_its_middle_block_is_dropped_whole_at_every_thread_count() {
     let reference = query(&[&["-q", QUERY][..], &paths_as_strs(&others)].concat());
     assert_eq!(reference.status.code(), Some(0));
     for threads in ["1", "2", "4"] {
-        let args = [&["-q", QUERY, "--threads", threads, "--degrade"][..], &paths_as_strs(&paths)];
+        let args = [
+            &["-q", QUERY, "--threads", threads, "--degrade"][..],
+            &paths_as_strs(&paths),
+        ];
         let out = query(&args.concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "--threads {threads}: {stderr}");
@@ -513,7 +543,13 @@ fn mutator_is_a_pure_function_of_path_seed_and_mode() {
 
     let mutate = |seed: &str| -> Vec<u8> {
         std::fs::write(&victim, &original).unwrap();
-        let out = pack(&["--mutate", "bitflip", "--seed", seed, victim.to_str().unwrap()]);
+        let out = pack(&[
+            "--mutate",
+            "bitflip",
+            "--seed",
+            seed,
+            victim.to_str().unwrap(),
+        ]);
         assert_eq!(out.status.code(), Some(0));
         std::fs::read(&victim).unwrap()
     };
@@ -550,7 +586,9 @@ fn max_errors_exact_boundary_is_a_flagged_partial_success() {
     );
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(
-        stderr.contains("error budget exhausted (1 of 1 allowed); one more error would abort (exit 1)"),
+        stderr.contains(
+            "error budget exhausted (1 of 1 allowed); one more error would abort (exit 1)"
+        ),
         "{stderr}"
     );
     assert!(stderr.contains("torn.cali"), "{stderr}");
@@ -561,7 +599,9 @@ fn max_errors_exact_boundary_is_a_flagged_partial_success() {
     let out = query(&args);
     assert_eq!(out.status.code(), Some(1));
     assert!(
-        !String::from_utf8(out.stderr).unwrap().contains("budget exhausted"),
+        !String::from_utf8(out.stderr)
+            .unwrap()
+            .contains("budget exhausted"),
         "an aborted run must not claim a survived budget"
     );
 
@@ -571,7 +611,9 @@ fn max_errors_exact_boundary_is_a_flagged_partial_success() {
     let out = query(&args);
     assert_eq!(out.status.code(), Some(2));
     assert!(
-        !String::from_utf8(out.stderr).unwrap().contains("budget exhausted"),
+        !String::from_utf8(out.stderr)
+            .unwrap()
+            .contains("budget exhausted"),
         "under-budget runs must not warn"
     );
 
@@ -581,7 +623,11 @@ fn max_errors_exact_boundary_is_a_flagged_partial_success() {
     args.extend(clean);
     let out = query(&args);
     assert_eq!(out.status.code(), Some(0));
-    assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -710,11 +756,9 @@ fn recovery_is_idempotent_over_a_torn_journal() {
             Properties::AS_VALUE | Properties::AGGREGATABLE,
         );
         let seq = ds.attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE);
-        let mut w = caliper_format::JournalWriter::create(
-            &journal,
-            caliper_format::FlushPolicy::default(),
-        )
-        .unwrap();
+        let mut w =
+            caliper_format::JournalWriter::create(&journal, caliper_format::FlushPolicy::default())
+                .unwrap();
         for i in 0..30u64 {
             let node = ds.tree.get_child(
                 NODE_NONE,

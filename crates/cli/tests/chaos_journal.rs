@@ -24,7 +24,11 @@ fn arm() {
 
 /// Run a journaled event-trace workload; returns (journal path, stats,
 /// snapshots the in-memory trace collected).
-fn run_workload(tag: &str, regions: usize, fsync: bool) -> (PathBuf, caliper_runtime::JournalStats, usize) {
+fn run_workload(
+    tag: &str,
+    regions: usize,
+    fsync: bool,
+) -> (PathBuf, caliper_runtime::JournalStats, usize) {
     let path = std::env::temp_dir().join(format!(
         "cali-chaos-journal-{tag}-{}.cali",
         std::process::id()

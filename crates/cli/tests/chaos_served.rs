@@ -116,7 +116,10 @@ impl Daemon {
             Some((ingest?, http?))
         };
         let (ingest_port, http_port) = loop {
-            assert!(Instant::now() < deadline, "cali-served never wrote {ports:?}");
+            assert!(
+                Instant::now() < deadline,
+                "cali-served never wrote {ports:?}"
+            );
             if let Ok(text) = std::fs::read_to_string(&ports) {
                 if let Some(pair) = parse_ports(&text) {
                     break pair;
@@ -167,7 +170,8 @@ impl Daemon {
             .replace(',', "%2C")
             .replace('(', "%28")
             .replace(')', "%29");
-        self.http_req("GET", &format!("/query?q={encoded}")).unwrap()
+        self.http_req("GET", &format!("/query?q={encoded}"))
+            .unwrap()
     }
 
     fn client(&self, stream: &str) -> IngestClient {
@@ -318,14 +322,23 @@ fn a_batch_the_journal_refuses_is_not_served() {
     }
     // The breaker is open for that stream; the other one is refused by
     // its own journal the same way.
-    assert!(matches!(client.send_batch(&batch_payload(6, 2)).unwrap(), Reply::Degraded(_)));
+    assert!(matches!(
+        client.send_batch(&batch_payload(6, 2)).unwrap(),
+        Reply::Degraded(_)
+    ));
     let _ = client.quit();
     let mut other = daemon.client("rank1");
-    assert!(matches!(other.send_batch(&batch_payload(7, 3)).unwrap(), Reply::Degraded(_)));
+    assert!(matches!(
+        other.send_batch(&batch_payload(7, 3)).unwrap(),
+        Reply::Degraded(_)
+    ));
     let _ = other.quit();
     let (status, degraded) = warm_rows(&daemon);
     assert_eq!(status, 200, "{degraded}");
-    assert_eq!(degraded, before, "an unacknowledged, unjournaled batch is being served");
+    assert_eq!(
+        degraded, before,
+        "an unacknowledged, unjournaled batch is being served"
+    );
     daemon.shutdown(2);
 
     // A third life, fault-free: the journals never got those batches,
@@ -359,7 +372,11 @@ fn a_torn_frame_costs_its_batch_and_nothing_else() {
     daemon.child.wait().unwrap();
     std::mem::forget(daemon);
     let whole = std::fs::read(&journal).unwrap();
-    assert_eq!(&whole[..before.len()], &before[..], "a batch rewrote the journal before it");
+    assert_eq!(
+        &whole[..before.len()],
+        &before[..],
+        "a batch rewrote the journal before it"
+    );
     std::fs::write(&journal, &whole[..whole.len() - 17]).unwrap();
 
     // Every acknowledged batch but the torn one is served, and the
@@ -368,7 +385,11 @@ fn a_torn_frame_costs_its_batch_and_nothing_else() {
     let stderr = || Stdio::from(std::fs::File::create(&stderr_path).unwrap());
     let daemon = Daemon::start_with(&dir, &["--fsync"], &[], stderr());
     let (status, replayed) = daemon.query();
-    assert_eq!((status, &replayed), (200, &acknowledged), "replay over a torn frame");
+    assert_eq!(
+        (status, &replayed),
+        (200, &acknowledged),
+        "replay over a torn frame"
+    );
     // Sent again, the batch lands after the torn frame, and a restart
     // serves it once.
     let mut client = daemon.client("rank0");
@@ -377,13 +398,23 @@ fn a_torn_frame_costs_its_batch_and_nothing_else() {
     let _ = client.quit();
     daemon.shutdown(0);
     let log = std::fs::read_to_string(&stderr_path).unwrap();
-    assert!(log.contains("replaying stream 'rank0'") && log.contains("torn frame"), "{log}");
+    assert!(
+        log.contains("replaying stream 'rank0'") && log.contains("torn frame"),
+        "{log}"
+    );
     let daemon = Daemon::start_with(&dir, &[], &[], stderr());
     let (status, restarted) = daemon.query();
-    assert_eq!((status, &restarted), (200, &with_fourth), "restart after the resent batch");
+    assert_eq!(
+        (status, &restarted),
+        (200, &with_fourth),
+        "restart after the resent batch"
+    );
     daemon.shutdown(0);
     let log = std::fs::read_to_string(&stderr_path).unwrap();
-    assert!(log.contains("truncated"), "the torn frame is still reported: {log}");
+    assert!(
+        log.contains("truncated"),
+        "the torn frame is still reported: {log}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -396,14 +427,23 @@ fn a_payload_with_a_frame_line_is_refused_and_not_journaled() {
     let journal = dir.join("data").join("rank0.journal.cali");
     let clean = batch_payload(1, 4);
     let mut seq = 3;
-    for line in [&b"__rec=batch,seq=4,bytes=9\n"[..], b"bytes=9,__rec=batch,seq=4\n"] {
+    for line in [
+        &b"__rec=batch,seq=4,bytes=9\n"[..],
+        b"bytes=9,__rec=batch,seq=4\n",
+    ] {
         for payload in [[line, &clean[..]].concat(), [&clean[..], line].concat()] {
             let before = std::fs::read(&journal).unwrap();
             match client.send_batch(&payload).unwrap() {
-                Reply::Error(reason) => assert!(reason.contains("unknown record kind 'batch'"), "{reason}"),
+                Reply::Error(reason) => {
+                    assert!(reason.contains("unknown record kind 'batch'"), "{reason}")
+                }
                 other => panic!("expected ERR, got {}", other.to_line()),
             }
-            assert_eq!(std::fs::read(&journal).unwrap(), before, "a refused batch was journaled");
+            assert_eq!(
+                std::fs::read(&journal).unwrap(),
+                before,
+                "a refused batch was journaled"
+            );
             // The stream is none the worse.
             seq += 4;
             let ack = client.send_batch(&clean).unwrap().to_line();
@@ -444,7 +484,9 @@ fn full_queue_replies_busy_and_never_hangs() {
                 Reply::Busy { .. } => {
                     // The well-behaved backpressure loop: retry until
                     // accepted.
-                    client.send_batch_retrying(&batch_payload(i, 6), 100).unwrap()
+                    client
+                        .send_batch_retrying(&batch_payload(i, 6), 100)
+                        .unwrap()
                 }
                 other => other.clone(),
             };
@@ -464,7 +506,11 @@ fn full_queue_replies_busy_and_never_hangs() {
         .count();
     assert!(busy >= 1, "expected at least one BUSY: {outcomes:?}");
     for (_, landed) in &outcomes {
-        assert!(landed.is_ok(), "retry loop never landed: {}", landed.to_line());
+        assert!(
+            landed.is_ok(),
+            "retry loop never landed: {}",
+            landed.to_line()
+        );
     }
     // Every batch accepted exactly once: 3 streams × 6 records. The
     // query plane sees warm per-(kernel,stream) rows, so summing their
@@ -473,7 +519,11 @@ fn full_queue_replies_busy_and_never_hangs() {
         .http_req("GET", "/query?q=AGGREGATE+sum%28count%29+FORMAT+csv")
         .unwrap();
     assert_eq!(status, 200, "{body}");
-    assert_eq!(body.trim(), "sum#count\n18", "every batch must land exactly once");
+    assert_eq!(
+        body.trim(),
+        "sum#count\n18",
+        "every batch must land exactly once"
+    );
     daemon.shutdown(0);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -483,12 +533,7 @@ fn slow_query_returns_prompt_408_partial() {
     let dir = tmpdir("deadline");
     let daemon = Daemon::start(
         &dir,
-        &[
-            "--deadline-ms",
-            "50",
-            "--faults",
-            "served.query=delay(150)",
-        ],
+        &["--deadline-ms", "50", "--faults", "served.query=delay(150)"],
     );
     let mut client = daemon.client("rank0");
     assert!(client.send_batch(&batch_payload(0, 12)).unwrap().is_ok());
@@ -630,7 +675,14 @@ fn drain_does_not_wait_for_a_verdict_no_worker_is_left_to_give() {
     // for a verdict. The drain deadline is the default 10 s.
     let daemon = Daemon::start_with(
         &dir,
-        &["--workers", "1", "--max-restarts", "0", "--faults", "served.ingest=fail(1)"],
+        &[
+            "--workers",
+            "1",
+            "--max-restarts",
+            "0",
+            "--faults",
+            "served.ingest=fail(1)",
+        ],
         &[],
         Stdio::from(std::fs::File::create(&stderr_path).unwrap()),
     );
@@ -673,7 +725,8 @@ fn connections_past_the_handler_bound_are_refused_and_cost_no_thread() {
     let mut conns: Vec<TcpStream> = (0..256)
         .map(|_| {
             let conn = TcpStream::connect_timeout(&daemon.ingest, Duration::from_secs(10)).unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
             conn
         })
         .collect();
@@ -686,7 +739,10 @@ fn connections_past_the_handler_bound_are_refused_and_cost_no_thread() {
     }
     let tasks = format!("/proc/{}/task", daemon.child.id());
     let threads = std::fs::read_dir(tasks).unwrap().count();
-    assert!(threads <= 2 * BOUND + WORKERS + 3, "{threads} threads for 256 connections");
+    assert!(
+        threads <= 2 * BOUND + WORKERS + 3,
+        "{threads} threads for 256 connections"
+    );
     for conn in &mut conns[..BOUND] {
         conn.write_all(b"PING\n").unwrap();
         let mut reply = [0u8; 8];
@@ -704,12 +760,18 @@ fn connections_past_the_handler_bound_are_refused_and_cost_no_thread() {
 fn exchange(addr: SocketAddr, request: &[u8]) -> (String, Duration) {
     let started = Instant::now();
     let mut conn = TcpStream::connect_timeout(&addr, Duration::from_secs(10)).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(15))).unwrap();
-    conn.set_write_timeout(Some(Duration::from_secs(15))).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    conn.set_write_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
     conn.write_all(request).unwrap();
     let mut raw = Vec::new();
-    conn.read_to_end(&mut raw).expect("the daemon answers and closes");
-    (String::from_utf8_lossy(&raw).into_owned(), started.elapsed())
+    conn.read_to_end(&mut raw)
+        .expect("the daemon answers and closes");
+    (
+        String::from_utf8_lossy(&raw).into_owned(),
+        started.elapsed(),
+    )
 }
 
 #[test]
@@ -718,7 +780,10 @@ fn hostile_names_and_lying_requests_never_panic() {
     let daemon = Daemon::start(&dir, &["--workers", "1"]);
     let data = dir.join("data");
     let journals = || {
-        let mut names: Vec<_> = walk(&dir).into_iter().filter(|p| !p.ends_with("ports.txt")).collect();
+        let mut names: Vec<_> = walk(&dir)
+            .into_iter()
+            .filter(|p| !p.ends_with("ports.txt"))
+            .collect();
         names.sort();
         names
     };
@@ -741,14 +806,27 @@ fn hostile_names_and_lying_requests_never_panic() {
     for name in &hostile {
         let (reply, _) = exchange(daemon.ingest, format!("HELLO {name}\n").as_bytes());
         let what = &name[..name.len().min(16)];
-        assert!(reply.starts_with("ERR "), "HELLO {what}…: {}", &reply[..reply.len().min(80)]);
-        assert_eq!(reply.matches('\n').count(), 1, "HELLO {what}…: one reply, then closed");
+        assert!(
+            reply.starts_with("ERR "),
+            "HELLO {what}…: {}",
+            &reply[..reply.len().min(80)]
+        );
+        assert_eq!(
+            reply.matches('\n').count(),
+            1,
+            "HELLO {what}…: one reply, then closed"
+        );
     }
     assert_eq!(journals(), before, "a refused HELLO created a file");
     assert!(!dir.join("escape.journal.cali").exists() && !data.join("a").exists());
 
     // A query over an 8 KB stream name names no stream.
-    let (status, body) = daemon.http_req("GET", &format!("/query?q=SELECT+*&stream={}", &long[..8000])).unwrap();
+    let (status, body) = daemon
+        .http_req(
+            "GET",
+            &format!("/query?q=SELECT+*&stream={}", &long[..8000]),
+        )
+        .unwrap();
     assert_eq!(status, 404, "{}", &body[..body.len().min(80)]);
 
     // Content-Length: huge, past u64, longer than the body sent,
@@ -762,11 +840,19 @@ fn hostile_names_and_lying_requests_never_panic() {
             ("-1", "negative"),
             ("ten", ""),
         ] {
-            let request = format!("{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n{body}");
+            let request = format!(
+                "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n{body}"
+            );
             let (reply, took) = exchange(daemon.http, request.as_bytes());
             let ctx = format!("{method} {path} Content-Length: {length}");
-            assert!(reply.starts_with(&format!("HTTP/1.1 {want} ")), "{ctx}: {reply}");
-            assert!(took < Duration::from_secs(10), "{ctx}: closed after {took:?}");
+            assert!(
+                reply.starts_with(&format!("HTTP/1.1 {want} ")),
+                "{ctx}: {reply}"
+            );
+            assert!(
+                took < Duration::from_secs(10),
+                "{ctx}: closed after {took:?}"
+            );
         }
     }
 

@@ -24,19 +24,58 @@ struct Case {
 /// Every diagnostic family has at least one fixture here; `clean`
 /// pins the zero-diagnostics path.
 const CASES: &[Case] = &[
-    Case { name: "unknown-attr", exit: 1 },          // E002 + suggestion
-    Case { name: "sum-over-string", exit: 1 },       // E003
-    Case { name: "bad-histogram-bounds", exit: 1 },  // E004
-    Case { name: "percentile-range", exit: 1 },      // E004
-    Case { name: "duplicate-alias", exit: 1 },       // E005
-    Case { name: "order-by-unknown", exit: 1 },      // E006
-    Case { name: "contradictory-where", exit: 1 },   // E007
-    Case { name: "bad-format-option", exit: 1 },     // E008
-    Case { name: "unused-let", exit: 2 },            // W001
-    Case { name: "self-referential-let", exit: 2 },  // W002
-    Case { name: "where-type-mismatch", exit: 2 },   // W004
-    Case { name: "pushdown-ineligible", exit: 2 },   // W007
-    Case { name: "clean", exit: 0 },
+    Case {
+        name: "unknown-attr",
+        exit: 1,
+    }, // E002 + suggestion
+    Case {
+        name: "sum-over-string",
+        exit: 1,
+    }, // E003
+    Case {
+        name: "bad-histogram-bounds",
+        exit: 1,
+    }, // E004
+    Case {
+        name: "percentile-range",
+        exit: 1,
+    }, // E004
+    Case {
+        name: "duplicate-alias",
+        exit: 1,
+    }, // E005
+    Case {
+        name: "order-by-unknown",
+        exit: 1,
+    }, // E006
+    Case {
+        name: "contradictory-where",
+        exit: 1,
+    }, // E007
+    Case {
+        name: "bad-format-option",
+        exit: 1,
+    }, // E008
+    Case {
+        name: "unused-let",
+        exit: 2,
+    }, // W001
+    Case {
+        name: "self-referential-let",
+        exit: 2,
+    }, // W002
+    Case {
+        name: "where-type-mismatch",
+        exit: 2,
+    }, // W004
+    Case {
+        name: "pushdown-ineligible",
+        exit: 2,
+    }, // W007
+    Case {
+        name: "clean",
+        exit: 0,
+    },
 ];
 
 fn golden_dir() -> PathBuf {
@@ -127,7 +166,11 @@ fn check_diagnostics_are_stable() {
         // Determinism: byte-identical on a second run and under a
         // different --threads (which --check must ignore).
         let again = run_check(&query, &[], &inputs);
-        assert_eq!(out.stdout, again.stdout, "case '{}' not deterministic", case.name);
+        assert_eq!(
+            out.stdout, again.stdout,
+            "case '{}' not deterministic",
+            case.name
+        );
         let threaded = run_check(&query, &["--threads", "4"], &inputs);
         assert_eq!(
             out.stdout, threaded.stdout,
@@ -167,14 +210,22 @@ fn clean_check_leaves_results_unchanged() {
             .args(&inputs)
             .output()
             .expect("run cali-query");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         out
     };
     let linted = run(&[]);
     let unlinted = run(&["--no-lint"]);
     assert_eq!(linted.stdout, unlinted.stdout);
     // The advisory lint found nothing, so stderr is silent too.
-    assert!(linted.stderr.is_empty(), "{}", String::from_utf8_lossy(&linted.stderr));
+    assert!(
+        linted.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&linted.stderr)
+    );
 }
 
 /// `cali-lint` over the fixture files themselves: file-path sources,

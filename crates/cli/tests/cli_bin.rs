@@ -24,7 +24,11 @@ fn cali_query_runs_a_query() {
         .args(&paths)
         .output()
         .expect("run cali-query");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("kernel"));
     assert!(stdout.contains("CalcSegForces"));
@@ -101,14 +105,20 @@ fn cali_query_names_a_binary_fault_by_its_byte() {
     let mut retired = clean.clone();
     retired[4] = 2;
     let stderr = run("retired.calb2", &retired);
-    assert!(stderr.contains("retired.calb2: decode error at byte 4: binary cali version 2"), "{stderr}");
+    assert!(
+        stderr.contains("retired.calb2: decode error at byte 4: binary cali version 2"),
+        "{stderr}"
+    );
     assert!(!stderr.contains("line"), "{stderr}");
     // Block 2's row count as eleven continuation bytes: more than 64 bits.
     let mut torn = clean.clone();
     let payload = caliper_format::read_footer(&clean).unwrap()[2].offset as usize + 3;
     torn[payload..payload + 12].fill(0xff);
     let stderr = run("torn.calb2", &torn);
-    assert!(stderr.contains("torn.calb2: decode error in block 2 at payload byte 11: varint overflow"), "{stderr}");
+    assert!(
+        stderr.contains("torn.calb2: decode error in block 2 at payload byte 11: varint overflow"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -126,8 +136,15 @@ fn streaming_query_matches_merged_query() {
             .args(&paths)
             .output()
             .expect("run cali-query");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        (String::from_utf8(out.stdout).unwrap(), String::from_utf8(out.stderr).unwrap())
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (
+            String::from_utf8(out.stdout).unwrap(),
+            String::from_utf8(out.stderr).unwrap(),
+        )
     };
     assert_eq!(reference.render(), run(&[], query).0);
     // A pass-through query scans every file through one pipeline instead.
@@ -138,11 +155,17 @@ fn streaming_query_matches_merged_query() {
     // separate serial line.
     let (_, stderr) = run(&["--timings"], query);
     assert!(stderr.contains("# worker 0:"), "{stderr}");
-    assert!(!stderr.contains("# worker 1:") && !stderr.contains("# serial"), "{stderr}");
+    assert!(
+        !stderr.contains("# worker 1:") && !stderr.contains("# serial"),
+        "{stderr}"
+    );
     // A pass-through query runs on one worker whatever --threads asks,
     // and --timings prints that worker's line.
     let (_, stderr) = run(&["--timings", "--threads", "4"], "SELECT * LIMIT 3");
-    assert!(stderr.contains("# worker 0: ") && stderr.contains("(5 files, "), "{stderr}");
+    assert!(
+        stderr.contains("# worker 0: ") && stderr.contains("(5 files, "),
+        "{stderr}"
+    );
     assert!(!stderr.contains("# worker 1:"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -180,9 +203,18 @@ fn pass_through_queries_scan_and_skip_blocks() {
         assert!(out.status.success(), "{stderr}");
         let reference = caliper_query::run_query(&merged, query).unwrap();
         assert!(reference.records.len() > 10, "{query}");
-        assert_eq!(String::from_utf8(out.stdout).unwrap(), reference.render(), "{query}");
-        let skipped = stderr.lines().find_map(|l| l.strip_prefix("format.reader.blocks_skipped="));
-        assert!(skipped.is_some_and(|n| n.parse::<u64>().unwrap() > 0), "{query}: {stderr}");
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            reference.render(),
+            "{query}"
+        );
+        let skipped = stderr
+            .lines()
+            .find_map(|l| l.strip_prefix("format.reader.blocks_skipped="));
+        assert!(
+            skipped.is_some_and(|n| n.parse::<u64>().unwrap() > 0),
+            "{query}: {stderr}"
+        );
         // The LET output is the query's, not the data's: no W003.
         assert!(!stderr.contains("warning["), "{query}: {stderr}");
     }
@@ -211,7 +243,11 @@ fn cali_stat_summarizes_datasets() {
         .args(&paths)
         .output()
         .expect("run cali-stat");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("files:            2"), "{stdout}");
     assert!(stdout.contains("snapshot records:"), "{stdout}");
@@ -254,7 +290,11 @@ fn mpi_caliquery_matches_cali_query() {
         .expect("run mpi-caliquery");
 
     assert!(serial.status.success());
-    assert!(parallel.status.success(), "{}", String::from_utf8_lossy(&parallel.stderr));
+    assert!(
+        parallel.status.success(),
+        "{}",
+        String::from_utf8_lossy(&parallel.stderr)
+    );
     assert_eq!(serial.stdout, parallel.stdout);
     let stderr = String::from_utf8(parallel.stderr).unwrap();
     assert!(stderr.contains("tree reduction"), "{stderr}");
@@ -297,7 +337,11 @@ fn cali_query_flamegraph_format() {
         .args(&paths)
         .output()
         .expect("run cali-query");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     // folded format: "frame value" lines
     let first = stdout.lines().next().unwrap();
@@ -322,11 +366,22 @@ fn cali_query_threads_output_is_identical() {
             .expect("run cali-query")
     };
     let serial = run("1");
-    assert!(serial.status.success(), "{}", String::from_utf8_lossy(&serial.stderr));
+    assert!(
+        serial.status.success(),
+        "{}",
+        String::from_utf8_lossy(&serial.stderr)
+    );
     for threads in ["2", "4", "8"] {
         let sharded = run(threads);
-        assert!(sharded.status.success(), "{}", String::from_utf8_lossy(&sharded.stderr));
-        assert_eq!(serial.stdout, sharded.stdout, "--threads {threads} diverged");
+        assert!(
+            sharded.status.success(),
+            "{}",
+            String::from_utf8_lossy(&sharded.stderr)
+        );
+        assert_eq!(
+            serial.stdout, sharded.stdout,
+            "--threads {threads} diverged"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -347,14 +402,25 @@ fn pass_through_queries_refuse_aggregation_flags() {
             .expect("run cali-query")
     };
     let plain = run(&[]);
-    assert!(plain.status.success(), "{}", String::from_utf8_lossy(&plain.stderr));
+    assert!(
+        plain.status.success(),
+        "{}",
+        String::from_utf8_lossy(&plain.stderr)
+    );
     assert!(plain.stdout.len() > 100);
     for threads in ["1", "4"] {
         let out = run(&["--threads", threads]);
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         assert_eq!(out.stdout, plain.stdout, "--threads {threads}");
     }
-    for (extra, flag) in [(&["--degrade"][..], "--degrade"), (&["--max-groups", "2"][..], "--max-groups")] {
+    for (extra, flag) in [
+        (&["--degrade"][..], "--degrade"),
+        (&["--max-groups", "2"][..], "--max-groups"),
+    ] {
         let out = run(extra);
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
@@ -368,11 +434,21 @@ fn pass_through_queries_refuse_aggregation_flags() {
     }
     // The same flags still serve an aggregation.
     let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
-        .args(["-q", "AGGREGATE count GROUP BY kernel", "--degrade", "--max-groups", "2"])
+        .args([
+            "-q",
+            "AGGREGATE count GROUP BY kernel",
+            "--degrade",
+            "--max-groups",
+            "2",
+        ])
         .args(&paths)
         .output()
         .expect("run cali-query");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -401,7 +477,9 @@ fn cali_query_threads_reports_timings_and_bad_values() {
         .output()
         .expect("run cali-query");
     assert!(!out.status.success());
-    assert!(String::from_utf8(out.stderr).unwrap().contains("positive integer"));
+    assert!(String::from_utf8(out.stderr)
+        .unwrap()
+        .contains("positive integer"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -513,8 +591,14 @@ fn cali_query_lenient_salvages_a_corrupt_corpus() {
         // The skipped work is summarized per file on stderr, plus one
         // combined total line for the whole corpus.
         let stderr = String::from_utf8(lenient.stderr).unwrap();
-        assert!(stderr.contains("truncated.cali"), "--threads {threads}: {stderr}");
-        assert!(stderr.contains("corrupt.calb"), "--threads {threads}: {stderr}");
+        assert!(
+            stderr.contains("truncated.cali"),
+            "--threads {threads}: {stderr}"
+        );
+        assert!(
+            stderr.contains("corrupt.calb"),
+            "--threads {threads}: {stderr}"
+        );
         assert!(stderr.contains("skipped"), "--threads {threads}: {stderr}");
         assert!(
             stderr.contains("total:") && stderr.contains("2/4 files with errors"),
@@ -538,7 +622,10 @@ fn cali_query_refuses_a_line_torn_after_its_attr_id() {
     // lenient read salvages.
     let text = String::from_utf8(caliper_format::cali::to_bytes(&tiny_dataset(0, 12))).unwrap();
     let line_start = text.find("__rec=ctx").expect("has a ctx record");
-    let attr = line_start + text[line_start..].find(",attr=").expect("ctx record has an immediate");
+    let attr = line_start
+        + text[line_start..]
+            .find(",attr=")
+            .expect("ctx record has an immediate");
     let cut = attr + text[attr..].find(",data=").unwrap();
     let torn = dir.join("torn.cali");
     std::fs::write(&torn, &text.as_bytes()[..cut]).unwrap();
@@ -562,7 +649,12 @@ fn cali_query_refuses_a_line_torn_after_its_attr_id() {
         "{stderr}"
     );
     let lenient = run(true, &torn);
-    assert_eq!(lenient.status.code(), Some(2), "{}", String::from_utf8_lossy(&lenient.stderr));
+    assert_eq!(
+        lenient.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&lenient.stderr)
+    );
     let salvaged = run(false, &prefix);
     assert!(salvaged.status.success());
     assert_eq!(lenient.stdout, salvaged.stdout);
@@ -592,7 +684,11 @@ fn cali_query_max_groups_bounds_the_database() {
             .expect("run cali-query")
     };
     let serial = run("1");
-    assert!(serial.status.success(), "{}", String::from_utf8_lossy(&serial.stderr));
+    assert!(
+        serial.status.success(),
+        "{}",
+        String::from_utf8_lossy(&serial.stderr)
+    );
     let stdout = String::from_utf8(serial.stdout.clone()).unwrap();
     assert!(stdout.contains("__overflow__"), "{stdout}");
     let stderr = String::from_utf8(serial.stderr).unwrap();
@@ -602,7 +698,10 @@ fn cali_query_max_groups_bounds_the_database() {
     for threads in ["2", "4"] {
         let sharded = run(threads);
         assert!(sharded.status.success());
-        assert_eq!(serial.stdout, sharded.stdout, "--threads {threads} diverged");
+        assert_eq!(
+            serial.stdout, sharded.stdout,
+            "--threads {threads} diverged"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -635,7 +734,8 @@ fn mpi_caliquery_rejects_workers_on_the_thread_engine() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(out.stdout.is_empty());
     assert!(
-        stderr.starts_with("mpi-caliquery: --workers requires --engine event\nusage: mpi-caliquery"),
+        stderr
+            .starts_with("mpi-caliquery: --workers requires --engine event\nusage: mpi-caliquery"),
         "{stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -654,7 +754,12 @@ fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
     use caliper_format::to_binary_v2_with;
     let dir = std::env::temp_dir().join(format!("cali-bin-test-mixed-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let declared = [ValueType::Int, ValueType::Str, ValueType::Float, ValueType::UInt];
+    let declared = [
+        ValueType::Int,
+        ValueType::Str,
+        ValueType::Float,
+        ValueType::UInt,
+    ];
     let mut paths = Vec::new();
     for (f, vtype) in declared.into_iter().enumerate() {
         let mut ds = caliper_format::Dataset::new();
@@ -682,7 +787,10 @@ fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
         let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
             .args(flags)
             .arg("--stats")
-            .args(["-q", &format!("AGGREGATE count WHERE k, {filter} GROUP BY k ORDER BY k")])
+            .args([
+                "-q",
+                &format!("AGGREGATE count WHERE k, {filter} GROUP BY k ORDER BY k"),
+            ])
             .args(&paths)
             .output()
             .expect("run cali-query");
@@ -692,13 +800,28 @@ fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
             let line = stats.lines().find_map(|line| line.strip_prefix(name));
             line.map_or(0, |n| n.parse::<u64>().unwrap())
         };
-        let (skipped, files) = (metric("format.reader.blocks_skipped="), metric("format.reader.files="));
-        (String::from_utf8(out.stdout).unwrap(), stats, skipped, files)
+        let (skipped, files) = (
+            metric("format.reader.blocks_skipped="),
+            metric("format.reader.files="),
+        );
+        (
+            String::from_utf8(out.stdout).unwrap(),
+            stats,
+            skipped,
+            files,
+        )
     };
     let (mut rows, mut skipped) = (0, 0);
-    for filter in
-        ["x = 17", "x != 17", "x < 20", "x <= 20", "x > 40", "x >= 40", "x = 17.5", "x = \"17\""]
-    {
+    for filter in [
+        "x = 17",
+        "x != 17",
+        "x < 20",
+        "x <= 20",
+        "x > 40",
+        "x >= 40",
+        "x = 17.5",
+        "x = \"17\"",
+    ] {
         let reference = run(filter, &["--threads", "1"]);
         rows += reference.0.lines().count();
         skipped += reference.2;
@@ -709,7 +832,11 @@ fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
             &["--no-lint", "--threads", "2"],
             &["--threads", "2"],
         ] {
-            assert_eq!(run(filter, flags), reference, "WHERE {filter} with {flags:?}");
+            assert_eq!(
+                run(filter, flags),
+                reference,
+                "WHERE {filter} with {flags:?}"
+            );
         }
     }
     assert!(rows > 8, "the filters selected nothing");
@@ -723,17 +850,61 @@ fn cali_query_no_lint_pushdown_answers_as_the_default_over_mixed_types() {
 #[test]
 fn unknown_flags_are_usage_errors() {
     let binaries = [
-        ("cali-query", env!("CARGO_BIN_EXE_cali-query"), "--degarde", "--thraeds"),
-        ("mpi-caliquery", env!("CARGO_BIN_EXE_mpi-caliquery"), "--timngs", "--rank"),
-        ("cali-stat", env!("CARGO_BIN_EXE_cali-stat"), "--hlep", "--output"),
-        ("cali-recover", env!("CARGO_BIN_EXE_cali-recover"), "--lenient", "--max-error"),
-        ("cali-race", env!("CARGO_BIN_EXE_cali-race"), "--deny-warning", "--kill"),
-        ("cali-served", env!("CARGO_BIN_EXE_cali-served"), "--fsnyc", "--data_dir"),
-        ("cali-pack", env!("CARGO_BIN_EXE_cali-pack"), "--v2", "--block-record"),
-        ("cali-lint", env!("CARGO_BIN_EXE_cali-lint"), "--jsno", "--shema"),
+        (
+            "cali-query",
+            env!("CARGO_BIN_EXE_cali-query"),
+            "--degarde",
+            "--thraeds",
+        ),
+        (
+            "mpi-caliquery",
+            env!("CARGO_BIN_EXE_mpi-caliquery"),
+            "--timngs",
+            "--rank",
+        ),
+        (
+            "cali-stat",
+            env!("CARGO_BIN_EXE_cali-stat"),
+            "--hlep",
+            "--output",
+        ),
+        (
+            "cali-recover",
+            env!("CARGO_BIN_EXE_cali-recover"),
+            "--lenient",
+            "--max-error",
+        ),
+        (
+            "cali-race",
+            env!("CARGO_BIN_EXE_cali-race"),
+            "--deny-warning",
+            "--kill",
+        ),
+        (
+            "cali-served",
+            env!("CARGO_BIN_EXE_cali-served"),
+            "--fsnyc",
+            "--data_dir",
+        ),
+        (
+            "cali-pack",
+            env!("CARGO_BIN_EXE_cali-pack"),
+            "--v2",
+            "--block-record",
+        ),
+        (
+            "cali-lint",
+            env!("CARGO_BIN_EXE_cali-lint"),
+            "--jsno",
+            "--shema",
+        ),
     ];
     for (name, exe, switch, value_flag) in binaries {
-        for args in [vec![switch], vec![value_flag, "2"], vec!["--no-such-flag=2"]] {
+        for args in [
+            vec![switch],
+            vec![value_flag, "2"],
+            vec!["--no-such-flag=2"],
+        ] {
             let out = Command::new(exe).args(&args).output().expect("run binary");
             let stderr = String::from_utf8(out.stderr).unwrap();
             assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {stderr}");

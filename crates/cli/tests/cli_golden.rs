@@ -314,8 +314,14 @@ fn generate_inputs() -> Vec<(&'static str, caliper_format::Dataset)> {
         ("rank0.cali", generate_rank(0)),
         ("rank1.cali", generate_rank(1)),
         ("nested.cali", generate_nested()),
-        ("phase-int.cali", generate_phases(ValueType::Int, &["1", "3", "", "2"])),
-        ("phase-float.cali", generate_phases(ValueType::Float, &["1.5", "3", "2.25"])),
+        (
+            "phase-int.cali",
+            generate_phases(ValueType::Int, &["1", "3", "", "2"]),
+        ),
+        (
+            "phase-float.cali",
+            generate_phases(ValueType::Float, &["1.5", "3", "2.25"]),
+        ),
     ]
 }
 
@@ -410,18 +416,31 @@ fn golden_query_outputs_are_stable() {
 /// and `3`, the float golden, whose association is per file.
 #[test]
 fn every_golden_query_prints_its_golden_over_v2_at_three_block_sizes() {
-    let names = ["rank0.cali", "rank1.cali", "nested.cali", "phase-int.cali", "phase-float.cali"];
+    let names = [
+        "rank0.cali",
+        "rank1.cali",
+        "nested.cali",
+        "phase-int.cali",
+        "phase-float.cali",
+    ];
     let floats = golden_dir().join("floats");
     let float_query = std::fs::read_to_string(floats.join("every-op.calql")).unwrap();
     let float_golden = std::fs::read(floats.join("every-op.txt")).unwrap();
     let float_files: Vec<PathBuf> = (0..5).map(|f| floats.join(format!("f{f}.cali"))).collect();
     for block_records in [1, 3, 1024] {
-        let dir = std::env::temp_dir().join(format!("cali-v2-blocks-{}-{block_records}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "cali-v2-blocks-{}-{block_records}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let repack = |path: &Path| -> PathBuf {
             let ds = caliper_format::read_path(path).unwrap();
             let packed = dir.join(path.file_name().unwrap()).with_extension("calb2");
-            std::fs::write(&packed, caliper_format::to_binary_v2_with(&ds, block_records)).unwrap();
+            std::fs::write(
+                &packed,
+                caliper_format::to_binary_v2_with(&ds, block_records),
+            )
+            .unwrap();
             packed
         };
         for path in data_files(&names) {
@@ -435,15 +454,33 @@ fn every_golden_query_prints_its_golden_over_v2_at_three_block_sizes() {
                 .collect();
             let out = run_cali_query(case.query, case.extra_args, &inputs);
             let what = format!("'{}' at {block_records} records a block", case.name);
-            assert!(out.status.success(), "{what}: {}", String::from_utf8_lossy(&out.stderr));
-            let expected = golden_dir().join("expected").join(format!("{}.txt", case.name));
+            assert!(
+                out.status.success(),
+                "{what}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let expected = golden_dir()
+                .join("expected")
+                .join(format!("{}.txt", case.name));
             let expected = std::fs::read(expected).unwrap();
-            assert!(out.stdout == expected, "{what}:\n{}", String::from_utf8_lossy(&out.stdout));
+            assert!(
+                out.stdout == expected,
+                "{what}:\n{}",
+                String::from_utf8_lossy(&out.stdout)
+            );
         }
         let packed: Vec<PathBuf> = float_files.iter().map(|path| repack(path)).collect();
         for threads in ["1", "3"] {
-            let out = run_cali_query(float_query.trim(), &["--no-lint", "--threads", threads], &packed);
-            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            let out = run_cali_query(
+                float_query.trim(),
+                &["--no-lint", "--threads", threads],
+                &packed,
+            );
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
             assert!(
                 out.stdout == float_golden,
                 "every-op.calql at {block_records} records a block, --threads {threads}"
@@ -475,7 +512,10 @@ fn golden_stats_block_is_stable_across_thread_counts() {
     for threads in ["2", "4"] {
         let (stdout_n, stats_n) = run_with_threads(threads);
         assert_eq!(stdout1, stdout_n, "--threads {threads} stdout diverged");
-        assert_eq!(stats1, stats_n, "--threads {threads} --stats block diverged");
+        assert_eq!(
+            stats1, stats_n,
+            "--threads {threads} --stats block diverged"
+        );
     }
 }
 
@@ -515,7 +555,10 @@ fn v2_pushdown_skips_blocks_identically_across_thread_counts() {
         (out.stdout, String::from_utf8(out.stderr).unwrap())
     };
     let (stdout1, stats1) = run_v2("1");
-    assert_eq!(text_out.stdout, stdout1, "v2 stdout diverged from the text encoding");
+    assert_eq!(
+        text_out.stdout, stdout1,
+        "v2 stdout diverged from the text encoding"
+    );
     let skipped = stats1
         .lines()
         .find_map(|l| l.strip_prefix("format.reader.blocks_skipped="))
@@ -525,7 +568,10 @@ fn v2_pushdown_skips_blocks_identically_across_thread_counts() {
     for threads in ["2", "4"] {
         let (stdout_n, stats_n) = run_v2(threads);
         assert_eq!(stdout1, stdout_n, "--threads {threads} stdout diverged");
-        assert_eq!(stats1, stats_n, "--threads {threads} --stats block diverged");
+        assert_eq!(
+            stats1, stats_n,
+            "--threads {threads} --stats block diverged"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -577,21 +623,37 @@ fn cleverleaf_v2_matches_text_across_thread_counts() {
         ),
     ];
     for (query, extra) in cases {
-        let reference = run_cali_query(query, &[extra as &[&str], &["--threads", "1"]].concat(), &text);
-        assert!(reference.status.success(), "{query}: {}", String::from_utf8_lossy(&reference.stderr));
+        let reference = run_cali_query(
+            query,
+            &[extra as &[&str], &["--threads", "1"]].concat(),
+            &text,
+        );
+        assert!(
+            reference.status.success(),
+            "{query}: {}",
+            String::from_utf8_lossy(&reference.stderr)
+        );
         assert!(reference.stdout.len() > 40, "{query}: empty result");
         let mut stats = None;
         for threads in ["1", "2", "4"] {
             let args = [extra as &[&str], &["--stats", "--threads", threads]].concat();
             let out = run_cali_query(query, &args, &v2);
-            assert!(out.status.success(), "{query}: {}", String::from_utf8_lossy(&out.stderr));
+            assert!(
+                out.status.success(),
+                "{query}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
             assert_eq!(
                 String::from_utf8_lossy(&out.stdout),
                 String::from_utf8_lossy(&reference.stdout),
                 "{query} --threads {threads}: v2 diverged from text"
             );
             let block = String::from_utf8(out.stderr).unwrap();
-            assert_eq!(stats.get_or_insert_with(|| block.clone()), &block, "{query} --threads {threads}");
+            assert_eq!(
+                stats.get_or_insert_with(|| block.clone()),
+                &block,
+                "{query} --threads {threads}"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -36,14 +36,25 @@ fn reduce_certificate_is_clean_and_exit_0_on_both_topologies() {
         let (code, stdout, stderr) = cali_race(&args);
         assert_eq!(code, Some(0), "{stderr}");
         assert!(stdout.contains("cali-race certificate"), "{stdout}");
-        assert!(stdout.contains("verdict: CLEAN (race-free, deadlock-free)"), "{stdout}");
+        assert!(
+            stdout.contains("verdict: CLEAN (race-free, deadlock-free)"),
+            "{stdout}"
+        );
         assert!(stdout.contains("ranks:    128"), "{stdout}");
     }
 }
 
 #[test]
 fn certificate_is_byte_identical_across_worker_pools() {
-    let base = ["--ranks", "256", "--kills", "4", "--nodes", "16", "--workers"];
+    let base = [
+        "--ranks",
+        "256",
+        "--kills",
+        "4",
+        "--nodes",
+        "16",
+        "--workers",
+    ];
     let mut outs = Vec::new();
     for workers in ["1", "2", "4"] {
         let mut args: Vec<&str> = base.to_vec();
@@ -63,7 +74,10 @@ fn thread_engine_certifies_reduce_on_both_topologies() {
         args.extend_from_slice(extra);
         let (code, stdout, stderr) = cali_race(&args);
         assert_eq!(code, Some(0), "{stderr}");
-        assert!(stdout.contains("verdict: CLEAN (race-free, deadlock-free)"), "{stdout}");
+        assert!(
+            stdout.contains("verdict: CLEAN (race-free, deadlock-free)"),
+            "{stdout}"
+        );
     }
 }
 
@@ -118,7 +132,11 @@ fn trace_dump_is_aggregatable_by_cali_query() {
         .arg(&trace)
         .output()
         .expect("run cali-query");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     for event in ["start", "send", "match", "done"] {
         assert!(stdout.contains(event), "missing {event} rows in:\n{stdout}");
@@ -131,8 +149,19 @@ fn trace_dump_is_one_snapshot_per_event() {
     let mut trace = mpisim::HbTrace::new(2);
     let event = |kind, at_ns| mpisim::TraceEvent { kind, at_ns };
     trace.events[0].push(event(mpisim::TraceKind::Start, 0));
-    trace.events[0].push(event(mpisim::TraceKind::Send { dest: 1, tag: 7, ok: true }, 10));
-    let matched = mpisim::TraceKind::Match { src: 0, tag: 7, wildcard: false };
+    trace.events[0].push(event(
+        mpisim::TraceKind::Send {
+            dest: 1,
+            tag: 7,
+            ok: true,
+        },
+        10,
+    ));
+    let matched = mpisim::TraceKind::Match {
+        src: 0,
+        tag: 7,
+        wildcard: false,
+    };
     trace.events[1].push(event(matched, 1_010));
     let path = std::env::temp_dir().join(format!("cali-race-dump-{}.cali", std::process::id()));
     cali_cli::write_trace(&trace, &path).unwrap();
@@ -152,10 +181,20 @@ fn mpi_caliquery_analyze_certifies_the_query_run() {
         .args(&paths)
         .output()
         .expect("run mpi-caliquery");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("happens-before analysis: 8 ranks"), "{stderr}");
-    assert!(stderr.contains("verdict: CLEAN (race-free, deadlock-free)"), "{stderr}");
+    assert!(
+        stderr.contains("happens-before analysis: 8 ranks"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("verdict: CLEAN (race-free, deadlock-free)"),
+        "{stderr}"
+    );
     // The query result itself still lands on stdout.
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("kernel"), "{stdout}");
@@ -167,11 +206,22 @@ fn mpi_caliquery_trace_dump_round_trips() {
     let (dir, paths) = write_inputs("trace", 2);
     let trace = dir.join("hb.cali");
     let out = Command::new(env!("CARGO_BIN_EXE_mpi-caliquery"))
-        .args(["--np", "4", "--engine", "event", "--trace", trace.to_str().unwrap()])
+        .args([
+            "--np",
+            "4",
+            "--engine",
+            "event",
+            "--trace",
+            trace.to_str().unwrap(),
+        ])
         .args(&paths)
         .output()
         .expect("run mpi-caliquery");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let out = Command::new(env!("CARGO_BIN_EXE_cali-query"))
         .arg("-q")
@@ -179,7 +229,11 @@ fn mpi_caliquery_trace_dump_round_trips() {
         .arg(&trace)
         .output()
         .expect("run cali-query");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let rows = String::from_utf8(out.stdout).unwrap();
     // One row per rank, 4 ranks.
     assert_eq!(rows.lines().count(), 5, "{rows}");

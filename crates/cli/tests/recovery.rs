@@ -77,11 +77,7 @@ fn torn_journal_salvages_prefix_and_threads_agree() {
     std::fs::write(&journal, &bytes[..bytes.len() * 2 / 3]).unwrap();
 
     let recovered = journal.with_extension("recovered.cali");
-    let out = recover(&[
-        "-o",
-        recovered.to_str().unwrap(),
-        journal.to_str().unwrap(),
-    ]);
+    let out = recover(&["-o", recovered.to_str().unwrap(), journal.to_str().unwrap()]);
     assert_eq!(
         out.status.code(),
         Some(2),

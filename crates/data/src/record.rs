@@ -104,7 +104,11 @@ impl SnapshotRecord {
 /// immediate entry, in record order, with nothing in a context tree.
 impl From<&FlatRecord> for SnapshotRecord {
     fn from(flat: &FlatRecord) -> SnapshotRecord {
-        let entries = flat.pairs.iter().map(|(a, v)| Entry::Imm(*a, v.clone())).collect();
+        let entries = flat
+            .pairs
+            .iter()
+            .map(|(a, v)| Entry::Imm(*a, v.clone()))
+            .collect();
         SnapshotRecord { entries }
     }
 }
@@ -154,10 +158,7 @@ impl FlatRecord {
 
     /// First (outermost) value of `attr`, if present.
     pub fn first(&self, attr: AttrId) -> Option<&Value> {
-        self.pairs
-            .iter()
-            .find(|(a, _)| *a == attr)
-            .map(|(_, v)| v)
+        self.pairs.iter().find(|(a, _)| *a == attr).map(|(_, v)| v)
     }
 
     /// Last (innermost) value of `attr`, if present.
@@ -296,10 +297,7 @@ mod tests {
         rec.push(func.id(), Value::str("main"));
         rec.push(func.id(), Value::str("foo"));
         rec.push(func.id(), Value::str("bar"));
-        assert_eq!(
-            rec.path_string(func.id()),
-            Some(Value::str("main/foo/bar"))
-        );
+        assert_eq!(rec.path_string(func.id()), Some(Value::str("main/foo/bar")));
     }
 
     #[test]

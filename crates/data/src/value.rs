@@ -445,20 +445,14 @@ mod tests {
 
     #[test]
     fn total_order_is_sane() {
-        assert_eq!(
-            Value::Int(1).total_cmp(&Value::Float(1.5)),
-            Ordering::Less
-        );
+        assert_eq!(Value::Int(1).total_cmp(&Value::Float(1.5)), Ordering::Less);
         assert_eq!(
             Value::str("abc").total_cmp(&Value::str("abd")),
             Ordering::Less
         );
         assert_eq!(Value::Int(2).total_cmp(&Value::UInt(2)), Ordering::Equal);
         // numbers sort before non-numeric strings
-        assert_eq!(
-            Value::Int(999).total_cmp(&Value::str("a")),
-            Ordering::Less
-        );
+        assert_eq!(Value::Int(999).total_cmp(&Value::str("a")), Ordering::Less);
     }
 
     #[test]

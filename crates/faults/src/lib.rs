@@ -577,10 +577,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(set.rules().len(), 6);
-        assert_eq!(
-            set.rules()[0].action,
-            FaultAction::Err { p: 0.5, seed: 42 }
-        );
+        assert_eq!(set.rules()[0].action, FaultAction::Err { p: 0.5, seed: 42 });
         assert_eq!(set.rules()[1].action, FaultAction::Fail { n: 2 });
         assert_eq!(
             set.rules()[2].action,
@@ -638,15 +635,25 @@ mod tests {
     fn attempts_are_counted_per_label() {
         let set = FaultSet::parse("v2.block~shard=fail(1)").unwrap();
         for block in 0..3 {
-            assert_eq!(set.trigger("v2.block", block, "shard0.calb2"), Some(Injected::TransientErr));
-            assert_eq!(set.trigger("v2.block", block, "shard1.calb2"), Some(Injected::TransientErr));
+            assert_eq!(
+                set.trigger("v2.block", block, "shard0.calb2"),
+                Some(Injected::TransientErr)
+            );
+            assert_eq!(
+                set.trigger("v2.block", block, "shard1.calb2"),
+                Some(Injected::TransientErr)
+            );
         }
         // Each file's second attempt at a block passes.
         assert_eq!(set.trigger("v2.block", 0, "shard0.calb2"), None);
         assert_eq!(set.trigger("v2.block", 0, "shard1.calb2"), None);
         // What an attempt decides does not depend on the label.
         let err = FaultSet::parse("v2.block=err(0.5,9)").unwrap();
-        let fired = |label: &str| (0..64).map(|k| err.trigger("v2.block", k, label).is_some()).collect::<Vec<_>>();
+        let fired = |label: &str| {
+            (0..64)
+                .map(|k| err.trigger("v2.block", k, label).is_some())
+                .collect::<Vec<_>>()
+        };
         assert_eq!(fired("a.calb2"), fired("b.calb2"));
     }
 
@@ -654,8 +661,12 @@ mod tests {
     fn err_p_is_deterministic_and_key_local() {
         let a = FaultSet::parse("io.read=err(0.5,42)").unwrap();
         let b = FaultSet::parse("io.read=err(0.5,42)").unwrap();
-        let seq_a: Vec<bool> = (0..64).map(|k| a.trigger("io.read", k, "x").is_some()).collect();
-        let seq_b: Vec<bool> = (0..64).map(|k| b.trigger("io.read", k, "x").is_some()).collect();
+        let seq_a: Vec<bool> = (0..64)
+            .map(|k| a.trigger("io.read", k, "x").is_some())
+            .collect();
+        let seq_b: Vec<bool> = (0..64)
+            .map(|k| b.trigger("io.read", k, "x").is_some())
+            .collect();
         assert_eq!(seq_a, seq_b);
         assert!(seq_a.iter().any(|&f| f));
         assert!(seq_a.iter().any(|&f| !f));
@@ -704,20 +715,12 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, orig);
         // Exactly one bit differs.
-        let flipped: u32 = a
-            .iter()
-            .zip(&orig)
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
+        let flipped: u32 = a.iter().zip(&orig).map(|(x, y)| (x ^ y).count_ones()).sum();
         assert_eq!(flipped, 1);
         // Different key → (almost surely) different offset; still 1 bit.
         let mut c = orig.clone();
         assert!(set.mutate("v2.block", 4, "f", &mut c));
-        let flipped_c: u32 = c
-            .iter()
-            .zip(&orig)
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
+        let flipped_c: u32 = c.iter().zip(&orig).map(|(x, y)| (x ^ y).count_ones()).sum();
         assert_eq!(flipped_c, 1);
     }
 

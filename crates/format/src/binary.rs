@@ -112,7 +112,9 @@ impl<'a> Cursor<'a> {
 
     pub(crate) fn f64(&mut self) -> Result<f64, CaliError> {
         let bytes = self.take(8)?;
-        let bytes = bytes.try_into().map_err(|_| self.err("short float value"))?;
+        let bytes = bytes
+            .try_into()
+            .map_err(|_| self.err("short float value"))?;
         Ok(f64::from_le_bytes(bytes))
     }
 
@@ -707,8 +709,7 @@ mod tests {
         let full = from_binary(&bytes).unwrap().len();
         let mut last = 0usize;
         for cut in 5..=bytes.len() {
-            let (prefix, report) =
-                from_binary_with(&bytes[..cut], ReadPolicy::lenient()).unwrap();
+            let (prefix, report) = from_binary_with(&bytes[..cut], ReadPolicy::lenient()).unwrap();
             // Monotone: longer prefixes never decode fewer records.
             assert!(prefix.len() >= last, "cut {cut}");
             last = prefix.len();

@@ -238,9 +238,7 @@ fn encode_block(
         for entry in rec.entries() {
             match entry {
                 Entry::Node(id) => {
-                    let pairs = path_cache
-                        .entry(*id)
-                        .or_insert_with(|| ds.tree.path(*id));
+                    let pairs = path_cache.entry(*id).or_insert_with(|| ds.tree.path(*id));
                     for (attr, value) in pairs.iter() {
                         observe(*attr, value, row);
                     }
@@ -452,9 +450,10 @@ impl StringTable {
     /// new one shares the value's text), everything else is copied.
     pub fn cell(&mut self, value: &Value) -> Cell {
         match value {
-            Value::Str(text) => {
-                Cell::Str(self.find(text).unwrap_or_else(|| self.insert(Arc::clone(text))))
-            }
+            Value::Str(text) => Cell::Str(
+                self.find(text)
+                    .unwrap_or_else(|| self.insert(Arc::clone(text))),
+            ),
             Value::Int(i) => Cell::Int(*i),
             Value::UInt(u) => Cell::UInt(*u),
             Value::Float(x) => Cell::Float(*x),
@@ -1325,7 +1324,10 @@ fn block_fault(
         None => String::new(),
     };
     if faults.trigger(sites::V2_BLOCK, ordinal, &label).is_some() {
-        let payload = Cursor { bytes: payload, pos: 0 };
+        let payload = Cursor {
+            bytes: payload,
+            pos: 0,
+        };
         return Err(payload.err(format!("injected fault at {}", sites::V2_BLOCK)));
     }
     let mut owned = payload.to_vec();
@@ -1382,7 +1384,9 @@ pub(crate) fn scan_v2_body(
                     Err(e) => return lenient_stop(policy, report, e),
                 };
                 report.blocks += 1;
-                let Some(on_block) = on_block.as_deref_mut() else { continue };
+                let Some(on_block) = on_block.as_deref_mut() else {
+                    continue;
+                };
                 let ordinal = report.blocks - 1;
                 let decoded = match block_fault(report, ordinal, payload_bytes) {
                     Err(e) => Err(e),
@@ -1391,7 +1395,14 @@ pub(crate) fn scan_v2_body(
                             bytes: faulted.as_deref().unwrap_or(payload_bytes),
                             pos: 0,
                         };
-                        blocks.decode(&mut payload, &decoder, &mut strings, report, pushdown, &ds.store)
+                        blocks.decode(
+                            &mut payload,
+                            &decoder,
+                            &mut strings,
+                            report,
+                            pushdown,
+                            &ds.store,
+                        )
                     }
                 };
                 // A payload cursor counts from the payload's first byte.
@@ -1439,7 +1450,11 @@ pub(crate) fn scan_v2_body(
 
 /// v1-style valid-prefix error handling: keep what decoded, mark the
 /// report truncated, fail outright under [`ReadPolicy::Strict`].
-fn lenient_stop(policy: ReadPolicy, report: &mut ReadReport, e: CaliError) -> Result<(), CaliError> {
+fn lenient_stop(
+    policy: ReadPolicy,
+    report: &mut ReadReport,
+    e: CaliError,
+) -> Result<(), CaliError> {
     if !policy.is_lenient() {
         return Err(e);
     }
@@ -2061,7 +2076,11 @@ mod tests {
         original.intern("x");
         let copy = original.clone();
         assert_ne!(copy.id(), original.id(), "a clone");
-        assert_eq!(copy.find("x"), original.find("x"), "a clone holds the same codes");
+        assert_eq!(
+            copy.find("x"),
+            original.find("x"),
+            "a clone holds the same codes"
+        );
         let id = original.id();
         let moved = original;
         assert_eq!(moved.id(), id, "a move");

@@ -90,9 +90,7 @@ use caliper_data::{
     ValueType, NODE_NONE,
 };
 
-use crate::binary_v2::{
-    append_rows, Block, BlockSink, Cell, StringTable, DEFAULT_BLOCK_RECORDS,
-};
+use crate::binary_v2::{append_rows, Block, BlockSink, Cell, StringTable, DEFAULT_BLOCK_RECORDS};
 use crate::dataset::Dataset;
 use crate::escape::{escape_into, fields, Fields};
 use crate::policy::{ReadPolicy, ReadReport};
@@ -151,9 +149,16 @@ impl std::fmt::Display for CaliError {
             CaliError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
-            CaliError::Decode { block, byte, message } => match block {
+            CaliError::Decode {
+                block,
+                byte,
+                message,
+            } => match block {
                 None => write!(f, "decode error at byte {byte}: {message}"),
-                Some(k) => write!(f, "decode error in block {k} at payload byte {byte}: {message}"),
+                Some(k) => write!(
+                    f,
+                    "decode error in block {k} at payload byte {byte}: {message}"
+                ),
             },
             CaliError::File { path, source } => {
                 write!(f, "{}: {source}", path.display())
@@ -407,7 +412,12 @@ impl<W: Write> CaliWriter<W> {
     /// the records [`Block::append_records`] derives from the same
     /// block, without building them. `strings` is the table the block's
     /// string codes refer to, `ds` the dataset it was decoded into.
-    pub fn write_block(&mut self, ds: &Dataset, strings: &StringTable, block: &Block) -> io::Result<()> {
+    pub fn write_block(
+        &mut self,
+        ds: &Dataset,
+        strings: &StringTable,
+        block: &Block,
+    ) -> io::Result<()> {
         let columns = block.columns();
         self.cursors.clear();
         self.cursors.resize(columns.len(), 0);
@@ -613,7 +623,13 @@ impl CaliReader {
         let column = self.block.column_for(seq_attr, ValueType::UInt);
         self.stamp = Some((column, first_seq));
         let globals = self.ds.globals.len();
-        let read = self.read_lines(bytes, ReadPolicy::Strict, &mut ReadReport::default(), None, None);
+        let read = self.read_lines(
+            bytes,
+            ReadPolicy::Strict,
+            &mut ReadReport::default(),
+            None,
+            None,
+        );
         self.stamp = None;
         if let Err(e) = read {
             self.ds.globals.truncate(globals);
@@ -699,7 +715,9 @@ impl CaliReader {
         // its first field on, the `__rec` field passed over untokenised.
         if let Some(rest) = line.strip_prefix("__rec=ctx") {
             if rest.is_empty() || rest.starts_with(',') {
-                return self.read_snapshot(rest.get(1..).unwrap_or(""), report).map(|()| true);
+                return self
+                    .read_snapshot(rest.get(1..).unwrap_or(""), report)
+                    .map(|()| true);
             }
         }
         // `__rec` leads every line a writer of ours produced; one that
@@ -992,7 +1010,10 @@ impl CaliReader {
                 break Ok(());
             }
             if self.skip_snapshots
-                && matches!(buf.strip_prefix(b"__rec=ctx"), Some([] | [b',' | b'\n' | b'\r', ..]))
+                && matches!(
+                    buf.strip_prefix(b"__rec=ctx"),
+                    Some([] | [b',' | b'\n' | b'\r', ..])
+                )
             {
                 self.line_no += 1;
                 continue;
@@ -1126,7 +1147,10 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Dataset, CaliError> {
 
 /// Parse a `.cali` byte buffer under `policy`, returning the dataset
 /// together with the read report.
-pub fn from_bytes_with(bytes: &[u8], policy: ReadPolicy) -> Result<(Dataset, ReadReport), CaliError> {
+pub fn from_bytes_with(
+    bytes: &[u8],
+    policy: ReadPolicy,
+) -> Result<(Dataset, ReadReport), CaliError> {
     let mut report = ReadReport::default();
     let mut reader = CaliReader::new();
     reader.read_stream_with(bytes, policy, &mut report)?;
@@ -1178,10 +1202,7 @@ mod tests {
 
         assert_eq!(ds2.len(), ds.len());
         let orig: Vec<String> = ds.flat_records().map(|r| r.describe(&ds.store)).collect();
-        let read: Vec<String> = ds2
-            .flat_records()
-            .map(|r| r.describe(&ds2.store))
-            .collect();
+        let read: Vec<String> = ds2.flat_records().map(|r| r.describe(&ds2.store)).collect();
         assert_eq!(orig, read);
         assert_eq!(ds2.global("experiment"), Some(Value::str("unit-test")));
     }
@@ -1201,14 +1222,8 @@ mod tests {
     fn lazy_metadata_written_once() {
         let bytes = to_bytes(&sample_dataset());
         let text = String::from_utf8(bytes).unwrap();
-        let attr_lines = text
-            .lines()
-            .filter(|l| l.starts_with("__rec=attr"))
-            .count();
-        let node_lines = text
-            .lines()
-            .filter(|l| l.starts_with("__rec=node"))
-            .count();
+        let attr_lines = text.lines().filter(|l| l.starts_with("__rec=attr")).count();
+        let node_lines = text.lines().filter(|l| l.starts_with("__rec=node")).count();
         // 4 attributes (incl. global 'experiment'), 2 nodes, each once.
         assert_eq!(attr_lines, 4);
         assert_eq!(node_lines, 2);
@@ -1248,8 +1263,12 @@ mod tests {
     #[test]
     fn malformed_lines_are_reported_with_line_numbers() {
         let mut reader = CaliReader::new();
-        reader.read_line("__rec=attr,id=0,name=x,type=int,prop=default").unwrap();
-        let err = reader.read_line("__rec=node,id=0,attr=99,data=1").unwrap_err();
+        reader
+            .read_line("__rec=attr,id=0,name=x,type=int,prop=default")
+            .unwrap();
+        let err = reader
+            .read_line("__rec=node,id=0,attr=99,data=1")
+            .unwrap_err();
         match err {
             CaliError::Parse { line, message } => {
                 assert_eq!(line, 2);
@@ -1360,7 +1379,9 @@ mod tests {
     #[test]
     fn read_batch_hands_the_stream_over_whole_and_stamped() {
         let mut reader = CaliReader::new();
-        let seq = reader.dataset().attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
+        let seq = reader
+            .dataset()
+            .attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
         // More rows than a block of a file read holds: still one block.
         let bytes = batch_bytes(2 * DEFAULT_BLOCK_RECORDS as i64 + 452);
         let (_, strings, block) = reader.read_batch(&bytes, seq.id(), 40).unwrap();
@@ -1383,22 +1404,29 @@ mod tests {
         let ds = reader.dataset();
         assert!(ds.records.is_empty(), "no record is kept");
         assert!(!read.globals.is_empty());
-        assert_eq!(ds.globals, read.globals, "the batch's globals are handed over");
+        assert_eq!(
+            ds.globals, read.globals,
+            "the batch's globals are handed over"
+        );
     }
 
     #[test]
     fn a_bad_line_fails_the_batch_whole_and_the_reader_carries_on() {
         let mut reader = CaliReader::new();
-        let seq = reader.dataset().attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
+        let seq = reader
+            .dataset()
+            .attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
         let clean = batch_bytes(6);
         // An accepted batch's globals dropped as a resident reader drops
         // them; a failed one must leave none.
         let rows_of = |reader: &mut CaliReader, bytes: &[u8]| {
-            let rows = reader.read_batch(bytes, seq.id(), 7).map(|(_, strings, block)| {
-                let mut rows = Vec::new();
-                block.append_records(strings, &mut rows);
-                rows
-            });
+            let rows = reader
+                .read_batch(bytes, seq.id(), 7)
+                .map(|(_, strings, block)| {
+                    let mut rows = Vec::new();
+                    block.append_records(strings, &mut rows);
+                    rows
+                });
             if rows.is_ok() {
                 reader.clear_globals();
             }
@@ -1418,14 +1446,20 @@ mod tests {
             assert!(reader.dataset().globals.is_empty());
             // Same rows, same sequence numbers: the failed batch left
             // nothing behind, in the block or in the stamp.
-            assert_eq!(rows_of(&mut reader, &clean).unwrap(), want, "after bad line at {ordinal}");
+            assert_eq!(
+                rows_of(&mut reader, &clean).unwrap(),
+                want,
+                "after bad line at {ordinal}"
+            );
         }
     }
 
     #[test]
     fn successive_streams_may_use_the_same_ids_for_different_things() {
         let mut reader = CaliReader::new();
-        let seq = reader.dataset().attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
+        let seq = reader
+            .dataset()
+            .attribute("journal.seq", ValueType::UInt, Properties::AS_VALUE);
         let first = b"__rec=attr,id=0,name=kernel,type=string,prop=default\n\
                       __rec=node,id=0,attr=0,data=k0\n\
                       __rec=ctx,ref=0,attr=0,data=x\n";
@@ -1436,13 +1470,20 @@ mod tests {
         let mut rows = Vec::new();
         block.append_records(strings, &mut rows);
         let count = ds.store.find("count").unwrap().id();
-        let want = vec![Entry::Imm(count, Value::Int(12)), Entry::Imm(seq.id(), Value::UInt(1))];
+        let want = vec![
+            Entry::Imm(count, Value::Int(12)),
+            Entry::Imm(seq.id(), Value::UInt(1)),
+        ];
         assert_eq!(rows, vec![SnapshotRecord::from_entries(want)]);
         // The first stream's ids are gone with it: its node is not the
         // second stream's to reference.
         let dangling = b"__rec=ctx,ref=0\n";
         assert!(reader.read_batch(dangling, seq.id(), 2).is_err());
-        assert_eq!(reader.dataset().store.len(), 3, "one dictionary for all streams");
+        assert_eq!(
+            reader.dataset().store.len(),
+            3,
+            "one dictionary for all streams"
+        );
     }
 
     #[test]

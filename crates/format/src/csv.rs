@@ -61,9 +61,9 @@ pub fn write_csv(rows: &BlockRows, columns: &[Attribute], header: bool) -> Strin
                 (0, ..) => {}
                 // A number never needs quoting.
                 (1, k, _) => match rows.cell_at(k) {
-                    Cell::Str(code) => {
-                        quoted.push(&mut out, rows.strings(), code, |text, to| push_field(to, text))
-                    }
+                    Cell::Str(code) => quoted.push(&mut out, rows.strings(), code, |text, to| {
+                        push_field(to, text)
+                    }),
                     number => write_value(&mut out, &rows.value(number)),
                 },
                 _ => {

@@ -42,7 +42,10 @@ pub struct Dataset {
 impl Dataset {
     /// Create an empty dataset with fresh store and tree.
     pub fn new() -> Dataset {
-        Dataset::with_context(Arc::new(AttributeStore::new()), Arc::new(ContextTree::new()))
+        Dataset::with_context(
+            Arc::new(AttributeStore::new()),
+            Arc::new(ContextTree::new()),
+        )
     }
 
     /// Create a dataset sharing an existing store and tree (e.g. the
@@ -72,7 +75,10 @@ impl Dataset {
     /// `GLOBAL` property.
     pub fn set_global(&mut self, label: &str, value: impl Into<Value>) {
         let value = value.into();
-        let attr = match self.store.create(label, value.value_type(), Properties::GLOBAL) {
+        let attr = match self
+            .store
+            .create(label, value.value_type(), Properties::GLOBAL)
+        {
             Ok(a) => a,
             // Type conflict: the label exists with another type; keep it.
             Err(_) => self.store.find(label).expect("conflict implies existence"),
@@ -93,7 +99,12 @@ impl Dataset {
 
     /// Number of snapshot records, rows and blocks.
     pub fn len(&self) -> usize {
-        self.records.len() + self.blocks.iter().map(|(_, block)| block.rows()).sum::<usize>()
+        self.records.len()
+            + self
+                .blocks
+                .iter()
+                .map(|(_, block)| block.rows())
+                .sum::<usize>()
     }
 
     /// True if there are no snapshot records.
@@ -119,13 +130,21 @@ impl Dataset {
     /// Iterate the snapshot records, in stream order, expanded to flat
     /// records.
     pub fn flat_records(&self) -> impl Iterator<Item = FlatRecord> + '_ {
-        let derived = self.blocks.iter().flat_map(|(strings, block)| block.records(strings));
+        let derived = self
+            .blocks
+            .iter()
+            .flat_map(|(strings, block)| block.records(strings));
         let records = self.records.iter().map(|record| record.unpack(&self.tree));
         records.chain(derived.map(|record| record.unpack(&self.tree)))
     }
 
     /// Convenience: intern an attribute in this dataset's store.
-    pub fn attribute(&self, name: &str, vtype: ValueType, props: Properties) -> caliper_data::Attribute {
+    pub fn attribute(
+        &self,
+        name: &str,
+        vtype: ValueType,
+        props: Properties,
+    ) -> caliper_data::Attribute {
         self.store
             .create(name, vtype, props)
             .expect("attribute type conflict")
@@ -208,11 +227,19 @@ mod tests {
         let described: Vec<String> = ds.flat_records().map(|r| r.describe(&ds.store)).collect();
         assert_eq!(
             described,
-            ["n=0", "function=main,n=1", "function=main,n=2", "function=x"]
+            [
+                "n=0",
+                "function=main,n=1",
+                "function=main,n=2",
+                "function=x"
+            ]
         );
         let rows = ds.rows();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0], ds.records[0]);
-        assert_eq!(format!("{ds:?}"), "Dataset(4 records, 0 globals, 2 attrs, 1 nodes)");
+        assert_eq!(
+            format!("{ds:?}"),
+            "Dataset(4 records, 0 globals, 2 attrs, 1 nodes)"
+        );
     }
 }

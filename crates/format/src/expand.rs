@@ -31,7 +31,9 @@ pub fn write_expand(rows: &BlockRows, columns: &[Attribute]) -> String {
     for i in 0..rows.len() {
         let mut first = true;
         for k in rows.span(i) {
-            let Some(slot) = picker.slot_at(rows, k) else { continue };
+            let Some(slot) = picker.slot_at(rows, k) else {
+                continue;
+            };
             if !first {
                 out.push(',');
             }
@@ -77,7 +79,10 @@ mod tests {
         let a = store.create_simple("x", ValueType::Str);
         let mut rec = FlatRecord::new();
         rec.push(a.id(), Value::str("a,b=c"));
-        assert_eq!(write_expand(&rows_of(&[rec.clone(), rec]), &[a]), "x=a\\,b\\=c\nx=a\\,b\\=c\n");
+        assert_eq!(
+            write_expand(&rows_of(&[rec.clone(), rec]), &[a]),
+            "x=a\\,b\\=c\nx=a\\,b\\=c\n"
+        );
     }
 
     #[test]

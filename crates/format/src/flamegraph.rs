@@ -45,7 +45,11 @@ pub fn write_flamegraph(
                     out.push(';');
                 }
                 // The folded format reserves ';' and ' '.
-                out.extend(frame.chars().map(|c| if c == ';' || c == ' ' { '_' } else { c }));
+                out.extend(
+                    frame
+                        .chars()
+                        .map(|c| if c == ';' || c == ' ' { '_' } else { c }),
+                );
             }
         }
         if out.len() == line {

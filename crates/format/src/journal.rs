@@ -388,7 +388,10 @@ impl RecoveryReport {
             self.salvaged, self.globals, self.read.skipped
         );
         if self.duplicates > 0 {
-            line.push_str(&format!(", {} duplicate tail records dropped", self.duplicates));
+            line.push_str(&format!(
+                ", {} duplicate tail records dropped",
+                self.duplicates
+            ));
         }
         if self.missing > 0 {
             line.push_str(&format!(", {} lost to sequence gaps", self.missing));
@@ -477,7 +480,10 @@ pub fn recover_blocks(
     // policy: this is the expected crash signature, not corruption).
     // (A torn frame is the frames' business: lines that a frame
     // follows end in a newline.)
-    let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |pos| pos + 1);
+    let whole = bytes
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |pos| pos + 1);
     if whole < bytes.len() && frame_within(bytes, 0, whole).is_none() {
         read.skipped += 1;
         read.truncated = true;
@@ -495,7 +501,15 @@ pub fn recover_blocks(
     reader.begin_stream();
     reader.scan_stream(&mut lines, policy, &mut read, deadline, salvage)?;
     if let Some(first_frame) = lines.frame.filter(|_| !read.truncated) {
-        let replayed = replay_frames(reader, bytes, first_frame, policy, &mut read, deadline, salvage);
+        let replayed = replay_frames(
+            reader,
+            bytes,
+            first_frame,
+            policy,
+            &mut read,
+            deadline,
+            salvage,
+        );
         // The last frame's block has been handed on: the reader keeps
         // none of its rows (and forgets its ids, as after any stream).
         reader.begin_stream();
@@ -508,9 +522,9 @@ pub fn recover_blocks(
         duplicates: sequence.duplicates,
         unsequenced: sequence.unsequenced,
         max_seq: sequence.max,
-        missing: sequence
-            .max
-            .map_or(0, |max| (max + 1).saturating_sub(sequence.seen.len() as u64)),
+        missing: sequence.max.map_or(0, |max| {
+            (max + 1).saturating_sub(sequence.seen.len() as u64)
+        }),
     })
 }
 
@@ -526,7 +540,11 @@ struct UntilFrame<'a> {
 
 impl<'a> UntilFrame<'a> {
     fn new(bytes: &'a [u8]) -> UntilFrame<'a> {
-        let mut lines = UntilFrame { bytes, at: 0, frame: None };
+        let mut lines = UntilFrame {
+            bytes,
+            at: 0,
+            frame: None,
+        };
         lines.end_at_a_frame();
         lines
     }
@@ -579,12 +597,18 @@ fn replay_frames(
         if deadline.is_some_and(caliper_data::Deadline::expired) {
             read.truncated = true;
             let line = lines.of(bytes, at);
-            read.note_error(format!("read cancelled by deadline before the frame at line {line}"));
+            read.note_error(format!(
+                "read cancelled by deadline before the frame at line {line}"
+            ));
             return Ok(());
         }
         let (frame, mut next) = Frame::at(bytes, at);
         match frame {
-            Frame::Whole { seq, start, payload } => {
+            Frame::Whole {
+                seq,
+                start,
+                payload,
+            } => {
                 // Stamped as at ingest: `journal.seq`, an unsigned
                 // integer, in the reader's store.
                 let stamp = seq_attr.get_or_insert_with(|| {
@@ -656,7 +680,11 @@ enum Frame<'a> {
     /// Whole, if it decodes: the batch's first sequence number and its
     /// payload, which starts at byte `start` of the journal and ends in
     /// a newline where its header says.
-    Whole { seq: u64, start: usize, payload: &'a [u8] },
+    Whole {
+        seq: u64,
+        start: usize,
+        payload: &'a [u8],
+    },
     /// Torn: `got` of the `want` bytes its header declares before the
     /// journal or the next frame begins, or a header line cut short
     /// (`want` unknown).
@@ -675,16 +703,27 @@ impl Frame<'_> {
         if !bytes[at..].starts_with(FRAME) {
             // A header line cut before its prefix is whole, at the end
             // of the journal or ended by `open_append`, is torn too.
-            let Some(end) = bytes[at..].iter().position(|&b| b == b'\n').map(|nl| at + nl + 1) else {
+            let Some(end) = bytes[at..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|nl| at + nl + 1)
+            else {
                 return (Frame::Torn { got: 0, want: None }, bytes.len());
             };
             let cut = bytes[at..end].strip_suffix(TORN_END);
             if cut.is_some_and(|cut| FRAME.starts_with(cut)) {
                 return (Frame::Torn { got: 0, want: None }, end);
             }
-            return (Frame::Corrupt("bytes outside a frame".into()), next_frame(at));
+            return (
+                Frame::Corrupt("bytes outside a frame".into()),
+                next_frame(at),
+            );
         }
-        let Some(start) = bytes[at..].iter().position(|&b| b == b'\n').map(|nl| at + nl + 1) else {
+        let Some(start) = bytes[at..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|nl| at + nl + 1)
+        else {
             return (Frame::Torn { got: 0, want: None }, bytes.len());
         };
         let Some((seq, want)) = header(&bytes[at + FRAME.len()..start - 1]) else {
@@ -694,21 +733,49 @@ impl Frame<'_> {
         if end <= bytes.len() && want > 0 && bytes[end - 1] == b'\n' {
             // Whole if it decodes: a frame that holds the next one's
             // header line does not (see `replay_frames`).
-            return (Frame::Whole { seq, start, payload: &bytes[start..end] }, end);
+            return (
+                Frame::Whole {
+                    seq,
+                    start,
+                    payload: &bytes[start..end],
+                },
+                end,
+            );
         }
         if let Some(next) = frame_within(bytes, start, end.min(bytes.len())) {
-            return (Frame::Torn { got: next - start, want: Some(want) }, next);
+            return (
+                Frame::Torn {
+                    got: next - start,
+                    want: Some(want),
+                },
+                next,
+            );
         }
         if end > bytes.len() {
             let got = bytes.len() - start;
-            return (Frame::Torn { got, want: Some(want) }, bytes.len());
+            return (
+                Frame::Torn {
+                    got,
+                    want: Some(want),
+                },
+                bytes.len(),
+            );
         }
         // Cut short, its gap filled by `open_append`'s line end and part
         // of that: torn, like a frame the next one cuts off.
-        let line_end = bytes[end..].iter().position(|&b| b == b'\n').map(|nl| end + nl + 1);
+        let line_end = bytes[end..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map(|nl| end + nl + 1);
         if let Some(line_end) = line_end.filter(|&e| want > 0 && bytes[..e].ends_with(TORN_END)) {
             let got = (line_end - TORN_END.len()).saturating_sub(start);
-            return (Frame::Torn { got, want: Some(want) }, line_end);
+            return (
+                Frame::Torn {
+                    got,
+                    want: Some(want),
+                },
+                line_end,
+            );
         }
         let what = format!("a frame of {want} bytes that do not end a line");
         (Frame::Corrupt(what), next_frame(start))
@@ -752,7 +819,10 @@ impl LineNumbers {
         if offset < self.offset {
             *self = LineNumbers::default();
         }
-        self.newlines += bytes[self.offset..offset].iter().filter(|&&b| b == b'\n').count();
+        self.newlines += bytes[self.offset..offset]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
         self.offset = offset;
         self.newlines + 1
     }
@@ -838,11 +908,9 @@ mod tests {
         let names = ["alpha", "beta", "gamma"];
         let records = (0..n)
             .map(|i| {
-                let node = ds.tree.get_child(
-                    NODE_NONE,
-                    kernel.id(),
-                    &Value::str(names[(i % 3) as usize]),
-                );
+                let node =
+                    ds.tree
+                        .get_child(NODE_NONE, kernel.id(), &Value::str(names[(i % 3) as usize]));
                 let mut rec = SnapshotRecord::new();
                 rec.push_node(node);
                 rec.push_imm(time.id(), Value::Float(i as f64));
@@ -854,10 +922,8 @@ mod tests {
     }
 
     fn write_journal(n: u64, policy: FlushPolicy) -> (PathBuf, Dataset) {
-        let dir = std::env::temp_dir().join(format!(
-            "caliper-journal-test-{}-{n}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("caliper-journal-test-{}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("j{n}-{:?}.cali", policy.flush_interval));
         let (ds, records) = journal_input(n);
@@ -901,7 +967,8 @@ mod tests {
     #[test]
     fn flush_interval_batches_writes() {
         let (ds, records) = journal_input(10);
-        let dir = std::env::temp_dir().join(format!("caliper-journal-batch-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("caliper-journal-batch-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("batched.cali");
         let policy = FlushPolicy {
@@ -930,7 +997,8 @@ mod tests {
     #[test]
     fn max_buffer_forces_flushes() {
         let (ds, records) = journal_input(6);
-        let dir = std::env::temp_dir().join(format!("caliper-journal-forced-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("caliper-journal-forced-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("forced.cali");
         let policy = FlushPolicy {
@@ -960,7 +1028,11 @@ mod tests {
         assert_eq!(report.salvaged, 4);
         assert_eq!(report.read.skipped, 1);
         assert!(report.data_lost());
-        assert!(report.summary().contains("salvaged 4 snapshots"), "{}", report.summary());
+        assert!(
+            report.summary().contains("salvaged 4 snapshots"),
+            "{}",
+            report.summary()
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -980,7 +1052,11 @@ mod tests {
         assert_eq!(report.duplicates, 1);
         assert_eq!(ds.records.len(), 5);
         assert!(!report.data_lost());
-        assert!(report.summary().contains("duplicate tail"), "{}", report.summary());
+        assert!(
+            report.summary().contains("duplicate tail"),
+            "{}",
+            report.summary()
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1007,7 +1083,11 @@ mod tests {
         assert_eq!(report.salvaged, 5);
         assert_eq!(report.missing, 1);
         assert!(report.data_lost());
-        assert!(report.summary().contains("lost to sequence gaps"), "{}", report.summary());
+        assert!(
+            report.summary().contains("lost to sequence gaps"),
+            "{}",
+            report.summary()
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1052,7 +1132,13 @@ mod tests {
         };
         let mut reader = CaliReader::new();
         reader
-            .scan_stream(body, ReadPolicy::lenient(), &mut read, deadline, &mut append_rows)
+            .scan_stream(
+                body,
+                ReadPolicy::lenient(),
+                &mut read,
+                deadline,
+                &mut append_rows,
+            )
             .unwrap();
         let mut ds = reader.finish();
         let seq_attr = ds.store.find(SEQ_ATTR).map(|a| a.id());
@@ -1093,7 +1179,10 @@ mod tests {
 
     /// Recover `bytes` both ways; reports and records must agree, and the
     /// block sink must have seen exactly the salvaged rows.
-    fn assert_recovers_like_rows(bytes: &[u8], deadline: Option<&caliper_data::Deadline>) -> RecoveryReport {
+    fn assert_recovers_like_rows(
+        bytes: &[u8],
+        deadline: Option<&caliper_data::Deadline>,
+    ) -> RecoveryReport {
         let (want_ds, want) = row_recovery(bytes, deadline);
         let (ds, report) = recover_rows(bytes, ReadPolicy::lenient(), deadline);
         assert_eq!(format!("{report:?}"), format!("{want:?}"));
@@ -1142,7 +1231,10 @@ mod tests {
         // straddle two.
         let (text, ctx) = journal_text(2500);
         let clean = assert_recovers_like_rows(text.as_bytes(), None);
-        assert_eq!((clean.salvaged, clean.duplicates, clean.missing), (2500, 0, 0));
+        assert_eq!(
+            (clean.salvaged, clean.duplicates, clean.missing),
+            (2500, 0, 0)
+        );
 
         // kill -9 mid-write.
         let torn = assert_recovers_like_rows(&text.as_bytes()[..text.len() - 9], None);
@@ -1165,19 +1257,29 @@ mod tests {
         // A corrupt line mid-file is a gap in the sequence.
         let damaged = text.replacen(ctx[1500].as_str(), "__rec=ctx,ref=9999\n", 1);
         let report = assert_recovers_like_rows(damaged.as_bytes(), None);
-        assert_eq!((report.salvaged, report.missing, report.max_seq), (2499, 1, Some(2499)));
+        assert_eq!(
+            (report.salvaged, report.missing, report.max_seq),
+            (2499, 1, Some(2499))
+        );
 
         // Records without a number, and with one that does not read as
         // one, are kept and counted.
-        let odd = format!("{text}__rec=ctx,attr=1,data=1.5\n__rec=ctx,attr=1,data=2,attr=2,data=7\n");
+        let odd =
+            format!("{text}__rec=ctx,attr=1,data=1.5\n__rec=ctx,attr=1,data=2,attr=2,data=7\n");
         let report = assert_recovers_like_rows(odd.as_bytes(), None);
-        assert_eq!((report.salvaged, report.unsequenced, report.duplicates), (2501, 1, 1));
+        assert_eq!(
+            (report.salvaged, report.unsequenced, report.duplicates),
+            (2501, 1, 1)
+        );
 
         // A record that carried a number of its own ahead of the stamp
         // is known by the stamp.
         let own = format!("{text}__rec=ctx,attr=2,data=3,attr=1,data=1,attr=2,data=2600\n");
         let report = assert_recovers_like_rows(own.as_bytes(), None);
-        assert_eq!((report.salvaged, report.duplicates, report.max_seq), (2501, 0, Some(2600)));
+        assert_eq!(
+            (report.salvaged, report.duplicates, report.max_seq),
+            (2501, 0, Some(2600))
+        );
 
         // Out of budget before the first line, and after some.
         let expired = caliper_data::Deadline::after(std::time::Duration::ZERO);
@@ -1210,13 +1312,18 @@ mod tests {
         if !body.ends_with(b"\n") {
             body.push(b'\n');
         }
-        [format!("__rec=batch,seq={seq},bytes={}\n", body.len()).into_bytes(), body].concat()
+        [
+            format!("__rec=batch,seq={seq},bytes={}\n", body.len()).into_bytes(),
+            body,
+        ]
+        .concat()
     }
 
     /// Journal `batches` (first sequence number, rows, payload) under
     /// `policy`, checking the books after each; returns the bytes.
     fn framed_journal(tag: &str, policy: FlushPolicy, batches: &[(u64, u64, Vec<u8>)]) -> Vec<u8> {
-        let dir = std::env::temp_dir().join(format!("caliper-journal-frames-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("caliper-journal-frames-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{tag}.cali"));
         let mut w = JournalWriter::create(&path, policy).unwrap();
@@ -1234,7 +1341,10 @@ mod tests {
                 (pending, buffered) = (0, 0);
             }
             let c = w.counters();
-            assert_eq!((c.appended, c.durable, w.pending()), (appended, appended - pending, pending));
+            assert_eq!(
+                (c.appended, c.durable, w.pending()),
+                (appended, appended - pending, pending)
+            );
             assert_eq!((c.flushes, c.forced_flushes), (flushes, forced));
             assert_eq!(c.syncs, if policy.fsync { flushes } else { 0 });
         }
@@ -1249,7 +1359,11 @@ mod tests {
     fn three_batches() -> Vec<(u64, u64, Vec<u8>)> {
         let mut second = payload(5, 12);
         second.pop();
-        vec![(0, 5, payload(0, 5)), (5, 12, second), (17, 3, payload(17, 3))]
+        vec![
+            (0, 5, payload(0, 5)),
+            (5, 12, second),
+            (17, 3, payload(17, 3)),
+        ]
     }
 
     #[test]
@@ -1266,7 +1380,11 @@ mod tests {
         let batches = three_batches();
         let want = [
             format!("{JOURNAL_HEADER}\n").into_bytes(),
-            batches.iter().map(|(seq, _, payload)| frame(*seq, payload)).collect::<Vec<_>>().concat(),
+            batches
+                .iter()
+                .map(|(seq, _, payload)| frame(*seq, payload))
+                .collect::<Vec<_>>()
+                .concat(),
         ]
         .concat();
         for (i, policy) in policies.into_iter().chain([forced]).enumerate() {
@@ -1275,9 +1393,15 @@ mod tests {
             // Replayed as the batches decode at ingest, every row stamped.
             let (ds, report) = recover_rows(&bytes, ReadPolicy::Strict, None);
             assert!(!report.data_lost(), "{}", report.summary());
-            assert_eq!((report.salvaged, report.max_seq, report.read.records), (20, Some(19), 20));
+            assert_eq!(
+                (report.salvaged, report.max_seq, report.read.records),
+                (20, Some(19), 20)
+            );
             let mut reader = CaliReader::new();
-            let seq = reader.dataset().attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE).id();
+            let seq = reader
+                .dataset()
+                .attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE)
+                .id();
             for (first, _, payload) in &batches {
                 let (ds, strings, block) = reader.read_batch(payload, seq, *first).unwrap();
                 block.append_records(strings, &mut ds.records);
@@ -1287,7 +1411,9 @@ mod tests {
             let describe = |ds: &Dataset| -> Vec<String> {
                 ds.flat_records().map(|r| r.describe(&ds.store)).collect()
             };
-            expect.flat_records().for_each(|r| assert!(r.get(seq).is_some(), "{r:?}"));
+            expect
+                .flat_records()
+                .for_each(|r| assert!(r.get(seq).is_some(), "{r:?}"));
             assert_eq!(describe(&ds), describe(&expect));
         }
     }
@@ -1300,7 +1426,13 @@ mod tests {
         // (salvaged, duplicates, missing, skipped, truncated)
         let salvage = |bytes: &[u8], policy| {
             let (_, r) = recover_rows(bytes, policy, None);
-            (r.salvaged, r.duplicates, r.missing, r.read.skipped, r.read.truncated)
+            (
+                r.salvaged,
+                r.duplicates,
+                r.missing,
+                r.read.skipped,
+                r.read.truncated,
+            )
         };
         assert_eq!(salvage(&clean, ReadPolicy::Strict), (20, 0, 0, 0, false));
 
@@ -1312,7 +1444,11 @@ mod tests {
         let path = dir.join("cut.cali");
         for cut in last..clean.len() {
             let torn = &clean[..cut];
-            let want = if cut == last { (17, 0, 0, 0, false) } else { (17, 0, 0, 1, true) };
+            let want = if cut == last {
+                (17, 0, 0, 0, false)
+            } else {
+                (17, 0, 0, 1, true)
+            };
             assert_eq!(salvage(torn, ReadPolicy::lenient()), want, "cut at {cut}");
             assert_eq!(salvage(torn, ReadPolicy::Strict), want, "cut at {cut}");
             std::fs::write(&path, torn).unwrap();
@@ -1322,8 +1458,18 @@ mod tests {
             let resumed = std::fs::read(&path).unwrap();
             for policy in [ReadPolicy::lenient(), ReadPolicy::Strict] {
                 let (ds, report) = recover_rows(&resumed, policy, None);
-                let want = if cut == last { (21, 0, 0, 0, false) } else { (21, 0, 0, 1, true) };
-                let got = (report.salvaged, report.duplicates, report.missing, report.read.skipped, report.read.truncated);
+                let want = if cut == last {
+                    (21, 0, 0, 0, false)
+                } else {
+                    (21, 0, 0, 1, true)
+                };
+                let got = (
+                    report.salvaged,
+                    report.duplicates,
+                    report.missing,
+                    report.read.skipped,
+                    report.read.truncated,
+                );
                 assert_eq!(got, want, "cut at {cut}, resumed: {}", report.summary());
                 assert_eq!((report.max_seq, ds.records.len()), (Some(20), 21));
             }
@@ -1338,48 +1484,88 @@ mod tests {
         // A line of the middle frame that does not parse, its length
         // kept: lenient drops that frame whole, strict names the line.
         let text = String::from_utf8(clean.clone()).unwrap();
-        let ctx = text.lines().filter(|l| l.starts_with("__rec=ctx")).nth(7).unwrap();
+        let ctx = text
+            .lines()
+            .filter(|l| l.starts_with("__rec=ctx"))
+            .nth(7)
+            .unwrap();
         let bad = format!("__rec=ctx,ref={}", "9".repeat(ctx.len() - 14));
         let damaged = text.replacen(ctx, &bad, 1);
         assert_eq!(damaged.len(), text.len());
-        assert_eq!(salvage(damaged.as_bytes(), ReadPolicy::lenient()), (8, 0, 12, 1, false));
+        assert_eq!(
+            salvage(damaged.as_bytes(), ReadPolicy::lenient()),
+            (8, 0, 12, 1, false)
+        );
         let line = text.lines().position(|l| l == ctx).unwrap() + 1;
         let mut reader = CaliReader::new();
-        let err = recover_blocks(&mut reader, damaged.as_bytes(), ReadPolicy::Strict, None, &mut |_, _, _| {})
-            .unwrap_err()
-            .to_string();
+        let err = recover_blocks(
+            &mut reader,
+            damaged.as_bytes(),
+            ReadPolicy::Strict,
+            None,
+            &mut |_, _, _| {},
+        )
+        .unwrap_err()
+        .to_string();
         assert!(err.contains(&format!("line {line}:")), "{err}");
 
         // A header whose length ends inside a line, and bytes after a
         // frame that open none, cost what they spoil.
         let first = frame(0, &batches[0].2);
         let short = text.replacen(
-            &format!("bytes={}", first.len() - first.iter().position(|&b| b == b'\n').unwrap() - 1),
+            &format!(
+                "bytes={}",
+                first.len() - first.iter().position(|&b| b == b'\n').unwrap() - 1
+            ),
             "bytes=30",
             1,
         );
-        assert_eq!(salvage(short.as_bytes(), ReadPolicy::lenient()), (15, 0, 5, 1, false));
-        assert!(recover_blocks(&mut CaliReader::new(), short.as_bytes(), ReadPolicy::Strict, None, &mut |_, _, _| {}).is_err());
+        assert_eq!(
+            salvage(short.as_bytes(), ReadPolicy::lenient()),
+            (15, 0, 5, 1, false)
+        );
+        assert!(recover_blocks(
+            &mut CaliReader::new(),
+            short.as_bytes(),
+            ReadPolicy::Strict,
+            None,
+            &mut |_, _, _| {}
+        )
+        .is_err());
         let stray = [&clean[..last], b"__rec=ctx,ref=0\n", &clean[last..]].concat();
         assert_eq!(salvage(&stray, ReadPolicy::lenient()), (20, 0, 0, 1, false));
 
         // A frame whose length runs into the next frame ends there, torn.
         let long = text.replacen("bytes=", "bytes=9", 1);
-        assert_eq!(salvage(long.as_bytes(), ReadPolicy::Strict), (15, 0, 5, 1, true));
+        assert_eq!(
+            salvage(long.as_bytes(), ReadPolicy::Strict),
+            (15, 0, 5, 1, true)
+        );
 
         // Out of budget: nothing, and said so.
         let expired = caliper_data::Deadline::after(std::time::Duration::ZERO);
         let (_, report) = recover_rows(&clean, ReadPolicy::lenient(), Some(&expired));
-        assert!(report.read.truncated && report.salvaged == 0, "{}", report.summary());
+        assert!(
+            report.read.truncated && report.salvaged == 0,
+            "{}",
+            report.summary()
+        );
 
         // Lines that declared `journal.seq` of another type leave no
         // column to stamp a frame's rows in: the frame is skipped, at its
         // header line.
-        let odd = [b"__rec=attr,id=0,name=journal.seq,type=string,prop=default\n".to_vec(), frame(0, &batches[0].2)]
-            .concat();
+        let odd = [
+            b"__rec=attr,id=0,name=journal.seq,type=string,prop=default\n".to_vec(),
+            frame(0, &batches[0].2),
+        ]
+        .concat();
         let (_, report) = recover_rows(&odd, ReadPolicy::lenient(), None);
         assert_eq!((report.salvaged, report.read.skipped), (0, 1));
-        assert!(report.read.errors[0].contains("line 2: frame not stamped"), "{:?}", report.read.errors);
+        assert!(
+            report.read.errors[0].contains("line 2: frame not stamped"),
+            "{:?}",
+            report.read.errors
+        );
     }
 
     #[test]
@@ -1395,15 +1581,22 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let (ds, report) = recover_rows(&bytes, ReadPolicy::Strict, None);
         assert!(!report.data_lost(), "{}", report.summary());
-        assert_eq!((report.salvaged, report.max_seq, report.unsequenced), (12, Some(11), 0));
+        assert_eq!(
+            (report.salvaged, report.max_seq, report.unsequenced),
+            (12, Some(11), 0)
+        );
         let seq = ds.store.find(SEQ_ATTR).unwrap().id();
-        let seqs: Vec<u64> = ds.flat_records().map(|r| r.get(seq).unwrap().to_u64().unwrap()).collect();
+        let seqs: Vec<u64> = ds
+            .flat_records()
+            .map(|r| r.get(seq).unwrap().to_u64().unwrap())
+            .collect();
         assert_eq!(seqs, (0..12).collect::<Vec<_>>());
     }
 
     #[test]
     fn open_append_terminates_a_torn_line() {
-        let dir = std::env::temp_dir().join(format!("caliper-journal-append-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("caliper-journal-append-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("resumed.cali");
         let (ds, records) = journal_input(4);
@@ -1435,7 +1628,8 @@ mod tests {
 
     #[test]
     fn open_append_creates_missing_files() {
-        let dir = std::env::temp_dir().join(format!("caliper-journal-create-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("caliper-journal-create-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fresh.cali");
         std::fs::remove_file(&path).ok();
@@ -1454,7 +1648,8 @@ mod tests {
 
     #[test]
     fn globals_are_journaled_and_counted() {
-        let dir = std::env::temp_dir().join(format!("caliper-journal-globals-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("caliper-journal-globals-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("globals.cali");
         let mut ds = Dataset::new();

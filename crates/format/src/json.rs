@@ -100,7 +100,9 @@ pub fn write_json(rows: &BlockRows, columns: &[Attribute], pretty: bool) -> Stri
         let mut members = 0;
         for k in rows.span(i) {
             // A member per attribute, where its first value is.
-            let Some(slot) = picker.slot_at(rows, k) else { continue };
+            let Some(slot) = picker.slot_at(rows, k) else {
+                continue;
+            };
             let (count, first, _) = picker.found(slot);
             if first != k {
                 continue;
@@ -436,7 +438,9 @@ mod tests {
         // Members keep the row's order, whatever the columns'; only
         // the columns' attributes are members.
         assert_eq!(
-            write_json(&rows, &[count, func.clone()], false).lines().nth(1),
+            write_json(&rows, &[count, func.clone()], false)
+                .lines()
+                .nth(1),
             Some("{\"function\":\"main/foo\",\"count\":7},")
         );
         assert_eq!(
@@ -503,7 +507,10 @@ mod tests {
         let Json::Array(items) = &doc else {
             panic!("expected array, got {doc:?}")
         };
-        assert_eq!(items[0].get("function"), Some(&Json::Str("main \"quoted\"".into())));
+        assert_eq!(
+            items[0].get("function"),
+            Some(&Json::Str("main \"quoted\"".into()))
+        );
         assert_eq!(items[0].get("t").and_then(Json::as_num), Some(2.0));
         assert_eq!(items[0].get("n").and_then(Json::as_num), Some(7.0));
     }

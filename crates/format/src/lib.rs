@@ -59,14 +59,14 @@ pub use binary_v2::{
     ColumnData, StringTable,
 };
 pub use cali::{CaliError, CaliReader, CaliWriter};
-pub use pushdown::{cmp_types_compatible, AttrStats, CmpOp, Filter, Pushdown, ZoneStat};
 pub use dataset::Dataset;
-pub use schema::{AttrSchema, Schema};
 pub use journal::{FlushPolicy, JournalCounters, JournalWriter, RecoveryReport, SEQ_ATTR};
 pub use json::{parse_json, Json, JsonError};
 pub use policy::{ReadPolicy, ReadReport, MAX_REPORTED_ERRORS};
+pub use pushdown::{cmp_types_compatible, AttrStats, CmpOp, Filter, Pushdown, ZoneStat};
 pub use reader::{
-    read_path, read_path_into, read_path_into_filtered,
-    read_path_reported_filtered, scan_dictionary, scan_path, RecordBatch,
+    read_path, read_path_into, read_path_into_filtered, read_path_reported_filtered,
+    scan_dictionary, scan_path, RecordBatch,
 };
 pub use rows::BlockRows;
+pub use schema::{AttrSchema, Schema};

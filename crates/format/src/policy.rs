@@ -124,7 +124,11 @@ impl ReadReport {
     /// Lenient-mode error disposition: count the skip and carry on while
     /// the budget lasts; propagate the error otherwise (and always under
     /// [`ReadPolicy::Strict`]).
-    pub(crate) fn skip_or_fail(&mut self, e: CaliError, policy: ReadPolicy) -> Result<(), CaliError> {
+    pub(crate) fn skip_or_fail(
+        &mut self,
+        e: CaliError,
+        policy: ReadPolicy,
+    ) -> Result<(), CaliError> {
         if !policy.is_lenient() {
             return Err(e);
         }

@@ -377,9 +377,8 @@ mod tests {
     #[test]
     fn eq_uses_zone_bounds() {
         let z = zone(4, Value::Int(10), Value::Int(20));
-        let may = |v: i64| {
-            one(cmp("x", CmpOp::Eq, Value::Int(v))).may_match(4, |_| AttrStats::Zone(&z))
-        };
+        let may =
+            |v: i64| one(cmp("x", CmpOp::Eq, Value::Int(v))).may_match(4, |_| AttrStats::Zone(&z));
         assert!(!may(9));
         assert!(may(10));
         assert!(may(15));
@@ -390,9 +389,8 @@ mod tests {
     #[test]
     fn orderings_use_the_right_bound() {
         let z = zone(4, Value::Float(1.0), Value::Float(2.0));
-        let may = |op, v: f64| {
-            one(cmp("x", op, Value::Float(v))).may_match(4, |_| AttrStats::Zone(&z))
-        };
+        let may =
+            |op, v: f64| one(cmp("x", op, Value::Float(v))).may_match(4, |_| AttrStats::Zone(&z));
         // <  : only the min matters.
         assert!(!may(CmpOp::Lt, 1.0));
         assert!(may(CmpOp::Lt, 1.5));
@@ -410,34 +408,37 @@ mod tests {
     #[test]
     fn strings_order_against_strings() {
         let z = zone(2, Value::str("beta"), Value::str("delta"));
-        assert!(one(cmp("x", CmpOp::Eq, Value::str("charlie")))
-            .may_match(2, |_| AttrStats::Zone(&z)));
-        assert!(!one(cmp("x", CmpOp::Eq, Value::str("epsilon")))
-            .may_match(2, |_| AttrStats::Zone(&z)));
+        assert!(
+            one(cmp("x", CmpOp::Eq, Value::str("charlie"))).may_match(2, |_| AttrStats::Zone(&z))
+        );
+        assert!(
+            !one(cmp("x", CmpOp::Eq, Value::str("epsilon"))).may_match(2, |_| AttrStats::Zone(&z))
+        );
         // Numbers order before strings under total_cmp: a numeric
         // literal can never exceed a string max, so > skips.
-        assert!(!one(cmp("x", CmpOp::Lt, Value::Int(7)))
-            .may_match(2, |_| AttrStats::Zone(&z)));
+        assert!(!one(cmp("x", CmpOp::Lt, Value::Int(7))).may_match(2, |_| AttrStats::Zone(&z)));
     }
 
     #[test]
     fn ne_skips_only_provably_constant_blocks() {
         let all_seven = zone(4, Value::Int(7), Value::Int(7));
-        assert!(!one(cmp("x", CmpOp::Ne, Value::Int(7)))
-            .may_match(4, |_| AttrStats::Zone(&all_seven)));
-        assert!(one(cmp("x", CmpOp::Ne, Value::Int(8)))
-            .may_match(4, |_| AttrStats::Zone(&all_seven)));
+        assert!(
+            !one(cmp("x", CmpOp::Ne, Value::Int(7))).may_match(4, |_| AttrStats::Zone(&all_seven))
+        );
+        assert!(
+            one(cmp("x", CmpOp::Ne, Value::Int(8))).may_match(4, |_| AttrStats::Zone(&all_seven))
+        );
         // Beyond 2^53, total_cmp equality no longer implies value
         // equality — never skip.
         let big = (1i64 << 53) + 1;
         let huge = zone(4, Value::Int(big), Value::Int(big));
-        assert!(one(cmp("x", CmpOp::Ne, Value::Int(big)))
-            .may_match(4, |_| AttrStats::Zone(&huge)));
+        assert!(one(cmp("x", CmpOp::Ne, Value::Int(big))).may_match(4, |_| AttrStats::Zone(&huge)));
         // 2^53 itself is exact, but 2^53 + 1 rounds to it: a block whose
         // bounds are both 2^53 may hold 2^53 + 1, which passes.
         let edge = zone(4, Value::UInt(1 << 53), Value::UInt(1 << 53));
-        assert!(one(cmp("x", CmpOp::Ne, Value::UInt(1 << 53)))
-            .may_match(4, |_| AttrStats::Zone(&edge)));
+        assert!(
+            one(cmp("x", CmpOp::Ne, Value::UInt(1 << 53))).may_match(4, |_| AttrStats::Zone(&edge))
+        );
         let below = zone(4, Value::Int((1 << 53) - 1), Value::Int((1 << 53) - 1));
         assert!(!one(cmp("x", CmpOp::Ne, Value::Int((1 << 53) - 1)))
             .may_match(4, |_| AttrStats::Zone(&below)));
@@ -448,14 +449,11 @@ mod tests {
         // Runtime PartialEq lets Int(5) match UInt(5); the zone test
         // must therefore keep such blocks.
         let z = zone(4, Value::UInt(5), Value::UInt(5));
-        assert!(one(cmp("x", CmpOp::Eq, Value::Int(5)))
-            .may_match(4, |_| AttrStats::Zone(&z)));
-        assert!(!one(cmp("x", CmpOp::Eq, Value::Int(6)))
-            .may_match(4, |_| AttrStats::Zone(&z)));
+        assert!(one(cmp("x", CmpOp::Eq, Value::Int(5))).may_match(4, |_| AttrStats::Zone(&z)));
+        assert!(!one(cmp("x", CmpOp::Eq, Value::Int(6))).may_match(4, |_| AttrStats::Zone(&z)));
         // And Ne against a constant block skips across classes too
         // (PartialEq is numeric for the Int/UInt pair).
-        assert!(!one(cmp("x", CmpOp::Ne, Value::Int(5)))
-            .may_match(4, |_| AttrStats::Zone(&z)));
+        assert!(!one(cmp("x", CmpOp::Ne, Value::Int(5))).may_match(4, |_| AttrStats::Zone(&z)));
     }
 
     #[test]
@@ -513,7 +511,14 @@ mod tests {
 
     #[test]
     fn comparisons_require_presence() {
-        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
             assert_eq!(row(&cmp("x", op, Value::Int(1)), &[]), (false, 0), "{op:?}");
         }
     }
@@ -535,12 +540,21 @@ mod tests {
         // A float attribute against an int literal: never equal, and
         // every occurrence counted.
         let floats = [Value::Float(5.0), Value::Float(6.0)];
-        assert_eq!(row(&cmp("t", CmpOp::Eq, Value::Int(5)), &floats), (false, 2));
+        assert_eq!(
+            row(&cmp("t", CmpOp::Eq, Value::Int(5)), &floats),
+            (false, 2)
+        );
         assert_eq!(row(&cmp("t", CmpOp::Ne, Value::Int(5)), &floats), (true, 2));
         // Ordering across numbers is compatible; Int meets UInt.
         assert_eq!(row(&cmp("t", CmpOp::Gt, Value::Int(5)), &floats), (true, 0));
-        assert_eq!(row(&cmp("r", CmpOp::Eq, Value::Int(5)), &[Value::UInt(5)]), (true, 0));
-        assert_eq!(row(&cmp("s", CmpOp::Lt, Value::Int(5)), &[Value::str("a")]), (false, 1));
+        assert_eq!(
+            row(&cmp("r", CmpOp::Eq, Value::Int(5)), &[Value::UInt(5)]),
+            (true, 0)
+        );
+        assert_eq!(
+            row(&cmp("s", CmpOp::Lt, Value::Int(5)), &[Value::str("a")]),
+            (false, 1)
+        );
     }
 
     #[test]

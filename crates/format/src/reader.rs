@@ -311,7 +311,10 @@ mod tests {
         std::fs::write(&bad, "__rec=node,id=0,attr=99,data=1\n").unwrap();
         let err = read_path(&bad).unwrap_err();
         let text = err.to_string();
-        assert!(text.contains("bad.cali") && text.contains("undeclared"), "{text}");
+        assert!(
+            text.contains("bad.cali") && text.contains("undeclared"),
+            "{text}"
+        );
         std::fs::remove_file(&bad).ok();
     }
 

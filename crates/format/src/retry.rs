@@ -253,7 +253,10 @@ mod tests {
     fn schedule_never_sleeps_after_final_attempt() {
         // max_attempts attempts but only max_attempts - 1 sleeps, for
         // jittered and plain policies alike.
-        for policy in [RetryPolicy::default(), RetryPolicy::default().with_jitter(7)] {
+        for policy in [
+            RetryPolicy::default(),
+            RetryPolicy::default().with_jitter(7),
+        ] {
             assert_eq!(policy.delays().len(), policy.max_attempts as usize - 1);
         }
         assert!(RetryPolicy::none().delays().is_empty());

@@ -101,14 +101,20 @@ impl BlockRows {
 
     /// Row `i`'s immediates in entry order, as (attribute, cell).
     fn cells(&self, i: usize) -> impl Iterator<Item = (AttrId, Cell)> + '_ {
-        self.span(i)
-            .map(|k| (self.block.columns()[self.column_at(k)].attr, self.cell_at(k)))
+        self.span(i).map(|k| {
+            (
+                self.block.columns()[self.column_at(k)].attr,
+                self.cell_at(k),
+            )
+        })
     }
 
     /// Row `i` as a record: its immediates as (attribute, value) pairs,
     /// in entry order.
     pub fn row(&self, i: usize) -> FlatRecord {
-        let pairs = self.cells(i).map(|(attr, cell)| (attr, self.value(cell).into_owned()));
+        let pairs = self
+            .cells(i)
+            .map(|(attr, cell)| (attr, self.value(cell).into_owned()));
         FlatRecord::from_pairs(pairs.collect())
     }
 
@@ -398,7 +404,9 @@ pub(crate) mod tests {
         ]);
         rows.sort(&[(f.id(), false)]);
         let order = |rows: &BlockRows| -> Vec<i64> {
-            rows.iter().map(|r| r.get(n.id()).unwrap().to_i64().unwrap()).collect()
+            rows.iter()
+                .map(|r| r.get(n.id()).unwrap().to_i64().unwrap())
+                .collect()
         };
         assert_eq!(order(&rows), vec![1, 2, 4, 3, 0]);
         rows.sort(&[(f.id(), true)]);

@@ -222,7 +222,9 @@ mod tests {
 
     fn sample_store() -> AttributeStore {
         let store = AttributeStore::new();
-        store.create("function", ValueType::Str, Properties::NESTED).unwrap();
+        store
+            .create("function", ValueType::Str, Properties::NESTED)
+            .unwrap();
         store
             .create(
                 "time.duration",

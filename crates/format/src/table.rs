@@ -228,9 +228,30 @@ mod tests {
     #[test]
     fn numbers_write_what_the_formatter_writes() {
         let mut floats = vec![
-            0.0, -0.0, 0.25, 0.125, 2.5e-6, 5e-7, 1.5e-6, 1e-7, 0.9999995, 1.0000005, 0.5e-6,
-            123456.0000005, 1e15, 1e15 + 0.5, 9.2e18, 1e19, 1e300, 5e-324, f64::MAX,
-            f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 2f64.powi(52) + 0.5, 1.0 / 3.0,
+            0.0,
+            -0.0,
+            0.25,
+            0.125,
+            2.5e-6,
+            5e-7,
+            1.5e-6,
+            1e-7,
+            0.9999995,
+            1.0000005,
+            0.5e-6,
+            123456.0000005,
+            1e15,
+            1e15 + 0.5,
+            9.2e18,
+            1e19,
+            1e300,
+            5e-324,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            2f64.powi(52) + 0.5,
+            1.0 / 3.0,
         ];
         // Ties at the sixth decimal: odd multiples of 2^-7 = 0.0078125.
         floats.extend((-400..400).map(|k| (2 * k + 1) as f64 / 128.0));

@@ -68,7 +68,8 @@ fn references_to_undeclared_ids_are_errors() {
 
 #[test]
 fn type_mismatched_data_is_an_error() {
-    let input = "__rec=attr,id=0,name=n,type=int,prop=default\n__rec=ctx,attr=0,data=not-a-number\n";
+    let input =
+        "__rec=attr,id=0,name=n,type=int,prop=default\n__rec=ctx,attr=0,data=not-a-number\n";
     let err = cali::from_bytes(input.as_bytes()).unwrap_err();
     assert!(err.to_string().contains("cannot parse"), "{err}");
 }
@@ -99,9 +100,16 @@ fn attr_without_data_is_an_error() {
     ] {
         let input = format!("{head}{line}\n{kept}");
         let err = cali::from_bytes(input.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("line 4: attr field without data"), "{line}: {err}");
+        assert!(
+            err.to_string().contains("line 4: attr field without data"),
+            "{line}: {err}"
+        );
         let (ds, report) = cali::from_bytes_with(input.as_bytes(), ReadPolicy::lenient()).unwrap();
-        assert_eq!((ds.len(), ds.globals.len(), report.skipped), (1, 0, 1), "{line}");
+        assert_eq!(
+            (ds.len(), ds.globals.len(), report.skipped),
+            (1, 0, 1),
+            "{line}"
+        );
     }
 }
 
@@ -223,7 +231,10 @@ fn calb_garbage_tail_is_skipped_leniently() {
     let mut bytes = binary::to_binary(&ds);
     let clean = record_lines(&binary::from_binary(&bytes).unwrap());
     bytes.extend_from_slice(&[0xFE; 64]);
-    assert!(binary::from_binary(&bytes).is_err(), "strict must reject the tail");
+    assert!(
+        binary::from_binary(&bytes).is_err(),
+        "strict must reject the tail"
+    );
     let (back, report) = binary::from_binary_with(&bytes, ReadPolicy::lenient()).unwrap();
     assert_eq!(record_lines(&back), clean);
     assert!(report.truncated);
@@ -380,8 +391,8 @@ fn journal_truncation_at_every_byte_salvages_the_flushed_prefix() {
     for cut in 0..=bytes.len() {
         let prefix = &bytes[..cut];
         let expected = complete_ctx_lines(prefix);
-        let (ds, report) = recover_rows(prefix)
-            .unwrap_or_else(|e| panic!("recovery at cut {cut} failed: {e}"));
+        let (ds, report) =
+            recover_rows(prefix).unwrap_or_else(|e| panic!("recovery at cut {cut} failed: {e}"));
         assert_eq!(report.salvaged as usize, expected, "cut={cut}");
         assert_eq!(ds.records.len(), expected, "cut={cut}");
         // Pure tail truncation never produces mid-sequence gaps or

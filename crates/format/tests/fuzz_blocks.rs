@@ -32,11 +32,15 @@ use std::path::{Path, PathBuf};
 use caliper_data::{AttrId, Properties, SnapshotRecord, Value, ValueType, NODE_NONE};
 use caliper_faults::{corrupt_bytes, CorruptMode};
 use caliper_format::{
-    binary, cali, journal, read_footer, scan_path, to_binary_v2_with, CaliReader, CaliWriter, CmpOp,
-    Dataset, Filter, FlushPolicy, JournalWriter, Pushdown, ReadPolicy,
+    binary, cali, journal, read_footer, scan_path, to_binary_v2_with, CaliReader, CaliWriter,
+    CmpOp, Dataset, Filter, FlushPolicy, JournalWriter, Pushdown, ReadPolicy,
 };
 
-const MODES: [CorruptMode; 3] = [CorruptMode::Bitflip, CorruptMode::Truncate, CorruptMode::GarbageBlock];
+const MODES: [CorruptMode; 3] = [
+    CorruptMode::Bitflip,
+    CorruptMode::Truncate,
+    CorruptMode::GarbageBlock,
+];
 const RECORDS: i64 = 200;
 
 /// Nested string paths plus one immediate of every other type, so the
@@ -63,7 +67,10 @@ fn sample() -> Dataset {
         rec.push_imm(dur.id(), Value::Float(i as f64 * 0.25));
         if i % 5 != 0 {
             rec.push_imm(flag.id(), Value::Bool(i % 2 == 0));
-            rec.push_imm(kernel.id(), Value::str(if i < RECORDS / 2 { "calc-dt" } else { "advec" }));
+            rec.push_imm(
+                kernel.id(),
+                Value::str(if i < RECORDS / 2 { "calc-dt" } else { "advec" }),
+            );
         }
         rec.push_imm(count.id(), Value::UInt(i as u64 * 1000));
         ds.push(rec);
@@ -74,20 +81,38 @@ fn sample() -> Dataset {
 /// Pushdowns that skip some of the blocks of the sample and none.
 fn pushdowns() -> Vec<Option<Pushdown>> {
     let mut late = Pushdown::new();
-    late.push(Filter::Cmp { attr: "iteration".into(), op: CmpOp::Ge, value: Value::Int(150) });
+    late.push(Filter::Cmp {
+        attr: "iteration".into(),
+        op: CmpOp::Ge,
+        value: Value::Int(150),
+    });
     let mut kernel = Pushdown::new();
     kernel.push(Filter::Exists("kernel".into()));
-    kernel.push(Filter::Cmp { attr: "kernel".into(), op: CmpOp::Eq, value: Value::str("advec") });
+    kernel.push(Filter::Cmp {
+        attr: "kernel".into(),
+        op: CmpOp::Eq,
+        value: Value::str("advec"),
+    });
     vec![None, Some(late), Some(kernel)]
 }
 
 /// Rows `scan_path` hands to its block sink (or, for CALB v1, which
 /// frames no blocks, appends to the dataset), or the error it returns.
-fn scan_rows(path: &Path, policy: ReadPolicy, pushdown: Option<&Pushdown>) -> Result<usize, String> {
+fn scan_rows(
+    path: &Path,
+    policy: ReadPolicy,
+    pushdown: Option<&Pushdown>,
+) -> Result<usize, String> {
     let mut rows = 0;
-    scan_path(path, Dataset::new(), policy, pushdown, &mut |_, _, block| rows += block.rows())
-        .map(|(ds, _)| rows + ds.records.len())
-        .map_err(|e| e.to_string())
+    scan_path(
+        path,
+        Dataset::new(),
+        policy,
+        pushdown,
+        &mut |_, _, block| rows += block.rows(),
+    )
+    .map(|(ds, _)| rows + ds.records.len())
+    .map_err(|e| e.to_string())
 }
 
 /// Write `bytes` to `path` and scan them every way; `clean` is the
@@ -100,12 +125,22 @@ fn check(path: &Path, bytes: &[u8], clean: usize, what: &str) -> usize {
         let pushdown = pushdown.as_ref();
         let lenient = scan_rows(path, ReadPolicy::lenient(), pushdown);
         if let Ok(rows) = lenient {
-            assert!(rows <= clean, "{what}: lenient scan yields {rows} rows, the clean file {clean}");
+            assert!(
+                rows <= clean,
+                "{what}: lenient scan yields {rows} rows, the clean file {clean}"
+            );
         }
         match scan_rows(path, ReadPolicy::Strict, pushdown) {
             Ok(rows) => {
-                assert!(rows <= clean, "{what}: strict scan yields {rows} rows, the clean file {clean}");
-                assert_eq!(lenient, Ok(rows), "{what}: strict and lenient disagree on an intact read");
+                assert!(
+                    rows <= clean,
+                    "{what}: strict scan yields {rows} rows, the clean file {clean}"
+                );
+                assert_eq!(
+                    lenient,
+                    Ok(rows),
+                    "{what}: strict and lenient disagree on an intact read"
+                );
             }
             Err(_) => failed += 1,
         }
@@ -122,7 +157,8 @@ fn damage(bytes: &[u8], region: Range<usize>, mode: CorruptMode, seed: u64) -> V
 }
 
 fn fuzz(name: &str, bytes: &[u8], regions: &[(String, Range<usize>)], seeds: u64) {
-    let path: PathBuf = std::env::temp_dir().join(format!("fuzz-blocks-{}-{name}", std::process::id()));
+    let path: PathBuf =
+        std::env::temp_dir().join(format!("fuzz-blocks-{}-{name}", std::process::id()));
     std::fs::write(&path, bytes).unwrap();
     let clean = scan_rows(&path, ReadPolicy::Strict, None).expect("the clean file scans");
     assert_eq!(clean, RECORDS as usize);
@@ -131,7 +167,12 @@ fn fuzz(name: &str, bytes: &[u8], regions: &[(String, Range<usize>)], seeds: u64
         for mode in MODES {
             for seed in 0..seeds {
                 let damaged = damage(bytes, region.clone(), mode, seed);
-                failed += check(&path, &damaged, clean, &format!("{name} {region_name} {mode:?} seed {seed}"));
+                failed += check(
+                    &path,
+                    &damaged,
+                    clean,
+                    &format!("{name} {region_name} {mode:?} seed {seed}"),
+                );
             }
         }
         // The damage reaches the decoder: some of it is caught.
@@ -197,7 +238,10 @@ impl Walk<'_> {
 /// string dictionary, and each string column's indices.
 fn block_sections(bytes: &[u8], offset: usize, ds: &Dataset) -> Vec<(&'static str, Range<usize>)> {
     let vtype = |id: u64| ds.store.get(id as AttrId).unwrap().value_type();
-    let mut walk = Walk { bytes, pos: offset + 1 };
+    let mut walk = Walk {
+        bytes,
+        pos: offset + 1,
+    };
     walk.varint(); // payload_len
     let rows = walk.varint();
     let zones = walk.varint();
@@ -227,17 +271,31 @@ fn block_sections(bytes: &[u8], offset: usize, ds: &Dataset) -> Vec<(&'static st
     });
     let strings = walk.varint();
     let strings = walk.span(strings, |w| w.value(ValueType::Str));
-    let mut sections = vec![("shapes", shapes), ("runs", runs), ("node refs", node_refs), ("strings", strings)];
+    let mut sections = vec![
+        ("shapes", shapes),
+        ("runs", runs),
+        ("node refs", node_refs),
+        ("strings", strings),
+    ];
     for _ in 0..walk.varint() {
         let t = vtype(walk.varint());
         let n = walk.varint();
         // A string value is an index into the dictionary.
-        let values = walk.span(n, |w| w.value(if t == ValueType::Str { ValueType::UInt } else { t }));
+        let values = walk.span(n, |w| {
+            w.value(if t == ValueType::Str {
+                ValueType::UInt
+            } else {
+                t
+            })
+        });
         if t == ValueType::Str {
             sections.push(("string indices", values));
         }
     }
-    assert!(rows > 0 && sections.iter().all(|(_, span)| !span.is_empty()), "{sections:?}");
+    assert!(
+        rows > 0 && sections.iter().all(|(_, span)| !span.is_empty()),
+        "{sections:?}"
+    );
     sections
 }
 
@@ -248,12 +306,18 @@ fn damaged_v2_blocks_zone_maps_and_footer_never_panic_the_block_scan() {
     let blocks = read_footer(&bytes).expect("a clean footer");
     assert_eq!(blocks.len(), 5);
     // The footer record starts where the u32 before the end magic says.
-    let footer_len = u32::from_le_bytes(bytes[bytes.len() - 8..bytes.len() - 4].try_into().unwrap());
+    let footer_len =
+        u32::from_le_bytes(bytes[bytes.len() - 8..bytes.len() - 4].try_into().unwrap());
     let footer = bytes.len() - 8 - footer_len as usize;
-    let mut regions = vec![("stream".to_string(), 0..bytes.len()), ("footer".into(), footer..bytes.len())];
+    let mut regions = vec![
+        ("stream".to_string(), 0..bytes.len()),
+        ("footer".into(), footer..bytes.len()),
+    ];
     for (i, block) in blocks.iter().enumerate() {
         let start = block.offset as usize;
-        let end = blocks.get(i + 1).map_or(footer, |next| next.offset as usize);
+        let end = blocks
+            .get(i + 1)
+            .map_or(footer, |next| next.offset as usize);
         regions.push((format!("block {i}"), start..end));
         regions.push((format!("block {i} head"), start..(start + 24).min(end)));
         for (section, span) in block_sections(&bytes, start, &ds) {
@@ -312,21 +376,52 @@ fn handcrafted_counts_are_refused_before_anything_is_reserved_for_them() {
         out.extend(payload(0, &[(1, &[kernel, 1, index])]).split_off(2));
         out
     };
-    assert_eq!(scan_handcrafted(&one_row(0)), Ok(1), "the handcrafted block is well formed");
+    assert_eq!(
+        scan_handcrafted(&one_row(0)),
+        Ok(1),
+        "the handcrafted block is well formed"
+    );
     let mut strings = payload(1, &[(1, &[0, 0]), (1, &[1, 0])]);
     put_varint(&mut strings, huge);
     let cases = [
-        ("2^60 rows", payload(huge, &[(1, &[0, 0]), (1, &[huge, 0]), (0, &[]), (0, &[])])),
+        (
+            "2^60 rows",
+            payload(huge, &[(1, &[0, 0]), (1, &[huge, 0]), (0, &[]), (0, &[])]),
+        ),
         ("2^60 shapes", payload(2, &[(huge, &[0, 0])])),
-        ("2^60 shape immediates", payload(2, &[(1, &[0, huge, kernel])])),
+        (
+            "2^60 shape immediates",
+            payload(2, &[(1, &[0, huge, kernel])]),
+        ),
         ("2^60 runs", payload(2, &[(1, &[0, 0]), (huge, &[1, 0])])),
         ("2^60 strings", strings),
-        ("2^60 columns", payload(1, &[(1, &[0, 0]), (1, &[1, 0]), (0, &[]), (huge, &[kernel, 0])])),
-        ("2^60 node references", payload(1, &[(1, &[huge, 0]), (1, &[1, 0]), (0, &[])])),
-        ("runs past the rows", payload(2, &[(1, &[0, 0]), (2, &[2, 0, 1, 0]), (0, &[]), (0, &[])])),
-        ("runs short of the rows", payload(3, &[(1, &[0, 0]), (1, &[2, 0]), (0, &[]), (0, &[])])),
-        ("a run of no rows", payload(0, &[(1, &[0, 0]), (1, &[0, 0]), (0, &[]), (0, &[])])),
-        ("a shape past the table", payload(1, &[(1, &[0, 0]), (1, &[1, 1]), (0, &[]), (0, &[])])),
+        (
+            "2^60 columns",
+            payload(
+                1,
+                &[(1, &[0, 0]), (1, &[1, 0]), (0, &[]), (huge, &[kernel, 0])],
+            ),
+        ),
+        (
+            "2^60 node references",
+            payload(1, &[(1, &[huge, 0]), (1, &[1, 0]), (0, &[])]),
+        ),
+        (
+            "runs past the rows",
+            payload(2, &[(1, &[0, 0]), (2, &[2, 0, 1, 0]), (0, &[]), (0, &[])]),
+        ),
+        (
+            "runs short of the rows",
+            payload(3, &[(1, &[0, 0]), (1, &[2, 0]), (0, &[]), (0, &[])]),
+        ),
+        (
+            "a run of no rows",
+            payload(0, &[(1, &[0, 0]), (1, &[0, 0]), (0, &[]), (0, &[])]),
+        ),
+        (
+            "a shape past the table",
+            payload(1, &[(1, &[0, 0]), (1, &[1, 1]), (0, &[]), (0, &[])]),
+        ),
         ("a string index past the end", one_row(1)),
     ];
     for (what, payload) in cases {
@@ -357,7 +452,9 @@ fn framed_journal() -> (Vec<u8>, Vec<Range<usize>>) {
         if n == 4 {
             payload.pop();
         }
-        writer.append_batch(n as u64 * 40, chunk.len() as u64, &payload).unwrap();
+        writer
+            .append_batch(n as u64 * 40, chunk.len() as u64, &payload)
+            .unwrap();
         writer.flush().unwrap();
         let end = std::fs::metadata(&path).unwrap().len() as usize;
         frames.push(frames.last().map_or(header, |last: &Range<usize>| last.end)..end);
@@ -392,9 +489,17 @@ fn damaged_framed_journals_never_panic_the_recovery() {
     assert_eq!(recovered_rows(&bytes, Some(&passed)), 0);
     let mut regions = vec![("journal".to_string(), 0..bytes.len(), 200)];
     for (n, frame) in frames.iter().enumerate() {
-        let line = bytes[frame.clone()].iter().position(|&b| b == b'\n').unwrap() + 1;
+        let line = bytes[frame.clone()]
+            .iter()
+            .position(|&b| b == b'\n')
+            .unwrap()
+            + 1;
         regions.push((format!("frame {n}"), frame.clone(), 24));
-        regions.push((format!("frame {n} header"), frame.start..frame.start + line, 24));
+        regions.push((
+            format!("frame {n} header"),
+            frame.start..frame.start + line,
+            24,
+        ));
     }
     for (name, region, seeds) in regions {
         let mut lost = 0;
@@ -403,7 +508,10 @@ fn damaged_framed_journals_never_panic_the_recovery() {
                 let damaged = damage(&bytes, region.clone(), mode, seed);
                 let what = format!("{name} {mode:?} seed {seed}");
                 let rows = recovered_rows(&damaged, None);
-                assert!(rows <= RECORDS as usize, "{what}: {rows} rows salvaged of {RECORDS}");
+                assert!(
+                    rows <= RECORDS as usize,
+                    "{what}: {rows} rows salvaged of {RECORDS}"
+                );
                 assert_eq!(recovered_rows(&damaged, Some(&passed)), 0, "{what}");
                 let strict = journal::recover_blocks(
                     &mut CaliReader::new(),
@@ -413,7 +521,10 @@ fn damaged_framed_journals_never_panic_the_recovery() {
                     &mut |_, _, _| {},
                 );
                 if let Ok(report) = strict {
-                    assert!(report.salvaged as usize <= rows, "{what}: strict salvaged more");
+                    assert!(
+                        report.salvaged as usize <= rows,
+                        "{what}: strict salvaged more"
+                    );
                 }
                 lost += usize::from(rows < RECORDS as usize);
             }

@@ -14,7 +14,9 @@ fn a_transient_open_error_costs_a_journal_replay_one_retry() {
     let path = dir.join(&name);
     let mut ds = Dataset::new();
     let kernel = ds.attribute("kernel", ValueType::Str, Properties::NESTED);
-    let node = ds.tree.get_child(NODE_NONE, kernel.id(), &Value::str("main"));
+    let node = ds
+        .tree
+        .get_child(NODE_NONE, kernel.id(), &Value::str("main"));
     for _ in 0..3 {
         let mut rec = SnapshotRecord::new();
         rec.push_node(node);

@@ -109,7 +109,14 @@ fn arb_zone_value() -> impl Strategy<Value = Value> {
 /// Every WHERE condition on `attr`: `exists`, `not()`, and each
 /// comparison against each of `literals`.
 fn every_filter(attr: &str, literals: &[Value]) -> Vec<Filter> {
-    const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
     let mut filters = vec![Filter::Exists(attr.into()), Filter::NotExists(attr.into())];
     for op in OPS {
         filters.extend(literals.iter().map(|value| Filter::Cmp {
@@ -753,16 +760,34 @@ fn edge_value_of(pick: u8, text: &str, bits: u64) -> Value {
 
 /// A dataset whose five immediate attributes (one per type) and nested
 /// attribute have arbitrary names, with a context tree over `node_values`.
-fn named_dataset(names: &[String], node_values: &[(u8, String, u64)]) -> (Dataset, Vec<u32>, Vec<u32>) {
+fn named_dataset(
+    names: &[String],
+    node_values: &[(u8, String, u64)],
+) -> (Dataset, Vec<u32>, Vec<u32>) {
     let ds = Dataset::new();
-    let types = [ValueType::Str, ValueType::Int, ValueType::UInt, ValueType::Float, ValueType::Bool];
+    let types = [
+        ValueType::Str,
+        ValueType::Int,
+        ValueType::UInt,
+        ValueType::Float,
+        ValueType::Bool,
+    ];
     let attrs: Vec<u32> = types
         .iter()
         .zip(names)
         .enumerate()
-        .map(|(i, (t, name))| ds.attribute(&format!("{i}{name}"), *t, Properties::AS_VALUE).id())
+        .map(|(i, (t, name))| {
+            ds.attribute(&format!("{i}{name}"), *t, Properties::AS_VALUE)
+                .id()
+        })
         .collect();
-    let nested = ds.attribute(&format!("n{}", names[5]), ValueType::Str, Properties::NESTED).id();
+    let nested = ds
+        .attribute(
+            &format!("n{}", names[5]),
+            ValueType::Str,
+            Properties::NESTED,
+        )
+        .id();
     let mut nodes: Vec<u32> = Vec::new();
     for (pick, text, bits) in node_values {
         // A child of an earlier node, or a root; under the nested
@@ -772,8 +797,15 @@ fn named_dataset(names: &[String], node_values: &[(u8, String, u64)]) -> (Datase
             n if pick % 3 == 0 => nodes[*bits as usize % n],
             _ => NODE_NONE,
         };
-        let attr = if pick % 2 == 0 { nested } else { attrs[*pick as usize % 5] };
-        nodes.push(ds.tree.get_child(parent, attr, &edge_value_of(*pick, text, *bits)));
+        let attr = if pick % 2 == 0 {
+            nested
+        } else {
+            attrs[*pick as usize % 5]
+        };
+        nodes.push(
+            ds.tree
+                .get_child(parent, attr, &edge_value_of(*pick, text, *bits)),
+        );
     }
     (ds, attrs, nodes)
 }
@@ -935,17 +967,47 @@ const ENTRY_HEAD: &str = "__rec=attr,id=0,name=s,type=string,prop=default\n\
 /// zeros, ten digits, the largest `u32` (declared by nothing), past it,
 /// empty, signed, and not a number.
 const ENTRY_IDS: &[&str] = &[
-    "0", "1", "2", "3", "4", "+1", "003", "0000000004", "4294967295", "4294967296",
-    "99999999999", "", "+", "-1", "1x", "1=2",
+    "0",
+    "1",
+    "2",
+    "3",
+    "4",
+    "+1",
+    "003",
+    "0000000004",
+    "4294967295",
+    "4294967296",
+    "99999999999",
+    "",
+    "+",
+    "-1",
+    "1x",
+    "1=2",
 ];
 
 /// Values as a line may spell them (escapes written out): strings with
 /// escaped separators, backslashes and newlines, signed, overflowing and
 /// floating-point numbers, booleans.
 const ENTRY_VALUES: &[&str] = &[
-    "x", "a\\,b", "k\\=v", "back\\\\slash", "two\\nlines", "a=b", "-5", "+7", "007",
-    "9223372036854775808", "-9223372036854775809", "18446744073709551616", "1.5", "-0.0",
-    "1e300", "inf", "true", "0", "",
+    "x",
+    "a\\,b",
+    "k\\=v",
+    "back\\\\slash",
+    "two\\nlines",
+    "a=b",
+    "-5",
+    "+7",
+    "007",
+    "9223372036854775808",
+    "-9223372036854775809",
+    "18446744073709551616",
+    "1.5",
+    "-0.0",
+    "1e300",
+    "inf",
+    "true",
+    "0",
+    "",
 ];
 
 /// A field of a generated `ctx` / `globals` line: its key and value as
@@ -995,7 +1057,13 @@ fn escape_one(text: &str) -> String {
 /// The stream of `lines` after [`ENTRY_HEAD`]; with `escaped`, every
 /// key and value of every data line carries one more escape.
 fn entry_stream(lines: &[(bool, Vec<EntryFieldText>, u8)], escaped: bool) -> Vec<u8> {
-    let spell = |text: &str| if escaped { escape_one(text) } else { text.to_string() };
+    let spell = |text: &str| {
+        if escaped {
+            escape_one(text)
+        } else {
+            text.to_string()
+        }
+    };
     let mut out = ENTRY_HEAD.to_string();
     for (globals, fields, end) in lines {
         let kind = if *globals { "globals" } else { "ctx" };
@@ -1024,7 +1092,10 @@ fn read_outcome(bytes: &[u8], policy: ReadPolicy) -> String {
     let read = reader.read_stream_with(bytes, policy, &mut report);
     let ds = reader.finish();
     let globals: Vec<String> = ds.globals.iter().map(|g| g.describe(&ds.store)).collect();
-    format!("{read:?}\n{report:?}\nrows {:?}\nglobals {globals:?}", ordered_lines(&ds))
+    format!(
+        "{read:?}\n{report:?}\nrows {:?}\nglobals {globals:?}",
+        ordered_lines(&ds)
+    )
 }
 
 proptest! {
@@ -1092,7 +1163,11 @@ fn dictionary_dataset() -> Dataset {
 /// edits below move the blocks it indexes), and its block offsets.
 fn footerless_v2(ds: &Dataset) -> (Vec<u8>, Vec<usize>) {
     let mut bytes = caliper_format::to_binary_v2_with(ds, 4);
-    let offsets = caliper_format::read_footer(&bytes).unwrap().iter().map(|b| b.offset as usize).collect();
+    let offsets = caliper_format::read_footer(&bytes)
+        .unwrap()
+        .iter()
+        .map(|b| b.offset as usize)
+        .collect();
     bytes.truncate(bytes.len() - footer_bytes(&bytes));
     (bytes, offsets)
 }
@@ -1104,7 +1179,12 @@ fn attr_record(id: u8, name: &str, vtype: ValueType) -> Vec<u8> {
         ValueType::Int => 1,
         _ => unreachable!("the odd dictionaries declare strings and integers"),
     };
-    [&[0x01, id, name.len() as u8][..], name.as_bytes(), &[tag, 0]].concat()
+    [
+        &[0x01, id, name.len() as u8][..],
+        name.as_bytes(),
+        &[tag, 0],
+    ]
+    .concat()
 }
 
 /// Every pushable WHERE on every name the stream declares (and on one
@@ -1112,7 +1192,12 @@ fn attr_record(id: u8, name: &str, vtype: ValueType) -> Vec<u8> {
 /// read without pushdown. Returns how many blocks the pushdowns skipped.
 fn assert_pushdown_sound(bytes: &[u8], what: &str) -> u64 {
     let full = caliper_format::binary::from_binary(bytes).unwrap();
-    let mut names: Vec<String> = full.store.all().iter().map(|a| a.name().to_string()).collect();
+    let mut names: Vec<String> = full
+        .store
+        .all()
+        .iter()
+        .map(|a| a.name().to_string())
+        .collect();
     names.push("no.such.attr".into());
     let mut skipped = 0;
     for name in &names {
@@ -1159,7 +1244,10 @@ fn pushdown_is_sound_when_one_name_has_two_stream_ids() {
     assert_eq!(bytes.windows(5).filter(|w| w == b"omega").count(), 1);
     bytes[at..at + 5].copy_from_slice(b"alpha");
     let full = caliper_format::binary::from_binary(&bytes).unwrap();
-    assert!(full.store.find("omega").is_none(), "both ids now name alpha");
+    assert!(
+        full.store.find("omega").is_none(),
+        "both ids now name alpha"
+    );
     assert!(assert_pushdown_sound(&bytes, "two ids, one name") > 0);
 }
 
@@ -1171,10 +1259,17 @@ fn pushdown_is_sound_when_a_stream_id_is_renamed_between_blocks() {
     let ds = dictionary_dataset();
     let (bytes, offsets) = footerless_v2(&ds);
     let id = |name: &str| ds.store.find(name).unwrap().id() as u8;
-    for (renamed, vtype, to) in [("fn", ValueType::Str, "fx"), ("alpha", ValueType::Int, "gamma")] {
+    for (renamed, vtype, to) in [
+        ("fn", ValueType::Str, "fx"),
+        ("alpha", ValueType::Int, "gamma"),
+    ] {
         for cut in [offsets[1], offsets[5]] {
-            let spliced =
-                [&bytes[..cut], &attr_record(id(renamed), to, vtype)[..], &bytes[cut..]].concat();
+            let spliced = [
+                &bytes[..cut],
+                &attr_record(id(renamed), to, vtype)[..],
+                &bytes[cut..],
+            ]
+            .concat();
             let full = caliper_format::binary::from_binary(&spliced).unwrap();
             assert!(full.store.find(to).is_some());
             let what = format!("{renamed} renamed {to} at byte {cut}");

@@ -112,7 +112,9 @@ impl VClock {
     /// component of `other` — i.e. the event `self` stamps happens
     /// before (or is) the event `other` stamps.
     pub fn leq(&self, other: &VClock) -> bool {
-        self.entries.iter().all(|&(r, c)| c <= other.get(r as usize))
+        self.entries
+            .iter()
+            .all(|&(r, c)| c <= other.get(r as usize))
     }
 
     /// The happens-before comparison: `Less`/`Greater` when one clock
@@ -170,7 +172,13 @@ pub struct Diagnostic {
 
 impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}[{}]: {}", self.severity.name(), self.code, self.message)
+        write!(
+            f,
+            "{}[{}]: {}",
+            self.severity.name(),
+            self.code,
+            self.message
+        )
     }
 }
 
@@ -255,14 +263,20 @@ impl Analysis {
             "  sends:                  {} (match edges {}, kill edges {})\n",
             s.sends, s.match_edges, s.kill_edges
         ));
-        out.push_str(&format!("  wildcard matches:       {}\n", s.wildcard_matches));
+        out.push_str(&format!(
+            "  wildcard matches:       {}\n",
+            s.wildcard_matches
+        ));
         out.push_str(&format!("  timeouts fired:         {}\n", s.timeouts));
         out.push_str(&format!(
             "  ranks killed/finished:  {}/{}\n",
             s.kills, s.finished
         ));
         out.push_str(&format!("  messages lost to kills: {}\n", s.lost_to_kills));
-        out.push_str(&format!("  max clock width:        {}\n", s.max_clock_width));
+        out.push_str(&format!(
+            "  max clock width:        {}\n",
+            s.max_clock_width
+        ));
         for d in &self.diagnostics {
             out.push_str(&format!("{d}\n"));
         }
@@ -490,14 +504,14 @@ impl Replay {
                             }
                             None => None, // inconsistent match: no edge
                         },
-                        TraceKind::Send { dest, ok: false, .. } => {
+                        TraceKind::Send {
+                            dest, ok: false, ..
+                        } => {
                             // Kill propagation: the sender observed the
                             // destination's death (or completion).
                             let terminal = killed_ev[dest].or(done_ev[dest]);
                             match terminal {
-                                Some(t) if stamped(&ptr, dest, t) => {
-                                    Some(clocks[dest][t].clone())
-                                }
+                                Some(t) if stamped(&ptr, dest, t) => Some(clocks[dest][t].clone()),
                                 Some(_) => break, // not ready yet
                                 None => None,
                             }
@@ -760,7 +774,13 @@ pub fn analyze(trace: &HbTrace) -> Analysis {
             .expect("orphan came from blocked set");
         let why = match src {
             None => "no live rank can satisfy a wildcard receive".to_string(),
-            Some(s) if replay.killed_ev.get(s).map(|k| k.is_some()).unwrap_or(false) => {
+            Some(s)
+                if replay
+                    .killed_ev
+                    .get(s)
+                    .map(|k| k.is_some())
+                    .unwrap_or(false) =>
+            {
                 format!("rank {s} was killed and will never send")
             }
             Some(s) if replay.done_ev.get(s).map(|d| d.is_some()).unwrap_or(false) => {
@@ -865,7 +885,10 @@ mod tests {
         assert_eq!(j.width(), 2);
         assert_eq!(a.partial_cmp_hb(&j), Some(std::cmp::Ordering::Less));
         assert_eq!(j.partial_cmp_hb(&a), Some(std::cmp::Ordering::Greater));
-        assert_eq!(a.partial_cmp_hb(&a.clone()), Some(std::cmp::Ordering::Equal));
+        assert_eq!(
+            a.partial_cmp_hb(&a.clone()),
+            Some(std::cmp::Ordering::Equal)
+        );
     }
 
     #[test]
@@ -1028,7 +1051,13 @@ mod tests {
                 },
                 0,
             ),
-            ev(TraceKind::Timeout { src: Some(1), tag: 3 }, 10),
+            ev(
+                TraceKind::Timeout {
+                    src: Some(1),
+                    tag: 3,
+                },
+                10,
+            ),
             ev(TraceKind::Done, 10),
         ];
         t.events[1] = vec![

@@ -358,7 +358,8 @@ impl TaskCtx for EventCtx<'_> {
         }
         let ok = self.alive[dest];
         let at = *self.local_now;
-        self.effects.rec(self.rank, at, TraceKind::Send { dest, tag, ok });
+        self.effects
+            .rec(self.rank, at, TraceKind::Send { dest, tag, ok });
         if !ok {
             return Err(CommError::disconnected(format!("send to rank {dest}")));
         }
@@ -454,8 +455,7 @@ fn feed<T: RankTask>(
                     TraceKind::WaitPost {
                         src: wait.src,
                         tag,
-                        timeout_ns: timeout
-                            .map(|t| t.as_nanos().min(u128::from(u64::MAX)) as u64),
+                        timeout_ns: timeout.map(|t| t.as_nanos().min(u128::from(u64::MAX)) as u64),
                     },
                 );
                 state.wait = Some(wait);
@@ -547,16 +547,31 @@ impl<T: RankTask> Chunk<'_, T> {
     /// Steps every event of the chunk, rank by rank in rank order and
     /// each rank's events in the order they were scheduled.
     fn step(self, now: SimTime, size: usize, plan: &FaultPlan, alive: &[bool]) {
-        let Chunk { base, states, events, effects } = self;
+        let Chunk {
+            base,
+            states,
+            events,
+            effects,
+        } = self;
         for i in 0..events.len() {
             let rank = events[i].rank();
             // A spent `Start` stays behind; the batch is dropped once stepped.
             let kind = std::mem::replace(&mut events[i], EvKind::Start { rank });
-            process_event(&mut states[rank - base], now, kind, size, plan, alive, effects);
+            process_event(
+                &mut states[rank - base],
+                now,
+                kind,
+                size,
+                plan,
+                alive,
+                effects,
+            );
             // A rank's timers are scheduled after all its deliveries.
             if events.get(i + 1).is_none_or(|next| next.rank() != rank) {
                 let timers = effects.timers.drain(..);
-                effects.scheduled.extend(timers.map(|(at, gen)| (at, EvKind::Timer { rank, gen })));
+                effects
+                    .scheduled
+                    .extend(timers.map(|(at, gen)| (at, EvKind::Timer { rank, gen })));
             }
         }
     }
@@ -583,7 +598,12 @@ fn chunks<'a, T: RankTask>(
         let (events, later_events) = rest_events.split_at_mut(cut);
         let (states, later_states) = rest_states.split_at_mut(last + 1 - base);
         let effects = buffers.next().expect("at most one chunk per buffer");
-        chunks.push(Chunk { base, states, events, effects });
+        chunks.push(Chunk {
+            base,
+            states,
+            events,
+            effects,
+        });
         (rest_events, rest_states, base) = (later_events, later_states, last + 1);
     }
     chunks
@@ -628,15 +648,19 @@ impl EventEngine {
             HbTrace::default()
         };
 
-        let mut states: Vec<RankState<T>> =
-            (0..size).map(|rank| RankState::new(make(rank, size))).collect();
+        let mut states: Vec<RankState<T>> = (0..size)
+            .map(|rank| RankState::new(make(rank, size)))
+            .collect();
         let mut alive = vec![true; size];
         let mut calendar = Calendar::default();
         for rank in 0..size {
             calendar.push(0, EvKind::Start { rank });
         }
         stats.max_queue_depth = calendar.pending;
-        let armed = || Effects { tracing, ..Effects::default() };
+        let armed = || Effects {
+            tracing,
+            ..Effects::default()
+        };
         let mut effects: Vec<Effects> = (0..workers).map(|_| armed()).collect();
 
         while let Some((now, mut batch)) = calendar.pop() {
@@ -815,7 +839,10 @@ mod tests {
         assert_eq!(total, 6, "sum of the surviving ranks 0..4");
         assert!(outs[4].is_none(), "killed rank yields None");
         assert_eq!(stats.ranks_lost, 1);
-        assert!(stats.timeouts > 0, "the root must wait out virtual timeouts");
+        assert!(
+            stats.timeouts > 0,
+            "the root must wait out virtual timeouts"
+        );
     }
 
     #[test]
@@ -868,7 +895,9 @@ mod tests {
             let (outs, stats) = sum_reduce(
                 &EventEngine::with_workers(workers),
                 64,
-                FaultPlan::new().kill(9, 1).delay(3, 0, Duration::from_millis(2)),
+                FaultPlan::new()
+                    .kill(9, 1)
+                    .delay(3, 0, Duration::from_millis(2)),
                 Topology::TwoLevel { ranks_per_node: 8 },
                 ResilienceOptions::default(),
             );
@@ -927,7 +956,12 @@ mod tests {
         }
         // A 3-cycle: 0 waits on 1 waits on 2 waits on 0.
         let err = EventEngine::new()
-            .run(3, FaultPlan::new(), |rank, size| WaitOn((rank + 1) % size), false)
+            .run(
+                3,
+                FaultPlan::new(),
+                |rank, size| WaitOn((rank + 1) % size),
+                false,
+            )
             .outputs
             .unwrap_err();
         let SchedError::Deadlock {

@@ -660,7 +660,10 @@ mod tests {
 
     #[test]
     fn flat_schedule_is_the_binomial_tree() {
-        assert_eq!(recv_from(&reduce_schedule(0, 8, Topology::Flat)), vec![1, 2, 4]);
+        assert_eq!(
+            recv_from(&reduce_schedule(0, 8, Topology::Flat)),
+            vec![1, 2, 4]
+        );
         assert_eq!(
             reduce_schedule(3, 8, Topology::Flat),
             vec![Round::Send { to: 2, level: 0 }]
@@ -693,7 +696,9 @@ mod tests {
         // Every Send must have exactly one matching Recv on the same
         // (level, peer) pair, for several sizes and node widths.
         for (size, rpn) in [(8, 4), (13, 4), (16, 3), (9, 2), (5, 8), (64, 8)] {
-            let topo = Topology::TwoLevel { ranks_per_node: rpn };
+            let topo = Topology::TwoLevel {
+                ranks_per_node: rpn,
+            };
             let mut sends = Vec::new();
             let mut recvs = Vec::new();
             for rank in 0..size {
@@ -718,7 +723,9 @@ mod tests {
     #[test]
     fn two_level_levels_increase_along_every_schedule() {
         for (size, rpn) in [(16, 4), (13, 4), (64, 8)] {
-            let topo = Topology::TwoLevel { ranks_per_node: rpn };
+            let topo = Topology::TwoLevel {
+                ranks_per_node: rpn,
+            };
             for rank in 0..size {
                 let rounds = reduce_schedule(rank, size, topo);
                 let levels: Vec<u32> = rounds

@@ -49,7 +49,10 @@ fn golden_4096_rank_run_is_pinned() {
     assert_eq!(stats.events, GOLDEN_EVENTS);
     assert_eq!(stats.virtual_time_ns, GOLDEN_VIRTUAL_NS);
     assert_eq!(stats.ranks_lost, GOLDEN_RANKS_LOST);
-    assert!(rendered.contains(&GOLDEN_SUM.to_string()), "golden sum in output");
+    assert!(
+        rendered.contains(&GOLDEN_SUM.to_string()),
+        "golden sum in output"
+    );
 
     let plan = FaultPlan::seeded_kills(KILL_SEED, KILLS, RANKS);
     let opts = ResilienceOptions::default();
@@ -169,7 +172,10 @@ fn delayed_parent_scenario_completes_without_wall_clock_spin() {
     let (sum, coverage) = outs[0].take().expect("root survives").expect("root output");
     assert_eq!(sum, 1);
     assert!(coverage.is_complete(), "straggler arrives during a retry");
-    assert!(stats.timeouts >= 1, "the first 20 s timer must actually fire");
+    assert!(
+        stats.timeouts >= 1,
+        "the first 20 s timer must actually fire"
+    );
     assert!(stats.virtual_time_ns >= 30_000_000_000);
     assert!(
         wall.elapsed() < Duration::from_secs(5),
@@ -241,7 +247,10 @@ fn the_event_order_is_pinned() {
     for (topology, golden) in cases {
         for workers in [1, 2, 4] {
             let (digest, stats) = order_run(topology, workers);
-            assert!(stats.timeouts > 0 && stats.stale_timers > 0, "{topology:?}: {stats:?}");
+            assert!(
+                stats.timeouts > 0 && stats.stale_timers > 0,
+                "{topology:?}: {stats:?}"
+            );
             assert!(stats.ranks_lost > 0, "{topology:?}: {stats:?}");
             assert_eq!(digest, golden, "{topology:?}, {workers} workers: {stats:?}");
         }

@@ -15,16 +15,17 @@ const SIZE: usize = 1024;
 fn run_spec(spec: &str) -> (u64, ReduceCoverage, SchedStats) {
     let plan = FaultPlan::from_spec(spec).expect("spec parses");
     let opts = ResilienceOptions::default();
-    let (mut outs, stats) = EventEngine::new().run_tasks_with_stats(SIZE, plan, move |rank, size| {
-        ReduceTask::new(
-            rank,
-            size,
-            Topology::Flat,
-            move || rank as u64,
-            |a, b| a + b,
-            opts,
-        )
-    });
+    let (mut outs, stats) =
+        EventEngine::new().run_tasks_with_stats(SIZE, plan, move |rank, size| {
+            ReduceTask::new(
+                rank,
+                size,
+                Topology::Flat,
+                move || rank as u64,
+                |a, b| a + b,
+                opts,
+            )
+        });
     let (sum, coverage) = outs[0].take().expect("root survives").expect("root output");
     (sum, coverage, stats)
 }
@@ -133,7 +134,10 @@ fn delays_are_stragglers_not_corpses() {
     assert!(coverage.is_complete());
     assert_eq!(sum, sum_of(0..SIZE));
     assert_eq!(stats.ranks_lost, 0);
-    assert_eq!(stats.timeouts, 0, "stragglers this small never time anyone out");
+    assert_eq!(
+        stats.timeouts, 0,
+        "stragglers this small never time anyone out"
+    );
     assert!(stats.virtual_time_ns >= 60_000_000);
 }
 
@@ -141,6 +145,9 @@ fn delays_are_stragglers_not_corpses() {
 fn kills_and_delays_compose_in_one_spec() {
     let (sum, coverage, stats) = run_spec("mpi.kill=at(256,0);mpi.delay=at(3,0,30)");
     assert_exact_loss(sum, &coverage, &subtree(256));
-    assert!(coverage.included.contains(&3), "the delayed rank still counts");
+    assert!(
+        coverage.included.contains(&3),
+        "the delayed rank still counts"
+    );
     assert_eq!(stats.ranks_lost, 1);
 }

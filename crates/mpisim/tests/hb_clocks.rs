@@ -4,7 +4,9 @@
 use std::time::Duration;
 
 use mpisim::hb::{self, VClock};
-use mpisim::{EventEngine, Executor, FaultPlan, ReduceTask, ResilienceOptions, Topology, TraceKind};
+use mpisim::{
+    EventEngine, Executor, FaultPlan, ReduceTask, ResilienceOptions, Topology, TraceKind,
+};
 use proptest::prelude::*;
 
 /// Build a clock from a dense assignment: `ticks[r]` ticks of rank `r`.
@@ -119,7 +121,10 @@ fn one_rank_world_is_linear_and_clean() {
     assert_eq!(run.trace.size(), 1);
     let clocks = hb::clocks(&run.trace);
     for pair in clocks[0].windows(2) {
-        assert!(pair[0].leq(&pair[1]) && pair[0] != pair[1], "program order must advance the clock");
+        assert!(
+            pair[0].leq(&pair[1]) && pair[0] != pair[1],
+            "program order must advance the clock"
+        );
     }
     let analysis = mpisim::analyze(&run.trace);
     assert!(analysis.is_clean(), "{}", analysis.render());
@@ -154,7 +159,10 @@ fn killed_ranks_clocks_freeze_at_kill_time() {
         "the kill must be the victim's final trace event: {events:?}"
     );
     let clocks = hb::clocks(&run.trace);
-    let frozen = clocks[victim].last().expect("victim has events").get(victim);
+    let frozen = clocks[victim]
+        .last()
+        .expect("victim has events")
+        .get(victim);
     for (rank, rank_clocks) in clocks.iter().enumerate() {
         for c in rank_clocks {
             assert!(
@@ -184,7 +192,11 @@ fn clocks_are_worker_invariant() {
             },
         )
     };
-    let plan = || FaultPlan::new().kill(7, 1).delay(3, 0, Duration::from_millis(2));
+    let plan = || {
+        FaultPlan::new()
+            .kill(7, 1)
+            .delay(3, 0, Duration::from_millis(2))
+    };
     let baseline = hb::clocks(&EventEngine::with_workers(1).run(96, plan(), mk, true).trace);
     for workers in [2, 4] {
         let clocks = hb::clocks(

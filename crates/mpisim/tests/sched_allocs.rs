@@ -80,7 +80,11 @@ fn reduce_counted(ranks: usize) -> (u64, u64) {
         ALLOCATIONS.with(Cell::get) - allocations,
         BYTES.with(Cell::get) - bytes,
     );
-    let (sum, coverage) = outs[0].as_ref().expect("root survives").as_ref().expect("root output");
+    let (sum, coverage) = outs[0]
+        .as_ref()
+        .expect("root survives")
+        .as_ref()
+        .expect("root output");
     assert_eq!(*sum, (ranks * (ranks - 1) / 2) as u64);
     assert!(coverage.is_complete());
     assert_eq!(stats.messages, ranks as u64 - 1);
@@ -104,5 +108,8 @@ fn a_rank_allocates_what_its_message_needs() {
     // with effects of its own and stored each task's schedule made 8.35
     // and 2 616 B, and fails these bounds.
     assert!(per_rank <= 3.5, "{per_rank:.2} allocations per rank");
-    assert!(bytes_per_rank <= 1536.0, "{bytes_per_rank:.0} bytes allocated per rank");
+    assert!(
+        bytes_per_rank <= 1536.0,
+        "{bytes_per_rank:.0} bytes allocated per rank"
+    );
 }

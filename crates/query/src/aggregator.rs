@@ -263,7 +263,10 @@ impl CodeMap {
     #[inline]
     pub(crate) fn group(&mut self, agg: &Aggregator, code: u32) -> Option<u32> {
         agg.claim(self);
-        self.groups.get(code as usize).copied().filter(|&group| group != NO_GROUP)
+        self.groups
+            .get(code as usize)
+            .copied()
+            .filter(|&group| group != NO_GROUP)
     }
 
     /// Remember that the key of one label, the string `code` of a table
@@ -549,7 +552,10 @@ impl Aggregator {
 
     /// The state columns: the aggregator's, and the part's if it has one.
     fn states(&mut self) -> impl Iterator<Item = (&mut Vec<Column>, &mut Vec<u64>)> {
-        let part = self.part.as_deref_mut().map(|part| (&mut part.ops, &mut part.records));
+        let part = self
+            .part
+            .as_deref_mut()
+            .map(|part| (&mut part.ops, &mut part.records));
         std::iter::once((&mut self.ops, &mut self.records)).chain(part)
     }
 
@@ -579,7 +585,12 @@ impl Aggregator {
         let part = self.part.get_or_insert_with(|| {
             let mut ops: Vec<Column> = self.spec.ops.iter().map(Column::new).collect();
             ops.iter_mut().for_each(|column| column.resize(groups));
-            Box::new(Part { ops, records: vec![0; groups], touched: Vec::new(), open: None })
+            Box::new(Part {
+                ops,
+                records: vec![0; groups],
+                touched: Vec::new(),
+                open: None,
+            })
         });
         debug_assert!(part.open.is_none(), "a part is open already");
         std::mem::swap(&mut self.ops, &mut part.ops);
@@ -594,7 +605,12 @@ impl Aggregator {
     fn shut_part(&mut self, kept: bool) -> usize {
         let mut part = self.part.take().expect("an open part");
         let opened = part.open.take().expect("an open part");
-        let Part { ops, records, touched, .. } = &mut *part;
+        let Part {
+            ops,
+            records,
+            touched,
+            ..
+        } = &mut *part;
         std::mem::swap(&mut self.ops, ops);
         std::mem::swap(&mut self.records, records);
         for group in touched.drain(..) {
@@ -602,7 +618,8 @@ impl Aggregator {
                 self.combine(group, ops, records, group, None);
             }
             records[group as usize] = 0;
-            ops.iter_mut().for_each(|column| column.reset(group as usize));
+            ops.iter_mut()
+                .for_each(|column| column.reset(group as usize));
         }
         self.part = Some(part);
         opened
@@ -742,7 +759,10 @@ impl Aggregator {
     /// keep deterministic), never on the order groups came about in.
     pub fn merge(&mut self, other: Aggregator) {
         debug_assert_eq!(self.spec, other.spec, "merging mismatched aggregations");
-        debug_assert!(self.part.as_ref().is_none_or(|part| part.open.is_none()), "a part is open");
+        debug_assert!(
+            self.part.as_ref().is_none_or(|part| part.open.is_none()),
+            "a part is open"
+        );
         #[cfg(test)]
         crate::parallel::tests::BUILT.with(|built| built.set((built.get().0, built.get().1 + 1)));
         let mut incoming = other.keyed();
@@ -765,7 +785,13 @@ impl Aggregator {
                 self.fill_key(&mut key, cells, &mut codes, &other.strings);
                 self.admit(&key)
             };
-            self.combine(mine, &other.ops, &other.records, theirs, Some(&other.strings));
+            self.combine(
+                mine,
+                &other.ops,
+                &other.records,
+                theirs,
+                Some(&other.strings),
+            );
         }
         self.key = key;
     }
@@ -871,7 +897,10 @@ impl Aggregator {
             .enumerate()
             .filter_map(|(slot, attr)| Some((slot, attr.as_ref()?)))
             .collect();
-        let mut keys: Vec<Values> = slots.iter().map(|_| Values::with_capacity(rows.len())).collect();
+        let mut keys: Vec<Values> = slots
+            .iter()
+            .map(|_| Values::with_capacity(rows.len()))
+            .collect();
         for &group in &rows {
             let key = key(group);
             for (&(slot, _), values) in slots.iter().zip(&mut keys) {
@@ -1037,7 +1066,11 @@ mod tests {
         (store, records)
     }
 
-    fn run(query: &str, store: Arc<AttributeStore>, records: &[FlatRecord]) -> (Arc<AttributeStore>, Vec<FlatRecord>) {
+    fn run(
+        query: &str,
+        store: Arc<AttributeStore>,
+        records: &[FlatRecord],
+    ) -> (Arc<AttributeStore>, Vec<FlatRecord>) {
         let spec = parse_query(query).unwrap();
         let mut agg = Aggregator::new(AggregationSpec::from_query(&spec), store);
         for rec in records {
@@ -1075,7 +1108,11 @@ mod tests {
     #[test]
     fn removing_key_attribute_collapses_entries() {
         let (store, records) = store_with_listing1();
-        let (out_store, out) = run("AGGREGATE count, sum(time) GROUP BY function", store, &records);
+        let (out_store, out) = run(
+            "AGGREGATE count, sum(time) GROUP BY function",
+            store,
+            &records,
+        );
         // foo, bar, none
         assert_eq!(out.len(), 3);
         let func = out_store.find("function").unwrap();
@@ -1092,7 +1129,10 @@ mod tests {
     #[test]
     fn merge_equals_single_pass() {
         let (store, records) = store_with_listing1();
-        let spec = parse_query("AGGREGATE count, sum(time), min(time), max(time), avg(time) GROUP BY function").unwrap();
+        let spec = parse_query(
+            "AGGREGATE count, sum(time), min(time), max(time), avg(time) GROUP BY function",
+        )
+        .unwrap();
         let aspec = AggregationSpec::from_query(&spec);
 
         let mut single = Aggregator::new(aspec.clone(), Arc::clone(&store));
@@ -1229,7 +1269,9 @@ mod tests {
         };
         let lines = |agg: &Aggregator| {
             let out = AttributeStore::new();
-            agg.flush(&out).iter().collect::<Vec<_>>()
+            agg.flush(&out)
+                .iter()
+                .collect::<Vec<_>>()
                 .iter()
                 .map(|r| r.describe(&out))
                 .collect::<Vec<_>>()
@@ -1326,10 +1368,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         // The Int group's result is coerced to the widened type.
         for rec in &out {
-            assert_eq!(
-                rec.get(sum.id()).unwrap().value_type(),
-                ValueType::Float
-            );
+            assert_eq!(rec.get(sum.id()).unwrap().value_type(), ValueType::Float);
         }
     }
 
@@ -1410,7 +1449,9 @@ mod tests {
         let mut agg = Aggregator::new(AggregationSpec::from_query(&spec), Arc::clone(&store));
         agg.set_max_groups(Some(8));
         for i in 0..1000 {
-            let mut rec = RecordBuilder::new(&store).with("id", format!("id{i}").as_str()).build();
+            let mut rec = RecordBuilder::new(&store)
+                .with("id", format!("id{i}").as_str())
+                .build();
             rec.push(path.id(), Value::str("main"));
             rec.push(path.id(), Value::str(format!("f{i}")));
             agg.add(&rec);
@@ -1419,8 +1460,9 @@ mod tests {
             assert!(agg.len() <= 8);
         }
         assert_eq!(agg.overflow_records(), 1000 - 7);
-        let mut held: Vec<String> =
-            (0..agg.strings.len() as u32).map(|code| agg.strings.value(code).to_string()).collect();
+        let mut held: Vec<String> = (0..agg.strings.len() as u32)
+            .map(|code| agg.strings.value(code).to_string())
+            .collect();
         held.sort();
         let mut admitted: Vec<String> = (0..7)
             .flat_map(|i| [format!("id{i}"), format!("main/f{i}")])
@@ -1449,8 +1491,14 @@ mod tests {
             assert_eq!(out[0].describe(&out_store), "k=3,count=2");
             out[0].get(out_store.find("k").unwrap().id()).cloned()
         };
-        assert!(matches!(flushed(&aggregated(&[&int, &uint])), Some(Value::Int(3))));
-        assert!(matches!(flushed(&aggregated(&[&uint, &int])), Some(Value::UInt(3))));
+        assert!(matches!(
+            flushed(&aggregated(&[&int, &uint])),
+            Some(Value::Int(3))
+        ));
+        assert!(matches!(
+            flushed(&aggregated(&[&uint, &int])),
+            Some(Value::UInt(3))
+        ));
         // A merge keeps the receiver's class.
         let mut merged = aggregated(&[&uint]);
         merged.merge(aggregated(&[&int]));
@@ -1465,14 +1513,30 @@ mod tests {
         let spec = parse_query("AGGREGATE count, sum(x) GROUP BY a, b").unwrap();
         let aspec = AggregationSpec::from_query(&spec);
         let record = |a: &str, b: &str, x: i64| {
-            RecordBuilder::new(&store).with("a", a).with("b", b).with("x", x).build()
+            RecordBuilder::new(&store)
+                .with("a", a)
+                .with("b", b)
+                .with("x", x)
+                .build()
         };
-        let left = [record("p", "q", 1), record("q", "r", 2), record("r", "p", 3)];
-        let right = [record("s", "r", 4), record("r", "p", 5), record("q", "q", 6), record("p", "q", 7)];
+        let left = [
+            record("p", "q", 1),
+            record("q", "r", 2),
+            record("r", "p", 3),
+        ];
+        let right = [
+            record("s", "r", 4),
+            record("r", "p", 5),
+            record("q", "q", 6),
+            record("p", "q", 7),
+        ];
         let describe = |agg: &Aggregator| {
             let out_store = AttributeStore::new();
-            let rows: Vec<String> =
-                agg.flush(&out_store).iter().map(|r| r.describe(&out_store)).collect();
+            let rows: Vec<String> = agg
+                .flush(&out_store)
+                .iter()
+                .map(|r| r.describe(&out_store))
+                .collect();
             rows
         };
         for cap in [None, Some(4)] {
@@ -1504,7 +1568,12 @@ mod tests {
         let store = Arc::new(AttributeStore::new());
         let mut records = Vec::new();
         for i in [7i64, 2, 9, 4, 1, 8, 3, 6, 0, 5, 7, 2, 9, 4] {
-            records.push(RecordBuilder::new(&store).with("k", i).with("x", 1i64).build());
+            records.push(
+                RecordBuilder::new(&store)
+                    .with("k", i)
+                    .with("x", 1i64)
+                    .build(),
+            );
         }
         let spec = parse_query("AGGREGATE count, sum(x) GROUP BY k").unwrap();
         let aspec = AggregationSpec::from_query(&spec);
@@ -1564,10 +1633,7 @@ mod tests {
         let i_attr = out_store.find("i").unwrap();
         assert_eq!(i_attr.value_type(), ValueType::Str);
         for rec in &out {
-            assert_eq!(
-                rec.get(i_attr.id()).unwrap().value_type(),
-                ValueType::Str
-            );
+            assert_eq!(rec.get(i_attr.id()).unwrap().value_type(), ValueType::Str);
         }
         assert_eq!(
             out.last().unwrap().get(i_attr.id()),
@@ -1715,7 +1781,11 @@ mod tests {
     fn a_closed_part_is_the_merge_of_its_records_folded_apart() {
         let store = Arc::new(AttributeStore::new());
         let root = part_records(&store, &["a", "b", "c"], 1);
-        for (keys, seed) in [(&["a", "b", "c"][..], 2), (&["c", "d", "e"], 3), (&["f", "g"], 4)] {
+        for (keys, seed) in [
+            (&["a", "b", "c"][..], 2),
+            (&["c", "d", "e"], 3),
+            (&["f", "g"], 4),
+        ] {
             let file = part_records(&store, keys, seed);
             // Into a root that holds groups, and into one that holds none.
             for base in [&root[..], &[]] {
@@ -1725,7 +1795,12 @@ mod tests {
                 lent.open_part();
                 file.iter().for_each(|record| lent.add(record));
                 lent.close_part();
-                assert_eq!(bits(&lent), bits(&merged), "keys {keys:?}, base of {}", base.len());
+                assert_eq!(
+                    bits(&lent),
+                    bits(&merged),
+                    "keys {keys:?}, base of {}",
+                    base.len()
+                );
                 assert_eq!(lent.len(), merged.len());
                 assert_eq!(lent.records_processed(), merged.records_processed());
                 // A second part folds into rows the first one reset.
@@ -1736,8 +1811,18 @@ mod tests {
                 assert_eq!(bits(&lent), bits(&merged), "a second part");
                 // The records column counts every record folded in.
                 let records = (base.len() + 2 * file.len()) as u64;
-                assert_eq!(lent.records_processed(), records, "keys {keys:?}, base of {}", base.len());
-                assert_eq!(merged.records_processed(), records, "keys {keys:?}, base of {}", base.len());
+                assert_eq!(
+                    lent.records_processed(),
+                    records,
+                    "keys {keys:?}, base of {}",
+                    base.len()
+                );
+                assert_eq!(
+                    merged.records_processed(),
+                    records,
+                    "keys {keys:?}, base of {}",
+                    base.len()
+                );
             }
         }
     }
@@ -1753,20 +1838,37 @@ mod tests {
         let spec = AggregationSpec::from_query(&spec);
         let record = |a: &str, b: &str, x: i64| {
             let s = ["m", "n"][x as usize % 2];
-            RecordBuilder::new(&store).with("a", a).with("b", b).with("x", x).with("s", s).build()
+            RecordBuilder::new(&store)
+                .with("a", a)
+                .with("b", b)
+                .with("x", x)
+                .with("s", s)
+                .build()
         };
         let mut agg = Aggregator::new(spec.clone(), Arc::clone(&store));
         agg.set_max_groups(Some(2));
         agg.add(&record("p", "q", 1));
         agg.add(&record("p", "r", 2));
         let mut other = Aggregator::new(spec, Arc::clone(&store));
-        for (a, b, x) in [("p", "q", 10), ("q", "new", 20), ("z", "q", 40), ("r", "p", 80), ("q", "new", 160)] {
+        for (a, b, x) in [
+            ("p", "q", 10),
+            ("q", "new", 20),
+            ("z", "q", 40),
+            ("r", "p", 80),
+            ("q", "new", 160),
+        ] {
             other.add(&record(a, b, x));
         }
         agg.merge(other);
-        assert_eq!((agg.len(), agg.overflow_records(), agg.records_processed()), (2, 4, 7));
+        assert_eq!(
+            (agg.len(), agg.overflow_records(), agg.records_processed()),
+            (2, 4, 7)
+        );
         // Neither string turned away was interned: the cap bounds them.
-        assert_eq!((agg.strings.find("new"), agg.strings.find("z")), (None, None));
+        assert_eq!(
+            (agg.strings.find("new"), agg.strings.find("z")),
+            (None, None)
+        );
         assert_eq!(
             bits(&agg),
             [
@@ -1787,7 +1889,11 @@ mod tests {
         let lookup = |agg: &Aggregator| -> Vec<Option<u32>> {
             let group = |text: &str| {
                 let key = [KeyCell(Some(Cell::Str(agg.strings.find(text)?)))];
-                let mut group = agg.table.get(&fxhash(&key[..])).copied().unwrap_or(NO_GROUP);
+                let mut group = agg
+                    .table
+                    .get(&fxhash(&key[..]))
+                    .copied()
+                    .unwrap_or(NO_GROUP);
                 while group != NO_GROUP && agg.key_of(group) != key {
                     group = agg.chain[group as usize];
                 }
@@ -1825,12 +1931,20 @@ mod tests {
         let spec = parse_query(EVERY_OP).unwrap();
         let mut strings = StringTable::default();
         let floats = [-0.0, f64::NAN, -f64::NAN, 0.1, -0.7].map(Value::Float);
-        let inputs = [&floats[..1], &floats[..2], &floats[2..3], &floats[1..], &[Value::str("p")]];
+        let inputs = [
+            &floats[..1],
+            &floats[..2],
+            &floats[2..3],
+            &floats[1..],
+            &[Value::str("p")],
+        ];
         for values in inputs {
             for op in &spec.ops {
                 let mut theirs = Column::new(op);
                 theirs.resize(1);
-                values.iter().for_each(|value| theirs.update(0, value, &mut strings));
+                values
+                    .iter()
+                    .for_each(|value| theirs.update(0, value, &mut strings));
                 let mut mine = Column::new(op);
                 mine.resize(1);
                 mine.merge(0, &theirs, 0, None, &mut strings);

@@ -27,8 +27,19 @@ fn quote_label(label: &str) -> String {
     let lower = label.to_ascii_lowercase();
     let keywordish = matches!(
         lower.as_str(),
-        "aggregate" | "group" | "by" | "where" | "select" | "format" | "order" | "let" | "as"
-            | "not" | "asc" | "desc" | "limit"
+        "aggregate"
+            | "group"
+            | "by"
+            | "where"
+            | "select"
+            | "format"
+            | "order"
+            | "let"
+            | "as"
+            | "not"
+            | "asc"
+            | "desc"
+            | "limit"
     ) || OpKind::from_name(&lower).is_some();
     if bare_ok && !keywordish {
         label.to_string()
@@ -123,9 +134,7 @@ impl fmt::Display for QuerySpec {
                 }
                 match filter {
                     Filter::Exists(label) => s.push_str(&quote_label(label)),
-                    Filter::NotExists(label) => {
-                        s.push_str(&format!("not({})", quote_label(label)))
-                    }
+                    Filter::NotExists(label) => s.push_str(&format!("not({})", quote_label(label))),
                     Filter::Cmp { attr, op, value } => {
                         s.push_str(&format!(
                             "{} {} {}",

@@ -42,7 +42,9 @@ impl LetExpr {
                 let (num, den) = (number(0)?, number(1)?);
                 (den != 0.0).then(|| LetResult::Number(num / den))
             }
-            LetExpr::First(labels) => (0..labels.len()).find(|&i| present(i)).map(LetResult::TextOf),
+            LetExpr::First(labels) => (0..labels.len())
+                .find(|&i| present(i))
+                .map(LetResult::TextOf),
             LetExpr::Truncate(_, width) => {
                 Some(LetResult::Number((number(0)? / width).floor() * width))
             }
@@ -74,7 +76,10 @@ pub(crate) struct LetSet {
 impl LetSet {
     /// The bindings of `defs`, their outputs not interned yet.
     pub(crate) fn new(defs: Vec<LetDef>) -> LetSet {
-        LetSet { defs, ..LetSet::default() }
+        LetSet {
+            defs,
+            ..LetSet::default()
+        }
     }
 
     /// Whether `attr` is an output some binding added to the store —
@@ -123,7 +128,9 @@ mod tests {
         }
         let rec = pairs
             .iter()
-            .fold(RecordBuilder::new(&ds.store), |rec, (l, v)| rec.with(l, v.clone()))
+            .fold(RecordBuilder::new(&ds.store), |rec, (l, v)| {
+                rec.with(l, v.clone())
+            })
             .build();
         ds.push(SnapshotRecord::from(&rec));
         let result = run_query(&ds, &format!("{let_} SELECT *")).unwrap();
@@ -146,7 +153,10 @@ mod tests {
     #[test]
     fn ratio_guards_division_by_zero() {
         let pairs = [("bytes", Value::Float(100.0)), ("time", Value::Float(0.0))];
-        assert_eq!(output("LET bw = ratio(bytes, time)", &[], &pairs, "bw"), None);
+        assert_eq!(
+            output("LET bw = ratio(bytes, time)", &[], &pairs, "bw"),
+            None
+        );
     }
 
     #[test]

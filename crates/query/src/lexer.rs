@@ -117,19 +117,35 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
             '\\' => i += 1,
             '(' => {
                 i += 1;
-                tokens.push(Token { kind: TokenKind::LParen, pos, end: off(i) });
+                tokens.push(Token {
+                    kind: TokenKind::LParen,
+                    pos,
+                    end: off(i),
+                });
             }
             ')' => {
                 i += 1;
-                tokens.push(Token { kind: TokenKind::RParen, pos, end: off(i) });
+                tokens.push(Token {
+                    kind: TokenKind::RParen,
+                    pos,
+                    end: off(i),
+                });
             }
             ',' => {
                 i += 1;
-                tokens.push(Token { kind: TokenKind::Comma, pos, end: off(i) });
+                tokens.push(Token {
+                    kind: TokenKind::Comma,
+                    pos,
+                    end: off(i),
+                });
             }
             '*' => {
                 i += 1;
-                tokens.push(Token { kind: TokenKind::Star, pos, end: off(i) });
+                tokens.push(Token {
+                    kind: TokenKind::Star,
+                    pos,
+                    end: off(i),
+                });
             }
             '=' => {
                 // Accept both `=` and `==`.
@@ -137,13 +153,21 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 if i < bytes.len() && bytes[i].1 == '=' {
                     i += 1;
                 }
-                tokens.push(Token { kind: TokenKind::Eq, pos, end: off(i) });
+                tokens.push(Token {
+                    kind: TokenKind::Eq,
+                    pos,
+                    end: off(i),
+                });
             }
             '!' => {
                 i += 1;
                 if i < bytes.len() && bytes[i].1 == '=' {
                     i += 1;
-                    tokens.push(Token { kind: TokenKind::Ne, pos, end: off(i) });
+                    tokens.push(Token {
+                        kind: TokenKind::Ne,
+                        pos,
+                        end: off(i),
+                    });
                 } else {
                     return Err(LexError {
                         pos,
@@ -156,18 +180,34 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 i += 1;
                 if i < bytes.len() && bytes[i].1 == '=' {
                     i += 1;
-                    tokens.push(Token { kind: TokenKind::Le, pos, end: off(i) });
+                    tokens.push(Token {
+                        kind: TokenKind::Le,
+                        pos,
+                        end: off(i),
+                    });
                 } else {
-                    tokens.push(Token { kind: TokenKind::Lt, pos, end: off(i) });
+                    tokens.push(Token {
+                        kind: TokenKind::Lt,
+                        pos,
+                        end: off(i),
+                    });
                 }
             }
             '>' => {
                 i += 1;
                 if i < bytes.len() && bytes[i].1 == '=' {
                     i += 1;
-                    tokens.push(Token { kind: TokenKind::Ge, pos, end: off(i) });
+                    tokens.push(Token {
+                        kind: TokenKind::Ge,
+                        pos,
+                        end: off(i),
+                    });
                 } else {
-                    tokens.push(Token { kind: TokenKind::Gt, pos, end: off(i) });
+                    tokens.push(Token {
+                        kind: TokenKind::Gt,
+                        pos,
+                        end: off(i),
+                    });
                 }
             }
             quote @ ('"' | '\'') => {
@@ -196,7 +236,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                         message: "unterminated string literal".into(),
                     });
                 }
-                tokens.push(Token { kind: TokenKind::Str(text), pos, end: off(i) });
+                tokens.push(Token {
+                    kind: TokenKind::Str(text),
+                    pos,
+                    end: off(i),
+                });
             }
             c if c.is_ascii_digit()
                 || (c == '-' && i + 1 < bytes.len() && bytes[i + 1].1.is_ascii_digit()) =>
@@ -272,7 +316,11 @@ mod tests {
     use super::*;
 
     fn kinds(input: &str) -> Vec<TokenKind> {
-        tokenize(input).unwrap().into_iter().map(|t| t.kind).collect()
+        tokenize(input)
+            .unwrap()
+            .into_iter()
+            .map(|t| t.kind)
+            .collect()
     }
 
     #[test]
@@ -388,7 +436,10 @@ mod tests {
     fn tokens_carry_byte_spans() {
         let toks = tokenize("sum(time.duration) >= 2.5").unwrap();
         let spans: Vec<(usize, usize)> = toks.iter().map(|t| (t.pos, t.end)).collect();
-        assert_eq!(spans, vec![(0, 3), (3, 4), (4, 17), (17, 18), (19, 21), (22, 25)]);
+        assert_eq!(
+            spans,
+            vec![(0, 3), (3, 4), (4, 17), (17, 18), (19, 21), (22, 25)]
+        );
         // quoted strings span the quotes, multi-byte chars span bytes
         let toks = tokenize("\"a b\" é").unwrap();
         assert_eq!((toks[0].pos, toks[0].end), (0, 5));

@@ -46,9 +46,9 @@
 #![warn(missing_docs)]
 
 pub mod aggregator;
+pub mod ast;
 pub mod diag;
 pub mod display;
-pub mod ast;
 pub mod lets;
 pub mod lexer;
 pub mod ops;
@@ -60,11 +60,11 @@ pub mod scan;
 pub mod sema;
 
 pub use aggregator::{AggregationSpec, Aggregator, OVERFLOW_KEY};
-pub use caliper_format::pushdown::cmp_types_compatible;
 pub use ast::{
     AggOp, CmpOp, Filter, FormatOpt, LetDef, LetExpr, OpKind, OutputFormat, QuerySpec, SortDir,
     SortKey,
 };
+pub use caliper_format::pushdown::cmp_types_compatible;
 pub use diag::{Diagnostic, Severity, Span};
 pub use ops::Reducer;
 pub use parallel::{

@@ -883,7 +883,10 @@ mod tests {
             Some(Value::Float(v)) => assert!((v - 2.0).abs() < 1e-12),
             other => panic!("{other:?}"),
         }
-        assert_eq!(Reducer::new(&op(OpKind::Variance, Some("x"))).finish(0.0), None);
+        assert_eq!(
+            Reducer::new(&op(OpKind::Variance, Some("x"))).finish(0.0),
+            None
+        );
     }
 
     #[test]
@@ -1021,7 +1024,11 @@ mod tests {
         const TWO_53: i64 = 1 << 53;
         let cases = [
             [Value::Int(2), Value::Float(2.0), Value::UInt(2)],
-            [Value::Int(TWO_53 + 1), Value::Int(TWO_53), Value::Float(TWO_53 as f64)],
+            [
+                Value::Int(TWO_53 + 1),
+                Value::Int(TWO_53),
+                Value::Float(TWO_53 as f64),
+            ],
             [Value::Bool(true), Value::UInt(1), Value::Float(1.0)],
         ];
         let expect = [

@@ -364,7 +364,9 @@ impl OrderedMerge<'_> {
             }
         }
         while self.error.is_none() {
-            let Some(scan) = turn.take().or_else(|| self.parked.remove(&self.next)) else { break };
+            let Some(scan) = turn.take().or_else(|| self.parked.remove(&self.next)) else {
+                break;
+            };
             self.take_turn(scan);
         }
         self.timings.merge_s += start.elapsed().as_secs_f64();
@@ -373,7 +375,11 @@ impl OrderedMerge<'_> {
             return None;
         }
         self.unread += 1;
-        let lent = if self.lendable && file == self.next { self.root.take() } else { None };
+        let lent = if self.lendable && file == self.next {
+            self.root.take()
+        } else {
+            None
+        };
         Some((file, lent))
     }
 
@@ -386,7 +392,9 @@ impl OrderedMerge<'_> {
         let merged = scan.and_then(|(own, declared, report)| {
             self.timings.reports.push(report);
             self.timings.declared.push(declared);
-            let Some(e) = shard_merge_fault(self.next, path) else { return Ok(own) };
+            let Some(e) = shard_merge_fault(self.next, path) else {
+                return Ok(own);
+            };
             if let Some(part) = part_of(&mut self.root).filter(|_| own.is_none()) {
                 part.drop_part();
             }
@@ -446,7 +454,11 @@ pub fn fold_files<P: AsRef<Path>>(
     // The file is the work unit: a worker beyond the file count could
     // never be handed one. A pass-through query's kept rows refer to one
     // store, which one worker lends from file to file.
-    let threads = if aggregation { options.effective_threads().min(paths.len()).max(1) } else { 1 };
+    let threads = if aggregation {
+        options.effective_threads().min(paths.len()).max(1)
+    } else {
+        1
+    };
     let max_groups = options.max_groups.filter(|_| aggregation);
     // One pushdown instance for every worker: block skipping is a pure
     // function of (input bytes, pushdown), so sharing it keeps reads —
@@ -469,19 +481,22 @@ pub fn fold_files<P: AsRef<Path>>(
         let mut timings = WorkerTimings::default();
         let mut done = None;
         loop {
-            let Some((file, mut lent)) = merge.lock().expect("no worker panics").settle(done) else {
+            let Some((file, mut lent)) = merge.lock().expect("no worker panics").settle(done)
+            else {
                 break;
             };
             let start = Instant::now();
             let (path, policy, pushdown) = (paths[file], options.read_policy, pushdown.as_deref());
             let scanned = match &mut lent {
                 Some(root) if !aggregation => {
-                    let dict = Dataset::with_context(Arc::clone(&root.input_store), Default::default());
-                    root.scan_file(path, dict, policy, pushdown).map(|s| (None, s))
+                    let dict =
+                        Dataset::with_context(Arc::clone(&root.input_store), Default::default());
+                    root.scan_file(path, dict, policy, pushdown)
+                        .map(|s| (None, s))
                 }
-                Some(root) => {
-                    root.scan_part(path, Dataset::new(), policy, pushdown).map(|s| (None, s))
-                }
+                Some(root) => root
+                    .scan_part(path, Dataset::new(), policy, pushdown)
+                    .map(|s| (None, s)),
                 None => {
                     let dict = Dataset::new();
                     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store))
@@ -505,11 +520,11 @@ pub fn fold_files<P: AsRef<Path>>(
     let workers: Vec<WorkerTimings> = std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
         let mut workers = vec![worker()];
-        workers.extend(
-            spawned
-                .into_iter()
-                .map(|handle| handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))),
-        );
+        workers.extend(spawned.into_iter().map(|handle| {
+            handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
         workers
     });
 
@@ -517,9 +532,9 @@ pub fn fold_files<P: AsRef<Path>>(
     if let Some(e) = merge.error {
         return Err(e);
     }
-    let root = merge.root.unwrap_or_else(|| {
-        Pipeline::new(spec.clone(), Arc::default()).with_max_groups(max_groups)
-    });
+    let root = merge
+        .root
+        .unwrap_or_else(|| Pipeline::new(spec.clone(), Arc::default()).with_max_groups(max_groups));
     let mut timings = merge.timings;
     timings.workers = workers;
     Ok((root, timings))
@@ -535,7 +550,8 @@ pub fn parallel_query_files<P: AsRef<Path>>(
     options: &ParallelOptions,
 ) -> Result<(QueryResult, ShardTimings), ParallelQueryError> {
     let spec = parse_query(query)?;
-    let (root, mut timings) = fold_files(&spec, paths, options).map_err(ParallelQueryError::Read)?;
+    let (root, mut timings) =
+        fold_files(&spec, paths, options).map_err(ParallelQueryError::Read)?;
     caliper_data::metrics::global()
         .gauge_volatile("query.parallel.workers")
         .set_max(timings.workers.len() as u64);
@@ -609,12 +625,9 @@ pub(crate) mod tests {
         let paths = write_inputs(&dir, 5, 40);
         let mut renders = Vec::new();
         for threads in [1, 2, 3, 8] {
-            let (result, _) = parallel_query_files(
-                QUERY,
-                &paths,
-                &ParallelOptions::with_threads(threads),
-            )
-            .unwrap();
+            let (result, _) =
+                parallel_query_files(QUERY, &paths, &ParallelOptions::with_threads(threads))
+                    .unwrap();
             renders.push(result.render());
         }
         assert!(renders.windows(2).all(|w| w[0] == w[1]));
@@ -729,7 +742,11 @@ pub(crate) mod tests {
             BUILT.with(|built| built.set((0, 0)));
             let opts = ParallelOptions::with_threads(4).with_max_groups(cap);
             let (result, timings) = parallel_query_files(text, &paths, &opts).unwrap();
-            assert_eq!(BUILT.with(|built| built.get()), (1, 0), "(pipelines, merges)");
+            assert_eq!(
+                BUILT.with(|built| built.get()),
+                (1, 0),
+                "(pipelines, merges)"
+            );
             assert_eq!(result.render(), expect);
             assert_eq!(timings.workers.len(), 1);
             assert_eq!(timings.workers[0].files, 3);
@@ -748,7 +765,10 @@ pub(crate) mod tests {
     fn a_name_two_files_declare_with_two_types_is_mixed_in_the_run_schema() {
         let dir = std::env::temp_dir().join("caliper-parallel-test-schema");
         let mut paths = write_inputs(&dir, 3, 8);
-        let declared = [(ValueType::Int, Value::Int(3)), (ValueType::Float, Value::Float(0.5))];
+        let declared = [
+            (ValueType::Int, Value::Int(3)),
+            (ValueType::Float, Value::Float(0.5)),
+        ];
         for (f, (vtype, value)) in declared.into_iter().enumerate() {
             let mut ds = Dataset::new();
             let x = ds.attribute("x", vtype, Properties::AS_VALUE);

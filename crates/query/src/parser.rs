@@ -193,7 +193,14 @@ impl Parser {
     /// Does the token start a new clause keyword?
     fn at_clause_start(&self) -> bool {
         const CLAUSES: &[&str] = &[
-            "aggregate", "group", "where", "select", "format", "order", "let", "limit",
+            "aggregate",
+            "group",
+            "where",
+            "select",
+            "format",
+            "order",
+            "let",
+            "limit",
         ];
         match self.peek() {
             Some(TokenKind::Ident(s)) => {
@@ -237,12 +244,8 @@ impl Parser {
                     "histogram requires bounds: histogram(attr, lo, hi, nbins)".to_string(),
                 ));
             }
-            if kind == OpKind::Percentile
-                && (op.args.len() != 1 || op.args[0].to_f64().is_none())
-            {
-                return Err(
-                    self.error("percentile requires percentile(attr, p) with numeric p")
-                );
+            if kind == OpKind::Percentile && (op.args.len() != 1 || op.args[0].to_f64().is_none()) {
+                return Err(self.error("percentile requires percentile(attr, p) with numeric p"));
             }
             if self.eat_keyword("as") {
                 op.alias = Some(self.label()?);
@@ -511,9 +514,9 @@ impl Parser {
             } else if self.eat_keyword("limit") {
                 match self.peek() {
                     Some(TokenKind::Number(text)) => {
-                        let n: usize = text.parse().map_err(|_| {
-                            self.error("LIMIT requires a non-negative integer")
-                        })?;
+                        let n: usize = text
+                            .parse()
+                            .map_err(|_| self.error("LIMIT requires a non-negative integer"))?;
                         self.pos += 1;
                         spec.limit = Some(n);
                     }
@@ -561,8 +564,8 @@ mod tests {
     #[test]
     fn parses_paper_listing_example() {
         // §III-B: the time-series function profile scheme.
-        let spec = parse_query("AGGREGATE count, sum(time)\nGROUP BY function, loop.iteration")
-            .unwrap();
+        let spec =
+            parse_query("AGGREGATE count, sum(time)\nGROUP BY function, loop.iteration").unwrap();
         assert_eq!(spec.ops.len(), 2);
         assert_eq!(spec.ops[0].kind, OpKind::Count);
         assert_eq!(spec.ops[1].kind, OpKind::Sum);
@@ -580,16 +583,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.ops.len(), 1);
-        assert_eq!(
-            spec.filters,
-            vec![Filter::NotExists("mpi.function".into())]
-        );
+        assert_eq!(spec.filters, vec![Filter::NotExists("mpi.function".into())]);
         assert_eq!(spec.key, vec!["amr.level", "iteration#mainloop"]);
     }
 
     #[test]
     fn parses_comparison_filters() {
-        let spec = parse_query("AGGREGATE count GROUP BY kernel WHERE mpi.rank=0, time.duration>2.5, kernel!=idle").unwrap();
+        let spec = parse_query(
+            "AGGREGATE count GROUP BY kernel WHERE mpi.rank=0, time.duration>2.5, kernel!=idle",
+        )
+        .unwrap();
         assert_eq!(spec.filters.len(), 3);
         assert_eq!(
             spec.filters[0],

@@ -75,7 +75,8 @@ impl QueryResult {
                 flamegraph::write_flamegraph(rows, path, value)
             }
             OutputFormat::Cali => {
-                let ds = Dataset::with_context(Arc::clone(&self.store), Arc::new(ContextTree::new()));
+                let ds =
+                    Dataset::with_context(Arc::clone(&self.store), Arc::new(ContextTree::new()));
                 let block = rows.to_block(|attr| columns.iter().any(|c| c.id() == attr));
                 let mut writer = CaliWriter::new(Vec::new());
                 writer
@@ -218,7 +219,9 @@ impl Pipeline {
     /// Records folded into the aggregation so far (0 for a
     /// pass-through query).
     pub fn records_processed(&self) -> u64 {
-        self.aggregator.as_ref().map_or(0, |agg| agg.records_processed())
+        self.aggregator
+            .as_ref()
+            .map_or(0, |agg| agg.records_processed())
     }
 
     /// Rows folded so far through the fold's row-by-row gather, which
@@ -250,11 +253,18 @@ impl Pipeline {
     /// Fold `block`'s rows through the pipeline's fold: into the
     /// aggregation, or — a pass-through query — whole into the result
     /// block. `tree` holds the nodes the rows refer to.
-    pub(crate) fn fold_rows(&mut self, tree: &ContextTree, strings: &mut StringTable, block: &Block) {
+    pub(crate) fn fold_rows(
+        &mut self,
+        tree: &ContextTree,
+        strings: &mut StringTable,
+        block: &Block,
+    ) {
         if block.rows() == 0 {
             return;
         }
-        let fold = self.fold.get_or_insert_with(|| Box::new(BlockFold::new(&self.spec)));
+        let fold = self
+            .fold
+            .get_or_insert_with(|| Box::new(BlockFold::new(&self.spec)));
         fold.resolve(&self.input_store);
         let sink = match &mut self.aggregator {
             Some(aggregator) => Sink::Groups(aggregator),
@@ -300,7 +310,14 @@ impl Pipeline {
     /// resolve SELECT to its attributes, and return the result.
     pub fn finish(self) -> QueryResult {
         let overflow_records = self.overflow_records();
-        let Pipeline { spec, mut lets, aggregator, passthrough, input_store, .. } = self;
+        let Pipeline {
+            spec,
+            mut lets,
+            aggregator,
+            passthrough,
+            input_store,
+            ..
+        } = self;
         // The flush types key columns by the input attribute of the
         // same label; a LET output no kept row interned yet (the block
         // fold works on labels) must exist by now.
@@ -396,8 +413,11 @@ mod tests {
     #[test]
     fn paper_table_shape() {
         let ds = sample_dataset();
-        let result = run_query(&ds, "AGGREGATE count, sum(time) GROUP BY function, loop.iteration")
-            .unwrap();
+        let result = run_query(
+            &ds,
+            "AGGREGATE count, sum(time) GROUP BY function, loop.iteration",
+        )
+        .unwrap();
         // 2 functions x 4 iterations
         assert_eq!(result.records.len(), 8);
         let rendered = result.render();
@@ -497,9 +517,12 @@ mod tests {
         let with_header = run_query(&ds, "AGGREGATE count GROUP BY function FORMAT csv")
             .unwrap()
             .render();
-        let without = run_query(&ds, "AGGREGATE count GROUP BY function FORMAT csv(noheader)")
-            .unwrap()
-            .render();
+        let without = run_query(
+            &ds,
+            "AGGREGATE count GROUP BY function FORMAT csv(noheader)",
+        )
+        .unwrap()
+        .render();
         assert!(with_header.starts_with("function,count"));
         assert!(!without.contains("function,count"));
         assert_eq!(with_header.lines().count(), without.lines().count() + 1);
@@ -561,8 +584,8 @@ mod tests {
     #[test]
     fn requery_drills_down() {
         let ds = sample_dataset();
-        let coarse = run_query(&ds, "AGGREGATE sum(time) GROUP BY function, loop.iteration")
-            .unwrap();
+        let coarse =
+            run_query(&ds, "AGGREGATE sum(time) GROUP BY function, loop.iteration").unwrap();
         let refined = coarse
             .requery("AGGREGATE sum(sum#time) AS t GROUP BY function ORDER BY t desc")
             .unwrap();

@@ -181,7 +181,10 @@ impl Pipeline {
         let scanned = self.scan_file(path, dict, policy, pushdown);
         self.input_store = store;
         if scanned.is_err() {
-            self.aggregator.as_mut().expect("an aggregation").drop_part();
+            self.aggregator
+                .as_mut()
+                .expect("an aggregation")
+                .drop_part();
         }
         scanned
     }
@@ -208,7 +211,10 @@ impl Pipeline {
     pub(crate) fn fold_blocks(&mut self, ds: &Dataset) {
         let mut table: Option<(&Arc<StringTable>, StringTable)> = None;
         for (shared, block) in &ds.blocks {
-            if !table.as_ref().is_some_and(|(last, _)| Arc::ptr_eq(last, shared)) {
+            if !table
+                .as_ref()
+                .is_some_and(|(last, _)| Arc::ptr_eq(last, shared))
+            {
                 table = Some((shared, StringTable::clone(shared)));
             }
             let (_, strings) = table.as_mut().expect("set above");
@@ -229,7 +235,10 @@ impl Pipeline {
             let (strings, block) = &mut *rows;
             block.clear();
             for record in records {
-                assert!(block.push_snapshot(strings, record), "a block of more than 2^32 entries");
+                assert!(
+                    block.push_snapshot(strings, record),
+                    "a block of more than 2^32 entries"
+                );
             }
             self.fold_rows(tree, strings, block);
         }
@@ -290,7 +299,10 @@ struct NodeCells {
 /// What a node the tree does not know (or
 /// [`NODE_NONE`](caliper_data::NODE_NONE)) contributes to
 /// a row: nothing, as [`ContextTree::path`] finds nothing for it.
-static UNKNOWN_NODE: NodeCells = NodeCells { cells: Vec::new(), repeats: false };
+static UNKNOWN_NODE: NodeCells = NodeCells {
+    cells: Vec::new(),
+    repeats: false,
+};
 
 /// Where a slot's value is in the rows of a run, for a slot that occurs
 /// at most once per row (rows that have a slot more than once are
@@ -527,9 +539,11 @@ impl BlockFold {
                         Sink::Rows { .. } => {
                             for k in 0..self.selected.len() {
                                 let i = self.selected[k] as usize;
-                                for ((_, _, out), output) in self.lets.iter().zip(&mut self.outputs) {
+                                for ((_, _, out), output) in self.lets.iter().zip(&mut self.outputs)
+                                {
                                     let out = *out as usize;
-                                    *output = value_at(self.places[out], &self.computed[out], block, i);
+                                    *output =
+                                        value_at(self.places[out], &self.computed[out], block, i);
                                 }
                                 self.keep(&mut sink, tree, strings, block, start + i);
                             }
@@ -944,7 +958,12 @@ impl BlockFold {
         block: &Block,
         r: usize,
     ) {
-        let Sink::Rows { block: out, strings: out_strings, lets } = sink else {
+        let Sink::Rows {
+            block: out,
+            strings: out_strings,
+            lets,
+        } = sink
+        else {
             unreachable!("rows are kept for a pass-through sink only");
         };
         let mut push = |attr: AttrId, value: &Value| {
@@ -995,7 +1014,12 @@ fn admit_code(agg: &mut Aggregator, codes: &mut CodeMap, strings: &StringTable, 
 
 /// [`admit_code`] of a code `codes` holds no group for.
 #[cold]
-fn admit_code_first(agg: &mut Aggregator, codes: &mut CodeMap, strings: &StringTable, code: u32) -> u32 {
+fn admit_code_first(
+    agg: &mut Aggregator,
+    codes: &mut CodeMap,
+    strings: &StringTable,
+    code: u32,
+) -> u32 {
     let group = match agg.translate(codes, strings, code) {
         Some(mine) => agg.admit(&[KeyCell(Some(Cell::Str(mine)))]),
         None => agg.admit(&[]),
@@ -1077,7 +1101,10 @@ fn node_cells<'a>(
         } else if !cells.iter().any(|&(s, _)| s == slot) {
             // The first occurrence: all of them, joined as the gather
             // joins them.
-            let mut later = path[i + 1..].iter().filter(|(a, _)| a == attr).map(|(_, v)| v);
+            let mut later = path[i + 1..]
+                .iter()
+                .filter(|(a, _)| a == attr)
+                .map(|(_, v)| v);
             let cell = match later.next() {
                 None => strings.cell(value),
                 Some(next) => {
@@ -1145,7 +1172,10 @@ mod tests {
     fn kept(ds: &Dataset, where_: &str) -> Vec<i64> {
         let result = run_query(ds, &format!("SELECT * {where_}")).unwrap();
         let rank = result.store.find("mpi.rank").unwrap().id();
-        let ranks = result.records.iter().map(|r| r.get(rank).unwrap().to_i64().unwrap());
+        let ranks = result
+            .records
+            .iter()
+            .map(|r| r.get(rank).unwrap().to_i64().unwrap());
         ranks.collect()
     }
 
@@ -1182,7 +1212,10 @@ mod tests {
 
     #[test]
     fn mismatched_comparisons_bump_metric() {
-        let ds = dataset(&[&[("mpi.rank", Value::Int(0)), ("time.duration", Value::Float(5.0))]]);
+        let ds = dataset(&[&[
+            ("mpi.rank", Value::Int(0)),
+            ("time.duration", Value::Float(5.0)),
+        ]]);
         let counter = caliper_data::metrics::global().counter("query.filter.type_mismatch");
         let before = counter.get();
         // Float attribute compared against an Int literal: the classic
@@ -1205,8 +1238,12 @@ mod tests {
         use caliper_data::{Properties, ValueType, NODE_NONE};
 
         let mut ds = Dataset::new();
-        let region = ds.attribute("region", ValueType::Str, Properties::NESTED).id();
-        let kernel = ds.attribute("kernel", ValueType::Str, Properties::AS_VALUE).id();
+        let region = ds
+            .attribute("region", ValueType::Str, Properties::NESTED)
+            .id();
+        let kernel = ds
+            .attribute("kernel", ValueType::Str, Properties::AS_VALUE)
+            .id();
         let t = ds.attribute("t", ValueType::Int, Properties::AS_VALUE).id();
         let main = ds.tree.get_child(NODE_NONE, region, &Value::str("main"));
         let block_of = |strings: &mut StringTable, rows: &[(&str, i64)]| {
@@ -1220,9 +1257,15 @@ mod tests {
             }
             block
         };
-        let (rows_a, rows_b) = ([("alpha", 1), ("beta", 2)], [("gamma", 4), ("alpha", 8), ("delta", 16)]);
-        let (mut a, mut b, mut one) =
-            (StringTable::default(), StringTable::default(), StringTable::default());
+        let (rows_a, rows_b) = (
+            [("alpha", 1), ("beta", 2)],
+            [("gamma", 4), ("alpha", 8), ("delta", 16)],
+        );
+        let (mut a, mut b, mut one) = (
+            StringTable::default(),
+            StringTable::default(),
+            StringTable::default(),
+        );
         let (block_a, block_b) = (block_of(&mut a, &rows_a), block_of(&mut b, &rows_b));
         let block_one = block_of(&mut one, &[&rows_a[..], &rows_b[..]].concat());
         assert_ne!(a.value(0), b.value(0));
@@ -1241,7 +1284,9 @@ mod tests {
         let answer = |agg: Aggregator| {
             let out = AttributeStore::new();
             let rows = agg.flush(&out);
-            rows.iter().map(|row| row.describe(&out)).collect::<Vec<_>>()
+            rows.iter()
+                .map(|row| row.describe(&out))
+                .collect::<Vec<_>>()
         };
         let mut fresh = Aggregator::new(spec.clone(), Arc::clone(&ds.store));
         fresh.fold_block(&ds.tree, &mut one, &block_one);

@@ -139,16 +139,15 @@ impl<'a> Context<'a> {
         if let Some(t) = self.let_types.get(name) {
             return Some(*t);
         }
-        self.schema.and_then(|s| s.get(name)).and_then(|a| a.value_type)
+        self.schema
+            .and_then(|s| s.get(name))
+            .and_then(|a| a.value_type)
     }
 
     /// Sorted candidate names for did-you-mean suggestions on input
     /// attributes.
     fn input_candidates(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self
-            .schema
-            .map(|s| s.names().collect())
-            .unwrap_or_default();
+        let mut names: Vec<&str> = self.schema.map(|s| s.names().collect()).unwrap_or_default();
         names.extend(self.let_types.keys().copied());
         names.sort_unstable();
         names.dedup();
@@ -194,11 +193,7 @@ fn check_ops(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
         let span = ctx.op_span(i);
         if let Some(target) = &op.target {
             if !ctx.input_known(target) {
-                diags.push(ctx.unknown_input(
-                    target,
-                    &format!("{}()", op.kind.name()),
-                    span,
-                ));
+                diags.push(ctx.unknown_input(target, &format!("{}()", op.kind.name()), span));
             } else if op_requires_numeric(op.kind) {
                 if let Some(vtype) = ctx.input_type(target) {
                     if !vtype.is_numeric() {
@@ -249,8 +244,7 @@ fn check_op_args(op: &crate::ast::AggOp, span: Option<Span>, diags: &mut Vec<Dia
                 _ => diags.push(Diagnostic::error(
                     "E004",
                     span,
-                    "histogram bounds must be numeric: histogram(attr, lo, hi, nbins)"
-                        .to_string(),
+                    "histogram bounds must be numeric: histogram(attr, lo, hi, nbins)".to_string(),
                 )),
             }
         }
@@ -310,10 +304,7 @@ fn check_filters(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
                                 outcome
                             ),
                         )
-                        .with_help(format!(
-                            "write the literal as a {} value",
-                            attr_type.name()
-                        )),
+                        .with_help(format!("write the literal as a {} value", attr_type.name())),
                     );
                 }
             }
@@ -500,7 +491,10 @@ fn check_lets(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
             diags.push(Diagnostic::warning(
                 "W003",
                 span,
-                format!("LET '{}' shadows an input attribute of the same name", def.name),
+                format!(
+                    "LET '{}' shadows an input attribute of the same name",
+                    def.name
+                ),
             ));
         }
         defined.push(def.name.as_str());
@@ -525,7 +519,9 @@ fn check_lets(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
                 let vtype = if known_let {
                     ctx.let_types.get(input.as_str()).copied()
                 } else {
-                    ctx.schema.and_then(|s| s.get(input)).and_then(|a| a.value_type)
+                    ctx.schema
+                        .and_then(|s| s.get(input))
+                        .and_then(|a| a.value_type)
                 };
                 if let Some(vtype) = vtype {
                     if !vtype.is_numeric() {
@@ -664,9 +660,7 @@ fn check_format(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
     let known = spec.format.known_options();
     for (i, opt) in spec.format_opts.iter().enumerate() {
         let span = ctx.format_opt_span(i);
-        let hit = known
-            .iter()
-            .find(|k| k.eq_ignore_ascii_case(&opt.name));
+        let hit = known.iter().find(|k| k.eq_ignore_ascii_case(&opt.name));
         match hit {
             None => {
                 let diag = Diagnostic::error(
@@ -680,10 +674,7 @@ fn check_format(ctx: &Context<'_>, diags: &mut Vec<Diagnostic>) {
                 );
                 let diag = ctx.with_suggestion(diag, &opt.name, known);
                 let diag = if known.is_empty() {
-                    diag.with_help(format!(
-                        "format '{}' takes no options",
-                        spec.format.name()
-                    ))
+                    diag.with_help(format!("format '{}' takes no options", spec.format.name()))
                 } else {
                     diag
                 };
@@ -734,12 +725,10 @@ mod tests {
 
     #[test]
     fn clean_query_has_no_diagnostics() {
-        let diags = run(
-            "AGGREGATE count, sum(time.duration) AS total \
+        let diags = run("AGGREGATE count, sum(time.duration) AS total \
              WHERE mpi.rank=0, function \
              GROUP BY function, loop.iteration \
-             ORDER BY total desc LIMIT 10 FORMAT csv(noheader)",
-        );
+             ORDER BY total desc LIMIT 10 FORMAT csv(noheader)");
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -807,13 +796,11 @@ mod tests {
         // Value-level: warning only (multi-valued nested attributes).
         let diags = run("AGGREGATE count GROUP BY function WHERE function=a, function=b");
         assert_eq!(codes(&diags), ["W005"]);
-        let diags =
-            run("AGGREGATE count GROUP BY function WHERE mpi.rank>5, mpi.rank<2");
+        let diags = run("AGGREGATE count GROUP BY function WHERE mpi.rank>5, mpi.rank<2");
         assert_eq!(codes(&diags), ["W005"]);
         let diags = run("AGGREGATE count GROUP BY function WHERE mpi.rank>=2, mpi.rank<2");
         assert_eq!(codes(&diags), ["W005"]);
-        assert!(run("AGGREGATE count GROUP BY function WHERE mpi.rank>=2, mpi.rank<=2")
-            .is_empty());
+        assert!(run("AGGREGATE count GROUP BY function WHERE mpi.rank>=2, mpi.rank<=2").is_empty());
     }
 
     #[test]
@@ -840,17 +827,13 @@ mod tests {
              AGGREGATE sum(x) GROUP BY function",
         );
         assert_eq!(codes(&diags), ["W003"]);
-        let diags = run(
-            "LET function = first(mpi.rank) AGGREGATE count GROUP BY function",
-        );
+        let diags = run("LET function = first(mpi.rank) AGGREGATE count GROUP BY function");
         assert_eq!(codes(&diags), ["W003"]);
         let diags = run("LET x = scale(function, 2) AGGREGATE sum(x) GROUP BY mpi.rank");
         assert_eq!(codes(&diags), ["W006"]);
         // A LET feeding a later LET is used.
-        assert!(run(
-            "LET a = scale(time.duration, 2), b = scale(a, 3) \
-             AGGREGATE sum(b) GROUP BY function"
-        )
+        assert!(run("LET a = scale(time.duration, 2), b = scale(a, 3) \
+             AGGREGATE sum(b) GROUP BY function")
         .is_empty());
     }
 
@@ -863,15 +846,18 @@ mod tests {
         assert_eq!(codes(&diags), ["E008"]);
         let diags = run("AGGREGATE count GROUP BY function FORMAT expand(x)");
         assert_eq!(codes(&diags), ["E008"]);
-        assert!(diags[0].help.as_deref().unwrap().contains("takes no options"));
+        assert!(diags[0]
+            .help
+            .as_deref()
+            .unwrap()
+            .contains("takes no options"));
     }
 
     #[test]
     fn without_schema_only_static_checks_run() {
-        let (spec, spans) = parse_query_spanned(
-            "AGGREGATE sum(anything) GROUP BY whatever WHERE x=1, not(x)",
-        )
-        .unwrap();
+        let (spec, spans) =
+            parse_query_spanned("AGGREGATE sum(anything) GROUP BY whatever WHERE x=1, not(x)")
+                .unwrap();
         let diags = analyze(&spec, Some(&spans), None);
         // No E002 without a schema, but the contradiction still fires.
         assert_eq!(codes(&diags), ["E007"]);
@@ -879,10 +865,8 @@ mod tests {
 
     #[test]
     fn where_on_a_let_output_warns_pushdown_ineligible() {
-        let diags = run(
-            "LET ms = scale(time.duration, 1000) AGGREGATE sum(ms) \
-             WHERE ms > 5 GROUP BY function",
-        );
+        let diags = run("LET ms = scale(time.duration, 1000) AGGREGATE sum(ms) \
+             WHERE ms > 5 GROUP BY function");
         assert_eq!(codes(&diags), ["W007"]);
         assert_eq!(diags[0].severity, Severity::Warning);
         assert!(diags[0].message.contains("computed by LET after decode"));

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use caliper_data::{AttributeStore, FlatRecord, Value, ValueType};
-use caliper_query::{parse_query, AggregationSpec, Aggregator, Pipeline};
 use caliper_format::BlockRows;
+use caliper_query::{parse_query, AggregationSpec, Aggregator, Pipeline};
 use proptest::prelude::*;
 
 /// A synthetic record: (function index, iteration, time).
@@ -41,7 +41,8 @@ fn flush_text(agg: &Aggregator) -> Vec<String> {
         .collect()
 }
 
-const QUERY: &str = "AGGREGATE count, sum(time), min(time), max(time), avg(time) GROUP BY function, iteration";
+const QUERY: &str =
+    "AGGREGATE count, sum(time), min(time), max(time), avg(time) GROUP BY function, iteration";
 
 proptest! {
     /// Splitting the stream at any point and merging partial aggregations

@@ -66,11 +66,7 @@ fn agg_op() -> impl Strategy<Value = AggOp> {
         // histogram(attr, lo, hi, nbins)
         (label(), -100i64..100, 0i64..1000, 1i64..32).prop_map(|(target, lo, span, nbins)| {
             let mut op = AggOp::new(OpKind::Histogram, Some(&target));
-            op.args = vec![
-                Value::Int(lo),
-                Value::Int(lo + 1 + span),
-                Value::Int(nbins),
-            ];
+            op.args = vec![Value::Int(lo), Value::Int(lo + 1 + span), Value::Int(nbins)];
             op
         }),
         // percentile(attr, p)
@@ -117,8 +113,7 @@ fn let_def() -> impl Strategy<Value = LetDef> {
             .prop_map(|(attr, f)| LetExpr::Scale(attr, f as f64 / 100.0)),
         (label(), label()).prop_map(|(a, b)| LetExpr::Ratio(a, b)),
         prop::collection::vec(label(), 1..4).prop_map(LetExpr::First),
-        (label(), 1i64..100_000)
-            .prop_map(|(attr, w)| LetExpr::Truncate(attr, w as f64 / 100.0)),
+        (label(), 1i64..100_000).prop_map(|(attr, w)| LetExpr::Truncate(attr, w as f64 / 100.0)),
     ];
     (label(), expr).prop_map(|(name, expr)| LetDef { name, expr })
 }
@@ -166,7 +161,13 @@ fn query_spec() -> impl Strategy<Value = QuerySpec> {
         (output_format(), prop::collection::vec(format_opt(), 0..3)),
     )
         .prop_map(
-            |((ops, key, filters), (lets, order_by), (has_select, select), (has_limit, limit), (format, format_opts))| {
+            |(
+                (ops, key, filters),
+                (lets, order_by),
+                (has_select, select),
+                (has_limit, limit),
+                (format, format_opts),
+            )| {
                 QuerySpec {
                     ops,
                     key,

@@ -220,7 +220,11 @@ fn doc_queries() -> Vec<String> {
 #[test]
 fn damaged_doc_queries_parse_and_analyze_without_panicking() {
     use caliper_faults::{corrupt_bytes, CorruptMode};
-    let modes = [CorruptMode::Bitflip, CorruptMode::Truncate, CorruptMode::GarbageBlock];
+    let modes = [
+        CorruptMode::Bitflip,
+        CorruptMode::Truncate,
+        CorruptMode::GarbageBlock,
+    ];
     let queries = doc_queries();
     assert!(queries.len() >= 4, "docs/CALQL.md lost its examples");
     let schema = schema();
@@ -228,19 +232,30 @@ fn damaged_doc_queries_parse_and_analyze_without_panicking() {
         for seed in 0..600u64 {
             let mut bytes = query.clone().into_bytes();
             for round in 0..=seed % 3 {
-                corrupt_bytes(modes[(seed + round) as usize % 3], seed * 3 + round, &mut bytes);
+                corrupt_bytes(
+                    modes[(seed + round) as usize % 3],
+                    seed * 3 + round,
+                    &mut bytes,
+                );
             }
             let text = String::from_utf8_lossy(&bytes);
             match parse_query_spanned(&text) {
                 Ok((spec, spans)) => {
                     for s in [Some(&schema), None] {
                         let diags = analyze(&spec, Some(&spans), s);
-                        assert!(diags.len() <= text.len() + 8, "{} diagnostics of '{text}'", diags.len());
+                        assert!(
+                            diags.len() <= text.len() + 8,
+                            "{} diagnostics of '{text}'",
+                            diags.len()
+                        );
                         analyze(&spec, None, s);
                     }
                 }
                 Err(e) => {
-                    assert!(e.pos <= e.end && e.end <= text.len(), "{e:?} outside '{text}'");
+                    assert!(
+                        e.pos <= e.end && e.end <= text.len(),
+                        "{e:?} outside '{text}'"
+                    );
                     assert!(e.message.len() <= text.len() + 256, "{e:?}");
                 }
             }

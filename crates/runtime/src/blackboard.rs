@@ -11,9 +11,7 @@
 
 use std::sync::Arc;
 
-use caliper_data::{
-    AttrId, Attribute, ContextTree, FxHashMap, SnapshotRecord, Value, NODE_NONE,
-};
+use caliper_data::{AttrId, Attribute, ContextTree, FxHashMap, SnapshotRecord, Value, NODE_NONE};
 
 /// Error from unbalanced annotation nesting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,7 +141,9 @@ impl Blackboard {
     /// Innermost value of `attr` currently on the blackboard.
     pub fn get(&self, attr: &Attribute) -> Option<Value> {
         if attr.is_as_value() {
-            self.immediate.get(&attr.id()).and_then(|s| s.last().cloned())
+            self.immediate
+                .get(&attr.id())
+                .and_then(|s| s.last().cloned())
         } else {
             let node = self.tree.find_ancestor(self.node, attr.id())?;
             self.tree.node(node).map(|n| n.value)

@@ -81,7 +81,11 @@ pub fn init_with_clock(config: Config, clock: Clock) -> bool {
 /// use (the `CALI_…` environment variables, as in real Caliper).
 pub fn instance() -> Arc<Caliper> {
     let lock = INSTANCE.get_or_init(|| RwLock::new(Caliper::new(Config::from_env())));
-    Arc::clone(&lock.read().unwrap_or_else(std::sync::PoisonError::into_inner))
+    Arc::clone(
+        &lock
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner),
+    )
 }
 
 /// Run `f` with this thread's scope (created on first use). The scope
@@ -183,7 +187,10 @@ mod tests {
         .unwrap();
         assert_eq!(result.records.len(), 1);
         let t = result.store.find("t").unwrap();
-        assert_eq!(result.records.row(0).get(t.id()).unwrap().to_f64(), Some(40.0));
+        assert_eq!(
+            result.records.row(0).get(t.id()).unwrap().to_f64(),
+            Some(40.0)
+        );
 
         // set + snapshot also route through the global scope.
         mark_set("phase", "solve");

@@ -38,7 +38,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once, Weak};
 
-use caliper_data::{Attribute, AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, Value, ValueType};
+use caliper_data::{
+    Attribute, AttributeStore, ContextTree, FlatRecord, Properties, SnapshotRecord, Value,
+    ValueType,
+};
 use caliper_format::journal::{
     recover_file_blocks, FlushPolicy, JournalCounters, JournalWriter, SEQ_ATTR,
 };
@@ -176,7 +179,9 @@ impl JournalSink {
             // dropped as they come, never made into rows.
             let (mut reader, policy) = (CaliReader::new(), ReadPolicy::lenient());
             let drop_blocks = &mut |_: &mut _, _: &mut _, _: &mut _| {};
-            if let Ok(report) = recover_file_blocks(&mut reader, &cfg.path, policy, None, drop_blocks) {
+            if let Ok(report) =
+                recover_file_blocks(&mut reader, &cfg.path, policy, None, drop_blocks)
+            {
                 next_seq = report.max_seq.map(|m| m + 1).unwrap_or(0);
             }
             JournalWriter::open_append(&cfg.path, cfg.policy)?
@@ -300,7 +305,11 @@ impl JournalSink {
         let inner = self.inner.lock();
         JournalStats {
             path: self.path.clone(),
-            counters: inner.writer.as_ref().map(|w| w.counters()).unwrap_or_default(),
+            counters: inner
+                .writer
+                .as_ref()
+                .map(|w| w.counters())
+                .unwrap_or_default(),
             next_seq: inner.next_seq,
             write_errors: inner.write_errors,
             disabled: self.disabled.load(Ordering::Relaxed),
@@ -442,13 +451,13 @@ mod tests {
 
     #[test]
     fn config_errors_are_descriptive() {
-        let err = JournalConfig::from_config(&Config::new().set("journal.enable", "true"))
-            .unwrap_err();
+        let err =
+            JournalConfig::from_config(&Config::new().set("journal.enable", "true")).unwrap_err();
         assert!(err.message.contains("journal.path"), "{err}");
         assert_eq!(err.line, 0);
 
-        let err = JournalConfig::from_config(&base().set("journal.flush_interval", "soon"))
-            .unwrap_err();
+        let err =
+            JournalConfig::from_config(&base().set("journal.flush_interval", "soon")).unwrap_err();
         assert!(err.message.contains("journal.flush_interval"), "{err}");
         assert!(err.to_string().contains("soon"), "{err}");
 
@@ -460,10 +469,8 @@ mod tests {
         assert!(err.message.contains("at least 1"), "{err}");
 
         // Malformed journal keys are rejected even while disabled.
-        let err = JournalConfig::from_config(
-            &Config::new().set("journal.flush_interval", "nope"),
-        )
-        .unwrap_err();
+        let err = JournalConfig::from_config(&Config::new().set("journal.flush_interval", "nope"))
+            .unwrap_err();
         assert!(err.message.contains("journal.flush_interval"), "{err}");
     }
 

@@ -49,7 +49,12 @@ pub struct Channel {
 }
 
 impl Channel {
-    fn new(name: &str, config: Config, store: Arc<AttributeStore>, tree: Arc<ContextTree>) -> Channel {
+    fn new(
+        name: &str,
+        config: Config,
+        store: Arc<AttributeStore>,
+        tree: Arc<ContextTree>,
+    ) -> Channel {
         let mut config_errors = Vec::new();
         let mut journal = None;
         match config.validate() {
@@ -191,14 +196,22 @@ impl Channel {
 /// its own counters internally, so the hot path pays nothing extra.
 fn sample_journal_stats(metrics: &MetricsRegistry, stats: &crate::journal::JournalStats) {
     let counters = &stats.counters;
-    metrics.gauge("runtime.journal.appended").set(counters.appended);
-    metrics.gauge("runtime.journal.durable").set(counters.durable);
-    metrics.gauge("runtime.journal.flushes").set(counters.flushes);
+    metrics
+        .gauge("runtime.journal.appended")
+        .set(counters.appended);
+    metrics
+        .gauge("runtime.journal.durable")
+        .set(counters.durable);
+    metrics
+        .gauge("runtime.journal.flushes")
+        .set(counters.flushes);
     metrics
         .gauge("runtime.journal.forced_flushes")
         .set(counters.forced_flushes);
     metrics.gauge("runtime.journal.syncs").set(counters.syncs);
-    metrics.gauge("runtime.journal.retries").set(counters.retries);
+    metrics
+        .gauge("runtime.journal.retries")
+        .set(counters.retries);
     metrics
         .gauge("runtime.journal.write_errors")
         .set(stats.write_errors);
@@ -527,10 +540,7 @@ mod tests {
             .iter()
             .find(|r| r.get(cycles.id()) == Some(&Value::UInt(500)))
             .expect("end snapshot with counter delta");
-        assert_eq!(
-            end_snap.get(instructions.id()),
-            Some(&Value::UInt(1_000))
-        );
+        assert_eq!(end_snap.get(instructions.id()), Some(&Value::UInt(1_000)));
     }
 
     #[test]
@@ -576,10 +586,7 @@ mod tests {
     #[test]
     fn channels_can_differ_in_trigger_mode() {
         // Default channel samples; second channel is event-triggered.
-        let caliper = Caliper::with_clock(
-            Config::sampled_trace(1_000),
-            Clock::virtual_clock(),
-        );
+        let caliper = Caliper::with_clock(Config::sampled_trace(1_000), Clock::virtual_clock());
         let events = caliper.create_channel("events", Config::event_trace());
         let function = caliper.region_attribute("function");
         let mut scope = caliper.make_thread_scope();
@@ -650,10 +657,8 @@ mod tests {
 
     #[test]
     fn metrics_capture_journal_stats() {
-        let dir = std::env::temp_dir().join(format!(
-            "caliper-metrics-journal-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("caliper-metrics-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("chan.journal");
         let config = Config::event_trace()
@@ -725,14 +730,23 @@ mod tests {
             .collect();
         let traced = kinds.iter().filter(|&&kind| kind == "trace").count();
         kinds.dedup();
-        assert_eq!(kinds, ["aggregate", "trace", "aggregate", "trace", "metric"]);
+        assert_eq!(
+            kinds,
+            ["aggregate", "trace", "aggregate", "trace", "metric"]
+        );
         assert_eq!(traced, 2 * 1400);
         let total = |query: &str| {
             let result = caliper_query::run_query(&ds, query).unwrap();
             result.records.row(0).pairs()[0].1.to_u64()
         };
-        assert_eq!(total("AGGREGATE sum(aggregate.count) AS n WHERE aggregate.count"), Some(2800));
-        assert!(total("AGGREGATE count WHERE aggregate.count").unwrap() > 2 * 8, "spilled");
+        assert_eq!(
+            total("AGGREGATE sum(aggregate.count) AS n WHERE aggregate.count"),
+            Some(2800)
+        );
+        assert!(
+            total("AGGREGATE count WHERE aggregate.count").unwrap() > 2 * 8,
+            "spilled"
+        );
         assert_eq!(
             total("AGGREGATE sum(metric.value) WHERE metric.name=runtime.flushed_threads"),
             Some(2)
@@ -742,8 +756,14 @@ mod tests {
         rows.records = ds.rows().into_owned();
         rows.globals.clone_from(&ds.globals);
         assert_eq!(ds.len(), rows.len());
-        assert_eq!(caliper_format::cali::to_bytes(&ds), caliper_format::cali::to_bytes(&rows));
-        assert_eq!(caliper_format::to_binary_v2(&ds), caliper_format::to_binary_v2(&rows));
+        assert_eq!(
+            caliper_format::cali::to_bytes(&ds),
+            caliper_format::cali::to_bytes(&rows)
+        );
+        assert_eq!(
+            caliper_format::to_binary_v2(&ds),
+            caliper_format::to_binary_v2(&rows)
+        );
         for query in [
             "AGGREGATE sum(aggregate.count), sum(time.duration), count GROUP BY function",
             "SELECT * WHERE function=f3",

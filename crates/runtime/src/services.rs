@@ -17,8 +17,8 @@
 use std::sync::Arc;
 
 use caliper_data::{
-    AttrId, Attribute, AttributeConflict, AttributeStore, ContextTree, Properties,
-    SnapshotRecord, Value, ValueType,
+    AttrId, Attribute, AttributeConflict, AttributeStore, ContextTree, Properties, SnapshotRecord,
+    Value, ValueType,
 };
 use caliper_format::binary_v2::DEFAULT_BLOCK_RECORDS;
 use caliper_format::{Block, Dataset, StringTable};
@@ -133,7 +133,9 @@ impl TimerService {
             false => None,
         };
         let offset_attr = match offset {
-            true => Some(store.create(Self::OFFSET_ATTR, ValueType::Float, Properties::AS_VALUE)?),
+            true => {
+                Some(store.create(Self::OFFSET_ATTR, ValueType::Float, Properties::AS_VALUE)?)
+            }
             false => None,
         };
         Ok(TimerService {
@@ -247,7 +249,8 @@ impl Service for TraceService {
         let strings = Arc::new(std::mem::take(&mut self.strings));
         let open = std::mem::take(&mut self.block);
         let blocks = self.full.drain(..).chain((open.rows() > 0).then_some(open));
-        out.blocks.extend(blocks.map(|block| (Arc::clone(&strings), block)));
+        out.blocks
+            .extend(blocks.map(|block| (Arc::clone(&strings), block)));
     }
 
     fn output_records(&mut self, _ctx: &ProcCtx<'_>) -> usize {
@@ -343,7 +346,8 @@ impl AggregateService {
         if self.block.rows() == 0 {
             return;
         }
-        self.aggregator.fold_block(tree, &mut self.strings, &self.block);
+        self.aggregator
+            .fold_block(tree, &mut self.strings, &self.block);
         self.block.clear();
         if self.strings.len() > MAX_STREAM_STRINGS {
             self.strings = StringTable::default();
@@ -471,11 +475,7 @@ mod tests {
     use super::*;
     use caliper_query::parse_query;
 
-    fn ctx<'a>(
-        store: &'a AttributeStore,
-        tree: &'a ContextTree,
-        clock: &'a Clock,
-    ) -> ProcCtx<'a> {
+    fn ctx<'a>(store: &'a AttributeStore, tree: &'a ContextTree, clock: &'a Clock) -> ProcCtx<'a> {
         ProcCtx {
             store,
             tree,

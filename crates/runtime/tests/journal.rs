@@ -103,7 +103,10 @@ fn panic_hook_flushes_the_journal_buffer() {
     assert!(handle.join().is_err());
 
     let stats = caliper.default_channel().journal().unwrap().stats();
-    assert_eq!(stats.counters.appended, 16, "8 begin + 8 end event snapshots");
+    assert_eq!(
+        stats.counters.appended, 16,
+        "8 begin + 8 end event snapshots"
+    );
     assert_eq!(stats.counters.durable, 16, "panic hook drained the buffer");
 
     let (_, report) = recover_file(&path, ReadPolicy::lenient()).unwrap();
@@ -118,8 +121,7 @@ fn append_mode_resumes_the_sequence() {
     // First incarnation: 6 snapshots (3 begin + 3 end).
     {
         let caliper =
-            Caliper::try_with_clock(journaled_trace_config(&path), Clock::virtual_clock())
-                .unwrap();
+            Caliper::try_with_clock(journaled_trace_config(&path), Clock::virtual_clock()).unwrap();
         let function = caliper.region_attribute("function");
         let mut scope = caliper.make_thread_scope();
         for _ in 0..3 {
@@ -170,7 +172,10 @@ fn journal_stats_track_flush_progress() {
     }
     let stats = sink.stats();
     assert_eq!(stats.counters.appended, 10);
-    assert_eq!(stats.counters.durable, 0, "interval not reached, nothing flushed");
+    assert_eq!(
+        stats.counters.durable, 0,
+        "interval not reached, nothing flushed"
+    );
     assert_eq!(stats.next_seq, 10);
     assert!(!stats.disabled);
     assert_eq!(stats.write_errors, 0);

@@ -80,10 +80,7 @@ fn setup(nested: bool) -> (Arc<ContextTree>, Vec<Attribute>, Blackboard) {
     (tree, attrs, bb)
 }
 
-fn check_model(
-    ops: &[Op],
-    nested: bool,
-) -> Result<(), TestCaseError> {
+fn check_model(ops: &[Op], nested: bool) -> Result<(), TestCaseError> {
     let (tree, attrs, mut bb) = setup(nested);
     let mut model = Model::default();
     for op in ops {
@@ -120,8 +117,7 @@ fn check_model(
                     if nested {
                         // For nested attributes the snapshot carries the
                         // whole stack, in order.
-                        let got: Vec<String> =
-                            flat.all(attr.id()).map(|v| v.to_string()).collect();
+                        let got: Vec<String> = flat.all(attr.id()).map(|v| v.to_string()).collect();
                         prop_assert_eq!(got, model.values(i));
                     }
                 }
@@ -232,18 +228,48 @@ const ATTRS: [AttrSpec; 6] = [
     ("n.str", ValueType::Str, Properties::NESTED, ValueType::Str),
     ("n.int", ValueType::Int, Properties::NESTED, ValueType::Int),
     ("n.tag", ValueType::Str, Properties::NESTED, ValueType::Str),
-    ("v.int", ValueType::Int, Properties::AS_VALUE, ValueType::Int),
-    ("v.str", ValueType::Str, Properties::AS_VALUE, ValueType::Str),
-    ("v.float", ValueType::Float, Properties::AS_VALUE, ValueType::Float),
+    (
+        "v.int",
+        ValueType::Int,
+        Properties::AS_VALUE,
+        ValueType::Int,
+    ),
+    (
+        "v.str",
+        ValueType::Str,
+        Properties::AS_VALUE,
+        ValueType::Str,
+    ),
+    (
+        "v.float",
+        ValueType::Float,
+        Properties::AS_VALUE,
+        ValueType::Float,
+    ),
 ];
 
 /// What a traced run annotates beyond [`ATTRS`]: values of the two
 /// types those lack, and an attribute whose values are of another type
 /// than it declares.
 const MORE_ATTRS: [AttrSpec; 3] = [
-    ("v.uint", ValueType::UInt, Properties::AS_VALUE, ValueType::UInt),
-    ("v.bool", ValueType::Bool, Properties::AS_VALUE, ValueType::Bool),
-    ("v.odd", ValueType::Int, Properties::AS_VALUE, ValueType::Float),
+    (
+        "v.uint",
+        ValueType::UInt,
+        Properties::AS_VALUE,
+        ValueType::UInt,
+    ),
+    (
+        "v.bool",
+        ValueType::Bool,
+        Properties::AS_VALUE,
+        ValueType::Bool,
+    ),
+    (
+        "v.odd",
+        ValueType::Int,
+        Properties::AS_VALUE,
+        ValueType::Float,
+    ),
 ];
 
 #[derive(Debug, Clone)]

@@ -204,6 +204,12 @@ fn a_traced_snapshot_allocates_next_to_nothing_in_steady_state() {
     let per_snapshot = (allocations as f64 / snapshots, bytes as f64 / snapshots);
 
     assert_eq!(scope.output_records() as u64, scope.snapshot_count());
-    assert!(per_snapshot.0 <= 0.01, "{allocations} allocations in {snapshots} snapshots");
-    assert!(per_snapshot.1 <= 64.0, "{bytes} bytes in {snapshots} snapshots");
+    assert!(
+        per_snapshot.0 <= 0.01,
+        "{allocations} allocations in {snapshots} snapshots"
+    );
+    assert!(
+        per_snapshot.1 <= 64.0,
+        "{bytes} bytes in {snapshots} snapshots"
+    );
 }

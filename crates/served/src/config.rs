@@ -156,7 +156,10 @@ impl ServedConfig {
         if self.aggregate_key.trim().is_empty() {
             format!("AGGREGATE {}", self.aggregate_ops)
         } else {
-            format!("AGGREGATE {} GROUP BY {}", self.aggregate_ops, self.aggregate_key)
+            format!(
+                "AGGREGATE {} GROUP BY {}",
+                self.aggregate_ops, self.aggregate_key
+            )
         }
     }
 }

@@ -271,7 +271,11 @@ mod tests {
         assert_eq!(d.step(Event::Pop), Effects::Run(7));
         assert_eq!(d.step(Event::BeginShutdown), Effects::WakeAll);
         assert_eq!(d.step(Event::Pop), Effects::Exit);
-        assert_eq!(d.step(Event::Pop), Effects::Exit, "the end is told to every worker");
+        assert_eq!(
+            d.step(Event::Pop),
+            Effects::Exit,
+            "the end is told to every worker"
+        );
     }
 
     #[test]
@@ -282,7 +286,11 @@ mod tests {
         }
         assert_eq!(d.step(Event::BeginShutdown), Effects::WakeAll);
         assert_eq!(d.step(Event::BeginShutdown), Effects::None, "idempotent");
-        assert_eq!(d.step(Event::Push(3)), Effects::Refuse, "a draining queue admits nothing");
+        assert_eq!(
+            d.step(Event::Push(3)),
+            Effects::Refuse,
+            "a draining queue admits nothing"
+        );
         assert_eq!(d.depth(), 3);
         let popped = [d.step(Event::Pop), d.step(Event::Pop), d.step(Event::Pop)];
         assert_eq!(popped, [Effects::Run(0), Effects::Run(1), Effects::Run(2)]);
@@ -464,7 +472,11 @@ mod tests {
             let pushed = matches!(event, Event::Push(_));
             let effects = self.daemon.step(event);
             if pushed && phase != Phase::Serving {
-                assert_eq!(effects, Effects::Refuse, "a batch admitted once the drain began");
+                assert_eq!(
+                    effects,
+                    Effects::Refuse,
+                    "a batch admitted once the drain began"
+                );
                 assert_eq!(self.daemon.queue.len(), depth, "a refused batch was queued");
             }
             let woken = match effects {
@@ -481,7 +493,12 @@ mod tests {
             };
             // Workers are alike, so which one a `notify_one` wakes does
             // not matter.
-            for w in self.workers.iter_mut().filter(|w| **w == Worker::Waiting(false)).take(woken) {
+            for w in self
+                .workers
+                .iter_mut()
+                .filter(|w| **w == Worker::Waiting(false))
+                .take(woken)
+            {
                 *w = Worker::Waiting(true);
             }
             effects
@@ -492,11 +509,17 @@ mod tests {
                 Move::Conn(c) => self.conn_moves(c, shape),
                 Move::Worker(w) => self.worker_moves(w),
                 Move::Kill(w) | Move::Trip(w) => {
-                    let Worker::Busy(id) = self.workers[w] else { unreachable!() };
+                    let Worker::Busy(id) = self.workers[w] else {
+                        unreachable!()
+                    };
                     self.kills -= 1;
                     self.step(Event::Requeue(id));
                     let restarted = matches!(m, Move::Kill(_));
-                    self.workers[w] = if restarted { Worker::Ready } else { Worker::Exiting };
+                    self.workers[w] = if restarted {
+                        Worker::Ready
+                    } else {
+                        Worker::Exiting
+                    };
                 }
                 Move::Deadline => {
                     self.deadlines -= 1;
@@ -510,7 +533,11 @@ mod tests {
             let id = |k: u8| c as u8 * BATCHES_MAX + k;
             self.conns[c] = match self.conns[c] {
                 Conn::Connecting => {
-                    let listener = if self.is_http(c) { Listener::Http } else { Listener::Ingest };
+                    let listener = if self.is_http(c) {
+                        Listener::Http
+                    } else {
+                        Listener::Ingest
+                    };
                     match self.step(Event::Accept(listener)) {
                         Effects::Spawn => Conn::Idle(0),
                         Effects::Refuse | Effects::Exit => Conn::Closed,
@@ -567,7 +594,11 @@ mod tests {
                 // The verdict goes to the handler waiting for it.
                 Worker::Busy(id) => {
                     let (c, k) = (usize::from(id / BATCHES_MAX), id % BATCHES_MAX);
-                    assert_eq!(self.conns[c], Conn::Waiting(k), "a verdict nobody waits for");
+                    assert_eq!(
+                        self.conns[c],
+                        Conn::Waiting(k),
+                        "a verdict nobody waits for"
+                    );
                     self.conns[c] = Conn::Writing(k);
                     Worker::Ready
                 }
@@ -588,12 +619,27 @@ mod tests {
             let owing = |c: &&Conn| matches!(c, Conn::Read | Conn::Waiting(_) | Conn::Writing(_));
             let running = |c: &&Conn| !matches!(c, Conn::Connecting | Conn::Closed);
             let (ingest, http) = (&self.conns[..self.http], &self.conns[self.http..]);
-            assert_eq!(d.owed, self.conns.iter().filter(owing).count(), "replies owed");
+            assert_eq!(
+                d.owed,
+                self.conns.iter().filter(owing).count(),
+                "replies owed"
+            );
             let unacked = self.admitted & !self.replied;
             assert_eq!(d.acks, unacked.count_ones() as usize, "acks owed");
-            assert_eq!(d.handlers[0], ingest.iter().filter(running).count(), "ingest handlers");
-            assert_eq!(d.handlers[1], http.iter().filter(running).count(), "HTTP handlers");
-            assert!(d.handlers.iter().all(|&h| h <= shape.max_handlers), "past the bound");
+            assert_eq!(
+                d.handlers[0],
+                ingest.iter().filter(running).count(),
+                "ingest handlers"
+            );
+            assert_eq!(
+                d.handlers[1],
+                http.iter().filter(running).count(),
+                "HTTP handlers"
+            );
+            assert!(
+                d.handlers.iter().all(|&h| h <= shape.max_handlers),
+                "past the bound"
+            );
             let live = self.workers.iter().filter(|&&w| w != Worker::Gone).count();
             assert_eq!(d.live_workers, live, "live workers");
             // The batch a handler waits for is queued once or held by one
@@ -603,15 +649,26 @@ mod tests {
                 if let Conn::Waiting(k) = conn {
                     let id = c as u8 * BATCHES_MAX + k;
                     let queued = d.queue.iter().filter(|&&q| q == id).count();
-                    let held = self.workers.iter().filter(|&&w| w == Worker::Busy(id)).count();
+                    let held = self
+                        .workers
+                        .iter()
+                        .filter(|&&w| w == Worker::Busy(id))
+                        .count();
                     assert_eq!(queued + held, 1, "batch {id} lost or doubled");
                     waiting += 1;
                 }
             }
-            let held = self.workers.iter().filter(|w| matches!(w, Worker::Busy(_))).count();
+            let held = self
+                .workers
+                .iter()
+                .filter(|w| matches!(w, Worker::Busy(_)))
+                .count();
             assert_eq!(d.queue.len() + held, waiting, "a batch nobody waits for");
             if d.phase == (Phase::Stopped { drained: true }) {
-                assert_eq!(unacked, 0, "drained, yet an admitted batch's reply is not written");
+                assert_eq!(
+                    unacked, 0,
+                    "drained, yet an admitted batch's reply is not written"
+                );
             }
         }
 
@@ -622,17 +679,29 @@ mod tests {
             let n = self.http;
             let bits = |mask: u16, c: usize| (mask >> (c as u8 * BATCHES_MAX)) & 0b111;
             let queued = |w: &World, c: usize| match w.conns[c] {
-                Conn::Waiting(k) => w.daemon.queue.iter().position(|&q| q == c as u8 * BATCHES_MAX + k),
+                Conn::Waiting(k) => w
+                    .daemon
+                    .queue
+                    .iter()
+                    .position(|&q| q == c as u8 * BATCHES_MAX + k),
                 _ => None,
             };
             let mut order = [0, 1, 2];
             let order = &mut order[..n];
-            order.sort_by_key(|&c| (self.conns[c], queued(&self, c), bits(self.admitted, c), bits(self.replied, c)));
+            order.sort_by_key(|&c| {
+                (
+                    self.conns[c],
+                    queued(&self, c),
+                    bits(self.admitted, c),
+                    bits(self.replied, c),
+                )
+            });
             let mut rank = [0u8; 8];
             for (new, &old) in order.iter().enumerate() {
                 rank[old] = new as u8;
             }
-            let remap = |id: Id| rank[usize::from(id / BATCHES_MAX)] * BATCHES_MAX + id % BATCHES_MAX;
+            let remap =
+                |id: Id| rank[usize::from(id / BATCHES_MAX)] * BATCHES_MAX + id % BATCHES_MAX;
             let conns = self.conns;
             for (new, &old) in order.iter().enumerate() {
                 self.conns[new] = conns[old];
@@ -644,7 +713,8 @@ mod tests {
                 }
             }
             self.workers.sort();
-            let remask = |mask: u16| (0..n).fold(0, |acc, c| acc | bits(mask, c) << (rank[c] * BATCHES_MAX));
+            let remask =
+                |mask: u16| (0..n).fold(0, |acc, c| acc | bits(mask, c) << (rank[c] * BATCHES_MAX));
             (self.admitted, self.replied) = (remask(self.admitted), remask(self.replied));
             self
         }
@@ -689,7 +759,11 @@ mod tests {
         while let Some(world) = stack.pop() {
             world.check(&shape);
             let moves = world.moves();
-            assert_ne!(moves, [Move::Deadline], "the drain waits for nothing but its deadline:\n{world:#?}");
+            assert_ne!(
+                moves,
+                [Move::Deadline],
+                "the drain waits for nothing but its deadline:\n{world:#?}"
+            );
             if moves.is_empty() {
                 assert_ends(&world);
             }
@@ -713,9 +787,15 @@ mod tests {
             panic!("stuck before Stopped:\n{world:#?}");
         };
         assert_eq!(world.run, Run::Done, "{world:#?}");
-        assert!(world.workers.iter().all(|&w| w == Worker::Gone), "{world:#?}");
+        assert!(
+            world.workers.iter().all(|&w| w == Worker::Gone),
+            "{world:#?}"
+        );
         if world.admitted & !world.replied != 0 {
-            assert!(!drained, "an admitted batch has no reply, yet drained=true:\n{world:#?}");
+            assert!(
+                !drained,
+                "an admitted batch has no reply, yet drained=true:\n{world:#?}"
+            );
         }
     }
 
@@ -733,7 +813,15 @@ mod tests {
     /// bound below the number of connections (≈ 3 s unoptimised).
     #[test]
     fn every_interleaving_keeps_the_invariants() {
-        let shapes = [(3, 1, 2), (1, 3, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 3, 1), (3, 2, 1)];
+        let shapes = [
+            (3, 1, 2),
+            (1, 3, 2),
+            (2, 2, 2),
+            (2, 3, 2),
+            (3, 2, 2),
+            (2, 3, 1),
+            (3, 2, 1),
+        ];
         let states: usize = shapes.into_iter().map(explore_shape).sum();
         assert!(states > 250_000, "explored only {states} states");
     }
@@ -749,7 +837,12 @@ mod tests {
     }
 
     fn explore_shape((ingest_conns, batches, workers): (usize, u8, usize)) -> usize {
-        explore(Shape { ingest_conns, batches, workers, ..SMALL })
+        explore(Shape {
+            ingest_conns,
+            batches,
+            workers,
+            ..SMALL
+        })
     }
 
     /// Replays `moves` from the start of `shape`'s world, checking each
@@ -757,7 +850,10 @@ mod tests {
     fn replay(shape: Shape, moves: &[Move]) -> World {
         let mut world = World::new(&shape);
         for &m in moves {
-            assert!(world.moves().contains(&m), "{m:?} is not enabled in\n{world:#?}");
+            assert!(
+                world.moves().contains(&m),
+                "{m:?} is not enabled in\n{world:#?}"
+            );
             world.apply(m, &shape);
             world.check(&shape);
         }
@@ -772,9 +868,18 @@ mod tests {
     fn drain_does_not_wait_for_a_verdict_no_worker_is_left_to_give() {
         let (batch, shutdown) = (Move::Conn(0), Move::Conn(1));
         // Accepted, queued, popped, tripped (the batch back in the queue).
-        let mut moves = vec![batch, batch, Move::Worker(0), Move::Trip(0), Move::Worker(0)];
+        let mut moves = vec![
+            batch,
+            batch,
+            Move::Worker(0),
+            Move::Trip(0),
+            Move::Worker(0),
+        ];
         let world = replay(SMALL, &moves);
-        assert_eq!((world.daemon.live_workers, world.daemon.queue.len()), (0, 1));
+        assert_eq!(
+            (world.daemon.live_workers, world.daemon.queue.len()),
+            (0, 1)
+        );
         // Accepted, read, the drain begun: the `200 draining` is owed.
         moves.extend([shutdown; 3]);
         assert_eq!(replay(SMALL, &moves).daemon.phase, Phase::Draining);
@@ -783,7 +888,11 @@ mod tests {
         let world = replay(SMALL, &moves);
         assert_eq!(world.daemon.phase, Phase::Stopped { drained: false });
         assert_eq!(world.run, Run::Done);
-        assert_eq!(world.conns[0], Conn::Waiting(0), "its verdict is not coming");
+        assert_eq!(
+            world.conns[0],
+            Conn::Waiting(0),
+            "its verdict is not coming"
+        );
         assert!(world.moves().is_empty());
     }
 
@@ -792,7 +901,10 @@ mod tests {
     /// drain, `drained=false`, and neither handler is answered by it.
     #[test]
     fn wedged_worker_ends_the_drain_at_the_deadline_with_exit_2() {
-        let shape = Shape { ingest_conns: 2, ..SMALL };
+        let shape = Shape {
+            ingest_conns: 2,
+            ..SMALL
+        };
         let (a, b, shutdown) = (Move::Conn(0), Move::Conn(1), Move::Conn(2));
         // `a` is popped, `b` queued; `POST /shutdown` answered, its
         // handler gone; `run` waits for the drain, and the deadline passes.
@@ -825,7 +937,10 @@ mod tests {
         moves.extend([shutdown; 3]);
         moves.extend([Move::Worker(0); 3]);
         let world = replay(SMALL, &moves);
-        assert_eq!((world.conns[0], world.workers[0]), (Conn::Writing(0), Worker::Gone));
+        assert_eq!(
+            (world.conns[0], world.workers[0]),
+            (Conn::Writing(0), Worker::Gone)
+        );
         assert_eq!(world.daemon.phase, Phase::Draining, "the ack is owed");
         moves.push(Move::Deadline);
         let world = replay(SMALL, &moves);

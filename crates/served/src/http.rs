@@ -131,7 +131,10 @@ pub struct Budgeted {
 impl Budgeted {
     /// Read from `conn` until `budget` from now.
     pub fn new(conn: TcpStream, budget: Duration) -> Budgeted {
-        Budgeted { conn, deadline: Instant::now() + budget }
+        Budgeted {
+            conn,
+            deadline: Instant::now() + budget,
+        }
     }
 }
 
@@ -191,13 +194,17 @@ mod tests {
 
     #[test]
     fn parses_request_with_params() {
-        let raw = "GET /query?q=AGGREGATE+count&stream=s1 HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n";
+        let raw =
+            "GET /query?q=AGGREGATE+count&stream=s1 HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n";
         let req = read_request(&mut Cursor::new(raw.as_bytes()))
             .unwrap()
             .unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/query");
-        assert_eq!(req.params.get("q").map(String::as_str), Some("AGGREGATE count"));
+        assert_eq!(
+            req.params.get("q").map(String::as_str),
+            Some("AGGREGATE count")
+        );
         assert_eq!(req.params.get("stream").map(String::as_str), Some("s1"));
     }
 
@@ -247,7 +254,10 @@ mod tests {
         use crate::protocol::{tests::mutants, MAX_LINE_BYTES};
         let plain = "GET /query?q=AGGREGATE+count%2Csum(t)&stream=s1&format=csv HTTP/1.1\r\n\
                      Host: x\r\nAccept: */*\r\n\r\n";
-        let flood = format!("GET /healthz HTTP/1.1\r\n{}\r\n", "X-Pad: 1\r\n".repeat(MAX_HEADER_LINES + 1));
+        let flood = format!(
+            "GET /healthz HTTP/1.1\r\n{}\r\n",
+            "X-Pad: 1\r\n".repeat(MAX_HEADER_LINES + 1)
+        );
         let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE_BYTES));
         for base in [plain, &flood, &long] {
             for bytes in mutants(base.as_bytes()) {
@@ -292,14 +302,20 @@ mod tests {
         let read = read_request(&mut BufReader::new(Budgeted::new(conn, budget)));
         let took = start.elapsed();
         assert!(read.is_err(), "{read:?}");
-        assert!(took >= budget && took < Duration::from_secs(2), "gave up after {took:?}");
+        assert!(
+            took >= budget && took < Duration::from_secs(2),
+            "gave up after {took:?}"
+        );
         client.join().unwrap();
     }
 
     #[test]
     fn responses_carry_length_and_close() {
         let resp = String::from_utf8(text_response(408, "deadline exceeded")).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 408 Request Timeout\r\n"), "{resp}");
+        assert!(
+            resp.starts_with("HTTP/1.1 408 Request Timeout\r\n"),
+            "{resp}"
+        );
         assert!(resp.contains("Content-Length: 17\r\n"));
         assert!(resp.contains("Connection: close\r\n"));
         assert!(resp.ends_with("deadline exceeded"));

@@ -99,7 +99,9 @@ impl Command {
     /// Parse a command line (trailing newline optional).
     pub fn parse(line: &str) -> Result<Command, String> {
         let line = line.trim_end_matches(['\r', '\n']);
-        let (word, rest) = line.split_once(' ').map_or((line, ""), |(w, r)| (w, r.trim()));
+        let (word, rest) = line
+            .split_once(' ')
+            .map_or((line, ""), |(w, r)| (w, r.trim()));
         match (word, rest) {
             ("HELLO", stream) if !stream.is_empty() => Ok(Command::Hello(stream.to_string())),
             ("HELLO", _) => Err("HELLO needs a stream name".to_string()),
@@ -198,11 +200,7 @@ impl IngestClient {
     /// [`send_batch`](Self::send_batch), retrying `BUSY` replies up to
     /// `max_retries` times, honoring (but capping at 1 s) the server's
     /// retry-after hint — the well-behaved client's backpressure loop.
-    pub fn send_batch_retrying(
-        &mut self,
-        payload: &[u8],
-        max_retries: u32,
-    ) -> io::Result<Reply> {
+    pub fn send_batch_retrying(&mut self, payload: &[u8], max_retries: u32) -> io::Result<Reply> {
         let mut attempts = 0;
         loop {
             let reply = self.send_batch(payload)?;
@@ -235,7 +233,10 @@ pub fn read_payload(reader: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(len.min(64 * 1024));
     reader.take(len as u64).read_to_end(&mut buf)?;
     if buf.len() < len {
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "batch payload cut short"));
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "batch payload cut short",
+        ));
     }
     Ok(buf)
 }
@@ -248,11 +249,19 @@ pub(crate) mod tests {
     /// `base`, corrupted one to three times over by each of
     /// `caliper_faults`' modes, for a fixed budget of seeds.
     pub(crate) fn mutants(base: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
-        let modes = [CorruptMode::Bitflip, CorruptMode::Truncate, CorruptMode::GarbageBlock];
+        let modes = [
+            CorruptMode::Bitflip,
+            CorruptMode::Truncate,
+            CorruptMode::GarbageBlock,
+        ];
         (0..600u64).map(move |seed| {
             let mut bytes = base.to_vec();
             for round in 0..=seed % 3 {
-                corrupt_bytes(modes[(seed + round) as usize % 3], seed * 3 + round, &mut bytes);
+                corrupt_bytes(
+                    modes[(seed + round) as usize % 3],
+                    seed * 3 + round,
+                    &mut bytes,
+                );
             }
             bytes
         })
@@ -301,10 +310,17 @@ pub(crate) mod tests {
     /// payload cut short is an error, and a whole one comes back whole.
     #[test]
     fn a_payload_buffer_grows_with_the_bytes_that_arrive() {
-        let mut peer = Silent { prefix: b"__rec=ctx", largest: 0 };
+        let mut peer = Silent {
+            prefix: b"__rec=ctx",
+            largest: 0,
+        };
         let err = read_payload(&mut peer, 4 << 20).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(peer.largest <= 64 * 1024, "handed a buffer of {} bytes", peer.largest);
+        assert!(
+            peer.largest <= 64 * 1024,
+            "handed a buffer of {} bytes",
+            peer.largest
+        );
         let whole = vec![b'x'; 200_000];
         assert_eq!(read_payload(&mut &whole[..], whole.len()).unwrap(), whole);
         assert_eq!(read_payload(&mut &whole[..], 10).unwrap(), &whole[..10]);
@@ -315,7 +331,9 @@ pub(crate) mod tests {
         for reply in [
             Reply::Ok("seq=41 records=7".to_string()),
             Reply::Ok(String::new()),
-            Reply::Busy { retry_after_ms: 250 },
+            Reply::Busy {
+                retry_after_ms: 250,
+            },
             Reply::Degraded("stream 's1' circuit open".to_string()),
             Reply::Error("batch rejected: no records".to_string()),
         ] {
@@ -336,7 +354,14 @@ pub(crate) mod tests {
         assert_eq!(Command::parse("BATCH 512").unwrap(), Command::Batch(512));
         assert_eq!(Command::parse("PING").unwrap(), Command::Ping);
         assert_eq!(Command::parse("QUIT").unwrap(), Command::Quit);
-        for bad in ["HELLO", "HELLO  ", "BATCH", "BATCH twelve", "FETCH 1", "PING now"] {
+        for bad in [
+            "HELLO",
+            "HELLO  ",
+            "BATCH",
+            "BATCH twelve",
+            "FETCH 1",
+            "PING now",
+        ] {
             assert!(Command::parse(bad).is_err(), "{bad}");
         }
     }
@@ -367,11 +392,17 @@ pub(crate) mod tests {
         let mut client = IngestClient::connect(addr, Duration::from_secs(10)).unwrap();
         let start = std::time::Instant::now();
         for _ in 0..BATCHES {
-            assert_eq!(client.send_batch(&payload).unwrap(), Reply::Ok(String::new()));
+            assert_eq!(
+                client.send_batch(&payload).unwrap(),
+                Reply::Ok(String::new())
+            );
         }
         let elapsed = start.elapsed();
         server.join().unwrap();
-        assert!(elapsed < Duration::from_secs(2), "{BATCHES} batches took {elapsed:?}");
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "{BATCHES} batches took {elapsed:?}"
+        );
     }
 
     #[test]

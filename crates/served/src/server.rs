@@ -127,7 +127,11 @@ impl ServerState {
         let spec = parse_query(&spec_query)
             .map_err(|e| format!("served.aggregate.*: invalid scheme '{spec_query}': {e}"))?;
         Ok(ServerState {
-            daemon: Mutex::new(Daemon::new(cfg.queue_depth, cfg.workers.max(1), MAX_HANDLERS)),
+            daemon: Mutex::new(Daemon::new(
+                cfg.queue_depth,
+                cfg.workers.max(1),
+                MAX_HANDLERS,
+            )),
             cfg,
             spec: AggregationSpec::from_query(&spec),
             streams: Mutex::new(BTreeMap::new()),
@@ -178,7 +182,8 @@ impl ServerState {
         let (depth, capacity) = (daemon.depth(), daemon.capacity());
         let draining = daemon.phase() != Phase::Serving;
         drop(daemon);
-        let detail = format!("replay_complete=true queue_depth={depth}/{capacity} draining={draining}");
+        let detail =
+            format!("replay_complete=true queue_depth={depth}/{capacity} draining={draining}");
         (depth < capacity && !draining, detail)
     }
 
@@ -202,7 +207,9 @@ impl ServerState {
 
     fn sorted_streams(&self) -> Vec<(String, Arc<Mutex<StreamState>>)> {
         let map = self.streams.lock().unwrap_or_else(|e| e.into_inner());
-        map.iter().map(|(k, v)| (k.clone(), Arc::clone(v))).collect()
+        map.iter()
+            .map(|(k, v)| (k.clone(), Arc::clone(v)))
+            .collect()
     }
 
     fn degraded_streams(&self) -> Vec<String> {
@@ -215,7 +222,9 @@ impl ServerState {
 
     fn refresh_degraded_gauge(&self) -> usize {
         let n = self.degraded_streams().len();
-        self.metrics().gauge("served.streams.degraded").set(n as u64);
+        self.metrics()
+            .gauge("served.streams.degraded")
+            .set(n as u64);
         n
     }
 
@@ -242,7 +251,9 @@ impl ServerState {
                 match s.process_batch(&payload) {
                     Ok(ack) => {
                         self.metrics().counter("served.ingest.accepted").inc();
-                        self.metrics().counter("served.ingest.records").add(ack.records);
+                        self.metrics()
+                            .counter("served.ingest.records")
+                            .add(ack.records);
                         Reply::Ok(format!("seq={} records={}", ack.last_seq, ack.records))
                     }
                     Err(msg) => {
@@ -327,16 +338,27 @@ impl ServerState {
         if streams_skipped == 0 {
             return (200, answer);
         }
-        self.metrics().counter("served.query.deadline_exceeded").inc();
-        let (ms, total) = (self.cfg.query_deadline.as_millis(), streams_seen + streams_skipped);
-        let warning = format!("deadline exceeded ({ms} ms): partial result over {streams_seen} of {total} streams");
+        self.metrics()
+            .counter("served.query.deadline_exceeded")
+            .inc();
+        let (ms, total) = (
+            self.cfg.query_deadline.as_millis(),
+            streams_seen + streams_skipped,
+        );
+        let warning = format!(
+            "deadline exceeded ({ms} ms): partial result over {streams_seen} of {total} streams"
+        );
         (408, format!("warning: {warning}\n{answer}"))
     }
 
     /// Serve one admitted connection on its own thread, then give its
     /// handler count back — also when the handler panics.
     fn serve(&self, kind: Listener, conn: TcpStream) {
-        let mut handler = Handler { state: self, kind, owed: None };
+        let mut handler = Handler {
+            state: self,
+            kind,
+            owed: None,
+        };
         match kind {
             Listener::Ingest => self.handle_ingest(conn, &mut handler),
             Listener::Http => self.handle_http(conn, &mut handler),
@@ -346,7 +368,9 @@ impl ServerState {
     /// Whether an armed `served.accept` rule drops this connection.
     fn accept_fault(&self) -> bool {
         let ordinal = self.conn_ordinal.fetch_add(1, Ordering::SeqCst);
-        let hit = caliper_faults::trigger(sites::SERVED_ACCEPT, ordinal, &format!("conn#{ordinal}")).is_some();
+        let hit =
+            caliper_faults::trigger(sites::SERVED_ACCEPT, ordinal, &format!("conn#{ordinal}"))
+                .is_some();
         if hit {
             self.metrics().counter("served.accept.rejected").inc();
         }
@@ -356,7 +380,9 @@ impl ServerState {
     /// Serve one HTTP connection (one request, `Connection: close`).
     fn handle_http(&self, conn: TcpStream, handler: &mut Handler<'_>) {
         let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
-        let Ok(mut writer) = conn.try_clone() else { return };
+        let Ok(mut writer) = conn.try_clone() else {
+            return;
+        };
         // The whole request line and headers within 10 s, however the
         // client paces its bytes.
         let mut reader = BufReader::new(Budgeted::new(conn, Duration::from_secs(10)));
@@ -412,7 +438,9 @@ impl ServerState {
     fn handle_ingest(&self, conn: TcpStream, handler: &mut Handler<'_>) {
         let _ = conn.set_read_timeout(Some(CONN_READ_TIMEOUT));
         let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
-        let Ok(mut writer) = conn.try_clone() else { return };
+        let Ok(mut writer) = conn.try_clone() else {
+            return;
+        };
         let mut reader = BufReader::new(conn);
         let mut bound: Option<String> = None;
         let send = |writer: &mut TcpStream, reply: Reply| -> std::io::Result<()> {
@@ -454,11 +482,14 @@ impl ServerState {
                 Command::Batch(len) => {
                     let max = self.cfg.batch_max_bytes;
                     if len > max {
-                        let e = format!("batch of {len} bytes exceeds served.batch.max.bytes={max}");
+                        let e =
+                            format!("batch of {len} bytes exceeds served.batch.max.bytes={max}");
                         let _ = send(&mut writer, Reply::Error(e));
                         return; // payload unread: stream is desynced
                     }
-                    let Ok(payload) = read_payload(&mut reader, len) else { return };
+                    let Ok(payload) = read_payload(&mut reader, len) else {
+                        return;
+                    };
                     match &bound {
                         None => {
                             handler.owe(Event::Read);
@@ -494,10 +525,14 @@ impl ServerState {
             Effects::Refuse => Reply::Error("draining: not accepting batches".to_string()),
             Effects::Busy => {
                 self.metrics().counter("served.ingest.rejected").inc();
-                Reply::Busy { retry_after_ms: BUSY_RETRY_AFTER_MS }
+                Reply::Busy {
+                    retry_after_ms: BUSY_RETRY_AFTER_MS,
+                }
             }
             _ => rx.recv_timeout(BATCH_REPLY_TIMEOUT).unwrap_or_else(|_| {
-                Reply::Error("ingest verdict timed out; batch state unknown, safe to retry".to_string())
+                Reply::Error(
+                    "ingest verdict timed out; batch state unknown, safe to retry".to_string(),
+                )
             }),
         }
     }
@@ -543,7 +578,10 @@ impl Server {
             .map_err(|e| format!("creating data dir: {e}"))?;
         let entries = std::fs::read_dir(&state.cfg.data_dir)
             .map_err(|e| format!("scanning data dir: {e}"))?;
-        let mut names: Vec<String> = entries.flatten().filter_map(|e| stream_of_journal(&e.path())).collect();
+        let mut names: Vec<String> = entries
+            .flatten()
+            .filter_map(|e| stream_of_journal(&e.path()))
+            .collect();
         names.sort();
         for name in names {
             let stream = state.stream(&name).map_err(|e| {
@@ -556,11 +594,18 @@ impl Server {
             // one, a replay out of budget — is said, not kept quiet.
             let stream = stream.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(report) = stream.recovery.as_ref().filter(|r| r.data_lost()) {
-                eprintln!("cali-served: replaying stream '{name}': {}", report.summary());
+                eprintln!(
+                    "cali-served: replaying stream '{name}': {}",
+                    report.summary()
+                );
             }
         }
         state.refresh_health_gauges();
-        Ok(Server { state, ingest_listener, http_listener })
+        Ok(Server {
+            state,
+            ingest_listener,
+            http_listener,
+        })
     }
 
     /// The bound ingest address.
@@ -653,7 +698,10 @@ impl Server {
                 .expect("spawning an accept loop");
             (addr, accept_loop)
         };
-        let listeners = [(self.ingest_listener, Listener::Ingest), (self.http_listener, Listener::Http)];
+        let listeners = [
+            (self.ingest_listener, Listener::Ingest),
+            (self.http_listener, Listener::Http),
+        ];
         let accept_threads = listeners.map(spawn_accept);
 
         // Serving until somebody asks for the drain, then draining until
@@ -666,7 +714,9 @@ impl Server {
             .unwrap_or_else(|e| e.into_inner());
         let (daemon, _) = state
             .changed
-            .wait_timeout_while(daemon, state.cfg.shutdown_deadline, |d| d.phase() == Phase::Draining)
+            .wait_timeout_while(daemon, state.cfg.shutdown_deadline, |d| {
+                d.phase() == Phase::Draining
+            })
             .unwrap_or_else(|e| e.into_inner());
         drop(daemon);
         state.step(Event::Deadline);
@@ -715,10 +765,8 @@ mod tests {
     use std::time::Instant;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cali-served-server-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("cali-served-server-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -755,13 +803,22 @@ mod tests {
         for kind in [Listener::Http, Listener::Ingest] {
             assert!(matches!(state.step(Event::Accept(kind)), Effects::Spawn));
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut handler = Handler { state: &state, kind, owed: None };
+                let mut handler = Handler {
+                    state: &state,
+                    kind,
+                    owed: None,
+                };
                 let event = match kind {
                     Listener::Http => Event::Read,
                     Listener::Ingest => {
                         let (reply, _) = std::sync::mpsc::sync_channel(1);
                         let (stream, payload) = ("r0".to_string(), batch(&[("k", 1)]));
-                        Event::Push(Batch { stream, payload, ordinal: 0, reply })
+                        Event::Push(Batch {
+                            stream,
+                            payload,
+                            ordinal: 0,
+                            reply,
+                        })
                     }
                 };
                 handler.owe(event);
@@ -777,9 +834,9 @@ mod tests {
     }
 
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-        let mut conn =
-            TcpStream::connect_timeout(&addr, Duration::from_secs(5)).expect("connect");
-        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut conn = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
             .unwrap();
         let mut body = String::new();
@@ -798,9 +855,9 @@ mod tests {
     }
 
     fn http_post(addr: SocketAddr, path: &str) -> u16 {
-        let mut conn =
-            TcpStream::connect_timeout(&addr, Duration::from_secs(5)).expect("connect");
-        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut conn = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         conn.write_all(format!("POST {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
             .unwrap();
         let mut body = String::new();
@@ -938,8 +995,15 @@ mod tests {
         let dir = tmpdir("drain-race");
         let state = ServerState::new(cfg(&dir)).unwrap();
         state.begin_shutdown();
-        assert!(matches!(state.step(Event::Accept(Listener::Ingest)), Effects::Spawn));
-        let mut handler = Handler { state: &state, kind: Listener::Ingest, owed: None };
+        assert!(matches!(
+            state.step(Event::Accept(Listener::Ingest)),
+            Effects::Spawn
+        ));
+        let mut handler = Handler {
+            state: &state,
+            kind: Listener::Ingest,
+            owed: None,
+        };
         assert_eq!(
             state.admit_batch("s1".to_string(), batch(&[("a", 1)]), &mut handler),
             Reply::Error("draining: not accepting batches".to_string())

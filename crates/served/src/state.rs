@@ -288,7 +288,10 @@ impl StreamState {
         // its fsync failed), which is why the stream stops taking
         // batches — a restart replays whatever got there.
         let journaled = match self.journal.append_batch(self.next_seq, records, payload) {
-            Ok(()) => self.journal.flush().map_err(|e| format!("journal flush: {e}")),
+            Ok(()) => self
+                .journal
+                .flush()
+                .map_err(|e| format!("journal flush: {e}")),
             Err(e) => Err(format!("journal append: {e}")),
         };
         if let Err(e) = journaled {
@@ -366,7 +369,8 @@ impl WarmQuery {
 
     /// Fold a block [`block_of`](Self::block_of) made into the answer.
     pub fn fold(&mut self, block: &Block) {
-        self.pipeline.fold_block(&mut self.ds, &mut self.strings, block);
+        self.pipeline
+            .fold_block(&mut self.ds, &mut self.strings, block);
     }
 
     /// The answer over the streams folded.
@@ -391,9 +395,7 @@ mod tests {
     }
 
     fn spec() -> AggregationSpec {
-        AggregationSpec::from_query(
-            &parse_query("AGGREGATE count,sum(t) GROUP BY kernel").unwrap(),
-        )
+        AggregationSpec::from_query(&parse_query("AGGREGATE count,sum(t) GROUP BY kernel").unwrap())
     }
 
     fn batch(kernels: &[(&str, i64)]) -> Vec<u8> {
@@ -409,10 +411,8 @@ mod tests {
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cali-served-state-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("cali-served-state-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -471,7 +471,11 @@ mod tests {
         if !bytes.ends_with(b"\n") {
             bytes.push(b'\n');
         }
-        [format!("__rec=batch,seq={first_seq},bytes={}\n", bytes.len()).into_bytes(), bytes].concat()
+        [
+            format!("__rec=batch,seq={first_seq},bytes={}\n", bytes.len()).into_bytes(),
+            bytes,
+        ]
+        .concat()
     }
 
     /// Append `bytes` to the file at `path`.
@@ -501,11 +505,17 @@ mod tests {
             };
             if recovery.is_none() {
                 std::fs::create_dir_all(&cfg.data_dir).unwrap();
-                std::fs::write(&path, format!("{}\n", caliper_format::journal::JOURNAL_HEADER)).unwrap();
+                std::fs::write(
+                    &path,
+                    format!("{}\n", caliper_format::journal::JOURNAL_HEADER),
+                )
+                .unwrap();
             } else if !std::fs::read(&path).unwrap().ends_with(b"\n") {
                 append(&path, b",attr=torn\n");
             }
-            let seq_attr = ds.attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE).id();
+            let seq_attr = ds
+                .attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE)
+                .id();
             let mut aggregator = Aggregator::new(spec.clone(), std::sync::Arc::clone(&ds.store));
             aggregator.set_max_groups(cfg.max_groups);
             for rec in ds.flat_records() {
@@ -514,7 +524,10 @@ mod tests {
             ds.records.clear();
             RowStream {
                 name: name.to_string(),
-                next_seq: recovery.as_ref().and_then(|r| r.max_seq).map_or(0, |m| m + 1),
+                next_seq: recovery
+                    .as_ref()
+                    .and_then(|r| r.max_seq)
+                    .map_or(0, |m| m + 1),
                 ds,
                 aggregator,
                 journal: path,
@@ -590,7 +603,10 @@ mod tests {
             spec: AggregationSpec,
             queries: Vec<String>,
         ) -> Pair {
-            let dirs = [tmpdir(&format!("{tag}-blocks")), tmpdir(&format!("{tag}-rows"))];
+            let dirs = [
+                tmpdir(&format!("{tag}-blocks")),
+                tmpdir(&format!("{tag}-rows")),
+            ];
             Pair::reopen(dirs, cfg, spec, queries)
         }
 
@@ -622,7 +638,10 @@ mod tests {
                 }
                 format!("{report:?}")
             };
-            assert_eq!(pathless(&pair.state.recovery), pathless(&pair.oracle.recovery));
+            assert_eq!(
+                pathless(&pair.state.recovery),
+                pathless(&pair.oracle.recovery)
+            );
             assert_eq!(pair.state.next_seq, pair.oracle.next_seq);
             pair.assert_same_answers("after open");
             pair
@@ -660,7 +679,10 @@ mod tests {
 
         fn assert_journal_is_the_payloads_as_sent(&self, when: &str) {
             let [journal, as_sent] = self.journals();
-            assert!(journal == as_sent, "the journal is not the payloads as sent {when}");
+            assert!(
+                journal == as_sent,
+                "the journal is not the payloads as sent {when}"
+            );
         }
 
         /// Drop both (the final flush) and open them again.
@@ -694,18 +716,28 @@ mod tests {
     /// `journal.seq` of the payload's own.
     fn payload(texts: &[String], templates: &[Row], size: usize, late: bool) -> Vec<u8> {
         let mut ds = Dataset::new();
-        let nested = ["region", "kernel"].map(|n| ds.attribute(n, ValueType::Str, Properties::NESTED));
+        let nested =
+            ["region", "kernel"].map(|n| ds.attribute(n, ValueType::Str, Properties::NESTED));
         let attr = |name: &str, vtype| ds.attribute(name, vtype, Properties::AS_VALUE).id();
-        let (s, i, u) = (attr("s", ValueType::Str), attr("i", ValueType::Int), attr("u", ValueType::UInt));
+        let (s, i, u) = (
+            attr("s", ValueType::Str),
+            attr("i", ValueType::Int),
+            attr("u", ValueType::UInt),
+        );
         let (f, b) = (attr("f", ValueType::Float), attr("b", ValueType::Bool));
-        let (late_attr, own_seq) = (attr("late", ValueType::Str), attr(SEQ_ATTR, ValueType::UInt));
+        let (late_attr, own_seq) = (
+            attr("late", ValueType::Str),
+            attr(SEQ_ATTR, ValueType::UInt),
+        );
         let text = |pick: u8| Value::str(texts[pick as usize % texts.len()].as_str());
         let mut records = Vec::new();
         for row in 0..size {
             let (path, imms) = &templates[row % templates.len()];
             let mut node = NODE_NONE;
             for (which, pick) in path {
-                node = ds.tree.get_child(node, nested[*which as usize % 2].id(), &text(*pick));
+                node = ds
+                    .tree
+                    .get_child(node, nested[*which as usize % 2].id(), &text(*pick));
             }
             let mut rec = SnapshotRecord::new();
             if node != NODE_NONE {
@@ -715,7 +747,10 @@ mod tests {
                 match which % 8 {
                     0 => rec.push_imm(s, text(*pick)),
                     1 => rec.push_imm(i, Value::Int((bits % 5) as i64 - 2 + (row % 3) as i64)),
-                    2 => rec.push_imm(u, Value::UInt(if bits % 7 == 0 { u64::MAX } else { bits % 4 })),
+                    2 => rec.push_imm(
+                        u,
+                        Value::UInt(if bits % 7 == 0 { u64::MAX } else { bits % 4 }),
+                    ),
                     3 => rec.push_imm(f, Value::Float((bits % 64) as f64 / 8.0 - 2.0)),
                     4 => rec.push_imm(b, Value::Bool(bits % 2 == 0)),
                     5 if late => rec.push_imm(late_attr, text(*pick)),
@@ -828,8 +863,9 @@ mod tests {
         let mut state = StreamState::open("s1", &test_cfg(&dir), &spec()).unwrap();
         let mut payloads = Vec::new();
         for (n, size) in [(0, 600), (1, 436), (2, 64)] {
-            let kernels: Vec<(String, i64)> =
-                (0..size).map(|i| (format!("k{}", (i + n) % 7), i)).collect();
+            let kernels: Vec<(String, i64)> = (0..size)
+                .map(|i| (format!("k{}", (i + n) % 7), i))
+                .collect();
             let kernels: Vec<(&str, i64)> = kernels.iter().map(|(k, t)| (k.as_str(), *t)).collect();
             payloads.push(batch(&kernels));
             state.process_batch(payloads.last().unwrap()).unwrap();
@@ -857,8 +893,16 @@ mod tests {
     fn replay_folds_what_the_row_recovery_salvages() {
         let (clean, payloads) = journal_of_three_batches("replay-source");
         let header = format!("{}\n", caliper_format::journal::JOURNAL_HEADER).into_bytes();
-        let frames = [frame(0, &payloads[0]), frame(600, &payloads[1]), frame(1036, &payloads[2])];
-        assert_eq!(clean, [header, frames.concat()].concat(), "the journal is the payloads as sent");
+        let frames = [
+            frame(0, &payloads[0]),
+            frame(600, &payloads[1]),
+            frame(1036, &payloads[2]),
+        ];
+        assert_eq!(
+            clean,
+            [header, frames.concat()].concat(),
+            "the journal is the payloads as sent"
+        );
         let torn = clean[..clean.len() - 11].to_vec();
         let doubled_tail = [clean.clone(), frames[2].clone()].concat();
         // The first frame twice more: every number of it seen before.
@@ -882,12 +926,30 @@ mod tests {
         let cases = [
             ("clean", &clean, (1100, 0, 0, 0, false), all.to_vec()),
             ("torn", &torn, (1036, 0, 0, 1, true), all[..2].to_vec()),
-            ("doubled-tail", &doubled_tail, (1100, 64, 0, 0, false), all.to_vec()),
-            ("doubled-across", &doubled_across, (1100, 1200, 0, 0, false), all.to_vec()),
-            ("corrupt", &corrupt, (664, 0, 436, 1, false), vec![all[0], all[2]]),
+            (
+                "doubled-tail",
+                &doubled_tail,
+                (1100, 64, 0, 0, false),
+                all.to_vec(),
+            ),
+            (
+                "doubled-across",
+                &doubled_across,
+                (1100, 1200, 0, 0, false),
+                all.to_vec(),
+            ),
+            (
+                "corrupt",
+                &corrupt,
+                (664, 0, 436, 1, false),
+                vec![all[0], all[2]],
+            ),
         ];
         for (tag, journal, want, survivors) in cases {
-            let dirs = [tmpdir(&format!("replay-{tag}-blocks")), tmpdir(&format!("replay-{tag}-rows"))];
+            let dirs = [
+                tmpdir(&format!("replay-{tag}-blocks")),
+                tmpdir(&format!("replay-{tag}-rows")),
+            ];
             for dir in &dirs {
                 std::fs::write(journal_path(dir, "s1"), journal).unwrap();
             }
@@ -896,7 +958,13 @@ mod tests {
             let report = pair.state.recovery.clone().unwrap();
             let read = &report.read;
             assert_eq!(
-                (report.salvaged, report.duplicates, report.missing, read.skipped, read.truncated),
+                (
+                    report.salvaged,
+                    report.duplicates,
+                    report.missing,
+                    read.skipped,
+                    read.truncated
+                ),
                 want,
                 "{tag}: {}",
                 report.summary()
@@ -904,16 +972,25 @@ mod tests {
             assert_eq!(pair.state.accepted_records(), want.0, "{tag}");
             // Replayed, the stream answers what a stream sent the
             // surviving batches answers.
-            assert_eq!(answer(&pair.state, ALL), live_answer(&format!("live-{tag}"), &survivors), "{tag}");
+            assert_eq!(
+                answer(&pair.state, ALL),
+                live_answer(&format!("live-{tag}"), &survivors),
+                "{tag}"
+            );
             // Both carry on from the same sequence number, on the same
             // (possibly resynchronized) file.
-            let ack = pair.process_batch(&batch(&[("k1", 5), ("new", 6)]), tag).unwrap();
+            let ack = pair
+                .process_batch(&batch(&[("k1", 5), ("new", 6)]), tag)
+                .unwrap();
             assert_eq!(ack.last_seq, report.max_seq.unwrap() + 2, "{tag}");
             pair.restart().remove();
         }
 
         // A replay out of budget keeps what it had: nothing.
-        let dirs = [tmpdir("replay-expired-blocks"), tmpdir("replay-expired-rows")];
+        let dirs = [
+            tmpdir("replay-expired-blocks"),
+            tmpdir("replay-expired-rows"),
+        ];
         for dir in &dirs {
             std::fs::write(journal_path(dir, "s1"), &clean).unwrap();
         }
@@ -923,7 +1000,11 @@ mod tests {
         };
         let pair = Pair::reopen(dirs, cfg, spec(), vec![ALL.to_string()]);
         let report = pair.state.recovery.clone().unwrap();
-        assert!(report.read.truncated && report.salvaged == 0, "{}", report.summary());
+        assert!(
+            report.read.truncated && report.salvaged == 0,
+            "{}",
+            report.summary()
+        );
         assert_eq!(pair.state.groups(), 0);
         pair.remove();
     }
@@ -956,7 +1037,12 @@ mod tests {
             let torn = cut > last;
             let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
             let report = state.recovery.clone().unwrap();
-            assert_eq!((report.salvaged, report.read.truncated), (4, torn), "cut at {cut}: {}", report.summary());
+            assert_eq!(
+                (report.salvaged, report.read.truncated),
+                (4, torn),
+                "cut at {cut}: {}",
+                report.summary()
+            );
             assert_eq!(answer(&state, ALL), acked, "cut at {cut}");
             let ack = state.process_batch(&next).unwrap();
             assert_eq!((ack.last_seq, ack.records), (5, 2), "cut at {cut}");
@@ -989,7 +1075,10 @@ mod tests {
         let path = journal_path(&dir, "s1");
         let before = std::fs::read(&path).unwrap();
         let clean = batch(&[("b", 2)]);
-        for line in [&b"__rec=batch,seq=0,bytes=2\n"[..], b"seq=0,__rec=batch,bytes=2\n"] {
+        for line in [
+            &b"__rec=batch,seq=0,bytes=2\n"[..],
+            b"seq=0,__rec=batch,bytes=2\n",
+        ] {
             for at in [0, clean.len()] {
                 let payload = [&clean[..at], line, &clean[at..]].concat();
                 let err = state.process_batch(&payload).unwrap_err();
@@ -1020,7 +1109,10 @@ mod tests {
         drop(state);
         let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
         let report = state.recovery.clone().unwrap();
-        assert_eq!((report.salvaged, report.duplicates, report.max_seq), (6, 0, Some(5)));
+        assert_eq!(
+            (report.salvaged, report.duplicates, report.max_seq),
+            (6, 0, Some(5))
+        );
         assert_eq!(render(&state), live);
         assert_eq!(state.process_batch(payload).unwrap().last_seq, 7);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1040,7 +1132,10 @@ mod tests {
         let policy = FlushPolicy::default();
         let mut lines = JournalWriter::create(&path, policy).unwrap();
         let mut reader = CaliReader::new();
-        let seq = reader.dataset().attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE).id();
+        let seq = reader
+            .dataset()
+            .attribute(SEQ_ATTR, ValueType::UInt, Properties::AS_VALUE)
+            .id();
         let mut next_seq = 0;
         for payload in &payloads[..3] {
             let (ds, strings, block) = reader.read_batch(payload, seq, next_seq).unwrap();
@@ -1065,7 +1160,11 @@ mod tests {
         let live = answer(&state, ALL);
         drop(state);
         let journal = std::fs::read(&path).unwrap();
-        let frames = [frame(9, &payloads[3]), frame(12, &payloads[4]), frame(15, &payloads[5])];
+        let frames = [
+            frame(9, &payloads[3]),
+            frame(12, &payloads[4]),
+            frame(15, &payloads[5]),
+        ];
         assert_eq!(journal, [old, frames.concat()].concat());
 
         let state = StreamState::open("s1", &cfg, &spec()).unwrap();
@@ -1087,9 +1186,13 @@ mod tests {
         let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
         for n in 0..70 {
             let mut ds = Dataset::new();
-            let kernel = ds.attribute("kernel", ValueType::Str, Properties::AS_VALUE).id();
+            let kernel = ds
+                .attribute("kernel", ValueType::Str, Properties::AS_VALUE)
+                .id();
             let t = ds.attribute("t", ValueType::Int, Properties::AS_VALUE).id();
-            let note = ds.attribute("note", ValueType::Str, Properties::AS_VALUE).id();
+            let note = ds
+                .attribute("note", ValueType::Str, Properties::AS_VALUE)
+                .id();
             for i in 0..1024 {
                 let mut rec = SnapshotRecord::new();
                 rec.push_imm(kernel, Value::str(format!("k{}", (i + n) % 5)));
@@ -1097,7 +1200,9 @@ mod tests {
                 rec.push_imm(note, Value::str(format!("note {n}.{i}")));
                 ds.push(rec);
             }
-            state.process_batch(&caliper_format::cali::to_bytes(&ds)).unwrap();
+            state
+                .process_batch(&caliper_format::cali::to_bytes(&ds))
+                .unwrap();
         }
         let live = render(&state);
         drop(state);
@@ -1128,7 +1233,11 @@ mod tests {
         assert_eq!(resets, 1, "the table did start over");
 
         let state = StreamState::open("s1", &cfg, &spec).unwrap();
-        assert!(state.reader.strings().len() <= bound, "{}", state.reader.strings().len());
+        assert!(
+            state.reader.strings().len() <= bound,
+            "{}",
+            state.reader.strings().len()
+        );
         assert_eq!(render(&state), live);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1138,9 +1247,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let cfg = test_cfg(&dir);
         let mut state = StreamState::open("s1", &cfg, &spec()).unwrap();
-        state
-            .process_batch(&batch(&[("a", 10), ("b", 5)]))
-            .unwrap();
+        state.process_batch(&batch(&[("a", 10), ("b", 5)])).unwrap();
         let ack = state.process_batch(&batch(&[("a", 7)])).unwrap();
         assert_eq!(ack.last_seq, 2);
         assert_eq!(state.accepted_batches(), 2);
@@ -1227,10 +1334,16 @@ mod tests {
         let (mut held, mut resets) = (0, 0);
         for n in 0..300 {
             let mut ds = Dataset::new();
-            let region = ds.attribute("region", ValueType::Str, Properties::NESTED).id();
-            let kernel = ds.attribute("kernel", ValueType::Str, Properties::AS_VALUE).id();
+            let region = ds
+                .attribute("region", ValueType::Str, Properties::NESTED)
+                .id();
+            let kernel = ds
+                .attribute("kernel", ValueType::Str, Properties::AS_VALUE)
+                .id();
             let t = ds.attribute("t", ValueType::Int, Properties::AS_VALUE).id();
-            let note = ds.attribute("note", ValueType::Str, Properties::AS_VALUE).id();
+            let note = ds
+                .attribute("note", ValueType::Str, Properties::AS_VALUE)
+                .id();
             for i in 0..1024 {
                 let mut rec = SnapshotRecord::new();
                 let name = Value::str(format!("r{}", (i + n) % 3));
@@ -1247,21 +1360,38 @@ mod tests {
                 let warm = |pair: &Pair| answer(&pair.state, ALL);
                 let before = warm(&pair);
                 assert!(pair.feed(b"garbage\n", "a rejected batch").is_err());
-                assert!(pair.state.reader.strings().len() < held, "the table did start over");
+                assert!(
+                    pair.state.reader.strings().len() < held,
+                    "the table did start over"
+                );
                 assert_eq!(warm(&pair), before, "across the restart before batch {n}");
             }
-            pair.feed(&caliper_format::cali::to_bytes(&ds), &format!("after batch {n}")).unwrap();
+            pair.feed(
+                &caliper_format::cali::to_bytes(&ds),
+                &format!("after batch {n}"),
+            )
+            .unwrap();
             let now = pair.state.reader.strings().len();
-            assert!(now <= MAX_STREAM_STRINGS + 1024 + 8, "{now} strings after batch {n}");
+            assert!(
+                now <= MAX_STREAM_STRINGS + 1024 + 8,
+                "{now} strings after batch {n}"
+            );
             resets += usize::from(now < held);
             held = now;
         }
-        assert_eq!(resets, 300 * 1024 / MAX_STREAM_STRINGS, "the table did start over");
+        assert_eq!(
+            resets,
+            300 * 1024 / MAX_STREAM_STRINGS,
+            "the table did start over"
+        );
         pair.assert_journal_is_the_payloads_as_sent("after 300 batches");
         // Replayed, the table is bounded as it was at ingest.
         let pair = pair.restart();
         let now = pair.state.reader.strings().len();
-        assert!(now <= MAX_STREAM_STRINGS + 1024 + 8, "{now} strings after the replay");
+        assert!(
+            now <= MAX_STREAM_STRINGS + 1024 + 8,
+            "{now} strings after the replay"
+        );
         pair.remove();
     }
 
@@ -1279,7 +1409,9 @@ mod tests {
         let mut resets = 0;
         for n in 0..300 {
             let mut ds = Dataset::new();
-            let note = ds.attribute("note", ValueType::Str, Properties::AS_VALUE).id();
+            let note = ds
+                .attribute("note", ValueType::Str, Properties::AS_VALUE)
+                .id();
             for i in 0..1024 {
                 let mut rec = SnapshotRecord::new();
                 rec.push_imm(note, Value::str(format!("note {n}.{i}")));
@@ -1290,7 +1422,10 @@ mod tests {
             let held = state.reader.strings().len();
             assert!(state.process_batch(&bad).is_err(), "batch {n}");
             let now = state.reader.strings().len();
-            assert!(now <= MAX_STREAM_STRINGS + 1024 + 8, "{now} strings after batch {n}");
+            assert!(
+                now <= MAX_STREAM_STRINGS + 1024 + 8,
+                "{now} strings after batch {n}"
+            );
             resets += usize::from(now < held);
         }
         assert!(resets > 0, "the table did start over");
@@ -1301,12 +1436,16 @@ mod tests {
     #[test]
     fn a_served_journal_keeps_the_globals_each_batch_sent() {
         let dir = tmpdir("recover-globals");
-        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../cli/tests/golden/data/rank0.cali");
+        let golden =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../cli/tests/golden/data/rank0.cali");
         let payload = std::fs::read(&golden).unwrap();
         let mut state = StreamState::open("s1", &test_cfg(&dir), &spec()).unwrap();
         for _ in 0..2 {
             state.process_batch(&payload).unwrap();
-            assert!(state.reader.dataset().globals.is_empty(), "a resident stream keeps none");
+            assert!(
+                state.reader.dataset().globals.is_empty(),
+                "a resident stream keeps none"
+            );
         }
         drop(state);
         // Replayed, the stream keeps none either.
@@ -1321,12 +1460,19 @@ mod tests {
         // `experiment`): two a batch.
         let sent = caliper_format::read_path(&golden).unwrap();
         assert_eq!(sent.globals.len(), 2);
-        assert!(report.summary().contains(" + 4 globals,"), "{}", report.summary());
+        assert!(
+            report.summary().contains(" + 4 globals,"),
+            "{}",
+            report.summary()
+        );
         assert_eq!(report.globals, 4);
         let described = |ds: &Dataset| -> Vec<String> {
             ds.globals.iter().map(|g| g.describe(&ds.store)).collect()
         };
-        assert_eq!(described(&salvaged), [described(&sent), described(&sent)].concat());
+        assert_eq!(
+            described(&salvaged),
+            [described(&sent), described(&sent)].concat()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1363,7 +1509,10 @@ mod tests {
         }
         // So does a batch without a record: empty, or all dictionary.
         for empty in [&b""[..], &lines[..2].concat()] {
-            assert_eq!(state.process_batch(empty).unwrap_err(), "batch rejected: no records");
+            assert_eq!(
+                state.process_batch(empty).unwrap_err(),
+                "batch rejected: no records"
+            );
             untouched(&state, "empty batch");
         }
         // The stream is none the worse: the clean batch is accepted whole.
@@ -1384,7 +1533,10 @@ mod tests {
         assert!(state.process_batch(&garbage).is_err());
         state.process_batch(&batch(&[("a", 1)])).unwrap();
         assert!(state.process_batch(&garbage).is_err());
-        assert!(!state.degraded(), "counter is consecutive, reset by success");
+        assert!(
+            !state.degraded(),
+            "counter is consecutive, reset by success"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

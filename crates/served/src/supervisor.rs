@@ -108,11 +108,19 @@ mod tests {
         let attempts = Arc::new(AtomicU32::new(0));
         let health = Arc::new(WorkerHealth::default());
         let a = Arc::clone(&attempts);
-        let handle = supervise("test-worker", 5, no_backoff(), Arc::clone(&health), |_| {}, || {}, move || {
-            if a.fetch_add(1, Ordering::Relaxed) < 2 {
-                panic!("injected");
-            }
-        });
+        let handle = supervise(
+            "test-worker",
+            5,
+            no_backoff(),
+            Arc::clone(&health),
+            |_| {},
+            || {},
+            move || {
+                if a.fetch_add(1, Ordering::Relaxed) < 2 {
+                    panic!("injected");
+                }
+            },
+        );
         handle.join().unwrap();
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
         assert_eq!(health.restarts(), 2);
@@ -147,9 +155,17 @@ mod tests {
         let attempts = Arc::new(AtomicU32::new(0));
         let health = Arc::new(WorkerHealth::default());
         let a = Arc::clone(&attempts);
-        supervise("calm", 5, no_backoff(), Arc::clone(&health), |_| {}, || {}, move || {
-            a.fetch_add(1, Ordering::Relaxed);
-        })
+        supervise(
+            "calm",
+            5,
+            no_backoff(),
+            Arc::clone(&health),
+            |_| {},
+            || {},
+            move || {
+                a.fetch_add(1, Ordering::Relaxed);
+            },
+        )
         .join()
         .unwrap();
         assert_eq!(attempts.load(Ordering::Relaxed), 1);

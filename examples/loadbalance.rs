@@ -79,7 +79,10 @@ fn main() {
         max / avg
     };
     println!();
-    println!("computation imbalance (max/avg): {:.3}", imbalance(&compute));
+    println!(
+        "computation imbalance (max/avg): {:.3}",
+        imbalance(&compute)
+    );
     println!("MPI-time imbalance     (max/avg): {:.3}", imbalance(&comm));
     println!();
     println!("note: ranks with less computation wait longer in MPI_Barrier —");

@@ -29,8 +29,8 @@ use caliper_format::{
     Dataset, ReadPolicy, ReadReport, StringTable,
 };
 use caliper_query::{
-    build_pushdown, parse_query, AggregationSpec, Aggregator, LetExpr, Pipeline,
-    QueryResult, QuerySpec,
+    build_pushdown, parse_query, AggregationSpec, Aggregator, LetExpr, Pipeline, QueryResult,
+    QuerySpec,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -50,7 +50,11 @@ fn repeated(rows: &[(Generated, u8)]) -> Vec<Generated> {
     for &((node, phase, mask, it, t, count), repeat) in rows {
         for k in 0..=(repeat % 64) {
             out.push((
-                if repeat & 64 != 0 { node.wrapping_add(k) } else { node },
+                if repeat & 64 != 0 {
+                    node.wrapping_add(k)
+                } else {
+                    node
+                },
                 phase.wrapping_add(k / 3),
                 mask,
                 it.wrapping_add(k as i8),
@@ -126,13 +130,21 @@ fn dataset_of(rows: &[Generated]) -> Dataset {
             }
         }
         let imms = [
-            (1, phase.id(), Value::str(phases[phase_choice as usize % phases.len()])),
+            (
+                1,
+                phase.id(),
+                Value::str(phases[phase_choice as usize % phases.len()]),
+            ),
             (2, iter.id(), Value::Int(it as i64)),
             (4, time.id(), Value::Float(t as f64 * 0.25)),
             (8, time.id(), Value::Float(t as f64 * 0.5 + 1.0)),
             (16, n.id(), Value::UInt(count as u64)),
             (32, flag.id(), Value::Bool(count % 2 == 0)),
-            (64, label.id(), Value::str(LABELS[count as usize % LABELS.len()])),
+            (
+                64,
+                label.id(),
+                Value::str(LABELS[count as usize % LABELS.len()]),
+            ),
             (128, big.id(), Value::UInt(u64::MAX - count as u64)),
         ];
         for (bit, attr, value) in imms {
@@ -231,14 +243,19 @@ fn declarations<'a>(
 /// in file order: its rows and its overflow count.
 fn oracle(spec: &QuerySpec, cap: Option<usize>, files: &[Vec<Row>]) -> (Vec<Row>, u64) {
     let mut want = folded(spec, "count", cap, &files[0]);
-    files[1..].iter().for_each(|file| want.merge(folded(spec, "count", cap, file)));
+    files[1..]
+        .iter()
+        .for_each(|file| want.merge(folded(spec, "count", cap, file)));
     let rows = want.finish(&declarations(spec, Some(&files[0])), &mut Schema::new());
     (rows, want.overflow_records())
 }
 
 /// A finished query's rows and overflow count.
 fn answer(result: QueryResult) -> (Vec<Row>, u64) {
-    (rows_of(&result.store, result.records.iter()), result.overflow_records)
+    (
+        rows_of(&result.store, result.records.iter()),
+        result.overflow_records,
+    )
 }
 
 /// The query layer's own metrics since the last reset.
@@ -294,7 +311,12 @@ fn scan_files(
         }
     }
     let (rows, overflow) = answer(root.expect("at least one file").finish());
-    Outcome { rows, overflow, stats: query_stats(), reports }
+    Outcome {
+        rows,
+        overflow,
+        stats: query_stats(),
+        reports,
+    }
 }
 
 /// The read reports of the row reader over `files`.
@@ -377,7 +399,11 @@ fn columns_fold(
         records.push(records_of(&ds));
         text.push(write(&dir, &format!("f{i}.cali"), rough_text(&ds)));
         v1.push(write(&dir, &format!("f{i}.calb"), binary::to_binary(&ds)));
-        v2.push(write(&dir, &format!("f{i}.calb2"), v2_bytes(&ds, block_records)));
+        v2.push(write(
+            &dir,
+            &format!("f{i}.calb2"),
+            v2_bytes(&ds, block_records),
+        ));
     }
     let (want, overflow) = oracle(&spec, cap, &records);
 
@@ -396,14 +422,21 @@ fn columns_fold(
     // aggregator. (Not with the LET that shadows `iter`: it retypes the
     // attribute in the shared store, and the next file's declaration is
     // refused.)
-    let mixed: Vec<PathBuf> = (0..files.len()).map(|i| [&v2, &text, &v1][i % 3][i].clone()).collect();
+    let mixed: Vec<PathBuf> = (0..files.len())
+        .map(|i| [&v2, &text, &v1][i % 3][i].clone())
+        .collect();
     if !query.starts_with("LET iter") {
         let all = records.concat();
         let want = folded(&spec, "count", cap, &all);
         let want_rows = want.finish(&declarations(&spec, Some(&all)), &mut Schema::new());
         let (rows, got_overflow) = one_pipeline(&spec, cap, &mixed);
         check(&format!("one pipeline: {query}"), &rows, &want_rows)?;
-        prop_assert_eq!(got_overflow, want.overflow_records(), "one pipeline: {}", query);
+        prop_assert_eq!(
+            got_overflow,
+            want.overflow_records(),
+            "one pipeline: {}",
+            query
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
@@ -441,8 +474,18 @@ fn payload_start(bytes: &[u8], offset: usize) -> usize {
 #[test]
 fn a_corrupt_block_costs_exactly_that_block() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Generated> =
-        (0..50u8).map(|i| (i, i / 3, 0b0111_0111 ^ (i % 8), i as i8 - 20, i as i16 * 7, i)).collect();
+    let rows: Vec<Generated> = (0..50u8)
+        .map(|i| {
+            (
+                i,
+                i / 3,
+                0b0111_0111 ^ (i % 8),
+                i as i8 - 20,
+                i as i16 * 7,
+                i,
+            )
+        })
+        .collect();
     let ds = dataset_of(&rows);
     let records = records_of(&ds);
     let clean = v2_bytes(&ds, 8);
@@ -468,9 +511,21 @@ fn a_corrupt_block_costs_exactly_that_block() {
         let survivors = [&records[..start], &records[end..]].concat();
         let (want, _) = oracle(&spec, None, &[survivors]);
         check(&format!("block {ordinal}"), &outcome.rows, &want).unwrap();
-        assert_eq!(outcome.reports, row_reports(&spec, &files, lenient), "block {ordinal}");
-        assert!(outcome.reports[0].contains("skipped: 1"), "{}", outcome.reports[0]);
-        assert!(outcome.reports[0].contains("truncated: false"), "{}", outcome.reports[0]);
+        assert_eq!(
+            outcome.reports,
+            row_reports(&spec, &files, lenient),
+            "block {ordinal}"
+        );
+        assert!(
+            outcome.reports[0].contains("skipped: 1"),
+            "{}",
+            outcome.reports[0]
+        );
+        assert!(
+            outcome.reports[0].contains("truncated: false"),
+            "{}",
+            outcome.reports[0]
+        );
         start = end;
 
         // Strict: the file fails, and says which.
@@ -480,7 +535,10 @@ fn a_corrupt_block_costs_exactly_that_block() {
             .scan_file(&files[0], dict, ReadPolicy::Strict, None)
             .err()
             .expect("strict scan of a corrupt block fails");
-        assert!(err.to_string().contains(&format!("damaged{ordinal}.calb2")), "{err}");
+        assert!(
+            err.to_string().contains(&format!("damaged{ordinal}.calb2")),
+            "{err}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -495,8 +553,18 @@ fn a_corrupt_block_costs_exactly_that_block() {
 #[test]
 fn a_corrupt_line_costs_exactly_that_line() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Generated> =
-        (0..40u8).map(|i| (i, i / 3, 0b0111_0111 ^ (i % 8), i as i8 - 20, i as i16 * 7, i)).collect();
+    let rows: Vec<Generated> = (0..40u8)
+        .map(|i| {
+            (
+                i,
+                i / 3,
+                0b0111_0111 ^ (i % 8),
+                i as i8 - 20,
+                i as i16 * 7,
+                i,
+            )
+        })
+        .collect();
     let clean = String::from_utf8(rough_text(&dataset_of(&rows))).unwrap();
     let lines: Vec<&str> = clean.split_inclusive('\n').collect();
     let spec = parse_query(
@@ -531,20 +599,36 @@ fn a_corrupt_line_costs_exactly_that_line() {
             bytes.extend_from_slice(lines[ordinal + 1..].concat().as_bytes());
             bytes
         };
-        let damaged = [write(&dir, &format!("damaged{ordinal}.cali"), splice(&damaged_line))];
+        let damaged = [write(
+            &dir,
+            &format!("damaged{ordinal}.cali"),
+            splice(&damaged_line),
+        )];
         let without = [write(&dir, &format!("without{ordinal}.cali"), splice(b""))];
 
         let columns = scan_files(&spec, None, &damaged, lenient);
-        assert_eq!(columns.reports, row_reports(&spec, &damaged, lenient), "line {}", ordinal + 1);
+        assert_eq!(
+            columns.reports,
+            row_reports(&spec, &damaged, lenient),
+            "line {}",
+            ordinal + 1
+        );
         let removed = scan_files(&spec, None, &without, lenient);
         let at = format!("line {}", ordinal + 1);
         check_in_order(&at, &columns.rows, &removed.rows).unwrap();
         let (got, want) = (&columns.reports[0], &removed.reports[0]);
         assert_eq!(field(got, "skipped"), field(want, "skipped") + 1, "{got}");
         assert_eq!(field(got, "records"), field(want, "records"), "{got}");
-        assert_eq!(field(got, "dangling_dropped"), field(want, "dangling_dropped"), "{got}");
+        assert_eq!(
+            field(got, "dangling_dropped"),
+            field(want, "dangling_dropped"),
+            "{got}"
+        );
         assert!(got.contains("truncated: false"), "{got}");
-        assert!(got.contains(&format!("parse error at line {}:", ordinal + 1)), "{got}");
+        assert!(
+            got.contains(&format!("parse error at line {}:", ordinal + 1)),
+            "{got}"
+        );
 
         // Strict: the row reader's first error, naming the line.
         let dict = Dataset::new();
@@ -553,10 +637,14 @@ fn a_corrupt_line_costs_exactly_that_line() {
             .scan_file(&damaged[0], dict, ReadPolicy::Strict, None)
             .err()
             .expect("strict scan of a corrupt line fails");
-        let rows_err = read_path_into_filtered(&damaged[0], Dataset::new(), ReadPolicy::Strict, None)
-            .expect_err("strict read of a corrupt line fails");
+        let rows_err =
+            read_path_into_filtered(&damaged[0], Dataset::new(), ReadPolicy::Strict, None)
+                .expect_err("strict read of a corrupt line fails");
         assert_eq!(scan_err.to_string(), rows_err.to_string());
-        let named = format!("damaged{ordinal}.cali: parse error at line {}:", ordinal + 1);
+        let named = format!(
+            "damaged{ordinal}.cali: parse error at line {}:",
+            ordinal + 1
+        );
         assert!(scan_err.to_string().contains(&named), "{scan_err}");
     }
     assert!(corrupted > 50, "{corrupted} lines corrupted");
@@ -568,7 +656,9 @@ fn a_corrupt_line_costs_exactly_that_line() {
 #[test]
 fn pass_through_queries_keep_their_rows() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Generated> = (0..40u8).map(|i| (i, i, 0b0101_0111, i as i8 - 9, i as i16, i)).collect();
+    let rows: Vec<Generated> = (0..40u8)
+        .map(|i| (i, i, 0b0101_0111, i as i8 - 9, i as i16, i))
+        .collect();
     let ds = dataset_of(&rows);
     let dir = case_dir();
     let files = [
@@ -620,7 +710,9 @@ fn row_records_between_blocks_fold_in_stream_order() {
     let (want, overflow) = oracle(&spec, Some(3), &[records]);
     let dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec, Arc::clone(&dict.store)).with_max_groups(Some(3));
-    let scanned = pipeline.scan_file(&mixed, dict, ReadPolicy::Strict, None).unwrap();
+    let scanned = pipeline
+        .scan_file(&mixed, dict, ReadPolicy::Strict, None)
+        .unwrap();
     assert_eq!((scanned.records, scanned.report.blocks), (6, 2));
     let (rows, got_overflow) = answer(pipeline.finish());
     check("mixed", &rows, &want).unwrap();
@@ -636,7 +728,9 @@ fn row_records_between_blocks_fold_in_stream_order() {
 #[test]
 fn one_fold_may_feed_several_aggregators() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Generated> = (0..60u8).map(|i| (i, i / 7, 1 | 4 | 64, 0, i as i16, i / 5)).collect();
+    let rows: Vec<Generated> = (0..60u8)
+        .map(|i| (i, i / 7, 1 | 4 | 64, 0, i as i16, i / 5))
+        .collect();
     let dir = case_dir();
     let file = write(&dir, "dealt.calb2", v2_bytes(&dataset_of(&rows), 8));
     let query = parse_query("AGGREGATE count, sum(time) GROUP BY label, region, phase").unwrap();
@@ -647,15 +741,21 @@ fn one_fold_may_feed_several_aggregators() {
     let mut aggregators = Vec::new();
     let mut dealt: [Vec<Row>; 3] = Default::default();
     let mut block_no = 0;
-    scan_path(&file, dict, ReadPolicy::Strict, None, &mut |ds, strings, block| {
-        if block_no % 3 == 0 && block_no > 0 {
-            aggregators.push(aggregator.restart());
-        }
-        aggregator.fold_block(&ds.tree, strings, block);
-        let records = block.records(strings).map(|record| record.unpack(&ds.tree));
-        dealt[block_no / 3].extend(rows_of(&ds.store, records));
-        block_no += 1;
-    })
+    scan_path(
+        &file,
+        dict,
+        ReadPolicy::Strict,
+        None,
+        &mut |ds, strings, block| {
+            if block_no % 3 == 0 && block_no > 0 {
+                aggregators.push(aggregator.restart());
+            }
+            aggregator.fold_block(&ds.tree, strings, block);
+            let records = block.records(strings).map(|record| record.unpack(&ds.tree));
+            dealt[block_no / 3].extend(rows_of(&ds.store, records));
+            block_no += 1;
+        },
+    )
     .expect("file scans");
     aggregators.push(aggregator);
     assert_eq!(block_no, 8);
@@ -674,9 +774,13 @@ fn one_fold_may_feed_several_aggregators() {
 fn scan_counting(spec: &QuerySpec, cap: Option<usize>, path: &Path) -> ((Vec<Row>, u64), u64) {
     let dict = Dataset::new();
     let mut pipeline = Pipeline::new(spec.clone(), Arc::clone(&dict.store)).with_max_groups(cap);
-    scan_path(path, dict, ReadPolicy::Strict, None, &mut |ds, strings, block| {
-        pipeline.fold_block(ds, strings, block)
-    })
+    scan_path(
+        path,
+        dict,
+        ReadPolicy::Strict,
+        None,
+        &mut |ds, strings, block| pipeline.fold_block(ds, strings, block),
+    )
     .expect("file scans");
     let gathered = pipeline.gathered_rows();
     (answer(pipeline.finish()), gathered)
@@ -725,7 +829,12 @@ fn hand_built(
         assert!(block.end_row());
     }
     let records = blocks.iter().flat_map(|block| block.records(&strings));
-    let rows = rows_of(&ds.store, records.map(|record| record.unpack(&ds.tree)).collect::<Vec<_>>());
+    let rows = rows_of(
+        &ds.store,
+        records
+            .map(|record| record.unpack(&ds.tree))
+            .collect::<Vec<_>>(),
+    );
     (strings, blocks, rows)
 }
 
@@ -751,7 +860,10 @@ fn fold_hand_built(
 /// every attribute of [`dataset_of`].
 fn in_memory(spec: &QuerySpec, cap: Option<usize>, records: &[Row]) -> (Vec<Row>, u64) {
     let want = folded(spec, "count", cap, records);
-    (want.finish(&declarations(spec, None), &mut Schema::new()), want.overflow_records())
+    (
+        want.finish(&declarations(spec, None), &mut Schema::new()),
+        want.overflow_records(),
+    )
 }
 
 proptest! {
@@ -796,7 +908,9 @@ proptest! {
 fn a_run_with_repeated_occurrences_is_gathered_between_columnar_runs() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
     let run = |mask: u8, n: u8| -> Vec<Generated> {
-        (0..n).map(|k| (1, k, mask, k as i8, k as i16 * 3 - 20, k)).collect()
+        (0..n)
+            .map(|k| (1, k, mask, k as i8, k as i16 * 3 - 20, k))
+            .collect()
     };
     let (once, twice) = (1 | 2 | 4 | 16 | 64, 1 | 2 | 4 | 8 | 16 | 64);
     let ds = dataset_of(&[run(once, 20), run(twice, 10), run(once, 20)].concat());
@@ -835,8 +949,9 @@ fn a_run_with_repeated_occurrences_is_gathered_between_columnar_runs() {
 #[test]
 fn max_groups_is_reached_in_the_middle_of_a_run() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
-    let rows: Vec<Generated> =
-        (0..60u8).map(|k| (0, k, 1 | 2 | 4 | 64, k as i8 - 30, k as i16, k / 2)).collect();
+    let rows: Vec<Generated> = (0..60u8)
+        .map(|k| (0, k, 1 | 2 | 4 | 64, k as i8 - 30, k as i16, k / 2))
+        .collect();
     let ds = dataset_of(&rows);
     let records = records_of(&ds);
     let dir = case_dir();
@@ -869,7 +984,9 @@ fn max_groups_is_reached_in_the_middle_of_a_run() {
 fn an_attribute_in_two_type_columns_folds_as_its_rows() {
     let _turn = METRICS.lock().unwrap_or_else(|e| e.into_inner());
     let run = |mask: u8| -> Vec<Generated> {
-        (0..30u8).map(|k| (2, k, mask, k as i8, k as i16 * 5 - 40, k)).collect()
+        (0..30u8)
+            .map(|k| (2, k, mask, k as i8, k as i16 * 5 - 40, k))
+            .collect()
     };
     let rows = [run(1 | 4 | 16), run(1 | 4 | 16), run(1 | 4 | 8 | 16)].concat();
     let retype = |i: usize, k: usize| ((30..60).contains(&i) && k == 0) || (i >= 60 && k == 1);

@@ -12,10 +12,7 @@ use caliper_repro::mpi::{
 use caliper_repro::prelude::*;
 
 fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "caliper-it-{name}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("caliper-it-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -62,10 +59,7 @@ fn file_roundtrip_preserves_query_results() {
     let reloaded = cali::read_file(&path).unwrap();
     let roundtripped = run_query(&reloaded, query).unwrap();
 
-    assert_eq!(
-        direct.to_table(),
-        roundtripped.to_table()
-    );
+    assert_eq!(direct.to_table(), roundtripped.to_table());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -95,8 +89,15 @@ fn parallel_query_equals_serial_query() {
             opts,
             false,
         );
-        let (threads, _) =
-            parallel_query(&ThreadEngine, Topology::Flat, query, per_rank, plan, opts, false);
+        let (threads, _) = parallel_query(
+            &ThreadEngine,
+            Topology::Flat,
+            query,
+            per_rank,
+            plan,
+            opts,
+            false,
+        );
         for (engine, run) in [("event", event.unwrap()), ("threads", threads.unwrap())] {
             assert_eq!(
                 serial.to_table(),
@@ -116,7 +117,9 @@ fn file_set_fold_equals_merged_dataset_query_for_any_worker_count() {
     let paths = write_rank_files(&dir, 7);
     let query = "AGGREGATE sum(sum#time.duration), sum(aggregate.count) \
                  WHERE kernel GROUP BY kernel";
-    let expected = run_query(&read_files(&paths).unwrap(), query).unwrap().render();
+    let expected = run_query(&read_files(&paths).unwrap(), query)
+        .unwrap()
+        .render();
     for threads in [1, 2, 4] {
         let (result, timings) =
             parallel_query_files(query, &paths, &ParallelOptions::with_threads(threads)).unwrap();
@@ -167,10 +170,20 @@ fn a_files_partial_is_its_records_folded_in_stream_order() {
         for threads in [1, 2, 4] {
             let options = ParallelOptions::with_threads(threads);
             let (result, _) = parallel_query_files(query, &[file], &options).unwrap();
-            assert_eq!(result.render(), expected, "{} --threads {threads}", file.display());
+            assert_eq!(
+                result.render(),
+                expected,
+                "{} --threads {threads}",
+                file.display()
+            );
             let options = options.with_max_groups(Some(4));
             let (result, _) = parallel_query_files(query, &[file], &options).unwrap();
-            assert_eq!(result.render(), capped.render(), "{} --threads {threads}", file.display());
+            assert_eq!(
+                result.render(),
+                capped.render(),
+                "{} --threads {threads}",
+                file.display()
+            );
             assert_eq!(result.overflow_records, capped.overflow_records);
         }
         // A rank of `mpi-caliquery` (which has no group cap).
@@ -183,7 +196,12 @@ fn a_files_partial_is_its_records_folded_in_stream_order() {
             ResilienceOptions::default(),
             false,
         );
-        assert_eq!(run.unwrap().result.render(), expected, "{} on one rank", file.display());
+        assert_eq!(
+            run.unwrap().result.render(),
+            expected,
+            "{} on one rank",
+            file.display()
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -301,14 +319,32 @@ fn tree_reduction_inside_mpisim_matches_pipeline_merge() {
             a.merge(b);
             a
         };
-        ReduceTask::new(rank, size, Topology::Flat, init, merge, ResilienceOptions::default())
+        ReduceTask::new(
+            rank,
+            size,
+            Topology::Flat,
+            init,
+            merge,
+            ResilienceOptions::default(),
+        )
     };
     let from_tree = |run: Run<Option<(Pipeline, ReduceCoverage)>>| {
-        let (root, coverage) = run.outputs.unwrap().swap_remove(0).unwrap().expect("root result");
+        let (root, coverage) = run
+            .outputs
+            .unwrap()
+            .swap_remove(0)
+            .unwrap()
+            .expect("root result");
         assert!(coverage.is_complete());
         root.finish().to_table()
     };
     let make_too = make.clone();
-    assert_eq!(reference, from_tree(EventEngine::new().run(6, FaultPlan::new(), make, false)));
-    assert_eq!(reference, from_tree(ThreadEngine.run(6, FaultPlan::new(), make_too, false)));
+    assert_eq!(
+        reference,
+        from_tree(EventEngine::new().run(6, FaultPlan::new(), make, false))
+    );
+    assert_eq!(
+        reference,
+        from_tree(ThreadEngine.run(6, FaultPlan::new(), make_too, false))
+    );
 }

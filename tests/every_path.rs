@@ -53,9 +53,7 @@ use caliper_data::{
     AttributeStore, ContextTree, Entry, FlatRecord, Properties, SnapshotRecord, Value, ValueType,
     NODE_NONE,
 };
-use caliper_format::{
-    binary, cali, to_binary_v2_with, Block, Dataset, Pushdown, StringTable,
-};
+use caliper_format::{binary, cali, to_binary_v2_with, Block, Dataset, Pushdown, StringTable};
 use caliper_query::{
     build_pushdown, parallel_query_files, parse_query, run_query, AggregationSpec, Aggregator,
     LetExpr, ParallelOptions, Pipeline, QuerySpec,
@@ -79,7 +77,9 @@ const PATHS: [&[&str]; 6] = [&[], &["a"], &["a", "b"], &["b"], &["a/b"], &["b", 
 const REPEATS: [usize; 8] = [1, 1, 1, 2, 3, 5, 64, 64];
 const CYCLES: [usize; 4] = [1, 1, 2, 8];
 
-const KEYS: [&str; 10] = ["", "k", "i", "k, f", "u, k", "i, s", "L", "f, i, k", "v", "k, v"];
+const KEYS: [&str; 10] = [
+    "", "k", "i", "k, f", "u, k", "i, s", "L", "f, i, k", "v", "k, v",
+];
 const LETS: [&str; 5] = [
     "",
     "LET L = scale(x, 0.5)",
@@ -87,8 +87,15 @@ const LETS: [&str; 5] = [
     "LET L = first(s, v, b)",
     "LET L = truncate(f, 2)",
 ];
-const WHERES: [&str; 7] =
-    ["", "WHERE x > 0", "WHERE not(s)", "WHERE i != 3", "WHERE k", "WHERE s = s1", "WHERE v <= 1"];
+const WHERES: [&str; 7] = [
+    "",
+    "WHERE x > 0",
+    "WHERE not(s)",
+    "WHERE i != 3",
+    "WHERE k",
+    "WHERE s = s1",
+    "WHERE v <= 1",
+];
 const OPS: &str = "count, sum(x), sum(n), sum(u), sum(s), sum(v), sum(b), min(v), max(v), \
                    min(s), max(b), avg(v), percent_total(x), variance(v), stddev(n), \
                    histogram(x, -4, 4, 4), percentile(x, 50), sum(L)";
@@ -139,16 +146,27 @@ type Generated = Vec<(u8, usize, Vec<(usize, u8, Vec<(usize, u8)>, usize)>)>;
 fn files_of(generated: Generated) -> Vec<File> {
     let file = |(v, cycles, rows): (u8, usize, Vec<_>)| {
         let v = [ValueType::Int, ValueType::UInt, ValueType::Float][v as usize % 3];
-        let rows = rows.into_iter().flat_map(|(path, x, imms, repeat): (usize, u8, Vec<_>, _)| {
-            let path = PATHS[path].iter().map(|seg| (0, Value::str(*seg)));
-            let x = (x < 8).then(|| (4, value(3, x, v)));
-            let imms = imms.into_iter().map(|(l, pick)| (l + 1, value(l, pick, v)));
-            let label = |l: usize| if l == 0 { "k" } else { LABELS[l - 1] }.to_string();
-            let row: Row = path.chain(x).chain(imms).map(|(l, v)| (label(l), v)).collect();
-            std::iter::repeat_n(row, REPEATS[repeat])
-        });
+        let rows = rows
+            .into_iter()
+            .flat_map(|(path, x, imms, repeat): (usize, u8, Vec<_>, _)| {
+                let path = PATHS[path].iter().map(|seg| (0, Value::str(*seg)));
+                let x = (x < 8).then(|| (4, value(3, x, v)));
+                let imms = imms.into_iter().map(|(l, pick)| (l + 1, value(l, pick, v)));
+                let label = |l: usize| if l == 0 { "k" } else { LABELS[l - 1] }.to_string();
+                let row: Row = path
+                    .chain(x)
+                    .chain(imms)
+                    .map(|(l, v)| (label(l), v))
+                    .collect();
+                std::iter::repeat_n(row, REPEATS[repeat])
+            });
         let rows: Vec<Row> = rows.collect();
-        File { v, rows: std::iter::repeat_n(rows, CYCLES[cycles]).flatten().collect() }
+        File {
+            v,
+            rows: std::iter::repeat_n(rows, CYCLES[cycles])
+                .flatten()
+                .collect(),
+        }
     };
     generated.into_iter().map(file).collect()
 }
@@ -194,7 +212,11 @@ fn declarations<'a>(
     move |label| match query.lets.iter().find(|def| def.name == label) {
         Some(def) if matches!(def.expr, LetExpr::First(_)) => Some(ValueType::Str),
         Some(_) => Some(ValueType::Float),
-        None => records.iter().flatten().any(|(l, _)| l == label).then(|| label_type(label, v)),
+        None => records
+            .iter()
+            .flatten()
+            .any(|(l, _)| l == label)
+            .then(|| label_type(label, v)),
     }
 }
 
@@ -213,7 +235,9 @@ fn folded<'r>(
 /// Flushed or queried rows as the oracle's, labels from `store`.
 fn rows_of(store: &AttributeStore, rows: impl IntoIterator<Item = FlatRecord>) -> Vec<Row> {
     let pair = |(a, v): &(u32, Value)| (store.name_of(*a).unwrap().to_string(), v.clone());
-    rows.into_iter().map(|rec| rec.pairs().iter().map(pair).collect()).collect()
+    rows.into_iter()
+        .map(|rec| rec.pairs().iter().map(pair).collect())
+        .collect()
 }
 
 /// `got` and `want` hold the same rows, in any order: each pair's label,
@@ -238,7 +262,9 @@ fn encoded(rows: &[Row]) -> Vec<String> {
         Value::Float(x) => format!("{label}=float:{:#018x}", x.to_bits()),
         v => format!("{label}={}:{v}", v.value_type().name()),
     };
-    rows.iter().map(|row| row.iter().map(pair).collect::<Vec<_>>().join(",")).collect()
+    rows.iter()
+        .map(|row| row.iter().map(pair).collect::<Vec<_>>().join(","))
+        .collect()
 }
 
 fn same(path: &str, got: Vec<String>, want: Vec<String>, order: &str) -> Result<(), TestCaseError> {
@@ -298,7 +324,9 @@ fn every_path(
     // `parallel_query_files`: a partial per file, merged in file order.
     for cap in [None, cap] {
         let mut want = folded(&query, "count", cap, records[0]);
-        records[1..].iter().for_each(|file| want.merge(folded(&query, "count", cap, *file)));
+        records[1..]
+            .iter()
+            .for_each(|file| want.merge(folded(&query, "count", cap, *file)));
         let want_rows = want.finish(&declared, &mut Schema::new());
         let no_pushdown = Some(Arc::new(Pushdown::default()));
         let mut render = None;
@@ -314,7 +342,11 @@ fn every_path(
                     .with_pushdown(pushdown.clone());
                 let (result, timings) = parallel_query_files(&text, paths, &options).unwrap();
                 let path = format!("parallel_query_files {encoding} threads={threads} cap={cap:?}");
-                check(&path, &rows_of(&result.store, result.records.iter()), &want_rows)?;
+                check(
+                    &path,
+                    &rows_of(&result.store, result.records.iter()),
+                    &want_rows,
+                )?;
                 prop_assert_eq!(result.overflow_records, want.overflow_records(), "{}", path);
                 prop_assert_eq!(timings.workers.len(), threads.min(files.len()), "{}", path);
                 prop_assert!(timings.failures.is_empty(), "{}", path);
@@ -345,13 +377,19 @@ fn every_path(
         };
         let path = format!("rows cap={cap:?}");
         let want_rows = want.finish(&declarations(&query, &all, files[0].v), &mut Schema::new());
-        check(&path, &rows_of(&result.store, result.records.iter()), &want_rows)?;
+        check(
+            &path,
+            &rows_of(&result.store, result.records.iter()),
+            &want_rows,
+        )?;
         prop_assert_eq!(result.overflow_records, want.overflow_records(), "{}", path);
     }
 
     // `mpi-caliquery`: a file per rank, partials merged up the tree.
-    let shared =
-        Arc::new((query.clone(), files.iter().map(|f| f.rows.clone()).collect::<Vec<_>>()));
+    let shared = Arc::new((
+        query.clone(),
+        files.iter().map(|f| f.rows.clone()).collect::<Vec<_>>(),
+    ));
     for topology in [Topology::Flat, Topology::TwoLevel { ranks_per_node: 2 }] {
         let shared = Arc::clone(&shared);
         let make = move |rank: usize, size: usize| {
@@ -361,16 +399,29 @@ fn every_path(
                 mine.merge(theirs);
                 mine
             };
-            ReduceTask::new(rank, size, topology, init, merge, ResilienceOptions::default())
+            ReduceTask::new(
+                rank,
+                size,
+                topology,
+                init,
+                merge,
+                ResilienceOptions::default(),
+            )
         };
-        let mut roots = EventEngine::new().run(files.len(), FaultPlan::new(), make, false).outputs.unwrap();
+        let mut roots = EventEngine::new()
+            .run(files.len(), FaultPlan::new(), make, false)
+            .outputs
+            .unwrap();
         let (want, _) = roots[0].take().flatten().unwrap();
         let want = want.finish(&declared, &mut Schema::new());
         let mut render = None;
         for paths in [&text_paths, &v2_paths] {
             let per_rank = paths.iter().map(|p| vec![p.clone()]).collect();
-            let (engine, faults, opts) =
-                (EventEngine::new(), FaultPlan::new(), ResilienceOptions::default());
+            let (engine, faults, opts) = (
+                EventEngine::new(),
+                FaultPlan::new(),
+                ResilienceOptions::default(),
+            );
             let (run, _) = parallel_query(&engine, topology, &text, per_rank, faults, opts, false);
             let result = run.unwrap().result;
             let path = format!("parallel_query {topology:?} {}", paths[0].display());
@@ -383,12 +434,24 @@ fn every_path(
     // The runtime: snapshots, each annotating attributes it is the first
     // to carry, into a service that spills at capacity and into a capped
     // aggregator; the spilled and final blocks re-aggregated off-line.
-    let online = QuerySpec { lets: Vec::new(), filters: Vec::new(), ..query.clone() };
+    let online = QuerySpec {
+        lets: Vec::new(),
+        filters: Vec::new(),
+        ..query.clone()
+    };
     let capacity = [4, 1, 3, 6][key % 4];
-    let (store, tree) = (Arc::new(AttributeStore::new()), Arc::new(ContextTree::new()));
+    let (store, tree) = (
+        Arc::new(AttributeStore::new()),
+        Arc::new(ContextTree::new()),
+    );
     let mut snapshots = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
     let clock = Clock::virtual_clock();
-    let ctx = ProcCtx { store: &store, tree: &tree, clock: &clock, trigger: Trigger::User };
+    let ctx = ProcCtx {
+        store: &store,
+        tree: &tree,
+        clock: &clock,
+        trigger: Trigger::User,
+    };
     let online_spec = AggregationSpec::from_query(&query);
     let mut service =
         AggregateService::with_capacity(online_spec.clone(), Arc::clone(&store), capacity);
@@ -405,7 +468,9 @@ fn every_path(
         service.consume(&ctx, &snapshots.records[i]);
         assert!(block.push_snapshot(&mut strings, &snapshots.records[i]));
         for (label, _) in record {
-            schema.entry(label.clone()).or_insert_with(|| label_type(label, files[0].v));
+            schema
+                .entry(label.clone())
+                .or_insert_with(|| label_type(label, files[0].v));
         }
         partial.fold(record);
         if partial.len() >= capacity || i + 1 == all.len() {
@@ -426,7 +491,11 @@ fn every_path(
     let want_capped = folded(&online, "count", cap, &all);
     let want_rows =
         want_capped.finish(&declarations(&online, &all, files[0].v), &mut Schema::new());
-    check("Aggregator::fold_block capped", &rows_of(&out, capped.flush(&out).iter()), &want_rows)?;
+    check(
+        "Aggregator::fold_block capped",
+        &rows_of(&out, capped.flush(&out).iter()),
+        &want_rows,
+    )?;
     prop_assert_eq!(capped.overflow_records(), want_capped.overflow_records());
     prop_assert_eq!(capped.records_processed(), all.len() as u64);
     let requery = format!(
@@ -435,15 +504,27 @@ fn every_path(
     let result = run_query(&flushed, &requery).unwrap();
     let requeried = folded(&parse_query(&requery).unwrap(), "count", None, &want)
         .finish(&|l| schema.get(l).copied(), &mut Schema::new());
-    check("AggregateService re-aggregated", &rows_of(&result.store, result.records.iter()), &requeried)?;
+    check(
+        "AggregateService re-aggregated",
+        &rows_of(&result.store, result.records.iter()),
+        &requeried,
+    )?;
 
     // `cali-served`: a stream per file, two batches each, queried warm,
     // then reopened from the journals and queried again.
-    let cfg =
-        ServedConfig { data_dir: dir.join("served"), max_groups: cap, ..ServedConfig::default() };
+    let cfg = ServedConfig {
+        data_dir: dir.join("served"),
+        max_groups: cap,
+        ..ServedConfig::default()
+    };
     let spec = AggregationSpec::from_query(&query);
     let names: Vec<String> = (0..files.len()).map(|i| format!("r{i}")).collect();
-    let open = || names.iter().map(|n| StreamState::open(n, &cfg, &spec).unwrap()).collect();
+    let open = || {
+        names
+            .iter()
+            .map(|n| StreamState::open(n, &cfg, &spec).unwrap())
+            .collect()
+    };
     let mut out = Schema::from([("stream".to_string(), ValueType::Str)]);
     let mut want = Vec::new();
     for (name, file) in names.iter().zip(&files) {
@@ -458,7 +539,9 @@ fn every_path(
     for (stream, file) in streams.iter_mut().zip(&files) {
         let (first, second) = file.rows.split_at(file.rows.len() / 2);
         for batch in [first, second].into_iter().filter(|b| !b.is_empty()) {
-            stream.process_batch(&cali::to_bytes(&dataset(file.v, batch))).unwrap();
+            stream
+                .process_batch(&cali::to_bytes(&dataset(file.v, batch)))
+                .unwrap();
         }
     }
     // A pass-through query over the streams' warm answers keeps what
@@ -477,10 +560,18 @@ fn every_path(
             kept.fold(&block);
         }
         let result = warm.finish();
-        check_in_order(&format!("cali-served {pass}"), &rows_of(&result.store, result.records.iter()), &want)?;
+        check_in_order(
+            &format!("cali-served {pass}"),
+            &rows_of(&result.store, result.records.iter()),
+            &want,
+        )?;
         let path = format!("cali-served {pass}: {warm_query}");
         let kept = kept.finish();
-        check_in_order(&path, &rows_of(&kept.store, kept.records.iter()), &warm_want)?;
+        check_in_order(
+            &path,
+            &rows_of(&kept.store, kept.records.iter()),
+            &warm_want,
+        )?;
         renders.push(result.render());
         drop(std::mem::take(&mut streams));
         streams = open();
@@ -507,12 +598,18 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
         ("v.str", ValueType::Str, Properties::AS_VALUE),
         ("v.float", ValueType::Float, Properties::AS_VALUE),
     ];
-    let inputs: Schema = declared.iter().map(|&(label, t, _)| (label.to_string(), t)).collect();
+    let inputs: Schema = declared
+        .iter()
+        .map(|&(label, t, _)| (label.to_string(), t))
+        .collect();
     let input = |label: &str| inputs.get(label).copied();
     // A store and tree per shape, so that a shape's flushes declare their
     // results in a store of their own; the ids come out alike each time.
     let setup = || {
-        let (store, tree) = (Arc::new(AttributeStore::new()), Arc::new(ContextTree::new()));
+        let (store, tree) = (
+            Arc::new(AttributeStore::new()),
+            Arc::new(ContextTree::new()),
+        );
         let id = |&(label, vtype, properties)| store.create(label, vtype, properties).unwrap().id();
         let [n, tag, num, v, f] = declared.each_ref().map(id);
         let main = tree.get_child(NODE_NONE, n, &Value::str("main"));
@@ -520,7 +617,12 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
         let tagged = tree.get_child(foo, tag, &Value::str("t"));
         let three = tree.get_child(tagged, num, &Value::Int(3));
         let counted = tree.get_child(three, num, &Value::Int(4));
-        (store, tree, [n, tag, num, v, f], [main, foo, tagged, three, counted])
+        (
+            store,
+            tree,
+            [n, tag, num, v, f],
+            [main, foo, tagged, three, counted],
+        )
     };
     let (_, _, [n, _, _, v, f], [main, foo, tagged, three, counted]) = setup();
     let node = Entry::Node;
@@ -533,7 +635,12 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
             "node-less and plain",
             "AGGREGATE count, sum(v.float) GROUP BY n.str, v.str, n.tag",
             None,
-            vec![vec![node(foo), text(v, "a"), time()], vec![node(tagged), time()], vec![text(v, "b")], vec![]],
+            vec![
+                vec![node(foo), text(v, "a"), time()],
+                vec![node(tagged), time()],
+                vec![text(v, "b")],
+                vec![],
+            ],
         ),
         (
             "two node entries",
@@ -545,7 +652,11 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
             "a key label on the path and an immediate",
             "AGGREGATE count GROUP BY n.str",
             None,
-            vec![vec![node(foo), text(n, "x")], vec![node(foo)], vec![node(main), text(n, "x")]],
+            vec![
+                vec![node(foo), text(n, "x")],
+                vec![node(foo)],
+                vec![node(main), text(n, "x")],
+            ],
         ),
         (
             "a key label twice an immediate",
@@ -569,31 +680,54 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
             "key strings turned away at the cap",
             "AGGREGATE count GROUP BY n.str, v.str",
             Some(1),
-            vec![vec![text(v, "a")], vec![node(foo), text(v, "a")], vec![text(v, "b")], vec![text(v, "a")]],
+            vec![
+                vec![text(v, "a")],
+                vec![node(foo), text(v, "a")],
+                vec![text(v, "b")],
+                vec![text(v, "a")],
+            ],
         ),
         (
             "at the cap, a key of no new string",
             "AGGREGATE count GROUP BY v.str, n.tag",
             Some(1),
-            vec![vec![text(v, "a")], vec![node(foo)], vec![text(v, "a"), time()]],
+            vec![
+                vec![text(v, "a")],
+                vec![node(foo)],
+                vec![text(v, "a"), time()],
+            ],
         ),
         (
             "a nested key label that is also a sum target",
             "AGGREGATE count, sum(n.num) GROUP BY n.num, n.str",
             None,
-            vec![vec![node(counted)], vec![node(counted), time()], vec![node(three)], vec![node(tagged)]],
+            vec![
+                vec![node(counted)],
+                vec![node(counted), time()],
+                vec![node(three)],
+                vec![node(tagged)],
+            ],
         ),
         (
             "a nested key label that a WHERE compares",
             "AGGREGATE count, sum(v.float) WHERE n.str = foo GROUP BY n.str",
             Some(2),
-            vec![vec![node(foo), time()], vec![node(main), time()], vec![node(counted)], vec![text(v, "a")]],
+            vec![
+                vec![node(foo), time()],
+                vec![node(main), time()],
+                vec![node(counted)],
+                vec![text(v, "a")],
+            ],
         ),
         (
             "a nested key label that a LET reads",
             "LET L = first(n.str) AGGREGATE count GROUP BY n.str, L",
             None,
-            vec![vec![node(foo)], vec![node(tagged), time()], vec![node(main)]],
+            vec![
+                vec![node(foo)],
+                vec![node(tagged), time()],
+                vec![node(main)],
+            ],
         ),
         (
             "a nested key label that also arrives as an immediate",
@@ -611,20 +745,29 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
     for (shape, text, cap, entries) in shapes {
         let query = parse_query(text).unwrap();
         let (store, tree, ..) = setup();
-        let records: Vec<SnapshotRecord> =
-            entries.into_iter().map(SnapshotRecord::from_entries).collect();
+        let records: Vec<SnapshotRecord> = entries
+            .into_iter()
+            .map(SnapshotRecord::from_entries)
+            .collect();
         let rows = rows_of(&store, records.iter().map(|record| record.unpack(&tree)));
         let want = folded(&query, "count", cap, &rows);
 
         if !query.filters.is_empty() || !query.lets.is_empty() {
             let mut ds = Dataset::with_context(Arc::clone(&store), Arc::clone(&tree));
             records.into_iter().for_each(|record| ds.push(record));
-            let mut pipeline = Pipeline::new(query.clone(), Arc::clone(&store)).with_max_groups(cap);
+            let mut pipeline =
+                Pipeline::new(query.clone(), Arc::clone(&store)).with_max_groups(cap);
             pipeline.process_dataset(&ds);
             let result = pipeline.finish();
             // The LETs here are `first()`s: strings.
             let lets = |label: &str| query.lets.iter().any(|def| def.name == label);
-            let declared = |label: &str| if lets(label) { Some(ValueType::Str) } else { input(label) };
+            let declared = |label: &str| {
+                if lets(label) {
+                    Some(ValueType::Str)
+                } else {
+                    input(label)
+                }
+            };
             let want_rows = want.finish(&declared, &mut Schema::new());
             let got = rows_of(&result.store, result.records.iter());
             check(&format!("{shape}: Pipeline"), &got, &want_rows).unwrap();
@@ -635,7 +778,12 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
         // The service: spilled blocks and the last one, in the store the
         // snapshots' attributes are in.
         let spec = AggregationSpec::from_query(&query);
-        let ctx = ProcCtx { store: &store, tree: &tree, clock: &clock, trigger: Trigger::User };
+        let ctx = ProcCtx {
+            store: &store,
+            tree: &tree,
+            clock: &clock,
+            trigger: Trigger::User,
+        };
         let mut schema = inputs.clone();
         for capacity in [0, 1, 2] {
             let mut service =
@@ -661,13 +809,19 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
         let mut capped = Aggregator::new(spec.clone(), Arc::clone(&store));
         capped.set_max_groups(cap);
         let (mut strings, mut block) = (StringTable::default(), Block::default());
-        records.iter().for_each(|record| assert!(block.push_snapshot(&mut strings, record)));
+        records
+            .iter()
+            .for_each(|record| assert!(block.push_snapshot(&mut strings, record)));
         capped.fold_block(&tree, &mut strings, &block);
         let out = AttributeStore::new();
         let want_rows = want.finish(&input, &mut Schema::new());
         let path = format!("{shape}: Aggregator::fold_block cap {cap:?}");
         check(&path, &rows_of(&out, capped.flush(&out).iter()), &want_rows).unwrap();
-        assert_eq!(capped.overflow_records(), want.overflow_records(), "{shape}");
+        assert_eq!(
+            capped.overflow_records(),
+            want.overflow_records(),
+            "{shape}"
+        );
     }
 
     // A fold's node cache answers for one tree: another tree with the
@@ -680,7 +834,11 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
     let mut rows = Vec::new();
     for name in ["main", "other"] {
         let tree = ContextTree::new();
-        let record = SnapshotRecord::from_entries(vec![node(tree.get_child(NODE_NONE, n, &Value::str(name)))]);
+        let record = SnapshotRecord::from_entries(vec![node(tree.get_child(
+            NODE_NONE,
+            n,
+            &Value::str(name),
+        ))]);
         let mut block = Block::default();
         assert!(block.push_snapshot(&mut strings, &record));
         agg.fold_block(&tree, &mut strings, &block);
@@ -689,7 +847,12 @@ fn every_snapshot_shape_folds_what_the_oracle_folds() {
     let out = AttributeStore::new();
     let want = folded(&query, "count", None, &rows).finish(&input, &mut Schema::new());
     assert_eq!(want.len(), 2);
-    check("another tree", &rows_of(&out, agg.flush(&out).iter()), &want).unwrap();
+    check(
+        "another tree",
+        &rows_of(&out, agg.flush(&out).iter()),
+        &want,
+    )
+    .unwrap();
 }
 
 /// Pass-through queries over the served streams' warm answers: rows of
@@ -704,7 +867,10 @@ const WARM: [&str; 4] = [
 /// One generated pass-through query through every path that keeps rows
 /// (see the module docs). The files share one class of `v`, since
 /// `cali-query` reads them through one dictionary.
-fn every_pass_through_path(files: Vec<File>, (let_, where_): (usize, usize)) -> Result<(), TestCaseError> {
+fn every_pass_through_path(
+    files: Vec<File>,
+    (let_, where_): (usize, usize),
+) -> Result<(), TestCaseError> {
     let text = format!("{} SELECT * {} FORMAT expand", LETS[let_], WHERES[where_]);
     let query = parse_query(&text).unwrap();
     let all: Vec<Row> = files.iter().flat_map(|f| f.rows.clone()).collect();
@@ -719,8 +885,16 @@ fn every_pass_through_path(files: Vec<File>, (let_, where_): (usize, usize)) -> 
     let mut paths: [Vec<_>; 3] = Default::default();
     for (i, file) in files.iter().enumerate() {
         let ds = dataset(file.v, &file.rows);
-        let bytes = [cali::to_bytes(&ds), binary::to_binary(&ds), to_binary_v2_with(&ds, 16)];
-        for ((encoded, paths), ext) in bytes.into_iter().zip(&mut paths).zip(["cali", "calb", "calb2"]) {
+        let bytes = [
+            cali::to_bytes(&ds),
+            binary::to_binary(&ds),
+            to_binary_v2_with(&ds, 16),
+        ];
+        for ((encoded, paths), ext) in bytes
+            .into_iter()
+            .zip(&mut paths)
+            .zip(["cali", "calb", "calb2"])
+        {
             paths.push(dir.join(format!("f{i}.{ext}")));
             std::fs::write(paths.last().unwrap(), encoded).unwrap();
         }
@@ -741,11 +915,21 @@ fn every_pass_through_path(files: Vec<File>, (let_, where_): (usize, usize)) -> 
 
     let rows_ds = dataset(files[0].v, &all);
     let result = run_query(&rows_ds, &text).unwrap();
-    check_in_order(&format!("run_query: {text}"), &rows_of(&result.store, result.records.iter()), &want)?;
+    check_in_order(
+        &format!("run_query: {text}"),
+        &rows_of(&result.store, result.records.iter()),
+        &want,
+    )?;
     let mut pipeline = Pipeline::new(query, Arc::clone(&rows_ds.store));
-    rows_ds.flat_records().for_each(|record| pipeline.process(record));
+    rows_ds
+        .flat_records()
+        .for_each(|record| pipeline.process(record));
     let result = pipeline.finish();
-    check_in_order(&format!("process: {text}"), &rows_of(&result.store, result.records.iter()), &want)?;
+    check_in_order(
+        &format!("process: {text}"),
+        &rows_of(&result.store, result.records.iter()),
+        &want,
+    )?;
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

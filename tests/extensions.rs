@@ -31,7 +31,13 @@ fn stddev_and_variance_over_trace() {
     .unwrap();
     let get = |label: &str| -> f64 {
         let attr = result.store.find(label).unwrap();
-        result.records.row(0).get(attr.id()).unwrap().to_f64().unwrap()
+        result
+            .records
+            .row(0)
+            .get(attr.id())
+            .unwrap()
+            .to_f64()
+            .unwrap()
     };
     // Uniform 1..=100: mean 50.5, population variance (n^2-1)/12 = 833.25.
     assert!((get("avg#time.duration") - 50.5).abs() < 1e-9);
@@ -50,7 +56,13 @@ fn percentiles_over_trace() {
     .unwrap();
     let get = |label: &str| -> f64 {
         let attr = result.store.find(label).unwrap();
-        result.records.row(0).get(attr.id()).unwrap().to_f64().unwrap()
+        result
+            .records
+            .row(0)
+            .get(attr.id())
+            .unwrap()
+            .to_f64()
+            .unwrap()
     };
     let p50 = get("percentile.50#time.duration");
     let p95 = get("percentile.95#time.duration");
@@ -97,10 +109,7 @@ fn counters_aggregate_like_time() {
         .set("counters.ghz", "1.0")
         .set("counters.ipc", "1.0")
         .set("aggregate.key", "kernel")
-        .set(
-            "aggregate.ops",
-            "sum(time.duration),sum(cpu.instructions)",
-        );
+        .set("aggregate.ops", "sum(time.duration),sum(cpu.instructions)");
     let caliper = Caliper::with_clock(config, Clock::virtual_clock());
     let kernel = caliper.region_attribute("kernel");
     let mut scope = caliper.make_thread_scope();

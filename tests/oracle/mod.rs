@@ -112,7 +112,12 @@ fn arg(op: &AggOp, i: usize) -> Option<f64> {
 /// `(lo, width, nbins)` of a `histogram` op.
 fn bins(op: &AggOp) -> (f64, f64, usize) {
     let (lo, hi) = (arg(op, 0).unwrap_or(0.0), arg(op, 1).unwrap_or(1.0));
-    let n = op.args.get(2).and_then(Value::to_u64).unwrap_or(10).clamp(1, 4096) as usize;
+    let n = op
+        .args
+        .get(2)
+        .and_then(Value::to_u64)
+        .unwrap_or(10)
+        .clamp(1, 4096) as usize;
     (lo, ((hi - lo) / n as f64).max(f64::MIN_POSITIVE), n)
 }
 
@@ -147,7 +152,9 @@ fn thin(v: &mut Vec<f64>, target: usize) {
     if v.len() > target && target > 0 {
         v.sort_by(f64::total_cmp);
         let step = v.len() as f64 / target as f64;
-        *v = (0..target).map(|i| v[((i as f64 + 0.5) * step) as usize]).collect();
+        *v = (0..target)
+            .map(|i| v[((i as f64 + 0.5) * step) as usize])
+            .collect();
     }
 }
 
@@ -170,10 +177,16 @@ impl State {
         match self {
             State::Count => {}
             State::Sum(sum) => {
-                *sum = Some(sum.as_ref().map_or_else(|| value.clone(), |s| add(s, value)))
+                *sum = Some(
+                    sum.as_ref()
+                        .map_or_else(|| value.clone(), |s| add(s, value)),
+                )
             }
             State::Extreme(wanted, kept) => {
-                if kept.as_ref().is_none_or(|k| extreme_cmp(value, k) == *wanted) {
+                if kept
+                    .as_ref()
+                    .is_none_or(|k| extreme_cmp(value, k) == *wanted)
+                {
                     *kept = Some(value.clone());
                 }
             }
@@ -277,11 +290,20 @@ impl State {
             State::PercentTotal(sum) => (total > 0.0).then(|| Value::Float(100.0 * sum / total)),
             State::Moments(n, _, m2) => (*n > 0).then(|| {
                 let variance = m2 / *n as f64;
-                Value::Float(if op.kind == OpKind::Stddev { variance.sqrt() } else { variance })
+                Value::Float(if op.kind == OpKind::Stddev {
+                    variance.sqrt()
+                } else {
+                    variance
+                })
             }),
             State::Histogram(c) => {
                 let inner: Vec<String> = c[1..c.len() - 1].iter().map(u64::to_string).collect();
-                Some(Value::str(format!("{}|{}|{}", c[0], inner.join(" "), c[c.len() - 1])))
+                Some(Value::str(format!(
+                    "{}|{}|{}",
+                    c[0],
+                    inner.join(" "),
+                    c[c.len() - 1]
+                )))
             }
             State::Percentile(sample, ..) => {
                 let mut s = sample.clone();
@@ -303,7 +325,10 @@ struct Group {
 
 impl Group {
     fn new(ops: &[AggOp]) -> Group {
-        Group { records: 0, states: ops.iter().map(State::new).collect() }
+        Group {
+            records: 0,
+            states: ops.iter().map(State::new).collect(),
+        }
     }
 
     fn merge(&mut self, ops: &[AggOp], other: Group) {
@@ -479,7 +504,9 @@ impl Oracle {
         self.kept.extend(other.kept);
         if let Some(theirs) = other.overflow {
             let ops = &self.ops;
-            self.overflow.get_or_insert_with(|| Group::new(ops)).merge(ops, theirs);
+            self.overflow
+                .get_or_insert_with(|| Group::new(ops))
+                .merge(ops, theirs);
         }
         let ops = self.ops.clone();
         for (key, theirs) in other.groups {
@@ -511,7 +538,11 @@ impl Oracle {
                 Some(key) => key[slot].0.clone(),
                 None => Some(Value::str(OVERFLOW)),
             };
-            let first = || rows.iter().find_map(|(k, _)| value(*k)).map(|v| v.value_type());
+            let first = || {
+                rows.iter()
+                    .find_map(|(k, _)| value(*k))
+                    .map(|v| v.value_type())
+            };
             let t = match self.overflow {
                 Some(_) => Some(ValueType::Str),
                 None => declared(label).or_else(first),
@@ -524,8 +555,10 @@ impl Oracle {
         }
         for (i, op) in self.ops.iter().enumerate() {
             let total: f64 = rows.iter().map(|(_, g)| g.states[i].percent_sum()).sum();
-            let results: Vec<Option<Value>> =
-                rows.iter().map(|(_, g)| g.states[i].finish(op, g.records, total)).collect();
+            let results: Vec<Option<Value>> = rows
+                .iter()
+                .map(|(_, g)| g.states[i].finish(op, g.records, total))
+                .collect();
             let Some(joined) = results.iter().flatten().map(Value::value_type).reduce(join) else {
                 continue;
             };
@@ -545,7 +578,10 @@ mod hand {
     use caliper_query::parse_query;
 
     fn row(pairs: &[(&str, Value)]) -> Row {
-        pairs.iter().map(|(l, v)| (l.to_string(), v.clone())).collect()
+        pairs
+            .iter()
+            .map(|(l, v)| (l.to_string(), v.clone()))
+            .collect()
     }
 
     /// `query` over `rows`, capped at `cap`, every label declared of type
@@ -568,13 +604,19 @@ mod hand {
         let (out, _) = run(query, None, None, &rows);
         assert_eq!(out.len(), 1);
         let label = parse_query(query).unwrap().ops[0].result_label("count");
-        out[0].iter().find(|(l, _)| *l == label).map(|(_, v)| v.clone())
+        out[0]
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map(|(_, v)| v.clone())
     }
 
     #[test]
     fn an_integer_sum_overflows_to_float() {
         let sum = |xs: &[i64]| {
-            one("AGGREGATE sum(x)", &xs.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>())
+            one(
+                "AGGREGATE sum(x)",
+                &xs.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>(),
+            )
         };
         assert_eq!(sum(&[i64::MAX - 1, 1]), Some(Value::Int(i64::MAX)));
         let over = i64::MAX as f64 + 1.0;
@@ -582,20 +624,34 @@ mod hand {
         // Float from then on: the next integer adds in float space.
         assert_eq!(sum(&[i64::MAX, 1, -3]), Some(Value::Float(over - 3.0)));
         let max = [Value::UInt(u64::MAX), Value::UInt(2)];
-        assert_eq!(one("AGGREGATE sum(x)", &max), Some(Value::Float(u64::MAX as f64 + 2.0)));
+        assert_eq!(
+            one("AGGREGATE sum(x)", &max),
+            Some(Value::Float(u64::MAX as f64 + 2.0))
+        );
     }
 
     #[test]
     fn a_lone_string_is_its_own_sum() {
         let sum = |xs: &[&str]| {
-            one("AGGREGATE sum(x)", &xs.iter().map(|&x| Value::str(x)).collect::<Vec<_>>())
+            one(
+                "AGGREGATE sum(x)",
+                &xs.iter().map(|&x| Value::str(x)).collect::<Vec<_>>(),
+            )
         };
         assert_eq!(sum(&["s0"]), Some(Value::str("s0")));
         assert_eq!(sum(&["2.5", "-1"]), Some(Value::Float(1.5)));
         assert_eq!(sum(&["s0", "4"]), Some(Value::Float(4.0)));
-        assert_eq!(one("AGGREGATE sum(x)", &[Value::Bool(true)]), Some(Value::Bool(true)));
+        assert_eq!(
+            one("AGGREGATE sum(x)", &[Value::Bool(true)]),
+            Some(Value::Bool(true))
+        );
         // A group none of whose records has the target has no result.
-        let (rows, _) = run("AGGREGATE count, sum(x)", None, None, &[row(&[("y", Value::Int(1))])]);
+        let (rows, _) = run(
+            "AGGREGATE count, sum(x)",
+            None,
+            None,
+            &[row(&[("y", Value::Int(1))])],
+        );
         assert_eq!(rows, [row(&[("count", Value::UInt(1))])]);
     }
 
@@ -608,11 +664,18 @@ mod hand {
         ];
         let query = "LET y = scale(x, 0.5) SELECT * WHERE not(s) FORMAT csv";
         let (out, schema) = run(query, None, None, &rows);
-        assert_eq!(out, [row(&[("x", Value::Int(-1)), ("y", Value::Float(-0.5))])]);
+        assert_eq!(
+            out,
+            [row(&[("x", Value::Int(-1)), ("y", Value::Float(-0.5))])]
+        );
         assert!(schema.is_empty());
         // SELECT picks columns to print; the rows keep every pair.
         let (out, _) = run("LET y = scale(x, 0.5) SELECT x WHERE s", None, None, &rows);
-        let first = row(&[("x", Value::Int(4)), ("s", Value::str("a")), ("y", Value::Float(2.0))]);
+        let first = row(&[
+            ("x", Value::Int(4)),
+            ("s", Value::str("a")),
+            ("y", Value::Float(2.0)),
+        ]);
         assert_eq!(out, [first, rows[1].clone()]);
     }
 
@@ -626,10 +689,19 @@ mod hand {
     #[test]
     fn min_and_max_of_one_image_order_by_value_then_class() {
         let big = 1i64 << 53;
-        let xs = [Value::Int(big + 1), Value::Int(big), Value::Float(big as f64)];
+        let xs = [
+            Value::Int(big + 1),
+            Value::Int(big),
+            Value::Float(big as f64),
+        ];
         assert_eq!(one("AGGREGATE min(x)", &xs), Some(Value::Int(big)));
         assert_eq!(one("AGGREGATE max(x)", &xs), Some(Value::Int(big + 1)));
-        let ones = [Value::Float(1.0), Value::Bool(true), Value::UInt(1), Value::Int(1)];
+        let ones = [
+            Value::Float(1.0),
+            Value::Bool(true),
+            Value::UInt(1),
+            Value::Int(1),
+        ];
         assert_eq!(one("AGGREGATE min(x)", &ones), Some(Value::Int(1)));
         assert_eq!(one("AGGREGATE max(x)", &ones), Some(Value::Bool(true)));
     }
@@ -647,8 +719,14 @@ mod hand {
         // and takes every other input after, so the median is that of the
         // even numbers 0 … 1 498, not of all the inputs (749.5).
         let xs: Vec<Value> = (0..1500).map(|i| Value::Float(i.into())).collect();
-        assert_eq!(one("AGGREGATE percentile(x, 50)", &xs), Some(Value::Float(749.0)));
-        assert_eq!(one("AGGREGATE percentile(x, 50)", &xs[..1024]), Some(Value::Float(511.5)));
+        assert_eq!(
+            one("AGGREGATE percentile(x, 50)", &xs),
+            Some(Value::Float(749.0))
+        );
+        assert_eq!(
+            one("AGGREGATE percentile(x, 50)", &xs[..1024]),
+            Some(Value::Float(511.5))
+        );
     }
 
     #[test]
@@ -657,22 +735,43 @@ mod hand {
             row(&[("k", Value::str("a")), ("x", Value::Float(1.0))]),
             row(&[("k", Value::str("b")), ("x", Value::Float(3.0))]),
         ];
-        let (out, _) = run("AGGREGATE percent_total(x) GROUP BY k", Some(1), None, &rows);
+        let (out, _) = run(
+            "AGGREGATE percent_total(x) GROUP BY k",
+            Some(1),
+            None,
+            &rows,
+        );
         let pct = |r: &Row| r[1].clone();
         assert_eq!(out.len(), 2);
-        assert_eq!(pct(&out[0]), ("percent_total#x".to_string(), Value::Float(25.0)));
-        assert_eq!(pct(&out[1]), ("percent_total#x".to_string(), Value::Float(75.0)));
+        assert_eq!(
+            pct(&out[0]),
+            ("percent_total#x".to_string(), Value::Float(25.0))
+        );
+        assert_eq!(
+            pct(&out[1]),
+            ("percent_total#x".to_string(), Value::Float(75.0))
+        );
     }
 
     #[test]
     fn the_overflow_row_makes_every_key_column_a_string() {
         let rows: Vec<Row> = [5, 7].map(|i| row(&[("i", Value::Int(i))])).into();
-        let (got, out) = run("AGGREGATE count GROUP BY i", Some(1), Some(ValueType::Int), &rows);
+        let (got, out) = run(
+            "AGGREGATE count GROUP BY i",
+            Some(1),
+            Some(ValueType::Int),
+            &rows,
+        );
         let keys: Vec<&Value> = got.iter().map(|r| &r[0].1).collect();
         assert_eq!(keys, [&Value::str("5"), &Value::str(OVERFLOW)]);
         assert_eq!(out["i"], ValueType::Str);
         // Without the overflow row the declared type stands.
-        let (got, _) = run("AGGREGATE count GROUP BY i", None, Some(ValueType::Int), &rows);
+        let (got, _) = run(
+            "AGGREGATE count GROUP BY i",
+            None,
+            Some(ValueType::Int),
+            &rows,
+        );
         assert_eq!(got[1][0].1, Value::Int(7));
     }
 

@@ -28,7 +28,11 @@ fn sample_profile() -> Dataset {
 #[test]
 fn where_not_excludes_mpi_records() {
     let ds = sample_profile();
-    let all = run_query(&ds, "AGGREGATE sum(sum#time.duration) AS t GROUP BY mpi.rank").unwrap();
+    let all = run_query(
+        &ds,
+        "AGGREGATE sum(sum#time.duration) AS t GROUP BY mpi.rank",
+    )
+    .unwrap();
     let no_mpi = run_query(
         &ds,
         "AGGREGATE sum(sum#time.duration) AS t WHERE not(mpi.function) GROUP BY mpi.rank",
@@ -139,10 +143,18 @@ fn let_scale_converts_units_through_aggregation() {
 fn every_output_format_renders_the_same_data() {
     let ds = sample_profile();
     let base = "AGGREGATE sum(aggregate.count) WHERE kernel GROUP BY kernel";
-    let table = run_query(&ds, &format!("{base} FORMAT table")).unwrap().render();
-    let csv = run_query(&ds, &format!("{base} FORMAT csv")).unwrap().render();
-    let json = run_query(&ds, &format!("{base} FORMAT json")).unwrap().render();
-    let expand = run_query(&ds, &format!("{base} FORMAT expand")).unwrap().render();
+    let table = run_query(&ds, &format!("{base} FORMAT table"))
+        .unwrap()
+        .render();
+    let csv = run_query(&ds, &format!("{base} FORMAT csv"))
+        .unwrap()
+        .render();
+    let json = run_query(&ds, &format!("{base} FORMAT json"))
+        .unwrap()
+        .render();
+    let expand = run_query(&ds, &format!("{base} FORMAT expand"))
+        .unwrap()
+        .render();
     for out in [&table, &csv, &json, &expand] {
         assert!(out.contains("calc-dt"), "missing kernel in: {out}");
     }
@@ -151,13 +163,11 @@ fn every_output_format_renders_the_same_data() {
     assert_eq!(csv.lines().count(), 11);
 
     // cali format re-parses and re-queries identically.
-    let cali_text = run_query(&ds, &format!("{base} FORMAT cali")).unwrap().render();
+    let cali_text = run_query(&ds, &format!("{base} FORMAT cali"))
+        .unwrap()
+        .render();
     let back = cali::from_bytes(cali_text.as_bytes()).unwrap();
-    let requery = run_query(
-        &back,
-        "SELECT kernel, sum#aggregate.count ORDER BY kernel",
-    )
-    .unwrap();
+    let requery = run_query(&back, "SELECT kernel, sum#aggregate.count ORDER BY kernel").unwrap();
     assert_eq!(requery.records.len(), 10);
 }
 
