@@ -110,13 +110,14 @@ fn cali_query_names_a_binary_fault_by_its_byte() {
         "{stderr}"
     );
     assert!(!stderr.contains("line"), "{stderr}");
-    // Block 2's row count as eleven continuation bytes: more than 64 bits.
+    // Block 2's row count as twelve continuation bytes: the tenth
+    // carries bits past 64, and is the byte named.
     let mut torn = clean.clone();
     let payload = caliper_format::read_footer(&clean).unwrap()[2].offset as usize + 3;
     torn[payload..payload + 12].fill(0xff);
     let stderr = run("torn.calb2", &torn);
     assert!(
-        stderr.contains("torn.calb2: decode error in block 2 at payload byte 11: varint overflow"),
+        stderr.contains("torn.calb2: decode error in block 2 at payload byte 9: varint overflow"),
         "{stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -82,7 +82,10 @@ impl<'a> Cursor<'a> {
         let mut shift = 0;
         loop {
             let byte = self.u8()?;
-            if shift >= 64 {
+            // A tenth byte holds bit 63 alone: more overflows, and is
+            // named at its own offset.
+            if shift == 63 && byte > 1 {
+                self.pos -= 1;
                 return Err(self.err("varint overflow"));
             }
             v |= ((byte & 0x7f) as u64) << shift;
@@ -766,6 +769,31 @@ mod tests {
                 pos: 0,
             };
             assert_eq!(cursor.zigzag().unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn a_varint_past_64_bits_is_named_at_the_byte_that_overflows() {
+        let varint = |tenth: &[u8]| {
+            let bytes = [&[0xff; 9][..], tenth].concat();
+            Cursor {
+                bytes: &bytes,
+                pos: 0,
+            }
+            .varint()
+        };
+        assert_eq!(varint(&[0x01]).unwrap(), u64::MAX);
+        for tenth in [&[0x02][..], &[0x7f], &[0x81, 0x01], &[0xff, 0xff, 0x01]] {
+            match varint(tenth) {
+                Err(CaliError::Decode { byte, message, .. }) => {
+                    assert_eq!(
+                        (byte, message.as_str()),
+                        (9, "varint overflow"),
+                        "{tenth:x?}"
+                    )
+                }
+                other => panic!("{tenth:x?}: {other:?}"),
+            }
         }
     }
 

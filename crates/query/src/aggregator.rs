@@ -14,17 +14,18 @@
 //! (entries merged up a reduction tree via [`Aggregator::merge`]), and
 //! analytical aggregation (driven by records read from `.cali` files).
 //!
-//! Two databases' groups meet in one per-group combine (`combine`: one
-//! group's state row and record count folded into another's), which
-//! two matchers call. [`Aggregator::merge`] matches another database's
-//! groups to this one's by key — found in the table, or added — for the
-//! partials of the tree and of the files parked in pipelines of their
-//! own. A *part* of the database (`Aggregator::open_part`), which a
-//! file folded into `cali-query`'s lent root fills, shares this
-//! database's group ids, so closing it matches by id and looks no key
-//! up. Either way each group receives the partials in the order the
-//! caller merges them, which the merge-order contract fixes (DESIGN.md
-//! §6).
+//! Two databases' groups meet in one combine, a column at a time: the
+//! records column, then each op's (`Column::merge_rows`), over a list
+//! of `(mine, theirs)` group pairs, whose order is the merge order. Two
+//! matchers build the pairs. [`Aggregator::merge`] matches another
+//! database's groups to this one's by key — found in the table, or
+//! added — for the partials of the tree and of the files parked in
+//! pipelines of their own. A *part* of the database
+//! (`Aggregator::open_part`), which a file folded into `cali-query`'s
+//! lent root fills, shares this database's group ids, so closing it
+//! pairs each group it touched with itself and looks no key up. Either
+//! way each group receives the partials in the order the caller merges
+//! them, which the merge-order contract fixes (DESIGN.md §6).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -281,8 +282,9 @@ impl CodeMap {
 
 /// A part of an aggregator: a second set of state columns over the same
 /// groups, which a stream folds into as into a database of its own, and
-/// which then merges into the aggregator's states group by group — or
-/// is dropped, leaving no trace ([`Aggregator::open_part`]).
+/// which then merges into the aggregator's states, each group it touched
+/// into its own — or is dropped, leaving no trace
+/// ([`Aggregator::open_part`]).
 struct Part {
     /// While the part is open, the aggregator's own states, set aside
     /// with the part's in their place; while it is closed, the part's,
@@ -318,8 +320,10 @@ pub struct Aggregator {
     strings: StringTable,
     /// What a [`CodeMap`] recognises this aggregator by.
     id: Identity,
-    /// [`Aggregator::merge`]'s scratch: a key on its way to `admit`.
+    /// [`Aggregator::merge`]'s scratch: a key on its way to `admit`, and
+    /// the `(mine, theirs)` group pairs it combines.
     key: Vec<KeyCell>,
+    pairs: Vec<(u32, u32)>,
     /// The fold of this aggregation, which every block
     /// ([`Aggregator::fold_block`]) and record ([`Aggregator::add`])
     /// takes, made when the first one comes.
@@ -356,6 +360,7 @@ impl Aggregator {
             strings: StringTable::default(),
             id: Identity::default(),
             key: Vec::new(),
+            pairs: Vec::new(),
             fold: None,
             rows: None,
             part: None,
@@ -593,14 +598,21 @@ impl Aggregator {
             })
         });
         debug_assert!(part.open.is_none(), "a part is open already");
+        // Room to touch every group there is, so that a part over groups
+        // that exist allocates nothing per group (a new list: the last
+        // one's entries are gone, and need no copy).
+        if part.touched.capacity() < groups {
+            part.touched = Vec::with_capacity(groups);
+        }
         std::mem::swap(&mut self.ops, &mut part.ops);
         std::mem::swap(&mut self.records, &mut part.records);
         part.open = Some(groups);
     }
 
     /// Shut the open part: its states set aside and the aggregator's back
-    /// in their place, each row it touched combined into the
-    /// aggregator's if it is to be `kept` ([`combine`](Self::combine)),
+    /// in their place, the rows it touched combined into the
+    /// aggregator's if it is to be `kept` — the records column, then op
+    /// by op, each row into its own group's ([`Column::merge_rows`]) —
     /// then reset for the next part. The groups when it opened.
     fn shut_part(&mut self, kept: bool) -> usize {
         let mut part = self.part.take().expect("an open part");
@@ -613,21 +625,23 @@ impl Aggregator {
         } = &mut *part;
         std::mem::swap(&mut self.ops, ops);
         std::mem::swap(&mut self.records, records);
-        for group in touched.drain(..) {
-            if kept {
-                self.combine(group, ops, records, group, None);
+        let rows = || touched.iter().map(|&group| group as usize);
+        if kept {
+            rows().for_each(|g| self.records[g] += records[g]);
+            for (column, theirs) in self.ops.iter_mut().zip(ops.iter()) {
+                column.merge_rows(theirs, rows().map(|g| (g, g)), None, &mut self.strings);
             }
-            records[group as usize] = 0;
-            ops.iter_mut()
-                .for_each(|column| column.reset(group as usize));
         }
+        rows().for_each(|g| records[g] = 0);
+        ops.iter_mut().for_each(|column| column.reset_rows(rows()));
+        touched.clear();
         self.part = Some(part);
         opened
     }
 
     /// Close the open part: each group it touched combines its part row
     /// into its own, as [`merge`](Self::merge) combines another
-    /// database's group — with no key looked up or string translated —
+    /// database's groups — with no key looked up or string translated —
     /// and the part's rows are reset.
     pub(crate) fn close_part(&mut self) {
         self.shut_part(true);
@@ -657,25 +671,6 @@ impl Aggregator {
             records.truncate(groups);
         }
         self.id = Identity::default();
-    }
-
-    /// The one per-group merge: row `og` of a source's state columns
-    /// `ops` and record counts `records` — its strings codes of `from`,
-    /// or of this aggregator's own table where `from` is `None` —
-    /// combined into group `g`'s.
-    fn combine(
-        &mut self,
-        g: u32,
-        ops: &[Column],
-        records: &[u64],
-        og: u32,
-        from: Option<&StringTable>,
-    ) {
-        let (g, og) = (g as usize, og as usize);
-        self.records[g] += records[og];
-        for (column, theirs) in self.ops.iter_mut().zip(ops) {
-            column.merge(g, theirs, og, from, &mut self.strings);
-        }
     }
 
     /// Fold one occurrence of op `op`'s target into `group`.
@@ -765,35 +760,50 @@ impl Aggregator {
         );
         #[cfg(test)]
         crate::parallel::tests::BUILT.with(|built| built.set((built.get().0, built.get().1 + 1)));
-        let mut incoming = other.keyed();
+        // Their overflow bucket, then their keyed groups (in key order
+        // under a capacity), each paired with the group here that takes
+        // it in: this one's overflow bucket, the group its key finds or
+        // starts — or, honoring the capacity bound, the overflow bucket.
+        // Their keys are brought into this aggregator's terms: each of
+        // their strings is looked up by its text once, however many
+        // groups carry it.
+        let mut pairs = std::mem::take(&mut self.pairs);
+        pairs.clear();
+        pairs.reserve(other.records.len());
+        pairs.extend(other.overflow.map(|theirs| (NO_GROUP, theirs)));
         if self.max_groups.is_some() {
+            let incoming = other.keyed();
             let key = |i: usize| other.key_of(incoming[i]);
             let order = key_order(&other.strings, self.spec.key.len(), incoming.len(), key);
-            incoming = order.iter().map(|&i| incoming[i as usize]).collect();
+            pairs.extend(order.iter().map(|&i| (NO_GROUP, incoming[i as usize])));
+        } else {
+            let keyed = (0..other.records.len() as u32).filter(|&g| !other.is_overflow(g));
+            pairs.extend(keyed.map(|theirs| (NO_GROUP, theirs)));
         }
-        // Their overflow bucket into this one, then each group into the
-        // group its key finds or starts here — or, honoring the capacity
-        // bound, into the overflow bucket. Their keys are brought into
-        // this aggregator's terms: each of their strings is looked up by
-        // its text once, however many groups carry it.
         let (mut codes, mut key) = (CodeMap::default(), std::mem::take(&mut self.key));
-        for theirs in other.overflow.into_iter().chain(incoming) {
-            let mine = if other.overflow == Some(theirs) {
+        for (mine, theirs) in pairs.iter_mut() {
+            *mine = if other.overflow == Some(*theirs) {
                 self.overflow_group()
             } else {
-                let cells = other.key_of(theirs).iter().map(|cell| cell.0);
+                let cells = other.key_of(*theirs).iter().map(|cell| cell.0);
                 self.fill_key(&mut key, cells, &mut codes, &other.strings);
                 self.admit(&key)
             };
-            self.combine(
-                mine,
-                &other.ops,
-                &other.records,
-                theirs,
-                Some(&other.strings),
-            );
         }
         self.key = key;
+        // Then the records column and each op's, a column at a time, the
+        // pairs in order: a group that takes in several of theirs takes
+        // them in the order a merge of one group at a time would.
+        let rows = || {
+            pairs
+                .iter()
+                .map(|&(mine, theirs)| (mine as usize, theirs as usize))
+        };
+        rows().for_each(|(mine, theirs)| self.records[mine] += other.records[theirs]);
+        for (column, theirs) in self.ops.iter_mut().zip(&other.ops) {
+            column.merge_rows(theirs, rows(), Some(&other.strings), &mut self.strings);
+        }
+        self.pairs = pairs;
     }
 
     /// Flush the database into result rows, interning result attributes
@@ -1879,6 +1889,73 @@ mod tests {
         );
     }
 
+    /// A merge combines its `(mine, theirs)` pairs in their order, a
+    /// column at a time, so a capped merge that sends several groups to
+    /// the overflow bucket leaves there what merging them one partial at
+    /// a time, in the same (key) order, leaves: over `sum`, `min` and
+    /// `max` columns that hold every cell class (integers near
+    /// `i64::MAX`, `UInt`, `-0.0`, NaN, strings, bools, no value), and
+    /// over a sum of integers that is exact in one order and not in
+    /// another.
+    #[test]
+    fn a_capped_merge_combines_its_pairs_in_merge_order() {
+        let store = Arc::new(AttributeStore::new());
+        let query = "AGGREGATE count, sum(x), min(x), max(x), sum(n) GROUP BY k";
+        let spec = AggregationSpec::from_query(&parse_query(query).unwrap());
+        let values = [
+            Some(Value::Int(i64::MAX - 1)),
+            Some(Value::Int(5)),
+            Some(Value::UInt(7)),
+            Some(Value::Float(-0.0)),
+            Some(Value::Float(f64::NAN)),
+            Some(Value::Float(2.5)),
+            Some(Value::str("s")),
+            Some(Value::Bool(true)),
+            None,
+        ];
+        let keys = ["c", "d", "e", "f", "g", "h"];
+        // In key order, the incoming sums of `n` overflow at the first
+        // step; in reverse key order they never do.
+        let n = [3, 4, i64::MAX - 1, 5, -10, 1];
+        // Key `i`'s records: a mix of classes of its own, and `n` once.
+        let records = |i: usize| -> Vec<FlatRecord> {
+            (0..3)
+                .map(|j| {
+                    let mut record = RecordBuilder::new(&store).with("k", keys[i]);
+                    if let Some(x) = &values[(i * 4 + j * 3) % values.len()] {
+                        record = record.with("x", x.clone());
+                    }
+                    if j == 0 {
+                        record = record.with("n", n[i]);
+                    }
+                    record.build()
+                })
+                .collect()
+        };
+        let aggregated = |records: &[FlatRecord], cap: Option<usize>| {
+            let mut agg = Aggregator::new(spec.clone(), Arc::clone(&store));
+            agg.set_max_groups(cap);
+            records.iter().for_each(|record| agg.add(record));
+            agg
+        };
+        let one_by_one = |order: &mut dyn Iterator<Item = usize>| {
+            let mut root = aggregated(&[&records(0)[..], &records(1)[..]].concat(), Some(2));
+            order.for_each(|i| root.merge(aggregated(&records(i), None)));
+            root
+        };
+        // Two keys fill the root, so every incoming key overflows; the
+        // incoming groups came about in reverse key order.
+        let incoming: Vec<FlatRecord> = (2..keys.len()).rev().flat_map(records).collect();
+        let mut at_once = one_by_one(&mut std::iter::empty());
+        at_once.merge(aggregated(&incoming, None));
+        assert_eq!(at_once.overflow_records(), 12);
+        assert_eq!(bits(&at_once), bits(&one_by_one(&mut (2..keys.len()))));
+        assert_ne!(
+            bits(&at_once),
+            bits(&one_by_one(&mut (2..keys.len()).rev()))
+        );
+    }
+
     #[test]
     fn a_dropped_part_leaves_no_trace() {
         let store = Arc::new(AttributeStore::new());
@@ -1947,7 +2024,7 @@ mod tests {
                     .for_each(|value| theirs.update(0, value, &mut strings));
                 let mut mine = Column::new(op);
                 mine.resize(1);
-                mine.merge(0, &theirs, 0, None, &mut strings);
+                mine.merge_rows(&theirs, [(0, 0)], None, &mut strings);
                 // `Debug` prints `-0.0` and `0.0` apart.
                 let (mine, theirs) = (format!("{mine:?}"), format!("{theirs:?}"));
                 assert_eq!(mine, theirs, "{op:?} over {values:?}");

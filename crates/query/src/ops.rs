@@ -2,11 +2,12 @@
 //!
 //! An operator's state is a `Column` with one entry per group, indexed
 //! by group id — the aggregator holds one per op — and each operator has
-//! three operations on an entry: `update` folds one input value into it
-//! (streaming reduction — the input is never stored), `merge` folds
-//! another column's entry into it (cross-process tree reduction,
-//! re-aggregation of pre-aggregated profiles), and `finish` produces the
-//! result value. A [`Reducer`] is one entry of one operator's column.
+//! three operations: `update` folds one input value into an entry
+//! (streaming reduction — the input is never stored), `merge_rows` folds
+//! another column's entries into this one's, a column at a time
+//! (cross-process tree reduction, re-aggregation of pre-aggregated
+//! profiles, a closed part), and `finish` produces an entry's result
+//! value. A [`Reducer`] is one entry of one operator's column.
 
 use std::cmp::Ordering;
 use std::fmt::Write;
@@ -145,6 +146,7 @@ fn subsample_sorted(v: &mut Vec<f64>, target: usize) {
 /// `*prev += value` under `sum`'s rules; `prev` a cell of `strings`.
 /// In place: a sum of one type changes the number alone (a whole cell
 /// stored per value stalls the load of the next).
+#[inline(always)]
 fn add(prev: &mut Cell, value: &Value, strings: &StringTable) {
     let exact = match (&mut *prev, value) {
         (Cell::Int(a), Value::Int(b)) => a.checked_add(*b).map(|sum| *a = sum).is_some(),
@@ -163,21 +165,16 @@ fn add(prev: &mut Cell, value: &Value, strings: &StringTable) {
     }
 }
 
-/// [`Column::update_from`] for `sum` over numbers of one type: what
-/// `update` of `value(v[i])` does to entry `g`, for each `(g, i)`.
-fn sum<T: Copy>(
-    acc: &mut [Option<Cell>],
-    v: &[T],
-    at: impl Iterator<Item = (usize, usize)>,
-    value: impl Fn(T) -> Value,
-    strings: &mut StringTable,
-) {
-    for (g, i) in at {
-        let value = value(v[i]);
-        match &mut acc[g] {
-            Some(prev) => add(prev, &value, strings),
-            empty => *empty = Some(strings.cell(&value)),
-        }
+/// `sum`'s step: `value` added to the entry ([`add`]), or the entry's
+/// first input, a string interned in `strings`.
+// Always inlined, as are `add` and `extreme`: each typed loop of
+// `update_from` and `merge_rows` needs its own copy, and a call per
+// value slowed the `wide` fold by a fifth.
+#[inline(always)]
+fn sum(entry: &mut Option<Cell>, value: &Value, strings: &mut StringTable) {
+    match entry {
+        Some(prev) => add(prev, value, strings),
+        empty => *empty = Some(strings.cell(value)),
     }
 }
 
@@ -197,35 +194,52 @@ fn exact(cell: Cell) -> (i128, u8) {
     }
 }
 
-/// [`Column::update_from`] for `min` / `max` over numbers of one type:
-/// a number and a kept number compare by their `f64` images, then by
-/// [`exact`], and a kept string is greater — [`Value::total_cmp`]'s
-/// order.
-fn extreme<T: Copy>(
-    wanted: Ordering,
-    acc: &mut [Option<Cell>],
-    v: &[T],
-    at: impl Iterator<Item = (usize, usize)>,
-    cell: impl Fn(T) -> Cell,
-    image: impl Fn(T) -> f64,
-) {
-    for (g, i) in at {
-        let x = v[i];
-        match &mut acc[g] {
-            Some(kept) => {
-                let order = match *kept {
-                    Cell::Str(_) => Ordering::Less,
-                    Cell::Float(k) => image(x).total_cmp(&k),
-                    Cell::Int(k) => image(x).total_cmp(&(k as f64)),
-                    Cell::UInt(k) => image(x).total_cmp(&(k as f64)),
-                    Cell::Bool(k) => image(x).total_cmp(&f64::from(u8::from(k))),
-                };
-                if order.then_with(|| exact(cell(x)).cmp(&exact(*kept))) == wanted {
-                    *kept = cell(x);
-                }
+/// `min`'s (`wanted` `Less`) and `max`'s (`Greater`) step for a number:
+/// `x`, of `f64` image `image`, replaces the kept one if it is on the
+/// `wanted` side of it. A number and a kept number compare by their
+/// `f64` images, then by [`exact`], and a kept string is greater —
+/// [`Value::total_cmp`]'s order.
+#[inline(always)]
+fn extreme(wanted: Ordering, entry: &mut Option<Cell>, x: Cell, image: f64) {
+    match entry {
+        Some(kept) => {
+            let order = match *kept {
+                Cell::Str(_) => Ordering::Less,
+                Cell::Float(k) => image.total_cmp(&k),
+                Cell::Int(k) => image.total_cmp(&(k as f64)),
+                Cell::UInt(k) => image.total_cmp(&(k as f64)),
+                Cell::Bool(k) => image.total_cmp(&f64::from(u8::from(k))),
+            };
+            if order.then_with(|| exact(x).cmp(&exact(*kept))) == wanted {
+                *kept = x;
             }
-            empty => *empty = Some(cell(x)),
         }
+        empty => *empty = Some(x),
+    }
+}
+
+/// [`extreme`] for any value, a kept string a code of `strings` and a
+/// string that wins interned there.
+fn extreme_value(
+    wanted: Ordering,
+    entry: &mut Option<Cell>,
+    value: &Value,
+    strings: &mut StringTable,
+) {
+    // Two floats compared as `Value::total_cmp` compares them, with no
+    // `Value` built of the kept one: of one image they are equal.
+    let wins = match (*entry, value) {
+        (None, _) => true,
+        (Some(Cell::Float(x)), Value::Float(v)) => v.total_cmp(&x) == wanted,
+        (Some(cell), _) => {
+            let order = value.total_cmp(&strings.get(cell));
+            // Interns nothing: a string ties only with the kept one's
+            // text, which the table holds.
+            order.then_with(|| exact(strings.cell(value)).cmp(&exact(cell))) == wanted
+        }
+    };
+    if wins {
+        *entry = Some(strings.cell(value));
     }
 }
 
@@ -259,16 +273,21 @@ impl Column {
         }
     }
 
-    /// Entry `g` back to no input folded in.
-    pub(crate) fn reset(&mut self, g: usize) {
+    /// Entries `rows` back to no input folded in.
+    pub(crate) fn reset_rows(&mut self, rows: impl IntoIterator<Item = usize>) {
+        let rows = rows.into_iter();
         match self {
             Column::Count => {}
-            Column::Sum(acc) | Column::Extreme(_, acc) => acc[g] = None,
-            Column::Avg(acc) => acc[g] = (0.0, 0),
-            Column::PercentTotal(acc) => acc[g] = 0.0,
-            Column::Moments(_, acc) => acc[g] = (0, 0.0, 0.0),
-            Column::Histogram { stride, counts, .. } => counts[g * *stride..][..*stride].fill(0),
-            Column::Percentile(_, reservoirs) => reservoirs[g] = Reservoir::EMPTY,
+            Column::Sum(acc) | Column::Extreme(_, acc) => rows.for_each(|g| acc[g] = None),
+            Column::Avg(acc) => rows.for_each(|g| acc[g] = (0.0, 0)),
+            Column::PercentTotal(acc) => rows.for_each(|g| acc[g] = 0.0),
+            Column::Moments(_, acc) => rows.for_each(|g| acc[g] = (0, 0.0, 0.0)),
+            Column::Histogram { stride, counts, .. } => {
+                rows.for_each(|g| counts[g * *stride..][..*stride].fill(0))
+            }
+            Column::Percentile(_, reservoirs) => {
+                rows.for_each(|g| reservoirs[g] = Reservoir::EMPTY)
+            }
         }
     }
 
@@ -291,32 +310,9 @@ impl Column {
     pub(crate) fn update(&mut self, g: usize, value: &Value, strings: &mut StringTable) {
         let v = match self {
             Column::Count => return,
-            Column::Sum(acc) => {
-                match &mut acc[g] {
-                    Some(prev) => add(prev, value, strings),
-                    empty => *empty = Some(strings.cell(value)),
-                }
-                return;
-            }
+            Column::Sum(acc) => return sum(&mut acc[g], value, strings),
             Column::Extreme(wanted, acc) => {
-                let kept = &mut acc[g];
-                // Two floats compared as `Value::total_cmp` compares
-                // them, with no `Value` built of the kept one: of one
-                // image they are equal.
-                let wins = match (*kept, value) {
-                    (None, _) => true,
-                    (Some(Cell::Float(x)), Value::Float(v)) => v.total_cmp(&x) == *wanted,
-                    (Some(cell), _) => {
-                        let order = value.total_cmp(&strings.get(cell));
-                        // Interns nothing: a string ties only with the
-                        // kept one's text, which the table holds.
-                        order.then_with(|| exact(strings.cell(value)).cmp(&exact(cell))) == *wanted
-                    }
-                };
-                if wins {
-                    *kept = Some(strings.cell(value));
-                }
-                return;
+                return extreme_value(*wanted, &mut acc[g], value, strings)
             }
             _ => match value.to_f64() {
                 Some(v) => v,
@@ -371,17 +367,35 @@ impl Column {
         strings: &mut StringTable,
     ) {
         match (self, data) {
-            (Column::Sum(acc), ColumnData::Float(v)) => sum(acc, v, at, Value::Float, strings),
-            (Column::Sum(acc), ColumnData::Int(v)) => sum(acc, v, at, Value::Int, strings),
-            (Column::Sum(acc), ColumnData::UInt(v)) => sum(acc, v, at, Value::UInt, strings),
+            (Column::Sum(acc), ColumnData::Float(v)) => {
+                for (g, i) in at {
+                    sum(&mut acc[g], &Value::Float(v[i]), strings);
+                }
+            }
+            (Column::Sum(acc), ColumnData::Int(v)) => {
+                for (g, i) in at {
+                    sum(&mut acc[g], &Value::Int(v[i]), strings);
+                }
+            }
+            (Column::Sum(acc), ColumnData::UInt(v)) => {
+                for (g, i) in at {
+                    sum(&mut acc[g], &Value::UInt(v[i]), strings);
+                }
+            }
             (Column::Extreme(wanted, acc), ColumnData::Float(v)) => {
-                extreme(*wanted, acc, v, at, Cell::Float, |x| x)
+                for (g, i) in at {
+                    extreme(*wanted, &mut acc[g], Cell::Float(v[i]), v[i]);
+                }
             }
             (Column::Extreme(wanted, acc), ColumnData::Int(v)) => {
-                extreme(*wanted, acc, v, at, Cell::Int, |i| i as f64)
+                for (g, i) in at {
+                    extreme(*wanted, &mut acc[g], Cell::Int(v[i]), v[i] as f64);
+                }
             }
             (Column::Extreme(wanted, acc), ColumnData::UInt(v)) => {
-                extreme(*wanted, acc, v, at, Cell::UInt, |u| u as f64)
+                for (g, i) in at {
+                    extreme(*wanted, &mut acc[g], Cell::UInt(v[i]), v[i] as f64);
+                }
             }
             (column, data) => {
                 for (g, i) in at {
@@ -391,56 +405,89 @@ impl Column {
         }
     }
 
-    /// Fold entry `og` of `other` — a column of the same op, strings as
+    /// Fold entries of `other` — a column of the same op, strings as
     /// codes of `from`, or of `to` itself where `from` is `None` — into
-    /// entry `g`.
-    pub(crate) fn merge(
+    /// this column's: for each `(mine, theirs)` of `pairs`, in that
+    /// order, entry `theirs` into entry `mine`. One loop per op: `sum`,
+    /// `min` and `max` take an integer or float entry as it is, by
+    /// [`update_from`](Self::update_from)'s steps, and any other entry
+    /// as its value, by [`update`](Self::update)'s.
+    pub(crate) fn merge_rows(
         &mut self,
-        g: usize,
         other: &Column,
-        og: usize,
+        pairs: impl IntoIterator<Item = (usize, usize)>,
         from: Option<&StringTable>,
         to: &mut StringTable,
     ) {
+        let pairs = pairs.into_iter();
         match (self, other) {
             (Column::Count, Column::Count) => {}
-            (
-                mine @ (Column::Sum(_) | Column::Extreme(..)),
-                Column::Sum(theirs) | Column::Extreme(_, theirs),
-            ) => {
-                if let Some(cell) = theirs[og] {
-                    let value = from.unwrap_or(to).get(cell).into_owned();
-                    mine.update(g, &value, to);
+            (Column::Sum(acc), Column::Sum(theirs)) => {
+                for (g, og) in pairs {
+                    match theirs[og] {
+                        None => {}
+                        Some(Cell::Float(x)) => sum(&mut acc[g], &Value::Float(x), to),
+                        Some(Cell::Int(i)) => sum(&mut acc[g], &Value::Int(i), to),
+                        Some(Cell::UInt(u)) => sum(&mut acc[g], &Value::UInt(u), to),
+                        Some(cell) => {
+                            let value = from.unwrap_or(to).get(cell).into_owned();
+                            sum(&mut acc[g], &value, to);
+                        }
+                    }
+                }
+            }
+            (Column::Extreme(wanted, acc), Column::Extreme(_, theirs)) => {
+                for (g, og) in pairs {
+                    match theirs[og] {
+                        None => {}
+                        Some(x @ Cell::Float(f)) => extreme(*wanted, &mut acc[g], x, f),
+                        Some(x @ Cell::Int(i)) => extreme(*wanted, &mut acc[g], x, i as f64),
+                        Some(x @ Cell::UInt(u)) => extreme(*wanted, &mut acc[g], x, u as f64),
+                        Some(cell) => {
+                            let value = from.unwrap_or(to).get(cell).into_owned();
+                            extreme_value(*wanted, &mut acc[g], &value, to);
+                        }
+                    }
                 }
             }
             (Column::Avg(a), Column::Avg(b)) => {
-                a[g].0 += b[og].0;
-                a[g].1 += b[og].1;
+                for (g, og) in pairs {
+                    a[g].0 += b[og].0;
+                    a[g].1 += b[og].1;
+                }
             }
-            (Column::PercentTotal(a), Column::PercentTotal(b)) => a[g] += b[og],
+            (Column::PercentTotal(a), Column::PercentTotal(b)) => {
+                pairs.for_each(|(g, og)| a[g] += b[og])
+            }
             (Column::Moments(_, a), Column::Moments(_, b)) => {
-                // Chan et al. parallel variance combination.
-                let ((na, ma, m2a), (nb, mb, m2b)) = (&mut a[g], b[og]);
-                let n = *na + nb;
-                if nb > 0 {
-                    if *na == 0 {
-                        *ma = mb;
-                        *m2a = m2b;
-                    } else {
-                        let delta = mb - *ma;
-                        *m2a += m2b + delta * delta * (*na as f64) * (nb as f64) / n as f64;
-                        *ma += delta * (nb as f64) / n as f64;
+                for (g, og) in pairs {
+                    // Chan et al. parallel variance combination.
+                    let ((na, ma, m2a), (nb, mb, m2b)) = (&mut a[g], b[og]);
+                    let n = *na + nb;
+                    if nb > 0 {
+                        if *na == 0 {
+                            *ma = mb;
+                            *m2a = m2b;
+                        } else {
+                            let delta = mb - *ma;
+                            *m2a += m2b + delta * delta * (*na as f64) * (nb as f64) / n as f64;
+                            *ma += delta * (nb as f64) / n as f64;
+                        }
+                        *na = n;
                     }
-                    *na = n;
                 }
             }
             (Column::Histogram { stride, counts, .. }, Column::Histogram { counts: b, .. }) => {
-                let theirs = &b[og * *stride..][..*stride];
-                for (mine, theirs) in counts[g * *stride..][..*stride].iter_mut().zip(theirs) {
-                    *mine += theirs;
+                for (g, og) in pairs {
+                    let theirs = &b[og * *stride..][..*stride];
+                    for (mine, theirs) in counts[g * *stride..][..*stride].iter_mut().zip(theirs) {
+                        *mine += theirs;
+                    }
                 }
             }
-            (Column::Percentile(_, a), Column::Percentile(_, b)) => a[g].merge(&b[og]),
+            (Column::Percentile(_, a), Column::Percentile(_, b)) => {
+                pairs.for_each(|(g, og)| a[g].merge(&b[og]))
+            }
             (a, b) => debug_assert!(false, "merging mismatched columns: {a:?} vs {b:?}"),
         }
     }
@@ -713,7 +760,8 @@ impl Reducer {
     pub fn merge(&mut self, other: &Reducer) {
         self.inputs += other.inputs;
         let (from, to) = (&other.strings, &mut self.strings);
-        self.column.merge(0, &other.column, 0, Some(from), to);
+        self.column
+            .merge_rows(&other.column, [(0, 0)], Some(from), to);
     }
 
     /// Produce the result value. `Sum`/`Min`/`Max` with no inputs yield

@@ -53,8 +53,8 @@
 //!   join the root's one group table. The file's own dictionary and store
 //!   stay its own; the fold resolves against them. When the file is
 //!   settled the part is closed — each group it touched combines its part
-//!   row into its root row through the one per-group combine that
-//!   [`Aggregator::merge`](crate::Aggregator::merge) also calls, with no
+//!   row into its root row through the one column-at-a-time combine that
+//!   [`Aggregator::merge`](crate::Aggregator::merge) also runs, with no
 //!   key hashed and no string translated — or dropped, leaving no trace.
 //!   With one worker every file after the first is folded this way: one
 //!   pipeline, one group table and no key-by-key merge.

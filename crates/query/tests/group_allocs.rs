@@ -5,18 +5,23 @@
 //! the fold's scratch has grown to a block, folding more blocks into
 //! groups that exist allocates nothing at all. A flush allocates per
 //! column, not per group, and so do finishing a query and rendering its
-//! result, short of the output's doubling. A test binary of its own
+//! result, short of the output's doubling. A file folded into a part
+//! of a one-worker run's root over groups that exist allocates as much
+//! whatever their number. A test binary of its own
 //! because it installs a counting global allocator; until `cali-bench`
 //! has a `query.new_group_allocs` row (ROADMAP item 1d) this is that
 //! row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use caliper_data::{AttributeStore, Properties, Value, ValueType};
-use caliper_format::{Block, Dataset, StringTable};
-use caliper_query::{parse_query, AggregationSpec, Aggregator, Pipeline};
+use caliper_data::{AttributeStore, Properties, SnapshotRecord, Value, ValueType};
+use caliper_format::{cali, Block, Dataset, ReadPolicy, StringTable};
+use caliper_query::{
+    fold_files, parse_query, AggregationSpec, Aggregator, ParallelOptions, Pipeline,
+};
 
 thread_local! {
     // Const-initialised and without a destructor: reading it from
@@ -312,4 +317,76 @@ fn folding_into_existing_groups_allocates_nothing() {
         );
         assert_eq!(allocations, 0, "{query}: allocations folding 3 warm blocks");
     }
+}
+
+/// A text file of `iterations` × 8 records, a group each under
+/// [`PART`]: eight kernels (nested), each with the iteration and a time.
+/// Its dictionary is the same whatever the number of iterations.
+fn kernels_file(dir: &Path, iterations: i64) -> PathBuf {
+    let mut ds = Dataset::new();
+    let kernel = ds.attribute("kernel", ValueType::Str, Properties::NESTED);
+    let value = Properties::AS_VALUE;
+    let iteration = ds.attribute("iteration", ValueType::Int, value);
+    let time = ds.attribute("time", ValueType::Float, value);
+    for it in 0..iterations {
+        for k in 0..8 {
+            let name = Value::str(format!("kernel-{k}"));
+            let node = ds
+                .tree
+                .get_child(caliper_data::NODE_NONE, kernel.id(), &name);
+            let mut rec = SnapshotRecord::new();
+            rec.push_node(node);
+            rec.push_imm(iteration.id(), Value::Int(it));
+            rec.push_imm(time.id(), Value::Float((it * 8 + k) as f64 * 0.25));
+            ds.push(rec);
+        }
+    }
+    let path = dir.join(format!("kernels-{iterations}.cali"));
+    cali::write_file(&ds, &path).unwrap();
+    path
+}
+
+const PART: &str = "AGGREGATE count, sum(time), min(time), max(time) GROUP BY kernel, iteration";
+
+#[test]
+fn a_part_close_allocates_nothing_per_group() {
+    let dir = std::env::temp_dir().join(format!("group-allocs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = parse_query(PART).unwrap();
+    let options = ParallelOptions::with_threads(1);
+    // With one worker every file after the first folds into a part of
+    // the root — opened over the groups the first admitted, folded into
+    // and closed — so a file more costs its scan and its part. The scan
+    // is what scanning the file once more into a pipeline that holds its
+    // groups costs, and the rest is the part's (and the driver's).
+    let parts = |iterations: i64| {
+        let path = kernels_file(&dir, iterations);
+        let fold = |files: usize| {
+            let paths = vec![&path; files];
+            let (allocations, (root, _)) = counted(|| fold_files(&spec, &paths, &options).unwrap());
+            assert_eq!(root.len(), 8 * iterations as usize);
+            allocations
+        };
+        let dict = Dataset::new();
+        let mut warm = Pipeline::new(spec.clone(), Arc::clone(&dict.store));
+        let strict = ReadPolicy::Strict;
+        let dict = warm.scan_file(&path, dict, strict, None).unwrap().dict;
+        let dict = warm.scan_file(&path, dict, strict, None).unwrap().dict;
+        let (scan, _) = counted(|| warm.scan_file(&path, dict, strict, None).unwrap());
+        fold(3); // registers the run's metrics
+        let (one, two, three) = (fold(1), fold(2), fold(3));
+        // The first part, made over the groups there are, and the next.
+        (two - one - scan, three - two - scan)
+    };
+    let (few, many) = (parts(64), parts(1024));
+    std::fs::remove_dir_all(&dir).ok();
+    eprintln!("a first and a later part: {few:?} allocations over 512 groups, {many:?} over 8 192");
+    assert_eq!(
+        few, many,
+        "allocations of a part over 512 groups, and over 8 192"
+    );
+    assert!(
+        many.0 <= 30 && many.1 <= 20,
+        "{many:?} allocations of a part"
+    );
 }

@@ -1,11 +1,15 @@
 #!/bin/sh
-# Full local gate: release build, the workspace's test suites, the
-# design ablations' smoke run, the benchmark package's tests and smoke
-# run, lint pass, a rustdoc pass with warnings (missing_docs among them)
-# promoted to errors, and a failure-injection smoke run of the
-# fault-tolerant pipeline.
+# Full local gate: the layout rustfmt gives, release build, the
+# workspace's test suites, the design ablations' smoke run, the
+# benchmark package's tests and smoke run, lint pass, a rustdoc pass
+# with warnings (missing_docs among them) promoted to errors, and a
+# failure-injection smoke run of the fault-tolerant pipeline.
 set -eu
 cd "$(dirname "$0")/.."
+
+# Format gate: every workspace crate is laid out as `cargo fmt` lays it
+# out (`benchmark/` is a package of its own, outside the workspace).
+cargo fmt --all -- --check
 
 cargo build --release --workspace
 cargo test -q --workspace
